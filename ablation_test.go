@@ -205,7 +205,7 @@ func overloadDropFraction(b *testing.B, queueBytes int) float64 {
 		dev.RunFor(netfpga.Microsecond)
 	}
 	dev.RunFor(netfpga.Millisecond)
-	st := oq.Stats()
+	st := oq.Counters().Map()
 	delivered := st["port2_pkts"]
 	dropped := st["port2_drops"]
 	if delivered+dropped == 0 {

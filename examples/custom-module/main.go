@@ -28,6 +28,31 @@ type firewall struct {
 	dropping bool // inside a dropped frame
 	passed   uint64
 	dropped  uint64
+	ctrs     hw.Counters
+}
+
+// newFirewall builds the module and registers its counters — once, here.
+// That one list is all the telemetry code a contributed module writes:
+// Design.Stats, the device snapshot ("design.user_firewall.passed"), a
+// sweep's queue-drop sum (for counters of kind hw.QueueDrop; a policy
+// drop like this one is a plain count) and the register block below are
+// all views of it.
+func newFirewall(in, out *hw.Stream, blocked map[uint16]bool) *firewall {
+	f := &firewall{in: in, out: out, blocked: blocked}
+	f.ctrs.Add("passed", &f.passed)
+	f.ctrs.Add("dropped", &f.dropped)
+	return f
+}
+
+// Counters implements hw.CounterSource.
+func (f *firewall) Counters() *hw.Counters { return &f.ctrs }
+
+// Registers maps the same counters for the host driver: passed_lo/_hi
+// at 0x0, dropped_lo/_hi at 0x8.
+func (f *firewall) Registers() *hw.RegisterFile {
+	rf := hw.NewRegisterFile("user_firewall")
+	rf.AddCounters(0x0, f.ctrs.List()...)
+	return rf
 }
 
 // Name implements hw.Module.
@@ -70,11 +95,6 @@ func (f *firewall) Tick() bool {
 	return true
 }
 
-// Stats implements hw.StatsProvider.
-func (f *firewall) Stats() map[string]uint64 {
-	return map[string]uint64{"passed": f.passed, "dropped": f.dropped}
-}
-
 func main() {
 	dev := netfpga.NewDevice(netfpga.SUME(), netfpga.Options{})
 	d := dev.Dsn
@@ -100,9 +120,9 @@ func main() {
 	decided := d.NewStream("opl-oq", 16)
 	lib.NewInputArbiter(d, ins, merged)
 
-	fw := &firewall{in: merged, out: filtered,
-		blocked: map[uint16]bool{0x86DD: true}} // block IPv6
-	d.AddModule(fw) // <- the one new line of "hardware"
+	fw := newFirewall(merged, filtered, map[uint16]bool{0x86DD: true}) // block IPv6
+	d.AddModule(fw)                                                    // <- the one new line of "hardware"
+	dev.MountRegs(fw.Registers())
 
 	lib.NewOutputPortLookup(d, "switch_lookup", filtered, decided, swLookup, 2,
 		hw.Resources{LUTs: 4100, FFs: 4600, BRAM36: 13}, nil)
@@ -136,7 +156,15 @@ func main() {
 		delivered += len(dev.Tap(i).Received())
 	}
 	fmt.Printf("IPv4 copies delivered: %d (flooded to 3 ports)\n", delivered)
-	fmt.Printf("firewall: passed=%d dropped=%d\n", fw.passed, fw.dropped)
+	// The counters, three ways, from the one registration: the module's
+	// own map, the device snapshot, and the host driver's register read.
+	snap := dev.Snapshot()
+	dropped, err := dev.Driver.ReadCounter64("user_firewall", "dropped")
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("firewall: %v  snapshot passed=%d  register dropped=%d\n",
+		fw.ctrs.Map(), snap["design.user_firewall.passed"], dropped)
 }
 
 // buildSwitchLookup borrows the learning-switch decision from the stock

@@ -64,6 +64,7 @@ type bgPort struct {
 	offeredFrames, offeredBytes     uint64
 	deliveredFrames, deliveredBytes uint64
 	droppedFrames, droppedBytes     uint64
+	ctrs                            hw.Counters
 }
 
 // Background is the hybrid-fidelity analytic traffic model: background
@@ -85,7 +86,12 @@ type bgPort struct {
 type Background struct {
 	s     *sim.Sim
 	ports []bgPort
+	ctrs  hw.Counters
 }
+
+// bgPortPrefixes are the per-port counter name prefixes of the model's
+// snapshot block.
+var bgPortPrefixes = hw.NewNameTable("port%d_", hw.MaxPorts)
 
 // NewBackground builds the model for a board: one service queue per
 // front-panel port at that port's line rate.
@@ -101,6 +107,17 @@ func NewBackground(s *sim.Sim, board BoardSpec) *Background {
 				w()
 			}
 		})
+		p.ctrs.Grow(8)
+		p.ctrs.Add("offered_frames", &p.offeredFrames)
+		p.ctrs.Add("offered_bytes", &p.offeredBytes)
+		p.ctrs.Add("delivered_frames", &p.deliveredFrames)
+		p.ctrs.Add("delivered_bytes", &p.deliveredBytes)
+		p.ctrs.Add("dropped_frames", &p.droppedFrames)
+		p.ctrs.Add("dropped_bytes", &p.droppedBytes)
+		p.ctrs.Add("pending_bytes", &p.pendingBytes)
+		p.ctrs.Add("highwater", &p.highwater)
+		// A port exports its block only once it has been offered traffic.
+		bg.ctrs.Include(bgPortPrefixes.At(i), &p.ctrs, &p.offeredFrames)
 	}
 	return bg
 }
@@ -258,24 +275,6 @@ func (bg *Background) HighWater(port int) uint64 { return bg.ports[port].highwat
 // Ports returns the number of modeled egress ports.
 func (bg *Background) Ports() int { return len(bg.ports) }
 
-// Stats exports the model's counters for device snapshots, keyed
-// port<N>_<counter> for every port that saw offered traffic.
-func (bg *Background) Stats() map[string]uint64 {
-	out := make(map[string]uint64, 8*len(bg.ports))
-	for i := range bg.ports {
-		p := &bg.ports[i]
-		if p.offeredFrames == 0 {
-			continue
-		}
-		pre := fmt.Sprintf("port%d_", i)
-		out[pre+"offered_frames"] = p.offeredFrames
-		out[pre+"offered_bytes"] = p.offeredBytes
-		out[pre+"delivered_frames"] = p.deliveredFrames
-		out[pre+"delivered_bytes"] = p.deliveredBytes
-		out[pre+"dropped_frames"] = p.droppedFrames
-		out[pre+"dropped_bytes"] = p.droppedBytes
-		out[pre+"pending_bytes"] = p.pendingBytes
-		out[pre+"highwater"] = p.highwater
-	}
-	return out
-}
+// Counters implements hw.CounterSource: port<N>_<counter> for every
+// port that saw offered traffic.
+func (bg *Background) Counters() *hw.Counters { return &bg.ctrs }

@@ -76,6 +76,9 @@ type Device struct {
 
 	taps   []*PortTap
 	agents []Agent
+	// everyTimers counts the perpetual timers Every has armed; the
+	// device is idle when nothing else is pending.
+	everyTimers int
 
 	// segBudget/segYield/nextYield implement cooperative segmented
 	// execution (see SetSegmentHook): when segBudget is non-zero, RunFor
@@ -194,54 +197,33 @@ func (d *Device) MountRegs(rf *hw.RegisterFile) uint32 {
 // Now returns the device's current simulated time.
 func (d *Device) Now() hw.Time { return d.Sim.Now() }
 
-// portPrefixes caches the per-port snapshot key prefixes for the
-// hw.MaxPorts physical ports, so Snapshot builds keys with a single
-// concatenation instead of fmt.Sprintf per counter.
-var portPrefixes = [hw.MaxPorts]string{
-	"port0.", "port1.", "port2.", "port3.",
-	"port4.", "port5.", "port6.", "port7.",
-}
-
-func portPrefix(i int) string {
-	if i < len(portPrefixes) && portPrefixes[i] != "" {
-		return portPrefixes[i]
-	}
-	return fmt.Sprintf("port%d.", i)
-}
+// portPrefixes are the per-port snapshot key prefixes.
+var portPrefixes = hw.NewNameTable("port%d.", hw.MaxPorts)
 
 // Snapshot aggregates every counter the device exposes — design modules,
-// port MACs, the PCIe engine and the host driver — into one flat map,
-// keyed by subsystem prefix. The map is freshly allocated, so a snapshot
-// taken when a device stops is immutable even if the device keeps
-// running; fleet results are built from these.
+// port MACs, the PCIe engine, the host driver and the background model —
+// into one flat map, keyed by subsystem prefix. It is a view of the
+// counter spine: one key concatenation and one insert per counter. The
+// map is freshly allocated, so a snapshot taken when a device stops is
+// immutable even if the device keeps running; fleet results are built
+// from these.
 func (d *Device) Snapshot() map[string]uint64 {
-	// Pre-size for the common shape: ~7 counters per MAC, a few dozen
-	// design counters, pcie/host blocks. Sized once instead of rehashing
-	// as the map grows.
-	out := make(map[string]uint64, 32+16*len(d.MACs))
-	for k, v := range d.Dsn.Stats() {
-		out["design."+k] = v
-	}
+	// Pre-size for the common shape: ~20 counters per port (MAC, attach,
+	// output queue), a few dozen for the rest. Sized once instead of
+	// rehashing as the map grows.
+	out := make(map[string]uint64, 48+20*len(d.MACs))
+	d.Dsn.AddStats(out, "design.")
 	for i, m := range d.MACs {
-		prefix := portPrefix(i)
-		for k, v := range m.Stats() {
-			out[prefix+k] = v
-		}
+		m.Counters().AddTo(out, portPrefixes.At(i))
 	}
 	if d.Engine != nil {
-		for k, v := range d.Engine.Stats() {
-			out["pcie."+k] = v
-		}
+		d.Engine.Counters().AddTo(out, "pcie.")
 	}
 	if d.Driver != nil {
-		for k, v := range d.Driver.Stats() {
-			out["host."+k] = v
-		}
+		d.Driver.Counters().AddTo(out, "host.")
 	}
 	if d.bg != nil {
-		for k, v := range d.bg.Stats() {
-			out["bg."+k] = v
-		}
+		d.bg.Counters().AddTo(out, "bg.")
 	}
 	out["sim.events"] = d.Sim.Executed()
 	return out
@@ -267,14 +249,17 @@ func (d *Device) RunFor(dur hw.Time) {
 	}
 }
 
-// RunUntilIdle runs until no events remain (bounded by limit events;
-// 0 means unbounded). It reports whether the event queue drained.
-// Under a segment hook the drain yields every segment budget; the
-// stopping point for a bounded drain is identical either way (the
-// event fence pins it).
+// RunUntilIdle runs until the device is idle: no events remain other
+// than the periodic timers agents armed with Every, which re-arm forever
+// and would otherwise keep a drain from ever ending (bounded by limit
+// events; 0 means unbounded). It reports whether the device went idle.
+// A device without Every agents drains to an empty queue exactly as
+// before. Under a segment hook the drain yields every segment budget;
+// the stopping event is identical either way (idleness is checked
+// between events, and the event fence pins a bounded drain).
 func (d *Device) RunUntilIdle(limit uint64) bool {
 	if d.segBudget == 0 {
-		return d.Sim.Drain(limit)
+		return d.Sim.DrainTo(limit, d.everyTimers)
 	}
 	left := limit
 	for {
@@ -284,7 +269,7 @@ func (d *Device) RunUntilIdle(limit uint64) bool {
 			use = left
 		}
 		before := d.Sim.Executed()
-		drained := d.Sim.Drain(use)
+		drained := d.Sim.DrainTo(use, d.everyTimers)
 		if drained {
 			return true
 		}
@@ -325,6 +310,7 @@ func (d *Device) Every(interval hw.Time, fn func()) {
 		tm.ScheduleAfter(interval)
 	})
 	tm.ScheduleAfter(interval)
+	d.everyTimers++
 }
 
 // RxFrame is a frame captured at a port tap.

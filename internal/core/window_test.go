@@ -260,3 +260,38 @@ func TestSegmentHookBoundedDrain(t *testing.T) {
 		}
 	}
 }
+
+// TestRunUntilIdleStopsAtEveryTimers: a device whose agent polls with
+// Every goes idle when only that timer is left — at the same event with
+// and without segmentation — instead of draining forever; the timer
+// stays armed for the next run.
+func TestRunUntilIdleStopsAtEveryTimers(t *testing.T) {
+	run := func(budget uint64) (string, int) {
+		d := NewDevice(SUME(), Options{})
+		if budget > 0 {
+			d.SetSegmentHook(budget, func() {})
+		}
+		polls := 0
+		d.Every(2*hw.Microsecond, func() { polls++ })
+		tap := d.Tap(0)
+		for i := 0; i < 64; i++ {
+			tap.Send(make([]byte, 300))
+		}
+		if !d.RunUntilIdle(0) {
+			t.Fatal("unbounded drain reported not idle")
+		}
+		if d.Sim.Pending() != 1 {
+			t.Fatalf("idle with %d events pending, want just the Every timer", d.Sim.Pending())
+		}
+		return deviceFingerprint(d), polls
+	}
+	ref, polls := run(0)
+	if polls == 0 {
+		t.Fatal("the agent never polled while traffic drained — scenario too small")
+	}
+	for _, budget := range []uint64{3, 100, 512} {
+		if got, _ := run(budget); got != ref {
+			t.Errorf("budget=%d: idle point diverges", budget)
+		}
+	}
+}

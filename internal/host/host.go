@@ -40,12 +40,17 @@ type Driver struct {
 	rxLimit int
 
 	txSent, rxGot, rxDropped uint64
+	ctrs                     hw.Counters
 }
 
 // NewDriver binds a driver to a DMA engine and register map. now provides
 // the simulation clock for rx timestamps.
 func NewDriver(name string, engine *pcie.Engine, regs *hw.AddressMap, now func() hw.Time) *Driver {
 	d := &Driver{name: name, engine: engine, regs: regs, now: now, rxLimit: 4096}
+	d.ctrs.Grow(3)
+	d.ctrs.Add("tx_sent", &d.txSent)
+	d.ctrs.Add("rx_got", &d.rxGot)
+	d.ctrs.Add("rx_dropped", &d.rxDropped)
 	engine.SetDeliver(d.rxComplete)
 	// Pre-post the full rx ring, as a real driver does at ifup.
 	engine.PostRx(256)
@@ -139,11 +144,5 @@ func (d *Driver) ReadCounter64(block, name string) (uint64, error) {
 	return uint64(hi)<<32 | uint64(lo), nil
 }
 
-// Stats exports driver counters.
-func (d *Driver) Stats() map[string]uint64 {
-	return map[string]uint64{
-		"tx_sent":    d.txSent,
-		"rx_got":     d.rxGot,
-		"rx_dropped": d.rxDropped,
-	}
-}
+// Counters implements hw.CounterSource.
+func (d *Driver) Counters() *hw.Counters { return &d.ctrs }

@@ -1,6 +1,9 @@
 package mem
 
-import "repro/internal/sim"
+import (
+	"repro/internal/sim"
+	"repro/netfpga/hw"
+)
 
 // DRAMConfig parameterises a DDR3 SoDIMM channel.
 type DRAMConfig struct {
@@ -72,6 +75,7 @@ type DRAM struct {
 	readBy, writeBy  uint64
 	rowHits, rowMiss uint64
 	refreshes        uint64
+	ctrs             hw.Counters
 }
 
 // NewDRAM builds a DRAM channel on the simulator.
@@ -222,15 +226,20 @@ func (d *DRAM) PeakBandwidthGbps() float64 {
 	return d.cfg.MTps * 1e6 * float64(d.cfg.BusBytes) * 8 / 1e9
 }
 
-// Stats implements Memory.
-func (d *DRAM) Stats() map[string]uint64 {
-	return map[string]uint64{
-		"reads":       d.reads,
-		"writes":      d.writes,
-		"read_bytes":  d.readBy,
-		"write_bytes": d.writeBy,
-		"row_hits":    d.rowHits,
-		"row_misses":  d.rowMiss,
-		"refreshes":   d.refreshes,
+// Counters implements hw.CounterSource (built on first use, like the
+// SRAM's).
+func (d *DRAM) Counters() *hw.Counters {
+	if d.ctrs.Len() == 0 {
+		d.ctrs.Add("reads", &d.reads)
+		d.ctrs.Add("writes", &d.writes)
+		d.ctrs.Add("read_bytes", &d.readBy)
+		d.ctrs.Add("write_bytes", &d.writeBy)
+		d.ctrs.Add("row_hits", &d.rowHits)
+		d.ctrs.Add("row_misses", &d.rowMiss)
+		d.ctrs.Add("refreshes", &d.refreshes)
 	}
+	return &d.ctrs
 }
+
+// Stats implements Memory.
+func (d *DRAM) Stats() map[string]uint64 { return d.Counters().Map() }

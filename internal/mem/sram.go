@@ -1,6 +1,9 @@
 package mem
 
-import "repro/internal/sim"
+import (
+	"repro/internal/sim"
+	"repro/netfpga/hw"
+)
 
 // SRAMConfig parameterises a QDRII+ SRAM device.
 type SRAMConfig struct {
@@ -40,6 +43,7 @@ type SRAM struct {
 	reads, writes   uint64
 	readBy, writeBy uint64 // bytes
 	stallPs         uint64 // accumulated port contention time
+	ctrs            hw.Counters
 }
 
 // NewSRAM builds an SRAM on the simulator.
@@ -123,13 +127,18 @@ func (m *SRAM) PeakBandwidthGbps() float64 {
 	return m.cfg.ClockMHz * 1e6 * 2 * float64(m.cfg.WordBytes) * 8 / 1e9
 }
 
-// Stats implements Memory.
-func (m *SRAM) Stats() map[string]uint64 {
-	return map[string]uint64{
-		"reads":       m.reads,
-		"writes":      m.writes,
-		"read_bytes":  m.readBy,
-		"write_bytes": m.writeBy,
-		"stall_ps":    m.stallPs,
+// Counters implements hw.CounterSource. Memories sit outside the device
+// snapshot, so the list is built on first use rather than per device.
+func (m *SRAM) Counters() *hw.Counters {
+	if m.ctrs.Len() == 0 {
+		m.ctrs.Add("reads", &m.reads)
+		m.ctrs.Add("writes", &m.writes)
+		m.ctrs.Add("read_bytes", &m.readBy)
+		m.ctrs.Add("write_bytes", &m.writeBy)
+		m.ctrs.Add("stall_ps", &m.stallPs)
 	}
+	return &m.ctrs
 }
+
+// Stats implements Memory.
+func (m *SRAM) Stats() map[string]uint64 { return m.Counters().Map() }

@@ -117,16 +117,6 @@ func (l *Link) Transfer(dir Dir, n int, cb func()) {
 	l.sim.At(end+l.cfg.Latency, cb)
 }
 
-// Stats exports link counters.
-func (l *Link) Stats() map[string]uint64 {
-	return map[string]uint64{
-		"h2d_transfers": l.transfers[HostToDevice],
-		"h2d_bytes":     l.bytes[HostToDevice],
-		"d2h_transfers": l.transfers[DeviceToHost],
-		"d2h_bytes":     l.bytes[DeviceToHost],
-	}
-}
-
 // descriptor ring sizes and the engine below follow the reference NIC's
 // split: a TX ring carries host frames to the datapath, an RX ring
 // carries datapath frames to host buffers posted by the driver.
@@ -162,6 +152,7 @@ type Engine struct {
 
 	txFrames, rxFrames uint64
 	rxDeferred         uint64 // frames stalled waiting for rx buffers
+	ctrs               hw.Counters
 }
 
 // NewEngine builds a DMA engine and its device-side queues.
@@ -176,6 +167,17 @@ func NewEngine(s *sim.Sim, cfg EngineConfig) *Engine {
 	e.toDevice = hw.NewFrameQueue("dma.to_device", cfg.TxRing, 0)
 	e.fromDevice = hw.NewFrameQueue("dma.from_device", cfg.RxRing, 0)
 	e.fromDevice.OnPush(e.kickRx)
+	l := e.link
+	e.ctrs.Grow(9)
+	e.ctrs.Add("h2d_transfers", &l.transfers[HostToDevice])
+	e.ctrs.Add("h2d_bytes", &l.bytes[HostToDevice])
+	e.ctrs.Add("d2h_transfers", &l.transfers[DeviceToHost])
+	e.ctrs.Add("d2h_bytes", &l.bytes[DeviceToHost])
+	e.ctrs.Add("tx_frames", &e.txFrames)
+	e.ctrs.Add("rx_frames", &e.rxFrames)
+	e.ctrs.Add("interrupts", &e.interrupts)
+	e.ctrs.Add("rx_deferred", &e.rxDeferred)
+	e.ctrs.AddCounter(e.fromDevice.DropCounter("from_device_drops", hw.Count))
 	return e
 }
 
@@ -239,13 +241,9 @@ func (e *Engine) kickRx() {
 	}
 }
 
-// Stats exports engine counters merged with link counters.
-func (e *Engine) Stats() map[string]uint64 {
-	out := e.link.Stats()
-	out["tx_frames"] = e.txFrames
-	out["rx_frames"] = e.rxFrames
-	out["interrupts"] = e.interrupts
-	out["rx_deferred"] = e.rxDeferred
-	out["from_device_drops"] = e.fromDevice.Drops()
-	return out
-}
+// Counters implements hw.CounterSource: the link's counters, then the
+// engine's.
+func (e *Engine) Counters() *hw.Counters { return &e.ctrs }
+
+// Stats returns the engine and link counters as a fresh map.
+func (e *Engine) Stats() map[string]uint64 { return e.ctrs.Map() }

@@ -105,6 +105,7 @@ type MAC struct {
 	txBytes, rxBytes   uint64
 	fcsErrors          uint64
 	txBusyPs           uint64
+	ctrs               hw.Counters
 	linkUp             bool
 }
 
@@ -127,6 +128,14 @@ func NewMAC(s *sim.Sim, cfg Config) *MAC {
 	}
 	m.txq = hw.NewFrameQueue(cfg.Name+".txq", 0, cfg.TxBufBytes)
 	m.txq.OnPush(m.kick)
+	m.ctrs.Grow(7)
+	m.ctrs.Add("tx_frames", &m.txFrames)
+	m.ctrs.Add("rx_frames", &m.rxFrames)
+	m.ctrs.Add("tx_bytes", &m.txBytes)
+	m.ctrs.Add("rx_bytes", &m.rxBytes)
+	m.ctrs.Add("fcs_errors", &m.fcsErrors)
+	m.ctrs.AddCounter(m.txq.DropCounter("tx_drops", hw.Count))
+	m.ctrs.Add("tx_busy_ps", &m.txBusyPs)
 	m.txTimer = s.NewTimer(m.txDone)
 	m.rxTimer = s.NewTimer(m.deliver)
 	return m
@@ -288,15 +297,12 @@ func pow1m(p, n float64) float64 {
 	return 1 - x
 }
 
-// Stats exports MAC counters.
-func (m *MAC) Stats() map[string]uint64 {
-	return map[string]uint64{
-		"tx_frames":  m.txFrames,
-		"rx_frames":  m.rxFrames,
-		"tx_bytes":   m.txBytes,
-		"rx_bytes":   m.rxBytes,
-		"fcs_errors": m.fcsErrors,
-		"tx_drops":   m.txq.Drops(),
-		"tx_busy_ps": m.txBusyPs,
-	}
-}
+// FCSErrors returns the number of received frames that failed the FCS
+// check.
+func (m *MAC) FCSErrors() uint64 { return m.fcsErrors }
+
+// Counters implements hw.CounterSource.
+func (m *MAC) Counters() *hw.Counters { return &m.ctrs }
+
+// Stats returns the MAC counters as a fresh map.
+func (m *MAC) Stats() map[string]uint64 { return m.ctrs.Map() }

@@ -144,6 +144,9 @@ func (s *Sim) StepBudget(deadline Time, maxEvents uint64) bool {
 	return true
 }
 
+// Pending returns the number of scheduled events.
+func (s *Sim) Pending() int { return len(s.heap) }
+
 // Peek returns the time of the earliest pending event. It reports false if
 // no event is pending.
 func (s *Sim) Peek() (Time, bool) {
@@ -238,15 +241,23 @@ func (s *Sim) RunSegment(deadline Time, eventBudget uint64) bool {
 // It reports whether the queue was drained. A limit of 0 means no limit.
 // Batched clock edges count individually against the limit, and batching
 // stops at the limit, so the stopping point matches unbatched execution.
-func (s *Sim) Drain(limit uint64) bool {
+func (s *Sim) Drain(limit uint64) bool { return s.DrainTo(limit, 0) }
+
+// DrainTo is Drain with a floor: it stops, reporting true, as soon as at
+// most floor events remain pending. A caller that owns floor perpetual
+// timers (periodic agents that re-arm themselves forever) passes their
+// count, so "idle" means "nothing but those timers is left" instead of
+// never. The check runs between events, so the stopping point — like
+// Drain's — is the same event whatever the limit or the clock batch.
+func (s *Sim) DrainTo(limit uint64, floor int) bool {
 	if limit == 0 {
-		for len(s.heap) > 0 {
+		for len(s.heap) > floor {
 			s.Step()
 		}
 		return true
 	}
 	end := s.executed + limit
-	for len(s.heap) > 0 {
+	for len(s.heap) > floor {
 		if s.executed >= end {
 			return false
 		}

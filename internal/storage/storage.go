@@ -12,6 +12,7 @@ import (
 	"hash/crc32"
 
 	"repro/internal/sim"
+	"repro/netfpga/hw"
 )
 
 // Config parameterises a block device.
@@ -48,6 +49,7 @@ type BlockDev struct {
 	reads, writes uint64
 	readBy        uint64
 	writeBy       uint64
+	ctrs          hw.Counters
 }
 
 // New builds a block device on the simulator.
@@ -134,12 +136,16 @@ func (b *BlockDev) Write(lba uint64, data []byte, cb func(error)) {
 	})
 }
 
-// Stats exports device counters.
-func (b *BlockDev) Stats() map[string]uint64 {
-	return map[string]uint64{
-		"reads": b.reads, "writes": b.writes,
-		"read_bytes": b.readBy, "write_bytes": b.writeBy,
+// Counters implements hw.CounterSource. Disks sit outside the device
+// snapshot, so the list is built on first use rather than per device.
+func (b *BlockDev) Counters() *hw.Counters {
+	if b.ctrs.Len() == 0 {
+		b.ctrs.Add("reads", &b.reads)
+		b.ctrs.Add("writes", &b.writes)
+		b.ctrs.Add("read_bytes", &b.readBy)
+		b.ctrs.Add("write_bytes", &b.writeBy)
 	}
+	return &b.ctrs
 }
 
 // Image format: gonetfpga "bitstream" images stored on a device for

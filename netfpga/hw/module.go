@@ -22,7 +22,10 @@ type Module interface {
 	Resources() Resources
 }
 
-// StatsProvider is implemented by modules that export counters.
+// StatsProvider is the map-returning adapter for modules written
+// before the counter spine: Design.Stats merges the returned map (every
+// entry as a Count counter) for a module that does not implement
+// CounterSource. In-tree modules register counters instead.
 type StatsProvider interface {
 	Stats() map[string]uint64
 }
@@ -390,23 +393,61 @@ func (d *Design) Reset() {
 	d.Wake()
 }
 
-// Stats aggregates counters from all modules, prefixed by module name, and
-// adds stream drop/occupancy gauges.
+// Stats returns every design counter in a fresh map, keyed
+// "<module>.<counter>", plus a "<queue>.drops" entry for each design
+// queue that has dropped.
 func (d *Design) Stats() map[string]uint64 {
-	out := make(map[string]uint64)
+	n := 0
 	for _, m := range d.modules {
-		if sp, ok := m.(StatsProvider); ok {
-			for k, v := range sp.Stats() {
-				out[m.Name()+"."+k] = v
+		if cs, ok := m.(CounterSource); ok {
+			n += cs.Counters().Len()
+		}
+	}
+	out := make(map[string]uint64, n+len(d.queues))
+	d.AddStats(out, "")
+	return out
+}
+
+// AddStats writes the Stats view into dst with every key prefixed —
+// the device snapshot's "design." block — building each key with one
+// concatenation.
+func (d *Design) AddStats(dst map[string]uint64, prefix string) {
+	for _, m := range d.modules {
+		switch src := m.(type) {
+		case CounterSource:
+			src.Counters().addTo(dst, prefix, m.Name(), ".")
+		case StatsProvider:
+			for k, v := range src.Stats() {
+				dst[prefix+m.Name()+"."+k] = v
 			}
 		}
 	}
 	for _, q := range d.queues {
-		if q.Drops() > 0 {
-			out[q.Name()+".drops"] = q.Drops()
+		if q.drops > 0 {
+			dst[prefix+q.name+".drops"] = q.drops
 		}
 	}
-	return out
+}
+
+// Sum adds up the design's counters of one kind: every module's own
+// counters plus the drop counter of every design queue declared with
+// that kind. Sum(QueueDrop) is the sweeps' loss figure. It counts an
+// output-queue tail drop twice — once as the queue's "<queue>.drops" and
+// once as the stage's "port<N>_drops" — because the name-matching sum it
+// replaces did, and recorded sweep tables carry that value.
+func (d *Design) Sum(kind CounterKind) uint64 {
+	var total uint64
+	for _, m := range d.modules {
+		if cs, ok := m.(CounterSource); ok {
+			total += cs.Counters().Sum(kind)
+		}
+	}
+	for _, q := range d.queues {
+		if q.dropKind == kind {
+			total += q.drops
+		}
+	}
+	return total
 }
 
 // Synthesize validates the design against a target device and produces a

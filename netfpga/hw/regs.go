@@ -2,6 +2,7 @@ package hw
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -22,110 +23,185 @@ func (e *RegError) Error() string {
 	return fmt.Sprintf("hw: register %s at 0x%08x: %s", e.Op, e.Addr, e.Why)
 }
 
-// reg is a single 32-bit register with read/write callbacks.
+// reg is a single 32-bit register. Exactly one backing is set: a
+// counter cell or getter (read-only, optionally one half of a 64-bit
+// counter), a plain variable, or read/write callbacks.
 type reg struct {
-	addr  uint32
-	name  string
-	read  func() uint32
-	write func(uint32)
+	// ctr.Name is the register's static name whatever the backing; the
+	// full name ("_lo"/"_hi" appended for a counter half) is
+	// materialised on demand.
+	ctr  Counter
+	off  uint32
+	half uint8 // regWhole, regLo or regHi
+	v    *uint32
+	rd   func() uint32
+	wr   func(uint32)
+}
+
+const (
+	regWhole = iota
+	regLo
+	regHi
+)
+
+var regSuffix = [...]string{regWhole: "", regLo: "_lo", regHi: "_hi"}
+
+func (r *reg) fullName() string { return r.ctr.Name + regSuffix[r.half] }
+
+// named reports whether the register's full name is s+suffix, without
+// building either.
+func (r *reg) named(s, suffix string) bool {
+	a1, a2, b1, b2 := r.ctr.Name, regSuffix[r.half], s, suffix
+	if len(a1)+len(a2) != len(b1)+len(b2) {
+		return false
+	}
+	if len(a1) > len(b1) {
+		a1, a2, b1, b2 = b1, b2, a1, a2
+	}
+	// b1 = a1+x, so the names match iff a2 = x+b2.
+	x := b1[len(a1):]
+	return b1[:len(a1)] == a1 && a2[:len(x)] == x && a2[len(x):] == b2
+}
+
+func (r *reg) read() uint32 {
+	switch {
+	case r.v != nil:
+		return *r.v
+	case r.rd != nil:
+		return r.rd()
+	case r.half == regHi:
+		return uint32(r.ctr.Value() >> 32)
+	}
+	return uint32(r.ctr.Value())
 }
 
 // RegisterFile is a block of 32-bit registers, word-addressed at 4-byte
-// granularity relative to the block's base.
+// granularity relative to the block's base. Registers live in one slice
+// sorted by offset; blocks are built in ascending order, so an add is an
+// append, and a lookup is a binary search.
 type RegisterFile struct {
 	name string
-	regs map[uint32]*reg
-	byNm map[string]*reg
+	regs []reg
 }
 
 // NewRegisterFile returns an empty register file named name.
-func NewRegisterFile(name string) *RegisterFile {
-	return &RegisterFile{name: name, regs: make(map[uint32]*reg), byNm: make(map[string]*reg)}
-}
+func NewRegisterFile(name string) *RegisterFile { return &RegisterFile{name: name} }
 
 // Name returns the block name.
 func (rf *RegisterFile) Name() string { return rf.name }
 
-func (rf *RegisterFile) add(offset uint32, name string, rd func() uint32, wr func(uint32)) {
-	if offset%4 != 0 {
-		panic(fmt.Sprintf("hw: register %s.%s at unaligned offset 0x%x", rf.name, name, offset))
+// Grow reserves room for n more registers, so a block that knows its
+// size is built with one allocation.
+func (rf *RegisterFile) Grow(n int) {
+	rf.regs = slices.Grow(rf.regs, n)
+}
+
+// find returns the index of the register at offset, or where it would
+// be inserted.
+func (rf *RegisterFile) find(offset uint32) (int, bool) {
+	i := sort.Search(len(rf.regs), func(i int) bool { return rf.regs[i].off >= offset })
+	return i, i < len(rf.regs) && rf.regs[i].off == offset
+}
+
+func (rf *RegisterFile) add(r reg) {
+	if r.off%4 != 0 {
+		panic(fmt.Sprintf("hw: register %s.%s at unaligned offset 0x%x", rf.name, r.fullName(), r.off))
 	}
-	if _, dup := rf.regs[offset]; dup {
-		panic(fmt.Sprintf("hw: duplicate register offset 0x%x in %s", offset, rf.name))
+	at, dup := rf.find(r.off)
+	if dup {
+		panic(fmt.Sprintf("hw: duplicate register offset 0x%x in %s", r.off, rf.name))
 	}
-	if _, dup := rf.byNm[name]; dup {
-		panic(fmt.Sprintf("hw: duplicate register name %s in %s", name, rf.name))
+	for i := range rf.regs {
+		if rf.regs[i].named(r.ctr.Name, regSuffix[r.half]) {
+			panic(fmt.Sprintf("hw: duplicate register name %s in %s", r.fullName(), rf.name))
+		}
 	}
-	r := &reg{addr: offset, name: name, read: rd, write: wr}
-	rf.regs[offset] = r
-	rf.byNm[name] = r
+	rf.regs = slices.Insert(rf.regs, at, r)
 }
 
 // AddRO adds a read-only register backed by rd. Writes are rejected.
 func (rf *RegisterFile) AddRO(offset uint32, name string, rd func() uint32) {
-	rf.add(offset, name, rd, nil)
+	rf.add(reg{off: offset, ctr: Counter{Name: name}, rd: rd})
 }
 
 // AddRW adds a register with explicit read and write callbacks.
 func (rf *RegisterFile) AddRW(offset uint32, name string, rd func() uint32, wr func(uint32)) {
-	rf.add(offset, name, rd, wr)
+	rf.add(reg{off: offset, ctr: Counter{Name: name}, rd: rd, wr: wr})
 }
 
 // AddVar adds a plain read/write register backed by *v.
 func (rf *RegisterFile) AddVar(offset uint32, name string, v *uint32) {
-	rf.add(offset, name, func() uint32 { return *v }, func(x uint32) { *v = x })
+	rf.add(reg{off: offset, ctr: Counter{Name: name}, v: v})
 }
 
 // AddCounter64 maps a 64-bit counter into two consecutive registers
 // (low word at offset, high word at offset+4). The counter is read-only.
 func (rf *RegisterFile) AddCounter64(offset uint32, name string, v *uint64) {
-	rf.add(offset, name+"_lo", func() uint32 { return uint32(*v) }, nil)
-	rf.add(offset+4, name+"_hi", func() uint32 { return uint32(*v >> 32) }, nil)
+	rf.AddCounters(offset, Counter{Name: name, Ptr: v})
+}
+
+// AddCounters maps spine counters as consecutive 64-bit read-only
+// counters (name_lo, name_hi) starting at offset, 8 bytes apart: a
+// module's statistics block is a view of the list it registered
+// (Counters.List), not a second listing.
+func (rf *RegisterFile) AddCounters(offset uint32, cs ...Counter) {
+	rf.Grow(2 * len(cs))
+	for i, c := range cs {
+		at := offset + uint32(i)*8
+		rf.add(reg{off: at, half: regLo, ctr: c})
+		rf.add(reg{off: at + 4, half: regHi, ctr: c})
+	}
+}
+
+// AddCounter32 maps the low word of a spine counter as one read-only
+// register named after it.
+func (rf *RegisterFile) AddCounter32(offset uint32, c Counter) {
+	rf.add(reg{off: offset, ctr: c})
 }
 
 // Read reads the register at the given word offset.
 func (rf *RegisterFile) Read(offset uint32) (uint32, error) {
-	r, ok := rf.regs[offset]
+	i, ok := rf.find(offset)
 	if !ok {
 		return 0, &RegError{Addr: offset, Op: "read", Why: "unmapped in block " + rf.name}
 	}
-	return r.read(), nil
+	return rf.regs[i].read(), nil
 }
 
 // Write writes the register at the given word offset.
 func (rf *RegisterFile) Write(offset uint32, v uint32) error {
-	r, ok := rf.regs[offset]
+	i, ok := rf.find(offset)
 	if !ok {
 		return &RegError{Addr: offset, Op: "write", Why: "unmapped in block " + rf.name}
 	}
-	if r.write == nil {
-		return &RegError{Addr: offset, Op: "write", Why: "read-only register " + rf.name + "." + r.name}
+	switch r := &rf.regs[i]; {
+	case r.v != nil:
+		*r.v = v
+	case r.wr != nil:
+		r.wr(v)
+	default:
+		return &RegError{Addr: offset, Op: "write", Why: "read-only register " + rf.name + "." + r.fullName()}
 	}
-	r.write(v)
 	return nil
 }
 
 // Names returns the register names in offset order, for CLI listings.
 func (rf *RegisterFile) Names() []string {
-	offs := make([]uint32, 0, len(rf.regs))
-	for o := range rf.regs {
-		offs = append(offs, o)
-	}
-	sort.Slice(offs, func(i, j int) bool { return offs[i] < offs[j] })
-	names := make([]string, len(offs))
-	for i, o := range offs {
-		names[i] = rf.regs[o].name
+	names := make([]string, len(rf.regs))
+	for i := range rf.regs {
+		names[i] = rf.regs[i].fullName()
 	}
 	return names
 }
 
 // OffsetOf returns the word offset of a named register.
 func (rf *RegisterFile) OffsetOf(name string) (uint32, bool) {
-	r, ok := rf.byNm[name]
-	if !ok {
-		return 0, false
+	for i := range rf.regs {
+		if rf.regs[i].named(name, "") {
+			return rf.regs[i].off, true
+		}
 	}
-	return r.addr, true
+	return 0, false
 }
 
 // mount is one register file placed in an address map.
@@ -156,8 +232,8 @@ func (am *AddressMap) Mount(base, size uint32, rf *RegisterFile) {
 				rf.name, base, base+size, m.rf.name, m.base, m.base+m.size))
 		}
 	}
-	am.mounts = append(am.mounts, mount{base: base, size: size, rf: rf})
-	sort.Slice(am.mounts, func(i, j int) bool { return am.mounts[i].base < am.mounts[j].base })
+	at := sort.Search(len(am.mounts), func(i int) bool { return am.mounts[i].base > base })
+	am.mounts = slices.Insert(am.mounts, at, mount{base: base, size: size, rf: rf})
 }
 
 func (am *AddressMap) find(addr uint32) (*RegisterFile, uint32, bool) {

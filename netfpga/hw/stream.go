@@ -171,10 +171,16 @@ type FrameQueue struct {
 	pushed uint64
 	popped uint64
 	drops  uint64
+	// dropKind is the kind of the queue's own drop counter (see
+	// CountDropsAs).
+	dropKind CounterKind
 	// dropBytes counts bytes of dropped frames.
 	dropBytes uint64
-	highWtr   int
+	highWtr   uint64
 }
+
+// frameRingStart is a new FrameQueue's ring size (a power of two).
+const frameRingStart = 16
 
 // NewFrameQueue returns a queue bounded by capFrames frames and capBytes
 // bytes; a zero bound is unlimited (but at least one must be set).
@@ -182,11 +188,13 @@ func NewFrameQueue(name string, capFrames, capBytes int) *FrameQueue {
 	if capFrames <= 0 && capBytes <= 0 {
 		panic("hw: frame queue needs at least one bound")
 	}
-	ring := capFrames
-	if ring <= 0 {
-		ring = 64 // grown on demand when byte-bound only
+	// The ring starts small and doubles on demand (Push), so a queue
+	// that never fills — most of them, in a short run — costs 128 bytes,
+	// not its bound.
+	ring := frameRingStart
+	if capFrames > 0 && capFrames < ring {
+		ring = ringSize(capFrames)
 	}
-	ring = ringSize(ring)
 	return &FrameQueue{name: name, capFrames: capFrames, capBytes: capBytes,
 		frames: make([]*Frame, ring), mask: ring - 1}
 }
@@ -219,7 +227,7 @@ func (q *FrameQueue) Push(f *Frame) bool {
 		q.dropBytes += uint64(len(f.Data))
 		return false
 	}
-	if q.n == len(q.frames) { // grow ring (byte-bound queues only)
+	if q.n == len(q.frames) { // grow the ring
 		bigger := make([]*Frame, 2*len(q.frames))
 		for i := 0; i < q.n; i++ {
 			bigger[i] = q.frames[(q.head+i)&q.mask]
@@ -230,8 +238,8 @@ func (q *FrameQueue) Push(f *Frame) bool {
 	q.n++
 	q.bytes += len(f.Data)
 	q.pushed++
-	if q.n > q.highWtr {
-		q.highWtr = q.n
+	if uint64(q.n) > q.highWtr {
+		q.highWtr = uint64(q.n)
 	}
 	if q.wake != nil {
 		q.wake()
@@ -277,4 +285,27 @@ func (q *FrameQueue) Pushed() uint64 { return q.pushed }
 func (q *FrameQueue) Popped() uint64 { return q.popped }
 
 // HighWater returns the maximum frame occupancy observed.
-func (q *FrameQueue) HighWater() int { return q.highWtr }
+func (q *FrameQueue) HighWater() int { return int(q.highWtr) }
+
+// CountDropsAs declares the kind a design-owned queue's own
+// "<queue>.drops" counter is exported with — QueueDrop for the buffers
+// whose overflow is traffic loss (receive FIFOs, output queues); the
+// default Count suits rings whose overflow is accounted elsewhere. It
+// returns q for chaining.
+func (q *FrameQueue) CountDropsAs(kind CounterKind) *FrameQueue {
+	q.dropKind = kind
+	return q
+}
+
+// DropCounter returns the queue's drop counter as a spine entry of the
+// given name and kind, for the module that owns the queue to list among
+// its own counters.
+func (q *FrameQueue) DropCounter(name string, kind CounterKind) Counter {
+	return Counter{Name: name, Ptr: &q.drops, Kind: kind}
+}
+
+// HighWaterCounter returns the queue's peak frame occupancy as a spine
+// entry named name.
+func (q *FrameQueue) HighWaterCounter(name string) Counter {
+	return Counter{Name: name, Ptr: &q.highWtr}
+}

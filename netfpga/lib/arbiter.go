@@ -1,10 +1,6 @@
 package lib
 
-import (
-	"fmt"
-
-	"repro/netfpga/hw"
-)
+import "repro/netfpga/hw"
 
 // InputArbiter merges N input streams into one, packet-atomically, with
 // round-robin fairness — the input_arbiter of every reference pipeline.
@@ -20,6 +16,7 @@ type InputArbiter struct {
 
 	grants  []uint64
 	packets uint64
+	ctrs    hw.Counters
 }
 
 // NewInputArbiter creates the arbiter and registers it with the design.
@@ -29,6 +26,11 @@ func NewInputArbiter(d *hw.Design, ins []*hw.Stream, out *hw.Stream) *InputArbit
 	}
 	a := &InputArbiter{name: "input_arbiter", ins: ins, out: out,
 		locked: -1, grants: make([]uint64, len(ins))}
+	a.ctrs.Grow(1 + len(ins))
+	a.ctrs.Add("packets", &a.packets)
+	for i := range a.grants {
+		a.ctrs.Add(grantsInNames.At(i), &a.grants[i])
+	}
 	d.AddModule(a)
 	wake := d.ModuleWake(a)
 	for _, in := range ins {
@@ -101,12 +103,6 @@ func (a *InputArbiter) pending() bool {
 	return false
 }
 
-// Stats implements hw.StatsProvider: per-input grant counts expose
+// Counters implements hw.CounterSource: per-input grant counts expose
 // fairness.
-func (a *InputArbiter) Stats() map[string]uint64 {
-	out := map[string]uint64{"packets": a.packets}
-	for i, g := range a.grants {
-		out[fmt.Sprintf("grants_in%d", i)] = g
-	}
-	return out
-}
+func (a *InputArbiter) Counters() *hw.Counters { return &a.ctrs }

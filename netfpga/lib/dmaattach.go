@@ -21,12 +21,17 @@ type DMAAttach struct {
 	txHold *hw.Frame
 
 	h2dPkts, d2hPkts uint64
+	ctrs             hw.Counters
 }
 
 // NewDMAAttach creates the adapter. toPipe carries host frames into the
 // pipeline; fromPipe receives pipeline frames bound for the host.
 func NewDMAAttach(d *hw.Design, eng *pcie.Engine, toPipe, fromPipe *hw.Stream) *DMAAttach {
 	a := &DMAAttach{name: "dma.attach", d: d, eng: eng, toPipe: toPipe, fromPipe: fromPipe}
+	a.ctrs.Grow(2)
+	a.ctrs.Add("h2d_pkts", &a.h2dPkts)
+	a.ctrs.Add("d2h_pkts", &a.d2hPkts)
+	a.ctrs.Include("engine_", eng.Counters(), nil)
 	d.AddModule(a)
 	// Waking the datapath when DMA completes lands a frame in ToDevice;
 	// only this module needs to run for it.
@@ -93,20 +98,13 @@ func (a *DMAAttach) Tick() bool {
 	return busy || a.emit.active() || a.eng.ToDevice().Len() > 0 || a.fromPipe.CanPop()
 }
 
-// Stats implements hw.StatsProvider.
-func (a *DMAAttach) Stats() map[string]uint64 {
-	out := map[string]uint64{
-		"h2d_pkts": a.h2dPkts,
-		"d2h_pkts": a.d2hPkts,
-	}
-	addStats(out, "engine_", a.eng.Stats())
-	return out
-}
+// Counters implements hw.CounterSource: the attach's own counters plus
+// the engine's as engine_*.
+func (a *DMAAttach) Counters() *hw.Counters { return &a.ctrs }
 
 // Registers exposes DMA counters.
 func (a *DMAAttach) Registers() *hw.RegisterFile {
 	rf := hw.NewRegisterFile("dma")
-	rf.AddCounter64(0x00, "h2d_pkts", &a.h2dPkts)
-	rf.AddCounter64(0x08, "d2h_pkts", &a.d2hPkts)
+	rf.AddCounters(0x00, a.ctrs.List()...)
 	return rf
 }

@@ -12,12 +12,16 @@ package lib
 
 import "repro/netfpga/hw"
 
-// bump increments a counter map entry; helper for Stats methods.
-func addStats(dst map[string]uint64, prefix string, src map[string]uint64) {
-	for k, v := range src {
-		dst[prefix+k] = v
-	}
-}
+// Indexed counter and register names, formatted once at init so modules
+// register per-port counters with static strings.
+var (
+	grantsInNames    = hw.NewNameTable("grants_in%d", 16)
+	portPktsNames    = hw.NewNameTable("port%d_pkts", 32)
+	portDropsNames   = hw.NewNameTable("port%d_drops", 32)
+	portHighwtrNames = hw.NewNameTable("port%d_highwater", 32)
+	portDepthNames   = hw.NewNameTable("port%d_depth", 32)
+	oqNames          = hw.NewNameTable("oq%d", 32)
+)
 
 // streamFrame is the shared helper for modules that emit a stored frame
 // as a sequence of beats, one per Tick. Zero value means "no frame in

@@ -219,7 +219,7 @@ func TestArbiterFairness(t *testing.T) {
 		r.taps[1].Send(hw.NewFrame(frame(800, 2), 0))
 	}
 	r.s.RunFor(2 * sim.Millisecond)
-	st := r.arb.Stats()
+	st := r.arb.Counters().Map()
 	g0, g1 := st["grants_in0"], st["grants_in1"]
 	if g0+g1 != 400 {
 		t.Fatalf("total grants %d, want 400", g0+g1)
@@ -243,7 +243,7 @@ func TestOutputQueueOverflowDrops(t *testing.T) {
 		r.taps[1].Send(hw.NewFrame(frame(1514, 2), 0))
 	}
 	r.s.RunFor(2 * sim.Millisecond)
-	st := r.oq.Stats()
+	st := r.oq.Counters().Map()
 	if st["port1_drops"] == 0 {
 		t.Fatal("overload did not drop")
 	}
@@ -273,7 +273,7 @@ func TestBadFCSFiltered(t *testing.T) {
 		s.RunFor(2 * sim.Microsecond)
 	}
 	s.RunFor(sim.Millisecond)
-	st := att.Stats()
+	st := att.Counters().Map()
 	if st["bad_fcs"] == 0 {
 		t.Fatal("no FCS errors seen despite BER")
 	}
@@ -310,7 +310,7 @@ func TestRateLimiterShapes(t *testing.T) {
 	if lastPop < 7*sim.Millisecond || lastPop > 9*sim.Millisecond {
 		t.Fatalf("shaped drain took %v, want ~8ms", lastPop)
 	}
-	if rl.Stats()["pkts"] != 1000 {
+	if rl.Counters().Map()["pkts"] != 1000 {
 		t.Fatal("limiter packet count wrong")
 	}
 }

@@ -53,7 +53,7 @@ type OutputPortLookup struct {
 	emit  streamFrame
 
 	lookups, drops, punts uint64
-	stats                 map[string]uint64 // reused by Stats
+	ctrs                  hw.Counters
 	cpu                   *hw.FrameQueue
 }
 
@@ -84,6 +84,10 @@ func NewOutputPortLookup(d *hw.Design, name string, in, out *hw.Stream,
 	l := &OutputPortLookup{name: name, d: d, in: in, out: out, fn: fn,
 		latency: latencyCycles, res: res, cpu: cpuQ,
 		depth: defaultLookupPipelineDepth}
+	l.ctrs.Grow(3)
+	l.ctrs.Add("lookups", &l.lookups)
+	l.ctrs.Add("drops", &l.drops) // policy drops: Count, not QueueDrop
+	l.ctrs.Add("punts", &l.punts)
 	d.AddModule(l)
 	in.OnPush(d.ModuleWake(l))
 	return l
@@ -174,14 +178,5 @@ func (l *OutputPortLookup) Tick() bool {
 	return busy || l.emit.active() || len(l.pending) > 0 || len(l.ready) > 0 || l.in.CanPop()
 }
 
-// Stats implements hw.StatsProvider. The returned map is reused across
-// calls; callers must not retain it.
-func (l *OutputPortLookup) Stats() map[string]uint64 {
-	if l.stats == nil {
-		l.stats = make(map[string]uint64, 3)
-	}
-	l.stats["lookups"] = l.lookups
-	l.stats["drops"] = l.drops
-	l.stats["punts"] = l.punts
-	return l.stats
-}
+// Counters implements hw.CounterSource.
+func (l *OutputPortLookup) Counters() *hw.Counters { return &l.ctrs }

@@ -28,6 +28,7 @@ type MACAttach struct {
 	txPkts  uint64
 	rxBytes uint64
 	txBytes uint64
+	ctrs    hw.Counters
 }
 
 // NewMACAttach creates the adapter. rxOut carries received frames into
@@ -46,7 +47,17 @@ func NewMACAttach(d *hw.Design, mac *serial.MAC, port int, rxOut, txIn *hw.Strea
 		rxOut: rxOut,
 		txIn:  txIn,
 	}
-	m.rxq = d.NewFrameQueue(mac.Name()+".rxfifo", 0, rxFIFOBytes)
+	m.rxq = d.NewFrameQueue(mac.Name()+".rxfifo", 0, rxFIFOBytes).CountDropsAs(hw.QueueDrop)
+	// The first five are the interface's register block, in this order.
+	m.ctrs.Grow(6)
+	m.ctrs.Add("rx_pkts", &m.rxPkts)
+	m.ctrs.Add("tx_pkts", &m.txPkts)
+	m.ctrs.Add("rx_bytes", &m.rxBytes)
+	m.ctrs.Add("tx_bytes", &m.txBytes)
+	m.ctrs.Add("bad_fcs", &m.badFCS)
+	// Count: the loss is the FIFO's own "<mac>.rxfifo.drops" QueueDrop.
+	m.ctrs.AddCounter(m.rxq.DropCounter("rx_drops", hw.Count))
+	m.ctrs.Include("mac_", mac.Counters(), nil)
 	mac.SetReceiver(m.onRx)
 	d.AddModule(m)
 	// Input conduits wake this module alone: a wire arrival or a
@@ -125,29 +136,16 @@ func (m *MACAttach) Tick() bool {
 	return busy || m.rxEmit.active() || m.rxq.Len() > 0 || m.txIn.CanPop()
 }
 
-// Stats implements hw.StatsProvider.
-func (m *MACAttach) Stats() map[string]uint64 {
-	out := map[string]uint64{
-		"rx_pkts":  m.rxPkts,
-		"tx_pkts":  m.txPkts,
-		"rx_bytes": m.rxBytes,
-		"tx_bytes": m.txBytes,
-		"bad_fcs":  m.badFCS,
-		"rx_drops": m.rxq.Drops(),
-	}
-	addStats(out, "mac_", m.mac.Stats())
-	return out
-}
+// Counters implements hw.CounterSource: the attach's own counters plus
+// the MAC's as mac_*.
+func (m *MACAttach) Counters() *hw.Counters { return &m.ctrs }
 
 // Registers exposes the interface counters as an AXI-Lite block, as the
 // physical interface cores do.
 func (m *MACAttach) Registers() *hw.RegisterFile {
 	rf := hw.NewRegisterFile(m.mac.Name())
-	rf.AddCounter64(0x00, "rx_pkts", &m.rxPkts)
-	rf.AddCounter64(0x08, "tx_pkts", &m.txPkts)
-	rf.AddCounter64(0x10, "rx_bytes", &m.rxBytes)
-	rf.AddCounter64(0x18, "tx_bytes", &m.txBytes)
-	rf.AddCounter64(0x20, "bad_fcs", &m.badFCS)
+	rf.Grow(11)
+	rf.AddCounters(0x00, m.ctrs.List()[:5]...)
 	rf.AddRO(0x28, "link_up", func() uint32 {
 		if m.mac.LinkUp() {
 			return 1

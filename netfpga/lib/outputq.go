@@ -1,10 +1,6 @@
 package lib
 
-import (
-	"fmt"
-
-	"repro/netfpga/hw"
-)
+import "repro/netfpga/hw"
 
 // OutputQueues is the reference designs' BRAM output-queue stage: it
 // collects frames from the lookup stage, replicates multicast frames, and
@@ -26,6 +22,7 @@ type OutputQueues struct {
 	bg hw.BackgroundCoupler
 
 	inPkts uint64
+	ctrs   hw.Counters
 }
 
 type oqPort struct {
@@ -66,7 +63,7 @@ func NewOutputQueues(d *hw.Design, in *hw.Stream, outs map[int]*hw.Stream, queue
 		}
 		oq.ports = append(oq.ports, oqPort{
 			bit:  bit,
-			q:    d.NewFrameQueue(fmt.Sprintf("oq%d", bit), 0, queueBytes),
+			q:    d.NewFrameQueue(oqNames.At(bit), 0, queueBytes).CountDropsAs(hw.QueueDrop),
 			out:  out,
 			emit: &streamFrame{},
 		})
@@ -74,6 +71,16 @@ func NewOutputQueues(d *hw.Design, in *hw.Stream, outs map[int]*hw.Stream, queue
 	}
 	if len(oq.ports) == 0 {
 		panic("lib: output queues need at least one port")
+	}
+	// Per port: pkts, drops, highwater — in that order, which Registers
+	// relies on.
+	oq.ctrs.Grow(1 + 3*len(oq.ports))
+	oq.ctrs.Add("in_pkts", &oq.inPkts)
+	for i := range oq.ports {
+		p := &oq.ports[i]
+		oq.ctrs.Add(portPktsNames.At(p.bit), &p.pkts)
+		oq.ctrs.AddCounter(p.q.DropCounter(portDropsNames.At(p.bit), hw.QueueDrop))
+		oq.ctrs.AddCounter(p.q.HighWaterCounter(portHighwtrNames.At(p.bit)))
 	}
 	d.AddModule(oq)
 	wake := d.ModuleWake(oq)
@@ -224,29 +231,23 @@ func (o *OutputQueues) route(f *hw.Frame) {
 	}
 }
 
-// Stats implements hw.StatsProvider: per-port depth, drops and packets.
-func (o *OutputQueues) Stats() map[string]uint64 {
-	out := map[string]uint64{"in_pkts": o.inPkts}
-	for i := range o.ports {
-		p := &o.ports[i]
-		out[fmt.Sprintf("port%d_pkts", p.bit)] = p.pkts
-		out[fmt.Sprintf("port%d_drops", p.bit)] = p.q.Drops()
-		out[fmt.Sprintf("port%d_highwater", p.bit)] = uint64(p.q.HighWater())
-	}
-	return out
-}
+// Counters implements hw.CounterSource: per-port packets, drops and
+// peak depth.
+func (o *OutputQueues) Counters() *hw.Counters { return &o.ctrs }
 
-// Registers exposes per-port queue counters.
+// Registers exposes the queue counters: in_pkts, then per port the
+// 64-bit packet count, the drop count and the current depth in bytes.
 func (o *OutputQueues) Registers() *hw.RegisterFile {
 	rf := hw.NewRegisterFile("output_queues")
-	rf.AddCounter64(0x00, "in_pkts", &o.inPkts)
+	rf.Grow(2 + 4*len(o.ports))
+	cs := o.ctrs.List()
+	rf.AddCounters(0x00, cs[0])
 	for i := range o.ports {
-		p := &o.ports[i]
+		q := o.ports[i].q
 		base := uint32(0x10 + i*0x10)
-		rf.AddCounter64(base, fmt.Sprintf("port%d_pkts", p.bit), &p.pkts)
-		q := p.q
-		rf.AddRO(base+8, fmt.Sprintf("port%d_drops", p.bit), func() uint32 { return uint32(q.Drops()) })
-		rf.AddRO(base+12, fmt.Sprintf("port%d_depth", p.bit), func() uint32 { return uint32(q.Bytes()) })
+		rf.AddCounters(base, cs[1+3*i])
+		rf.AddCounter32(base+8, cs[2+3*i])
+		rf.AddRO(base+12, portDepthNames.At(o.ports[i].bit), func() uint32 { return uint32(q.Bytes()) })
 	}
 	return rf
 }

@@ -17,11 +17,13 @@ type QueueSource struct {
 	out  *hw.Stream
 	emit streamFrame
 	pkts uint64
+	ctrs hw.Counters
 }
 
 // NewQueueSource creates the module.
 func NewQueueSource(d *hw.Design, name string, q *hw.FrameQueue, out *hw.Stream) *QueueSource {
 	s := &QueueSource{name: name, d: d, q: q, out: out}
+	s.ctrs.Add("pkts", &s.pkts)
 	d.AddModule(s)
 	q.OnPush(d.ModuleWake(s))
 	return s
@@ -47,10 +49,8 @@ func (s *QueueSource) Tick() bool {
 	return pushed || s.emit.active() || s.q.Len() > 0
 }
 
-// Stats implements hw.StatsProvider.
-func (s *QueueSource) Stats() map[string]uint64 {
-	return map[string]uint64{"pkts": s.pkts}
-}
+// Counters implements hw.CounterSource.
+func (s *QueueSource) Counters() *hw.Counters { return &s.ctrs }
 
 // PipelineConfig parameterises the canonical reference pipeline.
 type PipelineConfig struct {

@@ -135,7 +135,7 @@ func TestQueueSourceDrains(t *testing.T) {
 	if got != 3 {
 		t.Fatalf("drained %d frames", got)
 	}
-	if src.Stats()["pkts"] != 3 {
+	if src.Counters().Map()["pkts"] != 3 {
 		t.Fatal("source stats wrong")
 	}
 }
@@ -167,7 +167,7 @@ func TestTimestamperMetaMode(t *testing.T) {
 			t.Fatal("payload modified in meta mode")
 		}
 	}
-	if ts.Stats()["pkts"] != 1 {
+	if ts.Counters().Map()["pkts"] != 1 {
 		t.Fatal("stats wrong")
 	}
 }
@@ -193,8 +193,8 @@ func TestRateLimiterRegisters(t *testing.T) {
 		in.PushFrame(hw.NewFrame(make([]byte, 500), 0), 32)
 		s.RunFor(10 * sim.Microsecond)
 	}
-	if rl.Stats()["pkts"] != 10 {
-		t.Fatalf("passed %d", rl.Stats()["pkts"])
+	if rl.Counters().Map()["pkts"] != 10 {
+		t.Fatalf("passed %d", rl.Counters().Map()["pkts"])
 	}
 }
 

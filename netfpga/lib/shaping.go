@@ -21,6 +21,7 @@ type RateLimiter struct {
 	lastCycle  uint64
 	inPacket   bool // frames pass atomically once started
 	pkts, held uint64
+	ctrs       hw.Counters
 }
 
 // NewRateLimiter creates a limiter initially configured to rateMbps.
@@ -30,6 +31,9 @@ func NewRateLimiter(d *hw.Design, name string, in, out *hw.Stream, rateMbps, bur
 	}
 	r := &RateLimiter{name: name, d: d, in: in, out: out,
 		rateMbps: rateMbps, burstB: burstBytes, tokens: float64(burstBytes)}
+	r.ctrs.Grow(2)
+	r.ctrs.Add("pkts", &r.pkts)
+	r.ctrs.Add("held_cycles", &r.held)
 	d.AddModule(r)
 	in.OnPush(d.ModuleWake(r))
 	return r
@@ -84,14 +88,12 @@ func (r *RateLimiter) Registers() *hw.RegisterFile {
 	rf := hw.NewRegisterFile(r.name)
 	rf.AddVar(0x0, "rate_mbps", &r.rateMbps)
 	rf.AddVar(0x4, "burst_bytes", &r.burstB)
-	rf.AddCounter64(0x8, "pkts", &r.pkts)
+	rf.AddCounters(0x8, r.ctrs.List()[0])
 	return rf
 }
 
-// Stats implements hw.StatsProvider.
-func (r *RateLimiter) Stats() map[string]uint64 {
-	return map[string]uint64{"pkts": r.pkts, "held_cycles": r.held}
-}
+// Counters implements hw.CounterSource.
+func (r *RateLimiter) Counters() *hw.Counters { return &r.ctrs }
 
 // Delay releases each frame a fixed time after its first beat arrived —
 // OSNT's inter-packet delay module, also useful for emulating long links
@@ -107,11 +109,13 @@ type Delay struct {
 	readyAt   hw.Time
 	emit      streamFrame
 	pkts      uint64
+	ctrs      hw.Counters
 }
 
 // NewDelay creates a fixed-delay module.
 func NewDelay(d *hw.Design, name string, in, out *hw.Stream, delay hw.Time) *Delay {
 	dm := &Delay{name: name, d: d, in: in, out: out, delay: delay}
+	dm.ctrs.Add("pkts", &dm.pkts)
 	d.AddModule(dm)
 	in.OnPush(d.ModuleWake(dm))
 	return dm
@@ -153,7 +157,5 @@ func (dm *Delay) Tick() bool {
 	return busy || dm.in.CanPop() || dm.emit.active()
 }
 
-// Stats implements hw.StatsProvider.
-func (dm *Delay) Stats() map[string]uint64 {
-	return map[string]uint64{"pkts": dm.pkts}
-}
+// Counters implements hw.CounterSource.
+func (dm *Delay) Counters() *hw.Counters { return &dm.ctrs }

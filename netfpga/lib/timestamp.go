@@ -34,6 +34,7 @@ type Timestamper struct {
 	hold *hw.Frame
 	emit streamFrame
 	pkts uint64
+	ctrs hw.Counters
 }
 
 // NewTimestamper creates the module. For StampPayload, offset is where
@@ -41,6 +42,7 @@ type Timestamper struct {
 // unstamped).
 func NewTimestamper(d *hw.Design, name string, in, out *hw.Stream, mode TimestampMode, offset uint32) *Timestamper {
 	t := &Timestamper{name: name, d: d, in: in, out: out, mode: mode, offset: offset}
+	t.ctrs.Add("pkts", &t.pkts)
 	d.AddModule(t)
 	in.OnPush(d.ModuleWake(t))
 	return t
@@ -113,7 +115,5 @@ func ExtractPayloadTimestamp(data []byte, offset uint32) (hw.Time, bool) {
 	return hw.Time(binary.BigEndian.Uint64(data[offset:])), true
 }
 
-// Stats implements hw.StatsProvider.
-func (t *Timestamper) Stats() map[string]uint64 {
-	return map[string]uint64{"pkts": t.pkts}
-}
+// Counters implements hw.CounterSource.
+func (t *Timestamper) Counters() *hw.Counters { return &t.ctrs }

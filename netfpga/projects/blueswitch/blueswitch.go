@@ -139,6 +139,7 @@ type Project struct {
 	dev        *netfpga.Device
 	oq         *lib.OutputQueues
 	finalDrops uint64
+	ctrs       hw.Counters
 }
 
 // New returns a BlueSwitch project.
@@ -150,8 +151,15 @@ func New(cfg Config) *Project {
 		cfg.StageLatency = 8
 	}
 	p := &Project{cfg: cfg}
-	for _, sel := range cfg.Selectors {
-		p.tables = append(p.tables, newTable(sel))
+	p.ctrs.Grow(2 + 3*len(cfg.Selectors))
+	p.ctrs.Add("violations", &p.violations)
+	p.ctrs.Add("final_drops", &p.finalDrops)
+	for i, sel := range cfg.Selectors {
+		t := newTable(sel)
+		p.tables = append(p.tables, t)
+		p.ctrs.Add(tableLookupsNames.At(i), &t.lookups)
+		p.ctrs.Add(tableHitsNames.At(i), &t.hits)
+		p.ctrs.Add(tableMissesNames.At(i), &t.misses)
 	}
 	return p
 }
@@ -200,7 +208,7 @@ func (p *Project) Build(dev *netfpga.Device) error {
 
 	rf := hw.NewRegisterFile("blueswitch")
 	rf.AddVar(0x0, "active_bank", &p.version)
-	rf.AddCounter64(0x8, "violations", &p.violations)
+	rf.AddCounters(0x8, p.ctrs.List()[0]) // violations
 	rf.AddRO(0x10, "tables", func() uint32 { return uint32(len(p.tables)) })
 	dev.MountRegs(rf)
 	return nil
@@ -352,19 +360,19 @@ func (p *Project) ApplyNaive(pol Policy, perTableDelay netfpga.Time) error {
 	return nil
 }
 
-// Stats exposes per-table counters.
-func (p *Project) Stats() map[string]uint64 {
-	out := map[string]uint64{
-		"violations":  p.violations,
-		"final_drops": p.finalDrops,
-	}
-	for i, t := range p.tables {
-		out[fmt.Sprintf("t%d_lookups", i)] = t.lookups
-		out[fmt.Sprintf("t%d_hits", i)] = t.hits
-		out[fmt.Sprintf("t%d_misses", i)] = t.misses
-	}
-	return out
-}
+// Per-table counter names.
+var (
+	tableLookupsNames = hw.NewNameTable("t%d_lookups", 8)
+	tableHitsNames    = hw.NewNameTable("t%d_hits", 8)
+	tableMissesNames  = hw.NewNameTable("t%d_misses", 8)
+)
+
+// Counters implements hw.CounterSource: the consistency counters, then
+// per-table lookup counters.
+func (p *Project) Counters() *hw.Counters { return &p.ctrs }
+
+// Stats returns the project counters as a fresh map.
+func (p *Project) Stats() map[string]uint64 { return p.Counters().Map() }
 
 // TagForwardPolicy builds the two-table experiment policy: EtherType
 // ethType gets tag, and tag routes to outPort. Everything else drops.

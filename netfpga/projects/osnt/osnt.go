@@ -134,6 +134,7 @@ func (p *Project) Build(dev *netfpga.Device) error {
 		rx := d.NewStream(fmt.Sprintf("rx%d", i), 16)
 
 		g := &generator{d: d, out: genOut, rng: sim.NewRand(uint64(i) + 1)}
+		g.ctrs.Add("sent", &g.sent)
 		d.AddModule(g)
 		// The generator is a pure source: nothing pushes into it, so the
 		// only wake it needs is its own (Start re-arms it after idle).
@@ -143,6 +144,10 @@ func (p *Project) Build(dev *netfpga.Device) error {
 		dev.MountRegs(att.Registers())
 
 		m := &monitor{d: d, in: rx, tsOffset: TsOffset}
+		m.ctrs.Grow(3)
+		m.ctrs.Add("pkts", &m.pkts)
+		m.ctrs.Add("bytes", &m.bytes)
+		m.ctrs.Add("lat_samples", &m.latSamples)
 		d.AddModule(m)
 		// Sparse-wire the monitor to its rx stream: a frame arriving
 		// from the MAC wakes exactly this monitor instead of every
@@ -236,6 +241,7 @@ type generator struct {
 	gapIdx  int
 	sent    uint64
 	emit    genEmit
+	ctrs    hw.Counters
 }
 
 // genEmit streams the current frame.
@@ -332,10 +338,8 @@ func (g *generator) Tick() bool {
 	return true
 }
 
-// Stats implements hw.StatsProvider.
-func (g *generator) Stats() map[string]uint64 {
-	return map[string]uint64{"sent": g.sent}
-}
+// Counters implements hw.CounterSource.
+func (g *generator) Counters() *hw.Counters { return &g.ctrs }
 
 // HistBuckets is the latency histogram size; buckets are
 // histBucketWidth wide, the last bucket catches overflow.
@@ -363,6 +367,7 @@ type monitor struct {
 
 	capture    []capturedFrame
 	captureCap int
+	ctrs       hw.Counters
 }
 
 // Name implements hw.Module.
@@ -433,15 +438,11 @@ func (m *monitor) reset() {
 // registers exposes monitor counters.
 func (m *monitor) registers(name string) *hw.RegisterFile {
 	rf := hw.NewRegisterFile(name)
-	rf.AddCounter64(0x00, "pkts", &m.pkts)
-	rf.AddCounter64(0x08, "bytes", &m.bytes)
-	rf.AddCounter64(0x10, "lat_samples", &m.latSamples)
+	rf.AddCounters(0x00, m.ctrs.List()...)
 	rf.AddRO(0x18, "lat_min_ns", func() uint32 { return uint32(m.latMin / sim.Nanosecond) })
 	rf.AddRO(0x1C, "lat_max_ns", func() uint32 { return uint32(m.latMax / sim.Nanosecond) })
 	return rf
 }
 
-// Stats implements hw.StatsProvider.
-func (m *monitor) Stats() map[string]uint64 {
-	return map[string]uint64{"pkts": m.pkts, "bytes": m.bytes, "lat_samples": m.latSamples}
-}
+// Counters implements hw.CounterSource.
+func (m *monitor) Counters() *hw.Counters { return &m.ctrs }

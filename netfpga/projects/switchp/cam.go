@@ -1,6 +1,7 @@
 package switchp
 
 import (
+	"repro/netfpga/hw"
 	"repro/netfpga/lib"
 	"repro/netfpga/pkt"
 )
@@ -17,6 +18,11 @@ type camEntry struct {
 // compare two pipelines, not two table implementations. Entries live in
 // an open-addressing arena (lib.FlowTable) so the table holds
 // million-flow working sets with allocation-free, cache-local lookups.
+// The arena starts small and doubles as addresses are learned; capacity
+// is a bound Learn enforces, not memory reserved up front, so building a
+// switch costs a few kilobytes whatever its table size. Nothing but
+// Sweep's DeleteIf ever iterates the table, so slot order — the one
+// thing growth history changes — is unobservable.
 type CAM struct {
 	entries  *lib.FlowTable[pkt.MAC, camEntry]
 	capacity int
@@ -24,8 +30,11 @@ type CAM struct {
 
 	lookups, hits, misses  uint64
 	learns, evicts, ageOut uint64
-	stats                  map[string]uint64 // reused by Stats
+	ctrs                   hw.Counters
 }
+
+// camStartEntries sizes a new CAM's arena (64 slots, 2 KB).
+const camStartEntries = 48
 
 // NewCAM builds a table bounded to capacity entries. ageAfter (in the
 // same unit as the now argument of Lookup/Learn) expires idle entries;
@@ -35,7 +44,7 @@ func NewCAM(capacity int, ageAfter int64) *CAM {
 		capacity = 16384
 	}
 	return &CAM{
-		entries:  lib.NewFlowTable[pkt.MAC, camEntry](lib.HashMAC, capacity),
+		entries:  lib.NewFlowTable[pkt.MAC, camEntry](lib.HashMAC, min(capacity, camStartEntries)),
 		capacity: capacity,
 		ageAfter: ageAfter,
 	}
@@ -94,15 +103,20 @@ func (c *CAM) Sweep(now int64) int {
 // Len returns the number of live entries.
 func (c *CAM) Len() int { return c.entries.Len() }
 
-// Stats exports table counters. The returned map is reused across
-// calls; callers must not retain it.
-func (c *CAM) Stats() map[string]uint64 {
-	if c.stats == nil {
-		c.stats = make(map[string]uint64, 7)
+// Counters implements hw.CounterSource. The table is not a module, so
+// the list is built on first use rather than per switch.
+func (c *CAM) Counters() *hw.Counters {
+	if c.ctrs.Len() == 0 {
+		c.ctrs.Add("lookups", &c.lookups)
+		c.ctrs.Add("hits", &c.hits)
+		c.ctrs.Add("misses", &c.misses)
+		c.ctrs.Add("learns", &c.learns)
+		c.ctrs.Add("failed_learns", &c.evicts)
+		c.ctrs.Add("aged_out", &c.ageOut)
+		c.ctrs.AddFunc("entries", func() uint64 { return uint64(c.entries.Len()) })
 	}
-	m := c.stats
-	m["lookups"], m["hits"], m["misses"] = c.lookups, c.hits, c.misses
-	m["learns"], m["failed_learns"], m["aged_out"] = c.learns, c.evicts, c.ageOut
-	m["entries"] = uint64(c.entries.Len())
-	return m
+	return &c.ctrs
 }
+
+// Stats returns the table counters as a fresh map.
+func (c *CAM) Stats() map[string]uint64 { return c.Counters().Map() }

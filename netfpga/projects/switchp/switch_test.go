@@ -246,3 +246,52 @@ func TestSwitchRegisterCounters(t *testing.T) {
 		t.Fatalf("cam_entries = %d, err %v", entries, err)
 	}
 }
+
+// TestCAMGrowsToCapacity: the arena starts far below the configured
+// bound and grows by doubling; the bound itself is still exact. A table
+// grown from small holds exactly capacity learns, rejects the next, and
+// finds every address it holds.
+func TestCAMGrowsToCapacity(t *testing.T) {
+	const capacity = 5000 // not a power of two, well past camStartEntries
+	cam := NewCAM(capacity, 0)
+	if got := cam.entries.Cap(); got >= capacity {
+		t.Fatalf("new CAM reserves %d entries up front, want a small arena", got)
+	}
+	mac := func(i int) pkt.MAC { return pkt.MAC{2, 0, 0, byte(i >> 16), byte(i >> 8), byte(i)} }
+	for i := 0; i < capacity; i++ {
+		cam.Learn(mac(i), uint8(i%4), 0)
+	}
+	if cam.Len() != capacity || cam.Stats()["learns"] != capacity || cam.Stats()["failed_learns"] != 0 {
+		t.Fatalf("after %d learns: len %d, stats %v", capacity, cam.Len(), cam.Stats())
+	}
+	cam.Learn(mac(capacity), 1, 0)
+	if cam.Len() != capacity || cam.Stats()["failed_learns"] != 1 {
+		t.Fatalf("learn past capacity: len %d, stats %v", cam.Len(), cam.Stats())
+	}
+	if _, ok := cam.Lookup(mac(capacity), 0); ok {
+		t.Fatal("the rejected address resolves")
+	}
+	for i := 0; i < capacity; i++ {
+		if port, ok := cam.Lookup(mac(i), 0); !ok || port != uint8(i%4) {
+			t.Fatalf("address %d: port %d, found %v", i, port, ok)
+		}
+	}
+	// Re-learning a held address is a refresh, not a new entry: it must
+	// succeed on a full table.
+	cam.Learn(mac(7), 3, 0)
+	if port, _ := cam.Lookup(mac(7), 0); port != 3 || cam.Stats()["failed_learns"] != 1 {
+		t.Fatalf("refresh on a full table: port %d, stats %v", port, cam.Stats())
+	}
+}
+
+// TestCAMStatsAreFresh: Stats used to return one cached map, so a
+// caller holding an earlier result saw it change.
+func TestCAMStatsAreFresh(t *testing.T) {
+	cam := NewCAM(16, 0)
+	cam.Learn(pkt.MustMAC("02:00:00:00:00:01"), 0, 0)
+	before := cam.Stats()
+	cam.Learn(pkt.MustMAC("02:00:00:00:00:02"), 1, 0)
+	if after := cam.Stats(); before["learns"] != 1 || before["entries"] != 1 || after["learns"] != 2 || after["entries"] != 2 {
+		t.Fatalf("before %v after %v", before, after)
+	}
+}

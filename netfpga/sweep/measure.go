@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 
 	"repro/netfpga"
 	"repro/netfpga/fleet"
+	"repro/netfpga/hw"
 	"repro/netfpga/workload"
 )
 
@@ -61,7 +61,7 @@ func GenericMeasure(c *fleet.Ctx, cell Cell) (Outcome, error) {
 		rxBytes += b
 		// BER is injected on the device's transmit wire; corrupted
 		// frames are counted (and discarded) by the tap-side MAC.
-		fcsErrs += tap.MAC().Stats()["fcs_errors"]
+		fcsErrs += tap.MAC().FCSErrors()
 	}
 	o.Set("sent", float64(sent))
 	o.Set("rx_frames", float64(rxFrames))
@@ -146,7 +146,7 @@ func genericHybridMeasure(c *fleet.Ctx, cell Cell) (Outcome, error) {
 		f, b := tap.Counts()
 		rxFrames += f
 		rxBytes += b
-		fcsErrs += tap.MAC().Stats()["fcs_errors"]
+		fcsErrs += tap.MAC().FCSErrors()
 	}
 	offF, offB, delF, delB, drpF, drpB := model.Totals()
 	var peak uint64
@@ -364,18 +364,7 @@ func LatencyMeasure(c *fleet.Ctx, cell Cell) (Outcome, error) {
 }
 
 // QueueDrops sums the design's queue-overflow drops (receive FIFOs and
-// output queues); lookup-stage policy drops are excluded. This is the
+// output queues): the counters registered as hw.QueueDrop, whatever
+// they are named. Lookup-stage policy drops are excluded. This is the
 // loss figure the experiments report against offered load.
-func QueueDrops(dev *netfpga.Device) uint64 {
-	var total uint64
-	for k, v := range dev.Dsn.Stats() {
-		if !strings.HasSuffix(k, "drops") {
-			continue
-		}
-		if strings.Contains(k, "fifo") || strings.HasPrefix(k, "oq") ||
-			strings.Contains(k, "port") && strings.Contains(k, "_drops") {
-			total += v
-		}
-	}
-	return total
-}
+func QueueDrops(dev *netfpga.Device) uint64 { return dev.Dsn.Sum(hw.QueueDrop) }
