@@ -171,7 +171,7 @@ func NewDevice(board BoardSpec, opts Options) *Device {
 	d.taps = make([]*PortTap, board.Ports)
 	if board.PCIe.Lanes > 0 && !opts.NoHost {
 		d.Engine = pcie.NewEngine(s, pcie.EngineConfig{Link: board.PCIe})
-		d.Driver = host.NewDriver(board.Name+".nf0", d.Engine, d.Regs, s.Now)
+		d.Driver = host.NewDriver(board.Name+".nf0", d.Engine, d.Regs, d.Dsn.Pool(), s.Now)
 	}
 	for _, c := range board.SRAM {
 		d.SRAMs = append(d.SRAMs, mem.NewSRAM(s, c))

@@ -30,11 +30,8 @@ func switchIMIXJob(name string, window netfpga.Time) fleet.Job {
 			if err != nil {
 				return nil, err
 			}
-			taps := make([]*netfpga.PortTap, 4)
-			for i := range taps {
-				taps[i] = c.Dev.Tap(i)
-			}
-			var sent, rx int
+			taps := countingTaps(c.Dev, 4)
+			var sent int
 			for c.RunFor(10 * netfpga.Microsecond) {
 				for i := 0; i < 16; i++ {
 					if taps[c.Rand.Intn(4)].Send(gen.Next()) {
@@ -43,9 +40,7 @@ func switchIMIXJob(name string, window netfpga.Time) fleet.Job {
 				}
 			}
 			c.Dev.RunUntilIdle(0)
-			for _, t := range taps {
-				rx += len(t.Received())
-			}
+			rx, _ := tapCounts(taps...)
 			return fmt.Sprintf("sent=%d rx=%d", sent, rx), nil
 		},
 		Stop: fleet.Stop{SimTime: window},
@@ -66,11 +61,12 @@ func hundredGigJob(name string, window netfpga.Time) fleet.Job {
 		},
 		Drive: func(c *fleet.Ctx) (any, error) {
 			tap := c.Dev.Tap(0)
+			tap.SetCounting(true)
 			frame := make([]byte, 256)
 			for i := range frame {
 				frame[i] = byte(i)
 			}
-			var sent, rx int
+			var sent int
 			for c.RunFor(5 * netfpga.Microsecond) {
 				for tap.MAC().TxQueue().Bytes() < 1<<16 {
 					if !tap.Send(frame) {
@@ -80,7 +76,7 @@ func hundredGigJob(name string, window netfpga.Time) fleet.Job {
 				}
 			}
 			c.Dev.RunUntilIdle(0)
-			rx = len(tap.Received())
+			rx, _ := tap.Counts()
 			return fmt.Sprintf("sent=%d rx=%d", sent, rx), nil
 		},
 		Stop: fleet.Stop{SimTime: window},

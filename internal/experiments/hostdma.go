@@ -65,6 +65,7 @@ func defT3() Def {
 		dev := c.Dev
 		fs := cell.Int("frame")
 		tap := dev.Tap(0)
+		tap.SetCounting(true)
 		data := make([]byte, fs)
 		pump := func(dur netfpga.Time) {
 			end := dev.Now() + dur
@@ -75,16 +76,12 @@ func defT3() Def {
 			}
 		}
 		pump(50 * netfpga.Microsecond) // warmup
-		tap.Received()                 // discard
+		f0, b0 := tap.Counts()
 		pump(window)
-		var rxBytes uint64
-		rx := tap.Received() // collected exactly at window end
-		for _, f := range rx {
-			rxBytes += uint64(len(f.Data))
-		}
+		f1, b1 := tap.Counts() // read exactly at window end
 		var o sweep.Outcome
-		o.Set("achieved_gbps", float64(rxBytes)*8/window.Seconds()/1e9)
-		o.Set("mpps", float64(len(rx))/window.Seconds()/1e6)
+		o.Set("achieved_gbps", float64(b1-b0)*8/window.Seconds()/1e9)
+		o.Set("mpps", float64(f1-f0)/window.Seconds()/1e6)
 		return o, nil
 	}
 	return Def{

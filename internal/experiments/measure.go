@@ -7,12 +7,13 @@ import (
 
 // measureGoodput saturates the given taps (tap i repeatedly sends
 // streams[i]; nil entries stay silent) through a warmup and a timed
-// window, and returns the bytes and frames received across all taps
-// strictly within the window. Collection happens exactly at window end,
-// so queued-but-undelivered frames are excluded and goodput can never
+// window, and returns the bytes received across all taps strictly
+// within the window. The taps count arrivals instead of capturing them,
+// and the totals are read exactly at the window's two ends, so
+// queued-but-undelivered frames are excluded and goodput can never
 // exceed the wire.
 func measureGoodput(dev *netfpga.Device, taps []*netfpga.PortTap, streams [][]byte,
-	warmup, window netfpga.Time) (bytes uint64, frames int) {
+	warmup, window netfpga.Time) uint64 {
 
 	topUp := func() {
 		for i, tap := range taps {
@@ -33,18 +34,35 @@ func measureGoodput(dev *netfpga.Device, taps []*netfpga.PortTap, streams [][]by
 			dev.RunFor(netfpga.Microsecond)
 		}
 	}
+	for _, tap := range taps {
+		tap.SetCounting(true)
+	}
 	run(warmup)
-	for _, tap := range taps {
-		tap.Received() // discard warmup arrivals
-	}
+	_, atStart := tapCounts(taps...)
 	run(window)
-	for _, tap := range taps {
-		for _, f := range tap.Received() {
-			bytes += uint64(len(f.Data))
-			frames++
-		}
+	_, atEnd := tapCounts(taps...)
+	return atEnd - atStart
+}
+
+// countingTaps attaches taps to ports 0..n-1 in counting mode, for
+// measures that total arrivals without looking at them.
+func countingTaps(dev *netfpga.Device, n int) []*netfpga.PortTap {
+	taps := make([]*netfpga.PortTap, n)
+	for i := range taps {
+		taps[i] = dev.Tap(i)
+		taps[i].SetCounting(true)
 	}
-	return bytes, frames
+	return taps
+}
+
+// tapCounts sums the counting-mode totals of taps.
+func tapCounts(taps ...*netfpga.PortTap) (frames, bytes uint64) {
+	for _, tap := range taps {
+		f, b := tap.Counts()
+		frames += f
+		bytes += b
+	}
+	return frames, bytes
 }
 
 // designDrops sums the design's queue-overflow drops — one

@@ -89,12 +89,13 @@ func defT2() Def {
 		n := total / size
 		var last sim.Time
 		addrSpace := m.Size() / 2 // stay well inside the device
+		done := func([]byte) { last = s.Now() }
 		for i := 0; i < n; i++ {
 			addr := uint64(i*size) % addrSpace
 			if random {
 				addr = (uint64(rng.Intn(int(addrSpace / 64)))) * 64
 			}
-			m.Read(addr, size, func([]byte) { last = s.Now() })
+			m.Read(addr, size, done)
 		}
 		s.Drain(0)
 		var o sweep.Outcome

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/sim"
 	"repro/netfpga"
 	"repro/netfpga/fleet"
 	"repro/netfpga/hw"
@@ -145,13 +146,21 @@ func osntLoop(dev *netfpga.Device, dutDelay netfpga.Time) (*osnt.OSNT, error) {
 		return nil, err
 	}
 	tap0, tap1 := dev.Tap(0), dev.Tap(1)
+	// The DUT is a wire or a fixed delay line: frames leave in arrival
+	// order, so the delay is a lane, and the frame OnRx hands over rides
+	// in it and goes back to the pool once tap1 has copied it.
+	pool := dev.Dsn.Pool()
+	relay := func(f *hw.Frame) {
+		tap1.Send(f.Data)
+		pool.Put(f)
+	}
+	delayed := sim.NewLane(dev.Sim, relay)
 	tap0.OnRx = func(f *hw.Frame, at netfpga.Time) {
-		data := append([]byte(nil), f.Data...)
 		if dutDelay == 0 {
-			tap1.Send(data)
+			relay(f)
 			return
 		}
-		dev.Sim.At(at+dutDelay, func() { tap1.Send(data) })
+		delayed.Post(at+dutDelay, f)
 	}
 	dev.Tap(2)
 	dev.Tap(3)
@@ -161,44 +170,12 @@ func osntLoop(dev *netfpga.Device, dutDelay netfpga.Time) (*osnt.OSNT, error) {
 // achievedRate computes the generator's achieved rate from the capture
 // timestamps.
 func achievedRate(tester *osnt.OSNT, wireBytes int) float64 {
-	var buf captureBuf
-	if _, err := tester.WriteCapture(1, &buf); err != nil {
-		panic(err)
-	}
-	first, last, n := buf.bounds()
+	first, last, n := tester.CaptureSpan(1)
 	if n < 2 {
 		return 0
 	}
 	gap := float64(last-first) / float64(n-1) // ps per frame
 	return float64(wireBytes*8) / gap * 1e6   // Mbps
-}
-
-// captureBuf parses just the pcap record timestamps it receives.
-type captureBuf struct {
-	data []byte
-}
-
-func (c *captureBuf) Write(p []byte) (int, error) {
-	c.data = append(c.data, p...)
-	return len(p), nil
-}
-
-func (c *captureBuf) bounds() (first, last netfpga.Time, n int) {
-	// pcap: 24B header, then 16B record headers + payload.
-	off := 24
-	for off+16 <= len(c.data) {
-		sec := uint32(c.data[off]) | uint32(c.data[off+1])<<8 | uint32(c.data[off+2])<<16 | uint32(c.data[off+3])<<24
-		nsec := uint32(c.data[off+4]) | uint32(c.data[off+5])<<8 | uint32(c.data[off+6])<<16 | uint32(c.data[off+7])<<24
-		capLen := int(uint32(c.data[off+8]) | uint32(c.data[off+9])<<8 | uint32(c.data[off+10])<<16 | uint32(c.data[off+11])<<24)
-		ts := netfpga.Time(sec)*netfpga.Second + netfpga.Time(nsec)*netfpga.Nanosecond
-		if n == 0 {
-			first = ts
-		}
-		last = ts
-		n++
-		off += 16 + capLen
-	}
-	return first, last, n
 }
 
 var (
@@ -234,16 +211,14 @@ func defT7() Def {
 		if err := p.Build(dev); err != nil {
 			return sweep.Outcome{}, err
 		}
-		for i := 0; i < 4; i++ {
-			dev.Tap(i)
-		}
+		taps := countingTaps(dev, 4)
 		p.InstallInitial(blueswitch.TagForwardPolicy(0x0800, 1, 1))
 		sent := 0
 		pump := func(dur netfpga.Time) {
 			end := dev.Now() + dur
 			for dev.Now() < end {
 				for i := 0; i < 14; i++ {
-					if dev.Tap(0).Send(frame) {
+					if taps[0].Send(frame) {
 						sent++
 					}
 				}
@@ -260,7 +235,7 @@ func defT7() Def {
 		}
 		pump(200*netfpga.Microsecond + 2*delay)
 		dev.RunFor(netfpga.Millisecond)
-		delivered := len(dev.Tap(1).Received()) + len(dev.Tap(2).Received())
+		delivered, _ := tapCounts(taps[1], taps[2])
 		var o sweep.Outcome
 		o.Set("sent", float64(sent))
 		o.Set("delivered", float64(delivered))

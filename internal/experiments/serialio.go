@@ -57,7 +57,7 @@ func defT1() Def {
 		for i := range streams {
 			streams[i] = data
 		}
-		rxBytes, _ := measureGoodput(dev, taps, streams, 100*netfpga.Microsecond, window)
+		rxBytes := measureGoodput(dev, taps, streams, 100*netfpga.Microsecond, window)
 		var o sweep.Outcome
 		o.Set("achieved_gbps", float64(rxBytes)*8/window.Seconds()/1e9)
 		o.Set("loss", float64(designDrops(dev)))

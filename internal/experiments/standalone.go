@@ -64,11 +64,13 @@ func defT9() Def {
 		}
 		// Traffic without any host: wire in, wire out.
 		tap := dev.Tap(0)
+		tap.SetCounting(true)
 		for i := 0; i < 50; i++ {
 			tap.Send(make([]byte, 200))
 		}
 		dev.RunFor(2 * netfpga.Millisecond)
-		trafficOK := len(tap.Received()) == 50
+		rx, _ := tap.Counts()
+		trafficOK := rx == 50
 		var o sweep.Outcome
 		o.Set("image_kb", float64(len(image)>>10))
 		o.SetTime("boot_ps", bootTime)

@@ -43,10 +43,7 @@ func defT4() Def {
 	mesh := func(c *fleet.Ctx, cell sweep.Cell) (sweep.Outcome, error) {
 		dev := c.Dev
 		payload := cell.Int("frame") - 4
-		taps := make([]*netfpga.PortTap, 4)
-		for i := range taps {
-			taps[i] = dev.Tap(i)
-		}
+		taps := countingTaps(dev, 4)
 		// Pre-learn every station so the mesh is unicast.
 		for i := range taps {
 			learn, _ := pkt.Serialize(pkt.SerializeOptions{},
@@ -54,9 +51,6 @@ func defT4() Def {
 			taps[i].Send(pkt.PadToMin(learn))
 		}
 		dev.RunFor(netfpga.Millisecond)
-		for _, tap := range taps {
-			tap.Received()
-		}
 
 		// Full mesh: port i sends to station on port (i+1)%4 at line
 		// rate.
@@ -67,7 +61,7 @@ func defT4() Def {
 				pkt.Payload(make([]byte, payload-14)))
 			streams[i] = f
 		}
-		rxBytes, _ := measureGoodput(dev, taps, streams, 100*netfpga.Microsecond, window)
+		rxBytes := measureGoodput(dev, taps, streams, 100*netfpga.Microsecond, window)
 		var o sweep.Outcome
 		o.Set("achieved_gbps", float64(rxBytes)*8/window.Seconds()/1e9)
 		o.Set("drops", float64(designDrops(dev)))
@@ -177,7 +171,7 @@ func defT5() Def {
 			}
 			streams[i] = f
 		}
-		rxBytes, _ := measureGoodput(dev, taps, streams, 100*netfpga.Microsecond, window)
+		rxBytes := measureGoodput(dev, taps, streams, 100*netfpga.Microsecond, window)
 		cnt := p.Engine().C
 		var o sweep.Outcome
 		o.Set("achieved_gbps", float64(rxBytes)*8/window.Seconds()/1e9)

@@ -278,12 +278,11 @@ func defF2() Def {
 				}
 			}
 		}
-		dev.Tap(0).Send(mk(0x86DD))
+		// The IPv6 probe is only counted, so the taps stop capturing.
+		taps := countingTaps(dev, 4)
+		taps[0].Send(mk(0x86DD))
 		dev.RunFor(netfpga.Millisecond)
-		v6 := 0
-		for i := 1; i < 4; i++ {
-			v6 += len(dev.Tap(i).Received())
-		}
+		v6, _ := tapCounts(taps[1:]...)
 		var o sweep.Outcome
 		o.Set("luts", float64(rep.Total.LUTs))
 		o.Set("bram36", float64(rep.Total.BRAM36))

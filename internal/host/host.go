@@ -34,6 +34,7 @@ type Driver struct {
 	name   string
 	engine *pcie.Engine
 	regs   *hw.AddressMap
+	pool   *hw.FramePool
 	now    func() hw.Time
 
 	rxBuf   []RxPacket
@@ -43,10 +44,12 @@ type Driver struct {
 	ctrs                     hw.Counters
 }
 
-// NewDriver binds a driver to a DMA engine and register map. now provides
-// the simulation clock for rx timestamps.
-func NewDriver(name string, engine *pcie.Engine, regs *hw.AddressMap, now func() hw.Time) *Driver {
-	d := &Driver{name: name, engine: engine, regs: regs, now: now, rxLimit: 4096}
+// NewDriver binds a driver to a DMA engine and register map. Transmit
+// frames are drawn from pool — the design's, so the buffers the datapath
+// recycles at its egress edges come back to Send (nil allocates). now
+// provides the simulation clock for rx timestamps.
+func NewDriver(name string, engine *pcie.Engine, regs *hw.AddressMap, pool *hw.FramePool, now func() hw.Time) *Driver {
+	d := &Driver{name: name, engine: engine, regs: regs, pool: pool, now: now, rxLimit: 4096}
 	d.ctrs.Grow(3)
 	d.ctrs.Add("tx_sent", &d.txSent)
 	d.ctrs.Add("rx_got", &d.rxGot)
@@ -66,11 +69,18 @@ func (d *Driver) Send(data []byte, q int) error {
 	if len(data) == 0 || len(data) > 9600 {
 		return ErrFrameSize
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	f := hw.NewFrame(cp, uint8(hw.HostPortBase+q))
-	f.Meta.Flags |= hw.FlagFromHost
+	// Ask before building the frame: pump loops call Send until it
+	// refuses, and a refusal must cost nothing.
+	if d.engine.TxSpace() <= 0 {
+		return ErrTxRingFull
+	}
+	f := d.pool.Get(len(data))
+	copy(f.Data, data)
+	f.Meta.SrcPort = uint8(hw.HostPortBase + q)
+	f.Meta.Len = uint16(len(data))
+	f.Meta.Flags = hw.FlagFromHost
 	if !d.engine.HostSend(f) {
+		d.pool.Put(f)
 		return ErrTxRingFull
 	}
 	d.txSent++

@@ -19,7 +19,7 @@ func newHost(t *testing.T) (*sim.Sim, *pcie.Engine, *Driver) {
 	var pkts uint64 = 77
 	rf.AddCounter64(0x8, "pkts", &pkts)
 	regs.Mount(0x0000, 0x100, rf)
-	d := NewDriver("nf0", e, regs, s.Now)
+	d := NewDriver("nf0", e, regs, nil, s.Now)
 	return s, e, d
 }
 
@@ -120,7 +120,7 @@ func TestDriverRegisterAccess(t *testing.T) {
 func TestDriverTxRingFull(t *testing.T) {
 	s := sim.New()
 	e := pcie.NewEngine(s, pcie.EngineConfig{Link: pcie.SUMELink(), TxRing: 2})
-	d := NewDriver("nf0", e, hw.NewAddressMap(), s.Now)
+	d := NewDriver("nf0", e, hw.NewAddressMap(), nil, s.Now)
 	if err := d.Send(make([]byte, 60), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -129,5 +129,40 @@ func TestDriverTxRingFull(t *testing.T) {
 	}
 	if err := d.Send(make([]byte, 60), 0); err != ErrTxRingFull {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestDriverSendAllocations pins the transmit path's garbage: a refused
+// Send builds nothing (pump loops call Send until it refuses), and an
+// accepted one draws its frame from the pool the datapath recycles into.
+func TestDriverSendAllocations(t *testing.T) {
+	s := sim.New()
+	e := pcie.NewEngine(s, pcie.EngineConfig{Link: pcie.SUMELink(), TxRing: 8})
+	pool := &hw.FramePool{}
+	d := NewDriver("nf0", e, hw.NewAddressMap(), pool, s.Now)
+	data := make([]byte, 1500)
+	// One accepted send per run, the device side recycling what arrives:
+	// after the first rounds every frame comes back out of the pool.
+	cycle := func() {
+		if err := d.Send(data, 0); err != nil {
+			t.Fatal(err)
+		}
+		s.Drain(0)
+		pool.Put(e.ToDevice().Pop())
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("an accepted Send on a warm pool allocates %.1f times", allocs)
+	}
+	// No pool behind the refusal, so building a frame only to throw it
+	// away would show as an allocation.
+	d = NewDriver("nf1", e, hw.NewAddressMap(), nil, s.Now)
+	for d.Send(data, 0) == nil {
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := d.Send(data, 0); err != ErrTxRingFull {
+			t.Fatalf("err = %v, want ErrTxRingFull", err)
+		}
+	}); allocs != 0 {
+		t.Errorf("a Send refused by a full ring allocates %.1f times", allocs)
 	}
 }

@@ -56,9 +56,8 @@ func DefaultSUMEDRAM(name string) DRAMConfig {
 // pin rate while fine-grained random access collapses to row-miss
 // latency.
 type DRAM struct {
-	cfg  DRAMConfig
-	sim  *sim.Sim
-	data *store
+	cfg   DRAMConfig
+	ports // completion lanes and backing store; carries the simulator
 
 	burstBytes int
 	burstTime  sim.Time // data-bus occupancy of one burst
@@ -85,8 +84,7 @@ func NewDRAM(s *sim.Sim, cfg DRAMConfig) *DRAM {
 	}
 	d := &DRAM{
 		cfg:        cfg,
-		sim:        s,
-		data:       newStore(),
+		ports:      ports{sim: s},
 		burstBytes: cfg.BusBytes * cfg.BurstLen,
 		openRow:    make([]int64, cfg.Banks),
 		bankFree:   make([]sim.Time, cfg.Banks),
@@ -198,27 +196,16 @@ func (d *DRAM) Read(addr uint64, n int, cb func([]byte)) {
 	done := d.access(addr, n)
 	d.reads++
 	d.readBy += uint64(n)
-	d.sim.At(done, func() {
-		buf := make([]byte, n)
-		d.data.read(addr, buf)
-		cb(buf)
-	})
+	d.postRead(done, addr, n, cb)
 }
 
 // Write implements Memory.
 func (d *DRAM) Write(addr uint64, data []byte, cb func()) {
 	checkRange(d.cfg.Name, addr, len(data), d.cfg.Size)
-	cp := make([]byte, len(data))
-	copy(cp, data)
 	done := d.access(addr, len(data))
 	d.writes++
 	d.writeBy += uint64(len(data))
-	d.sim.At(done, func() {
-		d.data.write(addr, cp)
-		if cb != nil {
-			cb()
-		}
-	})
+	d.postWrite(done, addr, data, cb)
 }
 
 // PeakBandwidthGbps returns the pin-rate bandwidth of the channel.

@@ -7,7 +7,11 @@
 // parts cost only what is touched.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/sim"
+)
 
 // Memory is the interface both models implement. Operations complete
 // asynchronously in simulated time; callbacks run when the data is valid.
@@ -24,6 +28,70 @@ type Memory interface {
 	Write(addr uint64, data []byte, cb func())
 	// Stats exports device counters.
 	Stats() map[string]uint64
+}
+
+// readReq and writeReq are the per-access state a memory's completion
+// lanes carry by value from issue to completion.
+type readReq struct {
+	addr uint64
+	n    int
+	cb   func([]byte)
+}
+
+type writeReq struct {
+	addr uint64
+	data []byte // the device's private copy
+	cb   func()
+}
+
+// ports is the completion side both models share: one ordered lane per
+// access kind (each kind completes in issue order on either device) over
+// the sparse store, and the one read buffer the Read contract allows —
+// the slice is the callback's only until it returns. It is built on the
+// first access, so a board's untouched memories cost a device nothing.
+type ports struct {
+	sim       *sim.Sim
+	data      *store
+	readLane  *sim.Lane[readReq]
+	writeLane *sim.Lane[writeReq]
+	rbuf      []byte
+}
+
+func (p *ports) init() {
+	if p.data != nil {
+		return
+	}
+	p.data = newStore()
+	p.readLane = sim.NewLane(p.sim, p.readDone)
+	p.writeLane = sim.NewLane(p.sim, p.writeDone)
+}
+
+func (p *ports) postRead(at sim.Time, addr uint64, n int, cb func([]byte)) {
+	p.init()
+	p.readLane.Post(at, readReq{addr, n, cb})
+}
+
+func (p *ports) postWrite(at sim.Time, addr uint64, data []byte, cb func()) {
+	p.init()
+	// The device keeps a private copy until the write lands; the caller
+	// may reuse its buffer at once.
+	p.writeLane.Post(at, writeReq{addr, append([]byte(nil), data...), cb})
+}
+
+func (p *ports) readDone(r readReq) {
+	if cap(p.rbuf) < r.n {
+		p.rbuf = make([]byte, r.n)
+	}
+	buf := p.rbuf[:r.n]
+	p.data.read(r.addr, buf)
+	r.cb(buf)
+}
+
+func (p *ports) writeDone(w writeReq) {
+	p.data.write(w.addr, w.data)
+	if w.cb != nil {
+		w.cb()
+	}
 }
 
 const pageSize = 4096

@@ -32,8 +32,7 @@ func DefaultSUMESRAM(name string) SRAMConfig {
 // fast as sequential, the property that makes QDR the flow-table memory.
 type SRAM struct {
 	cfg   SRAMConfig
-	sim   *sim.Sim
-	data  *store
+	ports          // completion lanes and backing store; carries the simulator
 	perWd sim.Time // time per word on one port (half a clock: DDR edges)
 	lat   sim.Time
 
@@ -54,8 +53,7 @@ func NewSRAM(s *sim.Sim, cfg SRAMConfig) *SRAM {
 	period := sim.PeriodOfMHz(cfg.ClockMHz)
 	return &SRAM{
 		cfg:   cfg,
-		sim:   s,
-		data:  newStore(),
+		ports: ports{sim: s},
 		perWd: period / 2, // DDR: one word per edge per port
 		lat:   sim.Time(cfg.ReadLatency) * period,
 	}
@@ -90,19 +88,13 @@ func (m *SRAM) Read(addr uint64, n int, cb func([]byte)) {
 	m.readFree = done
 	m.reads++
 	m.readBy += uint64(n)
-	m.sim.At(done+m.lat, func() {
-		buf := make([]byte, n)
-		m.data.read(addr, buf)
-		cb(buf)
-	})
+	m.postRead(done+m.lat, addr, n, cb)
 }
 
 // Write implements Memory. The independent write port serialises writes;
 // data is captured immediately (the caller may reuse its buffer).
 func (m *SRAM) Write(addr uint64, data []byte, cb func()) {
 	checkRange(m.cfg.Name, addr, len(data), m.cfg.Size)
-	cp := make([]byte, len(data))
-	copy(cp, data)
 	now := m.sim.Now()
 	start := now
 	if m.writeFree > start {
@@ -113,12 +105,7 @@ func (m *SRAM) Write(addr uint64, data []byte, cb func()) {
 	m.writeFree = done
 	m.writes++
 	m.writeBy += uint64(len(data))
-	m.sim.At(done, func() {
-		m.data.write(addr, cp)
-		if cb != nil {
-			cb()
-		}
-	})
+	m.postWrite(done, addr, data, cb)
 }
 
 // PeakBandwidthGbps returns the theoretical per-direction bandwidth:

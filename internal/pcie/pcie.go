@@ -70,6 +70,10 @@ type Link struct {
 	sim  *sim.Sim
 	rate float64 // effective Gb/s per direction
 	busy [2]sim.Time
+	// done orders each direction's completions: transfers serialise, so
+	// they land in issue order. A direction's lane is built on its first
+	// transfer.
+	done [2]*sim.Lane[arrival]
 
 	transfers [2]uint64
 	bytes     [2]uint64
@@ -89,6 +93,23 @@ func NewLink(s *sim.Sim, cfg LinkConfig) *Link {
 	return &Link{cfg: cfg, sim: s, rate: cfg.Gen.perLaneGbps() * float64(cfg.Lanes)}
 }
 
+// arrival is what runs when a transfer's last byte lands: cb, or fn(f)
+// for the DMA engine's frame moves, which would otherwise allocate a
+// closure per frame to carry f.
+type arrival struct {
+	cb func()
+	fn func(*hw.Frame)
+	f  *hw.Frame
+}
+
+func (a arrival) land() {
+	if a.fn != nil {
+		a.fn(a.f)
+		return
+	}
+	a.cb()
+}
+
 // EffectiveGbps returns the per-direction payload rate before TLP
 // overhead.
 func (l *Link) EffectiveGbps() float64 { return l.rate }
@@ -99,7 +120,9 @@ func (l *Link) Config() LinkConfig { return l.cfg }
 // Transfer schedules an n-byte payload in the given direction; cb runs
 // when the last byte arrives. Concurrent transfers in one direction
 // serialise; directions are independent.
-func (l *Link) Transfer(dir Dir, n int, cb func()) {
+func (l *Link) Transfer(dir Dir, n int, cb func()) { l.transfer(dir, n, arrival{cb: cb}) }
+
+func (l *Link) transfer(dir Dir, n int, a arrival) {
 	tlps := (n + l.cfg.MaxPayload - 1) / l.cfg.MaxPayload
 	if tlps == 0 {
 		tlps = 1
@@ -114,7 +137,10 @@ func (l *Link) Transfer(dir Dir, n int, cb func()) {
 	l.busy[dir] = end
 	l.transfers[dir]++
 	l.bytes[dir] += uint64(n)
-	l.sim.At(end+l.cfg.Latency, cb)
+	if l.done[dir] == nil {
+		l.done[dir] = sim.NewLane(l.sim, arrival.land)
+	}
+	l.done[dir].Post(end+l.cfg.Latency, a)
 }
 
 // descriptor ring sizes and the engine below follow the reference NIC's
@@ -147,8 +173,11 @@ type Engine struct {
 
 	txInFlight int
 	rxFree     int // posted host rx buffers
-	deliver    func(f *hw.Frame)
-	interrupts uint64
+	// txDone/rxDone are the DMA completion handlers, bound once so a
+	// frame move carries no per-frame closure.
+	txDone, rxDone func(*hw.Frame)
+	deliver        func(f *hw.Frame)
+	interrupts     uint64
 
 	txFrames, rxFrames uint64
 	rxDeferred         uint64 // frames stalled waiting for rx buffers
@@ -167,6 +196,7 @@ func NewEngine(s *sim.Sim, cfg EngineConfig) *Engine {
 	e.toDevice = hw.NewFrameQueue("dma.to_device", cfg.TxRing, 0)
 	e.fromDevice = hw.NewFrameQueue("dma.from_device", cfg.RxRing, 0)
 	e.fromDevice.OnPush(e.kickRx)
+	e.txDone, e.rxDone = e.onTxDone, e.onRxDone
 	l := e.link
 	e.ctrs.Grow(9)
 	e.ctrs.Add("h2d_transfers", &l.transfers[HostToDevice])
@@ -212,12 +242,22 @@ func (e *Engine) HostSend(f *hw.Frame) bool {
 	}
 	e.txInFlight++
 	// Descriptor fetch + payload move in one modelled transfer.
-	e.link.Transfer(HostToDevice, len(f.Data)+16, func() {
-		e.txInFlight--
-		e.txFrames++
-		e.toDevice.Push(f) // wakes the datapath clock via OnPush
-	})
+	e.link.transfer(HostToDevice, len(f.Data)+16, arrival{fn: e.txDone, f: f})
 	return true
+}
+
+func (e *Engine) onTxDone(f *hw.Frame) {
+	e.txInFlight--
+	e.txFrames++
+	e.toDevice.Push(f) // wakes the datapath clock via OnPush
+}
+
+func (e *Engine) onRxDone(f *hw.Frame) {
+	e.rxFrames++
+	e.interrupts++
+	if e.deliver != nil {
+		e.deliver(f)
+	}
 }
 
 // TxSpace returns the number of free TX ring slots.
@@ -228,13 +268,7 @@ func (e *Engine) kickRx() {
 	for e.rxFree > 0 && e.fromDevice.Len() > 0 {
 		f := e.fromDevice.Pop()
 		e.rxFree--
-		e.link.Transfer(DeviceToHost, len(f.Data)+16, func() {
-			e.rxFrames++
-			e.interrupts++
-			if e.deliver != nil {
-				e.deliver(f)
-			}
-		})
+		e.link.transfer(DeviceToHost, len(f.Data)+16, arrival{fn: e.rxDone, f: f})
 	}
 	if e.fromDevice.Len() > 0 && e.rxFree == 0 {
 		e.rxDeferred++

@@ -10,8 +10,21 @@ package sim
 type Sim struct {
 	now    Time
 	seq    uint64
-	heap   []*Timer
+	heap   []entry
 	clocks []*Clock
+
+	// firing is set while heap[0] is the vacated slot of a timer whose
+	// callback is running (or panicked): the timer is logically out of
+	// the queue — Pending, Peek, Stop and a re-entrant Step all answer
+	// as if it had been removed — but its slot stays at the root so a
+	// re-arm from the callback rewrites the key and sifts down once
+	// instead of paying a remove and a push. The slot cannot be
+	// displaced meanwhile: every key scheduled during the callback is
+	// later in (time, sequence) order than the one that just fired.
+	firing bool
+	// queued counts lane completions waiting behind their lane's head;
+	// they are pending events that occupy no heap slot (see Lane).
+	queued int
 
 	// horizon fences inline time advancement: a batching clock (see
 	// Clock.edge) may advance now past pending-event gaps but never past
@@ -48,7 +61,6 @@ func (s *Sim) Executed() uint64 { return s.executed }
 type Timer struct {
 	sim *Sim
 	at  Time
-	seq uint64
 	idx int // index in sim.heap, or -1 when not scheduled
 	fn  func()
 }
@@ -66,14 +78,34 @@ func (t *Timer) ScheduleAt(at Time) {
 	if at < s.now {
 		panic("sim: event scheduled in the past")
 	}
-	t.at = at
 	s.seq++
-	t.seq = s.seq
-	if t.idx >= 0 {
-		s.fix(t.idx)
-		return
+	t.arm(at, s.seq)
+}
+
+// arm queues the timer under the key (at, seq), replacing its current
+// key if it is pending. A timer re-armed from its own callback still owns
+// the root slot and is sifted down from there.
+func (t *Timer) arm(at Time, seq uint64) {
+	s := t.sim
+	t.at = at
+	e := entry{at: at, seq: seq, t: t}
+	switch {
+	case t.idx >= 0:
+		s.fix(t.idx, e)
+	case s.firing && s.heap[0].t == t:
+		// The root slot already points at t: rewrite its key in place,
+		// and sift only if a child now fires first.
+		s.firing = false
+		t.idx = 0
+		h := s.heap
+		h[0].at, h[0].seq = at, seq
+		if len(h) > 1 {
+			s.down(0, e)
+		}
+	default:
+		s.heap = append(s.heap, e)
+		s.up(len(s.heap)-1, e)
 	}
-	s.push(t)
 }
 
 // ScheduleAfter arms the timer d picoseconds from now.
@@ -112,14 +144,25 @@ func (s *Sim) After(d Time, fn func()) *Timer { return s.At(s.now+d, fn) }
 // which case Executed still advances once per edge, exactly as if each
 // edge had been its own heap event.
 func (s *Sim) Step() bool {
+	if s.firing {
+		// Re-entered from a callback (or after one panicked): the slot
+		// it left at the root is dead.
+		s.firing = false
+		s.remove(0)
+	}
 	if len(s.heap) == 0 {
 		return false
 	}
-	t := s.heap[0]
-	s.remove(0)
-	s.now = t.at
+	t := s.heap[0].t
+	s.now = s.heap[0].at
 	s.executed++
+	t.idx = -1
+	s.firing = true
 	t.fn()
+	if s.firing { // not re-armed
+		s.firing = false
+		s.remove(0)
+	}
 	return true
 }
 
@@ -129,7 +172,7 @@ func (s *Sim) Step() bool {
 // reports whether an event was executed. Event-budgeted drivers use it so
 // their stopping point is independent of clock batch sizes.
 func (s *Sim) StepBudget(deadline Time, maxEvents uint64) bool {
-	if len(s.heap) == 0 || s.heap[0].at > deadline {
+	if !s.due(deadline) {
 		return false
 	}
 	prevH, prevF := s.horizon, s.fence
@@ -145,15 +188,39 @@ func (s *Sim) StepBudget(deadline Time, maxEvents uint64) bool {
 }
 
 // Pending returns the number of scheduled events.
-func (s *Sim) Pending() int { return len(s.heap) }
+func (s *Sim) Pending() int {
+	n := len(s.heap) + s.queued
+	if s.firing {
+		n--
+	}
+	return n
+}
 
 // Peek returns the time of the earliest pending event. It reports false if
 // no event is pending.
 func (s *Sim) Peek() (Time, bool) {
-	if len(s.heap) == 0 {
-		return 0, false
+	h := s.heap
+	if !s.firing {
+		if len(h) == 0 {
+			return 0, false
+		}
+		return h[0].at, true
 	}
-	return s.heap[0].at, true
+	// The root is a firing timer's vacated slot; the earliest pending
+	// event is one of its children.
+	switch len(h) {
+	case 1:
+		return 0, false
+	case 2:
+		return h[1].at, true
+	}
+	return min(h[1].at, h[2].at), true
+}
+
+// due reports whether an event is pending at or before deadline.
+func (s *Sim) due(deadline Time) bool {
+	at, ok := s.Peek()
+	return ok && at <= deadline
 }
 
 // RunUntil executes events with scheduled time <= deadline, then advances
@@ -165,7 +232,7 @@ func (s *Sim) RunUntil(deadline Time) {
 	if deadline < s.horizon {
 		s.horizon = deadline
 	}
-	for len(s.heap) > 0 && s.heap[0].at <= deadline {
+	for s.due(deadline) {
 		s.Step()
 	}
 	s.horizon = prev
@@ -211,7 +278,7 @@ func (s *Sim) RunSegment(deadline Time, eventBudget uint64) bool {
 	if eventBudget != 0 {
 		end = s.executed + eventBudget
 	}
-	for len(s.heap) > 0 && s.heap[0].at <= deadline {
+	for s.due(deadline) {
 		if end != 0 && s.executed >= end {
 			s.horizon = prevH
 			return false
@@ -251,13 +318,13 @@ func (s *Sim) Drain(limit uint64) bool { return s.DrainTo(limit, 0) }
 // Drain's — is the same event whatever the limit or the clock batch.
 func (s *Sim) DrainTo(limit uint64, floor int) bool {
 	if limit == 0 {
-		for len(s.heap) > floor {
+		for s.Pending() > floor {
 			s.Step()
 		}
 		return true
 	}
 	end := s.executed + limit
-	for len(s.heap) > floor {
+	for s.Pending() > floor {
 		if s.executed >= end {
 			return false
 		}
@@ -271,75 +338,83 @@ func (s *Sim) DrainTo(limit uint64, floor int) bool {
 	return true
 }
 
-// heap management: a binary min-heap ordered by (at, seq). seq breaks ties
-// in scheduling order so same-timestamp events run FIFO, which keeps the
-// simulation deterministic.
+// heap management: a binary min-heap of value entries ordered by
+// (at, seq). seq breaks ties in scheduling order so same-timestamp events
+// run FIFO, which keeps the simulation deterministic. Entries carry their
+// key so sifts compare without dereferencing the timer, and a sift moves
+// a hole to the entry's final position instead of swapping at each level.
 
-func (s *Sim) less(i, j int) bool {
-	a, b := s.heap[i], s.heap[j]
+type entry struct {
+	at  Time
+	seq uint64
+	t   *Timer
+}
+
+func (a *entry) before(b *entry) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-func (s *Sim) swap(i, j int) {
-	s.heap[i], s.heap[j] = s.heap[j], s.heap[i]
-	s.heap[i].idx = i
-	s.heap[j].idx = j
-}
-
-func (s *Sim) push(t *Timer) {
-	t.idx = len(s.heap)
-	s.heap = append(s.heap, t)
-	s.up(t.idx)
-}
-
+// remove deletes the entry at index i and marks its timer unscheduled.
 func (s *Sim) remove(i int) {
-	t := s.heap[i]
-	last := len(s.heap) - 1
+	h := s.heap
+	h[i].t.idx = -1
+	last := len(h) - 1
+	e := h[last]
+	h[last] = entry{}
+	s.heap = h[:last]
 	if i != last {
-		s.swap(i, last)
+		s.fix(i, e)
 	}
-	s.heap[last] = nil
-	s.heap = s.heap[:last]
-	if i != last && i < len(s.heap) {
-		s.fix(i)
-	}
-	t.idx = -1
 }
 
-func (s *Sim) fix(i int) {
-	s.down(i)
-	s.up(i)
+// fix places e at index i, whose previous occupant is gone or re-keyed,
+// and restores heap order.
+func (s *Sim) fix(i int, e entry) {
+	if i > 0 && e.before(&s.heap[(i-1)/2]) {
+		s.up(i, e)
+		return
+	}
+	s.down(i, e)
 }
 
-func (s *Sim) up(i int) {
+// up places e at or above the hole at index i.
+func (s *Sim) up(i int, e entry) {
+	h := s.heap
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !s.less(i, parent) {
+		if !e.before(&h[parent]) {
 			break
 		}
-		s.swap(i, parent)
+		h[i] = h[parent]
+		h[i].t.idx = i
 		i = parent
 	}
+	h[i] = e
+	e.t.idx = i
 }
 
-func (s *Sim) down(i int) {
-	n := len(s.heap)
+// down places e at or below the hole at index i.
+func (s *Sim) down(i int, e entry) {
+	h := s.heap
+	n := len(h)
 	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && s.less(l, small) {
-			small = l
+		c := 2*i + 1
+		if c >= n {
+			break
 		}
-		if r < n && s.less(r, small) {
-			small = r
+		if r := c + 1; r < n && h[r].before(&h[c]) {
+			c = r
 		}
-		if small == i {
-			return
+		if !h[c].before(&e) {
+			break
 		}
-		s.swap(i, small)
-		i = small
+		h[i] = h[c]
+		h[i].t.idx = i
+		i = c
 	}
+	h[i] = e
+	e.t.idx = i
 }

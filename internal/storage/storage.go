@@ -45,6 +45,10 @@ type BlockDev struct {
 	sim    *sim.Sim
 	blocks map[uint64][]byte
 	free   sim.Time
+	// done orders completions: the single port finishes commands in
+	// issue order. Built on the first command, so an idle disk costs a
+	// device nothing.
+	done *sim.Lane[command]
 
 	reads, writes uint64
 	readBy        uint64
@@ -60,6 +64,35 @@ func New(s *sim.Sim, cfg Config) *BlockDev {
 	return &BlockDev{cfg: cfg, sim: s, blocks: make(map[uint64][]byte)}
 }
 
+// command is one queued read (rcb set) or write of count blocks at lba.
+type command struct {
+	lba   uint64
+	count int
+	data  []byte // write payload, the device's private copy
+	rcb   func([]byte, error)
+	wcb   func(error)
+}
+
+func (b *BlockDev) complete(c command) {
+	bs := b.cfg.BlockSize
+	if c.rcb != nil {
+		buf := make([]byte, c.count*bs)
+		for i := 0; i < c.count; i++ {
+			if blk := b.blocks[c.lba+uint64(i)]; blk != nil {
+				copy(buf[i*bs:], blk)
+			}
+		}
+		c.rcb(buf, nil)
+		return
+	}
+	for i := 0; i < c.count; i++ {
+		b.blocks[c.lba+uint64(i)] = c.data[i*bs : (i+1)*bs]
+	}
+	if c.wcb != nil {
+		c.wcb(nil)
+	}
+}
+
 // Name returns the device name.
 func (b *BlockDev) Name() string { return b.cfg.Name }
 
@@ -72,14 +105,18 @@ func (b *BlockDev) xferTime(n int) sim.Time {
 	return b.cfg.AccessLat + stream
 }
 
-func (b *BlockDev) schedule(n int) sim.Time {
+// issue queues c, which moves n bytes, behind the commands already on the
+// port.
+func (b *BlockDev) issue(n int, c command) {
 	start := b.sim.Now()
 	if b.free > start {
 		start = b.free
 	}
-	done := start + b.xferTime(n)
-	b.free = done
-	return done
+	b.free = start + b.xferTime(n)
+	if b.done == nil {
+		b.done = sim.NewLane(b.sim, b.complete)
+	}
+	b.done.Post(b.free, c)
 }
 
 func (b *BlockDev) checkRange(lba uint64, count int) error {
@@ -96,18 +133,9 @@ func (b *BlockDev) Read(lba uint64, count int, cb func([]byte, error)) {
 		return
 	}
 	n := count * b.cfg.BlockSize
-	done := b.schedule(n)
 	b.reads++
 	b.readBy += uint64(n)
-	b.sim.At(done, func() {
-		buf := make([]byte, n)
-		for i := 0; i < count; i++ {
-			if blk := b.blocks[lba+uint64(i)]; blk != nil {
-				copy(buf[i*b.cfg.BlockSize:], blk)
-			}
-		}
-		cb(buf, nil)
-	})
+	b.issue(n, command{lba: lba, count: count, rcb: cb})
 }
 
 // Write stores data (must be block-aligned in length) at lba.
@@ -123,17 +151,9 @@ func (b *BlockDev) Write(lba uint64, data []byte, cb func(error)) {
 	}
 	cp := make([]byte, len(data))
 	copy(cp, data)
-	done := b.schedule(len(data))
 	b.writes++
 	b.writeBy += uint64(len(data))
-	b.sim.At(done, func() {
-		for i := 0; i < count; i++ {
-			b.blocks[lba+uint64(i)] = cp[i*b.cfg.BlockSize : (i+1)*b.cfg.BlockSize]
-		}
-		if cb != nil {
-			cb(nil)
-		}
-	})
+	b.issue(len(data), command{lba: lba, count: count, data: cp, wcb: cb})
 }
 
 // Counters implements hw.CounterSource. Disks sit outside the device

@@ -216,7 +216,7 @@ func memTest(dev *netfpga.Device, name string, size uint64,
 		want := pattern(window, byte(0x80+i))
 		write(base, want, nil)
 		var got []byte
-		read(base, window, func(b []byte) { got = b })
+		read(base, window, func(b []byte) { got = append(got, b...) }) // b is the device's until the callback returns
 		dev.RunUntilIdle(1 << 20)
 		if !bytes.Equal(got, want) {
 			okAll = false

@@ -228,6 +228,19 @@ func (o *OSNT) WriteCapture(port int, w io.Writer) (int, error) {
 	return pw.Count, nil
 }
 
+// CaptureSpan returns the timestamps of the first and last frames in a
+// port's capture ring and the number of frames it holds — what a reader
+// of WriteCapture's stream would recover, nanosecond truncation included,
+// without serialising the ring.
+func (o *OSNT) CaptureSpan(port int) (first, last netfpga.Time, n int) {
+	c := o.mons[port].capture
+	if len(c) == 0 {
+		return 0, 0, 0
+	}
+	ns := func(t hw.Time) netfpga.Time { return t - t%netfpga.Nanosecond }
+	return ns(c[0].at), ns(c[len(c)-1].at), len(c)
+}
+
 // generator is the per-port rate-controlled source.
 type generator struct {
 	d       *hw.Design

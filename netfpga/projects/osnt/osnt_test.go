@@ -257,3 +257,54 @@ func TestMonitorRegisters(t *testing.T) {
 		t.Fatalf("lat_max_ns = %d, err %v", latMax, err)
 	}
 }
+
+// TestCaptureSpanMatchesPcapRoundTrip checks the accessor against the
+// path it replaces in the T6 measure: serialise the capture ring to a
+// nanosecond pcap, parse it back, take the first and last timestamps. The
+// datapath runs at 156.25 MHz here so arrivals fall on 6.4 ns edges and
+// the pcap's truncation to whole nanoseconds is exercised.
+func TestCaptureSpanMatchesPcapRoundTrip(t *testing.T) {
+	dev := netfpga.NewDevice(netfpga.SUME(), netfpga.Options{ClockMHz: 156.25})
+	p := New()
+	if err := p.Build(dev); err != nil {
+		t.Fatal(err)
+	}
+	tap0, tap1 := dev.Tap(0), dev.Tap(1)
+	tap0.OnRx = func(f *hw.Frame, _ netfpga.Time) { tap1.Send(f.Data) }
+	o := p.Instance()
+	if first, last, n := o.CaptureSpan(1); first != 0 || last != 0 || n != 0 {
+		t.Fatalf("empty capture reports span %v..%v over %d frames", first, last, n)
+	}
+	const n = 300
+	if err := o.Configure(0, TrafficSpec{
+		Template: testTemplate(200), Count: n, Mode: Poisson, RateMbps: 3000, Seed: 5, Stamp: true,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	o.Start(0)
+	dev.RunFor(5 * netfpga.Millisecond)
+
+	var capBuf bytes.Buffer
+	if _, err := o.WriteCapture(1, &capBuf); err != nil {
+		t.Fatal(err)
+	}
+	pkts, err := pcap.ReadAll(bytes.NewReader(capBuf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkts) != n {
+		t.Fatalf("capture has %d packets, want %d", len(pkts), n)
+	}
+	sub := false
+	for _, c := range o.mons[1].capture {
+		sub = sub || c.at%netfpga.Nanosecond != 0
+	}
+	if !sub {
+		t.Fatal("no arrival off the nanosecond grid: truncation is not exercised")
+	}
+	first, last, count := o.CaptureSpan(1)
+	if first != pkts[0].TS || last != pkts[n-1].TS || count != n {
+		t.Fatalf("CaptureSpan = %v..%v over %d frames, pcap round trip gives %v..%v over %d",
+			first, last, count, pkts[0].TS, pkts[n-1].TS, n)
+	}
+}
