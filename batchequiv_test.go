@@ -12,6 +12,7 @@ import (
 
 	"repro/netfpga"
 	"repro/netfpga/hw"
+	"repro/netfpga/pkt"
 	"repro/netfpga/projects/switchp"
 	"repro/netfpga/workload"
 )
@@ -85,6 +86,152 @@ func TestDeviceBatchEquivalence(t *testing.T) {
 		})
 		t.Run(fmt.Sprintf("batch=0/burst=%d", burst), func(t *testing.T) {
 			check(t, 0, burst)
+		})
+	}
+}
+
+// loadedRun is everything a closed-loop line-rate run leaves behind that
+// a frame window could disturb.
+type loadedRun struct {
+	snap             map[string]uint64
+	rx               []netfpga.RxFrame
+	windows, cycles  uint64 // Design.WindowStats
+	datapathCycles   uint64 // edges the datapath clock executed
+	streamPushedHigh []uint64
+}
+
+// runSwitchLoaded keeps 1514-byte frames queued at line rate on every
+// source port of a pre-learned reference switch for 200 us: dst(i, k) is
+// the port the k-th frame of source i goes to, or -1 for a port that
+// stays silent. It is the benchmark's mesh driver in miniature, with
+// capturing taps.
+func runSwitchLoaded(t *testing.T, frameBurst int, dst func(src, k int) int) loadedRun {
+	t.Helper()
+	dev := netfpga.NewDevice(netfpga.SUME(), netfpga.Options{FrameBurst: frameBurst})
+	if err := switchp.New(switchp.Config{}).Build(dev); err != nil {
+		t.Fatal(err)
+	}
+	n := dev.Board.Ports
+	taps := make([]*netfpga.PortTap, n)
+	macs := make([]pkt.MAC, n)
+	for i := range taps {
+		taps[i] = dev.Tap(i)
+		macs[i] = pkt.MAC{2, 0x4d, 0, 0, 0, byte(i)}
+		learn, err := pkt.Serialize(pkt.SerializeOptions{},
+			&pkt.Ethernet{Dst: macs[i], Src: macs[i], EtherType: 0x88B5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		taps[i].Send(pkt.PadToMin(learn))
+	}
+	dev.RunFor(20 * hw.Microsecond)
+	gens := make([][]*workload.Generator, n)
+	for i := range gens {
+		for j := 0; j < n; j++ {
+			g, err := workload.New(workload.Config{Seed: uint64(7 + i*n + j),
+				Sizes: workload.FixedSize(1514), SrcMAC: macs[i], DstMAC: macs[j]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gens[i] = append(gens[i], g)
+		}
+	}
+	turn := make([]int, n)
+	for end := dev.Now() + 200*hw.Microsecond; dev.Now() < end; {
+		for i, tap := range taps {
+			for tap.MAC().TxQueue().Bytes() < 16<<10 {
+				j := dst(i, turn[i])
+				if j < 0 || !tap.Send(gens[i][j].NextView()) {
+					break
+				}
+				turn[i]++
+			}
+		}
+		dev.RunFor(5 * hw.Microsecond)
+	}
+	dev.RunUntilIdle(0)
+	r := loadedRun{snap: dev.Snapshot(), datapathCycles: dev.Dsn.Clock().Ticks()}
+	for _, tp := range taps {
+		r.rx = append(r.rx, tp.Received()...)
+	}
+	r.windows, r.cycles = dev.Dsn.WindowStats()
+	for _, s := range dev.Dsn.Streams() {
+		r.streamPushedHigh = append(r.streamPushedHigh, s.Pushed(), uint64(s.HighWater()))
+	}
+	return r
+}
+
+// TestLoadedWindowEquivalence is the half of the equivalence net that
+// cannot pass vacuously: under sustained 1514-byte load — where windows
+// are supposed to carry most of the datapath — every counter, the event
+// count, every captured (time, bytes) and every stream's Pushed and
+// HighWater must equal the per-cycle run's, and on the full mesh the
+// windows must in fact have absorbed most datapath cycles. The 3→1 case
+// adds what the mesh never has: full output queues, tail drops and
+// transmit FIFOs that stall for whole frames.
+func TestLoadedWindowEquivalence(t *testing.T) {
+	cases := []struct {
+		name        string
+		dst         func(src, k int) int
+		minAbsorbed float64
+		wantDrops   bool
+	}{
+		{"mesh", func(src, k int) int { return (src + 1 + k%3) % 4 }, 0.60, false},
+		{"3to1", func(src, k int) int {
+			if src == 0 {
+				return -1
+			}
+			return 0
+		}, 0, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ref := runSwitchLoaded(t, 1, tc.dst)
+			if ref.windows != 0 {
+				t.Fatalf("FrameBurst 1 opened %d windows", ref.windows)
+			}
+			if len(ref.rx) < 40 {
+				t.Fatalf("reference run delivered only %d frames", len(ref.rx))
+			}
+			if drops := ref.snap["design.oq0.drops"]; (drops > 0) != tc.wantDrops {
+				t.Fatalf("oq0 drops = %d, want drops: %v", drops, tc.wantDrops)
+			}
+			for _, burst := range []int{0, 8} {
+				got := runSwitchLoaded(t, burst, tc.dst)
+				if len(got.snap) != len(ref.snap) {
+					t.Fatalf("burst=%d: snapshot has %d counters, want %d", burst, len(got.snap), len(ref.snap))
+				}
+				for k, want := range ref.snap {
+					if got.snap[k] != want {
+						t.Errorf("burst=%d: counter %s = %d, want %d", burst, k, got.snap[k], want)
+					}
+				}
+				if len(got.rx) != len(ref.rx) {
+					t.Fatalf("burst=%d: captured %d frames, want %d", burst, len(got.rx), len(ref.rx))
+				}
+				for i := range got.rx {
+					if got.rx[i].At != ref.rx[i].At || !bytes.Equal(got.rx[i].Data, ref.rx[i].Data) {
+						t.Fatalf("burst=%d: captured frame %d differs (at %d vs %d)", burst, i, got.rx[i].At, ref.rx[i].At)
+					}
+				}
+				for i, want := range ref.streamPushedHigh {
+					if got.streamPushedHigh[i] != want {
+						t.Errorf("burst=%d: stream stat %d = %d, want %d", burst, i, got.streamPushedHigh[i], want)
+					}
+				}
+				if got.datapathCycles != ref.datapathCycles {
+					t.Errorf("burst=%d: %d datapath cycles, want %d", burst, got.datapathCycles, ref.datapathCycles)
+				}
+				share := float64(got.cycles) / float64(got.datapathCycles)
+				t.Logf("burst=%d: %d windows absorbed %d of %d datapath cycles (%.1f%%)",
+					burst, got.windows, got.cycles, got.datapathCycles, 100*share)
+				if burst == 0 && share < tc.minAbsorbed {
+					t.Errorf("windows absorbed %.1f%% of datapath cycles, want >= %.0f%%", 100*share, 100*tc.minAbsorbed)
+				}
+				if got.windows == 0 {
+					t.Errorf("burst=%d opened no window", burst)
+				}
+			}
 		})
 	}
 }

@@ -466,8 +466,8 @@ func sameResult(a, b fleet.Result) bool {
 // fully unbatched (clock batch 1) and once with the frame-burst window
 // flipped, verifying all four produce byte-identical per-device
 // results: the end-to-end gate for the fleet's scheduling determinism,
-// the clock engine's batching equivalence, and the vectorized
-// TickBatch equivalence.
+// the clock engine's batching equivalence, and the frame-window
+// equivalence.
 func fleetDemo(workers int, seed uint64, batch, burst int) {
 	const devices = 8
 	mkJobs := func() []fleet.Job {

@@ -137,7 +137,7 @@ func (bg *Background) CouplePort(bit int, wake func()) {
 // newest batch pending on port bit — the moment the wire frees for a
 // foreground frame enqueued this instant — or 0 when the port's
 // backlog is empty or retires now. Pure: safe from any context,
-// including BatchLimit.
+// including hw.Rater.Rates.
 func (bg *Background) Release(bit int) hw.Time {
 	if bit < 0 || bit >= len(bg.ports) {
 		return 0

@@ -56,12 +56,6 @@ type BatchComponent interface {
 // timer reschedule across the batch.
 const DefaultBatch = 64
 
-// batchBackoffMax caps the BatchLimit-query backoff stride: after
-// enough consecutive "no window" answers the clock asks at most every
-// batchBackoffMax+1 edges. Small enough that a long frame arriving
-// after a small-frame stretch still opens windows promptly.
-const batchBackoffMax = 31
-
 // Clock is a gateable clock domain. Edges fall on integer multiples of the
 // period, counted from the epoch, so independently woken domains stay
 // phase-aligned and deterministic.
@@ -79,15 +73,6 @@ type Clock struct {
 	// single-component domains, where intra-edge component ordering
 	// cannot be observed.
 	bcomp BatchComponent
-	// bskip/bstride implement BatchLimit backoff: after the component
-	// answers 1 (no window possible), the next bstride edges skip the
-	// query entirely, and the stride doubles on consecutive 1-answers up
-	// to batchBackoffMax. Window choice never affects results — the
-	// BatchComponent contract makes every window bit-identical to
-	// per-edge execution — so skipping queries only trades a slightly
-	// later window start for not paying the limit scan on every edge of
-	// traffic that cannot batch.
-	bskip, bstride int
 
 	// ticks counts edges actually executed (not gated away).
 	ticks uint64
@@ -200,15 +185,11 @@ func (c *Clock) edge() {
 	for left := c.batch; ; {
 		n := 1
 		if c.bcomp != nil && left > 1 {
-			// Ask the component first: BatchLimit early-exits to 1 on any
+			// Ask the component first: BatchLimit exits to 1 early on any
 			// pending per-cycle decision, which is the common case on
-			// small-frame traffic, and then the pricier stop-condition
-			// window (divisions plus a heap peek) is skipped entirely.
-			// Consecutive 1-answers back the query off exponentially.
-			if c.bskip > 0 {
-				c.bskip--
-			} else if lim := c.bcomp.BatchLimit(); lim > 1 {
-				c.bstride = 0
+			// small-frame traffic, and then the stop-condition window
+			// (divisions plus a heap peek) is skipped entirely.
+			if lim := c.bcomp.BatchLimit(); lim > 1 {
 				w := c.inlineWindow(left)
 				if lim < w {
 					w = lim
@@ -216,11 +197,6 @@ func (c *Clock) edge() {
 				if w > 1 {
 					n = w
 				}
-			} else {
-				if c.bstride < batchBackoffMax {
-					c.bstride = c.bstride*2 + 1
-				}
-				c.bskip = c.bstride
 			}
 		}
 		var busy bool

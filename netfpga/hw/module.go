@@ -30,47 +30,6 @@ type StatsProvider interface {
 	Stats() map[string]uint64
 }
 
-// BatchTicker is an optional Module extension for vectorized ticking:
-// a module that can execute several consecutive cycles as one TickBatch
-// call when its current state proves the result bit-identical to
-// per-cycle Ticks.
-//
-// The contract mirrors sim.BatchComponent, specialised to datapath
-// modules. BatchLimit reports, from current state only, the largest
-// window of consecutive cycles the module could absorb with no
-// observable difference: inside the window the module may only perform
-// pure lockstep streaming — moving non-Last beats it is already
-// committed to. Every decision is a window of 1: starting a frame,
-// emitting or consuming a Last beat (frame completion triggers routing,
-// lookup dispatch, arbitration unlock), retiring a lookup, or any action
-// that schedules a simulation event. A producer's window is further
-// bounded by its output stream's free space at window start, and a
-// consumer fed by a later-ticking module (a feedback edge) by its input
-// occupancy at window start, so per-cycle interleaving with its peers
-// cannot be observed.
-//
-// TickBatch(n) is then called with n <= every module's reported limit;
-// Clock.Cycle() and Design.Now() hold the window's first cycle for the
-// whole call. It returns (engaged, busy): engaged is what the FIRST
-// per-cycle Tick of the window would have returned, busy what the n-th
-// would have. An idle module (engaged false) must do nothing and return
-// (false, false) — per-cycle it would tick once, park, and be skipped
-// for the rest of the window. An engaged module must absorb the full
-// window, which the limit rules above guarantee is possible: a module
-// with work keeps returning true at least through cycle n-1, because
-// every way of running out of work mid-window — finishing a frame,
-// draining the last queued beat, a retire coming due — is a decision
-// its limit already bounded the window away from.
-type BatchTicker interface {
-	Module
-	// BatchLimit returns the maximum window the module can currently
-	// absorb (>= 1).
-	BatchLimit() int
-	// TickBatch advances the module by n consecutive cycles, returning
-	// the first and the n-th cycle's Tick results.
-	TickBatch(n int) (engaged, busy bool)
-}
-
 // BackgroundCoupler is the contention hook a hybrid-fidelity run
 // installs on a design: an analytic background-traffic model that
 // shares egress capacity with the cycle-accurate datapath. When a
@@ -87,8 +46,8 @@ type BatchTicker interface {
 // re-entrantly from inside a Tick.
 //
 // Release is pure — no mutation, no event scheduling — so it is safe
-// anywhere, including BatchLimit/TickBatch. WaitUntil schedules an
-// event and must only be called from a Tick edge.
+// anywhere, including Rater.Rates. WaitUntil schedules an event and
+// must only be called from a Tick edge.
 //
 // Full-fidelity designs carry no coupler (Background() == nil) and
 // every related branch is dead, which is the bit-exactness argument
@@ -149,21 +108,26 @@ type Design struct {
 	// removes the dominant per-edge cost: walking every idle module of
 	// the design on every busy cycle.
 	runnable []bool
-	// tickCounts records how many cycles each module actually executed
-	// (skipped-idle cycles excluded) — the observable proof that sparse
-	// ticking works, and the per-module half of the fleet's utilization
-	// story. One counter increment per executed module-cycle; noise
-	// next to the Tick call it accompanies.
+	// tickCounts records how often each module was invoked (see
+	// ModuleTicks) — the observable proof that sparse ticking works, and
+	// the per-module half of the fleet's utilization story.
 	tickCounts []uint64
-	// batch holds each module's BatchTicker view (nil when the module
-	// does not implement it); allBatch is true while every module does.
-	// Vectorized windows open only when allBatch holds: a window's
-	// correctness argument needs every module of the design to have
-	// bounded it, whether currently runnable or not.
-	batch    []BatchTicker
-	allBatch bool
-	// burst caps vectorized windows: 0 = adaptive (uncapped, window
-	// sized by module state alone), 1 = frame batching off, N > 1 = cap.
+	// raters holds each module's Rater view, nil when it declares
+	// nothing; win is the current window attempt and planned the size it
+	// was solved for (0: none), valid until the next Tick or TickBatch.
+	raters  []Rater
+	win     Window
+	planned int
+	// edge is set by every design stream and queue when a first or Last
+	// beat or a whole frame enters or leaves it, and cleared by Tick;
+	// stuck is set by a failed window attempt and cleared by the next
+	// boundary. They gate window attempts (BatchLimit), nothing else.
+	edge  bool
+	stuck bool
+	// windows and absorbed back WindowStats.
+	windows, absorbed uint64
+	// burst caps frame windows: 0 = adaptive (sized by the streams
+	// alone), 1 = windows off, N > 1 = cap.
 	burst    int
 	streams  []*Stream
 	queues   []*FrameQueue
@@ -181,7 +145,8 @@ func NewDesign(name string, clk *sim.Clock, busBytes int) *Design {
 	if busBytes <= 0 {
 		busBytes = DefaultBusBytes
 	}
-	d := &Design{name: name, clock: clk, busBytes: busBytes, allBatch: true}
+	d := &Design{name: name, clock: clk, busBytes: busBytes}
+	d.win.bus = busBytes
 	// Infrastructure overhead: clocking, reset trees, AXI interconnect.
 	d.overhead = Resources{LUTs: 9000, FFs: 14000, BRAM36: 8}
 	clk.Register(d)
@@ -237,17 +202,14 @@ func (d *Design) AddModule(m Module) {
 	d.modules = append(d.modules, m)
 	d.runnable = append(d.runnable, true)
 	d.tickCounts = append(d.tickCounts, 0)
-	bt, ok := m.(BatchTicker)
-	if !ok {
-		d.allBatch = false
-	}
-	d.batch = append(d.batch, bt)
+	r, _ := m.(Rater)
+	d.raters = append(d.raters, r)
 	d.clock.Wake()
 }
 
-// SetFrameBurst tunes vectorized frame batching: 0 (the default) sizes
-// windows adaptively from module state alone, 1 disables frame batching
-// (every cycle ticks per-edge), and N > 1 caps windows at N cycles.
+// SetFrameBurst tunes frame windows: 0 (the default) sizes them from
+// the streams alone, 1 turns them off (every cycle is a Tick), and
+// N > 1 caps them at N cycles.
 // Results are bit-identical for every value; the knob exists for
 // performance tuning and equivalence testing.
 func (d *Design) SetFrameBurst(n int) {
@@ -263,14 +225,14 @@ func (d *Design) FrameBurst() int { return d.burst }
 // Modules returns the design's modules in tick order.
 func (d *Design) Modules() []Module { return d.modules }
 
-// ModuleTicks returns, per module name, how many cycles that module
-// actually executed. With sparse ticking (ModuleWake wiring) an idle
-// module's count stops growing even while the rest of the design is
-// busy — the regression tests for sparse-wired projects pin exactly
-// that. Under vectorized frame batching a runnable module is charged the
-// whole window it was granted, so counts may differ slightly from
-// per-edge execution for modules that would have parked mid-window;
-// simulation results stay bit-identical either way.
+// ModuleTicks returns, per module name, how often that module was
+// invoked: once per Tick it ran, and once per frame window it was
+// runnable in, however many cycles the window absorbed — so the count
+// falls with the work windows save. With sparse ticking (ModuleWake
+// wiring) an idle module's count stops growing even while the rest of
+// the design is busy; the regression tests for sparse-wired projects pin
+// exactly that. It is a cost figure, not a simulation result: it varies
+// with the window size while every result stays bit-identical.
 func (d *Design) ModuleTicks() map[string]uint64 {
 	out := make(map[string]uint64, len(d.modules))
 	for i, m := range d.modules {
@@ -283,6 +245,7 @@ func (d *Design) ModuleTicks() map[string]uint64 {
 // datapath clock on push.
 func (d *Design) NewStream(name string, capBeats int) *Stream {
 	s := NewStream(name, capBeats)
+	s.edge = &d.edge
 	s.OnPush(d.Wake)
 	d.streams = append(d.streams, s)
 	return s
@@ -292,6 +255,7 @@ func (d *Design) NewStream(name string, capBeats int) *Stream {
 // the datapath clock on push. Edge adapters (MAC/DMA attach) use these.
 func (d *Design) NewFrameQueue(name string, capFrames, capBytes int) *FrameQueue {
 	q := NewFrameQueue(name, capFrames, capBytes)
+	q.edge = &d.edge
 	q.OnPush(d.Wake)
 	d.queues = append(d.queues, q)
 	return q
@@ -303,6 +267,10 @@ func (d *Design) Streams() []*Stream { return d.streams }
 // Tick implements sim.Component by stepping every runnable module once.
 // Idle modules stay skipped until an input push or Wake re-marks them.
 func (d *Design) Tick() bool {
+	d.planned = 0
+	if d.edge {
+		d.edge, d.stuck = false, false
+	}
 	busy := false
 	for i, m := range d.modules {
 		if !d.runnable[i] {
@@ -318,69 +286,114 @@ func (d *Design) Tick() bool {
 	return busy
 }
 
-// maxBatchWindow bounds adaptive windows; any value far above realistic
-// stream depths and lookup latencies works, it only keeps the int math
-// tame.
-const maxBatchWindow = 1 << 20
+// maxWindow only keeps the int math tame; minWindow is the shortest
+// window worth its solve (one attempt costs about two Ticks), so shorter
+// ones — and frame-burst caps below it — are not taken.
+const (
+	maxWindow = 1 << 20
+	minWindow = 4
+)
 
-// BatchLimit implements sim.BatchComponent: the design can absorb a
-// window only as large as EVERY module allows, runnable or not — a
-// parked module can be woken mid-window by an in-window push, and its
-// limit is what proves that wake demands no in-window action.
+// BatchLimit implements sim.BatchComponent by solving a frame window.
+// Three O(1) gates first decide whether to try at all; they only pick
+// which cycles run as Ticks, never what those compute. Nothing is tried
+// right after a frame boundary (edge) — boundaries come in runs, and on
+// small-frame traffic, where every cycle has one, an attempt is pure
+// cost; nor after a failed attempt until the next boundary has passed
+// (stuck: whatever refused the window is still there); nor when a
+// foreign event is due before minWindow edges could run, where the clock
+// would cut the window anyway.
 func (d *Design) BatchLimit() int {
-	if !d.allBatch || d.burst == 1 || len(d.batch) == 0 {
+	d.planned = 0
+	if d.burst == 1 || d.edge || d.stuck {
 		return 1
 	}
-	w := maxBatchWindow
-	if d.burst > 1 && d.burst < w {
-		w = d.burst
+	if at, ok := d.clock.Sim().Peek(); ok && at <= d.clock.Now()+(minWindow-1)*d.clock.Period() {
+		return 1
 	}
-	for _, bt := range d.batch {
-		if l := bt.BatchLimit(); l < w {
-			if l <= 1 {
-				return 1
-			}
-			w = l
-		}
+	n := d.solve()
+	if n < minWindow {
+		d.stuck = true
+		return 1
 	}
-	return w
+	d.planned = n
+	return n
 }
 
-// TickBatch implements sim.BatchComponent: each runnable module absorbs
-// the whole window with one TickBatch call, in tick order with live
-// runnable checks — exactly as Tick does per cycle, so in-window pushes
-// still wake downstream consumers inside the same window. A window in
-// which no runnable module was engaged collapses to a single idle edge,
-// exactly what per-cycle execution would have run before gating off; a
-// window with any engaged module runs in full, because an engaged
-// module's limit guarantees it stays busy at least through cycle n-1.
-func (d *Design) TickBatch(n int) (int, bool) {
-	engaged := false
-	for i := range d.modules {
-		if !d.runnable[i] {
+// solve runs one window attempt and returns its size, below minWindow
+// for none. Every Rater declares — a runnable module that is none means
+// no window; a parked one is idle until a push wakes it, and a push at
+// a stream whose consumer declared nothing is itself no window — then
+// every named stream folds in its bound. Some module must be busy
+// throughout: that makes the n-th Tick's result true without running it.
+func (d *Design) solve() int {
+	w := &d.win
+	w.gen++
+	w.streams = w.streams[:0]
+	w.busy = false
+	w.n = maxWindow
+	if d.burst > 1 {
+		w.n = d.burst
+	}
+	for i, r := range d.raters {
+		if r == nil {
+			if d.runnable[i] {
+				return 1
+			}
 			continue
 		}
-		e, b := d.batch[i].TickBatch(n)
-		if e {
-			engaged = true
-			d.tickCounts[i] += uint64(n)
-		} else {
-			d.tickCounts[i]++ // per-cycle it would tick once and park
-		}
-		if !b {
-			d.runnable[i] = false
+		w.at, w.parked = i, !d.runnable[i]
+		if r.Rates(w); w.n < minWindow {
+			return 1
 		}
 	}
-	if !engaged {
-		return 1, false
+	if !w.busy {
+		return 1
 	}
-	for _, r := range d.runnable {
-		if r {
-			return n, true
+	n := w.n
+	for _, s := range w.streams {
+		if n = s.plan(n, d.busBytes); n < minWindow {
+			break
 		}
 	}
-	return n, false
+	return n
 }
+
+// TickBatch implements sim.BatchComponent: it applies the window
+// BatchLimit just solved, cut to n cycles, as stream arithmetic. Relayed
+// streams go first: their beats are read out of the source stream's
+// stock and emitter as they stood. Modules are not called, and
+// parked-or-not is left as it was: a module that would have gone idle
+// inside the window returns a side-effect-free false on the next Tick.
+// Without a solved window covering n it runs one ordinary edge.
+func (d *Design) TickBatch(n int) (int, bool) {
+	if n < 2 || n > d.planned {
+		return 1, d.Tick()
+	}
+	// A window that ran to its solved bound stopped at a decision (a Last
+	// beat, a lookup result): the next cycle is not worth an attempt.
+	d.edge = n == d.planned
+	d.planned = 0
+	for _, relayed := range [2]bool{true, false} {
+		for _, s := range d.win.streams {
+			if (s.prod == endRelay) == relayed {
+				s.advance(n, d.busBytes)
+			}
+		}
+	}
+	for i, r := range d.runnable {
+		if r {
+			d.tickCounts[i]++
+		}
+	}
+	d.windows++
+	d.absorbed += uint64(n)
+	return n, true
+}
+
+// WindowStats reports how many frame windows the design opened and how
+// many datapath cycles they absorbed between them.
+func (d *Design) WindowStats() (windows, cycles uint64) { return d.windows, d.absorbed }
 
 // Reset soft-resets every module that supports it and marks all modules
 // runnable, since reset may have changed their state.

@@ -17,15 +17,29 @@ type Stream struct {
 	head int
 	n    int
 	// ends counts queued Last beats — how many frame tails are currently
-	// in the buffer. Batching modules consult it: a window may only span
-	// cycles with no frame-boundary decisions, and a queued Last beat is
-	// exactly such a decision waiting to happen.
+	// in the buffer. A window on a consumed stream stops short of the
+	// first one: popping it is a frame-boundary decision.
 	ends int
 	wake func()
+	// edge points at the owning design's frame-boundary flag (at the
+	// stream's own for one built outside a design): set whenever a first
+	// or Last beat enters or a Last one leaves, see Design.BatchLimit.
+	edge    *bool
+	ownEdge bool
 
 	pushed  uint64
-	popped  uint64
 	highWtr int
+
+	// One window attempt's declarations about this stream and the mode
+	// solved from them (window.go); valid while wgen is the attempt's.
+	wgen           uint32
+	prod, cons     uint8
+	mode           uint8
+	forward        bool // the producer ticks before the consumer
+	consParked     bool // the consumer was parked when it declared
+	prodAt, consAt int
+	emit           *Emitter // prod == endEmit
+	from           *Stream  // prod == endRelay: the relay's source
 }
 
 // ringSize rounds a positive capacity up to a power of two.
@@ -44,7 +58,9 @@ func NewStream(name string, capBeats int) *Stream {
 		panic("hw: stream capacity must be positive")
 	}
 	ring := ringSize(capBeats)
-	return &Stream{name: name, buf: make([]Beat, ring), mask: ring - 1, cap: capBeats}
+	s := &Stream{name: name, buf: make([]Beat, ring), mask: ring - 1, cap: capBeats}
+	s.edge = &s.ownEdge
+	return s
 }
 
 // Name returns the stream's name.
@@ -72,6 +88,9 @@ func (s *Stream) put(b Beat) {
 	s.pushed++
 	if b.Last {
 		s.ends++
+	}
+	if b.Last || b.Off == 0 {
+		*s.edge = true
 	}
 	if s.n > s.highWtr {
 		s.highWtr = s.n
@@ -107,15 +126,12 @@ func (s *Stream) Pop() Beat {
 	s.buf[s.head] = Beat{}
 	s.head = (s.head + 1) & s.mask
 	s.n--
-	s.popped++
 	if b.Last {
 		s.ends--
+		*s.edge = true
 	}
 	return b
 }
-
-// Ends returns the number of queued Last beats (frame tails in flight).
-func (s *Stream) Ends() int { return s.ends }
 
 // OnPush installs a callback invoked after every Push; designs use it to
 // wake the consuming clock domain.
@@ -151,6 +167,48 @@ func (s *Stream) PushFrame(f *Frame, busBytes int) bool {
 	return true
 }
 
+// Emitter streams a stored frame into a Stream as busBytes-wide beats,
+// one per Emit call. The zero value means "no frame in progress".
+type Emitter struct {
+	frame *Frame
+	off   int
+}
+
+// Active reports whether a frame is in progress.
+func (e *Emitter) Active() bool { return e.frame != nil }
+
+// Start begins emitting f from its first byte.
+func (e *Emitter) Start(f *Frame) { e.frame, e.off = f, 0 }
+
+// Emit pushes the next beat into out if a frame is in progress and out
+// has space; done reports that the beat was the frame's last.
+func (e *Emitter) Emit(out *Stream, busBytes int) (pushed, done bool) {
+	if e.frame == nil || !out.CanPush() {
+		return false, false
+	}
+	end := e.off + busBytes
+	if end >= len(e.frame.Data) {
+		out.Push(Beat{Frame: e.frame, Off: e.off, End: len(e.frame.Data), Last: true})
+		e.frame = nil
+		return true, true
+	}
+	out.Push(Beat{Frame: e.frame, Off: e.off, End: end})
+	e.off = end
+	return true, false
+}
+
+// beatsLeft returns how many more beats the frame in progress needs,
+// the Last one included.
+func (e *Emitter) beatsLeft(busBytes int) int {
+	return (len(e.frame.Data) - e.off + busBytes - 1) / busBytes
+}
+
+// beat returns the i-th upcoming beat; only asked for non-Last ones.
+func (e *Emitter) beat(i, busBytes int) Beat {
+	off := e.off + i*busBytes
+	return Beat{Frame: e.frame, Off: off, End: off + busBytes}
+}
+
 // FrameQueue is a bounded frame-granularity queue used at datapath edges:
 // MAC rx/tx buffers, DMA rings and output queues. Bounds are expressed in
 // both frames and bytes (either may be 0, meaning unlimited) so it can
@@ -167,6 +225,9 @@ type FrameQueue struct {
 	n      int
 	bytes  int
 	wake   func()
+	// edge is as Stream.edge: set by every Push and Pop.
+	edge    *bool
+	ownEdge bool
 
 	pushed uint64
 	popped uint64
@@ -195,8 +256,10 @@ func NewFrameQueue(name string, capFrames, capBytes int) *FrameQueue {
 	if capFrames > 0 && capFrames < ring {
 		ring = ringSize(capFrames)
 	}
-	return &FrameQueue{name: name, capFrames: capFrames, capBytes: capBytes,
+	q := &FrameQueue{name: name, capFrames: capFrames, capBytes: capBytes,
 		frames: make([]*Frame, ring), mask: ring - 1}
+	q.edge = &q.ownEdge
+	return q
 }
 
 // Name returns the queue's name.
@@ -238,6 +301,7 @@ func (q *FrameQueue) Push(f *Frame) bool {
 	q.n++
 	q.bytes += len(f.Data)
 	q.pushed++
+	*q.edge = true
 	if uint64(q.n) > q.highWtr {
 		q.highWtr = uint64(q.n)
 	}
@@ -258,6 +322,7 @@ func (q *FrameQueue) Pop() *Frame {
 	q.n--
 	q.bytes -= len(f.Data)
 	q.popped++
+	*q.edge = true
 	return f
 }
 

@@ -1,363 +1,121 @@
 package lib
 
-// Vectorized ticking (hw.BatchTicker) for the standard library modules.
-//
-// Each module reports, from its current state, the largest window of
-// consecutive cycles it could absorb with no observable difference from
-// per-cycle Ticks, and then absorbs granted windows in one TickBatch
-// call. The rules every implementation below follows:
-//
-//   - A window may only contain pure lockstep streaming: moving non-Last
-//     beats of frames the module is already committed to. Every decision
-//     is a window of 1 — starting a frame (pops a queue, bumps packet
-//     counters), emitting or consuming a Last beat (completion triggers
-//     routing, lookup dispatch, arbitration unlock), retiring a lookup,
-//     or handing a frame to a MAC/DMA engine (schedules events).
-//   - A producer bounds its window by its output stream's free space at
-//     window start, so every in-window push is guaranteed to land exactly
-//     as its per-cycle counterpart would. Space freed mid-window by a
-//     consumer is deliberately not counted (conservative, still exact).
-//   - A consumer fed by a later-ticking module (a feedback edge: output
-//     queues feed the MAC/DMA attach that ticks before them) bounds its
-//     window by the input's occupancy at window start, so it only pops
-//     pre-window stock and never races beats pushed inside the window.
-//     A consumer fed by an earlier-ticking module needs no such bound:
-//     its producer has already pushed the whole window's beats by the
-//     time its TickBatch runs, and with at most one push per stream per
-//     cycle, min(n, Len) pops equal the per-cycle total.
-//   - A queued Last beat on a consumed stream (Stream.Ends > 0) means a
-//     frame-boundary decision is already waiting: window of 1.
-//
-// The design only opens a window when EVERY module's limit allows it
-// (hw.Design.BatchLimit takes the min), so each TickBatch may assume all
-// its peers observe the same window, and the clock guarantees no foreign
-// event — wire arrivals, DMA completions, host timers — fires inside it.
+// Rate declarations (hw.Rater) for the standard library modules: each
+// states what its next cycles look like and leaves sizing the window to
+// the design. Everything a module decides — starting a frame (pops a
+// queue, bumps packet counters), a Last beat (routing, lookup dispatch,
+// arbitration unlock), retiring a lookup, handing a frame to a MAC or
+// DMA engine (schedules events) — is a Horizon of 1 or sits behind the
+// design's own bounds: an Emitter is never advanced onto its Last beat
+// and a drained stream never past a queued one.
 
 import "repro/netfpga/hw"
 
-// batchUnbounded is "no constraint from this module": far above any
-// realistic stream depth or lookup latency, small enough for int math.
-const batchUnbounded = 1 << 20
-
-// minLimit folds one more bound into a window limit.
-func minLimit(w, l int) int {
-	if l < w {
-		return l
-	}
-	return w
-}
-
-// emitWindow bounds a window for a streamFrame mid-emission: strictly
-// inside the frame (the Last beat is a completion decision) and within
-// the output's current free space (so every in-window push lands).
-// Returns at least 1 — a blocked or nearly-done emitter still ticks, it
-// just cannot batch.
-func emitWindow(e *streamFrame, out *hw.Stream, busBytes int) int {
-	lim := e.beatsLeft(busBytes) - 1
-	if s := out.Space(); s < lim {
-		lim = s
-	}
-	if lim < 1 {
-		return 1
-	}
-	return lim
-}
-
-// ---- MACAttach -------------------------------------------------------
-
-// BatchLimit implements hw.BatchTicker. RX batches only mid-frame
-// streaming; TX batches draining queued non-Last beats (bounded by
-// occupancy: the output queues feeding txIn tick after this module) or
-// stalls whole windows waiting on MAC FIFO space, which only a foreign
-// event can free.
-func (m *MACAttach) BatchLimit() int {
-	w := batchUnbounded
-	if m.rxEmit.active() {
-		w = minLimit(w, emitWindow(&m.rxEmit, m.rxOut, m.d.BusBytes()))
+// Rates implements hw.Rater. RX streams the frame in progress. TX
+// drains pipeline beats, or — holding a frame the MAC FIFO has no room
+// for, which only a foreign event changes — stays busy and leaves txIn
+// alone.
+func (m *MACAttach) Rates(w *hw.Window) {
+	if m.rxEmit.Active() {
+		w.Push(m.rxOut, &m.rxEmit)
 	} else if m.rxq.Len() > 0 {
-		return 1 // next cycle starts a frame
+		w.Horizon(1) // next cycle starts a frame
 	}
-	if m.txHold != nil {
-		if m.mac.TxQueue().CanAccept(len(m.txHold.Data)) {
-			return 1 // next cycle hands the frame to the MAC
-		}
-		// Stalled on MAC FIFO space: frozen until a foreign event, which
-		// ends the window anyway. No constraint.
-	} else if m.txIn.CanPop() {
-		if m.txIn.Ends() > 0 {
-			return 1 // a queued Last beat completes a frame mid-window
-		}
-		w = minLimit(w, m.txIn.Len())
+	switch {
+	case m.txHold == nil:
+		w.Drain(m.txIn)
+	case m.mac.TxQueue().CanAccept(len(m.txHold.Data)):
+		w.Horizon(1) // next cycle hands the frame to the MAC
+	default:
+		w.Busy()
+		w.Hold(m.txIn)
 	}
-	return w
 }
 
-// TickBatch implements hw.BatchTicker.
-func (m *MACAttach) TickBatch(n int) (bool, bool) {
-	engaged := m.rxEmit.active() || m.rxq.Len() > 0 || m.txHold != nil || m.txIn.CanPop()
-	busy := false
-	if m.rxEmit.active() {
-		bus := m.d.BusBytes()
-		for i := 0; i < n; i++ {
-			if pushed, _ := m.rxEmit.emit(m.rxOut, bus); pushed {
-				busy = true
-			}
-		}
-	}
-	if m.txHold != nil {
-		busy = true // waiting on MAC FIFO space all window
-	} else if m.txIn.CanPop() {
-		k := minLimit(n, m.txIn.Len())
-		for i := 0; i < k; i++ {
-			m.txIn.Pop() // non-Last beats of a shared frame: no bookkeeping
-		}
-	}
-	return engaged, busy || m.rxEmit.active() || m.rxq.Len() > 0 || m.txIn.CanPop()
-}
-
-// ---- InputArbiter ----------------------------------------------------
-
-// BatchLimit implements hw.BatchTicker. Locked, the arbiter streams one
-// beat per cycle until the Last beat: windows span queued non-Last beats
-// within the output's free space. Unlocked with any input non-empty, the
-// next cycle grants — a decision. Unlocked with all inputs empty, no
-// feeder can deliver a first beat mid-window without its own limit
-// having forced the window to 1 (a feeder about to start a frame reports
-// 1), so the idle state spans any window.
-func (a *InputArbiter) BatchLimit() int {
+// Rates implements hw.Rater. Locked, the arbiter relays one input and
+// holds the others. Unlocked with an input waiting, the next cycle
+// grants; unlocked and idle it declares nothing, so a first beat pushed
+// at it finds no consumer declared and ends the window.
+func (a *InputArbiter) Rates(w *hw.Window) {
 	if a.locked < 0 {
-		for _, in := range a.ins {
-			if in.CanPop() {
-				return 1
-			}
+		if a.pending() {
+			w.Horizon(1)
 		}
-		return batchUnbounded
+		return
 	}
-	if a.ins[a.locked].Ends() > 0 {
-		return 1
+	for i, in := range a.ins {
+		if i == a.locked {
+			w.Relay(in, a.out)
+		} else {
+			w.Hold(in)
+		}
 	}
-	if s := a.out.Space(); s >= 1 {
-		return s
-	}
-	return 1
 }
 
-// TickBatch implements hw.BatchTicker.
-func (a *InputArbiter) TickBatch(n int) (bool, bool) {
-	if a.locked < 0 {
-		p := a.pending()
-		return p, p
-	}
-	in := a.ins[a.locked]
-	k := minLimit(n, in.Len())
-	for i := 0; i < k; i++ {
-		a.out.Push(in.Pop())
-	}
-	return true, true // locked: streaming, bubbling or blocked, always busy
-}
-
-// ---- OutputPortLookup ------------------------------------------------
-
-// BatchLimit implements hw.BatchTicker. Emit batches mid-frame; a
-// pending lookup bounds the window to strictly before its readyAt cycle
-// (the retire is a decision); collect batches queued non-Last beats
-// freely — the arbiter feeding it ticks earlier, and its own window
-// excludes pushing a Last beat.
-func (l *OutputPortLookup) BatchLimit() int {
-	w := batchUnbounded
-	if l.emit.active() {
-		w = minLimit(w, emitWindow(&l.emit, l.out, l.d.BusBytes()))
+// Rates implements hw.Rater. Emit streams the frame in progress; the
+// oldest pending lookup bounds the window to strictly before its
+// readyAt cycle (with the decided queue full no retire can happen before
+// the emitter refills, which is a decision of its own); collect drains
+// while the lookup pipeline has room.
+func (l *OutputPortLookup) Rates(w *hw.Window) {
+	if l.emit.Active() {
+		w.Push(l.out, &l.emit)
 	} else if len(l.ready) > 0 {
-		return 1 // next cycle refills the emitter
+		w.Horizon(1) // next cycle refills the emitter
+	}
+	if len(l.pending) > 0 || len(l.ready) > 0 {
+		w.Busy()
 	}
 	if len(l.pending) > 0 && len(l.ready) < 2 {
-		cyc := l.d.Clock().Cycle()
-		if l.pending[0].readyAt <= cyc {
-			return 1 // next cycle retires a lookup
-		}
-		w = minLimit(w, int(l.pending[0].readyAt-cyc))
-	}
-	if len(l.pending) < l.depth && l.in.CanPop() && l.in.Ends() > 0 {
-		return 1 // collecting the Last beat dispatches a lookup
-	}
-	return w
-}
-
-// TickBatch implements hw.BatchTicker. No retire can fall inside the
-// window (BatchLimit bounded it away), so only the emit and collect
-// stages run.
-func (l *OutputPortLookup) TickBatch(n int) (bool, bool) {
-	engaged := l.emit.active() || len(l.pending) > 0 || len(l.ready) > 0 || l.in.CanPop()
-	busy := false
-	if l.emit.active() {
-		bus := l.d.BusBytes()
-		for i := 0; i < n; i++ {
-			if pushed, _ := l.emit.emit(l.out, bus); pushed {
-				busy = true
-			}
-		}
+		w.Horizon(int(l.pending[0].readyAt - l.d.Clock().Cycle()))
 	}
 	if len(l.pending) < l.depth {
-		k := minLimit(n, l.in.Len())
-		for i := 0; i < k; i++ {
-			l.in.Pop()
-		}
+		w.Drain(l.in)
+	} else {
+		w.Hold(l.in)
 	}
-	return engaged, busy || l.emit.active() || len(l.pending) > 0 || len(l.ready) > 0 || l.in.CanPop()
 }
 
-// ---- OutputQueues ----------------------------------------------------
-
-// BatchLimit implements hw.BatchTicker. Enqueue batches queued non-Last
-// beats (the lookup stage feeding it ticks earlier). Each draining port
-// batches mid-frame emission, with two feedback-edge guards: the
-// consuming MAC/DMA attach ticks before this module, so it only pops
-// pre-window stock — an empty output stream means the consumer would
-// interleave with in-window pushes (window 1), and two ports sharing one
-// output stream would interleave their pushes (window 1).
-func (o *OutputQueues) BatchLimit() int {
-	if o.in.CanPop() && o.in.Ends() > 0 {
-		return 1
-	}
-	w := batchUnbounded
-	bus := o.d.BusBytes()
-	var activeOuts [8]*hw.Stream
-	nOut := 0
+// Rates implements hw.Rater. Enqueue drains the shared input (route
+// only runs on a Last beat); each draining port streams its frame. A
+// port queued behind a captured background wait is frozen until the
+// release event and — as in Tick — not busy.
+func (o *OutputQueues) Rates(w *hw.Window) {
+	w.Drain(o.in)
 	for i := range o.ports {
 		p := &o.ports[i]
-		if p.emit.active() {
-			if p.out.Len() == 0 {
-				return 1 // consumer ticks first and would see these pushes late
-			}
-			for j := 0; j < nOut; j++ {
-				if activeOuts[j] == p.out {
-					return 1 // two ports pushing the same stream interleave
-				}
-			}
-			if nOut == len(activeOuts) {
-				return 1 // absurdly wide fan-out: just tick per-cycle
-			}
-			activeOuts[nOut] = p.out
-			nOut++
-			w = minLimit(w, emitWindow(p.emit, p.out, bus))
-		} else if p.q.Len() > 0 {
-			if !o.waiting(p) {
-				return 1 // next cycle starts a frame or captures a wait
-			}
-			// Queued behind a captured background wait: frozen until
-			// the release event, which ends the window anyway. No
-			// constraint — the txHold-stall precedent.
+		if p.emit.Active() {
+			w.Push(p.out, p.emit)
+		} else if p.q.Len() > 0 && !o.waiting(p) {
+			w.Horizon(1) // next cycle starts a frame or captures a wait
 		}
 	}
-	return w
 }
 
-// TickBatch implements hw.BatchTicker. Idle ports stay idle all window:
-// route only runs on a Last beat, which BatchLimit excluded.
-func (o *OutputQueues) TickBatch(n int) (bool, bool) {
-	engaged := o.in.CanPop()
-	busy := false
-	k := minLimit(n, o.in.Len())
-	for i := 0; i < k; i++ {
-		o.in.Pop()
+// Rates implements hw.Rater.
+func (s *QueueSource) Rates(w *hw.Window) {
+	if s.emit.Active() {
+		w.Push(s.out, &s.emit)
+	} else if s.q.Len() > 0 {
+		w.Horizon(1) // next cycle starts a frame
 	}
-	if o.in.CanPop() {
-		busy = true
-	}
-	bus := o.d.BusBytes()
-	for i := range o.ports {
-		p := &o.ports[i]
-		if !p.emit.active() {
-			if p.q.Len() > 0 && !o.waiting(p) {
-				// Unreachable for n > 1 (limit 1), but exact. A blocked
-				// port stays parked — not busy — so the clock can gate
-				// until the background drain event wakes it.
-				engaged, busy = true, true
-			}
-			continue
-		}
-		engaged = true
-		for j := 0; j < n; j++ {
-			if pushed, _ := p.emit.emit(p.out, bus); pushed {
-				busy = true
-			}
-		}
-		if p.emit.active() || p.q.Len() > 0 {
-			busy = true
-		}
-	}
-	return engaged, busy
 }
 
-// ---- QueueSource -----------------------------------------------------
-
-// BatchLimit implements hw.BatchTicker.
-func (s *QueueSource) BatchLimit() int {
-	if s.emit.active() {
-		return emitWindow(&s.emit, s.out, s.d.BusBytes())
-	}
-	if s.q.Len() > 0 {
-		return 1 // next cycle starts a frame
-	}
-	return batchUnbounded
-}
-
-// TickBatch implements hw.BatchTicker.
-func (s *QueueSource) TickBatch(n int) (bool, bool) {
-	if !s.emit.active() {
-		p := s.q.Len() > 0 // idle all window; only events refill q
-		return p, p
-	}
-	bus := s.d.BusBytes()
-	for i := 0; i < n; i++ {
-		s.emit.emit(s.out, bus)
-	}
-	return true, true // window is strictly inside the frame: still emitting
-}
-
-// ---- DMAAttach -------------------------------------------------------
-
-// BatchLimit implements hw.BatchTicker: the DMA twin of MACAttach, with
-// the engine's queues in place of the MAC FIFO.
-func (a *DMAAttach) BatchLimit() int {
-	w := batchUnbounded
-	if a.emit.active() {
-		w = minLimit(w, emitWindow(&a.emit, a.toPipe, a.d.BusBytes()))
+// Rates implements hw.Rater: the DMA twin of MACAttach, with the
+// engine's queues in place of the MAC FIFO.
+func (a *DMAAttach) Rates(w *hw.Window) {
+	if a.emit.Active() {
+		w.Push(a.toPipe, &a.emit)
 	} else if a.eng.ToDevice().Len() > 0 {
-		return 1 // next cycle starts a host frame
+		w.Horizon(1) // next cycle starts a host frame
 	}
-	if a.txHold != nil {
-		if a.eng.FromDevice().CanAccept(len(a.txHold.Data)) {
-			return 1 // next cycle completes the device→host DMA
-		}
-	} else if a.fromPipe.CanPop() {
-		if a.fromPipe.Ends() > 0 {
-			return 1
-		}
-		w = minLimit(w, a.fromPipe.Len())
+	switch {
+	case a.txHold == nil:
+		w.Drain(a.fromPipe)
+	case a.eng.FromDevice().CanAccept(len(a.txHold.Data)):
+		w.Horizon(1) // next cycle completes the device→host DMA
+	default:
+		w.Busy()
+		w.Hold(a.fromPipe)
 	}
-	return w
-}
-
-// TickBatch implements hw.BatchTicker.
-func (a *DMAAttach) TickBatch(n int) (bool, bool) {
-	engaged := a.emit.active() || a.eng.ToDevice().Len() > 0 || a.txHold != nil || a.fromPipe.CanPop()
-	busy := false
-	if a.emit.active() {
-		bus := a.d.BusBytes()
-		for i := 0; i < n; i++ {
-			if pushed, _ := a.emit.emit(a.toPipe, bus); pushed {
-				busy = true
-			}
-		}
-	}
-	if a.txHold != nil {
-		busy = true // waiting on host ring space all window
-	} else if a.fromPipe.CanPop() {
-		k := minLimit(n, a.fromPipe.Len())
-		for i := 0; i < k; i++ {
-			a.fromPipe.Pop()
-		}
-	}
-	return engaged, busy || a.emit.active() || a.eng.ToDevice().Len() > 0 || a.fromPipe.CanPop()
 }

@@ -17,7 +17,7 @@ type DMAAttach struct {
 	toPipe   *hw.Stream // into the datapath
 	fromPipe *hw.Stream // out of the datapath
 
-	emit   streamFrame
+	emit   hw.Emitter
 	txHold *hw.Frame
 
 	h2dPkts, d2hPkts uint64
@@ -55,16 +55,16 @@ func (a *DMAAttach) Tick() bool {
 	busy := false
 
 	// Host → pipeline.
-	if !a.emit.active() {
+	if !a.emit.Active() {
 		if f := a.eng.ToDevice().Pop(); f != nil {
 			f.Meta.Len = uint16(len(f.Data))
 			f.Meta.Ingress = a.d.Now()
-			a.emit.start(f)
+			a.emit.Start(f)
 			a.h2dPkts++
 		}
 	}
-	if a.emit.active() {
-		if pushed, _ := a.emit.emit(a.toPipe, a.d.BusBytes()); pushed {
+	if a.emit.Active() {
+		if pushed, _ := a.emit.Emit(a.toPipe, a.d.BusBytes()); pushed {
 			busy = true
 		}
 	}
@@ -95,7 +95,7 @@ func (a *DMAAttach) Tick() bool {
 		busy = true
 	}
 
-	return busy || a.emit.active() || a.eng.ToDevice().Len() > 0 || a.fromPipe.CanPop()
+	return busy || a.emit.Active() || a.eng.ToDevice().Len() > 0 || a.fromPipe.CanPop()
 }
 
 // Counters implements hw.CounterSource: the attach's own counters plus

@@ -23,49 +23,7 @@ var (
 	oqNames          = hw.NewNameTable("oq%d", 32)
 )
 
-// streamFrame is the shared helper for modules that emit a stored frame
-// as a sequence of beats, one per Tick. Zero value means "no frame in
-// progress".
-type streamFrame struct {
-	frame *hw.Frame
-	off   int
-}
-
-func (s *streamFrame) active() bool { return s.frame != nil }
-
-func (s *streamFrame) start(f *hw.Frame) { s.frame, s.off = f, 0 }
-
-// emit pushes the next beat into out if possible; it reports whether the
-// frame completed with this beat.
-func (s *streamFrame) emit(out *hw.Stream, busBytes int) (pushed, done bool) {
-	if s.frame == nil || !out.CanPush() {
-		return false, false
-	}
-	end := s.off + busBytes
-	last := false
-	if end >= len(s.frame.Data) {
-		end = len(s.frame.Data)
-		last = true
-	}
-	out.Push(hw.Beat{Frame: s.frame, Off: s.off, End: end, Last: last})
-	s.off = end
-	if last {
-		s.frame = nil
-		return true, true
-	}
-	return true, false
-}
-
-// beatsLeft returns how many more emit calls the frame in progress needs,
-// including the final (Last) beat; 0 when no frame is in progress.
-func (s *streamFrame) beatsLeft(busBytes int) int {
-	if s.frame == nil {
-		return 0
-	}
-	return (len(s.frame.Data) - s.off + busBytes - 1) / busBytes
-}
-
-// collectFrame is the inverse helper: it consumes beats from a stream and
+// collectFrame is the inverse of hw.Emitter: it consumes beats from a stream and
 // reports the completed frame when the Last beat arrives.
 type collectFrame struct{}
 

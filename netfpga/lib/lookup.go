@@ -50,7 +50,7 @@ type OutputPortLookup struct {
 	// skid buffer), so back-to-back minimum-size frames sustain one
 	// frame per beat-time.
 	ready []*hw.Frame
-	emit  streamFrame
+	emit  hw.Emitter
 
 	lookups, drops, punts uint64
 	ctrs                  hw.Counters
@@ -107,13 +107,13 @@ func (l *OutputPortLookup) Tick() bool {
 	busy := false
 
 	// Emit stage: refill from the decided queue, then push one beat.
-	if !l.emit.active() && len(l.ready) > 0 {
-		l.emit.start(l.ready[0])
+	if !l.emit.Active() && len(l.ready) > 0 {
+		l.emit.Start(l.ready[0])
 		copy(l.ready, l.ready[1:])
 		l.ready = l.ready[:len(l.ready)-1]
 	}
-	if l.emit.active() {
-		if pushed, _ := l.emit.emit(l.out, l.d.BusBytes()); pushed {
+	if l.emit.Active() {
+		if pushed, _ := l.emit.Emit(l.out, l.d.BusBytes()); pushed {
 			busy = true
 		}
 	}
@@ -175,7 +175,7 @@ func (l *OutputPortLookup) Tick() bool {
 		}
 	}
 
-	return busy || l.emit.active() || len(l.pending) > 0 || len(l.ready) > 0 || l.in.CanPop()
+	return busy || l.emit.Active() || len(l.pending) > 0 || len(l.ready) > 0 || l.in.CanPop()
 }
 
 // Counters implements hw.CounterSource.

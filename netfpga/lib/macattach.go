@@ -21,7 +21,7 @@ type MACAttach struct {
 	rxOut *hw.Stream
 	txIn  *hw.Stream
 
-	rxEmit  streamFrame
+	rxEmit  hw.Emitter
 	txHold  *hw.Frame // frame awaiting MAC tx space
 	badFCS  uint64
 	rxPkts  uint64
@@ -101,14 +101,14 @@ func (m *MACAttach) Tick() bool {
 
 	// RX: stream the current frame, else start the next one. The whole
 	// stage is skipped with two field checks when nothing is in flight.
-	if m.rxEmit.active() || m.rxq.Len() > 0 {
-		if !m.rxEmit.active() {
+	if m.rxEmit.Active() || m.rxq.Len() > 0 {
+		if !m.rxEmit.Active() {
 			f := m.rxq.Pop()
-			m.rxEmit.start(f)
+			m.rxEmit.Start(f)
 			m.rxPkts++
 			m.rxBytes += uint64(len(f.Data))
 		}
-		if pushed, _ := m.rxEmit.emit(m.rxOut, m.d.BusBytes()); pushed {
+		if pushed, _ := m.rxEmit.Emit(m.rxOut, m.d.BusBytes()); pushed {
 			busy = true
 		}
 	}
@@ -133,7 +133,7 @@ func (m *MACAttach) Tick() bool {
 		}
 	}
 
-	return busy || m.rxEmit.active() || m.rxq.Len() > 0 || m.txIn.CanPop()
+	return busy || m.rxEmit.Active() || m.rxq.Len() > 0 || m.txIn.CanPop()
 }
 
 // Counters implements hw.CounterSource: the attach's own counters plus

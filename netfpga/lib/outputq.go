@@ -29,7 +29,7 @@ type oqPort struct {
 	bit  int
 	q    *hw.FrameQueue
 	out  *hw.Stream
-	emit *streamFrame
+	emit *hw.Emitter
 	pkts uint64
 
 	// rels (hybrid only) parallels q: rels[i] is the background
@@ -65,7 +65,7 @@ func NewOutputQueues(d *hw.Design, in *hw.Stream, outs map[int]*hw.Stream, queue
 			bit:  bit,
 			q:    d.NewFrameQueue(oqNames.At(bit), 0, queueBytes).CountDropsAs(hw.QueueDrop),
 			out:  out,
-			emit: &streamFrame{},
+			emit: &hw.Emitter{},
 		})
 		oq.bits = append(oq.bits, bit)
 	}
@@ -99,11 +99,11 @@ func NewOutputQueues(d *hw.Design, in *hw.Stream, outs map[int]*hw.Stream, queue
 
 // blocked reports whether a port's head frame is still inside its
 // captured background wait, arming the release wake when it is. It may
-// schedule an event, so only the per-cycle Tick drain calls it; the
-// batch machinery asks the pure waiting instead. A blocked port does
-// not start a new frame and imposes no batching constraint: like a
-// MACAttach txHold stall, only a foreign event (the armed release) can
-// unblock it, and that event ends any vectorized window anyway.
+// schedule an event, so only the per-cycle Tick drain calls it; Rates
+// asks the pure waiting instead. A blocked port does not start a new
+// frame and bounds no window: like a MACAttach txHold stall, only a
+// foreign event (the armed release) can unblock it, and that event ends
+// any window anyway.
 func (o *OutputQueues) blocked(p *oqPort) bool {
 	if o.bg == nil || len(p.rels) == 0 {
 		return false
@@ -117,10 +117,10 @@ func (o *OutputQueues) blocked(p *oqPort) bool {
 	return false
 }
 
-// waiting is the pure form of blocked for BatchLimit/TickBatch: true
-// while the head frame's captured release is unexpired. Frames are
-// only enqueued on per-edge Ticks (a Last beat bounds every window to
-// 1), and the same Tick's drain stage parks on the wait and arms the
+// waiting is the pure form of blocked for Rates: true while the head
+// frame's captured release is unexpired. Frames are only enqueued on
+// per-cycle Ticks (no window reaches a Last beat), and the same Tick's
+// drain stage parks on the wait and arms the
 // wake, so a true answer here always has the release event pending —
 // the clock can gate or batch freely and still come back in time.
 func (o *OutputQueues) waiting(p *oqPort) bool {
@@ -161,7 +161,7 @@ func (o *OutputQueues) Tick() bool {
 	bus := o.d.BusBytes()
 	for i := range o.ports {
 		p := &o.ports[i]
-		if !p.emit.active() {
+		if !p.emit.Active() {
 			if p.q.Len() == 0 {
 				continue
 			}
@@ -173,13 +173,13 @@ func (o *OutputQueues) Tick() bool {
 				// exactly when the wait expires.
 				continue
 			}
-			p.emit.start(p.q.Pop())
+			p.emit.Start(p.q.Pop())
 			p.pkts++
 		}
-		if pushed, _ := p.emit.emit(p.out, bus); pushed {
+		if pushed, _ := p.emit.Emit(p.out, bus); pushed {
 			busy = true
 		}
-		if p.emit.active() || p.q.Len() > 0 {
+		if p.emit.Active() || p.q.Len() > 0 {
 			busy = true
 		}
 	}
@@ -223,9 +223,9 @@ func (o *OutputQueues) route(f *hw.Frame) {
 		} else if o.bg != nil {
 			// Capture the frame's background wait at enqueue: the
 			// clear-time of the backlog it arrived behind. Route runs
-			// on a per-edge Tick (a Last beat bounds every window to
-			// 1), so the capture lands on the exact cycle it would
-			// have per-cycle.
+			// on a per-cycle Tick (no window reaches a Last beat), so
+			// the capture lands on the exact cycle it would have
+			// per-cycle.
 			p.rels = append(p.rels, o.bg.Release(p.bit))
 		}
 	}

@@ -15,7 +15,7 @@ type QueueSource struct {
 	d    *hw.Design
 	q    *hw.FrameQueue
 	out  *hw.Stream
-	emit streamFrame
+	emit hw.Emitter
 	pkts uint64
 	ctrs hw.Counters
 }
@@ -39,14 +39,14 @@ func (s *QueueSource) Resources() hw.Resources {
 
 // Tick implements hw.Module.
 func (s *QueueSource) Tick() bool {
-	if !s.emit.active() {
+	if !s.emit.Active() {
 		if f := s.q.Pop(); f != nil {
-			s.emit.start(f)
+			s.emit.Start(f)
 			s.pkts++
 		}
 	}
-	pushed, _ := s.emit.emit(s.out, s.d.BusBytes())
-	return pushed || s.emit.active() || s.q.Len() > 0
+	pushed, _ := s.emit.Emit(s.out, s.d.BusBytes())
+	return pushed || s.emit.Active() || s.q.Len() > 0
 }
 
 // Counters implements hw.CounterSource.

@@ -107,7 +107,7 @@ type Delay struct {
 
 	heldFrame *hw.Frame
 	readyAt   hw.Time
-	emit      streamFrame
+	emit      hw.Emitter
 	pkts      uint64
 	ctrs      hw.Counters
 }
@@ -136,7 +136,7 @@ func (dm *Delay) SetDelay(d hw.Time) { dm.delay = d }
 // Tick implements hw.Module.
 func (dm *Delay) Tick() bool {
 	busy := false
-	if pushed, _ := dm.emit.emit(dm.out, dm.d.BusBytes()); pushed {
+	if pushed, _ := dm.emit.Emit(dm.out, dm.d.BusBytes()); pushed {
 		busy = true
 	}
 	if dm.heldFrame == nil {
@@ -148,13 +148,13 @@ func (dm *Delay) Tick() bool {
 	}
 	if dm.heldFrame != nil {
 		busy = true
-		if dm.d.Now() >= dm.readyAt && !dm.emit.active() {
-			dm.emit.start(dm.heldFrame)
+		if dm.d.Now() >= dm.readyAt && !dm.emit.Active() {
+			dm.emit.Start(dm.heldFrame)
 			dm.heldFrame = nil
 			dm.pkts++
 		}
 	}
-	return busy || dm.in.CanPop() || dm.emit.active()
+	return busy || dm.in.CanPop() || dm.emit.Active()
 }
 
 // Counters implements hw.CounterSource.

@@ -32,7 +32,7 @@ type Timestamper struct {
 	offset uint32 // payload byte offset for StampPayload
 
 	hold *hw.Frame
-	emit streamFrame
+	emit hw.Emitter
 	pkts uint64
 	ctrs hw.Counters
 }
@@ -82,7 +82,7 @@ func (t *Timestamper) Tick() bool {
 		return busy || t.in.CanPop()
 
 	case StampPayload:
-		if pushed, _ := t.emit.emit(t.out, t.d.BusBytes()); pushed {
+		if pushed, _ := t.emit.Emit(t.out, t.d.BusBytes()); pushed {
 			busy = true
 		}
 		if t.hold == nil {
@@ -91,7 +91,7 @@ func (t *Timestamper) Tick() bool {
 				busy = true
 			}
 		}
-		if t.hold != nil && !t.emit.active() {
+		if t.hold != nil && !t.emit.Active() {
 			f := t.hold
 			t.hold = nil
 			if int(t.offset)+8 <= len(f.Data) {
@@ -99,10 +99,10 @@ func (t *Timestamper) Tick() bool {
 				f.Meta.Flags |= hw.FlagTimestamped
 				t.pkts++
 			}
-			t.emit.start(f)
+			t.emit.Start(f)
 			busy = true
 		}
-		return busy || t.in.CanPop() || t.hold != nil || t.emit.active()
+		return busy || t.in.CanPop() || t.hold != nil || t.emit.Active()
 	}
 	return false
 }
