@@ -51,6 +51,7 @@ import (
 	"repro/netfpga"
 	"repro/netfpga/fleet"
 	"repro/netfpga/sweep"
+	"repro/netfpga/sweep/shard"
 )
 
 func main() {
@@ -65,13 +66,8 @@ func main() {
 	exp := flag.String("exp", "", "run a single experiment by ID (e.g. T4)")
 	list := flag.Bool("list", false, "list experiments and exit")
 	parallel := flag.Bool("parallel", false, "run device batches through the fleet worker pool and report speedup vs sequential")
-	workers := flag.Int("workers", 0, "fleet worker count for -parallel (0 = GOMAXPROCS)")
-	seed := flag.Uint64("seed", 0, "base seed for per-device RNG derivation")
-	batch := flag.Int("batch", 0, "datapath clock batch size (0 = engine default, 1 = unbatched)")
-	burst := flag.String("burst", "adaptive", "vectorized frame-burst window: adaptive, off, or a max cycles-per-window cap (results identical in every mode)")
-	segment := flag.String("segment", "auto", "segment scheduler: auto, off, or an events-per-segment budget (results identical in every mode)")
-	execName := flag.String("exec", "local", "execution backend: local (fixed pool) or elastic (grow/shrink workers mid-batch; results identical)")
-	fidelity := flag.String("fidelity", "full", "execution fidelity: full (cycle-accurate everywhere) or hybrid (background-tagged flows run the analytic model; results differ from full by design)")
+	var req shard.Request
+	resolve := runFlags(flag.CommandLine, &req)
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	jsonOut := flag.Bool("json", false, "write per-experiment metrics and wall-clock to BENCH_<stamp>.json")
@@ -79,6 +75,10 @@ func main() {
 	storeDir := flag.String("store", "nf-results", "results store directory -json runs are also indexed into (sweep -history then covers perf trajectories)")
 	noStore := flag.Bool("no-store", false, "skip persisting -json runs into the results store")
 	flag.Parse()
+	if err := resolve(); err != nil {
+		fmt.Fprintf(os.Stderr, "nf-bench: %v\n", err)
+		os.Exit(2)
+	}
 
 	if *list {
 		for _, e := range experiments.All() {
@@ -97,47 +97,31 @@ func main() {
 		todo = []experiments.Def{d}
 	}
 
-	segOn, segBudget := parseSegment(*segment)
-	burstN := parseBurst(*burst)
-	if *execName != "local" && *execName != "elastic" {
-		fmt.Fprintf(os.Stderr, "nf-bench: -exec must be local or elastic (got %q)\n", *execName)
-		os.Exit(2)
-	}
-	if *execName == "elastic" && !segOn {
-		// An elastic pool is segmentation: silently running segmented
-		// anyway would invalidate any whole-job-vs-elastic comparison.
-		fmt.Fprintln(os.Stderr, "nf-bench: -exec elastic requires the segment scheduler (-segment off conflicts)")
-		os.Exit(2)
-	}
-	fid := parseFidelity(*fidelity)
 	stopProf := startProfiles(*cpuprofile, *memprofile)
 	defer stopProf()
-	mkExec := func(w int) fleet.Executor {
-		return buildExecutor(*execName, w, *seed, *batch, burstN, segOn, segBudget, fid)
-	}
 	store := ""
 	if !*noStore {
 		store = *storeDir
 	}
+	seq := req.Runner()
+	seq.Workers = 1
 
 	if !*parallel {
-		walls, tables, frames := runSuite(todo, mkExec(1), os.Stdout)
+		walls, tables, frames := runSuite(todo, seq, os.Stdout)
 		if *jsonOut || *jsonPath != "" {
-			writeJSON(*jsonPath, todo, walls, tables, frames, 1, *seed, store)
+			writeJSON(*jsonPath, todo, walls, tables, frames, 1, req.Seed, store)
 		}
 		return
 	}
 
-	w := *workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
+	w := req.Workers
 	// Sequential reference pass first (tables discarded — they are
 	// byte-identical to the parallel pass by the fleet's determinism
-	// contract), then the parallel pass that prints.
-	seqWalls, _, _ := runSuite(todo, &fleet.Runner{Workers: 1, BaseSeed: *seed,
-		ClockBatch: *batch, FrameBurst: burstN, Fidelity: fid}, io.Discard)
-	parWalls, parTables, parFrames := runSuite(todo, mkExec(w), os.Stdout)
+	// contract) on one whole-job worker, then the parallel pass that
+	// prints.
+	seq.Segment = false
+	seqWalls, _, _ := runSuite(todo, seq, io.Discard)
+	parWalls, parTables, parFrames := runSuite(todo, req.Runner(), os.Stdout)
 
 	fmt.Printf("==== fleet speedup (%d workers, GOMAXPROCS=%d) ====\n\n", w, runtime.GOMAXPROCS(0))
 	fmt.Printf("%-4s %12s %12s %8s\n", "exp", "sequential", "parallel", "speedup")
@@ -154,50 +138,60 @@ func main() {
 		speedup(seqTotal, parTotal))
 
 	if *jsonOut || *jsonPath != "" {
-		writeJSON(*jsonPath, todo, parWalls, parTables, parFrames, w, *seed, store)
+		writeJSON(*jsonPath, todo, parWalls, parTables, parFrames, w, req.Seed, store)
 	}
 
-	fleetDemo(w, *seed, *batch, burstN)
-	if !segOn {
+	fleetDemo(req)
+	if !req.Segment {
 		fmt.Println("tail-heavy demo skipped (-segment off)")
 		return
 	}
-	tailDemo(w, *seed, *batch, burstN, segBudget)
+	tailDemo(req)
+}
+
+// runFlags registers the run-config flags the main and sweep modes share
+// on fs, bound to req, and returns the function that — after fs.Parse —
+// resolves the string-valued ones into req. It is the only place flags
+// become a shard.Request; Request.Runner is the only place a Request
+// becomes a pool.
+func runFlags(fs *flag.FlagSet, req *shard.Request) (resolve func() error) {
+	fs.IntVar(&req.Workers, "workers", 0, "worker count of the in-process pool, or of each fleet worker's pool (0 = GOMAXPROCS)")
+	fs.Uint64Var(&req.Seed, "seed", 0, "base seed per-device and per-cell seeds derive from")
+	fs.IntVar(&req.ClockBatch, "batch", 0, "datapath clock batch size (0 = engine default, 1 = unbatched)")
+	burst := fs.String("burst", "adaptive", "vectorized frame-burst window: adaptive, off, or a max cycles-per-window cap (results identical in every mode)")
+	segment := fs.String("segment", "auto", "segment scheduler: auto, off, or an events-per-segment budget (results identical in every mode)")
+	fidelity := fs.String("fidelity", "full", "execution fidelity for devices without their own fidelity axis: full (cycle-accurate) or hybrid (background-tagged flows run the analytic model; results differ from full by design)")
+	return func() (err error) {
+		if req.Workers <= 0 {
+			req.Workers = runtime.GOMAXPROCS(0)
+		}
+		if req.FrameBurst, err = parseBurst(*burst); err != nil {
+			return err
+		}
+		if req.Segment, req.SegmentBudget, err = parseSegment(*segment); err != nil {
+			return err
+		}
+		req.Fidelity, err = parseFidelity(*fidelity)
+		return err
+	}
 }
 
 // parseBurst maps the -burst flag: "adaptive" sizes vectorized windows
 // from module state alone, "off" forces per-cycle ticking, and a number
 // caps windows at that many cycles. Results are identical in every
 // mode.
-func parseBurst(v string) int {
+func parseBurst(v string) (int, error) {
 	switch v {
 	case "adaptive", "":
-		return 0
+		return 0, nil
 	case "off":
-		return 1
+		return 1, nil
 	}
 	n, err := strconv.Atoi(v)
 	if err != nil || n < 1 {
-		fmt.Fprintf(os.Stderr, "nf-bench: -burst must be adaptive, off, or a positive window cap (got %q)\n", v)
-		os.Exit(2)
+		return 0, fmt.Errorf("-burst must be adaptive, off, or a positive window cap (got %q)", v)
 	}
-	return n
-}
-
-// buildExecutor constructs the chosen local execution backend from the
-// shared CLI knobs — the one place the main and sweep modes agree on
-// what "local" and "elastic" mean. name must already be validated.
-func buildExecutor(name string, w int, seed uint64, batch, burst int, segOn bool, segBudget uint64, fid string) fleet.Executor {
-	if name == "elastic" {
-		return &fleet.Elastic{
-			Runner: fleet.Runner{BaseSeed: seed, ClockBatch: batch,
-				FrameBurst: burst, SegmentBudget: segBudget, Fidelity: fid},
-			Min: 1, Max: w,
-		}
-	}
-	return &fleet.Runner{Workers: w, BaseSeed: seed, ClockBatch: batch,
-		FrameBurst: burst, Segment: segOn, SegmentBudget: segBudget,
-		Fidelity: fid}
+	return n, nil
 }
 
 // parseFidelity maps the -fidelity flag: "full" is the cycle-accurate
@@ -205,16 +199,14 @@ func buildExecutor(name string, w int, seed uint64, batch, burst int, segOn bool
 // keep deciding for themselves; "hybrid" runs background-tagged flows
 // through the analytic aggregate model (results differ from full by
 // design — hybrid runs are golden-digested separately).
-func parseFidelity(v string) string {
+func parseFidelity(v string) (string, error) {
 	switch v {
 	case "full", "":
-		return ""
+		return "", nil
 	case "hybrid":
-		return netfpga.FidelityHybrid
+		return netfpga.FidelityHybrid, nil
 	}
-	fmt.Fprintf(os.Stderr, "nf-bench: -fidelity must be full or hybrid (got %q)\n", v)
-	os.Exit(2)
-	return ""
+	return "", fmt.Errorf("-fidelity must be full or hybrid (got %q)", v)
 }
 
 // startProfiles starts CPU profiling if asked and returns an idempotent
@@ -263,28 +255,27 @@ func startProfiles(cpu, mem string) func() {
 // parseSegment maps the -segment flag: "off" disables the segment
 // scheduler, "auto" enables it with per-job budget auto-sizing, and a
 // number enables it with that events-per-segment budget.
-func parseSegment(v string) (on bool, budget uint64) {
+func parseSegment(v string) (on bool, budget uint64, err error) {
 	switch v {
 	case "off", "":
-		return false, 0
+		return false, 0, nil
 	case "auto":
-		return true, 0
+		return true, 0, nil
 	}
 	n, err := strconv.ParseUint(v, 10, 64)
 	if err != nil || n == 0 {
-		fmt.Fprintf(os.Stderr, "nf-bench: -segment must be auto, off, or a positive event budget (got %q)\n", v)
-		os.Exit(2)
+		return false, 0, fmt.Errorf("-segment must be auto, off, or a positive event budget (got %q)", v)
 	}
-	return true, n
+	return true, n, nil
 }
 
-// runSuite executes the experiments on the given backend, rendering
+// runSuite executes the experiments on the given runner, rendering
 // tables to out, and returns each experiment's wall-clock time, tables,
 // and total received frames (summed over cells — the numerator of the
 // frames/sec perf headline). Cells stream as they finish — a long
 // experiment shows its devices completing instead of a silent pause
 // before the table.
-func runSuite(todo []experiments.Def, ex fleet.Executor, out io.Writer) ([]time.Duration, [][]*experiments.Table, []float64) {
+func runSuite(todo []experiments.Def, r *fleet.Runner, out io.Writer) ([]time.Duration, [][]*experiments.Table, []float64) {
 	walls := make([]time.Duration, len(todo))
 	all := make([][]*experiments.Table, len(todo))
 	frames := make([]float64, len(todo))
@@ -316,7 +307,7 @@ func runSuite(todo []experiments.Def, ex fleet.Executor, out io.Writer) ([]time.
 			}
 		}
 		start := time.Now()
-		tables := d.RunStreamed(ex, progress)
+		tables := d.RunStreamed(r, progress)
 		walls[i] = time.Since(start)
 		all[i] = tables
 		fmt.Fprintf(out, "(wall %v)\n\n", walls[i].Round(time.Millisecond))
@@ -468,15 +459,17 @@ func sameResult(a, b fleet.Result) bool {
 // results: the end-to-end gate for the fleet's scheduling determinism,
 // the clock engine's batching equivalence, and the frame-window
 // equivalence.
-func fleetDemo(workers int, seed uint64, batch, burst int) {
+func fleetDemo(req shard.Request) {
 	const devices = 8
+	workers, batch, burst := req.Workers, req.ClockBatch, req.FrameBurst
 	mkJobs := func() []fleet.Job {
 		return experiments.SwitchFleetJobs(devices, 200*netfpga.Microsecond)
 	}
 	run := func(w, clockBatch, frameBurst int) ([]fleet.Result, time.Duration) {
+		q := req
+		q.Workers, q.ClockBatch, q.FrameBurst, q.Segment = w, clockBatch, frameBurst, false
 		start := time.Now()
-		res := (&fleet.Runner{Workers: w, BaseSeed: seed, ClockBatch: clockBatch,
-			FrameBurst: frameBurst}).RunAll(context.Background(), mkJobs())
+		res := q.Runner().RunAll(context.Background(), mkJobs())
 		return res, time.Since(start)
 	}
 	seqRes, seqWall := run(1, batch, burst)
@@ -543,11 +536,13 @@ func fleetDemo(workers int, seed uint64, batch, burst int) {
 // jobs is exactly what segmentation removes, so on a machine with as
 // many cores as workers the segmented run lands near
 // max(long cell, total/workers) — about 1.5-1.8x faster here.
-func tailDemo(workers int, seed uint64, batch, burst int, segBudget uint64) {
+func tailDemo(req shard.Request) {
 	const scale = 4 * netfpga.Millisecond
+	workers := req.Workers
 	run := func(segment bool) ([]fleet.Result, *fleet.Utilization, time.Duration) {
-		r := &fleet.Runner{Workers: workers, BaseSeed: seed, ClockBatch: batch,
-			FrameBurst: burst, Segment: segment, SegmentBudget: segBudget}
+		q := req
+		q.Segment = segment
+		r := q.Runner()
 		start := time.Now()
 		res := r.RunAll(context.Background(), experiments.TailHeavyJobs(scale))
 		return res, r.Utilization(), time.Since(start)

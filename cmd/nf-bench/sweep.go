@@ -7,9 +7,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -22,194 +22,244 @@ import (
 	"repro/netfpga/sweep/shard/chaos"
 )
 
+// sweepConfig is what `nf-bench sweep` parses its flags into, once.
+// fleet.Req is the run config — the same shard.Request value builds the
+// in-process runner, travels in every worker's Open frame and builds the
+// fleet's fallback runner — and the flags that tune the coordinator are
+// set on fleet directly. The rest is CLI plumbing: where the fleet's
+// workers come from, the store, and what to compare against.
+type sweepConfig struct {
+	fleet shard.Fleet
+
+	procs     int      // local `shard-worker` subprocesses (-shards N, N > 1)
+	addrs     []string // -connect workers
+	reconnect bool
+	chaos     uint64
+	tlsCA     string
+	sched     string
+
+	resume, runID          string
+	storeDir               string
+	noStore                bool
+	history                string
+	out                    string
+	compare                string
+	compareRun             string
+	quiet                  bool
+	cpuprofile, memprofile string
+}
+
+// distributed reports whether the run goes through shard.Fleet; without
+// workers to hand cells to it runs on fleet.Req's in-process runner.
+func (c *sweepConfig) distributed() bool { return c.procs+len(c.addrs) > 0 }
+
+// mode names the execution path for the banner: only what will run.
+func (c *sweepConfig) mode() string {
+	if !c.distributed() {
+		return fmt.Sprintf("in-process on %d workers", c.fleet.Req.Workers)
+	}
+	return fmt.Sprintf("fleet of %d local + %d remote workers, a pool of %d in each",
+		c.procs, len(c.addrs), c.fleet.Req.Workers)
+}
+
+// fleetOnly are the flags that tune the fleet coordinator; setting one
+// on an in-process run is refused instead of silently ignored.
+var fleetOnly = map[string]bool{
+	"migrate-after": true, "worker-timeout": true, "steal": true, "tls-ca": true,
+	"chaos": true, "resume": true, "reconnect": true, "breaker-failures": true,
+	"breaker-window": true, "breaker-cooldown": true, "stall-timeout": true, "fallback": true,
+}
+
+// parseSweepFlags turns `nf-bench sweep` arguments into the run's
+// config. Every flag error and every conflict between flags comes back
+// as an error; nothing here exits or touches the store.
+func parseSweepFlags(args []string) (*sweepConfig, error) {
+	c := &sweepConfig{}
+	fl, req := &c.fleet, &c.fleet.Req
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	fs.SetOutput(io.Discard) // errors are returned, not printed
+	fs.StringVar(&req.Config, "config", "", "sweep config file (required)")
+	fs.StringVar(&req.Filter, "filter", "", "cell filter: space/comma terms, '!' or '-' prefix excludes")
+	resolve := runFlags(fs, req)
+	fs.StringVar(&c.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&c.memprofile, "memprofile", "", "write a heap profile to this file on exit")
+	shards := fs.Int("shards", 1, "run on a fleet of N local 'nf-bench shard-worker' processes (1 = in-process; digests identical); with -connect, N > 1 adds N local worker processes to the remote ones")
+	connect := fs.String("connect", "", "comma-separated worker addresses (host:port) running 'nf-bench shard-worker -listen'; cells are assigned dynamically and a dead worker's cells requeue onto survivors")
+	fs.Uint64Var(&fl.MigrateAfter, "migrate-after", 0, "force every cell to checkpoint after N executed events and resume on another worker (digests unchanged; the migration determinism gate)")
+	fs.DurationVar(&fl.HangTimeout, "worker-timeout", 0, "kill a fleet worker silent for this long while owing cells and requeue its cells (0 = never)")
+	fs.BoolVar(&fl.Steal, "steal", false, "utilization-driven migration: when the queue drains and a fleet worker idles, the busiest worker parks a cell for it")
+	fs.StringVar(&c.sched, "sched", "seeded", "fleet scheduling policy: seeded (weight workers by the latest matching run's persisted utilization; falls back to uniform when none exists) or uniform (digests identical either way)")
+	fs.StringVar(&c.tlsCA, "tls-ca", "", "CA certificate (PEM) to verify -connect workers against; enables TLS on every dialed worker")
+	fs.Uint64Var(&c.chaos, "chaos", 0, "inject deterministic transport faults (drops, delays, duplicates, corruption, truncation, kills, hangs) on every fleet worker, scheduled from this seed; 0 = off, digests are unchanged by any seed")
+	fs.StringVar(&c.resume, "resume", "", "resume an interrupted fleet sweep: adopt the run's persisted partial cells (digest-verified) and execute only the remainder")
+	fs.StringVar(&c.runID, "run-id", "", "run id override (default: UTC timestamp); scripting and CI resume legs need a knowable id")
+	fs.BoolVar(&c.reconnect, "reconnect", true, "redial dead TCP workers and respawn dead local worker processes with exponential backoff")
+	fs.IntVar(&fl.Breaker.Failures, "breaker-failures", 0, "quarantine a fleet worker after this many failures inside -breaker-window (0 = 5, negative disables the breaker)")
+	fs.DurationVar(&fl.Breaker.Window, "breaker-window", 0, "circuit-breaker failure-counting window (0 = 1m)")
+	fs.DurationVar(&fl.Breaker.Cooldown, "breaker-cooldown", 0, "quarantine length before a single probe dial re-admits the worker; a failed probe doubles it (0 = 15s)")
+	fs.DurationVar(&fl.StallTimeout, "stall-timeout", 0, "fail the run with per-worker forensics when no cell completes fleet-wide for this long (0 = never)")
+	fs.BoolVar(&fl.Fallback, "fallback", true, "when every fleet worker is dead or quarantined, run the remaining cells in-process instead of failing")
+	fs.StringVar(&c.storeDir, "store", "nf-results", "results store directory")
+	fs.BoolVar(&c.noStore, "no-store", false, "skip the results store")
+	fs.StringVar(&c.history, "history", "", "trend report: a cell's values across stored runs (key, scenario hash, or unique substring), then exit")
+	fs.StringVar(&c.out, "out", "", "write the run's digests as a golden file")
+	fs.StringVar(&c.compare, "compare", "", "diff the run against a golden digest file; nonzero exit on mismatch")
+	fs.StringVar(&c.compareRun, "compare-run", "", "diff the run against a previous run id in the store")
+	fs.BoolVar(&c.quiet, "q", false, "suppress per-cell progress lines")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			fs.SetOutput(os.Stderr)
+			fs.Usage()
+		}
+		return nil, err
+	}
+	if err := resolve(); err != nil {
+		return nil, err
+	}
+	if c.history != "" {
+		return c, nil
+	}
+	if c.sched != "seeded" && c.sched != "uniform" {
+		return nil, fmt.Errorf("-sched must be seeded or uniform (got %q)", c.sched)
+	}
+	if *shards < 1 {
+		return nil, fmt.Errorf("-shards must be >= 1 (got %d)", *shards)
+	}
+	if *shards > 1 {
+		c.procs = *shards
+	}
+	c.addrs = splitAddrs(*connect)
+	if !c.distributed() {
+		var stray []string
+		fs.Visit(func(f *flag.Flag) {
+			if fleetOnly[f.Name] {
+				stray = append(stray, "-"+f.Name)
+			}
+		})
+		if len(stray) > 0 {
+			return nil, fmt.Errorf("%s needs a fleet: add -shards N (N > 1) or -connect", strings.Join(stray, ", "))
+		}
+	}
+	if c.resume != "" && c.noStore {
+		return nil, errors.New("-resume needs the results store (-no-store conflicts)")
+	}
+	if req.Config == "" && c.resume == "" {
+		// -resume may still supply the config from the interrupted
+		// run's meta.
+		return nil, errors.New("-config is required")
+	}
+	if c.chaos != 0 {
+		// Chaos without a hang detector would let an injected hang stall
+		// the run forever; default the watchdogs rather than demand four
+		// flags for one knob.
+		if fl.HangTimeout == 0 {
+			fl.HangTimeout = 20 * time.Second
+		}
+		if fl.StallTimeout == 0 {
+			fl.StallTimeout = 2 * time.Minute
+		}
+	}
+	return c, nil
+}
+
+// loadResume reads the interrupted run's persisted partial records and
+// fills config/filter/seed from its meta where the flags left them at
+// their defaults.
+func loadResume(c *sweepConfig) []resultstore.Record {
+	req := &c.fleet.Req
+	rst, err := resultstore.Open(c.storeDir)
+	fatal(err)
+	runs, err := rst.Runs()
+	fatal(err)
+	for _, run := range runs {
+		if run == c.resume {
+			if m, _, _, err := rst.ReadRunTolerant(run); err == nil && !m.Partial {
+				fatal(fmt.Errorf("run %s completed; nothing to resume", c.resume))
+			}
+		}
+	}
+	parts, err := rst.PartialRuns(c.resume)
+	fatal(err)
+	if len(parts) == 0 {
+		fatal(fmt.Errorf("no partial runs with prefix %q in %s", c.resume, c.storeDir))
+	}
+	var recs []resultstore.Record
+	for _, part := range parts {
+		pm, partRecs, dropped, err := rst.ReadRunTolerant(part)
+		fatal(err)
+		if req.Config == "" {
+			req.Config = pm.Config
+		}
+		if req.Filter == "" {
+			req.Filter = pm.Filter
+		}
+		if req.Seed == 0 {
+			req.Seed = pm.Seed
+		}
+		recs = append(recs, partRecs...)
+		if dropped > 0 {
+			fmt.Fprintf(os.Stderr, "resume: %s: %d torn trailing line(s) dropped\n", part, dropped)
+		}
+	}
+	fmt.Printf("resume: %d persisted cells from %d partial run(s) of %s\n", len(recs), len(parts), c.resume)
+	return recs
+}
+
 // runSweepCmd implements `nf-bench sweep`: expand a scenario-matrix
-// config into fleet jobs, execute them — in-process, on the elastic
-// pool, or sharded across OS processes — with streaming progress,
-// persist every cell into the results store, and optionally diff the
-// run against a golden digest file or a previous stored run.
+// config into fleet jobs, execute them — in-process, or on a fleet of
+// worker processes — with streaming progress, persist every cell into
+// the results store, and optionally diff the run against a golden digest
+// file or a previous stored run.
 //
 //	nf-bench sweep -config examples/paper.sweep
 //	nf-bench sweep -config examples/paper.sweep -filter 'T4 -latency'
-//	nf-bench sweep -config examples/paper.sweep -exec elastic
 //	nf-bench sweep -config examples/paper.sweep -shards 4 -workers 2
+//	nf-bench sweep -config examples/paper.sweep -connect host1:9090,host2:9090
 //	nf-bench sweep -config examples/paper.sweep -compare testdata/golden_sweep.json
 //	nf-bench sweep -config examples/paper.sweep -out golden.json
 //	nf-bench sweep -config examples/matrix.sweep -compare-run <run-id>
 //	nf-bench sweep -history 'T4/latency/frame=64'
 func runSweepCmd(args []string) {
-	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
-	configPath := fs.String("config", "", "sweep config file (required)")
-	filter := fs.String("filter", "", "cell filter: space/comma terms, '!' or '-' prefix excludes")
-	workers := fs.Int("workers", 0, "fleet worker count per process (0 = GOMAXPROCS)")
-	seed := fs.Uint64("seed", 0, "base seed for per-cell seed derivation")
-	batch := fs.Int("batch", 0, "datapath clock batch size (0 = engine default)")
-	burst := fs.String("burst", "adaptive", "vectorized frame-burst window: adaptive, off, or a max cycles-per-window cap (cell digests identical in every mode)")
-	segment := fs.String("segment", "auto", "segment scheduler: auto, off, or an events-per-segment budget (cell digests identical in every mode)")
-	execName := fs.String("exec", "local", "execution backend: local (fixed pool) or elastic (grow/shrink workers mid-batch; digests identical)")
-	fidelityFlag := fs.String("fidelity", "full", "execution fidelity override for cells without their own fidelity axis: full (cycle-accurate) or hybrid (analytic background model; digests differ from full by design)")
-	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
-	shards := fs.Int("shards", 1, "partition cells by canonical key across N OS processes (digests identical to a single-process run); with -connect, N > 1 adds N local worker processes to the fleet")
-	shardWorker := fs.Bool("shard-worker", false, "internal: serve one shard over length-prefixed JSON on stdin/stdout")
-	connect := fs.String("connect", "", "comma-separated worker addresses (host:port) running `nf-bench shard-worker -listen`; cells are assigned dynamically and a dead worker's cells requeue onto survivors")
-	migrateAfter := fs.Uint64("migrate-after", 0, "force every cell to checkpoint after N executed events and resume on another worker (digests unchanged; the migration determinism gate)")
-	workerTimeout := fs.Duration("worker-timeout", 0, "kill a fleet worker silent for this long while owing cells and requeue its cells (0 = never)")
-	steal := fs.Bool("steal", false, "utilization-driven migration: when the queue drains and a fleet worker idles, the busiest worker parks a cell for it")
-	sched := fs.String("sched", "seeded", "scheduling policy: seeded (weight workers and elastic sizing by the latest matching run's persisted utilization; falls back to uniform when none exists) or uniform (digests identical either way)")
-	tlsCA := fs.String("tls-ca", "", "CA certificate (PEM) to verify -connect workers against; enables TLS on every dialed worker")
-	chaosSeed := fs.Uint64("chaos", 0, "inject deterministic transport faults (drops, delays, duplicates, corruption, truncation, kills, hangs) on every fleet worker, scheduled from this seed; 0 = off, digests are unchanged by any seed")
-	resume := fs.String("resume", "", "resume an interrupted sweep: adopt the run's persisted partial cells (digest-verified) and execute only the remainder")
-	runIDFlag := fs.String("run-id", "", "run id override (default: UTC timestamp); scripting and CI resume legs need a knowable id")
-	reconnect := fs.Bool("reconnect", true, "redial dead TCP workers and respawn dead local worker processes with exponential backoff (fleet mode)")
-	breakerFailures := fs.Int("breaker-failures", 0, "quarantine a fleet worker after this many failures inside -breaker-window (0 = 5, negative disables the breaker)")
-	breakerWindow := fs.Duration("breaker-window", 0, "circuit-breaker failure-counting window (0 = 1m)")
-	breakerCooldown := fs.Duration("breaker-cooldown", 0, "quarantine length before a single probe dial re-admits the worker; a failed probe doubles it (0 = 15s)")
-	stallTimeout := fs.Duration("stall-timeout", 0, "fail the run with per-worker forensics when no cell completes fleet-wide for this long (0 = never)")
-	fallback := fs.Bool("fallback", true, "when every fleet worker is dead or quarantined, run the remaining cells in-process instead of failing")
-	storeDir := fs.String("store", "nf-results", "results store directory")
-	noStore := fs.Bool("no-store", false, "skip the results store")
-	history := fs.String("history", "", "trend report: a cell's values across stored runs (key, scenario hash, or unique substring), then exit")
-	outPath := fs.String("out", "", "write the run's digests as a golden file")
-	comparePath := fs.String("compare", "", "diff the run against a golden digest file; nonzero exit on mismatch")
-	compareRun := fs.String("compare-run", "", "diff the run against a previous run id in the store")
-	quiet := fs.Bool("q", false, "suppress per-cell progress lines")
-	fs.Parse(args)
-
-	if *shardWorker {
-		if err := shard.Serve(context.Background(), os.Stdin, os.Stdout, workerPlan); err != nil {
-			fmt.Fprintf(os.Stderr, "nf-bench shard worker: %v\n", err)
-			os.Exit(1)
+	c, err := parseSweepFlags(args)
+	if err != nil {
+		if !errors.Is(err, flag.ErrHelp) {
+			fmt.Fprintf(os.Stderr, "nf-bench sweep: %v\n", err)
 		}
+		os.Exit(2)
+	}
+	if c.history != "" {
+		runHistory(c.storeDir, c.history)
 		return
 	}
-	if *history != "" {
-		runHistory(*storeDir, *history)
-		return
-	}
-	// -resume adopts an interrupted run's persisted partial records and
-	// can supply config/filter/seed from the interrupted run's meta when
-	// the flags were left at their defaults.
+	req := &c.fleet.Req
 	var resumeRecs []resultstore.Record
-	if *resume != "" {
-		if *noStore {
-			fmt.Fprintln(os.Stderr, "nf-bench sweep: -resume needs the results store (-no-store conflicts)")
-			os.Exit(2)
-		}
-		rst, err := resultstore.Open(*storeDir)
-		fatal(err)
-		runs, err := rst.Runs()
-		fatal(err)
-		for _, run := range runs {
-			if run == *resume {
-				if m, _, _, err := rst.ReadRunTolerant(run); err == nil && !m.Partial {
-					fmt.Fprintf(os.Stderr, "nf-bench sweep: run %s completed; nothing to resume\n", *resume)
-					os.Exit(1)
-				}
-			}
-		}
-		parts, err := rst.PartialRuns(*resume)
-		fatal(err)
-		if len(parts) == 0 {
-			fmt.Fprintf(os.Stderr, "nf-bench sweep: no partial runs with prefix %q in %s\n", *resume, *storeDir)
-			os.Exit(1)
-		}
-		for _, part := range parts {
-			pm, recs, dropped, err := rst.ReadRunTolerant(part)
-			fatal(err)
-			if *configPath == "" {
-				*configPath = pm.Config
-			}
-			if *filter == "" {
-				*filter = pm.Filter
-			}
-			if *seed == 0 {
-				*seed = pm.Seed
-			}
-			resumeRecs = append(resumeRecs, recs...)
-			if dropped > 0 {
-				fmt.Fprintf(os.Stderr, "resume: %s: %d torn trailing line(s) dropped\n", part, dropped)
-			}
-		}
-		fmt.Printf("resume: %d persisted cells from %d partial run(s) of %s\n", len(resumeRecs), len(parts), *resume)
-	}
-	if *configPath == "" {
-		fmt.Fprintln(os.Stderr, "nf-bench sweep: -config is required")
-		fs.Usage()
-		os.Exit(2)
-	}
-	if *execName != "local" && *execName != "elastic" {
-		fmt.Fprintf(os.Stderr, "nf-bench sweep: -exec must be local or elastic (got %q)\n", *execName)
-		os.Exit(2)
-	}
-	if *sched != "seeded" && *sched != "uniform" {
-		fmt.Fprintf(os.Stderr, "nf-bench sweep: -sched must be seeded or uniform (got %q)\n", *sched)
-		os.Exit(2)
-	}
-	if *shards < 1 {
-		fmt.Fprintf(os.Stderr, "nf-bench sweep: -shards must be >= 1 (got %d)\n", *shards)
-		os.Exit(2)
-	}
-	// Any dynamic-fleet knob routes the run through the session
-	// coordinator; plain -shards N keeps the static by-key partition.
-	addrs := splitAddrs(*connect)
-	fleetMode := len(addrs) > 0 || *migrateAfter > 0 || *steal || *workerTimeout > 0 ||
-		*chaosSeed != 0 || *resume != "" || *stallTimeout > 0
-	procs := *shards
-	if len(addrs) > 0 && procs == 1 {
-		procs = 0 // remote workers only unless -shards asks for local ones
-	}
-	if *chaosSeed != 0 {
-		// Chaos without a hang detector would let an injected hang stall
-		// the run forever; default the watchdogs rather than demand four
-		// flags for one knob.
-		if *workerTimeout == 0 {
-			*workerTimeout = 20 * time.Second
-			fmt.Println("chaos: defaulting -worker-timeout to 20s")
-		}
-		if *stallTimeout == 0 {
-			*stallTimeout = 2 * time.Minute
-			fmt.Println("chaos: defaulting -stall-timeout to 2m")
+	if c.resume != "" {
+		resumeRecs = loadResume(c)
+		if req.Config == "" {
+			fatal(errors.New("-config is required (the interrupted run recorded none)"))
 		}
 	}
 
-	cfg, err := sweep.LoadConfig(*configPath)
+	cfg, err := sweep.LoadConfig(req.Config)
 	fatal(err)
 	groups, err := experiments.GroupsForConfig(cfg)
 	fatal(err)
-
-	w := *workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	segOn, segBudget := parseSegment(*segment)
-	burstN := parseBurst(*burst)
-	fid := parseFidelity(*fidelityFlag)
-	stopProf := startProfiles(*cpuprofile, *memprofile)
+	stopProf := startProfiles(c.cpuprofile, c.memprofile)
 	defer stopProf()
-	if *execName == "elastic" && !segOn {
-		fmt.Fprintln(os.Stderr, "nf-bench sweep: -exec elastic requires the segment scheduler (-segment off conflicts)")
-		os.Exit(2)
-	}
 
-	plan, err := sweep.PlanGroups(groups, *filter, *seed)
+	plan, err := sweep.PlanGroups(groups, req.Filter, req.Seed)
 	fatal(err)
 	total := len(plan.Cells)
-	mode := *execName
-	switch {
-	case fleetMode:
-		mode = fmt.Sprintf("fleet of %d local + %d remote workers (%s per worker)",
-			procs, len(addrs), *execName)
-	case *shards > 1:
-		mode = fmt.Sprintf("%d-process shards (%s per shard)", *shards, *execName)
+	fmt.Printf("sweep %q: %d cells, base seed %d, %s\n", cfg.Name, total, req.Seed, c.mode())
+	if c.chaos != 0 {
+		fmt.Printf("chaos: seed %d, -worker-timeout %v, -stall-timeout %v\n", c.chaos, c.fleet.HangTimeout, c.fleet.StallTimeout)
 	}
-	fmt.Printf("sweep %q: %d cells, %d workers, base seed %d, %s\n", cfg.Name, total, w, *seed, mode)
 	if total == 0 {
 		// An empty run must not satisfy a comparison gate: a filter
 		// that silently stopped matching would otherwise turn the CI
 		// golden gate into a vacuous pass.
-		if *comparePath != "" || *compareRun != "" {
-			fmt.Fprintln(os.Stderr, "nf-bench sweep: filter matched no cells, nothing to compare")
-			os.Exit(1)
+		if c.compare != "" || c.compareRun != "" {
+			fatal(errors.New("filter matched no cells, nothing to compare"))
 		}
 		fmt.Println("nothing to do (filter matched no cells)")
 		return
@@ -220,19 +270,19 @@ func runSweepCmd(args []string) {
 	// Nanosecond granularity: back-to-back sweeps in one second must
 	// not collide on the store's exclusive run file.
 	runID := time.Now().UTC().Format("20060102-150405.000000000")
-	if *runIDFlag != "" {
-		runID = *runIDFlag
+	if c.runID != "" {
+		runID = c.runID
 	}
-	if !*noStore {
-		st, err = resultstore.Open(*storeDir)
+	if !c.noStore {
+		st, err = resultstore.Open(c.storeDir)
 		fatal(err)
 		prev = st.LatestDigests()
 	}
 	meta := resultstore.Meta{
-		Run: runID, Name: cfg.Name, Config: *configPath, Filter: *filter,
-		Seed: *seed, Workers: w, Stamp: time.Now().UTC().Format(time.RFC3339),
-		Sched: *sched, PlanHash: resultstore.PlanHash(plan.Keys()),
-		ResumedFrom: *resume,
+		Run: runID, Name: cfg.Name, Config: req.Config, Filter: req.Filter,
+		Seed: req.Seed, Workers: req.Workers, Stamp: time.Now().UTC().Format(time.RFC3339),
+		Sched: c.sched, PlanHash: resultstore.PlanHash(plan.Keys()),
+		ResumedFrom: c.resume,
 	}
 
 	// Digest-verify the resumed records against this plan before they
@@ -240,7 +290,6 @@ func runSweepCmd(args []string) {
 	// digest does not reproduce from its content, is re-run instead of
 	// trusted. Conflicting persisted records are a determinism bug and
 	// fail loudly.
-	var completed []sweep.CellRecord
 	if len(resumeRecs) > 0 {
 		scratch := plan.Merger()
 		rejected := 0
@@ -257,64 +306,36 @@ func runSweepCmd(args []string) {
 				rejected++
 			case dup:
 			default:
-				completed = append(completed, cr)
+				c.fleet.Completed = append(c.fleet.Completed, cr)
 			}
 		}
 		fmt.Printf("resume: %d cells verified, %d rejected, %d left to run\n",
-			len(completed), rejected, total-len(completed))
+			len(c.fleet.Completed), rejected, total-len(c.fleet.Completed))
 	}
 
 	start := time.Now()
 	done := 0
 	progress := func(cr sweep.CellResult) {
 		done++
-		if *quiet {
+		if c.quiet {
 			return
 		}
 		fmt.Printf("[%*d/%d] %-52s %s\n", digits(total), done, total, cr.Cell.Key, summarizeCell(cr))
 	}
 
 	var rs *sweep.Results
-	if fleetMode {
-		rs = runFleet(plan, st, meta, fleetConfig{
-			shardConfig: shardConfig{
-				config: *configPath, filter: *filter, seed: *seed,
-				workers: w, batch: *batch, burst: burstN,
-				segOn: segOn, segBudget: segBudget,
-				elastic: *execName == "elastic", fidelity: fid,
-			},
-			procs: procs, addrs: addrs, migrateAfter: *migrateAfter,
-			hangTimeout: *workerTimeout, steal: *steal, quiet: *quiet,
-			sched: *sched, tlsCA: *tlsCA, chaosSeed: *chaosSeed,
-			reconnect: *reconnect, fallback: *fallback,
-			stallTimeout: *stallTimeout,
-			breaker: shard.Breaker{
-				Failures: *breakerFailures,
-				Window:   *breakerWindow,
-				Cooldown: *breakerCooldown,
-			},
-			completed: completed,
-		}, progress)
-	} else if *shards > 1 {
-		rs = runSharded(plan, st, meta, shardConfig{
-			shards: *shards, config: *configPath, filter: *filter, seed: *seed,
-			workers: w, batch: *batch, burst: burstN,
-			segOn: segOn, segBudget: segBudget,
-			elastic: *execName == "elastic", fidelity: fid,
-		}, progress)
+	if c.distributed() {
+		rs = runFleet(plan, st, meta, c, progress)
 	} else {
-		ex := buildExecutor(*execName, w, *seed, *batch, burstN, segOn, segBudget, fid)
-		if el, ok := ex.(*fleet.Elastic); ok && *sched == "seeded" && st != nil {
-			seedElastic(el, st, &meta)
-		}
-		ch, streamed, err := plan.Execute(context.Background(), ex)
+		r := req.Runner()
+		ch, streamed, err := plan.Execute(context.Background(), r)
 		fatal(err)
 		for cr := range ch {
 			progress(cr)
 		}
 		rs = streamed
 		if st != nil {
-			rep := ex.Utilization().Report()
+			rep := r.Utilization().Report()
 			meta.Util = &rep
 			rw, err := st.Begin(meta)
 			fatal(err)
@@ -330,28 +351,28 @@ func runSweepCmd(args []string) {
 		fmt.Printf("  FAILED %s: %s\n", f.Cell.Key, f.Err)
 	}
 	if st != nil {
-		fmt.Printf("stored run %s in %s (%d cells indexed)\n", runID, *storeDir, len(rs.Cells))
+		fmt.Printf("stored run %s in %s (%d cells indexed)\n", runID, c.storeDir, len(rs.Cells))
 		if len(prev) > 0 {
 			reportStoreDiff(prev, rs)
 		}
 	}
 
-	if *outPath != "" {
-		note := fmt.Sprintf("generated by `nf-bench sweep -config %s -seed %d -out`", *configPath, *seed)
-		fatal(sweep.WriteGolden(*outPath, sweep.NewGolden(note, *seed, rs)))
-		fmt.Printf("wrote golden digests to %s (%d cells)\n", *outPath, len(rs.Cells))
+	if c.out != "" {
+		note := fmt.Sprintf("generated by `nf-bench sweep -config %s -seed %d -out`", req.Config, req.Seed)
+		fatal(sweep.WriteGolden(c.out, sweep.NewGolden(note, req.Seed, rs)))
+		fmt.Printf("wrote golden digests to %s (%d cells)\n", c.out, len(rs.Cells))
 	}
 
 	failed := len(rs.Failed()) > 0
-	if *compareRun != "" {
+	if c.compareRun != "" {
 		if st == nil {
-			st, err = resultstore.Open(*storeDir)
+			st, err = resultstore.Open(c.storeDir)
 			fatal(err)
 		}
-		old, err := st.RunDigests(*compareRun)
+		old, err := st.RunDigests(c.compareRun)
 		fatal(err)
 		newDigests := rs.Digests()
-		if *filter != "" {
+		if req.Filter != "" {
 			// A filtered run compares only the cells that ran; stored
 			// cells the filter excluded are not "removed".
 			for k := range old {
@@ -361,18 +382,16 @@ func runSweepCmd(args []string) {
 			}
 		}
 		diffs := resultstore.Diff(old, newDigests)
-		failed = printDiffs(fmt.Sprintf("vs run %s", *compareRun), diffs) || failed
+		failed = printDiffs(fmt.Sprintf("vs run %s", c.compareRun), diffs) || failed
 	}
-	if *comparePath != "" {
-		g, err := sweep.ReadGolden(*comparePath)
+	if c.compare != "" {
+		g, err := sweep.ReadGolden(c.compare)
 		fatal(err)
-		if g.Seed != *seed {
-			fmt.Fprintf(os.Stderr, "nf-bench sweep: golden %s was generated with seed %d, run used %d\n",
-				*comparePath, g.Seed, *seed)
-			os.Exit(1)
+		if g.Seed != req.Seed {
+			fatal(fmt.Errorf("golden %s was generated with seed %d, run used %d", c.compare, g.Seed, req.Seed))
 		}
-		diffs := sweep.DiffGolden(g, rs, *filter != "")
-		failed = printDiffs(fmt.Sprintf("vs golden %s", *comparePath), diffs) || failed
+		diffs := sweep.DiffGolden(g, rs, req.Filter != "")
+		failed = printDiffs(fmt.Sprintf("vs golden %s", c.compare), diffs) || failed
 	}
 	if failed {
 		stopProf()
@@ -395,96 +414,6 @@ func workerPlan(req shard.Request) (*sweep.Plan, error) {
 	return sweep.PlanGroups(groups, req.Filter, req.Seed)
 }
 
-type shardConfig struct {
-	shards         int
-	config, filter string
-	seed           uint64
-	workers, batch int
-	burst          int
-	segOn          bool
-	segBudget      uint64
-	elastic        bool
-	fidelity       string
-}
-
-// runSharded executes the plan across OS-process shards, streaming
-// per-shard partial runs into the store as cells arrive and folding
-// them into one complete, indexed run at the end. A shard failure
-// leaves the partial runs on disk for diagnosis and exits nonzero.
-func runSharded(plan *sweep.Plan, st *resultstore.Store, meta resultstore.Meta,
-	sc shardConfig, progress func(sweep.CellResult)) *sweep.Results {
-
-	exe, err := os.Executable()
-	fatal(err)
-	spawn := func(i int) (*shard.Proc, error) {
-		cmd := exec.Command(exe, "sweep", "-shard-worker")
-		cmd.Stderr = os.Stderr
-		in, err := cmd.StdinPipe()
-		if err != nil {
-			return nil, err
-		}
-		out, err := cmd.StdoutPipe()
-		if err != nil {
-			return nil, err
-		}
-		if err := cmd.Start(); err != nil {
-			return nil, err
-		}
-		return &shard.Proc{In: in, Out: out, Wait: cmd.Wait,
-			Kill: cmd.Process.Kill}, nil
-	}
-
-	// Per-shard partial writers: every streamed cell is on disk before
-	// the merge, so a crashed shard loses nothing already harvested.
-	var writers []*resultstore.RunWriter
-	var partIDs []string
-	if st != nil {
-		for i := 0; i < sc.shards; i++ {
-			pm := meta
-			pm.Run = fmt.Sprintf("%s-s%dof%d", meta.Run, i, sc.shards)
-			pm.Partial = true
-			pm.Shard = fmt.Sprintf("%d/%d", i, sc.shards)
-			rw, err := st.Begin(pm)
-			fatal(err)
-			writers = append(writers, rw)
-			partIDs = append(partIDs, pm.Run)
-		}
-	}
-
-	co := &shard.Coordinator{
-		Shards: sc.shards,
-		Req: shard.Request{
-			Config: sc.config, Filter: sc.filter, Seed: sc.seed,
-			Workers: sc.workers, ClockBatch: sc.batch, FrameBurst: sc.burst,
-			Segment: sc.segOn, SegmentBudget: sc.segBudget, Elastic: sc.elastic,
-			Fidelity: sc.fidelity,
-		},
-		Spawn: spawn,
-	}
-	rs, runErr := co.Run(context.Background(), plan, func(cr sweep.CellResult) {
-		if st != nil {
-			fatal(writers[sweep.ShardOf(cr.Cell.Key, sc.shards)].Append(storeRecord(cr)))
-		}
-		progress(cr)
-	})
-	for _, rw := range writers {
-		fatal(rw.Close())
-	}
-	if runErr != nil {
-		if st != nil {
-			fmt.Fprintf(os.Stderr, "nf-bench sweep: partial shard runs preserved in %s: %s\n",
-				st.Dir(), strings.Join(partIDs, ", "))
-		}
-		fatal(runErr)
-	}
-	if st != nil {
-		n, err := st.MergeRuns(meta, partIDs, plan.Keys())
-		fatal(err)
-		fmt.Printf("merged %d partial runs into %s (%d cells)\n", len(partIDs), meta.Run, n)
-	}
-	return rs
-}
-
 // splitAddrs parses the -connect list: comma-separated host:port
 // entries, empty entries dropped.
 func splitAddrs(s string) []string {
@@ -497,47 +426,7 @@ func splitAddrs(s string) []string {
 	return addrs
 }
 
-type fleetConfig struct {
-	shardConfig
-	procs        int
-	addrs        []string
-	migrateAfter uint64
-	hangTimeout  time.Duration
-	stallTimeout time.Duration
-	steal        bool
-	quiet        bool
-	sched        string
-	tlsCA        string
-	chaosSeed    uint64
-	reconnect    bool
-	fallback     bool
-	breaker      shard.Breaker
-	completed    []sweep.CellRecord
-}
-
-// seedElastic seeds an elastic pool from the latest in-process run of
-// the same plan: the measured mean concurrency becomes the starting
-// worker count, and the hysteresis band narrows so the controller
-// holds the measured size instead of re-learning it. Pool size is
-// scheduling only; digests cannot change.
-func seedElastic(el *fleet.Elastic, st *resultstore.Store, meta *resultstore.Meta) {
-	cap, err := st.LatestCapacity(meta.PlanHash, "")
-	fatal(err)
-	if cap == nil || cap.Util == nil {
-		return
-	}
-	min := fleet.SeededWorkers(*cap.Util, el.Max)
-	if min == 0 {
-		return
-	}
-	el.Min = min
-	el.Grow, el.Shrink = 0.85, 0.65
-	meta.SchedFrom = cap.Run
-	fmt.Printf("sched: elastic seeded from run %s: start at %d workers (measured concurrency %.1f)\n",
-		cap.Run, min, cap.Util.BusyMS/cap.Util.WallMS)
-}
-
-// runFleet executes the plan on the dynamic session coordinator:
+// runFleet executes the plan on the fleet coordinator:
 // subprocess workers (spawned `nf-bench shard-worker` over stdio),
 // dialed TCP workers, or both mixed. Cells stream into one partial run
 // as they arrive — a coordinator crash loses nothing already harvested
@@ -545,15 +434,15 @@ func seedElastic(el *fleet.Elastic, st *resultstore.Store, meta *resultstore.Met
 // byte-identical to a single-process sweep regardless of worker deaths,
 // requeues, or checkpoint migrations along the way.
 func runFleet(plan *sweep.Plan, st *resultstore.Store, meta resultstore.Meta,
-	fc fleetConfig, progress func(sweep.CellResult)) *sweep.Results {
+	c *sweepConfig, progress func(sweep.CellResult)) *sweep.Results {
 
 	var tlsCfg *tls.Config
-	if fc.tlsCA != "" {
-		pem, err := os.ReadFile(fc.tlsCA)
+	if c.tlsCA != "" {
+		pem, err := os.ReadFile(c.tlsCA)
 		fatal(err)
 		pool := x509.NewCertPool()
 		if !pool.AppendCertsFromPEM(pem) {
-			fatal(fmt.Errorf("no CA certificate found in %s", fc.tlsCA))
+			fatal(fmt.Errorf("no CA certificate found in %s", c.tlsCA))
 		}
 		tlsCfg = &tls.Config{RootCAs: pool}
 	}
@@ -564,26 +453,24 @@ func runFleet(plan *sweep.Plan, st *resultstore.Store, meta resultstore.Meta,
 	// redialed with backoff after every death; without it each is
 	// dialed once and a death is final. -chaos wraps each dial so every
 	// incarnation gets its own deterministic fault stream.
-	var conns []*shard.Connector
-	var eps []*shard.Endpoint
-	nworkers := 0
+	fl := &c.fleet
+	nworkers := c.procs + len(c.addrs)
 	addWorker := func(name string, dial func() (*shard.Endpoint, error)) {
-		nworkers++
-		if fc.chaosSeed != 0 {
-			dial = chaos.WrapDial(name, dial, chaos.Default(fc.chaosSeed))
+		if c.chaos != 0 {
+			dial = chaos.WrapDial(name, dial, chaos.Default(c.chaos))
 		}
-		if fc.reconnect {
-			conns = append(conns, &shard.Connector{Name: name, Dial: dial})
+		if c.reconnect {
+			fl.Connectors = append(fl.Connectors, &shard.Connector{Name: name, Dial: dial})
 			return
 		}
 		ep, err := dial()
 		fatal(err)
-		eps = append(eps, ep)
+		fl.Endpoints = append(fl.Endpoints, ep)
 	}
-	if fc.procs > 0 {
+	if c.procs > 0 {
 		exe, err := os.Executable()
 		fatal(err)
-		for i := 0; i < fc.procs; i++ {
+		for i := 0; i < c.procs; i++ {
 			name := fmt.Sprintf("proc:%d", i)
 			addWorker(name, func() (*shard.Endpoint, error) {
 				cmd := exec.Command(exe, "shard-worker")
@@ -606,7 +493,7 @@ func runFleet(plan *sweep.Plan, st *resultstore.Store, meta resultstore.Meta,
 			})
 		}
 	}
-	for _, addr := range fc.addrs {
+	for _, addr := range c.addrs {
 		addr := addr
 		if tlsCfg != nil {
 			addWorker("tls:"+addr, func() (*shard.Endpoint, error) { return shard.DialTLS(addr, tlsCfg.Clone()) })
@@ -620,16 +507,14 @@ func runFleet(plan *sweep.Plan, st *resultstore.Store, meta resultstore.Meta,
 	// becomes capacity weights for the coordinator. No donor (first
 	// run, new topology) means uniform — the seeded path must always
 	// degrade to the uniform one, never block on history.
-	transport := transportLabel(fc.procs, len(fc.addrs))
-	var weights map[string]float64
-	if fc.sched == "seeded" && st != nil {
+	transport := transportLabel(c.procs, len(c.addrs))
+	if c.sched == "seeded" && st != nil {
 		cap, err := st.LatestCapacity(meta.PlanHash, transport)
 		fatal(err)
-		if w := fleet.CapacityWeights(cap.WorkerReports()); w != nil {
-			weights = w
+		if fl.Weights = fleet.CapacityWeights(cap.WorkerReports()); fl.Weights != nil {
 			meta.SchedFrom = cap.Run
-			fmt.Printf("sched: seeded from run %s: %s\n", cap.Run, fleet.FormatWeights(weights))
-		} else if !fc.quiet {
+			fmt.Printf("sched: seeded from run %s: %s\n", cap.Run, fleet.FormatWeights(fl.Weights))
+		} else if !c.quiet {
 			fmt.Println("sched: no prior utilization for this plan+transport, running uniform")
 		}
 	}
@@ -648,7 +533,7 @@ func runFleet(plan *sweep.Plan, st *resultstore.Store, meta resultstore.Meta,
 		var err error
 		rw, err = st.Begin(pm)
 		fatal(err)
-		for _, cr := range fc.completed {
+		for _, cr := range fl.Completed {
 			fatal(rw.Append(resultstore.Record{
 				Key: cr.Key, Digest: cr.Digest, Seed: cr.Seed,
 				Values: cr.Values, Labels: cr.Labels,
@@ -658,7 +543,7 @@ func runFleet(plan *sweep.Plan, st *resultstore.Store, meta resultstore.Meta,
 	}
 
 	requeued := 0
-	onEvent := func(ev shard.FleetEvent) {
+	fl.OnEvent = func(ev shard.FleetEvent) {
 		switch ev.Kind {
 		case "death", "hang":
 			// Recovery is always worth a line, even under -q: a silent
@@ -668,34 +553,15 @@ func runFleet(plan *sweep.Plan, st *resultstore.Store, meta resultstore.Meta,
 				ev.Worker, ev.Kind, ev.Detail, ev.Cells)
 		case "quarantine", "fallback":
 			// Degradation states likewise: a run that survived on the
-			// fallback executor should say so.
+			// fallback runner should say so.
 			fmt.Fprintf(os.Stderr, "fleet: %s %s (%s)\n", ev.Worker, ev.Kind, ev.Detail)
 		default:
-			if !fc.quiet {
+			if !c.quiet {
 				fmt.Printf("fleet: %s %s %s\n", ev.Worker, ev.Kind, ev.Detail)
 			}
 		}
 	}
 
-	fl := &shard.Fleet{
-		Req: shard.Request{
-			Config: fc.config, Filter: fc.filter, Seed: fc.seed,
-			Workers: fc.workers, ClockBatch: fc.batch, FrameBurst: fc.burst,
-			Segment: fc.segOn, SegmentBudget: fc.segBudget, Elastic: fc.elastic,
-			Fidelity: fc.fidelity,
-		},
-		Endpoints:    eps,
-		Connectors:   conns,
-		MigrateAfter: fc.migrateAfter,
-		HangTimeout:  fc.hangTimeout,
-		StallTimeout: fc.stallTimeout,
-		Breaker:      fc.breaker,
-		Fallback:     fc.fallback,
-		Steal:        fc.steal,
-		Weights:      weights,
-		Completed:    fc.completed,
-		OnEvent:      onEvent,
-	}
 	rs, util, runErr := fl.Run(context.Background(), plan, func(cr sweep.CellResult) {
 		if rw != nil {
 			fatal(rw.Append(storeRecord(cr)))
@@ -716,7 +582,7 @@ func runFleet(plan *sweep.Plan, st *resultstore.Store, meta resultstore.Meta,
 		meta.Transport = transport
 		meta.Requeued = requeued
 		meta.Util = &util
-		meta.WorkerUtil = workerUtilMeta(fl.Reports, weights)
+		meta.WorkerUtil = workerUtilMeta(fl.Reports, fl.Weights)
 		n, err := st.MergeRuns(meta, []string{partID}, plan.Keys())
 		fatal(err)
 		fmt.Printf("merged fleet run into %s (%d cells, %d requeued)\n", meta.Run, n, requeued)

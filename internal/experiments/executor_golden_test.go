@@ -5,35 +5,21 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"testing"
-	"time"
 
-	"repro/netfpga/fleet"
 	"repro/netfpga/sweep"
 	"repro/netfpga/sweep/shard"
 )
 
-// TestMain lets this test binary double as a shard worker: the
-// executor golden test re-execs itself with NF_SHARD_WORKER=1, so the
-// shard backend is exercised across REAL OS process boundaries — same
-// wiring as `nf-bench sweep -shard-worker`, same plan resolver
-// (GroupsForConfig), different binary.
-// Session mode (NF_SHARD_SESSION=1) serves the dynamic fleet protocol
-// on stdio; listen mode (NF_SHARD_LISTEN=1) serves it over TCP on an
-// ephemeral port announced as "LISTEN <addr>" on stdout — the worker
-// shapes `nf-bench shard-worker` exposes, re-execed for the fault
-// tests.
+// TestMain lets this test binary double as a session worker, so the
+// fleet is exercised across REAL OS process boundaries — same wiring as
+// `nf-bench shard-worker`, same plan resolver (GroupsForConfig),
+// different binary. Session mode (NF_SHARD_SESSION=1) serves the
+// protocol on stdio; listen mode (NF_SHARD_LISTEN=1) serves it over TCP
+// on an ephemeral port announced as "LISTEN <addr>" on stdout — the two
+// worker shapes `nf-bench shard-worker` exposes.
 func TestMain(m *testing.M) {
-	if os.Getenv("NF_SHARD_WORKER") == "1" {
-		err := shard.Serve(context.Background(), os.Stdin, os.Stdout, workerPlanForTest)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		os.Exit(0)
-	}
 	if os.Getenv("NF_SHARD_SESSION") == "1" {
 		err := shard.ServeSession(context.Background(), os.Stdin, os.Stdout, workerPlanForTest)
 		if err != nil {
@@ -69,96 +55,51 @@ func workerPlanForTest(req shard.Request) (*sweep.Plan, error) {
 	return sweep.PlanGroups(groups, req.Filter, req.Seed)
 }
 
-// spawnSelf starts this test binary as a shard worker subprocess.
-func spawnSelf(t *testing.T) shard.Spawn {
-	t.Helper()
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return func(i int) (*shard.Proc, error) {
-		cmd := exec.Command(exe)
-		cmd.Env = append(os.Environ(), "NF_SHARD_WORKER=1")
-		cmd.Stderr = os.Stderr
-		in, err := cmd.StdinPipe()
-		if err != nil {
-			return nil, err
-		}
-		out, err := cmd.StdoutPipe()
-		if err != nil {
-			return nil, err
-		}
-		if err := cmd.Start(); err != nil {
-			return nil, err
-		}
-		return &shard.Proc{In: in, Out: out, Wait: cmd.Wait,
-			Kill: cmd.Process.Kill}, nil
-	}
-}
-
-// TestExecutorBackendsMatchGolden is the acceptance gate of the
-// pluggable-backend refactor: every one of the 103 golden sweep digests
-// must be byte-identical whichever execution substrate runs it —
+// TestExecutorBackendsMatchGolden is the cross-process half of the
+// execution-path matrix: every one of the 103 golden sweep digests must
+// be byte-identical when shard.Fleet runs the plan over {1, 2, 4}
+// session worker processes, each with a local pool of {1, 4} workers.
 //
-//   - the elastic local pool (two different Min/Max bounds, fast
-//     control period so resizing genuinely happens mid-batch), and
-//   - the multi-process shard backend at {1, 2, 4} shards, each worker
-//     process running {1, 4} local workers.
-//
-// TestGoldenSweep covers the fixed local pool at workers {1, 4, 8} and
-// TestSegmentedDeterministicAcrossWorkersAndBudgets the segmented pool;
-// together the three tests close the backend matrix.
+// TestGoldenSweep covers the in-process whole-job pool at workers
+// {1, 4, 8} and TestSegmentedDeterministicAcrossWorkersAndBudgets the
+// segmented pool; together the three tests close the matrix.
 func TestExecutorBackendsMatchGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full backend matrix is slow")
 	}
-	groups := paperGroups(t)
 	g, err := sweep.ReadGolden(goldenPath)
 	if err != nil {
 		t.Fatalf("reading golden (generate with TestGoldenSweep -update): %v", err)
 	}
-	check := func(label string, rs *sweep.Results) {
-		t.Helper()
-		for _, f := range rs.Failed() {
-			t.Errorf("%s: cell %s failed: %s", label, f.Cell.Key, f.Err)
-		}
-		if diffs := sweep.DiffGolden(g, rs, false); len(diffs) > 0 {
-			for _, d := range diffs {
-				t.Errorf("%s: golden mismatch:\n  %s", label, d)
-			}
-		}
-	}
-
-	for _, b := range [][2]int{{1, 4}, {2, 8}} {
-		e := &fleet.Elastic{Runner: fleet.Runner{BaseSeed: 0},
-			Min: b[0], Max: b[1], Interval: time.Millisecond}
-		rs, err := sweep.RunGroups(context.Background(), e, groups, "")
-		if err != nil {
-			t.Fatalf("elastic %v: %v", b, err)
-		}
-		check(fmt.Sprintf("elastic[%d,%d]", b[0], b[1]), rs)
-		if u := e.Utilization(); u == nil || !u.Elastic {
-			t.Errorf("elastic %v: batch did not run on the elastic backend", b)
-		}
-	}
-
-	plan, err := sweep.PlanGroups(groups, "", 0)
+	plan, err := sweep.PlanGroups(paperGroups(t), "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	configPath := filepath.Join("..", "..", "examples", "paper.sweep")
-	for _, shards := range []int{1, 2, 4} {
+	for _, procs := range []int{1, 2, 4} {
 		for _, workers := range []int{1, 4} {
-			co := &shard.Coordinator{
-				Shards: shards,
-				Req:    shard.Request{Config: configPath, Workers: workers},
-				Spawn:  spawnSelf(t),
+			label := fmt.Sprintf("procs=%d,workers=%d", procs, workers)
+			eps := make([]*shard.Endpoint, procs)
+			for i := range eps {
+				eps[i] = sessionProcSelf(t, fmt.Sprintf("proc:%d", i))
 			}
-			rs, err := co.Run(context.Background(), plan, nil)
+			fl := &shard.Fleet{
+				Req:       shard.Request{Config: configPath, Workers: workers},
+				Endpoints: eps,
+			}
+			rs, util, err := fl.Run(context.Background(), plan, nil)
 			if err != nil {
-				t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
+				t.Fatalf("%s: %v", label, err)
 			}
-			check(fmt.Sprintf("shards=%d,workers=%d", shards, workers), rs)
+			if util.Workers != procs*workers {
+				t.Errorf("%s: fleet reports %d pool workers", label, util.Workers)
+			}
+			for _, f := range rs.Failed() {
+				t.Errorf("%s: cell %s failed: %s", label, f.Cell.Key, f.Err)
+			}
+			for _, d := range sweep.DiffGolden(g, rs, false) {
+				t.Errorf("%s: golden mismatch:\n  %s", label, d)
+			}
 		}
 	}
 }

@@ -81,16 +81,15 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// Experiment is one runnable experiment. Run receives the fleet
-// execution backend that executes the experiment's devices: a
-// sequential runner reproduces the classic one-device-at-a-time
-// behaviour, a parallel or elastic backend shards the same jobs across
-// workers with identical results (each device is seeded and stepped
-// independently).
+// Experiment is one runnable experiment. Run receives the fleet runner
+// that executes the experiment's devices: a sequential runner
+// reproduces the classic one-device-at-a-time behaviour, a parallel one
+// spreads the same jobs across workers with identical results (each
+// device is seeded and stepped independently).
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(ex fleet.Executor) []*Table
+	Run   func(r *fleet.Runner) []*Table
 }
 
 // Def is one experiment expressed as a sweep: its scenario groups (spec
@@ -107,12 +106,12 @@ type Def struct {
 	Render func(rs *sweep.Results) []*Table
 }
 
-// RunStreamed executes the definition's groups on the backend,
+// RunStreamed executes the definition's groups on the runner,
 // invoking onCell (when non-nil) for every finished cell in completion
 // order — the hook nf-bench's incremental table rendering hangs
 // progress off — and renders the tables once the batch drains.
-func (d Def) RunStreamed(ex fleet.Executor, onCell func(sweep.CellResult)) []*Table {
-	ch, rs, err := sweep.RunStreamGroups(context.Background(), ex, d.Groups, "")
+func (d Def) RunStreamed(r *fleet.Runner, onCell func(sweep.CellResult)) []*Table {
+	ch, rs, err := sweep.RunStreamGroups(context.Background(), r, d.Groups, "")
 	if err != nil {
 		panic(err)
 	}
@@ -125,10 +124,10 @@ func (d Def) RunStreamed(ex fleet.Executor, onCell func(sweep.CellResult)) []*Ta
 }
 
 // Experiment adapts the definition to the classic Run interface: expand
-// every group, execute the flat batch on the backend, render.
+// every group, execute the flat batch on the runner, render.
 func (d Def) Experiment() Experiment {
-	return Experiment{ID: d.ID, Title: d.Title, Run: func(ex fleet.Executor) []*Table {
-		return d.RunStreamed(ex, nil)
+	return Experiment{ID: d.ID, Title: d.Title, Run: func(r *fleet.Runner) []*Table {
+		return d.RunStreamed(r, nil)
 	}}
 }
 

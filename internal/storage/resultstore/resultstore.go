@@ -42,11 +42,12 @@ type Meta struct {
 	// Stamp is a human timestamp (informational only; never part of
 	// any digest).
 	Stamp string `json:"stamp,omitempty"`
-	// Partial marks a shard's partial run: it records one partition of
-	// a sweep, is excluded from the index, and is meant to be folded
-	// into a complete run by MergeRuns.
+	// Partial marks a partial run: it records the cells a fleet had
+	// harvested so far, is excluded from the index, and is meant to be
+	// folded into a complete run by MergeRuns.
 	Partial bool `json:"partial,omitempty"`
-	// Shard labels a partial run's partition ("0/4").
+	// Shard labels the fleet a partial run was harvested from
+	// ("fleet/3": three workers).
 	Shard string `json:"shard,omitempty"`
 	// Transport records how a distributed run reached its workers
 	// ("proc", "tcp", "proc+tcp"); empty for in-process runs.
@@ -349,8 +350,8 @@ func (st *Store) ReadRunTolerant(run string) (Meta, []Record, int, error) {
 
 // PartialRuns lists the store's partial runs whose id starts with
 // prefix, sorted — how `-resume <run>` finds an interrupted run's
-// persisted pieces (the fleet path writes `<run>-fleet`, the static
-// shard path `<run>-s<i>of<n>`). Runs whose meta line is unreadable
+// persisted pieces (the fleet writes `<run>-fleet`). Runs whose meta
+// line is unreadable
 // are skipped: a file torn before its first line holds no records
 // worth adopting.
 func (st *Store) PartialRuns(prefix string) ([]string, error) {
@@ -385,14 +386,14 @@ func (st *Store) RunDigests(run string) (map[string]string, error) {
 	return out, nil
 }
 
-// MergeRuns folds several (typically partial, per-shard) runs into one
+// MergeRuns folds several (typically partial) runs into one
 // new complete run: the union of their cell records, deduplicated by
 // key. Records for the same key must agree byte-for-byte on their
-// digest — overlapping shards that disagree mean a determinism bug, and
+// digest — overlapping runs that disagree mean a determinism bug, and
 // the merge refuses rather than pick a side. expect, when non-nil,
 // lists the keys the merged run must cover (the coordinator's plan);
-// any missing key aborts the merge, so a partial shard failure can
-// never masquerade as a complete run. The inputs stay on disk untouched
+// any missing key aborts the merge, so a partial harvest can never
+// masquerade as a complete run. The inputs stay on disk untouched
 // (the store is append-only); only the merged run enters the index.
 // Records are written in sorted key order, and the merge returns the
 // number of cells written.

@@ -85,25 +85,6 @@ func CapacityWeights(reports map[string]UtilizationReport) map[string]float64 {
 	return weights
 }
 
-// SeededWorkers derives an initial pool size from a previous run's
-// merged report: the measured mean concurrency (busy time over wall
-// time), rounded, clamped to [1, max]. An elastic pool seeded here
-// starts where the last run's controller converged instead of growing
-// from 1 all over again.
-func SeededWorkers(r UtilizationReport, max int) int {
-	if r.WallMS <= 0 || r.BusyMS <= 0 || max < 1 {
-		return 0
-	}
-	w := int(r.BusyMS/r.WallMS + 0.5)
-	if w < 1 {
-		w = 1
-	}
-	if w > max {
-		w = max
-	}
-	return w
-}
-
 // FormatWeights renders a weight map deterministically (sorted by
 // worker name) for event streams and logs: "a=1.00 b=0.25 ...".
 func FormatWeights(weights map[string]float64) string {

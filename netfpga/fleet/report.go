@@ -13,7 +13,6 @@ type UtilizationReport struct {
 	Workers   int     `json:"workers"`
 	Jobs      int     `json:"jobs"`
 	Segmented bool    `json:"segmented,omitempty"`
-	Elastic   bool    `json:"elastic,omitempty"`
 	WallMS    float64 `json:"wall_ms"`
 	BusyMS    float64 `json:"busy_ms"`
 	// CapacityMS is the worker-milliseconds this report had available:
@@ -22,13 +21,12 @@ type UtilizationReport struct {
 	// explicit so merging reports with different lifetimes stays
 	// duration-weighted instead of charging every pool for the longest
 	// pool's wall.
-	CapacityMS  float64 `json:"capacity_ms,omitempty"`
-	Segments    uint64  `json:"segments,omitempty"`
-	Steals      uint64  `json:"steals,omitempty"`
-	LongestJob  string  `json:"longest_job,omitempty"`
-	LongestMS   float64 `json:"longest_ms,omitempty"`
-	PeakWorkers int     `json:"peak_workers,omitempty"`
-	Efficiency  float64 `json:"efficiency"`
+	CapacityMS float64 `json:"capacity_ms,omitempty"`
+	Segments   uint64  `json:"segments,omitempty"`
+	Steals     uint64  `json:"steals,omitempty"`
+	LongestJob string  `json:"longest_job,omitempty"`
+	LongestMS  float64 `json:"longest_ms,omitempty"`
+	Efficiency float64 `json:"efficiency"`
 }
 
 // Report snapshots the utilization for the wire. Safe to call while the
@@ -44,19 +42,17 @@ func (u *Utilization) Report() UtilizationReport {
 	defer u.mu.Unlock()
 	wallMS := float64(u.Wall) / float64(time.Millisecond)
 	return UtilizationReport{
-		Workers:     u.Workers,
-		Jobs:        u.Jobs,
-		Segmented:   u.Segmented,
-		Elastic:     u.Elastic,
-		WallMS:      wallMS,
-		CapacityMS:  wallMS * float64(u.Workers),
-		BusyMS:      float64(busy) / float64(time.Millisecond),
-		Segments:    u.Segments,
-		Steals:      u.Steals,
-		LongestJob:  u.LongestJob,
-		LongestMS:   float64(u.LongestBusy) / float64(time.Millisecond),
-		PeakWorkers: u.PeakWorkers,
-		Efficiency:  efficiencyLocked(u.Wall, u.Workers, busy),
+		Workers:    u.Workers,
+		Jobs:       u.Jobs,
+		Segmented:  u.Segmented,
+		WallMS:     wallMS,
+		CapacityMS: wallMS * float64(u.Workers),
+		BusyMS:     float64(busy) / float64(time.Millisecond),
+		Segments:   u.Segments,
+		Steals:     u.Steals,
+		LongestJob: u.LongestJob,
+		LongestMS:  float64(u.LongestBusy) / float64(time.Millisecond),
+		Efficiency: efficiencyLocked(u.Wall, u.Workers, busy),
 	}
 }
 
@@ -72,7 +68,6 @@ func (r *UtilizationReport) Merge(o UtilizationReport) {
 	r.Workers += o.Workers
 	r.Jobs += o.Jobs
 	r.Segmented = r.Segmented || o.Segmented
-	r.Elastic = r.Elastic || o.Elastic
 	if o.WallMS > r.WallMS {
 		r.WallMS = o.WallMS
 	}
@@ -83,7 +78,6 @@ func (r *UtilizationReport) Merge(o UtilizationReport) {
 	if o.LongestMS > r.LongestMS {
 		r.LongestMS, r.LongestJob = o.LongestMS, o.LongestJob
 	}
-	r.PeakWorkers += o.PeakWorkers
 	if cap > 0 {
 		r.Efficiency = r.BusyMS / cap
 	}

@@ -50,18 +50,18 @@ func TestUtilizationWireReport(t *testing.T) {
 // the fleet-wide longest job.
 func TestUtilizationReportMerge(t *testing.T) {
 	a := UtilizationReport{Workers: 2, Jobs: 10, WallMS: 100, BusyMS: 150,
-		Segments: 20, Steals: 1, LongestJob: "a", LongestMS: 40, PeakWorkers: 2}
+		Segments: 20, Steals: 1, LongestJob: "a", LongestMS: 40}
 	b := UtilizationReport{Workers: 4, Jobs: 6, WallMS: 80, BusyMS: 200,
-		Segments: 12, LongestJob: "b", LongestMS: 70, PeakWorkers: 4, Elastic: true}
+		Segments: 12, LongestJob: "b", LongestMS: 70}
 	a.Merge(b)
-	if a.Workers != 6 || a.Jobs != 16 || a.PeakWorkers != 6 {
+	if a.Workers != 6 || a.Jobs != 16 {
 		t.Fatalf("capacity sums: %+v", a)
 	}
 	if a.WallMS != 100 || a.BusyMS != 350 || a.Segments != 32 || a.Steals != 1 {
 		t.Fatalf("work totals: %+v", a)
 	}
-	if a.LongestJob != "b" || a.LongestMS != 70 || !a.Elastic {
-		t.Fatalf("longest/flags: %+v", a)
+	if a.LongestJob != "b" || a.LongestMS != 70 {
+		t.Fatalf("longest: %+v", a)
 	}
 	// Duration-weighted: each source contributes its own workers x wall
 	// capacity (2x100 + 4x80), not max-wall x total-workers.
@@ -145,21 +145,5 @@ func TestCapacityWeights(t *testing.T) {
 	}
 	if got := FormatWeights(w); got != "dead=1.00 ok=1.00" {
 		t.Fatalf("FormatWeights = %q", got)
-	}
-}
-
-// TestSeededWorkers: elastic pools seed from measured mean concurrency.
-func TestSeededWorkers(t *testing.T) {
-	if got := SeededWorkers(UtilizationReport{WallMS: 100, BusyMS: 620}, 16); got != 6 {
-		t.Fatalf("SeededWorkers = %d, want 6", got)
-	}
-	if got := SeededWorkers(UtilizationReport{WallMS: 100, BusyMS: 3200}, 8); got != 8 {
-		t.Fatalf("clamped SeededWorkers = %d, want 8", got)
-	}
-	if got := SeededWorkers(UtilizationReport{WallMS: 100, BusyMS: 10}, 8); got != 1 {
-		t.Fatalf("floor SeededWorkers = %d, want 1", got)
-	}
-	if got := SeededWorkers(UtilizationReport{}, 8); got != 0 {
-		t.Fatalf("empty SeededWorkers = %d, want 0", got)
 	}
 }

@@ -72,38 +72,24 @@ type segTask struct {
 // job is never starved by its neighbours); idle workers steal the back
 // half of the richest victim's deque. A running task is in no deque, so
 // it can never execute on two workers at once.
-//
-// The pool is dynamic: the elastic backend grows it by spawning a new
-// worker with a fresh (empty) deque — the newcomer's first take steals
-// — and shrinks it by posting a retire request that the next worker to
-// look for work honours. A retired worker's deque stays in the steal
-// set, so parked devices it held are picked up by the survivors.
 type segScheduler struct {
 	r       *Runner
 	ctx     context.Context
 	u       *Utilization
 	deliver func(Result)
-	wg      sync.WaitGroup
 
 	mu        sync.Mutex
 	cond      *sync.Cond
 	deques    [][]*segTask
 	remaining int
-	// active is the number of live worker goroutines; idle how many of
-	// them are blocked waiting for work; minW the retirement floor;
-	// retiring the number of posted, not-yet-honoured retire requests.
-	active, idle, minW, retiring int
-	// freeSlots are deque indices of retired workers, reused by the
-	// next grow so an oscillating elastic pool stays O(peak workers)
-	// in deques and busy slots instead of growing per resize.
-	freeSlots []int
 }
 
-// newSegScheduler builds the scheduler state for a batch: compile every
-// job into a resumable task and seed the initial nw deques (LPT).
-func newSegScheduler(r *Runner, ctx context.Context, jobs []Job, nw int, u *Utilization, deliver func(Result)) *segScheduler {
+// runSegmented executes the batch through the segment scheduler: compile
+// every job into a resumable task, seed the nw deques (LPT), and run one
+// worker per deque until every job has been delivered.
+func (r *Runner) runSegmented(ctx context.Context, jobs []Job, nw int, u *Utilization, deliver func(Result)) {
 	s := &segScheduler{r: r, ctx: ctx, u: u, deliver: deliver,
-		deques: make([][]*segTask, nw), remaining: len(jobs), minW: nw}
+		deques: make([][]*segTask, nw), remaining: len(jobs)}
 	s.cond = sync.NewCond(&s.mu)
 
 	tasks := make([]*segTask, len(jobs))
@@ -123,50 +109,17 @@ func newSegScheduler(r *Runner, ctx context.Context, jobs []Job, nw int, u *Util
 			resume: make(chan struct{}), parked: make(chan bool)}
 	}
 	s.seed(tasks)
-	return s
-}
 
-// start spawns the initial worker pool.
-func (s *segScheduler) start() {
-	s.mu.Lock()
-	for w := range s.deques {
-		s.spawnLocked(w)
+	var wg sync.WaitGroup
+	for w := 0; w < nw; w++ {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.worker(w)
+		}()
 	}
-	s.mu.Unlock()
-}
-
-// spawnLocked starts worker w. Called with mu held.
-func (s *segScheduler) spawnLocked(w int) {
-	s.active++
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		s.worker(w)
-	}()
-}
-
-// growLocked adds one worker, reusing a retired worker's slot (and
-// adopting whatever parked tasks its deque still holds — tasks are
-// owner-independent) before appending a fresh deque. A fresh worker's
-// first take steals. Called with mu held.
-func (s *segScheduler) growLocked() {
-	if n := len(s.freeSlots); n > 0 {
-		w := s.freeSlots[n-1]
-		s.freeSlots = s.freeSlots[:n-1]
-		s.spawnLocked(w)
-		return
-	}
-	w := len(s.deques)
-	s.deques = append(s.deques, nil)
-	s.spawnLocked(w)
-}
-
-// runSegmented executes the batch through the segment scheduler with a
-// fixed worker count.
-func (r *Runner) runSegmented(ctx context.Context, jobs []Job, nw int, u *Utilization, deliver func(Result)) {
-	s := newSegScheduler(r, ctx, jobs, nw, u, deliver)
-	s.start()
-	s.wg.Wait()
+	wg.Wait()
 }
 
 // seed places tasks on the deques longest-declared-window first, each
@@ -226,26 +179,12 @@ func (s *segScheduler) worker(w int) {
 
 // take returns the next task for worker w: its own deque's front,
 // else stolen work, else it blocks until work appears or the batch
-// finishes (nil). A pending retire request also returns nil — the
-// worker goroutine exits, leaving its deque in the steal set.
+// finishes (nil).
 func (s *segScheduler) take(w int) *segTask {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
 		if s.remaining == 0 {
-			s.active--
-			return nil
-		}
-		if s.retiring > 0 && s.active > s.minW {
-			s.retiring--
-			s.active--
-			s.freeSlots = append(s.freeSlots, w)
-			s.u.noteShrink()
-			if len(s.deques[w]) > 0 {
-				// Orphaned parked devices: wake an idle worker to
-				// steal them.
-				s.cond.Broadcast()
-			}
 			return nil
 		}
 		if q := s.deques[w]; len(q) > 0 {
@@ -258,9 +197,7 @@ func (s *segScheduler) take(w int) *segTask {
 		if t := s.steal(w); t != nil {
 			return t
 		}
-		s.idle++
 		s.cond.Wait()
-		s.idle--
 	}
 }
 
@@ -334,48 +271,19 @@ type Utilization struct {
 	// the batch's tail — and LongestBusy that time.
 	LongestJob  string
 	LongestBusy time.Duration
-	// Elastic marks a batch run by the elastic backend; Grew and
-	// Shrunk count worker-pool resizes and PeakWorkers is the
-	// high-water worker count (== Workers for fixed pools).
-	Elastic     bool
-	Grew        uint64
-	Shrunk      uint64
-	PeakWorkers int
 
 	mu sync.Mutex
 }
 
 func newUtilization(workers, jobs int, segmented bool) *Utilization {
 	return &Utilization{Workers: workers, Jobs: jobs, Segmented: segmented,
-		PeakWorkers: workers, Busy: make([]time.Duration, workers)}
+		Busy: make([]time.Duration, workers)}
 }
 
 func (u *Utilization) account(w int, d time.Duration) {
 	u.mu.Lock()
-	for w >= len(u.Busy) {
-		// Elastic growth: workers spawned mid-batch get busy slots on
-		// first account.
-		u.Busy = append(u.Busy, 0)
-	}
 	u.Busy[w] += d
 	u.Segments++
-	u.mu.Unlock()
-}
-
-// noteGrow records a pool grow to n workers.
-func (u *Utilization) noteGrow(n int) {
-	u.mu.Lock()
-	u.Grew++
-	if n > u.PeakWorkers {
-		u.PeakWorkers = n
-	}
-	u.mu.Unlock()
-}
-
-// noteShrink records a completed worker retirement.
-func (u *Utilization) noteShrink() {
-	u.mu.Lock()
-	u.Shrunk++
 	u.mu.Unlock()
 }
 
@@ -394,8 +302,7 @@ func (u *Utilization) addSteal() {
 }
 
 // BusyTotal returns the summed execution time across workers. Safe to
-// call while the batch is still running (the elastic controller samples
-// it as its feedback signal).
+// call while the batch is still running.
 func (u *Utilization) BusyTotal() time.Duration {
 	u.mu.Lock()
 	defer u.mu.Unlock()
@@ -430,9 +337,6 @@ func (u *Utilization) String() string {
 	if u.Segmented {
 		mode = "segmented"
 	}
-	if u.Elastic {
-		mode = "elastic"
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s pool: %d workers, %d jobs, wall %v, busy %v (%.0f%% utilization)\n",
 		mode, u.Workers, u.Jobs, u.Wall.Round(time.Millisecond),
@@ -440,9 +344,5 @@ func (u *Utilization) String() string {
 	fmt.Fprintf(&b, "  %d segments, %d steals; longest device %q: %v busy (%.0f%% of wall)",
 		u.Segments, u.Steals, u.LongestJob,
 		u.LongestBusy.Round(time.Millisecond), 100*u.LongestShare())
-	if u.Elastic {
-		fmt.Fprintf(&b, "\n  pool resized %d up / %d down, peak %d workers",
-			u.Grew, u.Shrunk, u.PeakWorkers)
-	}
 	return b.String()
 }

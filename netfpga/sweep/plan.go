@@ -21,11 +21,11 @@ var ErrDiverged = errors.New("sweep: determinism violation")
 
 // Plan is a compiled sweep execution: every expanded cell paired with
 // its measure, plus the base seed cell seeds derive from. A plan is the
-// unit the execution backends share — execute it in-process on any
-// fleet.Executor, or partition it by canonical key (Shard) across OS
+// unit the execution paths share — execute it in-process on a
+// fleet.Runner, or hand its cells out by canonical key across worker
 // processes and merge the streamed records back (Merger). Because cell
 // seeds derive from (BaseSeed, key) and never from batch position,
-// every partition of a plan produces byte-identical per-cell digests.
+// every subset of a plan produces byte-identical per-cell digests.
 type Plan struct {
 	// Cells are the expanded scenarios in expansion order.
 	Cells []Cell
@@ -99,9 +99,8 @@ func (p *Plan) groupOffsets() []int {
 	return off
 }
 
-// fnv64 is the 64-bit FNV-1a of a key — the one hash both seed
-// derivation (SeedForKey) and shard membership (ShardOf) fold, so the
-// two invariants can never drift apart.
+// fnv64 is the 64-bit FNV-1a of a key, the hash seed derivation
+// (SeedForKey) folds.
 func fnv64(key string) uint64 {
 	h := uint64(0xcbf29ce484222325)
 	for i := 0; i < len(key); i++ {
@@ -111,27 +110,13 @@ func fnv64(key string) uint64 {
 	return h
 }
 
-// ShardOf maps a canonical cell key to a shard index in [0, n): the
-// key's FNV-1a, mod n. Membership is a pure function of the key alone
-// — never of expansion order, filters, or the other shards — so a
-// shard worker and its coordinator always agree on the partition, and
-// re-running one shard reproduces exactly its cells.
-func ShardOf(key string, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	return int(fnv64(key) % uint64(n))
-}
-
-// Shard returns the sub-plan of cells assigned to shard i of n,
-// preserving expansion order and group structure.
-func (p *Plan) Shard(i, n int) *Plan {
-	if n <= 1 {
-		return p
-	}
+// Subset returns the sub-plan of the cells keep accepts, preserving
+// expansion order and group structure — what a coordinator executes
+// in-process when only part of a plan is still unfinished.
+func (p *Plan) Subset(keep func(key string) bool) *Plan {
 	sub := &Plan{BaseSeed: p.BaseSeed, ngroups: p.ngroups}
 	for j, c := range p.Cells {
-		if ShardOf(c.Key, n) != i {
+		if !keep(c.Key) {
 			continue
 		}
 		sub.Cells = append(sub.Cells, c)
@@ -155,11 +140,11 @@ func (p *Plan) Jobs() ([]fleet.Job, error) {
 	return jobs, nil
 }
 
-// Execute runs the plan on the executor and returns a channel
+// Execute runs the plan on the runner and returns a channel
 // delivering each cell result as its device finishes (completion
 // order), plus the Results that will be fully populated — in expansion
 // order — once the channel closes. The caller must drain the channel.
-func (p *Plan) Execute(ctx context.Context, ex fleet.Executor) (<-chan CellResult, *Results, error) {
+func (p *Plan) Execute(ctx context.Context, r *fleet.Runner) (<-chan CellResult, *Results, error) {
 	jobs, err := p.Jobs()
 	if err != nil {
 		return nil, nil, err
@@ -172,7 +157,7 @@ func (p *Plan) Execute(ctx context.Context, ex fleet.Executor) (<-chan CellResul
 	out := make(chan CellResult)
 	go func() {
 		defer close(out)
-		for res := range ex.Execute(ctx, jobs) {
+		for res := range r.RunStream(ctx, jobs) {
 			cr := p.sealResult(res.Index, res)
 			rs.Cells[res.Index] = cr
 			out <- cr
@@ -231,8 +216,8 @@ func (p *Plan) RunCell(ctx context.Context, key string, clockBatch, frameBurst i
 }
 
 // CellRecord is the flat, serializable form of a CellResult — what
-// crosses process boundaries in distributed backends and what the
-// results store persists. It carries everything the digest covers.
+// crosses process boundaries in a fleet run and what the results store
+// persists. It carries everything the digest covers.
 type CellRecord struct {
 	Key    string             `json:"key"`
 	Seed   uint64             `json:"seed"`
@@ -254,7 +239,7 @@ func (r CellResult) Record() CellRecord {
 
 // Merger folds externally executed cell records back into a plan's
 // result set, in expansion order. It is the coordinator half of the
-// shard backend: every record must belong to the plan, arrive at most
+// fleet: every record must belong to the plan, arrive at most
 // once, and — the wire-integrity check — reproduce its transmitted
 // digest when the digest is recomputed locally from the record's
 // content. Safe for concurrent Place calls.
@@ -382,8 +367,8 @@ func (m *Merger) Missing() []string {
 }
 
 // Results seals and returns the merged result set; it fails when any
-// plan cell is still missing (a partial shard failure must never
-// silently masquerade as a complete run).
+// plan cell is still missing (a partial harvest must never silently
+// masquerade as a complete run).
 func (m *Merger) Results() (*Results, error) {
 	if missing := m.Missing(); len(missing) > 0 {
 		return nil, fmt.Errorf("sweep: merge incomplete: %d of %d cells missing (first: %s)",

@@ -245,11 +245,11 @@ func ExpandGroups(groups []Group, filter string) ([]Cell, []int, error) {
 	return cells, off, nil
 }
 
-// RunGroups expands and executes every group on the executor and
+// RunGroups expands and executes every group on the runner and
 // returns the full result set in cell order. Per-cell failures are
 // recorded in the results, not returned as an error.
-func RunGroups(ctx context.Context, ex fleet.Executor, groups []Group, filter string) (*Results, error) {
-	ch, rs, err := RunStreamGroups(ctx, ex, groups, filter)
+func RunGroups(ctx context.Context, r *fleet.Runner, groups []Group, filter string) (*Results, error) {
+	ch, rs, err := RunStreamGroups(ctx, r, groups, filter)
 	if err != nil {
 		return nil, err
 	}
@@ -258,16 +258,16 @@ func RunGroups(ctx context.Context, ex fleet.Executor, groups []Group, filter st
 	return rs, nil
 }
 
-// RunStreamGroups plans the groups against the executor's base seed and
+// RunStreamGroups plans the groups against the runner's base seed and
 // starts the batch: the returned channel delivers each cell result as
 // its device finishes (completion order), and the Results is fully
 // populated — in expansion order — once the channel closes. The caller
 // must drain the channel. This is the convenience path over
 // PlanGroups + Plan.Execute.
-func RunStreamGroups(ctx context.Context, ex fleet.Executor, groups []Group, filter string) (<-chan CellResult, *Results, error) {
-	p, err := PlanGroups(groups, filter, ex.SeedBase())
+func RunStreamGroups(ctx context.Context, r *fleet.Runner, groups []Group, filter string) (<-chan CellResult, *Results, error) {
+	p, err := PlanGroups(groups, filter, r.BaseSeed)
 	if err != nil {
 		return nil, nil, err
 	}
-	return p.Execute(ctx, ex)
+	return p.Execute(ctx, r)
 }

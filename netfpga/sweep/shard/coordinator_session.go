@@ -8,20 +8,19 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/netfpga/fleet"
 	"repro/netfpga/sweep"
 )
 
-// Fleet is the dynamic coordinator: it opens sessions on a set of
-// worker endpoints (spawned subprocesses, TCP dials, or both mixed),
-// feeds the plan's cells out in chunks as workers drain them, and
-// merges the streamed records into one result set with digests
-// byte-identical to a single-process run.
+// Fleet is the coordinator: it opens sessions on a set of worker
+// endpoints (spawned subprocesses, TCP dials, or both mixed), feeds the
+// plan's cells out in chunks as workers drain them, and merges the
+// streamed records into one result set with digests byte-identical to a
+// single-process run.
 //
-// Unlike the static Coordinator, the fleet survives its workers:
+// The fleet survives its workers:
 //
 //   - Death/disconnect: a worker whose stream breaks (process killed,
 //     connection lost, malformed frames) is discarded and every cell it
@@ -44,8 +43,8 @@ import (
 //     cell.
 //   - Degradation: when every remote path is gone — fixed endpoints
 //     dead, connectors quarantined with no dial in flight — and
-//     Fallback is set, the remaining cells run in-process on the
-//     coordinator through the same digest-verified Adopt path.
+//     Fallback is set, the remaining cells run in-process on Req's
+//     runner through the same digest-verified Adopt path.
 //
 // A run fails only on determinism violations (sweep.ErrDiverged), on a
 // cell that exhausts its requeue budget, on a fleet-wide stall past
@@ -53,9 +52,8 @@ import (
 // with Fallback disabled (*FleetDownError) — never on an individual
 // worker failure.
 type Fleet struct {
-	// Req is the session template sent in each Open: config, filter,
-	// seed, and local-pool tuning. Shard/Shards are ignored — the fleet
-	// assigns cells dynamically.
+	// Req is the run config sent in each Open: config, filter, seed, and
+	// local-pool tuning. It also builds the fallback runner.
 	Req Request
 	// Endpoints are pre-connected workers. A dead endpoint stays dead —
 	// the fleet has no way to re-establish it.
@@ -64,9 +62,6 @@ type Fleet struct {
 	// redialed (with backoff) after every death. Endpoints and
 	// Connectors can be mixed; together they must be >= 1.
 	Connectors []*Connector
-	// Chunk is the number of cells per assignment; 0 auto-sizes from
-	// plan and fleet width.
-	Chunk int
 	// MigrateAfter, when non-zero, forces every fresh cell to park at
 	// that cumulative executed-event count and migrate — the
 	// determinism gate for the checkpoint path.
@@ -91,10 +86,8 @@ type Fleet struct {
 	Breaker Breaker
 	// Fallback enables graceful degradation: when no remote path to
 	// completion remains, the coordinator runs every unfinished cell
-	// in-process (on FallbackWorkers goroutines, default Req.Workers)
-	// instead of failing the run.
-	Fallback        bool
-	FallbackWorkers int
+	// in-process on Req.Runner() instead of failing the run.
+	Fallback bool
 	// Steal enables utilization-driven migration: when the pending
 	// queue is empty and a worker idles, the busiest worker owing >= 2
 	// cells is asked to park one.
@@ -367,15 +360,14 @@ func (f *Fleet) Run(ctx context.Context, plan *sweep.Plan, onCell func(sweep.Cel
 
 	m := plan.Merger()
 	total := len(plan.Cells)
-	chunk := f.Chunk
-	if chunk <= 0 {
-		chunk = total / (4 * nworkers)
-		if chunk < 1 {
-			chunk = 1
-		}
-		if chunk > 16 {
-			chunk = 16
-		}
+	// chunk is the number of cells per assignment, sized from plan and
+	// fleet width.
+	chunk := total / (4 * nworkers)
+	if chunk < 1 {
+		chunk = 1
+	}
+	if chunk > 16 {
+		chunk = 16
 	}
 
 	// Adopt the previous run's verified cells before anything connects:
@@ -500,7 +492,6 @@ func (f *Fleet) Run(ctx context.Context, plan *sweep.Plan, onCell func(sweep.Cel
 			}
 		}(i, w.gen, ep)
 		req := f.Req
-		req.Shard, req.Shards = 0, 0
 		w.send <- Command{Open: &req}
 	}
 	for i, w := range workers {
@@ -794,72 +785,35 @@ func (f *Fleet) Run(ctx context.Context, plan *sweep.Plan, onCell func(sweep.Cel
 
 	lastProgress := time.Now()
 
-	// runFallback executes every unfinished cell in-process — the
-	// degradation path when no remote worker can. Results flow through
-	// the same digest-verifying Adopt as remote records, so fallback
-	// cells are byte-identical to what the fleet would have produced.
+	// runFallback executes every unfinished cell in-process on Req's
+	// runner — the degradation path when no remote worker can. Results
+	// flow through the same digest-verifying Adopt as remote records, so
+	// fallback cells are byte-identical to what the fleet would have
+	// produced.
 	runFallback := func() error {
-		var keys []string
-		for _, key := range plan.Keys() {
-			if !m.Filled(key) {
-				keys = append(keys, key)
-			}
-		}
+		sub := plan.Subset(func(key string) bool { return !m.Filled(key) })
 		pending = pending[:0]
 		for k := range donor {
 			delete(donor, k)
 		}
-		nw := f.FallbackWorkers
-		if nw <= 0 {
-			nw = f.Req.Workers
-		}
-		if nw <= 0 {
-			nw = 1
-		}
-		if nw > len(keys) && len(keys) > 0 {
-			nw = len(keys)
-		}
 		emit(FleetEvent{Worker: "fallback", Kind: "fallback",
-			Detail: fmt.Sprintf("no remote path left; running %d cells in-process on %d workers", len(keys), nw), Cells: len(keys)})
-		type fbRes struct {
-			cr  sweep.CellResult
-			err error
+			Detail: fmt.Sprintf("no remote path left; running %d cells in-process", len(sub.Cells)), Cells: len(sub.Cells)})
+		r := f.Req.Runner()
+		ch, _, err := sub.Execute(ctx, r)
+		if err != nil {
+			return err
 		}
-		keyCh := make(chan string)
-		resCh := make(chan fbRes, len(keys))
-		var busyNS atomic.Int64
-		fbStart := time.Now()
-		for i := 0; i < nw; i++ {
-			go func() {
-				for key := range keyCh {
-					if ctx.Err() != nil {
-						resCh <- fbRes{err: ctx.Err()}
-						continue
-					}
-					t0 := time.Now()
-					cr, err := plan.RunCell(ctx, key, f.Req.ClockBatch, f.Req.FrameBurst, f.Req.Fidelity, nil)
-					busyNS.Add(int64(time.Since(t0)))
-					resCh <- fbRes{cr: cr, err: err}
-				}
-			}()
-		}
-		go func() {
-			for _, key := range keys {
-				keyCh <- key
-			}
-			close(keyCh)
-		}()
 		cells := 0
 		var failErr error
-		for range keys {
-			r := <-resCh
-			if r.err != nil {
-				if failErr == nil {
-					failErr = r.err
-				}
+		for res := range ch {
+			if ctx.Err() != nil {
+				// A cell aborted by ctx carries a context error in a
+				// self-consistent record; it must never be adopted as a
+				// legitimately failed cell.
+				failErr = ctx.Err()
 				continue
 			}
-			cr, dup, err := m.Adopt(r.cr.Record())
+			cr, dup, err := m.Adopt(res.Record())
 			if err != nil {
 				if failErr == nil {
 					failErr = err
@@ -875,16 +829,7 @@ func (f *Fleet) Run(ctx context.Context, plan *sweep.Plan, onCell func(sweep.Cel
 				onCell(cr)
 			}
 		}
-		wall := time.Since(fbStart)
-		rep := fleet.UtilizationReport{
-			Workers: nw,
-			Jobs:    cells,
-			WallMS:  float64(wall) / float64(time.Millisecond),
-			BusyMS:  float64(busyNS.Load()) / float64(time.Millisecond),
-		}
-		if wall > 0 && nw > 0 {
-			rep.Efficiency = rep.BusyMS / (rep.WallMS * float64(nw))
-		}
+		rep := r.Utilization().Report()
 		util.Merge(rep)
 		f.Reports = append(f.Reports, WorkerReport{Name: "fallback", Cells: cells, Util: rep})
 		return failErr

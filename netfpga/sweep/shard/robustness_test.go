@@ -191,7 +191,7 @@ func TestFleetReconnect(t *testing.T) {
 
 // TestFleetBreakerQuarantineThenFallback: a connector whose dial always
 // fails trips the circuit breaker, and with every remote path gone the
-// in-process fallback executor finishes the run — digests identical to
+// in-process fallback runner finishes the run — digests identical to
 // a healthy fleet.
 func TestFleetBreakerQuarantineThenFallback(t *testing.T) {
 	want := fullRun(t)

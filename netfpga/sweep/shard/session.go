@@ -6,32 +6,8 @@ import (
 	"repro/netfpga/sweep"
 )
 
-// The session protocol is the dynamic successor to the one-shot
-// Request/Frame exchange above: instead of a static partition fixed at
-// spawn time, the coordinator opens a session, assigns cells in chunks
-// as workers drain them, and the stream stays open in both directions —
-// which is what makes death recovery (requeue what a dead worker still
-// owed) and checkpoint migration (park a running device on one worker,
-// resume it on another) possible. Both transports — stdin/stdout pipes
-// to a spawned subprocess and a TCP connection to a remote
-// `nf-bench shard-worker -listen` — carry exactly these frames.
-//
-// Coordinator -> worker, each as one Command frame:
-//
-//	Open    start a session: plan this config (full, unsharded)
-//	Assign  execute these cells, streaming a Cell frame per completion
-//	Resume  adopt a migrated checkpoint: replay, verify, finish the cell
-//	Steal   park one in-flight cell at its next yield and ship it back
-//	Close   finish in-flight work, report Done, end the session
-//
-// Worker -> coordinator, each as one SessionFrame:
-//
-//	Hello       session accepted: plan size + local pool width
-//	Cell        one completed cell record (digest-stamped)
-//	Checkpoint  a parked cell's WindowState, leaving this worker's care
-//	Reject      a Resume whose replay failed verification
-//	Done        session end: cells completed + utilization report
-//	Err         fatal session failure
+// Command is the coordinator-to-worker envelope of the session
+// protocol (see the package comment): exactly one field set.
 type Command struct {
 	Open   *Request    `json:"open,omitempty"`
 	Assign *Assign     `json:"assign,omitempty"`

@@ -191,9 +191,8 @@ func mitmEndpoint(inner *Endpoint, mutate func(SessionFrame) []SessionFrame) *En
 
 // TestFleetTamperedWorkerRecovered: a worker whose records are
 // corrupted in flight is killed and its cells re-earned elsewhere — the
-// run completes with correct digests instead of aborting (the static
-// coordinator's behaviour), because the fleet maps wire-integrity
-// failures to worker death.
+// run completes with correct digests instead of aborting, because the
+// fleet maps wire-integrity failures to worker death.
 func TestFleetTamperedWorkerRecovered(t *testing.T) {
 	want := fullRun(t)
 	inner := PipeWorker(context.Background(), "victim", testPlan)

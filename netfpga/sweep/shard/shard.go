@@ -1,22 +1,44 @@
-// Package shard is the multi-process execution backend for scenario
-// sweeps: a coordinator partitions a compiled sweep plan by canonical
-// cell key (sweep.ShardOf), runs each partition in its own OS process,
-// and merges the streamed cell records back into one result set with
-// digests byte-identical to a single-process run.
+// Package shard is the multi-process execution path for scenario
+// sweeps: a Fleet coordinator opens a session on every worker (spawned
+// subprocesses, TCP dials, or both mixed), hands the plan's cells out
+// by canonical key in chunks as workers drain them, and merges the
+// streamed cell records back into one result set with digests
+// byte-identical to a single-process run. Together with fleet.Runner's
+// whole-job and segmented scheduling it is one of the repo's three
+// execution paths, and the only one that crosses a process boundary.
 //
-// The wire protocol is deliberately minimal: length-prefixed JSON
-// frames over the worker's stdin/stdout. The coordinator writes exactly
-// one Request frame; the worker answers with one Frame per executed
-// cell (completion order) followed by a final Done frame, or an Err
-// frame if it cannot run at all. Anything a worker prints to stderr
-// passes through untouched for debugging.
+// There is one wire protocol: length-prefixed JSON frames, the same on
+// the stdin/stdout pipes of a spawned `nf-bench shard-worker` and on a
+// TCP or TLS connection to `nf-bench shard-worker -listen`. Anything a
+// worker prints to stderr passes through untouched for debugging.
+//
+// Coordinator -> worker, each as one Command frame:
+//
+//	Open    start a session: plan this config (a Request, in full)
+//	Assign  execute these cells, streaming a Cell frame per completion
+//	Resume  adopt a migrated checkpoint: replay, verify, finish the cell
+//	Steal   park one in-flight cell at its next yield and ship it back
+//	Close   finish in-flight work, report Done, end the session
+//
+// Worker -> coordinator, each as one SessionFrame:
+//
+//	Hello       session accepted: plan size + local pool width
+//	Cell        one completed cell record (digest-stamped)
+//	Checkpoint  a parked cell's WindowState, leaving this worker's care
+//	Reject      a Resume whose replay failed verification
+//	Done        session end: cells completed + utilization report
+//	Err         fatal session failure
+//
+// The stream stays open in both directions for the whole run, which is
+// what makes death recovery (requeue what a dead worker still owed) and
+// checkpoint migration (park a running device on one worker, resume it
+// on another) possible.
 //
 // Determinism is inherited, not negotiated: cell seeds derive from
-// (base seed, canonical key) and shard membership is a pure function of
-// the key, so the records a worker produces are byte-identical to what
-// the same cells produce in-process — the coordinator recomputes every
-// digest from the received content and refuses records that do not
-// survive the wire.
+// (base seed, canonical key) and never from placement, so the records a
+// worker produces are byte-identical to what the same cells produce
+// in-process — the coordinator recomputes every digest from the
+// received content and refuses records that do not survive the wire.
 package shard
 
 import (
@@ -26,7 +48,7 @@ import (
 	"fmt"
 	"io"
 
-	"repro/netfpga/sweep"
+	"repro/netfpga/fleet"
 )
 
 // MaxFrame bounds a frame's payload; a length prefix beyond it aborts
@@ -58,9 +80,10 @@ func (e *FrameError) Unwrap() error { return e.Err }
 // MaxFrame.
 var ErrFrameTooLarge = errors.New("frame length exceeds limit")
 
-// Request is the coordinator's one instruction to a worker: which
-// config to plan, how to filter and seed it, which partition to run,
-// and how to execute it locally.
+// Request is a sweep's run config, and the Open frame that carries it
+// to a worker: which config to plan, how to filter and seed it, and how
+// to execute cells on a local pool. The CLI fills one Request from its
+// flags; the coordinator and every worker read the same value.
 type Request struct {
 	// Config is the sweep config file path (the worker re-plans it
 	// independently; plans are pure functions of config+filter+seed).
@@ -69,12 +92,8 @@ type Request struct {
 	Filter string `json:"filter,omitempty"`
 	// Seed is the base seed cell seeds derive from.
 	Seed uint64 `json:"seed"`
-	// Shard/Shards select the partition: cells with
-	// sweep.ShardOf(key, Shards) == Shard.
-	Shard  int `json:"shard"`
-	Shards int `json:"shards"`
 	// Workers, ClockBatch, FrameBurst, Segment and SegmentBudget
-	// configure the worker's local pool (fleet.Runner semantics).
+	// configure the local pool (fleet.Runner semantics).
 	Workers       int    `json:"workers,omitempty"`
 	ClockBatch    int    `json:"clock_batch,omitempty"`
 	FrameBurst    int    `json:"frame_burst,omitempty"`
@@ -84,22 +103,15 @@ type Request struct {
 	// ("full"/"hybrid"; "" = full). Cells whose spec carries a
 	// fidelity axis win, exactly as in-process.
 	Fidelity string `json:"fidelity,omitempty"`
-	// Elastic runs the worker's cells on the elastic backend instead
-	// of a fixed pool (Workers then caps growth).
-	Elastic bool `json:"elastic,omitempty"`
 }
 
-// Done is a worker's final frame: how many cells it executed.
-type Done struct {
-	Cells int `json:"cells"`
-}
-
-// Frame is the worker-to-coordinator envelope: exactly one field set —
-// a cell record, the final Done marker, or a fatal worker error.
-type Frame struct {
-	Cell *sweep.CellRecord `json:"cell,omitempty"`
-	Done *Done             `json:"done,omitempty"`
-	Err  string            `json:"err,omitempty"`
+// Runner builds the in-process pool the request describes — the one
+// place a run config becomes a fleet.Runner.
+func (r Request) Runner() *fleet.Runner {
+	return &fleet.Runner{Workers: r.Workers, BaseSeed: r.Seed,
+		ClockBatch: r.ClockBatch, FrameBurst: r.FrameBurst,
+		Segment: r.Segment, SegmentBudget: r.SegmentBudget,
+		Fidelity: r.Fidelity}
 }
 
 // WriteFrame marshals v and writes it as one length-prefixed frame.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/exec"
 	"strings"
 	"sync"
 	"testing"
@@ -16,18 +15,10 @@ import (
 	"repro/netfpga/workload"
 )
 
-// TestMain re-execs the test binary as a shard worker when the
+// TestMain re-execs the test binary as a stdio session worker when the
 // environment asks for it — the same two-OS-process wiring the
 // executor golden test and cmd/nf-bench use.
 func TestMain(m *testing.M) {
-	if os.Getenv("NF_SHARD_WORKER") == "1" {
-		err := Serve(context.Background(), os.Stdin, os.Stdout, testPlan)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		os.Exit(0)
-	}
 	if os.Getenv("NF_SHARD_SESSION") == "1" {
 		err := ServeSession(context.Background(), os.Stdin, os.Stdout, testPlan)
 		if err != nil {
@@ -67,47 +58,6 @@ func testGroup() sweep.Group {
 	}
 }
 
-// pipeProc runs Serve on an in-process goroutine over plain pipes — the
-// protocol exercised end to end without process spawn cost.
-func pipeProc(t *testing.T, planFor PlanFunc) Spawn {
-	return func(shard int) (*Proc, error) {
-		reqR, reqW := io.Pipe()
-		outR, outW := io.Pipe()
-		done := make(chan error, 1)
-		go func() {
-			err := Serve(context.Background(), reqR, outW, planFor)
-			outW.CloseWithError(io.EOF)
-			done <- err
-		}()
-		return &Proc{In: reqW, Out: outR, Wait: func() error { return <-done }}, nil
-	}
-}
-
-// execProc spawns the test binary itself as a worker subprocess.
-func execProc(t *testing.T) Spawn {
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return func(shard int) (*Proc, error) {
-		cmd := exec.Command(exe)
-		cmd.Env = append(os.Environ(), "NF_SHARD_WORKER=1")
-		cmd.Stderr = os.Stderr
-		in, err := cmd.StdinPipe()
-		if err != nil {
-			return nil, err
-		}
-		out, err := cmd.StdoutPipe()
-		if err != nil {
-			return nil, err
-		}
-		if err := cmd.Start(); err != nil {
-			return nil, err
-		}
-		return &Proc{In: in, Out: out, Wait: cmd.Wait, Kill: cmd.Process.Kill}, nil
-	}
-}
-
 // fullRun executes the test matrix in-process as the reference.
 func fullRun(t *testing.T) *sweep.Results {
 	t.Helper()
@@ -119,12 +69,12 @@ func fullRun(t *testing.T) *sweep.Results {
 	return rs
 }
 
-// checkMatches asserts the sharded result set is byte-identical to the
+// checkMatches asserts the fleet's result set is byte-identical to the
 // in-process reference, digest for digest, in expansion order.
 func checkMatches(t *testing.T, want, got *sweep.Results) {
 	t.Helper()
 	if len(got.Cells) != len(want.Cells) {
-		t.Fatalf("sharded run has %d cells, reference %d", len(got.Cells), len(want.Cells))
+		t.Fatalf("fleet run has %d cells, reference %d", len(got.Cells), len(want.Cells))
 	}
 	for i := range got.Cells {
 		if got.Cells[i].Cell.Key != want.Cells[i].Cell.Key {
@@ -136,58 +86,10 @@ func checkMatches(t *testing.T, want, got *sweep.Results) {
 	}
 }
 
-// TestCoordinatorPipes: the full protocol over in-process pipes at
-// several shard counts, including shards that own zero cells.
-func TestCoordinatorPipes(t *testing.T) {
-	want := fullRun(t)
-	for _, shards := range []int{1, 2, 3, 16} {
-		var streamed int
-		co := &Coordinator{
-			Shards: shards,
-			Req:    Request{Config: "matrix", Workers: 2},
-			Spawn:  pipeProc(t, testPlan),
-		}
-		plan, err := sweep.PlanGroups([]sweep.Group{testGroup()}, "", 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs, err := co.Run(context.Background(), plan, func(sweep.CellResult) { streamed++ })
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if streamed != len(want.Cells) {
-			t.Errorf("shards=%d: streamed %d cells, want %d", shards, streamed, len(want.Cells))
-		}
-		checkMatches(t, want, rs)
-	}
-}
-
-// TestCoordinatorProcesses: the same equivalence across real OS
-// process boundaries — the worker is this test binary re-exec'd.
-func TestCoordinatorProcesses(t *testing.T) {
-	if testing.Short() {
-		t.Skip("process fan-out is slow")
-	}
-	want := fullRun(t)
-	co := &Coordinator{
-		Shards: 2,
-		Req:    Request{Config: "matrix", Workers: 2},
-		Spawn:  execProc(t),
-	}
-	plan, err := sweep.PlanGroups([]sweep.Group{testGroup()}, "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := co.Run(context.Background(), plan, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkMatches(t, want, rs)
-}
-
-// TestWorkerFilterAndSeed: the worker honours filter and seed from the
-// request — a filtered, reseeded shard run matches the equivalent
-// in-process run.
+// TestWorkerFilterAndSeed: the Open frame's filter and seed reach the
+// worker's plan resolver — a filtered, reseeded fleet run matches the
+// equivalent in-process run — and a worker whose plan comes back with
+// another seed refuses the session with an Err frame.
 func TestWorkerFilterAndSeed(t *testing.T) {
 	ref, err := sweep.RunGroups(context.Background(),
 		&fleet.Runner{Workers: 2, BaseSeed: 99}, []sweep.Group{testGroup()}, "wl=min")
@@ -198,109 +100,47 @@ func TestWorkerFilterAndSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	co := &Coordinator{
-		Shards: 2,
-		Req:    Request{Config: "matrix", Filter: "wl=min", Seed: 99, Workers: 1, Elastic: true},
-		Spawn:  pipeProc(t, testPlan),
+	var mu sync.Mutex
+	var seen []Request
+	recording := func(req Request) (*sweep.Plan, error) {
+		mu.Lock()
+		seen = append(seen, req)
+		mu.Unlock()
+		return testPlan(req)
 	}
-	rs, err := co.Run(context.Background(), plan, nil)
+	req := Request{Config: "matrix", Filter: "wl=min", Seed: 99, Workers: 1}
+	f := &Fleet{Req: req, Endpoints: []*Endpoint{
+		PipeWorker(context.Background(), "pipe:0", recording),
+		PipeWorker(context.Background(), "pipe:1", recording),
+	}}
+	rs, _, err := f.Run(context.Background(), plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkMatches(t, ref, rs)
-}
-
-// TestPartialShardFailure: a worker dying mid-stream fails the run with
-// the dead shard named, while surviving shards' cells still stream to
-// onCell (the partial harvest the store persists).
-func TestPartialShardFailure(t *testing.T) {
-	plan, err := sweep.PlanGroups([]sweep.Group{testGroup()}, "", 0)
-	if err != nil {
-		t.Fatal(err)
+	if len(seen) != 2 {
+		t.Fatalf("plan resolver saw %d requests, want one per worker", len(seen))
 	}
-	dieAfter := 1 // frames shard 1 emits before "crashing"
-	spawn := func(shard int) (*Proc, error) {
-		if shard != 1 {
-			return pipeProc(t, testPlan)(shard)
+	for _, got := range seen {
+		if got != req {
+			t.Errorf("worker planned %+v, coordinator sent %+v", got, req)
 		}
-		reqR, reqW := io.Pipe()
-		outR, outW := io.Pipe()
-		go func() {
-			var buf bytes.Buffer
-			_ = Serve(context.Background(), reqR, &buf, testPlan)
-			// Replay only the first dieAfter frames, then cut the pipe
-			// — a worker crash mid-stream as the coordinator sees it.
-			var f Frame
-			for i := 0; i < dieAfter; i++ {
-				if err := ReadFrame(&buf, &f); err != nil {
-					break
-				}
-				_ = WriteFrame(outW, f)
-			}
-			outW.CloseWithError(io.EOF)
-		}()
-		return &Proc{In: reqW, Out: outR, Wait: func() error { return nil }}, nil
 	}
 
-	var mu sync.Mutex
-	var streamed []string
-	co := &Coordinator{Shards: 2, Req: Request{Config: "matrix", Workers: 2}, Spawn: spawn}
-	rs, err := co.Run(context.Background(), plan, func(cr sweep.CellResult) {
-		mu.Lock()
-		streamed = append(streamed, cr.Cell.Key)
-		mu.Unlock()
-	})
-	if err == nil {
-		t.Fatal("partial shard failure did not fail the run")
-	}
-	if rs != nil {
-		t.Fatal("failed run returned results")
-	}
-	if !strings.Contains(err.Error(), "shard 1/2") {
-		t.Errorf("error does not name the dead shard: %v", err)
-	}
-	// The healthy shard's cells (and the crashed shard's pre-crash
-	// frames) were still harvested.
-	healthy := len(plan.Shard(0, 2).Cells)
-	if len(streamed) < healthy {
-		t.Errorf("streamed only %d cells, healthy shard alone owns %d", len(streamed), healthy)
-	}
-}
-
-// TestTamperedRecordRejected: a record whose content was altered in
-// flight (digest no longer reproducible) fails the merge.
-func TestTamperedRecordRejected(t *testing.T) {
-	plan, err := sweep.PlanGroups([]sweep.Group{testGroup()}, "", 0)
-	if err != nil {
+	var in, out bytes.Buffer
+	if err := WriteFrame(&in, Command{Open: &Request{Config: "matrix", Seed: 5}}); err != nil {
 		t.Fatal(err)
 	}
-	spawn := func(shard int) (*Proc, error) {
-		reqR, reqW := io.Pipe()
-		outR, outW := io.Pipe()
-		go func() {
-			var buf bytes.Buffer
-			_ = Serve(context.Background(), reqR, &buf, testPlan)
-			for {
-				var f Frame
-				if err := ReadFrame(&buf, &f); err != nil {
-					break
-				}
-				if f.Cell != nil && shard == 0 {
-					f.Cell.Events++ // corrupt one field in flight
-				}
-				_ = WriteFrame(outW, f)
-				if f.Done != nil {
-					break
-				}
-			}
-			outW.CloseWithError(io.EOF)
-		}()
-		return &Proc{In: reqW, Out: outR, Wait: func() error { return nil }}, nil
+	skewed := func(req Request) (*sweep.Plan, error) {
+		req.Seed++
+		return testPlan(req)
 	}
-	co := &Coordinator{Shards: 2, Req: Request{Config: "matrix", Workers: 1}, Spawn: spawn}
-	_, err = co.Run(context.Background(), plan, nil)
-	if err == nil || !strings.Contains(err.Error(), "survive the wire") {
-		t.Fatalf("tampered record not rejected: %v", err)
+	if err := ServeSession(context.Background(), &in, &out, skewed); err == nil {
+		t.Fatal("seed mismatch accepted")
+	}
+	var fr SessionFrame
+	if err := ReadFrame(&out, &fr); err != nil || !strings.Contains(fr.Err, "does not match request seed") {
+		t.Fatalf("no Err frame for the seed mismatch: %+v err=%v", fr, err)
 	}
 }
 
@@ -308,11 +148,11 @@ func TestTamperedRecordRejected(t *testing.T) {
 // message mixes and rejects oversized frames.
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	msgs := []Frame{
+	msgs := []SessionFrame{
 		{Cell: &sweep.CellRecord{Key: "a/b=1", Seed: 7, Digest: "d",
 			Values: map[string]float64{"x": 1.5}, Labels: map[string]string{"l": "v"}}},
 		{Err: "boom"},
-		{Done: &Done{Cells: 2}},
+		{Done: &SessionDone{Cells: 2}},
 	}
 	for _, m := range msgs {
 		if err := WriteFrame(&buf, m); err != nil {
@@ -320,7 +160,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		}
 	}
 	for i := range msgs {
-		var f Frame
+		var f SessionFrame
 		if err := ReadFrame(&buf, &f); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -328,7 +168,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatal("empty frame")
 		}
 	}
-	var f Frame
+	var f SessionFrame
 	if err := ReadFrame(&buf, &f); err != io.EOF {
 		t.Fatalf("want io.EOF at stream end, got %v", err)
 	}
@@ -336,21 +176,5 @@ func TestFrameRoundTrip(t *testing.T) {
 	bad := bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff, 0x00})
 	if err := ReadFrame(bad, &f); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Fatalf("oversized frame accepted: %v", err)
-	}
-}
-
-// TestServeRejectsBadPartition: invalid shard indices produce an Err
-// frame, not a hang.
-func TestServeRejectsBadPartition(t *testing.T) {
-	var in, out bytes.Buffer
-	if err := WriteFrame(&in, Request{Config: "matrix", Shard: 3, Shards: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := Serve(context.Background(), &in, &out, testPlan); err == nil {
-		t.Fatal("invalid partition accepted")
-	}
-	var f Frame
-	if err := ReadFrame(&out, &f); err != nil || f.Err == "" {
-		t.Fatalf("no Err frame written: %+v err=%v", f, err)
 	}
 }

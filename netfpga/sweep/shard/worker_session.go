@@ -152,6 +152,11 @@ type sessionItem struct {
 	resume       *Checkpoint
 }
 
+// PlanFunc resolves a request's config/filter/seed into the full sweep
+// plan. cmd/nf-bench supplies the resolver that knows about the
+// experiment registry; tests supply their own.
+type PlanFunc func(req Request) (*sweep.Plan, error)
+
 // ServeSession runs the worker side of the session protocol on an
 // established stream: expect Open, answer Hello, then execute assigned
 // cells on a local pool of req.Workers goroutines until Close (answer

@@ -328,12 +328,22 @@ func TestConfigAndGoldenRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPlanShardPartition: ShardOf is a pure function of the key, every
-// cell lands in exactly one shard, and sub-plans preserve expansion
-// order and group structure.
+// stride returns the sub-plan of every n-th cell starting at i: n
+// disjoint subsets that together cover the plan.
+func stride(p *Plan, i, n int) *Plan {
+	return p.Subset(func(key string) bool {
+		j, _ := p.Lookup(key)
+		return j%n == i
+	})
+}
+
+// TestPlanShardPartition: disjoint Subset calls that cover the key space
+// shard the plan — every cell lands in exactly one sub-plan, and a
+// sub-plan preserves expansion order, the base seed and its own key
+// index.
 func TestPlanShardPartition(t *testing.T) {
 	groups := []Group{matrixGroup(40)}
-	p, err := PlanGroups(groups, "", 0)
+	p, err := PlanGroups(groups, "", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,51 +351,45 @@ func TestPlanShardPartition(t *testing.T) {
 		t.Fatalf("plan has %d cells, want 8", len(p.Cells))
 	}
 	for _, n := range []int{1, 2, 3, 5} {
-		var union []string
 		counts := map[string]int{}
 		for i := 0; i < n; i++ {
-			sub := p.Shard(i, n)
-			for _, c := range sub.Cells {
-				if ShardOf(c.Key, n) != i {
-					t.Errorf("n=%d: cell %s landed in shard %d, ShardOf says %d",
-						n, c.Key, i, ShardOf(c.Key, n))
+			sub := stride(p, i, n)
+			if sub.BaseSeed != p.BaseSeed {
+				t.Errorf("n=%d: sub-plan seed %d, plan seed %d", n, sub.BaseSeed, p.BaseSeed)
+			}
+			last := -1
+			for k, c := range sub.Cells {
+				j, _ := p.Lookup(c.Key)
+				if j%n != i {
+					t.Errorf("n=%d: cell %s landed in subset %d, belongs to %d", n, c.Key, i, j%n)
+				}
+				if j < last {
+					t.Fatalf("n=%d: subset broke expansion order at %s", n, c.Key)
+				}
+				last = j
+				if got, ok := sub.Lookup(c.Key); !ok || got != k {
+					t.Errorf("n=%d: sub-plan index maps %s to %d (found %v), want %d", n, c.Key, got, ok, k)
 				}
 				counts[c.Key]++
-				union = append(union, c.Key)
 			}
 		}
-		if len(union) != len(p.Cells) {
-			t.Errorf("n=%d: shards cover %d cells, plan has %d", n, len(union), len(p.Cells))
+		if len(counts) != len(p.Cells) {
+			t.Errorf("n=%d: subsets cover %d cells, plan has %d", n, len(counts), len(p.Cells))
 		}
 		for k, c := range counts {
 			if c != 1 {
-				t.Errorf("n=%d: cell %s appears in %d shards", n, k, c)
+				t.Errorf("n=%d: cell %s appears in %d subsets", n, k, c)
 			}
 		}
 	}
-	// A 2-way split must actually split (FNV over these keys cannot
-	// degenerate to one side without this test noticing).
-	a, b := p.Shard(0, 2), p.Shard(1, 2)
-	if len(a.Cells) == 0 || len(b.Cells) == 0 {
-		t.Errorf("degenerate 2-way split: %d / %d", len(a.Cells), len(b.Cells))
-	}
-	// Shard order is a subsequence of expansion order.
-	idx := map[string]int{}
-	for i, c := range p.Cells {
-		idx[c.Key] = i
-	}
-	last := -1
-	for _, c := range a.Cells {
-		if idx[c.Key] < last {
-			t.Fatalf("shard broke expansion order at %s", c.Key)
-		}
-		last = idx[c.Key]
+	if none := p.Subset(func(string) bool { return false }); len(none.Cells) != 0 {
+		t.Errorf("empty subset has %d cells", len(none.Cells))
 	}
 }
 
-// TestMergerRoundTrip: executing a plan's shards separately and merging
+// TestMergerRoundTrip: executing a plan's subsets separately and merging
 // the flat records reproduces the single-run result set digest for
-// digest — the in-process model of the multi-process shard backend.
+// digest — the in-process model of the multi-process fleet.
 func TestMergerRoundTrip(t *testing.T) {
 	groups := []Group{matrixGroup(40)}
 	p, err := PlanGroups(groups, "", 0)
@@ -400,8 +404,7 @@ func TestMergerRoundTrip(t *testing.T) {
 	m := p.Merger()
 	const n = 3
 	for i := 0; i < n; i++ {
-		sub := p.Shard(i, n)
-		ch, _, err := sub.Execute(context.Background(), fleet.New(2))
+		ch, _, err := stride(p, i, n).Execute(context.Background(), fleet.New(2))
 		if err != nil {
 			t.Fatal(err)
 		}
