@@ -1,8 +1,11 @@
 // Batched-vs-unbatched equivalence at device level: the reference switch
 // under seeded IMIX load must produce byte-identical counters, event
-// counts and captured frames for every clock batch size. This is the
-// device-scale companion of internal/sim's trace-equivalence tests, and
-// the invariant the fleet's determinism contract relies on.
+// counts and captured frames for every clock batch size and frame-window
+// cap. This is the device-scale companion of internal/sim's
+// trace-equivalence tests, and the invariant the fleet's determinism
+// contract relies on. The batch size and the window cap are not options:
+// the tests reach them through the two equivalence-test hooks,
+// dev.Clock.SetBatch and dev.Dsn.SetFrameBurst.
 package repro
 
 import (
@@ -17,13 +20,24 @@ import (
 	"repro/netfpga/workload"
 )
 
+// newHookedDevice builds a SUME device with the two equivalence-test
+// hooks set: clockBatch 0 keeps the engine's batch size, frameBurst 0
+// its adaptive windows.
+func newHookedDevice(clockBatch, frameBurst int) *netfpga.Device {
+	dev := netfpga.NewDevice(netfpga.SUME(), netfpga.Options{})
+	if clockBatch != 0 {
+		dev.Clock.SetBatch(clockBatch)
+	}
+	dev.Dsn.SetFrameBurst(frameBurst)
+	return dev
+}
+
 // runSwitchIMIX drives one reference switch with deterministic IMIX
 // traffic at the given clock batch size and returns its full counter
 // snapshot plus everything the taps captured.
 func runSwitchIMIX(t *testing.T, clockBatch, frameBurst int) (map[string]uint64, []netfpga.RxFrame) {
 	t.Helper()
-	dev := netfpga.NewDevice(netfpga.SUME(),
-		netfpga.Options{ClockBatch: clockBatch, FrameBurst: frameBurst})
+	dev := newHookedDevice(clockBatch, frameBurst)
 	if err := switchp.New(switchp.Config{}).Build(dev); err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +121,7 @@ type loadedRun struct {
 // capturing taps.
 func runSwitchLoaded(t *testing.T, frameBurst int, dst func(src, k int) int) loadedRun {
 	t.Helper()
-	dev := netfpga.NewDevice(netfpga.SUME(), netfpga.Options{FrameBurst: frameBurst})
+	dev := newHookedDevice(0, frameBurst)
 	if err := switchp.New(switchp.Config{}).Build(dev); err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +202,7 @@ func TestLoadedWindowEquivalence(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ref := runSwitchLoaded(t, 1, tc.dst)
 			if ref.windows != 0 {
-				t.Fatalf("FrameBurst 1 opened %d windows", ref.windows)
+				t.Fatalf("SetFrameBurst(1) opened %d windows", ref.windows)
 			}
 			if len(ref.rx) < 40 {
 				t.Fatalf("reference run delivered only %d frames", len(ref.rx))

@@ -22,8 +22,7 @@
 //
 // Determinism contract: -parallel produces byte-identical tables to the
 // sequential run — devices are independent and per-device seeds are
-// derived from (-seed, job index), never from scheduling — and
-// byte-identical results for every clock batch size (-batch), which the
+// derived from (-seed, job index), never from scheduling — which the
 // fleet demo verifies on every -parallel run.
 //
 // -json records every experiment's metrics and wall-clock timings as
@@ -157,16 +156,11 @@ func main() {
 func runFlags(fs *flag.FlagSet, req *shard.Request) (resolve func() error) {
 	fs.IntVar(&req.Workers, "workers", 0, "worker count of the in-process pool, or of each fleet worker's pool (0 = GOMAXPROCS)")
 	fs.Uint64Var(&req.Seed, "seed", 0, "base seed per-device and per-cell seeds derive from")
-	fs.IntVar(&req.ClockBatch, "batch", 0, "datapath clock batch size (0 = engine default, 1 = unbatched)")
-	burst := fs.String("burst", "adaptive", "vectorized frame-burst window: adaptive, off, or a max cycles-per-window cap (results identical in every mode)")
 	segment := fs.String("segment", "auto", "segment scheduler: auto, off, or an events-per-segment budget (results identical in every mode)")
 	fidelity := fs.String("fidelity", "full", "execution fidelity for devices without their own fidelity axis: full (cycle-accurate) or hybrid (background-tagged flows run the analytic model; results differ from full by design)")
 	return func() (err error) {
 		if req.Workers <= 0 {
 			req.Workers = runtime.GOMAXPROCS(0)
-		}
-		if req.FrameBurst, err = parseBurst(*burst); err != nil {
-			return err
 		}
 		if req.Segment, req.SegmentBudget, err = parseSegment(*segment); err != nil {
 			return err
@@ -174,24 +168,6 @@ func runFlags(fs *flag.FlagSet, req *shard.Request) (resolve func() error) {
 		req.Fidelity, err = parseFidelity(*fidelity)
 		return err
 	}
-}
-
-// parseBurst maps the -burst flag: "adaptive" sizes vectorized windows
-// from module state alone, "off" forces per-cycle ticking, and a number
-// caps windows at that many cycles. Results are identical in every
-// mode.
-func parseBurst(v string) (int, error) {
-	switch v {
-	case "adaptive", "":
-		return 0, nil
-	case "off":
-		return 1, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 1 {
-		return 0, fmt.Errorf("-burst must be adaptive, off, or a positive window cap (got %q)", v)
-	}
-	return n, nil
 }
 
 // parseFidelity maps the -fidelity flag: "full" is the cycle-accurate
@@ -453,47 +429,29 @@ func sameResult(a, b fleet.Result) bool {
 
 // fleetDemo runs the canonical 8-device suite — eight independent
 // reference-switch devices under seeded IMIX load for a fixed simulated
-// window — once on one worker and once on the pool, then once more
-// fully unbatched (clock batch 1) and once with the frame-burst window
-// flipped, verifying all four produce byte-identical per-device
-// results: the end-to-end gate for the fleet's scheduling determinism,
-// the clock engine's batching equivalence, and the frame-window
-// equivalence.
+// window — once on one worker and once on the pool, verifying both
+// produce byte-identical per-device results: the end-to-end gate for the
+// fleet's scheduling determinism.
 func fleetDemo(req shard.Request) {
 	const devices = 8
-	workers, batch, burst := req.Workers, req.ClockBatch, req.FrameBurst
-	mkJobs := func() []fleet.Job {
-		return experiments.SwitchFleetJobs(devices, 200*netfpga.Microsecond)
-	}
-	run := func(w, clockBatch, frameBurst int) ([]fleet.Result, time.Duration) {
+	workers := req.Workers
+	run := func(w int) ([]fleet.Result, time.Duration) {
 		q := req
-		q.Workers, q.ClockBatch, q.FrameBurst, q.Segment = w, clockBatch, frameBurst, false
+		q.Workers, q.Segment = w, false
 		start := time.Now()
-		res := q.Runner().RunAll(context.Background(), mkJobs())
+		res := q.Runner().RunAll(context.Background(),
+			experiments.SwitchFleetJobs(devices, 200*netfpga.Microsecond))
 		return res, time.Since(start)
 	}
-	seqRes, seqWall := run(1, batch, burst)
-	parRes, parWall := run(workers, batch, burst)
-	// The equivalence runs must use genuinely different knob values:
-	// fully unbatched / per-cycle normally, the engine defaults when the
-	// main run already is (-batch 1 / -burst off).
-	altBatch := 1
-	if batch == 1 {
-		altBatch = 0
-	}
-	unbatchedRes, _ := run(workers, altBatch, burst)
-	altBurst := 1
-	if burst == 1 {
-		altBurst = 0
-	}
-	unburstRes, _ := run(workers, batch, altBurst)
+	seqRes, seqWall := run(1)
+	parRes, parWall := run(workers)
 
 	fmt.Printf("==== fleet demo: %d reference-switch devices, IMIX at line rate ====\n\n", devices)
 	fmt.Printf("%-9s %-18s %12s %10s\n", "device", "result", "sim events", "status")
 	identical, failed := true, false
 	for i := range seqRes {
 		status := "ok"
-		for _, r := range []fleet.Result{seqRes[i], parRes[i], unbatchedRes[i], unburstRes[i]} {
+		for _, r := range []fleet.Result{seqRes[i], parRes[i]} {
 			if r.Err != nil {
 				failed = true
 				status = "ERR " + r.Err.Error()
@@ -503,17 +461,9 @@ func fleetDemo(req shard.Request) {
 			identical = false
 			status = "DIVERGED(par)"
 		}
-		if !sameResult(seqRes[i], unbatchedRes[i]) {
-			identical = false
-			status = "DIVERGED(batch)"
-		}
-		if !sameResult(seqRes[i], unburstRes[i]) {
-			identical = false
-			status = "DIVERGED(burst)"
-		}
 		fmt.Printf("%-9s %-18v %12d %10s\n", seqRes[i].Name, parRes[i].Value, parRes[i].Events, status)
 	}
-	match := "byte-identical (across workers, batch sizes and burst windows)"
+	match := "byte-identical (sequential vs pool)"
 	if !identical {
 		match = "MISMATCH (determinism bug)"
 	}

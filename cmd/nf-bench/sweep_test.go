@@ -58,13 +58,10 @@ func TestParseSweepFlags(t *testing.T) {
 		{args: "-segment off", want: func(c *sweepConfig) { c.fleet.Req.Segment = false }},
 		{args: "-segment auto", want: func(c *sweepConfig) {}},
 		{args: "-segment 512", want: func(c *sweepConfig) { c.fleet.Req.SegmentBudget = 512 }},
-		{args: "-burst off", want: func(c *sweepConfig) { c.fleet.Req.FrameBurst = 1 }},
-		{args: "-burst adaptive", want: func(c *sweepConfig) {}},
-		{args: "-burst 64", want: func(c *sweepConfig) { c.fleet.Req.FrameBurst = 64 }},
 		{args: "-fidelity hybrid", want: func(c *sweepConfig) { c.fleet.Req.Fidelity = netfpga.FidelityHybrid }},
-		{args: "-workers 3 -seed 9 -batch 1 -filter T4", want: func(c *sweepConfig) {
+		{args: "-workers 3 -seed 9 -filter T4", want: func(c *sweepConfig) {
 			r := &c.fleet.Req
-			r.Workers, r.Seed, r.ClockBatch, r.Filter = 3, 9, 1, "T4"
+			r.Workers, r.Seed, r.Filter = 3, 9, "T4"
 		}},
 		{args: "-shards 2 -resume x -store s", want: func(c *sweepConfig) {
 			c.procs, c.resume, c.storeDir = 2, "x", "s"
@@ -74,8 +71,10 @@ func TestParseSweepFlags(t *testing.T) {
 		{args: "-shards 0", wantErr: "-shards must be >= 1"},
 		{args: "-exec elastic", wantErr: "flag provided but not defined: -exec"},
 		{args: "-shard-worker", wantErr: "flag provided but not defined: -shard-worker"},
+		{args: "-batch 1", wantErr: "flag provided but not defined: -batch"},
+		{args: "-burst off", wantErr: "flag provided but not defined: -burst"},
+		{args: "-burst 64", wantErr: "flag provided but not defined: -burst"},
 		{args: "-segment 0", wantErr: "-segment must be"},
-		{args: "-burst -3", wantErr: "-burst must be"},
 		{args: "-fidelity half", wantErr: "-fidelity must be"},
 		{args: "-sched random", wantErr: "-sched must be"},
 		{args: "-chaos 7", wantErr: "-chaos needs a fleet"},

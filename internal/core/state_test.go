@@ -46,16 +46,24 @@ func driveLoopback(d *Device) {
 	tap.Received()
 }
 
-// TestWindowSegmentEquivalence: a device driven through segmented
-// windows (every budget, with yields firing) ends byte-identical to one
-// driven directly — the checkpoint/resume contract the fleet scheduler
-// stands on.
+// TestWindowSegmentEquivalence: a device driven in segments (every
+// budget, with yields firing) ends byte-identical to one driven
+// directly — the checkpoint/resume contract the fleet scheduler stands
+// on. Both go through Device.run; the hook only adds a term to the event
+// budget each sim.Sim.Run call gets.
 func TestWindowSegmentEquivalence(t *testing.T) {
 	run := func(budget uint64) (string, int) {
 		d := NewDevice(SUME(), Options{})
 		yields := 0
 		if budget > 0 {
-			d.SetSegmentHook(budget, func() { yields++ })
+			// The cadence is cumulative: every yield falls on an exact
+			// multiple of the budget, however the driver slices its runs.
+			d.SetSegmentHook(budget, func() {
+				yields++
+				if got, want := d.Sim.Executed(), uint64(yields)*budget; got != want {
+					t.Errorf("budget=%d: yield %d at %d events, want %d", budget, yields, got, want)
+				}
+			})
 		}
 		driveLoopback(d)
 		return deviceFingerprint(d), yields
@@ -72,49 +80,58 @@ func TestWindowSegmentEquivalence(t *testing.T) {
 	}
 }
 
-// TestWindowRun exercises the Window API directly: budgeted Run calls
-// pause without advancing to the deadline, complete exactly once, and
-// report Remaining consistently.
-func TestWindowRun(t *testing.T) {
-	d := NewDevice(SUME(), Options{})
-	tap := d.Tap(0)
-	for i := 0; i < 4; i++ {
-		tap.Send(make([]byte, 64))
-	}
-	deadline := d.Now() + 10*hw.Microsecond
-	w := d.Window(deadline)
-	steps := 0
-	for !w.Run(3) {
-		steps++
-		if w.Done() {
-			t.Fatal("Done true while Run reports unfinished")
+// TestRunBudgetedPauses: an event budget pauses a run without advancing
+// to the deadline, at the same event under any segment hook, and a chain
+// of budgeted runs completes exactly like one unbudgeted run.
+func TestRunBudgetedPauses(t *testing.T) {
+	run := func(seg, budget uint64) (string, int) {
+		d := NewDevice(SUME(), Options{})
+		if seg > 0 {
+			d.SetSegmentHook(seg, func() {})
 		}
-		if d.Now() >= deadline {
-			t.Fatal("paused window advanced to deadline")
+		tap := d.Tap(0)
+		for i := 0; i < 4; i++ {
+			tap.Send(make([]byte, 64))
 		}
-		if steps > 1_000_000 {
-			t.Fatal("window never completed")
+		deadline := d.Now() + 10*hw.Microsecond
+		pauses := 0
+		for !d.RunBudgeted(deadline, budget) {
+			pauses++
+			if d.Now() >= deadline {
+				t.Fatal("paused run advanced to deadline")
+			}
+			if want := uint64(pauses) * budget; d.Sim.Executed() != want {
+				t.Fatalf("seg=%d: pause %d at %d events, want %d", seg, pauses, d.Sim.Executed(), want)
+			}
 		}
+		if d.Now() != deadline {
+			t.Fatalf("completed run at %d, deadline %d", d.Now(), deadline)
+		}
+		return deviceFingerprint(d), pauses
 	}
-	if steps == 0 {
-		t.Fatal("window completed without pausing — budget too large for the scenario?")
+	ref, pauses := run(0, 0)
+	if pauses != 0 {
+		t.Fatal("unbudgeted run paused")
 	}
-	if !w.Done() || d.Now() != deadline || w.Remaining() != 0 {
-		t.Fatalf("completion state: done=%v now=%d remaining=%d", w.Done(), d.Now(), w.Remaining())
-	}
-	if !w.Run(1) {
-		t.Fatal("completed window reported unfinished on re-run")
+	for _, seg := range []uint64{0, 2, 3, 100} {
+		got, pauses := run(seg, 3)
+		if got != ref {
+			t.Errorf("seg=%d: budgeted chain diverges from one run", seg)
+		}
+		if pauses == 0 {
+			t.Fatal("run completed without pausing — budget too large for the scenario?")
+		}
 	}
 }
 
 // TestWindowStateMigration: the checkpoint-by-replay contract. A donor
-// device parks mid-run at a segment yield and encodes its WindowState;
+// device parks mid-run at a segment yield and encodes its ParkState;
 // an identically built replica replayed to exactly that executed-event
 // count verifies bit-exactly against the checkpoint, and a replica that
 // continues to the end matches the donor had it never parked.
 func TestWindowStateMigration(t *testing.T) {
 	// Donor: drive until a mid-flight yield, capture the checkpoint.
-	var cp WindowState
+	var cp ParkState
 	parked := false
 	donor := NewDevice(SUME(), Options{Seed: 42})
 	yields := 0
@@ -167,53 +184,6 @@ func TestWindowStateMigration(t *testing.T) {
 	bad.Executed++
 	if err := ref.VerifyState(bad); err == nil {
 		t.Error("forged event count verified")
-	}
-}
-
-// TestWindowEncodeDecode: a parked Window round-trips through its
-// serialized form; decode re-verifies the device and reopens the same
-// deadline, and decoding on a diverged device fails.
-func TestWindowEncodeDecode(t *testing.T) {
-	build := func() (*Device, *Window) {
-		d := NewDevice(SUME(), Options{Seed: 9})
-		tap := d.Tap(0)
-		for i := 0; i < 512; i++ {
-			tap.Send(make([]byte, 300))
-		}
-		return d, d.Window(d.Now() + 200*hw.Microsecond)
-	}
-	d, w := build()
-	if w.Run(400) {
-		t.Fatal("window completed inside the budget — scenario too small")
-	}
-	st := w.Encode()
-	if st.DeadlinePS != int64(w.Deadline()) {
-		t.Fatalf("encoded deadline %d, window %d", st.DeadlinePS, w.Deadline())
-	}
-
-	// Same device: decode succeeds and the reopened window completes.
-	w2, err := d.DecodeWindow(st)
-	if err != nil {
-		t.Fatalf("decode on the parked device: %v", err)
-	}
-	for !w2.Run(1000) {
-	}
-	if d.Now() != hw.Time(st.DeadlinePS) {
-		t.Fatalf("resumed window ended at %d, deadline %d", d.Now(), st.DeadlinePS)
-	}
-
-	// A replica replayed to the same executed count decodes too.
-	r, rw := build()
-	for r.Sim.Executed() < st.Executed && !rw.Run(st.Executed-r.Sim.Executed()) {
-	}
-	if _, err := r.DecodeWindow(st); err != nil {
-		t.Fatalf("decode on a bit-exact replica: %v", err)
-	}
-
-	// A diverged device (different seed) must refuse the checkpoint.
-	x := NewDevice(SUME(), Options{Seed: 10})
-	if _, err := x.DecodeWindow(st); err == nil {
-		t.Error("decode verified on a diverged device")
 	}
 }
 

@@ -165,31 +165,3 @@ func TestBatchRespectsRunDeadline(t *testing.T) {
 		}
 	}
 }
-
-// TestStepBudgetFencesBatching checks StepBudget's contract: one heap
-// event per call, never past the deadline, and never more than maxEvents
-// executed events even when the event is a batched clock edge.
-func TestStepBudgetFencesBatching(t *testing.T) {
-	s := New()
-	clk := s.NewClock("dp", 2*Nanosecond)
-	clk.SetBatch(1000)
-	busy := 500
-	clk.RegisterFunc(func() bool {
-		busy--
-		return busy > 0
-	})
-	if !s.StepBudget(Microsecond, 7) {
-		t.Fatal("StepBudget refused a due event")
-	}
-	if got := s.Executed(); got != 7 {
-		t.Fatalf("executed %d events, want exactly the budget of 7", got)
-	}
-	// The rest of the busy stretch continues from the pending edge.
-	at, ok := s.Peek()
-	if !ok {
-		t.Fatal("no pending edge after fenced batch")
-	}
-	if !s.StepBudget(at, 0) {
-		t.Fatal("StepBudget refused the follow-up edge")
-	}
-}

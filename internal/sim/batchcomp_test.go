@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// vecWorker is a BatchComponent modelling the shape real batching
+// vecWorker is a windowing Component modelling the shape real batching
 // datapaths have: it grinds through jobs of several cycles each, can
-// absorb any number of mid-job cycles as one TickBatch, but must make
+// absorb any number of mid-job cycles in one Advance, but must make
 // job-boundary decisions (finish, fetch next, go idle) on an exact
 // per-edge cycle because those decisions are externally observable.
 type vecWorker struct {
@@ -38,21 +38,18 @@ func (w *vecWorker) step() bool {
 	return true
 }
 
-func (w *vecWorker) Tick() bool { return w.step() }
-
-// BatchLimit allows a window only strictly inside a job: the final cycle
-// (completion) and the fetch cycle are decisions.
-func (w *vecWorker) BatchLimit() int {
-	if w.remaining > 1 {
-		return w.remaining - 1
+// Advance allows a window only strictly inside a job — the final cycle
+// (completion) and the fetch cycle are decisions — and, as the contract
+// demands, cuts it with the clock's bound before taking it.
+func (w *vecWorker) Advance(n int) (int, bool) {
+	if lim := w.remaining - 1; n > 1 && lim > 1 {
+		if k := w.clk.Bound(min(n, lim)); k > 1 {
+			w.remaining -= k
+			w.batched += uint64(k)
+			return k, true
+		}
 	}
-	return 1
-}
-
-func (w *vecWorker) TickBatch(n int) (int, bool) {
-	w.remaining -= n
-	w.batched += uint64(n)
-	return n, true
+	return 1, w.step()
 }
 
 // feed enqueues a job and wakes the worker, as a foreign event would.
@@ -61,15 +58,15 @@ func (w *vecWorker) feed(cycles int) {
 	w.clk.Wake()
 }
 
-// plainComp hides the BatchComponent interface, forcing per-edge
-// execution of the same worker: the equivalence reference.
+// plainComp answers every Advance with one edge of the same worker: the
+// per-edge equivalence reference.
 type plainComp struct{ w *vecWorker }
 
-func (p plainComp) Tick() bool { return p.w.step() }
+func (p plainComp) Advance(int) (int, bool) { return 1, p.w.step() }
 
 // vecScenario runs the worker through busy/idle stretches with timers
 // landing mid-window and uneven run deadlines. batched selects whether
-// the clock sees the BatchComponent interface.
+// the clock drives the windowing worker or its per-edge wrapper.
 func vecScenario(t *testing.T, batched bool, clockBatch int, run func(s *Sim)) ([]string, uint64, uint64, uint64) {
 	t.Helper()
 	s := New()
@@ -171,5 +168,44 @@ func TestBatchComponentSecondRegistrationDisables(t *testing.T) {
 	}
 	if w.remaining != 0 || len(w.jobs) != 0 {
 		t.Fatalf("worker did not finish: remaining=%d jobs=%d", w.remaining, len(w.jobs))
+	}
+}
+
+// TestRunBoundsFenceBatching leaves a lone busy domain with nothing else
+// in the heap, so only the run's own bounds can stop it: an event budget
+// must land on exactly that many edges and a deadline on the last edge
+// inside it, with the next edge left pending — whether the component
+// takes one edge per call (Sim.inline does the stopping) or long windows
+// (Clock.Bound does).
+func TestRunBoundsFenceBatching(t *testing.T) {
+	for _, windowing := range []bool{false, true} {
+		s := New()
+		clk := s.NewClock("dp", 2*Nanosecond)
+		clk.SetBatch(1000)
+		w := &vecWorker{s: s, clk: clk, tr: &trace{}, jobs: []int{500}}
+		if windowing {
+			clk.Register(w)
+		} else {
+			clk.Register(plainComp{w})
+		}
+		if s.Run(Microsecond, 7, 0) {
+			t.Fatalf("windowing=%v: a budget of 7 events did not stop the run", windowing)
+		}
+		if s.Executed() != 7 || clk.Ticks() != 7 || s.Now() != 14*Nanosecond {
+			t.Fatalf("windowing=%v: budget of 7 ran %d events, %d edges, now %v",
+				windowing, s.Executed(), clk.Ticks(), s.Now())
+		}
+		s.RunUntil(41 * Nanosecond)
+		// Edges at 2, 4, ..., 40 ns: exactly 20 inside the deadline.
+		if clk.Ticks() != 20 || s.Executed() != 20 || s.Now() != 41*Nanosecond {
+			t.Fatalf("windowing=%v: deadline run reached %d edges, %d events, now %v",
+				windowing, clk.Ticks(), s.Executed(), s.Now())
+		}
+		if at, ok := s.Peek(); !ok || at != 42*Nanosecond {
+			t.Fatalf("windowing=%v: next edge pending at %v, want 42ns", windowing, at)
+		}
+		if windowing && w.batched == 0 {
+			t.Fatal("the windowing worker never took a window")
+		}
 	}
 }

@@ -1,59 +1,62 @@
 package sim
 
-// Component is a piece of synchronous logic stepped once per clock edge.
+// Component is a piece of synchronous logic on a clock domain, and
+// Advance is the one contract the clock drives it through: run up to n
+// consecutive edges, starting with the edge at Now, and report how many
+// ran (1 <= k <= n) and whether the component is still busy after the
+// k-th.
 //
-// Tick must return true while the component has work in flight — it did
-// something this cycle, or it holds queued input, buffered state, or any
-// other reason it may do something next cycle. When every component of a
-// clock returns false the clock gates itself off and stops consuming
+// busy must be true while the component has work in flight — it did
+// something on its last edge, or it holds queued input, buffered state,
+// or any other reason it may do something on the next. When a domain
+// reports !busy the clock gates itself off and stops consuming
 // simulation events until woken.
+//
+// A plain component runs one edge and answers k = 1 whatever n is
+// (ComponentFunc does). A component may answer k > 1 — a window — only
+// when it can prove the result is bit-identical to k single-edge calls:
+// no event may be scheduled inside the window, no decision whose outcome
+// depends on the exact cycle number may fire, every edge but possibly
+// the last would have reported busy, and its state afterwards must be
+// byte-identical. n is only the clock's remaining batch budget; before
+// taking a window of its own the component must cut it with Clock.Bound,
+// which accounts for everything outside the domain (a foreign event, the
+// run deadline, the event budget). Within that bound the outside world
+// is frozen. During the call Now and Cycle stay at the window's first
+// edge; the clock advances them by k afterwards.
 type Component interface {
-	Tick() bool
+	Advance(n int) (k int, busy bool)
 }
 
-// ComponentFunc adapts a function to the Component interface.
+// ComponentFunc adapts a per-edge function to the Component interface.
 type ComponentFunc func() bool
 
-// Tick implements Component.
-func (f ComponentFunc) Tick() bool { return f() }
+// Advance implements Component: one edge per call.
+func (f ComponentFunc) Advance(int) (int, bool) { return 1, f() }
 
-// BatchComponent is an optional Component extension for vectorized
-// ticking: a component that can execute several consecutive edges as one
-// call when it can prove the result is bit-identical to per-edge ticking.
-//
-// The contract is strict. BatchLimit reports, from the component's
-// current state, the largest number of consecutive edges it could execute
-// with no externally observable difference from per-edge Ticks — no event
-// may be scheduled, no decision whose outcome depends on the exact cycle
-// number may fire, and the component's state after the window must be
-// byte-identical to the same edges run sequentially. A component that
-// cannot prove more returns 1 (always safe). TickBatch(n) is then called
-// with 1 < n <= the reported limit; during the call Now and Cycle still
-// return the window's first edge (the clock advances them after the
-// call). TickBatch must behave exactly like the per-edge loop: run up to
-// n edges, stopping early once an edge would have returned false (the
-// clock gate). It reports k, the number of edges absorbed (1 <= k <= n),
-// and busy, the k-th edge's return value — so k < n implies !busy. The
-// clock only opens a window when no foreign event, horizon, fence or
-// batch-budget boundary falls inside it, so a batching component may
-// assume the outside world is frozen for the whole window.
-type BatchComponent interface {
-	Component
-	// BatchLimit returns the maximum window the component can currently
-	// absorb (>= 1).
-	BatchLimit() int
-	// TickBatch advances the component by up to n consecutive edges,
-	// returning the number absorbed and the final edge's busy result.
-	TickBatch(n int) (int, bool)
+// group is the component of a domain with several (or no) registered
+// components: each runs one edge, in registration order. It never takes
+// a window, because the order of components inside an edge is
+// observable and a window would hide it.
+type group []Component
+
+func (g group) Advance(int) (int, bool) {
+	busy := false
+	for _, comp := range g {
+		if _, b := comp.Advance(1); b {
+			busy = true
+		}
+	}
+	return 1, busy
 }
 
-// DefaultBatch is the default per-event edge budget of a clock domain:
-// while its components stay busy, a clock executes up to this many
-// consecutive edges inside one simulation event before re-entering the
-// event loop. Batching is observably identical to unbatched execution —
-// timestamps, Cycle, Executed and cross-domain ordering are bit-exact for
-// every batch size — it only amortises the per-event heap push/pop and
-// timer reschedule across the batch.
+// DefaultBatch is the per-event edge budget of a clock domain: while its
+// component stays busy, a clock executes up to this many consecutive
+// edges inside one simulation event before re-entering the event loop.
+// Batching is observably identical to unbatched execution — timestamps,
+// Cycle, Executed and cross-domain ordering are bit-exact for every
+// batch size — it only amortises the per-event heap push/pop and timer
+// reschedule across the batch.
 const DefaultBatch = 64
 
 // Clock is a gateable clock domain. Edges fall on integer multiples of the
@@ -63,16 +66,14 @@ type Clock struct {
 	sim    *Sim
 	name   string
 	period Time
-	comps  []Component
+	// comp is what edge drives: the registered component when there is
+	// exactly one, a group otherwise.
+	comp   Component
+	comps  group
 	cycle  uint64
 	active bool
 	timer  *Timer
 	batch  int
-	// bcomp is the domain's sole component when it implements
-	// BatchComponent (nil otherwise): vectorized windows only apply to
-	// single-component domains, where intra-edge component ordering
-	// cannot be observed.
-	bcomp BatchComponent
 
 	// ticks counts edges actually executed (not gated away).
 	ticks uint64
@@ -85,25 +86,18 @@ func (s *Sim) NewClock(name string, period Time) *Clock {
 	if period <= 0 {
 		panic("sim: non-positive clock period")
 	}
-	c := &Clock{sim: s, name: name, period: period, batch: DefaultBatch}
+	c := &Clock{sim: s, name: name, period: period, batch: DefaultBatch, comp: group(nil)}
 	c.timer = s.NewTimer(c.edge)
 	s.clocks = append(s.clocks, c)
 	return c
 }
 
-// SetBatch sets the clock's edge budget per simulation event. Values
-// below 1 are clamped to 1 (fully unbatched). Results are identical for
-// every batch size; the knob exists for performance tuning and for
-// equivalence tests.
-func (c *Clock) SetBatch(k int) {
-	if k < 1 {
-		k = 1
-	}
-	c.batch = k
-}
-
-// Batch returns the clock's edge budget per simulation event.
-func (c *Clock) Batch() int { return c.batch }
+// SetBatch overrides the clock's edge budget per simulation event
+// (DefaultBatch; values below 1 mean 1). It is an equivalence-test hook,
+// not a tuning knob: results are identical for every value, and 1 — every
+// edge its own event, no window ever offered to the component — is the
+// per-edge reference the batched engine is tested against.
+func (c *Clock) SetBatch(k int) { c.batch = max(k, 1) }
 
 // NewClockMHz creates a clock domain running at freqMHz megahertz.
 func (s *Sim) NewClockMHz(name string, freqMHz float64) *Clock {
@@ -134,15 +128,14 @@ func (c *Clock) Cycle() uint64 { return c.cycle }
 // Ticks returns the number of edges actually executed.
 func (c *Clock) Ticks() uint64 { return c.ticks }
 
-// Register adds a component to the domain and wakes the clock. Components
-// tick in registration order within an edge.
+// Register adds a component to the domain and wakes the clock. A sole
+// component is driven directly and may take windows; several run one
+// edge at a time in registration order.
 func (c *Clock) Register(comp Component) {
 	c.comps = append(c.comps, comp)
-	c.bcomp = nil
-	if len(c.comps) == 1 {
-		if bc, ok := comp.(BatchComponent); ok {
-			c.bcomp = bc
-		}
+	c.comp = comp
+	if len(c.comps) > 1 {
+		c.comp = c.comps
 	}
 	c.Wake()
 }
@@ -166,75 +159,39 @@ func (c *Clock) Wake() {
 	c.timer.ScheduleAt(next)
 }
 
-// edge executes clock edges: every component ticks once per edge. While
-// components stay busy the clock keeps executing consecutive edges inline
-// — advancing simulated time itself and counting each edge as one
-// executed event — until the batch budget runs out, a foreign event
-// becomes due at or before the next edge, the run horizon or event fence
-// is reached, or the domain goes idle (which gates the clock off). Only
-// when a batch ends with work still pending is the next edge scheduled
-// through the event heap, so the (push, pop, reschedule) cycle tax is
-// paid once per batch instead of once per edge.
+// edge executes clock edges. While the component stays busy the clock
+// keeps executing consecutive edges inline — advancing simulated time
+// itself and counting each edge as one executed event — until the batch
+// budget runs out, the domain goes idle (which gates the clock off), or
+// Sim.inline refuses the next edge. Only when a batch ends with work
+// still pending is the next edge scheduled through the event heap, so the
+// (push, pop, reschedule) cycle tax is paid once per batch instead of
+// once per edge.
 //
-// The foreign-event check is `at <= next`, not `<`: an event already in
-// the heap at exactly the next edge's time was necessarily scheduled
-// before the edge timer would have been re-armed, so in unbatched
-// execution its sequence number is lower and it runs first.
+// The component is handed only the remaining batch budget, which costs
+// nothing to know; everything else that limits an advance is in Bound,
+// which a component asks for once it holds a window of its own. k edges
+// in one call get exactly the accounting k single-edge iterations would
+// have: k ticks, k cycles, k-1 inline time advances each counting one
+// executed event.
 func (c *Clock) edge() {
 	s := c.sim
 	for left := c.batch; ; {
-		n := 1
-		if c.bcomp != nil && left > 1 {
-			// Ask the component first: BatchLimit exits to 1 early on any
-			// pending per-cycle decision, which is the common case on
-			// small-frame traffic, and then the stop-condition window
-			// (divisions plus a heap peek) is skipped entirely.
-			if lim := c.bcomp.BatchLimit(); lim > 1 {
-				w := c.inlineWindow(left)
-				if lim < w {
-					w = lim
-				}
-				if w > 1 {
-					n = w
-				}
-			}
+		k, busy := c.comp.Advance(left)
+		if k < 1 || k > left {
+			panic("sim: component advanced a number of edges out of range")
 		}
-		var busy bool
-		if n > 1 {
-			// Vectorized window: the component absorbs up to n edges in
-			// one call, then the clock applies exactly the accounting k
-			// per-edge iterations would have: k ticks, k cycles, k-1
-			// inline time advances each counting one executed event.
-			k, b := c.bcomp.TickBatch(n)
-			if k < 1 || k > n {
-				panic("sim: TickBatch absorbed edges out of range")
-			}
-			busy = b
-			n = k
-			c.ticks += uint64(k)
-			c.cycle += uint64(k)
-			s.now += Time(k-1) * c.period
-			s.executed += uint64(k - 1)
-		} else {
-			c.ticks++
-			for _, comp := range c.comps {
-				if comp.Tick() {
-					busy = true
-				}
-			}
-			c.cycle++
-		}
+		c.ticks += uint64(k)
+		c.cycle += uint64(k)
+		s.now += Time(k-1) * c.period
+		s.executed += uint64(k - 1)
 		if !busy {
 			c.active = false
 			return
 		}
+		left -= k
 		next := s.now + c.period
-		left -= n
-		if left <= 0 || next > s.horizon || (s.fence != 0 && s.executed >= s.fence) {
-			c.timer.ScheduleAt(next)
-			return
-		}
-		if at, ok := s.Peek(); ok && at <= next {
+		if left == 0 || !s.inline(next) {
 			c.timer.ScheduleAt(next)
 			return
 		}
@@ -243,40 +200,42 @@ func (c *Clock) edge() {
 	}
 }
 
-// inlineWindow returns the largest number of consecutive edges (>= 1,
-// <= left) that can execute inline starting now without crossing any of
-// the per-edge stop conditions: the batch budget, the run horizon, the
-// event fence, or a foreign event becoming due. Executing w edges as one
-// window advances time by (w-1) periods and executed by w-1, so each
-// bound is solved for the largest w whose intermediate advances all pass
-// the same checks the per-edge loop applies.
-func (c *Clock) inlineWindow(left int) int {
+// inline reports whether a clock may advance time to its next edge
+// without going back through the event heap: the edge must not lie past
+// the run deadline, the run's event budget must not be spent, and no
+// foreign event may be due first. That check is `at <= next`, not `<`: an
+// event already in the heap at exactly the next edge's time was
+// necessarily scheduled before the edge timer would have been re-armed,
+// so in unbatched execution its sequence number is lower and it runs
+// first.
+func (s *Sim) inline(next Time) bool {
+	if next > s.horizon || s.executed >= s.fence {
+		return false
+	}
+	at, ok := s.Peek()
+	return !ok || at > next
+}
+
+// Bound returns how many consecutive edges, at most n and at least 1,
+// may execute as one window starting with the edge at Now: the largest w
+// for which inline would have admitted each of the w-1 advances between
+// them. With the batch budget the clock hands to Advance this is the one
+// advance bound — min(next foreign event, run deadline, event budget, K).
+// It costs two divisions and a heap peek, so a component asks only when
+// it has a window to cut.
+func (c *Clock) Bound(n int) int {
 	s := c.sim
-	w := int64(left)
-	p := int64(c.period)
-	if s.now <= s.horizon {
-		if a := int64(s.horizon-s.now)/p + 1; a < w {
-			w = a
-		}
-	} else {
-		w = 1
+	if n < 2 || s.now > s.horizon || s.executed >= s.fence {
+		return 1
 	}
-	if s.fence != 0 {
-		if s.executed >= s.fence {
-			w = 1
-		} else if d := s.fence - s.executed; d+1 < uint64(w) {
-			w = int64(d + 1)
-		}
-	}
+	// w-1 advances must fit each limit; every term below is that count.
+	w := uint64(n - 1)
+	w = min(w, uint64((s.horizon-s.now)/c.period), s.fence-s.executed)
 	if at, ok := s.Peek(); ok {
 		if at <= s.now {
-			w = 1
-		} else if a := (int64(at-s.now)-1)/p + 1; a < w {
-			w = a
+			return 1
 		}
+		w = min(w, uint64((at-s.now-1)/c.period))
 	}
-	if w < 1 {
-		w = 1
-	}
-	return int(w)
+	return int(w) + 1
 }

@@ -11,13 +11,13 @@ type countdown struct {
 	ticks int
 }
 
-func (c *countdown) Tick() bool {
+func (c *countdown) Advance(int) (int, bool) {
 	c.ticks++
 	if c.n > 0 {
 		c.n--
-		return true
+		return 1, true
 	}
-	return false
+	return 1, false
 }
 
 func TestClockGatesWhenIdle(t *testing.T) {

@@ -26,27 +26,31 @@ type Sim struct {
 	// they are pending events that occupy no heap slot (see Lane).
 	queued int
 
-	// horizon fences inline time advancement: a batching clock (see
-	// Clock.edge) may advance now past pending-event gaps but never past
-	// the horizon, so RunUntil's deadline semantics survive batching.
-	horizon Time
-	// fence, when non-zero, is the executed-event count at which inline
-	// batching must stop, so event-budgeted stepping (StepBudget, Drain
-	// with a limit) lands on exactly the same event as unbatched
+	// horizon and fence are the active run's deadline and the
+	// executed-event count at which its event budget is spent (Forever
+	// and noFence outside a bounded run). They are the terms of the
+	// advance bound that come from the run loop: a batching clock (see
+	// inline and Clock.Bound) advances time past pending-event gaps but
+	// never past the horizon, and stops inline execution at the fence,
+	// so a bounded run lands on exactly the same event as unbatched
 	// execution.
-	fence uint64
+	horizon Time
+	fence   uint64
 
 	// Stopped reports how many events have executed; useful in tests and
 	// for detecting runaway simulations.
 	executed uint64
 }
 
-// maxTime is the end of simulated time; the horizon when no run deadline
-// is active.
-const maxTime = Time(1<<63 - 1)
+// Forever is the end of simulated time: the deadline of a run that has
+// none. noFence is its event-count counterpart.
+const (
+	Forever = Time(1<<63 - 1)
+	noFence = ^uint64(0)
+)
 
 // New returns an empty simulator positioned at the epoch.
-func New() *Sim { return &Sim{horizon: maxTime} }
+func New() *Sim { return &Sim{horizon: Forever, fence: noFence} }
 
 // Now returns the current simulated time. Inside an event callback it is
 // the event's scheduled time.
@@ -166,27 +170,6 @@ func (s *Sim) Step() bool {
 	return true
 }
 
-// StepBudget executes the earliest pending event provided it is due at or
-// before deadline, allowing at most maxEvents executed events during the
-// step (inline-batched clock edges included; 0 means unlimited). It
-// reports whether an event was executed. Event-budgeted drivers use it so
-// their stopping point is independent of clock batch sizes.
-func (s *Sim) StepBudget(deadline Time, maxEvents uint64) bool {
-	if !s.due(deadline) {
-		return false
-	}
-	prevH, prevF := s.horizon, s.fence
-	if deadline < s.horizon {
-		s.horizon = deadline
-	}
-	if f := s.executed + maxEvents; maxEvents != 0 && (s.fence == 0 || f < s.fence) {
-		s.fence = f
-	}
-	s.Step()
-	s.horizon, s.fence = prevH, prevF
-	return true
-}
-
 // Pending returns the number of scheduled events.
 func (s *Sim) Pending() int {
 	n := len(s.heap) + s.queued
@@ -223,120 +206,66 @@ func (s *Sim) due(deadline Time) bool {
 	return ok && at <= deadline
 }
 
-// RunUntil executes events with scheduled time <= deadline, then advances
-// Now to deadline. Events scheduled by executed events are honoured if
-// they fall within the deadline. The deadline also fences clock batching:
-// no edge past it executes early.
-func (s *Sim) RunUntil(deadline Time) {
-	prev := s.horizon
-	if deadline < s.horizon {
-		s.horizon = deadline
+// Run is the one run loop; every other way of running a simulation is
+// a call of it. It executes events due at or before deadline, while more
+// than floor events are pending, until eventBudget events have executed
+// (0 = no bound; inline-batched clock edges count one each). It reports
+// false when the budget stopped it, true when the work ran out first —
+// and only then, unless deadline is Forever, is Now advanced to deadline.
+//
+// For the duration of the run the deadline and the budget are also what
+// stop a batching clock (Sim.inline, Clock.Bound), so the run stops on
+// the same event, at the same Now and Executed, whatever the clock batch
+// and however a longer run is cut into budgets: a chain of Run calls
+// toward one deadline executes the same events in the same order as a
+// single unbudgeted one. A pause always falls between events, never
+// inside one, so the simulation (and everything hanging off it) is
+// quiescent at every pause and may be picked up by a different
+// goroutine, provided the handoff establishes a happens-before edge (the
+// fleet scheduler's channel park/resume does).
+//
+// A budget that is spent exactly as the work runs out still reports
+// false without advancing Now, and the next call completes the run:
+// event-budgeted callers (fleet.Stop.Events) rely on an exhausted budget
+// never silently skipping residual time. A run to Forever has no
+// residual time and reports true.
+//
+// floor lets a caller that owns floor perpetual timers (periodic agents
+// that re-arm themselves forever) treat "nothing but those is left" as
+// the end of the work. It is checked between events, like everything
+// else here.
+func (s *Sim) Run(deadline Time, eventBudget uint64, floor int) bool {
+	end := noFence
+	if eventBudget != 0 && eventBudget < noFence-s.executed {
+		end = s.executed + eventBudget
 	}
-	for s.due(deadline) {
+	prevH, prevF := s.horizon, s.fence
+	s.horizon, s.fence = min(prevH, deadline), min(prevF, end)
+	for s.executed < end && s.Pending() > floor && s.due(deadline) {
 		s.Step()
 	}
-	s.horizon = prev
-	if s.now < deadline {
+	s.horizon, s.fence = prevH, prevF
+	spent := s.executed >= end
+	if deadline == Forever {
+		return !spent || s.Pending() <= floor
+	}
+	if !spent && s.now < deadline {
 		s.now = deadline
 	}
+	return !spent
 }
+
+// RunUntil executes events with scheduled time <= deadline, then advances
+// Now to deadline. Events scheduled by executed events are honoured if
+// they fall within the deadline.
+func (s *Sim) RunUntil(deadline Time) { s.Run(deadline, 0, 0) }
 
 // RunFor runs the simulation for d picoseconds of simulated time.
 func (s *Sim) RunFor(d Time) { s.RunUntil(s.now + d) }
 
-// RunSegment executes events due at or before deadline, bounded by
-// eventBudget executed events (0 = no event bound) — the resumable
-// building block the fleet's segment scheduler is made of. It reports
-// done=true when the window completed: no pending event at or before
-// deadline remains AND the budget was not exhausted first; only then is
-// Now advanced to deadline. done=false means the segment paused with
-// the window unfinished: Now stays at the last executed event and the
-// next RunSegment call with the same deadline resumes bit-exactly where
-// this one stopped.
-//
-// Suspension is exact at every budget: the event fence stops inline
-// clock batching at the budget, so a chain of RunSegment calls executes
-// the same events, in the same order, with the same Executed counts, as
-// a single RunUntil(deadline) — whatever the segment sizes. A pause
-// always falls between events, never inside one, so the simulation
-// (and everything hanging off it) is quiescent at every pause point and
-// may be picked up by a different goroutine, provided the handoff
-// establishes a happens-before edge (the fleet scheduler's channel
-// park/resume does).
-//
-// Note the budget check runs before the deadline advance: a segment
-// whose budget expires exactly as the queue goes quiet reports
-// done=false without advancing Now, and the next call completes the
-// window. Event-budgeted callers (fleet.Stop.Events) rely on that order
-// so an exhausted budget never silently skips residual time.
-func (s *Sim) RunSegment(deadline Time, eventBudget uint64) bool {
-	prevH := s.horizon
-	if deadline < s.horizon {
-		s.horizon = deadline
-	}
-	end := uint64(0)
-	if eventBudget != 0 {
-		end = s.executed + eventBudget
-	}
-	for s.due(deadline) {
-		if end != 0 && s.executed >= end {
-			s.horizon = prevH
-			return false
-		}
-		if end != 0 {
-			prevF := s.fence
-			if prevF == 0 || end < prevF {
-				s.fence = end
-			}
-			s.Step()
-			s.fence = prevF
-		} else {
-			s.Step()
-		}
-	}
-	s.horizon = prevH
-	if end != 0 && s.executed >= end {
-		return false
-	}
-	if s.now < deadline {
-		s.now = deadline
-	}
-	return true
-}
-
-// Drain executes events until the queue is empty or limit events have run.
-// It reports whether the queue was drained. A limit of 0 means no limit.
-// Batched clock edges count individually against the limit, and batching
-// stops at the limit, so the stopping point matches unbatched execution.
-func (s *Sim) Drain(limit uint64) bool { return s.DrainTo(limit, 0) }
-
-// DrainTo is Drain with a floor: it stops, reporting true, as soon as at
-// most floor events remain pending. A caller that owns floor perpetual
-// timers (periodic agents that re-arm themselves forever) passes their
-// count, so "idle" means "nothing but those timers is left" instead of
-// never. The check runs between events, so the stopping point — like
-// Drain's — is the same event whatever the limit or the clock batch.
-func (s *Sim) DrainTo(limit uint64, floor int) bool {
-	if limit == 0 {
-		for s.Pending() > floor {
-			s.Step()
-		}
-		return true
-	}
-	end := s.executed + limit
-	for s.Pending() > floor {
-		if s.executed >= end {
-			return false
-		}
-		prev := s.fence
-		if prev == 0 || end < prev {
-			s.fence = end
-		}
-		s.Step()
-		s.fence = prev
-	}
-	return true
-}
+// Drain executes events until the queue is empty or limit events have run
+// (0 = no limit). It reports whether the queue was drained.
+func (s *Sim) Drain(limit uint64) bool { return s.Run(Forever, limit, 0) }
 
 // heap management: a binary min-heap of value entries ordered by
 // (at, seq). seq breaks ties in scheduling order so same-timestamp events

@@ -14,6 +14,15 @@
 //     FPGA datapath. A clock stops self-scheduling as soon as every
 //     registered component reports idle, and is re-armed by Wake, so long
 //     idle stretches cost nothing.
+//
+// "How far may this run before something outside must be looked at" has
+// one answer in the package. A clock drives its Component through one
+// method, Advance(n) (k, busy); what limits an advance from outside the
+// domain — the next foreign event, the run's deadline, the run's event
+// budget — is Sim.inline and its closed form Clock.Bound; and one loop,
+// Sim.Run(deadline, eventBudget, floor), is the only place the deadline
+// and the budget are set. Every edge as its own event (Clock.SetBatch(1))
+// is the reference all of it is tested against.
 package sim
 
 import "fmt"

@@ -21,21 +21,11 @@ type Runner struct {
 	// a whole batch is re-rollable from one number. Zero is a valid
 	// base (the derivation never yields the trivial all-zero stream).
 	BaseSeed uint64
-	// ClockBatch, when non-zero, overrides every device's datapath
-	// clock batch size (jobs that set their own Options.ClockBatch
-	// win). Per-device results are identical for every value; nf-bench
-	// uses it to prove batching equivalence end to end.
-	ClockBatch int
-	// FrameBurst, when non-zero, overrides every device's vectorized
-	// tick window cap (1 = per-cycle ticking, N > 1 = at most N cycles
-	// per window; jobs that set their own Options.FrameBurst win). Like
-	// ClockBatch, per-device results are identical for every value.
-	FrameBurst int
 	// Fidelity, when non-empty, overrides every device's execution
 	// fidelity ("full"/"hybrid"; jobs that set their own
-	// Options.Fidelity win). Unlike the two knobs above this CHANGES
-	// results: hybrid devices route background traffic through the
-	// analytic model and are golden-digested separately.
+	// Options.Fidelity win). This CHANGES results: hybrid devices
+	// route background traffic through the analytic model and are
+	// golden-digested separately.
 	Fidelity string
 	// Segment enables the segmented work-stealing scheduler: each
 	// device executes in resumable windows of at most SegmentBudget
@@ -202,12 +192,6 @@ func (r *Runner) runJob(ctx context.Context, job Job, index int, segBudget uint6
 	if !job.NoDevice {
 		opts := job.Options
 		opts.Seed = seed
-		if opts.ClockBatch == 0 {
-			opts.ClockBatch = r.ClockBatch
-		}
-		if opts.FrameBurst == 0 {
-			opts.FrameBurst = r.FrameBurst
-		}
 		if opts.Fidelity == "" {
 			opts.Fidelity = r.Fidelity
 		}

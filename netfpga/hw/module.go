@@ -91,9 +91,14 @@ const DefaultBusBytes = 32
 // DefaultClockMHz is the reference datapath clock.
 const DefaultClockMHz = 200.0
 
-// Design is a module graph bound to a datapath clock. It implements
-// sim.Component: one design tick steps every module in registration order,
-// which should follow dataflow (sources first) for lowest latency.
+// Design is a module graph bound to a datapath clock, and the clock's
+// sole sim.Component. It answers Advance in one of two ways: Tick steps
+// every runnable module once, in registration order (which should follow
+// dataflow, sources first, for lowest latency); or, when the modules'
+// rate declarations prove that the next cycles move beats and decide
+// nothing, a frame window (window.go) applies many cycles at once as
+// stream arithmetic without calling a module. Which cycles run as
+// windows never changes a result.
 type Design struct {
 	name     string
 	clock    *sim.Clock
@@ -113,21 +118,19 @@ type Design struct {
 	// the per-module half of the fleet's utilization story.
 	tickCounts []uint64
 	// raters holds each module's Rater view, nil when it declares
-	// nothing; win is the current window attempt and planned the size it
-	// was solved for (0: none), valid until the next Tick or TickBatch.
-	raters  []Rater
-	win     Window
-	planned int
+	// nothing; win is the current window attempt.
+	raters []Rater
+	win    Window
 	// edge is set by every design stream and queue when a first or Last
 	// beat or a whole frame enters or leaves it, and cleared by Tick;
 	// stuck is set by a failed window attempt and cleared by the next
-	// boundary. They gate window attempts (BatchLimit), nothing else.
+	// boundary. They gate window attempts (Advance), nothing else.
 	edge  bool
 	stuck bool
 	// windows and absorbed back WindowStats.
 	windows, absorbed uint64
-	// burst caps frame windows: 0 = adaptive (sized by the streams
-	// alone), 1 = windows off, N > 1 = cap.
+	// burst caps frame windows (see SetFrameBurst): 0 = sized by the
+	// streams alone, 1 = off, N > 1 = cap.
 	burst    int
 	streams  []*Stream
 	queues   []*FrameQueue
@@ -207,20 +210,12 @@ func (d *Design) AddModule(m Module) {
 	d.clock.Wake()
 }
 
-// SetFrameBurst tunes frame windows: 0 (the default) sizes them from
-// the streams alone, 1 turns them off (every cycle is a Tick), and
-// N > 1 caps them at N cycles.
-// Results are bit-identical for every value; the knob exists for
-// performance tuning and equivalence testing.
-func (d *Design) SetFrameBurst(n int) {
-	if n < 0 {
-		n = 0
-	}
-	d.burst = n
-}
-
-// FrameBurst returns the design's frame-burst cap (see SetFrameBurst).
-func (d *Design) FrameBurst() int { return d.burst }
+// SetFrameBurst caps frame windows at n cycles; 1 turns them off, so
+// every cycle is a Tick, and 0 restores the default of sizing them from
+// the streams alone. It is an equivalence-test hook, not a tuning knob:
+// results are bit-identical for every value, and 1 is the per-cycle
+// reference the window layer is tested against.
+func (d *Design) SetFrameBurst(n int) { d.burst = max(n, 0) }
 
 // Modules returns the design's modules in tick order.
 func (d *Design) Modules() []Module { return d.modules }
@@ -264,10 +259,9 @@ func (d *Design) NewFrameQueue(name string, capFrames, capBytes int) *FrameQueue
 // Streams returns the design's streams.
 func (d *Design) Streams() []*Stream { return d.streams }
 
-// Tick implements sim.Component by stepping every runnable module once.
+// Tick runs one datapath cycle by stepping every runnable module once.
 // Idle modules stay skipped until an input push or Wake re-marks them.
 func (d *Design) Tick() bool {
-	d.planned = 0
 	if d.edge {
 		d.edge, d.stuck = false, false
 	}
@@ -294,30 +288,29 @@ const (
 	minWindow = 4
 )
 
-// BatchLimit implements sim.BatchComponent by solving a frame window.
+// Advance implements sim.Component: a frame window of up to n cycles
+// when one can be proven, else one Tick — also when n is more than the
+// design could plan for, so a caller never gets cycles nobody solved.
 // Three O(1) gates first decide whether to try at all; they only pick
 // which cycles run as Ticks, never what those compute. Nothing is tried
 // right after a frame boundary (edge) — boundaries come in runs, and on
 // small-frame traffic, where every cycle has one, an attempt is pure
 // cost; nor after a failed attempt until the next boundary has passed
 // (stuck: whatever refused the window is still there); nor when a
-// foreign event is due before minWindow edges could run, where the clock
-// would cut the window anyway.
-func (d *Design) BatchLimit() int {
-	d.planned = 0
-	if d.burst == 1 || d.edge || d.stuck {
-		return 1
+// foreign event is due before minWindow edges could run. Only a solved
+// window is worth asking the clock how far the outside world lets it run.
+func (d *Design) Advance(n int) (int, bool) {
+	if n > 1 && d.burst != 1 && !d.edge && !d.stuck {
+		if at, ok := d.clock.Sim().Peek(); !ok || at > d.clock.Now()+(minWindow-1)*d.clock.Period() {
+			if lim := d.solve(); lim < minWindow {
+				d.stuck = true
+			} else if n = d.clock.Bound(min(n, lim)); n > 1 {
+				d.apply(n, n == lim)
+				return n, true
+			}
+		}
 	}
-	if at, ok := d.clock.Sim().Peek(); ok && at <= d.clock.Now()+(minWindow-1)*d.clock.Period() {
-		return 1
-	}
-	n := d.solve()
-	if n < minWindow {
-		d.stuck = true
-		return 1
-	}
-	d.planned = n
-	return n
+	return 1, d.Tick()
 }
 
 // solve runs one window attempt and returns its size, below minWindow
@@ -359,21 +352,16 @@ func (d *Design) solve() int {
 	return n
 }
 
-// TickBatch implements sim.BatchComponent: it applies the window
-// BatchLimit just solved, cut to n cycles, as stream arithmetic. Relayed
-// streams go first: their beats are read out of the source stream's
-// stock and emitter as they stood. Modules are not called, and
-// parked-or-not is left as it was: a module that would have gone idle
-// inside the window returns a side-effect-free false on the next Tick.
-// Without a solved window covering n it runs one ordinary edge.
-func (d *Design) TickBatch(n int) (int, bool) {
-	if n < 2 || n > d.planned {
-		return 1, d.Tick()
-	}
-	// A window that ran to its solved bound stopped at a decision (a Last
-	// beat, a lookup result): the next cycle is not worth an attempt.
-	d.edge = n == d.planned
-	d.planned = 0
+// apply runs the first n cycles of the window solve just proved as
+// stream arithmetic. Relayed streams go first: their beats are read out
+// of the source stream's stock and emitter as they stood. Modules are
+// not called, and parked-or-not is left as it was: a module that would
+// have gone idle inside the window returns a side-effect-free false on
+// the next Tick. A window that ran to its solved bound (whole) stopped
+// at a decision — a Last beat, a lookup result — so the next cycle is
+// not worth an attempt.
+func (d *Design) apply(n int, whole bool) {
+	d.edge = whole
 	for _, relayed := range [2]bool{true, false} {
 		for _, s := range d.win.streams {
 			if (s.prod == endRelay) == relayed {
@@ -388,7 +376,6 @@ func (d *Design) TickBatch(n int) (int, bool) {
 	}
 	d.windows++
 	d.absorbed += uint64(n)
-	return n, true
 }
 
 // WindowStats reports how many frame windows the design opened and how

@@ -172,3 +172,33 @@ func TestBRAMForBytes(t *testing.T) {
 		t.Fatal("BRAMForBytes wrong")
 	}
 }
+
+// TestAdvanceBeyondPlanRunsOneTick: Advance may be asked for any number
+// of edges; a design that cannot prove a window for them — here a
+// runnable module that declares no rates — runs exactly one Tick and
+// says so, never cycles nobody solved.
+func TestAdvanceBeyondPlanRunsOneTick(t *testing.T) {
+	_, d := newTestDesign(t)
+	in := d.NewStream("in", 8)
+	out := d.NewStream("out", 8)
+	p := &passthrough{name: "stage", in: in, out: out}
+	d.AddModule(p)
+	if !in.PushFrame(NewFrame(make([]byte, 160), 0), d.BusBytes()) { // 5 beats
+		t.Fatal("push failed")
+	}
+	for want := uint64(1); want <= 3; want++ {
+		k, busy := d.Advance(64)
+		if k != 1 || !busy {
+			t.Fatalf("Advance(64) = (%d, %v), want one busy edge", k, busy)
+		}
+		if p.moved != want {
+			t.Fatalf("after %d Advance calls the module moved %d beats", want, p.moved)
+		}
+	}
+	if windows, cycles := d.WindowStats(); windows != 0 || cycles != 0 {
+		t.Fatalf("opened %d windows over %d cycles with nothing declared", windows, cycles)
+	}
+	if got := d.ModuleTicks()["stage"]; got != 3 {
+		t.Fatalf("module invoked %d times, want 3", got)
+	}
+}

@@ -23,7 +23,7 @@ type Stream struct {
 	wake func()
 	// edge points at the owning design's frame-boundary flag (at the
 	// stream's own for one built outside a design): set whenever a first
-	// or Last beat enters or a Last one leaves, see Design.BatchLimit.
+	// or Last beat enters or a Last one leaves, see Design.Advance.
 	edge    *bool
 	ownEdge bool
 

@@ -41,14 +41,11 @@ type (
 	RxFrame = core.RxFrame
 	// Agent is project firmware running against the register file.
 	Agent = core.Agent
-	// Window is a checkpointable run of a device toward a deadline,
-	// resumable in bit-exact segments (the fleet scheduler's unit).
-	Window = core.Window
-	// WindowState is a parked window's serializable checkpoint
+	// ParkState is a parked device's serializable checkpoint
 	// identity — what migrates a partially executed device between
 	// processes or machines (resumed by deterministic replay, proven
 	// by state-digest verification).
-	WindowState = core.WindowState
+	ParkState = core.ParkState
 	// Time is simulated time in picoseconds.
 	Time = hw.Time
 	// Background is the hybrid-fidelity analytic traffic model a

@@ -198,7 +198,11 @@ func (p *Plan) sealResult(i int, res fleet.Result) CellResult {
 // never from batch position), so a cell run alone — on any process,
 // any machine — is byte-identical to the same cell inside a full
 // sweep. Safe to call concurrently for different keys.
-func (p *Plan) RunCell(ctx context.Context, key string, clockBatch, frameBurst int, fidelity string, wrap func(fleet.Job) fleet.Job) (CellResult, error) {
+//
+// The two ints are ignored. They were the clock-batch and frame-burst
+// knobs; benchmark/layers.go, which a PR may not edit, still passes them
+// positionally.
+func (p *Plan) RunCell(ctx context.Context, key string, _, _ int, fidelity string, wrap func(fleet.Job) fleet.Job) (CellResult, error) {
 	i, ok := p.byKey[key]
 	if !ok {
 		return CellResult{}, fmt.Errorf("sweep: cell %q is not in the plan", key)
@@ -210,7 +214,7 @@ func (p *Plan) RunCell(ctx context.Context, key string, clockBatch, frameBurst i
 	if wrap != nil {
 		job = wrap(job)
 	}
-	r := &fleet.Runner{Workers: 1, BaseSeed: p.BaseSeed, ClockBatch: clockBatch, FrameBurst: frameBurst, Fidelity: fidelity}
+	r := &fleet.Runner{Workers: 1, BaseSeed: p.BaseSeed, Fidelity: fidelity}
 	res := r.RunAll(ctx, []fleet.Job{job})[0]
 	return p.sealResult(i, res), nil
 }

@@ -27,15 +27,15 @@ type Assign struct {
 }
 
 // Checkpoint is a partially executed cell in flight between workers:
-// the cell's canonical key plus the parked device's WindowState. The
+// the cell's canonical key plus the parked device's ParkState. The
 // state transfers by deterministic replay — the receiver rebuilds the
 // cell's device from (config, key, seed), replays to exactly
 // State.Executed events, and must reproduce State.Digest bit-exactly
 // before continuing — so a checkpoint is valid on any worker and a
 // diverged or forged one can never resume.
 type Checkpoint struct {
-	Key   string              `json:"key"`
-	State netfpga.WindowState `json:"state"`
+	Key   string            `json:"key"`
+	State netfpga.ParkState `json:"state"`
 }
 
 // Hello is the worker's session acceptance: how many cells its

@@ -288,7 +288,7 @@ func TestFleetDivergingDuplicateFatal(t *testing.T) {
 }
 
 // TestFleetForcedMigration: with MigrateAfter set, every fresh cell
-// parks mid-run, ships its WindowState back as a Checkpoint, and is
+// parks mid-run, ships its ParkState back as a Checkpoint, and is
 // resumed — replayed and digest-verified — on another worker. The final
 // digests are byte-identical to a never-migrated run.
 func TestFleetForcedMigration(t *testing.T) {

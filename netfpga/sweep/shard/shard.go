@@ -24,7 +24,7 @@
 //
 //	Hello       session accepted: plan size + local pool width
 //	Cell        one completed cell record (digest-stamped)
-//	Checkpoint  a parked cell's WindowState, leaving this worker's care
+//	Checkpoint  a parked cell's ParkState, leaving this worker's care
 //	Reject      a Resume whose replay failed verification
 //	Done        session end: cells completed + utilization report
 //	Err         fatal session failure
@@ -92,11 +92,11 @@ type Request struct {
 	Filter string `json:"filter,omitempty"`
 	// Seed is the base seed cell seeds derive from.
 	Seed uint64 `json:"seed"`
-	// Workers, ClockBatch, FrameBurst, Segment and SegmentBudget
-	// configure the local pool (fleet.Runner semantics).
+	// Workers, Segment and SegmentBudget configure the local pool
+	// (fleet.Runner semantics). An older peer's clock_batch and
+	// frame_burst keys are ignored on decode: results never depended on
+	// them.
 	Workers       int    `json:"workers,omitempty"`
-	ClockBatch    int    `json:"clock_batch,omitempty"`
-	FrameBurst    int    `json:"frame_burst,omitempty"`
 	Segment       bool   `json:"segment,omitempty"`
 	SegmentBudget uint64 `json:"segment_budget,omitempty"`
 	// Fidelity is the run-level execution-fidelity override
@@ -109,7 +109,6 @@ type Request struct {
 // place a run config becomes a fleet.Runner.
 func (r Request) Runner() *fleet.Runner {
 	return &fleet.Runner{Workers: r.Workers, BaseSeed: r.Seed,
-		ClockBatch: r.ClockBatch, FrameBurst: r.FrameBurst,
 		Segment: r.Segment, SegmentBudget: r.SegmentBudget,
 		Fidelity: r.Fidelity}
 }

@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/netfpga"
 	"repro/netfpga/fleet"
 	"repro/netfpga/sweep"
 	"repro/netfpga/workload"
@@ -171,6 +173,24 @@ func TestFrameRoundTrip(t *testing.T) {
 	var f SessionFrame
 	if err := ReadFrame(&buf, &f); err != io.EOF {
 		t.Fatalf("want io.EOF at stream end, got %v", err)
+	}
+	// An older peer's Open and Resume frames still carry the deleted
+	// clock_batch / frame_burst / deadline_ps keys: they are ignored, the
+	// rest of the frame decodes.
+	for _, old := range []string{
+		`{"open":{"config":"c","seed":3,"workers":2,"clock_batch":1,"frame_burst":64,"segment":true}}`,
+		`{"resume":{"key":"k","state":{"now_ps":5,"executed":9,"deadline_ps":77,"digest":"d"}}}`,
+	} {
+		if err := WriteFrame(&buf, json.RawMessage(old)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var open, resume Command
+	if err := ReadFrame(&buf, &open); err != nil || *open.Open != (Request{Config: "c", Seed: 3, Workers: 2, Segment: true}) {
+		t.Fatalf("old Open frame: %+v, %v", open.Open, err)
+	}
+	if err := ReadFrame(&buf, &resume); err != nil || resume.Resume.State != (netfpga.ParkState{NowPS: 5, Executed: 9, Digest: "d"}) {
+		t.Fatalf("old Resume frame: %+v, %v", resume.Resume, err)
 	}
 	// A corrupt length prefix must not allocate the moon.
 	bad := bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff, 0x00})

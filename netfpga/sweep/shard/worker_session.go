@@ -24,18 +24,18 @@ var errParked = errors.New("shard: cell parked for migration")
 // path, so the wrapper panics with the encoded state and converts it
 // back to errParked in its own recover — before the fleet runner's
 // panic handler ever sees it.
-type parkPanic struct{ st netfpga.WindowState }
+type parkPanic struct{ st netfpga.ParkState }
 
 // parkWrap decorates a job so its device can park mid-run: a segment
 // hook installed at the top of Drive watches for a park trigger —
 // the forced migrateAfter threshold, or a steal request claimed from
-// stealReq — and, when it fires, captures the device's WindowState and
+// stealReq — and, when it fires, captures the device's ParkState and
 // abandons the run. The capture happens inside a yield, so the state is
 // quiescent and the checkpoint digest is exact.
 //
 // checkEvery sets the yield cadence when no forced threshold is set;
 // out receives the captured state when (and only when) the cell parked.
-func parkWrap(migrateAfter, checkEvery uint64, stealReq *atomic.Int64, out *netfpga.WindowState) func(fleet.Job) fleet.Job {
+func parkWrap(migrateAfter, checkEvery uint64, stealReq *atomic.Int64, out *netfpga.ParkState) func(fleet.Job) fleet.Job {
 	return func(j fleet.Job) fleet.Job {
 		orig := j.Drive
 		j.Drive = func(c *fleet.Ctx) (val any, err error) {
@@ -50,7 +50,7 @@ func parkWrap(migrateAfter, checkEvery uint64, stealReq *atomic.Int64, out *netf
 			}()
 			d := c.Dev
 			if d == nil {
-				// NoDevice cells (analytic models) have no window
+				// NoDevice cells (analytic models) have no park
 				// state to checkpoint; they run to completion here and
 				// are never candidates for parking or stealing.
 				return orig(c)
@@ -97,7 +97,7 @@ func parkWrap(migrateAfter, checkEvery uint64, stealReq *atomic.Int64, out *netf
 // replayed prefix identical to the donor's execution, and VerifyState
 // machine-checks it. A resumed cell installs no park logic, so a
 // migrated cell can never ping-pong between workers.
-func resumeWrap(st netfpga.WindowState, verifyErr *error) func(fleet.Job) fleet.Job {
+func resumeWrap(st netfpga.ParkState, verifyErr *error) func(fleet.Job) fleet.Job {
 	return func(j fleet.Job) fleet.Job {
 		orig := j.Drive
 		j.Drive = func(c *fleet.Ctx) (val any, err error) {
@@ -298,7 +298,7 @@ func runSessionItem(ctx context.Context, plan *sweep.Plan, req Request, it sessi
 	}
 	if it.resume != nil {
 		var verifyErr error
-		cr, err := plan.RunCell(ctx, it.key, req.ClockBatch, req.FrameBurst, req.Fidelity, resumeWrap(it.resume.State, &verifyErr))
+		cr, err := plan.RunCell(ctx, it.key, 0, 0, req.Fidelity, resumeWrap(it.resume.State, &verifyErr))
 		switch {
 		case ctx.Err() != nil:
 		case err != nil:
@@ -313,8 +313,8 @@ func runSessionItem(ctx context.Context, plan *sweep.Plan, req Request, it sessi
 		return
 	}
 
-	var parked netfpga.WindowState
-	cr, err := plan.RunCell(ctx, it.key, req.ClockBatch, req.FrameBurst, req.Fidelity, parkWrap(it.migrateAfter, segEvery, stealReq, &parked))
+	var parked netfpga.ParkState
+	cr, err := plan.RunCell(ctx, it.key, 0, 0, req.Fidelity, parkWrap(it.migrateAfter, segEvery, stealReq, &parked))
 	if ctx.Err() != nil {
 		return
 	}
