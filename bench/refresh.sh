@@ -14,7 +14,7 @@ go test -bench 'BenchmarkDatapathMinFrames10G$|BenchmarkDatapathBurst10G$|Benchm
 # The fleet tail-heavy batch and multicast flood are macro/steady-state
 # benchmarks: far fewer, longer iterations keep total time sane while
 # the medians stay stable.
-go test -bench 'BenchmarkFleetTailHeavyBatch(WholeJob)?$' \
+go test -bench 'BenchmarkFleetTailHeavyBatch$' \
   -benchtime=2x -count=6 -run '^$' . | grep Benchmark | tee -a bench/baseline.txt
 go test -bench 'BenchmarkMulticastFlood$' \
   -benchtime=2000x -count=10 -benchmem -run '^$' . | grep Benchmark | tee -a bench/baseline.txt

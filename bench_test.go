@@ -78,15 +78,13 @@ func benchFleet(b *testing.B, workers int) {
 func BenchmarkFleet8SwitchesSequential(b *testing.B) { benchFleet(b, 1) }
 func BenchmarkFleet8SwitchesParallel(b *testing.B)   { benchFleet(b, 0) }
 
-// benchTailHeavy runs the canonical tail-heavy batch (15 short devices
-// + one long 100G device, last) on 8 workers, with and without the
-// segment scheduler. Both variants are recorded in bench/baseline.txt
-// and gated by CI, so the segmented/whole-job gap stays visible across
-// commits; on single-core hardware both modes cost the same CPU and
-// only the determinism contract is exercised.
-func benchTailHeavy(b *testing.B, segment bool) {
+// BenchmarkFleetTailHeavyBatch runs the canonical tail-heavy batch (15
+// short devices + one long 100G device, last) on 8 workers. It is
+// recorded in bench/baseline.txt and gated by CI; on single-core
+// hardware only the determinism contract is exercised.
+func BenchmarkFleetTailHeavyBatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := &fleet.Runner{Workers: 8, BaseSeed: 42, Segment: segment}
+		r := &fleet.Runner{Workers: 8, BaseSeed: 42}
 		res := r.RunAll(context.Background(), experiments.TailHeavyJobs(hw.Millisecond))
 		for _, rr := range res {
 			if rr.Err != nil {
@@ -95,9 +93,6 @@ func benchTailHeavy(b *testing.B, segment bool) {
 		}
 	}
 }
-
-func BenchmarkFleetTailHeavyBatch(b *testing.B)         { benchTailHeavy(b, true) }
-func BenchmarkFleetTailHeavyBatchWholeJob(b *testing.B) { benchTailHeavy(b, false) }
 
 // benchBackgroundHeavy runs one background-heavy sweep cell per
 // iteration — reference switch, 63 of 64 flows background, 20 ms

@@ -41,7 +41,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -116,9 +115,7 @@ func main() {
 	w := req.Workers
 	// Sequential reference pass first (tables discarded — they are
 	// byte-identical to the parallel pass by the fleet's determinism
-	// contract) on one whole-job worker, then the parallel pass that
-	// prints.
-	seq.Segment = false
+	// contract), then the parallel pass that prints.
 	seqWalls, _, _ := runSuite(todo, seq, io.Discard)
 	parWalls, parTables, parFrames := runSuite(todo, req.Runner(), os.Stdout)
 
@@ -141,11 +138,6 @@ func main() {
 	}
 
 	fleetDemo(req)
-	if !req.Segment {
-		fmt.Println("tail-heavy demo skipped (-segment off)")
-		return
-	}
-	tailDemo(req)
 }
 
 // runFlags registers the run-config flags the main and sweep modes share
@@ -156,14 +148,10 @@ func main() {
 func runFlags(fs *flag.FlagSet, req *shard.Request) (resolve func() error) {
 	fs.IntVar(&req.Workers, "workers", 0, "worker count of the in-process pool, or of each fleet worker's pool (0 = GOMAXPROCS)")
 	fs.Uint64Var(&req.Seed, "seed", 0, "base seed per-device and per-cell seeds derive from")
-	segment := fs.String("segment", "auto", "segment scheduler: auto, off, or an events-per-segment budget (results identical in every mode)")
 	fidelity := fs.String("fidelity", "full", "execution fidelity for devices without their own fidelity axis: full (cycle-accurate) or hybrid (background-tagged flows run the analytic model; results differ from full by design)")
 	return func() (err error) {
 		if req.Workers <= 0 {
 			req.Workers = runtime.GOMAXPROCS(0)
-		}
-		if req.Segment, req.SegmentBudget, err = parseSegment(*segment); err != nil {
-			return err
 		}
 		req.Fidelity, err = parseFidelity(*fidelity)
 		return err
@@ -226,23 +214,6 @@ func startProfiles(cpu, mem string) func() {
 			g.Close()
 		}
 	}
-}
-
-// parseSegment maps the -segment flag: "off" disables the segment
-// scheduler, "auto" enables it with per-job budget auto-sizing, and a
-// number enables it with that events-per-segment budget.
-func parseSegment(v string) (on bool, budget uint64, err error) {
-	switch v {
-	case "off", "":
-		return false, 0, nil
-	case "auto":
-		return true, 0, nil
-	}
-	n, err := strconv.ParseUint(v, 10, 64)
-	if err != nil || n == 0 {
-		return false, 0, fmt.Errorf("-segment must be auto, off, or a positive event budget (got %q)", v)
-	}
-	return true, n, nil
 }
 
 // runSuite executes the experiments on the given runner, rendering
@@ -437,7 +408,7 @@ func fleetDemo(req shard.Request) {
 	workers := req.Workers
 	run := func(w int) ([]fleet.Result, time.Duration) {
 		q := req
-		q.Workers, q.Segment = w, false
+		q.Workers = w
 		start := time.Now()
 		res := q.Runner().RunAll(context.Background(),
 			experiments.SwitchFleetJobs(devices, 200*netfpga.Microsecond))
@@ -473,60 +444,6 @@ func fleetDemo(req shard.Request) {
 	fmt.Printf("\nsequential %v, parallel (%d workers) %v, speedup %.2fx; results %s\n",
 		seqWall.Round(time.Millisecond), workers, parWall.Round(time.Millisecond),
 		speedup(seqWall, parWall), match)
-	if !identical || failed {
-		os.Exit(1)
-	}
-}
-
-// tailDemo runs the tail-heavy batch — 15 short devices followed by one
-// long 100G device, last in the list — through the whole-job pool and
-// the segment scheduler, verifies the two produce byte-identical
-// per-device results, and reports the wall-clock delta with both
-// utilization reports. The long cell's queueing delay behind the short
-// jobs is exactly what segmentation removes, so on a machine with as
-// many cores as workers the segmented run lands near
-// max(long cell, total/workers) — about 1.5-1.8x faster here.
-func tailDemo(req shard.Request) {
-	const scale = 4 * netfpga.Millisecond
-	workers := req.Workers
-	run := func(segment bool) ([]fleet.Result, *fleet.Utilization, time.Duration) {
-		q := req
-		q.Segment = segment
-		r := q.Runner()
-		start := time.Now()
-		res := r.RunAll(context.Background(), experiments.TailHeavyJobs(scale))
-		return res, r.Utilization(), time.Since(start)
-	}
-	wholeRes, wholeU, wholeWall := run(false)
-	segRes, segU, segWall := run(true)
-
-	fmt.Printf("==== tail-heavy demo: 15 short devices + 1x100G tail, %d workers ====\n\n", workers)
-	identical, failed := true, false
-	for i := range wholeRes {
-		for _, r := range []fleet.Result{wholeRes[i], segRes[i]} {
-			if r.Err != nil {
-				failed = true
-				fmt.Printf("device %s FAILED: %v\n", r.Name, r.Err)
-			}
-		}
-		if !sameResult(wholeRes[i], segRes[i]) {
-			identical = false
-			fmt.Printf("device %s DIVERGED between schedulers\n", wholeRes[i].Name)
-		}
-	}
-	fmt.Println(wholeU)
-	fmt.Println(segU)
-	fmt.Printf("\nwhole-job %v vs segmented %v: %.2fx; results ",
-		wholeWall.Round(time.Millisecond), segWall.Round(time.Millisecond),
-		speedup(wholeWall, segWall))
-	if identical && !failed {
-		fmt.Println("byte-identical across schedulers")
-	} else {
-		fmt.Println("MISMATCH (determinism bug)")
-	}
-	if cpus := runtime.NumCPU(); cpus < workers {
-		fmt.Printf("note: %d workers on %d CPUs — wall-clock gains need one core per worker\n", workers, cpus)
-	}
 	if !identical || failed {
 		os.Exit(1)
 	}

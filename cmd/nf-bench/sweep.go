@@ -65,9 +65,9 @@ func (c *sweepConfig) mode() string {
 // fleetOnly are the flags that tune the fleet coordinator; setting one
 // on an in-process run is refused instead of silently ignored.
 var fleetOnly = map[string]bool{
-	"migrate-after": true, "worker-timeout": true, "steal": true, "tls-ca": true,
-	"chaos": true, "resume": true, "reconnect": true, "breaker-failures": true,
-	"breaker-window": true, "breaker-cooldown": true, "stall-timeout": true, "fallback": true,
+	"worker-timeout": true, "tls-ca": true, "chaos": true, "resume": true,
+	"reconnect": true, "breaker-failures": true, "breaker-window": true,
+	"breaker-cooldown": true, "stall-timeout": true, "fallback": true,
 }
 
 // parseSweepFlags turns `nf-bench sweep` arguments into the run's
@@ -85,9 +85,7 @@ func parseSweepFlags(args []string) (*sweepConfig, error) {
 	fs.StringVar(&c.memprofile, "memprofile", "", "write a heap profile to this file on exit")
 	shards := fs.Int("shards", 1, "run on a fleet of N local 'nf-bench shard-worker' processes (1 = in-process; digests identical); with -connect, N > 1 adds N local worker processes to the remote ones")
 	connect := fs.String("connect", "", "comma-separated worker addresses (host:port) running 'nf-bench shard-worker -listen'; cells are assigned dynamically and a dead worker's cells requeue onto survivors")
-	fs.Uint64Var(&fl.MigrateAfter, "migrate-after", 0, "force every cell to checkpoint after N executed events and resume on another worker (digests unchanged; the migration determinism gate)")
 	fs.DurationVar(&fl.HangTimeout, "worker-timeout", 0, "kill a fleet worker silent for this long while owing cells and requeue its cells (0 = never)")
-	fs.BoolVar(&fl.Steal, "steal", false, "utilization-driven migration: when the queue drains and a fleet worker idles, the busiest worker parks a cell for it")
 	fs.StringVar(&c.sched, "sched", "seeded", "fleet scheduling policy: seeded (weight workers by the latest matching run's persisted utilization; falls back to uniform when none exists) or uniform (digests identical either way)")
 	fs.StringVar(&c.tlsCA, "tls-ca", "", "CA certificate (PEM) to verify -connect workers against; enables TLS on every dialed worker")
 	fs.Uint64Var(&c.chaos, "chaos", 0, "inject deterministic transport faults (drops, delays, duplicates, corruption, truncation, kills, hangs) on every fleet worker, scheduled from this seed; 0 = off, digests are unchanged by any seed")
@@ -431,8 +429,8 @@ func splitAddrs(s string) []string {
 // dialed TCP workers, or both mixed. Cells stream into one partial run
 // as they arrive — a coordinator crash loses nothing already harvested
 // — then fold into a complete, verified, indexed run whose digests are
-// byte-identical to a single-process sweep regardless of worker deaths,
-// requeues, or checkpoint migrations along the way.
+// byte-identical to a single-process sweep regardless of worker deaths
+// or requeues along the way.
 func runFleet(plan *sweep.Plan, st *resultstore.Store, meta resultstore.Meta,
 	c *sweepConfig, progress func(sweep.CellResult)) *sweep.Results {
 

@@ -18,7 +18,7 @@ func TestParseSweepFlags(t *testing.T) {
 	defaults := func() *sweepConfig {
 		return &sweepConfig{
 			fleet: shard.Fleet{
-				Req:      shard.Request{Config: "c", Workers: runtime.GOMAXPROCS(0), Segment: true},
+				Req:      shard.Request{Config: "c", Workers: runtime.GOMAXPROCS(0)},
 				Fallback: true,
 			},
 			reconnect: true, sched: "seeded", storeDir: "nf-results",
@@ -50,14 +50,10 @@ func TestParseSweepFlags(t *testing.T) {
 			c.procs, c.chaos = 2, 7
 			c.fleet.HangTimeout, c.fleet.StallTimeout = 5*time.Second, time.Minute
 		}},
-		{args: "-shards 2 -migrate-after 5000 -steal -fallback=false -reconnect=false -breaker-failures -1", want: func(c *sweepConfig) {
-			c.procs, c.reconnect = 2, false
-			c.fleet.MigrateAfter, c.fleet.Steal, c.fleet.Fallback = 5000, true, false
+		{args: "-shards 2 -fallback=false -reconnect=false -breaker-failures -1", want: func(c *sweepConfig) {
+			c.procs, c.reconnect, c.fleet.Fallback = 2, false, false
 			c.fleet.Breaker.Failures = -1
 		}},
-		{args: "-segment off", want: func(c *sweepConfig) { c.fleet.Req.Segment = false }},
-		{args: "-segment auto", want: func(c *sweepConfig) {}},
-		{args: "-segment 512", want: func(c *sweepConfig) { c.fleet.Req.SegmentBudget = 512 }},
 		{args: "-fidelity hybrid", want: func(c *sweepConfig) { c.fleet.Req.Fidelity = netfpga.FidelityHybrid }},
 		{args: "-workers 3 -seed 9 -filter T4", want: func(c *sweepConfig) {
 			r := &c.fleet.Req
@@ -74,11 +70,14 @@ func TestParseSweepFlags(t *testing.T) {
 		{args: "-batch 1", wantErr: "flag provided but not defined: -batch"},
 		{args: "-burst off", wantErr: "flag provided but not defined: -burst"},
 		{args: "-burst 64", wantErr: "flag provided but not defined: -burst"},
-		{args: "-segment 0", wantErr: "-segment must be"},
+		{args: "-segment off", wantErr: "flag provided but not defined: -segment"},
+		{args: "-segment 512", wantErr: "flag provided but not defined: -segment"},
+		{args: "-shards 2 -steal", wantErr: "flag provided but not defined: -steal"},
+		{args: "-shards 2 -migrate-after 5000", wantErr: "flag provided but not defined: -migrate-after"},
 		{args: "-fidelity half", wantErr: "-fidelity must be"},
 		{args: "-sched random", wantErr: "-sched must be"},
 		{args: "-chaos 7", wantErr: "-chaos needs a fleet"},
-		{args: "-steal -worker-timeout 5s", wantErr: "-steal, -worker-timeout needs a fleet"},
+		{args: "-fallback=false -worker-timeout 5s", wantErr: "-fallback, -worker-timeout needs a fleet"},
 	}
 	for _, tc := range cases {
 		got, err := parseSweepFlags(append([]string{"-config", "c"}, strings.Fields(tc.args)...))

@@ -3,14 +3,13 @@
 // binds the simulated host driver, and manages the device lifecycle. The
 // public netfpga package is a thin facade over this engine.
 //
-// A device runs through one path, Device.run: RunFor, RunBudgeted and
-// RunUntilIdle only choose its deadline, event budget and idle floor,
-// and a segment hook (SetSegmentHook) is one more term of the event
-// budget it hands sim.Sim.Run. How far a run gets before something
-// outside must be looked at is decided there and in sim.Clock.Bound,
-// nowhere else; the batch size and the frame windows behind it are
-// fixed, and the per-edge reference they are tested against is reached
-// through dev.Clock.SetBatch(1) and dev.Dsn.SetFrameBurst(1).
+// A device runs through one call, sim.Sim.Run: RunFor, RunBudgeted and
+// RunUntilIdle only choose its deadline, event budget and idle floor.
+// How far a run gets before something outside must be looked at is
+// decided there and in sim.Clock.Bound, nowhere else; the batch size and
+// the frame windows behind it are fixed, and the per-edge reference they
+// are tested against is reached through dev.Clock.SetBatch(1) and
+// dev.Dsn.SetFrameBurst(1).
 package core
 
 import (
@@ -89,15 +88,6 @@ type Device struct {
 	// device is idle when nothing else is pending.
 	everyTimers int
 
-	// segBudget/segYield/nextYield implement cooperative segmented
-	// execution (see SetSegmentHook): every run pauses bit-exactly at
-	// nextYield executed events, calls segYield with the simulation
-	// quiescent and moves nextYield on by segBudget. Without a hook
-	// nextYield is never reached.
-	segBudget uint64
-	segYield  func()
-	nextYield uint64
-
 	// regNext is the next free mount base for auto-mounted blocks.
 	regNext uint32
 
@@ -146,8 +136,6 @@ func NewDevice(board BoardSpec, opts Options) *Device {
 		Dsn:     hw.NewDesign(board.Name, clk, bus),
 		Regs:    hw.NewAddressMap(),
 		regNext: 0x0000,
-
-		nextYield: never,
 	}
 	switch opts.Fidelity {
 	case "", FidelityFull:
@@ -233,80 +221,25 @@ func (d *Device) Hybrid() bool { return d.bg != nil }
 // full fidelity.
 func (d *Device) Background() *Background { return d.bg }
 
-// never is an executed-event count no device reaches: nextYield without
-// a segment hook, and the stop of a run with no event bound.
-const never = ^uint64(0)
-
-// run is the device's one run path: toward deadline (sim.Forever: until
-// at most floor events are pending), stopping after maxEvents events
-// (0 = no bound), and yielding to the segment hook whenever nextYield is
-// reached. Each sim.Sim.Run call gets whichever of the two event bounds
-// is nearer, so the clock sees one budget; a run without a hook is one
-// such call. It reports whether the run completed — false means
-// maxEvents stopped it first. Yields happen between Run calls, with the
-// simulation quiescent and no run bound in force, so a hook may abandon
-// the device there (the fleet's park does, by panicking).
-func (d *Device) run(deadline hw.Time, maxEvents uint64, floor int) bool {
-	stop := never
-	if maxEvents != 0 {
-		stop = d.Sim.Executed() + maxEvents
-	}
-	for {
-		if d.Sim.Executed() >= d.nextYield {
-			d.segYield()
-			d.nextYield = d.Sim.Executed() + d.segBudget
-		}
-		if d.Sim.Run(deadline, min(stop, d.nextYield)-d.Sim.Executed(), floor) {
-			return true
-		}
-		if d.Sim.Executed() >= stop {
-			return false
-		}
-	}
-}
-
 // RunFor advances the simulation by dur.
-func (d *Device) RunFor(dur hw.Time) { d.run(d.Now()+dur, 0, 0) }
+func (d *Device) RunFor(dur hw.Time) { d.Sim.Run(d.Now()+dur, 0, 0) }
 
 // RunBudgeted advances the device toward an absolute deadline,
 // executing at most maxEvents events (0 = no event bound). It reports
 // whether the run completed (deadline reached with the queue quiet
 // before it); false means the event budget stopped it first, with Now
 // at the last executed event — the same stopping point whatever the
-// segment budget or clock batch (fleet.Stop.Events stands on this).
+// clock batch (fleet.Stop.Events stands on this).
 func (d *Device) RunBudgeted(deadline hw.Time, maxEvents uint64) bool {
-	return d.run(deadline, maxEvents, 0)
+	return d.Sim.Run(deadline, maxEvents, 0)
 }
 
 // RunUntilIdle runs until the device is idle: no events remain other
 // than the periodic timers agents armed with Every, which re-arm forever
 // and would otherwise keep a drain from ever ending (bounded by limit
 // events; 0 means unbounded). It reports whether the device went idle.
-// Idleness is checked between events, so the stopping event is the same
-// under any segment hook.
 func (d *Device) RunUntilIdle(limit uint64) bool {
-	return d.run(sim.Forever, limit, d.everyTimers)
-}
-
-// SetSegmentHook puts the device in segmented execution: every run is
-// split into bit-exact segments of at most budget events, with yield
-// called between segments. yield runs with the simulation quiescent
-// (between events, never inside one), which is what lets the fleet
-// scheduler park the device there and hand it to a different worker.
-// The yield cadence is counted in cumulative executed events, so it is
-// independent of how the driver slices its RunFor calls. A zero budget
-// (or nil yield) restores direct execution.
-//
-// Segmentation is invisible to the simulation: event order, timestamps,
-// Executed counts and every counter are identical with and without a
-// hook, for every budget.
-func (d *Device) SetSegmentHook(budget uint64, yield func()) {
-	if budget == 0 || yield == nil {
-		d.segBudget, d.segYield, d.nextYield = 0, nil, never
-		return
-	}
-	d.segBudget, d.segYield = budget, yield
-	d.nextYield = d.Sim.Executed() + budget
+	return d.Sim.Run(sim.Forever, limit, d.everyTimers)
 }
 
 // Agent is project "firmware": software that runs against the register

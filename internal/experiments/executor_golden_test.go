@@ -60,9 +60,8 @@ func workerPlanForTest(req shard.Request) (*sweep.Plan, error) {
 // be byte-identical when shard.Fleet runs the plan over {1, 2, 4}
 // session worker processes, each with a local pool of {1, 4} workers.
 //
-// TestGoldenSweep covers the in-process whole-job pool at workers
-// {1, 4, 8} and TestSegmentedDeterministicAcrossWorkersAndBudgets the
-// segmented pool; together the three tests close the matrix.
+// TestGoldenSweep covers the in-process pool at workers {1, 4, 8};
+// together the two tests close the matrix.
 func TestExecutorBackendsMatchGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full backend matrix is slow")

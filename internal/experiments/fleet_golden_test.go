@@ -94,12 +94,9 @@ func tcpWorkerSelf(t *testing.T) (string, *os.Process) {
 //   - pipes: three subprocess stdio workers, clean run (the baseline
 //     that makes the TCP run a pipes-vs-TCP comparison),
 //   - tcp-sigkill: three real TCP worker processes, one SIGKILLed
-//     mid-sweep; its cells requeue onto the survivors,
-//   - migration: every sufficiently long cell parks at a fixed executed
-//     -event count, ships its checkpoint back, and finishes on another
-//     worker after verified replay.
+//     mid-sweep; its cells requeue onto the survivors.
 //
-// The CI sweep-fault job runs the same three scenarios through the
+// The CI sweep-fault job runs the same two scenarios through the
 // `nf-bench` binary; this test keeps them in the `go test ./...` gate.
 func TestFleetGoldenFaults(t *testing.T) {
 	if testing.Short() {
@@ -182,38 +179,6 @@ func TestFleetGoldenFaults(t *testing.T) {
 			t.Error("SIGKILLed worker produced no death event")
 		}
 		t.Logf("deaths=%d cells requeued=%d", deaths, requeued)
-		check(t, rs)
-	})
-
-	t.Run("migration", func(t *testing.T) {
-		cps, resumes := 0, 0
-		fl := &shard.Fleet{
-			Req: req,
-			Endpoints: []*shard.Endpoint{
-				sessionProcSelf(t, "proc:0"),
-				sessionProcSelf(t, "proc:1"),
-				sessionProcSelf(t, "proc:2"),
-			},
-			// Far below any paper cell's event count: every fresh cell
-			// parks once and finishes on a (usually different) worker.
-			MigrateAfter: 5000,
-			OnEvent: func(ev shard.FleetEvent) {
-				switch ev.Kind {
-				case "checkpoint":
-					cps += ev.Cells
-				case "resume":
-					resumes += ev.Cells
-				}
-			},
-		}
-		rs, _, err := fl.Run(context.Background(), plan, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cps == 0 || resumes == 0 {
-			t.Errorf("forced migration produced %d checkpoints, %d resumes — want both > 0", cps, resumes)
-		}
-		t.Logf("checkpoints=%d resumes=%d over %d cells", cps, resumes, len(plan.Cells))
 		check(t, rs)
 	})
 }

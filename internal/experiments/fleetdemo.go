@@ -83,15 +83,14 @@ func hundredGigJob(name string, window netfpga.Time) fleet.Job {
 	}
 }
 
-// TailHeavyJobs builds the canonical tail-heavy batch the segment
-// scheduler is judged on: 15 short devices — 7 brief and 8 medium
-// reference switches — followed by ONE long 1x100G device, deliberately
-// last in the list, where an unlucky sweep ordering puts it. With
-// whole-job scheduling the pool chews through the short jobs first and
-// the 100G cell starts only when a worker frees up, so the batch's wall
-// clock is (medium round) + (long cell). The segment scheduler seeds
-// the long cell onto its own worker at time zero and back-fills the
-// short jobs around it, pushing wall clock toward
+// TailHeavyJobs builds the canonical tail-heavy batch: 15 short devices
+// — 7 brief and 8 medium reference switches — followed by ONE long
+// 1x100G device, deliberately last in the list, where an unlucky sweep
+// ordering puts it. Claimed in list order the pool would chew through
+// the short jobs first and start the 100G cell only when a worker frees
+// up, for a wall clock of (medium round) + (long cell); the declared
+// weights make fleet.Runner claim the long cell at time zero and
+// back-fill the short jobs around it, pushing wall clock toward
 // max(long cell, total work / workers).
 func TailHeavyJobs(scale netfpga.Time) []fleet.Job {
 	jobs := make([]fleet.Job, 0, 16)
@@ -104,8 +103,7 @@ func TailHeavyJobs(scale netfpga.Time) []fleet.Job {
 	long := hundredGigJob("tail100g", scale/4)
 	// The 100G cell costs ~4x a switch cell per simulated microsecond
 	// (measured), so its declared quarter-window is a full medium's
-	// wall cost; the weight hint tells the scheduler as much, so
-	// seeding puts it on its own worker at time zero.
+	// wall cost; the weight hint says as much, so it is claimed first.
 	long.Weight = 2 * int64(scale)
 	jobs = append(jobs, long)
 	return jobs

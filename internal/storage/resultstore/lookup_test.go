@@ -48,7 +48,7 @@ func TestLatestCapacity(t *testing.T) {
 	plan := PlanHash([]string{"a", "b"})
 	util := &fleet.UtilizationReport{Workers: 2, WallMS: 100, BusyMS: 150, Jobs: 2}
 	wu := []WorkerUtil{{Name: "proc:0", Cells: 2, Weight: 1,
-		Util: fleet.UtilizationReport{Workers: 1, WallMS: 100, BusyMS: 90, Segments: 40}}}
+		Util: fleet.UtilizationReport{Workers: 1, WallMS: 100, BusyMS: 90, Jobs: 40}}}
 
 	// Nothing stored yet: no capacity, no error.
 	if cap, err := st.LatestCapacity(plan, "proc"); err != nil || cap != nil {
@@ -76,7 +76,7 @@ func TestLatestCapacity(t *testing.T) {
 		t.Fatalf("capacity util = %+v", cap.Util)
 	}
 	reps := cap.WorkerReports()
-	if len(reps) != 1 || reps["proc:0"].Segments != 40 {
+	if len(reps) != 1 || reps["proc:0"].Jobs != 40 {
 		t.Fatalf("worker reports = %+v", reps)
 	}
 
@@ -102,7 +102,7 @@ func TestMetaUtilRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	util := &fleet.UtilizationReport{Workers: 3, Jobs: 7, WallMS: 12.5,
-		BusyMS: 30.25, CapacityMS: 37.5, Segments: 99, Efficiency: 0.80667}
+		BusyMS: 30.25, CapacityMS: 37.5, Efficiency: 0.80667}
 	wu := []WorkerUtil{
 		{Name: "proc:0", Cells: 4, Weight: 1.5, Util: fleet.UtilizationReport{Workers: 2, WallMS: 12.5, BusyMS: 20}},
 		{Name: "tcp:h:1", Cells: 3, Weight: 0.5, Util: fleet.UtilizationReport{Workers: 1, WallMS: 10, BusyMS: 10.25}},

@@ -13,11 +13,11 @@ import (
 // because cell seeds are a pure function of (BaseSeed, key).
 
 // CapacityScore reduces one worker's utilization report to an absolute
-// capacity estimate: busy-fraction x completed work per second of wall
-// time. A worker that was mostly idle (low busy fraction) or slow
-// (few segments per second) scores low. Segments are the preferred
-// work unit because they are fine-grained; whole jobs are the fallback
-// for unsegmented pools. Returns 0 when the report carries no signal.
+// capacity estimate: busy-fraction x completed jobs per second of wall
+// time. A worker that was mostly idle (low busy fraction) or slow (few
+// jobs per second) scores low. Jobs are the only work unit a report
+// carries: a session worker reports the cells it completed. Returns 0
+// when the report carries no signal.
 func CapacityScore(r UtilizationReport) float64 {
 	if r.WallMS <= 0 || r.BusyMS <= 0 {
 		return 0
@@ -26,18 +26,14 @@ func CapacityScore(r UtilizationReport) float64 {
 	if capMS <= 0 {
 		return 0
 	}
-	work := float64(r.Segments)
-	if work == 0 {
-		work = float64(r.Jobs)
-	}
-	if work <= 0 {
+	if r.Jobs <= 0 {
 		return 0
 	}
 	busyFrac := r.BusyMS / capMS
 	if busyFrac > 1 {
 		busyFrac = 1
 	}
-	rate := work / (r.WallMS / 1000)
+	rate := float64(r.Jobs) / (r.WallMS / 1000)
 	return busyFrac * rate
 }
 

@@ -12,6 +12,12 @@
 // devices share no mutable state, and result slots are written by index
 // — so the same seeds produce byte-identical per-device results
 // whatever the worker count or scheduling order.
+//
+// There is one execution model: a job runs from its first event to its
+// last on the worker that claimed it. Load is balanced at job
+// granularity only — workers claim the job with the longest declared
+// weight first (see Job.Weight), which is what keeps the one long cell
+// of a tail-heavy batch from starting last.
 package fleet
 
 import (
@@ -56,13 +62,23 @@ type Job struct {
 	Drive func(*Ctx) (any, error)
 	// Stop bounds Drive's Ctx.RunFor stepping.
 	Stop Stop
-	// Weight is an optional scheduling hint for the segmented
-	// scheduler: the job's expected wall cost relative to its batch
-	// peers (any consistent unit). Zero derives the hint from the
-	// declared Stop window. Weights order initial placement only —
-	// longest first, each onto the lightest worker — and never affect
-	// results; work stealing corrects any misestimate at run time.
+	// Weight is an optional claim-order hint: the job's expected wall
+	// cost relative to its batch peers (any consistent unit). Zero
+	// derives the hint from the declared Stop window. Workers claim the
+	// heaviest unclaimed job first; the hint never affects results.
 	Weight int64
+}
+
+// claimWeight is the job's declared cost for claim ordering: Weight,
+// else the sim-time window, else the event bound.
+func (j Job) claimWeight() int64 {
+	switch {
+	case j.Weight != 0:
+		return j.Weight
+	case j.Stop.SimTime != 0:
+		return int64(j.Stop.SimTime)
+	}
+	return int64(j.Stop.Events)
 }
 
 // Ctx is the per-job execution context handed to Drive: the device, the
@@ -156,9 +172,8 @@ func (c *Ctx) RunFor(d netfpga.Time) bool {
 	if c.stop.Events > 0 {
 		// Run within the event budget; RunBudgeted fences clock
 		// batching to the remaining budget and the deadline, so the
-		// stopping point is identical for every batch and segment size,
-		// and an exhausted budget pauses without advancing residual
-		// time.
+		// stopping point is identical for every batch size, and an
+		// exhausted budget pauses without advancing residual time.
 		if !c.Dev.RunBudgeted(c.Dev.Now()+d, eventsLeft) {
 			return false
 		}

@@ -146,13 +146,15 @@ func TestErrorIsolation(t *testing.T) {
 func TestCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{})
+	// The two live jobs declare the largest windows, so they are
+	// claimed before the job that must not start.
 	jobs := []Job{
-		{Name: "canceller", NoDevice: true, Drive: func(c *Ctx) (any, error) {
+		{Name: "canceller", NoDevice: true, Stop: Stop{SimTime: netfpga.Second}, Drive: func(c *Ctx) (any, error) {
 			<-started // job 1 is running before we cancel
 			cancel()
 			return "done", nil
 		}},
-		{Name: "inflight", Board: netfpga.SUME(), Drive: func(c *Ctx) (any, error) {
+		{Name: "inflight", Board: netfpga.SUME(), Stop: Stop{SimTime: netfpga.Second}, Drive: func(c *Ctx) (any, error) {
 			close(started)
 			n := 0
 			for c.RunFor(netfpga.Microsecond) {

@@ -4,17 +4,16 @@ import "time"
 
 // UtilizationReport is the serializable snapshot of a Utilization —
 // what a distributed worker ships across a process or network boundary
-// so its coordinator can fold remote pool health into placement and
-// steal decisions. Durations flatten to milliseconds: the report is a
+// so its coordinator can fold remote pool health into placement
+// decisions. Durations flatten to milliseconds: the report is a
 // scheduling signal read by humans and heuristics, not an accounting
 // ledger, and a stable flat encoding keeps the wire format independent
 // of Go's duration representation.
 type UtilizationReport struct {
-	Workers   int     `json:"workers"`
-	Jobs      int     `json:"jobs"`
-	Segmented bool    `json:"segmented,omitempty"`
-	WallMS    float64 `json:"wall_ms"`
-	BusyMS    float64 `json:"busy_ms"`
+	Workers int     `json:"workers"`
+	Jobs    int     `json:"jobs"`
+	WallMS  float64 `json:"wall_ms"`
+	BusyMS  float64 `json:"busy_ms"`
 	// CapacityMS is the worker-milliseconds this report had available:
 	// workers x wall for a single pool, and the sum of the sources'
 	// capacities after a Merge. It is the efficiency denominator — kept
@@ -22,8 +21,6 @@ type UtilizationReport struct {
 	// duration-weighted instead of charging every pool for the longest
 	// pool's wall.
 	CapacityMS float64 `json:"capacity_ms,omitempty"`
-	Segments   uint64  `json:"segments,omitempty"`
-	Steals     uint64  `json:"steals,omitempty"`
 	LongestJob string  `json:"longest_job,omitempty"`
 	LongestMS  float64 `json:"longest_ms,omitempty"`
 	Efficiency float64 `json:"efficiency"`
@@ -44,12 +41,9 @@ func (u *Utilization) Report() UtilizationReport {
 	return UtilizationReport{
 		Workers:    u.Workers,
 		Jobs:       u.Jobs,
-		Segmented:  u.Segmented,
 		WallMS:     wallMS,
 		CapacityMS: wallMS * float64(u.Workers),
 		BusyMS:     float64(busy) / float64(time.Millisecond),
-		Segments:   u.Segments,
-		Steals:     u.Steals,
 		LongestJob: u.LongestJob,
 		LongestMS:  float64(u.LongestBusy) / float64(time.Millisecond),
 		Efficiency: efficiencyLocked(u.Wall, u.Workers, busy),
@@ -67,14 +61,11 @@ func (r *UtilizationReport) Merge(o UtilizationReport) {
 	cap := r.capacityMS() + o.capacityMS()
 	r.Workers += o.Workers
 	r.Jobs += o.Jobs
-	r.Segmented = r.Segmented || o.Segmented
 	if o.WallMS > r.WallMS {
 		r.WallMS = o.WallMS
 	}
 	r.BusyMS += o.BusyMS
 	r.CapacityMS = cap
-	r.Segments += o.Segments
-	r.Steals += o.Steals
 	if o.LongestMS > r.LongestMS {
 		r.LongestMS, r.LongestJob = o.LongestMS, o.LongestJob
 	}

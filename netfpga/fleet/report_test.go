@@ -8,19 +8,19 @@ import (
 )
 
 // TestUtilizationWireReport: a completed batch's report round-trips through
-// JSON and carries the numbers the coordinator's steal heuristics read.
+// JSON and carries the numbers the coordinator's capacity weights read.
 func TestUtilizationWireReport(t *testing.T) {
-	r := &Runner{Workers: 2, Segment: true, BaseSeed: 1}
+	r := &Runner{Workers: 2, BaseSeed: 1}
 	jobs := make([]Job, 4)
 	for i := range jobs {
 		jobs[i] = switchJob(fmt.Sprintf("r%d", i))
 	}
 	r.RunAll(context.Background(), jobs)
 	rep := r.Utilization().Report()
-	if rep.Workers != 2 || rep.Jobs != 4 || !rep.Segmented {
+	if rep.Workers != 2 || rep.Jobs != 4 {
 		t.Fatalf("report header: %+v", rep)
 	}
-	if rep.WallMS <= 0 || rep.BusyMS <= 0 || rep.Segments == 0 {
+	if rep.WallMS <= 0 || rep.BusyMS <= 0 {
 		t.Fatalf("report empty: %+v", rep)
 	}
 	if rep.Efficiency <= 0 || rep.Efficiency > 1.0001 {
@@ -50,14 +50,14 @@ func TestUtilizationWireReport(t *testing.T) {
 // the fleet-wide longest job.
 func TestUtilizationReportMerge(t *testing.T) {
 	a := UtilizationReport{Workers: 2, Jobs: 10, WallMS: 100, BusyMS: 150,
-		Segments: 20, Steals: 1, LongestJob: "a", LongestMS: 40}
+		LongestJob: "a", LongestMS: 40}
 	b := UtilizationReport{Workers: 4, Jobs: 6, WallMS: 80, BusyMS: 200,
-		Segments: 12, LongestJob: "b", LongestMS: 70}
+		LongestJob: "b", LongestMS: 70}
 	a.Merge(b)
 	if a.Workers != 6 || a.Jobs != 16 {
 		t.Fatalf("capacity sums: %+v", a)
 	}
-	if a.WallMS != 100 || a.BusyMS != 350 || a.Segments != 32 || a.Steals != 1 {
+	if a.WallMS != 100 || a.BusyMS != 350 {
 		t.Fatalf("work totals: %+v", a)
 	}
 	if a.LongestJob != "b" || a.LongestMS != 70 {
@@ -104,14 +104,14 @@ func TestUtilizationMergeDurationWeighted(t *testing.T) {
 // and defaults signal-free workers to 1.0.
 func TestCapacityWeights(t *testing.T) {
 	reports := map[string]UtilizationReport{
-		"fast": {Workers: 1, WallMS: 100, BusyMS: 100, Segments: 300},
-		"slow": {Workers: 1, WallMS: 100, BusyMS: 100, Segments: 100},
+		"fast": {Workers: 1, WallMS: 100, BusyMS: 100, Jobs: 300},
+		"slow": {Workers: 1, WallMS: 100, BusyMS: 100, Jobs: 100},
 	}
 	w := CapacityWeights(reports)
 	if w == nil {
 		t.Fatal("weights nil despite signal")
 	}
-	// Scores 3.0 and 1.0 segments/ms -> mean 2 -> weights 1.5 and 0.5.
+	// Scores 3.0 and 1.0 jobs/ms -> mean 2 -> weights 1.5 and 0.5.
 	if diff := w["fast"] - 1.5; diff > 1e-9 || diff < -1e-9 {
 		t.Fatalf("fast weight %v, want 1.5", w["fast"])
 	}
@@ -121,10 +121,10 @@ func TestCapacityWeights(t *testing.T) {
 
 	// An extreme outlier clamps to 4x / 0.25x the mean.
 	reports = map[string]UtilizationReport{
-		"turbo": {Workers: 1, WallMS: 100, BusyMS: 100, Segments: 100000},
+		"turbo": {Workers: 1, WallMS: 100, BusyMS: 100, Jobs: 100000},
 	}
 	for _, name := range []string{"a", "b", "c", "d"} {
-		reports[name] = UtilizationReport{Workers: 1, WallMS: 100, BusyMS: 100, Segments: 100}
+		reports[name] = UtilizationReport{Workers: 1, WallMS: 100, BusyMS: 100, Jobs: 100}
 	}
 	w = CapacityWeights(reports)
 	if w["turbo"] != 4.0 || w["a"] != 0.25 {

@@ -1,9 +1,11 @@
 package fleet
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,23 +29,6 @@ type Runner struct {
 	// route background traffic through the analytic model and are
 	// golden-digested separately.
 	Fidelity string
-	// Segment enables the segmented work-stealing scheduler: each
-	// device executes in resumable windows of at most SegmentBudget
-	// simulation events, parked bit-exactly between segments, and the
-	// pool schedules segments — per-worker deques with steal-half —
-	// instead of whole jobs. A tail-heavy batch (one long 100G device
-	// behind a queue of short ones) then finishes in
-	// ~max(longest device, total work / workers) instead of
-	// ~(queue delay + longest device). Results are byte-identical to
-	// unsegmented execution for every budget and worker count: a
-	// device's state never crosses a segment boundary mid-event, each
-	// job still runs on one goroutine, and seeds stay pure functions of
-	// (BaseSeed, index).
-	Segment bool
-	// SegmentBudget caps the events per segment when Segment is set;
-	// 0 auto-sizes per job from its declared Stop window (see
-	// DefaultSegmentBudget).
-	SegmentBudget uint64
 
 	// util is the last batch's utilization report (see Utilization).
 	util atomic.Pointer[Utilization]
@@ -54,7 +39,7 @@ type Runner struct {
 func New(workers int) *Runner { return &Runner{Workers: workers} }
 
 // Sequential returns a single-worker runner: jobs execute one at a
-// time in index order, exactly like the pre-fleet sequential loops.
+// time, exactly like the pre-fleet sequential loops.
 func Sequential() *Runner { return &Runner{Workers: 1} }
 
 // DeriveSeed maps (base, index) to a job seed via one splitmix64 step —
@@ -116,53 +101,54 @@ func (r *Runner) RunStream(ctx context.Context, jobs []Job) <-chan Result {
 // dispatch executes the batch on the pool, calling deliver once per
 // finished job (from worker goroutines, in completion order), and
 // records the batch's Utilization. It returns when every job has been
-// delivered.
+// delivered. Workers claim jobs longest declared weight first, so the
+// heavy cells of a tail-heavy batch start at time zero instead of
+// queueing behind short ones; jobs that declare nothing keep index
+// order. Only wall clock depends on the claim order: results stay
+// index-placed and seeds a function of (BaseSeed, index).
 func (r *Runner) dispatch(ctx context.Context, jobs []Job, deliver func(Result)) {
 	if len(jobs) == 0 {
 		r.util.Store(&Utilization{})
 		return
 	}
-	nw := r.workers(len(jobs))
-	u := newUtilization(nw, len(jobs), r.Segment)
-	start := time.Now()
-	if r.Segment {
-		r.runSegmented(ctx, jobs, nw, u, deliver)
-	} else {
-		// Whole-job scheduling: workers claim jobs in index order.
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < nw; w++ {
-			w := w
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(jobs) {
-						return
-					}
-					t0 := time.Now()
-					res := r.runJob(ctx, jobs[i], i, 0, nil)
-					dt := time.Since(t0)
-					u.account(w, dt)
-					u.jobDone(jobs[i].Name, dt)
-					deliver(res)
-				}
-			}()
-		}
-		wg.Wait()
+	order := make([]int, len(jobs))
+	for i := range order {
+		order[i] = i
 	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		return cmp.Compare(jobs[b].claimWeight(), jobs[a].claimWeight())
+	})
+	nw := r.workers(len(jobs))
+	u := newUtilization(nw, len(jobs))
+	start := time.Now()
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < nw; w++ {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				n := int(next.Add(1)) - 1
+				if n >= len(order) {
+					return
+				}
+				i := order[n]
+				t0 := time.Now()
+				res := r.runJob(ctx, jobs[i], i)
+				u.jobDone(w, jobs[i].Name, time.Since(t0))
+				deliver(res)
+			}
+		}()
+	}
+	wg.Wait()
 	u.Wall = time.Since(start)
 	r.util.Store(u)
 }
 
 // runJob executes a single job, isolating panics so one bad device
-// cannot take down the pool. With a non-zero segBudget and yield, the
-// device runs segmented: every Ctx.RunFor / Device.RunFor /
-// RunUntilIdle slice pauses bit-exactly each segBudget events and calls
-// yield with the simulation quiescent (the segment scheduler parks the
-// job there).
-func (r *Runner) runJob(ctx context.Context, job Job, index int, segBudget uint64, yield func()) (res Result) {
+// cannot take down the pool.
+func (r *Runner) runJob(ctx context.Context, job Job, index int) (res Result) {
 	seed := job.Options.Seed
 	if seed == 0 {
 		seed = DeriveSeed(r.BaseSeed, index)
@@ -196,9 +182,6 @@ func (r *Runner) runJob(ctx context.Context, job Job, index int, segBudget uint6
 			opts.Fidelity = r.Fidelity
 		}
 		dev := netfpga.NewDevice(job.Board, opts)
-		if segBudget > 0 && yield != nil {
-			dev.SetSegmentHook(segBudget, yield)
-		}
 		if job.Build != nil {
 			if err := job.Build(dev); err != nil {
 				res.Err = fmt.Errorf("fleet: job %q build: %w", job.Name, err)

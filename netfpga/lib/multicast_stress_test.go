@@ -69,10 +69,10 @@ func broadcastJob(name string, frames int) fleet.Job {
 }
 
 // TestMulticastRefcountStress runs a fleet of broadcast-flooding
-// switches through the segmented scheduler with a tiny budget, so the
-// shared-buffer refcount path is exercised across thousands of
-// park/resume handoffs — under -race in CI, this is the proof that
-// zero-copy replication stays goroutine-confined and deterministic.
+// switches on one worker and on a pool of four, so the shared-buffer
+// refcount path is exercised by devices running side by side — under
+// -race in CI, this is the proof that zero-copy replication stays
+// goroutine-confined and deterministic.
 func TestMulticastRefcountStress(t *testing.T) {
 	frames := 2000
 	if testing.Short() {
@@ -92,15 +92,14 @@ func TestMulticastRefcountStress(t *testing.T) {
 			t.Fatalf("job %q: %v", r.Name, r.Err)
 		}
 	}
-	seg := &fleet.Runner{Workers: 4, Segment: true, SegmentBudget: 1024}
-	segRes := seg.RunAll(context.Background(), mkJobs())
-	for i, r := range segRes {
+	poolRes := fleet.New(4).RunAll(context.Background(), mkJobs())
+	for i, r := range poolRes {
 		if r.Err != nil {
-			t.Fatalf("segmented job %q: %v", r.Name, r.Err)
+			t.Fatalf("pool job %q: %v", r.Name, r.Err)
 		}
 		if fmt.Sprint(r.Value) != fmt.Sprint(refRes[i].Value) ||
 			r.Events != refRes[i].Events {
-			t.Errorf("job %q diverges under segmentation: %v/%d vs %v/%d",
+			t.Errorf("job %q diverges on the pool: %v/%d vs %v/%d",
 				r.Name, r.Value, r.Events, refRes[i].Value, refRes[i].Events)
 		}
 	}

@@ -41,11 +41,6 @@ type (
 	RxFrame = core.RxFrame
 	// Agent is project firmware running against the register file.
 	Agent = core.Agent
-	// ParkState is a parked device's serializable checkpoint
-	// identity — what migrates a partially executed device between
-	// processes or machines (resumed by deterministic replay, proven
-	// by state-digest verification).
-	ParkState = core.ParkState
 	// Time is simulated time in picoseconds.
 	Time = hw.Time
 	// Background is the hybrid-fidelity analytic traffic model a

@@ -190,8 +190,8 @@ func (p *Plan) sealResult(i int, res fleet.Result) CellResult {
 
 // RunCell compiles and executes a single cell of the plan and returns
 // its sealed result. wrap, when non-nil, may decorate the compiled job
-// before it runs — the hook distributed workers use to install
-// checkpoint/park instrumentation around the job's Drive. fidelity,
+// before it runs — the hook the per-edge reference test uses to reach
+// the built device. fidelity,
 // when non-empty, is the run-level fidelity override (cells whose spec
 // carries a fidelity axis win). The cell's seed, digest and semantics
 // are identical to batch execution (seeds derive from (BaseSeed, key),

@@ -35,12 +35,6 @@ import (
 //     Breaker.Failures times inside Breaker.Window is quarantined for a
 //     cooldown, then re-admitted through a single probe dial whose
 //     failure doubles the cooldown.
-//   - Migration: a worker can park a running cell between two events
-//     and ship it back as a Checkpoint (forced by MigrateAfter, or
-//     requested by a Steal when the queue is empty and a peer idles);
-//     the fleet resumes it on another worker, which replays to the park
-//     point, verifies the state digest bit-exactly, and finishes the
-//     cell.
 //   - Degradation: when every remote path is gone — fixed endpoints
 //     dead, connectors quarantined with no dial in flight — and
 //     Fallback is set, the remaining cells run in-process on Req's
@@ -62,10 +56,6 @@ type Fleet struct {
 	// redialed (with backoff) after every death. Endpoints and
 	// Connectors can be mixed; together they must be >= 1.
 	Connectors []*Connector
-	// MigrateAfter, when non-zero, forces every fresh cell to park at
-	// that cumulative executed-event count and migrate — the
-	// determinism gate for the checkpoint path.
-	MigrateAfter uint64
 	// HangTimeout kills a worker that owes cells but has sent nothing
 	// for this long (0 = never). It must comfortably exceed the
 	// longest single cell's execution time.
@@ -88,17 +78,12 @@ type Fleet struct {
 	// completion remains, the coordinator runs every unfinished cell
 	// in-process on Req.Runner() instead of failing the run.
 	Fallback bool
-	// Steal enables utilization-driven migration: when the pending
-	// queue is empty and a worker idles, the busiest worker owing >= 2
-	// cells is asked to park one.
-	Steal bool
 	// Weights are per-endpoint capacity weights (keyed by worker name,
 	// 1.0 = fleet average; missing names default to 1.0), typically
 	// derived from a previous run's persisted utilization via
 	// fleet.CapacityWeights. A weight scales the worker's outstanding
-	// top-up (fast workers hold more cells in flight) and its steal
-	// threshold (slow workers shed backlog earlier). Weights change only
-	// placement: digests are byte-identical with and without them.
+	// top-up (fast workers hold more cells in flight). Weights change
+	// only placement: digests are byte-identical with and without them.
 	Weights map[string]float64
 	// Completed seeds the merger with cells finished by a previous,
 	// interrupted run. Each record is digest-verified through Adopt
@@ -108,7 +93,7 @@ type Fleet struct {
 	// replayed to onCell — the caller already owns their persistence.
 	Completed []sweep.CellRecord
 	// OnEvent, when non-nil, observes fleet lifecycle events (deaths,
-	// requeues, migrations, reconnects, quarantines) from the
+	// requeues, reconnects, quarantines) from the
 	// coordinator goroutine.
 	OnEvent func(FleetEvent)
 
@@ -206,7 +191,7 @@ type WorkerReport struct {
 // worker, and how many cells it moved.
 type FleetEvent struct {
 	Worker string
-	Kind   string // hello, death, hang, checkpoint, resume, reject, steal, duplicate, done, sched, adopt, reconnect, redial-failed, quarantine, probe, fallback
+	Kind   string // hello, death, hang, reject, duplicate, done, sched, adopt, reconnect, redial-failed, quarantine, probe, fallback
 	Detail string
 	Cells  int
 }
@@ -302,14 +287,13 @@ type fleetWorker struct {
 	ep          *Endpoint  // current transport (nil while disconnected)
 	gen         int        // incarnation counter; stale readers are fenced by it
 	send        chan Command
-	outstanding map[string]sessionItem
+	outstanding map[string]bool
 	lastFrame   time.Time
 	alive       bool
 	helloed     bool
 	closed      bool
 	done        bool
 	recvCells   int
-	stealsOut   int
 	weight      float64 // capacity weight (1.0 = uniform)
 	limit       int     // outstanding top-up target, weight-scaled
 
@@ -392,17 +376,14 @@ func (f *Fleet) Run(ctx context.Context, plan *sweep.Plan, onCell func(sweep.Cel
 		emit(FleetEvent{Kind: "adopt", Detail: fmt.Sprintf("%d cells adopted from previous run, %d re-run", adopted, readopt), Cells: adopted})
 	}
 
-	// pending holds every cell not yet assigned to a live worker:
-	// initially the unfinished plan, later requeues and checkpoints.
-	pending := make([]sessionItem, 0, total)
+	// pending holds the key of every cell not yet assigned to a live
+	// worker: initially the unfinished plan, later requeues.
+	pending := make([]string, 0, total)
 	for _, key := range plan.Keys() {
 		if !m.Filled(key) {
-			pending = append(pending, sessionItem{key: key})
+			pending = append(pending, key)
 		}
 	}
-	// donor[key] remembers who shipped a pending checkpoint so the
-	// resume lands elsewhere when the fleet allows it.
-	donor := make(map[string]int)
 	requeues := make(map[string]int)
 	maxRequeue := 2 * nworkers
 	if maxRequeue < 4 {
@@ -433,7 +414,7 @@ func (f *Fleet) Run(ctx context.Context, plan *sweep.Plan, onCell func(sweep.Cel
 		return &fleetWorker{
 			name:        name,
 			conn:        conn,
-			outstanding: map[string]sessionItem{},
+			outstanding: map[string]bool{},
 			lastFrame:   now,
 			weight:      weight,
 			limit:       limit,
@@ -541,16 +522,6 @@ func (f *Fleet) Run(ctx context.Context, plan *sweep.Plan, onCell func(sweep.Cel
 		}
 	}()
 
-	// ready counts workers that can accept work right now.
-	ready := func() (n int) {
-		for _, w := range workers {
-			if w.alive && w.helloed && !w.closed {
-				n++
-			}
-		}
-		return n
-	}
-
 	forensics := func() []WorkerForensics {
 		now := time.Now()
 		out := make([]WorkerForensics, len(workers))
@@ -573,43 +544,26 @@ func (f *Fleet) Run(ctx context.Context, plan *sweep.Plan, onCell func(sweep.Cel
 	}
 
 	// feed tops worker i up to its weight-scaled outstanding limit
-	// (2*chunk at weight 1.0), batching fresh keys into one Assign and
-	// sending resumes individually. A resume prefers any worker other
-	// than its donor; the donor takes it back only when it is the
-	// fleet's only ready worker.
+	// (2*chunk at weight 1.0) with one Assign.
 	feed := func(i int) {
 		w := workers[i]
 		if !w.alive || !w.helloed || w.closed {
 			return
 		}
-		var keys []string
-		var skipped []sessionItem
-		// Each taken item lands in w.outstanding immediately (fresh keys
-		// and resumes alike), so outstanding alone is the in-flight count
-		// the limit applies to.
-		for len(pending) > 0 && len(w.outstanding) < w.limit {
-			it := pending[0]
-			pending = pending[1:]
-			if it.resume != nil {
-				if d, ok := donor[it.key]; ok && d == i && ready() > 1 {
-					skipped = append(skipped, it)
-					continue
-				}
-				delete(donor, it.key)
-				w.outstanding[it.key] = it
-				w.send <- Command{Resume: it.resume}
-				emit(FleetEvent{Worker: w.name, Kind: "resume", Detail: it.key, Cells: 1})
-				continue
-			}
-			w.outstanding[it.key] = it
-			keys = append(keys, it.key)
+		n := w.limit - len(w.outstanding)
+		if n > len(pending) {
+			n = len(pending)
 		}
-		if len(skipped) > 0 {
-			pending = append(skipped, pending...)
+		if n <= 0 {
+			return
 		}
-		if len(keys) > 0 {
-			w.send <- Command{Assign: &Assign{Keys: keys, MigrateAfter: f.MigrateAfter}}
+		// Copied: the writer goroutine encodes keys while pending moves on.
+		keys := append([]string(nil), pending[:n]...)
+		pending = pending[n:]
+		for _, key := range keys {
+			w.outstanding[key] = true
 		}
+		w.send <- Command{Assign: &Assign{Keys: keys}}
 	}
 	feedAll := func() {
 		for i := range workers {
@@ -617,19 +571,15 @@ func (f *Fleet) Run(ctx context.Context, plan *sweep.Plan, onCell func(sweep.Cel
 		}
 	}
 
-	requeue := func(it sessionItem, why string) error {
-		if m.Filled(it.key) {
+	requeue := func(key, why string) error {
+		if m.Filled(key) {
 			return nil
 		}
-		requeues[it.key]++
-		if requeues[it.key] > maxRequeue {
-			return fmt.Errorf("shard: cell %s failed %d workers (last: %s)", it.key, requeues[it.key], why)
+		requeues[key]++
+		if requeues[key] > maxRequeue {
+			return fmt.Errorf("shard: cell %s failed %d workers (last: %s)", key, requeues[key], why)
 		}
-		// Requeued cells restart fresh: a dead donor's checkpoint is
-		// still valid anywhere, but a clean restart has one less moving
-		// part and the digest guarantee makes both equivalent.
-		delete(donor, it.key)
-		pending = append(pending, sessionItem{key: it.key})
+		pending = append(pending, key)
 		return nil
 	}
 
@@ -691,13 +641,13 @@ func (f *Fleet) Run(ctx context.Context, plan *sweep.Plan, onCell func(sweep.Cel
 		}
 		n := 0
 		var err error
-		for _, it := range w.outstanding {
-			if e := requeue(it, why); e != nil && err == nil {
+		for key := range w.outstanding {
+			if e := requeue(key, why); e != nil && err == nil {
 				err = e
 			}
 			n++
 		}
-		w.outstanding = map[string]sessionItem{}
+		w.outstanding = map[string]bool{}
 		emit(FleetEvent{Worker: w.name, Kind: kind, Detail: why, Cells: n})
 		now := time.Now()
 		recordFailure(i, now)
@@ -710,39 +660,6 @@ func (f *Fleet) Run(ctx context.Context, plan *sweep.Plan, onCell func(sweep.Cel
 		}
 		feedAll()
 		return nil
-	}
-
-	// maybeSteal migrates backlog toward idle workers once the pending
-	// queue is dry: the worker with the highest weighted load
-	// (outstanding / capacity weight) owing at least two cells parks
-	// one, so a slow worker sheds backlog before a fast one with the
-	// same queue depth. Single-cell victims are left alone —
-	// replay-migrating a worker's only cell buys nothing.
-	maybeSteal := func() {
-		if !f.Steal || len(pending) > 0 {
-			return
-		}
-		idle, victim, most := false, -1, 0.0
-		for i, w := range workers {
-			if !w.alive || !w.helloed || w.closed {
-				continue
-			}
-			if len(w.outstanding) == 0 {
-				idle = true
-				w.stealsOut = 0
-			}
-			if len(w.outstanding) < 2 || w.stealsOut != 0 {
-				continue
-			}
-			if load := float64(len(w.outstanding)) / w.weight; load > most {
-				victim, most = i, load
-			}
-		}
-		if idle && victim >= 0 {
-			workers[victim].stealsOut++
-			workers[victim].send <- Command{Steal: true}
-			emit(FleetEvent{Worker: workers[victim].name, Kind: "steal", Cells: len(workers[victim].outstanding)})
-		}
 	}
 
 	tick := 250 * time.Millisecond
@@ -793,9 +710,6 @@ func (f *Fleet) Run(ctx context.Context, plan *sweep.Plan, onCell func(sweep.Cel
 	runFallback := func() error {
 		sub := plan.Subset(func(key string) bool { return !m.Filled(key) })
 		pending = pending[:0]
-		for k := range donor {
-			delete(donor, k)
-		}
 		emit(FleetEvent{Worker: "fallback", Kind: "fallback",
 			Detail: fmt.Sprintf("no remote path left; running %d cells in-process", len(sub.Cells)), Cells: len(sub.Cells)})
 		r := f.Req.Runner()
@@ -923,7 +837,6 @@ func (f *Fleet) Run(ctx context.Context, plan *sweep.Plan, onCell func(sweep.Cel
 				}
 				startDial(i)
 			}
-			maybeSteal()
 		case dr := <-dials:
 			w := workers[dr.w]
 			w.dialing = false
@@ -955,8 +868,7 @@ func (f *Fleet) Run(ctx context.Context, plan *sweep.Plan, onCell func(sweep.Cel
 				// a completed cell — "the presumed-dead worker's
 				// in-flight result still lands" — through the same
 				// dup-tolerant Adopt; everything else (hello, done,
-				// checkpoints, errors) belongs to a session that no
-				// longer exists.
+				// errors) belongs to a session that no longer exists.
 				if ev.err == nil && ev.frame.Cell != nil {
 					if cr, dup, err := m.Adopt(*ev.frame.Cell); err == nil {
 						delete(w.outstanding, ev.frame.Cell.Key)
@@ -1042,26 +954,12 @@ func (f *Fleet) Run(ctx context.Context, plan *sweep.Plan, onCell func(sweep.Cel
 					onCell(cr)
 				}
 				feed(ev.w)
-			case fr.Checkpoint != nil:
-				delete(w.outstanding, fr.Checkpoint.Key)
-				if w.stealsOut > 0 {
-					w.stealsOut--
-				}
-				if m.Filled(fr.Checkpoint.Key) {
-					emit(FleetEvent{Worker: w.name, Kind: "checkpoint", Detail: fr.Checkpoint.Key + " (stale)", Cells: 0})
-					continue
-				}
-				cp := *fr.Checkpoint
-				pending = append(pending, sessionItem{key: cp.Key, resume: &cp})
-				donor[cp.Key] = ev.w
-				emit(FleetEvent{Worker: w.name, Kind: "checkpoint", Detail: cp.Key, Cells: 1})
-				feedAll()
 			case fr.Reject != nil:
-				it, owed := w.outstanding[fr.Reject.Key]
+				owed := w.outstanding[fr.Reject.Key]
 				delete(w.outstanding, fr.Reject.Key)
 				emit(FleetEvent{Worker: w.name, Kind: "reject", Detail: fr.Reject.Key + ": " + fr.Reject.Reason, Cells: 1})
 				if owed {
-					if err := requeue(it, "rejected: "+fr.Reject.Reason); err != nil {
+					if err := requeue(fr.Reject.Key, "rejected: "+fr.Reject.Reason); err != nil {
 						return nil, util, err
 					}
 					feedAll()

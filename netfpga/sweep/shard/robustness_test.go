@@ -343,9 +343,12 @@ func TestFleetResumeDivergingRecordFatal(t *testing.T) {
 	rec := want.Cells[0].Record()
 	twin := rec
 	twin.Digest = "0000000000000000"
+	eps := pipeFleet(context.Background(), 1)
+	// Run fails before it attaches (and so before it owns) the endpoint.
+	defer eps[0].Kill()
 	f := &Fleet{
 		Req:       Request{Config: "matrix", Workers: 1},
-		Endpoints: pipeFleet(context.Background(), 1),
+		Endpoints: eps,
 		Completed: []sweep.CellRecord{rec, twin},
 	}
 	_, _, err := f.Run(context.Background(), sessionPlan(t), nil)

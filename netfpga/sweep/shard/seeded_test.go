@@ -49,13 +49,16 @@ func TestFleetSeededWeightsSlowWorker(t *testing.T) {
 	run := func(weights map[string]float64) (slowCells, schedEvents int) {
 		t.Helper()
 		slow := slowEndpoint(PipeWorker(context.Background(), "slow", testPlan), delay)
-		fast := PipeWorker(context.Background(), "fast", testPlan)
+		// The fast worker joins only after the slow one's hello — its
+		// top-up — so it cannot drain the plan first.
+		gate, release := helloGate(t)
+		fast := holdHello(PipeWorker(context.Background(), "fast", testPlan), gate)
 		var log eventLog
 		f := &Fleet{
 			Req:       Request{Config: "matrix", Workers: 1},
 			Endpoints: []*Endpoint{slow, fast},
 			Weights:   weights,
-			OnEvent:   log.add,
+			OnEvent:   log.releaseOn("slow", "hello", release),
 		}
 		rs, util, err := f.Run(context.Background(), sessionPlan(t), nil)
 		if err != nil {

@@ -3,12 +3,14 @@ package shard
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"os"
 	"os/exec"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -93,17 +95,22 @@ func TestFleetPipes(t *testing.T) {
 func TestFleetWorkerDeath(t *testing.T) {
 	want := fullRun(t)
 	eps := pipeFleet(context.Background(), 3)
+	// The survivors join only once the victim's death has been seen, so
+	// the first cell is the victim's and its death lands mid-run.
+	gate, release := helloGate(t)
+	victim := eps[0]
+	eps[1], eps[2] = holdHello(eps[1], gate), holdHello(eps[2], gate)
 	var log eventLog
 	killed := false
 	f := &Fleet{
 		Req:       Request{Config: "matrix", Workers: 1},
 		Endpoints: eps,
-		OnEvent:   log.add,
+		OnEvent:   log.releaseOn(victim.Name, "death", release),
 	}
 	rs, _, err := f.Run(context.Background(), sessionPlan(t), func(sweep.CellResult) {
 		if !killed {
 			killed = true
-			_ = eps[0].Kill() // sever the first worker at first blood
+			_ = victim.Kill() // sever the first worker at first blood
 		}
 	})
 	if err != nil {
@@ -150,12 +157,16 @@ func TestFleetHangingWorker(t *testing.T) {
 		return nil
 	}}
 
+	// The working peer joins only after the hung worker's hello — its
+	// top-up — so the hung worker owes cells when it goes silent.
+	gate, release := helloGate(t)
+	peer := holdHello(PipeWorker(context.Background(), "pipe:0", testPlan), gate)
 	var log eventLog
 	f := &Fleet{
 		Req:         Request{Config: "matrix", Workers: 2},
-		Endpoints:   append(pipeFleet(context.Background(), 1), hung),
+		Endpoints:   []*Endpoint{peer, hung},
 		HangTimeout: 400 * time.Millisecond,
-		OnEvent:     log.add,
+		OnEvent:     log.releaseOn(hung.Name, "hello", release),
 	}
 	rs, _, err := f.Run(context.Background(), sessionPlan(t), nil)
 	if err != nil {
@@ -189,6 +200,42 @@ func mitmEndpoint(inner *Endpoint, mutate func(SessionFrame) []SessionFrame) *En
 	return &Endpoint{Name: inner.Name + "+mitm", In: inner.In, Out: outR, Kill: inner.Kill, Wait: inner.Wait}
 }
 
+// holdHello delays a worker's Hello until gate closes, so the fleet
+// cannot feed it before then: how a test makes sure the worker under
+// test is fed, and its event observed, before a fast peer drains the
+// plan. The endpoint keeps the inner name (Weights key on it).
+func holdHello(inner *Endpoint, gate <-chan struct{}) *Endpoint {
+	held := mitmEndpoint(inner, func(fr SessionFrame) []SessionFrame {
+		if fr.Hello != nil {
+			<-gate
+		}
+		return []SessionFrame{fr}
+	})
+	held.Name = inner.Name
+	return held
+}
+
+// helloGate returns a gate for holdHello and the function that opens it;
+// the gate also opens when the test ends, so a failing test leaves no
+// goroutine held.
+func helloGate(t *testing.T) (gate <-chan struct{}, release func()) {
+	ch := make(chan struct{})
+	release = sync.OnceFunc(func() { close(ch) })
+	t.Cleanup(release)
+	return ch, release
+}
+
+// releaseOn returns an OnEvent that logs every event and calls release
+// when worker's event of the given kind arrives.
+func (l *eventLog) releaseOn(worker, kind string, release func()) func(FleetEvent) {
+	return func(ev FleetEvent) {
+		l.add(ev)
+		if ev.Worker == worker && ev.Kind == kind {
+			release()
+		}
+	}
+}
+
 // TestFleetTamperedWorkerRecovered: a worker whose records are
 // corrupted in flight is killed and its cells re-earned elsewhere — the
 // run completes with correct digests instead of aborting, because the
@@ -202,11 +249,15 @@ func TestFleetTamperedWorkerRecovered(t *testing.T) {
 		}
 		return []SessionFrame{fr}
 	})
+	// The honest worker joins only once the tampering one has been
+	// killed, so it cannot drain the plan before the victim is fed.
+	gate, release := helloGate(t)
+	honest := holdHello(PipeWorker(context.Background(), "honest", testPlan), gate)
 	var log eventLog
 	f := &Fleet{
 		Req:       Request{Config: "matrix", Workers: 1},
-		Endpoints: []*Endpoint{tampered, PipeWorker(context.Background(), "honest", testPlan)},
-		OnEvent:   log.add,
+		Endpoints: []*Endpoint{tampered, honest},
+		OnEvent:   log.releaseOn(tampered.Name, "death", release),
 	}
 	rs, _, err := f.Run(context.Background(), sessionPlan(t), nil)
 	if err != nil {
@@ -284,41 +335,6 @@ func TestFleetDivergingDuplicateFatal(t *testing.T) {
 	_, _, err := f.Run(context.Background(), sessionPlan(t), nil)
 	if err == nil || !errors.Is(err, sweep.ErrDiverged) {
 		t.Fatalf("diverging duplicate did not abort with ErrDiverged: %v", err)
-	}
-}
-
-// TestFleetForcedMigration: with MigrateAfter set, every fresh cell
-// parks mid-run, ships its ParkState back as a Checkpoint, and is
-// resumed — replayed and digest-verified — on another worker. The final
-// digests are byte-identical to a never-migrated run.
-func TestFleetForcedMigration(t *testing.T) {
-	want := fullRun(t)
-	// Park inside even the shortest cell: half its total event count.
-	minEvents := want.Cells[0].Events
-	for _, c := range want.Cells {
-		if c.Events < minEvents {
-			minEvents = c.Events
-		}
-	}
-	var log eventLog
-	f := &Fleet{
-		Req:          Request{Config: "matrix", Workers: 1},
-		Endpoints:    pipeFleet(context.Background(), 2),
-		MigrateAfter: minEvents / 2,
-		OnEvent:      log.add,
-	}
-	rs, _, err := f.Run(context.Background(), sessionPlan(t), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkMatches(t, want, rs)
-	cps := log.count("checkpoint")
-	res := log.count("resume")
-	if cps == 0 || res == 0 {
-		t.Fatalf("forced migration never happened: %d checkpoints, %d resumes", cps, res)
-	}
-	if cps != len(want.Cells) {
-		t.Errorf("%d checkpoints for %d cells — some cells never parked", cps, len(want.Cells))
 	}
 }
 
@@ -400,17 +416,22 @@ func TestFleetProcessSIGKILL(t *testing.T) {
 			Wait: cmd.Wait,
 		}
 	}
+	// As in TestFleetWorkerDeath: the survivors join once the victim's
+	// death has been seen, so the kill lands mid-sweep.
+	gate, release := helloGate(t)
+	victim := eps[0]
+	eps[1], eps[2] = holdHello(eps[1], gate), holdHello(eps[2], gate)
 	var log eventLog
 	killed := false
 	f := &Fleet{
 		Req:       Request{Config: "matrix", Workers: 1},
 		Endpoints: eps,
-		OnEvent:   log.add,
+		OnEvent:   log.releaseOn(victim.Name, "death", release),
 	}
 	rs, _, err := f.Run(context.Background(), sessionPlan(t), func(sweep.CellResult) {
 		if !killed {
 			killed = true
-			_ = eps[0].Kill() // SIGKILL, mid-sweep
+			_ = victim.Kill() // SIGKILL, mid-sweep
 		}
 	})
 	if err != nil {
@@ -422,124 +443,13 @@ func TestFleetProcessSIGKILL(t *testing.T) {
 	}
 }
 
-// TestSessionSteal: the protocol-level steal handshake. A
-// single-threaded worker holding a queue of cells is asked to Steal;
-// some running cell parks at its next yield and comes back as a
-// Checkpoint, which a Resume then finishes with the correct digest.
-func TestSessionSteal(t *testing.T) {
-	want := fullRun(t)
-	ep := PipeWorker(context.Background(), "w", testPlan)
-	send := func(c Command) {
-		if err := WriteFrame(ep.In, c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	recv := func() SessionFrame {
-		var fr SessionFrame
-		if err := ReadFrame(ep.Out, &fr); err != nil {
-			t.Fatal(err)
-		}
-		return fr
-	}
-
-	plan := sessionPlan(t)
-	send(Command{Open: &Request{Config: "matrix", Workers: 1, SegmentBudget: 512}})
-	if fr := recv(); fr.Hello == nil || fr.Hello.Cells != len(plan.Cells) {
-		t.Fatalf("no hello: %+v", fr)
-	}
-	send(Command{Assign: &Assign{Keys: plan.Keys()[:4]}})
-	send(Command{Steal: true})
-
-	var cp *Checkpoint
-	got := map[string]string{}
-	for len(got) < 3 && cp == nil {
-		fr := recv()
-		switch {
-		case fr.Cell != nil:
-			got[fr.Cell.Key] = fr.Cell.Digest
-		case fr.Checkpoint != nil:
-			cp = fr.Checkpoint
-		default:
-			t.Fatalf("unexpected frame: %+v", fr)
-		}
-	}
-	if cp == nil {
-		t.Fatal("steal never produced a checkpoint")
-	}
-	if cp.State.Digest == "" || cp.State.Executed == 0 {
-		t.Fatalf("empty checkpoint state: %+v", cp.State)
-	}
-
-	// Resume the stolen cell on the same session (any worker can).
-	send(Command{Resume: cp})
-	for {
-		fr := recv()
-		if fr.Cell != nil {
-			got[fr.Cell.Key] = fr.Cell.Digest
-			if fr.Cell.Key == cp.Key {
-				break
-			}
-			continue
-		}
-		t.Fatalf("unexpected frame while resuming: %+v", fr)
-	}
-	send(Command{Close: true})
-	if fr := recv(); fr.Done == nil || fr.Done.Cells != 4 {
-		t.Fatalf("no done: %+v", fr)
-	}
-
-	for key, digest := range got {
-		ref := want.Get(key)
-		if ref == nil {
-			t.Fatalf("unknown cell %s", key)
-		}
-		if digest != ref.Digest {
-			t.Errorf("cell %s digest diverged after steal/resume", key)
-		}
-	}
-}
-
-// TestSessionRejectsForgedCheckpoint: a Resume carrying a state the
-// replay cannot verify is rejected, never silently executed.
-func TestSessionRejectsForgedCheckpoint(t *testing.T) {
-	ep := PipeWorker(context.Background(), "w", testPlan)
-	plan := sessionPlan(t)
-	if err := WriteFrame(ep.In, Command{Open: &Request{Config: "matrix", Workers: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	var fr SessionFrame
-	if err := ReadFrame(ep.Out, &fr); err != nil || fr.Hello == nil {
-		t.Fatalf("no hello: %+v err=%v", fr, err)
-	}
-	forged := &Checkpoint{Key: plan.Cells[0].Key}
-	forged.State.Executed = 5000
-	forged.State.NowPS = 123456
-	forged.State.Digest = "deadbeefdeadbeefdeadbeefdeadbeef"
-	if err := WriteFrame(ep.In, Command{Resume: forged}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ReadFrame(ep.Out, &fr); err != nil {
-		t.Fatal(err)
-	}
-	if fr.Reject == nil || fr.Reject.Key != forged.Key {
-		t.Fatalf("forged checkpoint not rejected: %+v", fr)
-	}
-	if err := WriteFrame(ep.In, Command{Close: true}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ReadFrame(ep.Out, &fr); err != nil || fr.Done == nil || fr.Done.Cells != 0 {
-		t.Fatalf("no done: %+v err=%v", fr, err)
-	}
-}
-
 // TestSessionFrameRoundTrip: the session envelopes survive the framing
 // layer, and a corrupt prefix surfaces as the typed FrameError.
 func TestSessionFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	cmds := []Command{
 		{Open: &Request{Config: "matrix", Workers: 2}},
-		{Assign: &Assign{Keys: []string{"a", "b"}, MigrateAfter: 100}},
-		{Steal: true},
+		{Assign: &Assign{Keys: []string{"a", "b"}}},
 		{Close: true},
 	}
 	for _, c := range cmds {
@@ -577,4 +487,34 @@ func TestSessionFrameRoundTrip(t *testing.T) {
 	if err := ReadFrame(garbage, &c); err == nil || !errors.As(err, &fe) {
 		t.Fatalf("undecodable frame did not produce a FrameError: %v", err)
 	}
+
+	// An older coordinator's Steal and Resume commands decode to a
+	// Command with no field set: the session answers one Err frame and
+	// ends, having run nothing.
+	for _, old := range []string{
+		`{"steal":true}`,
+		`{"resume":{"key":"k","state":{"now_ps":5,"executed":9,"digest":"d"}}}`,
+	} {
+		var in, out bytes.Buffer
+		if err := WriteFrame(&in, Command{Open: &Request{Config: "matrix"}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteFrame(&in, json.RawMessage(old)); err != nil {
+			t.Fatal(err)
+		}
+		if err := ServeSession(context.Background(), &in, &out, testPlan); err == nil {
+			t.Fatalf("%s: session accepted a deleted command", old)
+		}
+		var hello, fr SessionFrame
+		if err := ReadFrame(&out, &hello); err != nil || hello.Hello == nil {
+			t.Fatalf("%s: no hello: %+v err=%v", old, hello, err)
+		}
+		if err := ReadFrame(&out, &fr); err != nil || !strings.Contains(fr.Err, "empty command") {
+			t.Fatalf("%s: want an \"empty command\" Err frame, got %+v err=%v", old, fr, err)
+		}
+		if err := ReadFrame(&out, &fr); err != io.EOF {
+			t.Fatalf("%s: frames after the Err frame: %+v err=%v", old, fr, err)
+		}
+	}
+	assertNoSessionGoroutines(t)
 }

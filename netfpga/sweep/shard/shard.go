@@ -3,9 +3,10 @@
 // subprocesses, TCP dials, or both mixed), hands the plan's cells out
 // by canonical key in chunks as workers drain them, and merges the
 // streamed cell records back into one result set with digests
-// byte-identical to a single-process run. Together with fleet.Runner's
-// whole-job and segmented scheduling it is one of the repo's three
-// execution paths, and the only one that crosses a process boundary.
+// byte-identical to a single-process run. Beside fleet.Runner's
+// in-process pool it is the second of the repo's two execution paths,
+// and the only one that crosses a process boundary. On both, a cell
+// runs from its first event to its last on the worker that claimed it.
 //
 // There is one wire protocol: length-prefixed JSON frames, the same on
 // the stdin/stdout pipes of a spawned `nf-bench shard-worker` and on a
@@ -16,23 +17,19 @@
 //
 //	Open    start a session: plan this config (a Request, in full)
 //	Assign  execute these cells, streaming a Cell frame per completion
-//	Resume  adopt a migrated checkpoint: replay, verify, finish the cell
-//	Steal   park one in-flight cell at its next yield and ship it back
 //	Close   finish in-flight work, report Done, end the session
 //
 // Worker -> coordinator, each as one SessionFrame:
 //
-//	Hello       session accepted: plan size + local pool width
-//	Cell        one completed cell record (digest-stamped)
-//	Checkpoint  a parked cell's ParkState, leaving this worker's care
-//	Reject      a Resume whose replay failed verification
-//	Done        session end: cells completed + utilization report
-//	Err         fatal session failure
+//	Hello   session accepted: plan size + local pool width
+//	Cell    one completed cell record (digest-stamped)
+//	Reject  an assigned cell this worker cannot run; the fleet requeues it
+//	Done    session end: cells completed + utilization report
+//	Err     fatal session failure
 //
 // The stream stays open in both directions for the whole run, which is
-// what makes death recovery (requeue what a dead worker still owed) and
-// checkpoint migration (park a running device on one worker, resume it
-// on another) possible.
+// what makes death recovery (requeue what a dead worker still owed)
+// possible.
 //
 // Determinism is inherited, not negotiated: cell seeds derive from
 // (base seed, canonical key) and never from placement, so the records a
@@ -92,13 +89,11 @@ type Request struct {
 	Filter string `json:"filter,omitempty"`
 	// Seed is the base seed cell seeds derive from.
 	Seed uint64 `json:"seed"`
-	// Workers, Segment and SegmentBudget configure the local pool
-	// (fleet.Runner semantics). An older peer's clock_batch and
-	// frame_burst keys are ignored on decode: results never depended on
-	// them.
-	Workers       int    `json:"workers,omitempty"`
-	Segment       bool   `json:"segment,omitempty"`
-	SegmentBudget uint64 `json:"segment_budget,omitempty"`
+	// Workers is the width of the local pool (fleet.Runner semantics).
+	// An older peer's clock_batch, frame_burst, segment and
+	// segment_budget keys are ignored on decode: results never depended
+	// on them.
+	Workers int `json:"workers,omitempty"`
 	// Fidelity is the run-level execution-fidelity override
 	// ("full"/"hybrid"; "" = full). Cells whose spec carries a
 	// fidelity axis win, exactly as in-process.
@@ -108,9 +103,7 @@ type Request struct {
 // Runner builds the in-process pool the request describes — the one
 // place a run config becomes a fleet.Runner.
 func (r Request) Runner() *fleet.Runner {
-	return &fleet.Runner{Workers: r.Workers, BaseSeed: r.Seed,
-		Segment: r.Segment, SegmentBudget: r.SegmentBudget,
-		Fidelity: r.Fidelity}
+	return &fleet.Runner{Workers: r.Workers, BaseSeed: r.Seed, Fidelity: r.Fidelity}
 }
 
 // WriteFrame marshals v and writes it as one length-prefixed frame.

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/netfpga"
 	"repro/netfpga/fleet"
 	"repro/netfpga/sweep"
 	"repro/netfpga/workload"
@@ -174,23 +173,29 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err := ReadFrame(&buf, &f); err != io.EOF {
 		t.Fatalf("want io.EOF at stream end, got %v", err)
 	}
-	// An older peer's Open and Resume frames still carry the deleted
-	// clock_batch / frame_burst / deadline_ps keys: they are ignored, the
-	// rest of the frame decodes.
+	// An older peer's frames still carry keys of deleted knobs
+	// (clock_batch, frame_burst, segment, segment_budget on Open;
+	// migrate_after on Assign; segmented, segments, steals in a stored or
+	// shipped utilization report): they are ignored, the rest decodes.
 	for _, old := range []string{
-		`{"open":{"config":"c","seed":3,"workers":2,"clock_batch":1,"frame_burst":64,"segment":true}}`,
-		`{"resume":{"key":"k","state":{"now_ps":5,"executed":9,"deadline_ps":77,"digest":"d"}}}`,
+		`{"open":{"config":"c","seed":3,"workers":2,"clock_batch":1,"frame_burst":64,"segment":true,"segment_budget":512}}`,
+		`{"assign":{"keys":["a","b"],"migrate_after":5000}}`,
+		`{"done":{"cells":2,"util":{"workers":1,"jobs":2,"segmented":true,"wall_ms":10,"busy_ms":9,"segments":40,"steals":3,"efficiency":0.9}}}`,
 	} {
 		if err := WriteFrame(&buf, json.RawMessage(old)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var open, resume Command
-	if err := ReadFrame(&buf, &open); err != nil || *open.Open != (Request{Config: "c", Seed: 3, Workers: 2, Segment: true}) {
+	var open, assign Command
+	if err := ReadFrame(&buf, &open); err != nil || *open.Open != (Request{Config: "c", Seed: 3, Workers: 2}) {
 		t.Fatalf("old Open frame: %+v, %v", open.Open, err)
 	}
-	if err := ReadFrame(&buf, &resume); err != nil || resume.Resume.State != (netfpga.ParkState{NowPS: 5, Executed: 9, Digest: "d"}) {
-		t.Fatalf("old Resume frame: %+v, %v", resume.Resume, err)
+	if err := ReadFrame(&buf, &assign); err != nil || fmt.Sprint(assign.Assign.Keys) != "[a b]" {
+		t.Fatalf("old Assign frame: %+v, %v", assign.Assign, err)
+	}
+	wantUtil := fleet.UtilizationReport{Workers: 1, Jobs: 2, WallMS: 10, BusyMS: 9, Efficiency: 0.9}
+	if err := ReadFrame(&buf, &f); err != nil || f.Done == nil || f.Done.Util != wantUtil {
+		t.Fatalf("old Done frame: %+v, %v", f.Done, err)
 	}
 	// A corrupt length prefix must not allocate the moon.
 	bad := bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff, 0x00})

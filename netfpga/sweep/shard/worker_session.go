@@ -2,155 +2,15 @@ package shard
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/netfpga"
 	"repro/netfpga/fleet"
 	"repro/netfpga/sweep"
 )
-
-// errParked is the sentinel a park wrapper's Drive returns after
-// abandoning a cell at a segment yield; the session loop turns it into
-// a Checkpoint frame. It never leaves the worker.
-var errParked = errors.New("shard: cell parked for migration")
-
-// parkPanic unwinds a Drive out of a segment yield: parking must stop
-// the device between two events, and the yield callback has no return
-// path, so the wrapper panics with the encoded state and converts it
-// back to errParked in its own recover — before the fleet runner's
-// panic handler ever sees it.
-type parkPanic struct{ st netfpga.ParkState }
-
-// parkWrap decorates a job so its device can park mid-run: a segment
-// hook installed at the top of Drive watches for a park trigger —
-// the forced migrateAfter threshold, or a steal request claimed from
-// stealReq — and, when it fires, captures the device's ParkState and
-// abandons the run. The capture happens inside a yield, so the state is
-// quiescent and the checkpoint digest is exact.
-//
-// checkEvery sets the yield cadence when no forced threshold is set;
-// out receives the captured state when (and only when) the cell parked.
-func parkWrap(migrateAfter, checkEvery uint64, stealReq *atomic.Int64, out *netfpga.ParkState) func(fleet.Job) fleet.Job {
-	return func(j fleet.Job) fleet.Job {
-		orig := j.Drive
-		j.Drive = func(c *fleet.Ctx) (val any, err error) {
-			defer func() {
-				if r := recover(); r != nil {
-					pp, ok := r.(parkPanic)
-					if !ok {
-						panic(r)
-					}
-					*out, err = pp.st, errParked
-				}
-			}()
-			d := c.Dev
-			if d == nil {
-				// NoDevice cells (analytic models) have no park
-				// state to checkpoint; they run to completion here and
-				// are never candidates for parking or stealing.
-				return orig(c)
-			}
-			budget := checkEvery
-			if migrateAfter > 0 {
-				budget = migrateAfter
-			}
-			parked := false
-			d.SetSegmentHook(budget, func() {
-				if parked {
-					return
-				}
-				park := migrateAfter > 0
-				if !park && stealReq != nil {
-					// Claim one pending steal request, if any.
-					for {
-						v := stealReq.Load()
-						if v <= 0 {
-							break
-						}
-						if stealReq.CompareAndSwap(v, v-1) {
-							park = true
-							break
-						}
-					}
-				}
-				if !park {
-					return
-				}
-				parked = true
-				panic(parkPanic{st: d.EncodeState()})
-			})
-			return orig(c)
-		}
-		return j
-	}
-}
-
-// resumeWrap decorates a job to adopt a checkpoint: replay the freshly
-// built device to exactly st.Executed events, verify it reproduces the
-// checkpoint digest bit-exactly, then run on to completion. Replay is
-// the state transfer — the segment-equivalence guarantee makes the
-// replayed prefix identical to the donor's execution, and VerifyState
-// machine-checks it. A resumed cell installs no park logic, so a
-// migrated cell can never ping-pong between workers.
-func resumeWrap(st netfpga.ParkState, verifyErr *error) func(fleet.Job) fleet.Job {
-	return func(j fleet.Job) fleet.Job {
-		orig := j.Drive
-		j.Drive = func(c *fleet.Ctx) (val any, err error) {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(parkPanic); !ok {
-						panic(r)
-					}
-					err = *verifyErr
-				}
-			}()
-			d := c.Dev
-			if d == nil {
-				// A checkpoint for a device-less cell is forged or
-				// misrouted: parkWrap never produces one.
-				*verifyErr = fmt.Errorf("shard: cell has no device; checkpoint cannot be resumed")
-				return nil, *verifyErr
-			}
-			at := d.Sim.Executed()
-			if at >= st.Executed {
-				*verifyErr = fmt.Errorf("shard: device at %d events before Drive, checkpoint parked at %d", at, st.Executed)
-				return nil, *verifyErr
-			}
-			checked := false
-			d.SetSegmentHook(st.Executed-at, func() {
-				if checked {
-					return
-				}
-				checked = true
-				if err := d.VerifyState(st); err != nil {
-					*verifyErr = err
-					panic(parkPanic{})
-				}
-			})
-			val, err = orig(c)
-			if err == nil && !checked {
-				*verifyErr = fmt.Errorf("shard: cell finished at %d events without crossing checkpoint at %d",
-					d.Sim.Executed(), st.Executed)
-				err = *verifyErr
-			}
-			return val, err
-		}
-		return j
-	}
-}
-
-// sessionItem is one unit of assigned work: a fresh cell, or a
-// checkpoint to resume.
-type sessionItem struct {
-	key          string
-	migrateAfter uint64
-	resume       *Checkpoint
-}
 
 // PlanFunc resolves a request's config/filter/seed into the full sweep
 // plan. cmd/nf-bench supplies the resolver that knows about the
@@ -204,15 +64,9 @@ func ServeSession(ctx context.Context, in io.Reader, out io.Writer, planFor Plan
 		return fmt.Errorf("shard worker: sending hello: %w", err)
 	}
 
-	segEvery := req.SegmentBudget
-	if segEvery == 0 {
-		segEvery = fleet.DefaultSegmentBudget
-	}
-
-	// The work queue holds at most every plan cell plus re-resumed
-	// checkpoints; 2x plan size can never block the reader.
-	work := make(chan sessionItem, 2*len(plan.Cells)+16)
-	var stealReq atomic.Int64
+	// Sized so the reader never blocks on a coordinator that assigns the
+	// whole plan at once, requeued cells included.
+	work := make(chan string, 2*len(plan.Cells)+16)
 	var cells atomic.Int64
 	var busyNS atomic.Int64
 	start := time.Now()
@@ -222,9 +76,9 @@ func ServeSession(ctx context.Context, in io.Reader, out io.Writer, planFor Plan
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for it := range work {
+			for key := range work {
 				t0 := time.Now()
-				runSessionItem(ctx, plan, req, it, segEvery, &stealReq, send, &cells)
+				runSessionItem(ctx, plan, req, key, send, &cells)
 				busyNS.Add(int64(time.Since(t0)))
 			}
 		}()
@@ -253,12 +107,8 @@ func ServeSession(ctx context.Context, in io.Reader, out io.Writer, planFor Plan
 		switch {
 		case cmd.Assign != nil:
 			for _, key := range cmd.Assign.Keys {
-				work <- sessionItem{key: key, migrateAfter: cmd.Assign.MigrateAfter}
+				work <- key
 			}
-		case cmd.Resume != nil:
-			work <- sessionItem{key: cmd.Resume.Key, resume: cmd.Resume}
-		case cmd.Steal:
-			stealReq.Add(1)
 		case cmd.Close:
 			drain()
 			wall := time.Since(start)
@@ -282,13 +132,12 @@ func ServeSession(ctx context.Context, in io.Reader, out io.Writer, planFor Plan
 	}
 }
 
-// runSessionItem executes one assigned item and streams its outcome: a
-// Cell frame for a completed cell, a Checkpoint frame for a parked one,
-// a Reject frame for a resume that failed verification. Send failures
-// are ignored here — the reader loop observes the broken stream and
-// winds the session down.
-func runSessionItem(ctx context.Context, plan *sweep.Plan, req Request, it sessionItem,
-	segEvery uint64, stealReq *atomic.Int64, send func(SessionFrame) error, cells *atomic.Int64) {
+// runSessionItem executes one assigned cell from its first event to its
+// last and streams its outcome: a Cell frame, or a Reject frame for a
+// cell this worker's plan cannot run. Send failures are ignored here —
+// the reader loop observes the broken stream and winds the session down.
+func runSessionItem(ctx context.Context, plan *sweep.Plan, req Request, key string,
+	send func(SessionFrame) error, cells *atomic.Int64) {
 	// A cancelled session must ship nothing: a cell aborted by ctx
 	// carries a context error in its record, which is self-consistent
 	// under the digest and would be adopted as a legitimately-failed
@@ -296,34 +145,12 @@ func runSessionItem(ctx context.Context, plan *sweep.Plan, req Request, it sessi
 	if ctx.Err() != nil {
 		return
 	}
-	if it.resume != nil {
-		var verifyErr error
-		cr, err := plan.RunCell(ctx, it.key, 0, 0, req.Fidelity, resumeWrap(it.resume.State, &verifyErr))
-		switch {
-		case ctx.Err() != nil:
-		case err != nil:
-			_ = send(SessionFrame{Reject: &Reject{Key: it.key, Reason: err.Error()}})
-		case verifyErr != nil:
-			_ = send(SessionFrame{Reject: &Reject{Key: it.key, Reason: verifyErr.Error()}})
-		default:
-			cells.Add(1)
-			rec := cr.Record()
-			_ = send(SessionFrame{Cell: &rec})
-		}
-		return
-	}
-
-	var parked netfpga.ParkState
-	cr, err := plan.RunCell(ctx, it.key, 0, 0, req.Fidelity, parkWrap(it.migrateAfter, segEvery, stealReq, &parked))
+	cr, err := plan.RunCell(ctx, key, 0, 0, req.Fidelity, nil)
 	if ctx.Err() != nil {
 		return
 	}
 	if err != nil {
-		_ = send(SessionFrame{Reject: &Reject{Key: it.key, Reason: err.Error()}})
-		return
-	}
-	if parked.Digest != "" {
-		_ = send(SessionFrame{Checkpoint: &Checkpoint{Key: it.key, State: parked}})
+		_ = send(SessionFrame{Reject: &Reject{Key: key, Reason: err.Error()}})
 		return
 	}
 	cells.Add(1)

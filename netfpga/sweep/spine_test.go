@@ -15,8 +15,8 @@ import (
 // TestRouterGenericMeasureTerminates is the regression for the router
 // hanging under GenericMeasure: its agents poll with dev.Every, so the
 // event queue never empties and RunUntilIdle(0) used to spin forever.
-// A 10 us router cell must run to completion, and stop at the same
-// event whether the device runs whole or in 512-event segments.
+// 10 us router cells must run to completion, and stop at the same event
+// on one worker and on a pool.
 func TestRouterGenericMeasureTerminates(t *testing.T) {
 	g := Group{
 		Spec: Spec{
@@ -24,31 +24,32 @@ func TestRouterGenericMeasureTerminates(t *testing.T) {
 			Boards:    []string{"sume"},
 			Projects:  []string{"reference_router"},
 			Workloads: []Workload{{Name: "imix"}},
-			Seeds:     []uint64{1},
+			Seeds:     []uint64{1, 2},
 			WindowUS:  10,
 		},
 		Measure: GenericMeasure,
 	}
-	run := func(r *fleet.Runner) CellResult {
-		rs, err := RunGroups(context.Background(), r, []Group{g}, "")
+	run := func(workers int) []CellResult {
+		rs, err := RunGroups(context.Background(), &fleet.Runner{Workers: workers}, []Group{g}, "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(rs.Cells) != 1 || rs.Cells[0].Err != "" {
-			t.Fatalf("router cell: %+v", rs.Cells)
+		if len(rs.Cells) != 2 || rs.Cells[0].Err != "" || rs.Cells[1].Err != "" {
+			t.Fatalf("router cells: %+v", rs.Cells)
 		}
-		return rs.Cells[0]
+		return rs.Cells
 	}
-	whole := run(&fleet.Runner{Workers: 1})
-	segmented := run(&fleet.Runner{Workers: 1, Segment: true, SegmentBudget: 512})
-	// An unconfigured router forwards nothing; the frames still have to
-	// enter it and be looked up.
-	if whole.V("sent") == 0 || whole.Events == 0 || whole.SimTime < 10*netfpga.Microsecond {
-		t.Fatalf("router cell did not run: %+v", whole)
-	}
-	if whole.Digest != segmented.Digest || whole.Events != segmented.Events || whole.SimTime != segmented.SimTime {
-		t.Fatalf("segment off vs 512 diverge: digest %s/%s events %d/%d sim %d/%d",
-			whole.Digest, segmented.Digest, whole.Events, segmented.Events, whole.SimTime, segmented.SimTime)
+	one, pool := run(1), run(2)
+	for i, c := range one {
+		// An unconfigured router forwards nothing; the frames still have
+		// to enter it and be looked up.
+		if c.V("sent") == 0 || c.Events == 0 || c.SimTime < 10*netfpga.Microsecond {
+			t.Fatalf("router cell did not run: %+v", c)
+		}
+		if p := pool[i]; c.Digest != p.Digest || c.Events != p.Events || c.SimTime != p.SimTime {
+			t.Fatalf("workers 1 vs 2 diverge: digest %s/%s events %d/%d sim %d/%d",
+				c.Digest, p.Digest, c.Events, p.Events, c.SimTime, p.SimTime)
+		}
 	}
 }
 
