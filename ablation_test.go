@@ -1,6 +1,6 @@
 package repro
 
-// Ablation benchmarks for the design choices DESIGN.md calls out: lookup
+// Ablation benchmarks for three datapath design choices: lookup
 // pipelining, output-queue sizing, and clock gating. Each reports the
 // metric the choice trades on.
 

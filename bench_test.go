@@ -1,5 +1,5 @@
 // Package repro's top-level benchmarks regenerate every experiment of
-// the reproduction (one benchmark per table/figure of DESIGN.md §3,
+// the reproduction (one benchmark per table/figure `nf-bench -list` prints,
 // reporting each experiment's headline metrics), plus micro-benchmarks
 // of the hot paths the simulated datapath is built on.
 //

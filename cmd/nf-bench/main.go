@@ -1,9 +1,10 @@
-// nf-bench regenerates the reproduction's experiment tables (DESIGN.md
-// §3, recorded in EXPERIMENTS.md). With no arguments it runs everything
-// sequentially; -exp selects one experiment by ID; -parallel executes
-// the same device batches through the fleet worker pool and reports the
-// wall-clock speedup over sequential execution, then runs the 8-device
-// fleet suite both ways as a direct scaling demonstration.
+// nf-bench regenerates the reproduction's experiment tables (the index
+// `-list` prints; README.md walks through them). With no arguments it
+// runs everything sequentially; -exp selects one experiment by ID;
+// -parallel executes the same device batches through the fleet worker
+// pool and reports the wall-clock speedup over sequential execution,
+// then runs the 8-device fleet suite both ways as a direct scaling
+// demonstration.
 //
 //	nf-bench                 # all experiments, one device at a time
 //	nf-bench -exp T4         # just the switch line-rate table

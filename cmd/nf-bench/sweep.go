@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/storage/resultstore"
-	"repro/netfpga/fleet"
 	"repro/netfpga/sweep"
 	"repro/netfpga/sweep/shard"
 	"repro/netfpga/sweep/shard/chaos"
@@ -31,12 +30,10 @@ import (
 type sweepConfig struct {
 	fleet shard.Fleet
 
-	procs     int      // local `shard-worker` subprocesses (-shards N, N > 1)
-	addrs     []string // -connect workers
-	reconnect bool
-	chaos     uint64
-	tlsCA     string
-	sched     string
+	procs int      // local `shard-worker` subprocesses (-shards N, N > 1)
+	addrs []string // -connect workers
+	chaos uint64
+	tlsCA string
 
 	resume, runID          string
 	storeDir               string
@@ -66,8 +63,7 @@ func (c *sweepConfig) mode() string {
 // on an in-process run is refused instead of silently ignored.
 var fleetOnly = map[string]bool{
 	"worker-timeout": true, "tls-ca": true, "chaos": true, "resume": true,
-	"reconnect": true, "breaker-failures": true, "breaker-window": true,
-	"breaker-cooldown": true, "stall-timeout": true, "fallback": true,
+	"stall-timeout": true, "fallback": true,
 }
 
 // parseSweepFlags turns `nf-bench sweep` arguments into the run's
@@ -86,15 +82,10 @@ func parseSweepFlags(args []string) (*sweepConfig, error) {
 	shards := fs.Int("shards", 1, "run on a fleet of N local 'nf-bench shard-worker' processes (1 = in-process; digests identical); with -connect, N > 1 adds N local worker processes to the remote ones")
 	connect := fs.String("connect", "", "comma-separated worker addresses (host:port) running 'nf-bench shard-worker -listen'; cells are assigned dynamically and a dead worker's cells requeue onto survivors")
 	fs.DurationVar(&fl.HangTimeout, "worker-timeout", 0, "kill a fleet worker silent for this long while owing cells and requeue its cells (0 = never)")
-	fs.StringVar(&c.sched, "sched", "seeded", "fleet scheduling policy: seeded (weight workers by the latest matching run's persisted utilization; falls back to uniform when none exists) or uniform (digests identical either way)")
 	fs.StringVar(&c.tlsCA, "tls-ca", "", "CA certificate (PEM) to verify -connect workers against; enables TLS on every dialed worker")
 	fs.Uint64Var(&c.chaos, "chaos", 0, "inject deterministic transport faults (drops, delays, duplicates, corruption, truncation, kills, hangs) on every fleet worker, scheduled from this seed; 0 = off, digests are unchanged by any seed")
 	fs.StringVar(&c.resume, "resume", "", "resume an interrupted fleet sweep: adopt the run's persisted partial cells (digest-verified) and execute only the remainder")
 	fs.StringVar(&c.runID, "run-id", "", "run id override (default: UTC timestamp); scripting and CI resume legs need a knowable id")
-	fs.BoolVar(&c.reconnect, "reconnect", true, "redial dead TCP workers and respawn dead local worker processes with exponential backoff")
-	fs.IntVar(&fl.Breaker.Failures, "breaker-failures", 0, "quarantine a fleet worker after this many failures inside -breaker-window (0 = 5, negative disables the breaker)")
-	fs.DurationVar(&fl.Breaker.Window, "breaker-window", 0, "circuit-breaker failure-counting window (0 = 1m)")
-	fs.DurationVar(&fl.Breaker.Cooldown, "breaker-cooldown", 0, "quarantine length before a single probe dial re-admits the worker; a failed probe doubles it (0 = 15s)")
 	fs.DurationVar(&fl.StallTimeout, "stall-timeout", 0, "fail the run with per-worker forensics when no cell completes fleet-wide for this long (0 = never)")
 	fs.BoolVar(&fl.Fallback, "fallback", true, "when every fleet worker is dead or quarantined, run the remaining cells in-process instead of failing")
 	fs.StringVar(&c.storeDir, "store", "nf-results", "results store directory")
@@ -116,9 +107,6 @@ func parseSweepFlags(args []string) (*sweepConfig, error) {
 	}
 	if c.history != "" {
 		return c, nil
-	}
-	if c.sched != "seeded" && c.sched != "uniform" {
-		return nil, fmt.Errorf("-sched must be seeded or uniform (got %q)", c.sched)
 	}
 	if *shards < 1 {
 		return nil, fmt.Errorf("-shards must be >= 1 (got %d)", *shards)
@@ -279,7 +267,6 @@ func runSweepCmd(args []string) {
 	meta := resultstore.Meta{
 		Run: runID, Name: cfg.Name, Config: req.Config, Filter: req.Filter,
 		Seed: req.Seed, Workers: req.Workers, Stamp: time.Now().UTC().Format(time.RFC3339),
-		Sched: c.sched, PlanHash: resultstore.PlanHash(plan.Keys()),
 		ResumedFrom: c.resume,
 	}
 
@@ -445,25 +432,17 @@ func runFleet(plan *sweep.Plan, st *resultstore.Store, meta resultstore.Meta,
 		tlsCfg = &tls.Config{RootCAs: pool}
 	}
 
-	// Every worker is built as a (name, dial) pair: spawn a local
-	// `shard-worker` subprocess or dial a TCP/TLS address. With
-	// -reconnect (the default) the pairs become fleet Connectors —
-	// redialed with backoff after every death; without it each is
-	// dialed once and a death is final. -chaos wraps each dial so every
-	// incarnation gets its own deterministic fault stream.
+	// Every worker is a fleet Connector, a (name, dial) pair — spawn a
+	// local `shard-worker` subprocess or dial a TCP/TLS address —
+	// redialed with backoff after every death. -chaos wraps each dial so
+	// every incarnation gets its own deterministic fault stream.
 	fl := &c.fleet
 	nworkers := c.procs + len(c.addrs)
 	addWorker := func(name string, dial func() (*shard.Endpoint, error)) {
 		if c.chaos != 0 {
 			dial = chaos.WrapDial(name, dial, chaos.Default(c.chaos))
 		}
-		if c.reconnect {
-			fl.Connectors = append(fl.Connectors, &shard.Connector{Name: name, Dial: dial})
-			return
-		}
-		ep, err := dial()
-		fatal(err)
-		fl.Endpoints = append(fl.Endpoints, ep)
+		fl.Connectors = append(fl.Connectors, &shard.Connector{Name: name, Dial: dial})
 	}
 	if c.procs > 0 {
 		exe, err := os.Executable()
@@ -497,23 +476,6 @@ func runFleet(plan *sweep.Plan, st *resultstore.Store, meta resultstore.Meta,
 			addWorker("tls:"+addr, func() (*shard.Endpoint, error) { return shard.DialTLS(addr, tlsCfg.Clone()) })
 		} else {
 			addWorker("tcp:"+addr, func() (*shard.Endpoint, error) { return shard.Dial(addr) })
-		}
-	}
-
-	// Seeded scheduling: the latest stored run of this exact plan over
-	// this exact transport donates its per-worker utilization, which
-	// becomes capacity weights for the coordinator. No donor (first
-	// run, new topology) means uniform — the seeded path must always
-	// degrade to the uniform one, never block on history.
-	transport := transportLabel(c.procs, len(c.addrs))
-	if c.sched == "seeded" && st != nil {
-		cap, err := st.LatestCapacity(meta.PlanHash, transport)
-		fatal(err)
-		if fl.Weights = fleet.CapacityWeights(cap.WorkerReports()); fl.Weights != nil {
-			meta.SchedFrom = cap.Run
-			fmt.Printf("sched: seeded from run %s: %s\n", cap.Run, fleet.FormatWeights(fl.Weights))
-		} else if !c.quiet {
-			fmt.Println("sched: no prior utilization for this plan+transport, running uniform")
 		}
 	}
 
@@ -577,10 +539,10 @@ func runFleet(plan *sweep.Plan, st *resultstore.Store, meta resultstore.Meta,
 		fatal(runErr)
 	}
 	if st != nil {
-		meta.Transport = transport
+		meta.Transport = transportLabel(c.procs, len(c.addrs))
 		meta.Requeued = requeued
 		meta.Util = &util
-		meta.WorkerUtil = workerUtilMeta(fl.Reports, fl.Weights)
+		meta.WorkerUtil = workerUtilMeta(fl.Reports)
 		n, err := st.MergeRuns(meta, []string{partID}, plan.Keys())
 		fatal(err)
 		fmt.Printf("merged fleet run into %s (%d cells, %d requeued)\n", meta.Run, n, requeued)
@@ -591,16 +553,11 @@ func runFleet(plan *sweep.Plan, st *resultstore.Store, meta resultstore.Meta,
 }
 
 // workerUtilMeta flattens the coordinator's per-worker reports into
-// the persisted meta form (sorted by worker name), recording the
-// capacity weight each worker was scheduled at (1.0 under uniform).
-func workerUtilMeta(reports []shard.WorkerReport, weights map[string]float64) []resultstore.WorkerUtil {
+// the persisted meta form (sorted by worker name).
+func workerUtilMeta(reports []shard.WorkerReport) []resultstore.WorkerUtil {
 	out := make([]resultstore.WorkerUtil, 0, len(reports))
 	for _, r := range reports {
-		w := 1.0
-		if v, ok := weights[r.Name]; ok {
-			w = v
-		}
-		out = append(out, resultstore.WorkerUtil{Name: r.Name, Cells: r.Cells, Weight: w, Util: r.Util})
+		out = append(out, resultstore.WorkerUtil{Name: r.Name, Cells: r.Cells, Util: r.Util})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out

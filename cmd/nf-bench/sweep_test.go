@@ -21,7 +21,7 @@ func TestParseSweepFlags(t *testing.T) {
 				Req:      shard.Request{Config: "c", Workers: runtime.GOMAXPROCS(0)},
 				Fallback: true,
 			},
-			reconnect: true, sched: "seeded", storeDir: "nf-results",
+			storeDir: "nf-results",
 		}
 	}
 	cases := []struct {
@@ -50,10 +50,7 @@ func TestParseSweepFlags(t *testing.T) {
 			c.procs, c.chaos = 2, 7
 			c.fleet.HangTimeout, c.fleet.StallTimeout = 5*time.Second, time.Minute
 		}},
-		{args: "-shards 2 -fallback=false -reconnect=false -breaker-failures -1", want: func(c *sweepConfig) {
-			c.procs, c.reconnect, c.fleet.Fallback = 2, false, false
-			c.fleet.Breaker.Failures = -1
-		}},
+		{args: "-shards 2 -fallback=false", want: func(c *sweepConfig) { c.procs, c.fleet.Fallback = 2, false }},
 		{args: "-fidelity hybrid", want: func(c *sweepConfig) { c.fleet.Req.Fidelity = netfpga.FidelityHybrid }},
 		{args: "-workers 3 -seed 9 -filter T4", want: func(c *sweepConfig) {
 			r := &c.fleet.Req
@@ -75,7 +72,12 @@ func TestParseSweepFlags(t *testing.T) {
 		{args: "-shards 2 -steal", wantErr: "flag provided but not defined: -steal"},
 		{args: "-shards 2 -migrate-after 5000", wantErr: "flag provided but not defined: -migrate-after"},
 		{args: "-fidelity half", wantErr: "-fidelity must be"},
-		{args: "-sched random", wantErr: "-sched must be"},
+		{args: "-sched uniform", wantErr: "flag provided but not defined: -sched"},
+		{args: "-sched random", wantErr: "flag provided but not defined: -sched"},
+		{args: "-shards 2 -reconnect=false", wantErr: "flag provided but not defined: -reconnect"},
+		{args: "-shards 2 -breaker-failures 3", wantErr: "flag provided but not defined: -breaker-failures"},
+		{args: "-shards 2 -breaker-window 1s", wantErr: "flag provided but not defined: -breaker-window"},
+		{args: "-shards 2 -breaker-cooldown 1s", wantErr: "flag provided but not defined: -breaker-cooldown"},
 		{args: "-chaos 7", wantErr: "-chaos needs a fleet"},
 		{args: "-fallback=false -worker-timeout 5s", wantErr: "-fallback, -worker-timeout needs a fleet"},
 	}

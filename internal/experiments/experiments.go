@@ -1,11 +1,11 @@
 // Package experiments regenerates every table and figure of the
-// reproduction's experiment index (DESIGN.md §3). Each experiment is a
-// sweep definition — one or more declarative scenario groups (board x
-// project x workload x parameter axes) plus a per-cell measure function
-// — and a renderer that turns the executed cells into printable tables
-// with machine-readable metrics. cmd/nf-bench renders the tables, the
-// sweep CLI stores and diffs the raw cells, and the golden-digest test
-// locks every cell's content down.
+// reproduction's experiment index (`nf-bench -list`; see README.md).
+// Each experiment is a sweep definition — one or more declarative
+// scenario groups (board x project x workload x parameter axes) plus a
+// per-cell measure function — and a renderer that turns the executed
+// cells into printable tables with machine-readable metrics.
+// cmd/nf-bench renders the tables, the sweep CLI stores and diffs the
+// raw cells, and the golden-digest test locks every cell's content down.
 package experiments
 
 import (

@@ -4,80 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"repro/netfpga/fleet"
 )
-
-// PlanHash fingerprints a scenario set: the Hash of the sorted,
-// newline-joined cell keys. Two runs share a PlanHash exactly when
-// they executed the same cells, which is the precondition for one
-// run's utilization to say anything about the next one's scheduling.
-func PlanHash(keys []string) string {
-	sorted := make([]string, len(keys))
-	copy(sorted, keys)
-	sort.Strings(sorted)
-	return Hash(strings.Join(sorted, "\n"))
-}
-
-// Capacity is a previous run's persisted utilization, as found by
-// LatestCapacity: the raw material for seeding the next run's
-// scheduling weights.
-type Capacity struct {
-	// Run is the donor run's id.
-	Run string
-	// Sched is the policy the donor run used.
-	Sched string
-	// Util is the donor's merged fleet report (nil if absent).
-	Util *fleet.UtilizationReport
-	// WorkerUtil is the donor's per-worker breakdown.
-	WorkerUtil []WorkerUtil
-}
-
-// WorkerReports converts the per-worker breakdown into the map
-// fleet.CapacityWeights consumes.
-func (c *Capacity) WorkerReports() map[string]fleet.UtilizationReport {
-	if c == nil || len(c.WorkerUtil) == 0 {
-		return nil
-	}
-	out := make(map[string]fleet.UtilizationReport, len(c.WorkerUtil))
-	for _, wu := range c.WorkerUtil {
-		out[wu.Name] = wu.Util
-	}
-	return out
-}
-
-// LatestCapacity scans complete runs newest-first for the most recent
-// one matching the plan hash and transport that persisted utilization,
-// and returns it (nil, nil when no run qualifies — the caller falls
-// back to uniform scheduling). Matching on both plan hash and
-// transport keeps the signal honest: a TCP fleet's worker timings say
-// nothing about subprocess pipes, and a different plan's cells say
-// nothing about this one's load.
-func (st *Store) LatestCapacity(planHash, transport string) (*Capacity, error) {
-	runs, err := st.Runs()
-	if err != nil {
-		return nil, err
-	}
-	for i := len(runs) - 1; i >= 0; i-- {
-		meta, _, err := st.ReadRun(runs[i])
-		if err != nil {
-			return nil, fmt.Errorf("resultstore: capacity scan: %w", err)
-		}
-		if meta.Partial || meta.PlanHash != planHash || meta.Transport != transport {
-			continue
-		}
-		if meta.Util == nil && len(meta.WorkerUtil) == 0 {
-			continue
-		}
-		return &Capacity{
-			Run:        meta.Run,
-			Sched:      meta.Sched,
-			Util:       meta.Util,
-			WorkerUtil: meta.WorkerUtil,
-		}, nil
-	}
-	return nil, nil
-}
 
 // AmbiguousError reports a scenario query that matched more than one
 // indexed scenario. Matches are sorted by cell key; Error lists every

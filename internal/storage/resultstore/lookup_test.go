@@ -1,26 +1,15 @@
 package resultstore
 
 import (
+	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/netfpga/fleet"
 )
-
-func TestPlanHashOrderIndependent(t *testing.T) {
-	a := PlanHash([]string{"T1/x=1", "T1/x=2", "T2/y=3"})
-	b := PlanHash([]string{"T2/y=3", "T1/x=1", "T1/x=2"})
-	if a != b {
-		t.Fatalf("plan hash depends on key order: %s vs %s", a, b)
-	}
-	if a == PlanHash([]string{"T1/x=1", "T1/x=2"}) {
-		t.Fatal("different plans share a hash")
-	}
-	if len(a) != 12 {
-		t.Fatalf("plan hash %q not 12 hex digits", a)
-	}
-}
 
 // writeRun is a test helper appending one complete run with the given
 // meta and a single record per key.
@@ -40,62 +29,11 @@ func writeRun(t *testing.T, st *Store, meta Meta, keys ...string) {
 	}
 }
 
-func TestLatestCapacity(t *testing.T) {
-	st, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := PlanHash([]string{"a", "b"})
-	util := &fleet.UtilizationReport{Workers: 2, WallMS: 100, BusyMS: 150, Jobs: 2}
-	wu := []WorkerUtil{{Name: "proc:0", Cells: 2, Weight: 1,
-		Util: fleet.UtilizationReport{Workers: 1, WallMS: 100, BusyMS: 90, Jobs: 40}}}
-
-	// Nothing stored yet: no capacity, no error.
-	if cap, err := st.LatestCapacity(plan, "proc"); err != nil || cap != nil {
-		t.Fatalf("empty store: cap=%v err=%v", cap, err)
-	}
-
-	writeRun(t, st, Meta{Run: "r1", PlanHash: plan, Transport: "proc",
-		Sched: "uniform", Util: util, WorkerUtil: wu}, "a", "b")
-	// Wrong transport and wrong plan must not match.
-	writeRun(t, st, Meta{Run: "r2", PlanHash: plan, Transport: "tcp",
-		Util: util, WorkerUtil: wu}, "a", "b")
-	writeRun(t, st, Meta{Run: "r3", PlanHash: "000000000000", Transport: "proc",
-		Util: util, WorkerUtil: wu}, "c")
-	// A matching run without utilization carries no signal.
-	writeRun(t, st, Meta{Run: "r4", PlanHash: plan, Transport: "proc"}, "a", "b")
-
-	cap, err := st.LatestCapacity(plan, "proc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cap == nil || cap.Run != "r1" || cap.Sched != "uniform" {
-		t.Fatalf("capacity = %+v, want run r1", cap)
-	}
-	if cap.Util == nil || cap.Util.BusyMS != 150 {
-		t.Fatalf("capacity util = %+v", cap.Util)
-	}
-	reps := cap.WorkerReports()
-	if len(reps) != 1 || reps["proc:0"].Jobs != 40 {
-		t.Fatalf("worker reports = %+v", reps)
-	}
-
-	// A newer matching run with utilization wins.
-	writeRun(t, st, Meta{Run: "r5", PlanHash: plan, Transport: "proc",
-		Sched: "seeded", SchedFrom: "r1", Util: util, WorkerUtil: wu}, "a", "b")
-	cap, err = st.LatestCapacity(plan, "proc")
-	if err != nil || cap == nil || cap.Run != "r5" {
-		t.Fatalf("latest capacity = %+v err=%v, want r5", cap, err)
-	}
-
-	// Nil-capacity WorkerReports degrades to uniform cleanly.
-	if (*Capacity)(nil).WorkerReports() != nil {
-		t.Fatal("nil capacity should yield nil reports")
-	}
-}
-
 // TestMetaUtilRoundTrip: persisted utilization survives the JSONL run
-// file byte-exactly — it is the next run's scheduling input.
+// file byte-exactly — it is the run's record of where its cells went —
+// and a run written before utilization-seeded scheduling was deleted
+// (sched, sched_from, plan_hash, worker_util[].weight in its meta line)
+// still decodes with every surviving field intact.
 func TestMetaUtilRoundTrip(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {
@@ -104,24 +42,59 @@ func TestMetaUtilRoundTrip(t *testing.T) {
 	util := &fleet.UtilizationReport{Workers: 3, Jobs: 7, WallMS: 12.5,
 		BusyMS: 30.25, CapacityMS: 37.5, Efficiency: 0.80667}
 	wu := []WorkerUtil{
-		{Name: "proc:0", Cells: 4, Weight: 1.5, Util: fleet.UtilizationReport{Workers: 2, WallMS: 12.5, BusyMS: 20}},
-		{Name: "tcp:h:1", Cells: 3, Weight: 0.5, Util: fleet.UtilizationReport{Workers: 1, WallMS: 10, BusyMS: 10.25}},
+		{Name: "proc:0", Cells: 4, Util: fleet.UtilizationReport{Workers: 2, WallMS: 12.5, BusyMS: 20}},
+		{Name: "tcp:h:1", Cells: 3, Util: fleet.UtilizationReport{Workers: 1, WallMS: 10, BusyMS: 10.25}},
 	}
-	writeRun(t, st, Meta{Run: "r1", PlanHash: "abc", Sched: "seeded",
-		SchedFrom: "r0", Util: util, WorkerUtil: wu}, "a")
+	writeRun(t, st, Meta{Run: "r1", Seed: 5, Transport: "proc+tcp", Requeued: 2,
+		Util: util, WorkerUtil: wu}, "a")
 
-	meta, _, err := st.ReadRun("r1")
+	// r0 is the same run as the parent of PR 24 wrote it: the three
+	// scheduling keys in the meta line and a weight on every worker.
+	type oldWorkerUtil struct {
+		WorkerUtil
+		Weight float64 `json:"weight"`
+	}
+	type oldMeta struct {
+		Meta
+		Policy     string          `json:"sched,omitempty"`
+		Donor      string          `json:"sched_from,omitempty"`
+		Plan       string          `json:"plan_hash,omitempty"`
+		WorkerUtil []oldWorkerUtil `json:"worker_util"`
+	}
+	om := oldMeta{Meta: Meta{Run: "r0", Seed: 5, Transport: "proc+tcp", Requeued: 2, Util: util},
+		Policy: "seeded", Donor: "rX", Plan: "6f20a53d6054",
+		WorkerUtil: []oldWorkerUtil{{wu[0], 1.37}, {wu[1], 0.63}}}
+	old, err := json.Marshal(map[string]any{"meta": om})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.Sched != "seeded" || meta.SchedFrom != "r0" || meta.PlanHash != "abc" {
-		t.Fatalf("sched meta mangled: %+v", meta)
+	for _, key := range []string{"sched_from", "plan_hash", "weight"} {
+		if !strings.Contains(string(old), `"`+key+`":`) {
+			t.Fatalf("fixture lost its %s key: %s", key, old)
+		}
 	}
-	if meta.Util == nil || *meta.Util != *util {
-		t.Fatalf("util mangled: %+v vs %+v", meta.Util, util)
+	old = append(old, "\n"+`{"cell":{"key":"a","digest":"d-a","seed":1}}`+"\n"...)
+	if err := os.WriteFile(filepath.Join(st.Dir(), "runs", "r0.jsonl"), old, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if len(meta.WorkerUtil) != 2 || meta.WorkerUtil[0] != wu[0] || meta.WorkerUtil[1] != wu[1] {
-		t.Fatalf("worker util mangled: %+v", meta.WorkerUtil)
+
+	for _, run := range []string{"r1", "r0"} {
+		meta, recs, err := st.ReadRun(run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if meta.Run != run || meta.Seed != 5 || meta.Transport != "proc+tcp" || meta.Requeued != 2 {
+			t.Fatalf("%s: meta mangled: %+v", run, meta)
+		}
+		if meta.Util == nil || *meta.Util != *util {
+			t.Fatalf("%s: util mangled: %+v vs %+v", run, meta.Util, util)
+		}
+		if len(meta.WorkerUtil) != 2 || meta.WorkerUtil[0] != wu[0] || meta.WorkerUtil[1] != wu[1] {
+			t.Fatalf("%s: worker util mangled: %+v", run, meta.WorkerUtil)
+		}
+		if len(recs) != 1 || recs[0].Key != "a" || recs[0].Digest != "d-a" {
+			t.Fatalf("%s: records mangled: %+v", run, recs)
+		}
 	}
 }
 

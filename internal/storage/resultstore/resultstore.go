@@ -56,28 +56,16 @@ type Meta struct {
 	// or hung mid-run. Nonzero Requeued with matching digests is the
 	// recovery path proving itself.
 	Requeued int `json:"requeued,omitempty"`
-	// Sched records the scheduling policy the run used ("uniform" or
-	// "seeded"); empty for runs that predate the knob. Scheduling is
-	// placement only — two runs of the same plan and seed have
-	// identical digests whatever Sched says.
-	Sched string `json:"sched,omitempty"`
-	// SchedFrom is the run id whose persisted utilization seeded this
-	// run's capacity weights (set only when Sched is "seeded" and a
-	// donor run existed).
-	SchedFrom string `json:"sched_from,omitempty"`
 	// ResumedFrom is the interrupted run id whose partial records this
 	// run adopted (`sweep -resume`); provenance only, never part of any
 	// digest.
 	ResumedFrom string `json:"resumed_from,omitempty"`
-	// PlanHash identifies the scenario set (Hash over the sorted,
-	// newline-joined cell keys). Capacity lookups match on it so a
-	// run's utilization only ever seeds runs of the same plan.
-	PlanHash string `json:"plan_hash,omitempty"`
 	// Util is the run's merged fleet-wide utilization report.
 	Util *fleet.UtilizationReport `json:"util,omitempty"`
-	// WorkerUtil holds per-worker utilization: the raw capacity signal
-	// seeded scheduling derives its weights from, plus the weight this
-	// run actually used for the worker (1.0 under uniform scheduling).
+	// WorkerUtil holds per-worker utilization: where the run's cells
+	// went and how busy each worker's pool was. An older run's sched,
+	// sched_from, plan_hash and worker_util[].weight keys are ignored on
+	// decode.
 	WorkerUtil []WorkerUtil `json:"worker_util,omitempty"`
 }
 
@@ -88,8 +76,6 @@ type WorkerUtil struct {
 	Name string `json:"name"`
 	// Cells is how many cells the worker completed.
 	Cells int `json:"cells"`
-	// Weight is the capacity weight the run scheduled this worker at.
-	Weight float64 `json:"weight,omitempty"`
 	// Util is the worker's own session utilization report.
 	Util fleet.UtilizationReport `json:"util"`
 }

@@ -4,11 +4,10 @@ import "time"
 
 // UtilizationReport is the serializable snapshot of a Utilization —
 // what a distributed worker ships across a process or network boundary
-// so its coordinator can fold remote pool health into placement
-// decisions. Durations flatten to milliseconds: the report is a
-// scheduling signal read by humans and heuristics, not an accounting
-// ledger, and a stable flat encoding keeps the wire format independent
-// of Go's duration representation.
+// so its coordinator can merge remote pool health into the run's
+// record. Durations flatten to milliseconds: the report is read by
+// humans, not an accounting ledger, and a stable flat encoding keeps
+// the wire format independent of Go's duration representation.
 type UtilizationReport struct {
 	Workers int     `json:"workers"`
 	Jobs    int     `json:"jobs"`

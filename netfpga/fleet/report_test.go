@@ -98,52 +98,3 @@ func TestUtilizationMergeDurationWeighted(t *testing.T) {
 		t.Fatalf("zero-merge efficiency %v, want 0.6", z.Efficiency)
 	}
 }
-
-// TestCapacityWeights: the seeded-scheduling weight derivation
-// normalizes busy-fraction x rate scores to mean 1, clamps outliers,
-// and defaults signal-free workers to 1.0.
-func TestCapacityWeights(t *testing.T) {
-	reports := map[string]UtilizationReport{
-		"fast": {Workers: 1, WallMS: 100, BusyMS: 100, Jobs: 300},
-		"slow": {Workers: 1, WallMS: 100, BusyMS: 100, Jobs: 100},
-	}
-	w := CapacityWeights(reports)
-	if w == nil {
-		t.Fatal("weights nil despite signal")
-	}
-	// Scores 3.0 and 1.0 jobs/ms -> mean 2 -> weights 1.5 and 0.5.
-	if diff := w["fast"] - 1.5; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("fast weight %v, want 1.5", w["fast"])
-	}
-	if diff := w["slow"] - 0.5; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("slow weight %v, want 0.5", w["slow"])
-	}
-
-	// An extreme outlier clamps to 4x / 0.25x the mean.
-	reports = map[string]UtilizationReport{
-		"turbo": {Workers: 1, WallMS: 100, BusyMS: 100, Jobs: 100000},
-	}
-	for _, name := range []string{"a", "b", "c", "d"} {
-		reports[name] = UtilizationReport{Workers: 1, WallMS: 100, BusyMS: 100, Jobs: 100}
-	}
-	w = CapacityWeights(reports)
-	if w["turbo"] != 4.0 || w["a"] != 0.25 {
-		t.Fatalf("clamp: turbo=%v a=%v", w["turbo"], w["a"])
-	}
-
-	// A worker with no signal rides along at 1.0; all-dead input is nil.
-	reports = map[string]UtilizationReport{
-		"ok":   {Workers: 1, WallMS: 100, BusyMS: 50, Jobs: 10},
-		"dead": {},
-	}
-	w = CapacityWeights(reports)
-	if w["dead"] != 1.0 {
-		t.Fatalf("signal-free worker weight %v, want 1.0", w["dead"])
-	}
-	if CapacityWeights(map[string]UtilizationReport{"dead": {}}) != nil {
-		t.Fatal("all-dead weights should be nil (uniform fallback)")
-	}
-	if got := FormatWeights(w); got != "dead=1.00 ok=1.00" {
-		t.Fatalf("FormatWeights = %q", got)
-	}
-}

@@ -16,7 +16,7 @@ import (
 
 // Fleet is the coordinator: it opens sessions on a set of worker
 // endpoints (spawned subprocesses, TCP dials, or both mixed), feeds the
-// plan's cells out in chunks as workers drain them, and merges the
+// plan's cells out as workers drain them, and merges the
 // streamed records into one result set with digests byte-identical to a
 // single-process run.
 //
@@ -78,13 +78,6 @@ type Fleet struct {
 	// completion remains, the coordinator runs every unfinished cell
 	// in-process on Req.Runner() instead of failing the run.
 	Fallback bool
-	// Weights are per-endpoint capacity weights (keyed by worker name,
-	// 1.0 = fleet average; missing names default to 1.0), typically
-	// derived from a previous run's persisted utilization via
-	// fleet.CapacityWeights. A weight scales the worker's outstanding
-	// top-up (fast workers hold more cells in flight). Weights change
-	// only placement: digests are byte-identical with and without them.
-	Weights map[string]float64
 	// Completed seeds the merger with cells finished by a previous,
 	// interrupted run. Each record is digest-verified through Adopt
 	// before it counts; records that fail verification are dropped back
@@ -98,8 +91,8 @@ type Fleet struct {
 	OnEvent func(FleetEvent)
 
 	// Reports holds each worker's session utilization after Run returns
-	// (workers that died without a Done frame are absent) — the raw
-	// material the next run's Weights are derived from.
+	// (workers that died without a Done frame are absent) — the run's
+	// record of where its cells went and how busy each pool was.
 	Reports []WorkerReport
 }
 
@@ -149,8 +142,7 @@ func splitmix64(x uint64) uint64 {
 // Failures times within Window is quarantined — no redials — for a
 // cooldown starting at Cooldown. After it expires, a single probe dial
 // re-admits the worker on a successful Hello; a failed probe doubles
-// the cooldown (capped at 8x) and re-quarantines. Failures < 0
-// disables the breaker.
+// the cooldown (capped at 8x) and re-quarantines.
 type Breaker struct {
 	Failures int           // trip threshold (0 = 5)
 	Window   time.Duration // failure-counting window (0 = 1 minute)
@@ -179,8 +171,8 @@ func (b Breaker) cooldown() time.Duration {
 }
 
 // WorkerReport is one endpoint's session outcome: how many cells it
-// completed and its own pool utilization. The coordinator persists
-// these so the next run can weight scheduling by measured capacity.
+// completed and its own pool utilization. The CLI persists these in
+// the run's meta.
 type WorkerReport struct {
 	Name  string                  `json:"name"`
 	Cells int                     `json:"cells"`
@@ -191,7 +183,7 @@ type WorkerReport struct {
 // worker, and how many cells it moved.
 type FleetEvent struct {
 	Worker string
-	Kind   string // hello, death, hang, reject, duplicate, done, sched, adopt, reconnect, redial-failed, quarantine, probe, fallback
+	Kind   string // hello, death, hang, reject, duplicate, done, adopt, reconnect, redial-failed, quarantine, probe, fallback
 	Detail string
 	Cells  int
 }
@@ -294,8 +286,7 @@ type fleetWorker struct {
 	closed      bool
 	done        bool
 	recvCells   int
-	weight      float64 // capacity weight (1.0 = uniform)
-	limit       int     // outstanding top-up target, weight-scaled
+	limit       int // outstanding top-up target, set at Hello
 
 	// reconnect state
 	dialing  bool
@@ -344,15 +335,6 @@ func (f *Fleet) Run(ctx context.Context, plan *sweep.Plan, onCell func(sweep.Cel
 
 	m := plan.Merger()
 	total := len(plan.Cells)
-	// chunk is the number of cells per assignment, sized from plan and
-	// fleet width.
-	chunk := total / (4 * nworkers)
-	if chunk < 1 {
-		chunk = 1
-	}
-	if chunk > 16 {
-		chunk = 16
-	}
 
 	// Adopt the previous run's verified cells before anything connects:
 	// a record that survives Adopt is as good as a fresh execution, one
@@ -396,28 +378,11 @@ func (f *Fleet) Run(ctx context.Context, plan *sweep.Plan, onCell func(sweep.Cel
 	workers := make([]*fleetWorker, 0, nworkers)
 	now := time.Now()
 	newWorker := func(name string, conn *Connector) *fleetWorker {
-		weight := 1.0
-		if w, ok := f.Weights[name]; ok && w > 0 {
-			weight = w
-		}
-		// The top-up target scales with capacity: a weight-1.0 worker
-		// holds the classic 2*chunk in flight, faster workers up to
-		// 4*chunk, slower ones as little as one cell so the tail of the
-		// plan is not trapped behind a slow queue.
-		limit := int(2*float64(chunk)*weight + 0.5)
-		if limit < 1 {
-			limit = 1
-		}
-		if limit > 4*chunk {
-			limit = 4 * chunk
-		}
 		return &fleetWorker{
 			name:        name,
 			conn:        conn,
 			outstanding: map[string]bool{},
 			lastFrame:   now,
-			weight:      weight,
-			limit:       limit,
 			cooldown:    f.Breaker.cooldown(),
 		}
 	}
@@ -501,9 +466,6 @@ func (f *Fleet) Run(ctx context.Context, plan *sweep.Plan, onCell func(sweep.Cel
 			startDial(i)
 		}
 	}
-	if len(f.Weights) > 0 {
-		emit(FleetEvent{Kind: "sched", Detail: "weights " + fleet.FormatWeights(f.Weights), Cells: len(f.Weights)})
-	}
 	f.Reports = f.Reports[:0]
 	defer func() {
 		close(finished)
@@ -543,8 +505,7 @@ func (f *Fleet) Run(ctx context.Context, plan *sweep.Plan, onCell func(sweep.Cel
 		return out
 	}
 
-	// feed tops worker i up to its weight-scaled outstanding limit
-	// (2*chunk at weight 1.0) with one Assign.
+	// feed tops worker i up to its outstanding limit with one Assign.
 	feed := func(i int) {
 		w := workers[i]
 		if !w.alive || !w.helloed || w.closed {
@@ -589,7 +550,7 @@ func (f *Fleet) Run(ctx context.Context, plan *sweep.Plan, onCell func(sweep.Cel
 	// doubled.
 	recordFailure := func(i int, now time.Time) {
 		w := workers[i]
-		if w.conn == nil || f.Breaker.Failures < 0 {
+		if w.conn == nil {
 			return
 		}
 		if w.probing {
@@ -919,6 +880,11 @@ func (f *Fleet) Run(ctx context.Context, plan *sweep.Plan, onCell func(sweep.Cel
 					continue
 				}
 				w.helloed = true
+				// Two cells per pool goroutine: one running, one queued to
+				// hide the coordinator round trip. The width is the
+				// worker's own, capped at what Open asked for so a corrupt
+				// Hello cannot claim the plan.
+				w.limit = 2 * min(max(fr.Hello.Workers, 1), max(f.Req.Workers, 1))
 				detail := ""
 				if w.probing {
 					w.probing = false

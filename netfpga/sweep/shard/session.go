@@ -22,7 +22,8 @@ type Assign struct {
 // Hello is the worker's session acceptance: how many cells its
 // independently compiled plan holds (the coordinator refuses a worker
 // that disagrees — a config or version skew would otherwise surface as
-// digest mismatches mid-run) and how wide its local pool is.
+// digest mismatches mid-run) and how wide its local pool is (the
+// coordinator keeps two cells in flight per pool goroutine).
 type Hello struct {
 	Cells   int `json:"cells"`
 	Workers int `json:"workers"`

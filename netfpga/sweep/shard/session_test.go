@@ -203,7 +203,7 @@ func mitmEndpoint(inner *Endpoint, mutate func(SessionFrame) []SessionFrame) *En
 // holdHello delays a worker's Hello until gate closes, so the fleet
 // cannot feed it before then: how a test makes sure the worker under
 // test is fed, and its event observed, before a fast peer drains the
-// plan. The endpoint keeps the inner name (Weights key on it).
+// plan. The endpoint keeps the inner name (events and reports carry it).
 func holdHello(inner *Endpoint, gate <-chan struct{}) *Endpoint {
 	held := mitmEndpoint(inner, func(fr SessionFrame) []SessionFrame {
 		if fr.Hello != nil {

@@ -1,7 +1,7 @@
 // Package shard is the multi-process execution path for scenario
 // sweeps: a Fleet coordinator opens a session on every worker (spawned
 // subprocesses, TCP dials, or both mixed), hands the plan's cells out
-// by canonical key in chunks as workers drain them, and merges the
+// by canonical key as workers drain them, and merges the
 // streamed cell records back into one result set with digests
 // byte-identical to a single-process run. Beside fleet.Runner's
 // in-process pool it is the second of the repo's two execution paths,

@@ -38,30 +38,12 @@ type Endpoint struct {
 // incarnation dies, so a flapping worker rejoins instead of being lost
 // for the rest of the run.
 type Connector struct {
-	// Name labels the worker across incarnations; Weights and events
-	// key on it.
+	// Name labels the worker across incarnations in events, errors and
+	// the run's per-worker reports.
 	Name string
 	// Dial establishes a new incarnation. It is called from a
 	// coordinator-owned goroutine, one call in flight per connector.
 	Dial func() (*Endpoint, error)
-}
-
-// Fixed wraps an already-connected endpoint as a single-shot connector:
-// the first dial hands the endpoint out, any redial fails. It lets the
-// fleet treat pre-connected endpoints and reconnectable workers
-// uniformly.
-func Fixed(ep *Endpoint) *Connector {
-	var used bool
-	var mu sync.Mutex
-	return &Connector{Name: ep.Name, Dial: func() (*Endpoint, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if used {
-			return nil, fmt.Errorf("shard: endpoint %s cannot be redialed", ep.Name)
-		}
-		used = true
-		return ep, nil
-	}}
 }
 
 // Dial connects to a session worker serving on addr (see
