@@ -63,6 +63,14 @@ func (f *firewall) Resources() hw.Resources {
 	return hw.Resources{LUTs: 650, FFs: 800}
 }
 
+// Reset implements hw.Resetter — the one method that lets a sweep
+// program a device once and soft-reset it between cells instead of
+// rebuilding it: it returns the module to the state newFirewall left it
+// in. The block list is configuration, set at construction, and stays;
+// the streams are the design's to empty. A design with a module that
+// lacks Reset is simply rebuilt for every cell.
+func (f *firewall) Reset() { f.dropping, f.passed, f.dropped = false, 0, 0 }
+
 // Tick implements hw.Module: one beat per cycle, like every pipeline
 // stage.
 func (f *firewall) Tick() bool {

@@ -246,6 +246,21 @@ func (bg *Background) service(port int) {
 	}
 }
 
+// Reset returns the model to the state NewBackground left it in: no
+// backlog, counters zero. The coupled wakes stay; the simulator disarms
+// the timers (sim.Sim.Reset).
+func (bg *Background) Reset() {
+	for i := range bg.ports {
+		p := &bg.ports[i]
+		p.fifo, p.head = p.fifo[:0], 0
+		p.pendingFrames, p.pendingBytes, p.highwater = 0, 0, 0
+		p.armed = false
+		p.offeredFrames, p.offeredBytes = 0, 0
+		p.deliveredFrames, p.deliveredBytes = 0, 0
+		p.droppedFrames, p.droppedBytes = 0, 0
+	}
+}
+
 // PortCounters returns one port's conservation counters.
 func (bg *Background) PortCounters(port int) (offeredF, offeredB, deliveredF, deliveredB, droppedF, droppedB uint64) {
 	p := &bg.ports[port]

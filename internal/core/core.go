@@ -94,6 +94,14 @@ type Device struct {
 	// bg is the hybrid-fidelity analytic traffic model; nil in full
 	// fidelity, where no hybrid branch anywhere can execute.
 	bg *Background
+
+	// sealed is what Seal recorded beyond the simulator, the design and
+	// the register map: whether the device was sealed with no tap plugged
+	// in, and its agent bookkeeping.
+	sealed struct {
+		ok                  bool
+		agents, everyTimers int
+	}
 }
 
 // Options tune device instantiation.
@@ -150,7 +158,7 @@ func NewDevice(board BoardSpec, opts Options) *Device {
 	for i := 0; i < board.Ports; i++ {
 		cfg := board.PortConfig(i)
 		cfg.BER = opts.PortBER
-		cfg.Seed = opts.Seed + uint64(i)*7919
+		cfg.Seed = portSeed(opts.Seed, i)
 		d.MACs = append(d.MACs, serial.NewMAC(s, cfg))
 	}
 	d.taps = make([]*PortTap, board.Ports)
@@ -168,6 +176,72 @@ func NewDevice(board BoardSpec, opts Options) *Device {
 		d.Disks = append(d.Disks, storage.New(s, c))
 	}
 	return d
+}
+
+// portSeed is port i's error-injection seed under the device seed.
+func portSeed(seed uint64, i int) uint64 { return seed + uint64(i)*7919 }
+
+// Seal marks the device's current state — NewDevice plus a project's
+// Build, before any traffic — as the state Reset returns to: the
+// simulator's armed timers and clocks, the design's shape, every plain
+// register's value, the agents started so far.
+func (d *Device) Seal() {
+	d.Sim.Seal()
+	d.Dsn.Seal()
+	d.Regs.Seal()
+	d.sealed.ok = true
+	for _, t := range d.taps {
+		if t != nil {
+			d.sealed.ok = false
+		}
+	}
+	d.sealed.agents, d.sealed.everyTimers = len(d.agents), d.everyTimers
+}
+
+// Reset returns a sealed device to the state Seal recorded, reseeded
+// with seed: a run on it is bit-identical to the same run on NewDevice
+// with that seed plus the same Build. It is the soft reset between tests
+// of a board programmed once. Every part is reset — the simulator, the
+// design and its modules (hw.Resetter), the register map, the MACs, the
+// DMA engine and driver, memories, storage and the hybrid model — and
+// every tap is unplugged, to be plugged back in, reset, by the next Tap
+// call. Frames in flight are dropped. Reset reports false when the
+// device cannot return to its sealed state: it was never sealed, a
+// module lacks Reset, or blocks, modules, streams, queues, clocks,
+// agents or Every timers were added since Seal. Such a device may be
+// left partially reset and must not be used again.
+func (d *Device) Reset(seed uint64) bool {
+	if !d.sealed.ok || len(d.agents) != d.sealed.agents || d.everyTimers != d.sealed.everyTimers {
+		return false
+	}
+	if !d.Dsn.Reset() || !d.Regs.Reset() || !d.Sim.Reset() {
+		return false
+	}
+	for i, m := range d.MACs {
+		m.Reset(portSeed(seed, i))
+	}
+	for _, t := range d.taps {
+		if t != nil {
+			t.unplug()
+		}
+	}
+	if d.Engine != nil {
+		d.Engine.Reset()
+		d.Driver.Reset()
+	}
+	for _, m := range d.SRAMs {
+		m.Reset()
+	}
+	for _, m := range d.DRAMs {
+		m.Reset()
+	}
+	for _, disk := range d.Disks {
+		disk.Reset()
+	}
+	if d.bg != nil {
+		d.bg.Reset()
+	}
+	return true
 }
 
 // MountRegs places a register file at the next free 4 KB-aligned base and
@@ -190,8 +264,7 @@ var portPrefixes = hw.NewNameTable("port%d.", hw.MaxPorts)
 // into one flat map, keyed by subsystem prefix. It is a view of the
 // counter spine: one key concatenation and one insert per counter. The
 // map is freshly allocated, so a snapshot taken when a device stops is
-// immutable even if the device keeps running; fleet results are built
-// from these.
+// immutable even if the device keeps running or is reset.
 func (d *Device) Snapshot() map[string]uint64 {
 	// Pre-size for the common shape: ~20 counters per port (MAC, attach,
 	// output queue), a few dozen for the rest. Sized once instead of
@@ -306,6 +379,8 @@ type PortTap struct {
 	rxFrames, rxBytes uint64
 	// OnRx, when set, intercepts arrivals instead of buffering them.
 	OnRx func(f *hw.Frame, at hw.Time)
+	// plugged is false between a device Reset and the next Tap call.
+	plugged bool
 }
 
 // tapChunkBytes is the capture arena granularity.
@@ -314,21 +389,44 @@ const tapChunkBytes = 64 << 10
 // rxBlockFrames is the capture deque block size.
 const rxBlockFrames = 512
 
-// Tap returns (creating on first use) the traffic endpoint of port i.
+// Tap returns the traffic endpoint of port i, plugging it in on first use
+// (and on the first use after a Reset, which unplugs every tap).
 func (d *Device) Tap(i int) *PortTap {
 	if i < 0 || i >= len(d.MACs) {
 		panic(fmt.Sprintf("core: port %d out of range", i))
 	}
-	if d.taps[i] != nil {
-		return d.taps[i]
+	t := d.taps[i]
+	if t == nil {
+		t = d.newTap(i)
+		d.taps[i] = t
 	}
+	if !t.plugged {
+		if err := serial.Connect(d.MACs[i], t.mac, 5*sim.Nanosecond); err != nil {
+			panic(err)
+		}
+		t.plugged = true
+	}
+	return t
+}
+
+// unplug returns the tap to the state newTap left it in: its MAC reset
+// and unconnected, nothing captured or counted, buffered capture mode, no
+// OnRx. Data already handed out by Received stays valid: the capture
+// arena is abandoned, not reused.
+func (t *PortTap) unplug() {
+	t.mac.Reset(0)
+	t.rxBlocks, t.rxCount, t.chunk = nil, 0, nil
+	t.counting, t.rxFrames, t.rxBytes = false, 0, 0
+	t.OnRx = nil
+	t.plugged = false
+}
+
+// newTap builds port i's tap and its MAC, unplugged.
+func (d *Device) newTap(i int) *PortTap {
 	cfg := d.Board.PortConfig(i)
 	cfg.Name = fmt.Sprintf("tap%d", i)
 	cfg.TxBufBytes = 1 << 22 // generous: the tap is test equipment
 	peer := serial.NewMAC(d.Sim, cfg)
-	if err := serial.Connect(d.MACs[i], peer, 5*sim.Nanosecond); err != nil {
-		panic(err)
-	}
 	t := &PortTap{dev: d, port: i, mac: peer}
 	pool := d.Dsn.Pool()
 	peer.SetReceiver(func(f *hw.Frame, ok bool) {
@@ -363,7 +461,6 @@ func (d *Device) Tap(i int) *PortTap {
 		t.appendRx(RxFrame{Data: t.retain(f.Data), At: d.Sim.Now()})
 		pool.Put(f)
 	})
-	d.taps[i] = t
 	return t
 }
 

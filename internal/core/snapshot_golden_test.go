@@ -47,6 +47,18 @@ type goldenDevice struct {
 // window also overflows the receive FIFOs and output queues.
 func loadedDevice(t testing.TB, board, project, fidelity string, slices int) *netfpga.Device {
 	t.Helper()
+	dev, _, err := builtDevice(t, board, project, netfpga.Options{Seed: 7, Fidelity: fidelity})
+	if err != nil {
+		t.Fatalf("%s/%s: build: %v", board, project, err)
+	}
+	load(t, dev, 7, slices, true)
+	return dev
+}
+
+// builtDevice instantiates a registry board under opts and builds a
+// registry project on it.
+func builtDevice(t testing.TB, board, project string, opts netfpga.Options) (*netfpga.Device, netfpga.Project, error) {
+	t.Helper()
 	b, ok := sweep.Board(board)
 	if !ok {
 		t.Fatalf("unknown board %q", board)
@@ -55,16 +67,21 @@ func loadedDevice(t testing.TB, board, project, fidelity string, slices int) *ne
 	if !ok {
 		t.Fatalf("unknown project %q", project)
 	}
-	dev := netfpga.NewDevice(b, netfpga.Options{Seed: 7, Fidelity: fidelity})
-	if err := entry.New().Build(dev); err != nil {
-		t.Fatalf("%s/%s: build: %v", board, project, err)
-	}
-	gen, err := workload.New(workload.Config{Seed: 7})
+	dev := netfpga.NewDevice(b, opts)
+	proj := entry.New()
+	return dev, proj, proj.Build(dev)
+}
+
+// load is loadedDevice's traffic: a workload seeded with seed, taps
+// counting or capturing.
+func load(t testing.TB, dev *netfpga.Device, seed uint64, slices int, counting bool) {
+	t.Helper()
+	gen, err := workload.New(workload.Config{Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < dev.Board.Ports; i++ {
-		dev.Tap(i).SetCounting(true)
+		dev.Tap(i).SetCounting(counting)
 	}
 	for slice := 0; slice < slices; slice++ {
 		for i := 0; i < dev.Board.Ports; i++ {
@@ -78,11 +95,10 @@ func loadedDevice(t testing.TB, board, project, fidelity string, slices int) *ne
 			}
 		}
 		if bg := dev.Background(); bg != nil {
-			bg.Offer(slice%2, 40, 40*900) // ports 2+ stay idle: their bg.* keys must stay absent
+			bg.Offer(slice%min(2, bg.Ports()), 40, 40*900) // ports 2+ stay idle: their bg.* keys must stay absent
 		}
 		dev.RunFor(2 * netfpga.Microsecond)
 	}
-	return dev
 }
 
 func exportDevice(t testing.TB, dev *netfpga.Device) goldenDevice {

@@ -56,8 +56,20 @@ func NewDriver(name string, engine *pcie.Engine, regs *hw.AddressMap, pool *hw.F
 	d.ctrs.Add("rx_dropped", &d.rxDropped)
 	engine.SetDeliver(d.rxComplete)
 	// Pre-post the full rx ring, as a real driver does at ifup.
-	engine.PostRx(256)
+	engine.PostRx(rxRing)
 	return d
+}
+
+// rxRing is the receive ring the driver posts at bring-up.
+const rxRing = 256
+
+// Reset returns the driver to the state NewDriver left it in, on an
+// engine that was just reset: nothing received, counters zero, the full
+// receive ring posted again.
+func (d *Driver) Reset() {
+	d.rxBuf = nil
+	d.txSent, d.rxGot, d.rxDropped = 0, 0, 0
+	d.engine.PostRx(rxRing)
 }
 
 // Name returns the driver instance name.

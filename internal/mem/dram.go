@@ -88,14 +88,26 @@ func NewDRAM(s *sim.Sim, cfg DRAMConfig) *DRAM {
 		burstBytes: cfg.BusBytes * cfg.BurstLen,
 		openRow:    make([]int64, cfg.Banks),
 		bankFree:   make([]sim.Time, cfg.Banks),
-		nextRef:    cfg.TREFI,
-	}
-	for i := range d.openRow {
-		d.openRow[i] = -1
 	}
 	// One burst of BurstLen transfers at MTps transfers/s.
 	d.burstTime = sim.Time(float64(cfg.BurstLen)*1e6/cfg.MTps + 0.5)
+	d.Reset()
 	return d
+}
+
+// Reset returns the channel to its power-on state: zeroed contents, every
+// row closed, the bus and banks idle, the first refresh one interval
+// away, counters zero.
+func (d *DRAM) Reset() {
+	d.ports.reset()
+	for i := range d.openRow {
+		d.openRow[i] = -1
+	}
+	clear(d.bankFree)
+	d.busFree, d.nextRef, d.lastAct = 0, d.cfg.TREFI, 0
+	d.actRing, d.actIdx = [4]sim.Time{}, 0
+	d.reads, d.writes, d.readBy, d.writeBy = 0, 0, 0, 0
+	d.rowHits, d.rowMiss, d.refreshes = 0, 0, 0
 }
 
 // Name implements Memory.

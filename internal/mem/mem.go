@@ -66,6 +66,14 @@ func (p *ports) init() {
 	p.writeLane = sim.NewLane(p.sim, p.writeDone)
 }
 
+// reset forgets every stored byte; the lanes are the simulator's to
+// empty (sim.Sim.Reset).
+func (p *ports) reset() {
+	if p.data != nil {
+		clear(p.data.pages)
+	}
+}
+
 func (p *ports) postRead(at sim.Time, addr uint64, n int, cb func([]byte)) {
 	p.init()
 	p.readLane.Post(at, readReq{addr, n, cb})

@@ -108,6 +108,14 @@ func (m *SRAM) Write(addr uint64, data []byte, cb func()) {
 	m.postWrite(done, addr, data, cb)
 }
 
+// Reset returns the part to the state NewSRAM left it in: zeroed
+// contents, idle ports, counters zero.
+func (m *SRAM) Reset() {
+	m.ports.reset()
+	m.readFree, m.writeFree = 0, 0
+	m.reads, m.writes, m.readBy, m.writeBy, m.stallPs = 0, 0, 0, 0, 0
+}
+
 // PeakBandwidthGbps returns the theoretical per-direction bandwidth:
 // 2 words per clock (both edges) on each independent port.
 func (m *SRAM) PeakBandwidthGbps() float64 {

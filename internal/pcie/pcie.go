@@ -275,6 +275,19 @@ func (e *Engine) kickRx() {
 	}
 }
 
+// Reset returns the engine to the state NewEngine left it in: both rings
+// and the link idle, no host buffers posted (the driver posts them, see
+// host.Driver.Reset), counters zero. Transfers in flight are dropped with
+// the link's completion lanes (sim.Sim.Reset).
+func (e *Engine) Reset() {
+	e.link.busy = [2]sim.Time{}
+	e.link.transfers, e.link.bytes = [2]uint64{}, [2]uint64{}
+	e.toDevice.Reset()
+	e.fromDevice.Reset()
+	e.txInFlight, e.rxFree = 0, 0
+	e.interrupts, e.txFrames, e.rxFrames, e.rxDeferred = 0, 0, 0, 0
+}
+
 // Counters implements hw.CounterSource: the link's counters, then the
 // engine's.
 func (e *Engine) Counters() *hw.Counters { return &e.ctrs }

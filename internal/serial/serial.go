@@ -124,7 +124,7 @@ func NewMAC(s *sim.Sim, cfg Config) *MAC {
 		cfg:  cfg,
 		sim:  s,
 		rate: float64(cfg.Lanes) * cfg.LineGbps * cfg.Encoding,
-		rng:  sim.NewRand(cfg.Seed ^ 0x5eeded),
+		rng:  sim.NewRand(cfg.Seed ^ 0x5eeded), // Reset reseeds the same way
 	}
 	m.txq = hw.NewFrameQueue(cfg.Name+".txq", 0, cfg.TxBufBytes)
 	m.txq.OnPush(m.kick)
@@ -197,6 +197,23 @@ func Connect(a, b *MAC, prop sim.Time) error {
 	a.kick()
 	b.kick()
 	return nil
+}
+
+// Reset returns the MAC to the state NewMAC left it in, unplugged and
+// with its error injection reseeded with seed: nothing queued, on the
+// wire or in flight (those frames are dropped), counters zero. The
+// receiver stays installed. The simulator disarms the MAC's timers
+// (sim.Sim.Reset).
+func (m *MAC) Reset(seed uint64) {
+	m.cfg.Seed = seed
+	m.rng.Seed(seed ^ 0x5eeded)
+	m.peer, m.prop, m.linkUp = nil, 0, false
+	m.txq.Reset()
+	m.inFlight = nil
+	clear(m.inbound)
+	m.inHead, m.inN = 0, 0
+	m.txFrames, m.rxFrames, m.txBytes, m.rxBytes = 0, 0, 0, 0
+	m.fcsErrors, m.txBusyPs = 0, 0
 }
 
 // Name returns the MAC's name.

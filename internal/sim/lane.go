@@ -45,7 +45,20 @@ type laneEntry[T any] struct {
 func NewLane[T any](s *Sim, fire func(T)) *Lane[T] {
 	l := &Lane[T]{sim: s, fire: fire}
 	l.timer = s.NewTimer(l.complete)
+	s.lanes = append(s.lanes, l)
 	return l
+}
+
+// reset drops every posted completion, keeping the blocks as spares; the
+// simulator disarms the timer and zeroes its queued count (Sim.Reset).
+func (l *Lane[T]) reset() {
+	for b := l.head; b != nil; {
+		next := b.next
+		clear(b.e[:])
+		b.next, l.spare = l.spare, b
+		b = next
+	}
+	l.head, l.tail, l.hi, l.ti, l.n, l.last = nil, nil, 0, 0, 0, 0
 }
 
 // Post schedules fire(v) at absolute time at. Completion times on one

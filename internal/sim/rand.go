@@ -16,6 +16,10 @@ type Rand struct {
 // NewRand returns a generator seeded with seed.
 func NewRand(seed uint64) *Rand { return &Rand{state: seed} }
 
+// Seed restarts the generator at seed: it then draws exactly what
+// NewRand(seed) would.
+func (r *Rand) Seed(seed uint64) { r.state = seed }
+
 // Uint64 returns the next 64 random bits.
 func (r *Rand) Uint64() uint64 {
 	r.state += 0x9e3779b97f4a7c15

@@ -40,6 +40,11 @@ type Sim struct {
 	// Stopped reports how many events have executed; useful in tests and
 	// for detecting runaway simulations.
 	executed uint64
+
+	// lanes are every Lane built on the simulator, and mark the state
+	// Seal recorded (reset.go).
+	lanes []laneReset
+	mark  mark
 }
 
 // Forever is the end of simulated time: the deadline of a run that has

@@ -93,6 +93,15 @@ func (b *BlockDev) complete(c command) {
 	}
 }
 
+// Reset returns the device to the state New left it in: blank, idle,
+// counters zero. Queued commands go with the simulator's lanes
+// (sim.Sim.Reset).
+func (b *BlockDev) Reset() {
+	clear(b.blocks)
+	b.free = 0
+	b.reads, b.writes, b.readBy, b.writeBy = 0, 0, 0, 0
+}
+
 // Name returns the device name.
 func (b *BlockDev) Name() string { return b.cfg.Name }
 

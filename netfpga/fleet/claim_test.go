@@ -20,10 +20,16 @@ func TestClaimOrderLongestDeclaredFirst(t *testing.T) {
 	jobs := experiments.TailHeavyJobs(160 * netfpga.Microsecond)
 	var claimed []string
 	for i := range jobs {
-		name, build := jobs[i].Name, jobs[i].Build
+		name, build, drive := jobs[i].Name, jobs[i].Build, jobs[i].Drive
 		jobs[i].Build = func(dev *netfpga.Device) error {
 			claimed = append(claimed, name)
 			return build(dev)
+		}
+		// The value carries the device's counters, so the comparison
+		// below covers them.
+		jobs[i].Drive = func(c *fleet.Ctx) (any, error) {
+			v, err := drive(c)
+			return []any{v, c.Dev.Snapshot()}, err
 		}
 	}
 	res := (&fleet.Runner{Workers: 1, BaseSeed: base}).RunAll(context.Background(), jobs)
@@ -51,8 +57,7 @@ func TestClaimOrderLongestDeclaredFirst(t *testing.T) {
 		alone := jobs[i]
 		alone.Options.Seed = r.Seed
 		ref := fleet.Sequential().RunAll(context.Background(), []fleet.Job{alone})[0]
-		if ref.Value != r.Value || ref.Events != r.Events || ref.SimTime != r.SimTime ||
-			!reflect.DeepEqual(ref.Stats, r.Stats) {
+		if !reflect.DeepEqual(ref.Value, r.Value) || ref.Events != r.Events || ref.SimTime != r.SimTime {
 			t.Errorf("job %q differs from its list-order result", r.Name)
 		}
 	}

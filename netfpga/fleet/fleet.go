@@ -4,8 +4,9 @@
 // so that many experiments can run against many board configurations
 // quickly; fleet is the software analogue — a Job describes one device
 // (board + project + workload + stop condition), a Runner executes a
-// batch of them, and each Result carries the device's aggregated stats,
-// the workload's value, and any error.
+// batch of them, and each Result carries the workload's value, the
+// device's final simulated time and event count, and any error. A Drive
+// that wants the device's counters reads them itself (Ctx.Dev.Snapshot).
 //
 // Determinism is the core contract: every stochastic element of a job
 // draws from a per-device RNG seeded purely from (BaseSeed, job index),
@@ -57,6 +58,13 @@ type Job struct {
 	// Build assembles the project pipeline onto the fresh device
 	// (typically Project.Build). Optional.
 	Build func(*netfpga.Device) error
+	// Acquire, when set, supplies the device in place of NewDevice +
+	// Build — typically a reset device from a cache of built ones. It
+	// gets the effective options (seed and fidelity resolved) and returns
+	// the device with the release the runner hands it back through once
+	// Drive has returned and the result is read: clean is true only when
+	// the job neither failed, panicked nor was canceled.
+	Acquire func(opts netfpga.Options) (dev *netfpga.Device, release func(clean bool), err error)
 	// Drive runs the workload against the device and returns the
 	// job's value. Required.
 	Drive func(*Ctx) (any, error)
@@ -193,10 +201,6 @@ type Result struct {
 	Seed  uint64
 	// Value is whatever Drive returned.
 	Value any
-	// Stats is the device's aggregated counter snapshot (design
-	// modules, MACs, PCIe, driver, event count) taken after Drive
-	// returned. Nil for NoDevice jobs.
-	Stats map[string]uint64
 	// SimTime is the device's final simulated time; Events the number
 	// of simulation events it executed.
 	SimTime netfpga.Time

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -49,25 +51,29 @@ func switchJob(name string) Job {
 			for _, t := range taps {
 				rx += len(t.Received())
 			}
-			return fmt.Sprintf("sent=%d rx=%d", sent, rx), nil
+			return switchValue{fmt.Sprintf("sent=%d rx=%d", sent, rx), c.Dev.Snapshot()}, nil
 		},
 		Stop: Stop{SimTime: 200 * netfpga.Microsecond},
 	}
 }
 
-// fingerprint renders a result to a canonical byte string: value, seed,
-// final simulated time, and every stats counter in sorted key order.
+// switchValue is what a switchJob's Drive returns: its traffic summary
+// and the device's counter snapshot, taken before Drive returns.
+type switchValue struct {
+	summary string
+	stats   map[string]uint64
+}
+
+// fingerprint renders a result to a canonical byte string: seed, final
+// simulated time, the summary, and every snapshot counter in sorted key
+// order.
 func fingerprint(r Result) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s seed=%#x sim=%d events=%d value=%v\n",
-		r.Name, r.Seed, r.SimTime, r.Events, r.Value)
-	keys := make([]string, 0, len(r.Stats))
-	for k := range r.Stats {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(&b, "  %s=%d\n", k, r.Stats[k])
+	v, _ := r.Value.(switchValue)
+	fmt.Fprintf(&b, "%s seed=%#x sim=%d events=%d value=%s\n",
+		r.Name, r.Seed, r.SimTime, r.Events, v.summary)
+	for _, k := range slices.Sorted(maps.Keys(v.stats)) {
+		fmt.Fprintf(&b, "  %s=%d\n", k, v.stats[k])
 	}
 	return b.String()
 }
@@ -96,7 +102,7 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 		if a != b {
 			t.Errorf("job %d diverged between workers=1 and workers=8:\n--- seq\n%s--- par\n%s", i, a, b)
 		}
-		if len(seq[i].Stats) == 0 {
+		if len(seq[i].Value.(switchValue).stats) == 0 {
 			t.Errorf("job %d has no stats snapshot", i)
 		}
 	}

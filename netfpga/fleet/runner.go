@@ -147,7 +147,8 @@ func (r *Runner) dispatch(ctx context.Context, jobs []Job, deliver func(Result))
 }
 
 // runJob executes a single job, isolating panics so one bad device
-// cannot take down the pool.
+// cannot take down the pool. An acquired device is released last, clean
+// only when the job succeeded and the batch was not canceled.
 func (r *Runner) runJob(ctx context.Context, job Job, index int) (res Result) {
 	seed := job.Options.Seed
 	if seed == 0 {
@@ -158,9 +159,13 @@ func (r *Runner) runJob(ctx context.Context, job Job, index int) (res Result) {
 		res.Err = fmt.Errorf("%w: %w", ErrCanceled, err)
 		return res
 	}
+	var release func(clean bool)
 	defer func() {
 		if p := recover(); p != nil {
 			res.Err = fmt.Errorf("fleet: job %q panicked: %v", job.Name, p)
+		}
+		if release != nil {
+			release(res.Err == nil && ctx.Err() == nil)
 		}
 	}()
 	if job.Drive == nil {
@@ -181,12 +186,11 @@ func (r *Runner) runJob(ctx context.Context, job Job, index int) (res Result) {
 		if opts.Fidelity == "" {
 			opts.Fidelity = r.Fidelity
 		}
-		dev := netfpga.NewDevice(job.Board, opts)
-		if job.Build != nil {
-			if err := job.Build(dev); err != nil {
-				res.Err = fmt.Errorf("fleet: job %q build: %w", job.Name, err)
-				return res
-			}
+		dev, rel, err := jobDevice(job, opts)
+		release = rel
+		if err != nil {
+			res.Err = fmt.Errorf("fleet: job %q build: %w", job.Name, err)
+			return res
 		}
 		c.Dev = dev
 		c.started = dev.Now()
@@ -196,11 +200,25 @@ func (r *Runner) runJob(ctx context.Context, job Job, index int) (res Result) {
 	res.Value = v
 	res.Err = err
 	if c.Dev != nil {
-		res.Stats = c.Dev.Snapshot()
 		res.SimTime = c.Dev.Now()
 		res.Events = c.Dev.Sim.Executed()
 	}
 	return res
+}
+
+// jobDevice returns the job's device: acquired, with its release, or a
+// fresh NewDevice plus Build.
+func jobDevice(job Job, opts netfpga.Options) (*netfpga.Device, func(bool), error) {
+	if job.Acquire != nil {
+		return job.Acquire(opts)
+	}
+	dev := netfpga.NewDevice(job.Board, opts)
+	if job.Build != nil {
+		if err := job.Build(dev); err != nil {
+			return nil, nil, err
+		}
+	}
+	return dev, nil, nil
 }
 
 // Errs collects the errors of the failed jobs in a batch, in job order.

@@ -79,7 +79,16 @@ type TimingConstrained interface {
 	MaxFreqMHz() float64
 }
 
-// Resetter is implemented by modules with soft-resettable state.
+// Resetter is the module contract for reuse: Reset returns the module to
+// the state its constructor left it in — counters zero, nothing held or
+// in flight, construction-time configuration — so a device built once
+// can run cell after cell exactly as a fresh build would. Streams and
+// frame queues the design owns are reset by the design, and plain
+// registers (RegisterFile.AddVar) by the device's AddressMap; a module
+// resets the rest of its own fields. A design with a module that does
+// not implement Resetter is not reused (Design.Reset reports false).
+// Projects implement it too, for their state outside the design: tables,
+// counters, agents' bookkeeping.
 type Resetter interface {
 	Reset()
 }
@@ -136,10 +145,11 @@ type Design struct {
 	queues   []*FrameQueue
 	pool     FramePool
 	overhead Resources
-	synth    bool
 	// background is the hybrid-fidelity contention hook; nil in full
 	// fidelity, where every coupler branch is dead code.
 	background BackgroundCoupler
+	// sealed is the shape and frame-burst cap Seal recorded.
+	sealed struct{ modules, streams, queues, burst int }
 }
 
 // NewDesign creates a design named name on the given datapath clock with a
@@ -382,15 +392,46 @@ func (d *Design) apply(n int, whole bool) {
 // many datapath cycles they absorbed between them.
 func (d *Design) WindowStats() (windows, cycles uint64) { return d.windows, d.absorbed }
 
-// Reset soft-resets every module that supports it and marks all modules
-// runnable, since reset may have changed their state.
-func (d *Design) Reset() {
+// Seal records the design as built — its modules, streams and queues,
+// and the frame-burst cap — as the state Reset returns to.
+func (d *Design) Seal() {
+	d.sealed.modules, d.sealed.streams, d.sealed.queues = len(d.modules), len(d.streams), len(d.queues)
+	d.sealed.burst = d.burst
+}
+
+// Reset returns the design to the state Seal recorded: every stream and
+// queue empty with its statistics zeroed, every module reset (Resetter)
+// and runnable, tick counts and window statistics zero. The frame pool
+// keeps its free frames — which buffer a frame lands in is observable by
+// nothing — and frames still in flight are dropped, not recycled. The
+// window attempt counter is not rewound: a stream's last declaration
+// must stay stale for the next attempt. Reset reports false, changing
+// nothing, when a module does not implement Resetter or the design has
+// grown since Seal. The clock is the simulator's to restore.
+func (d *Design) Reset() bool {
+	if d.sealed.modules != len(d.modules) || d.sealed.streams != len(d.streams) || d.sealed.queues != len(d.queues) {
+		return false
+	}
 	for _, m := range d.modules {
-		if r, ok := m.(Resetter); ok {
-			r.Reset()
+		if _, ok := m.(Resetter); !ok {
+			return false
 		}
 	}
-	d.Wake()
+	for i, m := range d.modules {
+		m.(Resetter).Reset()
+		d.runnable[i] = true
+		d.tickCounts[i] = 0
+	}
+	for _, s := range d.streams {
+		s.reset()
+	}
+	for _, q := range d.queues {
+		q.Reset()
+	}
+	d.edge, d.stuck = false, false
+	d.windows, d.absorbed = 0, 0
+	d.burst = d.sealed.burst
+	return true
 }
 
 // Stats returns every design counter in a fresh map, keyed
@@ -487,6 +528,5 @@ func (d *Design) Synthesize(dev FPGA) (*Report, error) {
 		return rep, fmt.Errorf("hw: design %s fails timing on %s: clock %.1f MHz > Fmax %.1f MHz",
 			d.name, dev.Name, rep.ClockMHz, fmax)
 	}
-	d.synth = true
 	return rep, nil
 }

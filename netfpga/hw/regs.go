@@ -215,6 +215,43 @@ type mount struct {
 // as the AXI interconnect does on the physical boards.
 type AddressMap struct {
 	mounts []mount
+	// sealedMounts and sealedVars are what Seal recorded: the mount count
+	// and every plain (AddVar) register's value, in address order.
+	sealedMounts int
+	sealedVars   []uint32
+}
+
+// Seal records the mounted blocks and the value of every plain register
+// as the state Reset restores. Counter, getter and callback registers
+// read their owners' state, which the owners reset.
+func (am *AddressMap) Seal() {
+	am.sealedMounts = len(am.mounts)
+	am.sealedVars = am.sealedVars[:0]
+	am.eachVar(func(v *uint32) { am.sealedVars = append(am.sealedVars, *v) })
+}
+
+// Reset writes every plain register back to its sealed value. It reports
+// false, changing nothing, when blocks or plain registers were added
+// since Seal.
+func (am *AddressMap) Reset() bool {
+	n := 0
+	am.eachVar(func(*uint32) { n++ })
+	if len(am.mounts) != am.sealedMounts || n != len(am.sealedVars) {
+		return false
+	}
+	i := 0
+	am.eachVar(func(v *uint32) { *v = am.sealedVars[i]; i++ })
+	return true
+}
+
+func (am *AddressMap) eachVar(fn func(*uint32)) {
+	for _, m := range am.mounts {
+		for i := range m.rf.regs {
+			if v := m.rf.regs[i].v; v != nil {
+				fn(v)
+			}
+		}
+	}
 }
 
 // NewAddressMap returns an empty address map.

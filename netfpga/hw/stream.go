@@ -137,6 +137,14 @@ func (s *Stream) Pop() Beat {
 // wake the consuming clock domain.
 func (s *Stream) OnPush(fn func()) { s.wake = fn }
 
+// reset empties the stream and zeroes its statistics (Design.Reset).
+func (s *Stream) reset() {
+	clear(s.buf)
+	s.head, s.n, s.ends = 0, 0, 0
+	s.pushed, s.highWtr = 0, 0
+	s.ownEdge = false
+}
+
 // Pushed returns the total number of beats ever pushed.
 func (s *Stream) Pushed() uint64 { return s.pushed }
 
@@ -336,6 +344,15 @@ func (q *FrameQueue) Peek() *Frame {
 
 // OnPush installs a callback invoked after every successful Push.
 func (q *FrameQueue) OnPush(fn func()) { q.wake = fn }
+
+// Reset empties the queue, dropping the frames it held, and zeroes its
+// statistics. The ring keeps the size it grew to.
+func (q *FrameQueue) Reset() {
+	clear(q.frames)
+	q.head, q.n, q.bytes = 0, 0, 0
+	q.pushed, q.popped, q.drops, q.dropBytes, q.highWtr = 0, 0, 0, 0, 0
+	q.ownEdge = false
+}
 
 // Drops returns the number of frames rejected for lack of space.
 func (q *FrameQueue) Drops() uint64 { return q.drops }

@@ -91,6 +91,13 @@ func (a *InputArbiter) Tick() bool {
 	return true
 }
 
+// Reset implements hw.Resetter.
+func (a *InputArbiter) Reset() {
+	a.next, a.locked = 0, -1
+	clear(a.grants)
+	a.packets = 0
+}
+
 func (a *InputArbiter) pending() bool {
 	if a.locked >= 0 {
 		return true

@@ -98,6 +98,12 @@ func (a *DMAAttach) Tick() bool {
 	return busy || a.emit.Active() || a.eng.ToDevice().Len() > 0 || a.fromPipe.CanPop()
 }
 
+// Reset implements hw.Resetter. The engine is the device's.
+func (a *DMAAttach) Reset() {
+	a.emit, a.txHold = hw.Emitter{}, nil
+	a.h2dPkts, a.d2hPkts = 0, 0
+}
+
 // Counters implements hw.CounterSource: the attach's own counters plus
 // the engine's as engine_*.
 func (a *DMAAttach) Counters() *hw.Counters { return &a.ctrs }

@@ -62,6 +62,12 @@ func (t *FlowTable[K, V]) Len() int { return t.n }
 // Cap reports how many entries fit before the next grow.
 func (t *FlowTable[K, V]) Cap() int { return len(t.slots) * 3 / 4 }
 
+// Clear removes every entry. The arena keeps the size it grew to.
+func (t *FlowTable[K, V]) Clear() {
+	clear(t.slots)
+	t.n = 0
+}
+
 // Get returns the value stored for key.
 func (t *FlowTable[K, V]) Get(key K) (V, bool) {
 	idx := t.hash(key) & t.mask

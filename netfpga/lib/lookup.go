@@ -178,5 +178,17 @@ func (l *OutputPortLookup) Tick() bool {
 	return busy || l.emit.Active() || len(l.pending) > 0 || len(l.ready) > 0 || l.in.CanPop()
 }
 
+// Reset implements hw.Resetter: an empty lookup pipeline at the default
+// depth.
+func (l *OutputPortLookup) Reset() {
+	clear(l.pending[:cap(l.pending)])
+	l.pending = l.pending[:0]
+	clear(l.ready[:cap(l.ready)])
+	l.ready = l.ready[:0]
+	l.emit = hw.Emitter{}
+	l.depth = defaultLookupPipelineDepth
+	l.lookups, l.drops, l.punts = 0, 0, 0
+}
+
 // Counters implements hw.CounterSource.
 func (l *OutputPortLookup) Counters() *hw.Counters { return &l.ctrs }

@@ -136,6 +136,13 @@ func (m *MACAttach) Tick() bool {
 	return busy || m.rxEmit.Active() || m.rxq.Len() > 0 || m.txIn.CanPop()
 }
 
+// Reset implements hw.Resetter. The receive FIFO is the design's; the
+// MAC is the device's.
+func (m *MACAttach) Reset() {
+	m.rxEmit, m.txHold = hw.Emitter{}, nil
+	m.badFCS, m.rxPkts, m.txPkts, m.rxBytes, m.txBytes = 0, 0, 0, 0, 0
+}
+
 // Counters implements hw.CounterSource: the attach's own counters plus
 // the MAC's as mac_*.
 func (m *MACAttach) Counters() *hw.Counters { return &m.ctrs }

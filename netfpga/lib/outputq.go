@@ -231,6 +231,17 @@ func (o *OutputQueues) route(f *hw.Frame) {
 	}
 }
 
+// Reset implements hw.Resetter. The per-port queues are the design's.
+func (o *OutputQueues) Reset() {
+	o.inPkts = 0
+	for i := range o.ports {
+		p := &o.ports[i]
+		*p.emit = hw.Emitter{}
+		p.pkts = 0
+		p.rels = p.rels[:0]
+	}
+}
+
 // Counters implements hw.CounterSource: per-port packets, drops and
 // peak depth.
 func (o *OutputQueues) Counters() *hw.Counters { return &o.ctrs }

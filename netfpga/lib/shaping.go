@@ -13,9 +13,11 @@ type RateLimiter struct {
 	in   *hw.Stream
 	out  *hw.Stream
 
-	// Register-backed configuration.
+	// Register-backed configuration, and its construction-time values.
 	rateMbps uint32 // 0 disables shaping
 	burstB   uint32
+	rate0    uint32
+	burst0   uint32
 
 	tokens     float64
 	lastCycle  uint64
@@ -29,8 +31,8 @@ func NewRateLimiter(d *hw.Design, name string, in, out *hw.Stream, rateMbps, bur
 	if burstBytes == 0 {
 		burstBytes = 3000
 	}
-	r := &RateLimiter{name: name, d: d, in: in, out: out,
-		rateMbps: rateMbps, burstB: burstBytes, tokens: float64(burstBytes)}
+	r := &RateLimiter{name: name, d: d, in: in, out: out, rate0: rateMbps, burst0: burstBytes}
+	r.Reset()
 	r.ctrs.Grow(2)
 	r.ctrs.Add("pkts", &r.pkts)
 	r.ctrs.Add("held_cycles", &r.held)
@@ -83,6 +85,15 @@ func (r *RateLimiter) Tick() bool {
 	return true
 }
 
+// Reset implements hw.Resetter: the construction-time rate and burst, a
+// full bucket.
+func (r *RateLimiter) Reset() {
+	r.rateMbps, r.burstB = r.rate0, r.burst0
+	r.tokens = float64(r.burst0)
+	r.lastCycle, r.inPacket = 0, false
+	r.pkts, r.held = 0, 0
+}
+
 // Registers exposes run-time control.
 func (r *RateLimiter) Registers() *hw.RegisterFile {
 	rf := hw.NewRegisterFile(r.name)
@@ -104,6 +115,8 @@ type Delay struct {
 	in    *hw.Stream
 	out   *hw.Stream
 	delay hw.Time
+	// delay0 is the construction-time delay Reset restores.
+	delay0 hw.Time
 
 	heldFrame *hw.Frame
 	readyAt   hw.Time
@@ -114,7 +127,7 @@ type Delay struct {
 
 // NewDelay creates a fixed-delay module.
 func NewDelay(d *hw.Design, name string, in, out *hw.Stream, delay hw.Time) *Delay {
-	dm := &Delay{name: name, d: d, in: in, out: out, delay: delay}
+	dm := &Delay{name: name, d: d, in: in, out: out, delay: delay, delay0: delay}
 	dm.ctrs.Add("pkts", &dm.pkts)
 	d.AddModule(dm)
 	in.OnPush(d.ModuleWake(dm))
@@ -132,6 +145,13 @@ func (dm *Delay) Resources() hw.Resources {
 
 // SetDelay changes the delay (takes effect for subsequent frames).
 func (dm *Delay) SetDelay(d hw.Time) { dm.delay = d }
+
+// Reset implements hw.Resetter: nothing held, the construction-time
+// delay.
+func (dm *Delay) Reset() {
+	dm.heldFrame, dm.readyAt, dm.emit, dm.pkts = nil, 0, hw.Emitter{}, 0
+	dm.delay = dm.delay0
+}
 
 // Tick implements hw.Module.
 func (dm *Delay) Tick() bool {

@@ -115,5 +115,8 @@ func ExtractPayloadTimestamp(data []byte, offset uint32) (hw.Time, bool) {
 	return hw.Time(binary.BigEndian.Uint64(data[offset:])), true
 }
 
+// Reset implements hw.Resetter.
+func (t *Timestamper) Reset() { t.hold, t.emit, t.pkts = nil, hw.Emitter{}, 0 }
+
 // Counters implements hw.CounterSource.
 func (t *Timestamper) Counters() *hw.Counters { return &t.ctrs }

@@ -172,6 +172,22 @@ func (p *Project) Description() string {
 	return "BlueSwitch: multi-table match-action pipeline with provably consistent (versioned) configuration updates"
 }
 
+// Reset implements hw.Resetter: every bank empty, no policy generation
+// loaded, counters zero. The active bank is the active_bank register's,
+// which the device's register map restores; naive updates still pending
+// go with the simulator's timers.
+func (p *Project) Reset() {
+	for _, t := range p.tables {
+		for b := range t.banks {
+			clear(t.banks[b])
+		}
+		t.def, t.epoch = [2]Action{}, [2]uint64{}
+		t.lookups, t.hits, t.misses = 0, 0, 0
+	}
+	p.epoch = 0
+	p.violations, p.finalDrops = 0, 0
+}
+
 // Tables returns the number of table stages.
 func (p *Project) Tables() int { return len(p.tables) }
 

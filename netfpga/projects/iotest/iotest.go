@@ -47,6 +47,10 @@ func (p *Project) Build(dev *netfpga.Device) error {
 	return nil
 }
 
+// Reset implements hw.Resetter: the loopback keeps no state outside its
+// pipeline.
+func (p *Project) Reset() {}
+
 // loopback returns every frame whence it came.
 func loopback(f *hw.Frame) lib.Verdict {
 	if f.Meta.Flags&hw.FlagFromHost != 0 {

@@ -52,6 +52,9 @@ func (p *Project) Build(dev *netfpga.Device) error {
 	return nil
 }
 
+// Reset implements hw.Resetter.
+func (p *Project) Reset() { p.rxToHost, p.txFromHost = 0, 0 }
+
 // lookup bridges ports and host queues 1:1.
 func (p *Project) lookup(f *hw.Frame) lib.Verdict {
 	if f.Meta.Flags&hw.FlagFromHost != 0 {

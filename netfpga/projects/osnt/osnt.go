@@ -133,7 +133,8 @@ func (p *Project) Build(dev *netfpga.Device) error {
 		stamped := d.NewStream(fmt.Sprintf("stamped%d", i), 16)
 		rx := d.NewStream(fmt.Sprintf("rx%d", i), 16)
 
-		g := &generator{d: d, out: genOut, rng: sim.NewRand(uint64(i) + 1)}
+		g := &generator{d: d, out: genOut, seed: uint64(i) + 1}
+		g.rng = sim.NewRand(g.seed)
 		g.ctrs.Add("sent", &g.sent)
 		d.AddModule(g)
 		// The generator is a pure source: nothing pushes into it, so the
@@ -164,6 +165,10 @@ func (p *Project) Build(dev *netfpga.Device) error {
 
 // Instance returns the tester API (after Build).
 func (p *Project) Instance() *OSNT { return p.inst }
+
+// Reset implements hw.Resetter. Generators and monitors are design
+// modules, reset with the design; the tester keeps no other state.
+func (p *Project) Reset() {}
 
 // Configure arms a port's generator; it does not start transmission.
 func (o *OSNT) Configure(port int, spec TrafficSpec) error {
@@ -248,6 +253,7 @@ type generator struct {
 	wake    func() // marks this generator runnable and re-arms the clock
 	spec    TrafficSpec
 	rng     *sim.Rand
+	seed    uint64 // the port's default Poisson seed
 	running bool
 	armed   bool
 	nextAt  hw.Time
@@ -351,6 +357,14 @@ func (g *generator) Tick() bool {
 	return true
 }
 
+// Reset implements hw.Resetter: unarmed and stopped, with the port's
+// default seed.
+func (g *generator) Reset() {
+	g.spec, g.running, g.armed = TrafficSpec{}, false, false
+	g.rng.Seed(g.seed)
+	g.nextAt, g.gapIdx, g.sent, g.emit = 0, 0, 0, genEmit{}
+}
+
 // Counters implements hw.CounterSource.
 func (g *generator) Counters() *hw.Counters { return &g.ctrs }
 
@@ -446,6 +460,13 @@ func (m *monitor) reset() {
 	m.latSamples, m.latSum, m.latMin, m.latMax = 0, 0, 0, 0
 	m.hist = [HistBuckets]uint64{}
 	m.capture = nil
+}
+
+// Reset implements hw.Resetter: ResetStats, with the capture ring back
+// to its default bound.
+func (m *monitor) Reset() {
+	m.reset()
+	m.captureCap = 0
 }
 
 // registers exposes monitor counters.

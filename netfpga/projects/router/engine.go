@@ -100,6 +100,16 @@ func NewEngine(ifs []IfConfig) *Engine {
 	}
 }
 
+// Reset empties every table and zeroes the counters, keeping the
+// interfaces and the clock.
+func (e *Engine) Reset() {
+	e.FIB.Clear()
+	e.ARP.Clear()
+	e.arpSeen.Clear()
+	e.pending.Clear()
+	e.C = Counters{}
+}
+
 // SetClock installs the time source used to timestamp dynamic ARP
 // learns for aging. The project installs the device clock; behavioral
 // models leave it unset.

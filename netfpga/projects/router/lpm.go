@@ -31,6 +31,9 @@ func NewTrie() *Trie { return &Trie{root: &trieNode{}} }
 // Len returns the number of routes.
 func (t *Trie) Len() int { return t.n }
 
+// Clear removes every route.
+func (t *Trie) Clear() { t.root, t.n = &trieNode{}, 0 }
+
 // bitAt returns bit i (0 = most significant) of a.
 func bitAt(a uint32, i uint8) int { return int(a>>(31-i)) & 1 }
 

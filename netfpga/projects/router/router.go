@@ -113,6 +113,11 @@ func (p *Project) Build(dev *netfpga.Device) error {
 	return nil
 }
 
+// Reset implements hw.Resetter: empty tables, zero counters. The
+// table-write registers are plain registers, which the device's
+// register map restores; the agent keeps no state of its own.
+func (p *Project) Reset() { p.eng.Reset() }
+
 // lookup is the hardware fast path.
 func (p *Project) lookup(f *hw.Frame) lib.Verdict {
 	if f.Meta.Flags&hw.FlagFromCPU != 0 && f.Meta.DstPorts != 0 {

@@ -103,6 +103,14 @@ func (c *CAM) Sweep(now int64) int {
 // Len returns the number of live entries.
 func (c *CAM) Len() int { return c.entries.Len() }
 
+// Reset forgets every learned address and zeroes the counters. The arena
+// keeps the size it grew to: slot order is unobservable (see CAM).
+func (c *CAM) Reset() {
+	c.entries.Clear()
+	c.lookups, c.hits, c.misses = 0, 0, 0
+	c.learns, c.evicts, c.ageOut = 0, 0, 0
+}
+
 // Counters implements hw.CounterSource. The table is not a module, so
 // the list is built on first use rather than per switch.
 func (c *CAM) Counters() *hw.Counters {

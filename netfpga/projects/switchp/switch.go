@@ -109,6 +109,13 @@ func (p *Project) lookup(f *hw.Frame) lib.Verdict {
 	return lib.Forward
 }
 
+// Reset implements hw.Resetter: the switch as Build left it, with an
+// empty CAM. The aging agent keeps no state of its own.
+func (p *Project) Reset() {
+	p.cam.Reset()
+	p.floods = 0
+}
+
 // CAMTable exposes the table for tests and the CLI.
 func (p *Project) CAMTable() *CAM { return p.cam }
 

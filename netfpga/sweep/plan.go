@@ -36,6 +36,10 @@ type Plan struct {
 	groupIdx []int     // per cell: owning group index
 	ngroups  int
 	byKey    map[string]int // canonical key -> cell index (read-only after build)
+	// devs is the plan's cache of idle built devices, which every
+	// executed job of a registry-resolved cell draws from (devices.go);
+	// a Subset shares it.
+	devs *devices
 }
 
 // index (re)builds the key lookup; called once at construction, so
@@ -62,7 +66,7 @@ func PlanGroups(groups []Group, filter string, baseSeed uint64) (*Plan, error) {
 		return nil, err
 	}
 	p := &Plan{Cells: cells, BaseSeed: baseSeed, ngroups: len(groups),
-		measures: make([]Measure, len(cells)), groupIdx: make([]int, len(cells))}
+		measures: make([]Measure, len(cells)), groupIdx: make([]int, len(cells)), devs: &devices{}}
 	for gi := range groups {
 		for i := off[gi]; i < off[gi+1]; i++ {
 			if groups[gi].Measure == nil {
@@ -114,7 +118,7 @@ func fnv64(key string) uint64 {
 // expansion order and group structure — what a coordinator executes
 // in-process when only part of a plan is still unfinished.
 func (p *Plan) Subset(keep func(key string) bool) *Plan {
-	sub := &Plan{BaseSeed: p.BaseSeed, ngroups: p.ngroups}
+	sub := &Plan{BaseSeed: p.BaseSeed, ngroups: p.ngroups, devs: p.devs}
 	for j, c := range p.Cells {
 		if !keep(c.Key) {
 			continue
@@ -131,7 +135,7 @@ func (p *Plan) Subset(keep func(key string) bool) *Plan {
 func (p *Plan) Jobs() ([]fleet.Job, error) {
 	jobs := make([]fleet.Job, len(p.Cells))
 	for i, cell := range p.Cells {
-		job, err := jobFor(cell, p.measures[i], p.BaseSeed)
+		job, err := jobFor(cell, p.measures[i], p.BaseSeed, p.devs)
 		if err != nil {
 			return nil, err
 		}
@@ -191,7 +195,8 @@ func (p *Plan) sealResult(i int, res fleet.Result) CellResult {
 // RunCell compiles and executes a single cell of the plan and returns
 // its sealed result. wrap, when non-nil, may decorate the compiled job
 // before it runs — the hook the per-edge reference test uses to reach
-// the built device. fidelity,
+// the built device; a decorated job builds a fresh device instead of
+// taking one from the plan's cache. fidelity,
 // when non-empty, is the run-level fidelity override (cells whose spec
 // carries a fidelity axis win). The cell's seed, digest and semantics
 // are identical to batch execution (seeds derive from (BaseSeed, key),
@@ -207,11 +212,12 @@ func (p *Plan) RunCell(ctx context.Context, key string, _, _ int, fidelity strin
 	if !ok {
 		return CellResult{}, fmt.Errorf("sweep: cell %q is not in the plan", key)
 	}
-	job, err := jobFor(p.Cells[i], p.measures[i], p.BaseSeed)
+	job, err := jobFor(p.Cells[i], p.measures[i], p.BaseSeed, p.devs)
 	if err != nil {
 		return CellResult{}, err
 	}
 	if wrap != nil {
+		job.Acquire = nil
 		job = wrap(job)
 	}
 	r := &fleet.Runner{Workers: 1, BaseSeed: p.BaseSeed, Fidelity: fidelity}

@@ -3,10 +3,11 @@ package sweep
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math"
-	"strings"
+	"strconv"
 
 	"repro/netfpga"
 	"repro/netfpga/fleet"
@@ -106,21 +107,48 @@ func (r CellResult) U(key string) uint64 { return uint64(r.V(key)) }
 // L returns a text label ("" when absent).
 func (r CellResult) L(key string) string { return r.Labels[key] }
 
-// digest computes the canonical content digest. Floats are encoded as
-// their exact IEEE-754 bits so the digest never depends on formatting.
+// digest computes the canonical content digest over the text
+//
+//	<key>\nseed=0x<seed hex> sim=<ps> events=<n>\n
+//	v <name>=<IEEE-754 bits, 16 hex digits>\n   per value, sorted
+//	l <name>=<label>\n                           per label, sorted
+//	err <error>\n                                when failed
+//
+// Floats are encoded as their exact bits so the digest never depends on
+// formatting. The text is built by appends into one buffer: a fleet cell
+// is digested twice, once sealed and once merged.
 func (r *CellResult) digest() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\nseed=%#x sim=%d events=%d\n", r.Cell.Key, r.Seed, r.SimTime, r.Events)
+	b := make([]byte, 0, 64+len(r.Cell.Key)+48*(len(r.Values)+len(r.Labels))+len(r.Err))
+	b = append(b, r.Cell.Key...)
+	b = append(b, "\nseed=0x"...)
+	b = strconv.AppendUint(b, r.Seed, 16)
+	b = append(b, " sim="...)
+	b = strconv.AppendInt(b, int64(r.SimTime), 10)
+	b = append(b, " events="...)
+	b = strconv.AppendUint(b, r.Events, 10)
+	b = append(b, '\n')
+	var bits [8]byte
 	for _, k := range SortKeys(r.Values) {
-		fmt.Fprintf(&b, "v %s=%016x\n", k, math.Float64bits(r.Values[k]))
+		b = append(b, "v "...)
+		b = append(b, k...)
+		b = append(b, '=')
+		binary.BigEndian.PutUint64(bits[:], math.Float64bits(r.Values[k]))
+		b = hex.AppendEncode(b, bits[:])
+		b = append(b, '\n')
 	}
 	for _, k := range SortKeys(r.Labels) {
-		fmt.Fprintf(&b, "l %s=%s\n", k, r.Labels[k])
+		b = append(b, "l "...)
+		b = append(b, k...)
+		b = append(b, '=')
+		b = append(b, r.Labels[k]...)
+		b = append(b, '\n')
 	}
 	if r.Err != "" {
-		fmt.Fprintf(&b, "err %s\n", r.Err)
+		b = append(b, "err "...)
+		b = append(b, r.Err...)
+		b = append(b, '\n')
 	}
-	sum := sha256.Sum256([]byte(b.String()))
+	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:16])
 }
 
@@ -176,8 +204,11 @@ func SeedForKey(base uint64, key string) uint64 {
 	return z
 }
 
-// jobFor compiles one cell into a fleet job.
-func jobFor(cell Cell, m Measure, baseSeed uint64) (fleet.Job, error) {
+// jobFor compiles one cell into a fleet job. A cell whose board and
+// project both come from the registries — no BoardFor, NoBuild or
+// NoDevice — also takes its device from devs (Job.Acquire); Board and
+// Build stay set for a runner that builds instead.
+func jobFor(cell Cell, m Measure, baseSeed uint64, devs *devices) (fleet.Job, error) {
 	seed := cell.Seed
 	if seed == 0 {
 		seed = SeedForKey(baseSeed, cell.Key)
@@ -193,6 +224,7 @@ func jobFor(cell Cell, m Measure, baseSeed uint64) (fleet.Job, error) {
 		},
 	}
 	if !cell.Spec.NoDevice {
+		name := ""
 		if cell.Spec.BoardFor != nil {
 			b, err := cell.Spec.BoardFor(cell)
 			if err != nil {
@@ -200,7 +232,7 @@ func jobFor(cell Cell, m Measure, baseSeed uint64) (fleet.Job, error) {
 			}
 			job.Board = b
 		} else {
-			name := cell.Board
+			name = cell.Board
 			if name == "" {
 				name = "sume"
 			}
@@ -216,6 +248,11 @@ func jobFor(cell Cell, m Measure, baseSeed uint64) (fleet.Job, error) {
 				return fleet.Job{}, fmt.Errorf("sweep: cell %s: unknown project %q", cell.Key, cell.Project)
 			}
 			job.Build = func(dev *netfpga.Device) error { return entry.New().Build(dev) }
+			if name != "" {
+				job.Acquire = func(opts netfpga.Options) (*netfpga.Device, func(bool), error) {
+					return devs.acquire(name, entry, opts)
+				}
+			}
 		}
 	}
 	job.Drive = func(c *fleet.Ctx) (any, error) {
