@@ -23,19 +23,23 @@ import (
 	"repro/netfpga/workload"
 )
 
-// benchExperiment runs one experiment per iteration — through a
-// sequential fleet runner, so per-iteration cost stays comparable with
-// historic numbers — and reports its metrics through the benchmark
-// interface.
+// benchExperiment runs one experiment's groups and renders its tables
+// per iteration — on a sequential fleet runner, so per-iteration cost
+// stays comparable with historic numbers — and reports its metrics
+// through the benchmark interface.
 func benchExperiment(b *testing.B, id string) {
-	e, ok := experiments.ByID(id)
+	d, ok := experiments.DefByID(id)
 	if !ok {
 		b.Fatalf("unknown experiment %s", id)
 	}
 	runner := fleet.Sequential()
 	var tables []*experiments.Table
 	for i := 0; i < b.N; i++ {
-		tables = e.Run(runner)
+		rs, err := sweep.RunGroups(context.Background(), runner, d.Groups, "")
+		if err != nil {
+			b.Fatal(err)
+		}
+		tables = d.Render(rs)
 	}
 	for _, t := range tables {
 		for k, v := range t.Metrics {

@@ -191,11 +191,8 @@ func loadResume(c *sweepConfig) []resultstore.Record {
 	return recs
 }
 
-// runSweepCmd implements `nf-bench sweep`: expand a scenario-matrix
-// config into fleet jobs, execute them — in-process, or on a fleet of
-// worker processes — with streaming progress, persist every cell into
-// the results store, and optionally diff the run against a golden digest
-// file or a previous stored run.
+// runSweepCmd implements `nf-bench sweep`: load a scenario-matrix config
+// and run it (runSweep).
 //
 //	nf-bench sweep -config examples/paper.sweep
 //	nf-bench sweep -config examples/paper.sweep -filter 'T4 -latency'
@@ -228,6 +225,18 @@ func runSweepCmd(args []string) {
 
 	cfg, err := sweep.LoadConfig(req.Config)
 	fatal(err)
+	runSweep(c, cfg, resumeRecs)
+}
+
+// runSweep is the one run path, shared by `nf-bench sweep` and the bare
+// command: expand the config into fleet jobs, execute them — in-process,
+// or on a fleet of worker processes — with streaming progress, persist
+// every cell into the results store, render the tables of every
+// experiment that ran in full and score their claims, and optionally
+// diff the run against a golden digest file or a previous stored run.
+// resumeRecs are an interrupted run's persisted cells (-resume).
+func runSweep(c *sweepConfig, cfg *sweep.Config, resumeRecs []resultstore.Record) {
+	req := &c.fleet.Req
 	groups, err := experiments.GroupsForConfig(cfg)
 	fatal(err)
 	stopProf := startProfiles(c.cpuprofile, c.memprofile)
@@ -341,6 +350,8 @@ func runSweepCmd(args []string) {
 			reportStoreDiff(prev, rs)
 		}
 	}
+	fmt.Println()
+	experiments.Report(os.Stdout, cfg, rs)
 
 	if c.out != "" {
 		note := fmt.Sprintf("generated by `nf-bench sweep -config %s -seed %d -out`", req.Config, req.Seed)
@@ -633,22 +644,11 @@ func runHistory(storeDir, query string) {
 		}
 	}
 	valKeys := sweep.SortKeys(union)
-	// bench-<stamp> rows persist frames + wall_ns; derive the frames/sec
-	// headline column so the trend view reads like the benchgate report
-	// instead of raw nanoseconds.
-	_, haveFrames := union["frames"]
-	_, haveWall := union["wall_ns"]
-	deriveFPS := haveFrames && haveWall
 	header := []string{"run", "digest", "Δ"}
 	header = append(header, valKeys...)
-	if deriveFPS {
-		header = append(header, "frames/sec")
-	}
 	rows := [][]string{header}
 	changes := 0
 	prevDigest := ""
-	var firstFPS, lastFPS float64
-	fpsRuns := 0
 	for _, h := range hits {
 		marker := ""
 		if prevDigest != "" && h.rec.Digest != prevDigest {
@@ -664,34 +664,12 @@ func runHistory(storeDir, query string) {
 				row = append(row, "-")
 			}
 		}
-		if deriveFPS {
-			fr, okF := h.rec.Values["frames"]
-			wall, okW := h.rec.Values["wall_ns"]
-			if okF && okW && wall > 0 && fr > 0 {
-				fps := fr / (wall / 1e9)
-				row = append(row, fmt.Sprintf("%.4g", fps))
-				if fpsRuns == 0 {
-					firstFPS = fps
-				}
-				lastFPS = fps
-				fpsRuns++
-			} else {
-				row = append(row, "-")
-			}
-		}
 		if h.rec.Err != "" {
 			row[len(row)-1] += " ERR:" + h.rec.Err
 		}
 		rows = append(rows, row)
 	}
 	printAligned(rows)
-	if fpsRuns > 0 {
-		fmt.Printf("\nheadline: %.4g frames/sec", lastFPS)
-		if fpsRuns > 1 && firstFPS > 0 {
-			fmt.Printf(" (%.2fx vs oldest run's %.4g)", lastFPS/firstFPS, firstFPS)
-		}
-		fmt.Println()
-	}
 	fmt.Printf("\ndigest changed %d time(s) across %d runs", changes, len(hits))
 	if e, ok := st.Index()[resultstore.Hash(key)]; ok {
 		fmt.Printf("; latest digest %s (run %s)", e.Digest, e.Run)

@@ -2,18 +2,19 @@
 // reproduction's experiment index (`nf-bench -list`; see README.md).
 // Each experiment is a sweep definition — one or more declarative
 // scenario groups (board x project x workload x parameter axes) plus a
-// per-cell measure function — and a renderer that turns the executed
-// cells into printable tables with machine-readable metrics.
-// cmd/nf-bench renders the tables, the sweep CLI stores and diffs the
-// raw cells, and the golden-digest test locks every cell's content down.
+// per-cell measure function — a renderer that turns the executed cells
+// into printable tables with machine-readable metrics, and the paper's
+// claims those metrics must satisfy. There is one run path: a sweep
+// over a config naming experiments (`nf-bench sweep`, or `nf-bench`
+// over an in-memory config) executes, stores and digests the cells,
+// then renders every experiment it ran in full and scores its claims
+// (Report); the golden-digest test locks every cell's content down.
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
-	"repro/netfpga/fleet"
 	"repro/netfpga/sweep"
 )
 
@@ -81,54 +82,63 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// Experiment is one runnable experiment. Run receives the fleet runner
-// that executes the experiment's devices: a sequential runner
-// reproduces the classic one-device-at-a-time behaviour, a parallel one
-// spreads the same jobs across workers with identical results (each
-// device is seeded and stepped independently).
-type Experiment struct {
-	ID    string
-	Title string
-	Run   func(r *fleet.Runner) []*Table
-}
-
 // Def is one experiment expressed as a sweep: its scenario groups (spec
-// + measure pairs, expanded and executed by netfpga/sweep) and the
-// renderer that shapes the executed cells into the paper's tables.
-// Render requires a full, unfiltered result set — renderers pair rows
-// with axis labels positionally, mirroring each spec's expansion order.
-// Filtered sweeps (nf-bench sweep -filter) report raw cells and never
-// render tables.
+// + measure pairs, expanded and executed by netfpga/sweep), the
+// renderer that shapes the executed cells into the paper's tables, and
+// the paper's claims those tables must reproduce. Render requires the
+// experiment's full, unfiltered result set — renderers pair rows with
+// axis labels positionally, mirroring each spec's expansion order — so
+// a sweep run renders an experiment only when every one of its cells
+// ran and none failed (renderRun).
 type Def struct {
 	ID     string
 	Title  string
 	Groups []sweep.Group
 	Render func(rs *sweep.Results) []*Table
+	Claims []Claim
 }
 
-// RunStreamed executes the definition's groups on the runner,
-// invoking onCell (when non-nil) for every finished cell in completion
-// order — the hook nf-bench's incremental table rendering hangs
-// progress off — and renders the tables once the batch drains.
-func (d Def) RunStreamed(r *fleet.Runner, onCell func(sweep.CellResult)) []*Table {
-	ch, rs, err := sweep.RunStreamGroups(context.Background(), r, d.Groups, "")
-	if err != nil {
-		panic(err)
-	}
-	for cr := range ch {
-		if onCell != nil {
-			onCell(cr)
+// Claim is one of the paper's claims as data: the table metrics it
+// reads, the predicate they must satisfy, the paper's figure it
+// reproduces, and why the predicate says so.
+type Claim struct {
+	Metrics []string
+	Holds   func(m map[string]float64) bool
+	Paper   string
+	Why     string
+}
+
+// claim is the common one-metric Claim.
+func claim(metric string, holds func(float64) bool, paper, why string) Claim {
+	return Claim{Metrics: []string{metric}, Paper: paper, Why: why,
+		Holds: func(m map[string]float64) bool { return holds(m[metric]) }}
+}
+
+// check evaluates the definition's claims against its rendered tables
+// (their metrics merged into one map) and returns one line per claim
+// that does not hold; a claim whose metric is missing does not hold.
+func (d Def) check(tables []*Table) []string {
+	m := map[string]float64{}
+	for _, t := range tables {
+		for k, v := range t.Metrics {
+			m[k] = v
 		}
 	}
-	return d.Render(rs)
-}
-
-// Experiment adapts the definition to the classic Run interface: expand
-// every group, execute the flat batch on the runner, render.
-func (d Def) Experiment() Experiment {
-	return Experiment{ID: d.ID, Title: d.Title, Run: func(r *fleet.Runner) []*Table {
-		return d.RunStreamed(r, nil)
-	}}
+	var misses []string
+	for _, c := range d.Claims {
+		var vals []string
+		ok := true
+		for _, k := range c.Metrics {
+			v, have := m[k]
+			ok = ok && have
+			vals = append(vals, fmt.Sprintf("%s=%.4g", k, v))
+		}
+		if !ok || !c.Holds(m) {
+			misses = append(misses, fmt.Sprintf("%s: %s violates: %s (paper: %s)",
+				d.ID, strings.Join(vals, " "), c.Why, c.Paper))
+		}
+	}
+	return misses
 }
 
 // Defs returns every experiment definition in index order.
@@ -158,16 +168,6 @@ func DefByID(id string) (Def, bool) {
 	return Def{}, false
 }
 
-// All returns every experiment in index order.
-func All() []Experiment {
-	defs := Defs()
-	out := make([]Experiment, len(defs))
-	for i, d := range defs {
-		out[i] = d.Experiment()
-	}
-	return out
-}
-
 // GroupsForConfig resolves a sweep config into runnable groups: the
 // named experiments' groups in config order, then the config's custom
 // scenarios driven by the generic measure.
@@ -181,16 +181,6 @@ func GroupsForConfig(cfg *sweep.Config) ([]sweep.Group, error) {
 		groups = append(groups, d.Groups...)
 	}
 	return append(groups, cfg.ScenarioGroups()...), nil
-}
-
-// ByID returns the experiment with the given ID.
-func ByID(id string) (Experiment, bool) {
-	for _, e := range All() {
-		if e.ID == id {
-			return e, true
-		}
-	}
-	return Experiment{}, false
 }
 
 // gbps formats a rate.

@@ -3,105 +3,57 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"repro/netfpga/fleet"
 )
 
-// TestAllExperimentsRun executes every experiment once — through a
-// parallel fleet runner, exercising the sharded path the tools use —
-// and asserts the headline invariants that define each claim's "shape".
-// This is the regression net over the whole reproduction; the fleet's
-// own determinism tests guarantee a sequential runner would produce
-// identical numbers.
+// TestAllExperimentsRun renders every paper experiment from the
+// workers=1 sweep run TestGoldenSweep digests, and asserts each claim's
+// "shape": every experiment has tables, every table has rows and
+// renders its title, and every Def.Claims predicate holds.
 func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow")
 	}
-	runner := fleet.New(0) // GOMAXPROCS workers
-	results := map[string]map[string]float64{}
-	for _, e := range All() {
-		tables := e.Run(runner)
-		if len(tables) == 0 {
-			t.Fatalf("%s produced no tables", e.ID)
+	cfg, groups := paperConfig(t)
+	rendered, skipped := renderRun(cfg, paperRun(t, groups))
+	if len(skipped) > 0 || len(rendered) != len(cfg.Experiments) {
+		t.Fatalf("rendered %d of %d experiments; skipped %v", len(rendered), len(cfg.Experiments), skipped)
+	}
+	claims := 0
+	for _, r := range rendered {
+		if len(r.Tables) == 0 {
+			t.Errorf("%s produced no tables", r.Def.ID)
 		}
-		for _, tab := range tables {
+		for _, tab := range r.Tables {
 			if len(tab.Rows) == 0 {
-				t.Errorf("%s/%s has no rows", e.ID, tab.ID)
+				t.Errorf("%s/%s has no rows", r.Def.ID, tab.ID)
 			}
 			if !strings.Contains(tab.String(), tab.Title) {
 				t.Errorf("%s render broken", tab.ID)
 			}
-			for k, v := range tab.Metrics {
-				if results[e.ID] == nil {
-					results[e.ID] = map[string]float64{}
-				}
-				results[e.ID][k] = v
-			}
+		}
+		claims += len(r.Def.Claims)
+		for _, miss := range r.Def.check(r.Tables) {
+			t.Errorf("claim not reproduced: %s", miss)
 		}
 	}
-
-	check := func(id, key string, pred func(float64) bool, why string) {
-		t.Helper()
-		v, ok := results[id][key]
-		if !ok {
-			t.Errorf("%s: metric %s missing", id, key)
-			return
-		}
-		if !pred(v) {
-			t.Errorf("%s: %s = %v violates: %s", id, key, v, why)
-		}
+	if claims != 17 {
+		t.Errorf("the experiments carry %d claims, want the paper's 17", claims)
 	}
-
-	// T1: line rate sustained for every port configuration at MTU.
-	check("T1", "4x10G_achieved_gbps", func(v float64) bool { return v > 39.0 }, "4x10G must reach ~39.4 Gb/s goodput")
-	check("T1", "2x40G_achieved_gbps", func(v float64) bool { return v > 78.0 }, "2x40G must reach ~78.8 Gb/s goodput")
-	check("T1", "1x100G_achieved_gbps", func(v float64) bool { return v > 97.0 }, "100G must reach ~98.4 Gb/s goodput")
-
-	// T2: QDR flat under random access, DDR3 is not.
-	check("T2", "qdr_random_penalty", func(v float64) bool { return v < 1.05 }, "QDR random penalty must be ~1x")
-	check("T2", "ddr_random_penalty", func(v float64) bool { return v > 2.0 }, "DDR3 random penalty must exceed 2x")
-
-	// T3: Gen3 is ~2x Gen2.
-	check("T3", "gen3_vs_gen2", func(v float64) bool { return v > 1.8 && v < 2.2 }, "Gen3/Gen2 ratio must be ~2")
-
-	// T4: line rate at min and max frame sizes.
-	check("T4", "achieved_64B_gbps", func(v float64) bool { return v > 28.0 }, "switch 64B must be ~28.6 Gb/s goodput")
-	check("T4", "achieved_1518B_gbps", func(v float64) bool { return v > 39.0 }, "switch 1518B must be ~39.4 Gb/s")
-
-	// T5: throughput flat in FIB size.
-	check("T5", "fib65536_64B_gbps", func(v float64) bool { return v > 28.0 }, "router 64k-FIB 64B must hold line rate")
-
-	// T6: generator precision within 0.1%.
-	check("T6", "rate5000_err_pct", func(v float64) bool { return v > -0.1 && v < 0.1 }, "CBR error must be <0.1%")
-	// T6: latency recovery within one clock quantum (5ns).
-	check("T6", "dut5us_err_ns", func(v float64) bool { return v >= -5 && v <= 5 }, "DUT delay recovery within 5ns")
-
-	// T7: consistency.
-	check("T7", "versioned_50us_violations", func(v float64) bool { return v == 0 }, "versioned update must be violation-free")
-	check("T7", "naive_50us_violations", func(v float64) bool { return v > 0 }, "naive update must violate")
-
-	// F2: custom module costs only itself.
-	check("F2", "delta_luts", func(v float64) bool { return v > 0 && v < 3000 }, "firewall delta must be small and positive")
-	check("F2", "ipv6_blocked", func(v float64) bool { return v == 3 }, "firewall must block all 3 flood copies")
-
-	// T9: both boot devices work, SSD faster.
-	check("T9", "microsd_boot_ms", func(v float64) bool { return v > 1 }, "SD boot takes milliseconds")
-	check("T9", "sata0_boot_ms", func(v float64) bool { return v > 0 && v < results["T9"]["microsd_boot_ms"] }, "SSD boots faster than SD")
 }
 
 func TestByID(t *testing.T) {
-	if _, ok := ByID("T4"); !ok {
+	if d, ok := DefByID("T4"); !ok || d.ID != "T4" {
 		t.Fatal("T4 missing")
 	}
-	if _, ok := ByID("nope"); ok {
+	if _, ok := DefByID("nope"); ok {
 		t.Fatal("bogus ID found")
 	}
 	seen := map[string]bool{}
-	for _, e := range All() {
-		if seen[e.ID] {
-			t.Fatalf("duplicate experiment ID %s", e.ID)
+	for _, d := range Defs() {
+		if seen[d.ID] {
+			t.Fatalf("duplicate experiment ID %s", d.ID)
 		}
-		seen[e.ID] = true
+		seen[d.ID] = true
 	}
 }
 

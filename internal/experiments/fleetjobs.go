@@ -10,12 +10,6 @@ import (
 	"repro/netfpga/workload"
 )
 
-// SwitchFleetJobs returns n independent reference-switch devices, each
-// spraying seeded IMIX traffic across its four ports for the given
-// simulated window — the canonical fleet scaling workload used by
-// nf-bench -parallel and the top-level fleet benchmarks. Every device's
-// traffic derives from its own fleet seed, so a batch is reproducible
-// from the runner's base seed alone.
 // switchIMIXJob is one reference-switch device under seeded IMIX load
 // for the given simulated window.
 func switchIMIXJob(name string, window netfpga.Time) fleet.Job {
@@ -109,6 +103,12 @@ func TailHeavyJobs(scale netfpga.Time) []fleet.Job {
 	return jobs
 }
 
+// SwitchFleetJobs returns n independent reference-switch devices, each
+// spraying seeded IMIX traffic across its four ports for the given
+// simulated window — the fleet scaling workload of the top-level
+// BenchmarkFleet8Switches* benchmarks. Every device's traffic derives
+// from its own fleet seed, so a batch is reproducible from the runner's
+// base seed alone.
 func SwitchFleetJobs(n int, window netfpga.Time) []fleet.Job {
 	jobs := make([]fleet.Job, n)
 	for i := range jobs {

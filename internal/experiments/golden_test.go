@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/netfpga/fleet"
@@ -21,6 +22,13 @@ const goldenPath = "testdata/golden_sweep.json"
 // digest mismatch fails identically everywhere.
 func paperGroups(t *testing.T) []sweep.Group {
 	t.Helper()
+	_, groups := paperConfig(t)
+	return groups
+}
+
+// paperConfig is paperGroups that also returns the config itself.
+func paperConfig(t *testing.T) (*sweep.Config, []sweep.Group) {
+	t.Helper()
 	cfg, err := sweep.LoadConfig(filepath.Join("..", "..", "examples", "paper.sweep"))
 	if err != nil {
 		t.Fatalf("loading paper sweep config: %v", err)
@@ -33,7 +41,28 @@ func paperGroups(t *testing.T) []sweep.Group {
 	if err != nil {
 		t.Fatalf("resolving config: %v", err)
 	}
-	return groups
+	return cfg, groups
+}
+
+var (
+	paperOnce sync.Once
+	paperRS   *sweep.Results
+	paperErr  error
+)
+
+// paperRun returns the workers=1 run of the paper config's groups. The
+// run happens once per test binary: TestGoldenSweep digests it and
+// TestAllExperimentsRun renders it, so no test re-executes the sweep to
+// check the claims.
+func paperRun(t *testing.T, groups []sweep.Group) *sweep.Results {
+	t.Helper()
+	paperOnce.Do(func() {
+		paperRS, paperErr = sweep.RunGroups(context.Background(), &fleet.Runner{Workers: 1}, groups, "")
+	})
+	if paperErr != nil {
+		t.Fatalf("workers=1: %v", paperErr)
+	}
+	return paperRS
 }
 
 // TestGoldenSweep is the repo's regression net in one table: every cell
@@ -47,19 +76,21 @@ func TestGoldenSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep is slow")
 	}
-	groups := paperGroups(t)
+	_, groups := paperConfig(t)
 
-	var results []*sweep.Results
-	for _, workers := range []int{1, 4, 8} {
+	results := []*sweep.Results{paperRun(t, groups)}
+	for _, workers := range []int{4, 8} {
 		r := &fleet.Runner{Workers: workers, BaseSeed: 0}
 		rs, err := sweep.RunGroups(context.Background(), r, groups, "")
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		for _, f := range rs.Failed() {
-			t.Errorf("workers=%d: cell %s failed: %s", workers, f.Cell.Key, f.Err)
-		}
 		results = append(results, rs)
+	}
+	for wi, rs := range results {
+		for _, f := range rs.Failed() {
+			t.Errorf("workers=%d: cell %s failed: %s", []int{1, 4, 8}[wi], f.Cell.Key, f.Err)
+		}
 	}
 	if t.Failed() {
 		t.FailNow()

@@ -89,6 +89,10 @@ func defT3() Def {
 		Title:  "host DMA throughput (reference NIC)",
 		Groups: []sweep.Group{{Spec: spec, Measure: measure}},
 		Render: renderT3,
+		Claims: []Claim{
+			claim("gen3_vs_gen2", func(v float64) bool { return v > 1.8 && v < 2.2 },
+				"PCIe Gen3 x8 host interface", "Gen3 x8 must carry ~2x Gen2 x8 at 1518B"),
+		},
 	}
 }
 

@@ -108,6 +108,12 @@ func defT2() Def {
 		Title:  "memory subsystem: QDRII+ vs DDR3",
 		Groups: []sweep.Group{{Spec: spec, Measure: measure}},
 		Render: renderT2,
+		Claims: []Claim{
+			claim("qdr_random_penalty", func(v float64) bool { return v < 1.05 },
+				"QDRII+ SRAM for random-access state", "QDR random access must cost ~1x sequential"),
+			claim("ddr_random_penalty", func(v float64) bool { return v > 2.0 },
+				"DDR3 for bulk sequential buffering", "DDR3 random access must cost over 2x sequential"),
+		},
 	}
 }
 

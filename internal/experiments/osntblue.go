@@ -94,6 +94,12 @@ func defT6() Def {
 			{Spec: latSpec, Measure: latency},
 		},
 		Render: renderT6,
+		Claims: []Claim{
+			claim("rate5000_err_pct", func(v float64) bool { return v > -0.1 && v < 0.1 },
+				"OSNT precise traffic generation", "the CBR rate error must be under 0.1%"),
+			claim("dut5us_err_ns", func(v float64) bool { return v >= -5 && v <= 5 },
+				"OSNT accurate latency measurement", "a known 5us DUT delay must be recovered within one 5ns clock"),
+		},
 	}
 }
 
@@ -247,6 +253,12 @@ func defT7() Def {
 		Title:  "BlueSwitch consistent update vs naive baseline",
 		Groups: []sweep.Group{{Spec: spec, Measure: measure}},
 		Render: renderT7,
+		Claims: []Claim{
+			claim("versioned_50us_violations", func(v float64) bool { return v == 0 },
+				"BlueSwitch consistent updates", "the versioned update must be violation-free"),
+			claim("naive_50us_violations", func(v float64) bool { return v > 0 },
+				"BlueSwitch consistent updates", "the naive update must violate, or the test proves nothing"),
+		},
 	}
 }
 

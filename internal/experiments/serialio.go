@@ -68,6 +68,14 @@ func defT1() Def {
 		Title:  "serial I/O bandwidth up to 100G",
 		Groups: []sweep.Group{{Spec: spec, Measure: measure}},
 		Render: renderT1,
+		Claims: []Claim{
+			claim("4x10G_achieved_gbps", func(v float64) bool { return v > 39.0 },
+				"4x10G at line rate, ~39.4 Gb/s goodput at MTU", "four 10G ports must lose nothing at MTU"),
+			claim("2x40G_achieved_gbps", func(v float64) bool { return v > 78.0 },
+				"2x40G at line rate, ~78.8 Gb/s goodput at MTU", "bonded 40G ports must lose nothing at MTU"),
+			claim("1x100G_achieved_gbps", func(v float64) bool { return v > 97.0 },
+				"1x100G at line rate, ~98.4 Gb/s goodput at MTU", "the 512-bit datapath must carry 100G at MTU"),
+		},
 	}
 }
 

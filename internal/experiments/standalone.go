@@ -83,6 +83,17 @@ func defT9() Def {
 		Title:  "standalone operation: boot from storage",
 		Groups: []sweep.Group{{Spec: spec, Measure: measure}},
 		Render: renderT9,
+		Claims: []Claim{
+			claim("microsd_boot_ms", func(v float64) bool { return v > 1 },
+				"SUME standalone boot from MicroSD", "an SD boot must take milliseconds"),
+			{
+				Metrics: []string{"sata0_boot_ms", "microsd_boot_ms"},
+				Holds: func(m map[string]float64) bool {
+					return m["sata0_boot_ms"] > 0 && m["sata0_boot_ms"] < m["microsd_boot_ms"]
+				},
+				Paper: "SUME standalone boot from SATA", Why: "the SSD must boot faster than SD",
+			},
+		},
 	}
 }
 

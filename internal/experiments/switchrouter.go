@@ -79,6 +79,12 @@ func defT4() Def {
 			{Spec: latSpec, Measure: sweep.LatencyMeasure},
 		},
 		Render: renderT4,
+		Claims: []Claim{
+			claim("achieved_64B_gbps", func(v float64) bool { return v > 28.0 },
+				"reference switch at 4x10G line rate", "64B frames must reach ~28.6 Gb/s goodput"),
+			claim("achieved_1518B_gbps", func(v float64) bool { return v > 39.0 },
+				"reference switch at 4x10G line rate", "1518B frames must reach ~39.4 Gb/s goodput"),
+		},
 	}
 }
 
@@ -184,6 +190,10 @@ func defT5() Def {
 		Title:  "reference router line rate vs FIB size",
 		Groups: []sweep.Group{{Spec: spec, Measure: measure}},
 		Render: renderT5,
+		Claims: []Claim{
+			claim("fib65536_64B_gbps", func(v float64) bool { return v > 28.0 },
+				"reference router at 4x10G line rate", "a 64k-entry FIB must hold 64B line rate"),
+		},
 	}
 }
 

@@ -296,6 +296,12 @@ func defF2() Def {
 		Title:  "rapid prototyping: custom module insertion",
 		Groups: []sweep.Group{{Spec: spec, Measure: measure}},
 		Render: renderF2,
+		Claims: []Claim{
+			claim("delta_luts", func(v float64) bool { return v > 0 && v < 3000 },
+				"rapid prototyping: a new module costs only itself", "the firewall's LUT delta must be small and positive"),
+			claim("ipv6_blocked", func(v float64) bool { return v == 3 },
+				"rapid prototyping: a new module costs only itself", "the firewall must block all 3 IPv6 flood copies"),
+		},
 	}
 }
 

@@ -166,6 +166,17 @@ func (rs *Results) Group(i int) []CellResult {
 	return rs.Cells[rs.groupOff[i]:rs.groupOff[i+1]]
 }
 
+// Groups returns groups [lo, hi) as a result set of their own, whose
+// Group(0) is group lo. The view shares the cells and the key index, so
+// Get still finds every cell of the batch.
+func (rs *Results) Groups(lo, hi int) *Results {
+	off := make([]int, hi-lo+1)
+	for i := range off {
+		off[i] = rs.groupOff[lo+i] - rs.groupOff[lo]
+	}
+	return &Results{Cells: rs.Cells[rs.groupOff[lo]:rs.groupOff[hi]], groupOff: off, byKey: rs.byKey}
+}
+
 // Get returns the result for a cell key, or nil.
 func (rs *Results) Get(key string) *CellResult { return rs.byKey[key] }
 
