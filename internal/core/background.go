@@ -52,7 +52,8 @@ type bgPort struct {
 
 	tm    *sim.Timer
 	armed bool
-	wake  func()
+	// wake is the coupled queue stage's; the zero Waker means uncoupled.
+	wake hw.Waker
 
 	// relTm wakes the coupled queue stage when a WaitUntil deadline —
 	// the Release clear-time a foreground frame captured at enqueue —
@@ -103,8 +104,8 @@ func NewBackground(s *sim.Sim, board BoardSpec) *Background {
 		idx := i
 		p.tm = s.NewTimer(func() { bg.service(idx) })
 		p.relTm = s.NewTimer(func() {
-			if w := bg.ports[idx].wake; w != nil {
-				w()
+			if w := bg.ports[idx].wake; w != (hw.Waker{}) {
+				w.Wake()
 			}
 		})
 		p.ctrs.Grow(8)
@@ -122,15 +123,15 @@ func NewBackground(s *sim.Sim, board BoardSpec) *Background {
 	return bg
 }
 
-// CouplePort implements hw.BackgroundCoupler: wake is invoked (from a
+// CouplePort implements hw.BackgroundCoupler: w is woken (from a
 // simulation event) whenever a WaitUntil deadline for port bit
 // expires or its backlog drains to empty, so a parked queue stage
 // re-arms exactly when the wire frees up.
-func (bg *Background) CouplePort(bit int, wake func()) {
+func (bg *Background) CouplePort(bit int, w hw.Waker) {
 	if bit < 0 || bit >= len(bg.ports) {
 		return // host/DMA bits carry no background traffic
 	}
-	bg.ports[bit].wake = wake
+	bg.ports[bit].wake = w
 }
 
 // Release implements hw.BackgroundCoupler: the clear-time of the
@@ -241,8 +242,8 @@ func (bg *Background) service(port int) {
 		p.tm.ScheduleAt(p.fifo[p.head].doneAt)
 		p.armed = true
 	}
-	if p.pendingBytes == 0 && p.wake != nil {
-		p.wake()
+	if p.pendingBytes == 0 && p.wake != (hw.Waker{}) {
+		p.wake.Wake()
 	}
 }
 

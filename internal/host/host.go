@@ -119,10 +119,17 @@ func (d *Driver) rxComplete(f *hw.Frame) {
 	d.engine.PostRx(1)
 }
 
-// Poll drains and returns the frames received since the last call.
+// Poll drains and returns the frames received since the last call, nil
+// if there are none. The caller owns the returned slice. The next round
+// collects into a fresh buffer sized for as many frames as this one
+// returned, so a steady receive rate does not regrow it by doubling every
+// round, and one burst does not size every later round.
 func (d *Driver) Poll() []RxPacket {
 	out := d.rxBuf
-	d.rxBuf = nil
+	if len(out) == 0 {
+		return nil
+	}
+	d.rxBuf = make([]RxPacket, 0, len(out))
 	return out
 }
 

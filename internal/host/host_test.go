@@ -96,6 +96,38 @@ func TestDriverReplenishesRxRing(t *testing.T) {
 	}
 }
 
+// TestDriverPollSizesTheNextRound: a receive round collects into a
+// buffer sized by the previous round instead of regrowing from nothing,
+// and the slice Poll handed out stays the caller's.
+func TestDriverPollSizesTheNextRound(t *testing.T) {
+	s, e, d := newHost(t)
+	round := func(tag byte) []RxPacket {
+		for i := 0; i < 100; i++ {
+			f := hw.NewFrame([]byte{tag}, 0)
+			f.Meta.DstPorts = hw.HostPortMask(0)
+			e.FromDevice().Push(f)
+		}
+		s.Drain(0)
+		return d.Poll()
+	}
+	first := round(1)
+	if len(first) != 100 || len(d.rxBuf) != 0 || cap(d.rxBuf) != 100 {
+		t.Fatalf("after the first round: polled %d, next buffer len %d cap %d, want 100, 0, 100",
+			len(first), len(d.rxBuf), cap(d.rxBuf))
+	}
+	if second := round(2); len(second) != 100 || cap(second) != 100 {
+		t.Fatalf("second round: polled %d into cap %d, want 100 into the 100 sized for it", len(second), cap(second))
+	}
+	for i, p := range first {
+		if p.Data[0] != 1 {
+			t.Fatalf("the first round's packet %d was overwritten", i)
+		}
+	}
+	if d.Poll() != nil {
+		t.Fatal("an empty round did not poll nil")
+	}
+}
+
 func TestDriverRegisterAccess(t *testing.T) {
 	_, _, d := newHost(t)
 	if err := d.RegWriteName("core", "scratch", 0xABCD); err != nil {

@@ -249,7 +249,7 @@ func (e *Engine) HostSend(f *hw.Frame) bool {
 func (e *Engine) onTxDone(f *hw.Frame) {
 	e.txInFlight--
 	e.txFrames++
-	e.toDevice.Push(f) // wakes the datapath clock via OnPush
+	e.toDevice.Push(f) // wakes the queue's consumer (hw.Design.Consume)
 }
 
 func (e *Engine) onRxDone(f *hw.Frame) {

@@ -50,13 +50,15 @@ func (g group) Advance(int) (int, bool) {
 	return 1, busy
 }
 
-// DefaultBatch is the per-event edge budget of a clock domain: while its
-// component stays busy, a clock executes up to this many consecutive
-// edges inside one simulation event before re-entering the event loop.
-// Batching is observably identical to unbatched execution — timestamps,
-// Cycle, Executed and cross-domain ordering are bit-exact for every
-// batch size — it only amortises the per-event heap push/pop and timer
-// reschedule across the batch.
+// DefaultBatch is the edge budget of a clock domain: while its component
+// stays busy, a clock executes up to this many consecutive edges with no
+// event between them inside one simulation event before re-entering the
+// event loop. A foreign event run inside the batch (Clock.foreign) does
+// not end it; it restarts the budget, which so counts the edges the
+// clock runs without touching the heap. Batching is observably identical
+// to unbatched execution — timestamps, Cycle, Executed and cross-domain
+// ordering are bit-exact for every batch size — it only amortises the
+// per-event heap push/pop and timer reschedule across the batch.
 const DefaultBatch = 64
 
 // Clock is a gateable clock domain. Edges fall on integer multiples of the
@@ -69,7 +71,6 @@ type Clock struct {
 	// comp is what edge drives: the registered component when there is
 	// exactly one, a group otherwise.
 	comp   Component
-	comps  group
 	cycle  uint64
 	active bool
 	timer  *Timer
@@ -132,10 +133,15 @@ func (c *Clock) Ticks() uint64 { return c.ticks }
 // component is driven directly and may take windows; several run one
 // edge at a time in registration order.
 func (c *Clock) Register(comp Component) {
-	c.comps = append(c.comps, comp)
-	c.comp = comp
-	if len(c.comps) > 1 {
-		c.comp = c.comps
+	switch g := c.comp.(type) {
+	case group:
+		if len(g) == 0 {
+			c.comp = comp
+		} else {
+			c.comp = append(g, comp)
+		}
+	default:
+		c.comp = group{g, comp}
 	}
 	c.Wake()
 }
@@ -144,12 +150,16 @@ func (c *Clock) Register(comp Component) {
 func (c *Clock) RegisterFunc(fn func() bool) { c.Register(ComponentFunc(fn)) }
 
 // Wake ensures the clock executes its next edge. Calling Wake on an active
-// clock is a cheap no-op; producers call it whenever they hand data to a
-// component in this domain.
+// clock is a cheap no-op, inlined at the call site; producers call it
+// whenever they hand data to a component in this domain.
 func (c *Clock) Wake() {
-	if c.active {
-		return
+	if !c.active {
+		c.start()
 	}
+}
+
+// start ungates the clock.
+func (c *Clock) start() {
 	c.active = true
 	// Next edge strictly after now: an edge exactly at Now may already
 	// have run this instant, and conservatively skipping it keeps wakeups
@@ -161,12 +171,13 @@ func (c *Clock) Wake() {
 
 // edge executes clock edges. While the component stays busy the clock
 // keeps executing consecutive edges inline — advancing simulated time
-// itself and counting each edge as one executed event — until the batch
+// itself and counting each edge as one executed event — and runs the
+// foreign events due between them inline too (foreign), until the batch
 // budget runs out, the domain goes idle (which gates the clock off), or
-// Sim.inline refuses the next edge. Only when a batch ends with work
-// still pending is the next edge scheduled through the event heap, so the
-// (push, pop, reschedule) cycle tax is paid once per batch instead of
-// once per edge.
+// the run's bounds or another domain's edge stop it. Only when a batch
+// ends with work still pending is the next edge scheduled through the
+// event heap, so the (push, pop, reschedule) cycle tax is paid once per
+// batch instead of once per edge or per foreign event.
 //
 // The component is handed only the remaining batch budget, which costs
 // nothing to know; everything else that limits an advance is in Bound,
@@ -191,9 +202,17 @@ func (c *Clock) edge() {
 		}
 		left -= k
 		next := s.now + c.period
-		if left == 0 || !s.inline(next) {
+		if left == 0 {
 			c.timer.ScheduleAt(next)
 			return
+		}
+		if !s.inline(next) {
+			if !c.foreign(next) {
+				return
+			}
+			// The events just run went through the heap; a window
+			// after them should not be capped by edges before them.
+			left = c.batch
 		}
 		s.now = next
 		s.executed++
@@ -201,19 +220,72 @@ func (c *Clock) edge() {
 }
 
 // inline reports whether a clock may advance time to its next edge
-// without going back through the event heap: the edge must not lie past
-// the run deadline, the run's event budget must not be spent, and no
-// foreign event may be due first. That check is `at <= next`, not `<`: an
-// event already in the heap at exactly the next edge's time was
-// necessarily scheduled before the edge timer would have been re-armed,
-// so in unbatched execution its sequence number is lower and it runs
-// first.
+// without looking at anything else first: the edge must not lie past the
+// run deadline, the run's event budget must not be spent, and no foreign
+// event may be due first. That check is `at <= next`, not `<`: an event
+// already in the heap at exactly the next edge's time was necessarily
+// scheduled before the edge timer would have been re-armed, so in
+// unbatched execution its sequence number is lower and it runs first.
+// When inline refuses, foreign decides.
 func (s *Sim) inline(next Time) bool {
 	if next > s.horizon || s.executed >= s.fence {
 		return false
 	}
-	at, ok := s.Peek()
-	return !ok || at > next
+	at, _ := s.top()
+	return at > next
+}
+
+// foreign runs the events due before the clock's next edge at next
+// inline, in (time, sequence) order, and reports whether the batch goes
+// on to that edge; when it does not, the edge is armed in the heap. It
+// reserves, first, the sequence number the edge's re-arm would have
+// taken at this moment, and holds the edge out of the heap under that
+// key (Sim.hold) while the events run: Peek and Pending inside their
+// callbacks count it, an event they schedule at exactly next sorts after
+// it, and if the batch ends the edge is armed under it — so everything
+// runs in the order the per-edge reference runs it. Before each event,
+// and before the edge after them, the run's horizon, fence and floor
+// apply as the run loop would apply them (the held edge counts as
+// pending). The batch also ends at another domain's edge: run inline, it
+// would batch that domain past this one's next edge.
+func (c *Clock) foreign(next Time) bool {
+	s := c.sim
+	s.seq++
+	if next > s.horizon || s.executed >= s.fence {
+		c.timer.arm(next, s.seq)
+		return false
+	}
+	if s.firing { // the slot of the event this batch started from
+		s.firing = false
+		s.remove(0)
+	}
+	s.hold, s.queued = entry{at: next, seq: s.seq, t: c.timer}, s.queued+1
+	// The held edge is pending, so a zero floor never stops the run.
+	for s.executed < s.fence && (s.floor == 0 || s.Pending() > s.floor) {
+		if len(s.heap) == 0 || !s.heap[0].before(&s.hold) {
+			s.hold, s.queued = noHold, s.queued-1
+			return true
+		}
+		if len(s.clocks) > 1 && s.edgeTimer(s.heap[0].t) {
+			break
+		}
+		s.fire()
+		if s.hold.t == nil {
+			return false // a re-entrant Step released the edge
+		}
+	}
+	s.release()
+	return false
+}
+
+// edgeTimer reports whether t is a clock domain's edge timer.
+func (s *Sim) edgeTimer(t *Timer) bool {
+	for _, c := range s.clocks {
+		if c.timer == t {
+			return true
+		}
+	}
+	return false
 }
 
 // Bound returns how many consecutive edges, at most n and at least 1,
@@ -231,11 +303,9 @@ func (c *Clock) Bound(n int) int {
 	// w-1 advances must fit each limit; every term below is that count.
 	w := uint64(n - 1)
 	w = min(w, uint64((s.horizon-s.now)/c.period), s.fence-s.executed)
-	if at, ok := s.Peek(); ok {
-		if at <= s.now {
-			return 1
-		}
-		w = min(w, uint64((at-s.now-1)/c.period))
+	at, _ := s.top() // Forever when nothing is queued: no bound
+	if at <= s.now {
+		return 1
 	}
-	return int(w) + 1
+	return int(min(w, uint64((at-s.now-1)/c.period))) + 1
 }

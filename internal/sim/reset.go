@@ -11,7 +11,6 @@ package sim
 
 // mark is the simulator state Seal recorded.
 type mark struct {
-	ok       bool
 	now      Time
 	seq      uint64
 	executed uint64
@@ -36,10 +35,10 @@ type laneReset interface {
 // lane still holds queued completions cannot be reset.
 func (s *Sim) Seal() {
 	m := &s.mark
-	m.ok = !s.firing
+	s.sealed = !s.firing && s.hold.t == nil
 	for _, l := range s.lanes {
 		if l.Len() > 0 {
-			m.ok = false
+			s.sealed = false
 		}
 	}
 	m.now, m.seq, m.executed = s.now, s.seq, s.executed
@@ -58,7 +57,7 @@ func (s *Sim) Seal() {
 // since.
 func (s *Sim) Reset() bool {
 	m := &s.mark
-	if !m.ok || len(s.clocks) != len(m.clocks) {
+	if !s.sealed || len(s.clocks) != len(m.clocks) {
 		return false
 	}
 	for i := range s.heap {
@@ -74,8 +73,8 @@ func (s *Sim) Reset() bool {
 		l.reset()
 	}
 	s.now, s.seq, s.executed = m.now, m.seq, m.executed
-	s.firing, s.queued = false, 0
-	s.horizon, s.fence = Forever, noFence
+	s.firing, s.queued, s.hold = false, 0, noHold
+	s.horizon, s.fence, s.floor = Forever, noFence, 0
 	for i, c := range s.clocks {
 		cm := m.clocks[i]
 		c.cycle, c.ticks, c.active, c.batch = cm.cycle, cm.ticks, cm.active, cm.batch

@@ -22,20 +22,31 @@ type Sim struct {
 	// displaced meanwhile: every key scheduled during the callback is
 	// later in (time, sequence) order than the one that just fired.
 	firing bool
-	// queued counts lane completions waiting behind their lane's head;
-	// they are pending events that occupy no heap slot (see Lane).
-	queued int
+	// sealed is set while mark holds a state Reset can restore.
+	sealed bool
+	// queued counts pending events that occupy no heap slot: lane
+	// completions waiting behind their lane's head (see Lane), and a
+	// held clock edge. It sits beside the flags to keep a Sim inside its
+	// allocation size class.
+	queued int32
+	// hold is the next edge of a clock running foreign events inside
+	// its batch (Clock.foreign), under the key its re-arm would have
+	// taken; it is noHold when no edge is held. Peek and Pending count
+	// it, so callbacks see the queue as if the clock had re-armed.
+	hold entry
 
-	// horizon and fence are the active run's deadline and the
-	// executed-event count at which its event budget is spent (Forever
-	// and noFence outside a bounded run). They are the terms of the
-	// advance bound that come from the run loop: a batching clock (see
-	// inline and Clock.Bound) advances time past pending-event gaps but
-	// never past the horizon, and stops inline execution at the fence,
-	// so a bounded run lands on exactly the same event as unbatched
-	// execution.
+	// horizon, fence and floor are the active run's deadline, the
+	// executed-event count at which its event budget is spent, and its
+	// idle floor (Forever, noFence and 0 outside a bounded run). They
+	// are the terms of the advance bound that come from the run loop: a
+	// batching clock (see inline, Clock.foreign and Clock.Bound)
+	// advances time past pending-event gaps but never past the horizon,
+	// stops inline execution at the fence, and runs a foreign event
+	// inline only while the run loop would have run it, so a bounded
+	// run lands on exactly the same event as unbatched execution.
 	horizon Time
 	fence   uint64
+	floor   int
 
 	// Stopped reports how many events have executed; useful in tests and
 	// for detecting runaway simulations.
@@ -55,7 +66,7 @@ const (
 )
 
 // New returns an empty simulator positioned at the epoch.
-func New() *Sim { return &Sim{horizon: Forever, fence: noFence} }
+func New() *Sim { return &Sim{hold: noHold, horizon: Forever, fence: noFence} }
 
 // Now returns the current simulated time. Inside an event callback it is
 // the event's scheduled time.
@@ -149,19 +160,40 @@ func (s *Sim) After(d Time, fn func()) *Timer { return s.At(s.now+d, fn) }
 
 // Step executes the earliest pending event. It reports whether an event
 // was executed (false means the queue is empty). A gateable clock's edge
-// event may execute several consecutive edges inline (see Clock.edge), in
-// which case Executed still advances once per edge, exactly as if each
-// edge had been its own heap event.
+// event may execute several consecutive edges inline, and the foreign
+// events due between them (see Clock.edge), in which case Executed still
+// advances once per edge and per event, exactly as if each had been its
+// own heap event. Outside a bounded Run such a batch ends only when the
+// clock gates off or its batch budget runs out between two events, so a
+// simulation with a busy clock is driven by Run, not by counting Steps.
 func (s *Sim) Step() bool {
-	if s.firing {
-		// Re-entered from a callback (or after one panicked): the slot
-		// it left at the root is dead.
-		s.firing = false
-		s.remove(0)
+	if s.firing || s.hold.t != nil {
+		s.unwind()
 	}
 	if len(s.heap) == 0 {
 		return false
 	}
+	s.fire()
+	return true
+}
+
+// unwind puts the queue back in order when Step is re-entered from a
+// callback, or called after one panicked: the slot the callback left at
+// the root is dead, and a held clock edge goes back into the heap under
+// its reserved key, which ends the batch that held it (Clock.foreign).
+func (s *Sim) unwind() {
+	if s.firing {
+		s.firing = false
+		s.remove(0)
+	}
+	if s.hold.t != nil {
+		s.release()
+	}
+}
+
+// fire runs the event at the root of the heap. Its slot stays at the
+// root, vacated (see firing), until the callback re-arms it or returns.
+func (s *Sim) fire() {
 	t := s.heap[0].t
 	s.now = s.heap[0].at
 	s.executed++
@@ -172,12 +204,22 @@ func (s *Sim) Step() bool {
 		s.firing = false
 		s.remove(0)
 	}
-	return true
+}
+
+// noHold is Sim.hold when no clock edge is held: keyed at Forever, so
+// Peek needs one comparison, not a test and a comparison.
+var noHold = entry{at: Forever}
+
+// release queues the held clock edge under the key reserved for it.
+func (s *Sim) release() {
+	h := s.hold
+	s.hold, s.queued = noHold, s.queued-1
+	h.t.arm(h.at, h.seq)
 }
 
 // Pending returns the number of scheduled events.
 func (s *Sim) Pending() int {
-	n := len(s.heap) + s.queued
+	n := len(s.heap) + int(s.queued)
 	if s.firing {
 		n--
 	}
@@ -187,10 +229,25 @@ func (s *Sim) Pending() int {
 // Peek returns the time of the earliest pending event. It reports false if
 // no event is pending.
 func (s *Sim) Peek() (Time, bool) {
+	at, ok := s.top()
+	if s.hold.at < at {
+		return s.hold.at, true
+	}
+	if !ok {
+		return 0, false
+	}
+	return at, true
+}
+
+// top is Peek over the heap alone: the earliest queued key's time, or
+// Forever and false when there is none. A held clock edge is not in the
+// heap; only the clock holding it runs while it is, and that clock asks
+// for what is due before it.
+func (s *Sim) top() (Time, bool) {
 	h := s.heap
 	if !s.firing {
 		if len(h) == 0 {
-			return 0, false
+			return Forever, false
 		}
 		return h[0].at, true
 	}
@@ -198,36 +255,31 @@ func (s *Sim) Peek() (Time, bool) {
 	// event is one of its children.
 	switch len(h) {
 	case 1:
-		return 0, false
+		return Forever, false
 	case 2:
 		return h[1].at, true
 	}
 	return min(h[1].at, h[2].at), true
 }
 
-// due reports whether an event is pending at or before deadline.
-func (s *Sim) due(deadline Time) bool {
-	at, ok := s.Peek()
-	return ok && at <= deadline
-}
-
 // Run is the one run loop; every other way of running a simulation is
 // a call of it. It executes events due at or before deadline, while more
 // than floor events are pending, until eventBudget events have executed
-// (0 = no bound; inline-batched clock edges count one each). It reports
+// (0 = no bound; inline-batched clock edges and the foreign events run
+// inside a batch count one each). It reports
 // false when the budget stopped it, true when the work ran out first —
 // and only then, unless deadline is Forever, is Now advanced to deadline.
 //
-// For the duration of the run the deadline and the budget are also what
-// stop a batching clock (Sim.inline, Clock.Bound), so the run stops on
-// the same event, at the same Now and Executed, whatever the clock batch
-// and however a longer run is cut into budgets: a chain of Run calls
-// toward one deadline executes the same events in the same order as a
-// single unbudgeted one. A pause always falls between events, never
-// inside one, so the simulation (and everything hanging off it) is
-// quiescent at every pause and may be picked up by a different
-// goroutine, provided the handoff establishes a happens-before edge (the
-// fleet scheduler's channel park/resume does).
+// For the duration of the run the deadline, the budget and the floor are
+// also what stop a batching clock (Sim.inline, Clock.foreign,
+// Clock.Bound), so the run stops on the same event, at the same Now and
+// Executed, whatever the clock batch and however a longer run is cut
+// into budgets: a chain of Run calls toward one deadline executes the
+// same events in the same order as a single unbudgeted one. A pause
+// always falls between events, never inside one, so the simulation (and
+// everything hanging off it) is quiescent at every pause and may be
+// picked up by a different goroutine, provided the handoff establishes a
+// happens-before edge (the fleet scheduler's channel park/resume does).
 //
 // A budget that is spent exactly as the work runs out still reports
 // false without advancing Now, and the next call completes the run:
@@ -244,12 +296,15 @@ func (s *Sim) Run(deadline Time, eventBudget uint64, floor int) bool {
 	if eventBudget != 0 && eventBudget < noFence-s.executed {
 		end = s.executed + eventBudget
 	}
-	prevH, prevF := s.horizon, s.fence
-	s.horizon, s.fence = min(prevH, deadline), min(prevF, end)
-	for s.executed < end && s.Pending() > floor && s.due(deadline) {
+	prevH, prevF, prevFl := s.horizon, s.fence, s.floor
+	s.horizon, s.fence, s.floor = min(prevH, deadline), min(prevF, end), max(prevFl, floor)
+	for s.executed < end && s.Pending() > floor {
+		if at, _ := s.Peek(); at > deadline { // something is pending: Peek's at is real
+			break
+		}
 		s.Step()
 	}
-	s.horizon, s.fence = prevH, prevF
+	s.horizon, s.fence, s.floor = prevH, prevF, prevFl
 	spent := s.executed >= end
 	if deadline == Forever {
 		return !spent || s.Pending() <= floor

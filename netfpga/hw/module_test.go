@@ -202,3 +202,57 @@ func TestAdvanceBeyondPlanRunsOneTick(t *testing.T) {
 		t.Fatalf("module invoked %d times, want 3", got)
 	}
 }
+
+// TestConsumeWakesOnlyTheConsumer: once every stage has gone idle, a push
+// into a conduit wired with Consume re-runs its consumer alone, while a
+// push into an unwired design conduit still wakes every module.
+func TestConsumeWakesOnlyTheConsumer(t *testing.T) {
+	s, d := newTestDesign(t)
+	in := d.NewStream("in", 8)
+	mid := d.NewStream("mid", 8)
+	out := NewStream("out", 8) // outside the design: a push into it wakes nothing
+	first := &passthrough{name: "first", in: in, out: mid}
+	second := &passthrough{name: "second", in: mid, out: out}
+	d.AddModule(first)
+	d.AddModule(second)
+	d.Consume(second, mid)
+	s.RunFor(sim.Microsecond)
+	before := d.ModuleTicks()
+
+	s.After(0, func() { mid.Push(Beat{Frame: NewFrame(make([]byte, 32), 0), End: 32, Last: true}) })
+	s.RunFor(sim.Microsecond)
+	after := d.ModuleTicks()
+	if out.Len() != 1 || after["first"] != before["first"] || after["second"] == before["second"] {
+		t.Fatalf("a push into the wired stream: out %d beats, ticks %v -> %v; want 1 beat and only second ticked",
+			out.Len(), before, after)
+	}
+
+	s.After(0, func() { in.Push(Beat{Frame: NewFrame(make([]byte, 32), 0), End: 32, Last: true}) })
+	s.RunFor(sim.Microsecond)
+	if got := d.ModuleTicks(); got["first"] == after["first"] || got["second"] == after["second"] {
+		t.Fatalf("a push into an unwired stream did not wake every module: ticks %v -> %v", after, got)
+	}
+}
+
+// TestWiringAnUnregisteredModulePanics: wiring a wake to a module the
+// design does not hold is a misordered constructor; it must fail loudly,
+// naming the module, not fall back to waking everything.
+func TestWiringAnUnregisteredModulePanics(t *testing.T) {
+	_, d := newTestDesign(t)
+	in := d.NewStream("in", 8)
+	orphan := &passthrough{name: "orphan", in: in, out: d.NewStream("out", 8)}
+	for name, wire := range map[string]func(){
+		"Consume": func() { d.Consume(orphan, in) },
+		"Waker":   func() { d.Waker(orphan) },
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "orphan") {
+					t.Errorf("%s on an unregistered module: panic %q, want one naming it", name, msg)
+				}
+			}()
+			wire()
+		}()
+	}
+}

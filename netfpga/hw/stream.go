@@ -20,23 +20,29 @@ type Stream struct {
 	// in the buffer. A window on a consumed stream stops short of the
 	// first one: popping it is a frame-boundary decision.
 	ends int
+	// Wired to its consumer (Design.Consume), a push wakes module number
+	// to of design dsn; otherwise it calls wake, if set.
+	dsn  *Design
 	wake func()
 	// edge points at the owning design's frame-boundary flag (at the
 	// stream's own for one built outside a design): set whenever a first
 	// or Last beat enters or a Last one leaves, see Design.Advance.
-	edge    *bool
-	ownEdge bool
+	edge *bool
 
 	pushed  uint64
 	highWtr int
 
 	// One window attempt's declarations about this stream and the mode
 	// solved from them (window.go); valid while wgen is the attempt's.
-	wgen           uint32
-	prod, cons     uint8
-	mode           uint8
-	forward        bool // the producer ticks before the consumer
-	consParked     bool // the consumer was parked when it declared
+	wgen       uint32
+	prod, cons uint8
+	mode       uint8
+	forward    bool // the producer ticks before the consumer
+	consParked bool // the consumer was parked when it declared
+	// ownEdge and to sit in the flags' padding, which keeps a Stream
+	// inside its allocation size class.
+	ownEdge        bool
+	to             int32
 	prodAt, consAt int
 	emit           *Emitter // prod == endEmit
 	from           *Stream  // prod == endRelay: the relay's source
@@ -101,7 +107,9 @@ func (s *Stream) put(b Beat) {
 // check CanPush first, exactly as hardware must honour TREADY.
 func (s *Stream) Push(b Beat) {
 	s.put(b)
-	if s.wake != nil {
+	if s.dsn != nil {
+		s.dsn.wakeModule(s.to)
+	} else if s.wake != nil {
 		s.wake()
 	}
 }
@@ -133,9 +141,11 @@ func (s *Stream) Pop() Beat {
 	return b
 }
 
-// OnPush installs a callback invoked after every Push; designs use it to
-// wake the consuming clock domain.
+// OnPush installs a callback invoked after every Push, for a stream not
+// wired to a consumer (Design.Consume).
 func (s *Stream) OnPush(fn func()) { s.wake = fn }
+
+func (s *Stream) consumedBy(d *Design, i int32) { s.dsn, s.to = d, i }
 
 // reset empties the stream and zeroes its statistics (Design.Reset).
 func (s *Stream) reset() {
@@ -154,8 +164,9 @@ func (s *Stream) HighWater() int { return s.highWtr }
 // PushFrame enqueues an entire frame as busBytes-wide beats. It reports
 // false without side effects if the stream lacks space for all beats.
 // Edge adapters use it where a whole frame materialises at once. The wake
-// hook runs once for the whole frame, not once per beat: the consuming
-// clock only needs one wakeup, and per-beat wakes were pure overhead.
+// runs once for the whole frame, with the Last beat, not once per beat:
+// the consuming clock only needs one wakeup, and per-beat wakes were pure
+// overhead.
 func (s *Stream) PushFrame(f *Frame, busBytes int) bool {
 	nb := f.Beats(busBytes)
 	if s.Space() < nb {
@@ -164,15 +175,11 @@ func (s *Stream) PushFrame(f *Frame, busBytes int) bool {
 	for off := 0; ; off += busBytes {
 		end := off + busBytes
 		if end >= len(f.Data) {
-			s.put(Beat{Frame: f, Off: off, End: len(f.Data), Last: true})
-			break
+			s.Push(Beat{Frame: f, Off: off, End: len(f.Data), Last: true})
+			return true
 		}
 		s.put(Beat{Frame: f, Off: off, End: end})
 	}
-	if s.wake != nil {
-		s.wake()
-	}
-	return true
 }
 
 // Emitter streams a stored frame into a Stream as busBytes-wide beats,
@@ -232,17 +239,20 @@ type FrameQueue struct {
 	head   int
 	n      int
 	bytes  int
-	wake   func()
+	// dsn, to and wake are as on Stream.
+	dsn  *Design
+	wake func()
 	// edge is as Stream.edge: set by every Push and Pop.
 	edge    *bool
 	ownEdge bool
+	// dropKind is the kind of the queue's own drop counter (see
+	// CountDropsAs). It and to share ownEdge's word, as on Stream.
+	dropKind CounterKind
+	to       int32
 
 	pushed uint64
 	popped uint64
 	drops  uint64
-	// dropKind is the kind of the queue's own drop counter (see
-	// CountDropsAs).
-	dropKind CounterKind
 	// dropBytes counts bytes of dropped frames.
 	dropBytes uint64
 	highWtr   uint64
@@ -313,7 +323,9 @@ func (q *FrameQueue) Push(f *Frame) bool {
 	if uint64(q.n) > q.highWtr {
 		q.highWtr = uint64(q.n)
 	}
-	if q.wake != nil {
+	if q.dsn != nil {
+		q.dsn.wakeModule(q.to)
+	} else if q.wake != nil {
 		q.wake()
 	}
 	return true
@@ -342,8 +354,11 @@ func (q *FrameQueue) Peek() *Frame {
 	return q.frames[q.head]
 }
 
-// OnPush installs a callback invoked after every successful Push.
+// OnPush installs a callback invoked after every successful Push, for a
+// queue not wired to a consumer (Design.Consume).
 func (q *FrameQueue) OnPush(fn func()) { q.wake = fn }
+
+func (q *FrameQueue) consumedBy(d *Design, i int32) { q.dsn, q.to = d, i }
 
 // Reset empties the queue, dropping the frames it held, and zeroes its
 // statistics. The ring keeps the size it grew to.

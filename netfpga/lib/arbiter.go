@@ -32,9 +32,8 @@ func NewInputArbiter(d *hw.Design, ins []*hw.Stream, out *hw.Stream) *InputArbit
 		a.ctrs.Add(grantsInNames.At(i), &a.grants[i])
 	}
 	d.AddModule(a)
-	wake := d.ModuleWake(a)
 	for _, in := range ins {
-		in.OnPush(wake)
+		d.Consume(a, in)
 	}
 	return a
 }

@@ -35,9 +35,7 @@ func NewDMAAttach(d *hw.Design, eng *pcie.Engine, toPipe, fromPipe *hw.Stream) *
 	d.AddModule(a)
 	// Waking the datapath when DMA completes lands a frame in ToDevice;
 	// only this module needs to run for it.
-	wake := d.ModuleWake(a)
-	eng.ToDevice().OnPush(wake)
-	fromPipe.OnPush(wake)
+	d.Consume(a, eng.ToDevice(), fromPipe)
 	return a
 }
 

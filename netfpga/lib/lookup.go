@@ -89,7 +89,7 @@ func NewOutputPortLookup(d *hw.Design, name string, in, out *hw.Stream,
 	l.ctrs.Add("drops", &l.drops) // policy drops: Count, not QueueDrop
 	l.ctrs.Add("punts", &l.punts)
 	d.AddModule(l)
-	in.OnPush(d.ModuleWake(l))
+	d.Consume(l, in)
 	return l
 }
 

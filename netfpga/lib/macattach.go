@@ -63,9 +63,7 @@ func NewMACAttach(d *hw.Design, mac *serial.MAC, port int, rxOut, txIn *hw.Strea
 	// Input conduits wake this module alone: a wire arrival or a
 	// pipeline beat bound for this port re-runs the attach, not every
 	// module of the design.
-	wake := d.ModuleWake(m)
-	m.rxq.OnPush(wake)
-	txIn.OnPush(wake)
+	d.Consume(m, m.rxq, txIn)
 	return m
 }
 

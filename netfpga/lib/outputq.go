@@ -83,15 +83,15 @@ func NewOutputQueues(d *hw.Design, in *hw.Stream, outs map[int]*hw.Stream, queue
 		oq.ctrs.AddCounter(p.q.HighWaterCounter(portHighwtrNames.At(p.bit)))
 	}
 	d.AddModule(oq)
-	wake := d.ModuleWake(oq)
-	in.OnPush(wake)
+	d.Consume(oq, in)
 	for i := range oq.ports {
-		oq.ports[i].q.OnPush(wake)
+		d.Consume(oq, oq.ports[i].q)
 	}
 	if bc := d.Background(); bc != nil {
 		oq.bg = bc
+		w := d.Waker(oq)
 		for i := range oq.ports {
-			bc.CouplePort(oq.ports[i].bit, wake)
+			bc.CouplePort(oq.ports[i].bit, w)
 		}
 	}
 	return oq

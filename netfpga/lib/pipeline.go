@@ -25,7 +25,7 @@ func NewQueueSource(d *hw.Design, name string, q *hw.FrameQueue, out *hw.Stream)
 	s := &QueueSource{name: name, d: d, q: q, out: out}
 	s.ctrs.Add("pkts", &s.pkts)
 	d.AddModule(s)
-	q.OnPush(d.ModuleWake(s))
+	d.Consume(s, q)
 	return s
 }
 

@@ -37,7 +37,7 @@ func NewRateLimiter(d *hw.Design, name string, in, out *hw.Stream, rateMbps, bur
 	r.ctrs.Add("pkts", &r.pkts)
 	r.ctrs.Add("held_cycles", &r.held)
 	d.AddModule(r)
-	in.OnPush(d.ModuleWake(r))
+	d.Consume(r, in)
 	return r
 }
 
@@ -130,7 +130,7 @@ func NewDelay(d *hw.Design, name string, in, out *hw.Stream, delay hw.Time) *Del
 	dm := &Delay{name: name, d: d, in: in, out: out, delay: delay, delay0: delay}
 	dm.ctrs.Add("pkts", &dm.pkts)
 	d.AddModule(dm)
-	in.OnPush(d.ModuleWake(dm))
+	d.Consume(dm, in)
 	return dm
 }
 

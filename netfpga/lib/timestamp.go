@@ -44,7 +44,7 @@ func NewTimestamper(d *hw.Design, name string, in, out *hw.Stream, mode Timestam
 	t := &Timestamper{name: name, d: d, in: in, out: out, mode: mode, offset: offset}
 	t.ctrs.Add("pkts", &t.pkts)
 	d.AddModule(t)
-	in.OnPush(d.ModuleWake(t))
+	d.Consume(t, in)
 	return t
 }
 

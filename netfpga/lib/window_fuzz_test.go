@@ -32,7 +32,7 @@ type lateInject struct {
 	out  *hw.Stream
 	q    []*hw.Frame
 	emit hw.Emitter
-	wake func()
+	wake hw.Waker
 }
 
 func (l *lateInject) Name() string            { return "late_inject" }
@@ -44,7 +44,7 @@ func (l *lateInject) inject(f *hw.Frame) {
 	} else {
 		l.emit.Start(f)
 	}
-	l.wake()
+	l.wake.Wake()
 }
 
 func (l *lateInject) Tick() bool {
@@ -156,7 +156,7 @@ func runWindowProgram(prog []byte, frameBurst int) windowTrace {
 	NewOutputQueues(d, decided, outs, queueBytes)
 	if withLate {
 		d.AddModule(late)
-		late.wake = d.ModuleWake(late)
+		late.wake = d.Waker(late)
 	}
 
 	for i := 4; i+1 < len(prog); i += 2 {

@@ -11,7 +11,7 @@ import (
 // sparse-wired: with traffic that dies at the first table (default
 // drop, no rules installed), the downstream table stage and the output
 // queues must not tick while the front of the pipeline churns —
-// Design.ModuleWake wakes exactly the consumer a push feeds, so idle
+// Design.Consume wakes exactly the consumer a push feeds, so idle
 // stages are skipped wholesale. This closes the ROADMAP's last
 // "non-sparse project stream" item with an executable check instead of
 // an assumption.

@@ -139,7 +139,7 @@ func (p *Project) Build(dev *netfpga.Device) error {
 		d.AddModule(g)
 		// The generator is a pure source: nothing pushes into it, so the
 		// only wake it needs is its own (Start re-arms it after idle).
-		g.wake = d.ModuleWake(g)
+		g.wake = d.Waker(g)
 		lib.NewTimestamper(d, fmt.Sprintf("tx_stamp%d", i), genOut, stamped, lib.StampPayload, TsOffset)
 		att := lib.NewMACAttach(d, mac, i, rx, stamped, 0)
 		dev.MountRegs(att.Registers())
@@ -153,7 +153,7 @@ func (p *Project) Build(dev *netfpga.Device) error {
 		// Sparse-wire the monitor to its rx stream: a frame arriving
 		// from the MAC wakes exactly this monitor instead of every
 		// module in the design.
-		rx.OnPush(d.ModuleWake(m))
+		d.Consume(m, rx)
 		dev.MountRegs(m.registers(fmt.Sprintf("osnt_mon%d", i)))
 
 		inst.gens = append(inst.gens, g)
@@ -192,7 +192,7 @@ func (o *OSNT) Configure(port int, spec TrafficSpec) error {
 
 // Start begins transmission on a port, waking just that port's
 // generator (its output chain is sparse-wired downstream).
-func (o *OSNT) Start(port int) { o.gens[port].running = true; o.gens[port].wake() }
+func (o *OSNT) Start(port int) { o.gens[port].running = true; o.gens[port].wake.Wake() }
 
 // Stop halts transmission on a port.
 func (o *OSNT) Stop(port int) { o.gens[port].running = false }
@@ -250,7 +250,7 @@ func (o *OSNT) CaptureSpan(port int) (first, last netfpga.Time, n int) {
 type generator struct {
 	d       *hw.Design
 	out     *hw.Stream
-	wake    func() // marks this generator runnable and re-arms the clock
+	wake    hw.Waker // marks this generator runnable and re-arms the clock
 	spec    TrafficSpec
 	rng     *sim.Rand
 	seed    uint64 // the port's default Poisson seed
