@@ -1,6 +1,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"crypto/tls"
 	"crypto/x509"
@@ -16,6 +17,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/storage/resultstore"
+	"repro/netfpga/fleet"
 	"repro/netfpga/sweep"
 	"repro/netfpga/sweep/shard"
 	"repro/netfpga/sweep/shard/chaos"
@@ -23,10 +25,10 @@ import (
 
 // sweepConfig is what `nf-bench sweep` parses its flags into, once.
 // fleet.Req is the run config — the same shard.Request value builds the
-// in-process runner, travels in every worker's Open frame and builds the
-// fleet's fallback runner — and the flags that tune the coordinator are
-// set on fleet directly. The rest is CLI plumbing: where the fleet's
-// workers come from, the store, and what to compare against.
+// in-process runner and travels in every worker's Open frame — and the
+// flags that tune the coordinator are set on fleet directly. The rest
+// is CLI plumbing: where the fleet's workers come from, the store, and
+// what to compare against.
 type sweepConfig struct {
 	fleet shard.Fleet
 
@@ -62,8 +64,7 @@ func (c *sweepConfig) mode() string {
 // fleetOnly are the flags that tune the fleet coordinator; setting one
 // on an in-process run is refused instead of silently ignored.
 var fleetOnly = map[string]bool{
-	"worker-timeout": true, "tls-ca": true, "chaos": true, "resume": true,
-	"stall-timeout": true, "fallback": true,
+	"worker-timeout": true, "tls-ca": true, "chaos": true, "stall-timeout": true,
 }
 
 // parseSweepFlags turns `nf-bench sweep` arguments into the run's
@@ -84,10 +85,9 @@ func parseSweepFlags(args []string) (*sweepConfig, error) {
 	fs.DurationVar(&fl.HangTimeout, "worker-timeout", 0, "kill a fleet worker silent for this long while owing cells and requeue its cells (0 = never)")
 	fs.StringVar(&c.tlsCA, "tls-ca", "", "CA certificate (PEM) to verify -connect workers against; enables TLS on every dialed worker")
 	fs.Uint64Var(&c.chaos, "chaos", 0, "inject deterministic transport faults (drops, delays, duplicates, corruption, truncation, kills, hangs) on every fleet worker, scheduled from this seed; 0 = off, digests are unchanged by any seed")
-	fs.StringVar(&c.resume, "resume", "", "resume an interrupted fleet sweep: adopt the run's persisted partial cells (digest-verified) and execute only the remainder")
+	fs.StringVar(&c.resume, "resume", "", "resume an interrupted fleet sweep: adopt the run's persisted partial cells (digest-verified) and execute only the remainder, in-process unless -shards/-connect name a fleet")
 	fs.StringVar(&c.runID, "run-id", "", "run id override (default: UTC timestamp); scripting and CI resume legs need a knowable id")
 	fs.DurationVar(&fl.StallTimeout, "stall-timeout", 0, "fail the run with per-worker forensics when no cell completes fleet-wide for this long (0 = never)")
-	fs.BoolVar(&fl.Fallback, "fallback", true, "when every fleet worker is dead or quarantined, run the remaining cells in-process instead of failing")
 	fs.StringVar(&c.storeDir, "store", "nf-results", "results store directory")
 	fs.BoolVar(&c.noStore, "no-store", false, "skip the results store")
 	fs.StringVar(&c.history, "history", "", "trend report: a cell's values across stored runs (key, scenario hash, or unique substring), then exit")
@@ -283,16 +283,17 @@ func runSweep(c *sweepConfig, cfg *sweep.Config, resumeRecs []resultstore.Record
 	// count: a record for a cell the plan does not expand, or one whose
 	// digest does not reproduce from its content, is re-run instead of
 	// trusted. Conflicting persisted records are a determinism bug and
-	// fail loudly.
+	// fail loudly. An in-process run merges into m; a fleet adopts
+	// fleet.Completed itself.
+	m := plan.Merger()
 	if len(resumeRecs) > 0 {
-		scratch := plan.Merger()
 		rejected := 0
 		for _, r := range resumeRecs {
 			cr := sweep.CellRecord{
 				Key: r.Key, Seed: r.Seed, Values: r.Values, Labels: r.Labels,
 				SimPS: r.SimPS, Events: r.Events, Err: r.Err, Digest: r.Digest,
 			}
-			_, dup, err := scratch.Adopt(cr)
+			_, dup, err := m.Adopt(cr)
 			switch {
 			case err != nil && errors.Is(err, sweep.ErrDiverged):
 				fatal(err)
@@ -322,12 +323,8 @@ func runSweep(c *sweepConfig, cfg *sweep.Config, resumeRecs []resultstore.Record
 		rs = runFleet(plan, st, meta, c, progress)
 	} else {
 		r := req.Runner()
-		ch, streamed, err := plan.Execute(context.Background(), r)
+		rs, err = runLocal(plan, m, r, progress)
 		fatal(err)
-		for cr := range ch {
-			progress(cr)
-		}
-		rs = streamed
 		if st != nil {
 			rep := r.Utilization().Report()
 			meta.Util = &rep
@@ -393,6 +390,29 @@ func runSweep(c *sweepConfig, cfg *sweep.Config, resumeRecs []resultstore.Record
 		stopProf()
 		os.Exit(1)
 	}
+}
+
+// runLocal executes on the in-process pool every cell m has not merged
+// — all of them, unless m holds a resumed run's records — and merges
+// each result through the same digest-verifying Adopt a fleet run's
+// records go through.
+func runLocal(plan *sweep.Plan, m *sweep.Merger, r *fleet.Runner, progress func(sweep.CellResult)) (*sweep.Results, error) {
+	ch, _, err := plan.Subset(func(key string) bool { return !m.Filled(key) }).Execute(context.Background(), r)
+	if err != nil {
+		return nil, err
+	}
+	for res := range ch {
+		cr, _, aerr := m.Adopt(res.Record())
+		if aerr != nil {
+			err = cmp.Or(err, aerr) // and keep draining the channel
+			continue
+		}
+		progress(cr)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return m.Results()
 }
 
 // workerPlan resolves a shard request into the full sweep plan — the
@@ -522,9 +542,9 @@ func runFleet(plan *sweep.Plan, st *resultstore.Store, meta resultstore.Meta,
 			requeued += ev.Cells
 			fmt.Fprintf(os.Stderr, "fleet: worker %s %s (%s), %d cells requeued\n",
 				ev.Worker, ev.Kind, ev.Detail, ev.Cells)
-		case "quarantine", "fallback":
-			// Degradation states likewise: a run that survived on the
-			// fallback runner should say so.
+		case "quarantine":
+			// Degradation states likewise: a quarantined worker is one
+			// path fewer to completion.
 			fmt.Fprintf(os.Stderr, "fleet: %s %s (%s)\n", ev.Worker, ev.Kind, ev.Detail)
 		default:
 			if !c.quiet {

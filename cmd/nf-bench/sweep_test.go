@@ -5,6 +5,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -20,10 +21,7 @@ import (
 func TestParseSweepFlags(t *testing.T) {
 	defaults := func() *sweepConfig {
 		return &sweepConfig{
-			fleet: shard.Fleet{
-				Req:      shard.Request{Config: "c", Workers: runtime.GOMAXPROCS(0)},
-				Fallback: true,
-			},
+			fleet:    shard.Fleet{Req: shard.Request{Config: "c", Workers: runtime.GOMAXPROCS(0)}},
 			storeDir: "nf-results",
 		}
 	}
@@ -53,7 +51,6 @@ func TestParseSweepFlags(t *testing.T) {
 			c.procs, c.chaos = 2, 7
 			c.fleet.HangTimeout, c.fleet.StallTimeout = 5*time.Second, time.Minute
 		}},
-		{args: "-shards 2 -fallback=false", want: func(c *sweepConfig) { c.procs, c.fleet.Fallback = 2, false }},
 		{args: "-fidelity hybrid", want: func(c *sweepConfig) { c.fleet.Req.Fidelity = netfpga.FidelityHybrid }},
 		{args: "-workers 3 -seed 9 -filter T4", want: func(c *sweepConfig) {
 			r := &c.fleet.Req
@@ -62,6 +59,8 @@ func TestParseSweepFlags(t *testing.T) {
 		{args: "-shards 2 -resume x -store s", want: func(c *sweepConfig) {
 			c.procs, c.resume, c.storeDir = 2, "x", "s"
 		}},
+		{args: "-resume x -store s", want: func(c *sweepConfig) { c.resume, c.storeDir = "x", "s" },
+			mode: "in-process on " + strconv.Itoa(runtime.GOMAXPROCS(0)) + " workers"},
 
 		{args: "-shards 2 -resume x -no-store", wantErr: "-resume needs the results store"},
 		{args: "-shards 0", wantErr: "-shards must be >= 1"},
@@ -81,8 +80,9 @@ func TestParseSweepFlags(t *testing.T) {
 		{args: "-shards 2 -breaker-failures 3", wantErr: "flag provided but not defined: -breaker-failures"},
 		{args: "-shards 2 -breaker-window 1s", wantErr: "flag provided but not defined: -breaker-window"},
 		{args: "-shards 2 -breaker-cooldown 1s", wantErr: "flag provided but not defined: -breaker-cooldown"},
+		{args: "-shards 2 -fallback=false", wantErr: "flag provided but not defined: -fallback"},
 		{args: "-chaos 7", wantErr: "-chaos needs a fleet"},
-		{args: "-fallback=false -worker-timeout 5s", wantErr: "-fallback, -worker-timeout needs a fleet"},
+		{args: "-worker-timeout 5s -stall-timeout 1m", wantErr: "-stall-timeout, -worker-timeout needs a fleet"},
 	}
 	for _, tc := range cases {
 		got, err := parseSweepFlags(append([]string{"-config", "c"}, strings.Fields(tc.args)...))

@@ -75,9 +75,10 @@ func chaosProfile(seed uint64) chaos.Config {
 //     chaos kill severs the connection and the redial opens a fresh
 //     session on the surviving process.
 //
-// Fallback stays enabled so even a seed that quarantines every remote
-// worker leaves a path to completion — the invariant chaos must never
-// break is the digests, not the route taken to them.
+// The invariant chaos must never break is the digests, not the route
+// taken to them. A seed that quarantined every worker would end the run
+// in *FleetDownError (the CLI's -resume then finishes it in-process);
+// none of these three does.
 func TestFleetGoldenChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos fault matrix is slow")
@@ -115,10 +116,9 @@ func TestFleetGoldenChaos(t *testing.T) {
 			StallTimeout: 2 * time.Minute,
 			CloseGrace:   10 * time.Second,
 			Backoff:      shard.Backoff{Base: 50 * time.Millisecond, Max: time.Second},
-			Fallback:     true,
 			OnEvent: func(ev shard.FleetEvent) {
 				switch ev.Kind {
-				case "death", "hang", "duplicate", "reconnect", "quarantine", "fallback":
+				case "death", "hang", "duplicate", "reconnect", "quarantine":
 					mu.Lock()
 					recovered[ev.Kind]++
 					mu.Unlock()

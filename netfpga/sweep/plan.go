@@ -115,8 +115,8 @@ func fnv64(key string) uint64 {
 }
 
 // Subset returns the sub-plan of the cells keep accepts, preserving
-// expansion order and group structure — what a coordinator executes
-// in-process when only part of a plan is still unfinished.
+// expansion order and group structure — what a resumed in-process run
+// executes when only part of a plan is still unfinished.
 func (p *Plan) Subset(keep func(key string) bool) *Plan {
 	sub := &Plan{BaseSeed: p.BaseSeed, ngroups: p.ngroups, devs: p.devs}
 	for j, c := range p.Cells {

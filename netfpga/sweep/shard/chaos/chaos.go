@@ -16,9 +16,9 @@
 // as hostile: a dropped or delayed frame is a hang, a corrupt frame is
 // a malformed stream or a digest mismatch (the record's digest is
 // recomputed from its content on arrival), a truncation or kill is a
-// death — all of which end in requeue, reconnect, quarantine, or
-// in-process fallback, and every surviving record still has to pass
-// the same digest-verified Adopt. The standing invariant: any chaos
+// death — all of which end in requeue, reconnect or quarantine, and
+// every surviving record still has to pass the same digest-verified
+// Adopt. The standing invariant: any chaos
 // seed that leaves at least one path to completion yields byte-
 // identical digests.
 package chaos

@@ -43,9 +43,9 @@ func fleetPlanFor(req shard.Request) (*sweep.Plan, error) {
 // scale: a fleet whose every worker stream is wrapped in chaos — drops,
 // delays, duplicates, corruption, truncation, kills, and hangs — still
 // produces digests byte-identical to the in-process reference, for
-// every seed tried. Connectors let killed workers reincarnate, and the
-// in-process fallback guarantees at least one path to completion even
-// if a seed quarantines the whole fleet.
+// every seed tried. Connectors let killed workers reincarnate; a seed
+// that quarantined the whole fleet would fail the run with
+// *FleetDownError, and the test with it.
 func TestFleetChaosDigestInvariant(t *testing.T) {
 	want, err := sweep.RunGroups(context.Background(), fleet.New(2), []sweep.Group{fleetGroup()}, "")
 	if err != nil {
@@ -78,10 +78,9 @@ func TestFleetChaosDigestInvariant(t *testing.T) {
 				StallTimeout: 2 * time.Minute,
 				CloseGrace:   2 * time.Second,
 				Backoff:      shard.Backoff{Base: 20 * time.Millisecond, Max: 200 * time.Millisecond},
-				Fallback:     true,
 				OnEvent: func(ev shard.FleetEvent) {
 					switch ev.Kind {
-					case "death", "hang", "duplicate", "reconnect", "quarantine", "fallback":
+					case "death", "hang", "duplicate", "reconnect", "quarantine":
 						mu.Lock()
 						faults[ev.Kind]++
 						mu.Unlock()

@@ -189,58 +189,65 @@ func TestFleetReconnect(t *testing.T) {
 	mu.Unlock()
 }
 
-// TestFleetBreakerQuarantineThenFallback: a connector whose dial always
-// fails trips the circuit breaker, and with every remote path gone the
-// in-process fallback runner finishes the run — digests identical to
-// a healthy fleet.
-func TestFleetBreakerQuarantineThenFallback(t *testing.T) {
+// TestFleetFlappingWorkerQuarantined: a connector that dies right after
+// every Hello, beside one healthy worker slowed to 150 ms per cell. Each
+// death counts toward the breaker even though the worker said hello, so
+// the flapper is quarantined at its fifth death — before any cell has
+// been requeued off it often enough to exhaust its budget — and the slow
+// worker finishes the run.
+func TestFleetFlappingWorkerQuarantined(t *testing.T) {
 	want := fullRun(t)
+	var mu sync.Mutex
+	var current *Endpoint
+	flapper := &Connector{Name: "flapper", Dial: func() (*Endpoint, error) {
+		ep := PipeWorker(context.Background(), "flapper", testPlan)
+		mu.Lock()
+		current = ep
+		mu.Unlock()
+		return ep, nil
+	}}
 	var log eventLog
 	f := &Fleet{
-		Req:        Request{Config: "matrix", Workers: 2},
-		Connectors: []*Connector{{Name: "dead", Dial: func() (*Endpoint, error) { return nil, errors.New("connection refused") }}},
+		Req:        Request{Config: "matrix", Workers: 1},
+		Endpoints:  []*Endpoint{slowEndpoint(PipeWorker(context.Background(), "slow", testPlan), 150*time.Millisecond)},
+		Connectors: []*Connector{flapper},
 		Backoff:    Backoff{Base: 10 * time.Millisecond, Max: 20 * time.Millisecond},
-		Breaker:    Breaker{Failures: 2, Window: time.Minute, Cooldown: time.Hour},
-		Fallback:   true,
-		OnEvent:    log.add,
+		OnEvent: func(ev FleetEvent) {
+			log.add(ev)
+			if ev.Worker == "flapper" && ev.Kind == "hello" {
+				mu.Lock()
+				_ = current.Kill()
+				mu.Unlock()
+			}
+		},
 	}
-	var streamed int
-	rs, util, err := f.Run(context.Background(), sessionPlan(t), func(sweep.CellResult) { streamed++ })
+	rs, _, err := f.Run(context.Background(), sessionPlan(t), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkMatches(t, want, rs)
-	if streamed != len(want.Cells) {
-		t.Errorf("fallback streamed %d cells, want %d", streamed, len(want.Cells))
+	if n := log.count("quarantine"); n != 1 {
+		t.Errorf("%d quarantine events, want 1", n)
 	}
-	if log.count("quarantine") == 0 {
-		t.Error("a connector failing every dial was never quarantined")
-	}
-	if log.count("fallback") == 0 {
-		t.Error("no fallback event for a fleet with no remote path")
-	}
-	if util.Jobs != len(want.Cells) {
-		t.Errorf("fallback utilization reports %d jobs, want %d", util.Jobs, len(want.Cells))
-	}
-	found := false
-	for _, r := range f.Reports {
-		if r.Name == "fallback" {
-			found = true
+	deaths := 0
+	for _, ev := range log.evs {
+		if ev.Worker == "flapper" && ev.Kind == "death" {
+			deaths++
 		}
 	}
-	if !found {
-		t.Error("no fallback worker report")
+	if deaths > breakerFailures {
+		t.Errorf("flapper died %d times, want at most %d before its quarantine", deaths, breakerFailures)
 	}
 }
 
-// TestFleetDownTypedError: the same dead fleet with Fallback disabled
-// fails with the typed *FleetDownError carrying per-worker forensics.
+// TestFleetDownTypedError: a connector whose dial always fails trips
+// the circuit breaker, and with no path to completion left the run fails
+// with the typed *FleetDownError carrying per-worker forensics.
 func TestFleetDownTypedError(t *testing.T) {
 	f := &Fleet{
 		Req:        Request{Config: "matrix", Workers: 1},
 		Connectors: []*Connector{{Name: "dead", Dial: func() (*Endpoint, error) { return nil, errors.New("connection refused") }}},
 		Backoff:    Backoff{Base: 10 * time.Millisecond, Max: 20 * time.Millisecond},
-		Breaker:    Breaker{Failures: 2, Window: time.Minute, Cooldown: time.Hour},
 	}
 	_, _, err := f.Run(context.Background(), sessionPlan(t), nil)
 	var fd *FleetDownError
