@@ -244,6 +244,16 @@ func (d *Device) Reset(seed uint64) bool {
 	return true
 }
 
+// Reseed reseeds what the device seed feeds, the ports' error
+// injection, and nothing else: on a device Reset since it last ran,
+// Reseed(seed) leaves it as Reset(seed) would. A sweep resets a device
+// when its cell ends and only reseeds it for the next.
+func (d *Device) Reseed(seed uint64) {
+	for i, m := range d.MACs {
+		m.Reseed(portSeed(seed, i))
+	}
+}
+
 // MountRegs places a register file at the next free 4 KB-aligned base and
 // returns the base address.
 func (d *Device) MountRegs(rf *hw.RegisterFile) uint32 {

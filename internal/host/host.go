@@ -100,10 +100,12 @@ func (d *Driver) Send(data []byte, q int) error {
 }
 
 // rxComplete runs in simulated time as the DMA engine finishes a
-// device→host transfer.
+// device→host transfer. A frame past the receive limit goes back to the
+// pool; a received one's Data belongs to Poll's caller.
 func (d *Driver) rxComplete(f *hw.Frame) {
 	if len(d.rxBuf) >= d.rxLimit {
 		d.rxDropped++
+		d.pool.Put(f)
 	} else {
 		q := 0
 		for i := 0; i < hw.MaxHostPorts; i++ {

@@ -128,6 +128,37 @@ func TestDriverPollSizesTheNextRound(t *testing.T) {
 	}
 }
 
+// TestDriverOverLimitRecyclesFrames: a frame the driver drops past its
+// receive limit goes back to the pool, so once the driver is over its
+// limit a Send → loop back → DMA → drop round allocates nothing.
+func TestDriverOverLimitRecyclesFrames(t *testing.T) {
+	s := sim.New()
+	e := pcie.NewEngine(s, pcie.EngineConfig{Link: pcie.SUMELink()})
+	pool := &hw.FramePool{}
+	d := NewDriver("nf0", e, hw.NewAddressMap(), pool, s.Now)
+	d.rxLimit = 1
+	data := make([]byte, 1500)
+	round := func() {
+		if err := d.Send(data, 0); err != nil {
+			t.Fatal(err)
+		}
+		s.Drain(0)
+		f := e.ToDevice().Pop()
+		f.Meta.DstPorts = hw.HostPortMask(0)
+		e.FromDevice().Push(f)
+		s.Drain(0)
+	}
+	for i := 0; i < 4; i++ { // fill the limit, then warm the pool
+		round()
+	}
+	if d.Pending() != 1 || d.rxDropped != 3 {
+		t.Fatalf("pending %d, dropped %d: want 1 and 3", d.Pending(), d.rxDropped)
+	}
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Errorf("a round dropped past the receive limit allocates %.1f times", allocs)
+	}
+}
+
 func TestDriverRegisterAccess(t *testing.T) {
 	_, _, d := newHost(t)
 	if err := d.RegWriteName("core", "scratch", 0xABCD); err != nil {

@@ -124,7 +124,7 @@ func NewMAC(s *sim.Sim, cfg Config) *MAC {
 		cfg:  cfg,
 		sim:  s,
 		rate: float64(cfg.Lanes) * cfg.LineGbps * cfg.Encoding,
-		rng:  sim.NewRand(cfg.Seed ^ 0x5eeded), // Reset reseeds the same way
+		rng:  sim.NewRand(cfg.Seed ^ 0x5eeded), // Reseed reseeds the same way
 	}
 	m.txq = hw.NewFrameQueue(cfg.Name+".txq", 0, cfg.TxBufBytes)
 	m.txq.OnPush(m.kick)
@@ -205,8 +205,7 @@ func Connect(a, b *MAC, prop sim.Time) error {
 // receiver stays installed. The simulator disarms the MAC's timers
 // (sim.Sim.Reset).
 func (m *MAC) Reset(seed uint64) {
-	m.cfg.Seed = seed
-	m.rng.Seed(seed ^ 0x5eeded)
+	m.Reseed(seed)
 	m.peer, m.prop, m.linkUp = nil, 0, false
 	m.txq.Reset()
 	m.inFlight = nil
@@ -214,6 +213,13 @@ func (m *MAC) Reset(seed uint64) {
 	m.inHead, m.inN = 0, 0
 	m.txFrames, m.rxFrames, m.txBytes, m.rxBytes = 0, 0, 0, 0
 	m.fcsErrors, m.txBusyPs = 0, 0
+}
+
+// Reseed restarts the MAC's error injection at seed, as NewMAC seeds
+// it, and changes nothing else.
+func (m *MAC) Reseed(seed uint64) {
+	m.cfg.Seed = seed
+	m.rng.Seed(seed ^ 0x5eeded)
 }
 
 // Name returns the MAC's name.

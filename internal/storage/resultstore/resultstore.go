@@ -14,9 +14,11 @@ package resultstore
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -268,23 +270,48 @@ func (st *Store) writeIndex() error {
 	return os.Rename(tmp, st.indexPath())
 }
 
-// ReadRun loads one run's meta and records.
-func (st *Store) ReadRun(run string) (Meta, []Record, error) {
+// appendLine adds one cell line exactly as another run stored it, under
+// key and digest for the index. Unlike Append it does not flush: the
+// merge that calls it writes a complete run, which Close flushes.
+func (rw *RunWriter) appendLine(key, digest string, b []byte) {
+	if rw.err != nil {
+		return
+	}
+	if _, err := rw.w.Write(b); err != nil {
+		rw.err = err
+		return
+	}
+	if rw.err = rw.w.WriteByte('\n'); rw.err == nil {
+		rw.recs = append(rw.recs, Record{Key: key, Digest: digest})
+	}
+}
+
+// eachLine calls fn with every line of run's file, numbered from 1, and
+// returns fn's first error. The line is valid only during the call.
+func (st *Store) eachLine(run string, fn func(n int, b []byte) error) error {
 	f, err := os.Open(st.runPath(run))
 	if err != nil {
-		return Meta{}, nil, err
+		return err
 	}
 	defer f.Close()
-	var meta Meta
-	var recs []Record
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1<<16), 1<<22)
-	n := 0
-	for sc.Scan() {
-		n++
+	for n := 1; sc.Scan(); n++ {
+		if err := fn(n, sc.Bytes()); err != nil {
+			return err
+		}
+	}
+	return sc.Err()
+}
+
+// ReadRun loads one run's meta and records.
+func (st *Store) ReadRun(run string) (Meta, []Record, error) {
+	var meta Meta
+	var recs []Record
+	err := st.eachLine(run, func(n int, b []byte) error {
 		var l line
-		if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
-			return meta, recs, fmt.Errorf("resultstore: %s line %d: %w", run, n, err)
+		if err := json.Unmarshal(b, &l); err != nil {
+			return fmt.Errorf("resultstore: %s line %d: %w", run, n, err)
 		}
 		switch {
 		case l.Meta != nil:
@@ -292,11 +319,15 @@ func (st *Store) ReadRun(run string) (Meta, []Record, error) {
 		case l.Cell != nil:
 			recs = append(recs, *l.Cell)
 		default:
-			return meta, recs, fmt.Errorf("resultstore: %s line %d: empty record", run, n)
+			return fmt.Errorf("resultstore: %s line %d: empty record", run, n)
 		}
-	}
-	return meta, recs, sc.Err()
+		return nil
+	})
+	return meta, recs, err
 }
+
+// errTorn ends ReadRunTolerant's read at the first malformed line.
+var errTorn = errors.New("resultstore: torn line")
 
 // ReadRunTolerant loads one run like ReadRun, but stops at the first
 // malformed line instead of failing: everything before it is returned,
@@ -306,21 +337,14 @@ func (st *Store) ReadRun(run string) (Meta, []Record, error) {
 // digest-verified again before it counts for anything). Real I/O
 // errors still fail.
 func (st *Store) ReadRunTolerant(run string) (Meta, []Record, int, error) {
-	f, err := os.Open(st.runPath(run))
-	if err != nil {
-		return Meta{}, nil, 0, err
-	}
-	defer f.Close()
 	var meta Meta
 	var recs []Record
 	dropped := 0
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
-	for sc.Scan() {
+	err := st.eachLine(run, func(_ int, b []byte) error {
 		var l line
-		if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
+		if err := json.Unmarshal(b, &l); err != nil {
 			dropped++
-			break
+			return errTorn
 		}
 		switch {
 		case l.Meta != nil:
@@ -330,8 +354,12 @@ func (st *Store) ReadRunTolerant(run string) (Meta, []Record, int, error) {
 		default:
 			dropped++
 		}
+		return nil
+	})
+	if errors.Is(err, errTorn) {
+		err = nil
 	}
-	return meta, recs, dropped, sc.Err()
+	return meta, recs, dropped, err
 }
 
 // PartialRuns lists the store's partial runs whose id starts with
@@ -382,28 +410,55 @@ func (st *Store) RunDigests(run string) (map[string]string, error) {
 // masquerade as a complete run. The inputs stay on disk untouched
 // (the store is append-only); only the merged run enters the index.
 // Records are written in sorted key order, and the merge returns the
-// number of cells written.
+// number of cells written. A merge reads only each record's key and
+// digest and copies the line the part stored, byte for byte: the store
+// wrote that line, so it is the record's encoding already.
 func (st *Store) MergeRuns(meta Meta, parts []string, expect []string) (int, error) {
 	if len(parts) == 0 {
 		return 0, fmt.Errorf("resultstore: merge of no runs")
 	}
-	merged := map[string]Record{}
-	from := map[string]string{}
+	// stored is one part's cell line and the fields the merge reads.
+	type stored struct {
+		key, digest, part string
+		line              []byte
+	}
+	merged := map[string]stored{}
 	for _, part := range parts {
-		_, recs, err := st.ReadRun(part)
+		// A part is read whole before any of its records is merged, so
+		// a torn part fails as a read error even past a conflict.
+		var recs []stored
+		err := st.eachLine(part, func(n int, b []byte) error {
+			var l struct {
+				Meta *struct{} `json:"meta"`
+				Cell *struct {
+					Key    string `json:"key"`
+					Digest string `json:"digest"`
+				} `json:"cell"`
+			}
+			if err := json.Unmarshal(b, &l); err != nil {
+				return fmt.Errorf("resultstore: %s line %d: %w", part, n, err)
+			}
+			switch {
+			case l.Meta != nil:
+			case l.Cell != nil:
+				recs = append(recs, stored{l.Cell.Key, l.Cell.Digest, part, bytes.Clone(b)})
+			default:
+				return fmt.Errorf("resultstore: %s line %d: empty record", part, n)
+			}
+			return nil
+		})
 		if err != nil {
 			return 0, fmt.Errorf("resultstore: merge: %w", err)
 		}
 		for _, rec := range recs {
-			if prev, ok := merged[rec.Key]; ok {
-				if prev.Digest != rec.Digest {
+			if prev, ok := merged[rec.key]; ok {
+				if prev.digest != rec.digest {
 					return 0, fmt.Errorf("resultstore: merge conflict: cell %s has digest %s in %s but %s in %s",
-						rec.Key, prev.Digest, from[rec.Key], rec.Digest, part)
+						rec.key, prev.digest, prev.part, rec.digest, part)
 				}
 				continue // identical overlap: dedup
 			}
-			merged[rec.Key] = rec
-			from[rec.Key] = part
+			merged[rec.key] = rec
 		}
 	}
 	if expect != nil {
@@ -430,14 +485,18 @@ func (st *Store) MergeRuns(meta Meta, parts []string, expect []string) (int, err
 		return 0, err
 	}
 	for _, k := range keys {
-		if err := rw.Append(merged[k]); err != nil {
-			// Close (never indexes after a write error) and drop the
-			// truncated target so a rebuild can't mistake it for a
-			// complete run.
-			_ = rw.Close()
-			_ = os.Remove(st.runPath(meta.Run))
-			return 0, err
-		}
+		rw.appendLine(k, merged[k].digest, merged[k].line)
+	}
+	if rw.err == nil {
+		rw.err = rw.w.Flush()
+	}
+	if err := rw.err; err != nil {
+		// Close (never indexes after a write error) and drop the
+		// truncated target so a rebuild can't mistake it for a
+		// complete run.
+		_ = rw.Close()
+		_ = os.Remove(st.runPath(meta.Run))
+		return 0, err
 	}
 	return len(keys), rw.Close()
 }

@@ -227,27 +227,89 @@ func TestMetaTransportProvenance(t *testing.T) {
 	}
 }
 
-// TestMergeConflictsAndFailures: overlapping records that disagree on
-// digest abort the merge, as does a partial shard failure (expected
-// cells missing), and a merge target colliding with an existing run id.
-func TestMergeConflictsAndFailures(t *testing.T) {
-	st, err := Open(t.TempDir())
+// TestMergeCopiesStoredBytes: a merge of two parts holding escaped keys
+// and labels, -0, 1e21, an error string and an identical overlap writes
+// the run and index.json byte for byte as the merge that decoded and
+// re-encoded every record did (testdata/merge, written by that code).
+func TestMergeCopiesStoredBytes(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, part := range []string{"fx-s0", "fx-s1"} {
+		data, err := os.ReadFile(filepath.Join("testdata", "merge", part+".jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(st.runPath(part), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	expect := []string{"mid", "plain/k=2", `T<1>/a&b="q"/ü`, "alpha/<x>", "zeta/ü"}
+	n, err := st.MergeRuns(Meta{Run: "fx", Name: "fixture <&>", Seed: 7, Workers: 2, Transport: "proc", Requeued: 1},
+		[]string{"fx-s0", "fx-s1"}, expect)
+	if err != nil || n != len(expect) {
+		t.Fatalf("merge: n=%d err=%v", n, err)
+	}
+	for got, want := range map[string]string{st.runPath("fx"): "fx.jsonl", st.indexPath(): "index.json"} {
+		g, err := os.ReadFile(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := os.ReadFile(filepath.Join("testdata", "merge", want))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(g) != string(w) {
+			t.Errorf("%s differs from testdata/merge/%s:\n got %s\nwant %s", filepath.Base(got), want, g, w)
+		}
+	}
+}
+
+// TestMergeConflictsAndFailures: overlapping records that disagree on
+// digest abort the merge, as do a partial shard failure (expected cells
+// missing), a torn or empty line in a part, and a merge target colliding
+// with an existing run id. The messages are the ones operators grep for.
+func TestMergeConflictsAndFailures(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mergeErr := func(run string, parts, expect []string, want string) {
+		t.Helper()
+		if _, err := st.MergeRuns(Meta{Run: run}, parts, expect); err == nil || err.Error() != want {
+			t.Errorf("merge %s: %v, want %q", run, err, want)
+		}
+	}
 	writePartial(t, st, "c-s0", "0/2", rec("k", "digestA", 1))
 	writePartial(t, st, "c-s1", "1/2", rec("k", "digestB", 1))
-	if _, err := st.MergeRuns(Meta{Run: "c"}, []string{"c-s0", "c-s1"}, nil); err == nil ||
-		!strings.Contains(err.Error(), "conflict") {
-		t.Errorf("digest conflict not detected: %v", err)
-	}
+	mergeErr("c", []string{"c-s0", "c-s1"}, nil,
+		"resultstore: merge conflict: cell k has digest digestA in c-s0 but digestB in c-s1")
 
 	// Partial shard failure: shard 1's cells never arrived.
 	writePartial(t, st, "p-s0", "0/2", rec("a", "d1", 1))
-	if _, err := st.MergeRuns(Meta{Run: "p"}, []string{"p-s0"}, []string{"a", "b"}); err == nil ||
-		!strings.Contains(err.Error(), "missing") {
-		t.Errorf("missing cells not detected: %v", err)
+	mergeErr("p", []string{"p-s0"}, []string{"a", "b", "c"},
+		"resultstore: merge incomplete: 2 of 3 expected cells missing (first: b)")
+
+	// A part torn mid-record, and one with a line that is neither meta
+	// nor cell.
+	writePartial(t, st, "t-s0", "1/2", rec("a", "d1", 1), rec("b", "d2", 2))
+	path := filepath.Join(dir, "runs", "t-s0.jsonl")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if err := os.WriteFile(path, data[:len(data)-10], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mergeErr("t", []string{"p-s0", "t-s0"}, nil,
+		"resultstore: merge: resultstore: t-s0 line 3: unexpected end of JSON input")
+	if err := os.WriteFile(filepath.Join(dir, "runs", "e-s0.jsonl"), []byte("{\"meta\":{\"run\":\"e-s0\"}}\n{}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mergeErr("e", []string{"e-s0"}, nil, "resultstore: merge: resultstore: e-s0 line 2: empty record")
 	// The failed merges must not have produced indexed runs.
 	if len(st.Index()) != 0 {
 		t.Errorf("failed merge polluted the index: %v", st.Index())

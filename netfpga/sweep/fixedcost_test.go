@@ -31,6 +31,15 @@ var fixedCostCeilings = []struct {
 	{"reference_iotest", 301, 36552, 0, 0},
 }
 
+// generatorCeiling bounds two cells' workload generators and their first
+// 64 frames each, built by workload.New or reset in place by a plan that
+// reuses them, measured like fixedCostCeilings. What a reused generator still
+// allocates is pkt.SerializeBuffer regrowing its headroom for each
+// frame it serializes anew with a payload over 128 bytes.
+var generatorCeiling = struct {
+	allocs, bytes, resetAllocs, resetBytes float64
+}{147, 69200, 17, 18816}
+
 func TestPerCellFixedCostBudget(t *testing.T) {
 	if raceEnabled || testing.CoverMode() != "" {
 		t.Skip("race and coverage instrumentation change what is allocated")
@@ -38,6 +47,13 @@ func TestPerCellFixedCostBudget(t *testing.T) {
 	// One P, and the least of several samples: what else the runtime
 	// allocates meanwhile only ever adds.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	allocs, bytes, resetAllocs, resetBytes := generatorCost(t)
+	t.Logf("%-17s fresh %4.0f allocs %6.0f bytes   reset %.0f allocs %.0f bytes per two cells",
+		"workload.Generator", allocs, bytes, resetAllocs, resetBytes)
+	if c := generatorCeiling; allocs > c.allocs || bytes > c.bytes || resetAllocs > c.resetAllocs || resetBytes > c.resetBytes {
+		t.Errorf("generator: fresh %.0f allocations and %.0f bytes, reused %.0f and %.0f; budget %.0f, %.0f, %.0f and %.0f",
+			allocs, bytes, resetAllocs, resetBytes, c.allocs, c.bytes, c.resetAllocs, c.resetBytes)
+	}
 	for _, c := range fixedCostCeilings {
 		entry, ok := projects.ByName(c.project)
 		if !ok {
@@ -92,6 +108,49 @@ func leastCost(samples int, setup, f func()) (allocs, bytes float64) {
 	return allocs, bytes
 }
 
+// generatorCost measures two cells' workload generators drawing 64
+// frames each, one cell with the IMIX and one with the minimum-size mix,
+// as tiny_fleet alternates them: built by workload.New, and reset in place once
+// a warm-up has built every (flow, size) frame, as a plan's reused
+// generator has after its first cells.
+func generatorCost(t *testing.T) (allocs, bytes, resetAllocs, resetBytes float64) {
+	cfgs := []workload.Config{{}, {Sizes: workload.FixedSize(60)}}
+	var seed uint64
+	pair := func(next func(cfg workload.Config) *workload.Generator) func() {
+		return func() {
+			for _, cfg := range cfgs {
+				seed++
+				cfg.Seed = seed
+				g := next(cfg)
+				for i := 0; i < 64; i++ {
+					g.NextView()
+				}
+			}
+		}
+	}
+	allocs, bytes = leastCost(5, func() {}, pair(func(cfg workload.Config) *workload.Generator {
+		g, err := workload.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}))
+	g, err := workload.New(workload.Config{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20000; i++ {
+		g.NextView()
+	}
+	resetAllocs, resetBytes = leastCost(5, func() {}, pair(func(cfg workload.Config) *workload.Generator {
+		if err := g.Reset(cfg); err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}))
+	return allocs, bytes, resetAllocs, resetBytes
+}
+
 // resetCost measures, on one sealed device that ran a cell of traffic
 // before each sample and stopped with frames in flight, what a cell on
 // a cached device pays besides its traffic: the resets at release (the
@@ -120,10 +179,11 @@ func resetCost(t *testing.T, entry projects.Entry) (allocs, bytes float64) {
 	var seed uint64
 	return leastCost(5, dirty, func() {
 		seed++
-		if !dev.Reset(0) || !dev.Reset(seed) { // at release, then reseeded at acquire
+		if !dev.Reset(0) { // at release
 			t.Fatal("device did not reset")
 		}
 		proj.(hw.Resetter).Reset()
+		dev.Reseed(seed) // at acquire
 		if QueueDrops(dev) != 0 || dev.Now() != 0 || dev.Sim.Executed() != 0 {
 			t.Fatal("a reset device must read as fresh")
 		}

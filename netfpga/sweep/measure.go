@@ -27,10 +27,11 @@ func GenericMeasure(c *fleet.Ctx, cell Cell) (Outcome, error) {
 	if dev.Hybrid() {
 		return genericHybridMeasure(c, cell)
 	}
-	gen, err := workload.New(cell.Workload.Config(c.Seed))
+	gen, err := cell.devs.generator(cell.Workload.Config(c.Seed))
 	if err != nil {
 		return Outcome{}, err
 	}
+	defer cell.devs.releaseGenerator(gen)
 	taps := make([]*netfpga.PortTap, dev.Board.Ports)
 	for i := range taps {
 		taps[i] = dev.Tap(i)
@@ -92,10 +93,11 @@ func GenericMeasure(c *fleet.Ctx, cell Cell) (Outcome, error) {
 // fcs_errors counts only cycle-accurate frames.
 func genericHybridMeasure(c *fleet.Ctx, cell Cell) (Outcome, error) {
 	dev := c.Dev
-	gen, err := workload.New(cell.Workload.Config(c.Seed))
+	gen, err := cell.devs.generator(cell.Workload.Config(c.Seed))
 	if err != nil {
 		return Outcome{}, err
 	}
+	defer cell.devs.releaseGenerator(gen)
 	model := dev.Background()
 	taps := make([]*netfpga.PortTap, dev.Board.Ports)
 	for i := range taps {
@@ -281,10 +283,11 @@ func LatencyMeasure(c *fleet.Ctx, cell Cell) (Outcome, error) {
 		bgTaps = taps[:1]
 	}
 	if bg > 0 {
-		gen, err = workload.New(cell.Workload.Config(c.Seed))
+		gen, err = cell.devs.generator(cell.Workload.Config(c.Seed))
 		if err != nil {
 			return Outcome{}, err
 		}
+		defer cell.devs.releaseGenerator(gen)
 	}
 	window := cell.Spec.Window()
 	gap := window / netfpga.Time(probes)

@@ -266,6 +266,7 @@ func jobFor(cell Cell, m Measure, baseSeed uint64, devs *devices) (fleet.Job, er
 			}
 		}
 	}
+	cell.devs = devs
 	job.Drive = func(c *fleet.Ctx) (any, error) {
 		o, err := m(c, cell)
 		if err != nil {

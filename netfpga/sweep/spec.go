@@ -131,6 +131,11 @@ type Cell struct {
 	Fidelity string
 	// Param holds the generic axis values.
 	Param map[string]string
+
+	// devs is the cache of the plan whose job runs the cell, which
+	// lends the built-in measures a workload generator; nil outside a
+	// plan's jobs.
+	devs *devices
 }
 
 // Str returns a generic axis value, failing loudly when the axis is
