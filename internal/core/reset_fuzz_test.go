@@ -131,9 +131,10 @@ func projectAction(t testing.TB, dev *netfpga.Device, proj netfpga.Project, port
 // FuzzDeviceReset draws a registry board and project, a fidelity, a
 // port BER, two seeds and a traffic program: a device built under the
 // first seed, sealed, run through the program and reset to the second
-// must then run the program exactly as a fresh build under the second
-// seed does (checkReset compares everything TestDeviceResetMatchesFresh
-// does, plus the program's storage reads).
+// (or reset under the first and reseeded to the second) must then run
+// the program exactly as a fresh build under the second seed does
+// (checkReset compares everything TestDeviceResetMatchesFresh does, plus
+// the program's storage reads).
 func FuzzDeviceReset(f *testing.F) {
 	f.Add(uint8(0), uint8(1), false, uint8(1), uint64(1), uint64(2),
 		[]byte{0, 3, 0, 9, 1, 40, 0, 12, 4, 0x81, 0, 5, 1, 200, 8, 0})
@@ -155,6 +156,8 @@ func FuzzDeviceReset(f *testing.F) {
 		dirty := func(t testing.TB, dev *netfpga.Device, proj netfpga.Project, seed uint64) {
 			runProgram(t, dev, proj, prog)
 		}
-		checkReset(t, boards[int(board)%len(boards)], all[int(project)%len(all)].Name, opts, dirtySeed, seed, dirty, run)
+		for _, reseed := range []bool{false, true} {
+			checkReset(t, boards[int(board)%len(boards)], all[int(project)%len(all)].Name, opts, dirtySeed, seed, reseed, dirty, run)
+		}
 	})
 }
