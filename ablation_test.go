@@ -1,8 +1,9 @@
 package repro
 
-// Ablation benchmarks for three datapath design choices: lookup
-// pipelining, output-queue sizing, and clock gating. Each reports the
-// metric the choice trades on.
+// Ablations of three datapath design choices: lookup pipelining,
+// output-queue sizing, and clock gating. Each pins the exact counts the
+// choice trades on; the runs are deterministic, so a change that moves
+// one shows the diff.
 
 import (
 	"testing"
@@ -14,10 +15,13 @@ import (
 	"repro/netfpga/projects/switchp"
 )
 
-// ablationSwitch assembles a reference switch with a configurable
-// lookup pipeline depth and returns the achieved min-frame goodput as a
-// fraction of the 4x10G wire limit.
-func minFrameEfficiency(b *testing.B, pipelineDepth int) float64 {
+// ablationWindow is how long the lookup ablation measures.
+const ablationWindow = 200 * netfpga.Microsecond
+
+// minFramesDelivered assembles a reference switch with a configurable
+// lookup pipeline depth, offers minimum-size frames at line rate on all
+// four ports and returns the frames delivered in ablationWindow.
+func minFramesDelivered(pipelineDepth int) uint64 {
 	dev := netfpga.NewDevice(netfpga.SUME(), netfpga.Options{})
 	d := dev.Dsn
 	cam := switchp.NewCAM(1024, 0)
@@ -66,6 +70,14 @@ func minFrameEfficiency(b *testing.B, pipelineDepth int) float64 {
 	dev.RunFor(netfpga.Millisecond)
 	for _, tap := range taps {
 		tap.Received()
+		tap.SetCounting(true)
+	}
+	delivered := func() (n uint64) {
+		for _, tap := range taps {
+			frames, _ := tap.Counts()
+			n += frames
+		}
+		return n
 	}
 	streams := make([][]byte, 4)
 	for i := range streams {
@@ -74,7 +86,6 @@ func minFrameEfficiency(b *testing.B, pipelineDepth int) float64 {
 			pkt.Payload(make([]byte, 46)))
 		streams[i] = f
 	}
-	const window = 200 * netfpga.Microsecond
 	// warmup
 	end := dev.Now() + 50*netfpga.Microsecond
 	for dev.Now() < end {
@@ -87,10 +98,8 @@ func minFrameEfficiency(b *testing.B, pipelineDepth int) float64 {
 		}
 		dev.RunFor(netfpga.Microsecond)
 	}
-	for _, tap := range taps {
-		tap.Received()
-	}
-	end = dev.Now() + window
+	before := delivered()
+	end = dev.Now() + ablationWindow
 	for dev.Now() < end {
 		for i, tap := range taps {
 			for tap.MAC().TxQueue().Bytes() < 1<<16 {
@@ -101,74 +110,60 @@ func minFrameEfficiency(b *testing.B, pipelineDepth int) float64 {
 		}
 		dev.RunFor(netfpga.Microsecond)
 	}
-	var rxBytes uint64
-	for _, tap := range taps {
-		for _, f := range tap.Received() {
-			rxBytes += uint64(len(f.Data))
-		}
-	}
-	goodput := float64(rxBytes) * 8 / window.Seconds() / 1e9
-	wireLimit := 40.0 * 60 / 84
-	return goodput / wireLimit
+	return delivered() - before
 }
 
-// BenchmarkAblationLookupPipelining compares an unpipelined lookup
-// engine (depth 1) with the pipelined default (depth 8) at minimum
-// frame size — the choice that decides whether lookup latency costs
-// throughput.
-func BenchmarkAblationLookupPipelining(b *testing.B) {
-	var eff1, eff8 float64
-	for i := 0; i < b.N; i++ {
-		eff1 = minFrameEfficiency(b, 1)
-		eff8 = minFrameEfficiency(b, 8)
+// TestAblationLookupPipelining compares an unpipelined lookup engine
+// (depth 1) with the pipelined default (depth 8) at minimum frame size —
+// the choice that decides whether lookup latency costs throughput.
+func TestAblationLookupPipelining(t *testing.T) {
+	const want1, want8 = 5715, 11905
+	depth1, depth8 := minFramesDelivered(1), minFramesDelivered(8)
+	if depth1 != want1 || depth8 != want8 {
+		t.Errorf("delivered %d frames at depth 1 and %d at depth 8, want %d and %d", depth1, depth8, want1, want8)
 	}
-	b.ReportMetric(100*eff1, "depth1_%wire")
-	b.ReportMetric(100*eff8, "depth8_%wire")
-	if eff8 < 0.99 {
-		b.Fatalf("pipelined engine below line rate: %.2f", eff8)
+	// 4x10G of 60-byte frames, each 84 bytes on the wire.
+	lineRate := 4 * ablationWindow.Seconds() * 10e9 / (84 * 8)
+	if eff := float64(depth8) / lineRate; eff < 0.99 {
+		t.Errorf("pipelined engine below line rate: %.3f", eff)
 	}
-	if eff1 > 0.9*eff8 {
-		b.Fatalf("ablation shows no effect: depth1 %.2f vs depth8 %.2f", eff1, eff8)
+	if float64(depth1) > 0.9*float64(depth8) {
+		t.Errorf("ablation shows no effect: depth 1 delivered %d frames, depth 8 %d", depth1, depth8)
 	}
 }
 
-// BenchmarkAblationOutputQueueSize measures drop rate under 2:1
+// TestAblationOutputQueueSize counts deliveries and drops under 2:1
 // overload as the per-port output queue shrinks — the BRAM-vs-loss
 // trade in the reference output queues.
-func BenchmarkAblationOutputQueueSize(b *testing.B) {
-	results := map[int]float64{}
-	for _, qb := range []int{6 << 10, 24 << 10, 96 << 10} {
-		var dropFrac float64
-		for i := 0; i < b.N; i++ {
-			dropFrac = overloadDropFraction(b, qb)
+func TestAblationOutputQueueSize(t *testing.T) {
+	cases := []struct {
+		queueBytes         int
+		delivered, dropped uint64
+	}{
+		{6 << 10, 336, 240},
+		{24 << 10, 348, 228},
+		{96 << 10, 396, 180},
+	}
+	var prev uint64
+	for i, tc := range cases {
+		delivered, dropped := overloadCounts(tc.queueBytes)
+		if delivered != tc.delivered || dropped != tc.dropped {
+			t.Errorf("%d KiB queue: delivered %d and dropped %d frames, want %d and %d",
+				tc.queueBytes>>10, delivered, dropped, tc.delivered, tc.dropped)
 		}
-		results[qb] = dropFrac
-		b.ReportMetric(100*dropFrac, "drops%_"+itoa(qb>>10)+"KB")
-	}
-	// Larger queues must not drop more than smaller ones.
-	if results[96<<10] > results[6<<10] {
-		b.Fatal("queue-size ablation inverted")
+		// Larger queues must not drop more than smaller ones.
+		if i > 0 && dropped > prev {
+			t.Errorf("%d KiB queue dropped %d frames, more than %d KiB's %d",
+				tc.queueBytes>>10, dropped, cases[i-1].queueBytes>>10, prev)
+		}
+		prev = dropped
 	}
 }
 
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
-}
-
-// overloadDropFraction drives 2x10G of 1514B frames into one 10G port
-// through output queues of the given size and returns the dropped
-// fraction.
-func overloadDropFraction(b *testing.B, queueBytes int) float64 {
+// overloadCounts drives 2x10G of 1514B frames into one 10G port through
+// output queues of the given size and returns that port's delivered and
+// dropped frames.
+func overloadCounts(queueBytes int) (delivered, dropped uint64) {
 	dev := netfpga.NewDevice(netfpga.SUME(), netfpga.Options{})
 	d := dev.Dsn
 	all2 := func(f *hw.Frame) lib.Verdict {
@@ -206,26 +201,23 @@ func overloadDropFraction(b *testing.B, queueBytes int) float64 {
 	}
 	dev.RunFor(netfpga.Millisecond)
 	st := oq.Counters().Map()
-	delivered := st["port2_pkts"]
-	dropped := st["port2_drops"]
-	if delivered+dropped == 0 {
-		b.Fatal("no traffic")
-	}
-	return float64(dropped) / float64(delivered+dropped)
+	return st["port2_pkts"], st["port2_drops"]
 }
 
-// BenchmarkClockGatingIdleAdvance measures the cost of advancing an
-// idle device through simulated time: with gateable clocks this is a
-// no-op regardless of how much time passes.
-func BenchmarkClockGatingIdleAdvance(b *testing.B) {
+// TestClockGatingIdleAdvance checks that advancing an idle device
+// through simulated time is free with gateable clocks: after a settle,
+// no event runs however much time passes.
+func TestClockGatingIdleAdvance(t *testing.T) {
 	dev := netfpga.NewDevice(netfpga.SUME(), netfpga.Options{})
-	p := switchp.New(switchp.Config{})
-	if err := p.Build(dev); err != nil {
-		b.Fatal(err)
+	if err := switchp.New(switchp.Config{}).Build(dev); err != nil {
+		t.Fatal(err)
 	}
 	dev.RunFor(netfpga.Millisecond) // settle
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dev.RunFor(netfpga.Second) // one full second of idle simulated time
+	for _, d := range []netfpga.Time{netfpga.Millisecond, netfpga.Second, 10 * netfpga.Second} {
+		before, at := dev.Sim.Executed(), dev.Now()
+		dev.RunFor(d)
+		if n := dev.Sim.Executed() - before; n != 0 || dev.Now() != at+d {
+			t.Errorf("idle RunFor(%v) executed %d events and reached %v, want 0 and %v", d, n, dev.Now(), at+d)
+		}
 	}
 }

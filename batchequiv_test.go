@@ -112,14 +112,18 @@ type loadedRun struct {
 	windows, cycles  uint64 // Design.WindowStats
 	datapathCycles   uint64 // edges the datapath clock executed
 	streamPushedHigh []uint64
+	ticks, beats     uint64 // Σ Design.ModuleTicks, Σ Stream.Pushed
 }
 
-// runSwitchLoaded keeps 1514-byte frames queued at line rate on every
-// source port of a pre-learned reference switch for 200 us: dst(i, k) is
-// the port the k-th frame of source i goes to, or -1 for a port that
-// stays silent. It is the benchmark's mesh driver in miniature, with
-// capturing taps.
-func runSwitchLoaded(t *testing.T, frameBurst int, dst func(src, k int) int) loadedRun {
+// mesh sends the k-th frame of source src to each other port in turn.
+func mesh(src, k int) int { return (src + 1 + k%3) % 4 }
+
+// runSwitchLoaded keeps frames of the given size queued at line rate on
+// every source port of a pre-learned reference switch for 200 us:
+// dst(i, k) is the port the k-th frame of source i goes to, or -1 for a
+// port that stays silent. It is the benchmark's mesh driver in
+// miniature, with capturing taps.
+func runSwitchLoaded(t *testing.T, frameBurst, size int, dst func(src, k int) int) loadedRun {
 	t.Helper()
 	dev := newHookedDevice(0, frameBurst)
 	if err := switchp.New(switchp.Config{}).Build(dev); err != nil {
@@ -143,7 +147,7 @@ func runSwitchLoaded(t *testing.T, frameBurst int, dst func(src, k int) int) loa
 	for i := range gens {
 		for j := 0; j < n; j++ {
 			g, err := workload.New(workload.Config{Seed: uint64(7 + i*n + j),
-				Sizes: workload.FixedSize(1514), SrcMAC: macs[i], DstMAC: macs[j]})
+				Sizes: workload.FixedSize(size), SrcMAC: macs[i], DstMAC: macs[j]})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -171,6 +175,10 @@ func runSwitchLoaded(t *testing.T, frameBurst int, dst func(src, k int) int) loa
 	r.windows, r.cycles = dev.Dsn.WindowStats()
 	for _, s := range dev.Dsn.Streams() {
 		r.streamPushedHigh = append(r.streamPushedHigh, s.Pushed(), uint64(s.HighWater()))
+		r.beats += s.Pushed()
+	}
+	for _, n := range dev.Dsn.ModuleTicks() {
+		r.ticks += n
 	}
 	return r
 }
@@ -190,7 +198,7 @@ func TestLoadedWindowEquivalence(t *testing.T) {
 		minAbsorbed float64
 		wantDrops   bool
 	}{
-		{"mesh", func(src, k int) int { return (src + 1 + k%3) % 4 }, 0.60, false},
+		{"mesh", mesh, 0.60, false},
 		{"3to1", func(src, k int) int {
 			if src == 0 {
 				return -1
@@ -200,7 +208,7 @@ func TestLoadedWindowEquivalence(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ref := runSwitchLoaded(t, 1, tc.dst)
+			ref := runSwitchLoaded(t, 1, 1514, tc.dst)
 			if ref.windows != 0 {
 				t.Fatalf("SetFrameBurst(1) opened %d windows", ref.windows)
 			}
@@ -211,7 +219,7 @@ func TestLoadedWindowEquivalence(t *testing.T) {
 				t.Fatalf("oq0 drops = %d, want drops: %v", drops, tc.wantDrops)
 			}
 			for _, burst := range []int{0, 8} {
-				got := runSwitchLoaded(t, burst, tc.dst)
+				got := runSwitchLoaded(t, burst, 1514, tc.dst)
 				if len(got.snap) != len(ref.snap) {
 					t.Fatalf("burst=%d: snapshot has %d counters, want %d", burst, len(got.snap), len(ref.snap))
 				}
@@ -246,6 +254,32 @@ func TestLoadedWindowEquivalence(t *testing.T) {
 					t.Errorf("burst=%d opened no window", burst)
 				}
 			}
+		})
+	}
+}
+
+// TestMeshPerFrameCounts pins what the full mesh costs the engine, at
+// the default frame windows, as exact counts: frames delivered, events
+// executed, module invocations and stream beats. They are deterministic,
+// so a change that moves one shows the diff here instead of hiding it in
+// wall-clock noise; update the row in the same change and say why.
+func TestMeshPerFrameCounts(t *testing.T) {
+	for _, tc := range []struct {
+		size                         int
+		frames, events, ticks, beats uint64
+	}{
+		{60, 12704, 93523, 172942, 101648},
+		{1514, 680, 44618, 45297, 130576},
+	} {
+		t.Run(fmt.Sprintf("%dB", tc.size), func(t *testing.T) {
+			r := runSwitchLoaded(t, 0, tc.size, mesh)
+			got := [4]uint64{uint64(len(r.rx)), r.snap["sim.events"], r.ticks, r.beats}
+			want := [4]uint64{tc.frames, tc.events, tc.ticks, tc.beats}
+			if got != want {
+				t.Errorf("frames, events, module ticks, beats = %v, want %v", got, want)
+			}
+			f := float64(got[0])
+			t.Logf("per frame: %.2f events, %.2f module ticks, %.2f beats", float64(got[1])/f, float64(got[2])/f, float64(got[3])/f)
 		})
 	}
 }

@@ -102,17 +102,3 @@ func TailHeavyJobs(scale netfpga.Time) []fleet.Job {
 	jobs = append(jobs, long)
 	return jobs
 }
-
-// SwitchFleetJobs returns n independent reference-switch devices, each
-// spraying seeded IMIX traffic across its four ports for the given
-// simulated window — the fleet scaling workload of the top-level
-// BenchmarkFleet8Switches* benchmarks. Every device's traffic derives
-// from its own fleet seed, so a batch is reproducible from the runner's
-// base seed alone.
-func SwitchFleetJobs(n int, window netfpga.Time) []fleet.Job {
-	jobs := make([]fleet.Job, n)
-	for i := range jobs {
-		jobs[i] = switchIMIXJob(fmt.Sprintf("switch%d", i), window)
-	}
-	return jobs
-}

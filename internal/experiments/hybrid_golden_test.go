@@ -200,9 +200,8 @@ func TestHybridCalibration(t *testing.T) {
 // TestHybridSpeedup pins the tentpole's perf claim at a conservative
 // floor: on a background-heavy cell (63 of 64 flows background, 20 ms
 // window) hybrid fidelity must run at least 3x faster than full
-// fidelity in wall-clock. The macro benchmarks in bench/ measure the
-// real headline (>= 5x frames/sec); this test just keeps the fast path
-// from silently degenerating into the slow one.
+// fidelity in wall-clock. It is the one speed check hybrid has: it
+// keeps the fast path from silently degenerating into the slow one.
 func TestHybridSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock comparison is slow")

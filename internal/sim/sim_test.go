@@ -221,3 +221,23 @@ func TestBitTime(t *testing.T) {
 		t.Fatalf("64B at 10G = %dps, want 51200", int64(bt))
 	}
 }
+
+// BenchmarkSimEventThroughput is the event core's profiling entry point:
+// one timer re-armed from its own callback, b.N times.
+func BenchmarkSimEventThroughput(b *testing.B) {
+	s := New()
+	var tm *Timer
+	n := 0
+	tm = s.NewTimer(func() {
+		n++
+		if n < b.N {
+			tm.ScheduleAfter(1)
+		}
+	})
+	tm.ScheduleAfter(1)
+	b.ResetTimer()
+	s.Drain(0)
+	if n != b.N {
+		b.Fatalf("ran %d events", n)
+	}
+}

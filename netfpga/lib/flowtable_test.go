@@ -102,8 +102,8 @@ func TestFlowTableDeleteIf(t *testing.T) {
 }
 
 // TestFlowTableMillionEntries exercises the headline scale claim: a
-// million live flows, every one retrievable, with load kept under the
-// growth threshold.
+// million live flows, every one retrievable without allocating, with
+// load kept under the growth threshold.
 func TestFlowTableMillionEntries(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large table")
@@ -120,6 +120,18 @@ func TestFlowTableMillionEntries(t *testing.T) {
 		if v, ok := ft.Get(mac(i*0x9e3779b9 + 1)); !ok || v != uint32(i) {
 			t.Fatalf("Get(%d) = %d,%v", i, v, ok)
 		}
+	}
+	// Lookups at this scale allocate nothing: one run is ~1000 Gets
+	// spread over the table, so even one allocation per run shows.
+	allocs := testing.AllocsPerRun(20, func() {
+		for i := uint64(0); i < n; i += 1021 {
+			if _, ok := ft.Get(mac(i*0x9e3779b9 + 1)); !ok {
+				t.Fatalf("Get(%d) missed", i)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%.0f allocations per %d Gets, want 0", allocs, n/1021+1)
 	}
 }
 

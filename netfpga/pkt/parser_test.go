@@ -186,4 +186,8 @@ func TestSerializeBufferGrowth(t *testing.T) {
 	if b.Len() != 0 {
 		t.Fatal("clear failed")
 	}
+	// Clear keeps the grown headroom: the same packet again is free.
+	if n := testing.AllocsPerRun(10, func() { b.Clear(); b.PrependBytes(4106) }); n != 0 {
+		t.Fatalf("re-serializing after Clear allocates %.0f per packet, want 0", n)
+	}
 }

@@ -23,14 +23,15 @@ func (b *SerializeBuffer) Bytes() []byte { return b.buf[b.start:] }
 // Len returns the current content length.
 func (b *SerializeBuffer) Len() int { return len(b.buf) - b.start }
 
-// Clear empties the buffer for reuse.
+// Clear empties the buffer for reuse. It keeps all the headroom a larger
+// packet grew, so serializing one of the same size again allocates
+// nothing.
 func (b *SerializeBuffer) Clear() {
 	const headroom = 128
-	if cap(b.buf) < headroom {
+	if len(b.buf) < headroom {
 		b.buf = make([]byte, headroom, headroom+MaxFrameSize)
 	}
-	b.buf = b.buf[:headroom]
-	b.start = headroom
+	b.start = len(b.buf)
 }
 
 // PrependBytes returns an n-byte slice at the front of the buffer for a

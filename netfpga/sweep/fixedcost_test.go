@@ -33,12 +33,12 @@ var fixedCostCeilings = []struct {
 
 // generatorCeiling bounds two cells' workload generators and their first
 // 64 frames each, built by workload.New or reset in place by a plan that
-// reuses them, measured like fixedCostCeilings. What a reused generator still
-// allocates is pkt.SerializeBuffer regrowing its headroom for each
-// frame it serializes anew with a payload over 128 bytes.
+// reuses them, measured like fixedCostCeilings. A reused generator
+// allocates nothing: its pkt.SerializeBuffer keeps the headroom its
+// largest frame grew.
 var generatorCeiling = struct {
 	allocs, bytes, resetAllocs, resetBytes float64
-}{147, 69200, 17, 18816}
+}{124, 45008, 0, 0}
 
 func TestPerCellFixedCostBudget(t *testing.T) {
 	if raceEnabled || testing.CoverMode() != "" {

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 )
 
@@ -123,11 +124,25 @@ func TestNextViewAllocFree(t *testing.T) {
 					}
 				}
 			}
-			if allocs := testing.AllocsPerRun(1000, func() { g.NextView() }); allocs != 0 {
-				t.Fatalf("NextView allocates %.1f per op, want 0", allocs)
+			if allocs := mallocsPerCall(10000, func() { g.NextView() }); allocs != 0 {
+				t.Fatalf("NextView allocates %.4f per op, want 0", allocs)
 			}
 		})
 	}
+}
+
+// mallocsPerCall returns the mean heap allocations of one call of f over
+// n calls on one P. testing.AllocsPerRun truncates that mean to an
+// integer, which passes 0.4 allocations per frame as 0.
+func mallocsPerCall(n int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < n; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&m1)
+	return float64(m1.Mallocs-m0.Mallocs) / float64(n)
 }
 
 // BenchmarkNextView measures the per-frame cost on both sides of the
