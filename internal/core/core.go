@@ -3,12 +3,12 @@
 // binds the simulated host driver, and manages the device lifecycle. The
 // public netfpga package is a thin facade over this engine.
 //
-// A device runs through one call, sim.Sim.Run: RunFor, RunBudgeted and
-// RunUntilIdle only choose its deadline, event budget and idle floor.
-// How far a run gets before something outside must be looked at is
-// decided there and in sim.Clock.Bound, nowhere else; the batch size and
-// the frame windows behind it are fixed, and the per-edge reference they
-// are tested against is reached through dev.Clock.SetBatch(1) and
+// A device runs through one call, sim.Sim.Run: RunFor and RunUntilIdle
+// only choose its deadline, event budget and idle floor. How far a run
+// gets before something outside must be looked at is decided there and
+// in sim.Clock.Bound, nowhere else; the batch size and the frame windows
+// behind it are fixed, and the per-edge reference they are tested
+// against is reached through dev.Clock.SetBatch(1) and
 // dev.Dsn.SetFrameBurst(1).
 package core
 
@@ -306,16 +306,6 @@ func (d *Device) Background() *Background { return d.bg }
 
 // RunFor advances the simulation by dur.
 func (d *Device) RunFor(dur hw.Time) { d.Sim.Run(d.Now()+dur, 0, 0) }
-
-// RunBudgeted advances the device toward an absolute deadline,
-// executing at most maxEvents events (0 = no event bound). It reports
-// whether the run completed (deadline reached with the queue quiet
-// before it); false means the event budget stopped it first, with Now
-// at the last executed event — the same stopping point whatever the
-// clock batch (fleet.Stop.Events stands on this).
-func (d *Device) RunBudgeted(deadline hw.Time, maxEvents uint64) bool {
-	return d.Sim.Run(deadline, maxEvents, 0)
-}
 
 // RunUntilIdle runs until the device is idle: no events remain other
 // than the periodic timers agents armed with Every, which re-arm forever

@@ -26,45 +26,6 @@ func deviceFingerprint(d *Device) string {
 	return b.String()
 }
 
-// TestRunBudgetedPauses: an event budget pauses a run without advancing
-// to the deadline, and a chain of budgeted runs completes exactly like
-// one unbudgeted run.
-func TestRunBudgetedPauses(t *testing.T) {
-	run := func(budget uint64) (string, int) {
-		d := NewDevice(SUME(), Options{})
-		tap := d.Tap(0)
-		for i := 0; i < 4; i++ {
-			tap.Send(make([]byte, 64))
-		}
-		deadline := d.Now() + 10*hw.Microsecond
-		pauses := 0
-		for !d.RunBudgeted(deadline, budget) {
-			pauses++
-			if d.Now() >= deadline {
-				t.Fatal("paused run advanced to deadline")
-			}
-			if want := uint64(pauses) * budget; d.Sim.Executed() != want {
-				t.Fatalf("pause %d at %d events, want %d", pauses, d.Sim.Executed(), want)
-			}
-		}
-		if d.Now() != deadline {
-			t.Fatalf("completed run at %d, deadline %d", d.Now(), deadline)
-		}
-		return deviceFingerprint(d), pauses
-	}
-	ref, pauses := run(0)
-	if pauses != 0 {
-		t.Fatal("unbudgeted run paused")
-	}
-	got, pauses := run(3)
-	if got != ref {
-		t.Error("budgeted chain diverges from one run")
-	}
-	if pauses == 0 {
-		t.Fatal("run completed without pausing — budget too large for the scenario?")
-	}
-}
-
 // TestRunUntilIdleStopsAtEveryTimers: a device whose agent polls with
 // Every goes idle when only that timer is left — at the same event
 // whether drained in one call or in a chain of bounded ones — instead of

@@ -239,6 +239,3 @@ func (d *DRAM) Counters() *hw.Counters {
 	}
 	return &d.ctrs
 }
-
-// Stats implements Memory.
-func (d *DRAM) Stats() map[string]uint64 { return d.Counters().Map() }

@@ -26,8 +26,6 @@ type Memory interface {
 	Read(addr uint64, n int, cb func([]byte))
 	// Write stores data at addr; cb (optional) runs at write completion.
 	Write(addr uint64, data []byte, cb func())
-	// Stats exports device counters.
-	Stats() map[string]uint64
 }
 
 // readReq and writeReq are the per-access state a memory's completion

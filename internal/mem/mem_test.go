@@ -82,7 +82,7 @@ func TestSRAMPortContention(t *testing.T) {
 	if last != 16*sim.Nanosecond {
 		t.Fatalf("last read at %v, want 16ns", last)
 	}
-	if m.Stats()["stall_ps"] == 0 {
+	if m.Counters().Map()["stall_ps"] == 0 {
 		t.Fatal("contention not accounted")
 	}
 }
@@ -176,7 +176,7 @@ func TestDRAMRowHitFasterThanMiss(t *testing.T) {
 	if missCost <= hitCost {
 		t.Fatalf("row miss (%v) not slower than hit (%v)", missCost, hitCost)
 	}
-	st := d2.Stats()
+	st := d2.Counters().Map()
 	if st["row_misses"] != 2 {
 		t.Fatalf("row_misses = %d, want 2", st["row_misses"])
 	}
@@ -208,8 +208,8 @@ func TestDRAMRefreshOccurs(t *testing.T) {
 		s.At(at, func() { d.Read(0, 64, func([]byte) {}) })
 	}
 	s.Drain(0)
-	if d.Stats()["refreshes"] < 10 {
-		t.Fatalf("refreshes = %d, want >= 10", d.Stats()["refreshes"])
+	if d.Counters().Map()["refreshes"] < 10 {
+		t.Fatalf("refreshes = %d, want >= 10", d.Counters().Map()["refreshes"])
 	}
 }
 

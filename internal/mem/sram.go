@@ -134,6 +134,3 @@ func (m *SRAM) Counters() *hw.Counters {
 	}
 	return &m.ctrs
 }
-
-// Stats implements Memory.
-func (m *SRAM) Stats() map[string]uint64 { return m.Counters().Map() }

@@ -292,5 +292,7 @@ func (e *Engine) Reset() {
 // engine's.
 func (e *Engine) Counters() *hw.Counters { return &e.ctrs }
 
-// Stats returns the engine and link counters as a fresh map.
+// Stats returns the engine and link counters as a fresh map. Kept for
+// the benchmark's tracer (benchmark/trace.go), which reads it; new
+// readers use Counters.
 func (e *Engine) Stats() map[string]uint64 { return e.ctrs.Map() }

@@ -327,5 +327,7 @@ func (m *MAC) FCSErrors() uint64 { return m.fcsErrors }
 // Counters implements hw.CounterSource.
 func (m *MAC) Counters() *hw.Counters { return &m.ctrs }
 
-// Stats returns the MAC counters as a fresh map.
+// Stats returns the MAC counters as a fresh map. Kept for the
+// benchmark's tracer (benchmark/trace.go), which reads it; new readers
+// use Counters.
 func (m *MAC) Stats() map[string]uint64 { return m.ctrs.Map() }

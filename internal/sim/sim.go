@@ -277,15 +277,12 @@ func (s *Sim) top() (Time, bool) {
 // into budgets: a chain of Run calls toward one deadline executes the
 // same events in the same order as a single unbudgeted one. A pause
 // always falls between events, never inside one, so the simulation (and
-// everything hanging off it) is quiescent at every pause and may be
-// picked up by a different goroutine, provided the handoff establishes a
-// happens-before edge (the fleet scheduler's channel park/resume does).
+// everything hanging off it) is quiescent at every pause.
 //
 // A budget that is spent exactly as the work runs out still reports
-// false without advancing Now, and the next call completes the run:
-// event-budgeted callers (fleet.Stop.Events) rely on an exhausted budget
-// never silently skipping residual time. A run to Forever has no
-// residual time and reports true.
+// false without advancing Now, and the next call completes the run, so
+// a chain of budgeted calls never silently skips residual time. A run
+// to Forever has no residual time and reports true.
 //
 // floor lets a caller that owns floor perpetual timers (periodic agents
 // that re-arm themselves forever) treat "nothing but those is left" as

@@ -17,16 +17,18 @@ import (
 )
 
 // switchJob builds one reference-switch device pushing seeded workload
-// traffic for a fixed simulated window — the canonical fleet unit used
-// by the determinism tests and the nf-bench demo suite.
-func switchJob(name string) Job {
+// traffic for a fixed simulated window, stepped the way the sweep
+// measures step: offer a burst, run 10 us, until the window ends or the
+// batch is canceled. It is the canonical fleet unit used by the
+// determinism tests.
+func switchJob(name string, seed uint64) Job {
 	return Job{
 		Name:  name,
 		Board: netfpga.SUME(),
 		// A small injected bit-error rate makes the per-device RNG
 		// seed observable in the results: wrong seeding shows up as
 		// different FCS-error counts.
-		Options: netfpga.Options{PortBER: 1e-7},
+		Options: netfpga.Options{Seed: seed, PortBER: 1e-7},
 		Build: func(dev *netfpga.Device) error {
 			return switchp.New(switchp.Config{}).Build(dev)
 		},
@@ -40,12 +42,13 @@ func switchJob(name string) Job {
 				taps[i] = c.Dev.Tap(i)
 			}
 			var sent, rx int
-			for c.RunFor(10 * netfpga.Microsecond) {
+			for end := c.Dev.Now() + 200*netfpga.Microsecond; c.Dev.Now() < end && !c.Canceled(); {
 				for i := 0; i < 16; i++ {
 					if taps[c.Rand.Intn(4)].Send(gen.Next()) {
 						sent++
 					}
 				}
+				c.Dev.RunFor(10 * netfpga.Microsecond)
 			}
 			c.Dev.RunUntilIdle(0)
 			for _, t := range taps {
@@ -53,7 +56,6 @@ func switchJob(name string) Job {
 			}
 			return switchValue{fmt.Sprintf("sent=%d rx=%d", sent, rx), c.Dev.Snapshot()}, nil
 		},
-		Stop: Stop{SimTime: 200 * netfpga.Microsecond},
 	}
 }
 
@@ -78,46 +80,77 @@ func fingerprint(r Result) string {
 	return b.String()
 }
 
+// switchJobs is a batch of eight switchJobs whose seeds derive from
+// base.
+func switchJobs(base uint64) []Job {
+	jobs := make([]Job, 8)
+	for i := range jobs {
+		jobs[i] = switchJob(fmt.Sprintf("dev%d", i), base*100+uint64(i))
+	}
+	return jobs
+}
+
+// runStream collects a RunStream batch and re-sorts it by job index:
+// RunStream delivers in completion order, which legitimately varies
+// with the worker count.
+func runStream(r *Runner, jobs []Job) []Result {
+	var res []Result
+	for got := range r.RunStream(context.Background(), jobs) {
+		res = append(res, got)
+	}
+	sort.Slice(res, func(i, j int) bool { return res[i].Index < res[j].Index })
+	return res
+}
+
+// digest checks that res holds the eight switchJobs, in index order and
+// without errors, and concatenates their fingerprints.
+func digest(t *testing.T, res []Result) string {
+	t.Helper()
+	if len(res) != 8 {
+		t.Fatalf("got %d results, want 8", len(res))
+	}
+	var b strings.Builder
+	for i, r := range res {
+		if r.Err != nil || r.Index != i {
+			t.Fatalf("slot %d holds index %d (%q): %v", i, r.Index, r.Name, r.Err)
+		}
+		if len(r.Value.(switchValue).stats) == 0 {
+			t.Fatalf("job %q has no stats snapshot", r.Name)
+		}
+		b.WriteString(fingerprint(r))
+	}
+	return b.String()
+}
+
 // TestDeterminismAcrossWorkerCounts is the fleet contract: the same
 // seeds produce byte-identical per-device results whether the batch
-// runs on one worker or eight.
+// runs on one worker or eight. The sweep's golden digests stand on this.
 func TestDeterminismAcrossWorkerCounts(t *testing.T) {
-	mkJobs := func() []Job {
-		jobs := make([]Job, 8)
-		for i := range jobs {
-			jobs[i] = switchJob(fmt.Sprintf("dev%d", i))
-		}
-		return jobs
-	}
-	seq := (&Runner{Workers: 1, BaseSeed: 42}).RunAll(context.Background(), mkJobs())
-	par := (&Runner{Workers: 8, BaseSeed: 42}).RunAll(context.Background(), mkJobs())
-	if len(seq) != len(par) {
-		t.Fatalf("result count: %d vs %d", len(seq), len(par))
-	}
-	for i := range seq {
-		if seq[i].Err != nil {
-			t.Fatalf("job %d failed: %v", i, seq[i].Err)
-		}
-		a, b := fingerprint(seq[i]), fingerprint(par[i])
-		if a != b {
-			t.Errorf("job %d diverged between workers=1 and workers=8:\n--- seq\n%s--- par\n%s", i, a, b)
-		}
-		if len(seq[i].Value.(switchValue).stats) == 0 {
-			t.Errorf("job %d has no stats snapshot", i)
+	want := digest(t, (&Runner{Workers: 1}).RunAll(context.Background(), switchJobs(42)))
+	for _, workers := range []int{4, 8} {
+		if got := digest(t, (&Runner{Workers: workers}).RunAll(context.Background(), switchJobs(42))); got != want {
+			t.Errorf("workers=%d diverges from workers=1:\n--- 1\n%s--- %d\n%s", workers, want, workers, got)
 		}
 	}
-	// Different base seeds must actually change the results (the BER
-	// and workload draws depend on them) — otherwise the determinism
-	// check above would pass vacuously.
-	other := (&Runner{Workers: 8, BaseSeed: 43}).RunAll(context.Background(), mkJobs())
-	diff := false
-	for i := range seq {
-		if fingerprint(seq[i]) != fingerprint(other[i]) {
-			diff = true
-		}
+	// Different seeds must actually change the results (the BER and
+	// workload draws depend on them) — otherwise the determinism check
+	// above would pass vacuously.
+	other := (&Runner{Workers: 8}).RunAll(context.Background(), switchJobs(43))
+	if digest(t, other) == want {
+		t.Error("seed change did not alter any result")
 	}
-	if !diff {
-		t.Error("base seed change did not alter any result")
+}
+
+// TestRunStreamDeterministicAcrossWorkerCounts: re-sorted by job index,
+// RunStream's results on any worker count match RunAll on one worker.
+// The sweep's streaming progress stands on this.
+func TestRunStreamDeterministicAcrossWorkerCounts(t *testing.T) {
+	want := digest(t, (&Runner{Workers: 1}).RunAll(context.Background(), switchJobs(42)))
+	for _, workers := range []int{1, 4, 8} {
+		if got := digest(t, runStream(&Runner{Workers: workers}, switchJobs(42))); got != want {
+			t.Errorf("RunStream on workers=%d diverges from RunAll on one worker:\n--- want\n%s--- got\n%s",
+				workers, want, got)
+		}
 	}
 }
 
@@ -126,10 +159,10 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 func TestErrorIsolation(t *testing.T) {
 	boom := errors.New("deliberate failure")
 	jobs := []Job{
-		switchJob("ok0"),
+		switchJob("ok0", 1),
 		{Name: "fails", NoDevice: true, Drive: func(c *Ctx) (any, error) { return nil, boom }},
 		{Name: "panics", NoDevice: true, Drive: func(c *Ctx) (any, error) { panic("deliberate panic") }},
-		switchJob("ok1"),
+		switchJob("ok1", 2),
 	}
 	res := New(4).RunAll(context.Background(), jobs)
 	if res[0].Err != nil || res[3].Err != nil {
@@ -141,51 +174,40 @@ func TestErrorIsolation(t *testing.T) {
 	if res[2].Err == nil || !strings.Contains(res[2].Err.Error(), "panicked") {
 		t.Errorf("job 2: want recovered panic, got %v", res[2].Err)
 	}
-	if errs := Errs(res); len(errs) != 2 {
-		t.Errorf("Errs: want 2, got %d (%v)", len(errs), errs)
-	}
 }
 
 // TestCancellation: cancelling the batch context abandons unstarted
-// jobs with ErrCanceled, interrupts in-flight RunFor loops, and the
-// pool still returns a full result set.
+// jobs with ErrCanceled, in-flight jobs see Ctx.Canceled and stop
+// their stepping loop, and the pool still returns a full result set.
 func TestCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{})
-	// The two live jobs declare the largest windows, so they are
-	// claimed before the job that must not start.
+	// Workers claim in index order: with two workers, one takes the
+	// canceller and the other the in-flight device; the third job is
+	// only claimed after the cancel.
 	jobs := []Job{
-		{Name: "canceller", NoDevice: true, Stop: Stop{SimTime: netfpga.Second}, Drive: func(c *Ctx) (any, error) {
+		{Name: "canceller", NoDevice: true, Drive: func(c *Ctx) (any, error) {
 			<-started // job 1 is running before we cancel
 			cancel()
 			return "done", nil
 		}},
-		{Name: "inflight", Board: netfpga.SUME(), Stop: Stop{SimTime: netfpga.Second}, Drive: func(c *Ctx) (any, error) {
+		{Name: "inflight", Board: netfpga.SUME(), Options: netfpga.Options{Seed: 1}, Drive: func(c *Ctx) (any, error) {
 			close(started)
-			n := 0
-			for c.RunFor(netfpga.Microsecond) {
+			for n := 0; !c.Canceled(); n++ {
+				if n > 1_000_000 {
+					return nil, errors.New("cancellation never observed")
+				}
+				c.Dev.RunFor(netfpga.Microsecond)
 				// Yield so the canceller goroutine runs even on a
 				// single-CPU machine: this empty device's RunFor has no
 				// preemption point, and the loop must observe the
 				// cancel, not race it.
 				runtime.Gosched()
-				n++
-				if n > 1_000_000 {
-					return nil, errors.New("RunFor ignored cancellation")
-				}
-			}
-			if !c.Canceled() {
-				return nil, errors.New("expected cancellation")
 			}
 			return "interrupted", nil
 		}},
-		switchJob("never-starts"),
+		switchJob("never-starts", 3),
 	}
-	// One worker per job so 0 and 1 run concurrently; job 2 is only
-	// picked up after the cancel, hitting the abandoned path... with 2
-	// workers job 2 waits for a free worker instead. Use 2 workers:
-	// worker A takes job 0 (blocks on started), worker B takes job 1
-	// (closes started, spins until cancel). Job 2 starts after cancel.
 	res := (&Runner{Workers: 2}).RunAll(ctx, jobs)
 	if res[0].Err != nil || res[0].Value != "done" {
 		t.Errorf("job 0: %v %v", res[0].Value, res[0].Err)
@@ -198,30 +220,74 @@ func TestCancellation(t *testing.T) {
 	}
 }
 
-// TestStopConditions: the event budget and sim-time budget both halt
-// RunFor, and the budget introspection agrees.
-func TestStopConditions(t *testing.T) {
-	run := func(stop Stop) Result {
-		job := switchJob("budget")
-		job.Stop = stop
-		return Sequential().RunAll(context.Background(), []Job{job})[0]
+// TestAcquireRelease is the device hand-back contract of Job.Acquire:
+// the runner releases an acquired device exactly once, after Drive,
+// clean only when the job succeeded and the batch was not canceled; an
+// Acquire that fails is a build error and hands nothing back.
+func TestAcquireRelease(t *testing.T) {
+	dev := netfpga.NewDevice(netfpga.SUME(), netfpga.Options{NoHost: true})
+	boom := errors.New("deliberate failure")
+	cases := []struct {
+		name       string
+		acquireErr error
+		drive      func(c *Ctx, cancel func()) (any, error)
+		wantErr    string // substring of Result.Err; "" for success
+		releases   []bool // the clean flag of every release call
+	}{
+		{name: "succeeds", drive: func(c *Ctx, _ func()) (any, error) { return "ok", nil },
+			releases: []bool{true}},
+		{name: "fails", drive: func(c *Ctx, _ func()) (any, error) { return nil, boom },
+			wantErr: boom.Error(), releases: []bool{false}},
+		{name: "panics", drive: func(c *Ctx, _ func()) (any, error) { panic("deliberate panic") },
+			wantErr: "panicked", releases: []bool{false}},
+		{name: "canceled mid-run", drive: func(c *Ctx, cancel func()) (any, error) {
+			cancel()
+			if !c.Canceled() {
+				return nil, errors.New("cancel not observed")
+			}
+			return "interrupted", nil
+		}, releases: []bool{false}},
+		{name: "acquire fails", acquireErr: boom, wantErr: "build: " + boom.Error()},
 	}
-	r := run(Stop{SimTime: 50 * netfpga.Microsecond})
-	if r.Err != nil {
-		t.Fatal(r.Err)
-	}
-	// Drive calls RunUntilIdle after the budget loop, so the final sim
-	// time may exceed the budget slightly, but the loop itself must
-	// have stopped near it (well before the unbounded 200us version).
-	if r.SimTime > 120*netfpga.Microsecond {
-		t.Errorf("sim-time budget ignored: ran to %v", r.SimTime)
-	}
-	r = run(Stop{Events: 5000})
-	if r.Err != nil {
-		t.Fatal(r.Err)
-	}
-	if r.Events < 5000 {
-		t.Errorf("event budget: device executed only %d events", r.Events)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var releases []bool
+			job := Job{
+				Name:    tc.name,
+				Options: netfpga.Options{Seed: 7},
+				Acquire: func(opts netfpga.Options) (*netfpga.Device, func(bool), error) {
+					if opts.Seed != 7 || opts.Fidelity != "full" {
+						t.Errorf("Acquire got seed %d fidelity %q, want 7 and the runner's", opts.Seed, opts.Fidelity)
+					}
+					release := func(clean bool) { releases = append(releases, clean) }
+					if tc.acquireErr != nil {
+						return nil, release, tc.acquireErr
+					}
+					return dev, release, nil
+				},
+				Drive: func(c *Ctx) (any, error) {
+					if c.Dev != dev {
+						t.Error("Drive did not get the acquired device")
+					}
+					if len(releases) != 0 {
+						t.Error("device released before Drive returned")
+					}
+					return tc.drive(c, cancel)
+				},
+			}
+			res := (&Runner{Workers: 1, Fidelity: "full"}).RunAll(ctx, []Job{job})[0]
+			switch {
+			case tc.wantErr == "" && res.Err != nil:
+				t.Errorf("unexpected error %v", res.Err)
+			case tc.wantErr != "" && (res.Err == nil || !strings.Contains(res.Err.Error(), tc.wantErr)):
+				t.Errorf("error %v, want one containing %q", res.Err, tc.wantErr)
+			}
+			if !slices.Equal(releases, tc.releases) {
+				t.Errorf("release calls %v, want %v", releases, tc.releases)
+			}
+		})
 	}
 }
 
@@ -248,95 +314,4 @@ func TestRunStream(t *testing.T) {
 			t.Errorf("index %d: value %v, want %d", i, seen[i], i*i)
 		}
 	}
-}
-
-// TestRunStreamDeterministicAcrossWorkerCounts: RunStream delivers
-// results in completion order — which legitimately varies with worker
-// count and scheduling — but once re-sorted by job index, the full
-// result set must be byte-identical at every worker count. This is the
-// contract the sweep subsystem's streaming progress (and its golden
-// digests) stand on.
-func TestRunStreamDeterministicAcrossWorkerCounts(t *testing.T) {
-	mkJobs := func() []Job {
-		jobs := make([]Job, 8)
-		for i := range jobs {
-			jobs[i] = switchJob(fmt.Sprintf("dev%d", i))
-		}
-		return jobs
-	}
-	collect := func(workers int) string {
-		results := make([]Result, 0, 8)
-		for r := range (&Runner{Workers: workers, BaseSeed: 42}).
-			RunStream(context.Background(), mkJobs()) {
-			results = append(results, r)
-		}
-		if len(results) != 8 {
-			t.Fatalf("workers=%d: got %d results, want 8", workers, len(results))
-		}
-		sort.Slice(results, func(i, j int) bool { return results[i].Index < results[j].Index })
-		var b strings.Builder
-		for _, r := range results {
-			if r.Err != nil {
-				t.Fatalf("workers=%d: job %q failed: %v", workers, r.Name, r.Err)
-			}
-			b.WriteString(fingerprint(r))
-		}
-		return b.String()
-	}
-	want := collect(1)
-	for _, workers := range []int{4, 8} {
-		if got := collect(workers); got != want {
-			t.Errorf("re-sorted stream output diverges between workers=1 and workers=%d:\n--- 1\n%s--- %d\n%s",
-				workers, want, workers, got)
-		}
-	}
-}
-
-// TestDeriveSeed: seeds are a pure function of (base, index), distinct
-// across indices, and never zero.
-func TestDeriveSeed(t *testing.T) {
-	seen := map[uint64]int{}
-	for i := 0; i < 1000; i++ {
-		s := DeriveSeed(7, i)
-		if s == 0 {
-			t.Fatalf("zero seed at index %d", i)
-		}
-		if j, dup := seen[s]; dup {
-			t.Fatalf("seed collision between index %d and %d", i, j)
-		}
-		seen[s] = i
-		if s != DeriveSeed(7, i) {
-			t.Fatalf("DeriveSeed not pure at index %d", i)
-		}
-	}
-}
-
-// TestExplicitSeedWins: a job with Options.Seed set keeps it instead of
-// the derived seed.
-func TestExplicitSeedWins(t *testing.T) {
-	job := switchJob("pinned")
-	job.Options.Seed = 12345
-	r := Sequential().RunAll(context.Background(), []Job{job})[0]
-	if r.Err != nil {
-		t.Fatal(r.Err)
-	}
-	if r.Seed != 12345 {
-		t.Errorf("seed: got %#x, want 12345", r.Seed)
-	}
-}
-
-// TestMustValue panics on failed jobs and passes values through on
-// healthy ones.
-func TestMustValue(t *testing.T) {
-	ok := Result{Value: 99}
-	if v := ok.MustValue(); v != 99 {
-		t.Errorf("MustValue: %v", v)
-	}
-	bad := Result{Name: "x", Err: errors.New("nope")}
-	defer func() {
-		if recover() == nil {
-			t.Error("MustValue did not panic on failed job")
-		}
-	}()
-	bad.MustValue()
 }

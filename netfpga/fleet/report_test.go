@@ -10,10 +10,10 @@ import (
 // TestUtilizationWireReport: a completed batch's report round-trips through
 // JSON and carries the numbers the coordinator's capacity weights read.
 func TestUtilizationWireReport(t *testing.T) {
-	r := &Runner{Workers: 2, BaseSeed: 1}
+	r := &Runner{Workers: 2}
 	jobs := make([]Job, 4)
 	for i := range jobs {
-		jobs[i] = switchJob(fmt.Sprintf("r%d", i))
+		jobs[i] = switchJob(fmt.Sprintf("r%d", i), uint64(i+1))
 	}
 	r.RunAll(context.Background(), jobs)
 	rep := r.Utilization().Report()

@@ -1,11 +1,9 @@
 package fleet
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,9 +17,10 @@ type Runner struct {
 	// Workers is the number of concurrent devices. <= 0 means
 	// GOMAXPROCS. The pool never spawns more workers than jobs.
 	Workers int
-	// BaseSeed is folded with each job's index to derive its seed, so
-	// a whole batch is re-rollable from one number. Zero is a valid
-	// base (the derivation never yields the trivial all-zero stream).
+	// BaseSeed is the base a sweep plans its cells' seeds with
+	// (sweep.RunStreamGroups passes it to PlanGroups, which derives
+	// each cell's Options.Seed from it and the cell key). The runner
+	// itself never reads it: a job's seed is its Options.Seed.
 	BaseSeed uint64
 	// Fidelity, when non-empty, overrides every device's execution
 	// fidelity ("full"/"hybrid"; jobs that set their own
@@ -41,20 +40,6 @@ func New(workers int) *Runner { return &Runner{Workers: workers} }
 // Sequential returns a single-worker runner: jobs execute one at a
 // time, exactly like the pre-fleet sequential loops.
 func Sequential() *Runner { return &Runner{Workers: 1} }
-
-// DeriveSeed maps (base, index) to a job seed via one splitmix64 step —
-// well-spread, and a pure function of its inputs so per-device streams
-// never depend on scheduling.
-func DeriveSeed(base uint64, index int) uint64 {
-	z := base + 0x9e3779b97f4a7c15*uint64(index+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	if z == 0 {
-		z = 0x9e3779b97f4a7c15
-	}
-	return z
-}
 
 func (r *Runner) workers(jobs int) int {
 	w := r.Workers
@@ -101,23 +86,13 @@ func (r *Runner) RunStream(ctx context.Context, jobs []Job) <-chan Result {
 // dispatch executes the batch on the pool, calling deliver once per
 // finished job (from worker goroutines, in completion order), and
 // records the batch's Utilization. It returns when every job has been
-// delivered. Workers claim jobs longest declared weight first, so the
-// heavy cells of a tail-heavy batch start at time zero instead of
-// queueing behind short ones; jobs that declare nothing keep index
-// order. Only wall clock depends on the claim order: results stay
-// index-placed and seeds a function of (BaseSeed, index).
+// delivered. Workers claim jobs in index order; only wall clock depends
+// on which worker gets which job.
 func (r *Runner) dispatch(ctx context.Context, jobs []Job, deliver func(Result)) {
 	if len(jobs) == 0 {
 		r.util.Store(&Utilization{})
 		return
 	}
-	order := make([]int, len(jobs))
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortStableFunc(order, func(a, b int) int {
-		return cmp.Compare(jobs[b].claimWeight(), jobs[a].claimWeight())
-	})
 	nw := r.workers(len(jobs))
 	u := newUtilization(nw, len(jobs))
 	start := time.Now()
@@ -129,11 +104,10 @@ func (r *Runner) dispatch(ctx context.Context, jobs []Job, deliver func(Result))
 		go func() {
 			defer wg.Done()
 			for {
-				n := int(next.Add(1)) - 1
-				if n >= len(order) {
+				i := int(next.Add(1)) - 1
+				if i >= len(jobs) {
 					return
 				}
-				i := order[n]
 				t0 := time.Now()
 				res := r.runJob(ctx, jobs[i], i)
 				u.jobDone(w, jobs[i].Name, time.Since(t0))
@@ -151,9 +125,6 @@ func (r *Runner) dispatch(ctx context.Context, jobs []Job, deliver func(Result))
 // only when the job succeeded and the batch was not canceled.
 func (r *Runner) runJob(ctx context.Context, job Job, index int) (res Result) {
 	seed := job.Options.Seed
-	if seed == 0 {
-		seed = DeriveSeed(r.BaseSeed, index)
-	}
 	res = Result{Index: index, Name: job.Name, Seed: seed}
 	if err := ctx.Err(); err != nil {
 		res.Err = fmt.Errorf("%w: %w", ErrCanceled, err)
@@ -172,29 +143,18 @@ func (r *Runner) runJob(ctx context.Context, job Job, index int) (res Result) {
 		res.Err = fmt.Errorf("fleet: job %q has no Drive function", job.Name)
 		return res
 	}
-	c := &Ctx{
-		Name:  job.Name,
-		Index: index,
-		Seed:  seed,
-		Rand:  sim.NewRand(seed),
-		stop:  job.Stop,
-		done:  ctx.Done(),
-	}
+	c := &Ctx{Seed: seed, Rand: sim.NewRand(seed), done: ctx.Done()}
 	if !job.NoDevice {
 		opts := job.Options
-		opts.Seed = seed
 		if opts.Fidelity == "" {
 			opts.Fidelity = r.Fidelity
 		}
 		dev, rel, err := jobDevice(job, opts)
-		release = rel
 		if err != nil {
 			res.Err = fmt.Errorf("fleet: job %q build: %w", job.Name, err)
 			return res
 		}
-		c.Dev = dev
-		c.started = dev.Now()
-		c.events0 = dev.Sim.Executed()
+		c.Dev, release = dev, rel
 	}
 	v, err := job.Drive(c)
 	res.Value = v
@@ -219,15 +179,4 @@ func jobDevice(job Job, opts netfpga.Options) (*netfpga.Device, func(bool), erro
 		}
 	}
 	return dev, nil, nil
-}
-
-// Errs collects the errors of the failed jobs in a batch, in job order.
-func Errs(results []Result) []error {
-	var errs []error
-	for _, r := range results {
-		if r.Err != nil {
-			errs = append(errs, fmt.Errorf("job %q (index %d): %w", r.Name, r.Index, r.Err))
-		}
-	}
-	return errs
 }

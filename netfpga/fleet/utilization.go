@@ -1,15 +1,13 @@
 package fleet
 
 import (
-	"fmt"
-	"strings"
 	"sync"
 	"time"
 )
 
 // Utilization reports how a batch spent the pool's wall clock.
-// Efficiency close to 1 means the pool stayed busy; a LongestShare near
-// 1 with low Efficiency is the signature of a long device pinning one
+// Efficiency close to 1 means the pool stayed busy; a LongestBusy near
+// Wall with low Efficiency is the signature of a long device pinning one
 // worker while the rest idle.
 type Utilization struct {
 	// Workers is the pool size; Jobs the batch size.
@@ -60,24 +58,4 @@ func (u *Utilization) Efficiency() float64 {
 		return 0
 	}
 	return float64(u.BusyTotal()) / (float64(u.Wall) * float64(u.Workers))
-}
-
-// LongestShare returns LongestBusy / Wall: how much of the batch's wall
-// clock the single heaviest device accounts for.
-func (u *Utilization) LongestShare() float64 {
-	if u.Wall <= 0 {
-		return 0
-	}
-	return float64(u.LongestBusy) / float64(u.Wall)
-}
-
-// String renders the report.
-func (u *Utilization) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "pool: %d workers, %d jobs, wall %v, busy %v (%.0f%% utilization)\n",
-		u.Workers, u.Jobs, u.Wall.Round(time.Millisecond),
-		u.BusyTotal().Round(time.Millisecond), 100*u.Efficiency())
-	fmt.Fprintf(&b, "  longest device %q: %v busy (%.0f%% of wall)", u.LongestJob,
-		u.LongestBusy.Round(time.Millisecond), 100*u.LongestShare())
-	return b.String()
 }

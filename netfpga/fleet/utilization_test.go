@@ -3,7 +3,6 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"strings"
 	"testing"
 )
 
@@ -12,9 +11,9 @@ import (
 func TestUtilizationReport(t *testing.T) {
 	jobs := make([]Job, 6)
 	for i := range jobs {
-		jobs[i] = switchJob(fmt.Sprintf("u%d", i))
+		jobs[i] = switchJob(fmt.Sprintf("u%d", i), uint64(i+1))
 	}
-	r := &Runner{Workers: 3, BaseSeed: 1}
+	r := &Runner{Workers: 3}
 	if got := r.Utilization(); got != nil {
 		t.Fatalf("utilization before any batch: %v", got)
 	}
@@ -34,8 +33,5 @@ func TestUtilizationReport(t *testing.T) {
 	}
 	if u.LongestJob == "" || u.LongestBusy <= 0 {
 		t.Errorf("longest-job tracking empty: %q %v", u.LongestJob, u.LongestBusy)
-	}
-	if !strings.Contains(u.String(), "pool: 3 workers, 6 jobs") {
-		t.Errorf("report rendering: %q", u.String())
 	}
 }

@@ -50,11 +50,7 @@ func TestNameTable(t *testing.T) {
 	}
 }
 
-// statsOnly exports through the map adapter; spined through the spine.
-type statsOnly struct{ passthrough }
-
-func (m *statsOnly) Stats() map[string]uint64 { return map[string]uint64{"legacy": 1} }
-
+// spined registers its own counters in place of passthrough's.
 type spined struct {
 	passthrough
 	n    uint64
@@ -69,7 +65,6 @@ func TestDesignStatsViews(t *testing.T) {
 	sp := &spined{passthrough: passthrough{name: "sp", in: NewStream("i", 1), out: NewStream("o", 1)}, n: 7}
 	sp.ctrs.AddCounter(Counter{Name: "lost", Ptr: &sp.n, Kind: QueueDrop})
 	d.AddModule(sp)
-	d.AddModule(&statsOnly{passthrough{name: "old", in: NewStream("i", 1), out: NewStream("o", 1)}})
 	loss := d.NewFrameQueue("q.rxfifo", 1, 0).CountDropsAs(QueueDrop)
 	ring := d.NewFrameQueue("ring", 1, 0)
 	for _, q := range []*FrameQueue{loss, ring} {
@@ -78,8 +73,8 @@ func TestDesignStatsViews(t *testing.T) {
 	}
 	d.NewFrameQueue("quiet", 1, 0) // never drops: exports nothing
 
-	// No "sp.moved": a CounterSource's inherited Stats map is not consulted.
-	want := map[string]uint64{"sp.lost": 7, "old.legacy": 1, "q.rxfifo.drops": 1, "ring.drops": 1}
+	// No "sp.moved": spined's own Counters replace the embedded ones.
+	want := map[string]uint64{"sp.lost": 7, "q.rxfifo.drops": 1, "ring.drops": 1}
 	if got := d.Stats(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Stats = %v, want %v", got, want)
 	}

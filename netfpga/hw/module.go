@@ -22,14 +22,6 @@ type Module interface {
 	Resources() Resources
 }
 
-// StatsProvider is the map-returning adapter for modules written
-// before the counter spine: Design.Stats merges the returned map (every
-// entry as a Count counter) for a module that does not implement
-// CounterSource. In-tree modules register counters instead.
-type StatsProvider interface {
-	Stats() map[string]uint64
-}
-
 // BackgroundCoupler is the contention hook a hybrid-fidelity run
 // installs on a design: an analytic background-traffic model that
 // shares egress capacity with the cycle-accurate datapath. When a
@@ -493,13 +485,8 @@ func (d *Design) Stats() map[string]uint64 {
 // concatenation.
 func (d *Design) AddStats(dst map[string]uint64, prefix string) {
 	for _, m := range d.modules {
-		switch src := m.(type) {
-		case CounterSource:
-			src.Counters().addTo(dst, prefix, m.Name(), ".")
-		case StatsProvider:
-			for k, v := range src.Stats() {
-				dst[prefix+m.Name()+"."+k] = v
-			}
+		if cs, ok := m.(CounterSource); ok {
+			cs.Counters().addTo(dst, prefix, m.Name(), ".")
 		}
 	}
 	for _, q := range d.queues {

@@ -14,13 +14,17 @@ type passthrough struct {
 	res     Resources
 	fmax    float64
 	moved   uint64
+	ctrs    Counters
 }
 
 func (p *passthrough) Name() string         { return p.name }
 func (p *passthrough) Resources() Resources { return p.res }
 func (p *passthrough) MaxFreqMHz() float64  { return p.fmax }
-func (p *passthrough) Stats() map[string]uint64 {
-	return map[string]uint64{"moved": p.moved}
+func (p *passthrough) Counters() *Counters {
+	if p.ctrs.Len() == 0 {
+		p.ctrs.Add("moved", &p.moved)
+	}
+	return &p.ctrs
 }
 func (p *passthrough) Tick() bool {
 	if p.in.CanPop() && p.out.CanPush() {

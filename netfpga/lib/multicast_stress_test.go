@@ -15,11 +15,14 @@ import (
 // frame replicates to the three non-source ports via the zero-copy
 // shared-buffer path in OutputQueues.route, and every delivered copy is
 // recycled through the tap back into the frame pool — the refcount's
-// full lifecycle, thousands of times per device.
-func broadcastJob(name string, frames int) fleet.Job {
+// full lifecycle, thousands of times per device. It steps the way the
+// sweep measures step: offer a burst, run 10 us, until every frame is
+// sent or the batch is canceled.
+func broadcastJob(name string, seed uint64, frames int) fleet.Job {
 	return fleet.Job{
-		Name:  name,
-		Board: netfpga.SUME(),
+		Name:    name,
+		Board:   netfpga.SUME(),
+		Options: netfpga.Options{Seed: seed},
 		Build: func(dev *netfpga.Device) error {
 			return switchp.New(switchp.Config{}).Build(dev)
 		},
@@ -38,15 +41,13 @@ func broadcastJob(name string, frames int) fleet.Job {
 				return nil, err
 			}
 			sent := 0
-			for sent < frames {
+			for sent < frames && !c.Canceled() {
 				for i := 0; i < 8 && sent < frames; i++ {
 					if taps[sent%4].Send(bcast) {
 						sent++
 					}
 				}
-				if !c.RunFor(10 * netfpga.Microsecond) {
-					break
-				}
+				c.Dev.RunFor(10 * netfpga.Microsecond)
 			}
 			c.Dev.RunUntilIdle(0)
 			rx := 0
@@ -64,7 +65,6 @@ func broadcastJob(name string, frames int) fleet.Job {
 			}
 			return fmt.Sprintf("sent=%d rx=%d", sent, rx), nil
 		},
-		Stop: fleet.Stop{SimTime: 5 * netfpga.Millisecond},
 	}
 }
 
@@ -81,7 +81,7 @@ func TestMulticastRefcountStress(t *testing.T) {
 	mkJobs := func() []fleet.Job {
 		jobs := make([]fleet.Job, 6)
 		for i := range jobs {
-			jobs[i] = broadcastJob(fmt.Sprintf("bcast%d", i), frames)
+			jobs[i] = broadcastJob(fmt.Sprintf("bcast%d", i), uint64(i+1), frames)
 		}
 		return jobs
 	}

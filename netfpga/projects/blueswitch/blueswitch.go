@@ -387,9 +387,6 @@ var (
 // per-table lookup counters.
 func (p *Project) Counters() *hw.Counters { return &p.ctrs }
 
-// Stats returns the project counters as a fresh map.
-func (p *Project) Stats() map[string]uint64 { return p.Counters().Map() }
-
 // TagForwardPolicy builds the two-table experiment policy: EtherType
 // ethType gets tag, and tag routes to outPort. Everything else drops.
 func TagForwardPolicy(ethType uint16, tag uint32, outPort int) Policy {

@@ -52,7 +52,7 @@ func TestBasicMatchAction(t *testing.T) {
 			t.Fatalf("port %d leaked", port)
 		}
 	}
-	st := p.Stats()
+	st := p.Counters().Map()
 	if st["t0_hits"] != 1 || st["t0_misses"] != 1 {
 		t.Fatalf("table 0 stats %v", st)
 	}
@@ -137,7 +137,7 @@ func TestNaiveUpdateShowsViolations(t *testing.T) {
 	if p.Violations() == 0 {
 		t.Fatal("naive update produced no violations; expected inconsistency")
 	}
-	if p.Stats()["final_drops"] == 0 {
+	if p.Counters().Map()["final_drops"] == 0 {
 		t.Fatal("mixed policy should have dropped tag-mismatched packets")
 	}
 }
@@ -199,8 +199,8 @@ func TestThreeTablePipeline(t *testing.T) {
 	if dev.Tap(3).Pending() != 1 {
 		t.Fatalf("three-table match failed: port 3 has %d", dev.Tap(3).Pending())
 	}
-	if p.Stats()["final_drops"] != 1 {
-		t.Fatalf("stats: %v", p.Stats())
+	if p.Counters().Map()["final_drops"] != 1 {
+		t.Fatalf("stats: %v", p.Counters().Map())
 	}
 }
 

@@ -125,6 +125,3 @@ func (c *CAM) Counters() *hw.Counters {
 	}
 	return &c.ctrs
 }
-
-// Stats returns the table counters as a fresh map.
-func (c *CAM) Stats() map[string]uint64 { return c.Counters().Map() }

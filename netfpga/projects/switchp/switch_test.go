@@ -145,8 +145,8 @@ func TestCAMCapacityBound(t *testing.T) {
 	if cam.Len() != 4 {
 		t.Fatalf("CAM grew to %d, bound 4", cam.Len())
 	}
-	if cam.Stats()["failed_learns"] != 6 {
-		t.Fatalf("failed learns = %d", cam.Stats()["failed_learns"])
+	if cam.Counters().Map()["failed_learns"] != 6 {
+		t.Fatalf("failed learns = %d", cam.Counters().Map()["failed_learns"])
 	}
 }
 
@@ -261,12 +261,12 @@ func TestCAMGrowsToCapacity(t *testing.T) {
 	for i := 0; i < capacity; i++ {
 		cam.Learn(mac(i), uint8(i%4), 0)
 	}
-	if cam.Len() != capacity || cam.Stats()["learns"] != capacity || cam.Stats()["failed_learns"] != 0 {
-		t.Fatalf("after %d learns: len %d, stats %v", capacity, cam.Len(), cam.Stats())
+	if cam.Len() != capacity || cam.Counters().Map()["learns"] != capacity || cam.Counters().Map()["failed_learns"] != 0 {
+		t.Fatalf("after %d learns: len %d, stats %v", capacity, cam.Len(), cam.Counters().Map())
 	}
 	cam.Learn(mac(capacity), 1, 0)
-	if cam.Len() != capacity || cam.Stats()["failed_learns"] != 1 {
-		t.Fatalf("learn past capacity: len %d, stats %v", cam.Len(), cam.Stats())
+	if cam.Len() != capacity || cam.Counters().Map()["failed_learns"] != 1 {
+		t.Fatalf("learn past capacity: len %d, stats %v", cam.Len(), cam.Counters().Map())
 	}
 	if _, ok := cam.Lookup(mac(capacity), 0); ok {
 		t.Fatal("the rejected address resolves")
@@ -279,8 +279,8 @@ func TestCAMGrowsToCapacity(t *testing.T) {
 	// Re-learning a held address is a refresh, not a new entry: it must
 	// succeed on a full table.
 	cam.Learn(mac(7), 3, 0)
-	if port, _ := cam.Lookup(mac(7), 0); port != 3 || cam.Stats()["failed_learns"] != 1 {
-		t.Fatalf("refresh on a full table: port %d, stats %v", port, cam.Stats())
+	if port, _ := cam.Lookup(mac(7), 0); port != 3 || cam.Counters().Map()["failed_learns"] != 1 {
+		t.Fatalf("refresh on a full table: port %d, stats %v", port, cam.Counters().Map())
 	}
 }
 
@@ -289,9 +289,9 @@ func TestCAMGrowsToCapacity(t *testing.T) {
 func TestCAMStatsAreFresh(t *testing.T) {
 	cam := NewCAM(16, 0)
 	cam.Learn(pkt.MustMAC("02:00:00:00:00:01"), 0, 0)
-	before := cam.Stats()
+	before := cam.Counters().Map()
 	cam.Learn(pkt.MustMAC("02:00:00:00:00:02"), 1, 0)
-	if after := cam.Stats(); before["learns"] != 1 || before["entries"] != 1 || after["learns"] != 2 || after["entries"] != 2 {
+	if after := cam.Counters().Map(); before["learns"] != 1 || before["entries"] != 1 || after["learns"] != 2 || after["entries"] != 2 {
 		t.Fatalf("before %v after %v", before, after)
 	}
 }

@@ -220,7 +220,7 @@ func (p *Plan) RunCell(ctx context.Context, key string, _, _ int, fidelity strin
 		job.Acquire = nil
 		job = wrap(job)
 	}
-	r := &fleet.Runner{Workers: 1, BaseSeed: p.BaseSeed, Fidelity: fidelity}
+	r := &fleet.Runner{Workers: 1, Fidelity: fidelity}
 	res := r.RunAll(ctx, []fleet.Job{job})[0]
 	return p.sealResult(i, res), nil
 }

@@ -127,16 +127,6 @@ func (m *suspectModule) Tick() bool              { return false }
 func (m *suspectModule) Resources() hw.Resources { return hw.Resources{} }
 func (m *suspectModule) Counters() *hw.Counters  { return &m.ctrs }
 
-// legacyStatsModule exports through the pre-spine Stats adapter.
-type legacyStatsModule struct{}
-
-func (m *legacyStatsModule) Name() string            { return "legacy_port" }
-func (m *legacyStatsModule) Tick() bool              { return false }
-func (m *legacyStatsModule) Resources() hw.Resources { return hw.Resources{} }
-func (m *legacyStatsModule) Stats() map[string]uint64 {
-	return map[string]uint64{"support_drops": 5}
-}
-
 // TestQueueDropsIgnoresCounterNames: a user counter named support_drops
 // (it contains "port" and "_drops") used to be summed into every
 // sweep's drops value. Kinds make the name irrelevant: only a counter
@@ -147,14 +137,13 @@ func TestQueueDropsIgnoresCounterNames(t *testing.T) {
 	m.ctrs.Add("support_drops", &m.supportDrops)
 	m.ctrs.AddCounter(hw.Counter{Name: "lost", Ptr: &m.portXDrops, Kind: hw.QueueDrop})
 	dev.Dsn.AddModule(m)
-	dev.Dsn.AddModule(&legacyStatsModule{})
 
 	st := dev.Dsn.Stats()
-	if st["user_fifo_port.support_drops"] != 7 || st["user_fifo_port.lost"] != 11 || st["legacy_port.support_drops"] != 5 {
+	if st["user_fifo_port.support_drops"] != 7 || st["user_fifo_port.lost"] != 11 {
 		t.Fatalf("stats = %v", st)
 	}
-	if legacyQueueDrops(st) != 12 {
-		t.Fatalf("the old rules should have summed both support_drops counters, got %d", legacyQueueDrops(st))
+	if legacyQueueDrops(st) != 7 {
+		t.Fatalf("the old rules should have summed support_drops, got %d", legacyQueueDrops(st))
 	}
 	if got := QueueDrops(dev); got != 11 {
 		t.Fatalf("QueueDrops = %d, want 11 (the QueueDrop-kind counter only)", got)
