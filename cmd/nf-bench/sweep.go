@@ -20,7 +20,6 @@ import (
 	"repro/netfpga/fleet"
 	"repro/netfpga/sweep"
 	"repro/netfpga/sweep/shard"
-	"repro/netfpga/sweep/shard/chaos"
 )
 
 // sweepConfig is what `nf-bench sweep` parses its flags into, once.
@@ -471,7 +470,7 @@ func runFleet(plan *sweep.Plan, st *resultstore.Store, meta resultstore.Meta,
 	nworkers := c.procs + len(c.addrs)
 	addWorker := func(name string, dial func() (*shard.Endpoint, error)) {
 		if c.chaos != 0 {
-			dial = chaos.WrapDial(name, dial, chaos.Default(c.chaos))
+			dial = shard.ChaosDial(name, dial, c.chaos)
 		}
 		fl.Connectors = append(fl.Connectors, &shard.Connector{Name: name, Dial: dial})
 	}

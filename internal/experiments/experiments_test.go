@@ -14,7 +14,7 @@ func TestAllExperimentsRun(t *testing.T) {
 		t.Skip("experiments are slow")
 	}
 	cfg, groups := paperConfig(t)
-	rendered, skipped := renderRun(cfg, paperRun(t, groups))
+	rendered, skipped := renderRun(cfg, paperRun(t, groups, 1))
 	if len(skipped) > 0 || len(rendered) != len(cfg.Experiments) {
 		t.Fatalf("rendered %d of %d experiments; skipped %v", len(rendered), len(cfg.Experiments), skipped)
 	}

@@ -3,6 +3,8 @@ package experiments
 import (
 	"bufio"
 	"context"
+	"fmt"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -13,6 +15,49 @@ import (
 	"repro/netfpga/sweep"
 	"repro/netfpga/sweep/shard"
 )
+
+// TestMain lets this test binary double as a session worker, so the
+// fleet is exercised across REAL OS process boundaries — same wiring as
+// `nf-bench shard-worker`, same plan resolver (GroupsForConfig),
+// different binary. Session mode (NF_SHARD_SESSION=1) serves the
+// protocol on stdio; listen mode (NF_SHARD_LISTEN=1) serves it over TCP
+// on an ephemeral port announced as "LISTEN <addr>" on stdout — the two
+// worker shapes `nf-bench shard-worker` exposes.
+func TestMain(m *testing.M) {
+	if os.Getenv("NF_SHARD_SESSION") == "1" {
+		err := shard.ServeSession(context.Background(), os.Stdin, os.Stdout, workerPlanForTest)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		os.Exit(0)
+	}
+	if os.Getenv("NF_SHARD_LISTEN") == "1" {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err == nil {
+			fmt.Printf("LISTEN %s\n", l.Addr())
+			err = shard.ListenAndServe(context.Background(), l, workerPlanForTest, nil)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+func workerPlanForTest(req shard.Request) (*sweep.Plan, error) {
+	cfg, err := sweep.LoadConfig(req.Config)
+	if err != nil {
+		return nil, err
+	}
+	groups, err := GroupsForConfig(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return sweep.PlanGroups(groups, req.Filter, req.Seed)
+}
 
 // singleWait serializes cmd.Wait behind a sync.Once: the fleet's
 // reaper goroutine and the test cleanup may both wait on the worker
@@ -98,6 +143,9 @@ func tcpWorkerSelf(t *testing.T) (string, *os.Process) {
 //
 // The CI sweep-fault job runs the same two scenarios through the
 // `nf-bench` binary; this test keeps them in the `go test ./...` gate.
+// It is the one golden over real OS processes: chaos, resume, pool
+// widths and fleet shapes are FuzzFleetShape's, at fake time, in
+// netfpga/sweep/shard.
 func TestFleetGoldenFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet fault matrix is slow")

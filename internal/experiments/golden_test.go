@@ -45,24 +45,28 @@ func paperConfig(t *testing.T) (*sweep.Config, []sweep.Group) {
 }
 
 var (
-	paperOnce sync.Once
-	paperRS   *sweep.Results
-	paperErr  error
+	paperMu   sync.Mutex
+	paperRuns = map[int]*sweep.Results{}
 )
 
-// paperRun returns the workers=1 run of the paper config's groups. The
-// run happens once per test binary: TestGoldenSweep digests it and
-// TestAllExperimentsRun renders it, so no test re-executes the sweep to
-// check the claims.
-func paperRun(t *testing.T, groups []sweep.Group) *sweep.Results {
+// paperRun returns the run of the paper config's groups on a pool of
+// the given width. Each width runs once per test binary: TestGoldenSweep
+// digests the runs at 1 and 4, TestAllExperimentsRun renders the
+// workers=1 run and TestRenderRunMatchesStandalone renders both, so no
+// test re-executes a sweep another one has run.
+func paperRun(t *testing.T, groups []sweep.Group, workers int) *sweep.Results {
 	t.Helper()
-	paperOnce.Do(func() {
-		paperRS, paperErr = sweep.RunGroups(context.Background(), &fleet.Runner{Workers: 1}, groups, "")
-	})
-	if paperErr != nil {
-		t.Fatalf("workers=1: %v", paperErr)
+	paperMu.Lock()
+	defer paperMu.Unlock()
+	if rs, ok := paperRuns[workers]; ok {
+		return rs
 	}
-	return paperRS
+	rs, err := sweep.RunGroups(context.Background(), &fleet.Runner{Workers: workers}, groups, "")
+	if err != nil {
+		t.Fatalf("workers=%d: %v", workers, err)
+	}
+	paperRuns[workers] = rs
+	return rs
 }
 
 // TestGoldenSweep is the repo's regression net in one table: every cell
@@ -78,14 +82,9 @@ func TestGoldenSweep(t *testing.T) {
 	}
 	_, groups := paperConfig(t)
 
-	results := []*sweep.Results{paperRun(t, groups)}
-	for _, workers := range []int{4, 8} {
-		r := &fleet.Runner{Workers: workers, BaseSeed: 0}
-		rs, err := sweep.RunGroups(context.Background(), r, groups, "")
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		results = append(results, rs)
+	var results []*sweep.Results
+	for _, workers := range []int{1, 4, 8} {
+		results = append(results, paperRun(t, groups, workers))
 	}
 	for wi, rs := range results {
 		for _, f := range rs.Failed() {

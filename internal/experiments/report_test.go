@@ -23,7 +23,7 @@ func renderText(tables []*Table) string {
 // TestRenderRunMatchesStandalone: the tables a sweep run of
 // examples/paper.sweep renders are byte-equal to each Def's Render over
 // a standalone RunGroups of that Def, whichever path filled the result
-// set — Plan.Execute at workers 1 and 4, or a Merger fed the records in
+// set — a pool of 1 or 4 workers, or a Merger fed the records in
 // reverse, as the fleet and -resume fill it.
 func TestRenderRunMatchesStandalone(t *testing.T) {
 	if testing.Short() {
@@ -57,24 +57,15 @@ func TestRenderRunMatchesStandalone(t *testing.T) {
 		}
 	}
 
+	// The legs at workers 1 and 4 are the runs TestGoldenSweep digests.
+	first := paperRun(t, groups, 1)
+	check("workers=1", first)
+	check("workers=4", paperRun(t, groups, 4))
+
 	plan, err := sweep.PlanGroups(groups, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var first *sweep.Results
-	for _, workers := range []int{1, 4} {
-		ch, rs, err := plan.Execute(ctx, &fleet.Runner{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for range ch {
-		}
-		check("Plan.Execute", rs)
-		if first == nil {
-			first = rs
-		}
-	}
-
 	m := plan.Merger()
 	for i := len(first.Cells) - 1; i >= 0; i-- {
 		if _, err := m.Place(first.Cells[i].Record()); err != nil {

@@ -297,6 +297,19 @@ func (m *Merger) placeLocked(rec CellRecord) (CellResult, error) {
 	if m.filled[i] {
 		return CellResult{}, fmt.Errorf("sweep: merge: cell %q delivered twice", rec.Key)
 	}
+	cr, err := m.seal(i, rec)
+	if err != nil {
+		return CellResult{}, err
+	}
+	m.filled[i] = true
+	m.n++
+	m.rs.Cells[i] = cr
+	return cr, nil
+}
+
+// seal rebuilds cell i's result from rec and checks that rec's digest
+// survives the wire.
+func (m *Merger) seal(i int, rec CellRecord) (CellResult, error) {
 	cr := CellResult{
 		Cell:    m.plan.Cells[i],
 		Index:   i,
@@ -317,9 +330,6 @@ func (m *Merger) placeLocked(rec CellRecord) (CellResult, error) {
 		return CellResult{}, fmt.Errorf("sweep: merge: cell %q digest %s does not survive the wire (recomputed %s)",
 			rec.Key, rec.Digest, cr.Digest)
 	}
-	m.filled[i] = true
-	m.n++
-	m.rs.Cells[i] = cr
 	return cr, nil
 }
 
@@ -328,9 +338,10 @@ func (m *Merger) placeLocked(rec CellRecord) (CellResult, error) {
 // off a presumed-dead worker whose in-flight result still arrives, the
 // same cell completes twice. An exact duplicate — identical digest,
 // which by the digest's construction means identical content — is
-// reported as dup=true with no error and no state change. Two
-// completions that disagree are a determinism violation and fail
-// exactly like Place's integrity errors.
+// reported as dup=true with no error and no state change. A duplicate
+// whose digest does not survive its own content was corrupted in
+// transit and fails like any corrupt record; two intact completions
+// that disagree are a determinism violation, ErrDiverged.
 func (m *Merger) Adopt(rec CellRecord) (cr CellResult, dup bool, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -338,6 +349,9 @@ func (m *Merger) Adopt(rec CellRecord) (cr CellResult, dup bool, err error) {
 		prev := m.rs.Cells[i]
 		if rec.Digest == prev.Digest {
 			return prev, true, nil
+		}
+		if _, err := m.seal(i, rec); err != nil {
+			return CellResult{}, false, err
 		}
 		return CellResult{}, false, fmt.Errorf(
 			"sweep: merge: cell %q completed twice with diverging digests (%s then %s): %w",

@@ -180,7 +180,7 @@ func (c *coordinator) recv(now time.Time, i, gen int, fr *SessionFrame, rerr err
 		if err == nil && !dup {
 			c.progress(now, cr)
 			c.emit(FleetEvent{Worker: w.name, Kind: "duplicate", Detail: fr.Cell.Key + " (late arrival)", Cells: 1})
-			c.feedAll()
+			c.feedAll(now)
 		}
 		return c.settle(now, nil)
 	}
@@ -220,13 +220,13 @@ func (c *coordinator) recv(now time.Time, i, gen int, fr *SessionFrame, rerr err
 			} else {
 				c.progress(now, cr)
 			}
-			c.feed(i)
+			c.feed(now, i)
 		}
 	case fr.Reject != nil:
 		c.emit(FleetEvent{Worker: w.name, Kind: "reject", Detail: fr.Reject.Key + ": " + fr.Reject.Reason, Cells: 1})
 		if w.drop(fr.Reject.Key) {
 			if err = c.requeue(fr.Reject.Key, "rejected: "+fr.Reject.Reason); err == nil {
-				c.feedAll()
+				c.feedAll(now)
 			}
 		}
 	case fr.Done != nil:
@@ -269,7 +269,7 @@ func (c *coordinator) hello(now time.Time, i int, h *Hello) error {
 		detail = "probe readmitted"
 	}
 	c.emit(FleetEvent{Worker: w.name, Kind: "hello", Detail: detail, Cells: h.Cells})
-	c.feed(i)
+	c.feed(now, i)
 	return nil
 }
 
@@ -300,11 +300,7 @@ func (c *coordinator) dialed(now time.Time, i int, err error) error {
 // redials that are due, probes included.
 func (c *coordinator) tick(now time.Time) error {
 	if c.closing {
-		grace := c.f.CloseGrace
-		if grace <= 0 {
-			grace = 15 * time.Second
-		}
-		if now.Sub(c.closeAt) > grace {
+		if now.Sub(c.closeAt) > closeGrace {
 			for i, w := range c.workers {
 				if w.alive && !w.done {
 					// Its cells are already merged, so nothing is lost.
@@ -428,8 +424,9 @@ func (c *coordinator) progress(now time.Time, cr sweep.CellResult) {
 	}
 }
 
-// feed tops worker i up to its outstanding limit with one Assign.
-func (c *coordinator) feed(i int) {
+// feed tops worker i up to its outstanding limit with one Assign. An
+// idle worker owed no frame, so its hang clock starts now.
+func (c *coordinator) feed(now time.Time, i int) {
 	w := c.workers[i]
 	if !w.alive || !w.helloed || w.closed {
 		return
@@ -437,6 +434,9 @@ func (c *coordinator) feed(i int) {
 	n := min(w.limit-len(w.outstanding), len(c.pending))
 	if n <= 0 {
 		return
+	}
+	if len(w.outstanding) == 0 {
+		w.lastFrame = now
 	}
 	// pending only ever grows at its tail, so the prefix handed out here
 	// is never written again and the shell may encode it in place.
@@ -446,9 +446,9 @@ func (c *coordinator) feed(i int) {
 	c.send(i, Command{Assign: &Assign{Keys: keys}})
 }
 
-func (c *coordinator) feedAll() {
+func (c *coordinator) feedAll(now time.Time) {
 	for i := range c.workers {
-		c.feed(i)
+		c.feed(now, i)
 	}
 }
 
@@ -488,7 +488,7 @@ func (c *coordinator) kill(now time.Time, i int, kind, why string) error {
 	if err != nil {
 		return err
 	}
-	c.feedAll()
+	c.feedAll(now)
 	return nil
 }
 
@@ -521,7 +521,7 @@ func (c *coordinator) failed(now time.Time, i int) {
 		return
 	}
 	w.attempt++
-	w.nextDial = now.Add(c.f.Backoff.Delay(w.name, w.attempt))
+	w.nextDial = now.Add(redialDelay(w.name, w.attempt))
 }
 
 func (c *coordinator) forensics(now time.Time) []WorkerForensics {

@@ -26,12 +26,16 @@ import (
 //     duplicate tolerance absorbs the race where a presumed-dead
 //     worker's in-flight result still lands.
 //   - Hangs: a worker that owes cells (or has never said Hello) and
-//     goes silent past HangTimeout is killed and treated as dead.
+//     goes silent past HangTimeout is killed and treated as dead. An
+//     idle worker's silence counts from when it is next handed cells.
 //   - Flapping: a worker given as a Connector is redialed after death
-//     with exponential backoff and deterministic jitter; one that dies or
-//     fails to dial 5 times within a minute is quarantined for a 15 s
-//     cooldown, then re-admitted through a single probe dial whose
-//     failure doubles the cooldown (up to 8x).
+//     with exponential backoff from 250 ms to 10 s and deterministic
+//     jitter; one that dies or fails to dial 5 times within a minute is
+//     quarantined for a 15 s cooldown, then re-admitted through a
+//     single probe dial whose failure doubles the cooldown (up to 8x).
+//
+// At the end of a run a worker that does not acknowledge Close within
+// 15 s is killed; its cells are already merged.
 //
 // A run fails only on determinism violations (sweep.ErrDiverged), on a
 // cell that exhausts its requeue budget, on a fleet-wide stall past
@@ -52,8 +56,9 @@ type Fleet struct {
 	// Connectors can be mixed; together they must be >= 1.
 	Connectors []*Connector
 	// HangTimeout kills a worker that owes cells but has sent nothing
-	// for this long (0 = never). It must comfortably exceed the
-	// longest single cell's execution time.
+	// for this long, or nothing since it was handed cells while idle
+	// (0 = never). It must comfortably exceed the longest single cell's
+	// execution time.
 	HangTimeout time.Duration
 	// StallTimeout fails the whole run with a *StallError carrying
 	// per-worker forensics when no cell has been merged for this long
@@ -61,12 +66,6 @@ type Fleet struct {
 	// catches one silent worker, StallTimeout catches a silently wedged
 	// run.
 	StallTimeout time.Duration
-	// CloseGrace bounds the Close/Done handshake at the end of a run
-	// (0 = 15s); a worker that cannot acknowledge within it is killed
-	// (its cells are already merged, so nothing is lost).
-	CloseGrace time.Duration
-	// Backoff shapes the reconnect schedule for Connectors.
-	Backoff Backoff
 	// Completed seeds the merger with cells finished by a previous,
 	// interrupted run. Each record is digest-verified through Adopt
 	// before it counts; records that fail verification are dropped back
@@ -86,42 +85,36 @@ type Fleet struct {
 	Reports []WorkerReport
 }
 
-// Backoff is the reconnect schedule for fleet connectors: exponential
-// from Base to Max, plus a deterministic jitter in [0, delay/2] derived
-// from (worker name, attempt) — so concurrent redials spread out, yet a
-// replayed run redials on exactly the same schedule.
-type Backoff struct {
-	Base time.Duration // first retry delay (0 = 250ms)
-	Max  time.Duration // delay cap (0 = 10s)
-}
+// closeGrace bounds the Close/Done handshake at the end of a run: a
+// worker that cannot acknowledge within it is killed (its cells are
+// already merged, so nothing is lost).
+const closeGrace = 15 * time.Second
 
-// Delay returns the wait before the attempt-th redial (attempt >= 1).
-func (b Backoff) Delay(name string, attempt int) time.Duration {
-	base := b.Base
-	if base <= 0 {
-		base = 250 * time.Millisecond
-	}
-	max := b.Max
-	if max <= 0 {
-		max = 10 * time.Second
-	}
+// redialDelay is the wait before a connector's attempt-th redial
+// (attempt >= 1): exponential from 250 ms to 10 s, plus a deterministic
+// jitter in [0, delay/2] derived from (worker name, attempt) — so
+// concurrent redials spread out, yet a replayed run redials on exactly
+// the same schedule.
+func redialDelay(name string, attempt int) time.Duration {
+	const base, ceil = 250 * time.Millisecond, 10 * time.Second
 	d := base
-	for i := 1; i < attempt && d < max; i++ {
+	for i := 1; i < attempt && d < ceil; i++ {
 		d *= 2
 	}
-	if d > max {
-		d = max
-	}
+	d = min(d, ceil)
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s#%d", name, attempt)
 	r := splitmix64(h.Sum64())
 	return d + time.Duration(r%uint64(d/2+1))
 }
 
-// splitmix64 is the one-step mixer behind the jitter: full-avalanche, so
-// adjacent inputs give unrelated outputs.
+// golden is splitmix64's increment, 2^64 divided by the golden ratio.
+const golden = 0x9e3779b97f4a7c15
+
+// splitmix64 is the one-step mixer behind the jitter and the chaos
+// streams: full-avalanche, so adjacent inputs give unrelated outputs.
 func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
+	x += golden
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
@@ -382,15 +375,12 @@ func (f *Fleet) Run(ctx context.Context, plan *sweep.Plan, onCell func(sweep.Cel
 }
 
 // tickPeriod is how often the coordinator's watchdogs and redials run:
-// 250 ms, or a quarter of the hang timeout or half the backoff base when
-// shorter, never under 10 ms.
+// 250 ms, or a quarter of the hang timeout when shorter, never under
+// 10 ms.
 func (f *Fleet) tickPeriod() time.Duration {
 	tick := 250 * time.Millisecond
 	if f.HangTimeout > 0 && f.HangTimeout/4 < tick {
 		tick = f.HangTimeout / 4
-	}
-	if f.Backoff.Base > 0 && f.Backoff.Base/2 < tick {
-		tick = f.Backoff.Base / 2
 	}
 	return max(tick, 10*time.Millisecond)
 }

@@ -45,7 +45,7 @@ func assertNoSessionGoroutines(t *testing.T) {
 
 // stubbornWorker speaks a correct Open/Hello and executes nothing: it
 // consumes every further command silently and never acknowledges Close.
-// The shape that exercises the close-grace and stall watchdogs.
+// The shape that exercises the stall watchdog.
 func stubbornWorker(t *testing.T) *Endpoint {
 	t.Helper()
 	cmdR, cmdW := io.Pipe()
@@ -77,63 +77,6 @@ func stubbornWorker(t *testing.T) *Endpoint {
 	return &Endpoint{Name: "stubborn", In: cmdW, Out: frameR, Kill: kill}
 }
 
-// TestFleetCloseGraceBoundsShutdown: a worker that executes its cells
-// normally but never acknowledges Close (its Done frame is swallowed in
-// flight) cannot hold the run hostage — the grace deadline kills it,
-// and since every cell is already merged the run still succeeds with
-// correct digests. The leak check then proves shutdown actually tore
-// the sessions down.
-func TestFleetCloseGraceBoundsShutdown(t *testing.T) {
-	want := fullRun(t)
-	inner := PipeWorker(context.Background(), "mute", testPlan)
-	outR, outW := io.Pipe()
-	quit := make(chan struct{})
-	go func() {
-		for {
-			var fr SessionFrame
-			if err := ReadFrame(inner.Out, &fr); err != nil || fr.Done != nil {
-				// Swallow the Done and hold the stream open, silent: the
-				// coordinator must use the close grace, not an EOF, to be
-				// rid of this worker.
-				<-quit
-				_ = outW.CloseWithError(io.EOF)
-				return
-			}
-			if err := WriteFrame(outW, fr); err != nil {
-				return
-			}
-		}
-	}()
-	var muteOnce sync.Once
-	mute := &Endpoint{Name: "mute", In: inner.In, Out: outR, Kill: func() error {
-		muteOnce.Do(func() {
-			close(quit)
-			_ = inner.Kill()
-		})
-		return nil
-	}}
-	var log eventLog
-	f := &Fleet{
-		Req:        Request{Config: "matrix", Workers: 2},
-		Endpoints:  []*Endpoint{PipeWorker(context.Background(), "pipe:0", testPlan), mute},
-		CloseGrace: 300 * time.Millisecond,
-		OnEvent:    log.add,
-	}
-	start := time.Now()
-	rs, _, err := f.Run(context.Background(), sessionPlan(t), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkMatches(t, want, rs)
-	if elapsed := time.Since(start); elapsed > 30*time.Second {
-		t.Fatalf("close grace did not bound shutdown: run took %v", elapsed)
-	}
-	if log.count("death") == 0 {
-		t.Error("the worker that ignored Close was never killed")
-	}
-	assertNoSessionGoroutines(t)
-}
-
 // TestFleetReconnect: a connector worker whose first incarnation dies
 // shortly after Hello is redialed, and the replacement incarnation
 // finishes the run — digests identical, with death and reconnect both
@@ -158,7 +101,6 @@ func TestFleetReconnect(t *testing.T) {
 	f := &Fleet{
 		Req:        Request{Config: "matrix", Workers: 1},
 		Connectors: []*Connector{conn},
-		Backoff:    Backoff{Base: 20 * time.Millisecond, Max: 100 * time.Millisecond},
 		OnEvent:    log.add,
 	}
 	var killOnce sync.Once
@@ -187,82 +129,6 @@ func TestFleetReconnect(t *testing.T) {
 		t.Errorf("only %d incarnations dialed", incarnations)
 	}
 	mu.Unlock()
-}
-
-// TestFleetFlappingWorkerQuarantined: a connector that dies right after
-// every Hello, beside one healthy worker slowed to 150 ms per cell. Each
-// death counts toward the breaker even though the worker said hello, so
-// the flapper is quarantined at its fifth death — before any cell has
-// been requeued off it often enough to exhaust its budget — and the slow
-// worker finishes the run.
-func TestFleetFlappingWorkerQuarantined(t *testing.T) {
-	want := fullRun(t)
-	var mu sync.Mutex
-	var current *Endpoint
-	flapper := &Connector{Name: "flapper", Dial: func() (*Endpoint, error) {
-		ep := PipeWorker(context.Background(), "flapper", testPlan)
-		mu.Lock()
-		current = ep
-		mu.Unlock()
-		return ep, nil
-	}}
-	var log eventLog
-	f := &Fleet{
-		Req:        Request{Config: "matrix", Workers: 1},
-		Endpoints:  []*Endpoint{slowEndpoint(PipeWorker(context.Background(), "slow", testPlan), 150*time.Millisecond)},
-		Connectors: []*Connector{flapper},
-		Backoff:    Backoff{Base: 10 * time.Millisecond, Max: 20 * time.Millisecond},
-		OnEvent: func(ev FleetEvent) {
-			log.add(ev)
-			if ev.Worker == "flapper" && ev.Kind == "hello" {
-				mu.Lock()
-				_ = current.Kill()
-				mu.Unlock()
-			}
-		},
-	}
-	rs, _, err := f.Run(context.Background(), sessionPlan(t), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkMatches(t, want, rs)
-	if n := log.count("quarantine"); n != 1 {
-		t.Errorf("%d quarantine events, want 1", n)
-	}
-	deaths := 0
-	for _, ev := range log.evs {
-		if ev.Worker == "flapper" && ev.Kind == "death" {
-			deaths++
-		}
-	}
-	if deaths > breakerFailures {
-		t.Errorf("flapper died %d times, want at most %d before its quarantine", deaths, breakerFailures)
-	}
-}
-
-// TestFleetDownTypedError: a connector whose dial always fails trips
-// the circuit breaker, and with no path to completion left the run fails
-// with the typed *FleetDownError carrying per-worker forensics.
-func TestFleetDownTypedError(t *testing.T) {
-	f := &Fleet{
-		Req:        Request{Config: "matrix", Workers: 1},
-		Connectors: []*Connector{{Name: "dead", Dial: func() (*Endpoint, error) { return nil, errors.New("connection refused") }}},
-		Backoff:    Backoff{Base: 10 * time.Millisecond, Max: 20 * time.Millisecond},
-	}
-	_, _, err := f.Run(context.Background(), sessionPlan(t), nil)
-	var fd *FleetDownError
-	if err == nil || !errors.As(err, &fd) {
-		t.Fatalf("dead fleet did not fail with *FleetDownError: %v", err)
-	}
-	if len(fd.Workers) != 1 || fd.Workers[0].Name != "dead" {
-		t.Fatalf("forensics do not name the dead worker: %+v", fd.Workers)
-	}
-	if !fd.Workers[0].Quarantined {
-		t.Errorf("forensics do not show the quarantine: %s", fd.Workers[0])
-	}
-	if !strings.Contains(err.Error(), "dead or quarantined") {
-		t.Errorf("error text lost the diagnosis: %v", err)
-	}
 }
 
 // TestFleetStallWatchdog: a worker that accepts cells and silently
@@ -348,8 +214,7 @@ func TestFleetResumeCompleted(t *testing.T) {
 func TestFleetResumeDivergingRecordFatal(t *testing.T) {
 	want := fullRun(t)
 	rec := want.Cells[0].Record()
-	twin := rec
-	twin.Digest = "0000000000000000"
+	twin := divergentTwin(t, rec.Key)
 	eps := pipeFleet(context.Background(), 1)
 	// Run fails before it attaches (and so before it owns) the endpoint.
 	defer eps[0].Kill()

@@ -124,7 +124,8 @@ func TestFleetWorkerDeath(t *testing.T) {
 
 // TestFleetHangingWorker: a worker that accepts the session but never
 // executes anything trips the hang deadline, dies, and its cells finish
-// elsewhere.
+// elsewhere. The leak check then proves the kill path tore every
+// session down.
 func TestFleetHangingWorker(t *testing.T) {
 	want := fullRun(t)
 
@@ -176,6 +177,7 @@ func TestFleetHangingWorker(t *testing.T) {
 	if log.count("hang") == 0 {
 		t.Error("hung worker was never declared hung")
 	}
+	assertNoSessionGoroutines(t)
 }
 
 // mitmEndpoint interposes on a worker's frame stream: every received
@@ -312,6 +314,10 @@ func TestFleetDuplicateInFlight(t *testing.T) {
 // that disagree are a determinism violation — the run aborts with
 // sweep.ErrDiverged instead of recovering.
 func TestFleetDivergingDuplicateFatal(t *testing.T) {
+	twins := map[string]sweep.CellRecord{}
+	for _, key := range sessionPlan(t).Keys() {
+		twins[key] = divergentTwin(t, key)
+	}
 	var mu sync.Mutex
 	forged := false
 	inner := PipeWorker(context.Background(), "forge", testPlan)
@@ -320,10 +326,8 @@ func TestFleetDivergingDuplicateFatal(t *testing.T) {
 		defer mu.Unlock()
 		if fr.Cell != nil && !forged {
 			forged = true
-			twin := *fr.Cell
-			// A second completion claiming different content: the
-			// divergence check fires on the transmitted digests.
-			twin.Digest = "0000000000000000"
+			// A second, intact completion with different content.
+			twin := twins[fr.Cell.Key]
 			return []SessionFrame{fr, {Cell: &twin}}
 		}
 		return []SessionFrame{fr}

@@ -129,26 +129,37 @@ func WriteFrame(w io.Writer, v any) error {
 // malformed-stream failure (truncated header, oversized prefix,
 // truncated payload, undecodable bytes) is a *FrameError.
 func ReadFrame(r io.Reader, v any) error {
+	buf, err := readRaw(r)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(buf[4:], v); err != nil {
+		return &FrameError{Reason: "decoding frame", Err: err}
+	}
+	return nil
+}
+
+// readRaw reads one length-prefixed frame as raw bytes, header
+// included, without decoding it, failing as ReadFrame does.
+func readRaw(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
-			return io.EOF
+			return nil, io.EOF
 		}
 		// A partial header is a torn stream, not a clean end: type it so
 		// fuzzers and fault handlers can rely on every malformed byte
 		// sequence surfacing as a *FrameError.
-		return &FrameError{Reason: "reading frame header", Err: err}
+		return nil, &FrameError{Reason: "reading frame header", Err: err}
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	if n > MaxFrame {
-		return &FrameError{Reason: fmt.Sprintf("frame length %d", n), Err: ErrFrameTooLarge}
+		return nil, &FrameError{Reason: fmt.Sprintf("frame length %d", n), Err: ErrFrameTooLarge}
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return &FrameError{Reason: fmt.Sprintf("reading %d-byte frame", n), Err: err}
+	buf := make([]byte, 4+int(n))
+	copy(buf, hdr[:])
+	if _, err := io.ReadFull(r, buf[4:]); err != nil {
+		return nil, &FrameError{Reason: fmt.Sprintf("reading %d-byte frame", n), Err: err}
 	}
-	if err := json.Unmarshal(buf, v); err != nil {
-		return &FrameError{Reason: "decoding frame", Err: err}
-	}
-	return nil
+	return buf, nil
 }

@@ -59,6 +59,29 @@ func testGroup() sweep.Group {
 	}
 }
 
+// divergentTwin is key's record from a worker whose measure reports one
+// value more than the plan's: intact on the wire — its digest survives
+// its content — yet a different answer for the same cell, as a
+// nondeterministic worker would send.
+func divergentTwin(tb testing.TB, key string) sweep.CellRecord {
+	tb.Helper()
+	g := testGroup()
+	g.Measure = func(c *fleet.Ctx, cell sweep.Cell) (sweep.Outcome, error) {
+		o, err := sweep.GenericMeasure(c, cell)
+		o.Set("twin", 1)
+		return o, err
+	}
+	plan, err := sweep.PlanGroups([]sweep.Group{g}, "", 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cr, err := plan.RunCell(context.Background(), key, 0, 0, "", nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return cr.Record()
+}
+
 // fullRun executes the test matrix in-process as the reference.
 func fullRun(t *testing.T) *sweep.Results {
 	t.Helper()

@@ -2,12 +2,14 @@ package sweep
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/netfpga"
 	"repro/netfpga/fleet"
 	"repro/netfpga/workload"
 )
@@ -535,7 +537,7 @@ func TestRunCellMatchesBatch(t *testing.T) {
 // TestMergerAdopt: Adopt tolerates the exact duplicate a recovering
 // fleet produces (requeued cell racing its dead sender's in-flight
 // result) but still rejects diverging completions and everything Place
-// rejects.
+// rejects, a duplicate corrupted in transit included.
 func TestMergerAdopt(t *testing.T) {
 	p, err := PlanGroups([]Group{matrixGroup(40)}, "", 0)
 	if err != nil {
@@ -566,11 +568,20 @@ func TestMergerAdopt(t *testing.T) {
 	if again.Digest != cr.Digest || m.Placed() != 1 {
 		t.Fatalf("duplicate adopt changed state: digest %s vs %s, placed=%d", again.Digest, cr.Digest, m.Placed())
 	}
-	// A diverging completion of the same cell is a determinism violation.
+	// A duplicate corrupted in transit is a corrupt record, not a
+	// second answer.
 	div := recs[0]
-	div.Events++
 	div.Digest = "0000000000000000"
-	if _, _, err := m.Adopt(div); err == nil || !strings.Contains(err.Error(), "diverging") {
+	if _, _, err := m.Adopt(div); err == nil || errors.Is(err, ErrDiverged) || !strings.Contains(err.Error(), "does not survive the wire") {
+		t.Errorf("corrupted duplicate: err=%v, want a digest that does not survive the wire", err)
+	}
+	// An intact completion that disagrees is a determinism violation.
+	div.Events++
+	i, _ := p.Lookup(div.Key)
+	twin := CellResult{Cell: p.Cells[i], Seed: div.Seed, Values: div.Values, Labels: div.Labels,
+		SimTime: netfpga.Time(div.SimPS), Events: div.Events, Err: div.Err}
+	div.Digest = twin.digest()
+	if _, _, err := m.Adopt(div); !errors.Is(err, ErrDiverged) || !strings.Contains(err.Error(), "diverging") {
 		t.Errorf("diverging duplicate: err=%v, want diverging-digest error", err)
 	}
 	// Adopt still enforces Place's integrity checks on fresh cells.
