@@ -14,7 +14,6 @@ package resultstore
 
 import (
 	"bufio"
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -25,6 +24,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/canonjson"
 	"repro/netfpga/fleet"
 )
 
@@ -189,6 +189,7 @@ type RunWriter struct {
 	w    *bufio.Writer
 	recs []Record
 	err  error
+	buf  []byte // writeLine's cell line, reused
 }
 
 // Begin creates a new run file. The run id must be unique within the
@@ -212,18 +213,26 @@ func (st *Store) Begin(meta Meta) (*RunWriter, error) {
 	return rw, rw.err
 }
 
+// writeLine writes a cell line with canonjson's writer and falls back
+// to json.Marshal for a meta line or a record canonjson declines.
 func (rw *RunWriter) writeLine(l line) {
-	if rw.err != nil {
-		return
+	ok := false
+	if l.Cell != nil {
+		rw.buf, ok = appendCellLine(rw.buf[:0], l.Cell)
 	}
-	data, err := json.Marshal(l)
-	if err != nil {
-		rw.err = err
-		return
+	if !ok && rw.err == nil {
+		rw.buf, rw.err = json.Marshal(l)
 	}
-	if _, err := rw.w.Write(append(data, '\n')); err != nil {
-		rw.err = err
+	if rw.err == nil {
+		_, rw.err = rw.w.Write(append(rw.buf, '\n'))
 	}
+}
+
+// appendCellLine appends r's cell line, as json.Marshal writes it,
+// unless canonjson declines r.
+func appendCellLine(b []byte, r *Record) ([]byte, bool) {
+	b, ok := canonjson.AppendCell(append(b, `{"cell":`...), canonjson.Store, (*canonjson.Cell)(r))
+	return append(b, '}'), ok
 }
 
 // Append records one cell and flushes it through to the file.
@@ -273,11 +282,11 @@ func (st *Store) writeIndex() error {
 // appendLine adds one cell line exactly as another run stored it, under
 // key and digest for the index. Unlike Append it does not flush: the
 // merge that calls it writes a complete run, which Close flushes.
-func (rw *RunWriter) appendLine(key, digest string, b []byte) {
+func (rw *RunWriter) appendLine(key, digest, b string) {
 	if rw.err != nil {
 		return
 	}
-	if _, err := rw.w.Write(b); err != nil {
+	if _, err := rw.w.WriteString(b); err != nil {
 		rw.err = err
 		return
 	}
@@ -412,22 +421,26 @@ func (st *Store) RunDigests(run string) (map[string]string, error) {
 // Records are written in sorted key order, and the merge returns the
 // number of cells written. A merge reads only each record's key and
 // digest and copies the line the part stored, byte for byte: the store
-// wrote that line, so it is the record's encoding already.
+// wrote that line, so it is the record's encoding already. A line in
+// the canonical layout Append writes is read by canonjson; any other,
+// a torn one included, by encoding/json, whose error fails the merge.
 func (st *Store) MergeRuns(meta Meta, parts []string, expect []string) (int, error) {
 	if len(parts) == 0 {
 		return 0, fmt.Errorf("resultstore: merge of no runs")
 	}
 	// stored is one part's cell line and the fields the merge reads.
-	type stored struct {
-		key, digest, part string
-		line              []byte
-	}
+	type stored struct{ key, digest, part, line string }
 	merged := map[string]stored{}
 	for _, part := range parts {
 		// A part is read whole before any of its records is merged, so
 		// a torn part fails as a read error even past a conflict.
 		var recs []stored
 		err := st.eachLine(part, func(n int, b []byte) error {
+			var c canonjson.Cell
+			if s := string(b); canonjson.ParseCell(s, `{"cell":`, "}", canonjson.Store, &c) {
+				recs = append(recs, stored{c.Key, c.Digest, part, s})
+				return nil
+			}
 			var l struct {
 				Meta *struct{} `json:"meta"`
 				Cell *struct {
@@ -441,7 +454,7 @@ func (st *Store) MergeRuns(meta Meta, parts []string, expect []string) (int, err
 			switch {
 			case l.Meta != nil:
 			case l.Cell != nil:
-				recs = append(recs, stored{l.Cell.Key, l.Cell.Digest, part, bytes.Clone(b)})
+				recs = append(recs, stored{l.Cell.Key, l.Cell.Digest, part, string(b)})
 			default:
 				return fmt.Errorf("resultstore: %s line %d: empty record", part, n)
 			}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -174,7 +175,9 @@ func (p *Plan) Execute(ctx context.Context, r *fleet.Runner) (<-chan CellResult,
 }
 
 // sealResult maps one executed fleet result onto cell i's sealed
-// CellResult (outcome extracted, digest stamped).
+// CellResult (outcome extracted, digest stamped). An outcome holding a
+// NaN or infinite value seals as a cell error naming it: no record can
+// carry one, so the wire and the store would otherwise lose the cell.
 func (p *Plan) sealResult(i int, res fleet.Result) CellResult {
 	cr := CellResult{
 		Cell:    p.Cells[i],
@@ -187,9 +190,23 @@ func (p *Plan) sealResult(i int, res fleet.Result) CellResult {
 		cr.Err = res.Err.Error()
 	} else if o, ok := res.Value.(Outcome); ok {
 		cr.Values, cr.Labels = o.Values, o.Labels
+		if k, ok := nonFinite(o.Values); ok {
+			cr.Values, cr.Labels = nil, nil
+			cr.Err = fmt.Sprintf("sweep: value %q is %v; a cell records finite values only", k, o.Values[k])
+		}
 	}
 	cr.Digest = cr.digest()
 	return cr
+}
+
+// nonFinite returns the least key of m whose value is NaN or infinite.
+func nonFinite(m map[string]float64) (key string, found bool) {
+	for k, v := range m {
+		if (math.IsNaN(v) || math.IsInf(v, 0)) && (!found || k < key) {
+			key, found = k, true
+		}
+	}
+	return key, found
 }
 
 // RunCell compiles and executes a single cell of the plan and returns

@@ -11,7 +11,10 @@
 // There is one wire protocol: length-prefixed JSON frames, the same on
 // the stdin/stdout pipes of a spawned `nf-bench shard-worker` and on a
 // TCP or TLS connection to `nf-bench shard-worker -listen`. Anything a
-// worker prints to stderr passes through untouched for debugging.
+// worker prints to stderr passes through untouched for debugging. The
+// per-cell frames, Cell and Assign, are written and read by canonjson
+// in the bytes encoding/json has for them; every other frame, and any
+// hot frame canonjson declines, goes through encoding/json itself.
 //
 // Coordinator -> worker, each as one Command frame:
 //
@@ -45,7 +48,9 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/canonjson"
 	"repro/netfpga/fleet"
+	"repro/netfpga/sweep"
 )
 
 // MaxFrame bounds a frame's payload; a length prefix beyond it aborts
@@ -108,19 +113,20 @@ func (r Request) Runner() *fleet.Runner {
 
 // WriteFrame marshals v and writes it as one length-prefixed frame.
 func WriteFrame(w io.Writer, v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("shard: encoding frame: %w", err)
+	buf, ok := appendHot(make([]byte, 4, 512), v)
+	if !ok {
+		data, err := json.Marshal(v)
+		if err != nil {
+			return fmt.Errorf("shard: encoding frame: %w", err)
+		}
+		buf = append(buf[:4], data...)
 	}
-	if len(data) > MaxFrame {
-		return fmt.Errorf("shard: frame of %d bytes exceeds limit", len(data))
+	n := len(buf) - 4
+	if n > MaxFrame {
+		return fmt.Errorf("shard: frame of %d bytes exceeds limit", n)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(data)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(data)
+	binary.BigEndian.PutUint32(buf, uint32(n))
+	_, err := w.Write(buf)
 	return err
 }
 
@@ -132,6 +138,9 @@ func ReadFrame(r io.Reader, v any) error {
 	buf, err := readRaw(r)
 	if err != nil {
 		return err
+	}
+	if readHot(buf[4:], v) {
+		return nil
 	}
 	if err := json.Unmarshal(buf[4:], v); err != nil {
 		return &FrameError{Reason: "decoding frame", Err: err}
@@ -162,4 +171,50 @@ func readRaw(r io.Reader) ([]byte, error) {
 		return nil, &FrameError{Reason: fmt.Sprintf("reading %d-byte frame", n), Err: err}
 	}
 	return buf, nil
+}
+
+// The hot frames' envelopes around what canonjson writes and reads.
+const cellOpen, assignOpen = `{"cell":`, `{"assign":{"keys":`
+
+// appendHot appends a SessionFrame carrying only Cell, or a Command
+// carrying only Assign, as json.Marshal writes it. It reports false for
+// any other frame and for a record canonjson declines.
+func appendHot(b []byte, v any) ([]byte, bool) {
+	switch f := v.(type) {
+	case SessionFrame:
+		if r := f.Cell; r != nil && f == (SessionFrame{Cell: r}) {
+			b, ok := canonjson.AppendCell(append(b, cellOpen...), canonjson.Wire, &canonjson.Cell{Key: r.Key,
+				Digest: r.Digest, Seed: r.Seed, Values: r.Values, Labels: r.Labels, SimPS: r.SimPS, Events: r.Events, Err: r.Err})
+			return append(b, '}'), ok
+		}
+	case Command:
+		if f.Assign != nil && f == (Command{Assign: f.Assign}) {
+			b, ok := canonjson.AppendStrings(append(b, assignOpen...), f.Assign.Keys)
+			return append(b, "}}"...), ok
+		}
+	}
+	return b, false
+}
+
+// readHot decodes a Cell frame or an Assign command in canonjson's
+// canonical layout into v, as json.Unmarshal would, when v's field is
+// nil. It reports false, leaving v untouched, for anything else.
+func readHot(p []byte, v any) bool {
+	switch f := v.(type) {
+	case *SessionFrame:
+		var c canonjson.Cell
+		ok := f.Cell == nil && canonjson.ParseCell(string(p), cellOpen, "}", canonjson.Wire, &c)
+		if ok {
+			f.Cell = &sweep.CellRecord{Key: c.Key, Seed: c.Seed, Values: c.Values, Labels: c.Labels,
+				SimPS: c.SimPS, Events: c.Events, Err: c.Err, Digest: c.Digest}
+		}
+		return ok
+	case *Command:
+		keys, ok := canonjson.ParseStrings(string(p), assignOpen, "}}")
+		if ok = ok && f.Assign == nil; ok {
+			f.Assign = &Assign{Keys: keys}
+		}
+		return ok
+	}
+	return false
 }

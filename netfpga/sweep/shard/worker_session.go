@@ -134,8 +134,10 @@ func ServeSession(ctx context.Context, in io.Reader, out io.Writer, planFor Plan
 
 // runSessionItem executes one assigned cell from its first event to its
 // last and streams its outcome: a Cell frame, or a Reject frame for a
-// cell this worker's plan cannot run. Send failures are ignored here —
-// the reader loop observes the broken stream and winds the session down.
+// cell this worker's plan cannot run. A Cell frame that fails to send is
+// reported as an Err frame naming the cell: a record too large to frame
+// would otherwise leave the coordinator waiting for it. On a broken
+// stream that send fails too, and the reader loop winds the session down.
 func runSessionItem(ctx context.Context, plan *sweep.Plan, req Request, key string,
 	send func(SessionFrame) error, cells *atomic.Int64) {
 	// A cancelled session must ship nothing: a cell aborted by ctx
@@ -155,5 +157,7 @@ func runSessionItem(ctx context.Context, plan *sweep.Plan, req Request, key stri
 	}
 	cells.Add(1)
 	rec := cr.Record()
-	_ = send(SessionFrame{Cell: &rec})
+	if err := send(SessionFrame{Cell: &rec}); err != nil {
+		_ = send(SessionFrame{Err: fmt.Sprintf("shard worker: cell %s: %v", key, err)})
+	}
 }
