@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/storage/resultstore"
-	"repro/netfpga/fleet"
 	"repro/netfpga/sweep"
 	"repro/netfpga/sweep/shard"
 )
@@ -395,7 +394,7 @@ func runSweep(c *sweepConfig, cfg *sweep.Config, resumeRecs []resultstore.Record
 // — all of them, unless m holds a resumed run's records — and merges
 // each result through the same digest-verifying Adopt a fleet run's
 // records go through.
-func runLocal(plan *sweep.Plan, m *sweep.Merger, r *fleet.Runner, progress func(sweep.CellResult)) (*sweep.Results, error) {
+func runLocal(plan *sweep.Plan, m *sweep.Merger, r *sweep.Runner, progress func(sweep.CellResult)) (*sweep.Results, error) {
 	ch, _, err := plan.Subset(func(key string) bool { return !m.Filled(key) }).Execute(context.Background(), r)
 	if err != nil {
 		return nil, err

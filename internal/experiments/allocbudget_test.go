@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/netfpga/fleet"
 	"repro/netfpga/sweep"
 )
 
@@ -34,7 +33,7 @@ func TestPaperCellAllocationBudget(t *testing.T) {
 	groups := paperGroups(t)
 	for _, c := range paperCellBudgets {
 		run := func() {
-			rs, err := sweep.RunGroups(context.Background(), &fleet.Runner{Workers: 1}, groups, c.key)
+			rs, err := sweep.RunGroups(context.Background(), &sweep.Runner{Workers: 1}, groups, c.key)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/netfpga/fleet"
 	"repro/netfpga/sweep"
 )
 
@@ -20,7 +19,7 @@ func defF1() Def {
 			{Name: "board", Values: []string{"sume", "10g", "1g-cml"}},
 		},
 	}
-	measure := func(c *fleet.Ctx, cell sweep.Cell) (sweep.Outcome, error) {
+	measure := func(c *sweep.Ctx, cell sweep.Cell) (sweep.Outcome, error) {
 		b, ok := sweep.Board(cell.Str("board"))
 		if !ok {
 			return sweep.Outcome{}, fmt.Errorf("unknown board %q", cell.Str("board"))

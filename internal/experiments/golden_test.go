@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/netfpga/fleet"
 	"repro/netfpga/sweep"
 )
 
@@ -61,7 +60,7 @@ func paperRun(t *testing.T, groups []sweep.Group, workers int) *sweep.Results {
 	if rs, ok := paperRuns[workers]; ok {
 		return rs
 	}
-	rs, err := sweep.RunGroups(context.Background(), &fleet.Runner{Workers: workers}, groups, "")
+	rs, err := sweep.RunGroups(context.Background(), &sweep.Runner{Workers: workers}, groups, "")
 	if err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
 	}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/pcie"
 	"repro/internal/serial"
 	"repro/netfpga"
-	"repro/netfpga/fleet"
 	"repro/netfpga/sweep"
 )
 
@@ -61,7 +60,7 @@ func defT3() Def {
 		},
 	}
 	const window = 300 * netfpga.Microsecond
-	measure := func(c *fleet.Ctx, cell sweep.Cell) (sweep.Outcome, error) {
+	measure := func(c *sweep.Ctx, cell sweep.Cell) (sweep.Outcome, error) {
 		dev := c.Dev
 		fs := cell.Int("frame")
 		tap := dev.Tap(0)

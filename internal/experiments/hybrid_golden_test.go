@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/netfpga/fleet"
 	"repro/netfpga/sweep"
 )
 
@@ -58,7 +57,7 @@ func TestGoldenHybrid(t *testing.T) {
 
 	var results []*sweep.Results
 	for _, workers := range []int{1, 4} {
-		r := &fleet.Runner{Workers: workers, BaseSeed: 0}
+		r := &sweep.Runner{Workers: workers, BaseSeed: 0}
 		rs, err := sweep.RunGroups(context.Background(), r, groups, "")
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -123,7 +122,7 @@ func TestGoldenHybrid(t *testing.T) {
 //     within hybridLatencyTol (see its comment for the calibration).
 func TestHybridCalibration(t *testing.T) {
 	groups := hybridGroups(t)
-	r := &fleet.Runner{Workers: 1, BaseSeed: 0}
+	r := &sweep.Runner{Workers: 1, BaseSeed: 0}
 	rs, err := sweep.RunGroups(context.Background(), r, groups, "")
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +220,7 @@ func TestHybridSpeedup(t *testing.T) {
 		}
 		groups := []sweep.Group{{Spec: spec, Measure: sweep.GenericMeasure}}
 		start := time.Now()
-		rs, err := sweep.RunGroups(context.Background(), &fleet.Runner{Workers: 1}, groups, "")
+		rs, err := sweep.RunGroups(context.Background(), &sweep.Runner{Workers: 1}, groups, "")
 		if err != nil {
 			t.Fatalf("fid=%s: %v", fid, err)
 		}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/sim"
-	"repro/netfpga/fleet"
 	"repro/netfpga/sweep"
 )
 
@@ -56,7 +55,7 @@ func defT2() Def {
 			{Name: "pattern", Values: patAxis},
 		},
 	}
-	measure := func(c *fleet.Ctx, cell sweep.Cell) (sweep.Outcome, error) {
+	measure := func(c *sweep.Ctx, cell sweep.Cell) (sweep.Outcome, error) {
 		var random bool
 		var size int
 		for _, p := range t2Patterns {

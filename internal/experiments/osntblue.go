@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/sim"
 	"repro/netfpga"
-	"repro/netfpga/fleet"
 	"repro/netfpga/hw"
 	"repro/netfpga/pkt"
 	"repro/netfpga/projects/blueswitch"
@@ -39,7 +38,7 @@ func defT6() Def {
 	})
 	wire := len(template) + 24
 
-	precision := func(c *fleet.Ctx, cell sweep.Cell) (sweep.Outcome, error) {
+	precision := func(c *sweep.Ctx, cell sweep.Cell) (sweep.Outcome, error) {
 		dev := c.Dev
 		rate := cell.Float("rate")
 		tester, err := osntLoop(dev, 0)
@@ -63,7 +62,7 @@ func defT6() Def {
 		return o, nil
 	}
 
-	latency := func(c *fleet.Ctx, cell sweep.Cell) (sweep.Outcome, error) {
+	latency := func(c *sweep.Ctx, cell sweep.Cell) (sweep.Outcome, error) {
 		dev := c.Dev
 		dut := cell.Duration("dut_us")
 		tester, err := osntLoop(dev, dut)
@@ -206,7 +205,7 @@ func defT7() Def {
 			Src: pkt.MustMAC("02:00:00:00:00:01"), EtherType: 0x0800},
 		pkt.Payload(make([]byte, 46)))
 
-	measure := func(c *fleet.Ctx, cell sweep.Cell) (sweep.Outcome, error) {
+	measure := func(c *sweep.Ctx, cell sweep.Cell) (sweep.Outcome, error) {
 		dev := c.Dev
 		delay := cell.Duration("delay_us")
 		mode := blueswitch.Naive

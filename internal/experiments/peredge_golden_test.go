@@ -2,39 +2,22 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"repro/netfpga"
-	"repro/netfpga/fleet"
 	"repro/netfpga/sweep"
 )
 
-// perEdge decorates a job so its device runs the per-edge reference:
-// every clock edge its own simulation event, every datapath cycle a
-// Tick. The two equivalence-test hooks are set before the project is
-// built, and the device must not have opened a single frame window by
-// the time Drive returns.
-func perEdge(j fleet.Job) fleet.Job {
-	build, drive := j.Build, j.Drive
-	j.Build = func(dev *netfpga.Device) error {
+// perEdge puts a fresh device on the per-edge reference — every clock
+// edge its own simulation event, every datapath cycle a Tick — by
+// setting the two equivalence-test hooks before the project is built,
+// and keeps the device for the window check.
+func perEdge(held **netfpga.Device) func(*netfpga.Device) {
+	return func(dev *netfpga.Device) {
 		dev.Clock.SetBatch(1)
 		dev.Dsn.SetFrameBurst(1)
-		if build == nil {
-			return nil
-		}
-		return build(dev)
+		*held = dev
 	}
-	j.Drive = func(c *fleet.Ctx) (any, error) {
-		v, err := drive(c)
-		if c.Dev != nil && err == nil {
-			if windows, _ := c.Dev.Dsn.WindowStats(); windows != 0 {
-				err = fmt.Errorf("per-edge device opened %d frame windows", windows)
-			}
-		}
-		return v, err
-	}
-	return j
 }
 
 // TestPerEdgeReferenceMatchesGoldens is the advance contract's
@@ -66,12 +49,19 @@ func TestPerEdgeReferenceMatchesGoldens(t *testing.T) {
 			}
 			merger := plan.Merger()
 			for _, key := range plan.Keys() {
-				cr, err := plan.RunCell(context.Background(), key, 0, 0, "", perEdge)
+				var dev *netfpga.Device
+				cr, err := plan.RunCell(context.Background(), key, 0, 0, "", perEdge(&dev))
 				if err == nil {
 					_, err = merger.Place(cr.Record())
 				}
 				if err != nil {
 					t.Fatalf("cell %s: %v", key, err)
+				}
+				// The device must not have opened a single frame window.
+				if dev != nil {
+					if windows, _ := dev.Dsn.WindowStats(); windows != 0 {
+						t.Errorf("cell %s: per-edge device opened %d frame windows", key, windows)
+					}
 				}
 			}
 			rs, err := merger.Results()

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/netfpga/fleet"
 	"repro/netfpga/sweep"
 )
 
@@ -34,7 +33,7 @@ func TestRenderRunMatchesStandalone(t *testing.T) {
 	want := map[string]string{}
 	for _, id := range cfg.Experiments {
 		d, _ := DefByID(id)
-		rs, err := sweep.RunGroups(ctx, fleet.New(0), d.Groups, "")
+		rs, err := sweep.RunGroups(ctx, &sweep.Runner{Workers: 0}, d.Groups, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +94,7 @@ func reportOf(t *testing.T, filter string, wrap func(g *sweep.Group)) (string, [
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, rs, err := plan.Execute(context.Background(), &fleet.Runner{Workers: 2})
+	ch, rs, err := plan.Execute(context.Background(), &sweep.Runner{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +136,7 @@ func TestRenderRunPartial(t *testing.T) {
 			return
 		}
 		measure := g.Measure
-		g.Measure = func(c *fleet.Ctx, cell sweep.Cell) (sweep.Outcome, error) {
+		g.Measure = func(c *sweep.Ctx, cell sweep.Cell) (sweep.Outcome, error) {
 			if cell.Str("fib") == "1024" && cell.Str("frame") == "64" {
 				return sweep.Outcome{}, errors.New("injected failure")
 			}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/netfpga"
-	"repro/netfpga/fleet"
 	"repro/netfpga/sweep"
 )
 
@@ -43,7 +42,7 @@ func defT1() Def {
 		},
 	}
 	const window = 400 * netfpga.Microsecond
-	measure := func(c *fleet.Ctx, cell sweep.Cell) (sweep.Outcome, error) {
+	measure := func(c *sweep.Ctx, cell sweep.Cell) (sweep.Outcome, error) {
 		dev := c.Dev
 		payload := cell.Int("frame") - 4 // wire frame minus FCS is what taps carry
 		taps := make([]*netfpga.PortTap, dev.Board.Ports)

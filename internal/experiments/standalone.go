@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/storage"
 	"repro/netfpga"
-	"repro/netfpga/fleet"
 	"repro/netfpga/projects/iotest"
 	"repro/netfpga/sweep"
 )
@@ -23,7 +22,7 @@ func defT9() Def {
 		NoHost: true,
 		Params: []sweep.Axis{{Name: "bootdev", Values: t9Devices}},
 	}
-	measure := func(c *fleet.Ctx, cell sweep.Cell) (sweep.Outcome, error) {
+	measure := func(c *sweep.Ctx, cell sweep.Cell) (sweep.Outcome, error) {
 		dev := c.Dev
 		devName := cell.Str("bootdev")
 		if dev.Driver != nil {

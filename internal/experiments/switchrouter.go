@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/netfpga"
-	"repro/netfpga/fleet"
 	"repro/netfpga/pkt"
 	"repro/netfpga/projects/router"
 	"repro/netfpga/sweep"
@@ -40,7 +39,7 @@ func defT4() Def {
 		macs[i] = pkt.MAC{2, 0, 0, 0, 0, byte(0x20 + i)}
 	}
 
-	mesh := func(c *fleet.Ctx, cell sweep.Cell) (sweep.Outcome, error) {
+	mesh := func(c *sweep.Ctx, cell sweep.Cell) (sweep.Outcome, error) {
 		dev := c.Dev
 		payload := cell.Int("frame") - 4
 		taps := countingTaps(dev, 4)
@@ -141,7 +140,7 @@ func defT5() Def {
 	hostMAC := func(i int) pkt.MAC { return pkt.MAC{2, 0xCC, 0, 0, 0, byte(i)} }
 	hostIP := func(i int) pkt.IP4 { return pkt.IP4{10, 0, byte(i), 2} }
 
-	measure := func(c *fleet.Ctx, cell sweep.Cell) (sweep.Outcome, error) {
+	measure := func(c *sweep.Ctx, cell sweep.Cell) (sweep.Outcome, error) {
 		dev := c.Dev
 		fib, payload := cell.Int("fib"), cell.Int("frame")-4
 		p := router.New(router.Config{})

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/netfpga"
-	"repro/netfpga/fleet"
 	"repro/netfpga/hw"
 	"repro/netfpga/lib"
 	"repro/netfpga/pkt"
@@ -50,7 +49,7 @@ func defT8() Def {
 		NoBuild: true,
 	}
 
-	synth := func(c *fleet.Ctx, cell sweep.Cell) (sweep.Outcome, error) {
+	synth := func(c *sweep.Ctx, cell sweep.Cell) (sweep.Outcome, error) {
 		dev := c.Dev
 		rep, synthErr := dev.Dsn.Synthesize(dev.Board.FPGA)
 		var names []string
@@ -69,7 +68,7 @@ func defT8() Def {
 		return o, nil
 	}
 
-	fit := func(c *fleet.Ctx, cell sweep.Cell) (sweep.Outcome, error) {
+	fit := func(c *sweep.Ctx, cell sweep.Cell) (sweep.Outcome, error) {
 		dev := c.Dev
 		entry, ok := projects.ByName(cell.Project)
 		if !ok {
@@ -206,7 +205,7 @@ func defF2() Def {
 		Name:   "F2",
 		Params: []sweep.Axis{{Name: "firewall", Values: []string{"off", "on"}}},
 	}
-	measure := func(c *fleet.Ctx, cell sweep.Cell) (sweep.Outcome, error) {
+	measure := func(c *sweep.Ctx, cell sweep.Cell) (sweep.Outcome, error) {
 		dev := c.Dev
 		withFirewall := cell.Str("firewall") == "on"
 		d := dev.Dsn

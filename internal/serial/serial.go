@@ -250,10 +250,6 @@ func (m *MAC) wireTime(n int) sim.Time {
 	return sim.BitTime(int64(n+OverheadBytes)*8, m.rate)
 }
 
-// FrameTime exposes wireTime for rate calculations by schedulers and
-// benchmarks.
-func (m *MAC) FrameTime(n int) sim.Time { return m.wireTime(n) }
-
 // kick starts transmission if the transmitter is idle and a frame waits.
 func (m *MAC) kick() {
 	if m.txTimer.Pending() || !m.linkUp {

@@ -144,10 +144,6 @@ func (t *Timer) Stop() bool {
 // Pending reports whether the timer is currently scheduled.
 func (t *Timer) Pending() bool { return t.idx >= 0 }
 
-// When returns the time the timer is scheduled for; meaningful only while
-// Pending.
-func (t *Timer) When() Time { return t.at }
-
 // At schedules fn to run at absolute time at and returns its timer.
 func (s *Sim) At(at Time, fn func()) *Timer {
 	t := s.NewTimer(fn)

@@ -8,7 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/netfpga/fleet"
+	"repro/netfpga/sweep"
 )
 
 // writeRun is a test helper appending one complete run with the given
@@ -39,11 +39,11 @@ func TestMetaUtilRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	util := &fleet.UtilizationReport{Workers: 3, Jobs: 7, WallMS: 12.5,
+	util := &sweep.UtilizationReport{Workers: 3, Jobs: 7, WallMS: 12.5,
 		BusyMS: 30.25, CapacityMS: 37.5, Efficiency: 0.80667}
 	wu := []WorkerUtil{
-		{Name: "proc:0", Cells: 4, Util: fleet.UtilizationReport{Workers: 2, WallMS: 12.5, BusyMS: 20}},
-		{Name: "tcp:h:1", Cells: 3, Util: fleet.UtilizationReport{Workers: 1, WallMS: 10, BusyMS: 10.25}},
+		{Name: "proc:0", Cells: 4, Util: sweep.UtilizationReport{Workers: 2, WallMS: 12.5, BusyMS: 20}},
+		{Name: "tcp:h:1", Cells: 3, Util: sweep.UtilizationReport{Workers: 1, WallMS: 10, BusyMS: 10.25}},
 	}
 	writeRun(t, st, Meta{Run: "r1", Seed: 5, Transport: "proc+tcp", Requeued: 2,
 		Util: util, WorkerUtil: wu}, "a")

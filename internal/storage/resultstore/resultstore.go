@@ -25,7 +25,7 @@ import (
 	"strings"
 
 	"repro/internal/canonjson"
-	"repro/netfpga/fleet"
+	"repro/netfpga/sweep"
 )
 
 // Meta describes one run.
@@ -63,7 +63,7 @@ type Meta struct {
 	// digest.
 	ResumedFrom string `json:"resumed_from,omitempty"`
 	// Util is the run's merged fleet-wide utilization report.
-	Util *fleet.UtilizationReport `json:"util,omitempty"`
+	Util *sweep.UtilizationReport `json:"util,omitempty"`
 	// WorkerUtil holds per-worker utilization: where the run's cells
 	// went and how busy each worker's pool was. An older run's sched,
 	// sched_from, plan_hash and worker_util[].weight keys are ignored on
@@ -79,7 +79,7 @@ type WorkerUtil struct {
 	// Cells is how many cells the worker completed.
 	Cells int `json:"cells"`
 	// Util is the worker's own session utilization report.
-	Util fleet.UtilizationReport `json:"util"`
+	Util sweep.UtilizationReport `json:"util"`
 }
 
 // Record is one executed cell.

@@ -22,11 +22,6 @@ func (r Resources) Add(o Resources) Resources {
 	return Resources{r.LUTs + o.LUTs, r.FFs + o.FFs, r.BRAM36 + o.BRAM36, r.DSPs + o.DSPs}
 }
 
-// Scale returns r multiplied by n.
-func (r Resources) Scale(n int) Resources {
-	return Resources{r.LUTs * n, r.FFs * n, r.BRAM36 * n, r.DSPs * n}
-}
-
 // FitsIn reports whether r fits within capacity c.
 func (r Resources) FitsIn(c Resources) bool {
 	return r.LUTs <= c.LUTs && r.FFs <= c.FFs && r.BRAM36 <= c.BRAM36 && r.DSPs <= c.DSPs

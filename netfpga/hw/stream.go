@@ -250,12 +250,9 @@ type FrameQueue struct {
 	dropKind CounterKind
 	to       int32
 
-	pushed uint64
-	popped uint64
-	drops  uint64
-	// dropBytes counts bytes of dropped frames.
-	dropBytes uint64
-	highWtr   uint64
+	pushed  uint64
+	drops   uint64
+	highWtr uint64
 }
 
 // frameRingStart is a new FrameQueue's ring size (a power of two).
@@ -305,7 +302,6 @@ func (q *FrameQueue) CanAccept(n int) bool {
 func (q *FrameQueue) Push(f *Frame) bool {
 	if !q.CanAccept(len(f.Data)) {
 		q.drops++
-		q.dropBytes += uint64(len(f.Data))
 		return false
 	}
 	if q.n == len(q.frames) { // grow the ring
@@ -341,7 +337,6 @@ func (q *FrameQueue) Pop() *Frame {
 	q.head = (q.head + 1) & q.mask
 	q.n--
 	q.bytes -= len(f.Data)
-	q.popped++
 	*q.edge = true
 	return f
 }
@@ -365,21 +360,15 @@ func (q *FrameQueue) consumedBy(d *Design, i int32) { q.dsn, q.to = d, i }
 func (q *FrameQueue) Reset() {
 	clear(q.frames)
 	q.head, q.n, q.bytes = 0, 0, 0
-	q.pushed, q.popped, q.drops, q.dropBytes, q.highWtr = 0, 0, 0, 0, 0
+	q.pushed, q.drops, q.highWtr = 0, 0, 0
 	q.ownEdge = false
 }
 
 // Drops returns the number of frames rejected for lack of space.
 func (q *FrameQueue) Drops() uint64 { return q.drops }
 
-// DropBytes returns the bytes of frames rejected for lack of space.
-func (q *FrameQueue) DropBytes() uint64 { return q.dropBytes }
-
 // Pushed returns the number of frames ever accepted.
 func (q *FrameQueue) Pushed() uint64 { return q.pushed }
-
-// Popped returns the number of frames ever dequeued.
-func (q *FrameQueue) Popped() uint64 { return q.popped }
 
 // HighWater returns the maximum frame occupancy observed.
 func (q *FrameQueue) HighWater() int { return int(q.highWtr) }

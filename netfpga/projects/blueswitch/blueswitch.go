@@ -258,12 +258,6 @@ func extractKey(f *hw.Frame, sel FieldSel) (uint64, bool) {
 	return 0, false
 }
 
-// EthDstKey builds a MatchEthDst key from address bytes.
-func EthDstKey(mac [6]byte) uint64 {
-	return uint64(binary.BigEndian.Uint32(mac[0:4]))<<16 |
-		uint64(binary.BigEndian.Uint16(mac[4:6]))
-}
-
 // stageLookup builds table k's decision function.
 func (p *Project) stageLookup(k int) lib.LookupFunc {
 	t := p.tables[k]

@@ -77,18 +77,17 @@ func (c *devices) releaseGenerator(g *workload.Generator) {
 }
 
 // acquire returns a device for a cell of project entry on the named
-// registry board: an idle one under the same key, reseeded to opts.Seed,
-// or a new one, built and sealed. Its release returns it to the cache
-// after a clean cell. A project that is not an hw.Resetter, or a device
-// whose Reset fails, is used once and dropped.
-func (c *devices) acquire(board string, entry projects.Entry, opts netfpga.Options) (*netfpga.Device, func(bool), error) {
+// registry board, whose spec is given: an idle one under the same key,
+// reseeded to opts.Seed, or a new one, built and sealed. Its release
+// returns it to the cache after a clean cell. A project that is not an
+// hw.Resetter, or a device whose Reset fails, is used once and dropped.
+func (c *devices) acquire(spec netfpga.BoardSpec, board string, entry projects.Entry, opts netfpga.Options) (*netfpga.Device, func(bool), error) {
 	key := deviceKey{board: board, project: entry.Name, opts: opts}
 	key.opts.Seed = 0
 	if d, ok := c.take(key); ok {
 		d.dev.Reseed(opts.Seed)
 		return d.dev, c.releaser(d), nil
 	}
-	spec, _ := Board(board) // jobFor resolved the name
 	dev := netfpga.NewDevice(spec, opts)
 	proj := entry.New()
 	if err := proj.Build(dev); err != nil {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/netfpga"
-	"repro/netfpga/fleet"
 	"repro/netfpga/workload"
 )
 
@@ -35,7 +34,7 @@ func TestTinyFleetPairsReusable(t *testing.T) {
 	var mu sync.Mutex
 	served := map[string]*netfpga.Device{}
 	spec := tinyFleetSpec()
-	record := func(c *fleet.Ctx, cell Cell) (Outcome, error) {
+	record := func(c *Ctx, cell Cell) (Outcome, error) {
 		mu.Lock()
 		served[cell.Key] = c.Dev
 		mu.Unlock()
@@ -45,7 +44,7 @@ func TestTinyFleetPairsReusable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, rs, err := plan.Execute(context.Background(), fleet.Sequential())
+	ch, rs, err := plan.Execute(context.Background(), &Runner{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,9 +71,9 @@ func TestTinyFleetPairsReusable(t *testing.T) {
 		t.Errorf("%d (board, project) pairs reused, want %d", len(pairs), want)
 	}
 
-	// A wrapped job builds its own device.
+	// A hooked cell builds its own device.
 	for _, cr := range rs.Cells {
-		fresh, err := plan.RunCell(context.Background(), cr.Cell.Key, 0, 0, "", func(j fleet.Job) fleet.Job { return j })
+		fresh, err := plan.RunCell(context.Background(), cr.Cell.Key, 0, 0, "", func(*netfpga.Device) {})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +88,7 @@ func TestTinyFleetPairsReusable(t *testing.T) {
 // sequential run does.
 func TestDeviceCacheConcurrent(t *testing.T) {
 	groups := []Group{{Spec: tinyFleetSpec(), Measure: GenericMeasure}}
-	seq, err := RunGroups(context.Background(), fleet.Sequential(), groups, "")
+	seq, err := RunGroups(context.Background(), &Runner{Workers: 1}, groups, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +97,7 @@ func TestDeviceCacheConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	for pass := 0; pass < 2; pass++ { // the second pass starts with a full cache
-		ch, rs, err := plan.Execute(context.Background(), fleet.New(4))
+		ch, rs, err := plan.Execute(context.Background(), &Runner{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +117,7 @@ func TestDeviceCacheBounded(t *testing.T) {
 	entry, _ := ProjectEntry("reference_iotest")
 	var c devices
 	for i := 0; i <= maxIdleDevices; i++ {
-		_, release, err := c.acquire("sume", entry, netfpga.Options{Seed: 1, ClockMHz: float64(100 + i)})
+		_, release, err := c.acquire(netfpga.SUME(), "sume", entry, netfpga.Options{Seed: 1, ClockMHz: float64(100 + i)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +130,7 @@ func TestDeviceCacheBounded(t *testing.T) {
 		t.Errorf("the least recently released device was not the one evicted")
 	}
 	want := c.idle[0].dev
-	dev, release, err := c.acquire("sume", entry, netfpga.Options{Seed: 2, ClockMHz: 101})
+	dev, release, err := c.acquire(netfpga.SUME(), "sume", entry, netfpga.Options{Seed: 2, ClockMHz: 101})
 	if err != nil {
 		t.Fatal(err)
 	}

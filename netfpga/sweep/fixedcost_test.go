@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -188,4 +189,41 @@ func resetCost(t *testing.T, entry projects.Entry) (allocs, bytes float64) {
 			t.Fatal("a reset device must read as fresh")
 		}
 	})
+}
+
+// runCellCeiling bounds what Plan.RunCell pays around a measure: a
+// no-device cell whose measure returns a constant outcome, measured like
+// fixedCostCeilings. It is the seed, the context and its RNG, the
+// measure's call and the sealed result's digest; before a cell was a
+// call, the one-job pool it ran in made this cell 18 allocations and
+// 1168 bytes.
+var runCellCeiling = struct{ allocs, bytes float64 }{6, 248}
+
+func TestRunCellFixedCostBudget(t *testing.T) {
+	if raceEnabled || testing.CoverMode() != "" {
+		t.Skip("race and coverage instrumentation change what is allocated")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	constant := Outcome{Values: map[string]float64{"v": 1}}
+	g := Group{Spec: Spec{Name: "const", NoDevice: true},
+		Measure: func(*Ctx, Cell) (Outcome, error) { return constant, nil }}
+	plan, err := PlanGroups([]Group{g}, "", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := plan.Cells[0].Key
+	ctx := context.Background()
+	allocs, bytes := leastCost(5, func() {}, func() {
+		for i := 0; i < 100; i++ {
+			if cr, err := plan.RunCell(ctx, key, 0, 0, "", nil); err != nil || cr.Err != "" {
+				t.Fatal(err, cr.Err)
+			}
+		}
+	})
+	allocs, bytes = allocs/100, bytes/100
+	t.Logf("RunCell, no device, constant outcome: %.0f allocs %.0f bytes per cell", allocs, bytes)
+	if allocs > runCellCeiling.allocs || bytes > runCellCeiling.bytes {
+		t.Errorf("%.0f allocations and %.0f bytes per cell, budget %.0f and %.0f",
+			allocs, bytes, runCellCeiling.allocs, runCellCeiling.bytes)
+	}
 }

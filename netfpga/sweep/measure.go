@@ -7,7 +7,6 @@ import (
 	"strconv"
 
 	"repro/netfpga"
-	"repro/netfpga/fleet"
 	"repro/netfpga/hw"
 	"repro/netfpga/workload"
 )
@@ -22,7 +21,7 @@ import (
 // Reported values: sent/rx frame counts, rx bytes, goodput_gbps over
 // the window, queue-overflow drops, and the wire's FCS error count
 // (non-zero only on BER cells).
-func GenericMeasure(c *fleet.Ctx, cell Cell) (Outcome, error) {
+func GenericMeasure(c *Ctx, cell Cell) (Outcome, error) {
 	dev := c.Dev
 	if dev.Hybrid() {
 		return genericHybridMeasure(c, cell)
@@ -91,7 +90,7 @@ func GenericMeasure(c *fleet.Ctx, cell Cell) (Outcome, error) {
 // exactly for frames and bytes — asserted by the calibration tests) plus
 // the peak modeled occupancy. BER is not applied to background traffic;
 // fcs_errors counts only cycle-accurate frames.
-func genericHybridMeasure(c *fleet.Ctx, cell Cell) (Outcome, error) {
+func genericHybridMeasure(c *Ctx, cell Cell) (Outcome, error) {
 	dev := c.Dev
 	gen, err := cell.devs.generator(cell.Workload.Config(c.Seed))
 	if err != nil {
@@ -229,7 +228,7 @@ var (
 // silent hole in the distribution. Everything is derived from the cell
 // seed and simulated time: the distribution is bit-reproducible and
 // digest-safe.
-func LatencyMeasure(c *fleet.Ctx, cell Cell) (Outcome, error) {
+func LatencyMeasure(c *Ctx, cell Cell) (Outcome, error) {
 	dev := c.Dev
 	if dev.Board.Ports < 2 {
 		return Outcome{}, fmt.Errorf("latency measure needs >= 2 ports, board has %d", dev.Board.Ports)

@@ -1,15 +1,12 @@
 package sweep
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 
 	"repro/netfpga"
-	"repro/netfpga/fleet"
 )
 
 // ErrDiverged marks two completions of the same cell whose digests
@@ -23,7 +20,7 @@ var ErrDiverged = errors.New("sweep: determinism violation")
 // Plan is a compiled sweep execution: every expanded cell paired with
 // its measure, plus the base seed cell seeds derive from. A plan is the
 // unit the execution paths share — execute it in-process on a
-// fleet.Runner, or hand its cells out by canonical key across worker
+// Runner, or hand its cells out by canonical key across worker
 // processes and merge the streamed records back (Merger). Because cell
 // seeds derive from (BaseSeed, key) and never from batch position,
 // every subset of a plan produces byte-identical per-cell digests.
@@ -38,8 +35,8 @@ type Plan struct {
 	ngroups  int
 	byKey    map[string]int // canonical key -> cell index (read-only after build)
 	// devs is the plan's cache of idle built devices, which every
-	// executed job of a registry-resolved cell draws from (devices.go);
-	// a Subset shares it.
+	// executed registry-resolved cell draws from (devices.go); a Subset
+	// shares it.
 	devs *devices
 }
 
@@ -132,115 +129,11 @@ func (p *Plan) Subset(keep func(key string) bool) *Plan {
 	return sub
 }
 
-// Jobs compiles every cell into a fleet job.
-func (p *Plan) Jobs() ([]fleet.Job, error) {
-	jobs := make([]fleet.Job, len(p.Cells))
-	for i, cell := range p.Cells {
-		job, err := jobFor(cell, p.measures[i], p.BaseSeed, p.devs)
-		if err != nil {
-			return nil, err
-		}
-		jobs[i] = job
-	}
-	return jobs, nil
-}
-
-// Execute runs the plan on the runner and returns a channel
-// delivering each cell result as its device finishes (completion
-// order), plus the Results that will be fully populated — in expansion
-// order — once the channel closes. The caller must drain the channel.
-func (p *Plan) Execute(ctx context.Context, r *fleet.Runner) (<-chan CellResult, *Results, error) {
-	jobs, err := p.Jobs()
-	if err != nil {
-		return nil, nil, err
-	}
-	rs := &Results{
-		Cells:    make([]CellResult, len(p.Cells)),
-		groupOff: p.groupOffsets(),
-		byKey:    make(map[string]*CellResult, len(p.Cells)),
-	}
-	out := make(chan CellResult)
-	go func() {
-		defer close(out)
-		for res := range r.RunStream(ctx, jobs) {
-			cr := p.sealResult(res.Index, res)
-			rs.Cells[res.Index] = cr
-			out <- cr
-		}
-		for i := range rs.Cells {
-			rs.byKey[rs.Cells[i].Cell.Key] = &rs.Cells[i]
-		}
-	}()
-	return out, rs, nil
-}
-
-// sealResult maps one executed fleet result onto cell i's sealed
-// CellResult (outcome extracted, digest stamped). An outcome holding a
-// NaN or infinite value seals as a cell error naming it: no record can
-// carry one, so the wire and the store would otherwise lose the cell.
-func (p *Plan) sealResult(i int, res fleet.Result) CellResult {
-	cr := CellResult{
-		Cell:    p.Cells[i],
-		Index:   i,
-		Seed:    res.Seed,
-		SimTime: res.SimTime,
-		Events:  res.Events,
-	}
-	if res.Err != nil {
-		cr.Err = res.Err.Error()
-	} else if o, ok := res.Value.(Outcome); ok {
-		cr.Values, cr.Labels = o.Values, o.Labels
-		if k, ok := nonFinite(o.Values); ok {
-			cr.Values, cr.Labels = nil, nil
-			cr.Err = fmt.Sprintf("sweep: value %q is %v; a cell records finite values only", k, o.Values[k])
-		}
-	}
-	cr.Digest = cr.digest()
-	return cr
-}
-
-// nonFinite returns the least key of m whose value is NaN or infinite.
-func nonFinite(m map[string]float64) (key string, found bool) {
-	for k, v := range m {
-		if (math.IsNaN(v) || math.IsInf(v, 0)) && (!found || k < key) {
-			key, found = k, true
-		}
-	}
-	return key, found
-}
-
-// RunCell compiles and executes a single cell of the plan and returns
-// its sealed result. wrap, when non-nil, may decorate the compiled job
-// before it runs — the hook the per-edge reference test uses to reach
-// the built device; a decorated job builds a fresh device instead of
-// taking one from the plan's cache. fidelity,
-// when non-empty, is the run-level fidelity override (cells whose spec
-// carries a fidelity axis win). The cell's seed, digest and semantics
-// are identical to batch execution (seeds derive from (BaseSeed, key),
-// never from batch position), so a cell run alone — on any process,
-// any machine — is byte-identical to the same cell inside a full
-// sweep. Safe to call concurrently for different keys.
-//
-// The two ints are ignored. They were the clock-batch and frame-burst
-// knobs; benchmark/layers.go, which a PR may not edit, still passes them
-// positionally.
-func (p *Plan) RunCell(ctx context.Context, key string, _, _ int, fidelity string, wrap func(fleet.Job) fleet.Job) (CellResult, error) {
-	i, ok := p.byKey[key]
-	if !ok {
-		return CellResult{}, fmt.Errorf("sweep: cell %q is not in the plan", key)
-	}
-	job, err := jobFor(p.Cells[i], p.measures[i], p.BaseSeed, p.devs)
-	if err != nil {
-		return CellResult{}, err
-	}
-	if wrap != nil {
-		job.Acquire = nil
-		job = wrap(job)
-	}
-	r := &fleet.Runner{Workers: 1, Fidelity: fidelity}
-	res := r.RunAll(ctx, []fleet.Job{job})[0]
-	return p.sealResult(i, res), nil
-}
+// Jobs returns the plan's cells and a nil error: a cell's board and
+// project resolve when it runs, and one that does not is that cell's
+// error. It remains only because benchmark/ still calls it; the change
+// that next edits benchmark/ deletes it.
+func (p *Plan) Jobs() ([]Cell, error) { return p.Cells, nil }
 
 // CellRecord is the flat, serializable form of a CellResult — what
 // crosses process boundaries in a fleet run and what the results store
@@ -280,16 +173,21 @@ type Merger struct {
 	n      int
 }
 
+// newResults returns the plan's result set, its cells to be filled.
+func (p *Plan) newResults() *Results {
+	return &Results{
+		Cells:    make([]CellResult, len(p.Cells)),
+		groupOff: p.groupOffsets(),
+		byKey:    make(map[string]*CellResult, len(p.Cells)),
+	}
+}
+
 // Merger returns an empty result set for the plan, to be filled by
 // Place.
 func (p *Plan) Merger() *Merger {
 	m := &Merger{
-		plan: p,
-		rs: &Results{
-			Cells:    make([]CellResult, len(p.Cells)),
-			groupOff: p.groupOffsets(),
-			byKey:    make(map[string]*CellResult, len(p.Cells)),
-		},
+		plan:   p,
+		rs:     p.newResults(),
 		pos:    make(map[string]int, len(p.Cells)),
 		filled: make([]bool, len(p.Cells)),
 	}

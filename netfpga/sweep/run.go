@@ -10,7 +10,6 @@ import (
 	"strconv"
 
 	"repro/netfpga"
-	"repro/netfpga/fleet"
 )
 
 // Outcome is what a measure function reports for one cell: named
@@ -53,7 +52,7 @@ func (o *Outcome) Label(key, v string) {
 // the outcome. It is the experiment's entire per-device logic; sweep
 // owns everything around it (instantiation, seeding, stats capture,
 // digesting).
-type Measure func(c *fleet.Ctx, cell Cell) (Outcome, error)
+type Measure func(c *Ctx, cell Cell) (Outcome, error)
 
 // Group pairs a spec with the measure that runs its cells.
 type Group struct {
@@ -215,68 +214,6 @@ func SeedForKey(base uint64, key string) uint64 {
 	return z
 }
 
-// jobFor compiles one cell into a fleet job. A cell whose board and
-// project both come from the registries — no BoardFor, NoBuild or
-// NoDevice — also takes its device from devs (Job.Acquire); Board and
-// Build stay set for a runner that builds instead.
-func jobFor(cell Cell, m Measure, baseSeed uint64, devs *devices) (fleet.Job, error) {
-	seed := cell.Seed
-	if seed == 0 {
-		seed = SeedForKey(baseSeed, cell.Key)
-	}
-	job := fleet.Job{
-		Name:     cell.Key,
-		NoDevice: cell.Spec.NoDevice,
-		Options: netfpga.Options{
-			Seed:     seed,
-			PortBER:  cell.BER,
-			NoHost:   cell.Spec.NoHost,
-			Fidelity: cell.Fidelity,
-		},
-	}
-	if !cell.Spec.NoDevice {
-		name := ""
-		if cell.Spec.BoardFor != nil {
-			b, err := cell.Spec.BoardFor(cell)
-			if err != nil {
-				return fleet.Job{}, fmt.Errorf("sweep: cell %s board: %w", cell.Key, err)
-			}
-			job.Board = b
-		} else {
-			name = cell.Board
-			if name == "" {
-				name = "sume"
-			}
-			b, ok := Board(name)
-			if !ok {
-				return fleet.Job{}, fmt.Errorf("sweep: cell %s: unknown board %q", cell.Key, name)
-			}
-			job.Board = b
-		}
-		if cell.Project != "" && !cell.Spec.NoBuild {
-			entry, ok := ProjectEntry(cell.Project)
-			if !ok {
-				return fleet.Job{}, fmt.Errorf("sweep: cell %s: unknown project %q", cell.Key, cell.Project)
-			}
-			job.Build = func(dev *netfpga.Device) error { return entry.New().Build(dev) }
-			if name != "" {
-				job.Acquire = func(opts netfpga.Options) (*netfpga.Device, func(bool), error) {
-					return devs.acquire(name, entry, opts)
-				}
-			}
-		}
-	}
-	cell.devs = devs
-	job.Drive = func(c *fleet.Ctx) (any, error) {
-		o, err := m(c, cell)
-		if err != nil {
-			return nil, err
-		}
-		return o, nil
-	}
-	return job, nil
-}
-
 // ExpandGroups expands every group with the given filter and returns
 // the flat cell list plus per-group offsets.
 func ExpandGroups(groups []Group, filter string) ([]Cell, []int, error) {
@@ -297,7 +234,7 @@ func ExpandGroups(groups []Group, filter string) ([]Cell, []int, error) {
 // RunGroups expands and executes every group on the runner and
 // returns the full result set in cell order. Per-cell failures are
 // recorded in the results, not returned as an error.
-func RunGroups(ctx context.Context, r *fleet.Runner, groups []Group, filter string) (*Results, error) {
+func RunGroups(ctx context.Context, r *Runner, groups []Group, filter string) (*Results, error) {
 	ch, rs, err := RunStreamGroups(ctx, r, groups, filter)
 	if err != nil {
 		return nil, err
@@ -313,7 +250,7 @@ func RunGroups(ctx context.Context, r *fleet.Runner, groups []Group, filter stri
 // populated — in expansion order — once the channel closes. The caller
 // must drain the channel. This is the convenience path over
 // PlanGroups + Plan.Execute.
-func RunStreamGroups(ctx context.Context, r *fleet.Runner, groups []Group, filter string) (<-chan CellResult, *Results, error) {
+func RunStreamGroups(ctx context.Context, r *Runner, groups []Group, filter string) (<-chan CellResult, *Results, error) {
 	p, err := PlanGroups(groups, filter, r.BaseSeed)
 	if err != nil {
 		return nil, nil, err

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"time"
 
-	"repro/netfpga/fleet"
 	"repro/netfpga/sweep"
 )
 
@@ -103,7 +102,7 @@ type coordinator struct {
 	closing      bool
 	closeAt      time.Time
 	lastProgress time.Time
-	util         fleet.UtilizationReport
+	util         sweep.UtilizationReport
 	reports      []WorkerReport
 
 	out []action

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/netfpga/fleet"
 	"repro/netfpga/sweep"
 )
 
@@ -126,7 +125,7 @@ func splitmix64(x uint64) uint64 {
 type WorkerReport struct {
 	Name  string                  `json:"name"`
 	Cells int                     `json:"cells"`
-	Util  fleet.UtilizationReport `json:"util"`
+	Util  sweep.UtilizationReport `json:"util"`
 }
 
 // FleetEvent is one coordinator observation: what happened, on which
@@ -246,13 +245,13 @@ type dialResult struct {
 // decision: it owns the transports, one reader and one writer goroutine
 // per incarnation, the dials, one ticker and teardown, and executes the
 // actions each input leaves in the coordinator's outbox.
-func (f *Fleet) Run(ctx context.Context, plan *sweep.Plan, onCell func(sweep.CellResult)) (*sweep.Results, fleet.UtilizationReport, error) {
+func (f *Fleet) Run(ctx context.Context, plan *sweep.Plan, onCell func(sweep.CellResult)) (*sweep.Results, sweep.UtilizationReport, error) {
 	if len(f.Endpoints)+len(f.Connectors) == 0 {
-		return nil, fleet.UtilizationReport{}, fmt.Errorf("shard: fleet has no endpoints")
+		return nil, sweep.UtilizationReport{}, fmt.Errorf("shard: fleet has no endpoints")
 	}
 	c, err := newCoordinator(f, plan, onCell, time.Now())
 	if err != nil {
-		return nil, fleet.UtilizationReport{}, err
+		return nil, sweep.UtilizationReport{}, err
 	}
 	defer func() { f.Reports = c.reports }()
 

@@ -14,7 +14,6 @@ import (
 	"testing/iotest"
 	"time"
 
-	"repro/netfpga/fleet"
 	"repro/netfpga/sweep"
 )
 
@@ -35,7 +34,7 @@ func reference(tb testing.TB) (*sweep.Plan, map[string]sweep.CellRecord) {
 			return
 		}
 		var rs *sweep.Results
-		if rs, refErr = sweep.RunGroups(context.Background(), fleet.New(2), []sweep.Group{testGroup()}, ""); refErr != nil {
+		if rs, refErr = sweep.RunGroups(context.Background(), &sweep.Runner{Workers: 2}, []sweep.Group{testGroup()}, ""); refErr != nil {
 			return
 		}
 		refRecs = map[string]sweep.CellRecord{}
@@ -867,7 +866,7 @@ func (h *harness) finishSession(i int) {
 	w := h.ws[i]
 	if w.closed && len(w.owed) == 0 && !w.done {
 		w.done = true
-		h.write(i, SessionFrame{Done: &SessionDone{Cells: w.cells, Util: fleet.UtilizationReport{Workers: h.width(), Jobs: w.cells}}})
+		h.write(i, SessionFrame{Done: &SessionDone{Cells: w.cells, Util: sweep.UtilizationReport{Workers: h.width(), Jobs: w.cells}}})
 	}
 }
 
@@ -1033,7 +1032,7 @@ func netReference(tb testing.TB) map[string]sweep.CellRecord {
 	tb.Helper()
 	netOnce.Do(func() {
 		var rs *sweep.Results
-		if rs, netErr = sweep.RunGroups(context.Background(), fleet.New(1), netGroups(), ""); netErr != nil {
+		if rs, netErr = sweep.RunGroups(context.Background(), &sweep.Runner{Workers: 1}, netGroups(), ""); netErr != nil {
 			return
 		}
 		netRecs = map[string]sweep.CellRecord{}

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/netfpga/fleet"
 	"repro/netfpga/sweep"
 )
 
@@ -198,7 +197,7 @@ func FuzzAssignFrame(f *testing.F) {
 // nanGroup is the test matrix with a measure that also reports a NaN.
 func nanGroup() sweep.Group {
 	g := testGroup()
-	g.Measure = func(c *fleet.Ctx, cell sweep.Cell) (sweep.Outcome, error) {
+	g.Measure = func(c *sweep.Ctx, cell sweep.Cell) (sweep.Outcome, error) {
 		o, err := sweep.GenericMeasure(c, cell)
 		o.Set("x", math.NaN())
 		return o, err
@@ -212,7 +211,7 @@ func nanGroup() sweep.Group {
 // can write.
 func TestNonFiniteValueIsACellError(t *testing.T) {
 	groups := []sweep.Group{nanGroup()}
-	want, err := sweep.RunGroups(context.Background(), fleet.New(2), groups, "")
+	want, err := sweep.RunGroups(context.Background(), &sweep.Runner{Workers: 2}, groups, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/netfpga/fleet"
 	"repro/netfpga/sweep"
 )
 
@@ -148,7 +147,7 @@ func TestFleetFillsWidePool(t *testing.T) {
 	if len(plan.Cells) < 16 {
 		t.Fatalf("fixture plan has %d cells, need at least 16", len(plan.Cells))
 	}
-	ref, err := sweep.RunGroups(context.Background(), fleet.New(2), []sweep.Group{wide}, "")
+	ref, err := sweep.RunGroups(context.Background(), &sweep.Runner{Workers: 2}, []sweep.Group{wide}, "")
 	if err != nil {
 		t.Fatal(err)
 	}

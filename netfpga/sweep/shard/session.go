@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"repro/netfpga/fleet"
 	"repro/netfpga/sweep"
 )
 
@@ -43,7 +42,7 @@ type Reject struct {
 // session.
 type SessionDone struct {
 	Cells int                     `json:"cells"`
-	Util  fleet.UtilizationReport `json:"util"`
+	Util  sweep.UtilizationReport `json:"util"`
 }
 
 // SessionFrame is the worker-to-coordinator envelope of the session

@@ -3,7 +3,7 @@
 // subprocesses, TCP dials, or both mixed), hands the plan's cells out
 // by canonical key as workers drain them, and merges the
 // streamed cell records back into one result set with digests
-// byte-identical to a single-process run. Beside fleet.Runner's
+// byte-identical to a single-process run. Beside sweep.Runner's
 // in-process pool it is the second of the repo's two execution paths,
 // and the only one that crosses a process boundary. On both, a cell
 // runs from its first event to its last on the worker that claimed it.
@@ -49,7 +49,6 @@ import (
 	"io"
 
 	"repro/internal/canonjson"
-	"repro/netfpga/fleet"
 	"repro/netfpga/sweep"
 )
 
@@ -94,7 +93,7 @@ type Request struct {
 	Filter string `json:"filter,omitempty"`
 	// Seed is the base seed cell seeds derive from.
 	Seed uint64 `json:"seed"`
-	// Workers is the width of the local pool (fleet.Runner semantics).
+	// Workers is the width of the local pool (sweep.Runner semantics).
 	// An older peer's clock_batch, frame_burst, segment and
 	// segment_budget keys are ignored on decode: results never depended
 	// on them.
@@ -106,9 +105,9 @@ type Request struct {
 }
 
 // Runner builds the in-process pool the request describes — the one
-// place a run config becomes a fleet.Runner.
-func (r Request) Runner() *fleet.Runner {
-	return &fleet.Runner{Workers: r.Workers, BaseSeed: r.Seed, Fidelity: r.Fidelity}
+// place a run config becomes a sweep.Runner.
+func (r Request) Runner() *sweep.Runner {
+	return &sweep.Runner{Workers: r.Workers, BaseSeed: r.Seed, Fidelity: r.Fidelity}
 }
 
 // WriteFrame marshals v and writes it as one length-prefixed frame.

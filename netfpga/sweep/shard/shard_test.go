@@ -11,7 +11,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/netfpga/fleet"
 	"repro/netfpga/sweep"
 	"repro/netfpga/workload"
 )
@@ -66,7 +65,7 @@ func testGroup() sweep.Group {
 func divergentTwin(tb testing.TB, key string) sweep.CellRecord {
 	tb.Helper()
 	g := testGroup()
-	g.Measure = func(c *fleet.Ctx, cell sweep.Cell) (sweep.Outcome, error) {
+	g.Measure = func(c *sweep.Ctx, cell sweep.Cell) (sweep.Outcome, error) {
 		o, err := sweep.GenericMeasure(c, cell)
 		o.Set("twin", 1)
 		return o, err
@@ -85,7 +84,7 @@ func divergentTwin(tb testing.TB, key string) sweep.CellRecord {
 // fullRun executes the test matrix in-process as the reference.
 func fullRun(t *testing.T) *sweep.Results {
 	t.Helper()
-	rs, err := sweep.RunGroups(context.Background(), fleet.New(2),
+	rs, err := sweep.RunGroups(context.Background(), &sweep.Runner{Workers: 2},
 		[]sweep.Group{testGroup()}, "")
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +115,7 @@ func checkMatches(t *testing.T, want, got *sweep.Results) {
 // another seed refuses the session with an Err frame.
 func TestWorkerFilterAndSeed(t *testing.T) {
 	ref, err := sweep.RunGroups(context.Background(),
-		&fleet.Runner{Workers: 2, BaseSeed: 99}, []sweep.Group{testGroup()}, "wl=min")
+		&sweep.Runner{Workers: 2, BaseSeed: 99}, []sweep.Group{testGroup()}, "wl=min")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +215,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err := ReadFrame(&buf, &assign); err != nil || fmt.Sprint(assign.Assign.Keys) != "[a b]" {
 		t.Fatalf("old Assign frame: %+v, %v", assign.Assign, err)
 	}
-	wantUtil := fleet.UtilizationReport{Workers: 1, Jobs: 2, WallMS: 10, BusyMS: 9, Efficiency: 0.9}
+	wantUtil := sweep.UtilizationReport{Workers: 1, Jobs: 2, WallMS: 10, BusyMS: 9, Efficiency: 0.9}
 	if err := ReadFrame(&buf, &f); err != nil || f.Done == nil || f.Done.Util != wantUtil {
 		t.Fatalf("old Done frame: %+v, %v", f.Done, err)
 	}

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/netfpga/fleet"
 	"repro/netfpga/sweep"
 )
 
@@ -68,7 +67,7 @@ func ServeSession(ctx context.Context, in io.Reader, out io.Writer, planFor Plan
 	// whole plan at once, requeued cells included.
 	work := make(chan string, 2*len(plan.Cells)+16)
 	var cells atomic.Int64
-	var busyNS atomic.Int64
+	busy := make([]time.Duration, req.Workers) // per pool worker
 	start := time.Now()
 
 	var wg sync.WaitGroup
@@ -79,7 +78,7 @@ func ServeSession(ctx context.Context, in io.Reader, out io.Writer, planFor Plan
 			for key := range work {
 				t0 := time.Now()
 				runSessionItem(ctx, plan, req, key, send, &cells)
-				busyNS.Add(int64(time.Since(t0)))
+				busy[w] += time.Since(t0)
 			}
 		}()
 	}
@@ -111,17 +110,8 @@ func ServeSession(ctx context.Context, in io.Reader, out io.Writer, planFor Plan
 			}
 		case cmd.Close:
 			drain()
-			wall := time.Since(start)
-			util := fleet.UtilizationReport{
-				Workers: req.Workers,
-				Jobs:    int(cells.Load()),
-				WallMS:  float64(wall) / float64(time.Millisecond),
-				BusyMS:  float64(busyNS.Load()) / float64(time.Millisecond),
-			}
-			if wall > 0 && req.Workers > 0 {
-				util.Efficiency = util.BusyMS / (util.WallMS * float64(req.Workers))
-			}
-			return send(SessionFrame{Done: &SessionDone{Cells: int(cells.Load()), Util: util}})
+			u := sweep.Utilization{Workers: req.Workers, Jobs: int(cells.Load()), Wall: time.Since(start), Busy: busy}
+			return send(SessionFrame{Done: &SessionDone{Cells: int(cells.Load()), Util: u.Report()}})
 		case cmd.Open != nil:
 			abort()
 			return fail(fmt.Errorf("shard worker: second open on an established session"))

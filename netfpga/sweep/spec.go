@@ -1,9 +1,12 @@
 // Package sweep is the scenario-matrix subsystem: a declarative Spec
 // describes an experiment's axes (boards x projects x workloads x BER x
 // seeds, plus arbitrary named parameter axes), Expand crosses them into
-// Cells with stable canonical keys, and Run executes every cell as one
-// fleet device, producing seed-deterministic results with stable content
-// digests.
+// Cells with stable canonical keys, and every cell runs as one call —
+// on a device from the plan's cache or a fresh one — producing
+// seed-deterministic results with stable content digests. It is also
+// the in-process executor: a Runner's pool runs a plan's cells
+// (Plan.Execute), and a worker process runs them one at a time
+// (Plan.RunCell); both call the same function per cell.
 //
 // The paper's pitch is that NetFPGA makes exploring many device and
 // workload configurations cheap; sweep is that claim's software on-ramp.
@@ -132,9 +135,9 @@ type Cell struct {
 	// Param holds the generic axis values.
 	Param map[string]string
 
-	// devs is the cache of the plan whose job runs the cell, which
-	// lends the built-in measures a workload generator; nil outside a
-	// plan's jobs.
+	// devs is the cache of the plan running the cell, which lends the
+	// built-in measures a workload generator; nil outside a running
+	// cell.
 	devs *devices
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/netfpga"
-	"repro/netfpga/fleet"
 	"repro/netfpga/hw"
 	"repro/netfpga/projects"
 	"repro/netfpga/workload"
@@ -30,7 +29,7 @@ func TestRouterGenericMeasureTerminates(t *testing.T) {
 		Measure: GenericMeasure,
 	}
 	run := func(workers int) []CellResult {
-		rs, err := RunGroups(context.Background(), &fleet.Runner{Workers: workers}, []Group{g}, "")
+		rs, err := RunGroups(context.Background(), &Runner{Workers: workers}, []Group{g}, "")
 		if err != nil {
 			t.Fatal(err)
 		}

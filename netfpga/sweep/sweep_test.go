@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/netfpga"
-	"repro/netfpga/fleet"
 	"repro/netfpga/workload"
 )
 
@@ -143,7 +142,7 @@ func TestSeedForKey(t *testing.T) {
 func TestDigestsInvariantAcrossWorkersAndFilters(t *testing.T) {
 	groups := []Group{matrixGroup(40)}
 	run := func(workers int, filter string) *Results {
-		rs, err := RunGroups(context.Background(), &fleet.Runner{Workers: workers}, groups, filter)
+		rs, err := RunGroups(context.Background(), &Runner{Workers: workers}, groups, filter)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +182,7 @@ func TestDigestsInvariantAcrossWorkersAndFilters(t *testing.T) {
 // BER axis and the base seed must actually change measured results.
 func TestBERAndSeedMoveResults(t *testing.T) {
 	groups := []Group{matrixGroup(40)}
-	rs, err := RunGroups(context.Background(), fleet.New(4), groups, "")
+	rs, err := RunGroups(context.Background(), &Runner{Workers: 4}, groups, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,11 +212,11 @@ func TestBERAndSeedMoveResults(t *testing.T) {
 		},
 		Measure: GenericMeasure,
 	}
-	a, err := RunGroups(context.Background(), &fleet.Runner{Workers: 2, BaseSeed: 1}, []Group{noSeedGroup}, "")
+	a, err := RunGroups(context.Background(), &Runner{Workers: 2, BaseSeed: 1}, []Group{noSeedGroup}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunGroups(context.Background(), &fleet.Runner{Workers: 2, BaseSeed: 2}, []Group{noSeedGroup}, "")
+	b, err := RunGroups(context.Background(), &Runner{Workers: 2, BaseSeed: 2}, []Group{noSeedGroup}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +234,7 @@ func TestErrorCellsAreRecorded(t *testing.T) {
 	g := Group{
 		Spec: Spec{Name: "e", NoDevice: true,
 			Params: []Axis{{Name: "i", Values: []string{"0", "1"}}}},
-		Measure: func(c *fleet.Ctx, cell Cell) (Outcome, error) {
+		Measure: func(c *Ctx, cell Cell) (Outcome, error) {
 			if cell.Int("i") == 1 {
 				return Outcome{}, fmt.Errorf("deliberate")
 			}
@@ -244,7 +243,7 @@ func TestErrorCellsAreRecorded(t *testing.T) {
 			return o, nil
 		},
 	}
-	rs, err := RunGroups(context.Background(), fleet.New(2), []Group{g}, "")
+	rs, err := RunGroups(context.Background(), &Runner{Workers: 2}, []Group{g}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +283,7 @@ func TestConfigAndGoldenRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	groups := cfg.ScenarioGroups()
-	rs, err := RunGroups(context.Background(), fleet.New(2), groups, "")
+	rs, err := RunGroups(context.Background(), &Runner{Workers: 2}, groups, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +397,7 @@ func TestMergerRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := RunGroups(context.Background(), fleet.New(4), groups, "")
+	full, err := RunGroups(context.Background(), &Runner{Workers: 4}, groups, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +405,7 @@ func TestMergerRoundTrip(t *testing.T) {
 	m := p.Merger()
 	const n = 3
 	for i := 0; i < n; i++ {
-		ch, _, err := stride(p, i, n).Execute(context.Background(), fleet.New(2))
+		ch, _, err := stride(p, i, n).Execute(context.Background(), &Runner{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -448,7 +447,7 @@ func TestMergerRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, _, err := p.Execute(context.Background(), fleet.New(4))
+	ch, _, err := p.Execute(context.Background(), &Runner{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,7 +482,7 @@ func TestMergerRejects(t *testing.T) {
 // TestRunCellMatchesBatch: a cell run alone through RunCell is
 // byte-identical (same digest, seed, events) to the same cell inside a
 // full batch execution — the invariant the networked worker's per-cell
-// pull model stands on. The wrap hook decorates the job without
+// pull model stands on. The device hook sees a fresh device without
 // changing the result, and unknown keys are rejected.
 func TestRunCellMatchesBatch(t *testing.T) {
 	groups := []Group{matrixGroup(40)}
@@ -491,7 +490,7 @@ func TestRunCellMatchesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := RunGroups(context.Background(), fleet.New(4), groups, "")
+	full, err := RunGroups(context.Background(), &Runner{Workers: 4}, groups, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,19 +498,16 @@ func TestRunCellMatchesBatch(t *testing.T) {
 		t.Fatal("batch run produced no digests")
 	}
 	// RunGroups uses BaseSeed 0; re-run the batch at seed 7 to compare.
-	ch, rs, err := p.Execute(context.Background(), fleet.New(4))
+	ch, rs, err := p.Execute(context.Background(), &Runner{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for range ch {
 	}
 
-	wrapped := 0
+	hooked := 0
 	for _, want := range rs.Cells {
-		got, err := p.RunCell(context.Background(), want.Cell.Key, 0, 0, "", func(j fleet.Job) fleet.Job {
-			wrapped++
-			return j
-		})
+		got, err := p.RunCell(context.Background(), want.Cell.Key, 0, 0, "", func(*netfpga.Device) { hooked++ })
 		if err != nil {
 			t.Fatalf("RunCell %s: %v", want.Cell.Key, err)
 		}
@@ -523,8 +519,8 @@ func TestRunCellMatchesBatch(t *testing.T) {
 				want.Cell.Key, got.Seed, got.Events, want.Seed, want.Events)
 		}
 	}
-	if wrapped != len(rs.Cells) {
-		t.Errorf("wrap hook ran %d times for %d cells", wrapped, len(rs.Cells))
+	if hooked != len(rs.Cells) {
+		t.Errorf("device hook ran %d times for %d cells", hooked, len(rs.Cells))
 	}
 	if _, err := p.RunCell(context.Background(), "no/such=cell", 0, 0, "", nil); err == nil {
 		t.Error("RunCell accepted a key outside the plan")
@@ -543,7 +539,7 @@ func TestMergerAdopt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, _, err := p.Execute(context.Background(), fleet.New(4))
+	ch, _, err := p.Execute(context.Background(), &Runner{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -641,7 +637,7 @@ func TestLatencyMeasure(t *testing.T) {
 		Measure: LatencyMeasure,
 	}
 	run := func() *Results {
-		rs, err := RunGroups(context.Background(), fleet.New(4), []Group{g}, "")
+		rs, err := RunGroups(context.Background(), &Runner{Workers: 4}, []Group{g}, "")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,28 @@
-package fleet
+package sweep
 
 import "time"
+
+// Utilization reports how a batch spent the pool's wall clock. It is
+// filled once, when the batch ends. Efficiency close to 1 means the pool
+// stayed busy; a LongestBusy near Wall with low Efficiency is the
+// signature of a long device pinning one worker while the rest idle.
+type Utilization struct {
+	// Workers is the pool size; Jobs the batch's cell count.
+	Workers int
+	Jobs    int
+	// Wall is the batch's wall-clock time; Busy the per-worker
+	// execution time (sum of its cells).
+	Wall time.Duration
+	Busy []time.Duration
+	// LongestJob is the key of the cell with the largest execution
+	// time — the batch's tail — and LongestBusy that time.
+	LongestJob  string
+	LongestBusy time.Duration
+}
+
+// Efficiency returns busy / (workers x wall): 1.0 is a perfectly packed
+// pool.
+func (u *Utilization) Efficiency() float64 { return u.Report().Efficiency }
 
 // UtilizationReport is the serializable snapshot of a Utilization —
 // what a distributed worker ships across a process or network boundary
@@ -25,29 +47,23 @@ type UtilizationReport struct {
 	Efficiency float64 `json:"efficiency"`
 }
 
-// Report snapshots the utilization for the wire. Safe to call while the
-// batch is still running (a worker reports mid-batch health to its
-// coordinator); Wall and Efficiency are only meaningful once the batch
-// has completed and Wall is stamped.
+// Report snapshots the utilization for the wire (the zero report for a
+// nil Utilization).
 func (u *Utilization) Report() UtilizationReport {
 	if u == nil {
 		return UtilizationReport{}
 	}
-	busy := u.BusyTotal()
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	wallMS := float64(u.Wall) / float64(time.Millisecond)
-	return UtilizationReport{
-		Workers:    u.Workers,
-		Jobs:       u.Jobs,
-		WallMS:     wallMS,
-		CapacityMS: wallMS * float64(u.Workers),
-		BusyMS:     float64(busy) / float64(time.Millisecond),
-		LongestJob: u.LongestJob,
-		LongestMS:  float64(u.LongestBusy) / float64(time.Millisecond),
-		Efficiency: efficiencyLocked(u.Wall, u.Workers, busy),
+	var busy time.Duration
+	for _, b := range u.Busy {
+		busy += b
 	}
+	r := UtilizationReport{Workers: u.Workers, Jobs: u.Jobs, WallMS: ms(u.Wall), BusyMS: ms(busy),
+		LongestJob: u.LongestJob, LongestMS: ms(u.LongestBusy)}
+	r.setCapacity(r.WallMS * float64(r.Workers))
+	return r
 }
+
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // Merge folds another report into r — the coordinator's aggregation of
 // per-worker reports into one fleet-wide view. Worker and job counts
@@ -57,19 +73,23 @@ func (u *Utilization) Report() UtilizationReport {
 // capacity, so a worker that joined late (or died early) is not charged
 // idle time for intervals in which it did not exist.
 func (r *UtilizationReport) Merge(o UtilizationReport) {
-	cap := r.capacityMS() + o.capacityMS()
+	capMS := r.capacityMS() + o.capacityMS()
 	r.Workers += o.Workers
 	r.Jobs += o.Jobs
-	if o.WallMS > r.WallMS {
-		r.WallMS = o.WallMS
-	}
+	r.WallMS = max(r.WallMS, o.WallMS)
 	r.BusyMS += o.BusyMS
-	r.CapacityMS = cap
 	if o.LongestMS > r.LongestMS {
 		r.LongestMS, r.LongestJob = o.LongestMS, o.LongestJob
 	}
-	if cap > 0 {
-		r.Efficiency = r.BusyMS / cap
+	r.setCapacity(capMS)
+}
+
+// setCapacity sets the report's capacity and, from it and BusyMS, its
+// efficiency: the one utilization formula (0 without capacity).
+func (r *UtilizationReport) setCapacity(capMS float64) {
+	r.CapacityMS, r.Efficiency = capMS, 0
+	if capMS > 0 {
+		r.Efficiency = r.BusyMS / capMS
 	}
 }
 
@@ -81,12 +101,4 @@ func (r *UtilizationReport) capacityMS() float64 {
 		return r.CapacityMS
 	}
 	return r.WallMS * float64(r.Workers)
-}
-
-// efficiencyLocked computes busy / (workers x wall) without re-locking.
-func efficiencyLocked(wall time.Duration, workers int, busy time.Duration) float64 {
-	if wall <= 0 || workers == 0 {
-		return 0
-	}
-	return float64(busy) / (float64(wall) * float64(workers))
 }

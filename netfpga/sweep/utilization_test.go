@@ -1,21 +1,41 @@
-package fleet
+package sweep
 
 import (
-	"context"
 	"encoding/json"
-	"fmt"
 	"testing"
 )
+
+// TestUtilizationReport sanity-checks the report's arithmetic on a
+// real batch.
+func TestUtilizationReport(t *testing.T) {
+	r := &Runner{Workers: 3}
+	if got := r.Utilization(); got != nil {
+		t.Fatalf("utilization before any batch: %v", got)
+	}
+	runAll(t, r, switchGroup("u", 1, 6))
+	u := r.Utilization()
+	if u == nil {
+		t.Fatal("no utilization after batch")
+	}
+	if u.Workers != 3 || u.Jobs != 6 {
+		t.Fatalf("report shape: %+v", u)
+	}
+	if busy := u.Report().BusyMS; u.Wall <= 0 || busy <= 0 {
+		t.Fatalf("empty timings: wall=%v busy=%vms", u.Wall, busy)
+	}
+	if eff := u.Efficiency(); eff <= 0 || eff > 1.5 {
+		t.Errorf("implausible efficiency %.2f", eff)
+	}
+	if u.LongestJob == "" || u.LongestBusy <= 0 {
+		t.Errorf("longest-job tracking empty: %q %v", u.LongestJob, u.LongestBusy)
+	}
+}
 
 // TestUtilizationWireReport: a completed batch's report round-trips through
 // JSON and carries the numbers the coordinator's capacity weights read.
 func TestUtilizationWireReport(t *testing.T) {
 	r := &Runner{Workers: 2}
-	jobs := make([]Job, 4)
-	for i := range jobs {
-		jobs[i] = switchJob(fmt.Sprintf("r%d", i), uint64(i+1))
-	}
-	r.RunAll(context.Background(), jobs)
+	runAll(t, r, switchGroup("r", 1, 4))
 	rep := r.Utilization().Report()
 	if rep.Workers != 2 || rep.Jobs != 4 {
 		t.Fatalf("report header: %+v", rep)
