@@ -30,7 +30,6 @@ import (
 	"runtime/pprof"
 
 	"repro/internal/experiments"
-	"repro/netfpga"
 	"repro/netfpga/sweep"
 	"repro/netfpga/sweep/shard"
 )
@@ -77,9 +76,7 @@ func parseMainFlags(args []string) (*sweepConfig, *sweep.Config, error) {
 		}
 		return nil, nil, err
 	}
-	if err := resolve(); err != nil {
-		return nil, nil, err
-	}
+	resolve()
 	if *list {
 		return c, nil, nil
 	}
@@ -97,35 +94,16 @@ func parseMainFlags(args []string) (*sweepConfig, *sweep.Config, error) {
 
 // runFlags registers the run-config flags the main and sweep modes share
 // on fs, bound to req, and returns the function that — after fs.Parse —
-// resolves the string-valued ones into req. It is the only place flags
-// become a shard.Request; Request.Runner is the only place a Request
-// becomes a pool.
-func runFlags(fs *flag.FlagSet, req *shard.Request) (resolve func() error) {
+// resolves a zero -workers to GOMAXPROCS. It is the only place flags
+// become a shard.Request.
+func runFlags(fs *flag.FlagSet, req *shard.Request) (resolve func()) {
 	fs.IntVar(&req.Workers, "workers", 0, "worker count of the in-process pool, or of each fleet worker's pool (0 = GOMAXPROCS)")
 	fs.Uint64Var(&req.Seed, "seed", 0, "base seed per-device and per-cell seeds derive from")
-	fidelity := fs.String("fidelity", "full", "execution fidelity for devices without their own fidelity axis: full (cycle-accurate) or hybrid (background-tagged flows run the analytic model; results differ from full by design)")
-	return func() (err error) {
+	return func() {
 		if req.Workers <= 0 {
 			req.Workers = runtime.GOMAXPROCS(0)
 		}
-		req.Fidelity, err = parseFidelity(*fidelity)
-		return err
 	}
-}
-
-// parseFidelity maps the -fidelity flag: "full" is the cycle-accurate
-// default and maps to the empty override so cell-level fidelity axes
-// keep deciding for themselves; "hybrid" runs background-tagged flows
-// through the analytic aggregate model (results differ from full by
-// design — hybrid runs are golden-digested separately).
-func parseFidelity(v string) (string, error) {
-	switch v {
-	case "full", "":
-		return "", nil
-	case "hybrid":
-		return netfpga.FidelityHybrid, nil
-	}
-	return "", fmt.Errorf("-fidelity must be full or hybrid (got %q)", v)
 }
 
 // startProfiles starts CPU profiling if asked and returns an idempotent

@@ -100,9 +100,7 @@ func parseSweepFlags(args []string) (*sweepConfig, error) {
 		}
 		return nil, err
 	}
-	if err := resolve(); err != nil {
-		return nil, err
-	}
+	resolve()
 	if c.history != "" {
 		return c, nil
 	}
@@ -278,20 +276,16 @@ func runSweep(c *sweepConfig, cfg *sweep.Config, resumeRecs []resultstore.Record
 	}
 
 	// Digest-verify the resumed records against this plan before they
-	// count: a record for a cell the plan does not expand, or one whose
-	// digest does not reproduce from its content, is re-run instead of
-	// trusted. Conflicting persisted records are a determinism bug and
+	// count: a record for a cell the plan does not expand, one that ran
+	// with another seed than the plan gives its cell, or one whose digest
+	// does not reproduce from its content, is re-run instead of trusted. Conflicting persisted records are a determinism bug and
 	// fail loudly. An in-process run merges into m; a fleet adopts
 	// fleet.Completed itself.
 	m := plan.Merger()
 	if len(resumeRecs) > 0 {
 		rejected := 0
 		for _, r := range resumeRecs {
-			cr := sweep.CellRecord{
-				Key: r.Key, Seed: r.Seed, Values: r.Values, Labels: r.Labels,
-				SimPS: r.SimPS, Events: r.Events, Err: r.Err, Digest: r.Digest,
-			}
-			_, dup, err := m.Adopt(cr)
+			_, dup, err := m.Adopt(r)
 			switch {
 			case err != nil && errors.Is(err, sweep.ErrDiverged):
 				fatal(err)
@@ -299,7 +293,7 @@ func runSweep(c *sweepConfig, cfg *sweep.Config, resumeRecs []resultstore.Record
 				rejected++
 			case dup:
 			default:
-				c.fleet.Completed = append(c.fleet.Completed, cr)
+				c.fleet.Completed = append(c.fleet.Completed, r)
 			}
 		}
 		fmt.Printf("resume: %d cells verified, %d rejected, %d left to run\n",
@@ -320,7 +314,7 @@ func runSweep(c *sweepConfig, cfg *sweep.Config, resumeRecs []resultstore.Record
 	if c.distributed() {
 		rs = runFleet(plan, st, meta, c, progress)
 	} else {
-		r := req.Runner()
+		r := &sweep.Runner{Workers: req.Workers}
 		rs, err = runLocal(plan, m, r, progress)
 		fatal(err)
 		if st != nil {
@@ -329,7 +323,7 @@ func runSweep(c *sweepConfig, cfg *sweep.Config, resumeRecs []resultstore.Record
 			rw, err := st.Begin(meta)
 			fatal(err)
 			for _, cr := range rs.Cells {
-				fatal(rw.Append(storeRecord(cr)))
+				fatal(rw.Append(cr.Record()))
 			}
 			fatal(rw.Close())
 		}
@@ -360,19 +354,8 @@ func runSweep(c *sweepConfig, cfg *sweep.Config, resumeRecs []resultstore.Record
 			st, err = resultstore.Open(c.storeDir)
 			fatal(err)
 		}
-		old, err := st.RunDigests(c.compareRun)
+		diffs, err := runDiffs(st, c.compareRun, req.Seed, rs, req.Filter != "")
 		fatal(err)
-		newDigests := rs.Digests()
-		if req.Filter != "" {
-			// A filtered run compares only the cells that ran; stored
-			// cells the filter excluded are not "removed".
-			for k := range old {
-				if _, ok := newDigests[k]; !ok {
-					delete(old, k)
-				}
-			}
-		}
-		diffs := resultstore.Diff(old, newDigests)
 		failed = printDiffs(fmt.Sprintf("vs run %s", c.compareRun), diffs) || failed
 	}
 	if c.compare != "" {
@@ -388,6 +371,30 @@ func runSweep(c *sweepConfig, cfg *sweep.Config, resumeRecs []resultstore.Record
 		stopProf()
 		os.Exit(1)
 	}
+}
+
+// runDiffs diffs rs against stored run. A run stored with another base
+// seed is an error naming both seeds, as a golden of another seed is:
+// its cells ran with other seeds, so every one would differ. A filtered
+// run compares only the cells that ran; stored cells the filter
+// excluded are not "removed".
+func runDiffs(st *resultstore.Store, run string, seed uint64, rs *sweep.Results, filtered bool) ([]string, error) {
+	meta, old, err := st.RunDigests(run)
+	if err != nil {
+		return nil, err
+	}
+	if meta.Seed != seed {
+		return nil, fmt.Errorf("run %s was stored with seed %d, this run used %d", run, meta.Seed, seed)
+	}
+	digests := rs.Digests()
+	if filtered {
+		for k := range old {
+			if _, ok := digests[k]; !ok {
+				delete(old, k)
+			}
+		}
+	}
+	return resultstore.Diff(old, digests), nil
 }
 
 // runLocal executes on the in-process pool every cell m has not merged
@@ -522,12 +529,8 @@ func runFleet(plan *sweep.Plan, st *resultstore.Store, meta resultstore.Meta,
 		var err error
 		rw, err = st.Begin(pm)
 		fatal(err)
-		for _, cr := range fl.Completed {
-			fatal(rw.Append(resultstore.Record{
-				Key: cr.Key, Digest: cr.Digest, Seed: cr.Seed,
-				Values: cr.Values, Labels: cr.Labels,
-				SimPS: cr.SimPS, Events: cr.Events, Err: cr.Err,
-			}))
+		for _, rec := range fl.Completed {
+			fatal(rw.Append(rec))
 		}
 	}
 
@@ -553,7 +556,7 @@ func runFleet(plan *sweep.Plan, st *resultstore.Store, meta resultstore.Meta,
 
 	rs, util, runErr := fl.Run(context.Background(), plan, func(cr sweep.CellResult) {
 		if rw != nil {
-			fatal(rw.Append(storeRecord(cr)))
+			fatal(rw.Append(cr.Record()))
 		}
 		progress(cr)
 	})
@@ -602,15 +605,6 @@ func transportLabel(procs, tcps int) string {
 		return "tcp"
 	default:
 		return "proc"
-	}
-}
-
-// storeRecord flattens a cell result into a store record.
-func storeRecord(cr sweep.CellResult) resultstore.Record {
-	return resultstore.Record{
-		Key: cr.Cell.Key, Digest: cr.Digest, Seed: cr.Seed,
-		Values: cr.Values, Labels: cr.Labels,
-		SimPS: int64(cr.SimTime), Events: cr.Events, Err: cr.Err,
 	}
 }
 

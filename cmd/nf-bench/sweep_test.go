@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"io"
 	"os"
 	"reflect"
@@ -11,7 +12,7 @@ import (
 	"time"
 
 	"repro/internal/storage/resultstore"
-	"repro/netfpga"
+	"repro/netfpga/sweep"
 	"repro/netfpga/sweep/shard"
 )
 
@@ -51,7 +52,6 @@ func TestParseSweepFlags(t *testing.T) {
 			c.procs, c.chaos = 2, 7
 			c.fleet.HangTimeout, c.fleet.StallTimeout = 5*time.Second, time.Minute
 		}},
-		{args: "-fidelity hybrid", want: func(c *sweepConfig) { c.fleet.Req.Fidelity = netfpga.FidelityHybrid }},
 		{args: "-workers 3 -seed 9 -filter T4", want: func(c *sweepConfig) {
 			r := &c.fleet.Req
 			r.Workers, r.Seed, r.Filter = 3, 9, "T4"
@@ -73,7 +73,8 @@ func TestParseSweepFlags(t *testing.T) {
 		{args: "-segment 512", wantErr: "flag provided but not defined: -segment"},
 		{args: "-shards 2 -steal", wantErr: "flag provided but not defined: -steal"},
 		{args: "-shards 2 -migrate-after 5000", wantErr: "flag provided but not defined: -migrate-after"},
-		{args: "-fidelity half", wantErr: "-fidelity must be"},
+		{args: "-fidelity hybrid", wantErr: "flag provided but not defined: -fidelity"},
+		{args: "-fidelity full", wantErr: "flag provided but not defined: -fidelity"},
 		{args: "-sched uniform", wantErr: "flag provided but not defined: -sched"},
 		{args: "-sched random", wantErr: "flag provided but not defined: -sched"},
 		{args: "-shards 2 -reconnect=false", wantErr: "flag provided but not defined: -reconnect"},
@@ -118,7 +119,7 @@ func TestParseSweepFlags(t *testing.T) {
 }
 
 // TestParseMainFlags: the bare command is an alias for an in-process,
-// storeless sweep of an in-memory config, and keeps five flags.
+// storeless sweep of an in-memory config, and keeps four flags.
 func TestParseMainFlags(t *testing.T) {
 	all := []string{"F1", "T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8", "F2", "T9"}
 	cases := []struct {
@@ -129,11 +130,11 @@ func TestParseMainFlags(t *testing.T) {
 	}{
 		{args: "", req: shard.Request{Workers: runtime.GOMAXPROCS(0)}, exps: all},
 		{args: "-exp T4 -workers 3 -seed 9", req: shard.Request{Workers: 3, Seed: 9}, exps: []string{"T4"}},
-		{args: "-fidelity hybrid -workers 1", req: shard.Request{Workers: 1, Fidelity: netfpga.FidelityHybrid}, exps: all},
 		{args: "-list", req: shard.Request{Workers: runtime.GOMAXPROCS(0)}},
 
 		{args: "-exp nope", wantErr: `unknown experiment "nope"`},
-		{args: "-fidelity half", wantErr: "-fidelity must be"},
+		{args: "-fidelity hybrid -workers 1", wantErr: "flag provided but not defined: -fidelity"},
+		{args: "-fidelity full", wantErr: "flag provided but not defined: -fidelity"},
 		{args: "-parallel", wantErr: "flag provided but not defined: -parallel"},
 		{args: "-json", wantErr: "flag provided but not defined: -json"},
 		{args: "-json-out x.json", wantErr: "flag provided but not defined: -json-out"},
@@ -211,6 +212,57 @@ func TestHistoryServesBenchRuns(t *testing.T) {
 		if strings.Contains(out, gone) {
 			t.Errorf("history output still derives %q:\n%s", gone, out)
 		}
+	}
+}
+
+// TestCompareRunChecksSeed: -compare-run against a run stored with
+// another base seed fails naming both seeds, as -compare does for a
+// golden of another seed, instead of listing every cell as changed. A
+// run of the same seed diffs by digest, and a filtered run leaves the
+// stored cells it did not run out of the diff.
+func TestCompareRunChecksSeed(t *testing.T) {
+	st, err := resultstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := []sweep.Group{{
+		Spec:    sweep.Spec{Name: "c", NoDevice: true, Params: []sweep.Axis{{Name: "i", Values: []string{"0", "1"}}}},
+		Measure: func(*sweep.Ctx, sweep.Cell) (sweep.Outcome, error) { return sweep.Outcome{}, nil },
+	}}
+	rs, err := sweep.RunGroups(context.Background(), &sweep.Runner{Workers: 1}, groups, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rw, err := st.Begin(resultstore.Meta{Run: "r", Seed: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cr := range rs.Cells {
+		rec := cr.Record()
+		if rec.Key == "c/i=1" {
+			rec.Digest = "other"
+		}
+		if err := rw.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rw.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := runDiffs(st, "r", 5, rs, false); err == nil || err.Error() != "run r was stored with seed 0, this run used 5" {
+		t.Errorf("seed 5 against a seed-0 run: %v", err)
+	}
+	changed := "changed: c/i=1 (other -> " + rs.Get("c/i=1").Digest + ")"
+	if diffs, err := runDiffs(st, "r", 0, rs, false); err != nil || !reflect.DeepEqual(diffs, []string{changed}) {
+		t.Errorf("same seed: %q, %v", diffs, err)
+	}
+	first := &sweep.Results{Cells: rs.Cells[:1]}
+	if diffs, err := runDiffs(st, "r", 0, first, true); err != nil || len(diffs) != 0 {
+		t.Errorf("filtered to the unchanged cell: %q, %v", diffs, err)
+	}
+	if diffs, err := runDiffs(st, "r", 0, first, false); err != nil || !reflect.DeepEqual(diffs, []string{"removed: c/i=1"}) {
+		t.Errorf("unfiltered with a cell missing: %q, %v", diffs, err)
 	}
 }
 

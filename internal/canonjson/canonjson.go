@@ -1,6 +1,8 @@
-// Package canonjson writes and reads the per-cell records of the fleet's
-// session frames and the result store's run files in exactly the bytes
-// encoding/json writes for them, without reflection. The writer declines
+// Package canonjson writes and reads the per-cell record,
+// sweep.CellRecord, in exactly the bytes encoding/json writes for it,
+// without reflection. The fleet's Cell frames and the result store's
+// cell lines carry it in one field order, its struct's: key, digest,
+// seed, values, labels, sim_ps, events, err. The writer declines
 // a string encoding/json would escape and a non-finite float; the reader
 // declines all but that canonical layout: known keys in struct order, no
 // whitespace, no escapes, nothing after the end. Callers fall back to
@@ -14,52 +16,27 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+
+	"repro/netfpga/sweep"
 )
 
-// Cell is one executed cell's record. Its fields are resultstore.Record's
-// in order, so a *Record converts to a *Cell; sweep.CellRecord carries
-// them with the digest last.
-type Cell struct {
-	Key    string
-	Digest string
-	Seed   uint64
-	Values map[string]float64
-	Labels map[string]string
-	SimPS  int64
-	Events uint64
-	Err    string
-}
-
-// Order is where a record shape puts its digest.
-type Order bool
-
-const (
-	Wire  Order = false // digest last, as in sweep.CellRecord
-	Store Order = true  // digest second, as in resultstore.Record
-)
-
-// AppendCell appends c as json.Marshal writes it in order o, with
-// omitempty on values, labels, sim_ps, events and err. It reports false
-// when the bytes are not json.Marshal's.
-func AppendCell(b []byte, o Order, c *Cell) ([]byte, bool) {
-	b, ok := appendStr(append(b, `{"key":`...), c.Key, true)
-	if o == Store {
-		b, ok = appendStr(append(b, `,"digest":`...), c.Digest, ok)
+// AppendCell appends r as json.Marshal writes it, with omitempty on
+// values, labels, sim_ps, events and err. It reports false when the
+// bytes are not json.Marshal's.
+func AppendCell(b []byte, r *sweep.CellRecord) ([]byte, bool) {
+	b, ok := appendStr(append(b, `{"key":`...), r.Key, true)
+	b, ok = appendStr(append(b, `,"digest":`...), r.Digest, ok)
+	b = strconv.AppendUint(append(b, `,"seed":`...), r.Seed, 10)
+	b, ok = appendMap(b, `,"values":`, r.Values, ok, appendFloat)
+	b, ok = appendMap(b, `,"labels":`, r.Labels, ok, appendStr)
+	if r.SimPS != 0 {
+		b = strconv.AppendInt(append(b, `,"sim_ps":`...), r.SimPS, 10)
 	}
-	b = strconv.AppendUint(append(b, `,"seed":`...), c.Seed, 10)
-	b, ok = appendMap(b, `,"values":`, c.Values, ok, appendFloat)
-	b, ok = appendMap(b, `,"labels":`, c.Labels, ok, appendStr)
-	if c.SimPS != 0 {
-		b = strconv.AppendInt(append(b, `,"sim_ps":`...), c.SimPS, 10)
+	if r.Events != 0 {
+		b = strconv.AppendUint(append(b, `,"events":`...), r.Events, 10)
 	}
-	if c.Events != 0 {
-		b = strconv.AppendUint(append(b, `,"events":`...), c.Events, 10)
-	}
-	if c.Err != "" {
-		b, ok = appendStr(append(b, `,"err":`...), c.Err, ok)
-	}
-	if o == Wire {
-		b, ok = appendStr(append(b, `,"digest":`...), c.Digest, ok)
+	if r.Err != "" {
+		b, ok = appendStr(append(b, `,"err":`...), r.Err, ok)
 	}
 	return append(b, '}'), ok
 }
@@ -78,14 +55,14 @@ func AppendStrings(b []byte, ss []string) ([]byte, bool) {
 	return append(b, ']'), ok
 }
 
-// ParseCell reads s, which must be exactly prefix, one cell object in
-// order o and suffix, into the zero Cell c, as json.Unmarshal would. It
-// reports false for anything else. c's strings share s's memory.
-func ParseCell(s, prefix, suffix string, o Order, c *Cell) bool {
+// ParseCell reads s, which must be exactly prefix, one cell object and
+// suffix, into the zero record c, as json.Unmarshal would. It reports
+// false for anything else. c's strings share s's memory.
+func ParseCell(s, prefix, suffix string, c *sweep.CellRecord) bool {
 	r := reader{s: s}
 	r.want(prefix + `{"key":`)
 	c.Key = r.str()
-	if o == Store && r.lit(`,"digest":`) {
+	if r.lit(`,"digest":`) {
 		c.Digest = r.str()
 	}
 	r.want(`,"seed":`)
@@ -104,9 +81,6 @@ func ParseCell(s, prefix, suffix string, o Order, c *Cell) bool {
 	}
 	if r.lit(`,"err":`) {
 		c.Err = r.str()
-	}
-	if o == Wire && r.lit(`,"digest":`) {
-		c.Digest = r.str()
 	}
 	return r.end("}" + suffix)
 }

@@ -121,9 +121,9 @@ func FuzzStoreLine(f *testing.F) {
 // parseLine is MergeRuns' canonical read of one line, widened to the
 // whole record.
 func parseLine(s string) (Record, bool) {
-	var c canonjson.Cell
-	ok := canonjson.ParseCell(s, `{"cell":`, "}", canonjson.Store, &c)
-	return Record(c), ok
+	var r Record
+	ok := canonjson.ParseCell(s, `{"cell":`, "}", &r)
+	return r, ok
 }
 
 // partLines writes a partial run holding lines after its meta line.

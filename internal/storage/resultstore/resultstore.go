@@ -82,17 +82,10 @@ type WorkerUtil struct {
 	Util sweep.UtilizationReport `json:"util"`
 }
 
-// Record is one executed cell.
-type Record struct {
-	Key    string             `json:"key"`
-	Digest string             `json:"digest"`
-	Seed   uint64             `json:"seed"`
-	Values map[string]float64 `json:"values,omitempty"`
-	Labels map[string]string  `json:"labels,omitempty"`
-	SimPS  int64              `json:"sim_ps,omitempty"`
-	Events uint64             `json:"events,omitempty"`
-	Err    string             `json:"err,omitempty"`
-}
+// Record is one executed cell: the record the fleet's wire carries,
+// stored as it is. The name remains only because benchmark/ still uses
+// it.
+type Record = sweep.CellRecord
 
 // line is the JSONL envelope: exactly one of Meta or Cell is set.
 type line struct {
@@ -231,7 +224,7 @@ func (rw *RunWriter) writeLine(l line) {
 // appendCellLine appends r's cell line, as json.Marshal writes it,
 // unless canonjson declines r.
 func appendCellLine(b []byte, r *Record) ([]byte, bool) {
-	b, ok := canonjson.AppendCell(append(b, `{"cell":`...), canonjson.Store, (*canonjson.Cell)(r))
+	b, ok := canonjson.AppendCell(append(b, `{"cell":`...), r)
 	return append(b, '}'), ok
 }
 
@@ -396,17 +389,17 @@ func (st *Store) PartialRuns(prefix string) ([]string, error) {
 	return out, nil
 }
 
-// RunDigests returns key -> digest for one run.
-func (st *Store) RunDigests(run string) (map[string]string, error) {
-	_, recs, err := st.ReadRun(run)
+// RunDigests returns one run's meta and its key -> digest map.
+func (st *Store) RunDigests(run string) (Meta, map[string]string, error) {
+	meta, recs, err := st.ReadRun(run)
 	if err != nil {
-		return nil, err
+		return Meta{}, nil, err
 	}
 	out := make(map[string]string, len(recs))
 	for _, r := range recs {
 		out[r.Key] = r.Digest
 	}
-	return out, nil
+	return meta, out, nil
 }
 
 // MergeRuns folds several (typically partial) runs into one
@@ -436,8 +429,8 @@ func (st *Store) MergeRuns(meta Meta, parts []string, expect []string) (int, err
 		// a torn part fails as a read error even past a conflict.
 		var recs []stored
 		err := st.eachLine(part, func(n int, b []byte) error {
-			var c canonjson.Cell
-			if s := string(b); canonjson.ParseCell(s, `{"cell":`, "}", canonjson.Store, &c) {
+			var c Record
+			if s := string(b); canonjson.ParseCell(s, `{"cell":`, "}", &c) {
 				recs = append(recs, stored{c.Key, c.Digest, part, s})
 				return nil
 			}

@@ -92,7 +92,7 @@ func TestIndexTracksLatestRun(t *testing.T) {
 		t.Errorf("index not updated to latest run: %+v", e)
 	}
 
-	d1, err := st.RunDigests("r1")
+	_, d1, err := st.RunDigests("r1")
 	if err != nil || d1["k"] != "old" {
 		t.Errorf("historic run digests lost: %v %v", d1, err)
 	}

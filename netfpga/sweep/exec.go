@@ -57,12 +57,6 @@ type Runner struct {
 	// BaseSeed is the base RunGroups plans its cells' seeds with.
 	// Execute never reads it: a plan carries its own BaseSeed.
 	BaseSeed uint64
-	// Fidelity, when non-empty, overrides every device's execution
-	// fidelity ("full"/"hybrid"; cells whose spec carries a fidelity
-	// axis win). This CHANGES results: hybrid devices route background
-	// traffic through the analytic model and are golden-digested
-	// separately.
-	Fidelity string
 
 	util *Utilization
 }
@@ -99,7 +93,7 @@ func (p *Plan) Execute(ctx context.Context, r *Runner) (<-chan CellResult, *Resu
 				defer wg.Done()
 				for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
 					t0 := time.Now()
-					cr := p.runCell(ctx, i, r.Fidelity, nil)
+					cr := p.runCell(ctx, i, nil)
 					took[i] = time.Since(t0)
 					u.Busy[w] += took[i]
 					rs.Cells[i] = cr
@@ -128,23 +122,22 @@ func (p *Plan) Execute(ctx context.Context, r *Runner) (<-chan CellResult, *Resu
 // result; it fails only for a key outside the plan. hook, when non-nil,
 // gets a freshly built device before the project's Build — how the
 // per-edge reference test reaches the device — and the cell runs on
-// that device instead of one from the plan's cache. fidelity, when
-// non-empty, is the run-level fidelity override (cells whose spec
-// carries a fidelity axis win). The cell's seed, digest and semantics
-// are identical to batch execution (seeds derive from (BaseSeed, key),
+// that device instead of one from the plan's cache. The cell's fidelity
+// is its key's: the spec's fidelities axis. The cell's seed, digest and
+// semantics are identical to batch execution (seeds derive from (BaseSeed, key),
 // never from batch position), so a cell run alone — on any process, any
 // machine — is byte-identical to the same cell inside a full sweep.
 // Safe to call concurrently for different keys.
 //
-// The two ints are ignored. They were the clock-batch and frame-burst
-// knobs; benchmark/layers.go, which a PR may not edit, still passes them
-// positionally.
-func (p *Plan) RunCell(ctx context.Context, key string, _, _ int, fidelity string, hook func(*netfpga.Device)) (CellResult, error) {
+// The two ints and the string are ignored. They were the clock-batch and
+// frame-burst knobs and the run-level fidelity override;
+// benchmark/layers.go still passes them positionally.
+func (p *Plan) RunCell(ctx context.Context, key string, _, _ int, _ string, hook func(*netfpga.Device)) (CellResult, error) {
 	i, ok := p.byKey[key]
 	if !ok {
 		return CellResult{}, fmt.Errorf("sweep: cell %q is not in the plan", key)
 	}
-	return p.runCell(ctx, i, fidelity, hook), nil
+	return p.runCell(ctx, i, hook), nil
 }
 
 // runCell runs cell i and seals its result: the seed derived, the
@@ -152,12 +145,9 @@ func (p *Plan) RunCell(ctx context.Context, key string, _, _ int, fidelity strin
 // outcome holding a NaN or infinite value sealed as a cell error naming
 // it — no record can carry one, so the wire and the store would
 // otherwise lose the cell.
-func (p *Plan) runCell(ctx context.Context, i int, fidelity string, hook func(*netfpga.Device)) CellResult {
-	cr := CellResult{Cell: p.Cells[i], Index: i, Seed: p.Cells[i].Seed}
-	if cr.Seed == 0 {
-		cr.Seed = SeedForKey(p.BaseSeed, cr.Cell.Key)
-	}
-	o, err := p.measure(ctx, &cr, fidelity, hook)
+func (p *Plan) runCell(ctx context.Context, i int, hook func(*netfpga.Device)) CellResult {
+	cr := CellResult{Cell: p.Cells[i], Index: i, Seed: p.seed(i)}
+	o, err := p.measure(ctx, &cr, hook)
 	if err == nil {
 		if k, ok := nonFinite(o.Values); ok {
 			err = fmt.Errorf("sweep: value %q is %v; a cell records finite values only", k, o.Values[k])
@@ -172,11 +162,20 @@ func (p *Plan) runCell(ctx context.Context, i int, fidelity string, hook func(*n
 	return cr
 }
 
+// seed is the seed cell i runs with: the spec's, else derived from
+// (BaseSeed, key). A record of the cell carries no other.
+func (p *Plan) seed(i int) uint64 {
+	if s := p.Cells[i].Seed; s != 0 {
+		return s
+	}
+	return SeedForKey(p.BaseSeed, p.Cells[i].Key)
+}
+
 // measure runs cr's cell on its device and records the device's final
 // simulated time and event count in cr. A device from the plan's cache
 // goes back last, clean only when the cell succeeded and ctx is still
 // live.
-func (p *Plan) measure(ctx context.Context, cr *CellResult, fidelity string, hook func(*netfpga.Device)) (o Outcome, err error) {
+func (p *Plan) measure(ctx context.Context, cr *CellResult, hook func(*netfpga.Device)) (o Outcome, err error) {
 	if err := ctx.Err(); err != nil {
 		return Outcome{}, fmt.Errorf("%w: %w", ErrCanceled, err)
 	}
@@ -192,8 +191,7 @@ func (p *Plan) measure(ctx context.Context, cr *CellResult, fidelity string, hoo
 	}()
 	c := &Ctx{Seed: cr.Seed, Rand: sim.NewRand(cr.Seed), done: ctx.Done()}
 	if !cell.Spec.NoDevice {
-		opts := netfpga.Options{Seed: cr.Seed, PortBER: cell.BER, NoHost: cell.Spec.NoHost,
-			Fidelity: cmp.Or(cell.Fidelity, fidelity)}
+		opts := netfpga.Options{Seed: cr.Seed, PortBER: cell.BER, NoHost: cell.Spec.NoHost, Fidelity: cell.Fidelity}
 		if c.Dev, release, err = p.device(cell, opts, hook); err != nil {
 			return Outcome{}, fmt.Errorf("sweep: cell %q build: %w", cell.Key, err)
 		}

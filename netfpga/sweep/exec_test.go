@@ -223,7 +223,7 @@ func TestCancellation(t *testing.T) {
 
 // TestAcquireRelease is the device hand-back contract of runCell and
 // the plan's device cache: a cell on a registry board and project takes
-// the cached device built at the run's fidelity, which goes back to the
+// the cached device built at its key's fidelity, which goes back to the
 // cache exactly once, after the measure, and only when the cell
 // succeeded and the batch was not canceled; a device that fails to
 // build is a build error, and nothing goes back.
@@ -258,7 +258,8 @@ func TestAcquireRelease(t *testing.T) {
 			var p *Plan
 			var cached *netfpga.Device
 			ran := 0
-			spec := Spec{Name: "c", Projects: []string{"reference_iotest"}, Seeds: []uint64{7}}
+			spec := Spec{Name: "c", Projects: []string{"reference_iotest"}, Seeds: []uint64{7},
+				Fidelities: []string{netfpga.FidelityHybrid}}
 			if tc.boardFail {
 				spec.BoardFor = func(Cell) (netfpga.BoardSpec, error) { return netfpga.BoardSpec{}, boom }
 			}
@@ -268,7 +269,7 @@ func TestAcquireRelease(t *testing.T) {
 					return Outcome{}, nil
 				}
 				if c.Dev != cached || c.Seed != 7 || !c.Dev.Hybrid() {
-					t.Error("the measure did not get the cached device, reseeded, at the run's fidelity")
+					t.Error("the measure did not get the cached device, reseeded, at the cell's fidelity")
 				}
 				if len(p.devs.idle) != 0 {
 					t.Error("device released before the measure returned")
@@ -280,11 +281,11 @@ func TestAcquireRelease(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !tc.boardFail {
-				if cr := p.runCell(context.Background(), 0, netfpga.FidelityHybrid, nil); cr.Err != "" || len(p.devs.idle) != 1 {
+				if cr := p.runCell(context.Background(), 0, nil); cr.Err != "" || len(p.devs.idle) != 1 {
 					t.Fatalf("warm-up cell: %q, %d idle devices", cr.Err, len(p.devs.idle))
 				}
 			}
-			cr := p.runCell(ctx, 0, netfpga.FidelityHybrid, nil)
+			cr := p.runCell(ctx, 0, nil)
 			switch {
 			case tc.wantErr == "" && cr.Err != "":
 				t.Errorf("unexpected error %v", cr.Err)

@@ -137,32 +137,34 @@ func (p *Plan) Jobs() ([]Cell, error) { return p.Cells, nil }
 
 // CellRecord is the flat, serializable form of a CellResult — what
 // crosses process boundaries in a fleet run and what the results store
-// persists. It carries everything the digest covers.
+// persists, in one field order on both. It carries everything the digest
+// covers.
 type CellRecord struct {
 	Key    string             `json:"key"`
+	Digest string             `json:"digest"`
 	Seed   uint64             `json:"seed"`
 	Values map[string]float64 `json:"values,omitempty"`
 	Labels map[string]string  `json:"labels,omitempty"`
 	SimPS  int64              `json:"sim_ps,omitempty"`
 	Events uint64             `json:"events,omitempty"`
 	Err    string             `json:"err,omitempty"`
-	Digest string             `json:"digest"`
 }
 
 // Record flattens a cell result for the wire or the store.
 func (r CellResult) Record() CellRecord {
 	return CellRecord{
-		Key: r.Cell.Key, Seed: r.Seed, Values: r.Values, Labels: r.Labels,
-		SimPS: int64(r.SimTime), Events: r.Events, Err: r.Err, Digest: r.Digest,
+		Key: r.Cell.Key, Digest: r.Digest, Seed: r.Seed, Values: r.Values, Labels: r.Labels,
+		SimPS: int64(r.SimTime), Events: r.Events, Err: r.Err,
 	}
 }
 
 // Merger folds externally executed cell records back into a plan's
 // result set, in expansion order. It is the coordinator half of the
-// fleet: every record must belong to the plan, arrive at most
-// once, and — the wire-integrity check — reproduce its transmitted
-// digest when the digest is recomputed locally from the record's
-// content. Safe for concurrent Place calls.
+// fleet: every record must belong to the plan, arrive at most once,
+// carry the seed the plan gives its cell, and — the wire-integrity
+// check — reproduce its transmitted digest when the digest is
+// recomputed locally from the record's content. Safe for concurrent
+// Place calls.
 type Merger struct {
 	plan *Plan
 	rs   *Results
@@ -222,9 +224,16 @@ func (m *Merger) placeLocked(rec CellRecord) (CellResult, error) {
 	return cr, nil
 }
 
-// seal rebuilds cell i's result from rec and checks that rec's digest
-// survives the wire.
+// seal rebuilds cell i's result from rec and checks that rec ran with
+// the plan's seed for the cell and that its digest survives the wire. A
+// record of another seed — a run under another base seed, resumed into
+// this one — is refused like a corrupt one, never as ErrDiverged: it
+// answers a different question, not the same one differently.
 func (m *Merger) seal(i int, rec CellRecord) (CellResult, error) {
+	if want := m.plan.seed(i); rec.Seed != want {
+		return CellResult{}, fmt.Errorf("sweep: merge: cell %q record ran with seed %d, the plan's is %d",
+			rec.Key, rec.Seed, want)
+	}
 	cr := CellResult{
 		Cell:    m.plan.Cells[i],
 		Index:   i,

@@ -66,8 +66,8 @@ type Fleet struct {
 	// run.
 	StallTimeout time.Duration
 	// Completed seeds the merger with cells finished by a previous,
-	// interrupted run. Each record is digest-verified through Adopt
-	// before it counts; records that fail verification are dropped back
+	// interrupted run. Each record is seed- and digest-verified through
+	// Adopt before it counts; records that fail verification are dropped back
 	// into the pending set and re-run (a record that diverges from an
 	// already-adopted one still fails the run). Adopted cells are not
 	// replayed to onCell — the caller already owns their persistence.

@@ -850,7 +850,7 @@ func (h *harness) run(i, j int) {
 	w := h.ws[i]
 	key := w.owed[j]
 	w.owed = slices.Delete(w.owed, j, j+1)
-	cr, err := w.plan.RunCell(context.Background(), key, 0, 0, h.c.f.Req.Fidelity, nil)
+	cr, err := w.plan.RunCell(context.Background(), key, 0, 0, "", nil)
 	if err != nil {
 		h.write(i, SessionFrame{Reject: &Reject{Key: key, Reason: err.Error()}})
 	} else {

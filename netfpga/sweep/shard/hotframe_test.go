@@ -58,23 +58,24 @@ func sameFrame(a, b SessionFrame) bool {
 // float bits included, and the writer's bytes always read back.
 func FuzzCellFrame(f *testing.F) {
 	raws := []string{
-		`{"cell":{"key":"m/p=reference_switch/wl=imix","seed":7,"values":{"a":-0,"b":1e+21,"c":1e-7},"labels":{"l":"v"},"sim_ps":40000000,"events":1234,"err":"boom","digest":"d"}}`,
+		`{"cell":{"key":"m/p=reference_switch/wl=imix","digest":"d","seed":7,"values":{"a":-0,"b":1e+21,"c":1e-7},"labels":{"l":"v"},"sim_ps":40000000,"events":1234,"err":"boom"}}`,
 		`{"open":{"config":"c","seed":3,"workers":2,"clock_batch":1,"frame_burst":64,"segment":true,"segment_budget":512}}`,
 		`{"assign":{"keys":["a","b"],"migrate_after":5000}}`,
 		`{"done":{"cells":2,"util":{"workers":1,"jobs":2,"segmented":true,"wall_ms":10,"busy_ms":9,"segments":40,"steals":3,"efficiency":0.9}}}`,
-		`{"cell":{"key":"k","seed":1,"digest":"d"}} `,
-		`{"cell":{"key":"k","seed":1e3,"digest":"d"}}`,
-		`{"cell":{"key":"k","seed":-0,"sim_ps":-0,"digest":"d"}}`,
-		`{"cell":{"key":"k","seed":18446744073709551616,"digest":"d"}}`,
-		`{"cell":{"key":"k","seed":1,"values":{"x":1e400},"digest":"d"}}`,
-		`{"cell":{"key":"k","seed":1,"values":{"x":1,"x":2},"digest":"d"}}`,
-		`{"cell":{"key":"k","seed":1,"values":{},"labels":{},"digest":"d"}}`,
-		`{"cell":{"key":"k","seed":1,"digest":"d","digest":"e"}}`,
-		`{"cell":{"key":"<","seed":1,"digest":"d"}}`,
-		`{"cell":{"key":"k","seed":01,"digest":"d"}}`,
+		`{"cell":{"key":"k","digest":"d","seed":1}} `,
+		`{"cell":{"key":"k","digest":"d","seed":1e3}}`,
+		`{"cell":{"key":"k","digest":"d","seed":-0,"sim_ps":-0}}`,
+		`{"cell":{"key":"k","digest":"d","seed":18446744073709551616}}`,
+		`{"cell":{"key":"k","digest":"d","seed":1,"values":{"x":1e400}}}`,
+		`{"cell":{"key":"k","digest":"d","seed":1,"values":{"x":1,"x":2}}}`,
+		`{"cell":{"key":"k","digest":"d","seed":1,"values":{},"labels":{}}}`,
+		`{"cell":{"key":"k","digest":"d","digest":"e","seed":1}}`,
+		`{"cell":{"key":"<","digest":"d","seed":1}}`,
+		`{"cell":{"key":"k","digest":"d","seed":01}}`,
 		`{"cell":null}`,
-		`{"Cell":{"key":"k","seed":1,"digest":"d"}}`,
-		"{\"cell\":{\"key\":\"\xff\",\"seed\":1,\"digest\":\"\t\"}}",
+		`{"Cell":{"key":"k","digest":"d","seed":1}}`,
+		`{"cell":{"key":"k","seed":1,"sim_ps":2,"digest":"d"}}`,
+		"{\"cell\":{\"key\":\"\xff\",\"digest\":\"\t\",\"seed\":1}}",
 	}
 	type seed struct {
 		key            string
@@ -102,8 +103,8 @@ func FuzzCellFrame(f *testing.F) {
 		f.Add([]byte(raws[i%len(raws)]), s.key, s.seed, s.k1, s.v1, s.k2, s.v2, s.lk, s.lv, s.simPS, s.events, s.errStr, s.digest, s.shape)
 	}
 	for _, n := range []string{"1.", ".5", "+1", "01", "-01", "-", "1e", "0.e5", "1E+05", "-0", "0e0", "1.5e-7"} {
-		raws = append(raws, `{"cell":{"key":"k","seed":1,"values":{"x":`+n+`},"digest":"d"}}`,
-			`{"cell":{"key":"k","seed":1,"sim_ps":`+n+`,"digest":"d"}}`)
+		raws = append(raws, `{"cell":{"key":"k","digest":"d","seed":1,"values":{"x":`+n+`}}}`,
+			`{"cell":{"key":"k","digest":"d","seed":1,"sim_ps":`+n+`}}`)
 	}
 	for _, raw := range raws[len(seeds):] {
 		f.Add([]byte(raw), "k", uint64(1), "x", 1.0, "y", 2.0, "l", "v", int64(0), uint64(0), "", "d", uint8(0))
@@ -255,7 +256,7 @@ func TestUnsendableCellReportedAsErr(t *testing.T) {
 		return nil
 	}
 	var cells atomic.Int64
-	runSessionItem(context.Background(), plan, Request{}, key, send, &cells)
+	runSessionItem(context.Background(), plan, key, send, &cells)
 	if len(sent) != 2 || sent[1].Err != "shard worker: cell "+key+": shard: frame of 67108865 bytes exceeds limit" {
 		t.Fatalf("frames sent: %+v", sent)
 	}

@@ -9,10 +9,12 @@ import (
 	"crypto/x509"
 	"crypto/x509/pkix"
 	"errors"
+	"fmt"
 	"io"
 	"math/big"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -166,7 +168,7 @@ func TestFleetResumeCompleted(t *testing.T) {
 	if half == 0 {
 		t.Fatal("test matrix too small")
 	}
-	completed := make([]sweep.CellRecord, 0, half+1)
+	completed := make([]sweep.CellRecord, 0, half+2)
 	for _, cr := range want.Cells[:half] {
 		completed = append(completed, cr.Record())
 	}
@@ -175,6 +177,15 @@ func TestFleetResumeCompleted(t *testing.T) {
 	bad := want.Cells[half].Record()
 	bad.Events++
 	completed = append(completed, bad)
+	// So does one of another seed, its digest true to its content: it
+	// answers another run's question, so it too must be re-run.
+	other := sessionPlan(t)
+	other.Cells[half+1].Seed = 99
+	cr, err := other.RunCell(context.Background(), other.Cells[half+1].Key, 0, 0, "", nil)
+	if err != nil || cr.Seed != 99 {
+		t.Fatalf("foreign-seed record: seed %d, %v", cr.Seed, err)
+	}
+	completed = append(completed, cr.Record())
 
 	var streamed []string
 	var log eventLog
@@ -204,6 +215,10 @@ func TestFleetResumeCompleted(t *testing.T) {
 	}
 	if log.count("adopt") == 0 {
 		t.Error("no adopt events for a resumed run")
+	}
+	summary := fmt.Sprintf("%d cells adopted from previous run, 2 re-run", half)
+	if !slices.ContainsFunc(log.evs, func(ev FleetEvent) bool { return ev.Kind == "adopt" && ev.Detail == summary }) {
+		t.Errorf("no adopt event %q in %+v", summary, log.evs)
 	}
 }
 

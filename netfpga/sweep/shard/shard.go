@@ -13,8 +13,11 @@
 // TCP or TLS connection to `nf-bench shard-worker -listen`. Anything a
 // worker prints to stderr passes through untouched for debugging. The
 // per-cell frames, Cell and Assign, are written and read by canonjson
-// in the bytes encoding/json has for them; every other frame, and any
-// hot frame canonjson declines, goes through encoding/json itself.
+// in the bytes encoding/json has for them; a Cell frame carries the
+// record in sweep.CellRecord's field order, the one the result store
+// keeps it in. Every other frame, and any hot frame canonjson declines
+// (an older peer's digest-last Cell frame among them), goes through
+// encoding/json itself.
 //
 // Coordinator -> worker, each as one Command frame:
 //
@@ -96,18 +99,9 @@ type Request struct {
 	// Workers is the width of the local pool (sweep.Runner semantics).
 	// An older peer's clock_batch, frame_burst, segment and
 	// segment_budget keys are ignored on decode: results never depended
-	// on them.
+	// on them. So is its fidelity key: a cell's fidelity is its key's,
+	// set by the spec's fidelities axis.
 	Workers int `json:"workers,omitempty"`
-	// Fidelity is the run-level execution-fidelity override
-	// ("full"/"hybrid"; "" = full). Cells whose spec carries a
-	// fidelity axis win, exactly as in-process.
-	Fidelity string `json:"fidelity,omitempty"`
-}
-
-// Runner builds the in-process pool the request describes — the one
-// place a run config becomes a sweep.Runner.
-func (r Request) Runner() *sweep.Runner {
-	return &sweep.Runner{Workers: r.Workers, BaseSeed: r.Seed, Fidelity: r.Fidelity}
 }
 
 // WriteFrame marshals v and writes it as one length-prefixed frame.
@@ -182,8 +176,7 @@ func appendHot(b []byte, v any) ([]byte, bool) {
 	switch f := v.(type) {
 	case SessionFrame:
 		if r := f.Cell; r != nil && f == (SessionFrame{Cell: r}) {
-			b, ok := canonjson.AppendCell(append(b, cellOpen...), canonjson.Wire, &canonjson.Cell{Key: r.Key,
-				Digest: r.Digest, Seed: r.Seed, Values: r.Values, Labels: r.Labels, SimPS: r.SimPS, Events: r.Events, Err: r.Err})
+			b, ok := canonjson.AppendCell(append(b, cellOpen...), r)
 			return append(b, '}'), ok
 		}
 	case Command:
@@ -201,11 +194,10 @@ func appendHot(b []byte, v any) ([]byte, bool) {
 func readHot(p []byte, v any) bool {
 	switch f := v.(type) {
 	case *SessionFrame:
-		var c canonjson.Cell
-		ok := f.Cell == nil && canonjson.ParseCell(string(p), cellOpen, "}", canonjson.Wire, &c)
+		c := new(sweep.CellRecord)
+		ok := f.Cell == nil && canonjson.ParseCell(string(p), cellOpen, "}", c)
 		if ok {
-			f.Cell = &sweep.CellRecord{Key: c.Key, Seed: c.Seed, Values: c.Values, Labels: c.Labels,
-				SimPS: c.SimPS, Events: c.Events, Err: c.Err, Digest: c.Digest}
+			f.Cell = c
 		}
 		return ok
 	case *Command:

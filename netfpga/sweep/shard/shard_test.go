@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -196,13 +197,15 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatalf("want io.EOF at stream end, got %v", err)
 	}
 	// An older peer's frames still carry keys of deleted knobs
-	// (clock_batch, frame_burst, segment, segment_budget on Open;
-	// migrate_after on Assign; segmented, segments, steals in a stored or
-	// shipped utilization report): they are ignored, the rest decodes.
+	// (clock_batch, frame_burst, segment, segment_budget and fidelity on
+	// Open; migrate_after on Assign; segmented, segments, steals in a
+	// stored or shipped utilization report): they are ignored, the rest
+	// decodes. Its Cell frame, digest last, decodes too.
 	for _, old := range []string{
-		`{"open":{"config":"c","seed":3,"workers":2,"clock_batch":1,"frame_burst":64,"segment":true,"segment_budget":512}}`,
+		`{"open":{"config":"c","seed":3,"workers":2,"clock_batch":1,"frame_burst":64,"segment":true,"segment_budget":512,"fidelity":"hybrid"}}`,
 		`{"assign":{"keys":["a","b"],"migrate_after":5000}}`,
 		`{"done":{"cells":2,"util":{"workers":1,"jobs":2,"segmented":true,"wall_ms":10,"busy_ms":9,"segments":40,"steals":3,"efficiency":0.9}}}`,
+		`{"cell":{"key":"a/b=1","seed":7,"values":{"x":1.5},"labels":{"l":"v"},"digest":"d"}}`,
 	} {
 		if err := WriteFrame(&buf, json.RawMessage(old)); err != nil {
 			t.Fatal(err)
@@ -218,6 +221,10 @@ func TestFrameRoundTrip(t *testing.T) {
 	wantUtil := sweep.UtilizationReport{Workers: 1, Jobs: 2, WallMS: 10, BusyMS: 9, Efficiency: 0.9}
 	if err := ReadFrame(&buf, &f); err != nil || f.Done == nil || f.Done.Util != wantUtil {
 		t.Fatalf("old Done frame: %+v, %v", f.Done, err)
+	}
+	var cell SessionFrame
+	if err := ReadFrame(&buf, &cell); err != nil || !reflect.DeepEqual(cell, msgs[0]) {
+		t.Fatalf("old Cell frame: %+v, %v", cell.Cell, err)
 	}
 	// A corrupt length prefix must not allocate the moon.
 	bad := bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff, 0x00})

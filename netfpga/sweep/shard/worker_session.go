@@ -77,7 +77,7 @@ func ServeSession(ctx context.Context, in io.Reader, out io.Writer, planFor Plan
 			defer wg.Done()
 			for key := range work {
 				t0 := time.Now()
-				runSessionItem(ctx, plan, req, key, send, &cells)
+				runSessionItem(ctx, plan, key, send, &cells)
 				busy[w] += time.Since(t0)
 			}
 		}()
@@ -128,7 +128,7 @@ func ServeSession(ctx context.Context, in io.Reader, out io.Writer, planFor Plan
 // reported as an Err frame naming the cell: a record too large to frame
 // would otherwise leave the coordinator waiting for it. On a broken
 // stream that send fails too, and the reader loop winds the session down.
-func runSessionItem(ctx context.Context, plan *sweep.Plan, req Request, key string,
+func runSessionItem(ctx context.Context, plan *sweep.Plan, key string,
 	send func(SessionFrame) error, cells *atomic.Int64) {
 	// A cancelled session must ship nothing: a cell aborted by ctx
 	// carries a context error in its record, which is self-consistent
@@ -137,7 +137,7 @@ func runSessionItem(ctx context.Context, plan *sweep.Plan, req Request, key stri
 	if ctx.Err() != nil {
 		return
 	}
-	cr, err := plan.RunCell(ctx, key, 0, 0, req.Fidelity, nil)
+	cr, err := plan.RunCell(ctx, key, 0, 0, "", nil)
 	if ctx.Err() != nil {
 		return
 	}

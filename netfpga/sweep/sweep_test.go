@@ -477,6 +477,33 @@ func TestMergerRejects(t *testing.T) {
 	if missing := m.Missing(); len(missing) != len(recs)-1 {
 		t.Errorf("missing reports %d cells, want %d", len(missing), len(recs)-1)
 	}
+
+	// A record of another base seed, its digest true to its content — a
+	// seed-5 run resumed into a seed-0 one — is refused, as a recoverable
+	// error and not ErrDiverged, whether its cell is open or filled.
+	g := matrixGroup(40)
+	g.Spec.Seeds = nil
+	var seeded [2]*Plan
+	for j, base := range []uint64{0, 5} {
+		if seeded[j], err = PlanGroups([]Group{g}, "", base); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m = seeded[0].Merger()
+	for _, i := range []int{0, 1} {
+		foreign := seeded[1].runCell(context.Background(), i, nil).Record()
+		if i == 1 {
+			if _, err := m.Place(seeded[0].runCell(context.Background(), i, nil).Record()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, _, err := m.Adopt(foreign); err == nil || errors.Is(err, ErrDiverged) || !strings.Contains(err.Error(), "seed") {
+			t.Errorf("cell %d: a seed-5 record adopted into a seed-0 plan: %v", i, err)
+		}
+	}
+	if m.Placed() != 1 {
+		t.Errorf("%d cells placed, want 1", m.Placed())
+	}
 }
 
 // TestRunCellMatchesBatch: a cell run alone through RunCell is
