@@ -3,8 +3,9 @@
 // the sweep: `nf-bench sweep` runs a config file, and the bare command
 // is an alias for a sweep over an in-memory config naming every
 // experiment (or the one -exp selects), with no results store. Either
-// way the cells execute, then every experiment that ran in full renders
-// its tables, followed by the claims scorecard.
+// way the cells execute on a shard fleet — one in-process worker unless
+// -shards or -connect name others — then every experiment that ran in
+// full renders its tables, followed by the claims scorecard.
 //
 //	nf-bench                 # every experiment's tables
 //	nf-bench -exp T4         # just the switch line-rate table
@@ -60,8 +61,9 @@ func main() {
 }
 
 // parseMainFlags turns the bare command's arguments into the sweep it
-// is an alias for: an in-process, storeless run of an in-memory config
-// naming the selected experiments. A nil config means -list.
+// is an alias for: a storeless run, on one in-process worker, of an
+// in-memory config naming the selected experiments. A nil config means
+// -list.
 func parseMainFlags(args []string) (*sweepConfig, *sweep.Config, error) {
 	c := &sweepConfig{noStore: true}
 	fs := flag.NewFlagSet("nf-bench", flag.ContinueOnError)
@@ -97,7 +99,7 @@ func parseMainFlags(args []string) (*sweepConfig, *sweep.Config, error) {
 // resolves a zero -workers to GOMAXPROCS. It is the only place flags
 // become a shard.Request.
 func runFlags(fs *flag.FlagSet, req *shard.Request) (resolve func()) {
-	fs.IntVar(&req.Workers, "workers", 0, "worker count of the in-process pool, or of each fleet worker's pool (0 = GOMAXPROCS)")
+	fs.IntVar(&req.Workers, "workers", 0, "pool width of each fleet worker, the in-process one included (0 = GOMAXPROCS)")
 	fs.Uint64Var(&req.Seed, "seed", 0, "base seed per-device and per-cell seeds derive from")
 	return func() {
 		if req.Workers <= 0 {

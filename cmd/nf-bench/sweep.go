@@ -1,7 +1,6 @@
 package main
 
 import (
-	"cmp"
 	"context"
 	"crypto/tls"
 	"crypto/x509"
@@ -22,11 +21,11 @@ import (
 )
 
 // sweepConfig is what `nf-bench sweep` parses its flags into, once.
-// fleet.Req is the run config — the same shard.Request value builds the
-// in-process runner and travels in every worker's Open frame — and the
-// flags that tune the coordinator are set on fleet directly. The rest
-// is CLI plumbing: where the fleet's workers come from, the store, and
-// what to compare against.
+// fleet.Req is the run config — the shard.Request value every worker's
+// Open frame carries, the in-process one's included — and the flags
+// that tune the coordinator are set on fleet directly. The rest is CLI
+// plumbing: where the fleet's workers come from, the store, and what
+// to compare against.
 type sweepConfig struct {
 	fleet shard.Fleet
 
@@ -46,23 +45,16 @@ type sweepConfig struct {
 	cpuprofile, memprofile string
 }
 
-// distributed reports whether the run goes through shard.Fleet; without
-// workers to hand cells to it runs on fleet.Req's in-process runner.
-func (c *sweepConfig) distributed() bool { return c.procs+len(c.addrs) > 0 }
-
-// mode names the execution path for the banner: only what will run.
+// mode names the run's workers for the banner. With neither -shards N
+// (N > 1) nor -connect the fleet is one in-process worker, the one
+// local worker -shards 1 asks for.
 func (c *sweepConfig) mode() string {
-	if !c.distributed() {
-		return fmt.Sprintf("in-process on %d workers", c.fleet.Req.Workers)
+	local := c.procs
+	if local+len(c.addrs) == 0 {
+		local = 1
 	}
 	return fmt.Sprintf("fleet of %d local + %d remote workers, a pool of %d in each",
-		c.procs, len(c.addrs), c.fleet.Req.Workers)
-}
-
-// fleetOnly are the flags that tune the fleet coordinator; setting one
-// on an in-process run is refused instead of silently ignored.
-var fleetOnly = map[string]bool{
-	"worker-timeout": true, "tls-ca": true, "chaos": true, "stall-timeout": true,
+		local, len(c.addrs), c.fleet.Req.Workers)
 }
 
 // parseSweepFlags turns `nf-bench sweep` arguments into the run's
@@ -78,12 +70,12 @@ func parseSweepFlags(args []string) (*sweepConfig, error) {
 	resolve := runFlags(fs, req)
 	fs.StringVar(&c.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&c.memprofile, "memprofile", "", "write a heap profile to this file on exit")
-	shards := fs.Int("shards", 1, "run on a fleet of N local 'nf-bench shard-worker' processes (1 = in-process; digests identical); with -connect, N > 1 adds N local worker processes to the remote ones")
+	shards := fs.Int("shards", 1, "run on a fleet of N local 'nf-bench shard-worker' processes (1 = one in-process worker; digests identical); with -connect, N > 1 adds N local worker processes to the remote ones")
 	connect := fs.String("connect", "", "comma-separated worker addresses (host:port) running 'nf-bench shard-worker -listen'; cells are assigned dynamically and a dead worker's cells requeue onto survivors")
 	fs.DurationVar(&fl.HangTimeout, "worker-timeout", 0, "kill a fleet worker silent for this long while owing cells and requeue its cells (0 = never)")
 	fs.StringVar(&c.tlsCA, "tls-ca", "", "CA certificate (PEM) to verify -connect workers against; enables TLS on every dialed worker")
 	fs.Uint64Var(&c.chaos, "chaos", 0, "inject deterministic transport faults (drops, delays, duplicates, corruption, truncation, kills, hangs) on every fleet worker, scheduled from this seed; 0 = off, digests are unchanged by any seed")
-	fs.StringVar(&c.resume, "resume", "", "resume an interrupted fleet sweep: adopt the run's persisted partial cells (digest-verified) and execute only the remainder, in-process unless -shards/-connect name a fleet")
+	fs.StringVar(&c.resume, "resume", "", "resume an interrupted stored sweep: adopt the cells of its <run>-fleet partial (digest-verified) and execute only the remainder")
 	fs.StringVar(&c.runID, "run-id", "", "run id override (default: UTC timestamp); scripting and CI resume legs need a knowable id")
 	fs.DurationVar(&fl.StallTimeout, "stall-timeout", 0, "fail the run with per-worker forensics when no cell completes fleet-wide for this long (0 = never)")
 	fs.StringVar(&c.storeDir, "store", "nf-results", "results store directory")
@@ -111,16 +103,8 @@ func parseSweepFlags(args []string) (*sweepConfig, error) {
 		c.procs = *shards
 	}
 	c.addrs = splitAddrs(*connect)
-	if !c.distributed() {
-		var stray []string
-		fs.Visit(func(f *flag.Flag) {
-			if fleetOnly[f.Name] {
-				stray = append(stray, "-"+f.Name)
-			}
-		})
-		if len(stray) > 0 {
-			return nil, fmt.Errorf("%s needs a fleet: add -shards N (N > 1) or -connect", strings.Join(stray, ", "))
-		}
+	if c.tlsCA != "" && len(c.addrs) == 0 {
+		return nil, errors.New("-tls-ca verifies dialed workers: it needs -connect")
 	}
 	if c.resume != "" && c.noStore {
 		return nil, errors.New("-resume needs the results store (-no-store conflicts)")
@@ -144,46 +128,35 @@ func parseSweepFlags(args []string) (*sweepConfig, error) {
 	return c, nil
 }
 
-// loadResume reads the interrupted run's persisted partial records and
+// loadResume reads the interrupted run's partial, <run>-fleet, and
 // fills config/filter/seed from its meta where the flags left them at
 // their defaults.
 func loadResume(c *sweepConfig) []resultstore.Record {
 	req := &c.fleet.Req
 	rst, err := resultstore.Open(c.storeDir)
 	fatal(err)
-	runs, err := rst.Runs()
+	if m, _, _, err := rst.ReadRunTolerant(c.resume); err == nil && !m.Partial {
+		fatal(fmt.Errorf("run %s completed; nothing to resume", c.resume))
+	}
+	part := c.resume + "-fleet"
+	pm, recs, dropped, err := rst.ReadRunTolerant(part)
+	if errors.Is(err, os.ErrNotExist) {
+		fatal(fmt.Errorf("no partial run %s in %s", part, c.storeDir))
+	}
 	fatal(err)
-	for _, run := range runs {
-		if run == c.resume {
-			if m, _, _, err := rst.ReadRunTolerant(run); err == nil && !m.Partial {
-				fatal(fmt.Errorf("run %s completed; nothing to resume", c.resume))
-			}
-		}
+	if req.Config == "" {
+		req.Config = pm.Config
 	}
-	parts, err := rst.PartialRuns(c.resume)
-	fatal(err)
-	if len(parts) == 0 {
-		fatal(fmt.Errorf("no partial runs with prefix %q in %s", c.resume, c.storeDir))
+	if req.Filter == "" {
+		req.Filter = pm.Filter
 	}
-	var recs []resultstore.Record
-	for _, part := range parts {
-		pm, partRecs, dropped, err := rst.ReadRunTolerant(part)
-		fatal(err)
-		if req.Config == "" {
-			req.Config = pm.Config
-		}
-		if req.Filter == "" {
-			req.Filter = pm.Filter
-		}
-		if req.Seed == 0 {
-			req.Seed = pm.Seed
-		}
-		recs = append(recs, partRecs...)
-		if dropped > 0 {
-			fmt.Fprintf(os.Stderr, "resume: %s: %d torn trailing line(s) dropped\n", part, dropped)
-		}
+	if req.Seed == 0 {
+		req.Seed = pm.Seed
 	}
-	fmt.Printf("resume: %d persisted cells from %d partial run(s) of %s\n", len(recs), len(parts), c.resume)
+	if dropped > 0 {
+		fmt.Fprintf(os.Stderr, "resume: %s: %d torn trailing line(s) dropped\n", part, dropped)
+	}
+	fmt.Printf("resume: %d persisted cells from %s\n", len(recs), part)
 	return recs
 }
 
@@ -225,9 +198,9 @@ func runSweepCmd(args []string) {
 }
 
 // runSweep is the one run path, shared by `nf-bench sweep` and the bare
-// command: expand the config into fleet jobs, execute them — in-process,
-// or on a fleet of worker processes — with streaming progress, persist
-// every cell into the results store, render the tables of every
+// command: plan the config, execute its cells on a fleet — one
+// in-process worker, or worker processes — with streaming progress,
+// persist every cell into the results store, render the tables of every
 // experiment that ran in full and score their claims, and optionally
 // diff the run against a golden digest file or a previous stored run.
 // resumeRecs are an interrupted run's persisted cells (-resume).
@@ -278,11 +251,12 @@ func runSweep(c *sweepConfig, cfg *sweep.Config, resumeRecs []resultstore.Record
 	// Digest-verify the resumed records against this plan before they
 	// count: a record for a cell the plan does not expand, one that ran
 	// with another seed than the plan gives its cell, or one whose digest
-	// does not reproduce from its content, is re-run instead of trusted. Conflicting persisted records are a determinism bug and
-	// fail loudly. An in-process run merges into m; a fleet adopts
-	// fleet.Completed itself.
-	m := plan.Merger()
+	// does not reproduce from its content, is re-run instead of trusted,
+	// and stays out of the new partial. Conflicting persisted records are
+	// a determinism bug and fail loudly. The fleet adopts the rest,
+	// fleet.Completed, itself.
 	if len(resumeRecs) > 0 {
+		m := plan.Merger()
 		rejected := 0
 		for _, r := range resumeRecs {
 			_, dup, err := m.Adopt(r)
@@ -310,24 +284,7 @@ func runSweep(c *sweepConfig, cfg *sweep.Config, resumeRecs []resultstore.Record
 		fmt.Printf("[%*d/%d] %-52s %s\n", digits(total), done, total, cr.Cell.Key, summarizeCell(cr))
 	}
 
-	var rs *sweep.Results
-	if c.distributed() {
-		rs = runFleet(plan, st, meta, c, progress)
-	} else {
-		r := &sweep.Runner{Workers: req.Workers}
-		rs, err = runLocal(plan, m, r, progress)
-		fatal(err)
-		if st != nil {
-			rep := r.Utilization().Report()
-			meta.Util = &rep
-			rw, err := st.Begin(meta)
-			fatal(err)
-			for _, cr := range rs.Cells {
-				fatal(rw.Append(cr.Record()))
-			}
-			fatal(rw.Close())
-		}
-	}
+	rs := runFleet(plan, st, meta, c, progress)
 	wall := time.Since(start)
 	fmt.Printf("sweep done: %d cells in %v (%d failed)\n", len(rs.Cells), wall.Round(time.Millisecond), len(rs.Failed()))
 	for _, f := range rs.Failed() {
@@ -397,29 +354,6 @@ func runDiffs(st *resultstore.Store, run string, seed uint64, rs *sweep.Results,
 	return resultstore.Diff(old, digests), nil
 }
 
-// runLocal executes on the in-process pool every cell m has not merged
-// — all of them, unless m holds a resumed run's records — and merges
-// each result through the same digest-verifying Adopt a fleet run's
-// records go through.
-func runLocal(plan *sweep.Plan, m *sweep.Merger, r *sweep.Runner, progress func(sweep.CellResult)) (*sweep.Results, error) {
-	ch, _, err := plan.Subset(func(key string) bool { return !m.Filled(key) }).Execute(context.Background(), r)
-	if err != nil {
-		return nil, err
-	}
-	for res := range ch {
-		cr, _, aerr := m.Adopt(res.Record())
-		if aerr != nil {
-			err = cmp.Or(err, aerr) // and keep draining the channel
-			continue
-		}
-		progress(cr)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return m.Results()
-}
-
 // workerPlan resolves a shard request into the full sweep plan — the
 // worker-side twin of the coordinator's planning, sharing one config
 // file so both sides always expand identical cells.
@@ -435,6 +369,9 @@ func workerPlan(req shard.Request) (*sweep.Plan, error) {
 	return sweep.PlanGroups(groups, req.Filter, req.Seed)
 }
 
+// localWorker names the in-process fleet worker.
+const localWorker = "local"
+
 // splitAddrs parses the -connect list: comma-separated host:port
 // entries, empty entries dropped.
 func splitAddrs(s string) []string {
@@ -447,11 +384,12 @@ func splitAddrs(s string) []string {
 	return addrs
 }
 
-// runFleet executes the plan on the fleet coordinator:
-// subprocess workers (spawned `nf-bench shard-worker` over stdio),
-// dialed TCP workers, or both mixed. Cells stream into one partial run
-// as they arrive — a coordinator crash loses nothing already harvested
-// — then fold into a complete, verified, indexed run whose digests are
+// runFleet executes the plan on the fleet coordinator: one in-process
+// worker serving the plan over pipes, or subprocess workers (spawned
+// `nf-bench shard-worker` over stdio), dialed TCP workers, or both
+// mixed. Cells stream into one partial run as they arrive — a crash
+// loses nothing already harvested, and -resume finishes the rest — then
+// fold into a complete, verified, indexed run whose digests are
 // byte-identical to a single-process sweep regardless of worker deaths
 // or requeues along the way.
 func runFleet(plan *sweep.Plan, st *resultstore.Store, meta resultstore.Meta,
@@ -468,17 +406,26 @@ func runFleet(plan *sweep.Plan, st *resultstore.Store, meta resultstore.Meta,
 		tlsCfg = &tls.Config{RootCAs: pool}
 	}
 
-	// Every worker is a fleet Connector, a (name, dial) pair — spawn a
-	// local `shard-worker` subprocess or dial a TCP/TLS address —
-	// redialed with backoff after every death. -chaos wraps each dial so
-	// every incarnation gets its own deterministic fault stream.
+	// Every worker is a fleet Connector, a (name, dial) pair — serve the
+	// plan in-process, spawn a local `shard-worker` subprocess or dial a
+	// TCP/TLS address — redialed with backoff after every death. -chaos
+	// wraps each dial so every incarnation gets its own deterministic
+	// fault stream.
 	fl := &c.fleet
-	nworkers := c.procs + len(c.addrs)
 	addWorker := func(name string, dial func() (*shard.Endpoint, error)) {
 		if c.chaos != 0 {
 			dial = shard.ChaosDial(name, dial, c.chaos)
 		}
 		fl.Connectors = append(fl.Connectors, &shard.Connector{Name: name, Dial: dial})
+	}
+	if c.procs+len(c.addrs) == 0 {
+		// The in-process worker serves the coordinator's own plan, so
+		// nothing is planned twice and main mode's in-memory config
+		// needs no file.
+		planFor := func(shard.Request) (*sweep.Plan, error) { return plan, nil }
+		addWorker(localWorker, func() (*shard.Endpoint, error) {
+			return shard.PipeWorker(context.Background(), localWorker, planFor), nil
+		})
 	}
 	if c.procs > 0 {
 		exe, err := os.Executable()
@@ -525,7 +472,7 @@ func runFleet(plan *sweep.Plan, st *resultstore.Store, meta resultstore.Meta,
 		pm := meta
 		pm.Run = partID
 		pm.Partial = true
-		pm.Shard = fmt.Sprintf("fleet/%d", nworkers)
+		pm.Shard = fmt.Sprintf("fleet/%d", len(fl.Connectors))
 		var err error
 		rw, err = st.Begin(pm)
 		fatal(err)
@@ -548,7 +495,10 @@ func runFleet(plan *sweep.Plan, st *resultstore.Store, meta resultstore.Meta,
 			// path fewer to completion.
 			fmt.Fprintf(os.Stderr, "fleet: %s %s (%s)\n", ev.Worker, ev.Kind, ev.Detail)
 		default:
-			if !c.quiet {
+			// The in-process worker's session opening and closing is no
+			// news.
+			session := ev.Kind == "hello" || ev.Kind == "done"
+			if !c.quiet && !(session && ev.Worker == localWorker) {
 				fmt.Printf("fleet: %s %s %s\n", ev.Worker, ev.Kind, ev.Detail)
 			}
 		}
@@ -580,7 +530,7 @@ func runFleet(plan *sweep.Plan, st *resultstore.Store, meta resultstore.Meta,
 		fmt.Printf("merged fleet run into %s (%d cells, %d requeued)\n", meta.Run, n, requeued)
 	}
 	fmt.Printf("fleet utilization: %d pool workers over %d endpoints, %d cells, %.0f%% efficient (busy %.0fms / wall %.0fms)\n",
-		util.Workers, nworkers, util.Jobs, 100*util.Efficiency, util.BusyMS, util.WallMS)
+		util.Workers, len(fl.Connectors), util.Jobs, 100*util.Efficiency, util.BusyMS, util.WallMS)
 	return rs
 }
 
@@ -596,16 +546,17 @@ func workerUtilMeta(reports []shard.WorkerReport) []resultstore.WorkerUtil {
 }
 
 // transportLabel names how a fleet reached its workers for the run
-// metadata.
+// metadata: "proc", "tcp" or "proc+tcp", and empty for the in-process
+// worker.
 func transportLabel(procs, tcps int) string {
-	switch {
-	case procs > 0 && tcps > 0:
-		return "proc+tcp"
-	case tcps > 0:
-		return "tcp"
-	default:
-		return "proc"
+	var via []string
+	if procs > 0 {
+		via = append(via, "proc")
 	}
+	if tcps > 0 {
+		via = append(via, "tcp")
+	}
+	return strings.Join(via, "+")
 }
 
 // runHistory implements -history: resolve the query to one cell via

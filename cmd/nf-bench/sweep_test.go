@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"os"
 	"reflect"
@@ -33,9 +34,9 @@ func TestParseSweepFlags(t *testing.T) {
 		wantErr string
 	}{
 		{args: "-workers 4", want: func(c *sweepConfig) { c.fleet.Req.Workers = 4 },
-			mode: "in-process on 4 workers"},
+			mode: "fleet of 1 local + 0 remote workers, a pool of 4 in each"},
 		{args: "-workers 4 -shards 1", want: func(c *sweepConfig) { c.fleet.Req.Workers = 4 },
-			mode: "in-process on 4 workers"},
+			mode: "fleet of 1 local + 0 remote workers, a pool of 4 in each"},
 		{args: "-workers 4 -shards 2", want: func(c *sweepConfig) { c.fleet.Req.Workers, c.procs = 4, 2 },
 			mode: "fleet of 2 local + 0 remote workers, a pool of 4 in each"},
 		{args: "-workers 4 -connect a,b", want: func(c *sweepConfig) { c.fleet.Req.Workers, c.addrs = 4, []string{"a", "b"} },
@@ -60,7 +61,16 @@ func TestParseSweepFlags(t *testing.T) {
 			c.procs, c.resume, c.storeDir = 2, "x", "s"
 		}},
 		{args: "-resume x -store s", want: func(c *sweepConfig) { c.resume, c.storeDir = "x", "s" },
-			mode: "in-process on " + strconv.Itoa(runtime.GOMAXPROCS(0)) + " workers"},
+			mode: "fleet of 1 local + 0 remote workers, a pool of " + strconv.Itoa(runtime.GOMAXPROCS(0)) + " in each"},
+		{args: "-chaos 7", want: func(c *sweepConfig) {
+			c.chaos = 7
+			c.fleet.HangTimeout, c.fleet.StallTimeout = 20*time.Second, 2*time.Minute
+		}},
+		{args: "-worker-timeout 5s -stall-timeout 1m", want: func(c *sweepConfig) {
+			c.fleet.HangTimeout, c.fleet.StallTimeout = 5*time.Second, time.Minute
+		}},
+		{args: "-connect a -tls-ca x", want: func(c *sweepConfig) { c.addrs, c.tlsCA = []string{"a"}, "x" },
+			mode: "fleet of 0 local + 1 remote workers, a pool of " + strconv.Itoa(runtime.GOMAXPROCS(0)) + " in each"},
 
 		{args: "-shards 2 -resume x -no-store", wantErr: "-resume needs the results store"},
 		{args: "-shards 0", wantErr: "-shards must be >= 1"},
@@ -82,8 +92,8 @@ func TestParseSweepFlags(t *testing.T) {
 		{args: "-shards 2 -breaker-window 1s", wantErr: "flag provided but not defined: -breaker-window"},
 		{args: "-shards 2 -breaker-cooldown 1s", wantErr: "flag provided but not defined: -breaker-cooldown"},
 		{args: "-shards 2 -fallback=false", wantErr: "flag provided but not defined: -fallback"},
-		{args: "-chaos 7", wantErr: "-chaos needs a fleet"},
-		{args: "-worker-timeout 5s -stall-timeout 1m", wantErr: "-stall-timeout, -worker-timeout needs a fleet"},
+		{args: "-tls-ca x", wantErr: "-tls-ca verifies dialed workers: it needs -connect"},
+		{args: "-shards 2 -tls-ca x", wantErr: "-tls-ca verifies dialed workers: it needs -connect"},
 	}
 	for _, tc := range cases {
 		got, err := parseSweepFlags(append([]string{"-config", "c"}, strings.Fields(tc.args)...))
@@ -229,7 +239,21 @@ func TestCompareRunChecksSeed(t *testing.T) {
 		Spec:    sweep.Spec{Name: "c", NoDevice: true, Params: []sweep.Axis{{Name: "i", Values: []string{"0", "1"}}}},
 		Measure: func(*sweep.Ctx, sweep.Cell) (sweep.Outcome, error) { return sweep.Outcome{}, nil },
 	}}
-	rs, err := sweep.RunGroups(context.Background(), &sweep.Runner{Workers: 1}, groups, "")
+	plan, err := sweep.PlanGroups(groups, "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := plan.Merger()
+	for _, key := range plan.Keys() {
+		cr, err := plan.RunCell(context.Background(), key, 0, 0, "", nil)
+		if err == nil {
+			_, _, err = m.Adopt(cr.Record())
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	rs, err := m.Results()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,6 +287,77 @@ func TestCompareRunChecksSeed(t *testing.T) {
 	}
 	if diffs, err := runDiffs(st, "r", 0, first, false); err != nil || !reflect.DeepEqual(diffs, []string{"removed: c/i=1"}) {
 		t.Errorf("unfiltered with a cell missing: %q, %v", diffs, err)
+	}
+}
+
+// TestStoredRunResumes: an in-process stored run is the fleet's run
+// path — it streams into <run>-fleet and merges into <run> — so a copy
+// of that partial cut to k cells resumes to the same digests, and the
+// resume reads exactly <run>-fleet: a seed-5 <run>2-fleet beside it is
+// not adopted.
+func TestStoredRunResumes(t *testing.T) {
+	dir := t.TempDir()
+	sweepRun := func(args ...string) string {
+		t.Helper()
+		base := []string{"-config", "../../examples/paper.sweep", "-filter", "T4", "-store", dir, "-workers", "2", "-q"}
+		return captureStdout(t, func() { runSweepCmd(append(base, args...)) })
+	}
+	st, err := resultstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweepRun("-run-id", "full")
+	pm, part, err := st.ReadRun("full-fleet")
+	if err != nil || !pm.Partial || pm.Transport != "" {
+		t.Fatalf("in-process run left partial %+v, %v", pm, err)
+	}
+	meta, want, err := st.RunDigests("full")
+	if err != nil || meta.Partial || len(want) != len(part) || len(want) < 4 {
+		t.Fatalf("merged run %+v holds %d cells (partial %d), %v", meta, len(want), len(part), err)
+	}
+
+	// The interrupted run, the partial cut to k cells, and beside it a
+	// seed-5 partial whose id r is a prefix of.
+	writePartial := func(m resultstore.Meta, recs []resultstore.Record) {
+		t.Helper()
+		m.Partial = true
+		rw, err := st.Begin(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range recs {
+			if err := rw.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := rw.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	k := len(part) / 2
+	pm.Run = "r-fleet"
+	writePartial(pm, part[:k])
+	sweepRun("-run-id", "s5", "-seed", "5")
+	m5, recs5, err := st.ReadRun("s5")
+	if err != nil || m5.Seed != 5 {
+		t.Fatalf("seed-5 run: %+v, %v", m5, err)
+	}
+	m5.Run = "r2-fleet"
+	writePartial(m5, recs5)
+
+	out := sweepRun("-resume", "r", "-run-id", "resumed", "-compare-run", "full")
+	for _, line := range []string{
+		fmt.Sprintf("resume: %d persisted cells from r-fleet", k),
+		fmt.Sprintf("resume: %d cells verified, 0 rejected, %d left to run", k, len(want)-k),
+		"base seed 0,",
+		"compare vs run full: all digests match",
+	} {
+		if !strings.Contains(out, line) {
+			t.Errorf("resumed run lacks %q:\n%s", line, out)
+		}
+	}
+	if _, got, err := st.RunDigests("resumed"); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("resumed run's digests differ from the uninterrupted run's (%v)", err)
 	}
 }
 

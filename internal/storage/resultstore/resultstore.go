@@ -364,31 +364,6 @@ func (st *Store) ReadRunTolerant(run string) (Meta, []Record, int, error) {
 	return meta, recs, dropped, err
 }
 
-// PartialRuns lists the store's partial runs whose id starts with
-// prefix, sorted — how `-resume <run>` finds an interrupted run's
-// persisted pieces (the fleet writes `<run>-fleet`). Runs whose meta
-// line is unreadable
-// are skipped: a file torn before its first line holds no records
-// worth adopting.
-func (st *Store) PartialRuns(prefix string) ([]string, error) {
-	runs, err := st.Runs()
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, run := range runs {
-		if !strings.HasPrefix(run, prefix) {
-			continue
-		}
-		meta, _, _, err := st.ReadRunTolerant(run)
-		if err != nil || !meta.Partial {
-			continue
-		}
-		out = append(out, run)
-	}
-	return out, nil
-}
-
 // RunDigests returns one run's meta and its key -> digest map.
 func (st *Store) RunDigests(run string) (Meta, map[string]string, error) {
 	meta, recs, err := st.ReadRun(run)

@@ -493,43 +493,3 @@ func TestReadRunTolerantStopsAtTear(t *testing.T) {
 		t.Errorf("dropped = %d, want 1", dropped)
 	}
 }
-
-func TestPartialRunsByPrefix(t *testing.T) {
-	st, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	add := func(run string, partial bool) {
-		t.Helper()
-		rw, err := st.Begin(Meta{Run: run, Partial: partial})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := rw.Append(rec("a/x=1", "d1", 1)); err != nil {
-			t.Fatal(err)
-		}
-		if err := rw.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	add("run1-fleet", true)
-	add("run1-s0of2", true)
-	add("run2", false)
-	add("run2-fleet", true)
-
-	got, err := st.PartialRuns("run1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != "run1-fleet" || got[1] != "run1-s0of2" {
-		t.Errorf("PartialRuns(run1) = %v", got)
-	}
-	got, err = st.PartialRuns("run2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The complete run2 is excluded; only its partial sibling matches.
-	if len(got) != 1 || got[0] != "run2-fleet" {
-		t.Errorf("PartialRuns(run2) = %v", got)
-	}
-}

@@ -45,11 +45,12 @@ func (c *Ctx) Canceled() bool {
 	}
 }
 
-// Runner is the in-process pool a plan executes on: Workers goroutines,
-// each running one cell from its first event to its last, claiming
-// cells in index order. Only wall clock depends on which worker gets
-// which cell: a cell's seed derives from (BaseSeed, key), every
-// stochastic element draws from it, and devices share no mutable state.
+// Runner is the library's in-process batch executor: Plan.Execute runs
+// a plan on a Pool of Workers goroutines, each running one cell from
+// its first event to its last, claiming cells in index order. Only wall
+// clock depends on which worker gets which cell: a cell's seed derives
+// from (BaseSeed, key), every stochastic element draws from it, and
+// devices share no mutable state.
 type Runner struct {
 	// Workers is the number of concurrent devices. <= 0 means
 	// GOMAXPROCS. The pool never spawns more workers than cells.
@@ -81,41 +82,66 @@ func (p *Plan) Execute(ctx context.Context, r *Runner) (<-chan CellResult, *Resu
 		if nw <= 0 {
 			nw = runtime.GOMAXPROCS(0)
 		}
-		nw = min(nw, n)
-		u := &Utilization{Workers: nw, Jobs: n, Busy: make([]time.Duration, nw)}
-		took := make([]time.Duration, n)
-		start := time.Now()
 		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := range nw {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-					t0 := time.Now()
-					cr := p.runCell(ctx, i, nil)
-					took[i] = time.Since(t0)
-					u.Busy[w] += took[i]
-					rs.Cells[i] = cr
-					out <- cr
-				}
-			}()
+		claim := func() (int, bool) {
+			i := int(next.Add(1)) - 1
+			return i, i < n
 		}
-		wg.Wait()
-		if n > 0 {
-			u.Wall = time.Since(start)
-		}
-		for i, d := range took {
-			if d > u.LongestBusy {
-				u.LongestJob, u.LongestBusy = p.Cells[i].Key, d
-			}
-		}
-		r.util = u
+		r.util = p.Pool(ctx, min(nw, n), claim, func(cr CellResult) {
+			rs.Cells[cr.Index] = cr
+			out <- cr
+		})
 		for i := range rs.Cells {
 			rs.byKey[rs.Cells[i].Cell.Key] = &rs.Cells[i]
 		}
 	}()
 	return out, rs, nil
+}
+
+// Pool runs cells on width goroutines, each running one cell from its
+// first event to its last: a goroutine takes the index of its next cell
+// from next until next reports none, and hands each sealed result to
+// emit, concurrently with the others. Once every goroutine is done it
+// returns how the pool spent its wall clock. It is the one pool a plan
+// runs on: Execute claims the plan's indices in order, and a session
+// worker feeds the cells its coordinator assigns.
+func (p *Plan) Pool(ctx context.Context, width int, next func() (int, bool), emit func(CellResult)) *Utilization {
+	u := &Utilization{Workers: width, Busy: make([]time.Duration, width)}
+	type tally struct {
+		jobs, longest int
+		took          time.Duration
+	}
+	tallies := make([]tally, width)
+	start := time.Now()
+	var wg sync.WaitGroup
+	for w := range width {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			t := &tallies[w]
+			for i, ok := next(); ok; i, ok = next() {
+				t0 := time.Now()
+				cr := p.runCell(ctx, i, nil)
+				d := time.Since(t0)
+				u.Busy[w] += d
+				if t.jobs++; d > t.took {
+					t.longest, t.took = i, d
+				}
+				emit(cr)
+			}
+		}()
+	}
+	wg.Wait()
+	if width > 0 {
+		u.Wall = time.Since(start)
+	}
+	for _, t := range tallies {
+		u.Jobs += t.jobs
+		if t.took > u.LongestBusy {
+			u.LongestJob, u.LongestBusy = p.Cells[t.longest].Key, t.took
+		}
+	}
+	return u
 }
 
 // RunCell executes a single cell of the plan and returns its sealed

@@ -121,6 +121,18 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// stream plans the groups against r's base seed and starts them on r,
+// returning Execute's channel.
+func stream(t *testing.T, r *Runner, groups ...Group) <-chan CellResult {
+	t.Helper()
+	p, err := PlanGroups(groups, "", r.BaseSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, _, _ := p.Execute(context.Background(), r)
+	return ch
+}
+
 // TestRunStreamDeterministicAcrossWorkerCounts: re-sorted by cell
 // index, what Execute streams on any worker count matches a run on one
 // worker. The sweep's streaming progress stands on this.
@@ -128,10 +140,7 @@ func TestRunStreamDeterministicAcrossWorkerCounts(t *testing.T) {
 	groups := []Group{switchGroup("dev", 42, 8)}
 	want := digestAll(t, runAll(t, &Runner{Workers: 1}, groups...), 8)
 	for _, workers := range []int{1, 4, 8} {
-		ch, _, err := RunStreamGroups(context.Background(), &Runner{Workers: workers}, groups, "")
-		if err != nil {
-			t.Fatal(err)
-		}
+		ch := stream(t, &Runner{Workers: workers}, groups...)
 		var got []CellResult
 		for cr := range ch {
 			got = append(got, cr)
@@ -315,10 +324,7 @@ func TestRunStream(t *testing.T) {
 			o.Set("sq", float64(cell.Int("i")*cell.Int("i")))
 			return o, nil
 		}}
-	ch, _, err := RunStreamGroups(context.Background(), &Runner{Workers: 3}, []Group{g}, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ch := stream(t, &Runner{Workers: 3}, g)
 	seen := make(map[int]float64)
 	for r := range ch {
 		if _, dup := seen[r.Index]; dup {

@@ -19,11 +19,11 @@ var ErrDiverged = errors.New("sweep: determinism violation")
 
 // Plan is a compiled sweep execution: every expanded cell paired with
 // its measure, plus the base seed cell seeds derive from. A plan is the
-// unit the execution paths share — execute it in-process on a
-// Runner, or hand its cells out by canonical key across worker
-// processes and merge the streamed records back (Merger). Because cell
-// seeds derive from (BaseSeed, key) and never from batch position,
-// every subset of a plan produces byte-identical per-cell digests.
+// unit every executor shares — execute it on a Runner, or hand its
+// cells out by canonical key to session workers and merge the streamed
+// records back (Merger). Because cell seeds derive from (BaseSeed, key)
+// and never from batch position, every subset of a plan produces
+// byte-identical per-cell digests.
 type Plan struct {
 	// Cells are the expanded scenarios in expansion order.
 	Cells []Cell
@@ -113,8 +113,7 @@ func fnv64(key string) uint64 {
 }
 
 // Subset returns the sub-plan of the cells keep accepts, preserving
-// expansion order and group structure — what a resumed in-process run
-// executes when only part of a plan is still unfinished.
+// expansion order and group structure.
 func (p *Plan) Subset(keep func(key string) bool) *Plan {
 	sub := &Plan{BaseSeed: p.BaseSeed, ngroups: p.ngroups, devs: p.devs}
 	for j, c := range p.Cells {

@@ -231,29 +231,17 @@ func ExpandGroups(groups []Group, filter string) ([]Cell, []int, error) {
 	return cells, off, nil
 }
 
-// RunGroups expands and executes every group on the runner and
-// returns the full result set in cell order. Per-cell failures are
-// recorded in the results, not returned as an error.
+// RunGroups plans the groups against the runner's base seed, executes
+// them on the runner and returns the full result set in cell order.
+// Per-cell failures are recorded in the results, not returned as an
+// error.
 func RunGroups(ctx context.Context, r *Runner, groups []Group, filter string) (*Results, error) {
-	ch, rs, err := RunStreamGroups(ctx, r, groups, filter)
+	p, err := PlanGroups(groups, filter, r.BaseSeed)
 	if err != nil {
 		return nil, err
 	}
+	ch, rs, _ := p.Execute(ctx, r)
 	for range ch {
 	}
 	return rs, nil
-}
-
-// RunStreamGroups plans the groups against the runner's base seed and
-// starts the batch: the returned channel delivers each cell result as
-// its device finishes (completion order), and the Results is fully
-// populated — in expansion order — once the channel closes. The caller
-// must drain the channel. This is the convenience path over
-// PlanGroups + Plan.Execute.
-func RunStreamGroups(ctx context.Context, r *Runner, groups []Group, filter string) (<-chan CellResult, *Results, error) {
-	p, err := PlanGroups(groups, filter, r.BaseSeed)
-	if err != nil {
-		return nil, nil, err
-	}
-	return p.Execute(ctx, r)
 }

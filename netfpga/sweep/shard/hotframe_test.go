@@ -255,8 +255,12 @@ func TestUnsendableCellReportedAsErr(t *testing.T) {
 		}
 		return nil
 	}
+	cr, err := plan.RunCell(context.Background(), key, 0, 0, "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var cells atomic.Int64
-	runSessionItem(context.Background(), plan, key, send, &cells)
+	sendCell(context.Background(), cr, send, &cells)
 	if len(sent) != 2 || sent[1].Err != "shard worker: cell "+key+": shard: frame of 67108865 bytes exceeds limit" {
 		t.Fatalf("frames sent: %+v", sent)
 	}

@@ -28,10 +28,10 @@ type Hello struct {
 	Workers int `json:"workers"`
 }
 
-// Reject reports an assigned cell this worker could not run (RunCell
-// returned an error: a key its plan does not hold). The cell is
-// unharmed — the coordinator requeues it — but the rejection is
-// evidence of worker divergence worth surfacing.
+// Reject reports an assigned cell this worker could not run: a key its
+// plan does not hold. The cell is unharmed — the coordinator requeues
+// it — but the rejection is evidence of worker divergence worth
+// surfacing.
 type Reject struct {
 	Key    string `json:"key"`
 	Reason string `json:"reason"`

@@ -64,7 +64,8 @@ func (l *eventLog) count(kind string) int {
 
 // TestFleetPipes: the session protocol end to end over pipe transports
 // at several fleet widths — every digest byte-identical to the
-// in-process reference, every cell streamed exactly once.
+// in-process reference, every cell streamed exactly once, and the
+// fleet's utilization naming its slowest cell.
 func TestFleetPipes(t *testing.T) {
 	want := fullRun(t)
 	for _, n := range []int{1, 2, 3} {
@@ -83,6 +84,11 @@ func TestFleetPipes(t *testing.T) {
 		if util.Jobs != len(want.Cells) || util.Workers != 2*n {
 			t.Errorf("fleet=%d: utilization reports %d jobs on %d workers, want %d on %d",
 				n, util.Jobs, util.Workers, len(want.Cells), 2*n)
+		}
+		// Every session runs on the plan's pool, so the fleet's report
+		// names its slowest cell as an in-process batch's does.
+		if want.Get(util.LongestJob) == nil || util.LongestMS <= 0 {
+			t.Errorf("fleet=%d: slowest cell %q (%vms), want a cell of the plan", n, util.LongestJob, util.LongestMS)
 		}
 		checkMatches(t, want, rs)
 	}

@@ -1,12 +1,12 @@
-// Package shard is the multi-process execution path for scenario
-// sweeps: a Fleet coordinator opens a session on every worker (spawned
-// subprocesses, TCP dials, or both mixed), hands the plan's cells out
-// by canonical key as workers drain them, and merges the
-// streamed cell records back into one result set with digests
-// byte-identical to a single-process run. Beside sweep.Runner's
-// in-process pool it is the second of the repo's two execution paths,
-// and the only one that crosses a process boundary. On both, a cell
-// runs from its first event to its last on the worker that claimed it.
+// Package shard is the run path of scenario sweeps: a Fleet coordinator
+// opens a session on every worker (an in-process PipeWorker, spawned
+// subprocesses, TCP dials, or a mix), hands the plan's cells out by
+// canonical key as workers drain them, and merges the streamed cell
+// records back into one result set with digests byte-identical to a
+// single-process run. `nf-bench` runs every sweep this way; a session
+// worker runs its cells on the plan's own pool (sweep.Plan.Pool), the
+// one sweep.Runner's batches run on, and a cell runs from its first
+// event to its last on the worker that claimed it.
 //
 // There is one wire protocol: length-prefixed JSON frames, the same on
 // the stdin/stdout pipes of a spawned `nf-bench shard-worker` and on a

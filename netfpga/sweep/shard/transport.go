@@ -127,9 +127,9 @@ func ListenAndServe(ctx context.Context, l net.Listener, planFor PlanFunc, logf 
 }
 
 // PipeWorker starts an in-process session worker over synchronous
-// pipes and returns its endpoint — the transport unit tests and
-// single-binary smoke runs use, with exactly the frame traffic of the
-// process and TCP transports.
+// pipes and returns its endpoint — the worker of an `nf-bench` run with
+// no -shards or -connect, and of unit tests — with exactly the frame
+// traffic of the process and TCP transports.
 func PipeWorker(ctx context.Context, name string, planFor PlanFunc) *Endpoint {
 	cmdR, cmdW := io.Pipe()
 	frameR, frameW := io.Pipe()

@@ -6,7 +6,6 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/netfpga/sweep"
 )
@@ -63,31 +62,22 @@ func ServeSession(ctx context.Context, in io.Reader, out io.Writer, planFor Plan
 		return fmt.Errorf("shard worker: sending hello: %w", err)
 	}
 
-	// Sized so the reader never blocks on a coordinator that assigns the
-	// whole plan at once, requeued cells included.
-	work := make(chan string, 2*len(plan.Cells)+16)
+	// The plan's own pool runs the assigned cells: the reader loop feeds
+	// it indices through work, sized so it never blocks on a coordinator
+	// that assigns the whole plan at once, requeued cells included.
+	work := make(chan int, 2*len(plan.Cells)+16)
 	var cells atomic.Int64
-	busy := make([]time.Duration, req.Workers) // per pool worker
-	start := time.Now()
-
-	var wg sync.WaitGroup
-	for w := 0; w < req.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for key := range work {
-				t0 := time.Now()
-				runSessionItem(ctx, plan, key, send, &cells)
-				busy[w] += time.Since(t0)
-			}
-		}()
-	}
+	pooled := make(chan *sweep.Utilization, 1)
+	go func() {
+		next := func() (int, bool) { i, ok := <-work; return i, ok }
+		pooled <- plan.Pool(ctx, req.Workers, next, func(cr sweep.CellResult) { sendCell(ctx, cr, send, &cells) })
+	}()
 	// drain lets in-flight and queued cells run to completion (the
 	// orderly Close path); abort cancels them first (the torn-stream
 	// path — nobody is listening for their results).
-	drain := func() {
+	drain := func() *sweep.Utilization {
 		close(work)
-		wg.Wait()
+		return <-pooled
 	}
 	abort := func() {
 		cancel()
@@ -106,11 +96,14 @@ func ServeSession(ctx context.Context, in io.Reader, out io.Writer, planFor Plan
 		switch {
 		case cmd.Assign != nil:
 			for _, key := range cmd.Assign.Keys {
-				work <- key
+				if i, ok := plan.Lookup(key); ok {
+					work <- i
+				} else {
+					_ = send(SessionFrame{Reject: &Reject{Key: key, Reason: fmt.Sprintf("sweep: cell %q is not in the plan", key)}})
+				}
 			}
 		case cmd.Close:
-			drain()
-			u := sweep.Utilization{Workers: req.Workers, Jobs: int(cells.Load()), Wall: time.Since(start), Busy: busy}
+			u := drain()
 			return send(SessionFrame{Done: &SessionDone{Cells: int(cells.Load()), Util: u.Report()}})
 		case cmd.Open != nil:
 			abort()
@@ -122,32 +115,21 @@ func ServeSession(ctx context.Context, in io.Reader, out io.Writer, planFor Plan
 	}
 }
 
-// runSessionItem executes one assigned cell from its first event to its
-// last and streams its outcome: a Cell frame, or a Reject frame for a
-// cell this worker's plan cannot run. A Cell frame that fails to send is
-// reported as an Err frame naming the cell: a record too large to frame
-// would otherwise leave the coordinator waiting for it. On a broken
-// stream that send fails too, and the reader loop winds the session down.
-func runSessionItem(ctx context.Context, plan *sweep.Plan, key string,
-	send func(SessionFrame) error, cells *atomic.Int64) {
-	// A cancelled session must ship nothing: a cell aborted by ctx
-	// carries a context error in its record, which is self-consistent
-	// under the digest and would be adopted as a legitimately-failed
-	// cell if it ever reached a coordinator.
+// sendCell streams one completed cell as a Cell frame and counts it. A
+// cancelled session ships nothing: a cell aborted by ctx carries a
+// context error in its record, which is self-consistent under the digest
+// and would be adopted as a legitimately-failed cell if it ever reached a
+// coordinator. A Cell frame that fails to send is reported as an Err
+// frame naming the cell: a record too large to frame would otherwise
+// leave the coordinator waiting for it. On a broken stream that send
+// fails too, and the reader loop winds the session down.
+func sendCell(ctx context.Context, cr sweep.CellResult, send func(SessionFrame) error, cells *atomic.Int64) {
 	if ctx.Err() != nil {
-		return
-	}
-	cr, err := plan.RunCell(ctx, key, 0, 0, "", nil)
-	if ctx.Err() != nil {
-		return
-	}
-	if err != nil {
-		_ = send(SessionFrame{Reject: &Reject{Key: key, Reason: err.Error()}})
 		return
 	}
 	cells.Add(1)
 	rec := cr.Record()
 	if err := send(SessionFrame{Cell: &rec}); err != nil {
-		_ = send(SessionFrame{Err: fmt.Sprintf("shard worker: cell %s: %v", key, err)})
+		_ = send(SessionFrame{Err: fmt.Sprintf("shard worker: cell %s: %v", cr.Cell.Key, err)})
 	}
 }

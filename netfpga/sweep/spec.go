@@ -4,9 +4,10 @@
 // Cells with stable canonical keys, and every cell runs as one call —
 // on a device from the plan's cache or a fresh one — producing
 // seed-deterministic results with stable content digests. It is also
-// the in-process executor: a Runner's pool runs a plan's cells
-// (Plan.Execute), and a worker process runs them one at a time
-// (Plan.RunCell); both call the same function per cell.
+// the executor: Plan.Pool is the one pool a plan's cells run on, fed by
+// Plan.Execute on a Runner (the library's in-process batch) or by a
+// shard session worker with the cells its coordinator assigns, and
+// Plan.RunCell runs one cell alone; all call the same function per cell.
 //
 // The paper's pitch is that NetFPGA makes exploring many device and
 // workload configurations cheap; sweep is that claim's software on-ramp.
