@@ -23,7 +23,6 @@ const ablationWindow = 200 * netfpga.Microsecond
 // four ports and returns the frames delivered in ablationWindow.
 func minFramesDelivered(pipelineDepth int) uint64 {
 	dev := netfpga.NewDevice(netfpga.SUME(), netfpga.Options{})
-	d := dev.Dsn
 	cam := switchp.NewCAM(1024, 0)
 	lookup := func(f *hw.Frame) lib.Verdict {
 		var eth pkt.Ethernet
@@ -38,22 +37,14 @@ func minFramesDelivered(pipelineDepth int) uint64 {
 		f.Meta.DstPorts = hw.AllPortsMask(4) &^ hw.PortMask(int(f.Meta.SrcPort))
 		return lib.Forward
 	}
-	var ins []*hw.Stream
-	outs := map[int]*hw.Stream{}
-	for i, mac := range dev.MACs {
-		rx := d.NewStream("rx", 16)
-		tx := d.NewStream("tx", 16)
-		lib.NewMACAttach(d, mac, i, rx, tx, 0)
-		ins = append(ins, rx)
-		outs[i] = tx
+	lookupStage := func(p *lib.Pipeline, in, out *hw.Stream) {
+		opl := lib.NewOutputPortLookup(p.Dev.Dsn, "opl", in, out, lookup, 6,
+			hw.Resources{LUTs: 4100}, nil)
+		opl.SetPipelineDepth(pipelineDepth)
 	}
-	merged := d.NewStream("m", 16)
-	decided := d.NewStream("d", 16)
-	lib.NewInputArbiter(d, ins, merged)
-	opl := lib.NewOutputPortLookup(d, "opl", merged, decided, lookup, 6,
-		hw.Resources{LUTs: 4100}, nil)
-	opl.SetPipelineDepth(pipelineDepth)
-	lib.NewOutputQueues(d, decided, outs, 0)
+	if _, err := lib.BuildReference(dev, lib.PipelineConfig{Stages: []lib.Stage{lookupStage}}); err != nil {
+		panic(err)
+	}
 
 	macs := make([]pkt.MAC, 4)
 	taps := make([]*netfpga.PortTap, 4)
@@ -165,25 +156,17 @@ func TestAblationOutputQueueSize(t *testing.T) {
 // dropped frames.
 func overloadCounts(queueBytes int) (delivered, dropped uint64) {
 	dev := netfpga.NewDevice(netfpga.SUME(), netfpga.Options{})
-	d := dev.Dsn
 	all2 := func(f *hw.Frame) lib.Verdict {
 		f.Meta.DstPorts = hw.PortMask(2)
 		return lib.Forward
 	}
-	var ins []*hw.Stream
-	outs := map[int]*hw.Stream{}
-	for i, mac := range dev.MACs {
-		rx := d.NewStream("rx", 16)
-		tx := d.NewStream("tx", 16)
-		lib.NewMACAttach(d, mac, i, rx, tx, 0)
-		ins = append(ins, rx)
-		outs[i] = tx
+	pipe, err := lib.BuildReference(dev, lib.PipelineConfig{
+		Stages:     []lib.Stage{lib.Lookup("opl", all2, 1, hw.Resources{})},
+		QueueBytes: queueBytes,
+	})
+	if err != nil {
+		panic(err)
 	}
-	merged := d.NewStream("m", 16)
-	decided := d.NewStream("d", 16)
-	lib.NewInputArbiter(d, ins, merged)
-	lib.NewOutputPortLookup(d, "opl", merged, decided, all2, 1, hw.Resources{}, nil)
-	oq := lib.NewOutputQueues(d, decided, outs, queueBytes)
 
 	taps := []*netfpga.PortTap{dev.Tap(0), dev.Tap(1)}
 	dev.Tap(2)
@@ -200,7 +183,7 @@ func overloadCounts(queueBytes int) (delivered, dropped uint64) {
 		dev.RunFor(netfpga.Microsecond)
 	}
 	dev.RunFor(netfpga.Millisecond)
-	st := oq.Counters().Map()
+	st := pipe.OQ.Counters().Map()
 	return st["port2_pkts"], st["port2_drops"]
 }
 

@@ -534,15 +534,11 @@ func runFleet(plan *sweep.Plan, st *resultstore.Store, meta resultstore.Meta,
 	return rs
 }
 
-// workerUtilMeta flattens the coordinator's per-worker reports into
-// the persisted meta form (sorted by worker name).
-func workerUtilMeta(reports []shard.WorkerReport) []resultstore.WorkerUtil {
-	out := make([]resultstore.WorkerUtil, 0, len(reports))
-	for _, r := range reports {
-		out = append(out, resultstore.WorkerUtil{Name: r.Name, Cells: r.Cells, Util: r.Util})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+// workerUtilMeta sorts the coordinator's per-worker reports by worker
+// name, the order a run's meta persists them in.
+func workerUtilMeta(reports []sweep.WorkerReport) []sweep.WorkerReport {
+	sort.Slice(reports, func(i, j int) bool { return reports[i].Name < reports[j].Name })
+	return reports
 }
 
 // transportLabel names how a fleet reached its workers for the run

@@ -1,16 +1,17 @@
 // Custom module: the rapid-prototyping workflow the paper demonstrates.
 // A researcher writes ONE new module — an EtherType firewall, ~60 lines —
-// and drops it into the otherwise unchanged reference pipeline between
-// the input arbiter and the switch lookup. Nothing else is touched: the
-// MAC adapters, arbiter, learning switch logic and output queues are the
-// stock library blocks.
+// and drops it into the otherwise unchanged reference pipeline. The
+// pipeline's stages are an ordered list between the input arbiter and
+// the output queues; the stock switch has one, its learning lookup
+// (switchp.Project.Stage), and this design lists the firewall ahead of
+// it. Nothing else is touched: the MAC adapters, arbiter, learning
+// switch logic and output queues are the stock blocks.
 package main
 
 import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
 	"repro/netfpga"
 	"repro/netfpga/hw"
 	"repro/netfpga/lib"
@@ -105,38 +106,24 @@ func (f *firewall) Tick() bool {
 
 func main() {
 	dev := netfpga.NewDevice(netfpga.SUME(), netfpga.Options{})
-	d := dev.Dsn
 
-	// Assemble the reference switch pipeline by hand, inserting the
-	// firewall after the arbiter. This is the same structure
-	// lib.BuildReference creates — the point is that each block is
-	// independently replaceable.
-	sw := switchp.New(switchp.Config{})
-	swLookup := buildSwitchLookup(dev, sw)
-
-	var ins []*hw.Stream
-	outs := map[int]*hw.Stream{}
-	for i, mac := range dev.MACs {
-		rx := d.NewStream(fmt.Sprintf("rx%d", i), 16)
-		tx := d.NewStream(fmt.Sprintf("tx%d", i), 16)
-		lib.NewMACAttach(d, mac, i, rx, tx, 0)
-		ins = append(ins, rx)
-		outs[i] = tx
+	// The reference switch's pipeline with one more stage: the firewall
+	// ahead of the shipped switch's own lookup. Every other block — MAC
+	// adapters, arbiter, output queues — is what lib.BuildReference
+	// builds for the stock switch.
+	var fw *firewall
+	insertFirewall := func(p *lib.Pipeline, in, out *hw.Stream) {
+		fw = newFirewall(in, out, map[uint16]bool{0x86DD: true}) // block IPv6
+		p.Dev.Dsn.AddModule(fw)                                  // <- the one new line of "hardware"
+		p.Dev.MountRegs(fw.Registers())
 	}
-	merged := d.NewStream("arb-fw", 16)
-	filtered := d.NewStream("fw-opl", 16)
-	decided := d.NewStream("opl-oq", 16)
-	lib.NewInputArbiter(d, ins, merged)
+	if _, err := lib.BuildReference(dev, lib.PipelineConfig{
+		Stages: []lib.Stage{insertFirewall, switchp.New(switchp.Config{}).Stage()},
+	}); err != nil {
+		log.Fatal(err)
+	}
 
-	fw := newFirewall(merged, filtered, map[uint16]bool{0x86DD: true}) // block IPv6
-	d.AddModule(fw)                                                    // <- the one new line of "hardware"
-	dev.MountRegs(fw.Registers())
-
-	lib.NewOutputPortLookup(d, "switch_lookup", filtered, decided, swLookup, 2,
-		hw.Resources{LUTs: 4100, FFs: 4600, BRAM36: 13}, nil)
-	lib.NewOutputQueues(d, decided, outs, 0)
-
-	rep, err := d.Synthesize(dev.Board.FPGA)
+	rep, err := dev.Dsn.Synthesize(dev.Board.FPGA)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -173,30 +160,4 @@ func main() {
 	}
 	fmt.Printf("firewall: %v  snapshot passed=%d  register dropped=%d\n",
 		fw.ctrs.Map(), snap["design.user_firewall.passed"], dropped)
-}
-
-// buildSwitchLookup borrows the learning-switch decision from the stock
-// project without building its full pipeline: module reuse at the
-// software level.
-func buildSwitchLookup(dev *core.Device, sw *switchp.Project) lib.LookupFunc {
-	cam := switchp.NewCAM(1024, 0)
-	_ = sw
-	return func(f *hw.Frame) lib.Verdict {
-		var eth pkt.Ethernet
-		if eth.DecodeFromBytes(f.Data) != nil {
-			return lib.Drop
-		}
-		cam.Learn(eth.Src, f.Meta.SrcPort, int64(dev.Now()))
-		if !eth.Dst.IsMulticast() {
-			if port, ok := cam.Lookup(eth.Dst, int64(dev.Now())); ok {
-				if port == f.Meta.SrcPort {
-					return lib.Drop
-				}
-				f.Meta.DstPorts = hw.PortMask(int(port))
-				return lib.Forward
-			}
-		}
-		f.Meta.DstPorts = hw.AllPortsMask(4) &^ hw.PortMask(int(f.Meta.SrcPort))
-		return lib.Forward
-	}
 }

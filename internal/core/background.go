@@ -262,12 +262,6 @@ func (bg *Background) Reset() {
 	}
 }
 
-// PortCounters returns one port's conservation counters.
-func (bg *Background) PortCounters(port int) (offeredF, offeredB, deliveredF, deliveredB, droppedF, droppedB uint64) {
-	p := &bg.ports[port]
-	return p.offeredFrames, p.offeredBytes, p.deliveredFrames, p.deliveredBytes, p.droppedFrames, p.droppedBytes
-}
-
 // Totals aggregates the conservation counters across every port.
 func (bg *Background) Totals() (offeredF, offeredB, deliveredF, deliveredB, droppedF, droppedB uint64) {
 	for i := range bg.ports {
@@ -281,9 +275,6 @@ func (bg *Background) Totals() (offeredF, offeredB, deliveredF, deliveredB, drop
 	}
 	return
 }
-
-// PendingBytes returns a port's in-flight background backlog.
-func (bg *Background) PendingBytes(port int) uint64 { return bg.ports[port].pendingBytes }
 
 // HighWater returns a port's peak background occupancy in bytes.
 func (bg *Background) HighWater(port int) uint64 { return bg.ports[port].highwater }

@@ -199,7 +199,9 @@ func renderT8(rs *sweep.Results) []*Table {
 // user-written firewall module into the reference switch changes only
 // the inserted stage — utilization grows by the module's own cost and
 // latency by its pipeline depth; behaviour elsewhere is untouched. The
-// with- and without-firewall builds run as two cells of one axis.
+// baseline is the shipped reference switch's pipeline, and the other
+// build is the same pipeline with the firewall as a stage ahead of the
+// switch's own; the two builds run as two cells of one axis.
 func defF2() Def {
 	spec := sweep.Spec{
 		Name:   "F2",
@@ -208,48 +210,17 @@ func defF2() Def {
 	measure := func(c *sweep.Ctx, cell sweep.Cell) (sweep.Outcome, error) {
 		dev := c.Dev
 		withFirewall := cell.Str("firewall") == "on"
-		d := dev.Dsn
-		cam := switchp.NewCAM(1024, 0)
-		lookup := func(f *hw.Frame) lib.Verdict {
-			var eth pkt.Ethernet
-			if eth.DecodeFromBytes(f.Data) != nil {
-				return lib.Drop
-			}
-			cam.Learn(eth.Src, f.Meta.SrcPort, int64(dev.Now()))
-			if !eth.Dst.IsMulticast() {
-				if port, ok := cam.Lookup(eth.Dst, int64(dev.Now())); ok {
-					if port == f.Meta.SrcPort {
-						return lib.Drop
-					}
-					f.Meta.DstPorts = hw.PortMask(int(port))
-					return lib.Forward
-				}
-			}
-			f.Meta.DstPorts = hw.AllPortsMask(4) &^ hw.PortMask(int(f.Meta.SrcPort))
-			return lib.Forward
-		}
-		var ins []*hw.Stream
-		outs := map[int]*hw.Stream{}
-		for i, mac := range dev.MACs {
-			rx := d.NewStream(fmt.Sprintf("rx%d", i), 16)
-			tx := d.NewStream(fmt.Sprintf("tx%d", i), 16)
-			lib.NewMACAttach(d, mac, i, rx, tx, 0)
-			ins = append(ins, rx)
-			outs[i] = tx
-		}
-		merged := d.NewStream("merged", 16)
-		lib.NewInputArbiter(d, ins, merged)
-		oplIn := merged
+		stages := []lib.Stage{switchp.New(switchp.Config{}).Stage()}
 		if withFirewall {
-			filtered := d.NewStream("filtered", 16)
-			d.AddModule(&fwModule{in: merged, out: filtered, blocked: 0x86DD})
-			oplIn = filtered
+			firewall := func(p *lib.Pipeline, in, out *hw.Stream) {
+				p.Dev.Dsn.AddModule(&fwModule{in: in, out: out, blocked: 0x86DD})
+			}
+			stages = append([]lib.Stage{firewall}, stages...)
 		}
-		decided := d.NewStream("decided", 16)
-		lib.NewOutputPortLookup(d, "switch_lookup", oplIn, decided, lookup, 2,
-			hw.Resources{LUTs: 4100, FFs: 4600, BRAM36: 13}, nil)
-		lib.NewOutputQueues(d, decided, outs, 0)
-		rep, err := d.Synthesize(dev.Board.FPGA)
+		if _, err := lib.BuildReference(dev, lib.PipelineConfig{Stages: stages}); err != nil {
+			return sweep.Outcome{}, err
+		}
+		rep, err := dev.Dsn.Synthesize(dev.Board.FPGA)
 		if err != nil {
 			return sweep.Outcome{}, err
 		}

@@ -141,9 +141,6 @@ func (d *Driver) Pending() int { return len(d.rxBuf) }
 // RegRead performs a 32-bit register read at a device-absolute address.
 func (d *Driver) RegRead(addr uint32) (uint32, error) { return d.regs.Read(addr) }
 
-// RegWrite performs a 32-bit register write.
-func (d *Driver) RegWrite(addr uint32, v uint32) error { return d.regs.Write(addr, v) }
-
 // RegReadName reads a register by "block.name" notation.
 func (d *Driver) RegReadName(block, name string) (uint32, error) {
 	addr, ok := d.regs.Lookup(block, name)

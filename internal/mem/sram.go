@@ -117,9 +117,11 @@ func (m *SRAM) Reset() {
 }
 
 // PeakBandwidthGbps returns the theoretical per-direction bandwidth:
-// 2 words per clock (both edges) on each independent port.
+// 2 words per clock (both edges) on each independent port. The
+// conversion rounds the clock product, which arm64 would otherwise fuse
+// into the doubling.
 func (m *SRAM) PeakBandwidthGbps() float64 {
-	return m.cfg.ClockMHz * 1e6 * 2 * float64(m.cfg.WordBytes) * 8 / 1e9
+	return float64(m.cfg.ClockMHz*1e6) * 2 * float64(m.cfg.WordBytes) * 8 / 1e9
 }
 
 // Counters implements hw.CounterSource. Memories sit outside the device

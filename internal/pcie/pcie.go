@@ -114,9 +114,6 @@ func (a arrival) land() {
 // overhead.
 func (l *Link) EffectiveGbps() float64 { return l.rate }
 
-// Config returns the link configuration (with defaults applied).
-func (l *Link) Config() LinkConfig { return l.cfg }
-
 // Transfer schedules an n-byte payload in the given direction; cb runs
 // when the last byte arrives. Concurrent transfers in one direction
 // serialise; directions are independent.
@@ -210,9 +207,6 @@ func NewEngine(s *sim.Sim, cfg EngineConfig) *Engine {
 	e.ctrs.AddCounter(e.fromDevice.DropCounter("from_device_drops", hw.Count))
 	return e
 }
-
-// Link returns the underlying PCIe link.
-func (e *Engine) Link() *Link { return e.link }
 
 // ToDevice returns the queue of frames that have completed host→device
 // DMA. The datapath's DMA-attach module pops it.

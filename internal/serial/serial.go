@@ -298,14 +298,17 @@ func (m *MAC) receive(f *hw.Frame, ok bool) {
 
 // pow1m computes (1-p)^n for tiny p without math.Pow's cost.
 func pow1m(p, n float64) float64 {
-	// For p*n << 1, (1-p)^n ≈ exp(-p*n) ≈ 1 - p*n.
-	x := p * n
+	// For p*n << 1, (1-p)^n ≈ exp(-p*n) ≈ 1 - p*n. The float64
+	// conversions round each product before the add or subtract that
+	// follows, so arm64 cannot fuse the two and every platform gets the
+	// same result.
+	x := float64(p * n)
 	if x > 0.5 {
 		// Fall back to an iterative square-and-multiply-free approx:
 		// exp(-x) via its series is fine at these magnitudes.
 		sum, term := 1.0, 1.0
 		for i := 1; i < 30; i++ {
-			term *= -x / float64(i)
+			term = float64(term * (-x / float64(i)))
 			sum += term
 		}
 		if sum < 0 {

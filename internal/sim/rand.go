@@ -73,6 +73,3 @@ func (r *Rand) Perm(out []int) {
 		out[i], out[j] = out[j], out[i]
 	}
 }
-
-// Bool returns true with probability p.
-func (r *Rand) Bool(p float64) bool { return r.Float64() < p }

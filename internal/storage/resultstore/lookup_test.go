@@ -41,7 +41,7 @@ func TestMetaUtilRoundTrip(t *testing.T) {
 	}
 	util := &sweep.UtilizationReport{Workers: 3, Jobs: 7, WallMS: 12.5,
 		BusyMS: 30.25, CapacityMS: 37.5, Efficiency: 0.80667}
-	wu := []WorkerUtil{
+	wu := []sweep.WorkerReport{
 		{Name: "proc:0", Cells: 4, Util: sweep.UtilizationReport{Workers: 2, WallMS: 12.5, BusyMS: 20}},
 		{Name: "tcp:h:1", Cells: 3, Util: sweep.UtilizationReport{Workers: 1, WallMS: 10, BusyMS: 10.25}},
 	}
@@ -51,7 +51,7 @@ func TestMetaUtilRoundTrip(t *testing.T) {
 	// r0 is the same run as the parent of PR 24 wrote it: the three
 	// scheduling keys in the meta line and a weight on every worker.
 	type oldWorkerUtil struct {
-		WorkerUtil
+		sweep.WorkerReport
 		Weight float64 `json:"weight"`
 	}
 	type oldMeta struct {

@@ -68,18 +68,7 @@ type Meta struct {
 	// went and how busy each worker's pool was. An older run's sched,
 	// sched_from, plan_hash and worker_util[].weight keys are ignored on
 	// decode.
-	WorkerUtil []WorkerUtil `json:"worker_util,omitempty"`
-}
-
-// WorkerUtil is one worker's persisted session outcome within a run.
-type WorkerUtil struct {
-	// Name is the endpoint name (stable across runs for a given fleet
-	// topology: "proc:0", "tcp:host:port", ...).
-	Name string `json:"name"`
-	// Cells is how many cells the worker completed.
-	Cells int `json:"cells"`
-	// Util is the worker's own session utilization report.
-	Util sweep.UtilizationReport `json:"util"`
+	WorkerUtil []sweep.WorkerReport `json:"worker_util,omitempty"`
 }
 
 // Record is one executed cell: the record the fleet's wire carries,

@@ -1,7 +1,6 @@
 package netfpga
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 )
@@ -195,7 +194,3 @@ func RunUnified(p BehavioralProject, newDevice func() *Device, tc TestCase) (sim
 	}
 	return simOut, behOut, nil
 }
-
-// FramesEqual reports whether two frames are byte-identical; a
-// convenience for test assertions.
-func FramesEqual(a, b []byte) bool { return bytes.Equal(a, b) }

@@ -250,7 +250,6 @@ type FrameQueue struct {
 	dropKind CounterKind
 	to       int32
 
-	pushed  uint64
 	drops   uint64
 	highWtr uint64
 }
@@ -314,7 +313,6 @@ func (q *FrameQueue) Push(f *Frame) bool {
 	q.frames[(q.head+q.n)&q.mask] = f
 	q.n++
 	q.bytes += len(f.Data)
-	q.pushed++
 	*q.edge = true
 	if uint64(q.n) > q.highWtr {
 		q.highWtr = uint64(q.n)
@@ -341,14 +339,6 @@ func (q *FrameQueue) Pop() *Frame {
 	return f
 }
 
-// Peek returns the head frame without consuming it, or nil if empty.
-func (q *FrameQueue) Peek() *Frame {
-	if q.n == 0 {
-		return nil
-	}
-	return q.frames[q.head]
-}
-
 // OnPush installs a callback invoked after every successful Push, for a
 // queue not wired to a consumer (Design.Consume).
 func (q *FrameQueue) OnPush(fn func()) { q.wake = fn }
@@ -360,18 +350,12 @@ func (q *FrameQueue) consumedBy(d *Design, i int32) { q.dsn, q.to = d, i }
 func (q *FrameQueue) Reset() {
 	clear(q.frames)
 	q.head, q.n, q.bytes = 0, 0, 0
-	q.pushed, q.drops, q.highWtr = 0, 0, 0
+	q.drops, q.highWtr = 0, 0
 	q.ownEdge = false
 }
 
 // Drops returns the number of frames rejected for lack of space.
 func (q *FrameQueue) Drops() uint64 { return q.drops }
-
-// Pushed returns the number of frames ever accepted.
-func (q *FrameQueue) Pushed() uint64 { return q.pushed }
-
-// HighWater returns the maximum frame occupancy observed.
-func (q *FrameQueue) HighWater() int { return int(q.highWtr) }
 
 // CountDropsAs declares the kind a design-owned queue's own
 // "<queue>.drops" counter is exported with — QueueDrop for the buffers

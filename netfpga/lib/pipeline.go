@@ -55,16 +55,26 @@ func (s *QueueSource) Reset() { s.emit, s.pkts = hw.Emitter{}, 0 }
 // Counters implements hw.CounterSource.
 func (s *QueueSource) Counters() *hw.Counters { return &s.ctrs }
 
+// Stage builds one step of a pipeline's datapath: the module, or
+// modules, that read in and write out. A stage reaches the device, and
+// the CPU punt queue when the pipeline has one, through p.
+type Stage func(p *Pipeline, in, out *hw.Stream)
+
+// Lookup is the decision stage: an OutputPortLookup applying fn after
+// latency cycles, which punts to the pipeline's CPU queue. res is the
+// lookup logic's resource estimate, tables included.
+func Lookup(name string, fn LookupFunc, latency int, res hw.Resources) Stage {
+	return func(p *Pipeline, in, out *hw.Stream) {
+		NewOutputPortLookup(p.Dev.Dsn, name, in, out, fn, latency, res, p.CPUPunt)
+	}
+}
+
 // PipelineConfig parameterises the canonical reference pipeline.
 type PipelineConfig struct {
-	// LookupName names the project's decision stage.
-	LookupName string
-	// Lookup is the project's forwarding decision.
-	Lookup LookupFunc
-	// LookupLatency models the decision's pipeline depth in cycles.
-	LookupLatency int
-	// LookupRes is the decision stage's resource estimate.
-	LookupRes hw.Resources
+	// Stages are the modules between the input arbiter and the output
+	// queues, in datapath order; the last one usually decides
+	// Meta.DstPorts.
+	Stages []Stage
 	// WithDMA attaches the host DMA path (requires a host interface).
 	WithDMA bool
 	// WithCPU adds the slow-path queues (punt + inject).
@@ -78,19 +88,21 @@ type PipelineConfig struct {
 // Pipeline is the assembled reference datapath:
 //
 //	ports ─ MACAttach ─┐
-//	host  ─ DMAAttach ─┤─ InputArbiter ─ OutputPortLookup ─ OutputQueues ─ back out
-//	agent ─ QueueSrc  ─┘                        │
-//	                                        CPU punt queue
+//	host  ─ DMAAttach ─┤─ InputArbiter ─ Stages[0] ─ … ─ Stages[n-1] ─ OutputQueues ─ back out
+//	agent ─ QueueSrc  ─┘                      │
+//	                                    CPU punt queue
 //
-// Every reference and contributed project instantiates this shape and
-// differs only in the lookup stage and its software — the modularity the
-// paper demonstrates.
+// Every forwarding project — the four reference projects and BlueSwitch
+// — instantiates this shape and differs only in its stages and its
+// software: the reference projects have one Lookup stage, BlueSwitch one
+// per flow table, and a prototype inserts its own module ahead of a
+// shipped project's stage. That is the modularity the paper
+// demonstrates.
 type Pipeline struct {
 	Dev     *core.Device
 	Attach  []*MACAttach
 	DMA     *DMAAttach
 	Arbiter *InputArbiter
-	OPL     *OutputPortLookup
 	OQ      *OutputQueues
 
 	// CPUPunt receives ToCPU frames for the agent.
@@ -141,12 +153,14 @@ func BuildReference(dev *core.Device, cfg PipelineConfig) (*Pipeline, error) {
 		ins = append(ins, inj)
 	}
 
-	merged := d.NewStream("arb-opl", 16)
-	decided := d.NewStream("opl-oq", 16)
-	p.Arbiter = NewInputArbiter(d, ins, merged)
-	p.OPL = NewOutputPortLookup(d, cfg.LookupName, merged, decided,
-		cfg.Lookup, cfg.LookupLatency, cfg.LookupRes, p.CPUPunt)
-	p.OQ = NewOutputQueues(d, decided, outs, cfg.QueueBytes)
+	cur := d.NewStream("arb-out", 16)
+	p.Arbiter = NewInputArbiter(d, ins, cur)
+	for k, stage := range cfg.Stages {
+		next := d.NewStream(fmt.Sprintf("stage%d-out", k), 16)
+		stage(p, cur, next)
+		cur = next
+	}
+	p.OQ = NewOutputQueues(d, cur, outs, cfg.QueueBytes)
 	dev.MountRegs(p.OQ.Registers())
 	return p, nil
 }

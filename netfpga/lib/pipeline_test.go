@@ -1,6 +1,7 @@
 package lib
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -31,9 +32,9 @@ func echoLookup(f *hw.Frame) Verdict {
 
 func TestBuildReferenceBasic(t *testing.T) {
 	dev, p := buildRefDevice(t, PipelineConfig{
-		LookupName: "echo", Lookup: echoLookup, LookupLatency: 1,
+		Stages: []Stage{Lookup("echo", echoLookup, 1, hw.Resources{})},
 	})
-	if len(p.Attach) != 4 || p.Arbiter == nil || p.OPL == nil || p.OQ == nil {
+	if len(p.Attach) != 4 || p.Arbiter == nil || p.OQ == nil {
 		t.Fatal("pipeline incomplete")
 	}
 	if p.DMA != nil || p.CPUPunt != nil {
@@ -46,13 +47,74 @@ func TestBuildReferenceBasic(t *testing.T) {
 	}
 }
 
+// passMod moves beats from in to out unchanged, counting frames.
+type passMod struct {
+	in, out *hw.Stream
+	frames  int
+}
+
+func (m *passMod) Name() string            { return "pass" }
+func (m *passMod) Resources() hw.Resources { return hw.Resources{} }
+func (m *passMod) Tick() bool {
+	if !m.in.CanPop() || !m.out.CanPush() {
+		return m.in.CanPop()
+	}
+	b := m.in.Pop()
+	if b.Last {
+		m.frames++
+	}
+	m.out.Push(b)
+	return true
+}
+
+// TestBuildReferenceStages builds a pass-through stage ahead of the
+// lookup: the stages tick between the arbiter and the output queues in
+// list order, and a frame crosses both and leaves where the lookup sent
+// it.
+func TestBuildReferenceStages(t *testing.T) {
+	pass := &passMod{}
+	dev, _ := buildRefDevice(t, PipelineConfig{Stages: []Stage{
+		func(p *Pipeline, in, out *hw.Stream) {
+			pass.in, pass.out = in, out
+			p.Dev.Dsn.AddModule(pass)
+		},
+		Lookup("to_port3", func(f *hw.Frame) Verdict {
+			f.Meta.DstPorts = hw.PortMask(3)
+			return Forward
+		}, 1, hw.Resources{}),
+	}})
+	var order []string
+	for _, m := range dev.Dsn.Modules() {
+		switch n := m.Name(); n {
+		case "input_arbiter", "pass", "to_port3", "output_queues":
+			order = append(order, n)
+		}
+	}
+	if got, want := strings.Join(order, " "), "input_arbiter pass to_port3 output_queues"; got != want {
+		t.Fatalf("tick order %q, want %q", got, want)
+	}
+	dev.Tap(0).Send(make([]byte, 100))
+	dev.RunFor(sim.Millisecond)
+	if lookups := dev.Dsn.Stats()["to_port3.lookups"]; pass.frames != 1 || lookups != 1 {
+		t.Fatalf("pass stage saw %d frames and the lookup %d, want 1 and 1", pass.frames, lookups)
+	}
+	for i := 0; i < dev.Board.Ports; i++ {
+		want := 0
+		if i == 3 {
+			want = 1
+		}
+		if got := dev.Tap(i).Pending(); got != want {
+			t.Errorf("port %d got %d frames, want %d", i, got, want)
+		}
+	}
+}
+
 func TestBuildReferenceWithDMA(t *testing.T) {
 	dev, p := buildRefDevice(t, PipelineConfig{
-		LookupName: "to_host",
-		Lookup: func(f *hw.Frame) Verdict {
+		Stages: []Stage{Lookup("to_host", func(f *hw.Frame) Verdict {
 			f.Meta.DstPorts = hw.HostPortMask(0)
 			return Forward
-		},
+		}, 0, hw.Resources{})},
 		WithDMA: true,
 	})
 	if p.DMA == nil {
@@ -68,7 +130,7 @@ func TestBuildReferenceWithDMA(t *testing.T) {
 func TestBuildReferenceDMARequiresHost(t *testing.T) {
 	dev := core.NewDevice(core.SUME(), core.Options{NoHost: true})
 	if _, err := BuildReference(dev, PipelineConfig{
-		LookupName: "x", Lookup: echoLookup, WithDMA: true,
+		Stages: []Stage{Lookup("x", echoLookup, 0, hw.Resources{})}, WithDMA: true,
 	}); err == nil {
 		t.Fatal("DMA without a host interface accepted")
 	}
@@ -76,13 +138,12 @@ func TestBuildReferenceDMARequiresHost(t *testing.T) {
 
 func TestCPUInjectPath(t *testing.T) {
 	dev, p := buildRefDevice(t, PipelineConfig{
-		LookupName: "punt",
-		Lookup: func(f *hw.Frame) Verdict {
+		Stages: []Stage{Lookup("punt", func(f *hw.Frame) Verdict {
 			if f.Meta.Flags&hw.FlagFromCPU != 0 && f.Meta.DstPorts != 0 {
 				return Forward
 			}
 			return ToCPU
-		},
+		}, 0, hw.Resources{})},
 		WithCPU: true,
 	})
 	// Wire frame is punted; agent answers out port 3.
@@ -110,7 +171,7 @@ func TestCPUInjectPath(t *testing.T) {
 }
 
 func TestInjectWithoutCPUPanics(t *testing.T) {
-	_, p := buildRefDevice(t, PipelineConfig{LookupName: "x", Lookup: echoLookup})
+	_, p := buildRefDevice(t, PipelineConfig{Stages: []Stage{Lookup("x", echoLookup, 0, hw.Resources{})}})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -200,7 +261,7 @@ func TestRateLimiterRegisters(t *testing.T) {
 
 func TestMACAttachRegisters(t *testing.T) {
 	dev, p := buildRefDevice(t, PipelineConfig{
-		LookupName: "echo", Lookup: echoLookup,
+		Stages: []Stage{Lookup("echo", echoLookup, 0, hw.Resources{})},
 	})
 	dev.Tap(2).Send(make([]byte, 200))
 	dev.RunFor(sim.Millisecond)
@@ -223,7 +284,7 @@ func TestMACAttachRegisters(t *testing.T) {
 
 func TestOutputQueueRegisters(t *testing.T) {
 	dev, _ := buildRefDevice(t, PipelineConfig{
-		LookupName: "echo", Lookup: echoLookup,
+		Stages: []Stage{Lookup("echo", echoLookup, 0, hw.Resources{})},
 	})
 	dev.Tap(0).Send(make([]byte, 100))
 	dev.RunFor(sim.Millisecond)

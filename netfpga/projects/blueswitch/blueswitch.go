@@ -137,7 +137,6 @@ type Project struct {
 
 	violations uint64 // packets that saw mixed epochs
 	dev        *netfpga.Device
-	oq         *lib.OutputQueues
 	finalDrops uint64
 	ctrs       hw.Counters
 }
@@ -188,39 +187,21 @@ func (p *Project) Reset() {
 	p.violations, p.finalDrops = 0, 0
 }
 
-// Tables returns the number of table stages.
-func (p *Project) Tables() int { return len(p.tables) }
-
 // Violations returns the count of packets that observed a mixed policy.
 func (p *Project) Violations() uint64 { return p.violations }
 
-// Build implements netfpga.Project: MAC attach → arbiter → one lookup
-// module per table → output queues.
+// Build implements netfpga.Project: the reference pipeline with one
+// lookup stage per table.
 func (p *Project) Build(dev *netfpga.Device) error {
 	p.dev = dev
-	d := dev.Dsn
-	var ins []*hw.Stream
-	outs := map[int]*hw.Stream{}
-	for i, mac := range dev.MACs {
-		rx := d.NewStream(fmt.Sprintf("rx%d", i), 16)
-		tx := d.NewStream(fmt.Sprintf("tx%d", i), 16)
-		att := lib.NewMACAttach(d, mac, i, rx, tx, 0)
-		dev.MountRegs(att.Registers())
-		ins = append(ins, rx)
-		outs[i] = tx
-	}
-	merged := d.NewStream("arb-t0", 16)
-	lib.NewInputArbiter(d, ins, merged)
-	cur := merged
-	for k := range p.tables {
-		next := d.NewStream(fmt.Sprintf("t%d-out", k), 16)
+	stages := make([]lib.Stage, len(p.tables))
+	for k := range stages {
 		res := hw.Resources{LUTs: 5200, FFs: 6400, BRAM36: 26} // two banks
-		lib.NewOutputPortLookup(d, fmt.Sprintf("flow_table_%d", k), cur, next,
-			p.stageLookup(k), p.cfg.StageLatency, res, nil)
-		cur = next
+		stages[k] = lib.Lookup(fmt.Sprintf("flow_table_%d", k), p.stageLookup(k), p.cfg.StageLatency, res)
 	}
-	p.oq = lib.NewOutputQueues(d, cur, outs, 0)
-	dev.MountRegs(p.oq.Registers())
+	if _, err := lib.BuildReference(dev, lib.PipelineConfig{Stages: stages}); err != nil {
+		return fmt.Errorf("blueswitch: %w", err)
+	}
 
 	rf := hw.NewRegisterFile("blueswitch")
 	rf.AddVar(0x0, "active_bank", &p.version)

@@ -16,9 +16,7 @@ import (
 )
 
 // Project is the I/O test design.
-type Project struct {
-	pipe *lib.Pipeline
-}
+type Project struct{}
 
 // New returns an I/O test project.
 func New() *Project { return &Project{} }
@@ -33,17 +31,12 @@ func (p *Project) Description() string {
 
 // Build implements netfpga.Project.
 func (p *Project) Build(dev *netfpga.Device) error {
-	pipe, err := lib.BuildReference(dev, lib.PipelineConfig{
-		LookupName:    "iotest_loopback",
-		Lookup:        loopback,
-		LookupLatency: 1,
-		LookupRes:     hw.Resources{LUTs: 1500, FFs: 1800},
-		WithDMA:       dev.Engine != nil,
-	})
-	if err != nil {
+	if _, err := lib.BuildReference(dev, lib.PipelineConfig{
+		Stages:  []lib.Stage{lib.Lookup("iotest_loopback", loopback, 1, hw.Resources{LUTs: 1500, FFs: 1800})},
+		WithDMA: dev.Engine != nil,
+	}); err != nil {
 		return fmt.Errorf("iotest: %w", err)
 	}
-	p.pipe = pipe
 	return nil
 }
 

@@ -15,7 +15,6 @@ import (
 // Project is the reference NIC.
 type Project struct {
 	ports int
-	pipe  *lib.Pipeline
 
 	rxToHost, txFromHost uint64
 }
@@ -34,17 +33,13 @@ func (p *Project) Description() string {
 // Build implements netfpga.Project.
 func (p *Project) Build(dev *netfpga.Device) error {
 	p.ports = dev.Board.Ports
-	pipe, err := lib.BuildReference(dev, lib.PipelineConfig{
-		LookupName:    "nic_output_port_lookup",
-		Lookup:        p.lookup,
-		LookupLatency: 1,
-		LookupRes:     hw.Resources{LUTs: 1900, FFs: 2300, BRAM36: 1},
-		WithDMA:       true,
-	})
-	if err != nil {
+	if _, err := lib.BuildReference(dev, lib.PipelineConfig{
+		Stages: []lib.Stage{lib.Lookup("nic_output_port_lookup", p.lookup, 1,
+			hw.Resources{LUTs: 1900, FFs: 2300, BRAM36: 1})},
+		WithDMA: true,
+	}); err != nil {
 		return fmt.Errorf("nic: %w", err)
 	}
-	p.pipe = pipe
 	rf := hw.NewRegisterFile("nic")
 	rf.AddCounter64(0x0, "rx_to_host", &p.rxToHost)
 	rf.AddCounter64(0x8, "tx_from_host", &p.txFromHost)
@@ -67,9 +62,6 @@ func (p *Project) lookup(f *hw.Frame) lib.Verdict {
 	}
 	return lib.Forward
 }
-
-// Pipeline exposes the built pipeline (nil before Build).
-func (p *Project) Pipeline() *lib.Pipeline { return p.pipe }
 
 // NewBehavioral implements netfpga.BehavioralProject.
 func (p *Project) NewBehavioral() netfpga.Behavioral { return behavioral{} }

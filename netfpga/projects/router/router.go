@@ -69,9 +69,6 @@ func (p *Project) Description() string {
 // standalone engine use in tests).
 func (p *Project) Engine() *Engine { return p.eng }
 
-// Pipeline exposes the built pipeline.
-func (p *Project) Pipeline() *lib.Pipeline { return p.pipe }
-
 // Build implements netfpga.Project.
 func (p *Project) Build(dev *netfpga.Device) error {
 	p.dev = dev
@@ -89,12 +86,10 @@ func (p *Project) Build(dev *netfpga.Device) error {
 		lat = 6
 	}
 	pipe, err := lib.BuildReference(dev, lib.PipelineConfig{
-		LookupName:    "router_output_port_lookup",
-		Lookup:        p.lookup,
-		LookupLatency: lat,
-		LookupRes:     hw.Resources{LUTs: 9300, FFs: 10100, BRAM36: 22},
-		WithDMA:       dev.Engine != nil,
-		WithCPU:       true,
+		Stages: []lib.Stage{lib.Lookup("router_output_port_lookup", p.lookup, lat,
+			hw.Resources{LUTs: 9300, FFs: 10100, BRAM36: 22})},
+		WithDMA: dev.Engine != nil,
+		WithCPU: true,
 	})
 	if err != nil {
 		return fmt.Errorf("router: %w", err)

@@ -27,7 +27,6 @@ type Project struct {
 	cfg   Config
 	ports int
 	cam   *CAM
-	pipe  *lib.Pipeline
 	dev   *netfpga.Device
 
 	floods uint64
@@ -44,22 +43,15 @@ func (p *Project) Description() string {
 	return "reference learning L2 switch: CAM learning, flood on miss, aging"
 }
 
-// Build implements netfpga.Project.
+// Build implements netfpga.Project: the reference pipeline with Stage
+// as its one stage.
 func (p *Project) Build(dev *netfpga.Device) error {
-	p.dev = dev
-	p.ports = dev.Board.Ports
-	p.cam = NewCAM(p.cfg.TableSize, int64(p.cfg.AgeAfter))
-	pipe, err := lib.BuildReference(dev, lib.PipelineConfig{
-		LookupName:    "switch_output_port_lookup",
-		Lookup:        p.lookup,
-		LookupLatency: 2, // CAM read + decision
-		LookupRes:     hw.Resources{LUTs: 4100, FFs: 4600, BRAM36: 13},
-		WithDMA:       p.cfg.WithDMA,
-	})
-	if err != nil {
+	if _, err := lib.BuildReference(dev, lib.PipelineConfig{
+		Stages:  []lib.Stage{p.Stage()},
+		WithDMA: p.cfg.WithDMA,
+	}); err != nil {
 		return fmt.Errorf("switchp: %w", err)
 	}
-	p.pipe = pipe
 
 	rf := hw.NewRegisterFile("switch")
 	rf.AddCounter64(0x0, "floods", &p.floods)
@@ -71,6 +63,21 @@ func (p *Project) Build(dev *netfpga.Device) error {
 		dev.AddAgent(&sweeper{p: p})
 	}
 	return nil
+}
+
+// Stage returns the switch's decision stage, the one Build uses, so a
+// design of its own can run the shipped switch behind stages it adds.
+// Building the stage binds the project to the pipeline's device and
+// gives it an empty CAM.
+func (p *Project) Stage() lib.Stage {
+	lookup := lib.Lookup("switch_output_port_lookup", p.lookup,
+		2, // CAM read + decision
+		hw.Resources{LUTs: 4100, FFs: 4600, BRAM36: 13})
+	return func(pipe *lib.Pipeline, in, out *hw.Stream) {
+		p.dev, p.ports = pipe.Dev, pipe.Dev.Board.Ports
+		p.cam = NewCAM(p.cfg.TableSize, int64(p.cfg.AgeAfter))
+		lookup(pipe, in, out)
+	}
 }
 
 // lookup is the switch decision, shared in structure with the behavioral
@@ -118,9 +125,6 @@ func (p *Project) Reset() {
 
 // CAMTable exposes the table for tests and the CLI.
 func (p *Project) CAMTable() *CAM { return p.cam }
-
-// Pipeline exposes the built pipeline (nil before Build).
-func (p *Project) Pipeline() *lib.Pipeline { return p.pipe }
 
 // sweeper is the switch agent: periodic CAM aging.
 type sweeper struct {

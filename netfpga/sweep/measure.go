@@ -21,16 +21,31 @@ import (
 // Reported values: sent/rx frame counts, rx bytes, goodput_gbps over
 // the window, queue-overflow drops, and the wire's FCS error count
 // (non-zero only on BER cells).
+//
+// On a hybrid-fidelity device the measure walks the identical RNG
+// sequence (tap draw from the job RNG, then the generator's flow and
+// size draws), but frames of background-tagged flows never enter the
+// cycle-accurate datapath. They accumulate into per-ingress (frames,
+// bytes) aggregates and are offered once per pacing interval to the
+// device's analytic Background model, flooded to every egress port
+// except the ingress — the delivery pattern of an unlearned destination
+// MAC through the reference designs, which is exactly what the
+// generator's workload traffic does in full fidelity. Foreground frames
+// take the normal tap path and queue behind the modeled background
+// backlog in the output-queue stage. The rx/drop totals then fold the
+// model's delivered/dropped counters in, and the bg_* values expose the
+// model's conservation counters (offered == delivered + dropped holds
+// exactly for frames and bytes — asserted by the calibration tests) plus
+// the peak modeled occupancy. BER is not applied to background traffic;
+// fcs_errors counts only cycle-accurate frames.
 func GenericMeasure(c *Ctx, cell Cell) (Outcome, error) {
 	dev := c.Dev
-	if dev.Hybrid() {
-		return genericHybridMeasure(c, cell)
-	}
 	gen, err := cell.devs.generator(cell.Workload.Config(c.Seed))
 	if err != nil {
 		return Outcome{}, err
 	}
 	defer cell.devs.releaseGenerator(gen)
+	model := dev.Background() // nil in full fidelity
 	taps := make([]*netfpga.PortTap, dev.Board.Ports)
 	for i := range taps {
 		taps[i] = dev.Tap(i)
@@ -43,75 +58,21 @@ func GenericMeasure(c *Ctx, cell Cell) (Outcome, error) {
 	}
 	window := cell.Spec.Window()
 	var sent uint64
-	for dev.Now() < window && !c.Canceled() {
-		for i := 0; i < 4*len(taps); i++ {
-			if taps[c.Rand.Intn(len(taps))].Send(gen.NextView()) {
-				sent++
-			}
-		}
-		dev.RunFor(10 * netfpga.Microsecond)
+	var bgF, bgB []uint64 // per-ingress background aggregates
+	if model != nil {
+		bgF, bgB = make([]uint64, len(taps)), make([]uint64, len(taps))
 	}
-	dev.RunUntilIdle(0)
-
-	var o Outcome
-	var rxFrames, rxBytes, fcsErrs uint64
-	for _, tap := range taps {
-		f, b := tap.Counts()
-		rxFrames += f
-		rxBytes += b
-		// BER is injected on the device's transmit wire; corrupted
-		// frames are counted (and discarded) by the tap-side MAC.
-		fcsErrs += tap.MAC().FCSErrors()
-	}
-	o.Set("sent", float64(sent))
-	o.Set("rx_frames", float64(rxFrames))
-	o.Set("rx_bytes", float64(rxBytes))
-	o.Set("goodput_gbps", float64(rxBytes)*8/window.Seconds()/1e9)
-	o.Set("drops", float64(QueueDrops(dev)))
-	o.Set("fcs_errors", float64(fcsErrs))
-	return o, nil
-}
-
-// genericHybridMeasure is GenericMeasure's hybrid-fidelity twin: it
-// walks the identical RNG sequence (tap draw from the job RNG, then the
-// generator's flow and size draws), but frames of background-tagged
-// flows never enter the cycle-accurate datapath. They accumulate into
-// per-ingress (frames, bytes) aggregates and are offered once per pacing
-// interval to the device's analytic Background model, flooded to every
-// egress port except the ingress — the delivery pattern of an unlearned
-// destination MAC through the reference designs, which is exactly what
-// the generator's workload traffic does in full fidelity. Foreground
-// frames take the normal tap path and queue behind the modeled
-// background backlog in the output-queue stage.
-//
-// Reported values extend GenericMeasure's: rx/drop totals fold the
-// model's delivered/dropped counters in, and the bg_* values expose the
-// model's conservation counters (offered == delivered + dropped holds
-// exactly for frames and bytes — asserted by the calibration tests) plus
-// the peak modeled occupancy. BER is not applied to background traffic;
-// fcs_errors counts only cycle-accurate frames.
-func genericHybridMeasure(c *Ctx, cell Cell) (Outcome, error) {
-	dev := c.Dev
-	gen, err := cell.devs.generator(cell.Workload.Config(c.Seed))
-	if err != nil {
-		return Outcome{}, err
-	}
-	defer cell.devs.releaseGenerator(gen)
-	model := dev.Background()
-	taps := make([]*netfpga.PortTap, dev.Board.Ports)
-	for i := range taps {
-		taps[i] = dev.Tap(i)
-		taps[i].SetCounting(true)
-	}
-	window := cell.Spec.Window()
-	var sent uint64
-	bgF := make([]uint64, len(taps)) // per-ingress background aggregates
-	bgB := make([]uint64, len(taps))
 	for dev.Now() < window && !c.Canceled() {
 		var totF, totB uint64
 		for i := 0; i < 4*len(taps); i++ {
 			ti := c.Rand.Intn(len(taps))
-			frame, size, background := gen.NextHybrid()
+			var frame []byte
+			size, background := 0, false
+			if model == nil {
+				frame = gen.NextView()
+			} else {
+				frame, size, background = gen.NextHybrid()
+			}
 			if !background {
 				if taps[ti].Send(frame) {
 					sent++
@@ -141,27 +102,36 @@ func genericHybridMeasure(c *Ctx, cell Cell) (Outcome, error) {
 	}
 	dev.RunUntilIdle(0)
 
-	var o Outcome
 	var rxFrames, rxBytes, fcsErrs uint64
 	for _, tap := range taps {
 		f, b := tap.Counts()
 		rxFrames += f
 		rxBytes += b
+		// BER is injected on the device's transmit wire; corrupted
+		// frames are counted (and discarded) by the tap-side MAC.
 		fcsErrs += tap.MAC().FCSErrors()
 	}
-	offF, offB, delF, delB, drpF, drpB := model.Totals()
+	drops := QueueDrops(dev)
+	var offF, offB, delF, delB, drpF, drpB uint64
+	if model != nil {
+		offF, offB, delF, delB, drpF, drpB = model.Totals()
+	}
+	var o Outcome
+	o.Set("sent", float64(sent))
+	o.Set("rx_frames", float64(rxFrames+delF))
+	o.Set("rx_bytes", float64(rxBytes+delB))
+	o.Set("goodput_gbps", float64(rxBytes+delB)*8/window.Seconds()/1e9)
+	o.Set("drops", float64(drops+drpF))
+	o.Set("fcs_errors", float64(fcsErrs))
+	if model == nil {
+		return o, nil
+	}
 	var peak uint64
 	for i := 0; i < model.Ports(); i++ {
 		if hw := model.HighWater(i); hw > peak {
 			peak = hw
 		}
 	}
-	o.Set("sent", float64(sent))
-	o.Set("rx_frames", float64(rxFrames+delF))
-	o.Set("rx_bytes", float64(rxBytes+delB))
-	o.Set("goodput_gbps", float64(rxBytes+delB)*8/window.Seconds()/1e9)
-	o.Set("drops", float64(QueueDrops(dev)+drpF))
-	o.Set("fcs_errors", float64(fcsErrs))
 	o.Set("bg_offered_frames", float64(offF))
 	o.Set("bg_offered_bytes", float64(offB))
 	o.Set("bg_delivered_frames", float64(delF))
@@ -190,7 +160,9 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		panic("sweep: percentile of no samples")
 	}
-	rank := int(p/100*float64(len(sorted))+0.999999) - 1
+	// The conversion rounds the product before the add, so arm64 does
+	// not fuse the two and ranks agree across platforms.
+	rank := int(float64(p/100*float64(len(sorted)))+0.999999) - 1
 	if rank < 0 {
 		rank = 0
 	}

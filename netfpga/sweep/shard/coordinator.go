@@ -103,7 +103,7 @@ type coordinator struct {
 	closeAt      time.Time
 	lastProgress time.Time
 	util         sweep.UtilizationReport
-	reports      []WorkerReport
+	reports      []sweep.WorkerReport
 
 	out []action
 }
@@ -231,7 +231,7 @@ func (c *coordinator) recv(now time.Time, i, gen int, fr *SessionFrame, rerr err
 	case fr.Done != nil:
 		w.done = true
 		c.util.Merge(fr.Done.Util)
-		c.reports = append(c.reports, WorkerReport{Name: w.name, Cells: fr.Done.Cells, Util: fr.Done.Util})
+		c.reports = append(c.reports, sweep.WorkerReport{Name: w.name, Cells: fr.Done.Cells, Util: fr.Done.Util})
 		detail := ""
 		if fr.Done.Cells != w.recvCells {
 			detail = fmt.Sprintf("worker counted %d cells, coordinator received %d", fr.Done.Cells, w.recvCells)

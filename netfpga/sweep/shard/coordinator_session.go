@@ -81,7 +81,7 @@ type Fleet struct {
 	// in Done arrival order (workers that died without a Done frame are
 	// absent) — the run's record of where its cells went and how busy
 	// each pool was.
-	Reports []WorkerReport
+	Reports []sweep.WorkerReport
 }
 
 // closeGrace bounds the Close/Done handshake at the end of a run: a
@@ -117,15 +117,6 @@ func splitmix64(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
-}
-
-// WorkerReport is one endpoint's session outcome: how many cells it
-// completed and its own pool utilization. The CLI persists these in
-// the run's meta.
-type WorkerReport struct {
-	Name  string                  `json:"name"`
-	Cells int                     `json:"cells"`
-	Util  sweep.UtilizationReport `json:"util"`
 }
 
 // FleetEvent is one coordinator observation: what happened, on which

@@ -47,6 +47,19 @@ type UtilizationReport struct {
 	Efficiency float64 `json:"efficiency"`
 }
 
+// WorkerReport is one fleet endpoint's session outcome: how many cells
+// it completed and its own pool utilization. A fleet reports one per
+// endpoint, and a stored run's meta keeps them.
+type WorkerReport struct {
+	// Name is the endpoint name (stable across runs for a given fleet
+	// topology: "proc:0", "tcp:host:port", ...).
+	Name string `json:"name"`
+	// Cells is how many cells the worker completed.
+	Cells int `json:"cells"`
+	// Util is the worker's own session utilization report.
+	Util UtilizationReport `json:"util"`
+}
+
 // Report snapshots the utilization for the wire (the zero report for a
 // nil Utilization).
 func (u *Utilization) Report() UtilizationReport {
