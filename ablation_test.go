@@ -204,3 +204,32 @@ func TestClockGatingIdleAdvance(t *testing.T) {
 		}
 	}
 }
+
+// TestHybridBackgroundLeavesIdleDatapathGated: background traffic that
+// the hybrid model carries never enters the datapath, so on a switch
+// with no foreground frame it must not start the datapath clock. A wake
+// of the coupled output queues on every backlog drain would cost one
+// idle edge per drain, 100 of them here.
+func TestHybridBackgroundLeavesIdleDatapathGated(t *testing.T) {
+	dev := netfpga.NewDevice(netfpga.SUME(), netfpga.Options{Fidelity: netfpga.FidelityHybrid})
+	if err := switchp.New(switchp.Config{}).Build(dev); err != nil {
+		t.Fatal(err)
+	}
+	dev.RunFor(netfpga.Millisecond) // settle
+	bg := dev.Background()
+	ticks := dev.Clock.Ticks()
+	const step = 10 * netfpga.Microsecond
+	for at := netfpga.Time(0); at < netfpga.Millisecond; at += step {
+		for port := 0; port < bg.Ports(); port++ {
+			bg.Offer(port, 4, 4*1514) // drains within the step at 10 Gb/s
+		}
+		dev.RunFor(step)
+	}
+	offered, _, delivered, _, _, _ := bg.Totals()
+	if offered == 0 || delivered != offered {
+		t.Fatalf("background offered %d frames and delivered %d, want every offered frame delivered", offered, delivered)
+	}
+	if n := dev.Clock.Ticks() - ticks; n != 0 {
+		t.Errorf("an idle hybrid switch offered only background executed %d datapath edges, want 0", n)
+	}
+}

@@ -130,20 +130,28 @@ func parseSweepFlags(args []string) (*sweepConfig, error) {
 
 // loadResume reads the interrupted run's partial, <run>-fleet, and
 // fills config/filter/seed from its meta where the flags left them at
-// their defaults.
-func loadResume(c *sweepConfig) []resultstore.Record {
+// their defaults. A partial of another digest version fails here, up
+// front, rather than cell by cell.
+func loadResume(c *sweepConfig) ([]resultstore.Record, error) {
 	req := &c.fleet.Req
 	rst, err := resultstore.Open(c.storeDir)
-	fatal(err)
+	if err != nil {
+		return nil, err
+	}
 	if m, _, _, err := rst.ReadRunTolerant(c.resume); err == nil && !m.Partial {
-		fatal(fmt.Errorf("run %s completed; nothing to resume", c.resume))
+		return nil, fmt.Errorf("run %s completed; nothing to resume", c.resume)
 	}
 	part := c.resume + "-fleet"
 	pm, recs, dropped, err := rst.ReadRunTolerant(part)
 	if errors.Is(err, os.ErrNotExist) {
-		fatal(fmt.Errorf("no partial run %s in %s", part, c.storeDir))
+		return nil, fmt.Errorf("no partial run %s in %s", part, c.storeDir)
 	}
-	fatal(err)
+	if err != nil {
+		return nil, err
+	}
+	if err := sweep.CheckDigestVersion("resultstore: run "+part, pm.Digest); err != nil {
+		return nil, err
+	}
 	if req.Config == "" {
 		req.Config = pm.Config
 	}
@@ -157,7 +165,7 @@ func loadResume(c *sweepConfig) []resultstore.Record {
 		fmt.Fprintf(os.Stderr, "resume: %s: %d torn trailing line(s) dropped\n", part, dropped)
 	}
 	fmt.Printf("resume: %d persisted cells from %s\n", len(recs), part)
-	return recs
+	return recs, nil
 }
 
 // runSweepCmd implements `nf-bench sweep`: load a scenario-matrix config
@@ -186,7 +194,8 @@ func runSweepCmd(args []string) {
 	req := &c.fleet.Req
 	var resumeRecs []resultstore.Record
 	if c.resume != "" {
-		resumeRecs = loadResume(c)
+		resumeRecs, err = loadResume(c)
+		fatal(err)
 		if req.Config == "" {
 			fatal(errors.New("-config is required (the interrupted run recorded none)"))
 		}
@@ -231,6 +240,7 @@ func runSweep(c *sweepConfig, cfg *sweep.Config, resumeRecs []resultstore.Record
 
 	var st *resultstore.Store
 	var prev map[string]string
+	stale := 0
 	// Nanosecond granularity: back-to-back sweeps in one second must
 	// not collide on the store's exclusive run file.
 	runID := time.Now().UTC().Format("20060102-150405.000000000")
@@ -240,7 +250,19 @@ func runSweep(c *sweepConfig, cfg *sweep.Config, resumeRecs []resultstore.Record
 	if !c.noStore {
 		st, err = resultstore.Open(c.storeDir)
 		fatal(err)
-		prev = st.LatestDigests()
+		prev, stale = st.LatestDigests()
+	}
+	// The stored run to compare against is read before any cell runs,
+	// so one of another seed or digest version fails at once.
+	var base map[string]string
+	if c.compareRun != "" {
+		cst := st
+		if cst == nil {
+			cst, err = resultstore.Open(c.storeDir)
+			fatal(err)
+		}
+		base, err = storedRun(cst, c.compareRun, req.Seed)
+		fatal(err)
 	}
 	meta := resultstore.Meta{
 		Run: runID, Name: cfg.Name, Config: req.Config, Filter: req.Filter,
@@ -292,6 +314,9 @@ func runSweep(c *sweepConfig, cfg *sweep.Config, resumeRecs []resultstore.Record
 	}
 	if st != nil {
 		fmt.Printf("stored run %s in %s (%d cells indexed)\n", runID, c.storeDir, len(rs.Cells))
+		if stale > 0 {
+			fmt.Printf("vs previous store state: %d cells last stored with another digest version, not compared\n", stale)
+		}
 		if len(prev) > 0 {
 			reportStoreDiff(prev, rs)
 		}
@@ -307,12 +332,7 @@ func runSweep(c *sweepConfig, cfg *sweep.Config, resumeRecs []resultstore.Record
 
 	failed := len(rs.Failed()) > 0
 	if c.compareRun != "" {
-		if st == nil {
-			st, err = resultstore.Open(c.storeDir)
-			fatal(err)
-		}
-		diffs, err := runDiffs(st, c.compareRun, req.Seed, rs, req.Filter != "")
-		fatal(err)
+		diffs := runDiffs(base, rs, req.Filter != "")
 		failed = printDiffs(fmt.Sprintf("vs run %s", c.compareRun), diffs) || failed
 	}
 	if c.compare != "" {
@@ -330,12 +350,12 @@ func runSweep(c *sweepConfig, cfg *sweep.Config, resumeRecs []resultstore.Record
 	}
 }
 
-// runDiffs diffs rs against stored run. A run stored with another base
-// seed is an error naming both seeds, as a golden of another seed is:
-// its cells ran with other seeds, so every one would differ. A filtered
-// run compares only the cells that ran; stored cells the filter
-// excluded are not "removed".
-func runDiffs(st *resultstore.Store, run string, seed uint64, rs *sweep.Results, filtered bool) ([]string, error) {
+// storedRun returns a stored run's key -> digest map for -compare-run.
+// A run stored with another base seed is an error naming both seeds, as
+// a golden of another seed is: its cells ran with other seeds, so every
+// one would differ. So is a run of another digest version, naming both
+// versions.
+func storedRun(st *resultstore.Store, run string, seed uint64) (map[string]string, error) {
 	meta, old, err := st.RunDigests(run)
 	if err != nil {
 		return nil, err
@@ -343,6 +363,16 @@ func runDiffs(st *resultstore.Store, run string, seed uint64, rs *sweep.Results,
 	if meta.Seed != seed {
 		return nil, fmt.Errorf("run %s was stored with seed %d, this run used %d", run, meta.Seed, seed)
 	}
+	if err := sweep.CheckDigestVersion("resultstore: run "+run, meta.Digest); err != nil {
+		return nil, err
+	}
+	return old, nil
+}
+
+// runDiffs diffs rs against a stored run's digests. A filtered run
+// compares only the cells that ran; stored cells the filter excluded
+// are not "removed", and are deleted from old.
+func runDiffs(old map[string]string, rs *sweep.Results, filtered bool) []string {
 	digests := rs.Digests()
 	if filtered {
 		for k := range old {
@@ -351,7 +381,7 @@ func runDiffs(st *resultstore.Store, run string, seed uint64, rs *sweep.Results,
 			}
 		}
 	}
-	return resultstore.Diff(old, digests), nil
+	return resultstore.Diff(old, digests)
 }
 
 // workerPlan resolves a shard request into the full sweep plan — the

@@ -2,9 +2,11 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strconv"
@@ -274,19 +276,63 @@ func TestCompareRunChecksSeed(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := runDiffs(st, "r", 5, rs, false); err == nil || err.Error() != "run r was stored with seed 0, this run used 5" {
+	if _, err := storedRun(st, "r", 5); err == nil || err.Error() != "run r was stored with seed 0, this run used 5" {
 		t.Errorf("seed 5 against a seed-0 run: %v", err)
 	}
+	old, err := storedRun(st, "r", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	changed := "changed: c/i=1 (other -> " + rs.Get("c/i=1").Digest + ")"
-	if diffs, err := runDiffs(st, "r", 0, rs, false); err != nil || !reflect.DeepEqual(diffs, []string{changed}) {
-		t.Errorf("same seed: %q, %v", diffs, err)
+	if diffs := runDiffs(old, rs, false); !reflect.DeepEqual(diffs, []string{changed}) {
+		t.Errorf("same seed: %q", diffs)
 	}
 	first := &sweep.Results{Cells: rs.Cells[:1]}
-	if diffs, err := runDiffs(st, "r", 0, first, true); err != nil || len(diffs) != 0 {
-		t.Errorf("filtered to the unchanged cell: %q, %v", diffs, err)
+	if diffs := runDiffs(old, first, true); len(diffs) != 0 {
+		t.Errorf("filtered to the unchanged cell: %q", diffs)
 	}
-	if diffs, err := runDiffs(st, "r", 0, first, false); err != nil || !reflect.DeepEqual(diffs, []string{"removed: c/i=1"}) {
-		t.Errorf("unfiltered with a cell missing: %q, %v", diffs, err)
+	if old, err = storedRun(st, "r", 0); err != nil {
+		t.Fatal(err)
+	}
+	if diffs := runDiffs(old, first, false); !reflect.DeepEqual(diffs, []string{"removed: c/i=1"}) {
+		t.Errorf("unfiltered with a cell missing: %q", diffs)
+	}
+}
+
+// TestVersionlessRunRefused: a run stored before digest versions were
+// recorded holds version-1 digests, which hashed the engine's event
+// count, so none of its cells would verify here. -resume and
+// -compare-run both refuse it up front with an error naming both
+// versions — never cell by cell, and never as sweep.ErrDiverged.
+func TestVersionlessRunRefused(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := resultstore.Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	cell := `{"cell":{"key":"T4/mesh/project=reference_switch/frame=64","digest":"0123456789abcdef0123456789abcdef","seed":1,"sim_ps":5,"events":7}}` + "\n"
+	for run, meta := range map[string]string{
+		"done":      `{"meta":{"run":"done","config":"../../examples/paper.sweep","seed":0}}`,
+		"cut-fleet": `{"meta":{"run":"cut-fleet","config":"../../examples/paper.sweep","seed":0,"partial":true}}`,
+	} {
+		if err := os.WriteFile(filepath.Join(dir, "runs", run+".jsonl"), []byte(meta+"\n"+cell), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := resultstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	version := func(run string) string {
+		return fmt.Sprintf("resultstore: run %s digests with version 1, this binary with version %d", run, sweep.DigestVersion)
+	}
+
+	c := &sweepConfig{storeDir: dir, resume: "cut"}
+	recs, err := loadResume(c)
+	if err == nil || errors.Is(err, sweep.ErrDiverged) || err.Error() != version("cut-fleet") {
+		t.Errorf("resume of a version-less partial: %d records, %v; want %q", len(recs), err, version("cut-fleet"))
+	}
+	if _, err := storedRun(st, "done", 0); err == nil || errors.Is(err, sweep.ErrDiverged) || err.Error() != version("done") {
+		t.Errorf("compare against a version-less run: %v; want %q", err, version("done"))
 	}
 }
 

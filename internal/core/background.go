@@ -125,8 +125,8 @@ func NewBackground(s *sim.Sim, board BoardSpec) *Background {
 
 // CouplePort implements hw.BackgroundCoupler: w is woken (from a
 // simulation event) whenever a WaitUntil deadline for port bit
-// expires or its backlog drains to empty, so a parked queue stage
-// re-arms exactly when the wire frees up.
+// expires, so a parked queue stage re-arms exactly when its head
+// frame's wait ends.
 func (bg *Background) CouplePort(bit int, w hw.Waker) {
 	if bit < 0 || bit >= len(bg.ports) {
 		return // host/DMA bits carry no background traffic
@@ -215,8 +215,12 @@ func (bg *Background) Offer(port int, frames, bytes uint64) (admitFrames, admitB
 }
 
 // service is a port timer's completion event: retire every batch whose
-// wire time has elapsed, re-arm for the next one, and wake the coupled
-// queue stage when the backlog empties.
+// wire time has elapsed and re-arm for the next one. It wakes nothing:
+// a foreground frame held behind the backlog waits for the release it
+// captured at enqueue, and OutputQueues arms that wake itself
+// (WaitUntil). The release is never later than the drain of the
+// backlog it was captured against, so a drain finds the coupled queue
+// stage already woken or with nothing to send.
 func (bg *Background) service(port int) {
 	p := &bg.ports[port]
 	p.armed = false
@@ -241,9 +245,6 @@ func (bg *Background) service(port int) {
 		}
 		p.tm.ScheduleAt(p.fifo[p.head].doneAt)
 		p.armed = true
-	}
-	if p.pendingBytes == 0 && p.wake != (hw.Waker{}) {
-		p.wake.Wake()
 	}
 }
 

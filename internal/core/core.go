@@ -163,7 +163,7 @@ func NewDevice(board BoardSpec, opts Options) *Device {
 	}
 	d.taps = make([]*PortTap, board.Ports)
 	if board.PCIe.Lanes > 0 && !opts.NoHost {
-		d.Engine = pcie.NewEngine(s, pcie.EngineConfig{Link: board.PCIe})
+		d.Engine = pcie.NewEngine(s, pcie.EngineConfig{Link: board.PCIe, Pool: d.Dsn.Pool()})
 		d.Driver = host.NewDriver(board.Name+".nf0", d.Engine, d.Regs, d.Dsn.Pool(), s.Now)
 	}
 	for _, c := range board.SRAM {

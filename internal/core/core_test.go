@@ -260,3 +260,24 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestStalledDeviceRecyclesHostFrames: a host→device DMA that completes
+// into a full dma.to_device queue is dropped, and its frame goes back
+// to the design's pool. So once a device stalls — here no project
+// drains the queue at all — a further host burst allocates no frames.
+func TestStalledDeviceRecyclesHostFrames(t *testing.T) {
+	dev := NewDevice(SUME(), Options{})
+	data := make([]byte, 100)
+	burst := func() {
+		for dev.Driver.Send(data, 0) == nil {
+		}
+		dev.RunFor(10 * sim.Microsecond)
+	}
+	burst() // fills dma.to_device, which nothing pops
+	if allocs := testing.AllocsPerRun(5, burst); allocs != 0 {
+		t.Errorf("a host burst into a stalled device allocated %v times, want 0", allocs)
+	}
+	if drops := dev.Engine.ToDevice().Drops(); drops == 0 {
+		t.Fatal("the stalled device's queue refused no frame")
+	}
+}

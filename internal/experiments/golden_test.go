@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -68,11 +69,25 @@ func paperRun(t *testing.T, groups []sweep.Group, workers int) *sweep.Results {
 	return rs
 }
 
+// eventDiffs returns one line per cell whose engine event count differs
+// from the golden table's. The digest covers results only, so this is
+// where a golden pins mechanism identity: the engine must execute
+// exactly the events it executed when the table was written.
+func eventDiffs(g *sweep.Golden, rs *sweep.Results) []string {
+	var diffs []string
+	for _, c := range rs.Cells {
+		if want, ok := g.Cells[c.Cell.Key]; ok && want.Events != c.Events {
+			diffs = append(diffs, fmt.Sprintf("%s: %d events, golden %d", c.Cell.Key, c.Events, want.Events))
+		}
+	}
+	return diffs
+}
+
 // TestGoldenSweep is the repo's regression net in one table: every cell
 // of every paper experiment (plus the config's custom scenario matrix)
 // runs at worker counts 1, 4 and 8; the three runs must produce
-// byte-identical per-cell digests, and the digests must match the
-// checked-in golden table. Regenerate deliberately with:
+// byte-identical per-cell digests and equal event counts, and the digests and event counts
+// must match the checked-in golden table. Regenerate deliberately with:
 //
 //	go test ./internal/experiments -run TestGoldenSweep -update
 func TestGoldenSweep(t *testing.T) {
@@ -94,7 +109,7 @@ func TestGoldenSweep(t *testing.T) {
 		t.FailNow()
 	}
 
-	// Worker-count invariance: the digests, cell for cell.
+	// Worker-count invariance: the digests and event counts, cell for cell.
 	base := results[0]
 	for wi, rs := range results[1:] {
 		workers := []int{4, 8}[wi]
@@ -103,9 +118,10 @@ func TestGoldenSweep(t *testing.T) {
 				workers, len(rs.Cells), len(base.Cells))
 		}
 		for i := range rs.Cells {
-			if rs.Cells[i].Digest != base.Cells[i].Digest {
-				t.Errorf("cell %s diverges between workers=1 and workers=%d (%s vs %s)",
-					rs.Cells[i].Cell.Key, workers, base.Cells[i].Digest, rs.Cells[i].Digest)
+			if rs.Cells[i].Digest != base.Cells[i].Digest || rs.Cells[i].Events != base.Cells[i].Events {
+				t.Errorf("cell %s diverges between workers=1 and workers=%d (%s, %d events vs %s, %d events)",
+					rs.Cells[i].Cell.Key, workers, base.Cells[i].Digest, base.Cells[i].Events,
+					rs.Cells[i].Digest, rs.Cells[i].Events)
 			}
 		}
 	}
@@ -131,6 +147,9 @@ func TestGoldenSweep(t *testing.T) {
 	}
 	for _, d := range sweep.DiffGolden(g, base, false) {
 		t.Errorf("golden mismatch:\n  %s", d)
+	}
+	for _, d := range eventDiffs(g, base) {
+		t.Errorf("engine event count moved: %s", d)
 	}
 	if t.Failed() {
 		t.Log("if the change is intentional, regenerate with -update")

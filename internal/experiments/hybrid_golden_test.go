@@ -46,7 +46,8 @@ func hybridGroups(t *testing.T) []sweep.Group {
 // TestGoldenHybrid is the hybrid-fidelity twin of TestGoldenSweep:
 // every cell of the calibration matrix (both fidelities) runs at worker
 // counts 1 and 4, the runs must produce byte-identical per-cell
-// digests, and the digests must match the checked-in golden table.
+// digests and equal event counts, and the digests and event counts must match the checked-in
+// golden table.
 // The full-fidelity cells inside this matrix double as a coupling
 // no-op check: their digests must never move when the hybrid model
 // changes. Regenerate deliberately with:
@@ -73,7 +74,7 @@ func TestGoldenHybrid(t *testing.T) {
 
 	base := results[0]
 	for i := range results[1].Cells {
-		if results[1].Cells[i].Digest != base.Cells[i].Digest {
+		if results[1].Cells[i].Digest != base.Cells[i].Digest || results[1].Cells[i].Events != base.Cells[i].Events {
 			t.Errorf("cell %s diverges between workers=1 and workers=4",
 				results[1].Cells[i].Cell.Key)
 		}
@@ -100,6 +101,9 @@ func TestGoldenHybrid(t *testing.T) {
 	}
 	for _, d := range sweep.DiffGolden(g, base, false) {
 		t.Errorf("hybrid golden mismatch:\n  %s", d)
+	}
+	for _, d := range eventDiffs(g, base) {
+		t.Errorf("engine event count moved: %s", d)
 	}
 	if t.Failed() {
 		t.Log("if the change is intentional, regenerate with -update")

@@ -23,9 +23,11 @@ func perEdge(held **netfpga.Device) func(*netfpga.Device) {
 // TestPerEdgeReferenceMatchesGoldens is the advance contract's
 // end-to-end gate: every cell of the paper sweep and of the hybrid
 // calibration sweep runs once on the per-edge reference — clock batch 1,
-// frame windows off — and its digest must match the golden tables the
-// default engine (batch 64, adaptive windows) is held to. How far a
-// clock or a design advances per call must be observable by nothing.
+// frame windows off — and its digest and its engine event count must
+// match the golden tables the default engine (batch 64, adaptive
+// windows) is held to. How far a clock or a design advances per call
+// must be observable by nothing, not even by the number of events the
+// engine counts.
 func TestPerEdgeReferenceMatchesGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep matrix is slow")
@@ -73,6 +75,9 @@ func TestPerEdgeReferenceMatchesGoldens(t *testing.T) {
 			}
 			for _, d := range sweep.DiffGolden(g, rs, false) {
 				t.Errorf("golden mismatch on the per-edge reference:\n  %s", d)
+			}
+			for _, d := range eventDiffs(g, rs) {
+				t.Errorf("event count differs on the per-edge reference: %s", d)
 			}
 		})
 	}

@@ -151,6 +151,10 @@ type EngineConfig struct {
 	TxRing int
 	// RxRing is the number of device→host descriptors; 0 means 256.
 	RxRing int
+	// Pool takes back the frames the engine drops: a completed
+	// host→device DMA that finds the device's queue full. nil leaves
+	// them to the garbage collector.
+	Pool *hw.FramePool
 }
 
 // Engine is the descriptor-ring DMA engine. The host side is driven by
@@ -243,7 +247,12 @@ func (e *Engine) HostSend(f *hw.Frame) bool {
 func (e *Engine) onTxDone(f *hw.Frame) {
 	e.txInFlight--
 	e.txFrames++
-	e.toDevice.Push(f) // wakes the queue's consumer (hw.Design.Consume)
+	// A push wakes the queue's consumer (hw.Design.Consume). A full
+	// queue refuses the frame and counts the drop; the engine owns the
+	// frame then, and nothing can observe which buffer it was.
+	if !e.toDevice.Push(f) {
+		e.cfg.Pool.Put(f)
+	}
 }
 
 func (e *Engine) onRxDone(f *hw.Frame) {

@@ -41,6 +41,12 @@ type Meta struct {
 	// Seed and Workers record how the run executed.
 	Seed    uint64 `json:"seed"`
 	Workers int    `json:"workers,omitempty"`
+	// Digest is the digest version of the run's cell records
+	// (sweep.DigestVersion); Begin stamps it. A run written before
+	// versions were recorded has none, which is version 1. A run of
+	// another version cannot be resumed or compared
+	// (sweep.CheckDigestVersion), and LatestDigests leaves it out.
+	Digest int `json:"digest,omitempty"`
 	// Stamp is a human timestamp (informational only; never part of
 	// any digest).
 	Stamp string `json:"stamp,omitempty"`
@@ -150,13 +156,28 @@ func (st *Store) Runs() ([]string, error) {
 // Index returns the current scenario-hash index.
 func (st *Store) Index() map[string]IndexEntry { return st.index }
 
-// LatestDigests returns cell key -> latest digest across all runs.
-func (st *Store) LatestDigests() map[string]string {
+// LatestDigests returns cell key -> latest digest across all runs, and
+// the number of indexed cells it leaves out because their latest run
+// is of another digest version or no longer readable: such a digest
+// differs from this binary's for the same result.
+func (st *Store) LatestDigests() (map[string]string, int) {
 	out := make(map[string]string, len(st.index))
+	current := map[string]bool{}
+	stale := 0
 	for _, e := range st.index {
+		ok, seen := current[e.Run]
+		if !seen {
+			m, _, _, err := st.ReadRunTolerant(e.Run)
+			ok = err == nil && m.Digest == sweep.DigestVersion
+			current[e.Run] = ok
+		}
+		if !ok {
+			stale++
+			continue
+		}
 		out[e.Key] = e.Digest
 	}
-	return out
+	return out, stale
 }
 
 // RunWriter appends one run. Every record is flushed to the file as it
@@ -174,8 +195,8 @@ type RunWriter struct {
 	buf  []byte // writeLine's cell line, reused
 }
 
-// Begin creates a new run file. The run id must be unique within the
-// store.
+// Begin creates a new run file, stamped with this binary's digest
+// version. The run id must be unique within the store.
 func (st *Store) Begin(meta Meta) (*RunWriter, error) {
 	if meta.Run == "" {
 		return nil, fmt.Errorf("resultstore: run needs an id")
@@ -187,6 +208,7 @@ func (st *Store) Begin(meta Meta) (*RunWriter, error) {
 	if err != nil {
 		return nil, err
 	}
+	meta.Digest = sweep.DigestVersion
 	rw := &RunWriter{st: st, meta: meta, f: f, w: bufio.NewWriter(f)}
 	rw.writeLine(line{Meta: &meta})
 	if rw.err == nil {

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/netfpga/sweep"
 )
 
 func rec(key, digest string, seed uint64) Record {
@@ -13,6 +15,43 @@ func rec(key, digest string, seed uint64) Record {
 		Values: map[string]float64{"v": 1.5},
 		Labels: map[string]string{"l": "x"},
 		SimPS:  123, Events: 9,
+	}
+}
+
+// TestMetaDigestVersion: Begin stamps every run with the binary's
+// digest version, whatever the caller's meta said, and LatestDigests
+// leaves out, and counts, the indexed cells whose latest run records
+// none — written before versions were recorded, its digests differ
+// from this binary's for the same result.
+func TestMetaDigestVersion(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rw, err := st.Begin(Meta{Run: "r", Digest: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rw.Append(rec("a/x=1", "d1", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := rw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	meta, _, err := st.ReadRun("r")
+	if err != nil || meta.Digest != sweep.DigestVersion {
+		t.Fatalf("stored meta %+v, %v; want digest version %d", meta, err, sweep.DigestVersion)
+	}
+	old := `{"meta":{"run":"old","seed":0}}` + "\n" + `{"cell":{"key":"a/x=2","digest":"d2","seed":2,"sim_ps":5}}` + "\n"
+	if err := os.WriteFile(st.runPath("old"), []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := st.RebuildIndex(); err != nil || n != 2 {
+		t.Fatalf("rebuilt index: %d scenarios, %v; want 2", n, err)
+	}
+	latest, stale := st.LatestDigests()
+	if len(latest) != 1 || latest["a/x=1"] != "d1" || stale != 1 {
+		t.Errorf("latest digests %v, %d stale; want only a/x=1, 1 stale", latest, stale)
 	}
 }
 
@@ -60,9 +99,9 @@ func TestStoreRoundTrip(t *testing.T) {
 	if !ok || e.Digest != "d1" || e.Run != "r1" || e.Key != "a/x=1" {
 		t.Errorf("index entry broken: %+v (ok=%v)", e, ok)
 	}
-	latest := st2.LatestDigests()
-	if latest["a/x=1"] != "d1" || latest["a/x=2"] != "d2" {
-		t.Errorf("latest digests broken: %v", latest)
+	latest, stale := st2.LatestDigests()
+	if latest["a/x=1"] != "d1" || latest["a/x=2"] != "d2" || stale != 0 {
+		t.Errorf("latest digests broken: %v (%d stale)", latest, stale)
 	}
 
 	runs, err := st2.Runs()

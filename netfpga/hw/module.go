@@ -35,7 +35,9 @@ type Module interface {
 // CouplePort registers the module's Waker and WaitUntil arms it,
 // so a parked queue stage re-arms the clock exactly when its head
 // frame's wait expires; the wake fires from a simulation event, never
-// re-entrantly from inside a Tick.
+// re-entrantly from inside a Tick. Nothing else wakes it: the backlog
+// draining is no news to the queue stage, since a held frame's release
+// is never later than the drain of the backlog it waits behind.
 //
 // Release is pure — no mutation, no event scheduling — so it is safe
 // anywhere, including Rater.Rates. WaitUntil schedules an event and

@@ -104,8 +104,9 @@ func (cfg *Config) ScenarioGroups() []Group {
 }
 
 // Golden is a checked-in digest table: one digest per cell key, plus
-// the values for human-readable diffs. Golden files are regenerated
-// with `go test ./internal/experiments -run TestGoldenSweep -update` or
+// the engine's event count and the values for human-readable diffs.
+// Golden files are regenerated with
+// `go test ./internal/experiments -run TestGoldenSweep -update` or
 // `nf-bench sweep -out`.
 type Golden struct {
 	// Note documents how to regenerate the file.
@@ -116,9 +117,13 @@ type Golden struct {
 	Cells map[string]GoldenCell `json:"cells"`
 }
 
-// GoldenCell is one cell's golden record.
+// GoldenCell is one cell's golden record. Events sits beside the
+// digest, not inside it: DiffGolden judges results only, and a test
+// that pins how the engine got there (the per-edge reference against
+// the default engine) compares Events itself.
 type GoldenCell struct {
 	Digest string             `json:"digest"`
+	Events uint64             `json:"events"`
 	Values map[string]float64 `json:"values,omitempty"`
 }
 
@@ -126,7 +131,7 @@ type GoldenCell struct {
 func NewGolden(note string, seed uint64, rs *Results) *Golden {
 	g := &Golden{Note: note, Seed: seed, Cells: make(map[string]GoldenCell, len(rs.Cells))}
 	for _, c := range rs.Cells {
-		g.Cells[c.Cell.Key] = GoldenCell{Digest: c.Digest, Values: c.Values}
+		g.Cells[c.Cell.Key] = GoldenCell{Digest: c.Digest, Events: c.Events, Values: c.Values}
 	}
 	return g
 }

@@ -68,7 +68,8 @@ func switchMeasure(c *Ctx, cell Cell) (Outcome, error) {
 }
 
 // digestAll checks that cells are the n switchGroup cells, in index order
-// and without errors, and concatenates their keys and digests.
+// and without errors, and concatenates their keys, digests and event
+// counts.
 func digestAll(t *testing.T, cells []CellResult, n int) string {
 	t.Helper()
 	if len(cells) != n {
@@ -82,7 +83,7 @@ func digestAll(t *testing.T, cells []CellResult, n int) string {
 		if len(r.Values) < 3 {
 			t.Fatalf("cell %q has no stats snapshot", r.Cell.Key)
 		}
-		fmt.Fprintf(&b, "%s %s\n", r.Cell.Key, r.Digest)
+		fmt.Fprintf(&b, "%s %s events=%d\n", r.Cell.Key, r.Digest, r.Events)
 	}
 	return b.String()
 }

@@ -137,7 +137,7 @@ func (p *Plan) Jobs() ([]Cell, error) { return p.Cells, nil }
 // CellRecord is the flat, serializable form of a CellResult — what
 // crosses process boundaries in a fleet run and what the results store
 // persists, in one field order on both. It carries everything the digest
-// covers.
+// covers, and the engine's event count as telemetry beside it.
 type CellRecord struct {
 	Key    string             `json:"key"`
 	Digest string             `json:"digest"`

@@ -71,16 +71,19 @@ type CellResult struct {
 	// Values and Labels are the measure's outcome.
 	Values map[string]float64
 	Labels map[string]string
-	// SimTime and Events are the device's final simulated time and
-	// event count (zero for NoDevice cells).
+	// SimTime is the device's final simulated time (zero for NoDevice
+	// cells).
 	SimTime netfpga.Time
-	Events  uint64
+	// Events is the number of simulation events the engine executed for
+	// the cell: telemetry about how the engine got there, not part of
+	// the result, so the digest leaves it out.
+	Events uint64
 	// Err is the cell's failure, if any ("" for success). Errors are
 	// recorded, digested, and surfaced — not fatal to the batch.
 	Err string
 	// Digest is the stable content digest over everything above except
-	// Index: two runs of the same cell agree on it byte-for-byte iff
-	// they agree on the result.
+	// Index and Events: two runs of the same cell agree on it
+	// byte-for-byte iff they agree on the result.
 	Digest string
 }
 
@@ -106,15 +109,38 @@ func (r CellResult) U(key string) uint64 { return uint64(r.V(key)) }
 // L returns a text label ("" when absent).
 func (r CellResult) L(key string) string { return r.Labels[key] }
 
+// DigestVersion names the digest's text layout. Version 1 hashed the
+// engine's event count too; version 2 hashes only what the cell
+// observed. The fleet's Hello and the result store's run meta carry it,
+// so a worker or a stored run of another version is refused up front
+// instead of failing every cell's digest check.
+const DigestVersion = 2
+
+// CheckDigestVersion returns nil when v, the digest version a worker or
+// a stored run declares, is DigestVersion, and otherwise an error that
+// names both versions, whose naming the peer or run it starts with.
+// A missing version (0) is version 1, which predates the field.
+func CheckDigestVersion(who string, v int) error {
+	if v == DigestVersion {
+		return nil
+	}
+	if v == 0 {
+		v = 1
+	}
+	return fmt.Errorf("%s digests with version %d, this binary with version %d", who, v, DigestVersion)
+}
+
 // digest computes the canonical content digest over the text
 //
-//	<key>\nseed=0x<seed hex> sim=<ps> events=<n>\n
+//	<key>\nseed=0x<seed hex> sim=<ps>\n
 //	v <name>=<IEEE-754 bits, 16 hex digits>\n   per value, sorted
 //	l <name>=<label>\n                           per label, sorted
 //	err <error>\n                                when failed
 //
 // Floats are encoded as their exact bits so the digest never depends on
-// formatting. The text is built by appends into one buffer: a fleet cell
+// formatting. The event count is not hashed: it says how many callbacks
+// the engine ran, which a change to the engine may move while every
+// observable result stays bit-identical. The text is built by appends into one buffer: a fleet cell
 // is digested twice, once sealed and once merged.
 func (r *CellResult) digest() string {
 	b := make([]byte, 0, 64+len(r.Cell.Key)+48*(len(r.Values)+len(r.Labels))+len(r.Err))
@@ -123,8 +149,6 @@ func (r *CellResult) digest() string {
 	b = strconv.AppendUint(b, r.Seed, 16)
 	b = append(b, " sim="...)
 	b = strconv.AppendInt(b, int64(r.SimTime), 10)
-	b = append(b, " events="...)
-	b = strconv.AppendUint(b, r.Events, 10)
 	b = append(b, '\n')
 	var bits [8]byte
 	for _, k := range SortKeys(r.Values) {

@@ -245,8 +245,8 @@ func (c *coordinator) recv(now time.Time, i, gen int, fr *SessionFrame, rerr err
 	return c.settle(now, err)
 }
 
-// hello admits worker i's session: the plan must agree, and the
-// worker's in-flight depth becomes two cells per pool goroutine — one
+// hello admits worker i's session: the plan and the digest version
+// must agree, and the worker's in-flight depth becomes two cells per pool goroutine — one
 // running, one queued to hide the coordinator round trip — with the
 // width the worker's own, capped at what Open asked for so a corrupt
 // Hello cannot claim the plan.
@@ -254,6 +254,9 @@ func (c *coordinator) hello(now time.Time, i int, h *Hello) error {
 	w := c.workers[i]
 	if h.Cells != c.total {
 		return c.kill(now, i, "death", fmt.Sprintf("plan disagreement: worker sees %d cells, plan has %d", h.Cells, c.total))
+	}
+	if err := sweep.CheckDigestVersion("worker", h.Digest); err != nil {
+		return c.kill(now, i, "death", err.Error())
 	}
 	w.helloed = true
 	w.limit = 2 * min(max(h.Workers, 1), max(c.f.Req.Workers, 1))

@@ -263,7 +263,7 @@ func (h *harness) frame(i, gen int, fr *SessionFrame) error {
 
 func (h *harness) hello(i, width, cells int) error {
 	h.ws[i].helloed = true
-	return h.frame(i, h.ws[i].gen, &SessionFrame{Hello: &Hello{Cells: cells, Workers: width}})
+	return h.frame(i, h.ws[i].gen, &SessionFrame{Hello: &Hello{Cells: cells, Workers: width, Digest: sweep.DigestVersion}})
 }
 
 // cell answers worker i's oldest owed key; mutate, when non-nil, edits
@@ -498,7 +498,7 @@ func TestCoordinatorLateCellFromStaleGeneration(t *testing.T) {
 	// The first incarnation's frames straggle in after the redial: its
 	// hello is ignored, its cell adopted — and the second incarnation,
 	// which owes the same key, keeps it outstanding.
-	h.frame(0, 1, &SessionFrame{Hello: &Hello{Cells: h.c.total, Workers: 4}})
+	h.frame(0, 1, &SessionFrame{Hello: &Hello{Cells: h.c.total, Workers: 4, Digest: sweep.DigestVersion}})
 	if h.c.workers[0].helloed {
 		t.Error("generation 1's hello admitted generation 2")
 	}
@@ -528,6 +528,28 @@ func TestCoordinatorHelloPlanDisagreement(t *testing.T) {
 	want := fmt.Sprintf("plan disagreement: worker sees %d cells, plan has %d", h.c.total+1, h.c.total)
 	if ev := h.events[len(h.events)-1]; ev.Detail != want {
 		t.Errorf("death detail %q, want %q", ev.Detail, want)
+	}
+}
+
+// TestCoordinatorHelloDigestVersion: a worker that stamps records with
+// another digest version — an older binary sends none, which is
+// version 1 — is refused at its Hello, on the plan-disagreement path,
+// before a single cell of its can fail verification.
+func TestCoordinatorHelloDigestVersion(t *testing.T) {
+	for _, tc := range []struct{ digest, named int }{{0, 1}, {1, 1}, {sweep.DigestVersion + 1, sweep.DigestVersion + 1}} {
+		h := newHarness(t, &Fleet{Req: Request{Workers: 1}}, 1, 1)
+		h.ws[0].helloed = true
+		h.frame(0, h.ws[0].gen, &SessionFrame{Hello: &Hello{Cells: h.c.total, Workers: 1, Digest: tc.digest}})
+		if !h.ws[0].dead || h.count("e0", "death") != 1 {
+			t.Fatalf("a worker of digest version %d was not killed", tc.digest)
+		}
+		want := fmt.Sprintf("worker digests with version %d, this binary with version %d", tc.named, sweep.DigestVersion)
+		if ev := h.events[len(h.events)-1]; ev.Detail != want {
+			t.Errorf("digest %d: death detail %q, want %q", tc.digest, ev.Detail, want)
+		}
+		if h.c.workers[0].helloed {
+			t.Errorf("digest %d: the refused worker counts as helloed", tc.digest)
+		}
 	}
 }
 
@@ -716,7 +738,7 @@ func FuzzCoordinator(f *testing.F) {
 		for i, key := range plan.Keys()[:int(opts>>2)%4] {
 			rec := recs[key]
 			if i == 0 && opts&0x40 != 0 {
-				rec.Events++ // fails Adopt: re-run, not trusted
+				rec.SimPS++ // fails Adopt: re-run, not trusted
 			} else {
 				completed[key] = true
 			}
@@ -746,7 +768,7 @@ func FuzzCoordinator(f *testing.F) {
 				if len(w.owed) > 0 {
 					switch arg >> 6 {
 					case 1:
-						h.cell(i, func(r *sweep.CellRecord) { r.Events++ })
+						h.cell(i, func(r *sweep.CellRecord) { r.SimPS++ })
 					case 2:
 						h.cell(i, func(r *sweep.CellRecord) { r.Digest = "0000000000000000" })
 					default:
@@ -829,7 +851,7 @@ func (h *harness) open(i int, req Request) {
 		h.tb.Fatal(err)
 	}
 	w.plan, w.helloed = plan, true
-	h.write(i, SessionFrame{Hello: &Hello{Cells: len(plan.Cells), Workers: h.width()}})
+	h.write(i, SessionFrame{Hello: &Hello{Cells: len(plan.Cells), Workers: h.width(), Digest: sweep.DigestVersion}})
 }
 
 func (h *harness) width() int { return max(h.c.f.Req.Workers, 1) }
@@ -1136,7 +1158,7 @@ func fleetShape(t *testing.T, in []byte) {
 	for i, key := range plan.Keys()[:min(int(hdr[1]>>2&7), len(plan.Cells))] {
 		rec := recs[key]
 		if i == 0 && hdr[1]&0x20 != 0 {
-			rec.Events++ // fails Adopt: re-run, not trusted
+			rec.SimPS++ // fails Adopt: re-run, not trusted
 		} else {
 			completed[key] = true
 		}

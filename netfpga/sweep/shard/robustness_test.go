@@ -61,7 +61,7 @@ func stubbornWorker(t *testing.T) *Endpoint {
 		if err != nil {
 			return
 		}
-		_ = WriteFrame(frameW, SessionFrame{Hello: &Hello{Cells: len(plan.Cells), Workers: 1}})
+		_ = WriteFrame(frameW, SessionFrame{Hello: &Hello{Cells: len(plan.Cells), Workers: 1, Digest: sweep.DigestVersion}})
 		for {
 			if err := ReadFrame(cmdR, &cmd); err != nil {
 				return
@@ -175,7 +175,7 @@ func TestFleetResumeCompleted(t *testing.T) {
 	// One corrupt record rides along: its digest does not reproduce, so
 	// it must be rejected and its cell re-run.
 	bad := want.Cells[half].Record()
-	bad.Events++
+	bad.SimPS++
 	completed = append(completed, bad)
 	// So does one of another seed, its digest true to its content: it
 	// answers another run's question, so it too must be re-run.
@@ -316,7 +316,7 @@ func FuzzSessionFrame(f *testing.F) {
 	var seed []byte
 	{
 		var buf strings.Builder
-		_ = WriteFrame(&buf, SessionFrame{Hello: &Hello{Cells: 3, Workers: 2}})
+		_ = WriteFrame(&buf, SessionFrame{Hello: &Hello{Cells: 3, Workers: 2, Digest: sweep.DigestVersion}})
 		_ = WriteFrame(&buf, SessionFrame{Cell: &sweep.CellRecord{Key: "a/b=1", Digest: "d"}})
 		seed = []byte(buf.String())
 	}

@@ -19,13 +19,16 @@ type Assign struct {
 }
 
 // Hello is the worker's session acceptance: how many cells its
-// independently compiled plan holds (the coordinator refuses a worker
-// that disagrees — a config or version skew would otherwise surface as
-// digest mismatches mid-run) and how wide its local pool is (the
-// coordinator keeps two cells in flight per pool goroutine).
+// independently compiled plan holds and which digest version it stamps
+// records with (the coordinator refuses a worker that disagrees on
+// either — a config or version skew would otherwise surface as digest
+// mismatches mid-run), and how wide its local pool is (the coordinator
+// keeps two cells in flight per pool goroutine). An older worker sends
+// no digest version, which is version 1.
 type Hello struct {
 	Cells   int `json:"cells"`
 	Workers int `json:"workers"`
+	Digest  int `json:"digest"`
 }
 
 // Reject reports an assigned cell this worker could not run: a key its

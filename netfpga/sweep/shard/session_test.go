@@ -148,7 +148,7 @@ func TestFleetHangingWorker(t *testing.T) {
 		if err != nil {
 			return
 		}
-		_ = WriteFrame(hungOutW, SessionFrame{Hello: &Hello{Cells: len(plan.Cells), Workers: 1}})
+		_ = WriteFrame(hungOutW, SessionFrame{Hello: &Hello{Cells: len(plan.Cells), Workers: 1, Digest: sweep.DigestVersion}})
 		for {
 			if err := ReadFrame(hungIn, &cmd); err != nil {
 				return
@@ -253,7 +253,7 @@ func TestFleetTamperedWorkerRecovered(t *testing.T) {
 	inner := PipeWorker(context.Background(), "victim", testPlan)
 	tampered := mitmEndpoint(inner, func(fr SessionFrame) []SessionFrame {
 		if fr.Cell != nil {
-			fr.Cell.Events++ // digest no longer reproducible
+			fr.Cell.SimPS++ // digest no longer reproducible
 		}
 		return []SessionFrame{fr}
 	})

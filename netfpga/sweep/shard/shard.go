@@ -27,7 +27,7 @@
 //
 // Worker -> coordinator, each as one SessionFrame:
 //
-//	Hello   session accepted: plan size + local pool width
+//	Hello   session accepted: plan size + digest version + local pool width
 //	Cell    one completed cell record (digest-stamped)
 //	Reject  an assigned cell this worker cannot run; the fleet requeues it
 //	Done    session end: cells completed + utilization report

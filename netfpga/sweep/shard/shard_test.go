@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/storage/resultstore"
 	"repro/netfpga/sweep"
 	"repro/netfpga/workload"
 )
@@ -107,6 +108,59 @@ func checkMatches(t *testing.T, want, got *sweep.Results) {
 		if got.Cells[i].Digest != want.Cells[i].Digest {
 			t.Errorf("cell %s digest diverged across the process boundary", got.Cells[i].Cell.Key)
 		}
+	}
+}
+
+// TestEventsAreTelemetry: the engine's event count rides along with a
+// record but is no part of its result. A record whose Events differ
+// from those its digest was sealed with survives a wire round trip and
+// a store round trip with that count unchanged, still verifies and
+// merges, and Adopt takes the original beside it as a duplicate, not a
+// divergence.
+func TestEventsAreTelemetry(t *testing.T) {
+	plan := sessionPlan(t)
+	cr, err := plan.RunCell(context.Background(), plan.Keys()[0], 0, 0, "", nil)
+	if err != nil || cr.Err != "" || cr.Events == 0 {
+		t.Fatalf("cell %s: %d events, err %q, %v", cr.Cell.Key, cr.Events, cr.Err, err)
+	}
+	rec := cr.Record()
+	rec.Events += 1000
+
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, SessionFrame{Cell: &rec}); err != nil {
+		t.Fatal(err)
+	}
+	var fr SessionFrame
+	if err := ReadFrame(&buf, &fr); err != nil || fr.Cell == nil || fr.Cell.Events != rec.Events {
+		t.Fatalf("wire round trip: %+v, %v; want %d events", fr.Cell, err, rec.Events)
+	}
+
+	st, err := resultstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rw, err := st.Begin(resultstore.Meta{Run: "r"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rw.Append(*fr.Cell); err != nil {
+		t.Fatal(err)
+	}
+	if err := rw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, recs, err := st.ReadRun("r")
+	if err != nil || len(recs) != 1 || recs[0].Events != rec.Events {
+		t.Fatalf("store round trip: %+v, %v; want %d events", recs, err, rec.Events)
+	}
+
+	m := plan.Merger()
+	got, err := m.Place(recs[0])
+	if err != nil || got.Digest != cr.Digest || got.Events != rec.Events {
+		t.Fatalf("merge: digest %s (want %s), %d events (want %d), %v", got.Digest, cr.Digest, got.Events, rec.Events, err)
+	}
+	if _, dup, err := m.Adopt(cr.Record()); err != nil || !dup {
+		t.Errorf("adopting the original beside it: dup=%v, %v; want a duplicate", dup, err)
 	}
 }
 

@@ -58,7 +58,7 @@ func ServeSession(ctx context.Context, in io.Reader, out io.Writer, planFor Plan
 		return fail(fmt.Errorf("shard worker: plan seed %d does not match request seed %d",
 			plan.BaseSeed, req.Seed))
 	}
-	if err := send(SessionFrame{Hello: &Hello{Cells: len(plan.Cells), Workers: req.Workers}}); err != nil {
+	if err := send(SessionFrame{Hello: &Hello{Cells: len(plan.Cells), Workers: req.Workers, Digest: sweep.DigestVersion}}); err != nil {
 		return fmt.Errorf("shard worker: sending hello: %w", err)
 	}
 

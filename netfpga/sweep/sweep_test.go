@@ -467,7 +467,7 @@ func TestMergerRejects(t *testing.T) {
 		t.Error("duplicate record accepted")
 	}
 	bad := recs[1]
-	bad.Events++ // content no longer matches the transmitted digest
+	bad.SimPS++ // content no longer matches the transmitted digest
 	if _, err := m.Place(bad); err == nil {
 		t.Error("tampered record accepted")
 	}
@@ -599,17 +599,17 @@ func TestMergerAdopt(t *testing.T) {
 		t.Errorf("corrupted duplicate: err=%v, want a digest that does not survive the wire", err)
 	}
 	// An intact completion that disagrees is a determinism violation.
-	div.Events++
+	div.SimPS++
 	i, _ := p.Lookup(div.Key)
 	twin := CellResult{Cell: p.Cells[i], Seed: div.Seed, Values: div.Values, Labels: div.Labels,
-		SimTime: netfpga.Time(div.SimPS), Events: div.Events, Err: div.Err}
+		SimTime: netfpga.Time(div.SimPS), Err: div.Err}
 	div.Digest = twin.digest()
 	if _, _, err := m.Adopt(div); !errors.Is(err, ErrDiverged) || !strings.Contains(err.Error(), "diverging") {
 		t.Errorf("diverging duplicate: err=%v, want diverging-digest error", err)
 	}
 	// Adopt still enforces Place's integrity checks on fresh cells.
 	bad := recs[1]
-	bad.Events++
+	bad.SimPS++
 	if _, _, err := m.Adopt(bad); err == nil {
 		t.Error("tampered fresh record adopted")
 	}
