@@ -138,11 +138,11 @@ func loadResume(c *sweepConfig) ([]resultstore.Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	if m, _, _, err := rst.ReadRunTolerant(c.resume); err == nil && !m.Partial {
+	if m, _, _, err := rst.ReadRun(c.resume); err == nil && !m.Partial {
 		return nil, fmt.Errorf("run %s completed; nothing to resume", c.resume)
 	}
 	part := c.resume + "-fleet"
-	pm, recs, dropped, err := rst.ReadRunTolerant(part)
+	pm, recs, dropped, err := rst.ReadRun(part)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("no partial run %s in %s", part, c.storeDir)
 	}
@@ -313,7 +313,7 @@ func runSweep(c *sweepConfig, cfg *sweep.Config, resumeRecs []resultstore.Record
 		fmt.Printf("  FAILED %s: %s\n", f.Cell.Key, f.Err)
 	}
 	if st != nil {
-		fmt.Printf("stored run %s in %s (%d cells indexed)\n", runID, c.storeDir, len(rs.Cells))
+		fmt.Printf("stored run %s in %s (%d cells)\n", runID, c.storeDir, len(rs.Cells))
 		if stale > 0 {
 			fmt.Printf("vs previous store state: %d cells last stored with another digest version, not compared\n", stale)
 		}
@@ -419,7 +419,7 @@ func splitAddrs(s string) []string {
 // `nf-bench shard-worker` over stdio), dialed TCP workers, or both
 // mixed. Cells stream into one partial run as they arrive — a crash
 // loses nothing already harvested, and -resume finishes the rest — then
-// fold into a complete, verified, indexed run whose digests are
+// fold into a complete, verified run whose digests are
 // byte-identical to a single-process sweep regardless of worker deaths
 // or requeues along the way.
 func runFleet(plan *sweep.Plan, st *resultstore.Store, meta resultstore.Meta,
@@ -585,20 +585,21 @@ func transportLabel(procs, tcps int) string {
 	return strings.Join(via, "+")
 }
 
-// runHistory implements -history: resolve the query to one cell via
-// the store's index (exact key or hash wins outright, a substring must
-// be unique — ambiguity errors out listing every candidate) and report
-// the cell's digest and values across every stored (non-partial) run,
-// oldest first — the store-backed trend view of a scenario.
+// runHistory implements -history: resolve the query to one cell key
+// of the store's complete runs (exact key or hash wins outright, a
+// substring must be unique — ambiguity errors out listing every
+// candidate) and report the cell's digest and values across every
+// complete run in run-id order — the store-backed trend view of a
+// scenario. Partial runs are skipped unread past their meta line; a
+// complete run with a line that does not read fails the report.
 func runHistory(storeDir, query string) {
 	st, err := resultstore.Open(storeDir)
 	fatal(err)
-	entry, err := st.Resolve(query)
+	key, err := st.Resolve(query)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "nf-bench sweep: %v\n", err)
 		os.Exit(1)
 	}
-	key := entry.Key
 	runs, err := st.Runs()
 	fatal(err)
 
@@ -608,10 +609,10 @@ func runHistory(storeDir, query string) {
 	}
 	var hits []hit
 	for _, run := range runs {
-		m, recs, err := st.ReadRun(run)
+		_, recs, dropped, err := st.ReadRun(run)
 		fatal(err)
-		if m.Partial {
-			continue // shard fragments; their cells live in the merged run
+		if dropped > 0 {
+			fatal(fmt.Errorf("run %s: %d line(s) do not read", run, dropped))
 		}
 		for _, rec := range recs {
 			if rec.Key == key {
@@ -659,11 +660,9 @@ func runHistory(storeDir, query string) {
 		rows = append(rows, row)
 	}
 	printAligned(rows)
-	fmt.Printf("\ndigest changed %d time(s) across %d runs", changes, len(hits))
-	if e, ok := st.Index()[resultstore.Hash(key)]; ok {
-		fmt.Printf("; latest digest %s (run %s)", e.Digest, e.Run)
-	}
-	fmt.Println()
+	last := hits[len(hits)-1]
+	fmt.Printf("\ndigest changed %d time(s) across %d runs; latest digest %s (run %s)\n",
+		changes, len(hits), last.rec.Digest, last.run)
 }
 
 // printAligned renders rows with per-column padding; row 0 is the

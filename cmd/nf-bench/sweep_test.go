@@ -186,7 +186,8 @@ func TestParseMainFlags(t *testing.T) {
 // TestHistoryServesBenchRuns: a store still holding a run of the
 // deleted `nf-bench -json` indexer (run bench-<stamp>, key bench/<ID>,
 // metrics plus frames and wall_ns) reports it through -history with its
-// raw value columns.
+// raw value columns. A torn partial beside it — what a SIGKILLed run
+// leaves for -resume — is skipped unread, not a failure.
 func TestHistoryServesBenchRuns(t *testing.T) {
 	dir := t.TempDir()
 	st, err := resultstore.Open(dir)
@@ -210,11 +211,33 @@ func TestHistoryServesBenchRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	rw, err := st.Begin(resultstore.Meta{Run: "x-fleet", Partial: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"bench/T4", "bench/T5"} {
+		if err := rw.Append(resultstore.Record{Key: key, Digest: "partial", Values: map[string]float64{"frames": 1}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "runs", "x-fleet.jsonl")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data[:len(data)-12], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	out := captureStdout(t, func() { runHistory(dir, "bench/T4") })
 	for _, want := range []string{
 		"history of bench/T4", "2 stored runs",
 		"T4/achieved_64B_gbps", "frames", "wall_ns", "28.57", "1000", "2e+08", "3e+08",
-		"digest changed 0 time(s) across 2 runs",
+		"digest changed 0 time(s) across 2 runs; latest digest " +
+			resultstore.Hash("T4/achieved_64B_gbps=28.57;") + " (run bench-20250102-000000)",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("history output lacks %q:\n%s", want, out)
@@ -353,7 +376,7 @@ func TestStoredRunResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	sweepRun("-run-id", "full")
-	pm, part, err := st.ReadRun("full-fleet")
+	pm, part, _, err := st.ReadRun("full-fleet")
 	if err != nil || !pm.Partial || pm.Transport != "" {
 		t.Fatalf("in-process run left partial %+v, %v", pm, err)
 	}
@@ -384,7 +407,7 @@ func TestStoredRunResumes(t *testing.T) {
 	pm.Run = "r-fleet"
 	writePartial(pm, part[:k])
 	sweepRun("-run-id", "s5", "-seed", "5")
-	m5, recs5, err := st.ReadRun("s5")
+	m5, recs5, _, err := st.ReadRun("s5")
 	if err != nil || m5.Seed != 5 {
 		t.Fatalf("seed-5 run: %+v, %v", m5, err)
 	}

@@ -164,6 +164,62 @@ func TestRandExpDurationMean(t *testing.T) {
 	}
 }
 
+// seedAt returns the seed whose first Float64 is k/2^53: splitmix64's
+// output mix inverted step by step.
+func seedAt(k uint64) uint64 {
+	inv := func(c uint64) uint64 { // c's inverse mod 2^64, by Newton
+		x := c
+		for i := 0; i < 6; i++ {
+			x *= 2 - c*x
+		}
+		return x
+	}
+	z := k << 11
+	z ^= z>>31 ^ z>>62
+	z *= inv(0x94d049bb133111eb)
+	z ^= z>>27 ^ z>>54
+	z *= inv(0xbf58476d1ce4e5b9)
+	z ^= z>>30 ^ z>>60
+	return z - 0x9e3779b97f4a7c15
+}
+
+// TestRandExpDurationPinned: ExpDuration's outputs for fixed draws
+// u = k/2^53 (u = 0 takes the smallest-subnormal path; u near ½ and
+// near sqrt(2)/2 straddle the logarithm's reduction boundaries) at
+// means from 1 ps to 1000 s, as amd64's assembly math.Log gave them
+// before ExpDuration owned its logarithm. Any platform must print
+// exactly these.
+func TestRandExpDurationPinned(t *testing.T) {
+	means := []Time{1, 1000, 1000000, 123456789, 1000000000000, 1000000000000000}
+	for _, row := range [][7]uint64{
+		{0, 709, 709089, 709089565, 87541920896, 709089565712824, 709089565712824064},
+		{1, 36, 36736, 36736800, 4535407436, 36736800569677, 36736800569677104},
+		{8388608, 20, 20794, 20794415, 2567211756, 20794415416798, 20794415416798360},
+		{900719925474099, 2, 2302, 2302585, 284269761, 2302585092994, 2302585092994046},
+		{2251799813685248, 1, 1386, 1386294, 171147450, 1386294361119, 1386294361119890},
+		{3002399751580330, 1, 1098, 1098612, 135631145, 1098612288668, 1098612288668110},
+		{4503599627370495, 1, 693, 693147, 85573725, 693147180559, 693147180559945},
+		{4503599627370496, 1, 693, 693147, 85573725, 693147180559, 693147180559945},
+		{4503599627370497, 1, 693, 693147, 85573725, 693147180559, 693147180559945},
+		{6369051672525772, 1, 346, 346573, 42786862, 346573590279, 346573590279972},
+		{6369051672525773, 1, 346, 346573, 42786862, 346573590279, 346573590279972},
+		{6755399441055744, 1, 287, 287682, 35516304, 287682072451, 287682072451780},
+		{8106479329266892, 1, 105, 105360, 13007470, 105360515657, 105360515657826},
+		{9007199254732800, 1, 1, 1, 1, 1, 909},
+		{9007199254740991, 1, 1, 1, 1, 1, 1},
+	} {
+		k := row[0]
+		if u := NewRand(seedAt(k)).Float64(); u != float64(k)/(1<<53) {
+			t.Fatalf("seedAt(%d) draws %v", k, u)
+		}
+		for i, mean := range means {
+			if got := NewRand(seedAt(k)).ExpDuration(mean); got != Time(row[i+1]) {
+				t.Errorf("u=%d/2^53, mean %d: ExpDuration = %d, want %d", k, mean, got, row[i+1])
+			}
+		}
+	}
+}
+
 func TestRandPerm(t *testing.T) {
 	r := NewRand(3)
 	out := make([]int, 16)

@@ -214,9 +214,8 @@ func TestForeignCellLinesMerge(t *testing.T) {
 	if got := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")[1:]; !reflect.DeepEqual(got, foreign) {
 		t.Errorf("merged lines\n%q\nwant\n%q", got, foreign)
 	}
-	for key, digest := range map[string]string{"a": "d1", "b": "d2", "c": "d3", "d<": "d4", "e&": "d5"} {
-		if e := st.Index()[Hash(key)]; e.Key != key || e.Digest != digest || e.Run != "f" {
-			t.Errorf("index for %s: %+v", key, e)
-		}
+	want := map[string]string{"a": "d1", "b": "d2", "c": "d3", "d<": "d4", "e&": "d5"}
+	if latest, stale := st.LatestDigests(); !reflect.DeepEqual(latest, want) || stale != 0 {
+		t.Errorf("latest digests %v, %d stale; want %v", latest, stale, want)
 	}
 }

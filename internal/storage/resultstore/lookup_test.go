@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -79,7 +80,7 @@ func TestMetaUtilRoundTrip(t *testing.T) {
 	}
 
 	for _, run := range []string{"r1", "r0"} {
-		meta, recs, err := st.ReadRun(run)
+		meta, recs, _, err := st.ReadRun(run)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,22 +108,22 @@ func TestResolve(t *testing.T) {
 		"T4/latency/frame=64", "T4/latency/frame=640", "T5/tput/frame=64")
 
 	// Unique substring resolves.
-	e, err := st.Resolve("frame=640")
-	if err != nil || e.Key != "T4/latency/frame=640" {
-		t.Fatalf("Resolve(frame=640) = %+v, %v", e, err)
+	key, err := st.Resolve("frame=640")
+	if err != nil || key != "T4/latency/frame=640" {
+		t.Fatalf("Resolve(frame=640) = %q, %v", key, err)
 	}
 
 	// An exact key that prefixes another key must win, not be
 	// ambiguous.
-	e, err = st.Resolve("T4/latency/frame=64")
-	if err != nil || e.Key != "T4/latency/frame=64" {
-		t.Fatalf("exact key: %+v, %v", e, err)
+	key, err = st.Resolve("T4/latency/frame=64")
+	if err != nil || key != "T4/latency/frame=64" {
+		t.Fatalf("exact key: %q, %v", key, err)
 	}
 
 	// An exact scenario hash also wins.
-	e, err = st.Resolve(Hash("T5/tput/frame=64"))
-	if err != nil || e.Key != "T5/tput/frame=64" {
-		t.Fatalf("exact hash: %+v, %v", e, err)
+	key, err = st.Resolve(Hash("T5/tput/frame=64"))
+	if err != nil || key != "T5/tput/frame=64" {
+		t.Fatalf("exact hash: %q, %v", key, err)
 	}
 
 	// Ambiguous substrings error out listing every candidate, sorted.
@@ -131,17 +132,24 @@ func TestResolve(t *testing.T) {
 	if !errors.As(err, &amb) {
 		t.Fatalf("Resolve(frame=64) err = %v, want AmbiguousError", err)
 	}
-	if len(amb.Matches) != 3 {
-		t.Fatalf("ambiguous matches = %+v, want 3", amb.Matches)
-	}
-	if amb.Matches[0].Key != "T4/latency/frame=64" || amb.Matches[2].Key != "T5/tput/frame=64" {
-		t.Fatalf("matches unsorted: %+v", amb.Matches)
+	if want := []string{"T4/latency/frame=64", "T4/latency/frame=640", "T5/tput/frame=64"}; !reflect.DeepEqual(amb.Matches, want) {
+		t.Fatalf("ambiguous matches = %q, want %q", amb.Matches, want)
 	}
 	msg := err.Error()
 	for _, k := range []string{"T4/latency/frame=64", "T4/latency/frame=640", "T5/tput/frame=64"} {
 		if !strings.Contains(msg, k) || !strings.Contains(msg, Hash(k)) {
 			t.Fatalf("error does not list %s with its hash: %s", k, msg)
 		}
+	}
+
+	// A later complete run's keys resolve too; a partial run's do not.
+	writeRun(t, st, Meta{Run: "r2"}, "T6/new")
+	writeRun(t, st, Meta{Run: "r3-fleet", Partial: true}, "T7/partial")
+	if key, err = st.Resolve("T6"); err != nil || key != "T6/new" {
+		t.Fatalf("key of a later run: %q, %v", key, err)
+	}
+	if key, err = st.Resolve("T7"); err == nil {
+		t.Fatalf("partial run's key resolved to %q", key)
 	}
 
 	// No match is a plain error naming the query.

@@ -1,15 +1,18 @@
 // Package resultstore is the on-disk results store for scenario sweeps:
 // every sweep execution appends one run file of JSONL cell records under
-// <dir>/runs/, and an index keyed by scenario hash tracks the latest
-// digest of every cell across runs. Tables are rendered from the store,
-// not the other way round — the store is the system of record that
-// makes sweep results comparable across runs and commits.
+// <dir>/runs/, and those files are the whole store. A cell's latest
+// digest is the one in the complete run with the greatest run id that
+// holds it; LatestDigests and Resolve scan the runs for it. Tables are
+// rendered from the store, not the other way round — the store is the
+// system of record that makes sweep results comparable across runs and
+// commits.
 //
 // Layout:
 //
 //	<dir>/runs/<run-id>.jsonl   append-only; line 1 is the run meta,
 //	                            every further line is one cell record
-//	<dir>/index.json            scenario hash -> latest {key, digest, run}
+//
+// Any other file in <dir> is ignored.
 package resultstore
 
 import (
@@ -51,8 +54,9 @@ type Meta struct {
 	// any digest).
 	Stamp string `json:"stamp,omitempty"`
 	// Partial marks a partial run: it records the cells a fleet had
-	// harvested so far, is excluded from the index, and is meant to be
-	// folded into a complete run by MergeRuns.
+	// harvested so far, is left out of Runs (so of every "latest"
+	// question), and is meant to be folded into a complete run by
+	// MergeRuns.
 	Partial bool `json:"partial,omitempty"`
 	// Shard labels the fleet a partial run was harvested from
 	// ("fleet/3": three workers).
@@ -88,16 +92,9 @@ type line struct {
 	Cell *Record `json:"cell,omitempty"`
 }
 
-// IndexEntry is the index's view of one scenario.
-type IndexEntry struct {
-	Key    string `json:"key"`
-	Digest string `json:"digest"`
-	Run    string `json:"run"`
-}
-
 // Hash returns the scenario hash of a cell key: the first 12 hex digits
-// of its SHA-256. It is the index key, short enough to be a usable CLI
-// handle while collision-safe at any plausible matrix size.
+// of its SHA-256. Resolve matches it like the key: short enough to be a
+// usable CLI handle while collision-safe at any plausible matrix size.
 func Hash(key string) string {
 	sum := sha256.Sum256([]byte(key))
 	return hex.EncodeToString(sum[:6])
@@ -105,8 +102,7 @@ func Hash(key string) string {
 
 // Store is an open results directory.
 type Store struct {
-	dir   string
-	index map[string]IndexEntry
+	dir string
 }
 
 // Open opens (creating if needed) a results directory.
@@ -114,30 +110,20 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "runs"), 0o755); err != nil {
 		return nil, err
 	}
-	st := &Store{dir: dir, index: map[string]IndexEntry{}}
-	data, err := os.ReadFile(st.indexPath())
-	switch {
-	case os.IsNotExist(err):
-	case err != nil:
-		return nil, err
-	default:
-		if err := json.Unmarshal(data, &st.index); err != nil {
-			return nil, fmt.Errorf("resultstore: corrupt index %s: %w", st.indexPath(), err)
-		}
-	}
-	return st, nil
+	return &Store{dir: dir}, nil
 }
 
 // Dir returns the store's root directory.
 func (st *Store) Dir() string { return st.dir }
 
-func (st *Store) indexPath() string { return filepath.Join(st.dir, "index.json") }
-
 func (st *Store) runPath(run string) string {
 	return filepath.Join(st.dir, "runs", run+".jsonl")
 }
 
-// Runs lists the store's run ids, sorted.
+// Runs lists the store's complete runs, sorted by run id: the order in
+// which a later run's digest of a cell is its latest. A run whose meta
+// line marks it partial, or that has no meta line (a Begin cut short),
+// is left out, and none of its cells is read.
 func (st *Store) Runs() ([]string, error) {
 	ents, err := os.ReadDir(filepath.Join(st.dir, "runs"))
 	if err != nil {
@@ -145,7 +131,22 @@ func (st *Store) Runs() ([]string, error) {
 	}
 	var out []string
 	for _, e := range ents {
-		if name, ok := strings.CutSuffix(e.Name(), ".jsonl"); ok {
+		name, ok := strings.CutSuffix(e.Name(), ".jsonl")
+		if !ok {
+			continue
+		}
+		var meta *Meta
+		err := st.eachLine(name, func(_ int, b []byte) error {
+			var l line
+			if json.Unmarshal(b, &l) == nil {
+				meta = l.Meta
+			}
+			return errStop
+		})
+		if err != nil && !errors.Is(err, errStop) {
+			return nil, err
+		}
+		if meta != nil && !meta.Partial {
 			out = append(out, name)
 		}
 	}
@@ -153,46 +154,41 @@ func (st *Store) Runs() ([]string, error) {
 	return out, nil
 }
 
-// Index returns the current scenario-hash index.
-func (st *Store) Index() map[string]IndexEntry { return st.index }
-
-// LatestDigests returns cell key -> latest digest across all runs, and
-// the number of indexed cells it leaves out because their latest run
-// is of another digest version or no longer readable: such a digest
+// LatestDigests returns cell key -> latest digest across the complete
+// runs, and the number of cells it leaves out because their latest run
+// is of another digest version or no longer reads: such a digest
 // differs from this binary's for the same result.
 func (st *Store) LatestDigests() (map[string]string, int) {
-	out := make(map[string]string, len(st.index))
-	current := map[string]bool{}
-	stale := 0
-	for _, e := range st.index {
-		ok, seen := current[e.Run]
-		if !seen {
-			m, _, _, err := st.ReadRunTolerant(e.Run)
-			ok = err == nil && m.Digest == sweep.DigestVersion
-			current[e.Run] = ok
+	out := map[string]string{}
+	stale := map[string]bool{}
+	// A runs directory that does not list holds no digest to compare
+	// against; the run that follows fails on its own writes.
+	runs, _ := st.Runs()
+	for _, run := range runs {
+		meta, cells, err := st.readCells(run)
+		current := err == nil && meta.Digest == sweep.DigestVersion
+		for _, c := range cells {
+			if current {
+				out[c.key] = c.digest
+				delete(stale, c.key)
+			} else {
+				stale[c.key] = true
+				delete(out, c.key)
+			}
 		}
-		if !ok {
-			stale++
-			continue
-		}
-		out[e.Key] = e.Digest
 	}
-	return out, stale
+	return out, len(stale)
 }
 
 // RunWriter appends one run. Every record is flushed to the file as it
 // is appended — a coordinator killed mid-run leaves a partial file
 // holding every cell it harvested (the raw material `sweep -resume`
-// rebuilds from), not a buffer's worth less; Close finalises the file
-// and folds the run into the index.
+// rebuilds from), not a buffer's worth less; Close finalises the file.
 type RunWriter struct {
-	st   *Store
-	meta Meta
-	f    *os.File
-	w    *bufio.Writer
-	recs []Record
-	err  error
-	buf  []byte // writeLine's cell line, reused
+	f   *os.File
+	w   *bufio.Writer
+	err error
+	buf []byte // writeLine's cell line, reused
 }
 
 // Begin creates a new run file, stamped with this binary's digest
@@ -209,7 +205,7 @@ func (st *Store) Begin(meta Meta) (*RunWriter, error) {
 		return nil, err
 	}
 	meta.Digest = sweep.DigestVersion
-	rw := &RunWriter{st: st, meta: meta, f: f, w: bufio.NewWriter(f)}
+	rw := &RunWriter{f: f, w: bufio.NewWriter(f)}
 	rw.writeLine(line{Meta: &meta})
 	if rw.err == nil {
 		rw.err = rw.w.Flush()
@@ -245,15 +241,10 @@ func (rw *RunWriter) Append(rec Record) error {
 	if rw.err == nil {
 		rw.err = rw.w.Flush()
 	}
-	if rw.err == nil {
-		rw.recs = append(rw.recs, rec)
-	}
 	return rw.err
 }
 
-// Close flushes the run file and updates the index atomically. Partial
-// runs never enter the index — only complete (merged) runs define "the
-// latest digest" of a scenario.
+// Close flushes and closes the run file.
 func (rw *RunWriter) Close() error {
 	if rw.err == nil {
 		rw.err = rw.w.Flush()
@@ -261,41 +252,18 @@ func (rw *RunWriter) Close() error {
 	if cerr := rw.f.Close(); rw.err == nil {
 		rw.err = cerr
 	}
-	if rw.err != nil || rw.meta.Partial {
-		return rw.err
-	}
-	for _, rec := range rw.recs {
-		rw.st.index[Hash(rec.Key)] = IndexEntry{Key: rec.Key, Digest: rec.Digest, Run: rw.meta.Run}
-	}
-	return rw.st.writeIndex()
+	return rw.err
 }
 
-// writeIndex persists the index via rename for atomicity.
-func (st *Store) writeIndex() error {
-	data, err := json.MarshalIndent(st.index, "", "  ")
-	if err != nil {
-		return err
+// appendLine adds one cell line exactly as another run stored it.
+// Unlike Append it does not flush: the merge that calls it writes a
+// complete run, which Close flushes.
+func (rw *RunWriter) appendLine(b string) {
+	if rw.err == nil {
+		_, rw.err = rw.w.WriteString(b)
 	}
-	tmp := st.indexPath() + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, st.indexPath())
-}
-
-// appendLine adds one cell line exactly as another run stored it, under
-// key and digest for the index. Unlike Append it does not flush: the
-// merge that calls it writes a complete run, which Close flushes.
-func (rw *RunWriter) appendLine(key, digest, b string) {
-	if rw.err != nil {
-		return
-	}
-	if _, err := rw.w.WriteString(b); err != nil {
-		rw.err = err
-		return
-	}
-	if rw.err = rw.w.WriteByte('\n'); rw.err == nil {
-		rw.recs = append(rw.recs, Record{Key: key, Digest: digest})
+	if rw.err == nil {
+		rw.err = rw.w.WriteByte('\n')
 	}
 }
 
@@ -317,39 +285,18 @@ func (st *Store) eachLine(run string, fn func(n int, b []byte) error) error {
 	return sc.Err()
 }
 
-// ReadRun loads one run's meta and records.
-func (st *Store) ReadRun(run string) (Meta, []Record, error) {
-	var meta Meta
-	var recs []Record
-	err := st.eachLine(run, func(n int, b []byte) error {
-		var l line
-		if err := json.Unmarshal(b, &l); err != nil {
-			return fmt.Errorf("resultstore: %s line %d: %w", run, n, err)
-		}
-		switch {
-		case l.Meta != nil:
-			meta = *l.Meta
-		case l.Cell != nil:
-			recs = append(recs, *l.Cell)
-		default:
-			return fmt.Errorf("resultstore: %s line %d: empty record", run, n)
-		}
-		return nil
-	})
-	return meta, recs, err
-}
+// errStop ends an eachLine read early without an error.
+var errStop = errors.New("resultstore: stop")
 
-// errTorn ends ReadRunTolerant's read at the first malformed line.
-var errTorn = errors.New("resultstore: torn line")
-
-// ReadRunTolerant loads one run like ReadRun, but stops at the first
-// malformed line instead of failing: everything before it is returned,
-// the rest is reported as dropped. This is the resume-path reader — a
-// coordinator killed mid-write leaves a torn final line, and the
-// records above the tear are exactly what `-resume` wants (each is
-// digest-verified again before it counts for anything). Real I/O
-// errors still fail.
-func (st *Store) ReadRunTolerant(run string) (Meta, []Record, int, error) {
+// ReadRun loads one run's meta and records. It stops at the first line
+// that does not decode, and returns the records above it with the
+// number of lines it dropped: 1 for that line (nothing after it is
+// read), plus every line that is neither meta nor cell. A coordinator
+// killed mid-write leaves a torn final line, and the records above the
+// tear are exactly what `-resume` wants (each is digest-verified again
+// before it counts for anything); every other reader refuses a run
+// with dropped lines. Real I/O errors still fail.
+func (st *Store) ReadRun(run string) (Meta, []Record, int, error) {
 	var meta Meta
 	var recs []Record
 	dropped := 0
@@ -357,7 +304,7 @@ func (st *Store) ReadRunTolerant(run string) (Meta, []Record, int, error) {
 		var l line
 		if err := json.Unmarshal(b, &l); err != nil {
 			dropped++
-			return errTorn
+			return errStop
 		}
 		switch {
 		case l.Meta != nil:
@@ -369,21 +316,64 @@ func (st *Store) ReadRunTolerant(run string) (Meta, []Record, int, error) {
 		}
 		return nil
 	})
-	if errors.Is(err, errTorn) {
+	if errors.Is(err, errStop) {
 		err = nil
 	}
 	return meta, recs, dropped, err
 }
 
-// RunDigests returns one run's meta and its key -> digest map.
+// storedCell is one stored cell line and the two fields every scan of
+// the store reads.
+type storedCell struct{ key, digest, line string }
+
+// readCells reads run's meta and the key and digest of each of its cell
+// lines, in file order, with each line as stored. A line in the
+// canonical layout Append writes is read by canonjson; any other, a
+// torn one included, by encoding/json, whose error ends the read, as
+// does a line that is neither meta nor cell. The cells before the
+// failing line are returned with the error.
+func (st *Store) readCells(run string) (Meta, []storedCell, error) {
+	var meta Meta
+	var cells []storedCell
+	err := st.eachLine(run, func(n int, b []byte) error {
+		var c Record
+		if s := string(b); canonjson.ParseCell(s, `{"cell":`, "}", &c) {
+			cells = append(cells, storedCell{c.Key, c.Digest, s})
+			return nil
+		}
+		var l struct {
+			Meta *Meta `json:"meta"`
+			Cell *struct {
+				Key    string `json:"key"`
+				Digest string `json:"digest"`
+			} `json:"cell"`
+		}
+		if err := json.Unmarshal(b, &l); err != nil {
+			return fmt.Errorf("resultstore: %s line %d: %w", run, n, err)
+		}
+		switch {
+		case l.Meta != nil:
+			meta = *l.Meta
+		case l.Cell != nil:
+			cells = append(cells, storedCell{l.Cell.Key, l.Cell.Digest, string(b)})
+		default:
+			return fmt.Errorf("resultstore: %s line %d: empty record", run, n)
+		}
+		return nil
+	})
+	return meta, cells, err
+}
+
+// RunDigests returns one run's meta and its key -> digest map. Any line
+// that does not read fails it, naming the line.
 func (st *Store) RunDigests(run string) (Meta, map[string]string, error) {
-	meta, recs, err := st.ReadRun(run)
+	meta, cells, err := st.readCells(run)
 	if err != nil {
 		return Meta{}, nil, err
 	}
-	out := make(map[string]string, len(recs))
-	for _, r := range recs {
-		out[r.Key] = r.Digest
+	out := make(map[string]string, len(cells))
+	for _, c := range cells {
+		out[c.key] = c.digest
 	}
 	return meta, out, nil
 }
@@ -396,61 +386,36 @@ func (st *Store) RunDigests(run string) (Meta, map[string]string, error) {
 // lists the keys the merged run must cover (the coordinator's plan);
 // any missing key aborts the merge, so a partial harvest can never
 // masquerade as a complete run. The inputs stay on disk untouched
-// (the store is append-only); only the merged run enters the index.
-// Records are written in sorted key order, and the merge returns the
-// number of cells written. A merge reads only each record's key and
-// digest and copies the line the part stored, byte for byte: the store
-// wrote that line, so it is the record's encoding already. A line in
-// the canonical layout Append writes is read by canonjson; any other,
-// a torn one included, by encoding/json, whose error fails the merge.
+// (the store is append-only). Records are written in sorted key order,
+// and the merge returns the number of cells written. A merge reads only
+// each record's key and digest (readCells) and copies the line the part
+// stored, byte for byte: the store wrote that line, so it is the
+// record's encoding already. A line that does not read fails the merge.
 func (st *Store) MergeRuns(meta Meta, parts []string, expect []string) (int, error) {
 	if len(parts) == 0 {
 		return 0, fmt.Errorf("resultstore: merge of no runs")
 	}
-	// stored is one part's cell line and the fields the merge reads.
-	type stored struct{ key, digest, part, line string }
+	type stored struct {
+		storedCell
+		part string
+	}
 	merged := map[string]stored{}
 	for _, part := range parts {
 		// A part is read whole before any of its records is merged, so
 		// a torn part fails as a read error even past a conflict.
-		var recs []stored
-		err := st.eachLine(part, func(n int, b []byte) error {
-			var c Record
-			if s := string(b); canonjson.ParseCell(s, `{"cell":`, "}", &c) {
-				recs = append(recs, stored{c.Key, c.Digest, part, s})
-				return nil
-			}
-			var l struct {
-				Meta *struct{} `json:"meta"`
-				Cell *struct {
-					Key    string `json:"key"`
-					Digest string `json:"digest"`
-				} `json:"cell"`
-			}
-			if err := json.Unmarshal(b, &l); err != nil {
-				return fmt.Errorf("resultstore: %s line %d: %w", part, n, err)
-			}
-			switch {
-			case l.Meta != nil:
-			case l.Cell != nil:
-				recs = append(recs, stored{l.Cell.Key, l.Cell.Digest, part, string(b)})
-			default:
-				return fmt.Errorf("resultstore: %s line %d: empty record", part, n)
-			}
-			return nil
-		})
+		_, cells, err := st.readCells(part)
 		if err != nil {
 			return 0, fmt.Errorf("resultstore: merge: %w", err)
 		}
-		for _, rec := range recs {
-			if prev, ok := merged[rec.key]; ok {
-				if prev.digest != rec.digest {
+		for _, c := range cells {
+			if prev, ok := merged[c.key]; ok {
+				if prev.digest != c.digest {
 					return 0, fmt.Errorf("resultstore: merge conflict: cell %s has digest %s in %s but %s in %s",
-						rec.key, prev.digest, prev.part, rec.digest, part)
+						c.key, prev.digest, prev.part, c.digest, part)
 				}
 				continue // identical overlap: dedup
 			}
-			merged[rec.key] = rec
+			merged[c.key] = stored{c, part}
 		}
 	}
 	if expect != nil {
@@ -477,48 +442,19 @@ func (st *Store) MergeRuns(meta Meta, parts []string, expect []string) (int, err
 		return 0, err
 	}
 	for _, k := range keys {
-		rw.appendLine(k, merged[k].digest, merged[k].line)
+		rw.appendLine(merged[k].line)
 	}
 	if rw.err == nil {
 		rw.err = rw.w.Flush()
 	}
 	if err := rw.err; err != nil {
-		// Close (never indexes after a write error) and drop the
-		// truncated target so a rebuild can't mistake it for a
-		// complete run.
+		// Close and drop the truncated target so no scan mistakes it
+		// for a complete run.
 		_ = rw.Close()
 		_ = os.Remove(st.runPath(meta.Run))
 		return 0, err
 	}
 	return len(keys), rw.Close()
-}
-
-// RebuildIndex reconstructs index.json from nothing but the run files:
-// complete runs are replayed in sorted run-id order (run ids are
-// timestamps, so later runs win), partial runs are skipped, and the
-// rebuilt index is written atomically. It returns the number of indexed
-// scenarios. This is the recovery path for a lost or corrupt index —
-// the JSONL run log is the system of record.
-func (st *Store) RebuildIndex() (int, error) {
-	runs, err := st.Runs()
-	if err != nil {
-		return 0, err
-	}
-	index := map[string]IndexEntry{}
-	for _, run := range runs {
-		meta, recs, err := st.ReadRun(run)
-		if err != nil {
-			return 0, fmt.Errorf("resultstore: rebuild: %w", err)
-		}
-		if meta.Partial {
-			continue
-		}
-		for _, rec := range recs {
-			index[Hash(rec.Key)] = IndexEntry{Key: rec.Key, Digest: rec.Digest, Run: run}
-		}
-	}
-	st.index = index
-	return len(index), st.writeIndex()
 }
 
 // Diff compares two digest maps and returns human-readable difference

@@ -142,20 +142,12 @@ func GenericMeasure(c *Ctx, cell Cell) (Outcome, error) {
 	return o, nil
 }
 
-// Percentile returns the p-th percentile (0 <= p <= 100) of the
-// samples by the nearest-rank method: the smallest sample such that at
-// least p% of the set is <= it. Nearest-rank picks an actual sample —
-// no interpolation — so percentile values are exactly reproducible
-// across platforms and feed digests safely. It panics on an empty set.
-func Percentile(samples []float64, p float64) float64 {
-	sorted := make([]float64, len(samples))
-	copy(sorted, samples)
-	sort.Float64s(sorted)
-	return percentileSorted(sorted, p)
-}
-
-// percentileSorted is Percentile over already-sorted samples — one
-// sort serves every rank a measure reports.
+// percentileSorted returns the p-th percentile (0 <= p <= 100) of the
+// sorted samples by the nearest-rank method: the smallest sample such
+// that at least p% of the set is <= it. Nearest-rank picks an actual
+// sample — no interpolation — so percentile values are exactly
+// reproducible across platforms and feed digests safely. The caller
+// sorts once for every rank it reports. It panics on an empty set.
 func percentileSorted(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		panic("sweep: percentile of no samples")

@@ -149,8 +149,8 @@ func TestEventsAreTelemetry(t *testing.T) {
 	if err := rw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, recs, err := st.ReadRun("r")
-	if err != nil || len(recs) != 1 || recs[0].Events != rec.Events {
+	_, recs, dropped, err := st.ReadRun("r")
+	if err != nil || dropped != 0 || len(recs) != 1 || recs[0].Events != rec.Events {
 		t.Fatalf("store round trip: %+v, %v; want %d events", recs, err, rec.Events)
 	}
 

