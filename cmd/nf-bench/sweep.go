@@ -10,6 +10,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -130,7 +131,8 @@ func parseSweepFlags(args []string) (*sweepConfig, error) {
 
 // loadResume reads the interrupted run's partial, <run>-fleet, and
 // fills config/filter/seed from its meta where the flags left them at
-// their defaults. A partial of another digest version fails here, up
+// their defaults. A run that completed (one the store lists, which it
+// knows from meta lines alone) has nothing to resume. A partial of another digest version fails here, up
 // front, rather than cell by cell.
 func loadResume(c *sweepConfig) ([]resultstore.Record, error) {
 	req := &c.fleet.Req
@@ -138,7 +140,11 @@ func loadResume(c *sweepConfig) ([]resultstore.Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	if m, _, _, err := rst.ReadRun(c.resume); err == nil && !m.Partial {
+	complete, err := rst.Runs()
+	if err != nil {
+		return nil, err
+	}
+	if slices.Contains(complete, c.resume) {
 		return nil, fmt.Errorf("run %s completed; nothing to resume", c.resume)
 	}
 	part := c.resume + "-fleet"

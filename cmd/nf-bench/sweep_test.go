@@ -428,6 +428,18 @@ func TestStoredRunResumes(t *testing.T) {
 	if _, got, err := st.RunDigests("resumed"); err != nil || !reflect.DeepEqual(got, want) {
 		t.Errorf("resumed run's digests differ from the uninterrupted run's (%v)", err)
 	}
+
+	// A complete run has nothing to resume; an id whose only file is
+	// its <id>-fleet partial is resumable.
+	if _, err := loadResume(&sweepConfig{storeDir: dir, resume: "full"}); err == nil ||
+		err.Error() != "run full completed; nothing to resume" {
+		t.Errorf("-resume of a complete run: err = %v", err)
+	}
+	var recs []resultstore.Record
+	captureStdout(t, func() { recs, err = loadResume(&sweepConfig{storeDir: dir, resume: "r"}) })
+	if err != nil || len(recs) != k {
+		t.Errorf("-resume r with only r-fleet: %d records, %v", len(recs), err)
+	}
 }
 
 // captureStdout returns what f prints to os.Stdout.

@@ -1,8 +1,10 @@
 // nf-test is the unified test runner (the nf_test analogue of the
 // physical platform): each project's test vectors are executed against
-// the cycle-level design ("sim" target) and the project's behavioral
-// model (the "hw" target stand-in), and outputs must agree. Projects
-// without a behavioral model run sim-only assertions.
+// the cycle-level design ("sim" target) and its twin (the "hw" target
+// stand-in: the project's own stage decisions, applied frame by frame on
+// a second instance, lib.Twin), and outputs must agree. A project whose
+// datapath holds a module with no decision (OSNT) runs sim-only
+// assertions.
 //
 //	nf-test              # all projects
 //	nf-test -project reference_router
@@ -15,7 +17,6 @@ import (
 
 	"repro/netfpga"
 	"repro/netfpga/hw"
-	"repro/netfpga/lib"
 	"repro/netfpga/pkt"
 	"repro/netfpga/projects/blueswitch"
 	"repro/netfpga/projects/iotest"
@@ -74,8 +75,7 @@ func payload(n int, tag byte) []byte {
 }
 
 func nicSuite() error {
-	p := nic.New()
-	_, _, err := netfpga.RunUnified(p, newDev, netfpga.TestCase{
+	_, _, err := netfpga.RunUnified(func() netfpga.Project { return nic.New() }, newDev, netfpga.TestCase{
 		Name: "nic_bridging",
 		Vectors: []netfpga.TestVector{
 			{Port: 0, Data: payload(64, 1)},
@@ -95,8 +95,7 @@ func switchSuite() error {
 			pkt.Payload(payload(50, tag)))
 		return f
 	}
-	p := switchp.New(switchp.Config{})
-	_, _, err := netfpga.RunUnified(p, newDev, netfpga.TestCase{
+	_, _, err := netfpga.RunUnified(func() netfpga.Project { return switchp.New(switchp.Config{}) }, newDev, netfpga.TestCase{
 		Name: "switch_learning_and_flooding",
 		Vectors: []netfpga.TestVector{
 			{Port: 0, Data: eth(mac(2), mac(1), 1)},
@@ -115,16 +114,17 @@ func routerSuite() error {
 	peerIP := pkt.MustIP4("10.0.1.2")
 	peerMAC := pkt.MustMAC("02:bb:00:00:00:01")
 
-	p := router.New(router.Config{})
-	seed := func(fib *router.Trie, arp *lib.FlowTable[pkt.IP4, pkt.MAC]) {
+	seed := func(p netfpga.Project, _ *netfpga.Device) error {
+		r := p.(*router.Project)
 		for i := 0; i < 4; i++ {
-			fib.Insert(router.Route{
+			r.AddRoute(router.Route{
 				Prefix: pkt.Prefix{Addr: pkt.IP4{10, 0, byte(i), 0}, Bits: 24},
 				Port:   uint8(i),
 			})
 		}
-		arp.Put(hostIP, hostMAC)
-		arp.Put(peerIP, peerMAC)
+		r.AddARP(hostIP, hostMAC)
+		r.AddARP(peerIP, peerMAC)
+		return nil
 	}
 	fwd, _ := pkt.BuildUDP(pkt.UDPSpec{
 		SrcMAC: hostMAC, DstMAC: ifs[0].MAC, SrcIP: hostIP, DstIP: peerIP,
@@ -134,29 +134,20 @@ func routerSuite() error {
 		SrcPort: 1, DstPort: 2, TTL: 1})
 	echo, _ := pkt.BuildICMPEcho(hostMAC, ifs[0].MAC, hostIP, ifs[0].IP, 9, 1, false, nil)
 
-	_, _, err := netfpga.RunUnified(p, newDev, netfpga.TestCase{
+	_, _, err := netfpga.RunUnified(func() netfpga.Project { return router.New(router.Config{}) }, newDev, netfpga.TestCase{
 		Name: "router_paths",
 		Vectors: []netfpga.TestVector{
 			{Port: 0, Data: pkt.PadToMin(fwd)},
 			{Port: 0, Data: pkt.PadToMin(expired), At: 300 * netfpga.Microsecond},
 			{Port: 0, Data: pkt.PadToMin(echo), At: 600 * netfpga.Microsecond},
 		},
-		Configure: func(*netfpga.Device) error {
-			seed(p.Engine().FIB, p.Engine().ARP)
-			return nil
-		},
-		ConfigureBehavioral: func(b netfpga.Behavioral) error {
-			eng := b.(*router.Behavioral).Engine()
-			seed(eng.FIB, eng.ARP)
-			return nil
-		},
+		Configure: seed,
 	})
 	return err
 }
 
 func iotestSuite() error {
-	p := iotest.New()
-	if _, _, err := netfpga.RunUnified(p, newDev, netfpga.TestCase{
+	if _, _, err := netfpga.RunUnified(func() netfpga.Project { return iotest.New() }, newDev, netfpga.TestCase{
 		Name: "iotest_loopback",
 		Vectors: []netfpga.TestVector{
 			{Port: 0, Data: payload(64, 1)},
@@ -205,28 +196,42 @@ func osntSuite() error {
 }
 
 func blueswitchSuite() error {
-	dev := newDev()
-	p := blueswitch.New(blueswitch.Config{Mode: blueswitch.Versioned})
-	if err := p.Build(dev); err != nil {
+	// Both instances, the sim's and the twin's, must see no mixed
+	// policy.
+	var insts []*blueswitch.Project
+	newProject := func() netfpga.Project {
+		p := blueswitch.New(blueswitch.Config{Mode: blueswitch.Versioned})
+		insts = append(insts, p)
+		return p
+	}
+	f := func(ethType uint16, tag byte) []byte {
+		b, _ := pkt.Serialize(pkt.SerializeOptions{},
+			&pkt.Ethernet{Dst: pkt.MustMAC("02:00:00:00:00:02"),
+				Src: pkt.MustMAC("02:00:00:00:00:01"), EtherType: ethType},
+			pkt.Payload(payload(46, tag)))
+		return b
+	}
+	simOut, _, err := netfpga.RunUnified(newProject, newDev, netfpga.TestCase{
+		Name: "blueswitch_match_action",
+		Vectors: []netfpga.TestVector{
+			{Port: 0, Data: f(0x0800, 1)},
+			{Port: 2, Data: f(0x0800, 2), At: 200 * netfpga.Microsecond},
+			{Port: 3, Data: f(0x86DD, 3), At: 400 * netfpga.Microsecond},
+		},
+		Configure: func(p netfpga.Project, _ *netfpga.Device) error {
+			return p.(*blueswitch.Project).InstallInitial(blueswitch.TagForwardPolicy(0x0800, 1, 1))
+		},
+	})
+	if err != nil {
 		return err
 	}
-	for i := 0; i < 4; i++ {
-		dev.Tap(i)
+	if len(simOut[1]) != 2 {
+		return fmt.Errorf("match-action forwarding failed: port 1 got %d of 2 IPv4 frames", len(simOut[1]))
 	}
-	if err := p.InstallInitial(blueswitch.TagForwardPolicy(0x0800, 1, 1)); err != nil {
-		return err
-	}
-	f, _ := pkt.Serialize(pkt.SerializeOptions{},
-		&pkt.Ethernet{Dst: pkt.MustMAC("02:00:00:00:00:02"),
-			Src: pkt.MustMAC("02:00:00:00:00:01"), EtherType: 0x0800},
-		pkt.Payload(payload(46, 1)))
-	dev.Tap(0).Send(f)
-	dev.RunFor(netfpga.Millisecond)
-	if dev.Tap(1).Pending() != 1 {
-		return fmt.Errorf("match-action forwarding failed")
-	}
-	if p.Violations() != 0 {
-		return fmt.Errorf("spurious violations")
+	for _, p := range insts {
+		if p.Violations() != 0 {
+			return fmt.Errorf("spurious violations")
+		}
 	}
 	return nil
 }

@@ -212,9 +212,12 @@ func defF2() Def {
 		withFirewall := cell.Str("firewall") == "on"
 		stages := []lib.Stage{switchp.New(switchp.Config{}).Stage()}
 		if withFirewall {
-			firewall := func(p *lib.Pipeline, in, out *hw.Stream) {
-				p.Dev.Dsn.AddModule(&fwModule{in: in, out: out, blocked: 0x86DD})
+			// The user's firewall: an EtherType block list of one.
+			notIPv6 := func(f *hw.Frame) bool {
+				d := f.Data
+				return len(d) < 14 || uint16(d[12])<<8|uint16(d[13]) != 0x86DD
 			}
+			firewall := lib.Filter("user_firewall", notIPv6, hw.Resources{LUTs: 650, FFs: 800})
 			stages = append([]lib.Stage{firewall}, stages...)
 		}
 		if _, err := lib.BuildReference(dev, lib.PipelineConfig{Stages: stages}); err != nil {
@@ -303,35 +306,4 @@ func renderF2(rs *sweep.Results) []*Table {
 	t.Notes = append(t.Notes,
 		"the added module costs only its own logic (cut-through, no added latency); IPv4 behaviour is unchanged while IPv6 is now filtered")
 	return []*Table{t}
-}
-
-// fwModule is the minimal user firewall used by F2 (cut-through,
-// EtherType block list of one).
-type fwModule struct {
-	in, out  *hw.Stream
-	blocked  uint16
-	dropping bool
-}
-
-func (f *fwModule) Name() string            { return "user_firewall" }
-func (f *fwModule) Resources() hw.Resources { return hw.Resources{LUTs: 650, FFs: 800} }
-func (f *fwModule) Tick() bool {
-	if !f.in.CanPop() {
-		return false
-	}
-	if !f.out.CanPush() && !f.dropping {
-		return true
-	}
-	b := f.in.Pop()
-	if b.First() {
-		data := b.Frame.Data
-		f.dropping = len(data) >= 14 && uint16(data[12])<<8|uint16(data[13]) == f.blocked
-	}
-	if !f.dropping {
-		f.out.Push(b)
-	}
-	if b.Last {
-		f.dropping = false
-	}
-	return true
 }

@@ -3,6 +3,9 @@ package netfpga
 import (
 	"fmt"
 	"sort"
+
+	"repro/netfpga/hw"
+	"repro/netfpga/lib"
 )
 
 // The unified test environment (paper §3: "The test environment provides
@@ -11,11 +14,17 @@ import (
 // against two targets:
 //
 //   - the cycle-level design on a simulated device ("sim" mode), and
-//   - the project's behavioral model ("hw" mode stand-in, since there is
-//     no physical board in this reproduction).
+//   - its twin ("hw" mode stand-in, since there is no physical board in
+//     this reproduction): the same project built on a second device that
+//     never runs, whose stages' own decisions (lib.Twin) are applied to
+//     each frame in vector time order, with the project's slow path
+//     answering what they punt.
 //
 // Equivalence of the two runs is the test's pass criterion, exactly the
-// workflow nf_test provides on the physical platform.
+// workflow nf_test provides on the physical platform. The twin shares
+// the decisions with the sim, so what it checks is the datapath around
+// them: attach, arbitration, multicast replication, queueing, DMA and
+// the slow-path loop.
 
 // hostPortBase encodes host DMA queues in the harness port space:
 // vector/output "port" HostPort(q) refers to host queue q rather than a
@@ -87,25 +96,9 @@ func RunSim(dev *Device, vectors []TestVector, settle Time) PortOutput {
 	return out
 }
 
-// RunBehavioral executes vectors against a behavioral model in vector
-// order.
-func RunBehavioral(b Behavioral, vectors []TestVector) PortOutput {
-	// Behavioral models are timing-free; honour At ordering.
-	sorted := make([]TestVector, len(vectors))
-	copy(sorted, vectors)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].At < sorted[j].At })
-	out := make(PortOutput)
-	for _, v := range sorted {
-		for _, e := range b.Process(v.Port, v.Data) {
-			out[e.Port] = append(out[e.Port], e.Data)
-		}
-	}
-	return out
-}
-
-// Diff compares two port outputs as per-port multisets of frames (cycle
-// and behavioral targets may reorder across flows, but must emit the
-// same frames on the same ports). It returns a human-readable list of
+// Diff compares two port outputs as per-port multisets of frames (the
+// sim may reorder frames that contend, but must emit the same frames on
+// the same ports as its twin). It returns a human-readable list of
 // discrepancies, empty when equivalent.
 func Diff(a, b PortOutput) []string {
 	var diffs []string
@@ -148,32 +141,41 @@ func Diff(a, b PortOutput) []string {
 	return diffs
 }
 
-// TestCase bundles vectors with the project under test.
+// TestCase bundles vectors with the configuration of the project under
+// test.
 type TestCase struct {
 	Name    string
 	Vectors []TestVector
 	// Settle is how long the sim target runs after the last injection;
 	// 0 means 1 ms.
 	Settle Time
-	// Configure runs before injection on the sim target (table setup,
-	// register pokes). ConfigureBehavioral mirrors it on the behavioral
-	// model.
-	Configure           func(dev *Device) error
-	ConfigureBehavioral func(b Behavioral) error
+	// Configure runs on each project instance after its Build, before
+	// injection (table setup, register pokes): once for the sim target
+	// and once for the twin.
+	Configure func(p Project, dev *Device) error
 }
 
-// RunUnified builds the project fresh on newDevice(), runs the case
-// against both targets and checks equivalence. It returns the two
-// outputs for further assertions.
-func RunUnified(p BehavioralProject, newDevice func() *Device, tc TestCase) (simOut, behOut PortOutput, err error) {
-	dev := newDevice()
-	if err := p.Build(dev); err != nil {
-		return nil, nil, fmt.Errorf("build: %w", err)
-	}
-	if tc.Configure != nil {
-		if err := tc.Configure(dev); err != nil {
-			return nil, nil, fmt.Errorf("configure: %w", err)
+// RunUnified builds a fresh project from newProject on newDevice() for
+// each target, runs the case against the sim and the twin and checks
+// equivalence. The twin models no queueing, so a case whose sim counts a
+// queue drop fails too. It returns the two outputs for further
+// assertions.
+func RunUnified(newProject func() Project, newDevice func() *Device, tc TestCase) (simOut, twinOut PortOutput, err error) {
+	build := func() (Project, *Device, error) {
+		p, dev := newProject(), newDevice()
+		if err := p.Build(dev); err != nil {
+			return nil, nil, fmt.Errorf("build: %w", err)
 		}
+		if tc.Configure != nil {
+			if err := tc.Configure(p, dev); err != nil {
+				return nil, nil, fmt.Errorf("configure: %w", err)
+			}
+		}
+		return p, dev, nil
+	}
+	_, dev, err := build()
+	if err != nil {
+		return nil, nil, err
 	}
 	settle := tc.Settle
 	if settle == 0 {
@@ -181,16 +183,69 @@ func RunUnified(p BehavioralProject, newDevice func() *Device, tc TestCase) (sim
 	}
 	simOut = RunSim(dev, tc.Vectors, settle)
 
-	b := p.NewBehavioral()
-	if tc.ConfigureBehavioral != nil {
-		if err := tc.ConfigureBehavioral(b); err != nil {
-			return nil, nil, fmt.Errorf("configure behavioral: %w", err)
+	p, tdev, err := build()
+	if err != nil {
+		return nil, nil, err
+	}
+	if twinOut, err = runTwin(p, tdev, tc.Vectors); err != nil {
+		return nil, nil, err
+	}
+
+	if diffs := Diff(simOut, twinOut); len(diffs) > 0 {
+		return simOut, twinOut, fmt.Errorf("sim/twin divergence in %s: %v", tc.Name, diffs)
+	}
+	if n := dev.Dsn.Sum(hw.QueueDrop); n > 0 {
+		return simOut, twinOut, fmt.Errorf("%s: the sim counted %d queue drop(s) though no frame went missing", tc.Name, n)
+	}
+	return simOut, twinOut, nil
+}
+
+// runTwin executes vectors against the twin of the project p built on
+// dev. Frames enter in vector time order with the Meta the attach
+// modules give them; a punted frame goes to the project's slow path if
+// it has one, and what that emits re-enters as the agent injects it.
+func runTwin(p Project, dev *Device, vectors []TestVector) (PortOutput, error) {
+	decide, err := lib.Twin(dev)
+	if err != nil {
+		return nil, err
+	}
+	slow, _ := p.(interface{ SlowPath(f *hw.Frame) []Emit })
+	out := make(PortOutput)
+	var run func(f *hw.Frame)
+	run = func(f *hw.Frame) {
+		punted := decide(f)
+		for bit := 0; bit < 32; bit++ {
+			if f.Meta.DstPorts&(1<<uint(bit)) == 0 {
+				continue
+			}
+			port := bit
+			if bit >= hw.HostPortBase {
+				port = HostPort(bit - hw.HostPortBase)
+			}
+			out[port] = append(out[port], f.Data)
+		}
+		if slow == nil {
+			return
+		}
+		for _, pf := range punted {
+			for _, e := range slow.SlowPath(pf) {
+				g := hw.NewFrame(e.Data, 0)
+				g.Meta.DstPorts = hw.PortMask(e.Port)
+				g.Meta.Flags = hw.FlagFromCPU
+				run(g)
+			}
 		}
 	}
-	behOut = RunBehavioral(b, tc.Vectors)
-
-	if diffs := Diff(simOut, behOut); len(diffs) > 0 {
-		return simOut, behOut, fmt.Errorf("sim/behavioral divergence in %s: %v", tc.Name, diffs)
+	sorted := make([]TestVector, len(vectors))
+	copy(sorted, vectors)
+	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].At < sorted[j].At })
+	for _, v := range sorted {
+		f := hw.NewFrame(append([]byte(nil), v.Data...), uint8(v.Port))
+		if q, fromHost := FromHostPort(v.Port); fromHost {
+			f.Meta.SrcPort = uint8(hw.HostPortBase + q)
+			f.Meta.Flags = hw.FlagFromHost
+		}
+		run(f)
 	}
-	return simOut, behOut, nil
+	return out, nil
 }

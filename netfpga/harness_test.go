@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/netfpga"
+	"repro/netfpga/hw"
+	"repro/netfpga/lib"
 	"repro/netfpga/projects/nic"
 	"repro/netfpga/projects/switchp"
 )
@@ -81,11 +83,10 @@ func TestRunSimHonoursVectorTiming(t *testing.T) {
 	}
 }
 
-func TestRunBehavioralOrdersByTime(t *testing.T) {
-	p := switchp.New(switchp.Config{})
-	b := p.NewBehavioral()
-	// Learning depends on order: vector times force "learn then
-	// unicast" even though the slice is shuffled.
+// TestRunUnifiedOrdersByTime: the twin takes vectors in time order,
+// not slice order. Learning depends on order: vector times force "learn
+// then unicast" even though the slice is shuffled.
+func TestRunUnifiedOrdersByTime(t *testing.T) {
 	macA := []byte{2, 0, 0, 0, 0, 0xA}
 	macB := []byte{2, 0, 0, 0, 0, 0xB}
 	mk := func(dst, src []byte) []byte {
@@ -99,41 +100,53 @@ func TestRunBehavioralOrdersByTime(t *testing.T) {
 		{Port: 1, Data: mk(macA, macB), At: 2 * netfpga.Millisecond}, // after learn: unicast
 		{Port: 0, Data: mk(macB, macA), At: 1 * netfpga.Millisecond}, // learn A first
 	}
-	out := netfpga.RunBehavioral(b, vectors)
+	_, out, err := netfpga.RunUnified(func() netfpga.Project { return switchp.New(switchp.Config{}) }, sume,
+		netfpga.TestCase{Name: "ordered", Vectors: vectors})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// First processed: A->B floods (3 copies); second: B->A unicast to
 	// port 0 only.
-	if len(out[0]) != 1 {
-		t.Fatalf("port 0 got %d (unicast after learn expected)", len(out[0]))
+	if len(out[0]) != 1 || len(out[1]) != 1 || len(out[2]) != 1 || len(out[3]) != 1 {
+		t.Fatalf("twin output %v, want the flood on 1-3 and the unicast on 0", out)
 	}
 }
 
+// TestRunUnifiedCatchesDivergence: a design whose datapath loses a frame
+// behind its decisions fails equivalence. Its lookup forwards every
+// frame, but its output queues hold less than the larger frame.
 func TestRunUnifiedCatchesDivergence(t *testing.T) {
-	// A deliberately broken behavioral model must fail equivalence.
-	p := &brokenProject{inner: nic.New()}
-	_, _, err := netfpga.RunUnified(p, func() *netfpga.Device {
-		return netfpga.NewDevice(netfpga.SUME(), netfpga.Options{})
-	}, netfpga.TestCase{
-		Name:    "broken",
-		Vectors: []netfpga.TestVector{{Port: 0, Data: make([]byte, 70)}},
+	_, _, err := netfpga.RunUnified(func() netfpga.Project { return lossy{} }, sume, netfpga.TestCase{
+		Name: "lossy",
+		Vectors: []netfpga.TestVector{
+			{Port: 0, Data: make([]byte, 70)},
+			{Port: 0, Data: make([]byte, 1000), At: 100 * netfpga.Microsecond},
+		},
 	})
 	if err == nil {
 		t.Fatal("divergence not detected")
 	}
-	if !strings.Contains(err.Error(), "divergence") {
+	if !strings.Contains(err.Error(), "divergence") || !strings.Contains(err.Error(), "port 1") {
 		t.Fatalf("err = %v", err)
 	}
 }
 
-// brokenProject wraps the NIC but lies in its behavioral model.
-type brokenProject struct {
-	inner *nic.Project
+func sume() *netfpga.Device { return netfpga.NewDevice(netfpga.SUME(), netfpga.Options{}) }
+
+// lossy is a reference pipeline whose one lookup sends port 0's frames
+// to port 1 through 512-byte output queues.
+type lossy struct{}
+
+func (lossy) Name() string        { return "lossy" }
+func (lossy) Description() string { return "" }
+func (lossy) Build(d *netfpga.Device) error {
+	toPort1 := func(f *hw.Frame) lib.Verdict {
+		f.Meta.DstPorts = hw.PortMask(1)
+		return lib.Forward
+	}
+	_, err := lib.BuildReference(d, lib.PipelineConfig{
+		Stages:     []lib.Stage{lib.Lookup("to_port1", toPort1, 1, hw.Resources{})},
+		QueueBytes: 512,
+	})
+	return err
 }
-
-func (b *brokenProject) Name() string                      { return "broken" }
-func (b *brokenProject) Description() string               { return "" }
-func (b *brokenProject) Build(d *netfpga.Device) error     { return b.inner.Build(d) }
-func (b *brokenProject) NewBehavioral() netfpga.Behavioral { return silent{} }
-
-type silent struct{}
-
-func (silent) Process(port int, data []byte) []netfpga.Emit { return nil }

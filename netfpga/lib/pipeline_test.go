@@ -233,32 +233,6 @@ func TestTimestamperMetaMode(t *testing.T) {
 	}
 }
 
-func TestRateLimiterRegisters(t *testing.T) {
-	s := sim.New()
-	clk := s.NewClockMHz("dp", 200)
-	d := hw.NewDesign("t", clk, 32)
-	in := d.NewStream("in", 64)
-	out := d.NewStream("out", 64)
-	rl := NewRateLimiter(d, "rl", in, out, 500, 4000)
-	rf := rl.Registers()
-	v, err := rf.Read(0x0)
-	if err != nil || v != 500 {
-		t.Fatalf("rate reg = %d, %v", v, err)
-	}
-	if err := rf.Write(0x0, 9000); err != nil {
-		t.Fatal(err)
-	}
-	// A 9 Gb/s limit should pass traffic nearly unshaped.
-	d.AddModule(&drainMod{out: out})
-	for i := 0; i < 10; i++ {
-		in.PushFrame(hw.NewFrame(make([]byte, 500), 0), 32)
-		s.RunFor(10 * sim.Microsecond)
-	}
-	if rl.Counters().Map()["pkts"] != 10 {
-		t.Fatalf("passed %d", rl.Counters().Map()["pkts"])
-	}
-}
-
 func TestMACAttachRegisters(t *testing.T) {
 	dev, p := buildRefDevice(t, PipelineConfig{
 		Stages: []Stage{Lookup("echo", echoLookup, 0, hw.Resources{})},
@@ -295,22 +269,5 @@ func TestOutputQueueRegisters(t *testing.T) {
 	p0, err := dev.Driver.ReadCounter64("output_queues", "port0_pkts")
 	if err != nil || p0 != 1 {
 		t.Fatalf("port0_pkts = %d, %v", p0, err)
-	}
-}
-
-func TestDelaySetDelay(t *testing.T) {
-	s := sim.New()
-	clk := s.NewClockMHz("dp", 200)
-	d := hw.NewDesign("t", clk, 32)
-	in := d.NewStream("in", 8)
-	out := d.NewStream("out", 8)
-	dm := NewDelay(d, "dl", in, out, sim.Microsecond)
-	dm.SetDelay(5 * sim.Microsecond)
-	var at sim.Time
-	d.AddModule(&drainMod{out: out, onPop: func() { at = s.Now() }})
-	in.PushFrame(hw.NewFrame(make([]byte, 64), 0), 32)
-	s.RunFor(sim.Millisecond)
-	if at < 5*sim.Microsecond {
-		t.Fatalf("released at %v despite SetDelay(5us)", at)
 	}
 }

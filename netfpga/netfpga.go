@@ -98,25 +98,9 @@ type Project interface {
 	Build(dev *Device) error
 }
 
-// Emit is one frame produced by a behavioral model.
+// Emit is one frame a project's software sends out port Port (the
+// router's slow path answers with them).
 type Emit struct {
 	Port int
 	Data []byte
-}
-
-// Behavioral is a packet-level functional model of a project — the
-// fast target of the unified test environment, standing in for the
-// "hardware test" mode of the physical platform's test flow. The same
-// vectors run against the cycle-level design and the behavioral model,
-// and the harness checks the outputs agree.
-type Behavioral interface {
-	// Process handles one ingress frame and returns the frames the
-	// project would emit in response.
-	Process(port int, data []byte) []Emit
-}
-
-// BehavioralProject is a project that also provides a behavioral model.
-type BehavioralProject interface {
-	Project
-	NewBehavioral() Behavioral
 }

@@ -370,62 +370,3 @@ func TagForwardPolicy(ethType uint16, tag uint32, outPort int) Policy {
 		{Rules: []Rule{{Key: uint64(tag), Action: Action{Output: hw.PortMask(outPort), HasOutput: true}}}},
 	}
 }
-
-// Behavioral is the packet-level model: the same table semantics applied
-// synchronously. Updates in the behavioral world are instantaneous, so
-// it always behaves like a committed versioned switch.
-type Behavioral struct {
-	tables []*table
-}
-
-// NewBehavioral implements netfpga.BehavioralProject. The model gets its
-// own empty tables; install a policy with InstallInitial.
-func (p *Project) NewBehavioral() netfpga.Behavioral {
-	b := &Behavioral{}
-	for _, sel := range p.cfg.Selectors {
-		b.tables = append(b.tables, newTable(sel))
-	}
-	return b
-}
-
-// InstallInitial loads a policy into the model.
-func (b *Behavioral) InstallInitial(pol Policy) error {
-	if len(pol) != len(b.tables) {
-		return fmt.Errorf("blueswitch: policy has %d tables, model has %d", len(pol), len(b.tables))
-	}
-	for i, t := range b.tables {
-		t.load(0, pol[i], 0)
-	}
-	return nil
-}
-
-// Process implements netfpga.Behavioral.
-func (b *Behavioral) Process(port int, data []byte) []netfpga.Emit {
-	f := &hw.Frame{Data: data, Meta: hw.Meta{SrcPort: uint8(port)}}
-	for _, t := range b.tables {
-		key, ok := extractKey(f, t.sel)
-		act, found := Action{}, false
-		if ok {
-			act, found = t.banks[0][key]
-		}
-		if !found {
-			act = t.def[0]
-		}
-		if act.Drop {
-			return nil
-		}
-		if act.HasTag {
-			f.Meta.User = f.Meta.User&0xFF | act.SetTag<<userTagShift
-		}
-		if act.HasOutput {
-			f.Meta.DstPorts = act.Output
-		}
-	}
-	var out []netfpga.Emit
-	for i := 0; i < hw.MaxPorts; i++ {
-		if f.Meta.DstPorts&hw.PortMask(i) != 0 {
-			out = append(out, netfpga.Emit{Port: i, Data: data})
-		}
-	}
-	return out
-}

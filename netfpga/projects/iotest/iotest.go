@@ -54,16 +54,6 @@ func loopback(f *hw.Frame) lib.Verdict {
 	return lib.Forward
 }
 
-// NewBehavioral implements netfpga.BehavioralProject.
-func (p *Project) NewBehavioral() netfpga.Behavioral { return behavioral{} }
-
-type behavioral struct{}
-
-// Process implements netfpga.Behavioral.
-func (behavioral) Process(port int, data []byte) []netfpga.Emit {
-	return []netfpga.Emit{{Port: port, Data: data}}
-}
-
 // Result is one interface's self-test outcome.
 type Result struct {
 	Interface string

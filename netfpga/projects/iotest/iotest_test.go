@@ -52,7 +52,6 @@ func TestSelfTestDetectsLossyPort(t *testing.T) {
 }
 
 func TestUnifiedSimVsBehavioral(t *testing.T) {
-	p := New()
 	newDev := func() *netfpga.Device {
 		return netfpga.NewDevice(netfpga.SUME(), netfpga.Options{})
 	}
@@ -61,7 +60,7 @@ func TestUnifiedSimVsBehavioral(t *testing.T) {
 		{Port: 2, Data: pattern(333, 2)},
 		{Port: netfpga.HostPort(3), Data: pattern(90, 3)},
 	}
-	if _, _, err := netfpga.RunUnified(p, newDev, netfpga.TestCase{
+	if _, _, err := netfpga.RunUnified(func() netfpga.Project { return New() }, newDev, netfpga.TestCase{
 		Name: "iotest_loop", Vectors: vectors,
 	}); err != nil {
 		t.Fatal(err)

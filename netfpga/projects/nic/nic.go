@@ -62,17 +62,3 @@ func (p *Project) lookup(f *hw.Frame) lib.Verdict {
 	}
 	return lib.Forward
 }
-
-// NewBehavioral implements netfpga.BehavioralProject.
-func (p *Project) NewBehavioral() netfpga.Behavioral { return behavioral{} }
-
-type behavioral struct{}
-
-// Process implements netfpga.Behavioral: wire frames go to the host
-// queue of their ingress port; host frames go out the matching port.
-func (behavioral) Process(port int, data []byte) []netfpga.Emit {
-	if q, fromHost := netfpga.FromHostPort(port); fromHost {
-		return []netfpga.Emit{{Port: q, Data: data}}
-	}
-	return []netfpga.Emit{{Port: netfpga.HostPort(port), Data: data}}
-}

@@ -112,14 +112,13 @@ func TestManyFramesAllQueues(t *testing.T) {
 }
 
 func TestUnifiedSimVsBehavioral(t *testing.T) {
-	p := New()
 	vectors := []netfpga.TestVector{
 		{Port: 0, Data: bytes.Repeat([]byte{1}, 64)},
 		{Port: 3, Data: bytes.Repeat([]byte{2}, 128)},
 		{Port: netfpga.HostPort(1), Data: bytes.Repeat([]byte{3}, 256)},
 		{Port: netfpga.HostPort(2), Data: bytes.Repeat([]byte{4}, 512)},
 	}
-	simOut, behOut, err := netfpga.RunUnified(p, newDev, netfpga.TestCase{
+	simOut, twinOut, err := netfpga.RunUnified(func() netfpga.Project { return New() }, newDev, netfpga.TestCase{
 		Name:    "nic_basic",
 		Vectors: vectors,
 	})
@@ -129,8 +128,8 @@ func TestUnifiedSimVsBehavioral(t *testing.T) {
 	if len(simOut[netfpga.HostPort(0)]) != 1 || len(simOut[netfpga.HostPort(3)]) != 1 {
 		t.Fatalf("sim host outputs wrong: %v", simOut)
 	}
-	if len(behOut[1]) != 1 || len(behOut[2]) != 1 {
-		t.Fatalf("behavioral port outputs wrong: %v", behOut)
+	if len(twinOut[1]) != 1 || len(twinOut[2]) != 1 {
+		t.Fatalf("twin port outputs wrong: %v", twinOut)
 	}
 }
 

@@ -45,10 +45,10 @@ type Counters struct {
 
 // Engine holds the router's tables and implements both the fast path
 // (the hardware output-port-lookup logic) and the slow path (the
-// software agent logic). The cycle-level project and the behavioral
-// model share this engine code; the unified tests therefore compare the
-// surrounding pipeline mechanics, which is exactly what differs between
-// "simulation" and "hardware" targets on the physical platform.
+// software agent logic). The sim and its twin run this one engine code;
+// the unified tests therefore compare the surrounding pipeline
+// mechanics, which is exactly what differs between "simulation" and
+// "hardware" targets on the physical platform.
 type Engine struct {
 	Ifs []IfConfig
 	FIB *Trie
@@ -61,8 +61,7 @@ type Engine struct {
 	// arpSeen records when each ARP entry was learned/refreshed, for
 	// aging; entries added directly to ARP (static seeds) never age.
 	arpSeen *lib.FlowTable[pkt.IP4, int64]
-	// nowFn timestamps dynamic learns; nil disables aging (behavioral
-	// models are timeless).
+	// nowFn timestamps dynamic learns; nil disables aging.
 	nowFn func() int64
 
 	// pending parks packets awaiting ARP resolution, per next hop.
@@ -111,8 +110,8 @@ func (e *Engine) Reset() {
 }
 
 // SetClock installs the time source used to timestamp dynamic ARP
-// learns for aging. The project installs the device clock; behavioral
-// models leave it unset.
+// learns for aging. The project installs the device clock when ARP
+// entries age.
 func (e *Engine) SetClock(now func() int64) { e.nowFn = now }
 
 // localIP reports whether ip is one of the router's interface addresses.

@@ -138,6 +138,11 @@ func (p *Project) lookup(f *hw.Frame) lib.Verdict {
 	}
 }
 
+// SlowPath is the software's answer to a frame the fast path punted:
+// the frames it sends, each out its port. The agent runs it on the CPU
+// queue, and the twin on what the twin punts.
+func (p *Project) SlowPath(f *hw.Frame) []netfpga.Emit { return p.eng.SlowPath(f.Data, f.Meta.SrcPort) }
+
 // agent is the router's slow-path software.
 type agent struct {
 	p    *Project
@@ -155,7 +160,7 @@ func (a *agent) Start(dev *netfpga.Device) {
 			if f == nil {
 				return
 			}
-			for _, e := range a.p.eng.SlowPath(f.Data, f.Meta.SrcPort) {
+			for _, e := range a.p.SlowPath(f) {
 				out := hw.NewFrame(e.Data, 0)
 				out.Meta.DstPorts = hw.PortMask(e.Port)
 				a.p.pipe.InjectFromCPU(out)
@@ -209,44 +214,4 @@ func (p *Project) registers() *hw.RegisterFile {
 	rf.AddRO(0x48, "fib_size", func() uint32 { return uint32(p.eng.FIB.Len()) })
 	rf.AddRO(0x4C, "arp_size", func() uint32 { return uint32(p.eng.ARP.Len()) })
 	return rf
-}
-
-// Behavioral is the packet-level router model: the same Engine logic
-// driven synchronously.
-type Behavioral struct {
-	eng *Engine
-}
-
-// NewBehavioral implements netfpga.BehavioralProject. The model gets its
-// own tables; configure them through Engine().
-func (p *Project) NewBehavioral() netfpga.Behavioral {
-	ifs := p.cfg.Interfaces
-	if len(ifs) == 0 {
-		ports := 4
-		if p.dev != nil {
-			ports = p.dev.Board.Ports
-		}
-		ifs = DefaultInterfaces(ports)
-	}
-	return &Behavioral{eng: NewEngine(ifs)}
-}
-
-// Engine exposes the behavioral model's tables for configuration.
-func (b *Behavioral) Engine() *Engine { return b.eng }
-
-// Process implements netfpga.Behavioral.
-func (b *Behavioral) Process(port int, data []byte) []netfpga.Emit {
-	if q, fromHost := netfpga.FromHostPort(port); fromHost {
-		return []netfpga.Emit{{Port: q % len(b.eng.Ifs), Data: data}}
-	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	res, out := b.eng.Forward(cp, uint8(port))
-	switch res {
-	case FwdForward:
-		return []netfpga.Emit{{Port: int(out), Data: cp}}
-	case FwdToCPU:
-		return b.eng.SlowPath(data, uint8(port))
-	}
-	return nil
 }

@@ -274,21 +274,12 @@ func TestRegisterTableProgramming(t *testing.T) {
 }
 
 func TestUnifiedSimVsBehavioral(t *testing.T) {
-	p := New(Config{})
-	configure := func(dev *netfpga.Device) error {
+	configure := func(proj netfpga.Project, _ *netfpga.Device) error {
+		p := proj.(*Project)
 		for i := 0; i < 4; i++ {
 			p.AddRoute(Route{Prefix: pkt.Prefix{Addr: pkt.IP4{10, 0, byte(i), 0}, Bits: 24}, Port: uint8(i)})
 		}
 		seedARP(p)
-		return nil
-	}
-	configureBeh := func(b netfpga.Behavioral) error {
-		eng := b.(*Behavioral).Engine()
-		for i := 0; i < 4; i++ {
-			eng.FIB.Insert(Route{Prefix: pkt.Prefix{Addr: pkt.IP4{10, 0, byte(i), 0}, Bits: 24}, Port: uint8(i)})
-		}
-		eng.ARP.Put(hostXIP, hostXMAC)
-		eng.ARP.Put(hostYIP, hostYMAC)
 		return nil
 	}
 	fwd := udpXtoY(t, 64, []byte("equiv"))
@@ -300,9 +291,8 @@ func TestUnifiedSimVsBehavioral(t *testing.T) {
 		{Port: 0, Data: ttl1, At: 300 * netfpga.Microsecond},
 		{Port: 0, Data: pkt.PadToMin(echo), At: 600 * netfpga.Microsecond},
 	}
-	if _, _, err := netfpga.RunUnified(p, newDev, netfpga.TestCase{
-		Name: "router_paths", Vectors: vectors,
-		Configure: configure, ConfigureBehavioral: configureBeh,
+	if _, _, err := netfpga.RunUnified(func() netfpga.Project { return New(Config{}) }, newDev, netfpga.TestCase{
+		Name: "router_paths", Vectors: vectors, Configure: configure,
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -13,9 +13,8 @@ type camEntry struct {
 }
 
 // CAM is the learning table of the reference switch — a bounded
-// MAC→port map with optional aging, shared verbatim between the
-// cycle-level lookup stage and the behavioral model so the unified tests
-// compare two pipelines, not two table implementations. Entries live in
+// MAC→port map with optional aging, read and written by the switch's
+// decision stage (in the sim and in its twin alike). Entries live in
 // an open-addressing arena (lib.FlowTable) so the table holds
 // million-flow working sets with allocation-free, cache-local lookups.
 // The arena starts small and doubles as addresses are learned; capacity

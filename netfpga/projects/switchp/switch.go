@@ -80,8 +80,7 @@ func (p *Project) Stage() lib.Stage {
 	}
 }
 
-// lookup is the switch decision, shared in structure with the behavioral
-// model through the CAM.
+// lookup is the switch decision.
 func (p *Project) lookup(f *hw.Frame) lib.Verdict {
 	if f.Meta.Flags&hw.FlagFromCPU != 0 && f.Meta.DstPorts != 0 {
 		return lib.Forward
@@ -141,49 +140,4 @@ func (s *sweeper) Start(dev *netfpga.Device) {
 		return
 	}
 	dev.Every(interval, func() { s.p.cam.Sweep(int64(dev.Now())) })
-}
-
-// Behavioral is the packet-level model of the switch.
-type Behavioral struct {
-	ports int
-	cam   *CAM
-	seq   int64 // logical time: one tick per processed frame
-}
-
-// NewBehavioral implements netfpga.BehavioralProject. The model has its
-// own CAM instance (aging disabled: behavioral runs are timeless).
-func (p *Project) NewBehavioral() netfpga.Behavioral {
-	ports := p.ports
-	if ports == 0 {
-		ports = 4
-	}
-	return &Behavioral{ports: ports, cam: NewCAM(p.cfg.TableSize, 0)}
-}
-
-// Process implements netfpga.Behavioral.
-func (b *Behavioral) Process(port int, data []byte) []netfpga.Emit {
-	b.seq++
-	var eth pkt.Ethernet
-	if err := eth.DecodeFromBytes(data); err != nil {
-		return nil
-	}
-	if _, fromHost := netfpga.FromHostPort(port); !fromHost {
-		b.cam.Learn(eth.Src, uint8(port), b.seq)
-	}
-	if !eth.Dst.IsMulticast() {
-		if out, ok := b.cam.Lookup(eth.Dst, b.seq); ok {
-			if int(out) == port {
-				return nil
-			}
-			return []netfpga.Emit{{Port: int(out), Data: data}}
-		}
-	}
-	var out []netfpga.Emit
-	for i := 0; i < b.ports; i++ {
-		if i == port {
-			continue
-		}
-		out = append(out, netfpga.Emit{Port: i, Data: data})
-	}
-	return out
 }

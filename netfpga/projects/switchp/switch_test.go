@@ -184,7 +184,6 @@ func TestCAMMatchesMapProperty(t *testing.T) {
 }
 
 func TestUnifiedSimVsBehavioral(t *testing.T) {
-	p := New(Config{})
 	vectors := []netfpga.TestVector{
 		{Port: 0, Data: ethFrame(hostB, hostA, 1), At: 0},
 		{Port: 1, Data: ethFrame(hostA, hostB, 2), At: 200 * netfpga.Microsecond},
@@ -192,15 +191,18 @@ func TestUnifiedSimVsBehavioral(t *testing.T) {
 		{Port: 2, Data: ethFrame(pkt.BroadcastMAC, hostC, 4), At: 600 * netfpga.Microsecond},
 		{Port: 3, Data: ethFrame(hostC, hostB, 5), At: 800 * netfpga.Microsecond},
 	}
-	if _, _, err := netfpga.RunUnified(p, newDev, netfpga.TestCase{
+	if _, _, err := netfpga.RunUnified(newSwitch, newDev, netfpga.TestCase{
 		Name: "switch_learning", Vectors: vectors,
 	}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: random traffic produces identical sim and behavioral
-// outputs. Vectors are spaced so learning order is deterministic.
+// newSwitch is the default switch as RunUnified builds it, once per
+// target.
+func newSwitch() netfpga.Project { return New(Config{}) }
+
+// Property: random traffic produces identical sim and twin outputs. Vectors are spaced so learning order is deterministic.
 func TestUnifiedEquivalenceProperty(t *testing.T) {
 	f := func(seq []struct {
 		Src, Dst uint8
@@ -219,8 +221,7 @@ func TestUnifiedEquivalenceProperty(t *testing.T) {
 				At:   netfpga.Time(i) * 300 * netfpga.Microsecond,
 			})
 		}
-		p := New(Config{})
-		_, _, err := netfpga.RunUnified(p, newDev, netfpga.TestCase{
+		_, _, err := netfpga.RunUnified(newSwitch, newDev, netfpga.TestCase{
 			Name: "switch_random", Vectors: vectors,
 		})
 		return err == nil
