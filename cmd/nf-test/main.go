@@ -2,9 +2,11 @@
 // physical platform): each project's test vectors are executed against
 // the cycle-level design ("sim" target) and its twin (the "hw" target
 // stand-in: the project's own stage decisions, applied frame by frame on
-// a second instance, lib.Twin), and outputs must agree. A project whose
-// datapath holds a module with no decision (OSNT) runs sim-only
-// assertions.
+// a second instance, lib.Twin), and outputs must agree. Each project
+// with a twin then runs its generated traffic (projects.TwinTests, the
+// traffic FuzzTwin draws) on three fixed seeds, every port's frames in
+// the twin's order. A project whose datapath holds a module with no
+// decision (OSNT) runs sim-only assertions.
 //
 //	nf-test              # all projects
 //	nf-test -project reference_router
@@ -18,6 +20,7 @@ import (
 	"repro/netfpga"
 	"repro/netfpga/hw"
 	"repro/netfpga/pkt"
+	"repro/netfpga/projects"
 	"repro/netfpga/projects/blueswitch"
 	"repro/netfpga/projects/iotest"
 	"repro/netfpga/projects/nic"
@@ -29,6 +32,10 @@ import (
 func newDev() *netfpga.Device {
 	return netfpga.NewDevice(netfpga.SUME(), netfpga.Options{})
 }
+
+// generatedSeeds are the seeds of the generated traffic each project
+// with a twin runs after its hand-written vectors.
+var generatedSeeds = []uint64{1, 2, 3}
 
 // suite is one project's test set.
 type suite struct {
@@ -48,12 +55,23 @@ func main() {
 		{"osnt", osntSuite},
 		{"blueswitch", blueswitchSuite},
 	}
+	generated := map[string]projects.TwinTest{}
+	for _, t := range projects.TwinTests() {
+		generated[t.Name] = t
+	}
 	failed := 0
 	for _, s := range suites {
 		if *sel != "" && s.name != *sel {
 			continue
 		}
 		err := s.run()
+		if t, ok := generated[s.name]; ok && err == nil {
+			for _, seed := range generatedSeeds {
+				if err = t.Run(netfpga.SUME(), seed); err != nil {
+					break
+				}
+			}
+		}
 		status := "PASS"
 		if err != nil {
 			status = "FAIL: " + err.Error()

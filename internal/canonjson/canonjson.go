@@ -57,9 +57,11 @@ func AppendStrings(b []byte, ss []string) ([]byte, bool) {
 
 // ParseCell reads s, which must be exactly prefix, one cell object and
 // suffix, into the zero record c, as json.Unmarshal would. It reports
-// false for anything else. c's strings share s's memory.
-func ParseCell(s, prefix, suffix string, c *sweep.CellRecord) bool {
-	r := reader{s: s}
+// false for anything else. The map keys of c's Values and Labels, and
+// the label values, come from tab, so a kept Values or Labels does not
+// keep s alive; c's Key, Digest and Err share s's memory.
+func ParseCell(s, prefix, suffix string, c *sweep.CellRecord, tab *Table) bool {
+	r := reader{s: s, tab: tab}
 	r.want(prefix + `{"key":`)
 	c.Key = r.str()
 	if r.lit(`,"digest":`) {
@@ -71,7 +73,7 @@ func ParseCell(s, prefix, suffix string, c *sweep.CellRecord) bool {
 		c.Values = readMap(&r, func() float64 { return num(&r, parseFloat) })
 	}
 	if r.lit(`,"labels":{`) {
-		c.Labels = readMap(&r, r.str)
+		c.Labels = readMap(&r, func() string { return r.tab.intern(r.str()) })
 	}
 	if r.lit(`,"sim_ps":`) {
 		c.SimPS = num(&r, parseInt)
@@ -152,12 +154,43 @@ func appendMap[V any](b []byte, name string, m map[string]V, ok bool,
 	return append(b, '}'), ok
 }
 
+// Table interns the map keys and label values ParseCell reads: it
+// hands out one copy of each distinct string, made the first time it is
+// read. A plan's records share a few dozen, so a reader keeps one Table
+// for its whole stream — a session's frames, a store scan's lines — and
+// reads them without allocating. Past maxInterned strings it copies the
+// rest without keeping them. A nil Table copies every string. Not safe
+// for concurrent use.
+type Table struct{ m map[string]string }
+
+// maxInterned bounds a Table: labels are free text, and a stream of
+// distinct ones must not grow it without end.
+const maxInterned = 1024
+
+func (t *Table) intern(s string) string {
+	if t == nil {
+		return strings.Clone(s)
+	}
+	if v, ok := t.m[s]; ok {
+		return v
+	}
+	v := strings.Clone(s)
+	if len(t.m) < maxInterned {
+		if t.m == nil {
+			t.m = make(map[string]string)
+		}
+		t.m[v] = v
+	}
+	return v
+}
+
 // reader scans s from i; the first mismatch sets bad, which fails the
-// whole read.
+// whole read. Map keys come from tab.
 type reader struct {
 	s   string
 	i   int
 	bad bool
+	tab *Table
 }
 
 // lit consumes p if s continues with it.
@@ -196,7 +229,7 @@ func readMap[V any](r *reader, val func() V) map[string]V {
 		if len(m) > 0 {
 			r.want(",")
 		}
-		k := r.str()
+		k := r.tab.intern(r.str())
 		r.want(":")
 		m[k] = val()
 	}

@@ -17,6 +17,7 @@ import (
 var (
 	ErrTxRingFull = errors.New("host: transmit ring full")
 	ErrFrameSize  = errors.New("host: frame size out of range")
+	ErrQueue      = errors.New("host: queue out of range")
 )
 
 // RxPacket is one received frame with its originating host queue.
@@ -75,11 +76,15 @@ func (d *Driver) Reset() {
 // Name returns the driver instance name.
 func (d *Driver) Name() string { return d.name }
 
-// Send transmits data out of host queue q. The driver copies the frame,
-// so the caller may reuse the buffer.
+// Send transmits data out of host queue q, one of the hw.MaxHostPorts
+// queues. The driver copies the frame, so the caller may reuse the
+// buffer.
 func (d *Driver) Send(data []byte, q int) error {
 	if len(data) == 0 || len(data) > 9600 {
 		return ErrFrameSize
+	}
+	if q < 0 || q >= hw.MaxHostPorts {
+		return ErrQueue
 	}
 	// Ask before building the frame: pump loops call Send until it
 	// refuses, and a refusal must cost nothing.

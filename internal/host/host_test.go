@@ -46,6 +46,11 @@ func TestDriverSendValidation(t *testing.T) {
 	if err := d.Send(make([]byte, 10000), 0); err != ErrFrameSize {
 		t.Fatalf("err = %v", err)
 	}
+	for _, q := range []int{-1, hw.MaxHostPorts} {
+		if err := d.Send(make([]byte, 60), q); err != ErrQueue {
+			t.Fatalf("queue %d: err = %v", q, err)
+		}
+	}
 }
 
 func TestDriverSendCopies(t *testing.T) {

@@ -122,7 +122,7 @@ func FuzzStoreLine(f *testing.F) {
 // whole record.
 func parseLine(s string) (Record, bool) {
 	var r Record
-	ok := canonjson.ParseCell(s, `{"cell":`, "}", &r)
+	ok := canonjson.ParseCell(s, `{"cell":`, "}", &r, nil)
 	return r, ok
 }
 

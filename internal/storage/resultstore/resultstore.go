@@ -335,9 +335,10 @@ type storedCell struct{ key, digest, line string }
 func (st *Store) readCells(run string) (Meta, []storedCell, error) {
 	var meta Meta
 	var cells []storedCell
+	var tab canonjson.Table
 	err := st.eachLine(run, func(n int, b []byte) error {
 		var c Record
-		if s := string(b); canonjson.ParseCell(s, `{"cell":`, "}", &c) {
+		if s := string(b); canonjson.ParseCell(s, `{"cell":`, "}", &c, &tab) {
 			cells = append(cells, storedCell{c.Key, c.Digest, s})
 			return nil
 		}

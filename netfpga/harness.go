@@ -1,6 +1,7 @@
 package netfpga
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -58,22 +59,33 @@ type PortOutput map[int][][]byte
 
 // RunSim executes vectors against a built device and collects per-port
 // outputs (including host receptions under HostPort(q) keys). settle is
-// how long to run after the last injection.
-func RunSim(dev *Device, vectors []TestVector, settle Time) PortOutput {
+// how long to run after the last injection. A host vector the driver
+// refuses is not injected; the error names each one by its index and
+// queue with the driver's reason, and the outputs are still returned.
+func RunSim(dev *Device, vectors []TestVector, settle Time) (PortOutput, error) {
 	ports := dev.Board.Ports
 	taps := make([]*PortTap, ports)
 	for i := 0; i < ports; i++ {
 		taps[i] = dev.Tap(i)
 	}
 	var last Time
-	for _, v := range vectors {
+	var refused []error
+	for i, v := range vectors {
 		at := v.At
 		if at < dev.Now() {
 			at = dev.Now()
 		}
 		if q, fromHost := FromHostPort(v.Port); fromHost {
+			if dev.Driver == nil {
+				refused = append(refused, fmt.Errorf("host vector %d on queue %d: the device has no host driver", i, q))
+				continue
+			}
 			data := append([]byte(nil), v.Data...)
-			dev.Sim.At(at, func() { _ = dev.Driver.Send(data, q) })
+			dev.Sim.At(at, func() {
+				if err := dev.Driver.Send(data, q); err != nil {
+					refused = append(refused, fmt.Errorf("host vector %d on queue %d: %w", i, q, err))
+				}
+			})
 		} else {
 			taps[v.Port].SendAt(at, v.Data)
 		}
@@ -93,7 +105,7 @@ func RunSim(dev *Device, vectors []TestVector, settle Time) PortOutput {
 			out[HostPort(rx.Queue)] = append(out[HostPort(rx.Queue)], rx.Data)
 		}
 	}
-	return out
+	return out, errors.Join(refused...)
 }
 
 // Diff compares two port outputs as per-port multisets of frames (the
@@ -181,7 +193,9 @@ func RunUnified(newProject func() Project, newDevice func() *Device, tc TestCase
 	if settle == 0 {
 		settle = Millisecond
 	}
-	simOut = RunSim(dev, tc.Vectors, settle)
+	if simOut, err = RunSim(dev, tc.Vectors, settle); err != nil {
+		return simOut, nil, fmt.Errorf("%s: %w", tc.Name, err)
+	}
 
 	p, tdev, err := build()
 	if err != nil {

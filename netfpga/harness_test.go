@@ -1,9 +1,11 @@
 package netfpga_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"repro/internal/host"
 	"repro/netfpga"
 	"repro/netfpga/hw"
 	"repro/netfpga/lib"
@@ -53,10 +55,13 @@ func TestRunSimCollectsHostOutput(t *testing.T) {
 	if err := p.Build(dev); err != nil {
 		t.Fatal(err)
 	}
-	out := netfpga.RunSim(dev, []netfpga.TestVector{
+	out, err := netfpga.RunSim(dev, []netfpga.TestVector{
 		{Port: 2, Data: make([]byte, 80)},
 		{Port: netfpga.HostPort(1), Data: make([]byte, 90)},
 	}, netfpga.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(out[netfpga.HostPort(2)]) != 1 {
 		t.Fatalf("host queue 2 got %d", len(out[netfpga.HostPort(2)]))
 	}
@@ -73,13 +78,40 @@ func TestRunSimHonoursVectorTiming(t *testing.T) {
 	}
 	// Two frames to the same host queue at different times must both
 	// arrive (ordering inside a port is preserved by the pipeline).
-	out := netfpga.RunSim(dev, []netfpga.TestVector{
+	out, err := netfpga.RunSim(dev, []netfpga.TestVector{
 		{Port: 0, Data: []byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0}, At: 100 * netfpga.Microsecond},
 		{Port: 0, Data: []byte{2, 0, 0, 0, 0, 0, 0, 0, 0, 0}, At: 200 * netfpga.Microsecond},
 	}, netfpga.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
 	host := out[netfpga.HostPort(0)]
 	if len(host) != 2 || host[0][0] != 1 || host[1][0] != 2 {
 		t.Fatalf("host outputs wrong: %v", host)
+	}
+}
+
+// TestRunUnifiedReportsRefusedHostSends: a host vector the driver
+// refuses fails the case with the driver's error, naming the vector and
+// its queue, instead of vanishing from the sim output.
+func TestRunUnifiedReportsRefusedHostSends(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		v    netfpga.TestVector
+		want error
+		text string
+	}{
+		{"jumbo", netfpga.TestVector{Port: netfpga.HostPort(0), Data: make([]byte, 9601)}, host.ErrFrameSize,
+			"host vector 1 on queue 0: host: frame size out of range"},
+		{"queue8", netfpga.TestVector{Port: netfpga.HostPort(hw.MaxHostPorts), Data: make([]byte, 60)}, host.ErrQueue,
+			"host vector 1 on queue 8: host: queue out of range"},
+	} {
+		vectors := []netfpga.TestVector{{Port: 0, Data: make([]byte, 60)}, tc.v}
+		_, _, err := netfpga.RunUnified(func() netfpga.Project { return nic.New() }, sume,
+			netfpga.TestCase{Name: tc.name, Vectors: vectors})
+		if !errors.Is(err, tc.want) || !strings.Contains(err.Error(), tc.text) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.text)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sync"
 
+	"repro/internal/sim"
 	"repro/netfpga"
 	"repro/netfpga/hw"
 	"repro/netfpga/projects"
@@ -34,13 +35,15 @@ type idleDevice struct {
 
 // devices is a plan's cache of idle devices: programmed once, reset
 // between cells, as a board is between the tests of a session. It also
-// keeps the workload generators finished cells released, which the next
-// cells reset in place, so a plan builds about one per worker. Safe for
-// concurrent use by the plan's workers.
+// keeps the workload generators and GenericMeasure drawers finished
+// cells released, which the next cells reset in place, so a plan builds
+// about one of each per worker. Safe for concurrent use by the plan's
+// workers.
 type devices struct {
-	mu   sync.Mutex
-	idle []idleDevice // least recently released first
-	gens []*workload.Generator
+	mu      sync.Mutex
+	idle    []idleDevice // least recently released first
+	gens    []*workload.Generator
+	drawers []*drawer
 }
 
 // generator returns a workload generator for cfg: one a finished cell
@@ -73,6 +76,45 @@ func (c *devices) releaseGenerator(g *workload.Generator) {
 	defer c.mu.Unlock()
 	if len(c.gens) < maxIdleDevices {
 		c.gens = append(c.gens, g)
+	}
+}
+
+// drawer returns a GenericMeasure drawer for one cell: one a finished
+// cell released, its buffers kept, or a new one. A nil cache always
+// builds.
+func (c *devices) drawer(rand *sim.Rand, gen *workload.Generator, ports int, hybrid bool) *drawer {
+	var d *drawer
+	if c != nil {
+		c.mu.Lock()
+		if n := len(c.drawers); n > 0 {
+			d = c.drawers[n-1]
+			c.drawers = c.drawers[:n-1]
+		}
+		c.mu.Unlock()
+	}
+	if d == nil {
+		d = new(drawer)
+	}
+	d.rand, d.gen, d.ports, d.hybrid = rand, gen, ports, hybrid
+	if hybrid {
+		d.bgF, d.bgB = slices.Grow(d.bgF[:0], ports)[:ports], slices.Grow(d.bgB[:0], ports)[:ports]
+		clear(d.bgF)
+		clear(d.bgB)
+	}
+	return d
+}
+
+// releaseDrawer keeps d for a later cell, up to maxIdleDevices idle
+// drawers. An idle drawer keeps its chunks' buffers: at most aheadChunks
+// x (aheadArena + one interval's frames) of arena each.
+func (c *devices) releaseDrawer(d *drawer) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.drawers) < maxIdleDevices {
+		c.drawers = append(c.drawers, d)
 	}
 }
 

@@ -22,6 +22,19 @@ import (
 // the window, queue-overflow drops, and the wire's FCS error count
 // (non-zero only on BER cells).
 //
+// The measure paces the window in 10 µs intervals of two steps each.
+// The draw step makes the interval's 4 draws per port — a tap from the
+// job RNG, then a frame from the generator — and records them; the
+// apply step injects the recorded frames, offers the background
+// aggregates and runs the device 10 µs. No draw reads simulation
+// state: the window fixes the number of intervals, and a tap that
+// refuses a frame changes only the sent count. So a cell of at least
+// aheadMin intervals (10.24 ms) draws on a goroutine of its own, up to
+// aheadChunks chunks ahead of the device, while a shorter cell runs
+// both steps in turn on the measure's goroutine. Either way the device
+// sees the same frames in the same order: the schedules agree on every
+// value, the digest and the event count.
+//
 // On a hybrid-fidelity device the measure walks the identical RNG
 // sequence (tap draw from the job RNG, then the generator's flow and
 // size draws), but frames of background-tagged flows never enter the
@@ -39,6 +52,11 @@ import (
 // the peak modeled occupancy. BER is not applied to background traffic;
 // fcs_errors counts only cycle-accurate frames.
 func GenericMeasure(c *Ctx, cell Cell) (Outcome, error) {
+	return genericMeasure(c, cell, drawAhead)
+}
+
+// genericMeasure is GenericMeasure on the given draw schedule.
+func genericMeasure(c *Ctx, cell Cell, sched drawSchedule) (Outcome, error) {
 	dev := c.Dev
 	gen, err := cell.devs.generator(cell.Workload.Config(c.Seed))
 	if err != nil {
@@ -50,55 +68,29 @@ func GenericMeasure(c *Ctx, cell Cell) (Outcome, error) {
 	for i := range taps {
 		taps[i] = dev.Tap(i)
 		// The measure only reports totals, never payloads: counting mode
-		// skips the per-frame capture copy. NextView likewise injects
-		// straight from the generator's serialization buffer. Both are
-		// bit-identical to the buffered/allocating paths — same RNG
-		// draws, same bytes on the wire, same device state.
+		// skips the per-frame capture copy, and the device state stays
+		// bit-identical.
 		taps[i].SetCounting(true)
 	}
 	window := cell.Spec.Window()
-	var sent uint64
-	var bgF, bgB []uint64 // per-ingress background aggregates
-	if model != nil {
-		bgF, bgB = make([]uint64, len(taps)), make([]uint64, len(taps))
+	intervals := 0
+	if now := dev.Now(); now < window {
+		intervals = int((window - now + pacing - 1) / pacing)
 	}
-	for dev.Now() < window && !c.Canceled() {
-		var totF, totB uint64
-		for i := 0; i < 4*len(taps); i++ {
-			ti := c.Rand.Intn(len(taps))
-			var frame []byte
-			size, background := 0, false
-			if model == nil {
-				frame = gen.NextView()
-			} else {
-				frame, size, background = gen.NextHybrid()
-			}
-			if !background {
-				if taps[ti].Send(frame) {
-					sent++
-				}
-				continue
-			}
-			// The model has no tx FIFO to reject an arrival; every
-			// background draw counts as sent and is resolved into
-			// delivered or dropped by admission.
-			sent++
-			bgF[ti]++
-			bgB[ti] += uint64(size)
-			totF++
-			totB += uint64(size)
-		}
-		if totF > 0 {
-			// Flood: each egress is offered every ingress's aggregate
-			// except its own.
-			for e := range taps {
-				if f := totF - bgF[e]; f > 0 {
-					model.Offer(e, f, totB-bgB[e])
-				}
-				bgF[e], bgB[e] = 0, 0
+	d := cell.devs.drawer(c.Rand, gen, len(taps), model != nil)
+	defer cell.devs.releaseDrawer(d)
+	a := applier{c: c, taps: taps, model: model}
+	if intervals < sched.aheadMin {
+		ch := &d.chunks[0]
+		for range intervals {
+			ch.reset()
+			d.draw(ch)
+			if !a.apply(ch) {
+				break
 			}
 		}
-		dev.RunFor(10 * netfpga.Microsecond)
+	} else {
+		a.ahead(d, intervals, sched)
 	}
 	dev.RunUntilIdle(0)
 
@@ -117,7 +109,7 @@ func GenericMeasure(c *Ctx, cell Cell) (Outcome, error) {
 		offF, offB, delF, delB, drpF, drpB = model.Totals()
 	}
 	var o Outcome
-	o.Set("sent", float64(sent))
+	o.Set("sent", float64(a.sent))
 	o.Set("rx_frames", float64(rxFrames+delF))
 	o.Set("rx_bytes", float64(rxBytes+delB))
 	o.Set("goodput_gbps", float64(rxBytes+delB)*8/window.Seconds()/1e9)

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/canonjson"
 	"repro/netfpga/sweep"
 )
 
@@ -295,10 +296,11 @@ func (f *Fleet) Run(ctx context.Context, plan *sweep.Plan, onCell func(sweep.Cel
 					}
 				}(s.ep, s.send)
 				go func(i, gen int, ep *Endpoint) { // reader, generation-fenced
+					var tab canonjson.Table
 					for {
 						ev := fleetEvent{w: i, gen: gen}
 						var fr SessionFrame
-						if ev.err = ReadFrame(ep.Out, &fr); ev.err == nil {
+						if ev.err = readFrame(ep.Out, &fr, &tab); ev.err == nil {
 							ev.frame = &fr
 						}
 						select {

@@ -131,12 +131,12 @@ func FuzzCellFrame(f *testing.F) {
 			t.Fatalf("writer declined a plain record: %+v", rec)
 		case ok:
 			var back SessionFrame
-			if !readHot(got, &back) || !sameFrame(back, fr) {
+			if !readHot(got, &back, nil) || !sameFrame(back, fr) {
 				t.Fatalf("writer's bytes do not read back: %s", got)
 			}
 		}
 		var hot, ref SessionFrame
-		if readHot(raw, &hot) {
+		if readHot(raw, &hot, nil) {
 			if err := json.Unmarshal(raw, &ref); err != nil || !sameFrame(hot, ref) {
 				t.Fatalf("reader accepted %q as %+v; json.Unmarshal gives %+v, %v", raw, hot.Cell, ref.Cell, err)
 			}
@@ -182,12 +182,12 @@ func FuzzAssignFrame(f *testing.F) {
 			t.Fatalf("writer declined plain keys %q", keys)
 		case ok:
 			var back Command
-			if !readHot(got, &back) || !reflect.DeepEqual(back, cmd) {
+			if !readHot(got, &back, nil) || !reflect.DeepEqual(back, cmd) {
 				t.Fatalf("writer's bytes do not read back: %s", got)
 			}
 		}
 		var hot, ref Command
-		if readHot(raw, &hot) {
+		if readHot(raw, &hot, nil) {
 			if err := json.Unmarshal(raw, &ref); err != nil || !reflect.DeepEqual(hot, ref) {
 				t.Fatalf("reader accepted %q as %+v; json.Unmarshal gives %+v, %v", raw, hot.Assign, ref.Assign, err)
 			}

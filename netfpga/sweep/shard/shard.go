@@ -126,13 +126,19 @@ func WriteFrame(w io.Writer, v any) error {
 // ReadFrame reads one length-prefixed frame into v. io.EOF is returned
 // unwrapped when the stream ends cleanly between frames; every
 // malformed-stream failure (truncated header, oversized prefix,
-// truncated payload, undecodable bytes) is a *FrameError.
-func ReadFrame(r io.Reader, v any) error {
+// truncated payload, undecodable bytes) is a *FrameError. A Cell
+// frame's value and label keys are copies, not slices of the frame.
+func ReadFrame(r io.Reader, v any) error { return readFrame(r, v, nil) }
+
+// readFrame is ReadFrame with the table a Cell frame's value and label
+// keys are interned in: a session reader keeps one for its stream, so
+// its records share one copy of each key.
+func readFrame(r io.Reader, v any, tab *canonjson.Table) error {
 	buf, err := readRaw(r)
 	if err != nil {
 		return err
 	}
-	if readHot(buf[4:], v) {
+	if readHot(buf[4:], v, tab) {
 		return nil
 	}
 	if err := json.Unmarshal(buf[4:], v); err != nil {
@@ -190,12 +196,13 @@ func appendHot(b []byte, v any) ([]byte, bool) {
 
 // readHot decodes a Cell frame or an Assign command in canonjson's
 // canonical layout into v, as json.Unmarshal would, when v's field is
-// nil. It reports false, leaving v untouched, for anything else.
-func readHot(p []byte, v any) bool {
+// nil, interning a cell's map keys and labels in tab. It reports false,
+// leaving v untouched, for anything else.
+func readHot(p []byte, v any, tab *canonjson.Table) bool {
 	switch f := v.(type) {
 	case *SessionFrame:
 		c := new(sweep.CellRecord)
-		ok := f.Cell == nil && canonjson.ParseCell(string(p), cellOpen, "}", c)
+		ok := f.Cell == nil && canonjson.ParseCell(string(p), cellOpen, "}", c, tab)
 		if ok {
 			f.Cell = c
 		}
