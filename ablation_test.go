@@ -209,7 +209,10 @@ func TestClockGatingIdleAdvance(t *testing.T) {
 // the hybrid model carries never enters the datapath, so on a switch
 // with no foreground frame it must not start the datapath clock. A wake
 // of the coupled output queues on every backlog drain would cost one
-// idle edge per drain, 100 of them here.
+// idle edge per drain, 100 of them here. Nor does the model schedule an
+// event of its own: it retires its batches by arithmetic, so the whole
+// run executes none, and Totals read between runs count every batch
+// complete by then delivered.
 func TestHybridBackgroundLeavesIdleDatapathGated(t *testing.T) {
 	dev := netfpga.NewDevice(netfpga.SUME(), netfpga.Options{Fidelity: netfpga.FidelityHybrid})
 	if err := switchp.New(switchp.Config{}).Build(dev); err != nil {
@@ -217,19 +220,26 @@ func TestHybridBackgroundLeavesIdleDatapathGated(t *testing.T) {
 	}
 	dev.RunFor(netfpga.Millisecond) // settle
 	bg := dev.Background()
-	ticks := dev.Clock.Ticks()
+	ticks, events := dev.Clock.Ticks(), dev.Sim.Executed()
 	const step = 10 * netfpga.Microsecond
+	var want uint64
 	for at := netfpga.Time(0); at < netfpga.Millisecond; at += step {
 		for port := 0; port < bg.Ports(); port++ {
 			bg.Offer(port, 4, 4*1514) // drains within the step at 10 Gb/s
 		}
+		if _, _, delivered, _, _, _ := bg.Totals(); delivered != want {
+			t.Fatalf("at %v, after the offers: %d frames delivered, want %d", dev.Now(), delivered, want)
+		}
 		dev.RunFor(step)
-	}
-	offered, _, delivered, _, _, _ := bg.Totals()
-	if offered == 0 || delivered != offered {
-		t.Fatalf("background offered %d frames and delivered %d, want every offered frame delivered", offered, delivered)
+		want += uint64(4 * bg.Ports())
+		if offered, _, delivered, _, _, _ := bg.Totals(); offered != want || delivered != want {
+			t.Fatalf("at %v: background offered %d frames and delivered %d, want %d of each", dev.Now(), offered, delivered, want)
+		}
 	}
 	if n := dev.Clock.Ticks() - ticks; n != 0 {
 		t.Errorf("an idle hybrid switch offered only background executed %d datapath edges, want 0", n)
+	}
+	if n := dev.Sim.Executed() - events; n != 0 {
+		t.Errorf("an idle hybrid switch offered only background executed %d simulation events, want 0", n)
 	}
 }

@@ -50,8 +50,6 @@ type bgPort struct {
 	pendingBytes  uint64
 	highwater     uint64
 
-	tm    *sim.Timer
-	armed bool
 	// wake is the coupled queue stage's; the zero Waker means uncoupled.
 	wake hw.Waker
 
@@ -72,18 +70,23 @@ type bgPort struct {
 // frames never enter the cycle-accurate datapath. Instead a measure
 // offers per-egress-port (frames, bytes) aggregates, admission is a
 // closed-form cut against the same per-port buffer bound the real
-// output queues enforce, and service advances through one simulation
-// event per batch completion at the port's line rate. The model
-// implements hw.BackgroundCoupler so admitted backlog occupies the
-// egress wire from the foreground datapath's point of view: foreground
-// frames queue behind it and their latency percentiles see realistic
-// contention.
+// output queues enforce, and each admitted batch is given its wire
+// completion time at the port's line rate. Service is arithmetic: the
+// model schedules no event of its own. A batch retires when something
+// reads the model at or after its completion (settle: Offer, Totals,
+// Counters), and Device.RunUntilIdle runs on to the last
+// completion before it calls a device idle, so a drain ends where an
+// event per completion would have ended it. The model implements
+// hw.BackgroundCoupler so admitted backlog occupies the egress wire
+// from the foreground datapath's point of view: foreground frames
+// queue behind it and their latency percentiles see realistic
+// contention; the release wake that coupling arms is its one timer.
 //
 // Counters are exactly conserved by construction: every offered frame
 // and byte is split between admitted and dropped at Offer time, and
-// every admitted batch is delivered by its completion event, so after
-// a drain offered == delivered + dropped holds per port with no
-// rounding.
+// every admitted batch is delivered once its completion time has
+// passed, so after a drain offered == delivered + dropped holds per
+// port with no rounding.
 type Background struct {
 	s     *sim.Sim
 	ports []bgPort
@@ -102,7 +105,6 @@ func NewBackground(s *sim.Sim, board BoardSpec) *Background {
 		p := &bg.ports[i]
 		p.rate = board.PortRate(i)
 		idx := i
-		p.tm = s.NewTimer(func() { bg.service(idx) })
 		p.relTm = s.NewTimer(func() {
 			if w := bg.ports[idx].wake; w != (hw.Waker{}) {
 				w.Wake()
@@ -149,7 +151,7 @@ func (bg *Background) Release(bit int) hw.Time {
 	}
 	rel := p.fifo[len(p.fifo)-1].doneAt
 	if rel <= bg.s.Now() {
-		return 0 // retires this instant; service will clear it
+		return 0 // retired by now; the next settle clears it
 	}
 	return rel
 }
@@ -178,6 +180,7 @@ func (bg *Background) Offer(port int, frames, bytes uint64) (admitFrames, admitB
 		return 0, 0
 	}
 	p := &bg.ports[port]
+	p.settle(bg.s.Now()) // headroom reads pendingBytes
 	p.offeredFrames += frames
 	p.offeredBytes += bytes
 	admitFrames, admitBytes = frames, bytes
@@ -207,24 +210,16 @@ func (bg *Background) Offer(port int, frames, bytes uint64) (admitFrames, admitB
 	if p.pendingBytes > p.highwater {
 		p.highwater = p.pendingBytes
 	}
-	if !p.armed {
-		p.tm.ScheduleAt(p.fifo[p.head].doneAt)
-		p.armed = true
-	}
 	return admitFrames, admitBytes
 }
 
-// service is a port timer's completion event: retire every batch whose
-// wire time has elapsed and re-arm for the next one. It wakes nothing:
-// a foreground frame held behind the backlog waits for the release it
-// captured at enqueue, and OutputQueues arms that wake itself
-// (WaitUntil). The release is never later than the drain of the
+// settle retires every batch whose wire time has elapsed by now. It
+// wakes nothing: a foreground frame held behind the backlog waits for
+// the release it captured at enqueue, and OutputQueues arms that wake
+// itself (WaitUntil). The release is never later than the drain of the
 // backlog it was captured against, so a drain finds the coupled queue
 // stage already woken or with nothing to send.
-func (bg *Background) service(port int) {
-	p := &bg.ports[port]
-	p.armed = false
-	now := bg.s.Now()
+func (p *bgPort) settle(now hw.Time) {
 	for p.head < len(p.fifo) && p.fifo[p.head].doneAt <= now {
 		b := p.fifo[p.head]
 		p.fifo[p.head] = bgBatch{}
@@ -237,26 +232,40 @@ func (bg *Background) service(port int) {
 	if p.head == len(p.fifo) {
 		p.fifo = p.fifo[:0]
 		p.head = 0
-	} else {
-		if p.head > len(p.fifo)/2 {
-			n := copy(p.fifo, p.fifo[p.head:])
-			p.fifo = p.fifo[:n]
-			p.head = 0
-		}
-		p.tm.ScheduleAt(p.fifo[p.head].doneAt)
-		p.armed = true
+	} else if p.head > len(p.fifo)/2 {
+		n := copy(p.fifo, p.fifo[p.head:])
+		p.fifo = p.fifo[:n]
+		p.head = 0
 	}
+}
+
+// settle retires, on every port, each batch complete by now.
+func (bg *Background) settle(now hw.Time) {
+	for i := range bg.ports {
+		bg.ports[i].settle(now)
+	}
+}
+
+// tail returns the last completion time pending on any port, or 0 when
+// no batch is pending.
+func (bg *Background) tail() hw.Time {
+	var t hw.Time
+	for i := range bg.ports {
+		if p := &bg.ports[i]; p.head < len(p.fifo) {
+			t = max(t, p.fifo[len(p.fifo)-1].doneAt)
+		}
+	}
+	return t
 }
 
 // Reset returns the model to the state NewBackground left it in: no
 // backlog, counters zero. The coupled wakes stay; the simulator disarms
-// the timers (sim.Sim.Reset).
+// the release timers (sim.Sim.Reset).
 func (bg *Background) Reset() {
 	for i := range bg.ports {
 		p := &bg.ports[i]
 		p.fifo, p.head = p.fifo[:0], 0
 		p.pendingFrames, p.pendingBytes, p.highwater = 0, 0, 0
-		p.armed = false
 		p.offeredFrames, p.offeredBytes = 0, 0
 		p.deliveredFrames, p.deliveredBytes = 0, 0
 		p.droppedFrames, p.droppedBytes = 0, 0
@@ -265,6 +274,7 @@ func (bg *Background) Reset() {
 
 // Totals aggregates the conservation counters across every port.
 func (bg *Background) Totals() (offeredF, offeredB, deliveredF, deliveredB, droppedF, droppedB uint64) {
+	bg.settle(bg.s.Now())
 	for i := range bg.ports {
 		p := &bg.ports[i]
 		offeredF += p.offeredFrames
@@ -277,12 +287,16 @@ func (bg *Background) Totals() (offeredF, offeredB, deliveredF, deliveredB, drop
 	return
 }
 
-// HighWater returns a port's peak background occupancy in bytes.
+// HighWater returns a port's peak background occupancy in bytes. It
+// needs no settle: the peak moves only in Offer, after Offer's own.
 func (bg *Background) HighWater(port int) uint64 { return bg.ports[port].highwater }
 
 // Ports returns the number of modeled egress ports.
 func (bg *Background) Ports() int { return len(bg.ports) }
 
 // Counters implements hw.CounterSource: port<N>_<counter> for every
-// port that saw offered traffic.
-func (bg *Background) Counters() *hw.Counters { return &bg.ctrs }
+// port that saw offered traffic, settled to now.
+func (bg *Background) Counters() *hw.Counters {
+	bg.settle(bg.s.Now())
+	return &bg.ctrs
+}

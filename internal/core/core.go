@@ -309,10 +309,39 @@ func (d *Device) RunFor(dur hw.Time) { d.Sim.Run(d.Now()+dur, 0, 0) }
 
 // RunUntilIdle runs until the device is idle: no events remain other
 // than the periodic timers agents armed with Every, which re-arm forever
-// and would otherwise keep a drain from ever ending (bounded by limit
-// events; 0 means unbounded). It reports whether the device went idle.
+// and would otherwise keep a drain from ever ending, and no background
+// backlog is still on the wire. The backlog schedules no event, so when
+// the events run out first the run goes on to its last completion:
+// every event due by then fires, Every timers included, and the drain
+// ends at that instant. limit bounds the events executed (0 means
+// unbounded); it reports whether the device went idle.
 func (d *Device) RunUntilIdle(limit uint64) bool {
-	return d.Sim.Run(sim.Forever, limit, d.everyTimers)
+	for {
+		start := d.Sim.Executed()
+		if !d.Sim.Run(sim.Forever, limit, d.everyTimers) {
+			return false
+		}
+		if d.bg == nil {
+			return true
+		}
+		tail := d.bg.tail()
+		if tail <= d.Now() {
+			return true
+		}
+		if limit != 0 {
+			if limit -= d.Sim.Executed() - start; limit == 0 {
+				return false // spent, with backlog still on the wire
+			}
+		}
+		start = d.Sim.Executed()
+		if !d.Sim.Run(tail, limit, 0) {
+			return false
+		}
+		d.bg.settle(tail)
+		if limit != 0 {
+			limit -= d.Sim.Executed() - start // not spent: stays > 0
+		}
+	}
 }
 
 // Agent is project "firmware": software that runs against the register

@@ -220,6 +220,30 @@ func TestRandExpDurationPinned(t *testing.T) {
 	}
 }
 
+// TestRandIntnIsModulo: Intn(n) is the next Uint64 modulo n, whichever
+// way it is computed — for every power of two up to 2^62 (masked) and
+// for random n (divided) — so a generator's draws, and every golden
+// built from them, do not depend on the shortcut.
+func TestRandIntnIsModulo(t *testing.T) {
+	check := func(n int, seed uint64) {
+		t.Helper()
+		a, b := NewRand(seed), NewRand(seed)
+		for range 2000 {
+			if got, want := a.Intn(n), int(b.Uint64()%uint64(n)); got != want {
+				t.Fatalf("n=%d seed=%d: Intn = %d, Uint64 %% n = %d", n, seed, got, want)
+			}
+		}
+	}
+	for k := 0; k <= 62; k++ {
+		check(1<<k, uint64(k))
+	}
+	pick := NewRand(99)
+	for i := range 200 {
+		n := int(pick.Uint64()>>(2+pick.Uint64()%62)) + 1 // 1 … 2^62, every magnitude
+		check(n, uint64(1000+i))
+	}
+}
+
 func TestRandPerm(t *testing.T) {
 	r := NewRand(3)
 	out := make([]int, 16)

@@ -29,12 +29,17 @@ func (r *Rand) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Intn returns a uniform int in [0, n). It panics if n <= 0.
+// Intn returns a uniform int in [0, n): the next Uint64 modulo n. It
+// panics if n <= 0.
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {
 		panic("sim: Intn with non-positive n")
 	}
-	return int(r.Uint64() % uint64(n))
+	x, m := r.Uint64(), uint64(n)
+	if m&(m-1) == 0 {
+		return int(x & (m - 1)) // x % m for a power of two, without the divide
+	}
+	return int(x % m)
 }
 
 // Uint32 returns 32 random bits.
