@@ -147,8 +147,11 @@ func goldenCases() []goldenCase {
 	for _, e := range projects.All() {
 		cases = append(cases, goldenCase{"sume", e.Name, "", 40})
 	}
-	// The hybrid model's bg.* block rides the same spine.
-	cases = append(cases, goldenCase{"sume", "reference_switch", netfpga.FidelityHybrid, 5})
+	// The hybrid model's bg.* block rides the same spine; the long case
+	// completes background batches, so delivered counts and a settled
+	// backlog are pinned too.
+	cases = append(cases, goldenCase{"sume", "reference_switch", netfpga.FidelityHybrid, 5},
+		goldenCase{"sume", "reference_switch", netfpga.FidelityHybrid, 40})
 	return cases
 }
 

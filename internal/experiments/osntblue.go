@@ -31,11 +31,7 @@ func defT6() Def {
 		Params: []sweep.Axis{{Name: "dut_us", Values: t6DUTs}},
 	}
 
-	template, _ := pkt.BuildUDP(pkt.UDPSpec{
-		SrcMAC: pkt.MustMAC("02:05:00:00:00:01"), DstMAC: pkt.MustMAC("02:05:00:00:00:02"),
-		SrcIP: pkt.MustIP4("192.0.2.1"), DstIP: pkt.MustIP4("192.0.2.2"),
-		SrcPort: 5000, DstPort: 5001, Payload: make([]byte, 470),
-	})
+	template := t6Template()
 	wire := len(template) + 24
 
 	precision := func(c *sweep.Ctx, cell sweep.Cell) (sweep.Outcome, error) {
@@ -142,6 +138,16 @@ func renderT6(rs *sweep.Results) []*Table {
 	lat.Notes = append(lat.Notes,
 		"measured mean - DUT delay is the constant path overhead; recovery error is within one 5ns clock quantum")
 	return []*Table{prec, lat}
+}
+
+// t6Template is T6's test frame: 512 bytes of UDP.
+func t6Template() []byte {
+	f, _ := pkt.BuildUDP(pkt.UDPSpec{
+		SrcMAC: pkt.MustMAC("02:05:00:00:00:01"), DstMAC: pkt.MustMAC("02:05:00:00:00:02"),
+		SrcIP: pkt.MustIP4("192.0.2.1"), DstIP: pkt.MustIP4("192.0.2.2"),
+		SrcPort: 5000, DstPort: 5001, Payload: make([]byte, 470),
+	})
+	return f
 }
 
 // osntLoop builds OSNT onto dev with port0 -> DUT(delay) -> port1.

@@ -19,6 +19,7 @@ type vecWorker struct {
 	jobs      []int // remaining cycle counts of queued jobs
 	remaining int   // cycles left of the current job (0 = between jobs)
 	batched   uint64
+	widest    int // the longest window taken
 }
 
 func (w *vecWorker) step() bool {
@@ -40,12 +41,14 @@ func (w *vecWorker) step() bool {
 
 // Advance allows a window only strictly inside a job — the final cycle
 // (completion) and the fetch cycle are decisions — and, as the contract
-// demands, cuts it with the clock's bound before taking it.
+// demands, cuts it with the clock's bound before taking it. The batch
+// budget n only says whether a window is offered: one may run past it.
 func (w *vecWorker) Advance(n int) (int, bool) {
 	if lim := w.remaining - 1; n > 1 && lim > 1 {
-		if k := w.clk.Bound(min(n, lim)); k > 1 {
+		if k := w.clk.Bound(lim); k > 1 {
 			w.remaining -= k
 			w.batched += uint64(k)
+			w.widest = max(w.widest, k)
 			return k, true
 		}
 	}
@@ -67,7 +70,7 @@ func (p plainComp) Advance(int) (int, bool) { return 1, p.w.step() }
 // vecScenario runs the worker through busy/idle stretches with timers
 // landing mid-window and uneven run deadlines. batched selects whether
 // the clock drives the windowing worker or its per-edge wrapper.
-func vecScenario(t *testing.T, batched bool, clockBatch int, run func(s *Sim)) ([]string, uint64, uint64, uint64) {
+func vecScenario(t *testing.T, batched bool, clockBatch int, run func(s *Sim)) ([]string, uint64, uint64, *vecWorker) {
 	t.Helper()
 	s := New()
 	clk := s.NewClock("dp", 3*Nanosecond)
@@ -96,13 +99,15 @@ func vecScenario(t *testing.T, batched bool, clockBatch int, run func(s *Sim)) (
 	rep.ScheduleAfter(11 * Nanosecond)
 
 	run(s)
-	return w.tr.events, s.Executed(), clk.Ticks(), w.batched
+	return w.tr.events, s.Executed(), clk.Ticks(), w
 }
 
 // TestBatchComponentEquivalence checks that vectorized windows are
 // trace-identical to per-edge execution — same callback interleaving,
 // same times, same Executed counts, same total edges — across clock
-// batch sizes and awkward run deadlines, while actually batching.
+// batch sizes and awkward run deadlines, while actually batching. A
+// window is not cut at the batch budget, so the small batches take
+// windows longer than themselves; a batch of 1 offers none.
 func TestBatchComponentEquivalence(t *testing.T) {
 	runner := func(s *Sim) {
 		for _, d := range []Time{10 * Nanosecond, 1, 29 * Nanosecond, 400 * Nanosecond} {
@@ -114,16 +119,22 @@ func TestBatchComponentEquivalence(t *testing.T) {
 	if len(ref) == 0 {
 		t.Fatal("scenario produced no events")
 	}
+	if _, _, _, w := vecScenario(t, true, 1, runner); w.batched != 0 {
+		t.Errorf("batch=1 offered windows: %d cycles absorbed", w.batched)
+	}
 	for _, k := range []int{2, 3, DefaultBatch, 1000} {
-		got, exec, ticks, batchedCycles := vecScenario(t, true, k, runner)
+		got, exec, ticks, w := vecScenario(t, true, k, runner)
 		if exec != refExec {
 			t.Errorf("batch=%d executed %d events, want %d", k, exec, refExec)
 		}
 		if ticks != refTicks {
 			t.Errorf("batch=%d ran %d edges, want %d", k, ticks, refTicks)
 		}
-		if batchedCycles == 0 {
+		if w.batched == 0 {
 			t.Errorf("batch=%d executed no vectorized cycles; windows never opened", k)
+		}
+		if k < 10 && w.widest <= k {
+			t.Errorf("batch=%d: widest window %d, want one past the batch budget", k, w.widest)
 		}
 		if !reflect.DeepEqual(got, ref) {
 			for i := range ref {

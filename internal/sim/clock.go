@@ -18,12 +18,14 @@ package sim
 // no event may be scheduled inside the window, no decision whose outcome
 // depends on the exact cycle number may fire, every edge but possibly
 // the last would have reported busy, and its state afterwards must be
-// byte-identical. n is only the clock's remaining batch budget; before
-// taking a window of its own the component must cut it with Clock.Bound,
+// byte-identical. n is the clock's remaining batch budget, which bounds
+// the Ticks run between two heap visits, not a window: n == 1 offers no
+// window at all (SetBatch(1), the per-edge reference), and for n > 1 a
+// window is sized by the component's own proof cut with Clock.Bound —
 // which accounts for everything outside the domain (a foreign event, the
-// run deadline, the event budget). Within that bound the outside world
-// is frozen. During the call Now and Cycle stay at the window's first
-// edge; the clock advances them by k afterwards.
+// run deadline, the event budget) — and may exceed n. Within that bound
+// the outside world is frozen. During the call Now and Cycle stay at the
+// window's first edge; the clock advances them by k afterwards.
 type Component interface {
 	Advance(n int) (k int, busy bool)
 }
@@ -51,14 +53,18 @@ func (g group) Advance(int) (int, bool) {
 }
 
 // DefaultBatch is the edge budget of a clock domain: while its component
-// stays busy, a clock executes up to this many consecutive edges with no
-// event between them inside one simulation event before re-entering the
-// event loop. A foreign event run inside the batch (Clock.foreign) does
-// not end it; it restarts the budget, which so counts the edges the
-// clock runs without touching the heap. Batching is observably identical
-// to unbatched execution — timestamps, Cycle, Executed and cross-domain
-// ordering are bit-exact for every batch size — it only amortises the
-// per-event heap push/pop and timer reschedule across the batch.
+// stays busy, a clock executes up to this many consecutive single-edge
+// Advances with no event between them inside one simulation event before
+// re-entering the event loop. A window the component takes counts
+// against the budget but is not cut by it: one that reaches or passes
+// the budget ends the batch, and the next edge re-arms through the heap
+// as when the budget runs out. A foreign event run inside the batch
+// (Clock.foreign) does not end it; it restarts the budget, which so
+// counts the edges the clock runs without touching the heap. Batching is
+// observably identical to unbatched execution — timestamps, Cycle,
+// Executed and cross-domain ordering are bit-exact for every batch size
+// — it only amortises the per-event heap push/pop and timer reschedule
+// across the batch.
 const DefaultBatch = 64
 
 // Clock is a gateable clock domain. Edges fall on integer multiples of the
@@ -180,16 +186,17 @@ func (c *Clock) start() {
 // batch instead of once per edge or per foreign event.
 //
 // The component is handed only the remaining batch budget, which costs
-// nothing to know; everything else that limits an advance is in Bound,
-// which a component asks for once it holds a window of its own. k edges
-// in one call get exactly the accounting k single-edge iterations would
-// have: k ticks, k cycles, k-1 inline time advances each counting one
-// executed event.
+// nothing to know; everything that limits a window is in Bound, which a
+// component asks for once it holds a window of its own, so a window may
+// run past the budget: it then ends the batch like the budget's last
+// edge. k edges in one call get exactly the accounting k single-edge
+// iterations would have: k ticks, k cycles, k-1 inline time advances
+// each counting one executed event.
 func (c *Clock) edge() {
 	s := c.sim
 	for left := c.batch; ; {
 		k, busy := c.comp.Advance(left)
-		if k < 1 || k > left {
+		if k < 1 || k > 1 && left == 1 {
 			panic("sim: component advanced a number of edges out of range")
 		}
 		c.ticks += uint64(k)
@@ -200,9 +207,8 @@ func (c *Clock) edge() {
 			c.active = false
 			return
 		}
-		left -= k
 		next := s.now + c.period
-		if left == 0 {
+		if left -= k; left <= 0 {
 			c.timer.ScheduleAt(next)
 			return
 		}
@@ -210,8 +216,8 @@ func (c *Clock) edge() {
 			if !c.foreign(next) {
 				return
 			}
-			// The events just run went through the heap; a window
-			// after them should not be capped by edges before them.
+			// The events just run went through the heap; the Ticks
+			// after them start a fresh budget.
 			left = c.batch
 		}
 		s.now = next
@@ -291,10 +297,10 @@ func (s *Sim) edgeTimer(t *Timer) bool {
 // Bound returns how many consecutive edges, at most n and at least 1,
 // may execute as one window starting with the edge at Now: the largest w
 // for which inline would have admitted each of the w-1 advances between
-// them. With the batch budget the clock hands to Advance this is the one
-// advance bound — min(next foreign event, run deadline, event budget, K).
-// It costs two divisions and a heap peek, so a component asks only when
-// it has a window to cut.
+// them — min(n, next foreign event, run deadline, event budget). n is
+// the component's own limit (what it proved), not the batch budget. It
+// costs two divisions and a heap peek, so a component asks only when it
+// has a window to cut.
 func (c *Clock) Bound(n int) int {
 	s := c.sim
 	if n < 2 || s.now > s.horizon || s.executed >= s.fence {

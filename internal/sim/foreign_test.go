@@ -44,7 +44,7 @@ type jobWorker struct {
 
 func (w *jobWorker) Advance(n int) (int, bool) {
 	if lim := w.left - 1; n > 1 && lim > 1 {
-		if k := w.clk.Bound(min(n, lim)); k > 1 {
+		if k := w.clk.Bound(lim); k > 1 {
 			w.left -= k
 			return k, true
 		}

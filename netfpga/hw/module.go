@@ -331,23 +331,26 @@ const (
 	minWindow = 4
 )
 
-// Advance implements sim.Component: a frame window of up to n cycles
-// when one can be proven, else one Tick — also when n is more than the
-// design could plan for, so a caller never gets cycles nobody solved.
-// Three O(1) gates first decide whether to try at all; they only pick
-// which cycles run as Ticks, never what those compute. Nothing is tried
-// right after a frame boundary (edge) — boundaries come in runs, and on
-// small-frame traffic, where every cycle has one, an attempt is pure
-// cost; nor after a failed attempt until the next boundary has passed
-// (stuck: whatever refused the window is still there); nor when a
-// foreign event is due before minWindow edges could run. Only a solved
-// window is worth asking the clock how far the outside world lets it run.
+// Advance implements sim.Component: a frame window when one can be
+// proven, else one Tick. n, the clock's remaining batch budget, only
+// says whether a window may be offered at all (n > 1); the window runs
+// as far as the modules' declarations solve (lim) and the clock's Bound
+// lets it — until something decides — however much of the batch is
+// left. Three O(1) gates first decide whether to try at all; they only
+// pick which cycles run as Ticks, never what those compute. Nothing is
+// tried right after a frame boundary (edge) — boundaries come in runs,
+// and on small-frame traffic, where every cycle has one, an attempt is
+// pure cost; nor after a failed attempt until the next boundary has
+// passed (stuck: whatever refused the window is still there); nor when
+// a foreign event is due before minWindow edges could run. Only a
+// solved window is worth asking the clock how far the outside world
+// lets it run.
 func (d *Design) Advance(n int) (int, bool) {
 	if n > 1 && d.burst != 1 && !d.edge && !d.stuck {
 		if at, ok := d.clock.Sim().Peek(); !ok || at > d.clock.Now()+(minWindow-1)*d.clock.Period() {
 			if lim := d.solve(); lim < minWindow {
 				d.stuck = true
-			} else if n = d.clock.Bound(min(n, lim)); n > 1 {
+			} else if n = d.clock.Bound(lim); n > 1 {
 				d.apply(n, n == lim)
 				return n, true
 			}

@@ -107,6 +107,29 @@ func (t *Timestamper) Tick() bool {
 	return false
 }
 
+// Rates implements hw.Rater. StampMeta stamps a first beat with the
+// cycle it passes on, so while it holds a beat every cycle is a Tick.
+// StampPayload streams the stamped frame, collects the next one beat by
+// beat until its Last (the stamp decision) and holds its input while a
+// collected frame waits: a held frame is always behind an active
+// emitter, since the Tick that collects it starts it otherwise.
+func (t *Timestamper) Rates(w *hw.Window) {
+	if t.mode == StampMeta {
+		if t.in.CanPop() {
+			w.Horizon(1)
+		}
+		return
+	}
+	if t.emit.Active() {
+		w.Push(t.out, &t.emit)
+	}
+	if t.hold == nil {
+		w.Drain(t.in)
+	} else {
+		w.Hold(t.in)
+	}
+}
+
 // ExtractPayloadTimestamp reads a timestamp written by StampPayload mode.
 func ExtractPayloadTimestamp(data []byte, offset uint32) (hw.Time, bool) {
 	if int(offset)+8 > len(data) {

@@ -17,7 +17,8 @@ import (
 // three-port reference pipeline — lookup latency, lookup pipeline depth,
 // output-queue bytes, stream depth, a 1G transmit MAC with a 3 KB FIFO
 // on port 0 (so its attach stalls for whole frames), a DMA path, a late
-// injector — and every following pair of bytes injects one frame (size,
+// injector, a Filter stage behind the lookup that drops every third
+// frame — and every following pair of bytes injects one frame (size,
 // ingress, a destination mask that may be multicast or the host) and
 // lets a gap of simulated time pass. Both runs must agree on everything
 // observable.
@@ -87,6 +88,7 @@ func runWindowProgram(prog []byte, frameBurst int) windowTrace {
 	slowMAC := prog[3]&4 != 0
 	withDMA := prog[3]&8 != 0
 	withLate := prog[3]&16 != 0
+	withFilter := prog[3]&32 != 0
 
 	var tr windowTrace
 	s := sim.New()
@@ -153,6 +155,11 @@ func runWindowProgram(prog []byte, frameBurst int) windowTrace {
 		return Forward // an empty mask is a drop
 	}, latency, hw.Resources{}, nil)
 	opl.SetPipelineDepth(depth)
+	if withFilter {
+		filtered := d.NewStream("filter-oq", streamCap)
+		newFilter(d, "filter", decided, filtered, func(f *hw.Frame) bool { return f.Data[1]%3 != 0 }, hw.Resources{})
+		decided = filtered
+	}
 	NewOutputQueues(d, decided, outs, queueBytes)
 	if withLate {
 		d.AddModule(late)
@@ -223,7 +230,7 @@ func diffWindowRuns(ref, got windowTrace) string {
 
 // windowSeeds are the programs the fuzzer starts from; as a plain test
 // they must between them open windows, stall the slow MAC, drop at the
-// output queues, reach the host and start a feedback edge empty.
+// output queues, reach the host, start a feedback edge empty and filter.
 func windowSeeds() [][]byte {
 	mtuMesh := []byte{2, 7, 21, 3}
 	for i := 0; i < 60; i++ {
@@ -246,7 +253,11 @@ func windowSeeds() [][]byte {
 		late = append(late, 2<<6|63, 1<<3|byte(i/6*6))      // tap 2 to port 0
 		late = append(late, byte(63-i*4), 0x80|byte(1+i%2)) // and a frame injected onto port 2's wire
 	}
-	return [][]byte{mtuMesh, slowFanIn, dmaMix, shallow, late}
+	filtered := []byte{11, 0, 2, 1 | 4 | 32}
+	for i := 0; i < 40; i++ {
+		filtered = append(filtered, byte(i%3)<<6|byte(40+i%24), byte(1<<uint((i+1)%3))<<3|byte(4+i%3)) // large frames, spaced
+	}
+	return [][]byte{mtuMesh, slowFanIn, dmaMix, shallow, late, filtered}
 }
 
 // checkWindowProgram runs prog per-cycle, with adaptive windows and with

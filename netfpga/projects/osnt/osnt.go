@@ -125,7 +125,12 @@ func (p *Project) Description() string {
 }
 
 // Build implements netfpga.Project.
-func (p *Project) Build(dev *netfpga.Device) error {
+func (p *Project) Build(dev *netfpga.Device) error { return p.build(dev, lib.StampPayload) }
+
+// build builds the tester with its transmit timestampers in mode: OSNT
+// stamps the payload, and the equivalence tests also run it stamping
+// the metadata.
+func (p *Project) build(dev *netfpga.Device, mode lib.TimestampMode) error {
 	d := dev.Dsn
 	inst := &OSNT{dev: dev}
 	for i, mac := range dev.MACs {
@@ -133,18 +138,18 @@ func (p *Project) Build(dev *netfpga.Device) error {
 		stamped := d.NewStream(fmt.Sprintf("stamped%d", i), 16)
 		rx := d.NewStream(fmt.Sprintf("rx%d", i), 16)
 
-		g := &generator{d: d, out: genOut, seed: uint64(i) + 1}
+		g := &generator{name: fmt.Sprintf("osnt_generator%d", i), d: d, out: genOut, seed: uint64(i) + 1}
 		g.rng = sim.NewRand(g.seed)
 		g.ctrs.Add("sent", &g.sent)
 		d.AddModule(g)
 		// The generator is a pure source: nothing pushes into it, so the
 		// only wake it needs is its own (Start re-arms it after idle).
 		g.wake = d.Waker(g)
-		lib.NewTimestamper(d, fmt.Sprintf("tx_stamp%d", i), genOut, stamped, lib.StampPayload, TsOffset)
+		lib.NewTimestamper(d, fmt.Sprintf("tx_stamp%d", i), genOut, stamped, mode, TsOffset)
 		att := lib.NewMACAttach(d, mac, i, rx, stamped, 0)
 		dev.MountRegs(att.Registers())
 
-		m := &monitor{d: d, in: rx, tsOffset: TsOffset}
+		m := &monitor{name: fmt.Sprintf("osnt_monitor%d", i), d: d, in: rx, tsOffset: TsOffset}
 		m.ctrs.Grow(3)
 		m.ctrs.Add("pkts", &m.pkts)
 		m.ctrs.Add("bytes", &m.bytes)
@@ -170,7 +175,8 @@ func (p *Project) Instance() *OSNT { return p.inst }
 // modules, reset with the design; the tester keeps no other state.
 func (p *Project) Reset() {}
 
-// Configure arms a port's generator; it does not start transmission.
+// Configure arms a port's generator; it does not start transmission,
+// but a started one transmits under the new spec from its next cycle.
 func (o *OSNT) Configure(port int, spec TrafficSpec) error {
 	if port < 0 || port >= len(o.gens) {
 		return fmt.Errorf("osnt: port %d out of range", port)
@@ -186,7 +192,14 @@ func (o *OSNT) Configure(port int, spec TrafficSpec) error {
 	if spec.Mode == Replay && len(spec.Gaps) == 0 && len(spec.Trace) == 0 {
 		return fmt.Errorf("osnt: replay needs gaps or a trace")
 	}
-	o.gens[port].arm(spec, o.dev.Now())
+	g := o.gens[port]
+	g.arm(spec, o.dev.Now())
+	if g.running {
+		// Armed while started, the generator departs on its next edge:
+		// that is news to it, as Start is, whether or not it parked
+		// since.
+		g.wake.Wake()
+	}
 	return nil
 }
 
@@ -248,6 +261,7 @@ func (o *OSNT) CaptureSpan(port int) (first, last netfpga.Time, n int) {
 
 // generator is the per-port rate-controlled source.
 type generator struct {
+	name    string
 	d       *hw.Design
 	out     *hw.Stream
 	wake    hw.Waker // marks this generator runnable and re-arms the clock
@@ -259,14 +273,8 @@ type generator struct {
 	nextAt  hw.Time
 	gapIdx  int
 	sent    uint64
-	emit    genEmit
+	emit    hw.Emitter
 	ctrs    hw.Counters
-}
-
-// genEmit streams the current frame.
-type genEmit struct {
-	frame *hw.Frame
-	off   int
 }
 
 func (g *generator) arm(spec TrafficSpec, now hw.Time) {
@@ -281,7 +289,7 @@ func (g *generator) arm(spec TrafficSpec, now hw.Time) {
 }
 
 // Name implements hw.Module.
-func (g *generator) Name() string { return "osnt_generator" }
+func (g *generator) Name() string { return g.name }
 
 // Resources implements hw.Module: the generator's DRAM replay engine is
 // one of OSNT's larger blocks.
@@ -312,22 +320,9 @@ func (g *generator) gap() hw.Time {
 
 // Tick implements hw.Module.
 func (g *generator) Tick() bool {
-	// Drain the in-progress frame first.
-	if g.emit.frame != nil {
-		if g.out.CanPush() {
-			bus := g.d.BusBytes()
-			end := g.emit.off + bus
-			last := false
-			if end >= len(g.emit.frame.Data) {
-				end = len(g.emit.frame.Data)
-				last = true
-			}
-			g.out.Push(hw.Beat{Frame: g.emit.frame, Off: g.emit.off, End: end, Last: last})
-			g.emit.off = end
-			if last {
-				g.emit.frame = nil
-			}
-		}
+	// Stream the in-progress frame first.
+	if g.emit.Active() {
+		g.emit.Emit(g.out, g.d.BusBytes())
 		return true
 	}
 	if !g.armed || !g.running {
@@ -350,11 +345,30 @@ func (g *generator) Tick() bool {
 	if !g.spec.Stamp {
 		f.Meta.Flags &^= hw.FlagTimestamped
 	}
-	g.emit.frame = f
-	g.emit.off = 0
+	g.emit.Start(f)
 	g.sent++
 	g.nextAt += g.gap()
 	return true
+}
+
+// Rates implements hw.Rater. Emitting, the generator streams its frame;
+// running and waiting for its departure slot, it is busy for exactly
+// the cycles before the first edge at or past nextAt, which — like the
+// edge that reaches Count — decides and runs as a Tick.
+func (g *generator) Rates(w *hw.Window) {
+	switch {
+	case g.emit.Active():
+		w.Push(g.out, &g.emit)
+	case !g.armed || !g.running:
+	case g.spec.Count > 0 && g.sent >= uint64(g.spec.Count):
+		w.Horizon(1) // next cycle stops the generator
+	case g.d.Now() < g.nextAt:
+		w.Busy()
+		p := g.d.Clock().Period()
+		w.Horizon(int(min((g.nextAt-g.d.Now()+p-1)/p, 1<<30))) // int-safe; windows are capped lower
+	default:
+		w.Horizon(1) // next cycle departs
+	}
 }
 
 // Reset implements hw.Resetter: unarmed and stopped, with the port's
@@ -362,7 +376,7 @@ func (g *generator) Tick() bool {
 func (g *generator) Reset() {
 	g.spec, g.running, g.armed = TrafficSpec{}, false, false
 	g.rng.Seed(g.seed)
-	g.nextAt, g.gapIdx, g.sent, g.emit = 0, 0, 0, genEmit{}
+	g.nextAt, g.gapIdx, g.sent, g.emit = 0, 0, 0, hw.Emitter{}
 }
 
 // Counters implements hw.CounterSource.
@@ -381,6 +395,7 @@ type capturedFrame struct {
 
 // monitor is the per-port statistics/capture sink.
 type monitor struct {
+	name     string
 	d        *hw.Design
 	in       *hw.Stream
 	tsOffset uint32
@@ -398,7 +413,7 @@ type monitor struct {
 }
 
 // Name implements hw.Module.
-func (m *monitor) Name() string { return "osnt_monitor" }
+func (m *monitor) Name() string { return m.name }
 
 // Resources implements hw.Module.
 func (m *monitor) Resources() hw.Resources {
@@ -441,6 +456,11 @@ func (m *monitor) Tick() bool {
 	}
 	return true
 }
+
+// Rates implements hw.Rater: the monitor pops a beat per cycle, and a
+// Last one — counting, latency, capture — is the decision the window
+// stops before.
+func (m *monitor) Rates(w *hw.Window) { w.Drain(m.in) }
 
 func (m *monitor) snapshot() MonStats {
 	st := MonStats{

@@ -268,7 +268,7 @@ func TestAcquireRelease(t *testing.T) {
 			var p *Plan
 			var cached *netfpga.Device
 			ran := 0
-			spec := Spec{Name: "c", Projects: []string{"reference_iotest"}, Seeds: []uint64{7},
+			spec := Spec{Name: "c", Projects: []string{"reference_switch"}, Seeds: []uint64{7},
 				Fidelities: []string{netfpga.FidelityHybrid}}
 			if tc.boardFail {
 				spec.BoardFor = func(Cell) (netfpga.BoardSpec, error) { return netfpga.BoardSpec{}, boom }

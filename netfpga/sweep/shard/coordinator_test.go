@@ -1026,20 +1026,27 @@ func (h *harness) engaged() map[string]bool {
 	return e
 }
 
-// netGroups is the net's plan: the shard test matrix, plus a group with
-// derived seeds and a fidelity axis, so a worker's device cache resets
-// across projects and fidelities in whatever order its cells complete.
+// netGroups is the net's plan: the shard test matrix, plus two groups
+// with derived seeds and a fidelity axis — both projects at full
+// fidelity, the switch (the one project hybrid represents) at both — so
+// a worker's device cache resets across projects and fidelities in
+// whatever order its cells complete.
 func netGroups() []sweep.Group {
-	return []sweep.Group{testGroup(), {
-		Spec: sweep.Spec{
-			Name:       "h",
-			Projects:   []string{"reference_switch", "reference_iotest"},
-			Workloads:  []sweep.Workload{{Name: "bg", Flows: 8, Background: 6}},
-			Fidelities: []string{"full", "hybrid"},
-			WindowUS:   40,
-		},
-		Measure: sweep.GenericMeasure,
-	}}
+	bg := func(name string, projects []string, fids ...string) sweep.Group {
+		return sweep.Group{
+			Spec: sweep.Spec{
+				Name:       name,
+				Projects:   projects,
+				Workloads:  []sweep.Workload{{Name: "bg", Flows: 8, Background: 6}},
+				Fidelities: fids,
+				WindowUS:   40,
+			},
+			Measure: sweep.GenericMeasure,
+		}
+	}
+	return []sweep.Group{testGroup(),
+		bg("h", []string{"reference_switch", "reference_iotest"}, "full"),
+		bg("hy", []string{"reference_switch"}, "full", "hybrid")}
 }
 
 var (

@@ -20,6 +20,7 @@ package sweep
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -188,6 +189,9 @@ func (c Cell) Duration(name string) netfpga.Time {
 // form, so keys are stable and readable: 1e-07, 0.5, 2000).
 func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
+// hybridProject is the one project a hybrid cell may run (see Expand).
+const hybridProject = "reference_switch"
+
 // Expand crosses the spec's axes into cells, applying the spec's own
 // Include/Exclude and then the extra filter expression. The result order
 // is deterministic and independent of any filter.
@@ -253,6 +257,17 @@ func (s *Spec) Expand(filter string) ([]Cell, error) {
 	useFid := len(fids) > 0
 	if !useFid {
 		fids = []string{""}
+	}
+	// The background model delivers every background frame to every
+	// egress but its ingress: the reference switch's flood of the
+	// workload's never-learned destinations, and no other design's
+	// decision, so it represents no other project.
+	if slices.Contains(fids, netfpga.FidelityHybrid) {
+		for _, p := range projects {
+			if p != hybridProject {
+				return nil, fmt.Errorf("sweep: spec %s: hybrid fidelity cannot represent project %q: the background model routes only as %s does (ROADMAP item 17)", s.Name, p, hybridProject)
+			}
+		}
 	}
 
 	var cells []Cell

@@ -98,6 +98,33 @@ func TestExpandValidation(t *testing.T) {
 	}
 }
 
+// TestExpandRefusesHybridOffTheSwitch: the background model floods as
+// the reference switch does, so a hybrid cell on any other project —
+// or on none — is refused, naming the project and the roadmap item,
+// while full fidelity on the same projects and hybrid on the switch
+// expand.
+func TestExpandRefusesHybridOffTheSwitch(t *testing.T) {
+	for _, projects := range [][]string{{"reference_iotest"}, {"reference_switch", "reference_router"}, nil} {
+		s := Spec{Name: "h", Projects: projects, Fidelities: []string{"full", "hybrid"}}
+		_, err := s.Expand("")
+		bad := "\"\""
+		if len(projects) > 0 {
+			bad = fmt.Sprintf("%q", projects[len(projects)-1])
+		}
+		if err == nil || !strings.Contains(err.Error(), bad) || !strings.Contains(err.Error(), "item 17") {
+			t.Errorf("projects %v: err = %v, want a refusal naming %s and item 17", projects, err, bad)
+		}
+		s.Fidelities = []string{"full"}
+		if _, err := s.Expand(""); err != nil {
+			t.Errorf("projects %v at full fidelity: %v", projects, err)
+		}
+	}
+	s := Spec{Name: "h", Projects: []string{"reference_switch"}, Fidelities: []string{"full", "hybrid"}}
+	if cells, err := s.Expand(""); err != nil || len(cells) != 2 {
+		t.Errorf("hybrid on the switch: %d cells, %v", len(cells), err)
+	}
+}
+
 func TestMatches(t *testing.T) {
 	cases := []struct {
 		key, inc, exc string
