@@ -215,8 +215,8 @@ func TestLoadedWindowEquivalence(t *testing.T) {
 			if len(ref.rx) < 40 {
 				t.Fatalf("reference run delivered only %d frames", len(ref.rx))
 			}
-			if drops := ref.snap["design.oq0.drops"]; (drops > 0) != tc.wantDrops {
-				t.Fatalf("oq0 drops = %d, want drops: %v", drops, tc.wantDrops)
+			if drops := ref.snap["design.output_queues.port0_drops"]; (drops > 0) != tc.wantDrops {
+				t.Fatalf("port0_drops = %d, want drops: %v", drops, tc.wantDrops)
 			}
 			for _, burst := range []int{0, 8} {
 				got := runSwitchLoaded(t, burst, 1514, tc.dst)

@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"repro/netfpga"
-	"repro/netfpga/sweep"
-)
+import "repro/netfpga"
 
 // measureGoodput saturates the given taps (tap i repeatedly sends
 // streams[i]; nil entries stay silent) through a warmup and a timed
@@ -64,8 +61,3 @@ func tapCounts(taps ...*netfpga.PortTap) (frames, bytes uint64) {
 	}
 	return frames, bytes
 }
-
-// designDrops sums the design's queue-overflow drops — one
-// classification rule for loss, shared with the sweep's generic
-// measure so tables and sweep cells can never disagree.
-func designDrops(dev *netfpga.Device) uint64 { return sweep.QueueDrops(dev) }

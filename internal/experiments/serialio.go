@@ -59,7 +59,7 @@ func defT1() Def {
 		rxBytes := measureGoodput(dev, taps, streams, 100*netfpga.Microsecond, window)
 		var o sweep.Outcome
 		o.Set("achieved_gbps", float64(rxBytes)*8/window.Seconds()/1e9)
-		o.Set("loss", float64(designDrops(dev)))
+		o.Set("loss", float64(sweep.QueueDrops(dev)))
 		return o, nil
 	}
 	return Def{

@@ -63,7 +63,7 @@ func defT4() Def {
 		rxBytes := measureGoodput(dev, taps, streams, 100*netfpga.Microsecond, window)
 		var o sweep.Outcome
 		o.Set("achieved_gbps", float64(rxBytes)*8/window.Seconds()/1e9)
-		o.Set("drops", float64(designDrops(dev)))
+		o.Set("drops", float64(sweep.QueueDrops(dev)))
 		return o, nil
 	}
 

@@ -199,7 +199,7 @@ func NewEngine(s *sim.Sim, cfg EngineConfig) *Engine {
 	e.fromDevice.OnPush(e.kickRx)
 	e.txDone, e.rxDone = e.onTxDone, e.onRxDone
 	l := e.link
-	e.ctrs.Grow(9)
+	e.ctrs.Grow(10)
 	e.ctrs.Add("h2d_transfers", &l.transfers[HostToDevice])
 	e.ctrs.Add("h2d_bytes", &l.bytes[HostToDevice])
 	e.ctrs.Add("d2h_transfers", &l.transfers[DeviceToHost])
@@ -208,6 +208,7 @@ func NewEngine(s *sim.Sim, cfg EngineConfig) *Engine {
 	e.ctrs.Add("rx_frames", &e.rxFrames)
 	e.ctrs.Add("interrupts", &e.interrupts)
 	e.ctrs.Add("rx_deferred", &e.rxDeferred)
+	e.ctrs.AddCounter(e.toDevice.DropCounter("to_device_drops", hw.Count))
 	e.ctrs.AddCounter(e.fromDevice.DropCounter("from_device_drops", hw.Count))
 	return e
 }

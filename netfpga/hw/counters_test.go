@@ -63,30 +63,36 @@ func TestDesignStatsViews(t *testing.T) {
 	s := sim.New()
 	d := NewDesign("t", s.NewClockMHz("clk", 200), 32)
 	sp := &spined{passthrough: passthrough{name: "sp", in: NewStream("i", 1), out: NewStream("o", 1)}, n: 7}
-	sp.ctrs.AddCounter(Counter{Name: "lost", Ptr: &sp.n, Kind: QueueDrop})
-	d.AddModule(sp)
-	loss := d.NewFrameQueue("q.rxfifo", 1, 0).CountDropsAs(QueueDrop)
+	loss := d.NewFrameQueue("q.rxfifo", 1, 0)
 	ring := d.NewFrameQueue("ring", 1, 0)
+	d.NewFrameQueue("quiet", 1, 0) // owned by no module: exports nothing
+	sp.ctrs.AddCounter(Counter{Name: "lost", Ptr: &sp.n, Kind: QueueDrop})
+	sp.ctrs.AddCounter(loss.DropCounter("rx_drops", QueueDrop))
+	sp.ctrs.AddCounter(ring.DropCounter("ring_drops", Count))
+	d.AddModule(sp)
 	for _, q := range []*FrameQueue{loss, ring} {
 		q.Push(NewFrame(make([]byte, 60), 0))
 		q.Push(NewFrame(make([]byte, 60), 0)) // dropped: the queue holds one frame
 	}
-	d.NewFrameQueue("quiet", 1, 0) // never drops: exports nothing
 
 	// No "sp.moved": spined's own Counters replace the embedded ones.
-	want := map[string]uint64{"sp.lost": 7, "q.rxfifo.drops": 1, "ring.drops": 1}
+	// Each queue's drops appear once, under the module that lists them.
+	want := map[string]uint64{"sp.lost": 7, "sp.rx_drops": 1, "sp.ring_drops": 1}
 	if got := d.Stats(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Stats = %v, want %v", got, want)
 	}
 	dst := map[string]uint64{}
 	d.AddStats(dst, "design.")
-	if len(dst) != len(want) || dst["design.sp.lost"] != 7 || dst["design.q.rxfifo.drops"] != 1 {
+	if len(dst) != len(want) || dst["design.sp.lost"] != 7 || dst["design.sp.rx_drops"] != 1 {
 		t.Fatalf("AddStats = %v", dst)
 	}
-	// The module's QueueDrop counter and the loss queue's own; the plain
+	// The module's QueueDrop counters, the loss queue's drop once; the
 	// ring's drop is a Count.
 	if got := d.Sum(QueueDrop); got != 8 {
 		t.Fatalf("Sum(QueueDrop) = %d, want 8", got)
+	}
+	if got := d.Sum(Count); got != 1 {
+		t.Fatalf("Sum(Count) = %d, want 1", got)
 	}
 }
 

@@ -471,8 +471,8 @@ func (d *Design) Reset() bool {
 }
 
 // Stats returns every design counter in a fresh map, keyed
-// "<module>.<counter>", plus a "<queue>.drops" entry for each design
-// queue that has dropped.
+// "<module>.<counter>". A design queue's drops appear under the module
+// that owns the queue, which lists them (FrameQueue.DropCounter).
 func (d *Design) Stats() map[string]uint64 {
 	n := 0
 	for _, m := range d.modules {
@@ -480,7 +480,7 @@ func (d *Design) Stats() map[string]uint64 {
 			n += cs.Counters().Len()
 		}
 	}
-	out := make(map[string]uint64, n+len(d.queues))
+	out := make(map[string]uint64, n)
 	d.AddStats(out, "")
 	return out
 }
@@ -494,29 +494,16 @@ func (d *Design) AddStats(dst map[string]uint64, prefix string) {
 			cs.Counters().addTo(dst, prefix, m.Name(), ".")
 		}
 	}
-	for _, q := range d.queues {
-		if q.drops > 0 {
-			dst[prefix+q.name+".drops"] = q.drops
-		}
-	}
 }
 
-// Sum adds up the design's counters of one kind: every module's own
-// counters plus the drop counter of every design queue declared with
-// that kind. Sum(QueueDrop) is the sweeps' loss figure. It counts an
-// output-queue tail drop twice — once as the queue's "<queue>.drops" and
-// once as the stage's "port<N>_drops" — because the name-matching sum it
-// replaces did, and recorded sweep tables carry that value.
+// Sum adds up the design's module counters of one kind. Sum(QueueDrop)
+// is the sweeps' loss figure: each queue's tail drops count once,
+// through the module that owns the queue.
 func (d *Design) Sum(kind CounterKind) uint64 {
 	var total uint64
 	for _, m := range d.modules {
 		if cs, ok := m.(CounterSource); ok {
 			total += cs.Counters().Sum(kind)
-		}
-	}
-	for _, q := range d.queues {
-		if q.dropKind == kind {
-			total += q.drops
 		}
 	}
 	return total

@@ -245,10 +245,7 @@ type FrameQueue struct {
 	// edge is as Stream.edge: set by every Push and Pop.
 	edge    *bool
 	ownEdge bool
-	// dropKind is the kind of the queue's own drop counter (see
-	// CountDropsAs). It and to share ownEdge's word, as on Stream.
-	dropKind CounterKind
-	to       int32
+	to      int32
 
 	drops   uint64
 	highWtr uint64
@@ -357,19 +354,12 @@ func (q *FrameQueue) Reset() {
 // Drops returns the number of frames rejected for lack of space.
 func (q *FrameQueue) Drops() uint64 { return q.drops }
 
-// CountDropsAs declares the kind a design-owned queue's own
-// "<queue>.drops" counter is exported with — QueueDrop for the buffers
-// whose overflow is traffic loss (receive FIFOs, output queues); the
-// default Count suits rings whose overflow is accounted elsewhere. It
-// returns q for chaining.
-func (q *FrameQueue) CountDropsAs(kind CounterKind) *FrameQueue {
-	q.dropKind = kind
-	return q
-}
-
 // DropCounter returns the queue's drop counter as a spine entry of the
 // given name and kind, for the module that owns the queue to list among
-// its own counters.
+// its own counters. It is the one way a queue's drops reach the spine:
+// QueueDrop for a buffer whose overflow is traffic loss (a receive FIFO,
+// an output queue), Count for a ring whose overflow is accounted
+// elsewhere.
 func (q *FrameQueue) DropCounter(name string, kind CounterKind) Counter {
 	return Counter{Name: name, Ptr: &q.drops, Kind: kind}
 }

@@ -88,6 +88,13 @@ func NewOutputPortLookup(d *hw.Design, name string, in, out *hw.Stream,
 	l.ctrs.Add("lookups", &l.lookups)
 	l.ctrs.Add("drops", &l.drops) // policy drops: Count, not QueueDrop
 	l.ctrs.Add("punts", &l.punts)
+	if cpuQ != nil {
+		// A full punt queue loses the agent's copy, not datapath
+		// traffic: Count. Exported once the queue has dropped.
+		punt, c := new(hw.Counters), cpuQ.DropCounter("drops", hw.Count)
+		punt.AddCounter(c)
+		l.ctrs.Include("punt_", punt, c.Ptr)
+	}
 	d.AddModule(l)
 	d.Consume(l, in)
 	return l

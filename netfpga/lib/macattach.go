@@ -47,7 +47,7 @@ func NewMACAttach(d *hw.Design, mac *serial.MAC, port int, rxOut, txIn *hw.Strea
 		rxOut: rxOut,
 		txIn:  txIn,
 	}
-	m.rxq = d.NewFrameQueue(mac.Name()+".rxfifo", 0, rxFIFOBytes).CountDropsAs(hw.QueueDrop)
+	m.rxq = d.NewFrameQueue(mac.Name()+".rxfifo", 0, rxFIFOBytes)
 	// The first five are the interface's register block, in this order.
 	m.ctrs.Grow(6)
 	m.ctrs.Add("rx_pkts", &m.rxPkts)
@@ -55,8 +55,8 @@ func NewMACAttach(d *hw.Design, mac *serial.MAC, port int, rxOut, txIn *hw.Strea
 	m.ctrs.Add("rx_bytes", &m.rxBytes)
 	m.ctrs.Add("tx_bytes", &m.txBytes)
 	m.ctrs.Add("bad_fcs", &m.badFCS)
-	// Count: the loss is the FIFO's own "<mac>.rxfifo.drops" QueueDrop.
-	m.ctrs.AddCounter(m.rxq.DropCounter("rx_drops", hw.Count))
+	// Receive-FIFO overflow is traffic loss: QueueDrop.
+	m.ctrs.AddCounter(m.rxq.DropCounter("rx_drops", hw.QueueDrop))
 	m.ctrs.Include("mac_", mac.Counters(), nil)
 	mac.SetReceiver(m.onRx)
 	d.AddModule(m)

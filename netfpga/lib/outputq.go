@@ -63,7 +63,7 @@ func NewOutputQueues(d *hw.Design, in *hw.Stream, outs map[int]*hw.Stream, queue
 		}
 		oq.ports = append(oq.ports, oqPort{
 			bit:  bit,
-			q:    d.NewFrameQueue(oqNames.At(bit), 0, queueBytes).CountDropsAs(hw.QueueDrop),
+			q:    d.NewFrameQueue(oqNames.At(bit), 0, queueBytes),
 			out:  out,
 			emit: &hw.Emitter{},
 		})

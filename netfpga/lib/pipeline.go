@@ -20,10 +20,15 @@ type QueueSource struct {
 	ctrs hw.Counters
 }
 
-// NewQueueSource creates the module.
+// NewQueueSource creates the module. It exports the source queue's
+// refusals as drops, a Count (the pushing agent sees each one), once
+// the queue has refused a frame.
 func NewQueueSource(d *hw.Design, name string, q *hw.FrameQueue, out *hw.Stream) *QueueSource {
 	s := &QueueSource{name: name, d: d, q: q, out: out}
 	s.ctrs.Add("pkts", &s.pkts)
+	drops, c := new(hw.Counters), q.DropCounter("drops", hw.Count)
+	drops.AddCounter(c)
+	s.ctrs.Include("", drops, c.Ptr)
 	d.AddModule(s)
 	d.Consume(s, q)
 	return s

@@ -170,6 +170,47 @@ func TestCPUInjectPath(t *testing.T) {
 	}
 }
 
+// TestSlowPathQueueDrops: the punt and inject queues' refusals appear
+// once each, under the modules that own them, as Counts that leave the
+// loss figure alone — and not at all before a queue has refused a
+// frame.
+func TestSlowPathQueueDrops(t *testing.T) {
+	dev, p := buildRefDevice(t, PipelineConfig{
+		Stages: []Stage{Lookup("punt", func(f *hw.Frame) Verdict {
+			if f.Meta.Flags&hw.FlagFromCPU != 0 {
+				return Forward
+			}
+			return ToCPU
+		}, 0, hw.Resources{})},
+		WithCPU: true,
+	})
+	st := dev.Dsn.Stats()
+	for _, k := range []string{"punt.punt_drops", "cpu_inject.drops"} {
+		if _, ok := st[k]; ok {
+			t.Fatalf("%s exported before its queue dropped", k)
+		}
+	}
+	// Nobody serves the punt queue (64 frames): 70 punts drop 6.
+	for i := 0; i < 70; i++ {
+		dev.Tap(0).Send(make([]byte, 60))
+	}
+	// The inject queue holds 64 frames until the datapath runs.
+	for i := 0; i < 65; i++ {
+		f := hw.NewFrame(make([]byte, 60), 0)
+		f.Meta.DstPorts = hw.PortMask(1)
+		p.InjectFromCPU(f)
+	}
+	dev.RunFor(sim.Millisecond)
+	st = dev.Dsn.Stats()
+	if st["punt.punts"] != 70 || st["punt.punt_drops"] != 6 || st["cpu_inject.drops"] != 1 {
+		t.Fatalf("punts %d, punt_drops %d, cpu_inject.drops %d; want 70, 6 and 1",
+			st["punt.punts"], st["punt.punt_drops"], st["cpu_inject.drops"])
+	}
+	if got := dev.Dsn.Sum(hw.QueueDrop); got != 0 {
+		t.Fatalf("Sum(QueueDrop) = %d, want 0: slow-path refusals are Counts", got)
+	}
+}
+
 func TestInjectWithoutCPUPanics(t *testing.T) {
 	_, p := buildRefDevice(t, PipelineConfig{Stages: []Stage{Lookup("x", echoLookup, 0, hw.Resources{})}})
 	defer func() {

@@ -7,6 +7,7 @@ import (
 
 	"repro/netfpga"
 	"repro/netfpga/hw"
+	"repro/netfpga/lib"
 	"repro/netfpga/projects"
 	"repro/netfpga/workload"
 )
@@ -52,24 +53,25 @@ func TestRouterGenericMeasureTerminates(t *testing.T) {
 	}
 }
 
-// legacyQueueDrops is the name-matching sum QueueDrops used before
-// counters declared their kind, kept here as the reference.
-func legacyQueueDrops(stats map[string]uint64) uint64 {
-	var total uint64
+// ownedQueueDrops is the reference for QueueDrops: every queue whose
+// overflow is traffic loss counted once, through the key of the module
+// that owns it — each output queue's port<N>_drops and each receive
+// FIFO's rx_drops.
+func ownedQueueDrops(stats map[string]uint64) (oq, rx uint64) {
 	for k, v := range stats {
-		if !strings.HasSuffix(k, "drops") {
-			continue
-		}
-		if strings.Contains(k, "fifo") || strings.HasPrefix(k, "oq") ||
-			strings.Contains(k, "port") && strings.Contains(k, "_drops") {
-			total += v
+		switch {
+		case strings.HasPrefix(k, "output_queues.port") && strings.HasSuffix(k, "_drops"):
+			oq += v
+		case strings.HasSuffix(k, ".rx_drops"):
+			rx += v
 		}
 	}
-	return total
+	return oq, rx
 }
 
 // overload builds project on board and offers every port far more than
-// it can forward for 60 us, so receive FIFOs and output queues overflow.
+// it can forward for 60 us. The shipped designs absorb the aggregate in
+// the datapath, so any loss is tail drops in the output queues.
 func overload(t *testing.T, board string, e projects.Entry) *netfpga.Device {
 	t.Helper()
 	b, _ := Board(board)
@@ -77,6 +79,13 @@ func overload(t *testing.T, board string, e projects.Entry) *netfpga.Device {
 	if err := e.New().Build(dev); err != nil {
 		t.Fatalf("%s/%s: %v", board, e.Name, err)
 	}
+	offer(t, dev)
+	return dev
+}
+
+// offer sends 24 frames to every port of dev every 2 us for 60 us.
+func offer(t *testing.T, dev *netfpga.Device) {
+	t.Helper()
 	gen, err := workload.New(workload.Config{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -91,26 +100,49 @@ func overload(t *testing.T, board string, e projects.Entry) *netfpga.Device {
 		}
 		dev.RunFor(2 * netfpga.Microsecond)
 	}
-	return dev
 }
 
-// TestQueueDropsByKind: the kind-declared sum equals the old
-// name-matching sum on every board x project pair the shipped sweeps
-// use, after a window that really drops.
+// TestQueueDropsByKind: QueueDrops counts each owned queue's tail drops
+// once, on every board x project pair the shipped sweeps use. Only the
+// reference switch on sume and 10g drops under overload, and only in
+// its output queues.
 func TestQueueDropsByKind(t *testing.T) {
-	var total uint64
+	want := map[string]uint64{"sume/reference_switch": 348, "10g/reference_switch": 363}
 	for _, board := range BoardNames() {
 		for _, e := range projects.All() {
+			key := board + "/" + e.Name
 			dev := overload(t, board, e)
-			got, want := QueueDrops(dev), legacyQueueDrops(dev.Dsn.Stats())
-			if got != want {
-				t.Errorf("%s/%s: QueueDrops = %d, name-matching sum = %d", board, e.Name, got, want)
+			oq, rx := ownedQueueDrops(dev.Dsn.Stats())
+			if got := QueueDrops(dev); got != oq+rx || got != want[key] || rx != 0 {
+				t.Errorf("%s: QueueDrops = %d, output queues %d + receive FIFOs %d, want %d + 0",
+					key, got, oq, rx, want[key])
 			}
-			total += got
 		}
 	}
-	if total == 0 {
-		t.Fatal("no pair dropped a frame: the comparison is vacuous")
+}
+
+// TestQueueDropsCountsReceiveFIFOs: a decision stage slower than the
+// ports' aggregate backs the pipeline up into receive FIFOs of one
+// frame each, which overflow; their drops reach QueueDrops once, as the
+// attaches' rx_drops.
+func TestQueueDropsCountsReceiveFIFOs(t *testing.T) {
+	dev := netfpga.NewDevice(netfpga.SUME(), netfpga.Options{Seed: 3})
+	next := func(f *hw.Frame) lib.Verdict {
+		f.Meta.DstPorts = hw.PortMask((int(f.Meta.SrcPort) + 1) % 4)
+		return lib.Forward
+	}
+	// 8 lookups in flight, 400 cycles each: far fewer frames a second
+	// than four 10G ports offer.
+	if _, err := lib.BuildReference(dev, lib.PipelineConfig{
+		Stages:      []lib.Stage{lib.Lookup("slow", next, 400, hw.Resources{})},
+		RxFIFOBytes: 1514,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	offer(t, dev)
+	oq, rx := ownedQueueDrops(dev.Dsn.Stats())
+	if got := QueueDrops(dev); got != 470 || oq != 0 || rx != 470 {
+		t.Fatalf("QueueDrops = %d, output queues %d + receive FIFOs %d, want 0 + 470", got, oq, rx)
 	}
 }
 
@@ -140,9 +172,6 @@ func TestQueueDropsIgnoresCounterNames(t *testing.T) {
 	st := dev.Dsn.Stats()
 	if st["user_fifo_port.support_drops"] != 7 || st["user_fifo_port.lost"] != 11 {
 		t.Fatalf("stats = %v", st)
-	}
-	if legacyQueueDrops(st) != 7 {
-		t.Fatalf("the old rules should have summed support_drops, got %d", legacyQueueDrops(st))
 	}
 	if got := QueueDrops(dev); got != 11 {
 		t.Fatalf("QueueDrops = %d, want 11 (the QueueDrop-kind counter only)", got)
