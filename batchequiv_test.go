@@ -266,14 +266,17 @@ func TestLoadedWindowEquivalence(t *testing.T) {
 // 1514 B row's module ticks fell from 45 297 when frame windows stopped
 // being cut at the clock's 64-edge batch: a window that ran past a batch
 // boundary used to end there and cost one more invocation per runnable
-// module.
+// module. Both rows' events fell by two per delivered frame (93 523 and
+// 44 618 before) when a port's MAC stopped arming a completion event
+// per frame toward a tap, and the tap an arrival event: the frames to
+// the taps are timed by arithmetic (serial.MAC.Settle).
 func TestMeshPerFrameCounts(t *testing.T) {
 	for _, tc := range []struct {
 		size                         int
 		frames, events, ticks, beats uint64
 	}{
-		{60, 12704, 93523, 172942, 101648},
-		{1514, 680, 44618, 41326, 130576},
+		{60, 12704, 68115, 172942, 101648},
+		{1514, 680, 43258, 41326, 130576},
 	} {
 		t.Run(fmt.Sprintf("%dB", tc.size), func(t *testing.T) {
 			r := runSwitchLoaded(t, 0, tc.size, mesh)
@@ -285,5 +288,59 @@ func TestMeshPerFrameCounts(t *testing.T) {
 			f := float64(got[0])
 			t.Logf("per frame: %.2f events, %.2f module ticks, %.2f beats", float64(got[1])/f, float64(got[2])/f, float64(got[3])/f)
 		})
+	}
+}
+
+// TestCountingMeshArmsNoDeviceTxTimer: frames toward counting taps cost
+// no event. On a 60-byte mesh every executed event is a datapath edge or
+// one of the two the tap → device half still pays per frame (the tap
+// MAC's completion and the arrival at the port's MAC): the port MACs arm
+// no completion timer and the taps receive no arrival event. The event
+// wire paid two more per delivered frame.
+func TestCountingMeshArmsNoDeviceTxTimer(t *testing.T) {
+	dev := newHookedDevice(0, 0)
+	if err := switchp.New(switchp.Config{}).Build(dev); err != nil {
+		t.Fatal(err)
+	}
+	n := dev.Board.Ports
+	taps := make([]*netfpga.PortTap, n)
+	gens := make([]*workload.Generator, n)
+	for i := range taps {
+		taps[i] = dev.Tap(i)
+		taps[i].SetCounting(true)
+		src := pkt.MAC{2, 0x4d, 0, 0, 0, byte(i)}
+		learn, err := pkt.Serialize(pkt.SerializeOptions{}, &pkt.Ethernet{Dst: src, Src: src, EtherType: 0x88B5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		taps[i].Send(pkt.PadToMin(learn))
+		dst := pkt.MAC{2, 0x4d, 0, 0, 0, byte((i + 1) % n)}
+		if gens[i], err = workload.New(workload.Config{Seed: uint64(i + 1), Sizes: workload.FixedSize(60), SrcMAC: src, DstMAC: dst}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dev.RunFor(20 * hw.Microsecond)
+	for round := 0; round < 20; round++ {
+		for i, tap := range taps {
+			for tap.MAC().TxQueue().Bytes() < 4<<10 {
+				tap.Send(gens[i].NextView())
+			}
+		}
+		dev.RunFor(5 * hw.Microsecond)
+	}
+	dev.RunUntilIdle(0)
+	var tapTx, portRx, delivered uint64
+	for i, tap := range taps {
+		tapTx += tap.MAC().Counters().Map()["tx_frames"]
+		portRx += dev.MACs[i].Counters().Map()["rx_frames"]
+		f, _ := tap.Counts()
+		delivered += f
+	}
+	if delivered < 1000 {
+		t.Fatalf("%d frames delivered: the mesh did not run", delivered)
+	}
+	if got, want := dev.Sim.Executed(), dev.Clock.Ticks()+tapTx+portRx; got != want {
+		t.Errorf("%d events executed, want %d: %d datapath edges, %d tap completions, %d port arrivals (and none per frame toward the taps: %d delivered)",
+			got, want, dev.Clock.Ticks(), tapTx, portRx, delivered)
 	}
 }

@@ -305,39 +305,77 @@ func (d *Device) Hybrid() bool { return d.bg != nil }
 func (d *Device) Background() *Background { return d.bg }
 
 // RunFor advances the simulation by dur.
-func (d *Device) RunFor(dur hw.Time) { d.Sim.Run(d.Now()+dur, 0, 0) }
+func (d *Device) RunFor(dur hw.Time) {
+	d.observeTaps()
+	d.Sim.Run(d.Now()+dur, 0, 0)
+	d.settleWire()
+}
+
+// observeTaps converts, before a run, the wire toward every tap whose
+// OnRx was set since the last run to events (serial.MAC.ObserverChanged).
+func (d *Device) observeTaps() {
+	for i, t := range d.taps {
+		if t != nil && t.OnRx != nil {
+			d.MACs[i].ObserverChanged()
+		}
+	}
+}
+
+// settleWire hands every tap what has reached it by now (serial.MAC.Settle),
+// so what a run left behind is counted or captured when it returns: a
+// frame still pending toward a tap is one that arrives later.
+func (d *Device) settleWire() {
+	for _, m := range d.MACs {
+		m.Settle()
+	}
+}
+
+// wireTail returns the last arrival pending on any port's arithmetic
+// wire, 0 when none is.
+func (d *Device) wireTail() hw.Time {
+	var t hw.Time
+	for _, m := range d.MACs {
+		t = max(t, m.WireTail())
+	}
+	return t
+}
 
 // RunUntilIdle runs until the device is idle: no events remain other
 // than the periodic timers agents armed with Every, which re-arm forever
-// and would otherwise keep a drain from ever ending, and no background
-// backlog is still on the wire. The backlog schedules no event, so when
-// the events run out first the run goes on to its last completion:
-// every event due by then fires, Every timers included, and the drain
-// ends at that instant. limit bounds the events executed (0 means
-// unbounded); it reports whether the device went idle.
+// and would otherwise keep a drain from ever ending, no background
+// backlog is still on the wire, and no frame is still on its way to a
+// tap. Neither the backlog nor frames toward an observing tap schedule
+// events, so when the events run out first the run goes on to the last
+// completion or arrival: every event due by then fires, Every timers
+// included, and the drain ends at that instant. limit bounds the events
+// executed (0 means unbounded); it reports whether the device went idle.
 func (d *Device) RunUntilIdle(limit uint64) bool {
+	d.observeTaps()
+	defer d.settleWire()
 	for {
 		start := d.Sim.Executed()
 		if !d.Sim.Run(sim.Forever, limit, d.everyTimers) {
 			return false
 		}
-		if d.bg == nil {
-			return true
+		tail := d.wireTail()
+		if d.bg != nil {
+			tail = max(tail, d.bg.tail())
 		}
-		tail := d.bg.tail()
 		if tail <= d.Now() {
 			return true
 		}
 		if limit != 0 {
 			if limit -= d.Sim.Executed() - start; limit == 0 {
-				return false // spent, with backlog still on the wire
+				return false // spent, with frames still on the wire
 			}
 		}
 		start = d.Sim.Executed()
 		if !d.Sim.Run(tail, limit, 0) {
 			return false
 		}
-		d.bg.settle(tail)
+		if d.bg != nil {
+			d.bg.settle(tail)
+		}
 		if limit != 0 {
 			limit -= d.Sim.Executed() - start // not spent: stays > 0
 		}
@@ -394,26 +432,28 @@ type PortTap struct {
 	// holds.
 	rxBlocks [][]RxFrame
 	rxCount  int
-	// chunk is the arena captured frame bytes are copied into, so the
-	// delivered frame (and its Data buffer) can be recycled through the
-	// device's frame pool. Full chunks are simply dropped on the floor;
-	// they stay alive exactly as long as some RxFrame still references
-	// them.
-	chunk []byte
+	// arena holds the captured frames' bytes, so the delivered frame
+	// (and its Data buffer) can be recycled through the device's frame
+	// pool.
+	arena hw.Arena
 	// counting, when set, replaces frame capture with counter updates:
 	// arrivals bump rxFrames/rxBytes and recycle immediately, skipping
 	// the arena copy. Throughput measures that only need totals use this
 	// to avoid paying a memcpy per delivered frame.
 	counting          bool
 	rxFrames, rxBytes uint64
-	// OnRx, when set, intercepts arrivals instead of buffering them.
+	// OnRx, when set, intercepts arrivals instead of buffering them,
+	// each in simulated time as it arrives. The port's MAC times frames
+	// toward a tap without OnRx by arithmetic; setting OnRx between
+	// runs converts the frames still pending toward the tap to events
+	// when the next run starts (serial.MAC.ObserverChanged, which
+	// refuses the rare conversion it cannot make exact). Set from inside
+	// a run while frames toward the tap are pending, it is refused
+	// (Observe panics).
 	OnRx func(f *hw.Frame, at hw.Time)
 	// plugged is false between a device Reset and the next Tap call.
 	plugged bool
 }
-
-// tapChunkBytes is the capture arena granularity.
-const tapChunkBytes = 64 << 10
 
 // rxBlockFrames is the capture deque block size.
 const rxBlockFrames = 512
@@ -444,7 +484,7 @@ func (d *Device) Tap(i int) *PortTap {
 // arena is abandoned, not reused.
 func (t *PortTap) unplug() {
 	t.mac.Reset(0)
-	t.rxBlocks, t.rxCount, t.chunk = nil, 0, nil
+	t.rxBlocks, t.rxCount, t.arena = nil, 0, hw.Arena{}
 	t.counting, t.rxFrames, t.rxBytes = false, 0, 0
 	t.OnRx = nil
 	t.plugged = false
@@ -461,36 +501,61 @@ func (d *Device) newTap(i int) *PortTap {
 	peer.SetReceiver(func(f *hw.Frame, ok bool) {
 		// The Frame struct delivered here is exclusively owned, but its
 		// Data may be shared with multicast siblings still inside the
-		// device (zero-copy replication in the output queues). The
-		// buffering path copies the bytes into the tap arena and
-		// recycles the frame either way. The OnRx path hands the frame
-		// to the callback — which may retain and even rewrite it — so a
-		// shared frame is first swapped for a private deep copy (and
-		// the shared one released), preserving the callback's exclusive
-		// ownership of Data. Unshared frames skip the copy.
-		if !ok {
+		// device (zero-copy replication in the output queues). The OnRx
+		// path hands the frame to the callback — which may retain and
+		// even rewrite it — so a shared frame is first swapped for a
+		// private deep copy (and the shared one released), preserving
+		// the callback's exclusive ownership of Data. Unshared frames
+		// skip the copy.
+		if t.OnRx == nil || !ok {
+			t.take(f, d.Sim.Now(), ok)
+			return
+		}
+		if f.Shared() {
+			g := pool.Clone(f)
 			pool.Put(f)
-			return
+			f = g
 		}
-		if t.OnRx != nil {
-			if f.Shared() {
-				g := pool.Clone(f)
-				pool.Put(f)
-				f = g
-			}
-			t.OnRx(f, d.Sim.Now())
-			return
-		}
-		if t.counting {
-			t.rxFrames++
-			t.rxBytes += uint64(len(f.Data))
-			pool.Put(f)
-			return
-		}
-		t.appendRx(RxFrame{Data: t.retain(f.Data), At: d.Sim.Now()})
-		pool.Put(f)
+		t.OnRx(f, d.Sim.Now())
 	})
+	peer.SetObserver(t)
 	return t
+}
+
+// Observing implements serial.Observer: a tap without OnRx only counts
+// or captures, so the port's MAC times frames toward it by arithmetic.
+func (t *PortTap) Observing() bool { return t.OnRx == nil }
+
+// Observe implements serial.Observer. OnRx set inside a run while
+// frames toward the tap were pending cannot be honoured at their
+// arrivals, and is refused here.
+func (t *PortTap) Observe(f *hw.Frame, at hw.Time, ok bool) {
+	if t.OnRx != nil {
+		panic(fmt.Sprintf("core: tap %d: OnRx was set inside a run while frames toward the tap were pending (one arrived at %v); set it before traffic reaches the tap, or between runs", t.port, at))
+	}
+	t.take(f, at, ok)
+}
+
+// take counts or captures a frame that arrived at at, and recycles it:
+// buffered capture copies the bytes into the tap arena. Bad frames are
+// dropped.
+func (t *PortTap) take(f *hw.Frame, at hw.Time, ok bool) {
+	switch {
+	case !ok:
+	case t.counting:
+		t.rxFrames++
+		t.rxBytes += uint64(len(f.Data))
+	default:
+		t.appendRx(RxFrame{Data: t.arena.Copy(f.Data), At: at})
+	}
+	t.dev.Dsn.Pool().Put(f)
+}
+
+// settle hands the tap every frame that has reached it by now.
+func (t *PortTap) settle() {
+	if t.plugged {
+		t.dev.MACs[t.port].Settle()
+	}
 }
 
 // appendRx stores a captured frame in the chunked deque.
@@ -502,22 +567,6 @@ func (t *PortTap) appendRx(r RxFrame) {
 	}
 	t.rxBlocks[nb-1] = append(t.rxBlocks[nb-1], r)
 	t.rxCount++
-}
-
-// retain copies b into the tap's arena and returns the stable copy.
-func (t *PortTap) retain(b []byte) []byte {
-	if len(t.chunk)+len(b) > cap(t.chunk) {
-		size := tapChunkBytes
-		if len(b) > size {
-			size = len(b)
-		}
-		t.chunk = make([]byte, 0, size)
-	}
-	t.chunk = append(t.chunk, b...)
-	// Full slice expression: capacity ends at the frame's last byte, so
-	// a caller appending to a drained RxFrame.Data reallocates instead
-	// of overwriting later frames sharing the arena.
-	return t.chunk[len(t.chunk)-len(b) : len(t.chunk) : len(t.chunk)]
 }
 
 // Port returns the tap's port index.
@@ -549,6 +598,7 @@ func (t *PortTap) SendAt(at hw.Time, data []byte) {
 
 // Received drains and returns frames captured since the last call.
 func (t *PortTap) Received() []RxFrame {
+	t.settle()
 	if t.rxCount == 0 {
 		return nil
 	}
@@ -561,20 +611,35 @@ func (t *PortTap) Received() []RxFrame {
 }
 
 // Pending returns the number of captured-but-undrained frames.
-func (t *PortTap) Pending() int { return t.rxCount }
+func (t *PortTap) Pending() int {
+	t.settle()
+	return t.rxCount
+}
 
 // SetCounting switches the tap between buffered capture (the default)
 // and counting mode. In counting mode arrivals are tallied — frame and
 // byte totals readable through Counts — and recycled without the
 // per-frame arena copy buffered capture pays, which is the dominant
 // cost of high-rate throughput measures that never look at payloads.
-// Switching modes does not disturb frames already captured or counted;
-// it only selects how future arrivals are handled. Counting mode is
-// host-side bookkeeping only: the simulated traffic, timing and every
-// device counter are bit-identical in either mode.
-func (t *PortTap) SetCounting(on bool) { t.counting = on }
+// Switching modes does not disturb frames already captured or counted:
+// frames that arrived by now are taken in the old mode first, and the
+// new one applies to later arrivals. Counting mode is host-side
+// bookkeeping only: the simulated traffic, timing and every device
+// counter are bit-identical in either mode.
+//
+// Either mode only observes, so frames toward the tap cost no event:
+// the port's MAC hands them over when something reads the tap (Counts,
+// Received, Pending, SetCounting), reads the device (Snapshot, the MAC
+// counters), or a run returns.
+func (t *PortTap) SetCounting(on bool) {
+	t.settle()
+	t.counting = on
+}
 
 // Counts returns the totals accumulated while the tap was in counting
-// mode: frames and bytes delivered to the tap (FCS excluded, matching
-// RxFrame.Data elsewhere).
-func (t *PortTap) Counts() (frames, bytes uint64) { return t.rxFrames, t.rxBytes }
+// mode: frames and bytes delivered to the tap by now (FCS excluded,
+// matching RxFrame.Data elsewhere).
+func (t *PortTap) Counts() (frames, bytes uint64) {
+	t.settle()
+	return t.rxFrames, t.rxBytes
+}

@@ -40,6 +40,9 @@ type Driver struct {
 
 	rxBuf   []RxPacket
 	rxLimit int
+	// arena holds the received frames' bytes, so the frames themselves
+	// go back to the design's pool at once.
+	arena hw.Arena
 
 	txSent, rxGot, rxDropped uint64
 	ctrs                     hw.Counters
@@ -68,7 +71,7 @@ const rxRing = 256
 // engine that was just reset: nothing received, counters zero, the full
 // receive ring posted again.
 func (d *Driver) Reset() {
-	d.rxBuf = nil
+	d.rxBuf, d.arena = nil, hw.Arena{}
 	d.txSent, d.rxGot, d.rxDropped = 0, 0, 0
 	d.engine.PostRx(rxRing)
 }
@@ -105,12 +108,12 @@ func (d *Driver) Send(data []byte, q int) error {
 }
 
 // rxComplete runs in simulated time as the DMA engine finishes a
-// device→host transfer. A frame past the receive limit goes back to the
-// pool; a received one's Data belongs to Poll's caller.
+// device→host transfer. A received frame's bytes are copied into the
+// driver's arena, and the frame goes back to the pool either way, so
+// host-bound traffic recycles its frames like tap-bound traffic does.
 func (d *Driver) rxComplete(f *hw.Frame) {
 	if len(d.rxBuf) >= d.rxLimit {
 		d.rxDropped++
-		d.pool.Put(f)
 	} else {
 		q := 0
 		for i := 0; i < hw.MaxHostPorts; i++ {
@@ -119,18 +122,20 @@ func (d *Driver) rxComplete(f *hw.Frame) {
 				break
 			}
 		}
-		d.rxBuf = append(d.rxBuf, RxPacket{Data: f.Data, Queue: q, Port: f.Meta.SrcPort, At: d.now()})
+		d.rxBuf = append(d.rxBuf, RxPacket{Data: d.arena.Copy(f.Data), Queue: q, Port: f.Meta.SrcPort, At: d.now()})
 		d.rxGot++
 	}
+	d.pool.Put(f)
 	// Replenish the consumed descriptor, as a real rx path does.
 	d.engine.PostRx(1)
 }
 
 // Poll drains and returns the frames received since the last call, nil
-// if there are none. The caller owns the returned slice. The next round
-// collects into a fresh buffer sized for as many frames as this one
-// returned, so a steady receive rate does not regrow it by doubling every
-// round, and one burst does not size every later round.
+// if there are none. The caller owns the returned slice and every
+// packet's Data. The next round collects into a fresh buffer sized for
+// as many frames as this one returned, so a steady receive rate does not
+// regrow it by doubling every round, and one burst does not size every
+// later round.
 func (d *Driver) Poll() []RxPacket {
 	out := d.rxBuf
 	if len(out) == 0 {

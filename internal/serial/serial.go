@@ -9,6 +9,15 @@
 // coding (64b/66b for 10G-class serdes). This reproduces the line-rate
 // ceilings the platform is evaluated against without simulating
 // individual symbols.
+//
+// An event marks a wire instant only where something decides there. A
+// MAC transmitting toward a receiver completes each frame with an event
+// and the receiver takes it with another, at its arrival. A MAC
+// transmitting toward an Observer — a tap that only counts or captures
+// — is arithmetic: it computes when each frame starts, ends and arrives,
+// and applies that when something reads it (Settle), so frames toward
+// the observer cost no event. Both forms give every reader the same
+// values, counters and error draws.
 package serial
 
 import (
@@ -72,11 +81,17 @@ func Eth1G(name string) Config {
 
 // MAC is an Ethernet MAC over bonded lanes. Frames handed to the MAC are
 // wire frames without FCS; the model appends/validates the FCS
-// analytically and accounts for its time. Reception is push-based: the
-// receiver callback runs in simulated time as each frame's last bit
-// arrives.
+// analytically and accounts for its time.
+//
+// Reception has two forms. A receiver installed with SetReceiver runs
+// in simulated time as each frame's last bit arrives: the transmitter
+// completes every frame with an event, and the arrival is an event of
+// its own. An Observer installed with SetObserver decides nothing at an
+// arrival's instant, so while it observes, the MAC feeding it times its
+// frames by arithmetic and schedules no event for them (see Settle).
 type MAC struct {
-	cfg  Config
+	name string
+	ber  float64
 	sim  *sim.Sim
 	rate float64 // MAC data rate, Gb/s
 
@@ -87,26 +102,70 @@ type MAC struct {
 	txTimer  *sim.Timer
 	inFlight *hw.Frame // frame currently being serialized
 	rx       func(f *hw.Frame, fcsOK bool)
+	obs      Observer
 	rng      *sim.Rand
 
-	// inbound is the wire in flight towards this MAC: a power-of-two
-	// ring of frames whose last bit has left the peer but not yet
-	// arrived here, drained by the single persistent rxTimer. One ring
-	// and one timer replace the per-frame timer+closure allocation the
-	// old delivery path paid — the datapath's dominant allocation site.
-	// Arrival times are nondecreasing (one sender, constant propagation
-	// delay), so FIFO draining preserves delivery order exactly.
-	inbound []wireEntry
-	inHead  int
-	inN     int
+	// inbound is the wire in flight towards this MAC: frames whose last
+	// bit has left the peer but not yet arrived here, drained by the
+	// single persistent rxTimer. One ring and one timer replace the
+	// per-frame timer+closure allocation the old delivery path paid —
+	// the datapath's dominant allocation site. Arrival times are
+	// nondecreasing (one sender, constant propagation delay), so FIFO
+	// draining preserves delivery order exactly.
+	inbound wireRing
 	rxTimer *sim.Timer
+
+	// The arithmetic transmitter runs while arith is set (kick decides),
+	// on tx, which it allocates on first use. due is the earliest
+	// instant at which Settle has work (Forever when none). shorts
+	// counts queued frames whose wire time is at most the longest period
+	// of the clocks the simulator had when the MAC was built (longFrom
+	// bytes and up are longer); such frames run on events (see kick).
+	tx       *arithTx
+	due      sim.Time
+	shorts   int32
+	longFrom int32
+	arith    bool
+	linkUp   bool
 
 	txFrames, rxFrames uint64
 	txBytes, rxBytes   uint64
 	fcsErrors          uint64
 	txBusyPs           uint64
 	ctrs               hw.Counters
-	linkUp             bool
+}
+
+// arithTx is the state of an arithmetic transmitter: frames are popped
+// at their start times, completed at their end times and handed to the
+// peer's Observer at their arrival times, whenever something settles the
+// MAC at or after them. sent holds the popped frames not yet handed
+// over, each with its end time; its first ended have completed (counted,
+// BER drawn). free is when the last popped frame ends, so the FIFO's
+// head starts then; an event-driven transmitter keeps its in-flight
+// frame's end there too.
+type arithTx struct {
+	sent  wireRing
+	free  sim.Time
+	ended int32
+	// size and time are frameTime's last answer.
+	size int
+	time sim.Time
+}
+
+// Observer receives frames at a MAC without deciding anything at their
+// arrival instants: it counts or records them. While it observes, the
+// MAC transmitting toward the one it is installed on arms no event per
+// frame.
+type Observer interface {
+	// Observing reports whether the observer still only observes. It
+	// is consulted whenever the transmitter toward it starts from idle;
+	// an observer that stops observing while frames toward it are
+	// pending must refuse the next Observe.
+	Observing() bool
+	// Observe takes one frame whose last bit arrived at at, which is
+	// never later than Now, in arrival order. fcsOK is as for a
+	// receiver; the observer owns f.
+	Observe(f *hw.Frame, at sim.Time, fcsOK bool)
 }
 
 // NewMAC builds a MAC on the simulator.
@@ -121,13 +180,18 @@ func NewMAC(s *sim.Sim, cfg Config) *MAC {
 		cfg.TxBufBytes = 64 << 10
 	}
 	m := &MAC{
-		cfg:  cfg,
+		name: cfg.Name,
+		ber:  cfg.BER,
 		sim:  s,
 		rate: float64(cfg.Lanes) * cfg.LineGbps * cfg.Encoding,
 		rng:  sim.NewRand(cfg.Seed ^ 0x5eeded), // Reseed reseeds the same way
+		due:  sim.Forever,
+	}
+	for m.wireTime(int(m.longFrom)) <= s.MaxPeriod() {
+		m.longFrom++
 	}
 	m.txq = hw.NewFrameQueue(cfg.Name+".txq", 0, cfg.TxBufBytes)
-	m.txq.OnPush(m.kick)
+	m.txq.OnPush(m.pushed)
 	m.ctrs.Grow(7)
 	m.ctrs.Add("tx_frames", &m.txFrames)
 	m.ctrs.Add("rx_frames", &m.rxFrames)
@@ -141,28 +205,51 @@ func NewMAC(s *sim.Sim, cfg Config) *MAC {
 	return m
 }
 
-// wireEntry is one frame propagating towards a MAC.
+// wireEntry is one frame on the wire: at is its arrival time in
+// inbound, its end time in sent.
 type wireEntry struct {
 	f  *hw.Frame
 	at sim.Time
 	ok bool
 }
 
+// wireRing is a power-of-two FIFO of wire entries.
+type wireRing struct {
+	buf     []wireEntry
+	head, n int32
+}
+
+func (r *wireRing) push(e wireEntry) {
+	if int(r.n) == len(r.buf) {
+		bigger := make([]wireEntry, max(2*len(r.buf), 16))
+		for i := int32(0); i < r.n; i++ {
+			bigger[i] = *r.at(i)
+		}
+		r.buf, r.head = bigger, 0
+	}
+	r.buf[(r.head+r.n)&int32(len(r.buf)-1)] = e
+	r.n++
+}
+
+// at returns the i-th entry from the head.
+func (r *wireRing) at(i int32) *wireEntry { return &r.buf[(r.head+i)&int32(len(r.buf)-1)] }
+
+func (r *wireRing) pop() wireEntry {
+	e := r.buf[r.head]
+	r.buf[r.head] = wireEntry{}
+	r.head = (r.head + 1) & int32(len(r.buf)-1)
+	r.n--
+	return e
+}
+
+func (r *wireRing) reset() {
+	clear(r.buf)
+	r.head, r.n = 0, 0
+}
+
 // enqueueArrival queues a frame to arrive at this MAC at the given time.
 func (m *MAC) enqueueArrival(f *hw.Frame, ok bool, at sim.Time) {
-	if m.inN == len(m.inbound) {
-		size := 2 * len(m.inbound)
-		if size == 0 {
-			size = 16
-		}
-		bigger := make([]wireEntry, size)
-		for i := 0; i < m.inN; i++ {
-			bigger[i] = m.inbound[(m.inHead+i)&(len(m.inbound)-1)]
-		}
-		m.inbound, m.inHead = bigger, 0
-	}
-	m.inbound[(m.inHead+m.inN)&(len(m.inbound)-1)] = wireEntry{f: f, at: at, ok: ok}
-	m.inN++
+	m.inbound.push(wireEntry{f: f, at: at, ok: ok})
 	if !m.rxTimer.Pending() {
 		m.rxTimer.ScheduleAt(at)
 	}
@@ -173,14 +260,14 @@ func (m *MAC) enqueueArrival(f *hw.Frame, ok bool, at sim.Time) {
 // event the callback schedules at the same instant stays ordered after
 // the arrival, as it was when each arrival carried its own timer.
 func (m *MAC) deliver() {
-	e := m.inbound[m.inHead]
-	m.inbound[m.inHead] = wireEntry{}
-	m.inHead = (m.inHead + 1) & (len(m.inbound) - 1)
-	m.inN--
-	if m.inN > 0 {
-		m.rxTimer.ScheduleAt(m.inbound[m.inHead].at)
+	e := m.inbound.pop()
+	if m.inbound.n > 0 {
+		m.rxTimer.ScheduleAt(m.inbound.at(0).at)
 	}
-	m.receive(e.f, e.ok)
+	m.count(e.f, e.ok)
+	if m.rx != nil {
+		m.rx(e.f, e.ok)
+	}
 }
 
 // Connect joins two MACs with a full-duplex wire of the given propagation
@@ -189,7 +276,7 @@ func (m *MAC) deliver() {
 func Connect(a, b *MAC, prop sim.Time) error {
 	if a.rate != b.rate {
 		return fmt.Errorf("serial: rate mismatch %s (%.1fG) vs %s (%.1fG)",
-			a.cfg.Name, a.rate, b.cfg.Name, b.rate)
+			a.name, a.rate, b.name, b.rate)
 	}
 	a.peer, b.peer = b, a
 	a.prop, b.prop = prop, prop
@@ -202,28 +289,33 @@ func Connect(a, b *MAC, prop sim.Time) error {
 // Reset returns the MAC to the state NewMAC left it in, unplugged and
 // with its error injection reseeded with seed: nothing queued, on the
 // wire or in flight (those frames are dropped), counters zero. The
-// receiver stays installed. The simulator disarms the MAC's timers
-// (sim.Sim.Reset).
+// receiver and observer stay installed. The simulator disarms the MAC's
+// timers (sim.Sim.Reset).
 func (m *MAC) Reset(seed uint64) {
-	m.Reseed(seed)
+	m.rng.Seed(seed ^ 0x5eeded)
 	m.peer, m.prop, m.linkUp = nil, 0, false
 	m.txq.Reset()
 	m.inFlight = nil
-	clear(m.inbound)
-	m.inHead, m.inN = 0, 0
+	m.inbound.reset()
+	if m.tx != nil {
+		m.tx.sent.reset()
+		m.tx.free, m.tx.ended = 0, 0
+	}
+	m.arith, m.due, m.shorts = false, sim.Forever, 0
 	m.txFrames, m.rxFrames, m.txBytes, m.rxBytes = 0, 0, 0, 0
 	m.fcsErrors, m.txBusyPs = 0, 0
 }
 
 // Reseed restarts the MAC's error injection at seed, as NewMAC seeds
-// it, and changes nothing else.
+// it, and changes nothing else: frames that completed before now drew
+// their errors under the old seed.
 func (m *MAC) Reseed(seed uint64) {
-	m.cfg.Seed = seed
+	m.Settle()
 	m.rng.Seed(seed ^ 0x5eeded)
 }
 
 // Name returns the MAC's name.
-func (m *MAC) Name() string { return m.cfg.Name }
+func (m *MAC) Name() string { return m.name }
 
 // DataRateGbps returns the MAC-layer data rate (10.0 for a 10G port).
 func (m *MAC) DataRateGbps() float64 { return m.rate }
@@ -231,38 +323,114 @@ func (m *MAC) DataRateGbps() float64 { return m.rate }
 // LinkUp reports whether the port is connected.
 func (m *MAC) LinkUp() bool { return m.linkUp }
 
-// TxQueue returns the MAC's transmit FIFO. Producers (the datapath's MAC
-// attach module, or test traffic sources) push frames into it; pushing
-// wakes the transmitter.
-func (m *MAC) TxQueue() *hw.FrameQueue { return m.txq }
+// TxQueue returns the MAC's transmit FIFO, settled to now. Producers
+// (the datapath's MAC attach module, or test traffic sources) push
+// frames into it; pushing wakes the transmitter. Its occupancy is the
+// one at the instant TxQueue returns: push into it then, or call
+// TxQueue again.
+func (m *MAC) TxQueue() *hw.FrameQueue {
+	m.Settle()
+	return m.txq
+}
 
 // Send pushes a frame into the transmit FIFO, reporting false on
 // overflow (counted as a drop in the queue's stats).
-func (m *MAC) Send(f *hw.Frame) bool { return m.txq.Push(f) }
+func (m *MAC) Send(f *hw.Frame) bool {
+	m.Settle()
+	return m.txq.Push(f)
+}
 
 // SetReceiver installs the reception callback. fcsOK is false when error
 // injection corrupted the frame; real MACs still deliver such frames
 // marked bad, and the attach module decides to drop them.
 func (m *MAC) SetReceiver(fn func(f *hw.Frame, fcsOK bool)) { m.rx = fn }
 
+// SetObserver installs o. While o observes, arrivals at this MAC are
+// handed to o instead of the receiver, and the MAC feeding it arms no
+// event for them.
+func (m *MAC) SetObserver(o Observer) { m.obs = o }
+
 // wireTime returns the transmitter occupancy of an n-byte frame.
 func (m *MAC) wireTime(n int) sim.Time {
 	return sim.BitTime(int64(n+OverheadBytes)*8, m.rate)
 }
 
-// kick starts transmission if the transmitter is idle and a frame waits.
+// frameTime is wireTime for a transmitting MAC: it keeps the last size
+// it was asked for, so traffic of one frame size divides once.
+func (m *MAC) frameTime(n int) sim.Time {
+	if t := m.tx; t.size != n {
+		t.size, t.time = n, m.wireTime(n)
+	}
+	return m.tx.time
+}
+
+// pushed runs on every push into the FIFO.
+func (m *MAC) pushed() {
+	if len(m.txq.At(m.txq.Len()-1).Data) < int(m.longFrom) {
+		m.shorts++
+		if m.arith {
+			m.toEvents()
+			return
+		}
+	}
+	m.kick()
+}
+
+// kick starts the transmitter if it is idle and a frame waits. An idle
+// transmitter whose peer observes, with no frame queued that a clock
+// edge could tie with (see below), starts arithmetic: it takes the head
+// now and the rest as each predecessor ends, with no event. Otherwise
+// it pops the head and arms txTimer for its end, as it does toward a
+// receiver.
+//
+// The arithmetic pop at a frame's end P is seen by a clock edge at P,
+// as the event pop it replaces was: that event was armed one frame time
+// before P, and an edge is armed at most one clock period before it
+// (sim.Sim.MaxPeriod). A frame no longer on the wire than a period
+// leaves that order to how it was armed, so it runs on events; pushing
+// one into the arithmetic FIFO converts the transmitter (toEvents).
 func (m *MAC) kick() {
 	if m.txTimer.Pending() || !m.linkUp {
 		return
 	}
-	f := m.txq.Pop()
-	if f == nil {
+	if m.tx == nil {
+		m.tx = &arithTx{size: -1}
+	}
+	if m.arith {
+		// A push: the FIFO was settled before it (Send, TxQueue), so a
+		// frame queued behind others starts after now, and one pushed
+		// alone starts now unless one is in flight.
+		if m.txq.Len() == 1 {
+			if now := m.sim.Now(); m.tx.free <= now {
+				m.tx.free = now
+				m.settle()
+			} else {
+				m.due = min(m.due, m.tx.free)
+			}
+		}
 		return
 	}
-	d := m.wireTime(len(f.Data))
+	if m.txq.Len() == 0 {
+		return
+	}
+	if m.shorts == 0 && m.observed() {
+		m.arith, m.tx.free = true, m.sim.Now()
+		m.settle()
+		return
+	}
+	f := m.txq.Pop()
+	if len(f.Data) < int(m.longFrom) {
+		m.shorts--
+	}
+	d := m.frameTime(len(f.Data))
 	m.txBusyPs += uint64(d)
-	m.inFlight = f
-	m.txTimer.ScheduleAfter(d)
+	m.inFlight, m.tx.free = f, m.sim.Now()+d
+	m.txTimer.ScheduleAt(m.tx.free)
+}
+
+// observed reports whether the peer observes.
+func (m *MAC) observed() bool {
+	return m.peer.obs != nil && m.peer.obs.Observing()
 }
 
 // txDone completes the in-flight frame: counts it, delivers it to the
@@ -270,29 +438,174 @@ func (m *MAC) kick() {
 func (m *MAC) txDone() {
 	f := m.inFlight
 	m.inFlight = nil
-	m.txFrames++
-	m.txBytes += uint64(len(f.Data))
-	// Error injection: probability one of the frame's wire bits flipped.
-	ok := true
-	if m.cfg.BER > 0 {
-		bits := float64(len(f.Data)+FCSBytes) * 8
-		if m.rng.Float64() < 1-pow1m(m.cfg.BER, bits) {
-			ok = false
-		}
-	}
-	m.peer.enqueueArrival(f, ok, m.sim.Now()+m.prop)
+	m.peer.enqueueArrival(f, m.complete(f), m.sim.Now()+m.prop)
 	m.kick()
 }
 
-// receive delivers a frame at this MAC.
-func (m *MAC) receive(f *hw.Frame, ok bool) {
+// toEvents hands an arithmetic transmitter over to events at the push
+// of a short frame: the frames already on their way to the peer arrive
+// as events, and the frame being serialized completes with one. Every
+// frame queued before this push starts after now (Send and TxQueue
+// settle first), so with pops off, settle only completes and hands over
+// what is due. A push from a clock edge (the datapath's attach) arms
+// each event where the event wire armed it relative to any edge at its
+// instant: a long frame in flight ends more than a period after the
+// push, and a frame propagating ended at the push's edge or more than a
+// period before its arrival.
+func (m *MAC) toEvents() {
+	m.arith = false
+	m.settle()
+	m.convert()
+}
+
+// ObserverChanged tells the MAC that its peer may have stopped
+// observing (a tap's OnRx was set). An arithmetic transmitter toward a
+// peer that no longer observes hands over to events at once: the
+// frames on the wire toward it arrive as events, the frame being
+// serialized completes with one, and the queue behind it runs on
+// events. Each converted event is armed now rather than at the instant
+// an event wire would have armed it, which changes nothing unless a
+// clock edge falls on the event's instant and may already be armed;
+// that case is refused with a panic.
+func (m *MAC) ObserverChanged() {
+	if !m.arith || m.observed() {
+		return
+	}
+	m.settle()
+	if !m.arith {
+		return // nothing was pending
+	}
+	now := m.sim.Now()
+	for i := int32(0); i < m.tx.sent.n; i++ {
+		at := m.tx.sent.at(i).at // the frame in flight's event is its end
+		if i < m.tx.ended {
+			at += m.prop // a completed frame's is its arrival
+		}
+		if m.sim.EdgeAt(at) && at-m.sim.MaxPeriod() <= now {
+			panic(fmt.Sprintf("serial: %s: the peer stopped observing with a frame due at %v, where a clock edge may already be armed; stop observing while nothing is pending", m.name, at))
+		}
+	}
+	m.arith = false
+	m.convert()
+}
+
+// convert arms the events of a transmitter that just left arithmetic.
+func (m *MAC) convert() {
+	if m.tx.ended < m.tx.sent.n { // the frame in flight: the last one popped
+		e := m.tx.sent.at(m.tx.sent.n - 1)
+		m.inFlight = e.f
+		m.txTimer.ScheduleAt(e.at)
+		m.tx.sent.n--
+		*m.tx.sent.at(m.tx.sent.n) = wireEntry{}
+	}
+	for m.tx.sent.n > 0 {
+		e := m.tx.sent.pop()
+		m.peer.enqueueArrival(e.f, e.ok, e.at+m.prop)
+	}
+	m.tx.ended, m.due = 0, sim.Forever
+	m.kick()
+}
+
+// complete counts a frame whose last bit left and draws its bit error:
+// it reports whether the FCS survives.
+func (m *MAC) complete(f *hw.Frame) bool {
+	m.txFrames++
+	m.txBytes += uint64(len(f.Data))
+	// Error injection: probability one of the frame's wire bits flipped.
+	if m.ber > 0 {
+		bits := float64(len(f.Data)+FCSBytes) * 8
+		if m.rng.Float64() < 1-pow1m(m.ber, bits) {
+			return false
+		}
+	}
+	return true
+}
+
+// Settle brings an arithmetic transmitter up to now: it pops every
+// frame whose start (the later of its push and its predecessor's end)
+// is at or before now, completes every frame whose end is, and hands
+// the peer every frame whose arrival (end plus propagation) is. Every
+// reader of what those change settles first — TxQueue, Send, Counters
+// and the observing end's own reads — so a read sees what an event per
+// frame would have left by then. It costs a comparison when nothing is
+// due.
+func (m *MAC) Settle() {
+	if m.due <= m.sim.Now() {
+		m.settle()
+	}
+}
+
+// settle is Settle past its fast path.
+func (m *MAC) settle() {
+	now := m.sim.Now()
+	if m.arith {
+		for m.tx.free <= now && m.txq.Len() > 0 {
+			f := m.txq.Pop()
+			d := m.frameTime(len(f.Data))
+			m.txBusyPs += uint64(d)
+			m.tx.free += d
+			m.tx.sent.push(wireEntry{f: f, at: m.tx.free})
+		}
+	}
+	for ; m.tx.ended < m.tx.sent.n; m.tx.ended++ {
+		e := m.tx.sent.at(m.tx.ended)
+		if e.at > now {
+			break
+		}
+		e.ok = m.complete(e.f)
+	}
+	for m.tx.ended > 0 && m.tx.sent.at(0).at+m.prop <= now {
+		e := m.tx.sent.pop()
+		m.tx.ended--
+		m.peer.count(e.f, e.ok)
+		m.peer.obs.Observe(e.f, e.at+m.prop, e.ok)
+	}
+	m.due = sim.Forever
+	if m.tx.ended > 0 {
+		m.due = m.tx.sent.at(0).at + m.prop
+	}
+	if m.tx.ended < m.tx.sent.n {
+		m.due = min(m.due, m.tx.sent.at(m.tx.ended).at)
+	}
+	if m.txq.Len() > 0 {
+		if m.arith {
+			m.due = min(m.due, m.tx.free)
+		}
+	} else if m.tx.sent.n == 0 {
+		m.arith = false // idle: the next push decides again
+	}
+}
+
+// NextPop returns when the transmitter next takes a frame from its FIFO:
+// the end of the frame it is serializing, or Forever when it is idle or
+// its FIFO is empty. A full FIFO gains room no earlier.
+func (m *MAC) NextPop() sim.Time {
+	if m.txq.Len() == 0 || !m.arith && m.inFlight == nil || m.tx == nil {
+		return sim.Forever
+	}
+	return m.tx.free
+}
+
+// WireTail returns when the last frame the arithmetic transmitter holds,
+// queued or on the wire, reaches the peer, or 0 when it holds none. No
+// event marks that instant, so a drain runs on to it.
+func (m *MAC) WireTail() sim.Time {
+	if !m.arith {
+		return 0
+	}
+	end := m.tx.free
+	for i := 0; i < m.txq.Len(); i++ {
+		end += m.frameTime(len(m.txq.At(i).Data))
+	}
+	return end + m.prop
+}
+
+// count counts a frame arriving at this MAC.
+func (m *MAC) count(f *hw.Frame, ok bool) {
 	m.rxFrames++
 	m.rxBytes += uint64(len(f.Data))
 	if !ok {
 		m.fcsErrors++
-	}
-	if m.rx != nil {
-		m.rx(f, ok)
 	}
 }
 
@@ -321,12 +634,28 @@ func pow1m(p, n float64) float64 {
 
 // FCSErrors returns the number of received frames that failed the FCS
 // check.
-func (m *MAC) FCSErrors() uint64 { return m.fcsErrors }
+func (m *MAC) FCSErrors() uint64 {
+	m.sync()
+	return m.fcsErrors
+}
 
-// Counters implements hw.CounterSource.
-func (m *MAC) Counters() *hw.Counters { return &m.ctrs }
+// sync settles both directions of the MAC's wire: its own transmitter
+// and its peer's, whose frames this MAC counts as they arrive.
+func (m *MAC) sync() {
+	m.Settle()
+	if m.peer != nil {
+		m.peer.Settle()
+	}
+}
+
+// Counters implements hw.CounterSource, settled to now. A view that
+// includes the list by pointer settles the MAC itself (lib.MACAttach).
+func (m *MAC) Counters() *hw.Counters {
+	m.sync()
+	return &m.ctrs
+}
 
 // Stats returns the MAC counters as a fresh map. Kept for the
 // benchmark's tracer (benchmark/trace.go), which reads it; new readers
 // use Counters.
-func (m *MAC) Stats() map[string]uint64 { return m.ctrs.Map() }
+func (m *MAC) Stats() map[string]uint64 { return m.Counters().Map() }

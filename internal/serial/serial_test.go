@@ -1,6 +1,7 @@
 package serial
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/sim"
@@ -207,5 +208,51 @@ func TestEth1GRate(t *testing.T) {
 	r := NewMAC(sim.New(), Eth1G("g")).DataRateGbps()
 	if r < 0.999 || r > 1.001 {
 		t.Fatalf("1G rate = %v", r)
+	}
+}
+
+// observer records what a MAC hands it.
+type observer struct {
+	at []sim.Time
+	on bool
+}
+
+func (o *observer) Observing() bool { return o.on }
+
+func (o *observer) Observe(f *hw.Frame, at sim.Time, ok bool) { o.at = append(o.at, at) }
+
+// TestObserverCostsNoEvent: toward an observer, the transmitter arms no
+// event: frames arrive at the times a receiver sees them, handed over
+// when something reads either end at or after their arrival, and a
+// simulation with nothing else scheduled executes nothing.
+func TestObserverCostsNoEvent(t *testing.T) {
+	s, a, b := pair(t, Eth10G("a"), Eth10G("b"), 5*sim.Nanosecond)
+	o := &observer{on: true}
+	b.SetObserver(o)
+	for i := 0; i < 3; i++ {
+		a.Send(hw.NewFrame(make([]byte, 1514), 0))
+	}
+	if s.Pending() != 0 {
+		t.Fatalf("%d events pending toward an observer", s.Pending())
+	}
+	gap := sim.BitTime(int64(1514+OverheadBytes)*8, 10)
+	first := gap + 5*sim.Nanosecond
+	if s.RunUntil(first - 1); b.Counters().Map()["rx_frames"] != 0 || len(o.at) != 0 {
+		t.Fatalf("a frame arrived before %v", first)
+	}
+	s.RunUntil(first)
+	if got := b.Counters().Map()["rx_frames"]; got != 1 || len(o.at) != 1 || o.at[0] != first {
+		t.Fatalf("at %v: %d frames counted, arrivals %v; want 1 at %v", first, got, o.at, first)
+	}
+	s.RunUntil(10 * sim.Microsecond)
+	a.Settle()
+	if want := []sim.Time{first, first + gap, first + 2*gap}; fmt.Sprint(o.at) != fmt.Sprint(want) {
+		t.Fatalf("arrivals %v, want %v", o.at, want)
+	}
+	if s.Executed() != 0 {
+		t.Fatalf("%d events executed", s.Executed())
+	}
+	if tx := a.Counters().Map()["tx_frames"]; tx != 3 {
+		t.Fatalf("tx_frames %d, want 3", tx)
 	}
 }

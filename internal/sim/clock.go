@@ -99,6 +99,29 @@ func (s *Sim) NewClock(name string, period Time) *Clock {
 	return c
 }
 
+// EdgeAt reports whether some clock domain has an edge at t: edges fall
+// on integer multiples of each period.
+func (s *Sim) EdgeAt(t Time) bool {
+	for _, c := range s.clocks {
+		if t%c.period == 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// MaxPeriod returns the longest period of the simulator's clock domains,
+// 0 when it has none. An event armed more than that long before its
+// time precedes every clock edge at that time: each edge is armed no
+// earlier than one period before it.
+func (s *Sim) MaxPeriod() Time {
+	var p Time
+	for _, c := range s.clocks {
+		p = max(p, c.period)
+	}
+	return p
+}
+
 // SetBatch overrides the clock's edge budget per simulation event
 // (DefaultBatch; values below 1 mean 1). It is an equivalence-test hook,
 // not a tuning knob: results are identical for every value, and 1 — every
@@ -292,6 +315,17 @@ func (s *Sim) edgeTimer(t *Timer) bool {
 		}
 	}
 	return false
+}
+
+// EdgesBefore returns how many consecutive edges, starting with the
+// edge at Now, fall strictly before at: a window that long ends before
+// the first edge at or after at. It is at least 1.
+func (c *Clock) EdgesBefore(at Time) int {
+	n := (at - c.sim.now + c.period - 1) / c.period
+	if n < 1 {
+		return 1
+	}
+	return int(min(n, 1<<30))
 }
 
 // Bound returns how many consecutive edges, at most n and at least 1,

@@ -294,3 +294,28 @@ func (b Beat) Bytes() []byte { return b.Frame.Data[b.Off:b.End] }
 // First reports whether this is the frame's first beat, where metadata and
 // headers are inspected.
 func (b Beat) First() bool { return b.Off == 0 }
+
+// Arena holds copies of frame bytes that outlive their frames, so a
+// receiver that hands bytes to a caller (a tap's captures, the host
+// driver's receive queue) can return the frame to its pool at once.
+// Copies go into chunks that are never reused: a full chunk is dropped
+// and stays alive exactly as long as some copy still references it.
+// Chunks double from arenaMin to arenaMax bytes, so a short run that
+// copies a few frames does not pay for a chunk sized for a long one.
+type Arena struct{ chunk []byte }
+
+const (
+	arenaMin = 2 << 10
+	arenaMax = 64 << 10
+)
+
+// Copy returns a copy of b that stays valid for as long as it is held.
+// Its capacity ends at its last byte, so appending to it reallocates
+// instead of overwriting the next copy.
+func (a *Arena) Copy(b []byte) []byte {
+	if len(a.chunk)+len(b) > cap(a.chunk) {
+		a.chunk = make([]byte, 0, max(len(b), arenaMin, min(2*cap(a.chunk), arenaMax)))
+	}
+	a.chunk = append(a.chunk, b...)
+	return a.chunk[len(a.chunk)-len(b) : len(a.chunk) : len(a.chunk)]
+}

@@ -129,3 +129,32 @@ func TestShareCloneNilPool(t *testing.T) {
 	}
 	p.Put(c) // must not panic
 }
+
+// TestArenaCopiesStayValid: every copy an Arena hands out keeps its
+// bytes across chunk boundaries and a dropped arena, and appending to one
+// never overwrites the next.
+func TestArenaCopiesStayValid(t *testing.T) {
+	var a Arena
+	var copies [][]byte
+	for i := 0; i < 300; i++ {
+		b := make([]byte, 1+i*7%1500)
+		for j := range b {
+			b[j] = byte(i)
+		}
+		copies = append(copies, a.Copy(b))
+		if i == 150 {
+			a = Arena{}
+		}
+	}
+	_ = append(copies[10], 0xFF)
+	for i, c := range copies {
+		if len(c) != 1+i*7%1500 || cap(c) != len(c) {
+			t.Fatalf("copy %d: len %d cap %d", i, len(c), cap(c))
+		}
+		for _, x := range c {
+			if x != byte(i) {
+				t.Fatalf("copy %d overwritten", i)
+			}
+		}
+	}
+}

@@ -336,6 +336,15 @@ func (q *FrameQueue) Pop() *Frame {
 	return f
 }
 
+// At returns the i-th queued frame counted from the head (0 is the next
+// Pop), or nil when fewer than i+1 frames are queued.
+func (q *FrameQueue) At(i int) *Frame {
+	if i < 0 || i >= q.n {
+		return nil
+	}
+	return q.frames[(q.head+i)&q.mask]
+}
+
 // OnPush installs a callback invoked after every successful Push, for a
 // queue not wired to a consumer (Design.Consume).
 func (q *FrameQueue) OnPush(fn func()) { q.wake = fn }

@@ -9,12 +9,16 @@ package lib
 // design's own bounds: an Emitter is never advanced onto its Last beat
 // and a drained stream never past a queued one.
 
-import "repro/netfpga/hw"
+import (
+	"repro/internal/sim"
+	"repro/netfpga/hw"
+)
 
 // Rates implements hw.Rater. RX streams the frame in progress. TX
 // drains pipeline beats, or — holding a frame the MAC FIFO has no room
-// for, which only a foreign event changes — stays busy and leaves txIn
-// alone.
+// for — stays busy and leaves txIn alone until the edge that sees the
+// MAC's next pop: a MAC transmitting toward an observing tap pops by
+// arithmetic, with no event to end the window.
 func (m *MACAttach) Rates(w *hw.Window) {
 	if m.rxEmit.Active() {
 		w.Push(m.rxOut, &m.rxEmit)
@@ -29,6 +33,9 @@ func (m *MACAttach) Rates(w *hw.Window) {
 	default:
 		w.Busy()
 		w.Hold(m.txIn)
+		if at := m.mac.NextPop(); at != sim.Forever {
+			w.Horizon(m.d.Clock().EdgesBefore(at))
+		}
 	}
 }
 

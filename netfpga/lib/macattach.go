@@ -142,8 +142,12 @@ func (m *MACAttach) Reset() {
 }
 
 // Counters implements hw.CounterSource: the attach's own counters plus
-// the MAC's as mac_*.
-func (m *MACAttach) Counters() *hw.Counters { return &m.ctrs }
+// the MAC's as mac_*, which the list includes by pointer, so the MAC is
+// settled here (serial.MAC.Settle).
+func (m *MACAttach) Counters() *hw.Counters {
+	m.mac.Settle()
+	return &m.ctrs
+}
 
 // Registers exposes the interface counters as an AXI-Lite block, as the
 // physical interface cores do.

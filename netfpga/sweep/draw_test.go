@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"flag"
 	"math"
 	"runtime"
 	"strings"
@@ -23,14 +24,18 @@ func scheduled(s drawSchedule) Measure {
 	return func(c *Ctx, cell Cell) (Outcome, error) { return genericMeasure(c, cell, s) }
 }
 
+// drawMatrix runs TestDrawAheadMatchesInline at every seed of its
+// matrix; tier-1 runs seed 1 only. CI's hybrid job passes it.
+var drawMatrix = flag.Bool("draw-matrix", false, "run TestDrawAheadMatchesInline at seeds 1, 7 and 99")
+
 // drawGroups are SUME switch cells of the given window: hybrid over
 // background shares 0, 6/8 and 255/256, and full fidelity, where the
-// share changes nothing, each at three seeds.
-func drawGroups(windowUS int, m Measure) []Group {
+// share changes nothing, each at the given seeds.
+func drawGroups(windowUS int, m Measure, seeds ...uint64) []Group {
 	spec := func(fid string, wls ...Workload) Group {
 		return Group{Measure: m, Spec: Spec{
 			Name: "draw-" + fid, Boards: []string{"sume"}, Projects: []string{"reference_switch"},
-			Workloads: wls, Seeds: []uint64{1, 7, 99}, Fidelities: []string{fid}, WindowUS: windowUS,
+			Workloads: wls, Seeds: seeds, Fidelities: []string{fid}, WindowUS: windowUS,
 		}}
 	}
 	bg255 := Workload{Name: "bg255of256", Flows: 256, Background: 255}
@@ -46,7 +51,13 @@ func drawGroups(windowUS int, m Measure) []Group {
 // each is applied. The shipped schedule runs windows just below
 // aheadMin intervals, at it, and off a chunk multiple with a partial
 // last interval; drawSmall runs a short window across many chunks.
+// Tier-1 runs each fidelity mix at one seed; -draw-matrix adds seeds 7
+// and 99.
 func TestDrawAheadMatchesInline(t *testing.T) {
+	seeds := []uint64{1}
+	if *drawMatrix {
+		seeds = append(seeds, 7, 99)
+	}
 	for _, tc := range []struct {
 		windowUS int
 		s        drawSchedule
@@ -57,7 +68,7 @@ func TestDrawAheadMatchesInline(t *testing.T) {
 		{10*drawSmall.aheadMin + 375, drawSmall},
 	} {
 		run := func(s drawSchedule) *Results {
-			rs, err := RunGroups(context.Background(), &Runner{Workers: 2}, drawGroups(tc.windowUS, scheduled(s)), "")
+			rs, err := RunGroups(context.Background(), &Runner{Workers: 2}, drawGroups(tc.windowUS, scheduled(s), seeds...), "")
 			if err != nil {
 				t.Fatal(err)
 			}
