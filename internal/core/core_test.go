@@ -261,12 +261,22 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
+// stalled is a DMA consumer that never pops.
+type stalled struct{}
+
+func (stalled) Name() string            { return "stalled" }
+func (stalled) Tick() bool              { return false }
+func (stalled) Resources() hw.Resources { return hw.Resources{} }
+
 // TestStalledDeviceRecyclesHostFrames: a host→device DMA that completes
 // into a full dma.to_device queue is dropped, and its frame goes back
-// to the design's pool. So once a device stalls — here no project
-// drains the queue at all — a further host burst allocates no frames.
+// to the design's pool. So once a device stalls — here its one DMA
+// consumer never pops the queue — a further host burst allocates no
+// frames.
 func TestStalledDeviceRecyclesHostFrames(t *testing.T) {
 	dev := NewDevice(SUME(), Options{})
+	dev.Dsn.AddModule(stalled{})
+	dev.Dsn.Consume(stalled{}, dev.Engine.ToDevice())
 	data := make([]byte, 100)
 	burst := func() {
 		for dev.Driver.Send(data, 0) == nil {

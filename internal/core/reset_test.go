@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -65,7 +66,10 @@ func observe(t testing.TB, dev *netfpga.Device, proj netfpga.Project) deviceStat
 		}
 	}
 	if dev.Driver != nil {
-		s.Host = dev.Driver.Poll()
+		for _, p := range dev.Driver.Poll() { // lent until the next Poll: copied
+			p.Data = bytes.Clone(p.Data)
+			s.Host = append(s.Host, p)
+		}
 	}
 	for _, m := range dev.SRAMs {
 		m.Counters().AddTo(s.Storage, m.Name()+".")

@@ -18,6 +18,9 @@ var (
 	ErrTxRingFull = errors.New("host: transmit ring full")
 	ErrFrameSize  = errors.New("host: frame size out of range")
 	ErrQueue      = errors.New("host: queue out of range")
+	// ErrNoDMA refuses a send on a device whose design has no DMA
+	// attach: nothing would take the frame off the to-device queue.
+	ErrNoDMA = errors.New("host: the design has no DMA consumer")
 )
 
 // RxPacket is one received frame with its originating host queue.
@@ -38,11 +41,14 @@ type Driver struct {
 	pool   *hw.FramePool
 	now    func() hw.Time
 
+	// rxBuf and rxBytes collect the frames received since the last Poll
+	// and their bytes, so the frames themselves go back to the design's
+	// pool at once; lent is what the last Poll handed out, reused by the
+	// round after the next.
 	rxBuf   []RxPacket
+	rxBytes []byte
+	lent    *rxRound
 	rxLimit int
-	// arena holds the received frames' bytes, so the frames themselves
-	// go back to the design's pool at once.
-	arena hw.Arena
 
 	txSent, rxGot, rxDropped uint64
 	ctrs                     hw.Counters
@@ -67,11 +73,17 @@ func NewDriver(name string, engine *pcie.Engine, regs *hw.AddressMap, pool *hw.F
 // rxRing is the receive ring the driver posts at bring-up.
 const rxRing = 256
 
+// rxRound is one round of received frames and the bytes they point into.
+type rxRound struct {
+	pkts  []RxPacket
+	bytes []byte
+}
+
 // Reset returns the driver to the state NewDriver left it in, on an
 // engine that was just reset: nothing received, counters zero, the full
-// receive ring posted again.
+// receive ring posted again. What the last Poll lent is no longer valid.
 func (d *Driver) Reset() {
-	d.rxBuf, d.arena = nil, hw.Arena{}
+	d.rxBuf, d.rxBytes = d.rxBuf[:0], d.rxBytes[:0]
 	d.txSent, d.rxGot, d.rxDropped = 0, 0, 0
 	d.engine.PostRx(rxRing)
 }
@@ -91,6 +103,9 @@ func (d *Driver) Send(data []byte, q int) error {
 	}
 	// Ask before building the frame: pump loops call Send until it
 	// refuses, and a refusal must cost nothing.
+	if !d.engine.ToDevice().Consumed() {
+		return ErrNoDMA
+	}
 	if d.engine.TxSpace() <= 0 {
 		return ErrTxRingFull
 	}
@@ -109,8 +124,8 @@ func (d *Driver) Send(data []byte, q int) error {
 
 // rxComplete runs in simulated time as the DMA engine finishes a
 // device→host transfer. A received frame's bytes are copied into the
-// driver's arena, and the frame goes back to the pool either way, so
-// host-bound traffic recycles its frames like tap-bound traffic does.
+// round's byte buffer, and the frame goes back to the pool either way,
+// so host-bound traffic recycles its frames like tap-bound traffic does.
 func (d *Driver) rxComplete(f *hw.Frame) {
 	if len(d.rxBuf) >= d.rxLimit {
 		d.rxDropped++
@@ -122,7 +137,12 @@ func (d *Driver) rxComplete(f *hw.Frame) {
 				break
 			}
 		}
-		d.rxBuf = append(d.rxBuf, RxPacket{Data: d.arena.Copy(f.Data), Queue: q, Port: f.Meta.SrcPort, At: d.now()})
+		// A buffer that grows leaves the round's earlier copies where
+		// they are, in the array it outgrew.
+		n := len(d.rxBytes)
+		d.rxBytes = append(d.rxBytes, f.Data...)
+		data := d.rxBytes[n:len(d.rxBytes):len(d.rxBytes)]
+		d.rxBuf = append(d.rxBuf, RxPacket{Data: data, Queue: q, Port: f.Meta.SrcPort, At: d.now()})
 		d.rxGot++
 	}
 	d.pool.Put(f)
@@ -131,17 +151,21 @@ func (d *Driver) rxComplete(f *hw.Frame) {
 }
 
 // Poll drains and returns the frames received since the last call, nil
-// if there are none. The caller owns the returned slice and every
-// packet's Data. The next round collects into a fresh buffer sized for
-// as many frames as this one returned, so a steady receive rate does not
-// regrow it by doubling every round, and one burst does not size every
-// later round.
+// if there are none. It lends them: the slice and every packet's Data
+// stay valid until the next Poll or Reset, and a caller that keeps them
+// longer copies them. The round after the next collects into the
+// buffers this one returns, so a steady receive loop allocates nothing.
 func (d *Driver) Poll() []RxPacket {
 	out := d.rxBuf
 	if len(out) == 0 {
 		return nil
 	}
-	d.rxBuf = make([]RxPacket, 0, len(out))
+	if d.lent == nil {
+		d.lent = new(rxRound)
+	}
+	l := d.lent
+	d.rxBuf, l.pkts = l.pkts[:0], out
+	d.rxBytes, l.bytes = l.bytes[:0], d.rxBytes
 	return out
 }
 

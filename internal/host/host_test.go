@@ -8,10 +8,27 @@ import (
 	"repro/netfpga/hw"
 )
 
+// sink is a design module that consumes the to-device queue as a DMA
+// attach does, and leaves the frames there for the test to pop.
+type sink struct{}
+
+func (sink) Name() string            { return "sink" }
+func (sink) Tick() bool              { return false }
+func (sink) Resources() hw.Resources { return hw.Resources{} }
+
+// consumed wires e's to-device queue to a sink on a design of s's, so
+// its driver may send.
+func consumed(s *sim.Sim, e *pcie.Engine) *pcie.Engine {
+	d := hw.NewDesign("host_test", s.NewClockMHz("datapath", 200), 0)
+	d.AddModule(sink{})
+	d.Consume(sink{}, e.ToDevice())
+	return e
+}
+
 func newHost(t *testing.T) (*sim.Sim, *pcie.Engine, *Driver) {
 	t.Helper()
 	s := sim.New()
-	e := pcie.NewEngine(s, pcie.EngineConfig{Link: pcie.SUMELink()})
+	e := consumed(s, pcie.NewEngine(s, pcie.EngineConfig{Link: pcie.SUMELink()}))
 	regs := hw.NewAddressMap()
 	rf := hw.NewRegisterFile("core")
 	var scratch uint32
@@ -50,6 +67,26 @@ func TestDriverSendValidation(t *testing.T) {
 		if err := d.Send(make([]byte, 60), q); err != ErrQueue {
 			t.Fatalf("queue %d: err = %v", q, err)
 		}
+	}
+}
+
+// TestDriverSendNeedsDMAConsumer: on a design with no DMA attach
+// nothing would take a frame off the to-device queue, so Send refuses
+// before it builds one.
+func TestDriverSendNeedsDMAConsumer(t *testing.T) {
+	s := sim.New()
+	e := pcie.NewEngine(s, pcie.EngineConfig{Link: pcie.SUMELink()})
+	d := NewDriver("nf0", e, hw.NewAddressMap(), nil, s.Now)
+	data := make([]byte, 60)
+	if allocs := testing.AllocsPerRun(10, func() {
+		if err := d.Send(data, 0); err != ErrNoDMA {
+			t.Fatalf("err = %v, want ErrNoDMA", err)
+		}
+	}); allocs != 0 {
+		t.Errorf("a Send refused for want of a consumer allocates %.1f times", allocs)
+	}
+	if d.txSent != 0 || e.TxSpace() != 256 {
+		t.Fatalf("a refused send counted %d sent and left %d of 256 ring slots", d.txSent, e.TxSpace())
 	}
 }
 
@@ -101,14 +138,14 @@ func TestDriverReplenishesRxRing(t *testing.T) {
 	}
 }
 
-// TestDriverPollSizesTheNextRound: a receive round collects into a
-// buffer sized by the previous round instead of regrowing from nothing,
-// and the slice Poll handed out stays the caller's.
-func TestDriverPollSizesTheNextRound(t *testing.T) {
+// TestDriverPollLends: Poll lends what it returns until the next Poll,
+// and the round after the next collects into the buffers it lent
+// (TestDriverSteadyLoopAllocatesNothing counts what that saves).
+func TestDriverPollLends(t *testing.T) {
 	s, e, d := newHost(t)
 	round := func(tag byte) []RxPacket {
 		for i := 0; i < 100; i++ {
-			f := hw.NewFrame([]byte{tag}, 0)
+			f := hw.NewFrame([]byte{tag, tag}, 0)
 			f.Meta.DstPorts = hw.HostPortMask(0)
 			e.FromDevice().Push(f)
 		}
@@ -116,17 +153,17 @@ func TestDriverPollSizesTheNextRound(t *testing.T) {
 		return d.Poll()
 	}
 	first := round(1)
-	if len(first) != 100 || len(d.rxBuf) != 0 || cap(d.rxBuf) != 100 {
-		t.Fatalf("after the first round: polled %d, next buffer len %d cap %d, want 100, 0, 100",
-			len(first), len(d.rxBuf), cap(d.rxBuf))
+	second := round(2)
+	if len(first) != 100 || len(second) != 100 {
+		t.Fatalf("polled %d and %d, want 100 each", len(first), len(second))
 	}
-	if second := round(2); len(second) != 100 || cap(second) != 100 {
-		t.Fatalf("second round: polled %d into cap %d, want 100 into the 100 sized for it", len(second), cap(second))
-	}
-	for i, p := range first {
-		if p.Data[0] != 1 {
-			t.Fatalf("the first round's packet %d was overwritten", i)
+	for i, p := range second {
+		if p.Data[0] != 2 || p.Data[1] != 2 {
+			t.Fatalf("the second round's packet %d reads %v", i, p.Data)
 		}
+	}
+	if third := round(3); &third[0] != &first[0] || &third[0].Data[0] != &first[0].Data[0] {
+		t.Fatal("the third round did not collect into the buffers the first lent")
 	}
 	if d.Poll() != nil {
 		t.Fatal("an empty round did not poll nil")
@@ -138,7 +175,7 @@ func TestDriverPollSizesTheNextRound(t *testing.T) {
 // limit a Send → loop back → DMA → drop round allocates nothing.
 func TestDriverOverLimitRecyclesFrames(t *testing.T) {
 	s := sim.New()
-	e := pcie.NewEngine(s, pcie.EngineConfig{Link: pcie.SUMELink()})
+	e := consumed(s, pcie.NewEngine(s, pcie.EngineConfig{Link: pcie.SUMELink()}))
 	pool := &hw.FramePool{}
 	d := NewDriver("nf0", e, hw.NewAddressMap(), pool, s.Now)
 	d.rxLimit = 1
@@ -187,7 +224,7 @@ func TestDriverRegisterAccess(t *testing.T) {
 
 func TestDriverTxRingFull(t *testing.T) {
 	s := sim.New()
-	e := pcie.NewEngine(s, pcie.EngineConfig{Link: pcie.SUMELink(), TxRing: 2})
+	e := consumed(s, pcie.NewEngine(s, pcie.EngineConfig{Link: pcie.SUMELink(), TxRing: 2}))
 	d := NewDriver("nf0", e, hw.NewAddressMap(), nil, s.Now)
 	if err := d.Send(make([]byte, 60), 0); err != nil {
 		t.Fatal(err)
@@ -205,7 +242,7 @@ func TestDriverTxRingFull(t *testing.T) {
 // accepted one draws its frame from the pool the datapath recycles into.
 func TestDriverSendAllocations(t *testing.T) {
 	s := sim.New()
-	e := pcie.NewEngine(s, pcie.EngineConfig{Link: pcie.SUMELink(), TxRing: 8})
+	e := consumed(s, pcie.NewEngine(s, pcie.EngineConfig{Link: pcie.SUMELink(), TxRing: 8}))
 	pool := &hw.FramePool{}
 	d := NewDriver("nf0", e, hw.NewAddressMap(), pool, s.Now)
 	data := make([]byte, 1500)
@@ -232,5 +269,40 @@ func TestDriverSendAllocations(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("a Send refused by a full ring allocates %.1f times", allocs)
+	}
+}
+
+// TestDriverSteadyLoopAllocatesNothing: a steady send → run → poll loop,
+// every frame the host sends looped back to it, allocates nothing per
+// frame once the pool and the lent buffers are warm.
+func TestDriverSteadyLoopAllocatesNothing(t *testing.T) {
+	s := sim.New()
+	e := consumed(s, pcie.NewEngine(s, pcie.EngineConfig{Link: pcie.SUMELink()}))
+	pool := &hw.FramePool{}
+	d := NewDriver("nf0", e, hw.NewAddressMap(), pool, s.Now)
+	data := make([]byte, 600)
+	const frames = 32
+	round := func() {
+		for i := 0; i < frames; i++ {
+			if err := d.Send(data, i%4); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.Drain(0)
+		for e.ToDevice().Len() > 0 {
+			f := e.ToDevice().Pop()
+			f.Meta.DstPorts = hw.HostPortMask(int(f.Meta.SrcPort) - hw.HostPortBase)
+			e.FromDevice().Push(f)
+		}
+		s.Drain(0)
+		if rx := d.Poll(); len(rx) != frames {
+			t.Fatalf("polled %d of %d", len(rx), frames)
+		}
+	}
+	for i := 0; i < 4; i++ { // warm the pool and both rounds' buffers
+		round()
+	}
+	if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
+		t.Errorf("%.2f allocations per round of %d frames, want none", allocs, frames)
 	}
 }

@@ -11,13 +11,25 @@
 // individual symbols.
 //
 // An event marks a wire instant only where something decides there. A
-// MAC transmitting toward a receiver completes each frame with an event
-// and the receiver takes it with another, at its arrival. A MAC
-// transmitting toward an Observer — a tap that only counts or captures
-// — is arithmetic: it computes when each frame starts, ends and arrives,
-// and applies that when something reads it (Settle), so frames toward
-// the observer cost no event. Both forms give every reader the same
-// values, counters and error draws.
+// MAC transmitting toward a receiver installed with SetReceiver
+// completes each frame with an event and the receiver takes it with
+// another, at its arrival. A MAC transmitting toward an Observer — a tap
+// that only counts or captures — or toward a receiver that pulls its
+// arrivals (PullReceiver: the datapath's MAC attach) is arithmetic: it
+// computes when each frame starts, ends and arrives, and applies that
+// when something reads it (Settle), so those frames cost no event. The
+// observer takes each frame whenever it is read; the pulling receiver
+// takes each one at the first datapath edge that would have seen its
+// arrival event (NextArrival, sim.Clock.EdgeAfter). That event was armed
+// by the frame's completion, 5 ns before the arrival, so an arrival on a
+// clock edge is seen by that edge only when the edge was armed after the
+// completion ran: on a 5 ns clock the edge before it armed it at the
+// completion instant, after the completion, so it is seen; on a 6.25 ns
+// or 8 ns clock it was armed earlier, so the next edge takes it. Frames
+// no longer on the wire than a clock period (and, toward a pulling
+// receiver, than the propagation delay) still run on events. Every form
+// gives every reader the same values, counters, error draws and arrival
+// stamps.
 package serial
 
 import (
@@ -83,12 +95,15 @@ func Eth1G(name string) Config {
 // wire frames without FCS; the model appends/validates the FCS
 // analytically and accounts for its time.
 //
-// Reception has two forms. A receiver installed with SetReceiver runs
+// Reception has three forms. A receiver installed with SetReceiver runs
 // in simulated time as each frame's last bit arrives: the transmitter
 // completes every frame with an event, and the arrival is an event of
 // its own. An Observer installed with SetObserver decides nothing at an
 // arrival's instant, so while it observes, the MAC feeding it times its
-// frames by arithmetic and schedules no event for them (see Settle).
+// frames by arithmetic and schedules no event for them (see Settle). A
+// receiver installed with PullReceiver takes its arrivals itself at the
+// instants an event would have delivered them, so the MAC feeding it
+// times its frames by arithmetic too.
 type MAC struct {
 	name string
 	ber  float64
@@ -127,6 +142,9 @@ type MAC struct {
 	longFrom int32
 	arith    bool
 	linkUp   bool
+	// pull is set for a receiver that takes its arrivals itself
+	// (PullReceiver), clear for one that runs at each arrival.
+	pull bool
 
 	txFrames, rxFrames uint64
 	txBytes, rxBytes   uint64
@@ -137,16 +155,18 @@ type MAC struct {
 
 // arithTx is the state of an arithmetic transmitter: frames are popped
 // at their start times, completed at their end times and handed to the
-// peer's Observer at their arrival times, whenever something settles the
-// MAC at or after them. sent holds the popped frames not yet handed
-// over, each with its end time; its first ended have completed (counted,
-// BER drawn). free is when the last popped frame ends, so the FIFO's
-// head starts then; an event-driven transmitter keeps its in-flight
-// frame's end there too.
+// peer at their arrival times, whenever something settles the MAC at or
+// after them. sent holds the popped frames not yet handed over, each
+// with its end time; its first ended have completed (counted, BER
+// drawn). A peer that pulls its arrivals takes them from sent itself:
+// its first arrived have arrived (counted by the peer) and wait there
+// for it. free is when the last popped frame ends, so the FIFO's head
+// starts then; an event-driven transmitter keeps its in-flight frame's
+// end there too.
 type arithTx struct {
-	sent  wireRing
-	free  sim.Time
-	ended int32
+	sent           wireRing
+	free           sim.Time
+	ended, arrived int32
 	// size and time are frameTime's last answer.
 	size int
 	time sim.Time
@@ -187,10 +207,8 @@ func NewMAC(s *sim.Sim, cfg Config) *MAC {
 		rng:  sim.NewRand(cfg.Seed ^ 0x5eeded), // Reseed reseeds the same way
 		due:  sim.Forever,
 	}
-	for m.wireTime(int(m.longFrom)) <= s.MaxPeriod() {
-		m.longFrom++
-	}
 	m.txq = hw.NewFrameQueue(cfg.Name+".txq", 0, cfg.TxBufBytes)
+	m.shortUpTo(s.MaxPeriod())
 	m.txq.OnPush(m.pushed)
 	m.ctrs.Grow(7)
 	m.ctrs.Add("tx_frames", &m.txFrames)
@@ -281,9 +299,31 @@ func Connect(a, b *MAC, prop sim.Time) error {
 	a.peer, b.peer = b, a
 	a.prop, b.prop = prop, prop
 	a.linkUp, b.linkUp = true, true
-	a.kick()
-	b.kick()
+	for _, m := range [2]*MAC{a, b} {
+		if m.peer.pull {
+			// Toward a pulling receiver, a frame no longer on the wire
+			// than the propagation delay may arrive before the frame
+			// ahead of it is delivered, which then arms its arrival:
+			// such frames run on events too (see NextArrival).
+			m.shortUpTo(prop)
+		}
+		m.kick()
+	}
 	return nil
+}
+
+// shortUpTo makes every frame whose wire time is at most t a short one,
+// which runs on events (see kick), and recounts the FIFO's.
+func (m *MAC) shortUpTo(t sim.Time) {
+	for m.wireTime(int(m.longFrom)) <= t {
+		m.longFrom++
+	}
+	m.shorts = 0
+	for i := 0; i < m.txq.Len(); i++ {
+		if len(m.txq.At(i).Data) < int(m.longFrom) {
+			m.shorts++
+		}
+	}
 }
 
 // Reset returns the MAC to the state NewMAC left it in, unplugged and
@@ -299,7 +339,7 @@ func (m *MAC) Reset(seed uint64) {
 	m.inbound.reset()
 	if m.tx != nil {
 		m.tx.sent.reset()
-		m.tx.free, m.tx.ended = 0, 0
+		m.tx.free, m.tx.ended, m.tx.arrived = 0, 0, 0
 	}
 	m.arith, m.due, m.shorts = false, sim.Forever, 0
 	m.txFrames, m.rxFrames, m.txBytes, m.rxBytes = 0, 0, 0, 0
@@ -342,8 +382,23 @@ func (m *MAC) Send(f *hw.Frame) bool {
 
 // SetReceiver installs the reception callback. fcsOK is false when error
 // injection corrupted the frame; real MACs still deliver such frames
-// marked bad, and the attach module decides to drop them.
-func (m *MAC) SetReceiver(fn func(f *hw.Frame, fcsOK bool)) { m.rx = fn }
+// marked bad, and the attach module decides to drop them. The callback
+// runs at each arrival, so the MAC feeding this one completes every
+// frame with an event and each arrival is an event of its own.
+func (m *MAC) SetReceiver(fn func(f *hw.Frame, fcsOK bool)) { m.rx, m.pull = fn, false }
+
+// PullReceiver installs fn as SetReceiver does, for a receiver that also
+// takes arrivals itself: while the MAC feeding this one times frames by
+// arithmetic, their arrivals wait, counted, until the receiver takes
+// them (NextArrival, Arrival), and fn runs with a frame only for frames
+// that still arrive by event — short frames (see Connect) and frames on
+// a wire converted to events. fn runs with a nil frame, its doorbell,
+// whenever the next arrival may have changed: a frame toward an idle
+// wire, or a conversion.
+func (m *MAC) PullReceiver(fn func(f *hw.Frame, fcsOK bool)) { m.rx, m.pull = fn, true }
+
+// Receiver returns the reception callback.
+func (m *MAC) Receiver() func(f *hw.Frame, fcsOK bool) { return m.rx }
 
 // SetObserver installs o. While o observes, arrivals at this MAC are
 // handed to o instead of the receiver, and the MAC feeding it arms no
@@ -401,11 +456,15 @@ func (m *MAC) kick() {
 		// frame queued behind others starts after now, and one pushed
 		// alone starts now unless one is in flight.
 		if m.txq.Len() == 1 {
+			idle := m.tx.sent.n == m.tx.arrived
 			if now := m.sim.Now(); m.tx.free <= now {
 				m.tx.free = now
 				m.settle()
 			} else {
 				m.due = min(m.due, m.tx.free)
+			}
+			if idle {
+				m.ring()
 			}
 		}
 		return
@@ -413,9 +472,10 @@ func (m *MAC) kick() {
 	if m.txq.Len() == 0 {
 		return
 	}
-	if m.shorts == 0 && m.observed() {
+	if m.shorts == 0 && m.lazyPeer() {
 		m.arith, m.tx.free = true, m.sim.Now()
 		m.settle()
+		m.ring()
 		return
 	}
 	f := m.txq.Pop()
@@ -428,15 +488,28 @@ func (m *MAC) kick() {
 	m.txTimer.ScheduleAt(m.tx.free)
 }
 
-// observed reports whether the peer observes.
-func (m *MAC) observed() bool {
-	return m.peer.obs != nil && m.peer.obs.Observing()
+// lazyPeer reports whether the peer takes frames lazily: it pulls its
+// arrivals, or it observes.
+func (m *MAC) lazyPeer() bool {
+	return m.peer.pull || m.peer.obs != nil && m.peer.obs.Observing()
+}
+
+// ring rings the peer's doorbell, if it pulls.
+func (m *MAC) ring() {
+	if m.peer.pull {
+		m.peer.rx(nil, false)
+	}
 }
 
 // txDone completes the in-flight frame: counts it, delivers it to the
 // peer after propagation, and starts the next one.
 func (m *MAC) txDone() {
 	f := m.inFlight
+	if f == nil { // a frame timed by arithmetic when the wire converted
+		m.settle()
+		m.kick()
+		return
+	}
 	m.inFlight = nil
 	m.peer.enqueueArrival(f, m.complete(f), m.sim.Now()+m.prop)
 	m.kick()
@@ -468,7 +541,7 @@ func (m *MAC) toEvents() {
 // clock edge falls on the event's instant and may already be armed;
 // that case is refused with a panic.
 func (m *MAC) ObserverChanged() {
-	if !m.arith || m.observed() {
+	if !m.arith || m.lazyPeer() {
 		return
 	}
 	m.settle()
@@ -476,7 +549,7 @@ func (m *MAC) ObserverChanged() {
 		return // nothing was pending
 	}
 	now := m.sim.Now()
-	for i := int32(0); i < m.tx.sent.n; i++ {
+	for i := m.tx.arrived; i < m.tx.sent.n; i++ {
 		at := m.tx.sent.at(i).at // the frame in flight's event is its end
 		if i < m.tx.ended {
 			at += m.prop // a completed frame's is its arrival
@@ -490,20 +563,42 @@ func (m *MAC) ObserverChanged() {
 }
 
 // convert arms the events of a transmitter that just left arithmetic.
+// Toward a pulling peer the frames already popped stay arithmetic — each
+// arrival is taken at the edge its event would have reached, which an
+// event armed now could miss — and only the frame being serialized gets
+// a completion event, to pop the next frame at its end; the event wire
+// had armed that one when the frame started, before any clock edge at
+// its end was armed, so it goes ahead of its instant (ScheduleFirst). A
+// frame shorter than the wire delay right behind an arithmetic one has
+// its arrival event armed at its completion, where the event wire armed
+// it at the arithmetic frame's arrival; with clock periods of at least
+// the wire delay, as on every board, an edge at its arrival was armed
+// before either, so the order is the same.
 func (m *MAC) convert() {
-	if m.tx.ended < m.tx.sent.n { // the frame in flight: the last one popped
-		e := m.tx.sent.at(m.tx.sent.n - 1)
+	t := &m.tx.sent
+	if m.peer.pull {
+		if m.tx.ended < t.n {
+			m.txTimer.ScheduleFirst(m.tx.free)
+		}
+		m.kick()
+		m.ring()
+		return
+	}
+	if m.tx.ended < t.n { // the frame in flight: the last one popped
+		e := t.at(t.n - 1)
 		m.inFlight = e.f
 		m.txTimer.ScheduleAt(e.at)
-		m.tx.sent.n--
-		*m.tx.sent.at(m.tx.sent.n) = wireEntry{}
+		*e = wireEntry{}
+		t.n--
 	}
-	for m.tx.sent.n > 0 {
-		e := m.tx.sent.pop()
+	for i := m.tx.arrived; i < t.n; i++ {
+		e := t.at(i)
 		m.peer.enqueueArrival(e.f, e.ok, e.at+m.prop)
+		*e = wireEntry{}
 	}
-	m.tx.ended, m.due = 0, sim.Forever
+	t.n, m.tx.ended, m.due = m.tx.arrived, m.tx.arrived, sim.Forever
 	m.kick()
+	m.ring()
 }
 
 // complete counts a frame whose last bit left and draws its bit error:
@@ -537,50 +632,99 @@ func (m *MAC) Settle() {
 
 // settle is Settle past its fast path.
 func (m *MAC) settle() {
-	now := m.sim.Now()
+	now, t := m.sim.Now(), m.tx
 	if m.arith {
-		for m.tx.free <= now && m.txq.Len() > 0 {
+		for t.free <= now && m.txq.Len() > 0 {
 			f := m.txq.Pop()
 			d := m.frameTime(len(f.Data))
 			m.txBusyPs += uint64(d)
-			m.tx.free += d
-			m.tx.sent.push(wireEntry{f: f, at: m.tx.free})
+			t.free += d
+			t.sent.push(wireEntry{f: f, at: t.free})
 		}
 	}
-	for ; m.tx.ended < m.tx.sent.n; m.tx.ended++ {
-		e := m.tx.sent.at(m.tx.ended)
+	for ; t.ended < t.sent.n; t.ended++ {
+		e := t.sent.at(t.ended)
 		if e.at > now {
 			break
 		}
 		e.ok = m.complete(e.f)
 	}
-	for m.tx.ended > 0 && m.tx.sent.at(0).at+m.prop <= now {
-		e := m.tx.sent.pop()
-		m.tx.ended--
+	for t.arrived < t.ended && t.sent.at(t.arrived).at+m.prop <= now {
+		e := t.sent.at(t.arrived)
 		m.peer.count(e.f, e.ok)
-		m.peer.obs.Observe(e.f, e.at+m.prop, e.ok)
+		if m.peer.pull {
+			t.arrived++ // it waits for the peer to take it
+			continue
+		}
+		x := t.sent.pop()
+		t.ended--
+		m.peer.obs.Observe(x.f, x.at+m.prop, x.ok)
 	}
 	m.due = sim.Forever
-	if m.tx.ended > 0 {
-		m.due = m.tx.sent.at(0).at + m.prop
+	if t.arrived < t.ended {
+		m.due = t.sent.at(t.arrived).at + m.prop
 	}
-	if m.tx.ended < m.tx.sent.n {
-		m.due = min(m.due, m.tx.sent.at(m.tx.ended).at)
+	if t.ended < t.sent.n {
+		m.due = min(m.due, t.sent.at(t.ended).at)
 	}
 	if m.txq.Len() > 0 {
 		if m.arith {
-			m.due = min(m.due, m.tx.free)
+			m.due = min(m.due, t.free)
 		}
-	} else if m.tx.sent.n == 0 {
+	} else if t.sent.n == t.arrived {
 		m.arith = false // idle: the next push decides again
 	}
+}
+
+// NextArrival returns when the next frame toward this MAC that its
+// pulling receiver has not taken arrives, and when its last bit left the
+// peer; Forever for both when no frame is on its way by arithmetic.
+// Frames that arrive by event are not counted here: the receiver's
+// callback runs at theirs.
+//
+// The arrival at is what the event wire's arrival event was armed for,
+// and end is when it was armed: by the frame's completion event, which
+// was armed more than a clock period and more than the propagation
+// delay before it (short frames run on events), so it ran before any
+// clock edge armed at end, and before the previous frame's arrival
+// event could arm it instead (sim.Clock.EdgeAfter).
+func (m *MAC) NextArrival() (at, end sim.Time) {
+	p := m.peer
+	if !m.pull || p == nil || p.tx == nil {
+		return sim.Forever, sim.Forever
+	}
+	p.Settle()
+	switch t := p.tx; {
+	case t.sent.n > 0:
+		end = t.sent.at(0).at
+	case p.arith && p.txq.Len() > 0: // settled: the head starts after now
+		end = t.free + p.frameTime(len(p.txq.At(0).Data))
+	default:
+		return sim.Forever, sim.Forever
+	}
+	return end + m.prop, end
+}
+
+// Arrival takes the next frame toward this MAC, which must have arrived:
+// NextArrival reports it at or before now. It returns the frame, its
+// arrival instant and whether its FCS survived; the receiver owns f.
+func (m *MAC) Arrival() (f *hw.Frame, at sim.Time, fcsOK bool) {
+	m.peer.Settle()
+	t := m.peer.tx
+	if t.arrived == 0 {
+		panic("serial: " + m.name + ": Arrival before the next frame arrived")
+	}
+	e := t.sent.pop()
+	t.arrived--
+	t.ended--
+	return e.f, e.at + m.prop, e.ok
 }
 
 // NextPop returns when the transmitter next takes a frame from its FIFO:
 // the end of the frame it is serializing, or Forever when it is idle or
 // its FIFO is empty. A full FIFO gains room no earlier.
 func (m *MAC) NextPop() sim.Time {
-	if m.txq.Len() == 0 || !m.arith && m.inFlight == nil || m.tx == nil {
+	if m.txq.Len() == 0 || !m.arith && !m.txTimer.Pending() || m.tx == nil {
 		return sim.Forever
 	}
 	return m.tx.free

@@ -81,6 +81,10 @@ type Clock struct {
 	active bool
 	timer  *Timer
 	batch  int
+	// woke is when the clock's current run began: the instant of the
+	// Wake that started it (WakeAt's instant for a parked start). Its
+	// first edge was armed then, every later one by the edge before it.
+	woke Time
 
 	// ticks counts edges actually executed (not gated away).
 	ticks uint64
@@ -155,6 +159,10 @@ func (c *Clock) FreqMHz() float64 { return 1e6 / float64(c.period) }
 // period, not the number of executed edges.
 func (c *Clock) Cycle() uint64 { return c.cycle }
 
+// Active reports whether the clock is running: it has not gated since
+// its last Wake.
+func (c *Clock) Active() bool { return c.active }
+
 // Ticks returns the number of edges actually executed.
 func (c *Clock) Ticks() uint64 { return c.ticks }
 
@@ -187,15 +195,73 @@ func (c *Clock) Wake() {
 	}
 }
 
-// start ungates the clock.
+// start ungates the clock. A clock parked by WakeAt at or before now
+// keeps its parked edge: that wake came first.
 func (c *Clock) start() {
 	c.active = true
+	if c.sim.parked == c {
+		c.sim.parked = nil
+	}
+	if c.timer.Pending() && c.woke <= c.sim.now {
+		c.cycle = uint64(c.timer.at / c.period)
+		return
+	}
 	// Next edge strictly after now: an edge exactly at Now may already
 	// have run this instant, and conservatively skipping it keeps wakeups
 	// race-free and deterministic.
+	c.woke = c.sim.now
 	next := (c.sim.now/c.period + 1) * c.period
 	c.cycle = uint64(next / c.period)
 	c.timer.ScheduleAt(next)
+}
+
+// WakeAt parks a gated clock: it arms the edge a Wake at instant at (not
+// before now) would arm, the first edge strictly after at, with no event
+// at at itself; at == Forever unparks it. A Wake before at starts the
+// clock earlier, as it would have; one at or after at leaves the parked
+// edge as it is. Its component calls it from the edge on which it goes
+// idle, or while the clock is gated, for input it knows will arrive at
+// at from outside the domain with no event of its own (hw.Arriver). An
+// event scheduled for exactly the parked edge's instant before at runs
+// ahead of the edge, as it would have run ahead of an edge armed at at
+// (Timer.ScheduleAt moves the parked edge behind it); one scheduled
+// later, or through a Lane, runs after it.
+func (c *Clock) WakeAt(at Time) {
+	switch {
+	case at == Forever:
+		c.timer.Stop()
+		if c.sim.parked == c {
+			c.sim.parked = nil
+		}
+	case !c.timer.Pending() || c.woke != at:
+		c.woke = at
+		c.sim.parked = nil
+		c.timer.ScheduleAt((at/c.period + 1) * c.period)
+		c.sim.parked = c
+	}
+}
+
+// EdgeAfter returns the first edge of the clock's current run that
+// executes after an event at at that was armed at instant armed: an edge
+// later than at, or the edge at at itself when that edge was armed after
+// the event was. The run's first edge was armed when it woke, every
+// later edge one period before it. An edge armed at instant armed counts
+// as armed after the event: the caller's event was armed by one that was
+// itself armed more than a period before, so it runs first there (see
+// serial.MAC.NextArrival). The one order this cannot derive is a run
+// woken by another event at exactly armed whose first edge is at: which
+// of that event and the caller's ran first at armed is not recorded, and
+// the caller's is taken to have. The answer holds for the current run
+// only: a clock that gates and wakes again answers anew.
+func (c *Clock) EdgeAfter(armed, at Time) Time {
+	t := (at + c.period - 1) / c.period * c.period
+	if at <= c.woke { // before the run's first edge
+		t = (c.woke/c.period + 1) * c.period
+	}
+	if t == at && max(t-c.period, c.woke) < armed {
+		t += c.period
+	}
+	return t
 }
 
 // edge executes clock edges. While the component stays busy the clock
@@ -217,6 +283,9 @@ func (c *Clock) start() {
 // each counting one executed event.
 func (c *Clock) edge() {
 	s := c.sim
+	if !c.active { // a parked edge (WakeAt)
+		c.active, c.cycle, s.parked = true, uint64(s.now/c.period), nil
+	}
 	for left := c.batch; ; {
 		k, busy := c.comp.Advance(left)
 		if k < 1 || k > 1 && left == 1 {

@@ -20,6 +20,7 @@ type mark struct {
 
 type clockMark struct {
 	cycle, ticks uint64
+	woke         Time
 	active       bool
 	batch        int
 }
@@ -45,7 +46,7 @@ func (s *Sim) Seal() {
 	m.heap = append(m.heap[:0], s.heap...)
 	m.clocks = m.clocks[:0]
 	for _, c := range s.clocks {
-		m.clocks = append(m.clocks, clockMark{cycle: c.cycle, ticks: c.ticks, active: c.active, batch: c.batch})
+		m.clocks = append(m.clocks, clockMark{cycle: c.cycle, ticks: c.ticks, woke: c.woke, active: c.active, batch: c.batch})
 	}
 }
 
@@ -73,11 +74,11 @@ func (s *Sim) Reset() bool {
 		l.reset()
 	}
 	s.now, s.seq, s.executed = m.now, m.seq, m.executed
-	s.firing, s.queued, s.hold = false, 0, noHold
+	s.firing, s.queued, s.hold, s.parked = false, 0, noHold, nil
 	s.horizon, s.fence, s.floor = Forever, noFence, 0
 	for i, c := range s.clocks {
 		cm := m.clocks[i]
-		c.cycle, c.ticks, c.active, c.batch = cm.cycle, cm.ticks, cm.active, cm.batch
+		c.cycle, c.ticks, c.woke, c.active, c.batch = cm.cycle, cm.ticks, cm.woke, cm.active, cm.batch
 	}
 	return true
 }

@@ -34,6 +34,8 @@ type Sim struct {
 	// taken; it is noHold when no edge is held. Peek and Pending count
 	// it, so callbacks see the queue as if the clock had re-armed.
 	hold entry
+	// parked is the clock WakeAt parked, nil when none is (ScheduleAt).
+	parked *Clock
 
 	// horizon, fence and floor are the active run's deadline, the
 	// executed-event count at which its event budget is spent, and its
@@ -100,6 +102,12 @@ func (t *Timer) ScheduleAt(at Time) {
 	}
 	s.seq++
 	t.arm(at, s.seq)
+	if p := s.parked; p != nil && at == p.timer.at && s.now < p.woke && t != p.timer {
+		// The parked edge stands for one a Wake at p.woke would arm,
+		// after this event: it goes behind it.
+		s.seq++
+		p.timer.arm(at, s.seq)
+	}
 }
 
 // arm queues the timer under the key (at, seq), replacing its current
@@ -126,6 +134,18 @@ func (t *Timer) arm(at Time, seq uint64) {
 		s.heap = append(s.heap, e)
 		s.up(len(s.heap)-1, e)
 	}
+}
+
+// ScheduleFirst arms the timer at at ahead of every event queued for
+// the same instant, as if it had been armed before all of them: for an
+// event that stands in for one armed long before it was known, which
+// ran before every clock edge at its instant (serial.MAC's conversion of
+// a frame timed by arithmetic). at must be later than now.
+func (t *Timer) ScheduleFirst(at Time) {
+	if at <= t.sim.now {
+		panic("sim: ScheduleFirst at or before now")
+	}
+	t.arm(at, 0)
 }
 
 // ScheduleAfter arms the timer d picoseconds from now.

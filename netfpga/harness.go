@@ -1,6 +1,7 @@
 package netfpga
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -101,8 +102,8 @@ func RunSim(dev *Device, vectors []TestVector, settle Time) (PortOutput, error) 
 		}
 	}
 	if dev.Driver != nil {
-		for _, rx := range dev.Driver.Poll() {
-			out[HostPort(rx.Queue)] = append(out[HostPort(rx.Queue)], rx.Data)
+		for _, rx := range dev.Driver.Poll() { // lent until the next Poll: copied
+			out[HostPort(rx.Queue)] = append(out[HostPort(rx.Queue)], bytes.Clone(rx.Data))
 		}
 	}
 	return out, errors.Join(refused...)

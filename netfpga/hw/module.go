@@ -130,8 +130,16 @@ type Design struct {
 	// boundary. They gate window attempts (Advance), nothing else.
 	edge  bool
 	stuck bool
+	// fresh is set from the edge on which the clock gates until the first
+	// edge of its next run, which recomputes every Arriver's edge.
+	fresh bool
 	// windows and absorbed back WindowStats.
 	windows, absorbed uint64
+	// arrive is the first edge at which an Arriver takes input, Forever
+	// when none is due and 0 while fresh; arr holds the Arrivers, built
+	// when the first one rings (Arrived).
+	arrive Time
+	arr    *arrivals
 	// burst caps frame windows (see SetFrameBurst): 0 = sized by the
 	// streams alone, 1 = off, N > 1 = cap.
 	burst    int
@@ -143,7 +151,7 @@ type Design struct {
 	// fidelity, where every coupler branch is dead code.
 	background BackgroundCoupler
 	// sealed is the shape and frame-burst cap Seal recorded.
-	sealed struct{ modules, streams, queues, burst int }
+	sealed struct{ modules, streams, queues, burst int32 }
 }
 
 // NewDesign creates a design named name on the given datapath clock with a
@@ -152,7 +160,7 @@ func NewDesign(name string, clk *sim.Clock, busBytes int) *Design {
 	if busBytes <= 0 {
 		busBytes = DefaultBusBytes
 	}
-	d := &Design{name: name, clock: clk, busBytes: busBytes}
+	d := &Design{name: name, clock: clk, busBytes: busBytes, fresh: true}
 	d.win.bus = busBytes
 	// Infrastructure overhead: clocking, reset trees, AXI interconnect.
 	d.overhead = Resources{LUTs: 9000, FFs: 14000, BRAM36: 8}
@@ -323,6 +331,135 @@ func (d *Design) Tick() bool {
 	return busy
 }
 
+// An Arriver is a module that takes input arriving from outside its
+// clock domain with no event per arrival, at instants it knows ahead: a
+// MAC attach whose port's wire is timed by arithmetic. The design runs
+// Take at the start of the first edge that would have seen the arrival's
+// event (sim.Clock.EdgeAfter), before any module ticks, as that event
+// ran before the edge; frame windows end before that edge; and when
+// every module goes idle with an arrival pending, the design parks the
+// clock on it (sim.Clock.WakeAt), so a gated clock is restarted by one
+// event per idle period, not one per arrival. An Arriver rings the
+// design (Arrived) whenever its next arrival may have changed.
+type Arriver interface {
+	Module
+	// Arrival reports when the next input arrives and when the event
+	// that would have delivered it was armed; Forever for both when none
+	// is pending.
+	Arrival() (at, armed Time)
+	// Take takes the next input, whose arrival the edge at Now sees.
+	Take()
+}
+
+// arrivals are a design's Arrivers and what their edges have seen.
+type arrivals struct {
+	slots        []arrival
+	parks, wakes uint64
+}
+
+// arrival is one Arriver, its tick-order index, its next arrival (at,
+// armed, as Arrival last reported them) and the edge that takes it
+// (Forever while the design is fresh).
+type arrival struct {
+	a               Arriver
+	i               int32
+	at, armed, edge Time
+}
+
+// arrived runs the Arrivers due at this edge: one comparison when none
+// is. It inlines, like the clock's active check.
+func (d *Design) arrived() {
+	if d.clock.Now() >= d.arrive {
+		d.takeArrivals()
+	}
+}
+
+// takeArrivals runs Take for every input whose arrival this edge sees
+// and records when each Arriver takes next. The first edge of a run
+// computes every edge anew: the run's first edge was armed when it woke
+// (EdgeAfter).
+func (d *Design) takeArrivals() {
+	now, fresh := d.clock.Now(), d.fresh
+	d.fresh, d.arrive = false, sim.Forever
+	if d.arr == nil {
+		return
+	}
+	for k := range d.arr.slots {
+		s := &d.arr.slots[k]
+		if fresh && s.at != sim.Forever {
+			s.edge = d.clock.EdgeAfter(s.armed, s.at)
+		}
+		for s.edge <= now {
+			if !d.runnable[s.i] {
+				d.arr.wakes++
+			}
+			s.a.Take()
+			d.note(s)
+		}
+		d.arrive = min(d.arrive, s.edge)
+	}
+}
+
+// note records s's next arrival, and the edge that takes it unless the
+// design is fresh.
+func (d *Design) note(s *arrival) {
+	s.at, s.armed = s.a.Arrival()
+	s.edge = sim.Forever
+	if s.at != sim.Forever && !d.fresh {
+		s.edge = d.clock.EdgeAfter(s.armed, s.at)
+	}
+}
+
+// park runs on the edge on which every module goes idle, and whenever
+// an arrival may have changed while the clock is gated: the clock
+// restarts at the first pending arrival, as that arrival's event would
+// have restarted it, or stays gated when none is pending. It reports
+// whether one is.
+func (d *Design) park() bool {
+	d.fresh, d.arrive = true, 0
+	at := sim.Forever
+	for _, s := range d.arr.slots {
+		at = min(at, s.at)
+	}
+	d.clock.WakeAt(at)
+	return at != sim.Forever
+}
+
+// Arrived tells the design that a's next arrival may have changed: it
+// may have become earlier, or gone to an event of its own. A gated
+// clock parks anew; a running one takes it at its edge.
+func (d *Design) Arrived(a Arriver) {
+	if d.arr == nil {
+		d.arr = &arrivals{}
+		for i, m := range d.modules {
+			if x, ok := m.(Arriver); ok {
+				d.arr.slots = append(d.arr.slots, arrival{a: x, i: int32(i), at: sim.Forever, edge: sim.Forever})
+			}
+		}
+	}
+	for k := range d.arr.slots {
+		if s := &d.arr.slots[k]; s.a == a {
+			d.note(s)
+			switch {
+			case !d.clock.Active():
+				d.park()
+			case !d.fresh:
+				d.arrive = min(d.arrive, s.edge)
+			}
+		}
+	}
+}
+
+// ArrivalStats reports how often the clock gated with an arrival pending
+// and was parked on it, and how often an Arriver that was parked took an
+// arrival.
+func (d *Design) ArrivalStats() (parks, wakes uint64) {
+	if d.arr == nil {
+		return 0, 0
+	}
+	return d.arr.parks, d.arr.wakes
+}
+
 // maxWindow only keeps the int math tame; minWindow is the shortest
 // window worth its solve (one attempt costs about two Ticks), so shorter
 // ones — and frame-burst caps below it — are not taken.
@@ -342,12 +479,14 @@ const (
 // and on small-frame traffic, where every cycle has one, an attempt is
 // pure cost; nor after a failed attempt until the next boundary has
 // passed (stuck: whatever refused the window is still there); nor when
-// a foreign event is due before minWindow edges could run. Only a
+// a foreign event or an arrival is due before minWindow edges could run. Only a
 // solved window is worth asking the clock how far the outside world
 // lets it run.
 func (d *Design) Advance(n int) (int, bool) {
+	d.arrived()
 	if n > 1 && d.burst != 1 && !d.edge && !d.stuck {
-		if at, ok := d.clock.Sim().Peek(); !ok || at > d.clock.Now()+(minWindow-1)*d.clock.Period() {
+		soon := d.clock.Now() + (minWindow-1)*d.clock.Period()
+		if at, ok := d.clock.Sim().Peek(); (!ok || at > soon) && d.arrive > soon {
 			if lim := d.solve(); lim < minWindow {
 				d.stuck = true
 			} else if n = d.clock.Bound(lim); n > 1 {
@@ -356,7 +495,11 @@ func (d *Design) Advance(n int) (int, bool) {
 			}
 		}
 	}
-	return 1, d.Tick()
+	busy := d.Tick()
+	if !busy && d.arr != nil && d.park() {
+		d.arr.parks++
+	}
+	return 1, busy
 }
 
 // solve runs one window attempt and returns its size, below minWindow
@@ -373,6 +516,9 @@ func (d *Design) solve() int {
 	w.n = maxWindow
 	if d.burst > 1 {
 		w.n = d.burst
+	}
+	if d.arrive != sim.Forever { // the edge that takes an arrival is a Tick
+		w.n = min(w.n, d.clock.EdgesBefore(d.arrive))
 	}
 	for i, r := range d.raters {
 		if r == nil {
@@ -431,8 +577,8 @@ func (d *Design) WindowStats() (windows, cycles uint64) { return d.windows, d.ab
 // Seal records the design as built — its modules, streams and queues,
 // and the frame-burst cap — as the state Reset returns to.
 func (d *Design) Seal() {
-	d.sealed.modules, d.sealed.streams, d.sealed.queues = len(d.modules), len(d.streams), len(d.queues)
-	d.sealed.burst = d.burst
+	d.sealed.modules, d.sealed.streams, d.sealed.queues = int32(len(d.modules)), int32(len(d.streams)), int32(len(d.queues))
+	d.sealed.burst = int32(d.burst)
 }
 
 // Reset returns the design to the state Seal recorded: every stream and
@@ -445,7 +591,7 @@ func (d *Design) Seal() {
 // nothing, when a module does not implement Resetter or the design has
 // grown since Seal. The clock is the simulator's to restore.
 func (d *Design) Reset() bool {
-	if d.sealed.modules != len(d.modules) || d.sealed.streams != len(d.streams) || d.sealed.queues != len(d.queues) {
+	if int(d.sealed.modules) != len(d.modules) || int(d.sealed.streams) != len(d.streams) || int(d.sealed.queues) != len(d.queues) {
 		return false
 	}
 	for _, m := range d.modules {
@@ -466,7 +612,15 @@ func (d *Design) Reset() bool {
 	}
 	d.edge, d.stuck = false, false
 	d.windows, d.absorbed = 0, 0
-	d.burst = d.sealed.burst
+	d.burst = int(d.sealed.burst)
+	d.fresh, d.arrive = true, 0
+	if d.arr != nil {
+		for k := range d.arr.slots {
+			s := &d.arr.slots[k]
+			s.at, s.armed, s.edge = sim.Forever, sim.Forever, sim.Forever
+		}
+		d.arr.parks, d.arr.wakes = 0, 0
+	}
 	return true
 }
 

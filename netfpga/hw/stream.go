@@ -351,6 +351,10 @@ func (q *FrameQueue) OnPush(fn func()) { q.wake = fn }
 
 func (q *FrameQueue) consumedBy(d *Design, i int32) { q.dsn, q.to = d, i }
 
+// Consumed reports whether a design module consumes the queue
+// (Design.Consume).
+func (q *FrameQueue) Consumed() bool { return q.dsn != nil }
+
 // Reset empties the queue, dropping the frames it held, and zeroes its
 // statistics. The ring keeps the size it grew to.
 func (q *FrameQueue) Reset() {

@@ -14,10 +14,12 @@ import (
 	"repro/netfpga/hw"
 )
 
-// Rates implements hw.Rater. RX streams the frame in progress. TX
-// drains pipeline beats, or — holding a frame the MAC FIFO has no room
-// for — stays busy and leaves txIn alone until the edge that sees the
-// MAC's next pop: a MAC transmitting toward an observing tap pops by
+// Rates implements hw.Rater. RX streams the frame in progress; the
+// design ends every window before the edge that takes the port's next
+// arrival (hw.Arriver), so RX declares nothing for it. TX drains
+// pipeline beats, or — holding a frame the MAC FIFO has no room for —
+// stays busy and leaves txIn alone until the edge that sees the MAC's
+// next pop: a MAC transmitting toward an observing tap pops by
 // arithmetic, with no event to end the window.
 func (m *MACAttach) Rates(w *hw.Window) {
 	if m.rxEmit.Active() {

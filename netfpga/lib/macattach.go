@@ -11,6 +11,14 @@ import (
 // timestamp) and streams beats into the pipeline; the transmit side
 // collects pipeline beats into frames and hands them to the MAC,
 // stalling (backpressure) while the MAC FIFO is full.
+//
+// The receive side takes its MAC's arrivals itself
+// (serial.MAC.PullReceiver): while the tap or peer feeding the port
+// times its frames by arithmetic, no event marks an arrival, and the
+// attach takes each one, stamped with its arrival instant, at the first
+// datapath edge that would have seen the arrival's event (hw.Arriver).
+// Frames that still arrive by event (short ones, and a wire converted
+// to events) run onRx at their arrival.
 type MACAttach struct {
 	name string
 	d    *hw.Design
@@ -58,7 +66,7 @@ func NewMACAttach(d *hw.Design, mac *serial.MAC, port int, rxOut, txIn *hw.Strea
 	// Receive-FIFO overflow is traffic loss: QueueDrop.
 	m.ctrs.AddCounter(m.rxq.DropCounter("rx_drops", hw.QueueDrop))
 	m.ctrs.Include("mac_", mac.Counters(), nil)
-	mac.SetReceiver(m.onRx)
+	mac.PullReceiver(m.onRx)
 	d.AddModule(m)
 	// Input conduits wake this module alone: a wire arrival or a
 	// pipeline beat bound for this port re-runs the attach, not every
@@ -75,10 +83,22 @@ func (m *MACAttach) Resources() hw.Resources {
 	return hw.Resources{LUTs: 3500, FFs: 5200, BRAM36: 6}
 }
 
-// onRx runs in simulated time as frames arrive from the wire. Dropped
+// onRx runs in simulated time as a frame arrives by event; arrivals the
+// attach has not taken yet came first. A nil frame is the MAC's doorbell:
+// the next arrival may have changed.
+func (m *MACAttach) onRx(f *hw.Frame, fcsOK bool) {
+	if f == nil {
+		m.d.Arrived(m)
+		return
+	}
+	m.takeArrived()
+	m.receive(f, m.d.Now(), fcsOK)
+}
+
+// receive takes a frame that arrived at at into the RX FIFO. Dropped
 // frames — bad FCS or RX FIFO overflow — are dead on arrival and recycle
 // straight into the design's frame pool.
-func (m *MACAttach) onRx(f *hw.Frame, fcsOK bool) {
+func (m *MACAttach) receive(f *hw.Frame, at hw.Time, fcsOK bool) {
 	if !fcsOK {
 		m.badFCS++
 		m.d.Pool().Put(f) // bad frames are dropped at the MAC, as configured in hw
@@ -86,11 +106,34 @@ func (m *MACAttach) onRx(f *hw.Frame, fcsOK bool) {
 	}
 	f.Meta.SrcPort = m.port
 	f.Meta.Len = uint16(len(f.Data))
-	f.Meta.Ingress = m.d.Now()
+	f.Meta.Ingress = at
 	f.Meta.Flags |= hw.FlagTimestamped
 	if !m.rxq.Push(f) { // overflow counted by the queue (tail drop)
 		m.d.Pool().Put(f)
 	}
+}
+
+// Arrival implements hw.Arriver: the next frame on its way by
+// arithmetic (serial.MAC.NextArrival).
+func (m *MACAttach) Arrival() (at, armed hw.Time) { return m.mac.NextArrival() }
+
+// Take implements hw.Arriver: the next frame, whose arrival the edge at
+// now sees.
+func (m *MACAttach) Take() { m.receive(m.mac.Arrival()) }
+
+// takeArrived takes every frame that has arrived by now, as the events
+// of the event wire would have by the time anything reads the attach or
+// a later frame arrives by event, and tells the design when the next
+// one is due.
+func (m *MACAttach) takeArrived() {
+	at, _ := m.mac.NextArrival()
+	if at > m.d.Now() {
+		return
+	}
+	for ; at <= m.d.Now(); at, _ = m.mac.NextArrival() {
+		m.receive(m.mac.Arrival())
+	}
+	m.d.Arrived(m)
 }
 
 // Tick implements hw.Module.
@@ -143,9 +186,11 @@ func (m *MACAttach) Reset() {
 
 // Counters implements hw.CounterSource: the attach's own counters plus
 // the MAC's as mac_*, which the list includes by pointer, so the MAC is
-// settled here (serial.MAC.Settle).
+// settled here (serial.MAC.Settle), and the frames that have arrived by
+// now are taken first.
 func (m *MACAttach) Counters() *hw.Counters {
 	m.mac.Settle()
+	m.takeArrived()
 	return &m.ctrs
 }
 

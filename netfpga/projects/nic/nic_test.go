@@ -169,10 +169,11 @@ func TestSynthesizesOnAllBoards(t *testing.T) {
 }
 
 // TestWireToHostRecyclesFrames: in steady state a tap → host loop
-// allocates nothing per frame. The driver copies each received frame
-// into its arena and returns the frame to the design's pool, so the
-// frames the taps send are the ones the host path gave back; what is
-// left is Poll's fresh packet slice and, now and then, an arena chunk.
+// allocates nothing. The driver copies each received frame into the
+// round's byte buffer and returns the frame to the design's pool, so the
+// frames the taps send are the ones the host path gave back, and Poll
+// lends its packets and bytes until the next Poll, whose round after
+// collects into them again.
 func TestWireToHostRecyclesFrames(t *testing.T) {
 	dev, _ := build(t)
 	payload := bytes.Repeat([]byte{0xCD}, 600)
@@ -190,7 +191,7 @@ func TestWireToHostRecyclesFrames(t *testing.T) {
 	for i := 0; i < 8; i++ { // warm the pool, the rings and the slices
 		round()
 	}
-	if allocs := testing.AllocsPerRun(50, round); allocs > 2 {
-		t.Errorf("%.2f allocations per round of %d frames, want at most 2", allocs, 4*dev.Board.Ports)
+	if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
+		t.Errorf("%.2f allocations per round of %d frames, want none", allocs, 4*dev.Board.Ports)
 	}
 }

@@ -19,12 +19,20 @@ import (
 // A hooked tap has an OnRx that does what the tap does — counts or
 // captures — so its port's MAC keeps the event wire: a completion event
 // per frame and an arrival event at the tap. On the reference side every
-// tap is hooked from the start. On the other the taps only observe, and
-// the MACs time frames toward them by arithmetic, until a program hooks
-// one between runs.
+// tap is hooked from the start, and every port MAC's receiver is
+// reinstalled with a plain SetReceiver, so the taps' MACs keep the event
+// wire toward the device too: a completion event per frame and an
+// arrival event at the port. On the other the taps only observe, and the
+// MACs time frames toward them by arithmetic, until a program hooks one
+// between runs; and the frames toward the device are timed by
+// arithmetic, taken by each port's attach at the datapath edge that
+// would have seen their arrival events.
 type wireSide struct {
 	dev  *netfpga.Device
 	taps []*netfpga.PortTap
+	// ingress is every frame's arrival stamp, as the forwarding stage
+	// saw it, in order.
+	ingress []hw.Time
 	// The hooked taps' bookkeeping, as PortTap keeps it.
 	hooked        []bool
 	counting      []bool
@@ -37,24 +45,31 @@ type wireSide struct {
 func newWireSide(t *testing.T, board netfpga.BoardSpec, seed uint64, ref bool) *wireSide {
 	dev := netfpga.NewDevice(board, netfpga.Options{PortBER: 2e-5, Seed: seed, NoHost: true})
 	ports := uint32(1)<<board.Ports - 1
+	w := &wireSide{dev: dev}
 	route := func(f *hw.Frame) lib.Verdict {
+		w.ingress = append(w.ingress, f.Meta.Ingress)
 		if f.Meta.DstPorts = uint32(f.Data[0]) & ports; f.Meta.DstPorts == 0 {
 			return lib.Drop
 		}
 		return lib.Forward
 	}
+	// A 24-cycle lookup eight deep forwards a frame every three cycles,
+	// slower than short frames arrive on the faster boards, so a burst
+	// of them overflows the small receive FIFOs.
 	if _, err := lib.BuildReference(dev, lib.PipelineConfig{
-		Stages: []lib.Stage{lib.Lookup("wire_route", route, 1, hw.Resources{})},
+		Stages:      []lib.Stage{lib.Lookup("wire_route", route, 24, hw.Resources{})},
+		RxFIFOBytes: 2 << 10,
 	}); err != nil {
 		t.Fatal(err)
 	}
 	n := board.Ports
-	w := &wireSide{dev: dev, hooked: make([]bool, n), counting: make([]bool, n),
-		frames: make([]uint64, n), bytes: make([]uint64, n), rx: make([][]netfpga.RxFrame, n)}
+	w.hooked, w.counting = make([]bool, n), make([]bool, n)
+	w.frames, w.bytes, w.rx = make([]uint64, n), make([]uint64, n), make([][]netfpga.RxFrame, n)
 	for i := 0; i < n; i++ {
 		w.taps = append(w.taps, dev.Tap(i))
 		if ref {
 			w.hook(i)
+			dev.MACs[i].SetReceiver(dev.MACs[i].Receiver())
 		}
 	}
 	return w
@@ -110,10 +125,19 @@ func (w *wireSide) state() string {
 	return s
 }
 
-// drain runs until the device is idle, in budgets of limit events.
-func (w *wireSide) drain(limit uint64) {
+// drain runs until the device is idle, in budgets of limit events, and
+// counts the budgets that ran out with frames toward the device still
+// on their way by arithmetic.
+func (w *wireSide) drain(limit uint64) (between int) {
 	for !w.dev.RunUntilIdle(limit) {
+		for _, m := range w.dev.MACs {
+			if at, _ := m.NextArrival(); at != sim.Forever {
+				between++
+				break
+			}
+		}
 	}
+	return between
 }
 
 // wireSizes are the frame sizes the fuzz sends: runts a 100G port
@@ -121,9 +145,14 @@ func (w *wireSide) drain(limit uint64) {
 // rest of the short frames, and full ones.
 var wireSizes = []int{1, 14, 30, 38, 39, 45, 59, 60, 61, 128, 300, 1000, 1514}
 
-// wireStats counts what a program reached, for the engagement check.
+// wireStats counts what a program reached, for the engagement check:
+// besides the outbound cases, arrivals at the device on a datapath edge
+// (onEdge), receive-FIFO overflows, attaches parked until an arrival
+// (woken), clocks gated with an arrival pending (parked) and budgeted
+// drains that stopped between arrivals.
 type wireStats struct {
 	fullFIFO, pops, runts, badFCS, inRun, converted, refused int
+	onEdge, rxDrops, woken, parked, between                  int
 }
 
 // refusal is the panic serial.MAC.ObserverChanged refuses a conversion
@@ -153,6 +182,15 @@ func runWireProgram(t *testing.T, board netfpga.BoardSpec, seed uint64, prog []b
 		if lazy.dev.Now() != ref.dev.Now() {
 			t.Fatalf("%s: Now %v, event wire %v", what, lazy.dev.Now(), ref.dev.Now())
 		}
+		if fmt.Sprint(lazy.ingress) != fmt.Sprint(ref.ingress) {
+			t.Fatalf("%s: arrival stamps\n%v\nevent wire\n%v", what, lazy.ingress, ref.ingress)
+		}
+		for _, at := range lazy.ingress {
+			if at%lazy.dev.Clock.Period() == 0 {
+				st.onEdge++
+			}
+		}
+		lazy.ingress, ref.ingress = nil, nil
 		if got, want := lazy.state(), ref.state(); got != want {
 			t.Fatalf("%s: counters\n%s\nevent wire\n%s", what, got, want)
 		}
@@ -253,7 +291,7 @@ func runWireProgram(t *testing.T, board netfpga.BoardSpec, seed uint64, prog []b
 			check(fmt.Sprintf("op %d, at a pop", op))
 		case 4: // a drain in budgets
 			limit := []uint64{0, 1, 7, 64, 1000}[next()%5]
-			if each(func(w *wireSide) { w.drain(limit) }) {
+			if each(func(w *wireSide) { st.between += w.drain(limit) }) {
 				st.refused++
 				return st
 			}
@@ -289,25 +327,40 @@ func runWireProgram(t *testing.T, board netfpga.BoardSpec, seed uint64, prog []b
 	for _, tap := range lazy.taps {
 		st.badFCS += int(tap.MAC().FCSErrors())
 	}
+	for k, v := range lazy.dev.Snapshot() {
+		if strings.HasSuffix(k, ".attach.rx_drops") {
+			st.rxDrops += int(v)
+		}
+	}
+	parks, wakes := lazy.dev.Dsn.ArrivalStats()
+	st.parked, st.woken = int(parks), int(wakes)
 	return st
 }
 
-// FuzzWireEquivalence holds the arithmetic wire toward observing taps to
-// the event wire it replaced, on every board's port configuration, under
-// random programs (runWireProgram) of: bursts of random frames (runts
-// included) to random port masks, so transmit FIFOs fill and the
-// attach stalls on them; runs of random spans and runs to exactly a
-// MAC's next pop; drains in budgets of 1 to 1000 events; switching taps
-// between counting and capture; OnRx set on a tap between runs, frames
-// toward it pending or not (serial.MAC.ObserverChanged; a program whose
-// conversion is refused ends there); reads of the port MACs' FIFOs, the
-// taps' counts and captures and every counter, between runs and from
-// events inside runs; and a nonzero bit error rate. Arrivals (time and
-// bytes), counts, every counter, the FIFOs and Now must be identical.
-// (Mutation-checked: settling with < for <= at any of its three steps,
-// MACAttach.Counters without its settle, a RunUntilIdle that stops
-// before the wire's tail, and the FIFO stall declared without its
-// Horizon each fail the seeds.)
+// FuzzWireEquivalence holds the arithmetic wire — toward observing taps
+// and toward the device's attaches — to the event wire it replaced, on
+// every board's port configuration, under random programs
+// (runWireProgram) of: bursts of random frames (runts included) to
+// random port masks, so transmit FIFOs fill and the attach stalls on
+// them, and fan-in so receive FIFOs overflow; runs of random spans and
+// runs to exactly a MAC's next pop; drains in budgets of 1 to 1000
+// events; switching taps between counting and capture; OnRx set on a
+// tap between runs, frames toward it pending or not
+// (serial.MAC.ObserverChanged; a program whose conversion is refused
+// ends there); reads of the port MACs' FIFOs, the taps' counts and
+// captures and every counter, between runs and from events inside runs;
+// and a nonzero bit error rate. Arrivals at the taps (time and bytes),
+// every frame's arrival stamp at the device (Meta.Ingress, in the order
+// the forwarding stage saw them), counts, every counter, the FIFOs and
+// Now must be identical. (Mutation-checked: settling with < for <= at
+// any of its three steps, MACAttach.Counters without its settle, a
+// RunUntilIdle that stops before the wire's tail, and the FIFO stall
+// declared without its Horizon each fail the seeds; so do an arrival
+// taken one edge early or one edge late, Ingress stamped with the edge
+// that takes the frame, a clock that gates with an arrival pending
+// instead of parking on it, and Timer.ScheduleAt without its parked-edge
+// move; TestWireConvertsAtAnEdge fails when a conversion arms the frame
+// in flight with ScheduleAt instead of ScheduleFirst.)
 func FuzzWireEquivalence(f *testing.F) {
 	for b := range sweep.BoardNames() {
 		for _, prog := range []string{
@@ -333,10 +386,16 @@ func FuzzWireEquivalence(f *testing.F) {
 
 // TestWireEquivalence runs random programs on every board and checks
 // the net reached what it is for: full transmit FIFOs, runs to exactly
-// a pop, 100G runts, corrupted frames, reads inside runs, and OnRx set
-// between runs while frames toward the tap were pending (converted).
+// a pop, 100G runts, corrupted frames, reads inside runs, OnRx set
+// between runs while frames toward the tap were pending (converted);
+// and toward the device: arrivals on a datapath edge on SUME's 5 ns
+// clock, which the edge at the arrival sees, and on the 10G and
+// 1G-CML boards' longer periods, which it does not; receive-FIFO
+// overflows; attaches parked until an arrival; clocks gated with an
+// arrival pending; and budgeted drains that stopped between arrivals.
 func TestWireEquivalence(t *testing.T) {
 	var total wireStats
+	var sumeEdge, slowEdge int
 	for _, name := range sweep.BoardNames() {
 		for seed := uint64(1); seed <= 6; seed++ {
 			board, _ := sweep.Board(name)
@@ -347,13 +406,70 @@ func TestWireEquivalence(t *testing.T) {
 			total.inRun += st.inRun
 			total.converted += st.converted
 			total.refused += st.refused
+			total.rxDrops += st.rxDrops
+			total.woken += st.woken
+			total.parked += st.parked
+			total.between += st.between
 			if board.Ports == 1 {
 				total.runts += st.runts
 			}
+			if sim.PeriodOfMHz(board.ClockMHz) == 5*sim.Nanosecond {
+				sumeEdge += st.onEdge
+			} else {
+				slowEdge += st.onEdge
+			}
 		}
 	}
-	t.Logf("%+v", total)
-	if total.fullFIFO == 0 || total.pops == 0 || total.runts == 0 || total.badFCS == 0 || total.inRun == 0 || total.converted == 0 {
-		t.Fatalf("the programs missed a case the net is for: %+v", total)
+	t.Logf("%+v, on an edge: %d on a 5 ns clock, %d on a longer one", total, sumeEdge, slowEdge)
+	if total.fullFIFO == 0 || total.pops == 0 || total.runts == 0 || total.badFCS == 0 || total.inRun == 0 || total.converted == 0 ||
+		sumeEdge == 0 || slowEdge == 0 || total.rxDrops == 0 || total.woken == 0 || total.parked == 0 || total.between == 0 {
+		t.Fatalf("the programs missed a case the net is for: %+v, on an edge: %d and %d", total, sumeEdge, slowEdge)
+	}
+}
+
+// TestWireConvertsAtAnEdge pins the one conversion the random programs
+// rarely reach: a short frame pushed toward a port one period before the
+// frame in flight ends on a datapath edge. On a 40G port a 60-byte frame
+// takes 16.8 ns, so the 25th of a burst pushed at 0 ends at 420 ns, an
+// edge of the 5 ns clock, and the 1-byte frame pushed at 415 ns, which
+// takes exactly one period, is popped there. The event wire armed that
+// pop when the frame in flight started, ahead of the edge at 420 ns, so
+// the short frame arrives at 430 ns ahead of that edge and the attach
+// starts it there; a completion event armed at the push would run after
+// the edge, and the attach would start the frame one edge late, which
+// the counters read at 432 ns show.
+func TestWireConvertsAtAnEdge(t *testing.T) {
+	board, _ := sweep.Board("sume-40g")
+	lazy, ref := newWireSide(t, board, 1, false), newWireSide(t, board, 1, true)
+	frame := make([]byte, 60)
+	frame[0] = 2 // to port 1
+	for _, w := range []*wireSide{lazy, ref} {
+		for k := 0; k < 25; k++ {
+			w.taps[0].Send(frame)
+		}
+		w.dev.RunFor(415 * hw.Nanosecond)
+		w.taps[0].Send(frame[:1])
+		w.dev.RunFor(17 * hw.Nanosecond)
+	}
+	if got, want := lazy.state(), ref.state(); got != want {
+		t.Fatalf("counters at 432 ns\n%s\nevent wire\n%s", got, want)
+	}
+	for _, w := range []*wireSide{lazy, ref} {
+		w.drain(0)
+	}
+	if fmt.Sprint(lazy.ingress) != fmt.Sprint(ref.ingress) {
+		t.Fatalf("arrival stamps\n%v\nevent wire\n%v", lazy.ingress, ref.ingress)
+	}
+	if got, want := lazy.state(), ref.state(); got != want {
+		t.Fatalf("counters\n%s\nevent wire\n%s", got, want)
+	}
+	got, want := lazy.received(1), ref.received(1)
+	if len(got) != 26 || len(want) != 26 {
+		t.Fatalf("port 1 captured %d frames, event wire %d, want 26", len(got), len(want))
+	}
+	for k := range got {
+		if got[k].At != want[k].At {
+			t.Fatalf("frame %d left at %v, event wire at %v", k, got[k].At, want[k].At)
+		}
 	}
 }
