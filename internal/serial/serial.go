@@ -4,11 +4,11 @@
 // and optional bit-error injection.
 //
 // Timing is exact at frame granularity: a frame of L bytes occupies the
-// transmitter for (L + 4 FCS + 8 preamble + 12 IFG) * 8 bit-times at the
-// MAC data rate, which is the lane line rate discounted by the line
-// coding (64b/66b for 10G-class serdes). This reproduces the line-rate
-// ceilings the platform is evaluated against without simulating
-// individual symbols.
+// transmitter for (max(L, 60) + 4 FCS + 8 preamble + 12 IFG) * 8
+// bit-times at the MAC data rate, which is the lane line rate discounted
+// by the line coding (64b/66b for 10G-class serdes). This reproduces the
+// line-rate ceilings the platform is evaluated against without
+// simulating individual symbols.
 //
 // An event marks a wire instant only where something decides there. A
 // MAC transmitting toward a receiver installed with SetReceiver
@@ -25,11 +25,11 @@
 // clock edge is seen by that edge only when the edge was armed after the
 // completion ran: on a 5 ns clock the edge before it armed it at the
 // completion instant, after the completion, so it is seen; on a 6.25 ns
-// or 8 ns clock it was armed earlier, so the next edge takes it. Frames
-// no longer on the wire than a clock period (and, toward a pulling
-// receiver, than the propagation delay) still run on events. Every form
-// gives every reader the same values, counters, error draws and arrival
-// stamps.
+// or 8 ns clock it was armed earlier, so the next edge takes it. Every
+// frame is longer on the wire than a clock period and than the
+// propagation delay (Connect refuses a port where a minimum frame is
+// not), which is what fixes those orders. Every form gives every reader
+// the same values, counters, error draws and arrival stamps.
 package serial
 
 import (
@@ -46,6 +46,9 @@ const (
 	IFGBytes      = 12 // minimum inter-frame gap
 	// OverheadBytes is the per-frame wire overhead beyond the MAC frame.
 	OverheadBytes = FCSBytes + PreambleBytes + IFGBytes
+	// MinFrameBytes is Ethernet's minimum frame without its FCS: a MAC
+	// pads a shorter frame to it.
+	MinFrameBytes = 60
 )
 
 // Encoding64b66b is the payload efficiency of 64b/66b line coding.
@@ -93,7 +96,11 @@ func Eth1G(name string) Config {
 
 // MAC is an Ethernet MAC over bonded lanes. Frames handed to the MAC are
 // wire frames without FCS; the model appends/validates the FCS
-// analytically and accounts for its time.
+// analytically and accounts for its time. A frame shorter than
+// MinFrameBytes is timed as padded to it, as a real MAC pads it on the
+// wire. Padding changes timing only: Data is not rewritten (multicast
+// copies share it), and tx_bytes, rx_bytes and what a tap captures
+// count the bytes handed over.
 //
 // Reception has three forms. A receiver installed with SetReceiver runs
 // in simulated time as each frame's last bit arrives: the transmitter
@@ -132,16 +139,11 @@ type MAC struct {
 
 	// The arithmetic transmitter runs while arith is set (kick decides),
 	// on tx, which it allocates on first use. due is the earliest
-	// instant at which Settle has work (Forever when none). shorts
-	// counts queued frames whose wire time is at most the longest period
-	// of the clocks the simulator had when the MAC was built (longFrom
-	// bytes and up are longer); such frames run on events (see kick).
-	tx       *arithTx
-	due      sim.Time
-	shorts   int32
-	longFrom int32
-	arith    bool
-	linkUp   bool
+	// instant at which Settle has work (Forever when none).
+	tx     *arithTx
+	due    sim.Time
+	arith  bool
+	linkUp bool
 	// pull is set for a receiver that takes its arrivals itself
 	// (PullReceiver), clear for one that runs at each arrival.
 	pull bool
@@ -208,8 +210,7 @@ func NewMAC(s *sim.Sim, cfg Config) *MAC {
 		due:  sim.Forever,
 	}
 	m.txq = hw.NewFrameQueue(cfg.Name+".txq", 0, cfg.TxBufBytes)
-	m.shortUpTo(s.MaxPeriod())
-	m.txq.OnPush(m.pushed)
+	m.txq.OnPush(m.kick)
 	m.ctrs.Grow(7)
 	m.ctrs.Add("tx_frames", &m.txFrames)
 	m.ctrs.Add("rx_frames", &m.rxFrames)
@@ -290,40 +291,26 @@ func (m *MAC) deliver() {
 
 // Connect joins two MACs with a full-duplex wire of the given propagation
 // delay. Both ends must have the same aggregate rate (you cannot plug a
-// 40G port into a 10G port).
+// 40G port into a 10G port), and a minimum frame must be longer on the
+// wire than the delay and than the longest period of the simulator's
+// clocks: the arithmetic wire's order against clock edges rests on it
+// (see kick and NextArrival). Only a clock below about 149 MHz beside a
+// 100G port fails that.
 func Connect(a, b *MAC, prop sim.Time) error {
 	if a.rate != b.rate {
 		return fmt.Errorf("serial: rate mismatch %s (%.1fG) vs %s (%.1fG)",
 			a.name, a.rate, b.name, b.rate)
 	}
+	if w, p := a.wireTime(MinFrameBytes), max(a.sim.MaxPeriod(), prop); w <= p {
+		return fmt.Errorf("serial: %s: a minimum frame takes %v on the wire, no longer than the longest clock period or the wire delay (%v)",
+			a.name, w, p)
+	}
 	a.peer, b.peer = b, a
 	a.prop, b.prop = prop, prop
 	a.linkUp, b.linkUp = true, true
-	for _, m := range [2]*MAC{a, b} {
-		if m.peer.pull {
-			// Toward a pulling receiver, a frame no longer on the wire
-			// than the propagation delay may arrive before the frame
-			// ahead of it is delivered, which then arms its arrival:
-			// such frames run on events too (see NextArrival).
-			m.shortUpTo(prop)
-		}
-		m.kick()
-	}
+	a.kick()
+	b.kick()
 	return nil
-}
-
-// shortUpTo makes every frame whose wire time is at most t a short one,
-// which runs on events (see kick), and recounts the FIFO's.
-func (m *MAC) shortUpTo(t sim.Time) {
-	for m.wireTime(int(m.longFrom)) <= t {
-		m.longFrom++
-	}
-	m.shorts = 0
-	for i := 0; i < m.txq.Len(); i++ {
-		if len(m.txq.At(i).Data) < int(m.longFrom) {
-			m.shorts++
-		}
-	}
 }
 
 // Reset returns the MAC to the state NewMAC left it in, unplugged and
@@ -341,7 +328,7 @@ func (m *MAC) Reset(seed uint64) {
 		m.tx.sent.reset()
 		m.tx.free, m.tx.ended, m.tx.arrived = 0, 0, 0
 	}
-	m.arith, m.due, m.shorts = false, sim.Forever, 0
+	m.arith, m.due = false, sim.Forever
 	m.txFrames, m.rxFrames, m.txBytes, m.rxBytes = 0, 0, 0, 0
 	m.fcsErrors, m.txBusyPs = 0, 0
 }
@@ -387,14 +374,12 @@ func (m *MAC) Send(f *hw.Frame) bool {
 // frame with an event and each arrival is an event of its own.
 func (m *MAC) SetReceiver(fn func(f *hw.Frame, fcsOK bool)) { m.rx, m.pull = fn, false }
 
-// PullReceiver installs fn as SetReceiver does, for a receiver that also
-// takes arrivals itself: while the MAC feeding this one times frames by
-// arithmetic, their arrivals wait, counted, until the receiver takes
-// them (NextArrival, Arrival), and fn runs with a frame only for frames
-// that still arrive by event — short frames (see Connect) and frames on
-// a wire converted to events. fn runs with a nil frame, its doorbell,
-// whenever the next arrival may have changed: a frame toward an idle
-// wire, or a conversion.
+// PullReceiver installs fn as SetReceiver does, for a receiver that
+// takes its arrivals itself: the MAC feeding this one times every frame
+// by arithmetic, and the arrivals wait, counted, until the receiver
+// takes them (NextArrival, Arrival). fn runs with a nil frame, its
+// doorbell, whenever the next arrival may have changed: at a frame
+// toward an idle wire.
 func (m *MAC) PullReceiver(fn func(f *hw.Frame, fcsOK bool)) { m.rx, m.pull = fn, true }
 
 // Receiver returns the reception callback.
@@ -405,9 +390,10 @@ func (m *MAC) Receiver() func(f *hw.Frame, fcsOK bool) { return m.rx }
 // event for them.
 func (m *MAC) SetObserver(o Observer) { m.obs = o }
 
-// wireTime returns the transmitter occupancy of an n-byte frame.
+// wireTime returns the transmitter occupancy of an n-byte frame, padded
+// to MinFrameBytes.
 func (m *MAC) wireTime(n int) sim.Time {
-	return sim.BitTime(int64(n+OverheadBytes)*8, m.rate)
+	return sim.BitTime(int64(max(n, MinFrameBytes)+OverheadBytes)*8, m.rate)
 }
 
 // frameTime is wireTime for a transmitting MAC: it keeps the last size
@@ -419,31 +405,16 @@ func (m *MAC) frameTime(n int) sim.Time {
 	return m.tx.time
 }
 
-// pushed runs on every push into the FIFO.
-func (m *MAC) pushed() {
-	if len(m.txq.At(m.txq.Len()-1).Data) < int(m.longFrom) {
-		m.shorts++
-		if m.arith {
-			m.toEvents()
-			return
-		}
-	}
-	m.kick()
-}
-
-// kick starts the transmitter if it is idle and a frame waits. An idle
-// transmitter whose peer observes, with no frame queued that a clock
-// edge could tie with (see below), starts arithmetic: it takes the head
-// now and the rest as each predecessor ends, with no event. Otherwise
-// it pops the head and arms txTimer for its end, as it does toward a
-// receiver.
+// kick starts the transmitter if it is idle and a frame waits; it runs
+// on every push into the FIFO. An idle transmitter whose peer takes
+// frames lazily starts arithmetic: it takes the head now and the rest
+// as each predecessor ends, with no event. Otherwise it pops the head
+// and arms txTimer for its end, as it does toward a receiver.
 //
 // The arithmetic pop at a frame's end P is seen by a clock edge at P,
 // as the event pop it replaces was: that event was armed one frame time
-// before P, and an edge is armed at most one clock period before it
-// (sim.Sim.MaxPeriod). A frame no longer on the wire than a period
-// leaves that order to how it was armed, so it runs on events; pushing
-// one into the arithmetic FIFO converts the transmitter (toEvents).
+// before P, which is longer than a clock period (Connect), and an edge
+// is armed at most one period before it.
 func (m *MAC) kick() {
 	if m.txTimer.Pending() || !m.linkUp {
 		return
@@ -472,16 +443,13 @@ func (m *MAC) kick() {
 	if m.txq.Len() == 0 {
 		return
 	}
-	if m.shorts == 0 && m.lazyPeer() {
+	if m.lazyPeer() {
 		m.arith, m.tx.free = true, m.sim.Now()
 		m.settle()
 		m.ring()
 		return
 	}
 	f := m.txq.Pop()
-	if len(f.Data) < int(m.longFrom) {
-		m.shorts--
-	}
 	d := m.frameTime(len(f.Data))
 	m.txBusyPs += uint64(d)
 	m.inFlight, m.tx.free = f, m.sim.Now()+d
@@ -505,41 +473,21 @@ func (m *MAC) ring() {
 // peer after propagation, and starts the next one.
 func (m *MAC) txDone() {
 	f := m.inFlight
-	if f == nil { // a frame timed by arithmetic when the wire converted
-		m.settle()
-		m.kick()
-		return
-	}
 	m.inFlight = nil
 	m.peer.enqueueArrival(f, m.complete(f), m.sim.Now()+m.prop)
 	m.kick()
 }
 
-// toEvents hands an arithmetic transmitter over to events at the push
-// of a short frame: the frames already on their way to the peer arrive
-// as events, and the frame being serialized completes with one. Every
-// frame queued before this push starts after now (Send and TxQueue
-// settle first), so with pops off, settle only completes and hands over
-// what is due. A push from a clock edge (the datapath's attach) arms
-// each event where the event wire armed it relative to any edge at its
-// instant: a long frame in flight ends more than a period after the
-// push, and a frame propagating ended at the push's edge or more than a
-// period before its arrival.
-func (m *MAC) toEvents() {
-	m.arith = false
-	m.settle()
-	m.convert()
-}
-
 // ObserverChanged tells the MAC that its peer may have stopped
-// observing (a tap's OnRx was set). An arithmetic transmitter toward a
-// peer that no longer observes hands over to events at once: the
-// frames on the wire toward it arrive as events, the frame being
-// serialized completes with one, and the queue behind it runs on
-// events. Each converted event is armed now rather than at the instant
-// an event wire would have armed it, which changes nothing unless a
-// clock edge falls on the event's instant and may already be armed;
-// that case is refused with a panic.
+// observing (a tap's OnRx was set); a peer that pulls its arrivals
+// takes them lazily whatever it observes. An arithmetic transmitter
+// toward a peer that no longer takes them lazily hands over to events
+// at once: the frames on the wire toward it arrive as events, the
+// frame being serialized completes with one, and the queue behind it
+// runs on events. Each converted event is armed now rather than at the
+// instant an event wire would have armed it, which changes nothing
+// unless a clock edge falls on the event's instant and may already be
+// armed; that case is refused with a panic.
 func (m *MAC) ObserverChanged() {
 	if !m.arith || m.lazyPeer() {
 		return
@@ -559,31 +507,7 @@ func (m *MAC) ObserverChanged() {
 		}
 	}
 	m.arith = false
-	m.convert()
-}
-
-// convert arms the events of a transmitter that just left arithmetic.
-// Toward a pulling peer the frames already popped stay arithmetic — each
-// arrival is taken at the edge its event would have reached, which an
-// event armed now could miss — and only the frame being serialized gets
-// a completion event, to pop the next frame at its end; the event wire
-// had armed that one when the frame started, before any clock edge at
-// its end was armed, so it goes ahead of its instant (ScheduleFirst). A
-// frame shorter than the wire delay right behind an arithmetic one has
-// its arrival event armed at its completion, where the event wire armed
-// it at the arithmetic frame's arrival; with clock periods of at least
-// the wire delay, as on every board, an edge at its arrival was armed
-// before either, so the order is the same.
-func (m *MAC) convert() {
 	t := &m.tx.sent
-	if m.peer.pull {
-		if m.tx.ended < t.n {
-			m.txTimer.ScheduleFirst(m.tx.free)
-		}
-		m.kick()
-		m.ring()
-		return
-	}
 	if m.tx.ended < t.n { // the frame in flight: the last one popped
 		e := t.at(t.n - 1)
 		m.inFlight = e.f
@@ -598,7 +522,6 @@ func (m *MAC) convert() {
 	}
 	t.n, m.tx.ended, m.due = m.tx.arrived, m.tx.arrived, sim.Forever
 	m.kick()
-	m.ring()
 }
 
 // complete counts a frame whose last bit left and draws its bit error:
@@ -678,16 +601,14 @@ func (m *MAC) settle() {
 
 // NextArrival returns when the next frame toward this MAC that its
 // pulling receiver has not taken arrives, and when its last bit left the
-// peer; Forever for both when no frame is on its way by arithmetic.
-// Frames that arrive by event are not counted here: the receiver's
-// callback runs at theirs.
+// peer; Forever for both when no frame is on its way.
 //
 // The arrival at is what the event wire's arrival event was armed for,
 // and end is when it was armed: by the frame's completion event, which
 // was armed more than a clock period and more than the propagation
-// delay before it (short frames run on events), so it ran before any
-// clock edge armed at end, and before the previous frame's arrival
-// event could arm it instead (sim.Clock.EdgeAfter).
+// delay before it (Connect), so it ran before any clock edge armed at
+// end, and before the previous frame's arrival event could arm it
+// instead (sim.Clock.EdgeAfter).
 func (m *MAC) NextArrival() (at, end sim.Time) {
 	p := m.peer
 	if !m.pull || p == nil || p.tx == nil {

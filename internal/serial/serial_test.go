@@ -19,27 +19,40 @@ func pair(t *testing.T, cfgA, cfgB Config, prop sim.Time) (*sim.Sim, *MAC, *MAC)
 }
 
 func TestFrameDelivery(t *testing.T) {
-	s, a, b := pair(t, Eth10G("a"), Eth10G("b"), 5*sim.Nanosecond)
-	var got *hw.Frame
-	var at sim.Time
-	b.SetReceiver(func(f *hw.Frame, ok bool) {
-		if !ok {
-			t.Fatal("unexpected FCS error")
+	// A 1-byte frame is timed as padded to the 60-byte minimum, and
+	// counted as the byte handed over.
+	for _, size := range []int{60, 1} {
+		s, a, b := pair(t, Eth10G("a"), Eth10G("b"), 5*sim.Nanosecond)
+		var got *hw.Frame
+		var at sim.Time
+		b.SetReceiver(func(f *hw.Frame, ok bool) {
+			if !ok {
+				t.Fatal("unexpected FCS error")
+			}
+			got, at = f, s.Now()
+		})
+		f := hw.NewFrame(make([]byte, size), 0)
+		if !a.Send(f) {
+			t.Fatal("send failed")
 		}
-		got, at = f, s.Now()
-	})
-	f := hw.NewFrame(make([]byte, 60), 0)
-	if !a.Send(f) {
-		t.Fatal("send failed")
-	}
-	s.Drain(0)
-	if got != f {
-		t.Fatal("frame not delivered")
-	}
-	// 60B + 24B overhead = 84B = 672 bits at 10G = 67.2ns, +5ns prop.
-	want := sim.BitTime(672, 10) + 5*sim.Nanosecond
-	if at != want {
-		t.Fatalf("delivered at %v, want %v", at, want)
+		// 60B + 24B overhead = 84B = 672 bits at 10G = 67.2ns, +5ns prop.
+		done := sim.BitTime(672, 10)
+		if s.RunUntil(done - 1); a.Stats()["tx_frames"] != 0 {
+			t.Fatalf("%d B: completed before %v", size, done)
+		}
+		if s.RunUntil(done); a.Stats()["tx_frames"] != 1 {
+			t.Fatalf("%d B: not completed at %v", size, done)
+		}
+		s.Drain(0)
+		if got != f {
+			t.Fatalf("%d B: frame not delivered", size)
+		}
+		if want := done + 5*sim.Nanosecond; at != want {
+			t.Fatalf("%d B: delivered at %v, want %v", size, at, want)
+		}
+		if tx, rx := a.Stats()["tx_bytes"], b.Stats()["rx_bytes"]; tx != uint64(size) || rx != uint64(size) {
+			t.Fatalf("%d B: tx_bytes %d, rx_bytes %d", size, tx, rx)
+		}
 	}
 }
 
@@ -66,6 +79,30 @@ func TestRateMismatchRejected(t *testing.T) {
 	a, b := NewMAC(s, Eth10G("a")), NewMAC(s, Eth40G("b"))
 	if err := Connect(a, b, 0); err == nil {
 		t.Fatal("connecting 10G to 40G should fail")
+	}
+}
+
+// TestConnectRefusesASlowClock: a 60-byte frame takes 6.72 ns on a 100G
+// wire, which must be longer than every clock period and the wire delay.
+func TestConnectRefusesASlowClock(t *testing.T) {
+	minWire := NewMAC(sim.New(), Eth100G("x")).wireTime(MinFrameBytes)
+	for _, c := range []struct {
+		clock, prop sim.Time
+		ok          bool
+	}{
+		{7 * sim.Nanosecond, 0, false},
+		{5 * sim.Nanosecond, 7 * sim.Nanosecond, false},
+		{minWire, 0, false},
+		{5 * sim.Nanosecond, minWire, false},
+		{minWire - 1, minWire - 1, true},
+		{5 * sim.Nanosecond, 5 * sim.Nanosecond, true},
+	} {
+		s := sim.New()
+		s.NewClock("datapath", c.clock)
+		a, b := NewMAC(s, Eth100G("a")), NewMAC(s, Eth100G("b"))
+		if err := Connect(a, b, c.prop); (err == nil) != c.ok {
+			t.Errorf("%v clock, %v wire: Connect error %v, want refused %v", c.clock, c.prop, err, !c.ok)
+		}
 	}
 }
 

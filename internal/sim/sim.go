@@ -136,18 +136,6 @@ func (t *Timer) arm(at Time, seq uint64) {
 	}
 }
 
-// ScheduleFirst arms the timer at at ahead of every event queued for
-// the same instant, as if it had been armed before all of them: for an
-// event that stands in for one armed long before it was known, which
-// ran before every clock edge at its instant (serial.MAC's conversion of
-// a frame timed by arithmetic). at must be later than now.
-func (t *Timer) ScheduleFirst(at Time) {
-	if at <= t.sim.now {
-		panic("sim: ScheduleFirst at or before now")
-	}
-	t.arm(at, 0)
-}
-
 // ScheduleAfter arms the timer d picoseconds from now.
 func (t *Timer) ScheduleAfter(d Time) { t.ScheduleAt(t.sim.now + d) }
 

@@ -340,7 +340,9 @@ func (d *Design) Tick() bool {
 // every module goes idle with an arrival pending, the design parks the
 // clock on it (sim.Clock.WakeAt), so a gated clock is restarted by one
 // event per idle period, not one per arrival. An Arriver rings the
-// design (Arrived) whenever its next arrival may have changed.
+// design (Arrived) whenever its next arrival may have changed. An edge
+// that goes idle with an arrival before it pending panics, naming the
+// Arriver (see park).
 type Arriver interface {
 	Module
 	// Arrival reports when the next input arrives and when the event
@@ -414,11 +416,18 @@ func (d *Design) note(s *arrival) {
 // an arrival may have changed while the clock is gated: the clock
 // restarts at the first pending arrival, as that arrival's event would
 // have restarted it, or stays gated when none is pending. It reports
-// whether one is.
+// whether one is. On an edge (the clock still active), an arrival
+// before it was due at an edge that has run, so one still pending is an
+// Arriver that did not take it where EdgeAfter put it; parking on it
+// would run this edge again, forever, so it panics instead.
 func (d *Design) park() bool {
 	d.fresh, d.arrive = true, 0
+	now, edge := d.clock.Now(), d.clock.Active()
 	at := sim.Forever
 	for _, s := range d.arr.slots {
+		if edge && s.at < now {
+			panic(fmt.Sprintf("hw: %s: its arrival at %v was not taken by the edge at %v or an earlier one (sim.Clock.EdgeAfter)", s.a.Name(), s.at, now))
+		}
 		at = min(at, s.at)
 	}
 	d.clock.WakeAt(at)
@@ -426,7 +435,7 @@ func (d *Design) park() bool {
 }
 
 // Arrived tells the design that a's next arrival may have changed: it
-// may have become earlier, or gone to an event of its own. A gated
+// may have become earlier, or been taken outside an edge. A gated
 // clock parks anew; a running one takes it at its edge.
 func (d *Design) Arrived(a Arriver) {
 	if d.arr == nil {

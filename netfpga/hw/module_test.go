@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -258,5 +259,80 @@ func TestWiringAnUnregisteredModulePanics(t *testing.T) {
 			}()
 			wire()
 		}()
+	}
+}
+
+// arriver is an Arriver whose inputs arrive at the instants in due, each
+// armed a nanosecond before it. A late one reports its next input only
+// from a Tick after the input arrived, so no edge took it where
+// EdgeAfter would have put it.
+type arriver struct {
+	d        *Design
+	due      []Time
+	took     []Time // the edge that took each input
+	late     bool
+	reported bool
+}
+
+func (a *arriver) Name() string         { return "arriver" }
+func (a *arriver) Resources() Resources { return Resources{} }
+
+func (a *arriver) Tick() bool {
+	if a.late && !a.reported && len(a.due) > 0 && a.due[0] < a.d.Now() {
+		a.reported = true
+		a.d.Arrived(a)
+	}
+	return false
+}
+
+func (a *arriver) Arrival() (at, armed Time) {
+	if len(a.due) == 0 || a.late && !a.reported {
+		return sim.Forever, sim.Forever
+	}
+	return a.due[0], a.due[0] - sim.Nanosecond
+}
+
+func (a *arriver) Take() {
+	a.took = append(a.took, a.d.Now())
+	a.due, a.reported = a.due[1:], false
+}
+
+// TestParkedArrivals: a design that goes idle parks its clock on the
+// next arrival, and the edge after the arrival takes it, one event per
+// idle period. An edge that goes idle with an arrival before it still
+// pending would park on itself and run again forever; it panics instead,
+// naming the Arriver. Both run under an event budget, so a design that
+// re-parks on one edge fails here rather than hanging.
+func TestParkedArrivals(t *testing.T) {
+	run := func(s *sim.Sim) (msg string) {
+		defer func() {
+			if p := recover(); p != nil {
+				msg = fmt.Sprint(p)
+			}
+		}()
+		s.Run(sim.Forever, 100, 0)
+		return ""
+	}
+
+	s, d := newTestDesign(t)
+	a := &arriver{d: d, due: []Time{12 * sim.Nanosecond, 23 * sim.Nanosecond}}
+	d.AddModule(a)
+	d.Arrived(a)
+	if msg := run(s); msg != "" {
+		t.Fatal(msg)
+	}
+	if want := []Time{15 * sim.Nanosecond, 25 * sim.Nanosecond}; fmt.Sprint(a.took) != fmt.Sprint(want) {
+		t.Fatalf("taken at %v, want %v", a.took, want)
+	}
+	if s.Executed() != 3 {
+		t.Fatalf("%d events, want 3: the first edge and one per arrival", s.Executed())
+	}
+
+	s, d = newTestDesign(t)
+	a = &arriver{d: d, due: []Time{12 * sim.Nanosecond}, late: true}
+	d.AddModule(a)
+	s.At(13*sim.Nanosecond, d.Wake)
+	if msg := run(s); !strings.Contains(msg, "arriver") || !strings.Contains(msg, "not taken") {
+		t.Fatalf("an arrival reported after its edge ran: panic %q, want one naming the arriver; taken at %v", msg, a.took)
 	}
 }

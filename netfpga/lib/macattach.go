@@ -17,8 +17,9 @@ import (
 // times its frames by arithmetic, no event marks an arrival, and the
 // attach takes each one, stamped with its arrival instant, at the first
 // datapath edge that would have seen the arrival's event (hw.Arriver).
-// Frames that still arrive by event (short ones, and a wire converted
-// to events) run onRx at their arrival.
+// A receiver reinstalled with the MAC's plain SetReceiver (the wire
+// fuzz's event-wire reference) takes every frame by event instead, in
+// onRx at its arrival.
 type MACAttach struct {
 	name string
 	d    *hw.Design
@@ -83,15 +84,14 @@ func (m *MACAttach) Resources() hw.Resources {
 	return hw.Resources{LUTs: 3500, FFs: 5200, BRAM36: 6}
 }
 
-// onRx runs in simulated time as a frame arrives by event; arrivals the
-// attach has not taken yet came first. A nil frame is the MAC's doorbell:
-// the next arrival may have changed.
+// onRx runs with a nil frame, the MAC's doorbell, when the next arrival
+// may have changed. Reinstalled with SetReceiver, it runs in simulated
+// time as each frame arrives by event, and nothing arrives by arithmetic.
 func (m *MACAttach) onRx(f *hw.Frame, fcsOK bool) {
 	if f == nil {
 		m.d.Arrived(m)
 		return
 	}
-	m.takeArrived()
 	m.receive(f, m.d.Now(), fcsOK)
 }
 
@@ -122,9 +122,8 @@ func (m *MACAttach) Arrival() (at, armed hw.Time) { return m.mac.NextArrival() }
 func (m *MACAttach) Take() { m.receive(m.mac.Arrival()) }
 
 // takeArrived takes every frame that has arrived by now, as the events
-// of the event wire would have by the time anything reads the attach or
-// a later frame arrives by event, and tells the design when the next
-// one is due.
+// of the event wire would have by the time anything reads the attach,
+// and tells the design when the next one is due.
 func (m *MACAttach) takeArrived() {
 	at, _ := m.mac.NextArrival()
 	if at > m.d.Now() {
