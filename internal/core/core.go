@@ -306,17 +306,18 @@ func (d *Device) Background() *Background { return d.bg }
 
 // RunFor advances the simulation by dur.
 func (d *Device) RunFor(dur hw.Time) {
-	d.observeTaps()
+	d.hookTaps()
 	d.Sim.Run(d.Now()+dur, 0, 0)
 	d.settleWire()
 }
 
-// observeTaps converts, before a run, the wire toward every tap whose
-// OnRx was set since the last run to events (serial.MAC.ObserverChanged).
-func (d *Device) observeTaps() {
-	for i, t := range d.taps {
+// hookTaps removes, before a run, the observer of every tap whose OnRx
+// is set, so its MAC's receiver takes the frames arriving after now, each
+// at its arrival instant (serial.MAC.SetObserver).
+func (d *Device) hookTaps() {
+	for _, t := range d.taps {
 		if t != nil && t.OnRx != nil {
-			d.MACs[i].ObserverChanged()
+			t.mac.SetObserver(nil)
 		}
 	}
 }
@@ -350,7 +351,7 @@ func (d *Device) wireTail() hw.Time {
 // included, and the drain ends at that instant. limit bounds the events
 // executed (0 means unbounded); it reports whether the device went idle.
 func (d *Device) RunUntilIdle(limit uint64) bool {
-	d.observeTaps()
+	d.hookTaps()
 	defer d.settleWire()
 	for {
 		start := d.Sim.Executed()
@@ -443,13 +444,11 @@ type PortTap struct {
 	counting          bool
 	rxFrames, rxBytes uint64
 	// OnRx, when set, intercepts arrivals instead of buffering them,
-	// each in simulated time as it arrives. The port's MAC times frames
-	// toward a tap without OnRx by arithmetic; setting OnRx between
-	// runs converts the frames still pending toward the tap to events
-	// when the next run starts (serial.MAC.ObserverChanged, which
-	// refuses the rare conversion it cannot make exact). Set from inside
-	// a run while frames toward the tap are pending, it is refused
-	// (Observe panics).
+	// each in simulated time as it arrives: one event per frame. A tap
+	// without OnRx only observes, and its arrivals cost no event. OnRx
+	// takes effect when the next run starts, whatever is pending toward
+	// the tap then. Set from inside a run, it is refused if a frame
+	// reaches the tap before the next run (Observe panics).
 	OnRx func(f *hw.Frame, at hw.Time)
 	// plugged is false between a device Reset and the next Tap call.
 	plugged bool
@@ -487,6 +486,7 @@ func (t *PortTap) unplug() {
 	t.rxBlocks, t.rxCount, t.arena = nil, 0, hw.Arena{}
 	t.counting, t.rxFrames, t.rxBytes = false, 0, 0
 	t.OnRx = nil
+	t.mac.SetObserver(t)
 	t.plugged = false
 }
 
@@ -522,16 +522,12 @@ func (d *Device) newTap(i int) *PortTap {
 	return t
 }
 
-// Observing implements serial.Observer: a tap without OnRx only counts
-// or captures, so the port's MAC times frames toward it by arithmetic.
-func (t *PortTap) Observing() bool { return t.OnRx == nil }
-
-// Observe implements serial.Observer. OnRx set inside a run while
-// frames toward the tap were pending cannot be honoured at their
-// arrivals, and is refused here.
+// Observe implements serial.Observer. OnRx set inside a run takes
+// effect when the next run starts, so it cannot be honoured at the
+// arrivals before then, and is refused here.
 func (t *PortTap) Observe(f *hw.Frame, at hw.Time, ok bool) {
 	if t.OnRx != nil {
-		panic(fmt.Sprintf("core: tap %d: OnRx was set inside a run while frames toward the tap were pending (one arrived at %v); set it before traffic reaches the tap, or between runs", t.port, at))
+		panic(fmt.Sprintf("core: tap %d: OnRx was set inside a run and a frame reached the tap (at %v) before the next run; set it between runs", t.port, at))
 	}
 	t.take(f, at, ok)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -147,6 +148,57 @@ func TestTapOnRxIntercepts(t *testing.T) {
 	if tap.Pending() != 0 {
 		t.Fatal("OnRx frames must not buffer")
 	}
+}
+
+// TestOnRxBetweenRunsOnAnEdge: OnRx set between runs takes effect when
+// the next run starts, whatever is pending toward the tap: here a
+// 60-byte frame whose end and arrival both fall on datapath edges, with
+// the next run starting less than a period before one of them. It is
+// received once, at its arrival instant.
+func TestOnRxBetweenRunsOnAnEdge(t *testing.T) {
+	for _, stop := range []sim.Time{-sim.Nanosecond, sim.Nanosecond} { // before the frame ends; after
+		dev := NewDevice(SUME(), Options{})
+		tap := dev.Tap(1)
+		period := dev.Clock.Period()
+		wire := sim.BitTime(84*8, dev.MACs[1].DataRateGbps())
+		dev.RunFor(10*period + period - wire%period) // the frame ends on an edge
+		end := dev.Now() + wire
+		arrival := end + 5*sim.Nanosecond
+		if end%period != 0 || arrival%period != 0 {
+			t.Fatalf("end %v, arrival %v: not on %v edges", end, arrival, period)
+		}
+		dev.MACs[1].Send(hw.NewFrame(make([]byte, 60), 0))
+		dev.RunFor(wire + stop)
+		var got []sim.Time
+		tap.OnRx = func(f *hw.Frame, at sim.Time) {
+			if at != dev.Now() {
+				t.Errorf("OnRx at %v for a frame that arrived at %v", dev.Now(), at)
+			}
+			got = append(got, at)
+		}
+		dev.RunFor(sim.Microsecond)
+		if len(got) != 1 || got[0] != arrival || tap.Pending() != 0 {
+			t.Fatalf("stopped at %v: OnRx got %v, %d captured; want one at %v", end+stop, got, tap.Pending(), arrival)
+		}
+	}
+}
+
+// TestOnRxInsideARunIsRefused: OnRx set from an event inside a run
+// takes effect at the next run, so a frame that reaches the tap before
+// then cannot be handed to it at its arrival: the tap panics.
+func TestOnRxInsideARunIsRefused(t *testing.T) {
+	dev := NewDevice(SUME(), Options{})
+	tap := dev.Tap(1)
+	dev.MACs[1].Send(hw.NewFrame(make([]byte, 60), 0))
+	dev.Sim.At(10*sim.Nanosecond, func() {
+		tap.OnRx = func(f *hw.Frame, at sim.Time) { t.Error("OnRx ran inside the run that set it") }
+	})
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "set it between runs") {
+			t.Fatalf("panic %q, want the tap's refusal", msg)
+		}
+	}()
+	dev.RunFor(sim.Microsecond)
 }
 
 func TestTapOutOfRangePanics(t *testing.T) {

@@ -10,26 +10,26 @@
 // line-rate ceilings the platform is evaluated against without
 // simulating individual symbols.
 //
-// An event marks a wire instant only where something decides there. A
-// MAC transmitting toward a receiver installed with SetReceiver
-// completes each frame with an event and the receiver takes it with
-// another, at its arrival. A MAC transmitting toward an Observer — a tap
-// that only counts or captures — or toward a receiver that pulls its
-// arrivals (PullReceiver: the datapath's MAC attach) is arithmetic: it
-// computes when each frame starts, ends and arrives, and applies that
-// when something reads it (Settle), so those frames cost no event. The
-// observer takes each frame whenever it is read; the pulling receiver
-// takes each one at the first datapath edge that would have seen its
-// arrival event (NextArrival, sim.Clock.EdgeAfter). That event was armed
-// by the frame's completion, 5 ns before the arrival, so an arrival on a
+// There is one transmitter, and it is arithmetic: it computes when each
+// frame starts, ends and arrives, and applies that when something reads
+// it (Settle), so no frame costs a completion event. What a frame's
+// arrival costs depends on the receiver. An Observer — a tap that only
+// counts or captures — takes each frame whenever it is read, at no
+// event. A receiver that pulls its arrivals (PullReceiver: the
+// datapath's MAC attach) takes each one at the first datapath edge that
+// would have seen an arrival event armed at the frame's completion
+// (NextArrival, sim.Clock.EdgeAfter), also at no event: an arrival on a
 // clock edge is seen by that edge only when the edge was armed after the
-// completion ran: on a 5 ns clock the edge before it armed it at the
-// completion instant, after the completion, so it is seen; on a 6.25 ns
-// or 8 ns clock it was armed earlier, so the next edge takes it. Every
-// frame is longer on the wire than a clock period and than the
+// completion. On a 5 ns clock beside the 5 ns wire the edge before it
+// armed it at the completion instant, after the completion, so it is
+// seen; on a 6.25 ns or 8 ns clock it was armed earlier, so the next
+// edge takes it. A receiver installed with SetReceiver runs at each
+// frame's arrival instant, on one persistent timer: one event per frame.
+// Every frame is longer on the wire than a clock period and than the
 // propagation delay (Connect refuses a port where a minimum frame is
 // not), which is what fixes those orders. Every form gives every reader
-// the same values, counters, error draws and arrival stamps.
+// the same values, counters, error draws and arrival stamps as an event
+// per completion and per arrival would.
 package serial
 
 import (
@@ -102,15 +102,14 @@ func Eth1G(name string) Config {
 // copies share it), and tx_bytes, rx_bytes and what a tap captures
 // count the bytes handed over.
 //
-// Reception has three forms. A receiver installed with SetReceiver runs
-// in simulated time as each frame's last bit arrives: the transmitter
-// completes every frame with an event, and the arrival is an event of
-// its own. An Observer installed with SetObserver decides nothing at an
-// arrival's instant, so while it observes, the MAC feeding it times its
-// frames by arithmetic and schedules no event for them (see Settle). A
-// receiver installed with PullReceiver takes its arrivals itself at the
-// instants an event would have delivered them, so the MAC feeding it
-// times its frames by arithmetic too.
+// Reception has three forms, and none changes when a frame arrives. An
+// Observer installed with SetObserver decides nothing at an arrival's
+// instant: while it is installed, it is handed each frame when something
+// reads either end at or after the frame's arrival (see Settle). Without
+// one, a receiver installed with PullReceiver takes its arrivals itself
+// (NextArrival, Arrival), at the instants an event would have delivered
+// them. Without either, the receiver installed with SetReceiver runs at
+// each arrival's instant, on the MAC's one receive timer.
 type MAC struct {
 	name string
 	ber  float64
@@ -120,33 +119,19 @@ type MAC struct {
 	peer *MAC
 	prop sim.Time
 
-	txq      *hw.FrameQueue
-	txTimer  *sim.Timer
-	inFlight *hw.Frame // frame currently being serialized
-	rx       func(f *hw.Frame, fcsOK bool)
-	obs      Observer
-	rng      *sim.Rand
+	txq *hw.FrameQueue
+	rng *sim.Rand
 
-	// inbound is the wire in flight towards this MAC: frames whose last
-	// bit has left the peer but not yet arrived here, drained by the
-	// single persistent rxTimer. One ring and one timer replace the
-	// per-frame timer+closure allocation the old delivery path paid —
-	// the datapath's dominant allocation site. Arrival times are
-	// nondecreasing (one sender, constant propagation delay), so FIFO
-	// draining preserves delivery order exactly.
-	inbound wireRing
-	rxTimer *sim.Timer
+	rx      func(f *hw.Frame, fcsOK bool)
+	bell    func()
+	obs     Observer
+	rxTimer *sim.Timer // armed at the next arrival toward rx
 
-	// The arithmetic transmitter runs while arith is set (kick decides),
-	// on tx, which it allocates on first use. due is the earliest
-	// instant at which Settle has work (Forever when none).
-	tx     *arithTx
+	// tx is the transmitter. due is the earliest instant at which Settle
+	// has work (Forever when none).
+	tx     arithTx
 	due    sim.Time
-	arith  bool
 	linkUp bool
-	// pull is set for a receiver that takes its arrivals itself
-	// (PullReceiver), clear for one that runs at each arrival.
-	pull bool
 
 	txFrames, rxFrames uint64
 	txBytes, rxBytes   uint64
@@ -155,16 +140,14 @@ type MAC struct {
 	ctrs               hw.Counters
 }
 
-// arithTx is the state of an arithmetic transmitter: frames are popped
-// at their start times, completed at their end times and handed to the
-// peer at their arrival times, whenever something settles the MAC at or
-// after them. sent holds the popped frames not yet handed over, each
-// with its end time; its first ended have completed (counted, BER
-// drawn). A peer that pulls its arrivals takes them from sent itself:
-// its first arrived have arrived (counted by the peer) and wait there
-// for it. free is when the last popped frame ends, so the FIFO's head
-// starts then; an event-driven transmitter keeps its in-flight frame's
-// end there too.
+// arithTx is the state of the transmitter: frames are popped at their
+// start times, completed at their end times and handed to the peer at
+// their arrival times, whenever something settles the MAC at or after
+// them. sent holds the popped frames not yet handed over, each with its
+// end time; its first ended have completed (counted, BER drawn), and of
+// those its first arrived have arrived (counted by the peer) and wait
+// there for a receiver to take them. free is when the last popped frame
+// ends, so the FIFO's head starts then.
 type arithTx struct {
 	sent           wireRing
 	free           sim.Time
@@ -175,15 +158,8 @@ type arithTx struct {
 }
 
 // Observer receives frames at a MAC without deciding anything at their
-// arrival instants: it counts or records them. While it observes, the
-// MAC transmitting toward the one it is installed on arms no event per
-// frame.
+// arrival instants: it counts or records them, and no event marks them.
 type Observer interface {
-	// Observing reports whether the observer still only observes. It
-	// is consulted whenever the transmitter toward it starts from idle;
-	// an observer that stops observing while frames toward it are
-	// pending must refuse the next Observe.
-	Observing() bool
 	// Observe takes one frame whose last bit arrived at at, which is
 	// never later than Now, in arrival order. fcsOK is as for a
 	// receiver; the observer owns f.
@@ -207,6 +183,7 @@ func NewMAC(s *sim.Sim, cfg Config) *MAC {
 		sim:  s,
 		rate: float64(cfg.Lanes) * cfg.LineGbps * cfg.Encoding,
 		rng:  sim.NewRand(cfg.Seed ^ 0x5eeded), // Reseed reseeds the same way
+		tx:   arithTx{size: -1},
 		due:  sim.Forever,
 	}
 	m.txq = hw.NewFrameQueue(cfg.Name+".txq", 0, cfg.TxBufBytes)
@@ -219,13 +196,11 @@ func NewMAC(s *sim.Sim, cfg Config) *MAC {
 	m.ctrs.Add("fcs_errors", &m.fcsErrors)
 	m.ctrs.AddCounter(m.txq.DropCounter("tx_drops", hw.Count))
 	m.ctrs.Add("tx_busy_ps", &m.txBusyPs)
-	m.txTimer = s.NewTimer(m.txDone)
-	m.rxTimer = s.NewTimer(m.deliver)
+	m.rxTimer = s.NewTimer(m.receive)
 	return m
 }
 
-// wireEntry is one frame on the wire: at is its arrival time in
-// inbound, its end time in sent.
+// wireEntry is one frame on the wire, with its end time.
 type wireEntry struct {
 	f  *hw.Frame
 	at sim.Time
@@ -266,36 +241,13 @@ func (r *wireRing) reset() {
 	r.head, r.n = 0, 0
 }
 
-// enqueueArrival queues a frame to arrive at this MAC at the given time.
-func (m *MAC) enqueueArrival(f *hw.Frame, ok bool, at sim.Time) {
-	m.inbound.push(wireEntry{f: f, at: at, ok: ok})
-	if !m.rxTimer.Pending() {
-		m.rxTimer.ScheduleAt(at)
-	}
-}
-
-// deliver completes the head in-flight frame's propagation. The timer is
-// re-armed for the next entry before the receive callback runs, so any
-// event the callback schedules at the same instant stays ordered after
-// the arrival, as it was when each arrival carried its own timer.
-func (m *MAC) deliver() {
-	e := m.inbound.pop()
-	if m.inbound.n > 0 {
-		m.rxTimer.ScheduleAt(m.inbound.at(0).at)
-	}
-	m.count(e.f, e.ok)
-	if m.rx != nil {
-		m.rx(e.f, e.ok)
-	}
-}
-
 // Connect joins two MACs with a full-duplex wire of the given propagation
 // delay. Both ends must have the same aggregate rate (you cannot plug a
 // 40G port into a 10G port), and a minimum frame must be longer on the
 // wire than the delay and than the longest period of the simulator's
-// clocks: the arithmetic wire's order against clock edges rests on it
-// (see kick and NextArrival). Only a clock below about 149 MHz beside a
-// 100G port fails that.
+// clocks: the wire's order against clock edges rests on it (see kick
+// and NextArrival). Only a clock below about 149 MHz beside a 100G port
+// fails that.
 func Connect(a, b *MAC, prop sim.Time) error {
 	if a.rate != b.rate {
 		return fmt.Errorf("serial: rate mismatch %s (%.1fG) vs %s (%.1fG)",
@@ -308,27 +260,23 @@ func Connect(a, b *MAC, prop sim.Time) error {
 	a.peer, b.peer = b, a
 	a.prop, b.prop = prop, prop
 	a.linkUp, b.linkUp = true, true
-	a.kick()
-	b.kick()
+	a.start()
+	b.start()
 	return nil
 }
 
 // Reset returns the MAC to the state NewMAC left it in, unplugged and
-// with its error injection reseeded with seed: nothing queued, on the
-// wire or in flight (those frames are dropped), counters zero. The
-// receiver and observer stay installed. The simulator disarms the MAC's
-// timers (sim.Sim.Reset).
+// with its error injection reseeded with seed: nothing queued or on the
+// wire (those frames are dropped), counters zero. The receiver and
+// observer stay installed. The simulator disarms the receive timer
+// (sim.Sim.Reset).
 func (m *MAC) Reset(seed uint64) {
 	m.rng.Seed(seed ^ 0x5eeded)
 	m.peer, m.prop, m.linkUp = nil, 0, false
 	m.txq.Reset()
-	m.inFlight = nil
-	m.inbound.reset()
-	if m.tx != nil {
-		m.tx.sent.reset()
-		m.tx.free, m.tx.ended, m.tx.arrived = 0, 0, 0
-	}
-	m.arith, m.due = false, sim.Forever
+	m.tx.sent.reset()
+	m.tx.free, m.tx.ended, m.tx.arrived = 0, 0, 0
+	m.due = sim.Forever
 	m.txFrames, m.rxFrames, m.txBytes, m.rxBytes = 0, 0, 0, 0
 	m.fcsErrors, m.txBusyPs = 0, 0
 }
@@ -367,28 +315,45 @@ func (m *MAC) Send(f *hw.Frame) bool {
 	return m.txq.Push(f)
 }
 
-// SetReceiver installs the reception callback. fcsOK is false when error
-// injection corrupted the frame; real MACs still deliver such frames
-// marked bad, and the attach module decides to drop them. The callback
-// runs at each arrival, so the MAC feeding this one completes every
-// frame with an event and each arrival is an event of its own.
-func (m *MAC) SetReceiver(fn func(f *hw.Frame, fcsOK bool)) { m.rx, m.pull = fn, false }
+// SetReceiver installs the reception callback in place of a pulling
+// receiver. fcsOK is false when error injection corrupted the frame;
+// real MACs still deliver such frames marked bad, and the attach module
+// decides to drop them. Unless an observer is installed, the callback
+// runs at each arrival's instant, as the MAC's receive timer fires for
+// it: one event per frame.
+func (m *MAC) SetReceiver(fn func(f *hw.Frame, fcsOK bool)) { m.install(fn, nil, m.obs) }
 
-// PullReceiver installs fn as SetReceiver does, for a receiver that
-// takes its arrivals itself: the MAC feeding this one times every frame
-// by arithmetic, and the arrivals wait, counted, until the receiver
-// takes them (NextArrival, Arrival). fn runs with a nil frame, its
-// doorbell, whenever the next arrival may have changed: at a frame
-// toward an idle wire.
-func (m *MAC) PullReceiver(fn func(f *hw.Frame, fcsOK bool)) { m.rx, m.pull = fn, true }
+// PullReceiver installs, in place of the reception callback, a receiver
+// that takes its arrivals itself (NextArrival, Arrival) unless an
+// observer is installed: the arrivals wait, counted, until it takes
+// them, and no event marks them. bell, its doorbell, runs whenever the
+// next arrival may have changed: at a frame toward an idle wire.
+func (m *MAC) PullReceiver(bell func()) { m.install(nil, bell, m.obs) }
 
-// Receiver returns the reception callback.
-func (m *MAC) Receiver() func(f *hw.Frame, fcsOK bool) { return m.rx }
+// SetObserver installs o, which takes every arrival at this MAC while it
+// is installed; nil removes it, and the receiver takes the arrivals
+// after now.
+func (m *MAC) SetObserver(o Observer) { m.install(m.rx, m.bell, o) }
 
-// SetObserver installs o. While o observes, arrivals at this MAC are
-// handed to o instead of the receiver, and the MAC feeding it arms no
-// event for them.
-func (m *MAC) SetObserver(o Observer) { m.obs = o }
+// install changes how this MAC receives. What arrived by now goes to
+// the form installed before, the rest to the new one: an observer is
+// handed at once what waits untaken, and the receive timer stays armed
+// only while it serves the receiver.
+func (m *MAC) install(rx func(*hw.Frame, bool), bell func(), o Observer) {
+	p := m.peer
+	if p != nil {
+		p.Settle()
+	}
+	m.rx, m.bell, m.obs = rx, bell, o
+	if p != nil {
+		p.settle()
+	}
+	if m.obs != nil || m.bell != nil {
+		m.rxTimer.Stop()
+	} else {
+		m.armRx()
+	}
+}
 
 // wireTime returns the transmitter occupancy of an n-byte frame, padded
 // to MinFrameBytes.
@@ -399,129 +364,79 @@ func (m *MAC) wireTime(n int) sim.Time {
 // frameTime is wireTime for a transmitting MAC: it keeps the last size
 // it was asked for, so traffic of one frame size divides once.
 func (m *MAC) frameTime(n int) sim.Time {
-	if t := m.tx; t.size != n {
+	if t := &m.tx; t.size != n {
 		t.size, t.time = n, m.wireTime(n)
 	}
 	return m.tx.time
 }
 
-// kick starts the transmitter if it is idle and a frame waits; it runs
-// on every push into the FIFO. An idle transmitter whose peer takes
-// frames lazily starts arithmetic: it takes the head now and the rest
-// as each predecessor ends, with no event. Otherwise it pops the head
-// and arms txTimer for its end, as it does toward a receiver.
+// kick runs on every push into the FIFO, which was settled before it
+// (Send, TxQueue): a frame pushed behind others starts after now, and
+// only one pushed into an empty FIFO may start the transmitter.
+func (m *MAC) kick() {
+	if m.txq.Len() == 1 {
+		m.start()
+	}
+}
+
+// start starts the FIFO's head, if the link is up: now, or when the
+// frame the transmitter holds ends. A frame toward an idle wire rings
+// the peer.
 //
-// The arithmetic pop at a frame's end P is seen by a clock edge at P,
-// as the event pop it replaces was: that event was armed one frame time
+// A pop at a frame's end P is seen by a clock edge at P, as an event at
+// P armed when the frame started would be: that was one frame time
 // before P, which is longer than a clock period (Connect), and an edge
 // is armed at most one period before it.
-func (m *MAC) kick() {
-	if m.txTimer.Pending() || !m.linkUp {
+func (m *MAC) start() {
+	if !m.linkUp || m.txq.Len() == 0 {
 		return
 	}
-	if m.tx == nil {
-		m.tx = &arithTx{size: -1}
-	}
-	if m.arith {
-		// A push: the FIFO was settled before it (Send, TxQueue), so a
-		// frame queued behind others starts after now, and one pushed
-		// alone starts now unless one is in flight.
-		if m.txq.Len() == 1 {
-			idle := m.tx.sent.n == m.tx.arrived
-			if now := m.sim.Now(); m.tx.free <= now {
-				m.tx.free = now
-				m.settle()
-			} else {
-				m.due = min(m.due, m.tx.free)
-			}
-			if idle {
-				m.ring()
-			}
-		}
-		return
-	}
-	if m.txq.Len() == 0 {
-		return
-	}
-	if m.lazyPeer() {
-		m.arith, m.tx.free = true, m.sim.Now()
+	idle := m.tx.sent.n == m.tx.arrived
+	if now := m.sim.Now(); m.tx.free <= now {
+		m.tx.free = now
 		m.settle()
+	} else {
+		m.due = min(m.due, m.tx.free)
+	}
+	if idle {
 		m.ring()
-		return
 	}
-	f := m.txq.Pop()
-	d := m.frameTime(len(f.Data))
-	m.txBusyPs += uint64(d)
-	m.inFlight, m.tx.free = f, m.sim.Now()+d
-	m.txTimer.ScheduleAt(m.tx.free)
 }
 
-// lazyPeer reports whether the peer takes frames lazily: it pulls its
-// arrivals, or it observes.
-func (m *MAC) lazyPeer() bool {
-	return m.peer.pull || m.peer.obs != nil && m.peer.obs.Observing()
-}
-
-// ring rings the peer's doorbell, if it pulls.
+// ring tells the peer that its next arrival may have changed: an
+// observer needs nothing, a pulling receiver's doorbell runs, and the
+// receive timer, when idle, is armed.
 func (m *MAC) ring() {
-	if m.peer.pull {
-		m.peer.rx(nil, false)
+	switch p := m.peer; {
+	case p.obs != nil:
+	case p.bell != nil:
+		p.bell()
+	default:
+		p.armRx()
 	}
 }
 
-// txDone completes the in-flight frame: counts it, delivers it to the
-// peer after propagation, and starts the next one.
-func (m *MAC) txDone() {
-	f := m.inFlight
-	m.inFlight = nil
-	m.peer.enqueueArrival(f, m.complete(f), m.sim.Now()+m.prop)
-	m.kick()
-}
-
-// ObserverChanged tells the MAC that its peer may have stopped
-// observing (a tap's OnRx was set); a peer that pulls its arrivals
-// takes them lazily whatever it observes. An arithmetic transmitter
-// toward a peer that no longer takes them lazily hands over to events
-// at once: the frames on the wire toward it arrive as events, the
-// frame being serialized completes with one, and the queue behind it
-// runs on events. Each converted event is armed now rather than at the
-// instant an event wire would have armed it, which changes nothing
-// unless a clock edge falls on the event's instant and may already be
-// armed; that case is refused with a panic.
-func (m *MAC) ObserverChanged() {
-	if !m.arith || m.lazyPeer() {
+// armRx arms the receive timer for the next arrival, unless it is
+// armed: for that arrival or an earlier one.
+func (m *MAC) armRx() {
+	if m.rxTimer.Pending() {
 		return
 	}
-	m.settle()
-	if !m.arith {
-		return // nothing was pending
+	if at, _ := m.NextArrival(); at != sim.Forever {
+		m.rxTimer.ScheduleAt(at)
 	}
-	now := m.sim.Now()
-	for i := m.tx.arrived; i < m.tx.sent.n; i++ {
-		at := m.tx.sent.at(i).at // the frame in flight's event is its end
-		if i < m.tx.ended {
-			at += m.prop // a completed frame's is its arrival
-		}
-		if m.sim.EdgeAt(at) && at-m.sim.MaxPeriod() <= now {
-			panic(fmt.Sprintf("serial: %s: the peer stopped observing with a frame due at %v, where a clock edge may already be armed; stop observing while nothing is pending", m.name, at))
-		}
+}
+
+// receive runs at an arrival toward the receiver installed with
+// SetReceiver. The timer is re-armed for the next arrival before the
+// receiver runs, so an event the receiver schedules for that arrival's
+// instant runs after it.
+func (m *MAC) receive() {
+	f, _, ok := m.Arrival()
+	m.armRx()
+	if m.rx != nil {
+		m.rx(f, ok)
 	}
-	m.arith = false
-	t := &m.tx.sent
-	if m.tx.ended < t.n { // the frame in flight: the last one popped
-		e := t.at(t.n - 1)
-		m.inFlight = e.f
-		m.txTimer.ScheduleAt(e.at)
-		*e = wireEntry{}
-		t.n--
-	}
-	for i := m.tx.arrived; i < t.n; i++ {
-		e := t.at(i)
-		m.peer.enqueueArrival(e.f, e.ok, e.at+m.prop)
-		*e = wireEntry{}
-	}
-	t.n, m.tx.ended, m.due = m.tx.arrived, m.tx.arrived, sim.Forever
-	m.kick()
 }
 
 // complete counts a frame whose last bit left and draws its bit error:
@@ -539,14 +454,13 @@ func (m *MAC) complete(f *hw.Frame) bool {
 	return true
 }
 
-// Settle brings an arithmetic transmitter up to now: it pops every
-// frame whose start (the later of its push and its predecessor's end)
-// is at or before now, completes every frame whose end is, and hands
-// the peer every frame whose arrival (end plus propagation) is. Every
-// reader of what those change settles first — TxQueue, Send, Counters
-// and the observing end's own reads — so a read sees what an event per
-// frame would have left by then. It costs a comparison when nothing is
-// due.
+// Settle brings the transmitter up to now: it pops every frame whose
+// start (the later of its push and its predecessor's end) is at or
+// before now, completes every frame whose end is, and hands the peer
+// every frame whose arrival (end plus propagation) is. Every reader of
+// what those change settles first — TxQueue, Send, Counters and the
+// receiving end's own reads — so a read sees what an event per frame
+// would have left by then. It costs a comparison when nothing is due.
 func (m *MAC) Settle() {
 	if m.due <= m.sim.Now() {
 		m.settle()
@@ -555,15 +469,13 @@ func (m *MAC) Settle() {
 
 // settle is Settle past its fast path.
 func (m *MAC) settle() {
-	now, t := m.sim.Now(), m.tx
-	if m.arith {
-		for t.free <= now && m.txq.Len() > 0 {
-			f := m.txq.Pop()
-			d := m.frameTime(len(f.Data))
-			m.txBusyPs += uint64(d)
-			t.free += d
-			t.sent.push(wireEntry{f: f, at: t.free})
-		}
+	now, t := m.sim.Now(), &m.tx
+	for t.free <= now && m.txq.Len() > 0 {
+		f := m.txq.Pop()
+		d := m.frameTime(len(f.Data))
+		m.txBusyPs += uint64(d)
+		t.free += d
+		t.sent.push(wireEntry{f: f, at: t.free})
 	}
 	for ; t.ended < t.sent.n; t.ended++ {
 		e := t.sent.at(t.ended)
@@ -572,16 +484,19 @@ func (m *MAC) settle() {
 		}
 		e.ok = m.complete(e.f)
 	}
-	for t.arrived < t.ended && t.sent.at(t.arrived).at+m.prop <= now {
+	for ; t.arrived < t.ended; t.arrived++ {
 		e := t.sent.at(t.arrived)
-		m.peer.count(e.f, e.ok)
-		if m.peer.pull {
-			t.arrived++ // it waits for the peer to take it
-			continue
+		if e.at+m.prop > now {
+			break
 		}
-		x := t.sent.pop()
-		t.ended--
-		m.peer.obs.Observe(x.f, x.at+m.prop, x.ok)
+		m.peer.count(e.f, e.ok)
+	}
+	if o := m.peer.obs; o != nil {
+		for ; t.arrived > 0; t.arrived-- {
+			e := t.sent.pop()
+			t.ended--
+			o.Observe(e.f, e.at+m.prop, e.ok)
+		}
 	}
 	m.due = sim.Forever
 	if t.arrived < t.ended {
@@ -591,34 +506,32 @@ func (m *MAC) settle() {
 		m.due = min(m.due, t.sent.at(t.ended).at)
 	}
 	if m.txq.Len() > 0 {
-		if m.arith {
-			m.due = min(m.due, t.free)
-		}
-	} else if t.sent.n == t.arrived {
-		m.arith = false // idle: the next push decides again
+		m.due = min(m.due, t.free)
 	}
 }
 
 // NextArrival returns when the next frame toward this MAC that its
-// pulling receiver has not taken arrives, and when its last bit left the
-// peer; Forever for both when no frame is on its way.
+// receiver has not taken arrives, and when its last bit left the peer;
+// Forever for both when no frame is on its way or an observer takes
+// them.
 //
-// The arrival at is what the event wire's arrival event was armed for,
-// and end is when it was armed: by the frame's completion event, which
-// was armed more than a clock period and more than the propagation
-// delay before it (Connect), so it ran before any clock edge armed at
-// end, and before the previous frame's arrival event could arm it
-// instead (sim.Clock.EdgeAfter).
+// The arrival at is what an arrival event armed at the frame's
+// completion would be armed for, and end is when it would be armed. The
+// completion itself would be armed when the frame started, more than a
+// clock period and more than the propagation delay before end (Connect),
+// so it runs before any clock edge armed at end, and before the previous
+// frame's arrival event could arm the arrival instead
+// (sim.Clock.EdgeAfter).
 func (m *MAC) NextArrival() (at, end sim.Time) {
 	p := m.peer
-	if !m.pull || p == nil || p.tx == nil {
+	if m.obs != nil || p == nil {
 		return sim.Forever, sim.Forever
 	}
 	p.Settle()
-	switch t := p.tx; {
+	switch t := &p.tx; {
 	case t.sent.n > 0:
 		end = t.sent.at(0).at
-	case p.arith && p.txq.Len() > 0: // settled: the head starts after now
+	case p.txq.Len() > 0: // settled: the head starts after now
 		end = t.free + p.frameTime(len(p.txq.At(0).Data))
 	default:
 		return sim.Forever, sim.Forever
@@ -631,7 +544,7 @@ func (m *MAC) NextArrival() (at, end sim.Time) {
 // arrival instant and whether its FCS survived; the receiver owns f.
 func (m *MAC) Arrival() (f *hw.Frame, at sim.Time, fcsOK bool) {
 	m.peer.Settle()
-	t := m.peer.tx
+	t := &m.peer.tx
 	if t.arrived == 0 {
 		panic("serial: " + m.name + ": Arrival before the next frame arrived")
 	}
@@ -642,20 +555,20 @@ func (m *MAC) Arrival() (f *hw.Frame, at sim.Time, fcsOK bool) {
 }
 
 // NextPop returns when the transmitter next takes a frame from its FIFO:
-// the end of the frame it is serializing, or Forever when it is idle or
-// its FIFO is empty. A full FIFO gains room no earlier.
+// the end of the frame it is serializing, or Forever when its FIFO is
+// empty or its link down. A full FIFO gains room no earlier.
 func (m *MAC) NextPop() sim.Time {
-	if m.txq.Len() == 0 || !m.arith && !m.txTimer.Pending() || m.tx == nil {
+	if m.txq.Len() == 0 || !m.linkUp {
 		return sim.Forever
 	}
 	return m.tx.free
 }
 
-// WireTail returns when the last frame the arithmetic transmitter holds,
-// queued or on the wire, reaches the peer, or 0 when it holds none. No
-// event marks that instant, so a drain runs on to it.
+// WireTail returns when the last frame the transmitter holds, queued or
+// on the wire, reaches the peer, or 0 when it holds none that has not
+// arrived. A drain runs on to that instant, which no event need mark.
 func (m *MAC) WireTail() sim.Time {
-	if !m.arith {
+	if !m.linkUp || m.txq.Len() == 0 && m.tx.sent.n == m.tx.arrived {
 		return 0
 	}
 	end := m.tx.free

@@ -251,10 +251,7 @@ func TestEth1GRate(t *testing.T) {
 // observer records what a MAC hands it.
 type observer struct {
 	at []sim.Time
-	on bool
 }
-
-func (o *observer) Observing() bool { return o.on }
 
 func (o *observer) Observe(f *hw.Frame, at sim.Time, ok bool) { o.at = append(o.at, at) }
 
@@ -264,7 +261,7 @@ func (o *observer) Observe(f *hw.Frame, at sim.Time, ok bool) { o.at = append(o.
 // simulation with nothing else scheduled executes nothing.
 func TestObserverCostsNoEvent(t *testing.T) {
 	s, a, b := pair(t, Eth10G("a"), Eth10G("b"), 5*sim.Nanosecond)
-	o := &observer{on: true}
+	o := &observer{}
 	b.SetObserver(o)
 	for i := 0; i < 3; i++ {
 		a.Send(hw.NewFrame(make([]byte, 1514), 0))
@@ -291,5 +288,37 @@ func TestObserverCostsNoEvent(t *testing.T) {
 	}
 	if tx := a.Counters().Map()["tx_frames"]; tx != 3 {
 		t.Fatalf("tx_frames %d, want 3", tx)
+	}
+}
+
+// TestReceiverCostsOneEventPerFrame: toward a receiver installed with
+// SetReceiver, the transmitter arms no completion event, and the
+// receiver runs at each frame's arrival instant on the receive timer:
+// one event per frame, including frames pushed while others are on the
+// wire and a frame pushed toward an idle wire after the rest arrived.
+func TestReceiverCostsOneEventPerFrame(t *testing.T) {
+	s, a, b := pair(t, Eth10G("a"), Eth10G("b"), 5*sim.Nanosecond)
+	var at []sim.Time
+	b.SetReceiver(func(f *hw.Frame, ok bool) { at = append(at, s.Now()) })
+	for i := 0; i < 3; i++ {
+		a.Send(hw.NewFrame(make([]byte, 1514), 0))
+	}
+	if s.Pending() != 1 {
+		t.Fatalf("%d events pending toward a receiver, want 1", s.Pending())
+	}
+	gap := sim.BitTime(int64(1514+OverheadBytes)*8, 10)
+	first := gap + 5*sim.Nanosecond
+	s.RunUntil(first + gap/2)
+	a.Send(hw.NewFrame(make([]byte, 1514), 0))
+	s.Drain(0)
+	idle := s.Now()
+	a.Send(hw.NewFrame(make([]byte, 60), 0))
+	s.Drain(0)
+	want := []sim.Time{first, first + gap, first + 2*gap, first + 3*gap, idle + sim.BitTime(84*8, 10) + 5*sim.Nanosecond}
+	if fmt.Sprint(at) != fmt.Sprint(want) {
+		t.Fatalf("arrivals %v, want %v", at, want)
+	}
+	if s.Executed() != uint64(len(want)) {
+		t.Fatalf("%d events executed for %d frames", s.Executed(), len(want))
 	}
 }

@@ -269,7 +269,8 @@ func TestWiringAnUnregisteredModulePanics(t *testing.T) {
 type arriver struct {
 	d        *Design
 	due      []Time
-	took     []Time // the edge that took each input
+	took     []Time    // the edge that took each input
+	order    *[]string // when set, each take appends "edge"
 	late     bool
 	reported bool
 }
@@ -294,6 +295,9 @@ func (a *arriver) Arrival() (at, armed Time) {
 
 func (a *arriver) Take() {
 	a.took = append(a.took, a.d.Now())
+	if a.order != nil {
+		*a.order = append(*a.order, "edge")
+	}
 	a.due, a.reported = a.due[1:], false
 }
 
@@ -334,5 +338,36 @@ func TestParkedArrivals(t *testing.T) {
 	s.At(13*sim.Nanosecond, d.Wake)
 	if msg := run(s); !strings.Contains(msg, "arriver") || !strings.Contains(msg, "not taken") {
 		t.Fatalf("an arrival reported after its edge ran: panic %q, want one naming the arriver; taken at %v", msg, a.took)
+	}
+}
+
+// TestParkedEdgeKeepsEventOrder: a clock parked on an arrival stands for
+// the edge a wake at the arrival would arm. An event armed before the
+// arrival for exactly that edge's instant runs ahead of the edge, as it
+// would have run ahead of an edge armed at the arrival; one armed after
+// the arrival runs behind it.
+func TestParkedEdgeKeepsEventOrder(t *testing.T) {
+	for _, c := range []struct {
+		armAt Time
+		want  string
+	}{
+		{7 * sim.Nanosecond, "[event edge]"},
+		{13 * sim.Nanosecond, "[edge event]"},
+	} {
+		s, d := newTestDesign(t)
+		var order []string
+		a := &arriver{d: d, due: []Time{12 * sim.Nanosecond}, order: &order}
+		d.AddModule(a)
+		d.Arrived(a)
+		s.At(c.armAt, func() {
+			s.At(15*sim.Nanosecond, func() { order = append(order, "event") })
+		})
+		s.RunUntil(20 * sim.Nanosecond)
+		if fmt.Sprint(a.took) != "[15.000ns]" {
+			t.Fatalf("armed at %v: taken at %v, want at the parked edge, 15ns", c.armAt, a.took)
+		}
+		if got := fmt.Sprint(order); got != c.want {
+			t.Fatalf("armed at %v: %s, want %s", c.armAt, got, c.want)
+		}
 	}
 }

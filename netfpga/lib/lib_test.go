@@ -282,6 +282,32 @@ func TestBadFCSFiltered(t *testing.T) {
 	}
 }
 
+// TestMACAttachStampsArrivals: a frame whose arrival falls between two
+// datapath edges is stamped with its arrival instant, not with the edge
+// that takes it, and the attach's counters read from an event after the
+// arrival and before that edge count it on the MAC.
+func TestMACAttachStampsArrivals(t *testing.T) {
+	var ingress []sim.Time
+	r := newRig(t, func(f *hw.Frame) Verdict {
+		ingress = append(ingress, f.Meta.Ingress)
+		return crossover(f)
+	}, 0)
+	arrival := sim.BitTime(int64(serial.MinFrameBytes+serial.OverheadBytes)*8, 10) // the wire's delay is 0
+	if arrival%r.d.Clock().Period() == 0 {
+		t.Fatalf("arrival %v falls on an edge", arrival)
+	}
+	r.taps[0].Send(hw.NewFrame(frame(60, 1), 0))
+	var read map[string]uint64
+	r.s.At(arrival+1, func() { read = r.att[0].Counters().Map() })
+	r.s.RunFor(sim.Microsecond)
+	if read["mac_rx_frames"] != 1 {
+		t.Fatalf("counters read just after the arrival: mac_rx_frames %d, want 1", read["mac_rx_frames"])
+	}
+	if len(ingress) != 1 || ingress[0] != arrival {
+		t.Fatalf("Meta.Ingress %v, want the arrival instant %v", ingress, arrival)
+	}
+}
+
 // drainMod pops one beat per cycle from a stream.
 type drainMod struct {
 	out   *hw.Stream

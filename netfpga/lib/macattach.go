@@ -13,13 +13,10 @@ import (
 // stalling (backpressure) while the MAC FIFO is full.
 //
 // The receive side takes its MAC's arrivals itself
-// (serial.MAC.PullReceiver): while the tap or peer feeding the port
-// times its frames by arithmetic, no event marks an arrival, and the
-// attach takes each one, stamped with its arrival instant, at the first
-// datapath edge that would have seen the arrival's event (hw.Arriver).
-// A receiver reinstalled with the MAC's plain SetReceiver (the wire
-// fuzz's event-wire reference) takes every frame by event instead, in
-// onRx at its arrival.
+// (serial.MAC.PullReceiver): no event marks an arrival, and the attach
+// takes each one, stamped with its arrival instant, at the first
+// datapath edge that would have seen an arrival event armed at the
+// frame's completion (hw.Arriver).
 type MACAttach struct {
 	name string
 	d    *hw.Design
@@ -67,7 +64,7 @@ func NewMACAttach(d *hw.Design, mac *serial.MAC, port int, rxOut, txIn *hw.Strea
 	// Receive-FIFO overflow is traffic loss: QueueDrop.
 	m.ctrs.AddCounter(m.rxq.DropCounter("rx_drops", hw.QueueDrop))
 	m.ctrs.Include("mac_", mac.Counters(), nil)
-	mac.PullReceiver(m.onRx)
+	mac.PullReceiver(m.ring)
 	d.AddModule(m)
 	// Input conduits wake this module alone: a wire arrival or a
 	// pipeline beat bound for this port re-runs the attach, not every
@@ -84,16 +81,8 @@ func (m *MACAttach) Resources() hw.Resources {
 	return hw.Resources{LUTs: 3500, FFs: 5200, BRAM36: 6}
 }
 
-// onRx runs with a nil frame, the MAC's doorbell, when the next arrival
-// may have changed. Reinstalled with SetReceiver, it runs in simulated
-// time as each frame arrives by event, and nothing arrives by arithmetic.
-func (m *MACAttach) onRx(f *hw.Frame, fcsOK bool) {
-	if f == nil {
-		m.d.Arrived(m)
-		return
-	}
-	m.receive(f, m.d.Now(), fcsOK)
-}
+// ring is the MAC's doorbell: the next arrival may have changed.
+func (m *MACAttach) ring() { m.d.Arrived(m) }
 
 // receive takes a frame that arrived at at into the RX FIFO. Dropped
 // frames — bad FCS or RX FIFO overflow — are dead on arrival and recycle
@@ -121,9 +110,9 @@ func (m *MACAttach) Arrival() (at, armed hw.Time) { return m.mac.NextArrival() }
 // now sees.
 func (m *MACAttach) Take() { m.receive(m.mac.Arrival()) }
 
-// takeArrived takes every frame that has arrived by now, as the events
-// of the event wire would have by the time anything reads the attach,
-// and tells the design when the next one is due.
+// takeArrived takes every frame that has arrived by now, as arrival
+// events would have by the time anything reads the attach, and tells
+// the design when the next one is due.
 func (m *MACAttach) takeArrived() {
 	at, _ := m.mac.NextArrival()
 	if at > m.d.Now() {

@@ -17,16 +17,12 @@ import (
 // whose one stage forwards each frame to the port mask in its first
 // byte, on a board's own port configuration, with a tap on every port.
 // A hooked tap has an OnRx that does what the tap does — counts or
-// captures — so its port's MAC keeps the event wire: a completion event
-// per frame and an arrival event at the tap. On the reference side every
-// tap is hooked from the start, and every port MAC's receiver is
-// reinstalled with a plain SetReceiver, so the taps' MACs keep the event
-// wire toward the device too: a completion event per frame and an
-// arrival event at the port. On the other the taps only observe, and the
-// MACs time frames toward them by arithmetic, until a program hooks one
-// between runs; and the frames toward the device are timed by
-// arithmetic, taken by each port's attach at the datapath edge that
-// would have seen their arrival events.
+// captures — so its MAC's receiver takes each frame at its arrival
+// instant, one event per frame. The reference side is the per-edge
+// engine (one edge per event, no frame windows) with every tap hooked
+// from the start. On the other the engine batches and opens windows,
+// and the taps only observe, so frames toward them cost no event, until
+// a program hooks one between runs.
 type wireSide struct {
 	dev  *netfpga.Device
 	taps []*netfpga.PortTap
@@ -69,8 +65,11 @@ func newWireSide(t *testing.T, board netfpga.BoardSpec, seed uint64, ref bool) *
 		w.taps = append(w.taps, dev.Tap(i))
 		if ref {
 			w.hook(i)
-			dev.MACs[i].SetReceiver(dev.MACs[i].Receiver())
 		}
+	}
+	if ref {
+		dev.Clock.SetBatch(1)
+		dev.Dsn.SetFrameBurst(1)
 	}
 	return w
 }
@@ -152,15 +151,11 @@ var wireSizes = []int{1, 14, 30, 38, 39, 45, 59, 60, 61, 128, 300, 1000, 1514}
 // (woken), clocks gated with an arrival pending (parked) and budgeted
 // drains that stopped between arrivals.
 type wireStats struct {
-	fullFIFO, pops, runts, badFCS, inRun, converted, refused int
-	onEdge, rxDrops, woken, parked, between                  int
+	fullFIFO, pops, runts, badFCS, inRun, converted int
+	onEdge, rxDrops, woken, parked, between         int
 }
 
-// refusal is the panic serial.MAC.ObserverChanged refuses a conversion
-// with.
-const refusal = "stop observing while nothing is pending"
-
-// runWireProgram runs one program on a lazy and an event-wire side and
+// runWireProgram runs one program on a lazy and a reference side and
 // fails t at the first difference. prog's bytes choose the operations;
 // once they run out, seed's generator chooses until ops have run.
 func runWireProgram(t *testing.T, board netfpga.BoardSpec, seed uint64, prog []byte, ops int) wireStats {
@@ -181,10 +176,10 @@ func runWireProgram(t *testing.T, board netfpga.BoardSpec, seed uint64, prog []b
 	check := func(what string) {
 		t.Helper()
 		if lazy.dev.Now() != ref.dev.Now() {
-			t.Fatalf("%s: Now %v, event wire %v", what, lazy.dev.Now(), ref.dev.Now())
+			t.Fatalf("%s: Now %v, reference %v", what, lazy.dev.Now(), ref.dev.Now())
 		}
 		if fmt.Sprint(lazy.ingress) != fmt.Sprint(ref.ingress) {
-			t.Fatalf("%s: arrival stamps\n%v\nevent wire\n%v", what, lazy.ingress, ref.ingress)
+			t.Fatalf("%s: arrival stamps\n%v\nreference\n%v", what, lazy.ingress, ref.ingress)
 		}
 		for _, at := range lazy.ingress {
 			if at%lazy.dev.Clock.Period() == 0 {
@@ -193,10 +188,10 @@ func runWireProgram(t *testing.T, board netfpga.BoardSpec, seed uint64, prog []b
 		}
 		lazy.ingress, ref.ingress = nil, nil
 		if got, want := lazy.state(), ref.state(); got != want {
-			t.Fatalf("%s: counters\n%s\nevent wire\n%s", what, got, want)
+			t.Fatalf("%s: counters\n%s\nreference\n%s", what, got, want)
 		}
 		if fmt.Sprint(lazy.reads) != fmt.Sprint(ref.reads) {
-			t.Fatalf("%s: reads inside runs\n%v\nevent wire\n%v", what, lazy.reads, ref.reads)
+			t.Fatalf("%s: reads inside runs\n%v\nreference\n%v", what, lazy.reads, ref.reads)
 		}
 		st.inRun += len(lazy.reads)
 		lazy.reads, ref.reads = nil, nil
@@ -204,39 +199,29 @@ func runWireProgram(t *testing.T, board netfpga.BoardSpec, seed uint64, prog []b
 			lf, lb := lazy.counts(i)
 			rf, rb := ref.counts(i)
 			if lf != rf || lb != rb {
-				t.Fatalf("%s: tap %d counted %d frames %d bytes, event wire %d and %d", what, i, lf, lb, rf, rb)
+				t.Fatalf("%s: tap %d counted %d frames %d bytes, reference %d and %d", what, i, lf, lb, rf, rb)
 			}
 			got, want := lazy.received(i), ref.received(i)
 			if len(got) != len(want) {
-				t.Fatalf("%s: tap %d captured %d frames, event wire %d", what, i, len(got), len(want))
+				t.Fatalf("%s: tap %d captured %d frames, reference %d", what, i, len(got), len(want))
 			}
 			for k := range got {
 				if got[k].At != want[k].At || !bytes.Equal(got[k].Data, want[k].Data) {
-					t.Fatalf("%s: tap %d frame %d at %v (%d bytes), event wire at %v (%d bytes)",
+					t.Fatalf("%s: tap %d frame %d at %v (%d bytes), reference at %v (%d bytes)",
 						what, i, k, got[k].At, len(got[k].Data), want[k].At, len(want[k].Data))
 				}
 			}
 			lq, rq := lazy.dev.MACs[i].TxQueue(), ref.dev.MACs[i].TxQueue()
 			if lq.Bytes() != rq.Bytes() || lq.CanAccept(1514) != rq.CanAccept(1514) {
-				t.Fatalf("%s: port %d FIFO %d bytes, event wire %d", what, i, lq.Bytes(), rq.Bytes())
+				t.Fatalf("%s: port %d FIFO %d bytes, reference %d", what, i, lq.Bytes(), rq.Bytes())
 			}
 		}
 	}
-	// each runs fn on both sides, the lazy one first, and reports whether
-	// the lazy side refused to convert a wire whose tap was hooked.
-	each := func(fn func(w *wireSide)) (refused bool) {
-		defer func() {
-			if p := recover(); p != nil {
-				if !strings.Contains(fmt.Sprint(p), refusal) {
-					panic(p)
-				}
-				refused = true
-			}
-		}()
+	// each runs fn on both sides, the lazy one first.
+	each := func(fn func(w *wireSide)) {
 		for _, w := range sides {
 			fn(w)
 		}
-		return false
 	}
 	for op := 0; len(prog) > 0 || op < ops; op++ {
 		switch c := next() % 9; c {
@@ -267,10 +252,7 @@ func runWireProgram(t *testing.T, board netfpga.BoardSpec, seed uint64, prog []b
 			}
 		case 2: // a random span, in whole nanoseconds
 			span := hw.Time(1+next()) * hw.Time(1+next()%8) * 20 * hw.Nanosecond
-			if each(func(w *wireSide) { w.dev.RunFor(span) }) {
-				st.refused++
-				return st
-			}
+			each(func(w *wireSide) { w.dev.RunFor(span) })
 			for _, m := range lazy.dev.MACs {
 				if !m.TxQueue().CanAccept(1514) {
 					st.fullFIFO++
@@ -285,17 +267,11 @@ func runWireProgram(t *testing.T, board netfpga.BoardSpec, seed uint64, prog []b
 				continue
 			}
 			st.pops++
-			if each(func(w *wireSide) { w.dev.RunFor(at - w.dev.Now()) }) {
-				st.refused++
-				return st
-			}
+			each(func(w *wireSide) { w.dev.RunFor(at - w.dev.Now()) })
 			check(fmt.Sprintf("op %d, at a pop", op))
 		case 4: // a drain in budgets
 			limit := []uint64{0, 1, 7, 64, 1000}[next()%5]
-			if each(func(w *wireSide) { st.between += w.drain(limit) }) {
-				st.refused++
-				return st
-			}
+			each(func(w *wireSide) { st.between += w.drain(limit) })
 		case 5:
 			i, on := next()%ports, next()%2 == 1
 			for _, w := range sides {
@@ -320,10 +296,7 @@ func runWireProgram(t *testing.T, board netfpga.BoardSpec, seed uint64, prog []b
 			}
 		}
 	}
-	if each(func(w *wireSide) { w.drain(0) }) {
-		st.refused++
-		return st
-	}
+	each(func(w *wireSide) { w.drain(0) })
 	check("drained")
 	for _, tap := range lazy.taps {
 		st.badFCS += int(tap.MAC().FCSErrors())
@@ -338,29 +311,25 @@ func runWireProgram(t *testing.T, board netfpga.BoardSpec, seed uint64, prog []b
 	return st
 }
 
-// FuzzWireEquivalence holds the arithmetic wire — toward observing taps
-// and toward the device's attaches — to the event wire it replaced, on
-// every board's port configuration, under random programs
-// (runWireProgram) of: bursts of random frames (runts included) to
-// random port masks, so transmit FIFOs fill and the attach stalls on
-// them, and fan-in so receive FIFOs overflow; runs of random spans and
-// runs to exactly a MAC's next pop; drains in budgets of 1 to 1000
-// events; switching taps between counting and capture; OnRx set on a
-// tap between runs, frames toward it pending or not
-// (serial.MAC.ObserverChanged; a program whose conversion is refused
-// ends there); reads of the port MACs' FIFOs, the taps' counts and
-// captures and every counter, between runs and from events inside runs;
-// and a nonzero bit error rate. Arrivals at the taps (time and bytes),
-// every frame's arrival stamp at the device (Meta.Ingress, in the order
-// the forwarding stage saw them), counts, every counter, the FIFOs and
-// Now must be identical. (Mutation-checked: settling with < for <= at
-// any of its three steps, MACAttach.Counters without its settle, a
-// RunUntilIdle that stops before the wire's tail, and the FIFO stall
-// declared without its Horizon each fail the seeds; so do an arrival
-// taken one edge early or one edge late, Ingress stamped with the edge
-// that takes the frame, a clock that gates with an arrival pending
-// instead of parking on it, and Timer.ScheduleAt without its parked-edge
-// move.)
+// FuzzWireEquivalence holds the device's engine — the batched clock,
+// frame windows, taps that only observe — to the per-edge engine with
+// every tap hooked by OnRx, on every board's port configuration, under
+// random programs (runWireProgram) of: bursts of random frames (runts
+// included) to random port masks, so transmit FIFOs fill and the
+// attach stalls on them, and fan-in so receive FIFOs overflow; runs of
+// random spans and runs to exactly a MAC's next pop; drains in budgets
+// of 1 to 1000 events; switching taps between counting and capture; OnRx
+// set on a tap between runs, frames toward it pending or not; reads of
+// the port MACs' FIFOs, the taps' counts and captures and every counter,
+// between runs and from events inside runs; and a nonzero bit error
+// rate. Arrivals at the taps (time and bytes), every frame's arrival
+// stamp at the device (Meta.Ingress, in the order the forwarding stage
+// saw them), counts, every counter, the FIFOs and Now must be identical.
+// The wire itself is held to the event wire it replaced one MAC at a
+// time, by internal/serial's FuzzMACWire. (Mutation-checked:
+// MACAttach.Counters without its settle and a RunUntilIdle that stops
+// before the wire's tail each fail the seeds; the FIFO stall declared
+// without its Horizon fails TestWireEquivalence.)
 func FuzzWireEquivalence(f *testing.F) {
 	for b := range sweep.BoardNames() {
 		for _, prog := range []string{
@@ -405,7 +374,6 @@ func TestWireEquivalence(t *testing.T) {
 			total.badFCS += st.badFCS
 			total.inRun += st.inRun
 			total.converted += st.converted
-			total.refused += st.refused
 			total.rxDrops += st.rxDrops
 			total.woken += st.woken
 			total.parked += st.parked
