@@ -205,28 +205,37 @@ func (d *Device) Seal() {
 // design and its modules (hw.Resetter), the register map, the MACs, the
 // DMA engine and driver, memories, storage and the hybrid model — and
 // every tap is unplugged, to be plugged back in, reset, by the next Tap
-// call. Frames in flight are dropped. Reset reports false when the
-// device cannot return to its sealed state: it was never sealed, a
-// module lacks Reset, or blocks, modules, streams, queues, clocks,
-// agents or Every timers were added since Seal. Such a device may be
-// left partially reset and must not be used again.
+// call. Every frame in flight goes back to the design's pool, once —
+// in the design, a MAC's FIFO or wire, or the DMA engine — and the next
+// run draws its frames from there. A frame the device handed out is not
+// in flight: one given to a tap's OnRx is the callback's. Reset reports
+// false when the device cannot return to its sealed state: it was never
+// sealed, a module lacks Reset, or blocks, modules, streams, queues,
+// clocks, agents or Every timers were added since Seal. Such a device
+// may be left partially reset and must not be used again.
 func (d *Device) Reset(seed uint64) bool {
 	if !d.sealed.ok || len(d.agents) != d.sealed.agents || d.everyTimers != d.sealed.everyTimers {
 		return false
 	}
-	if !d.Dsn.Reset() || !d.Regs.Reset() || !d.Sim.Reset() {
+	if !d.Dsn.Reset() || !d.Regs.Reset() {
 		return false
 	}
+	if d.Engine != nil {
+		d.Engine.Reset() // before the simulator empties its DMA lanes
+	}
+	if !d.Sim.Reset() {
+		return false
+	}
+	pool := d.Dsn.Pool()
 	for i, m := range d.MACs {
-		m.Reset(portSeed(seed, i))
+		m.Reset(portSeed(seed, i), pool)
 	}
 	for _, t := range d.taps {
 		if t != nil {
 			t.unplug()
 		}
 	}
-	if d.Engine != nil {
-		d.Engine.Reset()
+	if d.Driver != nil {
 		d.Driver.Reset()
 	}
 	for _, m := range d.SRAMs {
@@ -482,7 +491,7 @@ func (d *Device) Tap(i int) *PortTap {
 // OnRx. Data already handed out by Received stays valid: the capture
 // arena is abandoned, not reused.
 func (t *PortTap) unplug() {
-	t.mac.Reset(0)
+	t.mac.Reset(0, t.dev.Dsn.Pool())
 	t.rxBlocks, t.rxCount, t.arena = nil, 0, hw.Arena{}
 	t.counting, t.rxFrames, t.rxBytes = false, 0, 0
 	t.OnRx = nil

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/host"
+	"repro/internal/pcie"
+	"repro/internal/serial"
 	"repro/netfpga"
 	"repro/netfpga/hw"
 	"repro/netfpga/pkt"
@@ -254,13 +256,25 @@ func checkReset(t testing.TB, board, project string, opts netfpga.Options, dirty
 	dirty func(testing.TB, *netfpga.Device, netfpga.Project, uint64),
 	run func(testing.TB, *netfpga.Device, netfpga.Project, uint64) []byte) {
 	t.Helper()
+	b, ok := sweep.Board(board)
+	if !ok {
+		t.Fatalf("unknown board %q", board)
+	}
+	checkResetOn(t, b, project, opts, dirtySeed, seed, reseed, dirty, run)
+}
+
+// checkResetOn is checkReset on a board spec.
+func checkResetOn(t testing.TB, board netfpga.BoardSpec, project string, opts netfpga.Options, dirtySeed, seed uint64, reseed bool,
+	dirty func(testing.TB, *netfpga.Device, netfpga.Project, uint64),
+	run func(testing.TB, *netfpga.Device, netfpga.Project, uint64) []byte) {
+	t.Helper()
 	opts.Seed = seed
-	fresh, freshProj, err := builtDevice(t, board, project, opts)
+	fresh, freshProj, err := builtOn(t, board, project, opts)
 	if err != nil {
 		return // this board cannot carry the project (no host for the NIC)
 	}
 	opts.Seed = dirtySeed
-	dev, proj, err := builtDevice(t, board, project, opts)
+	dev, proj, err := builtOn(t, board, project, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,4 +298,82 @@ func checkReset(t testing.TB, board, project string, opts netfpga.Options, dirty
 		t.Error("storage read back differs from a fresh build")
 	}
 	diffStates(t, observe(t, fresh, freshProj), observe(t, dev, proj))
+}
+
+// bigBroadcast is a multi-beat broadcast frame: a switch floods it, so
+// its copies share one buffer (hw.FramePool.ShareClone).
+var bigBroadcast = func() []byte {
+	f := make([]byte, 300)
+	copy(f, stationFrame(pkt.BroadcastMAC, station))
+	return f
+}()
+
+// topUp is a closed-loop driver's cell cut short, as a sweep measure's
+// ends: every tap keeps 64 KiB queued toward the device, as
+// measureGoodput's do, alternating flooded broadcasts and router probes,
+// and the host keeps its transmit ring full, run after run; the last run
+// stops mid-frame, with frames queued at the taps, on the wires, in the
+// design and in the DMA engine.
+func topUp(t testing.TB, dev *netfpga.Device, _ netfpga.Project, _ uint64) {
+	t.Helper()
+	for round := 0; round < 4; round++ {
+		for i := 0; i < dev.Board.Ports; i++ {
+			tap := dev.Tap(i)
+			tap.SetCounting(true)
+			for k := 0; tap.MAC().TxQueue().Bytes() < 1<<16; k++ {
+				f := bigBroadcast
+				if k%2 == 1 {
+					f = routerProbe
+				}
+				if !tap.Send(f) {
+					break
+				}
+			}
+		}
+		if dev.Driver != nil {
+			for dev.Driver.Send(bigBroadcast, 0) == nil {
+			}
+		}
+		dev.RunFor(1501 * netfpga.Nanosecond)
+	}
+	if dev.Tap(0).MAC().TxQueue().Len() == 0 {
+		t.Fatal("the top-up left nothing in flight")
+	}
+}
+
+// TestDeviceResetWithFramesInFlight is TestDeviceResetMatchesFresh for
+// a cell that ends with its traffic still in flight (topUp), whose
+// frames Reset hands back to the pool the next cell draws from: on SUME
+// for every project, and on T3's derived board (Gen3 x8, 100G ports, a
+// 512-bit bus) for the reference NIC, the reset device runs exercise
+// exactly as a fresh build does.
+func TestDeviceResetWithFramesInFlight(t *testing.T) {
+	sume, _ := sweep.Board("sume")
+	fat := sume
+	fat.PCIe = pcie.LinkConfig{Gen: pcie.Gen3, Lanes: 8}
+	fat.PortConfig = func(i int) serial.Config {
+		c := sume.PortConfig(i)
+		c.Lanes = 10
+		return c
+	}
+	fat.BusBytes = 64
+	cases := []struct {
+		name    string
+		board   netfpga.BoardSpec
+		project string
+	}{{"fat-nic/reference_nic", fat, "reference_nic"}}
+	for _, e := range projects.All() {
+		cases = append(cases, struct {
+			name    string
+			board   netfpga.BoardSpec
+			project string
+		}{"sume/" + e.Name, sume, e.Name})
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			for _, reseed := range []bool{false, true} {
+				checkResetOn(t, c.board, c.project, netfpga.Options{PortBER: 1e-5}, 11, 7, reseed, topUp, exercise)
+			}
+		})
+	}
 }

@@ -63,6 +63,12 @@ func builtDevice(t testing.TB, board, project string, opts netfpga.Options) (*ne
 	if !ok {
 		t.Fatalf("unknown board %q", board)
 	}
+	return builtOn(t, b, project, opts)
+}
+
+// builtOn is builtDevice on a board spec.
+func builtOn(t testing.TB, b netfpga.BoardSpec, project string, opts netfpga.Options) (*netfpga.Device, netfpga.Project, error) {
+	t.Helper()
 	entry, ok := projects.ByName(project)
 	if !ok {
 		t.Fatalf("unknown project %q", project)

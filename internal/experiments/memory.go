@@ -34,8 +34,8 @@ var t2Devices = []struct {
 // positions them: QDRII+ for fine-grained random state (flow tables) and
 // DDR3 for bulk sequential buffering. Both devices run sequential and
 // random access patterns at table-entry and packet granularity. Each
-// (device, pattern) cell is one fleet job building its own simulator —
-// no board device is needed, so the cells run NoDevice.
+// (device, pattern) cell is one fleet job on a memory part with its own
+// simulator — no board device is needed, so the cells run NoDevice.
 func defT2() Def {
 	// Axis values derive from the display/parameter tables above so the
 	// spec and the renderer's nested iteration can never drift apart.
@@ -67,19 +67,15 @@ func defT2() Def {
 			return sweep.Outcome{}, fmt.Errorf("unknown pattern %q", cell.Str("pattern"))
 		}
 
-		s := sim.New()
-		var m mem.Memory
-		var peakGbps float64
-		switch cell.Str("dev") {
-		case "qdr":
-			sr := mem.NewSRAM(s, mem.DefaultSUMESRAM("qdr"))
-			m, peakGbps = sr, sr.PeakBandwidthGbps()
-		case "ddr3":
-			dr := mem.NewDRAM(s, mem.DefaultSUMEDRAM("ddr"))
-			m, peakGbps = dr, dr.PeakBandwidthGbps()
-		default:
-			return sweep.Outcome{}, fmt.Errorf("unknown memory device %q", cell.Str("dev"))
+		dev := cell.Str("dev")
+		part, _ := c.Spare().(*t2Part)
+		if part == nil || part.dev != dev {
+			var err error
+			if part, err = newT2Part(dev); err != nil {
+				return sweep.Outcome{}, err
+			}
 		}
+		s, m := part.sim, part.mem
 		// Fixed seed (not the per-cell seed): the access pattern is part
 		// of the experiment definition, and must not drift with batch
 		// composition.
@@ -97,9 +93,13 @@ func defT2() Def {
 			m.Read(addr, size, done)
 		}
 		s.Drain(0)
+		if s.Reset() { // back to the sealed part, for a later cell
+			part.reset()
+			c.Keep(part)
+		}
 		var o sweep.Outcome
 		o.Set("achieved_gbs", float64(total)/last.Seconds()/1e9)
-		o.Set("peak_gbs", peakGbps/8)
+		o.Set("peak_gbs", part.peakGbps/8)
 		return o, nil
 	}
 	return Def{
@@ -114,6 +114,34 @@ func defT2() Def {
 				"DDR3 for bulk sequential buffering", "DDR3 random access must cost over 2x sequential"),
 		},
 	}
+}
+
+// t2Part is one T2 memory part of kind dev on a simulator of its own,
+// sealed as built.
+type t2Part struct {
+	dev      string
+	sim      *sim.Sim
+	mem      mem.Memory
+	reset    func()
+	peakGbps float64
+}
+
+// newT2Part builds a part of kind dev on a simulator of its own and
+// seals it.
+func newT2Part(dev string) (*t2Part, error) {
+	p := &t2Part{dev: dev, sim: sim.New()}
+	switch dev {
+	case "qdr":
+		sr := mem.NewSRAM(p.sim, mem.DefaultSUMESRAM("qdr"))
+		p.mem, p.reset, p.peakGbps = sr, sr.Reset, sr.PeakBandwidthGbps()
+	case "ddr3":
+		dr := mem.NewDRAM(p.sim, mem.DefaultSUMEDRAM("ddr"))
+		p.mem, p.reset, p.peakGbps = dr, dr.Reset, dr.PeakBandwidthGbps()
+	default:
+		return nil, fmt.Errorf("unknown memory device %q", dev)
+	}
+	p.sim.Seal()
+	return p, nil
 }
 
 func renderT2(rs *sweep.Results) []*Table {

@@ -264,6 +264,13 @@ func (e *Engine) onRxDone(f *hw.Frame) {
 	}
 }
 
+// recycle hands back the frame a transfer in flight carries, if any.
+func (e *Engine) recycle(a arrival) {
+	if a.f != nil {
+		e.cfg.Pool.Put(a.f)
+	}
+}
+
 // TxSpace returns the number of free TX ring slots.
 func (e *Engine) TxSpace() int { return e.cfg.TxRing - e.txInFlight }
 
@@ -281,13 +288,20 @@ func (e *Engine) kickRx() {
 
 // Reset returns the engine to the state NewEngine left it in: both rings
 // and the link idle, no host buffers posted (the driver posts them, see
-// host.Driver.Reset), counters zero. Transfers in flight are dropped with
-// the link's completion lanes (sim.Sim.Reset).
+// host.Driver.Reset), counters zero. Every frame it holds goes back to
+// its pool: those queued on either side and those in a DMA transfer.
+// The link's completion lanes still hold the transfers, so Reset runs
+// before sim.Sim.Reset empties them.
 func (e *Engine) Reset() {
+	for _, l := range e.link.done {
+		if l != nil {
+			l.Each(e.recycle)
+		}
+	}
 	e.link.busy = [2]sim.Time{}
 	e.link.transfers, e.link.bytes = [2]uint64{}, [2]uint64{}
-	e.toDevice.Reset()
-	e.fromDevice.Reset()
+	e.toDevice.Reset(e.cfg.Pool)
+	e.fromDevice.Reset(e.cfg.Pool)
 	e.txInFlight, e.rxFree = 0, 0
 	e.interrupts, e.txFrames, e.rxFrames, e.rxDeferred = 0, 0, 0, 0
 }

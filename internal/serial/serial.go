@@ -236,7 +236,11 @@ func (r *wireRing) pop() wireEntry {
 	return e
 }
 
-func (r *wireRing) reset() {
+// reset empties the ring, handing its frames back to p.
+func (r *wireRing) reset(p *hw.FramePool) {
+	for i := int32(0); i < r.n; i++ {
+		p.Put(r.at(i).f)
+	}
 	clear(r.buf)
 	r.head, r.n = 0, 0
 }
@@ -267,14 +271,16 @@ func Connect(a, b *MAC, prop sim.Time) error {
 
 // Reset returns the MAC to the state NewMAC left it in, unplugged and
 // with its error injection reseeded with seed: nothing queued or on the
-// wire (those frames are dropped), counters zero. The receiver and
-// observer stay installed. The simulator disarms the receive timer
-// (sim.Sim.Reset).
-func (m *MAC) Reset(seed uint64) {
+// wire, counters zero. The frames it held — queued in its FIFO, or on
+// the wire toward its peer, arrived there or not, until the peer's
+// receiver takes them — go back to p, the pool they were drawn from. The
+// receiver and observer stay installed. The simulator disarms the
+// receive timer (sim.Sim.Reset).
+func (m *MAC) Reset(seed uint64, p *hw.FramePool) {
 	m.rng.Seed(seed ^ 0x5eeded)
 	m.peer, m.prop, m.linkUp = nil, 0, false
-	m.txq.Reset()
-	m.tx.sent.reset()
+	m.txq.Reset(p)
+	m.tx.sent.reset(p)
 	m.tx.free, m.tx.ended, m.tx.arrived = 0, 0, 0
 	m.due = sim.Forever
 	m.txFrames, m.rxFrames, m.txBytes, m.rxBytes = 0, 0, 0, 0

@@ -341,3 +341,27 @@ func TestLaneStaysBounded(t *testing.T) {
 		t.Fatalf("fired %d of %d, %d still pending", fired, i, s.Pending())
 	}
 }
+
+// TestLaneEachVisitsPending: Each visits exactly the completions that
+// have not fired, in order, across block boundaries.
+func TestLaneEachVisitsPending(t *testing.T) {
+	s := New()
+	l := NewLane(s, func(int) {})
+	const posted, fired = 3*laneBlockLen + 5, laneBlockLen + 7
+	for i := 0; i < posted; i++ {
+		l.Post(Time(i), i)
+	}
+	for i := 0; i < fired; i++ {
+		s.Step()
+	}
+	want := fired
+	l.Each(func(v int) {
+		if v != want {
+			t.Fatalf("Each visited %d, want %d", v, want)
+		}
+		want++
+	})
+	if want != posted {
+		t.Fatalf("Each stopped at %d of %d", want, posted)
+	}
+}

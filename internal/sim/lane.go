@@ -101,6 +101,20 @@ func (l *Lane[T]) Post(at Time, v T) {
 // Len returns the number of posted completions that have not fired.
 func (l *Lane[T]) Len() int { return l.n }
 
+// Each calls fn with the value of every posted completion that has not
+// fired, in completion order, so an owner can reclaim what they hold
+// before Sim.Reset empties the lane.
+func (l *Lane[T]) Each(fn func(T)) {
+	b, i := l.head, l.hi
+	for k := 0; k < l.n; k++ {
+		if i == laneBlockLen {
+			b, i = b.next, 0
+		}
+		fn(b.e[i].v)
+		i++
+	}
+}
+
 // complete fires the head. The next completion takes over the heap slot
 // first, so the callback sees it through Peek and Pending exactly as it
 // would see a separately scheduled event.

@@ -188,14 +188,12 @@ var ErrBadImage = errors.New("storage: bad or missing image")
 
 // WriteImage stores payload as a boot image at lba.
 func WriteImage(dev *BlockDev, lba uint64, payload []byte, cb func(error)) {
-	hdr := make([]byte, 12)
-	binary.BigEndian.PutUint32(hdr[0:4], imageMagic)
-	binary.BigEndian.PutUint32(hdr[4:8], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[8:12], crc32.ChecksumIEEE(payload))
-	img := append(hdr, payload...)
 	bs := dev.cfg.BlockSize
-	pad := (bs - len(img)%bs) % bs
-	img = append(img, make([]byte, pad)...)
+	img := make([]byte, (12+len(payload)+bs-1)/bs*bs) // zero-padded to whole blocks
+	binary.BigEndian.PutUint32(img[0:4], imageMagic)
+	binary.BigEndian.PutUint32(img[4:8], uint32(len(payload)))
+	binary.BigEndian.PutUint32(img[8:12], crc32.ChecksumIEEE(payload))
+	copy(img[12:], payload)
 	dev.Write(lba, img, cb)
 }
 

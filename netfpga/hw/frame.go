@@ -15,6 +15,7 @@ package hw
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -118,6 +119,10 @@ type Frame struct {
 	// with shared Data are frozen: nothing downstream of the sharing
 	// point may write Data.
 	ref *frameShare
+	// free is set while the frame is the pool's: from Put until Get or
+	// ShareClone hands it out again. It sits in the struct's tail
+	// padding, which keeps a Frame in the 80-byte size class.
+	free bool
 }
 
 // frameShare is the reference count behind a shared Data buffer. It is
@@ -161,7 +166,8 @@ func (f *Frame) Clone() *Frame {
 // Ownership contract: Put hands the pool exclusive ownership of the frame
 // AND its Data array — nothing else may retain either. Consumers that
 // expose received bytes to callers (for example core.PortTap) copy the
-// payload out before recycling the frame.
+// payload out before recycling the frame. A frame goes back once: Put
+// panics on a frame that is already free.
 type FramePool struct {
 	free []*Frame
 	// shells are recycled Frame structs without a Data buffer: a frame
@@ -189,6 +195,7 @@ func (p *FramePool) Get(n int) *Frame {
 	f := p.free[len(p.free)-1]
 	p.free[len(p.free)-1] = nil
 	p.free = p.free[:len(p.free)-1]
+	f.free = false
 	if cap(f.Data) < n {
 		f.Data = make([]byte, n)
 	} else {
@@ -201,11 +208,17 @@ func (p *FramePool) Get(n int) *Frame {
 // Data must not be used after Put. A frame whose Data is shared
 // (ShareClone) surrenders the buffer unless it is the last sharer:
 // earlier sharers recycle as data-less shells, the final one carries
-// the buffer back to the free list.
+// the buffer back to the free list. Putting a frame that is already
+// free panics: a second owner would otherwise share its buffer with
+// whoever Get hands it to next.
 func (p *FramePool) Put(f *Frame) {
 	if f == nil {
 		return
 	}
+	if f.free {
+		panic(fmt.Sprintf("hw: FramePool.Put of a frame that is already free (len %d, flags %#x)", len(f.Data), f.Meta.Flags))
+	}
+	f.free = true
 	if r := f.ref; r != nil {
 		f.ref = nil
 		r.n--
@@ -228,6 +241,44 @@ func (p *FramePool) Put(f *Frame) {
 	}
 	f.Meta = Meta{}
 	p.free = append(p.free, f)
+}
+
+// Move moves up to n of from's free frames, the most recently freed
+// first, into p, and returns how many it moved. Devices that run one
+// after another hand their free frames on this way instead of each
+// keeping its own; Trim bounds what p then keeps.
+func (p *FramePool) Move(from *FramePool, n int) int {
+	if n = min(n, len(from.free)); n <= 0 {
+		return 0
+	}
+	k := len(from.free) - n
+	p.free = append(p.free, from.free[k:]...)
+	clear(from.free[k:])
+	from.free = from.free[:k]
+	return n
+}
+
+// Trim lets go of free frames, those with the largest buffers first,
+// until those it keeps are within the pool's bound and their buffers
+// total at most maxBytes of capacity: a few jumbo buffers would
+// otherwise crowd out the many small frames most traffic draws.
+func (p *FramePool) Trim(maxBytes int) {
+	n := 0
+	for _, f := range p.free {
+		n += cap(f.Data)
+	}
+	if n <= maxBytes && len(p.free) <= maxPoolFrames {
+		return
+	}
+	slices.SortFunc(p.free, func(a, b *Frame) int { return cap(a.Data) - cap(b.Data) })
+	n = 0
+	for i, f := range p.free {
+		if n += cap(f.Data); n > maxBytes || i == maxPoolFrames {
+			clear(p.free[i:])
+			p.free = p.free[:i]
+			return
+		}
+	}
 }
 
 // Clone is Frame.Clone drawing storage from the pool.
@@ -272,6 +323,7 @@ func (p *FramePool) ShareClone(f *Frame) *Frame {
 	g.Data = f.Data
 	g.Meta = f.Meta
 	g.ref = r
+	g.free = false
 	return g
 }
 

@@ -79,7 +79,10 @@ type TimingConstrained interface {
 // can run cell after cell exactly as a fresh build would. Streams and
 // frame queues the design owns are reset by the design, and plain
 // registers (RegisterFile.AddVar) by the device's AddressMap; a module
-// resets the rest of its own fields. A design with a module that does
+// resets the rest of its own fields. The frames a module holds whole —
+// an emitter's (Emitter.Drop), a collected frame waiting for space — go
+// back to the design's pool; a frame whose Last beat still sits in a
+// stream is that stream's. A design with a module that does
 // not implement Resetter is not reused (Design.Reset reports false).
 // Projects implement it too, for their state outside the design: tables,
 // counters, agents' bookkeeping.
@@ -592,13 +595,17 @@ func (d *Design) Seal() {
 
 // Reset returns the design to the state Seal recorded: every stream and
 // queue empty with its statistics zeroed, every module reset (Resetter)
-// and runnable, tick counts and window statistics zero. The frame pool
-// keeps its free frames — which buffer a frame lands in is observable by
-// nothing — and frames still in flight are dropped, not recycled. The
-// window attempt counter is not rewound: a stream's last declaration
-// must stay stale for the next attempt. Reset reports false, changing
-// nothing, when a module does not implement Resetter or the design has
-// grown since Seal. The clock is the simulator's to restore.
+// and runnable, tick counts and window statistics zero. Every frame
+// still in flight goes back to the design's pool, once: a module hands
+// back what it holds whole (its emitters, collected frames), a stream
+// the frames whose Last beat it queues, a queue its frames. The pool
+// keeps them with its free frames — which buffer a frame lands in is
+// observable by nothing — so the next cell draws the frames this one
+// left in flight instead of allocating them. The window attempt counter
+// is not rewound: a stream's last declaration must stay stale for the
+// next attempt. Reset reports false, changing nothing, when a module
+// does not implement Resetter or the design has grown since Seal. The
+// clock is the simulator's to restore.
 func (d *Design) Reset() bool {
 	if int(d.sealed.modules) != len(d.modules) || int(d.sealed.streams) != len(d.streams) || int(d.sealed.queues) != len(d.queues) {
 		return false
@@ -614,10 +621,10 @@ func (d *Design) Reset() bool {
 		d.tickCounts[i] = 0
 	}
 	for _, s := range d.streams {
-		s.reset()
+		s.reset(&d.pool)
 	}
 	for _, q := range d.queues {
-		q.Reset()
+		q.Reset(&d.pool)
 	}
 	d.edge, d.stuck = false, false
 	d.windows, d.absorbed = 0, 0

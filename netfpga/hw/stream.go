@@ -148,7 +148,15 @@ func (s *Stream) OnPush(fn func()) { s.wake = fn }
 func (s *Stream) consumedBy(d *Design, i int32) { s.dsn, s.to = d, i }
 
 // reset empties the stream and zeroes its statistics (Design.Reset).
-func (s *Stream) reset() {
+// Each queued Last beat's frame goes back to p: a frame is in flight
+// where its Last beat is, and its earlier beats, here or downstream,
+// go with it.
+func (s *Stream) reset(p *FramePool) {
+	for i := 0; i < s.n; i++ {
+		if b := s.buf[(s.head+i)&s.mask]; b.Last {
+			p.Put(b.Frame)
+		}
+	}
 	clear(s.buf)
 	s.head, s.n, s.ends = 0, 0, 0
 	s.pushed, s.highWtr = 0, 0
@@ -194,6 +202,16 @@ func (e *Emitter) Active() bool { return e.frame != nil }
 
 // Start begins emitting f from its first byte.
 func (e *Emitter) Start(f *Frame) { e.frame, e.off = f, 0 }
+
+// Drop abandons the frame in progress, if any, handing it back to p:
+// its Last beat has not been pushed, so nothing downstream owns it. A
+// module's Reset drops its emitters.
+func (e *Emitter) Drop(p *FramePool) {
+	if e.frame != nil {
+		p.Put(e.frame)
+	}
+	*e = Emitter{}
+}
 
 // Emit pushes the next beat into out if a frame is in progress and out
 // has space; done reports that the beat was the frame's last.
@@ -355,9 +373,13 @@ func (q *FrameQueue) consumedBy(d *Design, i int32) { q.dsn, q.to = d, i }
 // (Design.Consume).
 func (q *FrameQueue) Consumed() bool { return q.dsn != nil }
 
-// Reset empties the queue, dropping the frames it held, and zeroes its
-// statistics. The ring keeps the size it grew to.
-func (q *FrameQueue) Reset() {
+// Reset empties the queue, handing the frames it held back to p (a nil
+// p drops them), and zeroes its statistics. The ring keeps the size it
+// grew to.
+func (q *FrameQueue) Reset(p *FramePool) {
+	for i := 0; i < q.n; i++ {
+		p.Put(q.frames[(q.head+i)&q.mask])
+	}
 	clear(q.frames)
 	q.head, q.n, q.bytes = 0, 0, 0
 	q.drops, q.highWtr = 0, 0

@@ -96,9 +96,14 @@ func (a *DMAAttach) Tick() bool {
 	return busy || a.emit.Active() || a.eng.ToDevice().Len() > 0 || a.fromPipe.CanPop()
 }
 
-// Reset implements hw.Resetter. The engine is the device's.
+// Reset implements hw.Resetter: the frame being streamed in and the one
+// waiting for engine space go back to the design's pool. The engine is
+// the device's.
 func (a *DMAAttach) Reset() {
-	a.emit, a.txHold = hw.Emitter{}, nil
+	pool := a.d.Pool()
+	a.emit.Drop(pool)
+	pool.Put(a.txHold)
+	a.txHold = nil
 	a.h2dPkts, a.d2hPkts = 0, 0
 }
 

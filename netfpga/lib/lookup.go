@@ -186,13 +186,20 @@ func (l *OutputPortLookup) Tick() bool {
 }
 
 // Reset implements hw.Resetter: an empty lookup pipeline at the default
-// depth.
+// depth, the frames it held back in the design's pool.
 func (l *OutputPortLookup) Reset() {
+	pool := l.d.Pool()
+	for _, p := range l.pending {
+		pool.Put(p.f)
+	}
+	for _, f := range l.ready {
+		pool.Put(f)
+	}
 	clear(l.pending[:cap(l.pending)])
 	l.pending = l.pending[:0]
 	clear(l.ready[:cap(l.ready)])
 	l.ready = l.ready[:0]
-	l.emit = hw.Emitter{}
+	l.emit.Drop(pool)
 	l.depth = defaultLookupPipelineDepth
 	l.lookups, l.drops, l.punts = 0, 0, 0
 }

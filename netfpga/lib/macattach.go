@@ -165,10 +165,14 @@ func (m *MACAttach) Tick() bool {
 	return busy || m.rxEmit.Active() || m.rxq.Len() > 0 || m.txIn.CanPop()
 }
 
-// Reset implements hw.Resetter. The receive FIFO is the design's; the
-// MAC is the device's.
+// Reset implements hw.Resetter: the frame being streamed in and the one
+// waiting for MAC space go back to the design's pool. The receive FIFO
+// is the design's; the MAC is the device's.
 func (m *MACAttach) Reset() {
-	m.rxEmit, m.txHold = hw.Emitter{}, nil
+	pool := m.d.Pool()
+	m.rxEmit.Drop(pool)
+	pool.Put(m.txHold)
+	m.txHold = nil
 	m.badFCS, m.rxPkts, m.txPkts, m.rxBytes, m.txBytes = 0, 0, 0, 0, 0
 }
 

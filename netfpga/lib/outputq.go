@@ -231,12 +231,13 @@ func (o *OutputQueues) route(f *hw.Frame) {
 	}
 }
 
-// Reset implements hw.Resetter. The per-port queues are the design's.
+// Reset implements hw.Resetter: each port's streaming frame goes back
+// to the design's pool. The per-port queues are the design's.
 func (o *OutputQueues) Reset() {
 	o.inPkts = 0
 	for i := range o.ports {
 		p := &o.ports[i]
-		*p.emit = hw.Emitter{}
+		p.emit.Drop(o.d.Pool())
 		p.pkts = 0
 		p.rels = p.rels[:0]
 	}

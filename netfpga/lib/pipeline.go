@@ -54,8 +54,9 @@ func (s *QueueSource) Tick() bool {
 	return pushed || s.emit.Active() || s.q.Len() > 0
 }
 
-// Reset implements hw.Resetter. The source queue is the design's.
-func (s *QueueSource) Reset() { s.emit, s.pkts = hw.Emitter{}, 0 }
+// Reset implements hw.Resetter: the frame being streamed goes back to
+// the design's pool. The source queue is the design's.
+func (s *QueueSource) Reset() { s.emit.Drop(s.d.Pool()); s.pkts = 0 }
 
 // Counters implements hw.CounterSource.
 func (s *QueueSource) Counters() *hw.Counters { return &s.ctrs }

@@ -138,8 +138,14 @@ func ExtractPayloadTimestamp(data []byte, offset uint32) (hw.Time, bool) {
 	return hw.Time(binary.BigEndian.Uint64(data[offset:])), true
 }
 
-// Reset implements hw.Resetter.
-func (t *Timestamper) Reset() { t.hold, t.emit, t.pkts = nil, hw.Emitter{}, 0 }
+// Reset implements hw.Resetter: the held and the streaming frame go
+// back to the design's pool.
+func (t *Timestamper) Reset() {
+	pool := t.d.Pool()
+	pool.Put(t.hold)
+	t.emit.Drop(pool)
+	t.hold, t.pkts = nil, 0
+}
 
 // Counters implements hw.CounterSource.
 func (t *Timestamper) Counters() *hw.Counters { return &t.ctrs }

@@ -339,9 +339,9 @@ func (g *generator) Tick() bool {
 	if len(g.spec.Trace) > 0 {
 		src = g.spec.Trace[int(g.sent)%len(g.spec.Trace)].Data
 	}
-	data := make([]byte, len(src))
-	copy(data, src)
-	f := hw.NewFrame(data, 0)
+	f := g.d.Pool().Get(len(src))
+	copy(f.Data, src)
+	f.Meta.Len = uint16(len(src))
 	if !g.spec.Stamp {
 		f.Meta.Flags &^= hw.FlagTimestamped
 	}
@@ -376,7 +376,8 @@ func (g *generator) Rates(w *hw.Window) {
 func (g *generator) Reset() {
 	g.spec, g.running, g.armed = TrafficSpec{}, false, false
 	g.rng.Seed(g.seed)
-	g.nextAt, g.gapIdx, g.sent, g.emit = 0, 0, 0, hw.Emitter{}
+	g.nextAt, g.gapIdx, g.sent = 0, 0, 0
+	g.emit.Drop(g.d.Pool())
 }
 
 // Counters implements hw.CounterSource.

@@ -152,3 +152,65 @@ func TestTrieScale(t *testing.T) {
 		}
 	}
 }
+
+// TestTrieClearKeepsNodes: a FIB cleared and reloaded to the same routes
+// allocates nothing and answers as the first load did; a removal frees
+// nodes that the next insert takes back.
+func TestTrieClearKeepsNodes(t *testing.T) {
+	fib := NewTrie()
+	load := func() {
+		fib.Clear()
+		for i := 0; i < 4096; i++ {
+			fib.Insert(Route{Prefix: pkt.Prefix{Addr: pkt.IP4{172, 16, byte(i >> 8), byte(i)}, Bits: 32}, Port: uint8(i % 4)})
+		}
+	}
+	load()
+	if allocs := testing.AllocsPerRun(5, load); allocs != 0 {
+		t.Fatalf("a reload allocates %.0f times", allocs)
+	}
+	if r, ok := fib.Lookup(pkt.IP4{172, 16, 7, 9}); !ok || r.Port != uint8((7<<8|9)%4) || fib.Len() != 4096 {
+		t.Fatalf("after a reload: %v %v, %d routes", r, ok, fib.Len())
+	}
+	used := fib.used
+	p := pkt.Prefix{Addr: pkt.IP4{172, 16, 15, 255}, Bits: 32}
+	fib.Remove(p)
+	fib.Insert(Route{Prefix: p})
+	if fib.used != used {
+		t.Fatalf("remove and insert grew the trie from %d to %d nodes", used, fib.used)
+	}
+}
+
+// TestTrieOrderedLoadMatchesLinear: a FIB loaded in address order, as
+// T5 loads one, with removals and re-inserts between the loads, answers
+// as the linear reference does (inserts resume from the last one's
+// path; a removal must make the next insert walk from the root).
+func TestTrieOrderedLoadMatchesLinear(t *testing.T) {
+	trie, ref := NewTrie(), &LinearFIB{}
+	add := func(r Route) { trie.Insert(r); ref.Insert(r) }
+	for i := 0; i < 2048; i++ {
+		add(Route{Prefix: pkt.Prefix{Addr: pkt.IP4{172, 16, byte(i >> 8), byte(i)}, Bits: 32}, Port: uint8(i % 4)})
+		if i%7 == 6 {
+			p := pkt.Prefix{Addr: pkt.IP4{172, 16, byte((i - 3) >> 8), byte(i - 3)}, Bits: 32}
+			if trie.Remove(p) != ref.Remove(p) {
+				t.Fatalf("remove %v disagrees", p)
+			}
+		}
+		if i%11 == 10 { // the route just inserted: its path is pruned
+			p := pkt.Prefix{Addr: pkt.IP4{172, 16, byte(i >> 8), byte(i)}, Bits: 32}
+			if trie.Remove(p) != ref.Remove(p) {
+				t.Fatalf("remove %v disagrees", p)
+			}
+		}
+		if i%64 == 0 {
+			add(Route{Prefix: pkt.Prefix{Addr: pkt.IP4{172, 16, byte(i >> 8), 0}, Bits: 24}, Port: 3})
+		}
+	}
+	for i := 0; i < 2048+256; i++ {
+		ip := pkt.IP4{172, 16, byte(i >> 8), byte(i)}
+		tr, tok := trie.Lookup(ip)
+		lr, lok := ref.Lookup(ip)
+		if tok != lok || tr != lr {
+			t.Fatalf("lookup %v: trie %v %v, reference %v %v", ip, tr, tok, lr, lok)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/pcie"
 	"repro/netfpga"
 	"repro/netfpga/workload"
 )
@@ -111,20 +112,21 @@ func TestDeviceCacheConcurrent(t *testing.T) {
 	}
 }
 
-// TestDeviceCacheBounded: releasing more devices than maxIdleDevices
-// keeps the most recent ones, and a failed cell's device is not kept.
+// TestDeviceCacheBounded: releasing more devices than the bound — one
+// worker's idleKeysPerWorker — keeps the most recent ones, and a failed
+// cell's device is not kept.
 func TestDeviceCacheBounded(t *testing.T) {
 	entry, _ := ProjectEntry("reference_iotest")
 	var c devices
-	for i := 0; i <= maxIdleDevices; i++ {
+	for i := 0; i <= idleKeysPerWorker; i++ {
 		_, release, err := c.acquire(netfpga.SUME(), "sume", entry, netfpga.Options{Seed: 1, ClockMHz: float64(100 + i)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		release(true)
 	}
-	if len(c.idle) != maxIdleDevices {
-		t.Fatalf("%d idle devices, bound %d", len(c.idle), maxIdleDevices)
+	if len(c.idle) != idleKeysPerWorker {
+		t.Fatalf("%d idle devices, bound %d", len(c.idle), idleKeysPerWorker)
 	}
 	if c.idle[0].key.opts.ClockMHz != 101 {
 		t.Errorf("the least recently released device was not the one evicted")
@@ -134,11 +136,84 @@ func TestDeviceCacheBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dev != want || len(c.idle) != maxIdleDevices-1 {
+	if dev != want || len(c.idle) != idleKeysPerWorker-1 {
 		t.Errorf("acquire did not take the matching idle device")
 	}
 	release(false)
-	if len(c.idle) != maxIdleDevices-1 {
+	if len(c.idle) != idleKeysPerWorker-1 {
 		t.Errorf("a failed cell's device went back to the cache")
+	}
+}
+
+// TestBoardForCellsReuseDevices: cells whose board a spec derives
+// (BoardFor) are keyed by the board's fingerprint, so one worker builds
+// one device per derived board and a second pass builds none, and two
+// workers build at most one more each. Boards that differ in their PCIe
+// link never share a device.
+func TestBoardForCellsReuseDevices(t *testing.T) {
+	var mu sync.Mutex
+	devs := map[*netfpga.Device]string{}
+	spec := Spec{
+		Name:     "derived",
+		Projects: []string{"reference_nic"},
+		Params:   []Axis{{Name: "gen", Values: []string{"2", "3"}}, {Name: "n", Values: []string{"1", "2", "3", "4"}}},
+		BoardFor: func(cell Cell) (netfpga.BoardSpec, error) {
+			b := netfpga.SUME()
+			b.PCIe.Gen = pcie.Gen(cell.Int("gen"))
+			return b, nil
+		},
+	}
+	record := func(c *Ctx, cell Cell) (Outcome, error) {
+		mu.Lock()
+		if g, ok := devs[c.Dev]; ok && g != cell.Str("gen") {
+			t.Errorf("a gen%s device ran a gen%s cell", g, cell.Str("gen"))
+		}
+		devs[c.Dev] = cell.Str("gen")
+		mu.Unlock()
+		c.Dev.RunFor(netfpga.Microsecond)
+		return Outcome{}, nil
+	}
+	plan, err := PlanGroups([]Group{{Spec: spec, Measure: record}}, "", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pass := func(workers int) int {
+		ch, rs, _ := plan.Execute(context.Background(), &Runner{Workers: workers})
+		for range ch {
+		}
+		if f := rs.Failed(); len(f) != 0 {
+			t.Fatalf("cell %s: %s", f[0].Cell.Key, f[0].Err)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		return len(devs)
+	}
+	if n := pass(1); n != 2 {
+		t.Fatalf("one worker built %d devices for 2 boards", n)
+	}
+	if n := pass(1); n != 2 {
+		t.Fatalf("a second pass built %d more devices", n-2)
+	}
+	if n := pass(2); n > 4 {
+		t.Fatalf("two workers built %d devices for 2 boards", n)
+	}
+}
+
+// TestSpareKeepsTheLastKept: a plan keeps one spare, the last kept, and
+// hands it over once.
+func TestSpareKeepsTheLastKept(t *testing.T) {
+	plan, err := PlanGroups([]Group{{Spec: Spec{Name: "s", NoDevice: true}, Measure: GenericMeasure}}, "", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &Ctx{devs: plan.devs}
+	a, b := new(int), new(int)
+	c.Keep(a)
+	c.Keep(b)
+	if v := c.Spare(); v != b {
+		t.Fatalf("Spare returned %v, want the last kept", v)
+	}
+	if v := c.Spare(); v != nil {
+		t.Fatalf("Spare returned %v twice", v)
 	}
 }

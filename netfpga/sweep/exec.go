@@ -28,6 +28,31 @@ type Ctx struct {
 	Rand *sim.Rand
 
 	done <-chan struct{}
+	devs *devices
+}
+
+// Spare hands over what the last cell to call Keep kept, nil if none,
+// and the plan keeps nothing until the next Keep: a measure that cannot
+// use what it gets drops it. It is how a measure reuses a large
+// structure it builds outside the device — a memory part with its
+// simulator, a FIB — cell after cell, as the plan reuses devices, while
+// what the plan holds between cells stays bounded by one such
+// structure, and by none once a cell that asks for another kind has run.
+func (c *Ctx) Spare() any {
+	c.devs.mu.Lock()
+	defer c.devs.mu.Unlock()
+	v := c.devs.spare
+	c.devs.spare = nil
+	return v
+}
+
+// Keep hands v, which the cell no longer uses, to the plan for a later
+// cell's Spare. v must hold nothing of the cell that a later one could
+// observe: reset it before keeping it, or when taking it back.
+func (c *Ctx) Keep(v any) {
+	c.devs.mu.Lock()
+	defer c.devs.mu.Unlock()
+	c.devs.spare = v
 }
 
 // ErrCanceled is returned (wrapped) for cells abandoned after the batch
@@ -107,6 +132,7 @@ func (p *Plan) Execute(ctx context.Context, r *Runner) (<-chan CellResult, *Resu
 // worker feeds the cells its coordinator assigns.
 func (p *Plan) Pool(ctx context.Context, width int, next func() (int, bool), emit func(CellResult)) *Utilization {
 	u := &Utilization{Workers: width, Busy: make([]time.Duration, width)}
+	p.devs.widen(width)
 	type tally struct {
 		jobs, longest int
 		took          time.Duration
@@ -215,7 +241,7 @@ func (p *Plan) measure(ctx context.Context, cr *CellResult, hook func(*netfpga.D
 			release(err == nil && ctx.Err() == nil)
 		}
 	}()
-	c := &Ctx{Seed: cr.Seed, Rand: sim.NewRand(cr.Seed), done: ctx.Done()}
+	c := &Ctx{Seed: cr.Seed, Rand: sim.NewRand(cr.Seed), done: ctx.Done(), devs: p.devs}
 	if !cell.Spec.NoDevice {
 		opts := netfpga.Options{Seed: cr.Seed, PortBER: cell.BER, NoHost: cell.Spec.NoHost, Fidelity: cell.Fidelity}
 		if c.Dev, release, err = p.device(cell, opts, hook); err != nil {
@@ -231,10 +257,12 @@ func (p *Plan) measure(ctx context.Context, cr *CellResult, hook func(*netfpga.D
 }
 
 // device returns the device a cell runs on and the release that hands
-// it back to the plan's cache (nil for a device used once). A cell whose
-// board and project both come from the registries — no BoardFor, NoBuild
-// or hook — takes one from the cache; any other gets a fresh one, hook
-// run before the project's Build.
+// it back to the plan's cache (nil for a hooked device). A cell without
+// a hook gets its device from the cache (devices.acquire), keyed by its
+// registry board or by the fingerprint of the board its BoardFor
+// derives: a reset one when its project comes from the registry (no
+// NoBuild), else one built for the cell. A hooked cell gets a fresh
+// one, hook run before the project's Build.
 func (p *Plan) device(cell Cell, opts netfpga.Options, hook func(*netfpga.Device)) (*netfpga.Device, func(bool), error) {
 	var spec netfpga.BoardSpec
 	board := ""
@@ -258,9 +286,9 @@ func (p *Plan) device(cell Cell, opts netfpga.Options, hook func(*netfpga.Device
 		if entry, ok = ProjectEntry(cell.Project); !ok {
 			return nil, nil, fmt.Errorf("unknown project %q", cell.Project)
 		}
-		if board != "" && hook == nil {
-			return p.devs.acquire(spec, board, entry, opts)
-		}
+	}
+	if hook == nil {
+		return p.devs.acquire(spec, board, entry, opts)
 	}
 	dev := netfpga.NewDevice(spec, opts)
 	if hook != nil {

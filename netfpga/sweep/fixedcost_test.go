@@ -26,10 +26,10 @@ var fixedCostCeilings = []struct {
 	resetAllocs   float64
 	resetBytes    float64
 }{
-	{"reference_switch", 274, 33448, 0, 0},
-	{"reference_nic", 305, 37072, 0, 0},
-	{"blueswitch", 288, 33440, 0, 0},
-	{"reference_iotest", 301, 36552, 0, 0},
+	{"reference_switch", 259, 32944, 0, 0},
+	{"reference_nic", 289, 36472, 0, 0},
+	{"blueswitch", 278, 33240, 0, 0},
+	{"reference_iotest", 284, 35952, 0, 0},
 }
 
 // generatorCeiling bounds two cells' workload generators and their first
@@ -197,7 +197,7 @@ func resetCost(t *testing.T, entry projects.Entry) (allocs, bytes float64) {
 // measure's call and the sealed result's digest; before a cell was a
 // call, the one-job pool it ran in made this cell 18 allocations and
 // 1168 bytes.
-var runCellCeiling = struct{ allocs, bytes float64 }{6, 248}
+var runCellCeiling = struct{ allocs, bytes float64 }{6, 264}
 
 func TestRunCellFixedCostBudget(t *testing.T) {
 	if raceEnabled || testing.CoverMode() != "" {
