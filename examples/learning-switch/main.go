@@ -79,7 +79,7 @@ func main() {
 	floods, _ := dev.Driver.ReadCounter64("switch", "floods")
 	entries, _ := dev.Driver.RegReadName("switch", "cam_entries")
 	fmt.Printf("floods=%d cam_entries=%d\n", floods, entries)
-	for k, v := range proj.CAMTable().Counters().Map() {
-		fmt.Printf("cam.%s = %d\n", k, v)
+	for _, c := range proj.CAMTable().Counters().List() {
+		fmt.Printf("cam.%s = %d\n", c.Name, c.Value())
 	}
 }

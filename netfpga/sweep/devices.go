@@ -143,17 +143,13 @@ func (c *devices) drawer(rand *sim.Rand, gen *workload.Generator, ports int, hyb
 		d = new(drawer)
 	}
 	d.rand, d.gen, d.ports, d.hybrid = rand, gen, ports, hybrid
-	if hybrid {
-		d.bgF, d.bgB = slices.Grow(d.bgF[:0], ports)[:ports], slices.Grow(d.bgB[:0], ports)[:ports]
-		clear(d.bgF)
-		clear(d.bgB)
-	}
 	return d
 }
 
 // releaseDrawer keeps d for a later cell, up to maxIdleParts idle
 // drawers. An idle drawer keeps its chunks' buffers: at most aheadChunks
-// x (aheadArena + one interval's frames) of arena each.
+// x (aheadArena + one interval's frames) of copies, and aheadChunk
+// intervals of background aggregates (5 bytes per port) each.
 func (c *devices) releaseDrawer(d *drawer) {
 	if c == nil {
 		return

@@ -29,9 +29,10 @@ import (
 // aggregates and runs the device 10 µs. No draw reads simulation
 // state: the window fixes the number of intervals, and a tap that
 // refuses a frame changes only the sent count. So a cell of at least
-// aheadMin intervals (10.24 ms) draws on a goroutine of its own, up to
-// aheadChunks chunks ahead of the device, while a shorter cell runs
-// both steps in turn on the measure's goroutine. Either way the device
+// aheadMin intervals (5.12 ms) draws on a goroutine of its own, up to
+// aheadChunks chunks ahead of the device — the first of 16 intervals,
+// each later one up to twice the last, at most aheadChunk — while a
+// shorter cell runs both steps in turn on the measure's goroutine. Either way the device
 // sees the same frames in the same order: the schedules agree on every
 // value, the digest and the event count.
 //
@@ -90,7 +91,7 @@ func genericMeasure(c *Ctx, cell Cell, sched drawSchedule) (Outcome, error) {
 			}
 		}
 	} else {
-		a.ahead(d, intervals, sched)
+		d.ahead(intervals, sched, a.apply)
 	}
 	dev.RunUntilIdle(0)
 

@@ -29,14 +29,14 @@ func TestCacheCardinalityCrossing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gUnder.cache == nil {
+	if gUnder.cache == nil || !gUnder.Cached() {
 		t.Fatalf("%d entries fit under the %d threshold but cache is disabled", under*perFlow, cacheMaxEntries)
 	}
 	gOver, err := New(cacheCfg(over))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gOver.cache != nil {
+	if gOver.cache != nil || gOver.Cached() {
 		t.Fatalf("%d entries exceed the %d threshold but cache is enabled", over*perFlow, cacheMaxEntries)
 	}
 
@@ -169,5 +169,42 @@ func BenchmarkNextView(b *testing.B) {
 			}
 			b.SetBytes(int64(bytesOut / uint64(b.N)))
 		})
+	}
+}
+
+// TestCachedViewsStayPut: on a generator that reports Cached, every view
+// NextView and NextHybrid return keeps its bytes until Reset, while the
+// generator draws on; each kept view equals the copy Next returned for
+// the same draw on a twin generator.
+func TestCachedViewsStayPut(t *testing.T) {
+	cfg := Config{Seed: 7, Flows: 16, Background: 8, Sizes: IMIX()}
+	g, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !g.Cached() {
+		t.Fatal("a 48-entry config is not cached")
+	}
+	var views, copies [][]byte
+	for i := 0; i < 2000; i++ {
+		var v []byte
+		bg := false
+		if i%2 == 0 {
+			v = g.NextView()
+		} else {
+			v, _, bg = g.NextHybrid()
+		}
+		if c := twin.Next(); !bg {
+			views, copies = append(views, v), append(copies, c)
+		}
+	}
+	for i := range views {
+		if !bytes.Equal(views[i], copies[i]) {
+			t.Fatalf("view %d changed after later draws", i)
+		}
 	}
 }

@@ -320,6 +320,12 @@ func (g *Generator) serialize(fi, si int) []byte {
 	return b
 }
 
+// Cached reports whether g keeps every (flow, size) frame it
+// serializes. If it does, a view NextView or NextHybrid returns stays
+// valid, its bytes unchanged, until the next Reset; if not, only until
+// the next Next, NextView or Reset call.
+func (g *Generator) Cached() bool { return len(g.cache) > 0 }
+
 // Frames returns the count of frames generated so far.
 func (g *Generator) Frames() uint64 { return g.frames }
 

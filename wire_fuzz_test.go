@@ -124,11 +124,19 @@ func (w *wireSide) state() string {
 	return s
 }
 
-// drain runs until the device is idle, in budgets of limit events, and
-// counts the budgets that ran out with frames toward the device still
-// on their way by arithmetic.
+// drainBudgets is the most budgets of limit events one drain runs
+// before it runs on to idle unbudgeted: a drain in budgets of 1 event
+// until idle took most of a program's time.
+const drainBudgets = 16
+
+// drain runs until the device is idle, in up to drainBudgets budgets of
+// limit events, then unbudgeted, and counts the budgets that ran out
+// with frames toward the device still on their way by arithmetic.
 func (w *wireSide) drain(limit uint64) (between int) {
-	for !w.dev.RunUntilIdle(limit) {
+	for range drainBudgets {
+		if w.dev.RunUntilIdle(limit) {
+			return between
+		}
 		for _, m := range w.dev.MACs {
 			if at, _ := m.NextArrival(); at != sim.Forever {
 				between++
@@ -136,6 +144,7 @@ func (w *wireSide) drain(limit uint64) (between int) {
 			}
 		}
 	}
+	w.dev.RunUntilIdle(0)
 	return between
 }
 
