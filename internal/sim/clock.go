@@ -22,7 +22,7 @@ package sim
 // the Ticks run between two heap visits, not a window: n == 1 offers no
 // window at all (SetBatch(1), the per-edge reference), and for n > 1 a
 // window is sized by the component's own proof cut with Clock.Bound —
-// which accounts for everything outside the domain (a foreign event, the
+// which accounts for everything outside the domain (the next event, the
 // run deadline, the event budget) — and may exceed n. Within that bound
 // the outside world is frozen. During the call Now and Cycle stay at the
 // window's first edge; the clock advances them by k afterwards.
@@ -53,18 +53,16 @@ func (g group) Advance(int) (int, bool) {
 }
 
 // DefaultBatch is the edge budget of a clock domain: while its component
-// stays busy, a clock executes up to this many consecutive single-edge
-// Advances with no event between them inside one simulation event before
-// re-entering the event loop. A window the component takes counts
-// against the budget but is not cut by it: one that reaches or passes
-// the budget ends the batch, and the next edge re-arms through the heap
-// as when the budget runs out. A foreign event run inside the batch
-// (Clock.foreign) does not end it; it restarts the budget, which so
-// counts the edges the clock runs without touching the heap. Batching is
-// observably identical to unbatched execution — timestamps, Cycle,
-// Executed and cross-domain ordering are bit-exact for every batch size
-// — it only amortises the per-event heap push/pop and timer reschedule
-// across the batch.
+// stays busy, a clock executes up to this many consecutive edges inside
+// one simulation event before re-entering the event loop, and any event
+// due before its next edge ends the batch sooner. A window the component
+// takes counts against the budget but is not cut by it: one that reaches
+// or passes the budget ends the batch. Either way the next edge re-arms
+// through the heap, as every edge does in the per-edge reference, so
+// batching is observably identical to unbatched execution — timestamps,
+// Cycle, Executed and cross-domain ordering are bit-exact for every
+// batch size — and only amortises the per-event heap push/pop and timer
+// reschedule across the batch.
 const DefaultBatch = 64
 
 // Clock is a gateable clock domain. Edges fall on integer multiples of the
@@ -101,17 +99,6 @@ func (s *Sim) NewClock(name string, period Time) *Clock {
 	c.timer = s.NewTimer(c.edge)
 	s.clocks = append(s.clocks, c)
 	return c
-}
-
-// EdgeAt reports whether some clock domain has an edge at t: edges fall
-// on integer multiples of each period.
-func (s *Sim) EdgeAt(t Time) bool {
-	for _, c := range s.clocks {
-		if t%c.period == 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // MaxPeriod returns the longest period of the simulator's clock domains,
@@ -266,13 +253,13 @@ func (c *Clock) EdgeAfter(armed, at Time) Time {
 
 // edge executes clock edges. While the component stays busy the clock
 // keeps executing consecutive edges inline — advancing simulated time
-// itself and counting each edge as one executed event — and runs the
-// foreign events due between them inline too (foreign), until the batch
+// itself and counting each edge as one executed event — until the batch
 // budget runs out, the domain goes idle (which gates the clock off), or
-// the run's bounds or another domain's edge stop it. Only when a batch
-// ends with work still pending is the next edge scheduled through the
-// event heap, so the (push, pop, reschedule) cycle tax is paid once per
-// batch instead of once per edge or per foreign event.
+// inline refuses the next edge: another event is due first, or the
+// run's deadline or event budget stops it. Only when a batch ends with
+// work still pending is the next edge armed through the event heap,
+// exactly as the per-edge reference arms every edge, so the (push, pop,
+// reschedule) cycle tax is paid once per batch instead of once per edge.
 //
 // The component is handed only the remaining batch budget, which costs
 // nothing to know; everything that limits a window is in Bound, which a
@@ -300,17 +287,9 @@ func (c *Clock) edge() {
 			return
 		}
 		next := s.now + c.period
-		if left -= k; left <= 0 {
+		if left -= k; left <= 0 || !s.inline(next) {
 			c.timer.ScheduleAt(next)
 			return
-		}
-		if !s.inline(next) {
-			if !c.foreign(next) {
-				return
-			}
-			// The events just run went through the heap; the Ticks
-			// after them start a fresh budget.
-			left = c.batch
 		}
 		s.now = next
 		s.executed++
@@ -318,72 +297,18 @@ func (c *Clock) edge() {
 }
 
 // inline reports whether a clock may advance time to its next edge
-// without looking at anything else first: the edge must not lie past the
-// run deadline, the run's event budget must not be spent, and no foreign
+// without going back through the heap: the edge must not lie past the
+// run deadline, the run's event budget must not be spent, and no other
 // event may be due first. That check is `at <= next`, not `<`: an event
 // already in the heap at exactly the next edge's time was necessarily
 // scheduled before the edge timer would have been re-armed, so in
 // unbatched execution its sequence number is lower and it runs first.
-// When inline refuses, foreign decides.
 func (s *Sim) inline(next Time) bool {
 	if next > s.horizon || s.executed >= s.fence {
 		return false
 	}
 	at, _ := s.top()
 	return at > next
-}
-
-// foreign runs the events due before the clock's next edge at next
-// inline, in (time, sequence) order, and reports whether the batch goes
-// on to that edge; when it does not, the edge is armed in the heap. It
-// reserves, first, the sequence number the edge's re-arm would have
-// taken at this moment, and holds the edge out of the heap under that
-// key (Sim.hold) while the events run: Peek and Pending inside their
-// callbacks count it, an event they schedule at exactly next sorts after
-// it, and if the batch ends the edge is armed under it — so everything
-// runs in the order the per-edge reference runs it. Before each event,
-// and before the edge after them, the run's horizon, fence and floor
-// apply as the run loop would apply them (the held edge counts as
-// pending). The batch also ends at another domain's edge: run inline, it
-// would batch that domain past this one's next edge.
-func (c *Clock) foreign(next Time) bool {
-	s := c.sim
-	s.seq++
-	if next > s.horizon || s.executed >= s.fence {
-		c.timer.arm(next, s.seq)
-		return false
-	}
-	if s.firing { // the slot of the event this batch started from
-		s.firing = false
-		s.remove(0)
-	}
-	s.hold, s.queued = entry{at: next, seq: s.seq, t: c.timer}, s.queued+1
-	// The held edge is pending, so a zero floor never stops the run.
-	for s.executed < s.fence && (s.floor == 0 || s.Pending() > s.floor) {
-		if len(s.heap) == 0 || !s.heap[0].before(&s.hold) {
-			s.hold, s.queued = noHold, s.queued-1
-			return true
-		}
-		if len(s.clocks) > 1 && s.edgeTimer(s.heap[0].t) {
-			break
-		}
-		s.fire()
-		if s.hold.t == nil {
-			return false // a re-entrant Step released the edge
-		}
-	}
-	s.release()
-	return false
-}
-
-// edgeTimer reports whether t is a clock domain's edge timer.
-func (s *Sim) edgeTimer(t *Timer) bool {
-	for _, c := range s.clocks {
-		if c.timer == t {
-			return true
-		}
-	}
-	return false
 }
 
 // EdgesBefore returns how many consecutive edges, starting with the
@@ -400,7 +325,7 @@ func (c *Clock) EdgesBefore(at Time) int {
 // Bound returns how many consecutive edges, at most n and at least 1,
 // may execute as one window starting with the edge at Now: the largest w
 // for which inline would have admitted each of the w-1 advances between
-// them — min(n, next foreign event, run deadline, event budget). n is
+// them — min(n, next event, run deadline, event budget). n is
 // the component's own limit (what it proved), not the batch budget. It
 // costs two divisions and a heap peek, so a component asks only when it
 // has a window to cut.

@@ -11,8 +11,8 @@ import (
 // events around them from a byte stream, and logs everything a callback
 // can observe: Now, every clock's Cycle, Peek, Pending and Executed. The
 // same program run at SetBatch(1) — every edge its own heap event — is
-// the reference; a batching clock that runs foreign events inside its
-// batch (Clock.foreign) must produce the same log. Edges, timer
+// the reference; a batching clock, which ends its batch at the first
+// event due before its next edge, must produce the same log. Edges, timer
 // callbacks, lane completions and the top level all draw from the one
 // stream, so two runs that execute in different orders diverge.
 type foreignProgram struct {
@@ -193,83 +193,35 @@ func checkClockForeign(t *testing.T, prog []byte) {
 	}
 }
 
-// foreignSeeds are the shapes inlining foreign events has to get right.
-// The interpreter reads the programs byte by byte as execution reaches
-// them, so each is described by what it makes happen.
+// foreignSeeds are the shapes where an event between a clock's edges
+// has to end its batch in the reference's order. The interpreter reads
+// the programs byte by byte as execution reaches them, so each is
+// described by what it makes happen.
 var foreignSeeds = [][]byte{
 	{},
 	// Clocks of 3 and 5 ps; clock 0 starts an 18-cycle job at 3 ps, and
-	// timer 0, due right after that edge, runs inside the batch and
-	// re-arms itself at 6 ps, clock 0's next edge. Clock 1's edge at 5 ps
-	// then ends the batch, so clock 0's edge is armed — under the
-	// sequence number reserved before the callback ran, which puts it
-	// ahead of the timer at 6 ps. Armed with a fresh number it falls
-	// behind.
+	// timer 0, due right after that edge, ends the batch and re-arms
+	// itself at 6 ps, clock 0's next edge. The edge was armed when the
+	// batch ended, before the callback ran, so it runs ahead of the
+	// timer at 6 ps; armed after the callback it falls behind.
 	[]byte("12B80A2200800000001100"),
 	// Clocks of 3 and 5 ps, both busy, with a timer between their edges:
-	// the inline run must stop at the other domain's edge instead of
-	// running it, which would batch that clock past this one's edge.
+	// neither clock may batch past the other's edge.
 	{1, 1, 3, 1, 0, 23, 1, 1, 23, 0, 1, 1, 7, 2, 39, 0, 0, 4, 0, 1, 1, 2, 39, 0, 0, 4},
-	// One 2 ps clock busy from 2 ps; timer 0 runs inside the batch at
-	// 5 ps and schedules itself at exactly the next edge, 6 ps. Its
-	// sequence number is above the one the edge reserved, so the edge
-	// runs first, as in the per-edge reference.
+	// One 2 ps clock busy from 2 ps; timer 0, due at 5 ps, ends the
+	// batch and schedules itself at exactly the next edge, 6 ps. Its
+	// sequence number is above the one the edge was armed with, so the
+	// edge runs first, as in the per-edge reference.
 	[]byte("018072100000010012"),
 }
 
-// TestForeignEventsStayInsideTheBatch pins the cost the inline path
-// removes: with a foreign event due before every edge of a busy clock,
-// the clock arms its edge timer through the heap once per batch — here
-// once per run call, whose deadline ends the batch — not once per
-// foreign event. A callback finds the edge queued in the heap only in
-// the first batch-ending gap of each run, while Peek and Pending count
-// it throughout, and everything observable matches the per-edge
-// reference.
-func TestForeignEventsStayInsideTheBatch(t *testing.T) {
-	const runs, edgesPerRun = 10, 100
-	run := func(batch int) (log []string, queued int) {
-		s := New()
-		clk := s.NewClock("dp", 10)
-		clk.SetBatch(batch)
-		clk.RegisterFunc(func() bool { return true })
-		var tm *Timer
-		tm = s.NewTimer(func() {
-			if clk.timer.Pending() {
-				queued++
-			}
-			at, _ := s.Peek()
-			log = append(log, fmt.Sprintf("now %d exec %d pending %d peek %d cycle %d", s.Now(), s.Executed(), s.Pending(), at, clk.Cycle()))
-			tm.ScheduleAfter(10)
-		})
-		tm.ScheduleAt(15) // 15, 25, 35, ...: one before every edge
-		for i := 1; i <= runs; i++ {
-			s.RunUntil(Time(i*edgesPerRun*10 + 5))
-		}
-		return log, queued
-	}
-	want, perEvent := run(1)
-	got, perBatch := run(DefaultBatch)
-	if len(want) != runs*edgesPerRun || perEvent != len(want) {
-		t.Fatalf("per-edge reference: %d callbacks, edge queued in %d of them", len(want), perEvent)
-	}
-	if perBatch != runs {
-		t.Fatalf("a batching clock was queued in the heap during %d of %d foreign callbacks, want %d (once per batch)",
-			perBatch, len(got), runs)
-	}
-	for i := range want {
-		if i >= len(got) || got[i] != want[i] {
-			t.Fatalf("callback %d: got %q, want %q", i, got[min(i, len(got)-1)], want[i])
-		}
-	}
-}
-
-// TestHeldEdgeSurvivesReentryAndPanic: a callback run inside a batch
-// that re-enters Step, or that panics, puts the held edge back into the
-// heap under its reserved key (Sim.unwind), so the simulation goes on as
-// the per-edge reference does. The re-entrant Step is cut to one edge by
-// the run's deadline: unbounded, a nested clock event runs a whole batch,
-// in the reference engine as in this one.
-func TestHeldEdgeSurvivesReentryAndPanic(t *testing.T) {
+// TestReentrantStepAndPanicMatchPerEdge: an event due between the
+// edges of a busy clock whose callback re-enters Step, or panics, leaves
+// the simulation going on as the per-edge reference does: the slot the
+// callback left at the root is dropped by the next Step. The re-entrant
+// Step is cut to one edge by the run's deadline: unbounded, a nested
+// clock event runs a whole batch, in the reference engine as in this one.
+func TestReentrantStepAndPanicMatchPerEdge(t *testing.T) {
 	run := func(batch int) []string {
 		s := New()
 		clk := s.NewClock("dp", 10)

@@ -102,7 +102,7 @@ func (l *Lane[T]) Post(at Time, v T) {
 func (l *Lane[T]) Len() int { return l.n }
 
 // Each calls fn with the value of every posted completion that has not
-// fired, in completion order, so an owner can reclaim what they hold
+// fired, in completion order, so an owner can reclaim what they own
 // before Sim.Reset empties the lane.
 func (l *Lane[T]) Each(fn func(T)) {
 	b, i := l.head, l.hi

@@ -36,7 +36,7 @@ type laneReset interface {
 // lane still holds queued completions cannot be reset.
 func (s *Sim) Seal() {
 	m := &s.mark
-	s.sealed = !s.firing && s.hold.t == nil
+	s.sealed = !s.firing
 	for _, l := range s.lanes {
 		if l.Len() > 0 {
 			s.sealed = false
@@ -74,8 +74,8 @@ func (s *Sim) Reset() bool {
 		l.reset()
 	}
 	s.now, s.seq, s.executed = m.now, m.seq, m.executed
-	s.firing, s.queued, s.hold, s.parked = false, 0, noHold, nil
-	s.horizon, s.fence, s.floor = Forever, noFence, 0
+	s.firing, s.queued, s.parked = false, 0, nil
+	s.horizon, s.fence = Forever, noFence
 	for i, c := range s.clocks {
 		cm := m.clocks[i]
 		c.cycle, c.ticks, c.woke, c.active, c.batch = cm.cycle, cm.ticks, cm.woke, cm.active, cm.batch

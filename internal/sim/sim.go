@@ -25,30 +25,22 @@ type Sim struct {
 	// sealed is set while mark holds a state Reset can restore.
 	sealed bool
 	// queued counts pending events that occupy no heap slot: lane
-	// completions waiting behind their lane's head (see Lane), and a
-	// held clock edge. It sits beside the flags to keep a Sim inside its
-	// allocation size class.
+	// completions waiting behind their lane's head (see Lane). It sits
+	// beside the flags to keep a Sim inside its allocation size class.
 	queued int32
-	// hold is the next edge of a clock running foreign events inside
-	// its batch (Clock.foreign), under the key its re-arm would have
-	// taken; it is noHold when no edge is held. Peek and Pending count
-	// it, so callbacks see the queue as if the clock had re-armed.
-	hold entry
 	// parked is the clock WakeAt parked, nil when none is (ScheduleAt).
 	parked *Clock
 
-	// horizon, fence and floor are the active run's deadline, the
-	// executed-event count at which its event budget is spent, and its
-	// idle floor (Forever, noFence and 0 outside a bounded run). They
-	// are the terms of the advance bound that come from the run loop: a
-	// batching clock (see inline, Clock.foreign and Clock.Bound)
-	// advances time past pending-event gaps but never past the horizon,
-	// stops inline execution at the fence, and runs a foreign event
-	// inline only while the run loop would have run it, so a bounded
-	// run lands on exactly the same event as unbatched execution.
+	// horizon and fence are the active run's deadline and the
+	// executed-event count at which its event budget is spent (Forever
+	// and noFence outside a bounded run). They are the terms of the
+	// advance bound that come from the run loop: a batching clock (see
+	// inline and Clock.Bound) advances time past pending-event gaps but
+	// never past the horizon, and stops inline execution at the fence,
+	// so a bounded run lands on exactly the same event as unbatched
+	// execution.
 	horizon Time
 	fence   uint64
-	floor   int
 
 	// Stopped reports how many events have executed; useful in tests and
 	// for detecting runaway simulations.
@@ -68,7 +60,7 @@ const (
 )
 
 // New returns an empty simulator positioned at the epoch.
-func New() *Sim { return &Sim{hold: noHold, horizon: Forever, fence: noFence} }
+func New() *Sim { return &Sim{horizon: Forever, fence: noFence} }
 
 // Now returns the current simulated time. Inside an event callback it is
 // the event's scheduled time.
@@ -164,40 +156,24 @@ func (s *Sim) After(d Time, fn func()) *Timer { return s.At(s.now+d, fn) }
 
 // Step executes the earliest pending event. It reports whether an event
 // was executed (false means the queue is empty). A gateable clock's edge
-// event may execute several consecutive edges inline, and the foreign
-// events due between them (see Clock.edge), in which case Executed still
-// advances once per edge and per event, exactly as if each had been its
-// own heap event. Outside a bounded Run such a batch ends only when the
-// clock gates off or its batch budget runs out between two events, so a
-// simulation with a busy clock is driven by Run, not by counting Steps.
+// event may execute several consecutive edges inline (see Clock.edge),
+// in which case Executed still advances once per edge, exactly as if
+// each had been its own heap event. Outside a bounded Run such a batch
+// ends only at another event, when the clock gates off or when its batch
+// budget runs out, so a simulation with a busy clock is driven by Run,
+// not by counting Steps.
 func (s *Sim) Step() bool {
-	if s.firing || s.hold.t != nil {
-		s.unwind()
+	if s.firing {
+		// Re-entered from a callback, or called after one panicked: the
+		// slot the callback left at the root is dead.
+		s.firing = false
+		s.remove(0)
 	}
 	if len(s.heap) == 0 {
 		return false
 	}
-	s.fire()
-	return true
-}
-
-// unwind puts the queue back in order when Step is re-entered from a
-// callback, or called after one panicked: the slot the callback left at
-// the root is dead, and a held clock edge goes back into the heap under
-// its reserved key, which ends the batch that held it (Clock.foreign).
-func (s *Sim) unwind() {
-	if s.firing {
-		s.firing = false
-		s.remove(0)
-	}
-	if s.hold.t != nil {
-		s.release()
-	}
-}
-
-// fire runs the event at the root of the heap. Its slot stays at the
-// root, vacated (see firing), until the callback re-arms it or returns.
-func (s *Sim) fire() {
+	// The root's slot stays vacated (see firing) until the callback
+	// re-arms the timer or returns.
 	t := s.heap[0].t
 	s.now = s.heap[0].at
 	s.executed++
@@ -208,17 +184,7 @@ func (s *Sim) fire() {
 		s.firing = false
 		s.remove(0)
 	}
-}
-
-// noHold is Sim.hold when no clock edge is held: keyed at Forever, so
-// Peek needs one comparison, not a test and a comparison.
-var noHold = entry{at: Forever}
-
-// release queues the held clock edge under the key reserved for it.
-func (s *Sim) release() {
-	h := s.hold
-	s.hold, s.queued = noHold, s.queued-1
-	h.t.arm(h.at, h.seq)
+	return true
 }
 
 // Pending returns the number of scheduled events.
@@ -233,20 +199,14 @@ func (s *Sim) Pending() int {
 // Peek returns the time of the earliest pending event. It reports false if
 // no event is pending.
 func (s *Sim) Peek() (Time, bool) {
-	at, ok := s.top()
-	if s.hold.at < at {
-		return s.hold.at, true
+	if at, ok := s.top(); ok {
+		return at, true
 	}
-	if !ok {
-		return 0, false
-	}
-	return at, true
+	return 0, false
 }
 
-// top is Peek over the heap alone: the earliest queued key's time, or
-// Forever and false when there is none. A held clock edge is not in the
-// heap; only the clock holding it runs while it is, and that clock asks
-// for what is due before it.
+// top is Peek with Forever, not 0, for an empty queue, so the clock's
+// advance checks (inline, Clock.Bound) need one comparison.
 func (s *Sim) top() (Time, bool) {
 	h := s.heap
 	if !s.firing {
@@ -269,16 +229,15 @@ func (s *Sim) top() (Time, bool) {
 // Run is the one run loop; every other way of running a simulation is
 // a call of it. It executes events due at or before deadline, while more
 // than floor events are pending, until eventBudget events have executed
-// (0 = no bound; inline-batched clock edges and the foreign events run
-// inside a batch count one each). It reports
+// (0 = no bound; inline-batched clock edges count one each). It reports
 // false when the budget stopped it, true when the work ran out first —
 // and only then, unless deadline is Forever, is Now advanced to deadline.
 //
-// For the duration of the run the deadline, the budget and the floor are
-// also what stop a batching clock (Sim.inline, Clock.foreign,
-// Clock.Bound), so the run stops on the same event, at the same Now and
-// Executed, whatever the clock batch and however a longer run is cut
-// into budgets: a chain of Run calls toward one deadline executes the
+// For the duration of the run the deadline and the budget are also what
+// stop a batching clock (Sim.inline, Clock.Bound), and any event due
+// before a clock's next edge ends its batch, so the run stops on the
+// same event, at the same Now and Executed, whatever the clock batch and
+// however a longer run is cut into budgets: a chain of Run calls toward one deadline executes the
 // same events in the same order as a single unbudgeted one. A pause
 // always falls between events, never inside one, so the simulation (and
 // everything hanging off it) is quiescent at every pause.
@@ -297,15 +256,15 @@ func (s *Sim) Run(deadline Time, eventBudget uint64, floor int) bool {
 	if eventBudget != 0 && eventBudget < noFence-s.executed {
 		end = s.executed + eventBudget
 	}
-	prevH, prevF, prevFl := s.horizon, s.fence, s.floor
-	s.horizon, s.fence, s.floor = min(prevH, deadline), min(prevF, end), max(prevFl, floor)
+	prevH, prevF := s.horizon, s.fence
+	s.horizon, s.fence = min(prevH, deadline), min(prevF, end)
 	for s.executed < end && s.Pending() > floor {
 		if at, _ := s.Peek(); at > deadline { // something is pending: Peek's at is real
 			break
 		}
 		s.Step()
 	}
-	s.horizon, s.fence, s.floor = prevH, prevF, prevFl
+	s.horizon, s.fence = prevH, prevF
 	spent := s.executed >= end
 	if deadline == Forever {
 		return !spent || s.Pending() <= floor

@@ -18,15 +18,14 @@
 // "How far may this run before something outside must be looked at" has
 // one answer in the package. A clock drives its Component through one
 // method, Advance(n) (k, busy); what limits an advance from outside the
-// domain — the next foreign event, the run's deadline, the run's event
-// budget — is Sim.inline and its closed form Clock.Bound; and one loop,
+// domain — the next event, the run's deadline, the run's event budget —
+// is Sim.inline and its closed form Clock.Bound; and one loop,
 // Sim.Run(deadline, eventBudget, floor), is the only place the deadline,
-// the budget and the floor are set. A foreign event does not end a busy
-// clock's batch: the clock runs it inline, in (time, sequence) order,
-// holding its own next edge under the sequence number its re-arm would
-// have taken (Clock.foreign), so a batch goes through the heap once, not
-// once per foreign event. Every edge as its own event (Clock.SetBatch(1))
-// is the reference all of it is tested against.
+// the budget and the floor are set. A busy clock's batch ends at the
+// first event due before its next edge: the edge re-arms through the
+// heap, as it does when the batch budget runs out, and the run loop runs
+// that event. Every edge as its own event (Clock.SetBatch(1)) is the
+// reference all of it is tested against.
 package sim
 
 import "fmt"

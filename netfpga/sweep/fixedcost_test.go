@@ -26,10 +26,10 @@ var fixedCostCeilings = []struct {
 	resetAllocs   float64
 	resetBytes    float64
 }{
-	{"reference_switch", 259, 32944, 0, 0},
-	{"reference_nic", 289, 36472, 0, 0},
-	{"blueswitch", 278, 33240, 0, 0},
-	{"reference_iotest", 284, 35952, 0, 0},
+	{"reference_switch", 259, 32912, 0, 0},
+	{"reference_nic", 289, 36440, 0, 0},
+	{"blueswitch", 278, 33208, 0, 0},
+	{"reference_iotest", 284, 35920, 0, 0},
 }
 
 // generatorCeiling bounds two cells' workload generators and their first

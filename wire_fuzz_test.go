@@ -3,6 +3,8 @@ package repro
 import (
 	"bytes"
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 
@@ -35,7 +37,7 @@ type wireSide struct {
 	frames, bytes []uint64
 	rx            [][]netfpga.RxFrame
 	// reads are what the in-run reads saw, in order.
-	reads []string
+	reads []wireState
 }
 
 func newWireSide(t *testing.T, board netfpga.BoardSpec, seed uint64, ref bool) *wireSide {
@@ -112,16 +114,28 @@ func (w *wireSide) received(i int) []netfpga.RxFrame {
 	return w.taps[i].Received()
 }
 
-// state is every counter a reader can see: the device snapshot but its
-// event count, and each tap MAC's counters.
-func (w *wireSide) state() string {
-	snap := w.dev.Snapshot()
-	delete(snap, "sim.events")
-	s := fmt.Sprint(snap)
+// wireState is every counter a reader can see: the device snapshot but
+// its event count, and each tap MAC's counter values in List() order.
+// Both sides build their tap MACs alike, so the lists name the same
+// counters in the same order and the values alone tell them apart.
+type wireState struct {
+	snap map[string]uint64
+	taps []uint64
+}
+
+func (w *wireSide) state() wireState {
+	st := wireState{snap: w.dev.Snapshot()}
+	delete(st.snap, "sim.events")
 	for _, tap := range w.taps {
-		s += fmt.Sprint(tap.MAC().Counters().Map())
+		for _, c := range tap.MAC().Counters().List() {
+			st.taps = append(st.taps, c.Value())
+		}
 	}
-	return s
+	return st
+}
+
+func (a wireState) equal(b wireState) bool {
+	return maps.Equal(a.snap, b.snap) && slices.Equal(a.taps, b.taps)
 }
 
 // drainBudgets is the most budgets of limit events one drain runs
@@ -182,13 +196,21 @@ func runWireProgram(t *testing.T, board netfpga.BoardSpec, seed uint64, prog []b
 	}
 	ports := board.Ports
 	frame := make([]byte, 1514)
-	check := func(what string) {
+	// check compares the sides after op (op < 0: after the program) and
+	// formats its label only when they differ.
+	check := func(op int, where string) {
 		t.Helper()
-		if lazy.dev.Now() != ref.dev.Now() {
-			t.Fatalf("%s: Now %v, reference %v", what, lazy.dev.Now(), ref.dev.Now())
+		what := func() string {
+			if op < 0 {
+				return where
+			}
+			return fmt.Sprintf("op %d%s", op, where)
 		}
-		if fmt.Sprint(lazy.ingress) != fmt.Sprint(ref.ingress) {
-			t.Fatalf("%s: arrival stamps\n%v\nreference\n%v", what, lazy.ingress, ref.ingress)
+		if lazy.dev.Now() != ref.dev.Now() {
+			t.Fatalf("%s: Now %v, reference %v", what(), lazy.dev.Now(), ref.dev.Now())
+		}
+		if !slices.Equal(lazy.ingress, ref.ingress) {
+			t.Fatalf("%s: arrival stamps\n%v\nreference\n%v", what(), lazy.ingress, ref.ingress)
 		}
 		for _, at := range lazy.ingress {
 			if at%lazy.dev.Clock.Period() == 0 {
@@ -196,11 +218,11 @@ func runWireProgram(t *testing.T, board netfpga.BoardSpec, seed uint64, prog []b
 			}
 		}
 		lazy.ingress, ref.ingress = nil, nil
-		if got, want := lazy.state(), ref.state(); got != want {
-			t.Fatalf("%s: counters\n%s\nreference\n%s", what, got, want)
+		if got, want := lazy.state(), ref.state(); !got.equal(want) {
+			t.Fatalf("%s: counters\n%v\nreference\n%v", what(), got, want)
 		}
-		if fmt.Sprint(lazy.reads) != fmt.Sprint(ref.reads) {
-			t.Fatalf("%s: reads inside runs\n%v\nreference\n%v", what, lazy.reads, ref.reads)
+		if !slices.EqualFunc(lazy.reads, ref.reads, wireState.equal) {
+			t.Fatalf("%s: reads inside runs\n%v\nreference\n%v", what(), lazy.reads, ref.reads)
 		}
 		st.inRun += len(lazy.reads)
 		lazy.reads, ref.reads = nil, nil
@@ -208,21 +230,21 @@ func runWireProgram(t *testing.T, board netfpga.BoardSpec, seed uint64, prog []b
 			lf, lb := lazy.counts(i)
 			rf, rb := ref.counts(i)
 			if lf != rf || lb != rb {
-				t.Fatalf("%s: tap %d counted %d frames %d bytes, reference %d and %d", what, i, lf, lb, rf, rb)
+				t.Fatalf("%s: tap %d counted %d frames %d bytes, reference %d and %d", what(), i, lf, lb, rf, rb)
 			}
 			got, want := lazy.received(i), ref.received(i)
 			if len(got) != len(want) {
-				t.Fatalf("%s: tap %d captured %d frames, reference %d", what, i, len(got), len(want))
+				t.Fatalf("%s: tap %d captured %d frames, reference %d", what(), i, len(got), len(want))
 			}
 			for k := range got {
 				if got[k].At != want[k].At || !bytes.Equal(got[k].Data, want[k].Data) {
 					t.Fatalf("%s: tap %d frame %d at %v (%d bytes), reference at %v (%d bytes)",
-						what, i, k, got[k].At, len(got[k].Data), want[k].At, len(want[k].Data))
+						what(), i, k, got[k].At, len(got[k].Data), want[k].At, len(want[k].Data))
 				}
 			}
 			lq, rq := lazy.dev.MACs[i].TxQueue(), ref.dev.MACs[i].TxQueue()
 			if lq.Bytes() != rq.Bytes() || lq.CanAccept(1514) != rq.CanAccept(1514) {
-				t.Fatalf("%s: port %d FIFO %d bytes, reference %d", what, i, lq.Bytes(), rq.Bytes())
+				t.Fatalf("%s: port %d FIFO %d bytes, reference %d", what(), i, lq.Bytes(), rq.Bytes())
 			}
 		}
 	}
@@ -277,7 +299,7 @@ func runWireProgram(t *testing.T, board netfpga.BoardSpec, seed uint64, prog []b
 			}
 			st.pops++
 			each(func(w *wireSide) { w.dev.RunFor(at - w.dev.Now()) })
-			check(fmt.Sprintf("op %d, at a pop", op))
+			check(op, ", at a pop")
 		case 4: // a drain in budgets
 			limit := []uint64{0, 1, 7, 64, 1000}[next()%5]
 			each(func(w *wireSide) { st.between += w.drain(limit) })
@@ -295,7 +317,7 @@ func runWireProgram(t *testing.T, board netfpga.BoardSpec, seed uint64, prog []b
 				})
 			}
 		case 7:
-			check(fmt.Sprintf("op %d", op))
+			check(op, "")
 		case 8: // OnRx on a tap of the lazy side, between runs, maybe mid-traffic
 			if i := next() % ports; !lazy.hooked[i] {
 				if lazy.dev.MACs[i].WireTail() != 0 {
@@ -306,7 +328,7 @@ func runWireProgram(t *testing.T, board netfpga.BoardSpec, seed uint64, prog []b
 		}
 	}
 	each(func(w *wireSide) { w.drain(0) })
-	check("drained")
+	check(-1, "drained")
 	for _, tap := range lazy.taps {
 		st.badFCS += int(tap.MAC().FCSErrors())
 	}
