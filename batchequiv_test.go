@@ -107,12 +107,12 @@ func TestDeviceBatchEquivalence(t *testing.T) {
 // loadedRun is everything a closed-loop line-rate run leaves behind that
 // a frame window could disturb.
 type loadedRun struct {
-	snap             map[string]uint64
-	rx               []netfpga.RxFrame
-	windows, cycles  uint64 // Design.WindowStats
-	datapathCycles   uint64 // edges the datapath clock executed
-	streamPushedHigh []uint64
-	ticks, beats     uint64 // Σ Design.ModuleTicks, Σ Stream.Pushed
+	snap            map[string]uint64
+	rx              []netfpga.RxFrame
+	windows, cycles uint64 // Design.WindowStats
+	datapathCycles  uint64 // edges the datapath clock executed
+	streamPushed    []uint64
+	ticks, beats    uint64 // Σ Design.ModuleTicks, Σ Stream.Pushed
 }
 
 // mesh sends the k-th frame of source src to each other port in turn.
@@ -174,7 +174,7 @@ func runSwitchLoaded(t *testing.T, frameBurst, size int, dst func(src, k int) in
 	}
 	r.windows, r.cycles = dev.Dsn.WindowStats()
 	for _, s := range dev.Dsn.Streams() {
-		r.streamPushedHigh = append(r.streamPushedHigh, s.Pushed(), uint64(s.HighWater()))
+		r.streamPushed = append(r.streamPushed, s.Pushed())
 		r.beats += s.Pushed()
 	}
 	for _, n := range dev.Dsn.ModuleTicks() {
@@ -236,9 +236,9 @@ func TestLoadedWindowEquivalence(t *testing.T) {
 						t.Fatalf("burst=%d: captured frame %d differs (at %d vs %d)", burst, i, got.rx[i].At, ref.rx[i].At)
 					}
 				}
-				for i, want := range ref.streamPushedHigh {
-					if got.streamPushedHigh[i] != want {
-						t.Errorf("burst=%d: stream stat %d = %d, want %d", burst, i, got.streamPushedHigh[i], want)
+				for i, want := range ref.streamPushed {
+					if got.streamPushed[i] != want {
+						t.Errorf("burst=%d: stream %d pushed %d beats, want %d", burst, i, got.streamPushed[i], want)
 					}
 				}
 				if got.datapathCycles != ref.datapathCycles {

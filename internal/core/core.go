@@ -306,9 +306,6 @@ func (d *Device) Snapshot() map[string]uint64 {
 	return out
 }
 
-// Hybrid reports whether the device runs in hybrid fidelity.
-func (d *Device) Hybrid() bool { return d.bg != nil }
-
 // Background returns the hybrid-fidelity analytic model, or nil in
 // full fidelity.
 func (d *Device) Background() *Background { return d.bg }

@@ -160,7 +160,7 @@ func TestOnRxBetweenRunsOnAnEdge(t *testing.T) {
 		dev := NewDevice(SUME(), Options{})
 		tap := dev.Tap(1)
 		period := dev.Clock.Period()
-		wire := sim.BitTime(84*8, dev.MACs[1].DataRateGbps())
+		wire := sim.BitTime(84*8, dev.Board.PortRate(1))
 		dev.RunFor(10*period + period - wire%period) // the frame ends on an edge
 		end := dev.Now() + wire
 		arrival := end + 5*sim.Nanosecond
@@ -339,7 +339,7 @@ func TestStalledDeviceRecyclesHostFrames(t *testing.T) {
 	if allocs := testing.AllocsPerRun(5, burst); allocs != 0 {
 		t.Errorf("a host burst into a stalled device allocated %v times, want 0", allocs)
 	}
-	if drops := dev.Engine.ToDevice().Drops(); drops == 0 {
+	if drops := *dev.Engine.ToDevice().DropCounter("", hw.Count).Ptr; drops == 0 {
 		t.Fatal("the stalled device's queue refused no frame")
 	}
 }

@@ -60,7 +60,7 @@ func observe(t testing.TB, dev *netfpga.Device, proj netfpga.Project) deviceStat
 	}
 	s.Windows[0], s.Windows[1] = dev.Dsn.WindowStats()
 	for _, st := range dev.Dsn.Streams() {
-		s.Streams = append(s.Streams, fmt.Sprintf("%s pushed=%d highwater=%d", st.Name(), st.Pushed(), st.HighWater()))
+		s.Streams = append(s.Streams, fmt.Sprintf("%s pushed=%d", st.Name(), st.Pushed()))
 	}
 	for i := 0; i < dev.Board.Ports; i++ {
 		for _, f := range dev.Tap(i).Received() {

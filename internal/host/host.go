@@ -169,12 +169,6 @@ func (d *Driver) Poll() []RxPacket {
 	return out
 }
 
-// Pending returns the number of undelivered received frames.
-func (d *Driver) Pending() int { return len(d.rxBuf) }
-
-// RegRead performs a 32-bit register read at a device-absolute address.
-func (d *Driver) RegRead(addr uint32) (uint32, error) { return d.regs.Read(addr) }
-
 // RegReadName reads a register by "block.name" notation.
 func (d *Driver) RegReadName(block, name string) (uint32, error) {
 	addr, ok := d.regs.Lookup(block, name)

@@ -193,8 +193,8 @@ func TestDriverOverLimitRecyclesFrames(t *testing.T) {
 	for i := 0; i < 4; i++ { // fill the limit, then warm the pool
 		round()
 	}
-	if d.Pending() != 1 || d.rxDropped != 3 {
-		t.Fatalf("pending %d, dropped %d: want 1 and 3", d.Pending(), d.rxDropped)
+	if len(d.rxBuf) != 1 || d.rxDropped != 3 {
+		t.Fatalf("pending %d, dropped %d: want 1 and 3", len(d.rxBuf), d.rxDropped)
 	}
 	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
 		t.Errorf("a round dropped past the receive limit allocates %.1f times", allocs)
@@ -213,7 +213,7 @@ func TestDriverRegisterAccess(t *testing.T) {
 	if _, err := d.RegReadName("core", "bogus"); err == nil {
 		t.Fatal("read of unknown register succeeded")
 	}
-	if _, err := d.RegRead(0x9000); err == nil {
+	if _, err := d.regs.Read(0x9000); err == nil {
 		t.Fatal("read of unmapped address succeeded")
 	}
 	c, err := d.ReadCounter64("core", "pkts")

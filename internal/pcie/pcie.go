@@ -93,32 +93,19 @@ func NewLink(s *sim.Sim, cfg LinkConfig) *Link {
 	return &Link{cfg: cfg, sim: s, rate: cfg.Gen.perLaneGbps() * float64(cfg.Lanes)}
 }
 
-// arrival is what runs when a transfer's last byte lands: cb, or fn(f)
-// for the DMA engine's frame moves, which would otherwise allocate a
-// closure per frame to carry f.
+// arrival is what runs when a transfer's last byte lands: fn(f) for the
+// DMA engine's frame moves, which would otherwise allocate a closure per
+// frame to carry f.
 type arrival struct {
-	cb func()
 	fn func(*hw.Frame)
 	f  *hw.Frame
 }
 
-func (a arrival) land() {
-	if a.fn != nil {
-		a.fn(a.f)
-		return
-	}
-	a.cb()
-}
+func (a arrival) land() { a.fn(a.f) }
 
-// EffectiveGbps returns the per-direction payload rate before TLP
-// overhead.
-func (l *Link) EffectiveGbps() float64 { return l.rate }
-
-// Transfer schedules an n-byte payload in the given direction; cb runs
+// transfer schedules an n-byte payload in the given direction; a lands
 // when the last byte arrives. Concurrent transfers in one direction
 // serialise; directions are independent.
-func (l *Link) Transfer(dir Dir, n int, cb func()) { l.transfer(dir, n, arrival{cb: cb}) }
-
 func (l *Link) transfer(dir Dir, n int, a arrival) {
 	tlps := (n + l.cfg.MaxPayload - 1) / l.cfg.MaxPayload
 	if tlps == 0 {
@@ -229,9 +216,6 @@ func (e *Engine) PostRx(n int) {
 	e.rxFree += n
 	e.kickRx()
 }
-
-// RxFree returns the number of posted-but-unused rx buffers.
-func (e *Engine) RxFree() int { return e.rxFree }
 
 // HostSend queues a frame for host→device DMA. It reports false when the
 // TX ring is exhausted (the driver should back off and retry).

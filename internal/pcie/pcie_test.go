@@ -12,13 +12,13 @@ func TestLinkRates(t *testing.T) {
 	g3 := NewLink(s, LinkConfig{Gen: Gen3, Lanes: 8})
 	g2 := NewLink(s, LinkConfig{Gen: Gen2, Lanes: 8})
 	g1 := NewLink(s, LinkConfig{Gen: Gen1, Lanes: 8})
-	if r := g3.EffectiveGbps(); r < 62 || r > 64 {
+	if r := g3.rate; r < 62 || r > 64 {
 		t.Fatalf("Gen3 x8 = %v Gb/s", r)
 	}
-	if r := g2.EffectiveGbps(); r != 32 {
+	if r := g2.rate; r != 32 {
 		t.Fatalf("Gen2 x8 = %v Gb/s", r)
 	}
-	if r := g1.EffectiveGbps(); r != 16 {
+	if r := g1.rate; r != 16 {
 		t.Fatalf("Gen1 x8 = %v Gb/s", r)
 	}
 }
@@ -27,7 +27,7 @@ func TestTransferTiming(t *testing.T) {
 	s := sim.New()
 	l := NewLink(s, LinkConfig{Gen: Gen3, Lanes: 8, Latency: 500 * sim.Nanosecond})
 	var done sim.Time
-	l.Transfer(HostToDevice, 256, func() { done = s.Now() })
+	l.transfer(HostToDevice, 256, arrival{fn: func(*hw.Frame) { done = s.Now() }})
 	s.Drain(0)
 	// 256B + 1 TLP overhead (26B) = 282B at 63.01 Gb/s ≈ 35.8ns + 500ns.
 	want := sim.BitTime(282*8, 8.0*128/130*8) + 500*sim.Nanosecond
@@ -40,9 +40,9 @@ func TestTransferSerializationPerDirection(t *testing.T) {
 	s := sim.New()
 	l := NewLink(s, LinkConfig{Gen: Gen3, Lanes: 8})
 	var t1, t2, t3 sim.Time
-	l.Transfer(HostToDevice, 4096, func() { t1 = s.Now() })
-	l.Transfer(HostToDevice, 4096, func() { t2 = s.Now() })
-	l.Transfer(DeviceToHost, 4096, func() { t3 = s.Now() })
+	l.transfer(HostToDevice, 4096, arrival{fn: func(*hw.Frame) { t1 = s.Now() }})
+	l.transfer(HostToDevice, 4096, arrival{fn: func(*hw.Frame) { t2 = s.Now() }})
+	l.transfer(DeviceToHost, 4096, arrival{fn: func(*hw.Frame) { t3 = s.Now() }})
 	s.Drain(0)
 	if t2 <= t1 {
 		t.Fatal("same-direction transfers did not serialise")
@@ -61,7 +61,7 @@ func TestTLPOverheadShape(t *testing.T) {
 		var last sim.Time
 		total := 1 << 20
 		for off := 0; off < total; off += chunk {
-			l.Transfer(HostToDevice, chunk, func() { last = s.Now() })
+			l.transfer(HostToDevice, chunk, arrival{fn: func(*hw.Frame) { last = s.Now() }})
 		}
 		s.Drain(0)
 		return last
@@ -128,8 +128,8 @@ func TestEngineDeviceToHost(t *testing.T) {
 	if len(got) != 3 {
 		t.Fatalf("delivered %d frames", len(got))
 	}
-	if e.RxFree() != 13 {
-		t.Fatalf("rxFree = %d, want 13", e.RxFree())
+	if e.rxFree != 13 {
+		t.Fatalf("rxFree = %d, want 13", e.rxFree)
 	}
 }
 

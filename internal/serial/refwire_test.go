@@ -145,5 +145,5 @@ func (w *refWire) next() sim.Time {
 // the wire, in the transmitter's and receiver's Counters order.
 func (w *refWire) counters() string {
 	return fmt.Sprintf("tx_frames=%d tx_bytes=%d tx_drops=%d tx_busy_ps=%d rx_frames=%d rx_bytes=%d fcs_errors=%d",
-		w.txFrames, w.txBytes, w.txq.Drops(), w.txBusyPs, w.rxFrames, w.rxBytes, w.fcsErrors)
+		w.txFrames, w.txBytes, *w.txq.DropCounter("", hw.Count).Ptr, w.txBusyPs, w.rxFrames, w.rxBytes, w.fcsErrors)
 }

@@ -298,9 +298,6 @@ func (m *MAC) Reseed(seed uint64) {
 // Name returns the MAC's name.
 func (m *MAC) Name() string { return m.name }
 
-// DataRateGbps returns the MAC-layer data rate (10.0 for a 10G port).
-func (m *MAC) DataRateGbps() float64 { return m.rate }
-
 // LinkUp reports whether the port is connected.
 func (m *MAC) LinkUp() bool { return m.linkUp }
 

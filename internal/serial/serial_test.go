@@ -107,9 +107,9 @@ func TestConnectRefusesASlowClock(t *testing.T) {
 }
 
 func TestBondedLanesScaleRate(t *testing.T) {
-	r10 := NewMAC(sim.New(), Eth10G("x")).DataRateGbps()
-	r40 := NewMAC(sim.New(), Eth40G("x")).DataRateGbps()
-	r100 := NewMAC(sim.New(), Eth100G("x")).DataRateGbps()
+	r10 := NewMAC(sim.New(), Eth10G("x")).rate
+	r40 := NewMAC(sim.New(), Eth40G("x")).rate
+	r100 := NewMAC(sim.New(), Eth100G("x")).rate
 	if r10 < 9.99 || r10 > 10.01 {
 		t.Fatalf("10G MAC rate = %v", r10)
 	}
@@ -242,7 +242,7 @@ func TestSendBeforeConnect(t *testing.T) {
 }
 
 func TestEth1GRate(t *testing.T) {
-	r := NewMAC(sim.New(), Eth1G("g")).DataRateGbps()
+	r := NewMAC(sim.New(), Eth1G("g")).rate
 	if r < 0.999 || r > 1.001 {
 		t.Fatalf("1G rate = %v", r)
 	}

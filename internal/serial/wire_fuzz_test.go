@@ -57,12 +57,18 @@ type wireRead struct {
 	state string
 }
 
+// edgeFunc adapts a per-edge function to sim.Component: one edge per
+// call.
+type edgeFunc func() bool
+
+func (f edgeFunc) Advance(int) (int, bool) { return 1, f() }
+
 func newWireEnd(period sim.Time, batch int) *wireEnd {
 	w := &wireEnd{s: sim.New()}
 	if period != 0 {
 		w.clk = w.s.NewClock("datapath", period)
 		w.clk.SetBatch(batch)
-		w.clk.RegisterFunc(func() bool {
+		w.clk.Register(edgeFunc(func() bool {
 			now := w.s.Now()
 			for len(w.edgeSends) > 0 && w.edgeSends[0].at <= now {
 				w.push(w.edgeSends[0].frames)
@@ -70,7 +76,7 @@ func newWireEnd(period sim.Time, batch int) *wireEnd {
 			}
 			w.edge()
 			return true
-		})
+		}))
 	}
 	return w
 }
@@ -338,7 +344,7 @@ func runMACWire(t *testing.T, setup uint8, seed uint64, prog []byte, ops int) (s
 			st.badFCS++
 		}
 	}
-	st.drops = int(rw.txq.Drops())
+	st.drops = int(*rw.txq.DropCounter("", hw.Count).Ptr)
 	return st
 }
 

@@ -12,9 +12,9 @@ package sim
 // reports !busy the clock gates itself off and stops consuming
 // simulation events until woken.
 //
-// A plain component runs one edge and answers k = 1 whatever n is
-// (ComponentFunc does). A component may answer k > 1 — a window — only
-// when it can prove the result is bit-identical to k single-edge calls:
+// A plain component runs one edge and answers k = 1 whatever n is. A
+// component may answer k > 1 — a window — only when it can prove the
+// result is bit-identical to k single-edge calls:
 // no event may be scheduled inside the window, no decision whose outcome
 // depends on the exact cycle number may fire, every edge but possibly
 // the last would have reported busy, and its state afterwards must be
@@ -29,12 +29,6 @@ package sim
 type Component interface {
 	Advance(n int) (k int, busy bool)
 }
-
-// ComponentFunc adapts a per-edge function to the Component interface.
-type ComponentFunc func() bool
-
-// Advance implements Component: one edge per call.
-func (f ComponentFunc) Advance(int) (int, bool) { return 1, f() }
 
 // group is the component of a domain with several (or no) registered
 // components: each runs one edge, in registration order. It never takes
@@ -169,9 +163,6 @@ func (c *Clock) Register(comp Component) {
 	}
 	c.Wake()
 }
-
-// RegisterFunc adds a function component to the domain.
-func (c *Clock) RegisterFunc(fn func() bool) { c.Register(ComponentFunc(fn)) }
 
 // Wake ensures the clock executes its next edge. Calling Wake on an active
 // clock is a cheap no-op, inlined at the call site; producers call it

@@ -5,6 +5,15 @@ import (
 	"testing/quick"
 )
 
+// ComponentFunc adapts a per-edge function to the Component interface.
+type ComponentFunc func() bool
+
+// Advance implements Component: one edge per call.
+func (f ComponentFunc) Advance(int) (int, bool) { return 1, f() }
+
+// RegisterFunc adds a function component to the domain.
+func (c *Clock) RegisterFunc(fn func() bool) { c.Register(ComponentFunc(fn)) }
+
 // countdown ticks busily for n cycles and then goes idle.
 type countdown struct {
 	n     int
@@ -241,18 +250,5 @@ func TestRandIntnIsModulo(t *testing.T) {
 	for i := range 200 {
 		n := int(pick.Uint64()>>(2+pick.Uint64()%62)) + 1 // 1 … 2^62, every magnitude
 		check(n, uint64(1000+i))
-	}
-}
-
-func TestRandPerm(t *testing.T) {
-	r := NewRand(3)
-	out := make([]int, 16)
-	r.Perm(out)
-	seen := make(map[int]bool)
-	for _, v := range out {
-		if v < 0 || v >= len(out) || seen[v] {
-			t.Fatalf("not a permutation: %v", out)
-		}
-		seen[v] = true
 	}
 }

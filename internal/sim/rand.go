@@ -105,14 +105,3 @@ func logUnit(u float64) float64 {
 	hfsq := float64(0.5 * f * f)
 	return float64(k*ln2Hi) - ((hfsq - (float64(s*(hfsq+r)) + float64(k*ln2Lo))) - f)
 }
-
-// Perm fills out with a random permutation of [0, len(out)).
-func (r *Rand) Perm(out []int) {
-	for i := range out {
-		out[i] = i
-	}
-	for i := len(out) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		out[i], out[j] = out[j], out[i]
-	}
-}

@@ -71,10 +71,6 @@ func AllPortsMask(n int) uint32 {
 const (
 	// FlagFromHost marks frames injected by the host through DMA.
 	FlagFromHost uint16 = 1 << iota
-	// FlagToCPU marks frames punted to the software slow path.
-	FlagToCPU
-	// FlagBadFCS marks frames whose frame check sequence failed at the MAC.
-	FlagBadFCS
 	// FlagTimestamped marks frames carrying a valid ingress timestamp.
 	FlagTimestamped
 	// FlagFromCPU marks frames injected by a device agent (the slow
@@ -138,14 +134,6 @@ func NewFrame(data []byte, srcPort uint8) *Frame {
 
 // Len returns the frame length in bytes.
 func (f *Frame) Len() int { return len(f.Data) }
-
-// Beats returns how many busBytes-wide beats the frame occupies.
-func (f *Frame) Beats(busBytes int) int {
-	if len(f.Data) == 0 {
-		return 1
-	}
-	return (len(f.Data) + busBytes - 1) / busBytes
-}
 
 // Clone returns a deep copy of the frame. Multicast replication clones so
 // per-copy metadata (destination masks, rewrites) stays independent.
@@ -339,9 +327,6 @@ type Beat struct {
 	End   int
 	Last  bool
 }
-
-// Bytes returns the data window carried by this beat.
-func (b Beat) Bytes() []byte { return b.Frame.Data[b.Off:b.End] }
 
 // First reports whether this is the frame's first beat, where metadata and
 // headers are inspected.

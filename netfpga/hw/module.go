@@ -94,9 +94,6 @@ type Resetter interface {
 // in the NetFPGA SUME reference designs.
 const DefaultBusBytes = 32
 
-// DefaultClockMHz is the reference datapath clock.
-const DefaultClockMHz = 200.0
-
 // Design is a module graph bound to a datapath clock, and the clock's
 // sole sim.Component. It answers Advance in one of two ways: Tick steps
 // every runnable module once, in registration order (which should follow

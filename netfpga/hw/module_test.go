@@ -39,7 +39,7 @@ func (p *passthrough) Tick() bool {
 func newTestDesign(t *testing.T) (*sim.Sim, *Design) {
 	t.Helper()
 	s := sim.New()
-	clk := s.NewClockMHz("dp", DefaultClockMHz)
+	clk := s.NewClockMHz("dp", 200)
 	return s, NewDesign("test", clk, 32)
 }
 
@@ -52,7 +52,7 @@ func TestDesignPipelineMovesFrames(t *testing.T) {
 	d.AddModule(&passthrough{name: "stage2", in: mid, out: out})
 
 	f := NewFrame(make([]byte, 96), 0) // 3 beats
-	if !in.PushFrame(f, d.BusBytes()) {
+	if !pushFrame(in, f, d.BusBytes()) {
 		t.Fatal("push failed")
 	}
 	s.RunFor(sim.Microsecond)
@@ -71,7 +71,7 @@ func TestDesignClockGatesAndWakes(t *testing.T) {
 
 	// Inject from an event: the push must wake the clock.
 	s.After(sim.Microsecond, func() {
-		in.PushFrame(NewFrame(make([]byte, 32), 0), 32)
+		pushFrame(in, NewFrame(make([]byte, 32), 0), 32)
 	})
 	s.RunFor(10 * sim.Microsecond)
 	if out.Len() != 1 {
@@ -95,7 +95,7 @@ func TestDesignBackpressurePropagates(t *testing.T) {
 	d.AddModule(&passthrough{name: "b", in: mid, out: out})
 	// Fill: out never drained, so everything jams.
 	for i := 0; i < 8; i++ {
-		in.PushFrame(NewFrame(make([]byte, 32), 0), 32)
+		pushFrame(in, NewFrame(make([]byte, 32), 0), 32)
 	}
 	s.RunFor(sim.Microsecond)
 	if out.Len() != 2 || mid.Len() != 2 {
@@ -164,7 +164,7 @@ func TestDesignStatsAggregation(t *testing.T) {
 	in := d.NewStream("in", 8)
 	out := d.NewStream("out", 8)
 	d.AddModule(&passthrough{name: "p", in: in, out: out})
-	in.PushFrame(NewFrame(make([]byte, 32), 0), 32)
+	pushFrame(in, NewFrame(make([]byte, 32), 0), 32)
 	s.RunFor(sim.Microsecond)
 	st := d.Stats()
 	if st["p.moved"] != 1 {
@@ -188,7 +188,7 @@ func TestAdvanceBeyondPlanRunsOneTick(t *testing.T) {
 	out := d.NewStream("out", 8)
 	p := &passthrough{name: "stage", in: in, out: out}
 	d.AddModule(p)
-	if !in.PushFrame(NewFrame(make([]byte, 160), 0), d.BusBytes()) { // 5 beats
+	if !pushFrame(in, NewFrame(make([]byte, 160), 0), d.BusBytes()) { // 5 beats
 		t.Fatal("push failed")
 	}
 	for want := uint64(1); want <= 3; want++ {

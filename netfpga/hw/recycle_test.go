@@ -40,7 +40,7 @@ func TestFrameStaysInItsSizeClass(t *testing.T) {
 func TestPutTwicePanics(t *testing.T) {
 	p := &FramePool{}
 	f := p.Get(100)
-	f.Meta.Flags = FlagToCPU
+	f.Meta.Flags = FlagFromCPU
 	p.Put(f)
 	msg := mustPanic(t, func() { p.Put(f) })
 	if !strings.Contains(msg, "already free") || !strings.Contains(msg, "len 100") {
@@ -104,7 +104,7 @@ func TestResetRecyclesInFlightOnce(t *testing.T) {
 	p := d.Pool()
 
 	whole := p.Get(100)
-	if !out.PushFrame(whole, d.BusBytes()) {
+	if !pushFrame(out, whole, d.BusBytes()) {
 		t.Fatal("stream refused a frame")
 	}
 	half := p.Get(100)

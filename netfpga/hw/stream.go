@@ -29,8 +29,7 @@ type Stream struct {
 	// or Last beat enters or a Last one leaves, see Design.Advance.
 	edge *bool
 
-	pushed  uint64
-	highWtr int
+	pushed uint64
 
 	// One window attempt's declarations about this stream and the mode
 	// solved from them (window.go); valid while wgen is the attempt's.
@@ -81,11 +80,9 @@ func (s *Stream) Len() int { return s.n }
 // CanPush reports whether at least one beat of space is available (TREADY).
 func (s *Stream) CanPush() bool { return s.n < s.cap }
 
-// Space returns the number of free beat slots.
-func (s *Stream) Space() int { return s.cap - s.n }
-
-// put enqueues a beat without invoking the wake hook.
-func (s *Stream) put(b Beat) {
+// Push enqueues a beat. Pushing to a full stream panics: modules must
+// check CanPush first, exactly as hardware must honour TREADY.
+func (s *Stream) Push(b Beat) {
 	if s.n == s.cap {
 		panic("hw: push to full stream " + s.name)
 	}
@@ -98,15 +95,6 @@ func (s *Stream) put(b Beat) {
 	if b.Last || b.Off == 0 {
 		*s.edge = true
 	}
-	if s.n > s.highWtr {
-		s.highWtr = s.n
-	}
-}
-
-// Push enqueues a beat. Pushing to a full stream panics: modules must
-// check CanPush first, exactly as hardware must honour TREADY.
-func (s *Stream) Push(b Beat) {
-	s.put(b)
 	if s.dsn != nil {
 		s.dsn.wakeModule(s.to)
 	} else if s.wake != nil {
@@ -159,36 +147,12 @@ func (s *Stream) reset(p *FramePool) {
 	}
 	clear(s.buf)
 	s.head, s.n, s.ends = 0, 0, 0
-	s.pushed, s.highWtr = 0, 0
+	s.pushed = 0
 	s.ownEdge = false
 }
 
 // Pushed returns the total number of beats ever pushed.
 func (s *Stream) Pushed() uint64 { return s.pushed }
-
-// HighWater returns the maximum occupancy observed.
-func (s *Stream) HighWater() int { return s.highWtr }
-
-// PushFrame enqueues an entire frame as busBytes-wide beats. It reports
-// false without side effects if the stream lacks space for all beats.
-// Edge adapters use it where a whole frame materialises at once. The wake
-// runs once for the whole frame, with the Last beat, not once per beat:
-// the consuming clock only needs one wakeup, and per-beat wakes were pure
-// overhead.
-func (s *Stream) PushFrame(f *Frame, busBytes int) bool {
-	nb := f.Beats(busBytes)
-	if s.Space() < nb {
-		return false
-	}
-	for off := 0; ; off += busBytes {
-		end := off + busBytes
-		if end >= len(f.Data) {
-			s.Push(Beat{Frame: f, Off: off, End: len(f.Data), Last: true})
-			return true
-		}
-		s.put(Beat{Frame: f, Off: off, End: end})
-	}
-}
 
 // Emitter streams a stored frame into a Stream as busBytes-wide beats,
 // one per Emit call. The zero value means "no frame in progress".
@@ -385,9 +349,6 @@ func (q *FrameQueue) Reset(p *FramePool) {
 	q.drops, q.highWtr = 0, 0
 	q.ownEdge = false
 }
-
-// Drops returns the number of frames rejected for lack of space.
-func (q *FrameQueue) Drops() uint64 { return q.drops }
 
 // DropCounter returns the queue's drop counter as a spine entry of the
 // given name and kind, for the module that owns the queue to list among

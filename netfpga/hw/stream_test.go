@@ -64,6 +64,18 @@ func TestStreamWakeHook(t *testing.T) {
 	}
 }
 
+// pushFrame streams f into s as busBytes-wide beats through an Emitter,
+// as a module streams a stored frame. It reports false if s fills first.
+func pushFrame(s *Stream, f *Frame, busBytes int) bool {
+	var e Emitter
+	for e.Start(f); e.Active(); {
+		if pushed, _ := e.Emit(s, busBytes); !pushed {
+			return false
+		}
+	}
+	return true
+}
+
 func TestPushFrameBeatDecomposition(t *testing.T) {
 	s := NewStream("s", 16)
 	data := make([]byte, 70) // 3 beats at 32B: 32+32+6
@@ -71,8 +83,8 @@ func TestPushFrameBeatDecomposition(t *testing.T) {
 		data[i] = byte(i)
 	}
 	f := NewFrame(data, 2)
-	if !s.PushFrame(f, 32) {
-		t.Fatal("PushFrame failed with ample space")
+	if !pushFrame(s, f, 32) {
+		t.Fatal("push failed with ample space")
 	}
 	if s.Len() != 3 {
 		t.Fatalf("frame of 70B split into %d beats, want 3", s.Len())
@@ -80,24 +92,13 @@ func TestPushFrameBeatDecomposition(t *testing.T) {
 	var rebuilt []byte
 	for s.CanPop() {
 		b := s.Pop()
-		rebuilt = append(rebuilt, b.Bytes()...)
+		rebuilt = append(rebuilt, b.Frame.Data[b.Off:b.End]...)
 		if b.Last != !s.CanPop() {
 			t.Fatal("Last flag misplaced")
 		}
 	}
 	if string(rebuilt) != string(data) {
 		t.Fatal("beat reassembly does not match original frame")
-	}
-}
-
-func TestPushFrameAtomicity(t *testing.T) {
-	s := NewStream("s", 2)
-	f := NewFrame(make([]byte, 70), 0) // needs 3 beats
-	if s.PushFrame(f, 32) {
-		t.Fatal("PushFrame should refuse when not all beats fit")
-	}
-	if s.Len() != 0 {
-		t.Fatal("failed PushFrame left partial beats behind")
 	}
 }
 
@@ -111,13 +112,14 @@ func TestFrameBeatRoundTripProperty(t *testing.T) {
 			data = []byte{0}
 		}
 		fr := NewFrame(data, 0)
-		s := NewStream("p", fr.Beats(bus))
-		if !s.PushFrame(fr, bus) {
+		s := NewStream("p", (len(data)+bus-1)/bus)
+		if !pushFrame(s, fr, bus) {
 			return false
 		}
 		var out []byte
 		for s.CanPop() {
-			out = append(out, s.Pop().Bytes()...)
+			b := s.Pop()
+			out = append(out, b.Frame.Data[b.Off:b.End]...)
 		}
 		if len(out) != len(data) {
 			return false
@@ -143,8 +145,8 @@ func TestFrameQueueBounds(t *testing.T) {
 	if q.Push(c) {
 		t.Fatal("push beyond frame bound succeeded")
 	}
-	if q.Drops() != 1 {
-		t.Fatalf("drops = %d, want 1", q.Drops())
+	if q.drops != 1 {
+		t.Fatalf("drops = %d, want 1", q.drops)
 	}
 	if q.Pop() != a || q.Pop() != b || q.Pop() != nil {
 		t.Fatal("FIFO order violated")

@@ -211,9 +211,8 @@ func (s *Stream) incoming(i, bus int) Beat {
 
 // advance applies n cycles of the planned mode in O(stock): the stock
 // ends up as n per-cycle Ticks would have left it — the survivors of the
-// old one, then the last of the beats pushed — and Pushed, HighWater (a
-// forward lockstep edge peaks one above its occupancy inside each cycle)
-// and the emitter move as they would have moved.
+// old one, then the last of the beats pushed — and Pushed and the
+// emitter move as they would have moved.
 func (s *Stream) advance(n, bus int) {
 	if s.mode == still {
 		return
@@ -230,20 +229,15 @@ func (s *Stream) advance(n, bus int) {
 	if s.mode == popOnly {
 		return
 	}
-	final, peak := l, l
+	final := l
 	if s.mode == pushOnly {
-		final, peak = l+n, l+n
-	} else if s.forward {
-		peak = l + 1
+		final = l + n
 	}
 	for i := s.n; i < final; i++ { // append the last final-s.n of the n beats pushed
 		s.buf[(s.head+i)&s.mask] = s.incoming(n-final+i, bus)
 	}
 	s.n = final
 	s.pushed += uint64(n)
-	if peak > s.highWtr {
-		s.highWtr = peak
-	}
 	if s.prod == endEmit {
 		s.emit.off += n * bus
 	}

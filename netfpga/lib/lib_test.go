@@ -81,6 +81,19 @@ func frame(n int, tag byte) []byte {
 	return b
 }
 
+// pushFrame streams f into s as busBytes-wide beats through an
+// hw.Emitter, as a module streams a stored frame. It reports false if s
+// fills first.
+func pushFrame(s *hw.Stream, f *hw.Frame, busBytes int) bool {
+	var e hw.Emitter
+	for e.Start(f); e.Active(); {
+		if pushed, _ := e.Emit(s, busBytes); !pushed {
+			return false
+		}
+	}
+	return true
+}
+
 func TestPipelineForwardsFrames(t *testing.T) {
 	r := newRig(t, crossover, 0)
 	r.taps[0].Send(hw.NewFrame(frame(100, 1), 0))
@@ -173,7 +186,7 @@ func TestLookupToCPU(t *testing.T) {
 	cpuQ := d.NewFrameQueue("cpu", 16, 0)
 	punt := func(f *hw.Frame) Verdict { return ToCPU }
 	NewOutputPortLookup(d, "opl", in, out, punt, 0, hw.Resources{}, cpuQ)
-	in.PushFrame(hw.NewFrame(frame(64, 9), 0), 32)
+	pushFrame(in, hw.NewFrame(frame(64, 9), 0), 32)
 	s.RunFor(sim.Microsecond)
 	if cpuQ.Len() != 1 {
 		t.Fatal("frame not punted to CPU queue")
@@ -336,7 +349,7 @@ func TestTimestamperPayloadMode(t *testing.T) {
 	NewTimestamper(d, "ts", in, out, StampPayload, 16)
 	d.AddModule(&captureMod{out: out, cb: func(*hw.Frame) {}})
 	f := hw.NewFrame(frame(64, 0), 0)
-	in.PushFrame(f, 32)
+	pushFrame(in, f, 32)
 	s.RunFor(sim.Microsecond)
 	ts, ok := ExtractPayloadTimestamp(f.Data, 16)
 	if !ok {
@@ -392,7 +405,7 @@ func TestDMAAttachPrivatizesSharedFrames(t *testing.T) {
 	}
 	sib := pool.ShareClone(orig) // orig stays "inside the device"
 	sib.Meta.DstPorts = hw.HostPortMask(0)
-	if !fromPipe.PushFrame(sib, 32) {
+	if !pushFrame(fromPipe, sib, 32) {
 		t.Fatal("push failed")
 	}
 	s.RunFor(sim.Millisecond)

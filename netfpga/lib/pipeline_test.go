@@ -252,7 +252,7 @@ func TestTimestamperMetaMode(t *testing.T) {
 	var got *hw.Frame
 	d.AddModule(&captureMod{out: out, cb: func(f *hw.Frame) { got = f }})
 	f := hw.NewFrame(make([]byte, 64), 0)
-	s.After(100*sim.Microsecond, func() { in.PushFrame(f, 32) })
+	s.After(100*sim.Microsecond, func() { pushFrame(in, f, 32) })
 	s.RunFor(sim.Millisecond)
 	if got == nil {
 		t.Fatal("frame lost")

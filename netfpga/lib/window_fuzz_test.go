@@ -194,7 +194,7 @@ func runWindowProgram(prog []byte, frameBurst int) windowTrace {
 
 	tr.stats = d.Stats()
 	for _, st := range d.Streams() {
-		tr.streams = append(tr.streams, fmt.Sprintf("%s pushed=%d high=%d len=%d", st.Name(), st.Pushed(), st.HighWater(), st.Len()))
+		tr.streams = append(tr.streams, fmt.Sprintf("%s pushed=%d len=%d", st.Name(), st.Pushed(), st.Len()))
 	}
 	tr.executed, tr.edges = s.Executed(), clk.Ticks()
 	tr.windows, tr.cycles = d.WindowStats()

@@ -22,6 +22,9 @@ const (
 	LinkTypeEthernet = 1
 	headerSize       = 24
 	recordSize       = 16
+	// maxRecordLen bounds a record's captured length whatever the header
+	// says: libpcap's own MAXIMUM_SNAPLEN, past which it refuses a file.
+	maxRecordLen = 262144
 )
 
 // Errors.
@@ -138,14 +141,10 @@ func NewReader(r io.Reader) (*Reader, error) {
 	return rd, nil
 }
 
-// Nanos reports whether the file carries nanosecond timestamps.
-func (r *Reader) Nanos() bool { return r.nanos }
-
-// SnapLen returns the file's snap length.
-func (r *Reader) SnapLen() uint32 { return r.snaplen }
-
 // Next returns the next record, or io.EOF at a clean end of file. A
-// truncated trailing record returns io.ErrUnexpectedEOF.
+// truncated trailing record returns io.ErrUnexpectedEOF, and a record
+// longer than the header's non-zero snap length ErrSnapLen: the header
+// and records are input, and a record is allocated at its stated size.
 func (r *Reader) Next() (Packet, error) {
 	if _, err := io.ReadFull(r.r, r.scratch[:]); err != nil {
 		if err == io.EOF {
@@ -157,7 +156,10 @@ func (r *Reader) Next() (Packet, error) {
 	frac := r.order.Uint32(r.scratch[4:8])
 	capLen := r.order.Uint32(r.scratch[8:12])
 	origLen := r.order.Uint32(r.scratch[12:16])
-	if capLen > 1<<26 {
+	if r.snaplen != 0 && capLen > r.snaplen {
+		return Packet{}, ErrSnapLen
+	}
+	if capLen > maxRecordLen {
 		return Packet{}, fmt.Errorf("pcap: implausible record length %d", capLen)
 	}
 	data := make([]byte, capLen)

@@ -2,7 +2,9 @@ package pcap
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -77,6 +79,54 @@ func TestSnapLenTruncation(t *testing.T) {
 	}
 	if pkts[0].Data[63] != 0xAA {
 		t.Fatal("truncated content wrong")
+	}
+}
+
+// record appends one record header claiming capLen captured bytes, and
+// then data, to a capture.
+func record(file []byte, capLen uint32, data []byte) []byte {
+	var hdr [recordSize]byte
+	binary.LittleEndian.PutUint32(hdr[8:12], capLen)
+	binary.LittleEndian.PutUint32(hdr[12:16], capLen)
+	return append(append(file, hdr[:]...), data...)
+}
+
+// TestRecordOverSnapLen: the header's snap length bounds every record a
+// reader accepts; a file whose header says 0 is bounded only by
+// maxRecordLen.
+func TestRecordOverSnapLen(t *testing.T) {
+	header := func(snaplen uint32) []byte {
+		var buf bytes.Buffer
+		NewWriter(&buf, 64, true)
+		b := buf.Bytes()
+		binary.LittleEndian.PutUint32(b[16:20], snaplen)
+		return b
+	}
+	for _, tc := range []struct {
+		name            string
+		snaplen, capLen uint32
+		want            string // "" if the record is read, else part of the error
+	}{
+		{"at the snap length", 64, 64, ""},
+		{"over the snap length", 64, 65, ErrSnapLen.Error()},
+		{"far over the snap length", 64, 1 << 20, ErrSnapLen.Error()},
+		{"no snap length", 0, 1500, ""},
+		{"over the record bound", 0, maxRecordLen + 1, "implausible"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			file := record(header(tc.snaplen), tc.capLen, make([]byte, min(tc.capLen, 4096)))
+			r, err := NewReader(bytes.NewReader(file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := r.Next()
+			if tc.want == "" && (err != nil || len(p.Data) != int(tc.capLen)) {
+				t.Fatalf("record of %d bytes: %d read, err %v", tc.capLen, len(p.Data), err)
+			}
+			if tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+				t.Fatalf("record of %d bytes under snap length %d: err %v, want %q", tc.capLen, tc.snaplen, err, tc.want)
+			}
+		})
 	}
 }
 

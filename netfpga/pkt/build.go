@@ -30,37 +30,6 @@ func BuildUDP(s UDPSpec) ([]byte, error) {
 		ip, udp, Payload(s.Payload))
 }
 
-// TCPSpec describes a TCP packet to build.
-type TCPSpec struct {
-	SrcMAC, DstMAC   MAC
-	SrcIP, DstIP     IP4
-	SrcPort, DstPort uint16
-	Seq, Ack         uint32
-	Flags            uint8
-	Window           uint16
-	TTL              uint8
-	Payload          []byte
-}
-
-// BuildTCP assembles an Ethernet/IPv4/TCP frame.
-func BuildTCP(s TCPSpec) ([]byte, error) {
-	ttl := s.TTL
-	if ttl == 0 {
-		ttl = 64
-	}
-	win := s.Window
-	if win == 0 {
-		win = 65535
-	}
-	ip := &IPv4{TTL: ttl, Protocol: IPProtoTCP, Src: s.SrcIP, Dst: s.DstIP}
-	tcp := &TCP{SrcPort: s.SrcPort, DstPort: s.DstPort, Seq: s.Seq, Ack: s.Ack,
-		Flags: s.Flags, Window: win}
-	tcp.SetNetworkLayerForChecksum(ip)
-	return Serialize(buildOpts,
-		&Ethernet{Dst: s.DstMAC, Src: s.SrcMAC, EtherType: EtherTypeIPv4},
-		ip, tcp, Payload(s.Payload))
-}
-
 // BuildARPRequest assembles a who-has request for targetIP.
 func BuildARPRequest(srcMAC MAC, srcIP, targetIP IP4) ([]byte, error) {
 	return Serialize(buildOpts,

@@ -64,23 +64,3 @@ func UpdateChecksum16(check, old, new uint16) uint16 {
 func FCS(frame []byte) uint32 {
 	return crc32.ChecksumIEEE(frame)
 }
-
-// AppendFCS appends the 4-byte little-endian FCS to frame, as transmitted
-// on the wire, and returns the extended slice.
-func AppendFCS(frame []byte) []byte {
-	c := FCS(frame)
-	return append(frame, byte(c), byte(c>>8), byte(c>>16), byte(c>>24))
-}
-
-// CheckFCS verifies and strips the trailing FCS of a wire frame. It
-// reports the payload (without FCS) and whether the FCS was valid.
-func CheckFCS(wire []byte) ([]byte, bool) {
-	if len(wire) < 4 {
-		return nil, false
-	}
-	body := wire[:len(wire)-4]
-	c := FCS(body)
-	tail := wire[len(wire)-4:]
-	ok := tail[0] == byte(c) && tail[1] == byte(c>>8) && tail[2] == byte(c>>16) && tail[3] == byte(c>>24)
-	return body, ok
-}

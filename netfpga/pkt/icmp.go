@@ -10,12 +10,9 @@ const (
 	ICMPv4TimeExceeded    uint8 = 11
 )
 
-// ICMPv4 destination-unreachable codes.
-const (
-	ICMPv4CodeNetUnreachable  uint8 = 0
-	ICMPv4CodeHostUnreachable uint8 = 1
-	ICMPv4CodePortUnreachable uint8 = 3
-)
+// ICMPv4CodeNetUnreachable is the destination-unreachable code the
+// reference router sends when it has no route.
+const ICMPv4CodeNetUnreachable uint8 = 0
 
 // ICMPv4 is an ICMP header (RFC 792). ID and Seq are meaningful for echo
 // messages and zero otherwise.
@@ -42,12 +39,6 @@ func (c *ICMPv4) DecodeFromBytes(data []byte) error {
 	c.Seq = binary.BigEndian.Uint16(data[6:8])
 	c.payload = data[8:]
 	return nil
-}
-
-// VerifyChecksum reports whether the message checksum is valid over the
-// original message bytes.
-func (c *ICMPv4) VerifyChecksum(msg []byte) bool {
-	return len(msg) >= 8 && Checksum(msg, 0) == 0
 }
 
 // NextLayerType implements DecodingLayer.

@@ -91,7 +91,6 @@ const (
 	EtherTypeIPv4 uint16 = 0x0800
 	EtherTypeARP  uint16 = 0x0806
 	EtherTypeVLAN uint16 = 0x8100
-	EtherTypeIPv6 uint16 = 0x86DD
 )
 
 // IP protocol numbers.

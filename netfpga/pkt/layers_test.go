@@ -148,6 +148,13 @@ func TestIPv4Fragment(t *testing.T) {
 	}
 }
 
+// transportChecksumOK reports whether a decoded packet's UDP or TCP
+// segment sums to zero over its pseudo-header, as a receiver checks it.
+func transportChecksumOK(p *Packet) bool {
+	seg := p.IPv4.LayerPayload()
+	return Checksum(seg, PseudoHeaderSum(p.IPv4.Protocol, p.IPv4.Src, p.IPv4.Dst, uint16(len(seg)))) == 0
+}
+
 func TestUDPRoundTrip(t *testing.T) {
 	frame, err := BuildUDP(UDPSpec{
 		SrcMAC: testSrcMAC, DstMAC: testDstMAC,
@@ -166,23 +173,25 @@ func TestUDPRoundTrip(t *testing.T) {
 	if p.UDP.SrcPort != 1000 || p.UDP.DstPort != 53 || string(p.Payload) != "query" {
 		t.Fatalf("decoded %+v payload %q", p.UDP, p.Payload)
 	}
-	if !p.UDP.VerifyChecksum(p.IPv4.LayerPayload(), p.IPv4.Src, p.IPv4.Dst) {
+	if !transportChecksumOK(p) {
 		t.Fatal("UDP checksum invalid")
 	}
 	// Corrupt payload.
 	frame[len(frame)-1] ^= 1
 	p2, _ := Decode(frame)
-	if p2.UDP.VerifyChecksum(p2.IPv4.LayerPayload(), p2.IPv4.Src, p2.IPv4.Dst) {
+	if transportChecksumOK(p2) {
 		t.Fatal("UDP checksum passed on corrupted payload")
 	}
 }
 
 func TestTCPRoundTrip(t *testing.T) {
-	frame, err := BuildTCP(TCPSpec{
-		SrcMAC: testSrcMAC, DstMAC: testDstMAC,
-		SrcIP: testSrcIP, DstIP: testDstIP,
-		SrcPort: 45000, DstPort: 80, Seq: 0xDEADBEEF, Ack: 42,
-		Flags: TCPSyn | TCPAck, Payload: []byte("GET /")})
+	ip := &IPv4{TTL: 64, Protocol: IPProtoTCP, Src: testSrcIP, Dst: testDstIP}
+	tcp := &TCP{SrcPort: 45000, DstPort: 80, Seq: 0xDEADBEEF, Ack: 42,
+		Flags: TCPSyn | TCPAck, Window: 65535}
+	tcp.SetNetworkLayerForChecksum(ip)
+	frame, err := Serialize(SerializeOptions{FixLengths: true, ComputeChecksums: true},
+		&Ethernet{Dst: testDstMAC, Src: testSrcMAC, EtherType: EtherTypeIPv4},
+		ip, tcp, Payload([]byte("GET /")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +205,7 @@ func TestTCPRoundTrip(t *testing.T) {
 	if p.TCP.Seq != 0xDEADBEEF || p.TCP.Flags != TCPSyn|TCPAck || string(p.Payload) != "GET /" {
 		t.Fatalf("decoded %+v payload %q", p.TCP, p.Payload)
 	}
-	if !p.TCP.VerifyChecksum(p.IPv4.LayerPayload(), p.IPv4.Src, p.IPv4.Dst) {
+	if !transportChecksumOK(p) {
 		t.Fatal("TCP checksum invalid")
 	}
 }
@@ -240,7 +249,7 @@ func TestICMPEchoRoundTrip(t *testing.T) {
 	if p.ICMP == nil || p.ICMP.Type != ICMPv4EchoRequest || p.ICMP.ID != 7 || p.ICMP.Seq != 3 {
 		t.Fatalf("decoded %+v", p.ICMP)
 	}
-	if !p.ICMP.VerifyChecksum(p.IPv4.LayerPayload()) {
+	if Checksum(p.IPv4.LayerPayload(), 0) != 0 {
 		t.Fatal("ICMP checksum invalid")
 	}
 }
@@ -281,7 +290,7 @@ func TestUDPRoundTripProperty(t *testing.T) {
 			return false
 		}
 		return p.UDP.SrcPort == sport && p.UDP.DstPort == dport && bytes.Equal(p.Payload, payload) &&
-			p.UDP.VerifyChecksum(p.IPv4.LayerPayload(), p.IPv4.Src, p.IPv4.Dst)
+			transportChecksumOK(p)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -3,11 +3,12 @@ package pkt
 import "fmt"
 
 // Parser decodes a known protocol stack into preallocated layer structs
-// with zero allocation per packet — the DecodingLayerParser idiom. It is
-// the decode path datapath modules use at line rate.
+// with zero allocation per packet — the DecodingLayerParser idiom. No
+// shipped module decodes through it: the router uses Decode and the
+// switch decodes an Ethernet header directly. It is kept for the
+// benchmark's parse probe.
 //
-// A Parser is not safe for concurrent use; each simulated hardware block
-// owns its own.
+// A Parser is not safe for concurrent use; each user owns its own.
 type Parser struct {
 	first  LayerType
 	layers [numLayerTypes]DecodingLayer
@@ -17,7 +18,7 @@ type Parser struct {
 }
 
 // NewParser returns a parser that starts decoding at first and knows the
-// given layers. Unknown next-layers terminate decoding without error.
+// given layers; Parse says how it stops at a layer it has no decoder for.
 func NewParser(first LayerType, layers ...DecodingLayer) *Parser {
 	p := &Parser{first: first}
 	for _, l := range layers {

@@ -17,7 +17,7 @@ func NewSerializeBuffer() *SerializeBuffer {
 }
 
 // Bytes returns the current contents. The slice is invalidated by the next
-// Prepend/Append/Clear.
+// Prepend or Clear.
 func (b *SerializeBuffer) Bytes() []byte { return b.buf[b.start:] }
 
 // Len returns the current content length.
@@ -47,17 +47,6 @@ func (b *SerializeBuffer) PrependBytes(n int) []byte {
 	b.buf = grown
 	b.start = 256
 	return b.buf[b.start : b.start+n]
-}
-
-// AppendBytes returns an n-byte slice at the back of the buffer, for
-// payloads and trailers.
-func (b *SerializeBuffer) AppendBytes(n int) []byte {
-	old := len(b.buf)
-	for cap(b.buf) < old+n {
-		b.buf = append(b.buf[:cap(b.buf)], 0)
-	}
-	b.buf = b.buf[:old+n]
-	return b.buf[old:]
 }
 
 // Serialize writes layers front-to-back (layers[0] outermost) and returns

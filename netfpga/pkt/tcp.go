@@ -64,13 +64,6 @@ func (t *TCP) DecodeFromBytes(data []byte) error {
 	return nil
 }
 
-// VerifyChecksum reports whether the segment checksum is valid over the
-// original segment bytes.
-func (t *TCP) VerifyChecksum(segment []byte, src, dst IP4) bool {
-	acc := PseudoHeaderSum(IPProtoTCP, src, dst, uint16(len(segment)))
-	return Checksum(segment, acc) == 0
-}
-
 // NextLayerType implements DecodingLayer.
 func (t *TCP) NextLayerType() LayerType { return LayerTypePayload }
 

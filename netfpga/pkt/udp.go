@@ -41,16 +41,6 @@ func (u *UDP) DecodeFromBytes(data []byte) error {
 	return nil
 }
 
-// VerifyChecksum reports whether the datagram checksum is valid. A zero
-// transmitted checksum means "not computed" and is accepted.
-func (u *UDP) VerifyChecksum(datagram []byte, src, dst IP4) bool {
-	if u.Checksum == 0 {
-		return true
-	}
-	acc := PseudoHeaderSum(IPProtoUDP, src, dst, uint16(len(datagram)))
-	return Checksum(datagram, acc) == 0
-}
-
 // NextLayerType implements DecodingLayer.
 func (u *UDP) NextLayerType() LayerType { return LayerTypePayload }
 

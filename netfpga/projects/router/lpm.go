@@ -178,46 +178,3 @@ func (t *Trie) Walk(fn func(Route)) {
 	}
 	rec(0)
 }
-
-// LinearFIB is a reference implementation: a flat route list scanned for
-// the longest match. It exists to property-test the trie against.
-type LinearFIB struct {
-	routes []Route
-}
-
-// Insert adds or replaces a route.
-func (l *LinearFIB) Insert(r Route) {
-	for i := range l.routes {
-		if l.routes[i].Prefix == r.Prefix {
-			l.routes[i] = r
-			return
-		}
-	}
-	l.routes = append(l.routes, r)
-}
-
-// Remove deletes a route by prefix.
-func (l *LinearFIB) Remove(prefix pkt.Prefix) bool {
-	for i := range l.routes {
-		if l.routes[i].Prefix == prefix {
-			l.routes = append(l.routes[:i], l.routes[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// Lookup scans for the longest matching prefix.
-func (l *LinearFIB) Lookup(ip pkt.IP4) (Route, bool) {
-	var best Route
-	found := false
-	for _, r := range l.routes {
-		if r.Prefix.Contains(ip) {
-			if !found || r.Prefix.Bits > best.Prefix.Bits {
-				best = r
-				found = true
-			}
-		}
-	}
-	return best, found
-}

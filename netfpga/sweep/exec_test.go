@@ -278,7 +278,7 @@ func TestAcquireRelease(t *testing.T) {
 					cached = c.Dev // the warm-up cell's device goes to the cache
 					return Outcome{}, nil
 				}
-				if c.Dev != cached || c.Seed != 7 || !c.Dev.Hybrid() {
+				if c.Dev != cached || c.Seed != 7 || c.Dev.Background() == nil {
 					t.Error("the measure did not get the cached device, reseeded, at the cell's fidelity")
 				}
 				if len(p.devs.idle) != 0 {

@@ -63,12 +63,10 @@ type flow struct {
 // Generator produces frames from a fixed flow set with a weighted size
 // mix. It is deterministic for a given Config.
 type Generator struct {
-	cfg    Config
-	rng    sim.Rand
-	flows  []flow
-	wheel  []int // size index wheel for weighted sampling
-	frames uint64
-	bytes  uint64
+	cfg   Config
+	rng   sim.Rand
+	flows []flow
+	wheel []int // size index wheel for weighted sampling
 
 	// Reused serialization state: one buffer, one set of layer structs
 	// and one zero-payload scratch serve every Next call, so generating
@@ -154,7 +152,6 @@ func (g *Generator) Reset(cfg Config) error {
 	}
 	g.cfg = cfg
 	g.rng.Seed(cfg.Seed ^ 0x3017c10ad)
-	g.frames, g.bytes = 0, 0
 	// Build the flow set deterministically.
 	srcBase, dstBase := cfg.SrcNet.Addr.Uint32(), cfg.DstNet.Addr.Uint32()
 	srcSpace := ^cfg.SrcNet.Mask()
@@ -236,10 +233,7 @@ func (g *Generator) NextView() []byte { return g.nextView() }
 func (g *Generator) nextView() []byte {
 	fi := g.rng.Intn(len(g.flows))
 	si := g.wheel[g.rng.Intn(len(g.wheel))]
-	b := g.frameFor(fi, si)
-	g.frames++
-	g.bytes += uint64(len(b))
-	return b
+	return g.frameFor(fi, si)
 }
 
 // NextHybrid draws the next emission for a hybrid-fidelity run. It
@@ -248,9 +242,7 @@ func (g *Generator) nextView() []byte {
 // full-fidelity run would. Foreground draws (flow index >=
 // cfg.Background) return the serialized frame view exactly as NextView
 // does; background draws skip serialization entirely and report only
-// the wire size, which is what the analytic model consumes. Generator
-// frame/byte counters advance identically either way, so conservation
-// checks can compare offered totals across fidelities.
+// the wire size, which is what the analytic model consumes.
 func (g *Generator) NextHybrid() (frame []byte, size int, background bool) {
 	if g.cfg.Background == 0 {
 		b := g.nextView()
@@ -261,23 +253,14 @@ func (g *Generator) NextHybrid() (frame []byte, size int, background bool) {
 	if fi < g.cfg.Background {
 		// Sizes are validated >= 60 at New, so the serialized frame
 		// would never be min-padded beyond its declared size.
-		size = g.cfg.Sizes[si].Bytes
-		g.frames++
-		g.bytes += uint64(size)
-		return nil, size, true
+		return nil, g.cfg.Sizes[si].Bytes, true
 	}
 	b := g.frameFor(fi, si)
-	g.frames++
-	g.bytes += uint64(len(b))
 	return b, len(b), false
 }
 
-// Background returns the number of flows tagged background.
-func (g *Generator) Background() int { return g.cfg.Background }
-
 // frameFor returns the (cached or freshly serialized) frame for a
-// (flow, size) pair, maintaining the cache exactly as nextView does but
-// without the RNG draws or counter updates.
+// (flow, size) pair, filling the cache on a miss.
 func (g *Generator) frameFor(fi, si int) []byte {
 	if len(g.cache) == 0 {
 		return g.serialize(fi, si)
@@ -325,22 +308,6 @@ func (g *Generator) serialize(fi, si int) []byte {
 // valid, its bytes unchanged, until the next Reset; if not, only until
 // the next Next, NextView or Reset call.
 func (g *Generator) Cached() bool { return len(g.cache) > 0 }
-
-// Frames returns the count of frames generated so far.
-func (g *Generator) Frames() uint64 { return g.frames }
-
-// Bytes returns the bytes generated so far.
-func (g *Generator) Bytes() uint64 { return g.bytes }
-
-// Flows returns the distinct five-tuples of the flow set.
-func (g *Generator) Flows() []pkt.FiveTuple {
-	out := make([]pkt.FiveTuple, len(g.flows))
-	for i, f := range g.flows {
-		out[i] = pkt.FiveTuple{Src: f.src, Dst: f.dst, Proto: pkt.IPProtoUDP,
-			SrcPort: f.sport, DstPort: f.dport}
-	}
-	return out
-}
 
 // WritePcap emits n frames as a nanosecond pcap stream with CBR
 // timestamps at rateMbps (wire-time spacing including the 24B per-frame

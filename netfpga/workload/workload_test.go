@@ -35,14 +35,14 @@ func TestGeneratorFramesValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flowSet := map[pkt.FiveTuple]bool{}
-	for _, ft := range g.Flows() {
-		flowSet[ft] = true
+	flowSet := map[flow]bool{}
+	for _, fl := range g.flows {
+		flowSet[fl] = true
 	}
 	if len(flowSet) < 12 {
 		t.Fatalf("only %d distinct flows of 16 requested", len(flowSet))
 	}
-	seen := map[pkt.FiveTuple]bool{}
+	seen := map[flow]bool{}
 	for i := 0; i < 300; i++ {
 		frame := g.Next()
 		p, err := pkt.Decode(frame)
@@ -52,11 +52,12 @@ func TestGeneratorFramesValid(t *testing.T) {
 		if !p.IPv4.VerifyChecksum(p.Eth.LayerPayload()) {
 			t.Fatalf("frame %d bad IP checksum", i)
 		}
-		ft, _ := pkt.ExtractFiveTuple(p)
-		if !flowSet[ft] {
-			t.Fatalf("frame %d from unknown flow %+v", i, ft)
+		fl := flow{src: p.IPv4.Src, dst: p.IPv4.Dst, sport: p.UDP.SrcPort, dport: p.UDP.DstPort,
+			srcMAC: p.Eth.Src, dstMAC: p.Eth.Dst}
+		if !flowSet[fl] {
+			t.Fatalf("frame %d from unknown flow %+v", i, fl)
 		}
-		seen[ft] = true
+		seen[fl] = true
 		if len(frame) < 60 {
 			t.Fatalf("frame %d under minimum", i)
 		}
