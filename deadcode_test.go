@@ -36,7 +36,9 @@ var deadcodeReasons = []string{"hook:", "api:", "bench:"}
 // interface (fmt.Stringer, error, errors.Unwrap). The standard library is
 // stubbed, so such calls resolve to nothing; a method of one of these
 // names counts as referenced. A type passed to another standard
-// interface adds that method's name here.
+// interface adds that method's name here. Any other method counts as
+// referenced through an interface only if its receiver type implements
+// a module interface that has it.
 var stdInterfaceMethods = map[string]bool{"String": true, "Error": true, "Unwrap": true}
 
 // liveness is how a declaration is referenced from non-test code.
@@ -74,8 +76,9 @@ func loadDeadModule(root, module string) (*deadModule, error) {
 		pkgs:    map[string]*deadPkg{},
 		checked: map[string]*types.Package{},
 		info: &types.Info{
-			Defs: map[*ast.Ident]types.Object{},
-			Uses: map[*ast.Ident]types.Object{},
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+			Types: map[ast.Expr]types.TypeAndValue{},
 		},
 	}
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
@@ -164,7 +167,7 @@ func (m *deadModule) deadDecls(skip string) []*deadDecl {
 		}
 	}
 
-	ifaceMethods := map[string]bool{}
+	var ifaces []*types.Interface
 	for _, pkg := range m.pkgs {
 		bench := inDir(pkg.dir, skip)
 		for _, f := range pkg.files {
@@ -179,10 +182,8 @@ func (m *deadModule) deadDecls(skip string) []*deadDecl {
 				ast.Inspect(d, func(n ast.Node) bool {
 					switch n := n.(type) {
 					case *ast.InterfaceType:
-						for _, fl := range n.Methods.List {
-							for _, id := range fl.Names {
-								ifaceMethods[id.Name] = true
-							}
+						if it, ok := m.info.Types[n].Type.(*types.Interface); ok && it.NumMethods() > 0 {
+							ifaces = append(ifaces, it)
 						}
 					case *ast.Ident:
 						obj := m.info.Uses[n]
@@ -206,7 +207,7 @@ func (m *deadModule) deadDecls(skip string) []*deadDecl {
 	var out []*deadDecl
 	for obj, dd := range decls {
 		if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil {
-			if ifaceMethods[fn.Name()] || stdInterfaceMethods[fn.Name()] {
+			if stdInterfaceMethods[fn.Name()] || implementsWith(fn, ifaces) {
 				continue
 			}
 		}
@@ -216,6 +217,24 @@ func (m *deadModule) deadDecls(skip string) []*deadDecl {
 	}
 	slices.SortFunc(out, func(a, b *deadDecl) int { return strings.Compare(a.key, b.key) })
 	return out
+}
+
+// implementsWith reports whether the receiver type of method fn, as T or
+// *T, implements one of ifaces that has a method of fn's name: a call
+// through that interface may reach fn.
+func implementsWith(fn *types.Func, ifaces []*types.Interface) bool {
+	recv := fn.Type().(*types.Signature).Recv().Type()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	for _, it := range ifaces {
+		for i := range it.NumMethods() {
+			if it.Method(i).Name() == fn.Name() && (types.Implements(recv, it) || types.Implements(types.NewPointer(recv), it)) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // declUnits splits a file's top-level declarations into functions and

@@ -49,14 +49,7 @@ type BoardSpec struct {
 }
 
 // PortRate returns the data rate of port i in Gb/s.
-func (b BoardSpec) PortRate(i int) float64 {
-	cfg := b.PortConfig(i)
-	enc := cfg.Encoding
-	if enc == 0 {
-		enc = serial.Encoding64b66b
-	}
-	return float64(cfg.Lanes) * cfg.LineGbps * enc
-}
+func (b BoardSpec) PortRate(i int) float64 { return b.PortConfig(i).DataGbps() }
 
 // TotalPortGbps returns the aggregate front-panel bandwidth.
 func (b BoardSpec) TotalPortGbps() float64 {

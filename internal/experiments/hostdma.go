@@ -66,17 +66,13 @@ func defT3() Def {
 		tap := dev.Tap(0)
 		tap.SetCounting(true)
 		data := make([]byte, fs)
-		pump := func(dur netfpga.Time) {
-			end := dev.Now() + dur
-			for dev.Now() < end {
-				for dev.Driver.Send(data, 0) == nil {
-				}
-				dev.RunFor(2 * netfpga.Microsecond)
+		send := func() {
+			for dev.Driver.Send(data, 0) == nil {
 			}
 		}
-		pump(50 * netfpga.Microsecond) // warmup
+		c.Drive(dev.Now()+50*netfpga.Microsecond, 2*netfpga.Microsecond, send) // warmup
 		f0, b0 := tap.Counts()
-		pump(window)
+		c.Drive(dev.Now()+window, 2*netfpga.Microsecond, send)
 		f1, b1 := tap.Counts() // read exactly at window end
 		var o sweep.Outcome
 		o.Set("achieved_gbps", float64(b1-b0)*8/window.Seconds()/1e9)

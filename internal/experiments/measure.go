@@ -1,15 +1,19 @@
 package experiments
 
-import "repro/netfpga"
+import (
+	"repro/netfpga"
+	"repro/netfpga/sweep"
+)
 
-// measureGoodput saturates the given taps (tap i repeatedly sends
-// streams[i]; nil entries stay silent) through a warmup and a timed
-// window, and returns the bytes received across all taps strictly
-// within the window. The taps count arrivals instead of capturing them,
-// and the totals are read exactly at the window's two ends, so
-// queued-but-undelivered frames are excluded and goodput can never
-// exceed the wire.
-func measureGoodput(dev *netfpga.Device, taps []*netfpga.PortTap, streams [][]byte,
+// measureGoodput saturates the given counting taps (countingTaps; tap i
+// repeatedly sends streams[i], nil entries stay silent) through a
+// warmup and a timed window, and returns the bytes received across all
+// taps strictly within the window. Each 1 µs step of c.Drive tops every
+// transmit FIFO up to 64 KiB. The totals are read exactly at the
+// window's two ends, so queued-but-undelivered frames are excluded and
+// goodput can never exceed the wire. A canceled batch stops the steps
+// at once.
+func measureGoodput(c *sweep.Ctx, taps []*netfpga.PortTap, streams [][]byte,
 	warmup, window netfpga.Time) uint64 {
 
 	topUp := func() {
@@ -24,19 +28,9 @@ func measureGoodput(dev *netfpga.Device, taps []*netfpga.PortTap, streams [][]by
 			}
 		}
 	}
-	run := func(dur netfpga.Time) {
-		end := dev.Now() + dur
-		for dev.Now() < end {
-			topUp()
-			dev.RunFor(netfpga.Microsecond)
-		}
-	}
-	for _, tap := range taps {
-		tap.SetCounting(true)
-	}
-	run(warmup)
+	c.Drive(c.Dev.Now()+warmup, netfpga.Microsecond, topUp)
 	_, atStart := tapCounts(taps...)
-	run(window)
+	c.Drive(c.Dev.Now()+window, netfpga.Microsecond, topUp)
 	_, atEnd := tapCounts(taps...)
 	return atEnd - atStart
 }

@@ -225,17 +225,14 @@ func defT7() Def {
 		taps := countingTaps(dev, 4)
 		p.InstallInitial(blueswitch.TagForwardPolicy(0x0800, 1, 1))
 		sent := 0
-		pump := func(dur netfpga.Time) {
-			end := dev.Now() + dur
-			for dev.Now() < end {
-				for i := 0; i < 14; i++ {
-					if taps[0].Send(frame) {
-						sent++
-					}
+		send := func() {
+			for i := 0; i < 14; i++ {
+				if taps[0].Send(frame) {
+					sent++
 				}
-				dev.RunFor(netfpga.Microsecond)
 			}
 		}
+		pump := func(dur netfpga.Time) bool { return c.Drive(dev.Now()+dur, netfpga.Microsecond, send) }
 		pump(100 * netfpga.Microsecond)
 		if mode == blueswitch.Versioned {
 			p.StageUpdate(blueswitch.TagForwardPolicy(0x0800, 2, 2))
@@ -244,8 +241,9 @@ func defT7() Def {
 		} else {
 			p.ApplyNaive(blueswitch.TagForwardPolicy(0x0800, 2, 2), delay)
 		}
-		pump(200*netfpga.Microsecond + 2*delay)
-		dev.RunFor(netfpga.Millisecond)
+		if pump(200*netfpga.Microsecond + 2*delay) {
+			dev.RunFor(netfpga.Millisecond)
+		}
 		delivered, _ := tapCounts(taps[1], taps[2])
 		var o sweep.Outcome
 		o.Set("sent", float64(sent))

@@ -45,10 +45,7 @@ func defT1() Def {
 	measure := func(c *sweep.Ctx, cell sweep.Cell) (sweep.Outcome, error) {
 		dev := c.Dev
 		payload := cell.Int("frame") - 4 // wire frame minus FCS is what taps carry
-		taps := make([]*netfpga.PortTap, dev.Board.Ports)
-		for i := range taps {
-			taps[i] = dev.Tap(i)
-		}
+		taps := countingTaps(dev, dev.Board.Ports)
 		// Saturate every port through a warmup, then measure a clean
 		// window.
 		data := make([]byte, payload)
@@ -56,7 +53,7 @@ func defT1() Def {
 		for i := range streams {
 			streams[i] = data
 		}
-		rxBytes := measureGoodput(dev, taps, streams, 100*netfpga.Microsecond, window)
+		rxBytes := measureGoodput(c, taps, streams, 100*netfpga.Microsecond, window)
 		var o sweep.Outcome
 		o.Set("achieved_gbps", float64(rxBytes)*8/window.Seconds()/1e9)
 		o.Set("loss", float64(sweep.QueueDrops(dev)))

@@ -60,7 +60,7 @@ func defT4() Def {
 				pkt.Payload(make([]byte, payload-14)))
 			streams[i] = f
 		}
-		rxBytes := measureGoodput(dev, taps, streams, 100*netfpga.Microsecond, window)
+		rxBytes := measureGoodput(c, taps, streams, 100*netfpga.Microsecond, window)
 		var o sweep.Outcome
 		o.Set("achieved_gbps", float64(rxBytes)*8/window.Seconds()/1e9)
 		o.Set("drops", float64(sweep.QueueDrops(dev)))
@@ -153,9 +153,8 @@ func defT5() Def {
 			t.Clear()
 			p.Engine().FIB = t
 		}
-		taps := make([]*netfpga.PortTap, 4)
+		taps := countingTaps(dev, 4)
 		for i := range taps {
-			taps[i] = dev.Tap(i)
 			p.AddRoute(router.Route{
 				Prefix: pkt.Prefix{Addr: pkt.IP4{10, 0, byte(i), 0}, Bits: 24},
 				Port:   uint8(i),
@@ -182,7 +181,7 @@ func defT5() Def {
 			}
 			streams[i] = f
 		}
-		rxBytes := measureGoodput(dev, taps, streams, 100*netfpga.Microsecond, window)
+		rxBytes := measureGoodput(c, taps, streams, 100*netfpga.Microsecond, window)
 		cnt := p.Engine().C
 		c.Keep(p.Engine().FIB) // the device, and its router, end with the cell
 		var o sweep.Outcome

@@ -88,9 +88,6 @@ func (d *Driver) Reset() {
 	d.engine.PostRx(rxRing)
 }
 
-// Name returns the driver instance name.
-func (d *Driver) Name() string { return d.name }
-
 // Send transmits data out of host queue q, one of the hw.MaxHostPorts
 // queues. The driver copies the frame, so the caller may reuse the
 // buffer.

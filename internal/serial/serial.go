@@ -72,6 +72,16 @@ type Config struct {
 	Seed uint64
 }
 
+// DataGbps is the port's data rate in Gb/s: its lanes' line rate less
+// the line coding, 64b/66b when Encoding is 0.
+func (c Config) DataGbps() float64 {
+	enc := c.Encoding
+	if enc == 0 {
+		enc = Encoding64b66b
+	}
+	return float64(c.Lanes) * c.LineGbps * enc
+}
+
 // Eth10G returns the configuration of one 10GbE SFP+ port.
 func Eth10G(name string) Config {
 	return Config{Name: name, Lanes: 1, LineGbps: 10.3125}
@@ -171,9 +181,6 @@ func NewMAC(s *sim.Sim, cfg Config) *MAC {
 	if cfg.Lanes <= 0 || cfg.LineGbps <= 0 {
 		panic("serial: invalid MAC config")
 	}
-	if cfg.Encoding == 0 {
-		cfg.Encoding = Encoding64b66b
-	}
 	if cfg.TxBufBytes == 0 {
 		cfg.TxBufBytes = 64 << 10
 	}
@@ -181,7 +188,7 @@ func NewMAC(s *sim.Sim, cfg Config) *MAC {
 		name: cfg.Name,
 		ber:  cfg.BER,
 		sim:  s,
-		rate: float64(cfg.Lanes) * cfg.LineGbps * cfg.Encoding,
+		rate: cfg.DataGbps(),
 		rng:  sim.NewRand(cfg.Seed ^ 0x5eeded), // Reseed reseeds the same way
 		tx:   arithTx{size: -1},
 		due:  sim.Forever,

@@ -119,9 +119,6 @@ func (s *Sim) NewClockMHz(name string, freqMHz float64) *Clock {
 	return s.NewClock(name, PeriodOfMHz(freqMHz))
 }
 
-// Name returns the clock's name.
-func (c *Clock) Name() string { return c.name }
-
 // Now returns the simulator's current time; inside a Tick it is the edge
 // time.
 func (c *Clock) Now() Time { return c.sim.now }

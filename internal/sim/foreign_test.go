@@ -178,7 +178,7 @@ func runForeignProgram(prog []byte, batch int) string {
 	}
 	p.observe("end")
 	for _, c := range p.clocks {
-		fmt.Fprintf(&p.log, "%s ticks %d\n", c.Name(), c.Ticks())
+		fmt.Fprintf(&p.log, "%s ticks %d\n", c.name, c.Ticks())
 	}
 	return p.log.String()
 }

@@ -105,9 +105,6 @@ func (b *BlockDev) Reset() {
 // Name returns the device name.
 func (b *BlockDev) Name() string { return b.cfg.Name }
 
-// Size returns the capacity in bytes.
-func (b *BlockDev) Size() uint64 { return b.cfg.Blocks * uint64(b.cfg.BlockSize) }
-
 // xferTime returns latency + streaming time for n bytes.
 func (b *BlockDev) xferTime(n int) sim.Time {
 	stream := sim.Time(float64(n) / (b.cfg.RateMBps * 1e6) * float64(sim.Second))

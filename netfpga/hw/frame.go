@@ -132,9 +132,6 @@ func NewFrame(data []byte, srcPort uint8) *Frame {
 	return &Frame{Data: data, Meta: Meta{SrcPort: srcPort, Len: uint16(len(data))}}
 }
 
-// Len returns the frame length in bytes.
-func (f *Frame) Len() int { return len(f.Data) }
-
 // Clone returns a deep copy of the frame. Multicast replication clones so
 // per-copy metadata (destination masks, rewrites) stays independent.
 func (f *Frame) Clone() *Frame {

@@ -168,9 +168,6 @@ func NewDesign(name string, clk *sim.Clock, busBytes int) *Design {
 	return d
 }
 
-// Name returns the design's name.
-func (d *Design) Name() string { return d.name }
-
 // BusBytes returns the datapath width in bytes.
 func (d *Design) BusBytes() int { return d.busBytes }
 

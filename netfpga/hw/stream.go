@@ -255,9 +255,6 @@ func NewFrameQueue(name string, capFrames, capBytes int) *FrameQueue {
 	return q
 }
 
-// Name returns the queue's name.
-func (q *FrameQueue) Name() string { return q.name }
-
 // Len returns the number of queued frames.
 func (q *FrameQueue) Len() int { return q.n }
 

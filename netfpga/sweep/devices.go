@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/sim"
 	"repro/netfpga"
 	"repro/netfpga/hw"
 	"repro/netfpga/projects"
@@ -27,8 +26,8 @@ const idleKeysPerWorker = 12
 // between cells (devices.frames).
 const idleFrameBytes = 1 << 20
 
-// maxIdleParts bounds the workload generators and drawers a plan keeps
-// idle: a cell holds at most one of each.
+// maxIdleParts bounds the drawers, each with its workload generator, a
+// plan keeps idle: a cell holds at most one.
 const maxIdleParts = 8
 
 // deviceKey identifies interchangeable devices: the registry board, or
@@ -64,9 +63,9 @@ type idleDevice struct {
 
 // devices is a plan's cache of idle devices: programmed once, reset
 // between cells, as a board is between the tests of a session. It also
-// keeps the workload generators and GenericMeasure drawers finished
-// cells released, which the next cells reset in place, so a plan builds
-// about one of each per worker. Safe for concurrent use by the plan's
+// keeps the drawers — workload generators and GenericMeasure's chunks —
+// finished cells released, which the next cells reset in place, so a
+// plan builds about one per worker. Safe for concurrent use by the plan's
 // workers.
 type devices struct {
 	mu      sync.Mutex
@@ -82,7 +81,6 @@ type devices struct {
 	want   map[deviceKey]int
 	// spare is what the last cell to call Ctx.Keep kept.
 	spare   any
-	gens    []*workload.Generator
 	drawers []*drawer
 }
 
@@ -93,43 +91,10 @@ func (c *devices) widen(width int) {
 	c.workers = max(c.workers, width)
 }
 
-// generator returns a workload generator for cfg: one a finished cell
-// released, reset to cfg, or a new one. A nil cache always builds.
-func (c *devices) generator(cfg workload.Config) (*workload.Generator, error) {
-	var g *workload.Generator
-	if c != nil {
-		c.mu.Lock()
-		if n := len(c.gens); n > 0 {
-			g = c.gens[n-1]
-			c.gens = c.gens[:n-1]
-		}
-		c.mu.Unlock()
-	}
-	if g == nil {
-		return workload.New(cfg)
-	}
-	return g, g.Reset(cfg)
-}
-
-// releaseGenerator keeps g for a later cell, up to maxIdleParts idle
-// generators. The cell must hold no view of g's frames any more. An idle
-// generator keeps its frame cache's buffers: at most 2^14 entries, each
-// as large as the largest frame it has built.
-func (c *devices) releaseGenerator(g *workload.Generator) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.gens) < maxIdleParts {
-		c.gens = append(c.gens, g)
-	}
-}
-
-// drawer returns a GenericMeasure drawer for one cell: one a finished
-// cell released, its buffers kept, or a new one. A nil cache always
-// builds.
-func (c *devices) drawer(rand *sim.Rand, gen *workload.Generator, ports int, hybrid bool) *drawer {
+// drawer returns a drawer for one cell, its generator reset to cfg: one
+// a finished cell released, its buffers kept, or a new one. A nil cache
+// always builds.
+func (c *devices) drawer(cfg workload.Config) (*drawer, error) {
 	var d *drawer
 	if c != nil {
 		c.mu.Lock()
@@ -140,16 +105,19 @@ func (c *devices) drawer(rand *sim.Rand, gen *workload.Generator, ports int, hyb
 		c.mu.Unlock()
 	}
 	if d == nil {
-		d = new(drawer)
+		g, err := workload.New(cfg)
+		return &drawer{gen: g}, err
 	}
-	d.rand, d.gen, d.ports, d.hybrid = rand, gen, ports, hybrid
-	return d
+	return d, d.gen.Reset(cfg)
 }
 
 // releaseDrawer keeps d for a later cell, up to maxIdleParts idle
-// drawers. An idle drawer keeps its chunks' buffers: at most aheadChunks
-// x (aheadArena + one interval's frames) of copies, and aheadChunk
-// intervals of background aggregates (5 bytes per port) each.
+// drawers. The cell must hold no view of its generator's frames any
+// more. An idle drawer keeps its generator's frame cache — at most 2^14
+// entries, each as large as the largest frame it has built — and its
+// chunks' buffers: at most aheadChunks x (aheadArena + one interval's
+// draws) of copies and send records, and aheadChunk intervals of
+// background aggregates (5 bytes per port) each.
 func (c *devices) releaseDrawer(d *drawer) {
 	if c == nil {
 		return

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"slices"
+	"unsafe"
 
 	"repro/internal/sim"
 	"repro/netfpga"
@@ -39,10 +40,13 @@ const (
 	// aheadChunks chunks rotate between the producer and the device:
 	// one being drawn, one being applied, one spare to absorb jitter.
 	aheadChunks = 3
-	// aheadArena ends a chunk once its foreground frames reach 256 KiB,
-	// so a full-fidelity jumbo cell whose generator keeps no frames
-	// holds at most about 3 x (256 KiB + one interval) of copies,
-	// whatever the chunk's size.
+	// aheadArena ends a chunk once what it holds reaches 256 KiB: its
+	// copies of foreground frames and its 32-byte send records, not the
+	// frames the generator keeps. A full-fidelity cell whose generator
+	// keeps its frames draws 16 records an interval on a 4-port board,
+	// so its chunks stop at 512 intervals, and a jumbo cell whose
+	// generator keeps none holds at most about 3 x (256 KiB + one
+	// interval) whatever the chunk's size.
 	aheadArena = 256 << 10
 )
 
@@ -78,8 +82,7 @@ type drawnSend struct {
 // so on a hybrid cell its sends are the draws its background ones leave,
 // and on a full-fidelity cell all of them.
 type drawChunk struct {
-	n     int
-	bytes int // of the foreground frames
+	n int
 	// bgF and bgB hold, for each interval of a hybrid cell and each
 	// ingress, the frames and bytes of its background draws: at most
 	// 4 x hw.MaxPorts frames of 9000 bytes, 5 bytes per port.
@@ -90,18 +93,28 @@ type drawChunk struct {
 }
 
 func (ch *drawChunk) reset() {
-	ch.n, ch.bytes, ch.bgF, ch.bgB, ch.sends, ch.arena = 0, 0, ch.bgF[:0], ch.bgB[:0], ch.sends[:0], ch.arena[:0]
+	ch.n, ch.bgF, ch.bgB, ch.sends, ch.arena = 0, ch.bgF[:0], ch.bgB[:0], ch.sends[:0], ch.arena[:0]
+}
+
+// held is what aheadArena bounds: ch's copies and its send records.
+func (ch *drawChunk) held() int {
+	return len(ch.arena) + len(ch.sends)*int(unsafe.Sizeof(drawnSend{}))
 }
 
 // drawer is the draw step's state: the cell's RNG and generator, which
 // nothing else touches while the cell draws, and the chunks it fills. A
-// plan's cache keeps drawers between cells, their buffers grown.
+// plan's cache keeps drawers between cells, their generators' frames and
+// their buffers grown; LatencyMeasure takes one for its generator.
 type drawer struct {
 	rand   *sim.Rand
 	gen    *workload.Generator
 	ports  int
 	hybrid bool
 	chunks [aheadChunks]drawChunk
+	// The handoff with the producer while a cell draws ahead (start); a
+	// nil full draws inline. fault is a panic of the producer.
+	free, full chan *drawChunk
+	fault      any
 }
 
 // draw appends one interval to ch: 4 draws per port, each a tap from the
@@ -132,7 +145,6 @@ func (d *drawer) draw(ch *drawChunk) {
 				snd.view, snd.end = nil, uint32(len(ch.arena))
 			}
 			ch.sends = append(ch.sends, snd)
-			ch.bytes += len(frame)
 			continue
 		}
 		bgF[ti]++
@@ -141,17 +153,15 @@ func (d *drawer) draw(ch *drawChunk) {
 	ch.n++
 }
 
-// produce fills chunks from free and hands them on full, in order, until
-// it has drawn intervals intervals or stop closes. The first chunk holds
-// at most sched.first intervals, each later one at most sched.grow of
-// its predecessor's, and a chunk ends early once its foreground frames
-// reach sched.arena bytes.
-func (d *drawer) produce(intervals int, sched drawSchedule, free <-chan *drawChunk, full chan<- *drawChunk, stop <-chan struct{}) {
+// produce fills chunks from d.free and hands them on d.full, in order,
+// until it has drawn intervals intervals or d.free closes. The first
+// chunk holds at most sched.first intervals, each later one at most
+// sched.grow of its predecessor's, and a chunk ends early once what it
+// holds reaches sched.arena bytes.
+func (d *drawer) produce(intervals int, sched drawSchedule) {
 	for left, size := intervals, sched.first; left > 0; size = sched.grow(size) {
-		var ch *drawChunk
-		select {
-		case ch = <-free:
-		case <-stop:
+		ch, ok := <-d.free
+		if !ok {
 			return
 		}
 		ch.reset()
@@ -159,100 +169,119 @@ func (d *drawer) produce(intervals int, sched drawSchedule, free <-chan *drawChu
 			n := min(left, size) * d.ports
 			ch.bgF, ch.bgB = slices.Grow(ch.bgF, n), slices.Grow(ch.bgB, n)
 		}
-		for ; left > 0 && ch.n < size && ch.bytes < sched.arena; left-- {
+		for ; left > 0 && ch.n < size && ch.held() < sched.arena; left-- {
 			d.draw(ch)
 		}
-		full <- ch
+		d.full <- ch
 	}
 }
 
-// applier is the apply step's state: the device side of a cell.
-type applier struct {
-	c     *Ctx
-	taps  []*netfpga.PortTap
-	model *netfpga.Background // nil in full fidelity
-	sent  uint64
-}
-
-// apply runs ch's intervals in order — each one's sends, its background
-// draws flooded to every egress but their ingress, then one pacing
-// interval of device time — and reports false if the batch was canceled
-// before one of them.
-func (a *applier) apply(ch *drawChunk) bool {
-	ports := len(a.taps)
-	s, start := 0, 0
-	for iv := range ch.n {
-		if a.c.Canceled() {
-			return false
-		}
-		var bgF []uint8
-		var bgB []uint32
-		var totF, totB uint64
-		if a.model != nil {
-			bgF, bgB = ch.bgF[iv*ports:(iv+1)*ports], ch.bgB[iv*ports:(iv+1)*ports]
-			for e := range ports {
-				totF += uint64(bgF[e])
-				totB += uint64(bgB[e])
-			}
-		}
-		for end := s + 4*ports - int(totF); s < end; s++ {
-			snd := &ch.sends[s]
-			frame := snd.view
-			if frame == nil {
-				frame, start = ch.arena[start:snd.end], int(snd.end)
-			}
-			if a.taps[snd.tap].Send(frame) {
-				a.sent++
-			}
-		}
-		// The model has no tx FIFO to reject an arrival; every
-		// background draw counts as sent and is resolved into delivered
-		// or dropped by admission.
-		a.sent += totF
-		if totF > 0 {
-			for e := range ports {
-				if f := totF - uint64(bgF[e]); f > 0 {
-					a.model.Offer(e, f, totB-uint64(bgB[e]))
-				}
-			}
-		}
-		a.c.Dev.RunFor(pacing)
+// start sets how next hands the apply step the cell's intervals of
+// draws. A cell of fewer than sched.aheadMin intervals draws each
+// interval inline when next asks for it. A longer one draws on a
+// producer goroutine (produce), up to aheadChunks chunks ahead, until
+// stop joins it.
+func (d *drawer) start(intervals int, sched drawSchedule) {
+	if intervals < sched.aheadMin {
+		return
 	}
-	return true
-}
-
-// ahead draws the cell's intervals on a producer goroutine (produce) and
-// hands each chunk to apply, in order, on the caller's goroutine. It
-// returns once the producer has exited: after the last interval, or
-// once apply reports false, or on a panic on either side. A panic in
-// the producer is raised again here, so the cell records it as its
-// error.
-func (d *drawer) ahead(intervals int, sched drawSchedule, apply func(*drawChunk) bool) {
 	// Each channel can hold every chunk, so no send on either blocks.
-	free := make(chan *drawChunk, aheadChunks)
-	full := make(chan *drawChunk, aheadChunks)
-	stop := make(chan struct{})
+	d.free, d.full = make(chan *drawChunk, aheadChunks), make(chan *drawChunk, aheadChunks)
 	for i := range d.chunks {
-		free <- &d.chunks[i]
+		d.free <- &d.chunks[i]
 	}
-	var fault any
 	go func() {
-		defer close(full) // runs last: the consumer joins on it
-		defer func() { fault = recover() }()
-		d.produce(intervals, sched, free, full, stop)
+		defer close(d.full) // runs last: next and stop join on it
+		defer func() { d.fault = recover() }()
+		d.produce(intervals, sched)
 	}()
-	defer func() {
-		close(stop)
-		for range full { // the chunks drawn past a stop
-		}
-	}()
-	for ch := range full {
-		if !apply(ch) {
-			return
-		}
-		free <- ch
+}
+
+// next hands back spent, the chunk it returned last (nil at first), and
+// returns the chunk that holds the cell's next intervals: one drawn
+// inline, or the producer's next. It raises a panic of the producer
+// again, so the cell records it as its error.
+func (d *drawer) next(spent *drawChunk) *drawChunk {
+	if d.full == nil {
+		ch := &d.chunks[0]
+		ch.reset()
+		d.draw(ch)
+		return ch
 	}
-	if fault != nil {
-		panic(fault)
+	if spent != nil {
+		d.free <- spent
+	}
+	ch, ok := <-d.full
+	if !ok {
+		panic(d.fault)
+	}
+	return ch
+}
+
+// stop joins the producer, whether it has drawn every interval or not,
+// and leaves d drawing inline. Closing free stops the producer once it
+// has filled the chunks handed back before the stop.
+func (d *drawer) stop() {
+	if d.full == nil {
+		return
+	}
+	close(d.free)
+	for range d.full { // the chunks drawn past a stop
+	}
+	d.free, d.full = nil, nil
+}
+
+// applier is the apply step's state: the device side of a cell, and its
+// place in the chunk ch it applies: the next interval iv, that
+// interval's first send s, and where the send's copy starts in ch's
+// arena.
+type applier struct {
+	d            *drawer
+	taps         []*netfpga.PortTap
+	model        *netfpga.Background // nil in full fidelity
+	sent         uint64
+	ch           *drawChunk
+	iv, s, start int
+}
+
+// apply injects the next interval's draws: its sends, then its
+// background draws flooded to every egress but their ingress. It takes
+// the next chunk once it has applied every interval of ch.
+func (a *applier) apply() {
+	if a.ch == nil || a.iv == a.ch.n {
+		a.ch, a.iv, a.s, a.start = a.d.next(a.ch), 0, 0, 0
+	}
+	ch, ports := a.ch, len(a.taps)
+	var bgF []uint8
+	var bgB []uint32
+	var totF, totB uint64
+	if a.model != nil {
+		bgF, bgB = ch.bgF[a.iv*ports:(a.iv+1)*ports], ch.bgB[a.iv*ports:(a.iv+1)*ports]
+		for e := range ports {
+			totF += uint64(bgF[e])
+			totB += uint64(bgB[e])
+		}
+	}
+	a.iv++
+	for end := a.s + 4*ports - int(totF); a.s < end; a.s++ {
+		snd := &ch.sends[a.s]
+		frame := snd.view
+		if frame == nil {
+			frame, a.start = ch.arena[a.start:snd.end], int(snd.end)
+		}
+		if a.taps[snd.tap].Send(frame) {
+			a.sent++
+		}
+	}
+	// The model has no tx FIFO to reject an arrival; every background
+	// draw counts as sent and is resolved into delivered or dropped by
+	// admission.
+	a.sent += totF
+	if totF > 0 {
+		for e := range ports {
+			if f := totF - uint64(bgF[e]); f > 0 {
+				a.model.Offer(e, f, totB-uint64(bgB[e]))
+			}
+		}
 	}
 }

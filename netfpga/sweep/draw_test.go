@@ -255,10 +255,10 @@ func TestDrawAheadCancelJoinsProducer(t *testing.T) {
 	}
 }
 
-// chunkSizes returns the intervals of each chunk that drawer.ahead hands
+// chunkSizes returns the intervals of each chunk that drawer.next hands
 // on for a cell of n intervals of wl at seed on a 4-port board, and the
-// drawer. An empty chunk stops the cell and fails t: a schedule that
-// stops growing draws nothing, forever.
+// drawer. An empty chunk fails t: a schedule that stops growing draws
+// nothing, forever.
 func chunkSizes(t *testing.T, n int, s drawSchedule, wl Workload, hybrid bool, seed uint64) ([]int, *drawer) {
 	t.Helper()
 	gen, err := workload.New(wl.Config(seed))
@@ -266,25 +266,31 @@ func chunkSizes(t *testing.T, n int, s drawSchedule, wl Workload, hybrid bool, s
 		t.Fatal(err)
 	}
 	d := &drawer{rand: sim.NewRand(seed), gen: gen, ports: 4, hybrid: hybrid}
+	d.start(n, s)
+	defer d.stop()
 	var sizes []int
-	d.ahead(n, s, func(ch *drawChunk) bool {
+	var ch *drawChunk
+	for left := n; left > 0; left -= ch.n {
+		if ch = d.next(ch); ch.n == 0 {
+			t.Fatalf("chunk %d holds no interval", len(sizes)+1)
+		}
 		sizes = append(sizes, ch.n)
-		return ch.n > 0
-	})
-	if len(sizes) > 0 && sizes[len(sizes)-1] == 0 {
-		t.Fatalf("chunk %d holds no interval", len(sizes))
 	}
 	return sizes, d
 }
 
-// TestDrawAheadChunkSizes pins the chunks drawer.ahead hands on. The
+// TestDrawAheadChunkSizes pins the chunks drawer.next hands on. The
 // shipped schedule draws a 900 000-interval cell (hybrid_bg255's) in
 // 884 chunks: 16, 32, ..., 512, then 877 of 1024 and the 944 left (256
 // intervals a chunk took 3 516); its generator keeps its frames, so the
-// chunks copy none. A cap of 2 holds the doubling at 2 for 75 chunks,
-// past the 63 after which one that does not saturate wraps. drawJumbo's
-// arena cuts the 16-interval chunk of TestDrawAheadMatchesInline's
-// jumbo cell at 6 intervals of copies, and the ramp goes on.
+// chunks copy none. A full-fidelity IMIX cell whose generator keeps its
+// frames holds 16 send records of 32 bytes an interval, so the arena
+// bound, not the frames' bytes, stops its ramp at 512 intervals
+// (counting the frames stopped it at about 47). A cap of 2 holds the
+// doubling at 2 for 75 chunks, past the 63 after which one that does not
+// saturate wraps. drawJumbo's arena cuts the 16-interval chunk of
+// TestDrawAheadMatchesInline's jumbo cell at 6 intervals of copies, and
+// the ramp goes on.
 func TestDrawAheadChunkSizes(t *testing.T) {
 	bg255 := Workload{Name: "bg255of256", Flows: 256, Background: 255}
 	want := []int{16, 32, 64, 128, 256, 512}
@@ -297,6 +303,16 @@ func TestDrawAheadChunkSizes(t *testing.T) {
 	for i := range d.chunks {
 		if n := cap(d.chunks[i].arena); n != 0 {
 			t.Errorf("chunk %d copied %d bytes of frames its generator keeps", i, n)
+		}
+	}
+
+	imix := Workload{Name: "imix", Flows: 8}
+	want = []int{16, 32, 64, 128, 256, 512, 512, 512, 512, 512, 512, 432}
+	got, d = chunkSizes(t, 4000, drawAhead, imix, false, 1)
+	checkChunks(t, "full-fidelity imix", got, want)
+	for i := range d.chunks {
+		if n := cap(d.chunks[i].arena); n != 0 {
+			t.Errorf("imix chunk %d copied %d bytes of frames its generator keeps", i, n)
 		}
 	}
 

@@ -59,8 +59,8 @@ func (c *Ctx) Keep(v any) {
 // context was canceled.
 var ErrCanceled = errors.New("sweep: batch canceled")
 
-// Canceled reports whether the batch has been canceled; long workload
-// loops should poll it so one bad device cannot wedge the pool's exit.
+// Canceled reports whether the batch has been canceled. Drive polls it
+// before every step, so one bad device cannot wedge the pool's exit.
 func (c *Ctx) Canceled() bool {
 	select {
 	case <-c.done:
@@ -68,6 +68,22 @@ func (c *Ctx) Canceled() bool {
 	default:
 		return false
 	}
+}
+
+// Drive is the paced loop every measure's traffic runs in: until the
+// device's clock reaches end it calls inject, which sends the step's
+// traffic, then runs the device for step. It returns false, without
+// another step, as soon as the batch is canceled, so a canceled cell
+// stops within one step of device time; it returns true at end.
+func (c *Ctx) Drive(end, step netfpga.Time, inject func()) bool {
+	for c.Dev.Now() < end {
+		if c.Canceled() {
+			return false
+		}
+		inject()
+		c.Dev.RunFor(step)
+	}
+	return true
 }
 
 // Runner is the library's in-process batch executor: Plan.Execute runs

@@ -22,19 +22,21 @@ import (
 // the window, queue-overflow drops, and the wire's FCS error count
 // (non-zero only on BER cells).
 //
-// The measure paces the window in 10 µs intervals of two steps each.
-// The draw step makes the interval's 4 draws per port — a tap from the
-// job RNG, then a frame from the generator — and records them; the
-// apply step injects the recorded frames, offers the background
-// aggregates and runs the device 10 µs. No draw reads simulation
+// The measure paces the window in 10 µs steps of Ctx.Drive, one
+// interval each, and stops early when the batch is canceled. The draw
+// step makes the interval's 4 draws per port — a tap from the job RNG,
+// then a frame from the generator — and records them; the apply step,
+// Drive's inject, injects the recorded frames and offers the background
+// aggregates, and Drive runs the device 10 µs. No draw reads simulation
 // state: the window fixes the number of intervals, and a tap that
 // refuses a frame changes only the sent count. So a cell of at least
 // aheadMin intervals (5.12 ms) draws on a goroutine of its own, up to
 // aheadChunks chunks ahead of the device — the first of 16 intervals,
 // each later one up to twice the last, at most aheadChunk — while a
-// shorter cell runs both steps in turn on the measure's goroutine. Either way the device
-// sees the same frames in the same order: the schedules agree on every
-// value, the digest and the event count.
+// shorter cell draws each interval when its step applies it. Either way
+// the device sees the same frames in the same order: the schedules
+// agree on every value, the digest and the event count. A canceled cell
+// reports what it counted by then, undrained.
 //
 // On a hybrid-fidelity device the measure walks the identical RNG
 // sequence (tap draw from the job RNG, then the generator's flow and
@@ -59,11 +61,11 @@ func GenericMeasure(c *Ctx, cell Cell) (Outcome, error) {
 // genericMeasure is GenericMeasure on the given draw schedule.
 func genericMeasure(c *Ctx, cell Cell, sched drawSchedule) (Outcome, error) {
 	dev := c.Dev
-	gen, err := cell.devs.generator(cell.Workload.Config(c.Seed))
+	d, err := cell.devs.drawer(cell.Workload.Config(c.Seed))
 	if err != nil {
 		return Outcome{}, err
 	}
-	defer cell.devs.releaseGenerator(gen)
+	defer cell.devs.releaseDrawer(d)
 	model := dev.Background() // nil in full fidelity
 	taps := make([]*netfpga.PortTap, dev.Board.Ports)
 	for i := range taps {
@@ -78,22 +80,13 @@ func genericMeasure(c *Ctx, cell Cell, sched drawSchedule) (Outcome, error) {
 	if now := dev.Now(); now < window {
 		intervals = int((window - now + pacing - 1) / pacing)
 	}
-	d := cell.devs.drawer(c.Rand, gen, len(taps), model != nil)
-	defer cell.devs.releaseDrawer(d)
-	a := applier{c: c, taps: taps, model: model}
-	if intervals < sched.aheadMin {
-		ch := &d.chunks[0]
-		for range intervals {
-			ch.reset()
-			d.draw(ch)
-			if !a.apply(ch) {
-				break
-			}
-		}
-	} else {
-		d.ahead(intervals, sched, a.apply)
+	d.rand, d.ports, d.hybrid = c.Rand, len(taps), model != nil
+	d.start(intervals, sched)
+	defer d.stop()
+	a := applier{d: d, taps: taps, model: model}
+	if c.Drive(window, pacing, a.apply) {
+		dev.RunUntilIdle(0)
 	}
-	dev.RunUntilIdle(0)
 
 	var rxFrames, rxBytes, fcsErrs uint64
 	for _, tap := range taps {
@@ -173,16 +166,19 @@ var (
 // Optional spec axes tune it per cell:
 //
 //	frame:  probe frame size in bytes including FCS (default 64)
-//	probes: probe count across the spec window (default 64)
+//	probes: probe count across the spec window (default 64, at most
+//	        one a picosecond)
 //	bg:     background frames injected per probe gap (default 0) —
 //	        the cell's workload mix, sprayed from the remaining ports,
 //	        so the probes queue behind real traffic and the
 //	        percentiles spread
 //
-// Probes follow one path at one size, so arrivals stay in send order
-// and the i-th filtered arrival is the i-th probe; background frames
-// are filtered out by destination MAC. A lost probe is an error, not a
-// silent hole in the distribution. Everything is derived from the cell
+// The probes are Ctx.Drive's steps, one gap apart; a canceled batch
+// stops them and fails the cell with ErrCanceled. Probes follow one
+// path at one size, so arrivals stay in send order and the i-th
+// filtered arrival is the i-th probe; background frames are filtered
+// out by destination MAC. A lost probe is an error, not a silent hole
+// in the distribution. Everything is derived from the cell
 // seed and simulated time: the distribution is bit-reproducible and
 // digest-safe.
 func LatencyMeasure(c *Ctx, cell Cell) (Outcome, error) {
@@ -194,8 +190,9 @@ func LatencyMeasure(c *Ctx, cell Cell) (Outcome, error) {
 	if err != nil || size < 64 {
 		return Outcome{}, fmt.Errorf("bad frame param %q (min 64)", cell.ParamOr("frame", "64"))
 	}
+	window := cell.Spec.Window()
 	probes, err := strconv.Atoi(cell.ParamOr("probes", "64"))
-	if err != nil || probes < 1 {
+	if err != nil || probes < 1 || netfpga.Time(probes) > window {
 		return Outcome{}, fmt.Errorf("bad probes param %q", cell.ParamOr("probes", "64"))
 	}
 	bg, err := strconv.Atoi(cell.ParamOr("bg", "0"))
@@ -242,17 +239,21 @@ func LatencyMeasure(c *Ctx, cell Cell) (Outcome, error) {
 		bgTaps = taps[:1]
 	}
 	if bg > 0 {
-		gen, err = cell.devs.generator(cell.Workload.Config(c.Seed))
+		d, err := cell.devs.drawer(cell.Workload.Config(c.Seed))
 		if err != nil {
 			return Outcome{}, err
 		}
-		defer cell.devs.releaseGenerator(gen)
+		defer cell.devs.releaseDrawer(d)
+		gen = d.gen
 	}
-	window := cell.Spec.Window()
 	gap := window / netfpga.Time(probes)
 	sendAt := make([]netfpga.Time, 0, probes)
 	model := dev.Background()
-	for i := 0; i < probes && !c.Canceled(); i++ {
+	rejected := -1
+	// start+probes*gap is a whole number of gaps: Drive takes exactly
+	// probes steps.
+	if !c.Drive(dev.Now()+netfpga.Time(probes)*gap, gap, func() {
+		i := len(sendAt)
 		if gen != nil {
 			// Background load from the non-probe ports: unlearned
 			// destinations flood, so the probe path's output queue
@@ -275,10 +276,14 @@ func LatencyMeasure(c *Ctx, cell Cell) (Outcome, error) {
 			}
 		}
 		sendAt = append(sendAt, dev.Now())
-		if !a.Send(probe) {
-			return Outcome{}, fmt.Errorf("probe %d rejected at tx", i)
+		if !a.Send(probe) && rejected < 0 {
+			rejected = i
 		}
-		dev.RunFor(gap)
+	}) {
+		return Outcome{}, fmt.Errorf("%w after %d of %d probes", ErrCanceled, len(sendAt), probes)
+	}
+	if rejected >= 0 {
+		return Outcome{}, fmt.Errorf("probe %d rejected at tx", rejected)
 	}
 	dev.RunUntilIdle(0)
 
@@ -294,10 +299,6 @@ func LatencyMeasure(c *Ctx, cell Cell) (Outcome, error) {
 	}
 	if len(lats) != len(sendAt) {
 		return Outcome{}, fmt.Errorf("lost %d of %d probes", len(sendAt)-len(lats), len(sendAt))
-	}
-	if len(lats) == 0 {
-		// Only reachable when the batch was canceled before probe 0.
-		return Outcome{}, fmt.Errorf("no probes sent (canceled)")
 	}
 
 	var sum float64
